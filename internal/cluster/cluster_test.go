@@ -204,8 +204,10 @@ func TestClusterJoinHandoffLeave(t *testing.T) {
 	}
 
 	n2 := startNode(t, cpSrv.URL, "n2")
+	// Agents adopt an epoch when they are fenced, before any state moves;
+	// the control plane publishes it once the handoff behind it is done.
 	waitFor(t, "join rebalance", func() bool {
-		return n2.agent.Epoch() == 2 && n1.agent.Epoch() == 2
+		return n2.agent.Epoch() == 2 && n1.agent.Epoch() == 2 && cp.Descriptor().Epoch == 2
 	})
 
 	// Placement: every bank's session lives exactly on its ring owner,
@@ -253,7 +255,7 @@ func TestClusterJoinHandoffLeave(t *testing.T) {
 	if err := n2.agent.Leave(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "leave rebalance", func() bool { return n1.agent.Epoch() == 3 })
+	waitFor(t, "leave rebalance", func() bool { return n1.agent.Epoch() == 3 && cp.Descriptor().Epoch == 3 })
 	for b := 0; b < banks; b++ {
 		st, ok := n1.engine.Session(clusterBank(b))
 		if !ok || st.Events != rowsPer {
@@ -274,7 +276,7 @@ func TestRouterRoutesAndRetriesStaleRing(t *testing.T) {
 	n1 := startNode(t, cpSrv.URL, "n1")
 	n2 := startNode(t, cpSrv.URL, "n2")
 	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2
+		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
 	})
 
 	rt := NewRouter(RouterConfig{
@@ -302,7 +304,7 @@ func TestRouterRoutesAndRetriesStaleRing(t *testing.T) {
 
 	// Make the router's ring stale: a third node joins and takes banks.
 	n3 := startNode(t, cpSrv.URL, "n3")
-	waitFor(t, "third node", func() bool { return n3.agent.Epoch() == 3 })
+	waitFor(t, "third node", func() bool { return n3.agent.Epoch() == 3 && cp.Descriptor().Epoch == 3 })
 
 	var second []mcelog.Event
 	for b := 0; b < banks; b++ {
@@ -350,7 +352,7 @@ func TestTakeoverDeadNode(t *testing.T) {
 	n1 := startNode(t, cpSrv.URL, "n1")
 	n2 := startNode(t, cpSrv.URL, "n2")
 	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2
+		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
 	})
 
 	// Ingest each bank directly at its owner.
@@ -467,11 +469,11 @@ func postEventsBin(t *testing.T, baseURL string, events []mcelog.Event) (int, in
 // delivers the same batch — binary framing is the default upstream, JSONL
 // stays as a compatibility codec, and either may arrive from clients.
 func TestRouterCodecMatrix(t *testing.T) {
-	_, cpSrv := startCP(t, CPConfig{})
+	cp, cpSrv := startCP(t, CPConfig{})
 	n1 := startNode(t, cpSrv.URL, "n1")
 	n2 := startNode(t, cpSrv.URL, "n2")
 	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2
+		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
 	})
 
 	for _, tc := range []struct {

@@ -24,7 +24,7 @@ func TestSweepRacesConcurrentJoin(t *testing.T) {
 	n1 := startNode(t, cpSrv.URL, "n1")
 	n2 := startNode(t, cpSrv.URL, "n2")
 	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2
+		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
 	})
 
 	// Load both nodes so the takeover and the join both move real state.
@@ -79,7 +79,7 @@ func TestSweepRacesConcurrentJoin(t *testing.T) {
 	n3 := startNode(t, cpSrv.URL, "n3")
 	<-sweepDone
 	waitFor(t, "takeover recorded", func() bool { return cp.takeovers.Value() == 1 })
-	waitFor(t, "n3 joined", func() bool { return n3.agent.Epoch() >= 3 })
+	waitFor(t, "n3 joined and published", func() bool { return n3.agent.Epoch() >= 3 && cp.Descriptor().Epoch >= 4 })
 
 	// Whatever order the race resolved in, two mutations happened on top
 	// of epoch 2: the ring is at epoch 4 with exactly {n1, n3}.

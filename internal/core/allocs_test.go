@@ -1,0 +1,86 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"cordial/internal/ecc"
+	"cordial/internal/hbm"
+	"cordial/internal/mcelog"
+	"cordial/internal/xrand"
+)
+
+// TestPredictBlocksStateAllocs pins the allocation count of the §IV-D hot
+// path with the default 80-tree forest: a warmed PredictBlocksState allocates
+// only the probabilities it returns, and a predicting OnEvent only its
+// Decision (probabilities, mask, rows, the BlockPrediction) — one more is
+// allowed for the feature state's amortised row-set growth. Before the forest
+// arena and the pooled scratch these were 1 341 and 1 345.
+func TestPredictBlocksStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	fleet := testFleet(t, 1, 120)
+	train, test, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(RandomForest)
+	cfg.Params = ModelParams{Trees: 80}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
+
+	// Replay test banks until one is classified as an aggregation pattern
+	// and is therefore predicting at every new UER row.
+	var sess *cordialSession
+	var last mcelog.Event
+	failed := make([]bool, hbm.DefaultGeometry.RowsPerBank) // rows the chosen bank has seen
+	for _, bf := range test {
+		s := strategy.NewSession(hbm.BankAddress{}).(*cordialSession)
+		clear(failed)
+		for _, e := range bf.Events {
+			s.OnEvent(e)
+			failed[e.Addr.Row] = true
+		}
+		if class, ok := s.Class(); ok && class.IsAggregation() {
+			sess, last = s, bf.Events[len(bf.Events)-1]
+			break
+		}
+	}
+	if sess == nil {
+		t.Fatal("no test bank was classified as an aggregation pattern")
+	}
+
+	now := last.Time.Add(time.Hour)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.PredictBlocksState(sess.state, last.Addr.Row, now); err != nil {
+			t.Error(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("warmed PredictBlocksState allocates %v times, want at most 1", allocs)
+	}
+
+	// Every run is a UER at a row the bank has not failed at yet, so every
+	// run predicts.
+	row, step := last.Addr.Row, 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		step++
+		for failed[row] {
+			row = (row + 3) % len(failed)
+		}
+		failed[row] = true
+		e := last
+		e.Class, e.Addr.Row, e.Time = ecc.ClassUER, row, now.Add(time.Duration(step)*time.Minute)
+		if d := sess.OnEvent(e); d.Blocks == nil {
+			t.Error("OnEvent at a new UER row made no block prediction")
+		}
+	}); allocs > 5 {
+		t.Errorf("predicting OnEvent allocates %v times, want at most 5", allocs)
+	}
+}

@@ -101,11 +101,13 @@ func TestRestoreSessionRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := *p
-	cfg := other.cfg
+	cfg := p.Config()
 	cfg.Pattern.UERBudget++
-	other.cfg = cfg
-	if _, err := (&CordialStrategy{Pipeline: &other, Geometry: hbm.DefaultGeometry}).RestoreSession(hbm.BankAddress{}, blob); err == nil {
+	other, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&CordialStrategy{Pipeline: other, Geometry: hbm.DefaultGeometry}).RestoreSession(hbm.BankAddress{}, blob); err == nil {
 		t.Error("mismatched pattern config accepted")
 	}
 

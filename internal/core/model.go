@@ -201,16 +201,15 @@ func blockInstances(bf *faultsim.BankFault, spec features.BlockSpec, warmup int)
 			st.Observe(bf.Events[next])
 			next++
 		}
+		window := make([]float64, spec.NumBlocks()*features.BlockFeatureCount)
+		st.BlockVectorsInto(window, anchor, now)
 		for b := 0; b < spec.NumBlocks(); b++ {
-			vec, err := st.BlockVector(anchor, b, now)
-			if err != nil {
-				return nil, nil, err
-			}
 			label := 0
 			if blockHasFutureUER(bf, spec, anchor, b, now) {
 				label = 1
 			}
-			vecs = append(vecs, vec)
+			lo, hi := b*features.BlockFeatureCount, (b+1)*features.BlockFeatureCount
+			vecs = append(vecs, window[lo:hi:hi])
 			labels = append(labels, label)
 		}
 	}

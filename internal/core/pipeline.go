@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"sync"
 	"time"
 
 	"cordial/internal/ecc"
@@ -79,7 +79,60 @@ type Pipeline struct {
 	cfg          Config
 	patternModel mltree.Classifier
 	blockModel   mltree.Classifier
-	meta         *ModelMeta
+	// blockPosIdx is the positive class's index in blockModel.Classes(), or
+	// -1; resolved when the model is installed (Fit, LoadModels).
+	blockPosIdx int
+	meta        *ModelMeta
+	// scratch pools *blockScratch, the working memory of one window
+	// prediction. It belongs to the pipeline, not to a session: a fleet has
+	// millions of mostly idle sessions and a handful of shard consumers
+	// predicting at any instant, so per-session buffers would be resident
+	// memory bought for nothing.
+	scratch sync.Pool
+}
+
+// blockScratch is one window prediction's working memory: the feature
+// matrix (row views over one backing array) and the class probabilities of
+// every block.
+type blockScratch struct {
+	feats []float64
+	rows  [][]float64
+	probs []float64
+}
+
+// blockScratchFor returns a scratch sized for blocks rows and classes
+// probabilities per row, from the pool when it holds one of that shape (the
+// shape only changes when LoadModels installs a different model).
+func (p *Pipeline) blockScratchFor(blocks, classes int) *blockScratch {
+	if sc, ok := p.scratch.Get().(*blockScratch); ok && len(sc.rows) == blocks && len(sc.probs) == blocks*classes {
+		return sc
+	}
+	sc := &blockScratch{
+		feats: make([]float64, blocks*features.BlockFeatureCount),
+		rows:  make([][]float64, blocks),
+		probs: make([]float64, blocks*classes),
+	}
+	for b := range sc.rows {
+		sc.rows[b] = sc.feats[b*features.BlockFeatureCount : (b+1)*features.BlockFeatureCount]
+	}
+	return sc
+}
+
+// setBlockModel installs the block model and resolves its positive class.
+func (p *Pipeline) setBlockModel(m mltree.Classifier) {
+	p.blockModel = m
+	p.blockPosIdx = positiveIndex(m.Classes())
+}
+
+// positiveIndex returns the index of class 1 (block will see a UER) in a
+// binary block model's class list, or -1.
+func positiveIndex(classes []int) int {
+	for i, c := range classes {
+		if c == 1 {
+			return i
+		}
+	}
+	return -1
 }
 
 // New returns an unfitted pipeline.
@@ -152,7 +205,7 @@ func (p *Pipeline) Fit(banks []*faultsim.BankFault) error {
 	if err := bm.Fit(blockDS); err != nil {
 		return fmt.Errorf("core: fitting block model: %w", err)
 	}
-	p.blockModel = bm
+	p.setBlockModel(bm)
 
 	if p.cfg.Threshold == 0 {
 		thr, err := crossFitThreshold(p.cfg, blockDS)
@@ -191,25 +244,18 @@ func crossFitThreshold(cfg Config, blockDS *mltree.Dataset) (float64, error) {
 // silently predict nothing; calibration keeps the operating point sane for
 // every backend.
 func calibrateThreshold(model mltree.Classifier, ds *mltree.Dataset) float64 {
-	classes := model.Classes()
-	posIdx := -1
-	for i, c := range classes {
-		if c == 1 {
-			posIdx = i
-		}
-	}
+	k := len(model.Classes())
+	posIdx := positiveIndex(model.Classes())
 	if posIdx < 0 {
 		return 0.5
 	}
-	probs := make([]float64, ds.NumSamples())
-	for i, pr := range model.PredictBatch(ds.Features) {
-		probs[i] = pr[posIdx]
-	}
+	probs := make([]float64, ds.NumSamples()*k)
+	model.PredictBatchInto(probs, ds.Features)
 	best, bestF1 := 0.5, -1.0
 	for thr := 0.05; thr < 0.90; thr += 0.025 {
 		var bin metrics.Binary
-		for i, p := range probs {
-			bin.Add(ds.Labels[i] == 1, p >= thr)
+		for i, label := range ds.Labels {
+			bin.Add(label == 1, probs[i*k+posIdx] >= thr)
 		}
 		if f1 := bin.Report().F1; f1 > bestF1 {
 			best, bestF1 = thr, f1
@@ -281,57 +327,58 @@ func (p *Pipeline) PredictBlocks(events []mcelog.Event, anchorRow int, now time.
 
 // PredictBlocksState returns the per-block UER probability for the window
 // anchored at anchorRow, computed from an incrementally maintained feature
-// state at decision time now.
+// state at decision time now. The whole window is one BlockVectorsInto fill
+// and one PredictBatchInto call over pooled scratch; the returned slice is
+// the only allocation.
 func (p *Pipeline) PredictBlocksState(st *features.BankState, anchorRow int, now time.Time) ([]float64, error) {
 	if p.blockModel == nil {
 		return nil, fmt.Errorf("core: pipeline not fitted")
 	}
-	probs := make([]float64, p.cfg.Block.NumBlocks())
-	classes := p.blockModel.Classes()
-	posIdx := -1
-	for i, c := range classes {
-		if c == 1 {
-			posIdx = i
-		}
-	}
-	if posIdx < 0 {
+	if p.blockPosIdx < 0 {
 		return nil, fmt.Errorf("core: block model has no positive class")
 	}
-	// Build every block's feature vector, then score the whole window in
-	// one batch call: the per-event hot path of the stream engine benefits
-	// from the flat-tree batch driver instead of 16 scattered single-row
-	// predictions.
-	vecs := make([][]float64, len(probs))
-	for b := range vecs {
-		vec, err := st.BlockVector(anchorRow, b, now)
-		if err != nil {
-			return nil, err
-		}
-		vecs[b] = vec
+	if st.Spec() != p.cfg.Block {
+		return nil, fmt.Errorf("core: feature state block spec %+v does not match pipeline %+v", st.Spec(), p.cfg.Block)
 	}
-	for b, pr := range p.blockModel.PredictBatch(vecs) {
-		probs[b] = pr[posIdx]
+	k := len(p.blockModel.Classes())
+	probs := make([]float64, p.cfg.Block.NumBlocks())
+	sc := p.blockScratchFor(len(probs), k)
+	st.BlockVectorsInto(sc.feats, anchorRow, now)
+	p.blockModel.PredictBatchInto(sc.probs, sc.rows)
+	for b := range probs {
+		probs[b] = sc.probs[b*k+p.blockPosIdx]
 	}
+	p.scratch.Put(sc)
 	return probs, nil
 }
 
 // PredictRows converts block probabilities into the concrete rows Cordial
 // would isolate: every row of every block whose probability clears the
-// threshold, clipped to the bank geometry.
+// threshold, clipped to the bank geometry, ascending (blocks are contiguous
+// and ordered by row).
 func (p *Pipeline) PredictRows(probs []float64, anchorRow int, geo hbm.Geometry) []int {
-	var rows []int
+	clipped := func(b int) (lo, hi int) {
+		lo, hi = p.cfg.Block.BlockRange(anchorRow, b)
+		return max(lo, 0), min(hi, geo.RowsPerBank-1)
+	}
+	n := 0
+	for b, prob := range probs {
+		if lo, hi := clipped(b); prob >= p.cfg.Threshold && hi >= lo {
+			n += hi - lo + 1
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	rows := make([]int, 0, n)
 	for b, prob := range probs {
 		if prob < p.cfg.Threshold {
 			continue
 		}
-		lo, hi := p.cfg.Block.BlockRange(anchorRow, b)
-		for r := lo; r <= hi; r++ {
-			if r >= 0 && r < geo.RowsPerBank {
-				rows = append(rows, r)
-			}
+		for r, hi := clipped(b); r <= hi; r++ {
+			rows = append(rows, r)
 		}
 	}
-	sort.Ints(rows)
 	return rows
 }
 
@@ -399,7 +446,8 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 	p.cfg.Model = head.Model
 	p.cfg.ErrBits = head.ErrBits
 	p.meta = head.Meta
-	p.patternModel, p.blockModel = pm, bm
+	p.patternModel = pm
+	p.setBlockModel(bm)
 	return nil
 }
 

@@ -348,14 +348,15 @@ func (s BlockSpec) BlockOf(lastUERRow, row int) int {
 	return off / s.BlockSize
 }
 
-// blockFeatureCount is kept in sync with BlockVector/BlockFeatureNames.
-const blockFeatureCount = 35
+// BlockFeatureCount is the length of a block vector, kept in sync with
+// BlockVector/BlockFeatureNames.
+const BlockFeatureCount = 35
 
 // BlockFeatureNames returns the column names of BlockVector, in order.
 // The same order is produced by both the batch and the incremental
 // (BankState.BlockVector) extraction paths.
 func BlockFeatureNames() []string {
-	names := make([]string, 0, blockFeatureCount)
+	names := make([]string, 0, BlockFeatureCount)
 	for _, class := range []string{"ce", "ueo", "uer"} {
 		names = append(names,
 			class+"_count",
@@ -413,7 +414,7 @@ func referenceBlockVector(events []mcelog.Event, anchorRow int, spec BlockSpec, 
 	}
 	ces, ueos, uers := splitByClass(events)
 
-	out := make([]float64, 0, blockFeatureCount)
+	out := make([]float64, 0, BlockFeatureCount)
 	for _, evs := range [][]mcelog.Event{ces, ueos, uers} {
 		s := newSeqStats(evs)
 		out = append(out,
@@ -476,8 +477,8 @@ func referenceBlockVector(events []mcelog.Event, anchorRow int, spec BlockSpec, 
 		out = append(out, math.Abs(float64(centre)-ceMean))
 	}
 
-	if len(out) != blockFeatureCount {
-		panic(fmt.Sprintf("features: block vector has %d values, want %d", len(out), blockFeatureCount))
+	if len(out) != BlockFeatureCount {
+		panic(fmt.Sprintf("features: block vector has %d values, want %d", len(out), BlockFeatureCount))
 	}
 	return out, nil
 }

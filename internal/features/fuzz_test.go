@@ -11,9 +11,10 @@ import (
 // FuzzIncrementalFeatureEquivalence decodes arbitrary bytes into a
 // nondecreasing-timestamp event stream and asserts that the incremental
 // BankState is bit-identical to the batch reference at every prefix, for
-// both the pattern vector and every block vector. This is the correctness
-// pin for the O(1)-per-event refactor: any divergence between the two
-// paths, however obscure the triggering sequence, is a crash here.
+// both the pattern vector and every block vector (BlockVector and the rows
+// of BlockVectorsInto alike). This is the correctness pin for the
+// O(1)-per-event refactor: any divergence between the two paths, however
+// obscure the triggering sequence, is a crash here.
 func FuzzIncrementalFeatureEquivalence(f *testing.F) {
 	// Seeds cover the known-tricky shapes: timestamp ties at the first
 	// UER, cutoff extensions revealing pending events, repeat UER rows,

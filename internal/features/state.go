@@ -275,32 +275,57 @@ func (s *BankState) PatternVector() ([]float64, error) {
 	return out, nil
 }
 
-// BlockVector returns the §IV-D feature vector for one prediction block,
-// bit-identical to BlockVector over the events observed so far. anchorRow
-// is the last observed UER row; now is the decision time.
-func (s *BankState) BlockVector(anchorRow, block int, now time.Time) ([]float64, error) {
-	if block < 0 || block >= s.spec.NumBlocks() {
-		return nil, fmt.Errorf("features: block %d out of [0,%d)", block, s.spec.NumBlocks())
-	}
-	out := make([]float64, 0, blockFeatureCount)
-	for _, st := range []seqStats{s.blkCE.stats(), s.blkUEO.stats(), s.blkUER.stats()} {
-		out = append(out,
+// blockLeadCols is the number of leading block-vector columns that do not
+// depend on the block: the three classes' sequence statistics, the event
+// count and the time since the last event.
+const blockLeadCols = 3*7 + 2
+
+// blockWindow is the block-independent part of a window's block vectors,
+// computed once per decision: the leading columns verbatim, plus the values
+// the later block-independent columns (and the cluster-centre distances)
+// derive from.
+type blockWindow struct {
+	lead            [blockLeadCols]float64
+	anchorRow       int
+	uerRows         float64
+	uerMean, ceMean float64 // Missing without events of the class
+}
+
+// windowAt computes the window's block-independent values.
+func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
+	w := blockWindow{anchorRow: anchorRow, uerRows: float64(s.uerRows.size()), uerMean: Missing, ceMean: Missing}
+	i := 0
+	for _, a := range [...]*seqAccum{&s.blkCE, &s.blkUEO, &s.blkUER} {
+		st := a.stats()
+		i += copy(w.lead[i:], []float64{
 			float64(st.count),
 			st.rowDiffMin, st.rowDiffMax, st.rowDiffAvg,
 			st.dtMin, st.dtMax, st.dtAvg,
-		)
+		})
 	}
-	out = append(out, float64(s.events))
-
 	sinceLast := Missing
 	if s.events > 0 {
 		sinceLast = hours(now.Sub(s.lastTime))
 	}
-	out = append(out, sinceLast)
+	w.lead[i], w.lead[i+1] = float64(s.events), sinceLast
+	if s.blkUER.count > 0 {
+		w.uerMean = s.uerRowSum / float64(s.blkUER.count)
+	}
+	if s.blkCE.count > 0 {
+		w.ceMean = s.ceRowSum / float64(s.blkCE.count)
+	}
+	return w
+}
 
-	lo, hi := s.spec.BlockRange(anchorRow, block)
+// fillBlock writes one block's vector into row, whose length and capacity
+// must both be BlockFeatureCount (so a miscounted append cannot spill into a
+// neighbouring row unnoticed).
+func (s *BankState) fillBlock(row []float64, w *blockWindow, block int) {
+	out := row[:copy(row, w.lead[:])]
+
+	lo, hi := s.spec.BlockRange(w.anchorRow, block)
 	centre := (lo + hi) / 2
-	offset := centre - anchorRow
+	offset := centre - w.anchorRow
 	out = append(out, float64(offset), math.Abs(float64(offset)))
 
 	prior, priorUER := 0, 0
@@ -313,25 +338,49 @@ func (s *BankState) BlockVector(anchorRow, block int, now time.Time) ([]float64,
 	out = append(out, float64(prior), float64(priorUER))
 
 	out = append(out, s.ceRows.nearest(centre), s.ueoRows.nearest(centre), s.uerRows.nearest(centre))
-	out = append(out, float64(s.uerRows.size()))
-	out = append(out, float64(anchorRow))
+	out = append(out, w.uerRows, float64(w.anchorRow))
 
-	if s.blkUER.count == 0 {
+	if w.uerMean == Missing {
 		out = append(out, Missing, Missing)
 	} else {
-		uerMean := s.uerRowSum / float64(s.blkUER.count)
-		out = append(out, uerMean-float64(anchorRow), math.Abs(float64(centre)-uerMean))
+		out = append(out, w.uerMean-float64(w.anchorRow), math.Abs(float64(centre)-w.uerMean))
 	}
-	if s.blkCE.count == 0 {
+	if w.ceMean == Missing {
 		out = append(out, Missing)
 	} else {
-		ceMean := s.ceRowSum / float64(s.blkCE.count)
-		out = append(out, math.Abs(float64(centre)-ceMean))
+		out = append(out, math.Abs(float64(centre)-w.ceMean))
 	}
 
-	if len(out) != blockFeatureCount {
-		panic(fmt.Sprintf("features: block vector has %d values, want %d", len(out), blockFeatureCount))
+	if len(out) != BlockFeatureCount {
+		panic(fmt.Sprintf("features: block vector has %d values, want %d", len(out), BlockFeatureCount))
 	}
+}
+
+// BlockVectorsInto writes the §IV-D feature vectors of every block of the
+// window anchored at anchorRow into dst, row-major: block b's vector is
+// dst[b*BlockFeatureCount:(b+1)*BlockFeatureCount], bit-identical to
+// BlockVector(anchorRow, b, now). dst must hold at least
+// NumBlocks()*BlockFeatureCount values. It does not allocate, and the
+// block-independent columns — the three sequence statistics among them —
+// are computed once for the window instead of once per block.
+func (s *BankState) BlockVectorsInto(dst []float64, anchorRow int, now time.Time) {
+	w := s.windowAt(anchorRow, now)
+	for b := 0; b < s.spec.NumBlocks(); b++ {
+		s.fillBlock(dst[b*BlockFeatureCount:(b+1)*BlockFeatureCount:(b+1)*BlockFeatureCount], &w, b)
+	}
+}
+
+// BlockVector returns the §IV-D feature vector for one prediction block:
+// one row of BlockVectorsInto, bit-identical to the batch reference over
+// the events observed so far. anchorRow is the last observed UER row; now
+// is the decision time.
+func (s *BankState) BlockVector(anchorRow, block int, now time.Time) ([]float64, error) {
+	if block < 0 || block >= s.spec.NumBlocks() {
+		return nil, fmt.Errorf("features: block %d out of [0,%d)", block, s.spec.NumBlocks())
+	}
+	out := make([]float64, BlockFeatureCount)
+	w := s.windowAt(anchorRow, now)
+	s.fillBlock(out, &w, block)
 	return out, nil
 }
 

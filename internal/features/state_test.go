@@ -26,8 +26,9 @@ func vecBitsEqual(a, b []float64) bool {
 }
 
 // assertPrefixEquivalence feeds events through one long-lived BankState and
-// checks, after every event, that its pattern and block vectors are
-// bit-identical to the batch reference over the same prefix.
+// checks, after every event, that its pattern and block vectors — each block
+// alone and as a row of BlockVectorsInto — are bit-identical to the batch
+// reference over the same prefix.
 func assertPrefixEquivalence(t *testing.T, events []mcelog.Event, cfg PatternConfig, spec BlockSpec) {
 	t.Helper()
 	st, err := NewBankState(cfg, spec)
@@ -35,6 +36,7 @@ func assertPrefixEquivalence(t *testing.T, events []mcelog.Event, cfg PatternCon
 		t.Fatal(err)
 	}
 	lastUERRow := -1
+	window := make([]float64, spec.NumBlocks()*BlockFeatureCount)
 	for i, e := range events {
 		st.Observe(e)
 		if e.Class == ecc.ClassUER {
@@ -58,6 +60,7 @@ func assertPrefixEquivalence(t *testing.T, events []mcelog.Event, cfg PatternCon
 		// Query at the current event time and strictly after it (the
 		// online engine decides at the event; offline builders may not).
 		for _, now := range []time.Time{e.Time, e.Time.Add(90 * time.Minute)} {
+			st.BlockVectorsInto(window, anchor, now)
 			for b := 0; b < spec.NumBlocks(); b++ {
 				got, err1 := st.BlockVector(anchor, b, now)
 				want, err2 := referenceBlockVector(prefix, anchor, spec, b, now)
@@ -67,6 +70,10 @@ func assertPrefixEquivalence(t *testing.T, events []mcelog.Event, cfg PatternCon
 				if !vecBitsEqual(got, want) {
 					t.Fatalf("prefix %d block %d now=%v: block vector diverged:\nincremental %v\nreference   %v",
 						i+1, b, now, got, want)
+				}
+				if row := window[b*BlockFeatureCount : (b+1)*BlockFeatureCount]; !vecBitsEqual(row, want) {
+					t.Fatalf("prefix %d block %d now=%v: BlockVectorsInto row diverged:\nwindow    %v\nreference %v",
+						i+1, b, now, row, want)
 				}
 			}
 		}

@@ -155,8 +155,13 @@ type Classifier interface {
 	// PredictProba returns one probability per class, aligned with
 	// Classes(), summing to 1.
 	PredictProba(x []float64) []float64
-	// PredictBatch predicts every row of X, parallelised across rows;
-	// each row's result is identical to PredictProba on that row.
+	// PredictBatchInto predicts every row of X into dst, row-major:
+	// row i's probabilities are dst[i*k:(i+1)*k] with k = len(Classes()),
+	// each identical to PredictProba on that row. dst must hold at least
+	// len(X)*k values. It does not allocate, and batches too small to be
+	// worth a goroutine hand-off run on the calling goroutine.
+	PredictBatchInto(dst []float64, X [][]float64)
+	// PredictBatch is PredictBatchInto into freshly allocated rows.
 	PredictBatch(X [][]float64) [][]float64
 }
 

@@ -2,6 +2,7 @@ package mltree
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -50,14 +51,23 @@ func assertSameProbs(t *testing.T, label string, a, b Classifier, X [][]float64)
 // TestParallelismEquivalenceAllModels asserts the tentpole correctness
 // contract: a seeded fit with Parallelism=8 is bit-identical to
 // Parallelism=1, for every model, with the split-search gate forced open so
-// the parallel paths actually run.
+// the parallel paths actually run — and so is batch inference over a batch
+// large enough to pass minParallelPredictWork and fan out in row blocks.
 func TestParallelismEquivalenceAllModels(t *testing.T) {
 	forceParallelSplits(t)
 	train, test := noisyBlobs(31, 3, 120)
 	serial := fitAll(t, train, 1)
 	parallel := fitAll(t, train, 8)
+	batch := append(append([][]float64{}, train.Features...), test.Features...)
+	if len(batch)*12 < minParallelPredictWork { // 12: the forest, the smallest ensemble
+		t.Fatalf("batch of %d rows does not reach the parallel inference path", len(batch))
+	}
 	for i := range serial {
 		assertSameProbs(t, typeName(serial[i]), serial[i], parallel[i], test.Features)
+		ps, pp := serial[i].PredictBatch(batch), parallel[i].PredictBatch(batch)
+		for r := range batch {
+			assertBitsEqual(t, typeName(serial[i])+" batch", ps[r], pp[r])
+		}
 	}
 }
 
@@ -75,7 +85,95 @@ func typeName(c Classifier) string {
 	return "Classifier"
 }
 
-// TestFlatTreeMatchesPointerNavigation asserts flat-tree descent reproduces
+func assertBitsEqual(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: lengths differ: %d vs %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: differ at %d: %v vs %v", label, i, got, want)
+		}
+	}
+}
+
+// pointerForestProba is the executable specification of Forest inference:
+// walk every member's pointer tree, re-align its leaf distribution onto the
+// forest's class list (a bag can miss a class), sum in tree order, scale by
+// 1/trees last.
+func pointerForestProba(f *Forest, x []float64) []float64 {
+	out := make([]float64, len(f.classes))
+	idx := classIndex(f.classes)
+	for _, tr := range f.trees {
+		for j, p := range tr.root.navigate(x).Probs {
+			out[idx[tr.classes[j]]] += p
+		}
+	}
+	inv := 1 / float64(len(f.trees))
+	for c := range out {
+		out[c] *= inv
+	}
+	return out
+}
+
+// TestArenaForestEquivalence asserts the forest's single node arena
+// reproduces the pointer forest bit for bit: on the default forest, on a
+// forest with a member whose bag missed a class (the compile-time
+// alignment), per row and batched, and after save→load→predict.
+func TestArenaForestEquivalence(t *testing.T) {
+	train, test := noisyBlobs(32, 3, 120)
+
+	def := NewForest(ForestConfig{Seed: 7})
+	if err := def.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+
+	// Members fitted on their own subsets, one of which holds only classes
+	// 0 and 2, assembled under the full class list.
+	subset := func(keep func(label int) bool) *Dataset {
+		ds := &Dataset{}
+		for i, l := range train.Labels {
+			if keep(l) {
+				ds.Features = append(ds.Features, train.Features[i])
+				ds.Labels = append(ds.Labels, l)
+			}
+		}
+		return ds
+	}
+	missing := &Forest{Config: ForestConfig{Parallelism: 1}, classes: train.Classes()}
+	for _, ds := range []*Dataset{train, subset(func(l int) bool { return l != 1 }), subset(func(l int) bool { return l != 0 })} {
+		tr := NewTree(TreeConfig{MaxDepth: 6}, nil)
+		if err := tr.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		missing.trees = append(missing.trees, tr)
+	}
+	if got := len(missing.trees[1].classes); got != 2 {
+		t.Fatalf("subset member has %d classes, want 2", got)
+	}
+	missing.arena = compileClassifier(missing.trees, missing.classes)
+
+	for name, f := range map[string]*Forest{"default": def, "missing class": missing} {
+		var buf bytes.Buffer
+		if err := Save(&buf, f); err != nil {
+			t.Fatalf("%s: save: %v", name, err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: load: %v", name, err)
+		}
+		batch, loadedBatch := f.PredictBatch(test.Features), loaded.PredictBatch(test.Features)
+		for i, x := range test.Features {
+			want := pointerForestProba(f, x)
+			assertBitsEqual(t, name+" single", f.PredictProba(x), want)
+			assertBitsEqual(t, name+" batch", batch[i], want)
+			assertBitsEqual(t, name+" loaded single", loaded.PredictProba(x), want)
+			assertBitsEqual(t, name+" loaded batch", loadedBatch[i], want)
+		}
+	}
+}
+
+// TestFlatTreeMatchesPointerNavigation asserts flat descent reproduces
 // pointer navigation exactly, for single trees and boosting chains.
 func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	train, test := noisyBlobs(32, 3, 120)
@@ -84,42 +182,32 @@ func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	if err := tr.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if tr.flat == nil {
-		t.Fatal("fit did not compile a flat tree")
-	}
 	for _, x := range test.Features {
-		want := tr.root.navigate(x).Probs
-		got := tr.flat.leafProbs(x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("flat leaf probs differ: %v vs %v", got, want)
-			}
-		}
+		assertBitsEqual(t, "tree", tr.PredictProba(x), tr.root.navigate(x).Probs)
 	}
 
 	g := NewGBDT(GBDTConfig{Rounds: 10, Seed: 3})
 	if err := g.Fit(train); err != nil {
 		t.Fatal(err)
 	}
+	got := make([]float64, len(test.Features))
 	for _, b := range g.boosters {
-		if b.flat == nil {
-			t.Fatal("fit did not compile the booster chain")
-		}
-		for _, x := range test.Features {
+		b.flat.margins(got, 1, b.Bias, b.LR, test.Features)
+		for i, x := range test.Features {
 			want := b.Bias
 			for _, tn := range b.Trees {
 				want += b.LR * tn.navigate(x).Value
 			}
-			if got := b.flat.margin(b.Bias, b.LR, x); got != want {
-				t.Fatalf("flat margin %v differs from pointer walk %v", got, want)
+			if got[i] != want {
+				t.Fatalf("flat margin %v differs from pointer walk %v", got[i], want)
 			}
 		}
 	}
 }
 
 // TestSerializeRoundTripCompilesFlat asserts a loaded model predicts through
-// recompiled flat trees and matches the original exactly, per-row and
-// batched.
+// a recompiled arena — one per forest, none on its members — and matches the
+// original exactly, per-row and batched.
 func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 	train, test := noisyBlobs(33, 3, 120)
 	for _, m := range fitAll(t, train, 0) {
@@ -137,9 +225,12 @@ func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 				t.Fatal("loaded tree has no flat form")
 			}
 		case *Forest:
+			if lm.arena == nil || len(lm.arena.roots) != len(lm.trees) {
+				t.Fatal("loaded forest has no arena over its members")
+			}
 			for _, tr := range lm.trees {
-				if tr.flat == nil {
-					t.Fatal("loaded forest member has no flat form")
+				if tr.flat != nil {
+					t.Fatal("loaded forest member was compiled on its own")
 				}
 			}
 		case *GBDT:
@@ -158,33 +249,72 @@ func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 		assertSameProbs(t, typeName(m), m, loaded, test.Features)
 		batch := loaded.PredictBatch(test.Features)
 		for i, x := range test.Features {
-			single := m.PredictProba(x)
-			for c := range single {
-				if batch[i][c] != single[c] {
-					t.Fatalf("%s: batch row %d differs from single prediction", typeName(m), i)
-				}
-			}
+			assertBitsEqual(t, typeName(m)+" loaded batch", batch[i], m.PredictProba(x))
 		}
 	}
 }
 
-// TestPredictBatchMatchesSingle asserts the parallel batch driver returns
-// exactly the per-row PredictProba results, and that PredictLabels matches
-// Predict.
+// TestLoadRejectsMisalignedMember asserts Decode refuses what the arena
+// compile cannot align: a member class outside the model's class list, and
+// a leaf whose distribution is not one value per class of its tree.
+func TestLoadRejectsMisalignedMember(t *testing.T) {
+	train, _ := noisyBlobs(36, 3, 60)
+	corrupt := map[string]func(f *Forest){
+		"foreign class": func(f *Forest) { f.trees[0].classes = []int{0, 1, 99} },
+		"short leaf": func(f *Forest) {
+			leaf := f.trees[0].root
+			for !leaf.isLeaf() {
+				leaf = leaf.Left
+			}
+			leaf.Probs = leaf.Probs[:1]
+		},
+		"one-child node": func(f *Forest) { f.trees[0].root.Right = nil },
+	}
+	for name, mutate := range corrupt {
+		f := NewForest(ForestConfig{NumTrees: 3, Seed: 1})
+		if err := f.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		mutate(f)
+		var buf bytes.Buffer
+		if err := Save(&buf, f); err != nil {
+			t.Fatalf("%s: save: %v", name, err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Fatalf("%s: corrupt forest accepted", name)
+		}
+	}
+}
+
+// TestPredictBatchMatchesSingle asserts PredictBatchInto and PredictBatch
+// return exactly the per-row PredictProba results for every classifier (on a
+// batch large enough to be tiled into row blocks), that a session-sized
+// PredictBatchInto allocates nothing, and that PredictLabels matches Predict.
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	train, test := noisyBlobs(34, 3, 120)
+	X := append(append([][]float64{}, test.Features...), train.Features...)
+	if len(X)*12 < minParallelPredictWork { // 12: the forest, the smallest ensemble
+		t.Fatalf("batch of %d rows is not tiled", len(X))
+	}
 	for _, m := range fitAll(t, train, 0) {
-		batch := m.PredictBatch(test.Features)
-		if len(batch) != len(test.Features) {
-			t.Fatalf("%s: batch length %d, want %d", typeName(m), len(batch), len(test.Features))
+		k := len(m.Classes())
+		batch := m.PredictBatch(X)
+		if len(batch) != len(X) {
+			t.Fatalf("%s: batch length %d, want %d", typeName(m), len(batch), len(X))
 		}
-		for i, x := range test.Features {
+		into := make([]float64, len(X)*k+3) // spare capacity must stay untouched
+		for i := range into {
+			into[i] = -1
+		}
+		m.PredictBatchInto(into, X)
+		for i, x := range X {
 			single := m.PredictProba(x)
-			for c := range single {
-				if batch[i][c] != single[c] {
-					t.Fatalf("%s: batch row %d class %d: %v vs %v", typeName(m), i, c, batch[i], single)
-				}
-			}
+			assertBitsEqual(t, typeName(m)+" PredictBatch", batch[i], single)
+			assertBitsEqual(t, typeName(m)+" PredictBatchInto", into[i*k:(i+1)*k], single)
+		}
+		assertBitsEqual(t, typeName(m)+" spare capacity", into[len(X)*k:], []float64{-1, -1, -1})
+		if allocs := testing.AllocsPerRun(20, func() { m.PredictBatchInto(into, X[:16]) }); allocs != 0 {
+			t.Fatalf("%s: 16-row PredictBatchInto allocates %v times", typeName(m), allocs)
 		}
 		labels := PredictLabels(m, test.Features)
 		for i, x := range test.Features {

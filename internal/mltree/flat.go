@@ -1,105 +1,148 @@
 package mltree
 
-// Flat trees: fitted pointer trees recompiled into a struct-of-arrays
-// layout for inference. Pointer navigation chases one heap node per level;
-// the flat form keeps features, thresholds and child indices in four dense
-// slices, so a descent touches a handful of cache lines and the branch
-// predictor sees one tight loop. Compilation preserves the exact comparison
-// sequence (same feature, same threshold, same ≤ test), so flat predictions
-// are bit-identical to pointer navigation; equivalence_test.go asserts it.
+// Flat ensembles: fitted pointer trees recompiled into one struct-of-arrays
+// node arena for inference. Pointer navigation chases one heap node per
+// level; the arena keeps features, thresholds and child indices in dense
+// slices shared by every tree of the model, so a descent touches a handful
+// of cache lines and the branch predictor sees one tight loop. Compilation
+// preserves the exact comparison sequence (same feature, same threshold,
+// same ≤ test), so flat predictions are bit-identical to pointer
+// navigation; equivalence_test.go asserts it.
 //
-// Flat trees are a derived, in-memory artifact: serialization still writes
+// The arena is a derived, in-memory artifact: serialization still writes
 // the pointer form, and loading recompiles (see serialize.go), which keeps
 // the on-disk format unchanged.
 
-// flatTree is one or more compiled trees sharing node arrays. Node 0 is the
-// first tree's root; leaves carry feature == -1. Leaf payloads live in
-// value (regression/boosting) and probs (classification); probs rows alias
-// the fitted tree's leaf vectors rather than copying them.
-type flatTree struct {
+// flatEnsemble is a model's trees compiled back-to-back into one node
+// arena, navigated from per-tree root indices. Leaves carry feature ==
+// flatLeaf and, in left, the offset of their payload in leaf: width values
+// per leaf — one regression value for a boosting chain, or one probability
+// per class of the *model's* class list for a tree or forest (a member
+// fitted on a bag that missed a class is aligned here, once, at compile
+// time).
+type flatEnsemble struct {
 	feature   []int32
 	threshold []float64
 	left      []int32
 	right     []int32
-	value     []float64
-	probs     [][]float64
+	leaf      []float64
+	width     int
+	roots     []int32
 }
 
 // flatLeaf marks a leaf node in the feature array.
 const flatLeaf = int32(-1)
 
-// compileTree flattens a single fitted tree, root at node 0.
-func compileTree(root *treeNode) *flatTree {
-	ft := &flatTree{}
-	ft.add(root)
-	return ft
-}
-
-// flatEnsemble is a boosting chain's trees compiled back-to-back into one
-// node arena, navigated from per-tree root indices.
-type flatEnsemble struct {
-	flatTree
-	roots []int32
-}
-
-// compileEnsemble flattens a tree sequence into one arena.
-func compileEnsemble(trees []*treeNode) *flatEnsemble {
-	fe := &flatEnsemble{roots: make([]int32, len(trees))}
+// compileChain flattens a boosting chain's regression trees.
+func compileChain(trees []*treeNode) *flatEnsemble {
+	fe := &flatEnsemble{width: 1, roots: make([]int32, len(trees))}
 	for i, t := range trees {
-		fe.roots[i] = fe.add(t)
+		fe.roots[i] = fe.add(t, nil)
 	}
 	return fe
 }
 
-// add appends n's subtree in preorder and returns its node index.
-func (ft *flatTree) add(n *treeNode) int32 {
-	idx := int32(len(ft.feature))
-	ft.feature = append(ft.feature, flatLeaf)
-	ft.threshold = append(ft.threshold, n.Threshold)
-	ft.left = append(ft.left, 0)
-	ft.right = append(ft.right, 0)
-	ft.value = append(ft.value, n.Value)
-	ft.probs = append(ft.probs, n.Probs)
+// compileClassifier flattens classification trees into one arena whose leaf
+// rows are aligned to classes. Every tree's own class list must be a subset
+// of classes and every leaf must carry one probability per class of its
+// tree (Decode checks both for untrusted input).
+func compileClassifier(trees []*Tree, classes []int) *flatEnsemble {
+	fe := &flatEnsemble{width: len(classes), roots: make([]int32, len(trees))}
+	idx := classIndex(classes)
+	for i, t := range trees {
+		cols := make([]int, len(t.classes))
+		for j, c := range t.classes {
+			cols[j] = idx[c]
+		}
+		fe.roots[i] = fe.add(t.root, cols)
+	}
+	return fe
+}
+
+// add appends n's subtree in preorder and returns its node index. A leaf's
+// payload is its Value when cols is nil, otherwise a width-wide row with
+// Probs[j] at column cols[j] and zero elsewhere.
+func (fe *flatEnsemble) add(n *treeNode, cols []int) int32 {
+	idx := int32(len(fe.feature))
+	fe.feature = append(fe.feature, flatLeaf)
+	fe.threshold = append(fe.threshold, n.Threshold)
+	fe.left = append(fe.left, 0)
+	fe.right = append(fe.right, 0)
 	if n.isLeaf() {
+		fe.left[idx] = int32(len(fe.leaf))
+		if cols == nil {
+			fe.leaf = append(fe.leaf, n.Value)
+			return idx
+		}
+		fe.leaf = append(fe.leaf, make([]float64, fe.width)...)
+		row := fe.leaf[len(fe.leaf)-fe.width:]
+		for j, p := range n.Probs {
+			row[cols[j]] = p
+		}
 		return idx
 	}
-	ft.feature[idx] = int32(n.Feature)
-	l := ft.add(n.Left)
-	r := ft.add(n.Right)
-	ft.left[idx] = l
-	ft.right[idx] = r
+	fe.feature[idx] = int32(n.Feature)
+	l := fe.add(n.Left, cols)
+	r := fe.add(n.Right, cols)
+	fe.left[idx] = l
+	fe.right[idx] = r
 	return idx
 }
 
-// leafFrom descends from node root and returns the leaf index x lands in.
-func (ft *flatTree) leafFrom(root int32, x []float64) int32 {
+// leafFrom descends from node root and returns the offset in leaf of the
+// payload of the leaf x lands in.
+func (fe *flatEnsemble) leafFrom(root int32, x []float64) int32 {
 	i := root
 	for {
-		f := ft.feature[i]
+		f := fe.feature[i]
 		if f == flatLeaf {
-			return i
+			return fe.left[i]
 		}
-		if x[f] <= ft.threshold[i] {
-			i = ft.left[i]
+		if x[f] <= fe.threshold[i] {
+			i = fe.left[i]
 		} else {
-			i = ft.right[i]
+			i = fe.right[i]
 		}
 	}
 }
 
-// leafProbs returns the class distribution of the leaf x lands in (single
-// tree, root at 0). The returned slice aliases the fitted tree's leaf.
-func (ft *flatTree) leafProbs(x []float64) []float64 {
-	return ft.probs[ft.leafFrom(0, x)]
+// Both kernels below iterate tree-major over the block — a tree's nodes stay
+// cache-hot across the rows — while every row still accumulates in tree
+// order, the floating-point sequence of a row-at-a-time walk of the pointer
+// trees.
+
+// predictBlock writes the mean leaf distribution over the arena's trees for
+// every row of X into dst (row-major, width values per row): the sum in tree
+// order, scaled by 1/trees last. It makes *flatEnsemble the blockPredictor
+// of a Tree (one root: 0+p and ×1 are exact) and of a Forest.
+func (fe *flatEnsemble) predictBlock(dst []float64, X [][]float64) {
+	clear(dst)
+	k := fe.width
+	for _, r := range fe.roots {
+		for i, x := range X {
+			off := int(fe.leafFrom(r, x))
+			row := dst[i*k : (i+1)*k]
+			for c, p := range fe.leaf[off : off+k] {
+				row[c] += p
+			}
+		}
+	}
+	inv := 1 / float64(len(fe.roots))
+	for i := range dst {
+		dst[i] *= inv
+	}
 }
 
-// margin accumulates lr × leaf-value over every tree of the chain, in tree
-// order — the same floating-point sequence booster.raw used on the pointer
-// form.
-func (fe *flatEnsemble) margin(bias, lr float64, x []float64) float64 {
-	s := bias
-	for _, r := range fe.roots {
-		s += lr * fe.value[fe.leafFrom(r, x)]
+// margins writes a boosting chain's margin (log-odds) for each row i of X to
+// dst[i*stride]: bias plus lr × leaf-value in tree order, the exact
+// floating-point sequence of a pointer walk over the chain.
+func (fe *flatEnsemble) margins(dst []float64, stride int, bias, lr float64, X [][]float64) {
+	for i := range X {
+		dst[i*stride] = bias
 	}
-	return s
+	for _, r := range fe.roots {
+		for i, x := range X {
+			dst[i*stride] += lr * fe.leaf[fe.leafFrom(r, x)]
+		}
+	}
 }

@@ -43,8 +43,11 @@ func (c ForestConfig) withDefaults() ForestConfig {
 // Forest is a Random Forest classifier: bootstrap-aggregated CART trees with
 // per-split feature subsampling, predictions averaged over members.
 type Forest struct {
-	Config  ForestConfig
-	trees   []*Tree
+	Config ForestConfig
+	trees  []*Tree
+	// arena is every member compiled into one node arena for inference,
+	// leaf rows aligned to classes; rebuilt after fitting or loading.
+	arena   *flatEnsemble
 	classes []int
 	// oobScore is the out-of-bag accuracy estimated during Fit, or -1.
 	oobScore float64
@@ -133,17 +136,19 @@ func (f *Forest) Fit(ds *Dataset) error {
 		members[t] = member{tree: tree, inBag: inBag}
 	})
 
-	f.trees = make([]*Tree, 0, f.Config.NumTrees)
-	for t := range members {
-		m := members[t]
-		f.trees = append(f.trees, m.tree)
+	f.trees = make([]*Tree, len(members))
+	for t, m := range members {
+		f.trees[t] = m.tree
+	}
+	f.arena = compileClassifier(f.trees, f.classes)
+	for t, m := range members {
 		for i := 0; i < n; i++ {
 			if m.inBag[i] {
 				continue
 			}
 			oobSeen[i] = true
-			probs := m.tree.predictProbaAligned(ds.Features[i], f.classes)
-			for c, p := range probs {
+			off := int(f.arena.leafFrom(f.arena.roots[t], ds.Features[i]))
+			for c, p := range f.arena.leaf[off : off+len(f.classes)] {
 				votes[i][c] += p
 			}
 		}
@@ -174,51 +179,24 @@ func (f *Forest) Fit(ds *Dataset) error {
 	return nil
 }
 
-// predictProbaAligned re-aligns a member tree's class probabilities onto the
-// forest's class list (a bootstrap bag can miss rare classes entirely).
-func (t *Tree) predictProbaAligned(x []float64, classes []int) []float64 {
-	raw := t.PredictProba(x)
-	if len(t.classes) == len(classes) {
-		same := true
-		for i := range classes {
-			if t.classes[i] != classes[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return raw
-		}
-	}
-	out := make([]float64, len(classes))
-	idx := classIndex(classes)
-	for i, c := range t.classes {
-		out[idx[c]] = raw[i]
-	}
-	return out
-}
-
 // PredictProba averages the member trees' leaf distributions.
 func (f *Forest) PredictProba(x []float64) []float64 {
 	out := make([]float64, len(f.classes))
-	if len(f.trees) == 0 {
-		return out
-	}
-	for _, tree := range f.trees {
-		probs := tree.predictProbaAligned(x, f.classes)
-		for c, p := range probs {
-			out[c] += p
-		}
-	}
-	inv := 1 / float64(len(f.trees))
-	for c := range out {
-		out[c] *= inv
+	if len(f.trees) > 0 {
+		f.arena.predictBlock(out, [][]float64{x})
 	}
 	return out
 }
 
-// PredictBatch predicts every row of X, in parallel across rows; each row's
-// result is identical to PredictProba on that row.
-func (f *Forest) PredictBatch(X [][]float64) [][]float64 {
-	return predictBatch(X, f.Config.Parallelism, f.PredictProba)
+// PredictBatchInto predicts every row of X into dst; a forest without trees
+// predicts all zeros.
+func (f *Forest) PredictBatchInto(dst []float64, X [][]float64) {
+	if len(f.trees) == 0 {
+		clear(dst[:len(X)*len(f.classes)])
+		return
+	}
+	predictBatchInto(f.arena, len(f.classes), len(f.trees), f.Config.Parallelism, dst, X)
 }
+
+// PredictBatch predicts every row of X.
+func (f *Forest) PredictBatch(X [][]float64) [][]float64 { return predictBatch(f, X) }

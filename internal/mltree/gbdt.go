@@ -98,20 +98,70 @@ type booster struct {
 }
 
 // compile flattens the fitted chain for cache-friendly inference.
-func (b *booster) compile() { b.flat = compileEnsemble(b.Trees) }
+func (b *booster) compile() { b.flat = compileChain(b.Trees) }
 
-// raw returns the margin (log-odds) for x. The flat path accumulates
-// lr × leaf-value in tree order, the exact floating-point sequence of the
-// pointer walk.
-func (b *booster) raw(x []float64) float64 {
-	if b.flat != nil {
-		return b.flat.margin(b.Bias, b.LR, x)
+// boosted is the fitted state GBDT and HistGBDT share — one boosting chain
+// per class (a single chain for binary problems) — and the inference over it.
+type boosted struct {
+	classes  []int
+	boosters []*booster
+}
+
+// Classes returns the labels seen during Fit.
+func (m *boosted) Classes() []int { return m.classes }
+
+// NumTrees returns the total tree count across all arms.
+func (m *boosted) NumTrees() int {
+	n := 0
+	for _, b := range m.boosters {
+		n += len(b.Trees)
 	}
-	s := b.Bias
-	for _, t := range b.Trees {
-		s += b.LR * t.navigate(x).Value
+	return n
+}
+
+// PredictProba returns class probabilities: the sigmoid margin for binary
+// problems, or normalised one-vs-rest sigmoids for multi-class.
+func (m *boosted) PredictProba(x []float64) []float64 {
+	out := make([]float64, len(m.classes))
+	m.predictBlock(out, [][]float64{x})
+	return out
+}
+
+// predictBlock is the blockPredictor kernel; dst doubles as the margin
+// scratch.
+func (m *boosted) predictBlock(dst []float64, X [][]float64) {
+	k := len(m.classes)
+	if len(m.boosters) == 0 {
+		clear(dst)
+		return
 	}
-	return s
+	if k == 2 {
+		b := m.boosters[0]
+		b.flat.margins(dst[1:], 2, b.Bias, b.LR, X)
+		for i := range X {
+			p := sigmoid(dst[2*i+1])
+			dst[2*i], dst[2*i+1] = 1-p, p
+		}
+		return
+	}
+	for a, b := range m.boosters {
+		b.flat.margins(dst[a:], k, b.Bias, b.LR, X)
+	}
+	for i := range X {
+		row := dst[i*k : (i+1)*k]
+		total := 0.0
+		for a, margin := range row {
+			row[a] = sigmoid(margin)
+			total += row[a]
+		}
+		for a := range row {
+			if total > 0 {
+				row[a] /= total
+			} else {
+				row[a] = 1 / float64(k)
+			}
+		}
+	}
 }
 
 func sigmoid(z float64) float64 {
@@ -123,9 +173,8 @@ func sigmoid(z float64) float64 {
 // with L2 leaf regularisation, shrinkage, and row/column subsampling.
 // Multi-class problems are handled one-vs-rest.
 type GBDT struct {
-	Config   GBDTConfig
-	classes  []int
-	boosters []*booster
+	Config GBDTConfig
+	boosted
 }
 
 // NewGBDT returns an unfitted GBDT.
@@ -134,9 +183,6 @@ func NewGBDT(cfg GBDTConfig) *GBDT {
 }
 
 var _ Classifier = (*GBDT)(nil)
-
-// Classes returns the labels seen during Fit.
-func (g *GBDT) Classes() []int { return g.classes }
 
 // Fit trains one boosting chain per class (a single chain for binary
 // problems).
@@ -337,48 +383,10 @@ func (g *GBDT) subsample(trainIdx []int, rng *xrand.RNG) []int {
 	return out
 }
 
-// PredictProba returns class probabilities: the sigmoid margin for binary
-// problems, or normalised one-vs-rest sigmoids for multi-class.
-func (g *GBDT) PredictProba(x []float64) []float64 {
-	out := make([]float64, len(g.classes))
-	if len(g.boosters) == 0 {
-		return out
-	}
-	if len(g.classes) == 2 {
-		p := sigmoid(g.boosters[0].raw(x))
-		out[0] = 1 - p
-		out[1] = p
-		return out
-	}
-	total := 0.0
-	for a, b := range g.boosters {
-		p := sigmoid(b.raw(x))
-		out[a] = p
-		total += p
-	}
-	if total > 0 {
-		for a := range out {
-			out[a] /= total
-		}
-	} else {
-		for a := range out {
-			out[a] = 1 / float64(len(out))
-		}
-	}
-	return out
+// PredictBatchInto predicts every row of X into dst.
+func (g *GBDT) PredictBatchInto(dst []float64, X [][]float64) {
+	predictBatchInto(g, len(g.classes), g.NumTrees(), g.Config.Parallelism, dst, X)
 }
 
-// PredictBatch predicts every row of X, in parallel across rows; each row's
-// result is identical to PredictProba on that row.
-func (g *GBDT) PredictBatch(X [][]float64) [][]float64 {
-	return predictBatch(X, g.Config.Parallelism, g.PredictProba)
-}
-
-// NumTrees returns the total tree count across all arms.
-func (g *GBDT) NumTrees() int {
-	n := 0
-	for _, b := range g.boosters {
-		n += len(b.Trees)
-	}
-	return n
-}
+// PredictBatch predicts every row of X.
+func (g *GBDT) PredictBatch(X [][]float64) [][]float64 { return predictBatch(g, X) }

@@ -158,9 +158,8 @@ func (b *binner) threshold(f, bin int) float64 { return b.Upper[f][bin] }
 // Gradient-based One-Side Sampling (GOSS). Loss and multi-class handling
 // match GBDT (logistic, one-vs-rest).
 type HistGBDT struct {
-	Config   HistGBDTConfig
-	classes  []int
-	boosters []*booster
+	Config HistGBDTConfig
+	boosted
 }
 
 // NewHistGBDT returns an unfitted histogram booster.
@@ -169,18 +168,6 @@ func NewHistGBDT(cfg HistGBDTConfig) *HistGBDT {
 }
 
 var _ Classifier = (*HistGBDT)(nil)
-
-// Classes returns the labels seen during Fit.
-func (h *HistGBDT) Classes() []int { return h.classes }
-
-// NumTrees returns the total tree count across all arms.
-func (h *HistGBDT) NumTrees() int {
-	n := 0
-	for _, b := range h.boosters {
-		n += len(b.Trees)
-	}
-	return n
-}
 
 // Fit trains one boosting chain per class (a single chain for binary).
 func (h *HistGBDT) Fit(ds *Dataset) error {
@@ -606,38 +593,10 @@ func (g *histGrower) split(l *leafState) (left, right *leafState) {
 	return left, right
 }
 
-// PredictProba returns class probabilities (see GBDT.PredictProba).
-func (h *HistGBDT) PredictProba(x []float64) []float64 {
-	out := make([]float64, len(h.classes))
-	if len(h.boosters) == 0 {
-		return out
-	}
-	if len(h.classes) == 2 {
-		p := sigmoid(h.boosters[0].raw(x))
-		out[0] = 1 - p
-		out[1] = p
-		return out
-	}
-	total := 0.0
-	for a, b := range h.boosters {
-		p := sigmoid(b.raw(x))
-		out[a] = p
-		total += p
-	}
-	if total > 0 {
-		for a := range out {
-			out[a] /= total
-		}
-	} else {
-		for a := range out {
-			out[a] = 1 / float64(len(out))
-		}
-	}
-	return out
+// PredictBatchInto predicts every row of X into dst.
+func (h *HistGBDT) PredictBatchInto(dst []float64, X [][]float64) {
+	predictBatchInto(h, len(h.classes), h.NumTrees(), h.Config.Parallelism, dst, X)
 }
 
-// PredictBatch predicts every row of X, in parallel across rows; each row's
-// result is identical to PredictProba on that row.
-func (h *HistGBDT) PredictBatch(X [][]float64) [][]float64 {
-	return predictBatch(X, h.Config.Parallelism, h.PredictProba)
-}
+// PredictBatch predicts every row of X.
+func (h *HistGBDT) PredictBatch(X [][]float64) [][]float64 { return predictBatch(h, X) }

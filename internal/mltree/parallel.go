@@ -114,13 +114,51 @@ func runWorkers(n, want int, task func(worker, i int)) {
 	wg.Wait()
 }
 
-// predictBatch is the shared batch-inference driver: one output row per
-// input row, rows predicted independently (and therefore identically to a
-// serial PredictProba loop) across up to `parallelism` workers.
-func predictBatch(X [][]float64, parallelism int, perRow func(x []float64) []float64) [][]float64 {
-	out := make([][]float64, len(X))
-	runWorkers(len(X), defaultParallelism(parallelism), func(_, i int) {
-		out[i] = perRow(X[i])
+// minParallelPredictWork gates batch-inference fan-out: a batch whose
+// rows×trees product is below it is one predictBlock call on the calling
+// goroutine. The online engine's 16-row windows must never pay for waking
+// helpers — in a busy engine that is pure overhead — while a thousand-row
+// evaluation batch still spreads over the pool, predictBlockRows rows per
+// task: a block's rows and one tree's nodes fit the L1/L2 together, so
+// neither is evicted while the kernels go tree-major.
+const (
+	minParallelPredictWork = 4096
+	predictBlockRows       = 64
+)
+
+// blockPredictor is a fitted model's inference kernel: predictBlock writes
+// the class probabilities of every row of X into dst (row-major), on the
+// calling goroutine and without allocating.
+type blockPredictor interface {
+	predictBlock(dst []float64, X [][]float64)
+}
+
+// predictBatchInto is the shared batch-inference driver behind every
+// classifier's PredictBatchInto: dst receives len(X) rows of k
+// probabilities. Rows are predicted independently, so tiling and worker
+// count cannot change a result.
+func predictBatchInto(m blockPredictor, k, trees, parallelism int, dst []float64, X [][]float64) {
+	dst = dst[:len(X)*k]
+	if len(X)*trees < minParallelPredictWork {
+		m.predictBlock(dst, X)
+		return
+	}
+	blocks := (len(X) + predictBlockRows - 1) / predictBlockRows
+	runWorkers(blocks, defaultParallelism(parallelism), func(_, b int) {
+		lo, hi := b*predictBlockRows, min((b+1)*predictBlockRows, len(X))
+		m.predictBlock(dst[lo*k:hi*k], X[lo:hi])
 	})
+}
+
+// predictBatch is every classifier's PredictBatch: one backing array, one
+// slice of row views over it, filled by PredictBatchInto.
+func predictBatch(m Classifier, X [][]float64) [][]float64 {
+	k := len(m.Classes())
+	flat := make([]float64, len(X)*k)
+	m.PredictBatchInto(flat, X)
+	out := make([][]float64, len(X))
+	for i := range out {
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
 	return out
 }

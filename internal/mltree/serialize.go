@@ -117,10 +117,12 @@ func (d *Decoder) Decode() (Classifier, error) {
 		if err := json.Unmarshal(env.Payload, &p); err != nil {
 			return nil, fmt.Errorf("mltree: decoding tree: %w", err)
 		}
-		if p.Root == nil {
-			return nil, fmt.Errorf("mltree: tree payload has no root")
+		t := &Tree{Config: p.Config, root: p.Root, classes: env.Classes}
+		if err := checkMember(t, classIndex(env.Classes)); err != nil {
+			return nil, fmt.Errorf("mltree: tree: %w", err)
 		}
-		return &Tree{Config: p.Config, root: p.Root, flat: compileTree(p.Root), classes: env.Classes}, nil
+		t.flat = compileClassifier([]*Tree{t}, env.Classes)
+		return t, nil
 	case kindForest:
 		var p forestPayload
 		if err := json.Unmarshal(env.Payload, &p); err != nil {
@@ -130,12 +132,15 @@ func (d *Decoder) Decode() (Classifier, error) {
 			return nil, fmt.Errorf("mltree: forest has %d trees but %d class lists", len(p.Trees), len(p.TreeClasses))
 		}
 		f := &Forest{Config: p.Config, classes: env.Classes, oobScore: p.OOB}
+		idx := classIndex(env.Classes)
 		for i, tp := range p.Trees {
-			if tp.Root == nil {
-				return nil, fmt.Errorf("mltree: forest member %d has no root", i)
+			t := &Tree{Config: tp.Config, root: tp.Root, classes: p.TreeClasses[i]}
+			if err := checkMember(t, idx); err != nil {
+				return nil, fmt.Errorf("mltree: forest member %d: %w", i, err)
 			}
-			f.trees = append(f.trees, &Tree{Config: tp.Config, root: tp.Root, flat: compileTree(tp.Root), classes: p.TreeClasses[i]})
+			f.trees = append(f.trees, t)
 		}
+		f.arena = compileClassifier(f.trees, f.classes)
 		return f, nil
 	case kindGBDT:
 		var p gbdtPayload
@@ -145,7 +150,7 @@ func (d *Decoder) Decode() (Classifier, error) {
 		for _, b := range p.Boosters {
 			b.compile()
 		}
-		return &GBDT{Config: p.Config, classes: env.Classes, boosters: p.Boosters}, nil
+		return &GBDT{Config: p.Config, boosted: boosted{classes: env.Classes, boosters: p.Boosters}}, nil
 	case kindHistGBDT:
 		var p histPayload
 		if err := json.Unmarshal(env.Payload, &p); err != nil {
@@ -154,8 +159,30 @@ func (d *Decoder) Decode() (Classifier, error) {
 		for _, b := range p.Boosters {
 			b.compile()
 		}
-		return &HistGBDT{Config: p.Config, classes: env.Classes, boosters: p.Boosters}, nil
+		return &HistGBDT{Config: p.Config, boosted: boosted{classes: env.Classes, boosters: p.Boosters}}, nil
 	default:
 		return nil, fmt.Errorf("mltree: unknown model kind %q", env.Kind)
 	}
+}
+
+// checkMember validates what compileClassifier relies on in a decoded
+// classification tree: classes drawn from the model's class list (idx), no
+// missing node, and one probability per class of the tree at every leaf.
+func checkMember(t *Tree, idx map[int]int) error {
+	for _, c := range t.classes {
+		if _, ok := idx[c]; !ok {
+			return fmt.Errorf("class %d is not one of the model's", c)
+		}
+	}
+	if !wellFormed(t.root, len(t.classes)) {
+		return fmt.Errorf("a node is missing, or a leaf does not carry %d probabilities", len(t.classes))
+	}
+	return nil
+}
+
+func wellFormed(n *treeNode, k int) bool {
+	if n == nil || n.isLeaf() {
+		return n != nil && len(n.Probs) == k
+	}
+	return wellFormed(n.Left, k) && wellFormed(n.Right, k)
 }

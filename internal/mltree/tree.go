@@ -147,9 +147,11 @@ func (n *treeNode) countLeaves() int {
 
 // Tree is a CART decision-tree classifier.
 type Tree struct {
-	Config  TreeConfig
-	root    *treeNode
-	flat    *flatTree
+	Config TreeConfig
+	root   *treeNode
+	// flat is the tree compiled for inference. Nil on a forest's members:
+	// they are never predicted alone, the forest compiles one arena for all.
+	flat    *flatEnsemble
 	classes []int
 	rng     *xrand.RNG
 }
@@ -171,17 +173,11 @@ func (t *Tree) Depth() int { return t.root.depth() }
 // NumLeaves returns the fitted tree's leaf count.
 func (t *Tree) NumLeaves() int { return t.root.countLeaves() }
 
-// Fit grows the tree on the dataset.
+// Fit grows the tree on the dataset and compiles it for inference.
 func (t *Tree) Fit(ds *Dataset) error {
 	if err := ds.Validate(); err != nil {
 		return err
 	}
-	t.fitValidated(ds)
-	return nil
-}
-
-// fitValidated grows the tree assuming ds has already been validated.
-func (t *Tree) fitValidated(ds *Dataset) {
 	classes := ds.Classes()
 	idx := classIndex(classes)
 	y := make([]int, ds.NumSamples())
@@ -194,6 +190,8 @@ func (t *Tree) fitValidated(ds *Dataset) {
 	}
 	cols := columnize(ds.Features)
 	t.fitFromSorted(cols, y, classes, presortByFeature(cols, samples))
+	t.flat = compileClassifier([]*Tree{t}, classes)
+	return nil
 }
 
 // fitFromSorted grows the tree from prepared training state: a columnized
@@ -212,7 +210,6 @@ func (t *Tree) fitFromSorted(cols [][]float64, y []int, classes []int, sorted []
 		maxFeat: t.Config.resolveMaxFeatures(len(cols)),
 	}
 	t.root = b.build(sorted, 0)
-	t.flat = compileTree(t.root)
 }
 
 // deriveSorted filters a base presort down to a bootstrap bag: each base
@@ -236,21 +233,20 @@ func deriveSorted(base [][]int32, mult []int, bag int) [][]int32 {
 
 // PredictProba returns the class distribution of the leaf x lands in.
 func (t *Tree) PredictProba(x []float64) []float64 {
-	var probs []float64
-	if t.flat != nil {
-		probs = t.flat.leafProbs(x)
-	} else {
-		probs = t.root.navigate(x).Probs
-	}
-	out := make([]float64, len(probs))
-	copy(out, probs)
+	out := make([]float64, len(t.classes))
+	t.flat.predictBlock(out, [][]float64{x})
 	return out
 }
 
-// PredictBatch predicts every row of X, in parallel across rows.
-func (t *Tree) PredictBatch(X [][]float64) [][]float64 {
-	return predictBatch(X, 0, t.PredictProba)
+// PredictBatchInto predicts every row of X into dst. A tree has no
+// Parallelism setting and one descent per row is cheaper than a goroutine
+// hand-off, so it drives the shared kernel on the calling goroutine.
+func (t *Tree) PredictBatchInto(dst []float64, X [][]float64) {
+	predictBatchInto(t.flat, len(t.classes), 1, 1, dst, X)
 }
+
+// PredictBatch predicts every row of X.
+func (t *Tree) PredictBatch(X [][]float64) [][]float64 { return predictBatch(t, X) }
 
 // columnize transposes the row-major feature matrix into per-feature
 // columns backed by one contiguous allocation. Split search is dominated by

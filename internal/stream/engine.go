@@ -16,10 +16,11 @@
 // shard queues are FIFO.
 //
 // Per-event inference cost: a UER on an aggregation bank triggers one
-// window prediction, which the pipeline issues as a single PredictBatch
-// over all 16 block vectors — served by mltree's flattened
-// struct-of-arrays trees rather than per-block pointer chasing — so the
-// shard consumer's critical path stays short under burst load.
+// window prediction, which the pipeline issues as one BlockVectorsInto fill
+// and one PredictBatchInto over all 16 block vectors — pooled scratch, the
+// forest's single node arena walked tree-major on the consumer's own
+// goroutine — so the shard consumer's critical path stays short and
+// allocation-free under burst load.
 package stream
 
 import (
@@ -836,14 +837,22 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Ac
 		// engine treats them. The same dedupe makes recovery's at-least-once
 		// replay convergent: re-derived actions for already-spared rows are
 		// suppressed here.
-		var fresh []int
+		// Consecutive windows of a bank overlap almost entirely, so count
+		// first and size fresh to the few rows that are new.
+		n := 0
 		for _, r := range d.IsolateRows {
 			if _, done := bs.spared[r]; !done {
-				bs.spared[r] = struct{}{}
-				fresh = append(fresh, r)
+				n++
 			}
 		}
-		if len(fresh) > 0 {
+		if n > 0 {
+			fresh := make([]int, 0, n)
+			for _, r := range d.IsolateRows {
+				if _, done := bs.spared[r]; !done {
+					bs.spared[r] = struct{}{}
+					fresh = append(fresh, r)
+				}
+			}
 			bs.stats.RowsIsolated += len(fresh)
 			bs.stats.Actions++
 			out = append(out, Action{

@@ -65,7 +65,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxLineBytes == 0 {
 		c.MaxLineBytes = int(c.MaxBodyBytes)
 	}
-	if c.MaxStoredActions == 0 {
+	if c.MaxStoredActions <= 0 {
 		c.MaxStoredActions = 4096
 	}
 	if c.MaxBatchErrors == 0 {
@@ -95,9 +95,43 @@ type Server struct {
 	ownership atomic.Pointer[ownershipView]
 
 	mu      sync.Mutex
-	stored  []Action
-	evicted uint64
+	actions actionRing
 	drained chan struct{}
+}
+
+// actionRing is the bounded GET /v1/actions store: a fixed ring, allocated
+// once, that overwrites its oldest action once full — O(1) per action
+// however long the server has been running past the cap. The number of
+// actions ever pushed is its only cursor: the next slot, the stored count
+// and the evicted count all derive from it.
+type actionRing struct {
+	buf    []Action // len is the capacity
+	pushed uint64
+}
+
+func (r *actionRing) push(a Action) {
+	r.buf[r.pushed%uint64(len(r.buf))] = a
+	r.pushed++
+}
+
+// count returns the number of actions currently stored.
+func (r *actionRing) count() int { return int(min(r.pushed, uint64(len(r.buf)))) }
+
+// evicted returns the number of actions overwritten so far.
+func (r *actionRing) evicted() uint64 { return r.pushed - uint64(r.count()) }
+
+// newest returns a copy of the newest n stored actions (all of them when n
+// is negative), oldest first.
+func (r *actionRing) newest(n int) []Action {
+	if n < 0 || n > r.count() {
+		n = r.count()
+	}
+	out := make([]Action, n)
+	first := r.pushed - uint64(n)
+	for i := range out {
+		out[i] = r.buf[(first+uint64(i))%uint64(len(r.buf))]
+	}
+	return out
 }
 
 // NewServer wraps an engine with the HTTP API and starts collecting its
@@ -111,6 +145,7 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		mux:     http.NewServeMux(),
 		drained: make(chan struct{}),
 	}
+	s.actions.buf = make([]Action, s.cfg.MaxStoredActions)
 	reg := e.Metrics()
 	s.requests = reg.Counter("cordial_http_requests_total",
 		"HTTP requests served (all routes).")
@@ -126,7 +161,7 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(len(s.stored))
+			return float64(s.actions.count())
 		})
 	s.mux.HandleFunc("POST /v1/events", s.handleEvents)
 	s.mux.HandleFunc("POST /v1/events.bin", s.handleEventsBin)
@@ -149,11 +184,7 @@ func (s *Server) collect() {
 	defer close(s.drained)
 	for a := range s.engine.Actions() {
 		s.mu.Lock()
-		s.stored = append(s.stored, a)
-		if over := len(s.stored) - s.cfg.MaxStoredActions; over > 0 {
-			s.evicted += uint64(over)
-			s.stored = append(s.stored[:0:0], s.stored[over:]...)
-		}
+		s.actions.push(a)
 		s.mu.Unlock()
 	}
 }
@@ -419,13 +450,9 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	s.mu.Lock()
-	actions := make([]Action, len(s.stored))
-	copy(actions, s.stored)
-	evicted := s.evicted
+	actions := s.actions.newest(limit)
+	evicted := s.actions.evicted()
 	s.mu.Unlock()
-	if limit >= 0 && len(actions) > limit {
-		actions = actions[len(actions)-limit:]
-	}
 	out := struct {
 		Actions []jsonAction `json:"actions"`
 		Evicted uint64       `json:"evicted"`
@@ -687,7 +714,7 @@ func toJSONShadow(ss ShadowStats) jsonShadow {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	es := s.engine.Stats()
 	s.mu.Lock()
-	stored, evicted := len(s.stored), s.evicted
+	stored, evicted := s.actions.count(), s.actions.evicted()
 	s.mu.Unlock()
 	// Per-session pinned versions, folded to counts: version -> sessions
 	// still pinned to it. The interesting signal after a swap is how much

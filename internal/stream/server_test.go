@@ -322,6 +322,54 @@ func TestServerActionStoreEviction(t *testing.T) {
 	}
 }
 
+// TestServerActionRingWraps ingests three times the store's capacity: the
+// newest actions survive oldest-first, ?limit keeps the newest, evictions are
+// counted, and the ring never reallocates its backing array (the store used
+// to copy itself once per action past the cap).
+func TestServerActionRingWraps(t *testing.T) {
+	const capacity, total = 4, 12
+	e := newTestEngine(t, Config{Shards: 1})
+	t.Cleanup(func() { e.Close() })
+	srv := NewServer(e, ServerConfig{MaxStoredActions: capacity})
+	backing := &srv.actions.buf[0]
+	// One odd bank: from its third distinct UER row on, every UER row-spares
+	// [row, row+1] — one action per event, in event order.
+	var events []mcelog.Event
+	for i := 0; i < total+2; i++ {
+		events = append(events, uerAt(testBank(1), 10*(i+1), i))
+	}
+	if res := post(t, srv, jsonlBody(t, events...)); res.Accepted != len(events) {
+		t.Fatalf("ingest %+v", res)
+	}
+	e.Close()
+	srv.AwaitDrained()
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{"/v1/actions", capacity}, {"/v1/actions?limit=2", 2}, {"/v1/actions?limit=99", capacity}} {
+		var acts struct {
+			Actions []jsonAction `json:"actions"`
+			Evicted uint64       `json:"evicted"`
+		}
+		_, body := get(t, srv, tc.path)
+		if err := json.Unmarshal(body, &acts); err != nil {
+			t.Fatal(err)
+		}
+		if len(acts.Actions) != tc.want || acts.Evicted != total-capacity {
+			t.Fatalf("%s: %d actions, evicted %d; want %d/%d", tc.path, len(acts.Actions), acts.Evicted, tc.want, total-capacity)
+		}
+		for i, a := range acts.Actions {
+			// The j-th action overall isolates row 10*(j+3).
+			if want := 10 * (total - tc.want + i + 3); len(a.Rows) != 2 || a.Rows[0] != want {
+				t.Fatalf("%s: action %d isolates %v, want row %d first", tc.path, i, a.Rows, want)
+			}
+		}
+	}
+	if len(srv.actions.buf) != capacity || &srv.actions.buf[0] != backing {
+		t.Fatal("action ring reallocated its backing array")
+	}
+}
+
 // TestServerBodyTooLarge: a batch over MaxBodyBytes stops at the cap and
 // answers 413, still reporting the prefix that landed before the limit.
 func TestServerBodyTooLarge(t *testing.T) {

@@ -36,8 +36,9 @@ go test ./... "$@"
 
 echo "==> go test -race (parallel-training equivalence focus)"
 # Fast-failing race pass over the tests that exercise the shared worker
-# pool hardest: parallel-vs-serial equivalence, flat-tree round-trips and
-# batch inference. The full -race suite below still covers everything.
+# pool hardest: parallel-vs-serial equivalence, arena-vs-pointer forest
+# equivalence, flat-tree round-trips and batch inference. The full -race
+# suite below still covers everything.
 go test -race -run 'Equivalence|Parallel|RoundTrip|Batch' \
     ./internal/mltree/ ./internal/core/
 
@@ -90,6 +91,18 @@ echo "==> binary ingest perf gate (steady-state decode allocates nothing)"
 # AllocsPerRun test, not just a benchmark — run it by name so a regression
 # fails CI with a direct message rather than a drifting BENCH number.
 go test -run 'TestWireDecodeZeroAllocs' -count 1 ./internal/mcelog/
+
+echo "==> block inference perf gate (a window prediction allocates only its result)"
+# Same idea for the §IV-D hot path: one warmed PredictBlocksState may
+# allocate the probabilities it returns and nothing else, a predicting
+# OnEvent only its Decision, with the default 80-tree forest.
+go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
+
+echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)"
+# bench/ is a module of its own, so the root `go test ./...` never sees it;
+# its tests run every workload at 5 % scale through the correctness gate and
+# check BENCHMARK.json against the metrics the program prints.
+(cd bench && go test ./...)
 
 echo "==> topology matrix (profile registry, wire round-trips, cross-profile gates)"
 # Every registered profile must validate and round-trip packed addresses
