@@ -1,249 +1,242 @@
 package features
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
+
+	"cordial/internal/bincodec"
 )
 
 // Binary codec for BankState, the payload format of the online engine's
-// snapshots. The encoding is exhaustive and exact: every accumulator field
-// round-trips bit-for-bit (float64 via IEEE bits, time.Time as seconds +
-// nanoseconds so the zero value and sub-second precision both survive), so
-// a restored state continues producing vectors bit-identical to the state
-// that was encoded — the property the crash≡no-crash equivalence tests
-// pin. The format is versioned; decoding a newer or unknown version fails
-// cleanly rather than misinterpreting bytes. Version 2 appends the
-// error-bit accumulator; version 1 snapshots still decode, with the
+// snapshots. The encoding is exhaustive and exact: a restored state
+// continues producing vectors bit-identical to the state that was encoded —
+// the property the crash≡no-crash equivalence tests pin — and encodes to
+// the same bytes again. The format is versioned; decoding a newer or unknown
+// version fails cleanly rather than misinterpreting bytes. Version 2 appends
+// the error-bit accumulator; version 1 snapshots still decode, with the
 // accumulator empty (their events carried no error bits).
+//
+// The layout predates the state's fixed-width representation and is kept
+// byte for byte (golden_test.go): integers are int64, timestamps seconds +
+// nanoseconds, sequence extremes and the row-difference sum float64, time
+// extremes float64 hours, and some sections repeat what others imply
+// (redundant below). One walk over the fields (BankState.code) both writes
+// and reads it; reading refuses everything the wider layout can say that the
+// narrower state cannot hold — value ranges, unsorted or repeated rows,
+// redundant sections that disagree with their source — so a decoded state is
+// always one MarshalBinary reproduces exactly.
 const (
 	bankStateMagic     = "CBNK"
 	bankStateVersion   = 2
 	bankStateVersionV1 = 1
 )
 
-// maxCodecEntries bounds decoded collection lengths. The per-row sets are
-// bounded by a bank's distinct rows (tens of thousands), so anything near
-// this limit in a snapshot is corruption, not data.
+// maxCodecEntries bounds the decoded configuration values and the per-row
+// table's length. Both are bounded by a bank's distinct rows (tens of
+// thousands), so anything near this limit in a snapshot is corruption.
 const maxCodecEntries = 1 << 24
 
-// enc is a little-endian append-only encoder.
-type enc struct{ b []byte }
+// imageName names the image in codec errors.
+const imageName = "features: bank state image"
 
-func (e *enc) u8(v uint8) { e.b = append(e.b, v) }
-func (e *enc) bool(v bool) {
-	b := uint8(0)
-	if v {
-		b = 1
+// whole codes an integer the layout holds as a float64: reading must find
+// exactly an integer in [0, max].
+func whole[T int32 | int64](c *bincodec.Cursor, p *T, max int64) {
+	f := float64(*p)
+	c.F64(&f)
+	if !(f >= 0 && f <= float64(max)) || float64(int64(f)) != f || math.Signbit(f) {
+		c.Fail("value %v is not an integer in [0, %d]", f, max)
+		return
 	}
-	e.b = append(e.b, b)
-}
-func (e *enc) i64(v int64)   { e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v)) }
-func (e *enc) int(v int)     { e.i64(int64(v)) }
-func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *enc) time(t time.Time) {
-	e.i64(t.Unix())
-	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(t.Nanosecond()))
-}
-func (e *enc) ints(v []int) {
-	e.int(len(v))
-	for _, x := range v {
-		e.int(x)
-	}
-}
-func (e *enc) accum(a *seqAccum) {
-	e.int(a.count)
-	e.int(a.lastRow)
-	e.time(a.lastTime)
-	for _, f := range []float64{a.rowMin, a.rowMax, a.rowDiffMin, a.rowDiffMax, a.rowDiffSum, a.dtMin, a.dtMax, a.dtSum} {
-		e.f64(f)
-	}
-}
-func (e *enc) accums(p *patternAccums) {
-	e.accum(&p.ce)
-	e.accum(&p.ueo)
-	e.accum(&p.uer)
-	e.accum(&p.all)
+	*p = T(f)
 }
 
-// dec is the matching cursor-based decoder; the first failure sticks.
-type dec struct {
-	b   []byte
-	off int
-	err error
+// span codes a duration the layout holds as float64 hours. Reading takes a
+// duration whose hours() is exactly the stored value: any duration with that
+// image will do — hours() is monotonic, so later min/max updates and stats()
+// cannot tell them apart — and a value that is no duration's image is
+// corruption.
+func span(c *bincodec.Cursor, p *time.Duration) {
+	h := hours(*p)
+	c.F64(&h)
+	if !c.Decode {
+		return
+	}
+	est := h * float64(time.Hour)
+	if !(math.Abs(est) < 9e18) { // leaves the bracket below inside int64
+		c.Fail("time span of %v hours", h)
+		return
+	}
+	// The estimate is within a few ulps of an answer and usually is one;
+	// otherwise bracket it and bisect for the smallest.
+	d := time.Duration(math.Round(est))
+	if math.Float64bits(hours(d)) != math.Float64bits(h) {
+		slack := time.Duration(math.Abs(est)/(1<<49)) + 2
+		lo, hi := d-slack, d+slack
+		for lo < hi {
+			if mid := lo + (hi-lo)/2; hours(mid) < h {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if d = lo; math.Float64bits(hours(d)) != math.Float64bits(h) {
+			c.Fail("%v hours is not a whole number of nanoseconds", h)
+			return
+		}
+	}
+	*p = d
 }
 
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("features: decoding bank state: "+format, args...)
+func (a *seqAccum) code(c *bincodec.Cursor) {
+	last := a.lastTime
+	if a.count == 0 {
+		last = unsetTime
 	}
-}
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
+	bincodec.Ranged(c, &a.count, math.MaxInt32)
+	bincodec.Ranged(c, &a.lastRow, math.MaxInt32)
+	c.Time(&last)
+	if (a.count == 0) != (last == unsetTime) {
+		c.Fail("sequence of %d events with last time set=%t", a.count, last != unsetTime)
 	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.fail("truncated at offset %d (need %d of %d bytes)", d.off, n, len(d.b))
-		return nil
+	if a.count > 0 {
+		a.lastTime = last
 	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-func (d *dec) u8() uint8 {
-	if s := d.take(1); s != nil {
-		return s[0]
-	}
-	return 0
-}
-func (d *dec) bool() bool { return d.u8() != 0 }
-func (d *dec) i64() int64 {
-	if s := d.take(8); s != nil {
-		return int64(binary.LittleEndian.Uint64(s))
-	}
-	return 0
-}
-func (d *dec) int() int { return int(d.i64()) }
-func (d *dec) f64() float64 {
-	if s := d.take(8); s != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(s))
-	}
-	return 0
-}
-func (d *dec) time() time.Time {
-	sec := d.i64()
-	var nsec uint32
-	if s := d.take(4); s != nil {
-		nsec = binary.LittleEndian.Uint32(s)
-	}
-	if d.err != nil {
-		return time.Time{}
-	}
-	if sec == timeZeroSec && nsec == 0 {
-		return time.Time{}
-	}
-	return time.Unix(sec, int64(nsec)).UTC()
-}
-func (d *dec) count() int {
-	n := d.i64()
-	if n < 0 || n > maxCodecEntries {
-		d.fail("implausible collection length %d", n)
-		return 0
-	}
-	return int(n)
-}
-func (d *dec) ints() []int {
-	n := d.count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.int()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-func (d *dec) accum(a *seqAccum) {
-	a.count = d.int()
-	a.lastRow = d.int()
-	a.lastTime = d.time()
-	a.rowMin, a.rowMax = d.f64(), d.f64()
-	a.rowDiffMin, a.rowDiffMax, a.rowDiffSum = d.f64(), d.f64(), d.f64()
-	a.dtMin, a.dtMax, a.dtSum = d.f64(), d.f64(), d.f64()
-}
-func (d *dec) accums(p *patternAccums) {
-	d.accum(&p.ce)
-	d.accum(&p.ueo)
-	d.accum(&p.uer)
-	d.accum(&p.all)
+	whole(c, &a.rowMin, math.MaxInt32)
+	whole(c, &a.rowMax, math.MaxInt32)
+	whole(c, &a.rowDiffMin, math.MaxInt32)
+	whole(c, &a.rowDiffMax, math.MaxInt32)
+	whole(c, &a.rowDiffSum, 1<<53)
+	span(c, &a.dtMin)
+	span(c, &a.dtMax)
+	c.F64(&a.dtSum)
 }
 
-// timeZeroSec is time.Time{}.Unix(): the sentinel pair (timeZeroSec, 0)
-// encodes the zero time so IsZero survives the round trip.
-var timeZeroSec = time.Time{}.Unix()
+func (p *patternAccums) code(c *bincodec.Cursor) {
+	p.ce.code(c)
+	p.ueo.code(c)
+	p.uer.code(c)
+	p.all.code(c)
+}
+
+// redundant is what the layout stores that the state derives: the staged
+// accumulator set (committed plus the events waiting behind the cutoff —
+// until the budget is exhausted those are all CEs and UEOs, i.e. the block
+// accumulators, and stagedAll; afterwards nothing can be promoted and the
+// set equals committed), the budget rows' dedupe set (sorted, present while
+// the budget is open), and three presence flags.
+type redundant struct {
+	staged                             patternAccums
+	seen                               []int32
+	open, firstEvent, firstUER, perRow bool
+}
+
+func (s *BankState) redundant() redundant {
+	r := redundant{
+		staged:     s.committed,
+		open:       len(s.budgetRows) > 0 && !s.budgetDone,
+		firstEvent: s.firstEventTime != unsetTime,
+		firstUER:   s.firstUERTime != unsetTime,
+		perRow:     len(s.rowCounts) > 0,
+	}
+	if !s.budgetDone {
+		r.staged.ce, r.staged.ueo, r.staged.all = s.blkCE, s.blkUEO, s.stagedAll
+	}
+	if r.open {
+		r.seen = slices.Clone(s.budgetRows)
+		slices.Sort(r.seen)
+	}
+	return r
+}
+
+// code walks every field in layout order. Encoding passes the state's own
+// redundant sections in r; decoding fills r with what the image says.
+func (s *BankState) code(c *bincodec.Cursor, version uint8, r *redundant) {
+	bincodec.Ranged(c, &s.cfg.UERBudget, maxCodecEntries)
+	bincodec.Ranged(c, &s.spec.WindowRadius, maxCodecEntries)
+	bincodec.Ranged(c, &s.spec.BlockSize, maxCodecEntries)
+	bincodec.Ranged(c, &s.events, math.MaxInt64)
+
+	s.committed.code(c)
+	r.staged.code(c)
+	bincodec.Rows(c, &s.budgetRows, false)
+	c.Flag(&r.open)
+	if r.open {
+		bincodec.Rows(c, &r.seen, true)
+	}
+	c.Time(&s.cutoff)
+	c.Flag(&s.budgetDone)
+
+	c.Flag(&r.firstEvent)
+	c.Time(&s.firstEventTime)
+	c.Flag(&r.firstUER)
+	c.Time(&s.firstUERTime)
+	bincodec.Ranged(c, &s.ceBefore, math.MaxInt32)
+	bincodec.Ranged(c, &s.ueoBefore, math.MaxInt32)
+	bincodec.Ranged(c, &s.ceTotal, math.MaxInt32)
+	bincodec.Ranged(c, &s.ueoTotal, math.MaxInt32)
+	c.Time(&s.runTime)
+	bincodec.Ranged(c, &s.ceAtRun, math.MaxInt32)
+	bincodec.Ranged(c, &s.ueoAtRun, math.MaxInt32)
+
+	s.blkCE.code(c)
+	s.blkUEO.code(c)
+	s.blkUER.code(c)
+	c.F64(&s.ceRowSum)
+	c.F64(&s.uerRowSum)
+	bincodec.Rows(c, &s.ceRows, true)
+	bincodec.Rows(c, &s.ueoRows, true)
+	bincodec.Rows(c, &s.uerRows, true)
+	c.Flag(&r.perRow)
+	if r.perRow {
+		n := len(s.rowCounts)
+		c.Count(&n, maxCodecEntries, 24)
+		if c.Decode {
+			s.rowCounts = make([]blockRowCount, n)
+		}
+		for i := range s.rowCounts {
+			rc := &s.rowCounts[i]
+			bincodec.Ranged(c, &rc.row, math.MaxInt32)
+			bincodec.Ranged(c, &rc.total, math.MaxUint32)
+			bincodec.Ranged(c, &rc.uer, math.MaxUint32)
+			if i > 0 && rc.row <= s.rowCounts[i-1].row {
+				c.Fail("per-row table not strictly ascending")
+			}
+		}
+	}
+	c.Time(&s.lastTime)
+
+	if version >= bankStateVersion {
+		b := &s.errBits
+		bincodec.Ranged(c, &b.count, math.MaxUint32)
+		c.U8(&b.dqUnion)
+		c.U8(&b.burstUnion)
+		for i := range b.dqPinCounts {
+			bincodec.Ranged(c, &b.dqPinCounts[i], math.MaxUint32)
+		}
+		bincodec.Ranged(c, &b.dqPopSum, math.MaxUint32)
+		bincodec.Ranged(c, &b.burstPopSum, math.MaxUint32)
+	}
+}
 
 // MarshalBinary encodes the full state. The result is self-describing
-// (magic + version) and decodable by UnmarshalBankState.
+// (magic + version) and decodable by UnmarshalBankState; the error is that
+// of a state the layout cannot hold, which no event sequence produces.
 func (s *BankState) MarshalBinary() ([]byte, error) {
-	e := &enc{b: make([]byte, 0, 1024)}
-	e.b = append(e.b, bankStateMagic...)
-	e.u8(bankStateVersion)
-
-	e.int(s.cfg.UERBudget)
-	e.int(s.spec.WindowRadius)
-	e.int(s.spec.BlockSize)
-	e.int(s.events)
-
-	e.accums(&s.committed)
-	e.accums(&s.staged)
-	e.ints(s.budgetRows)
-	e.bool(s.budgetSeen != nil)
-	if s.budgetSeen != nil {
-		rows := make([]int, 0, len(s.budgetSeen))
-		for r := range s.budgetSeen {
-			rows = append(rows, r)
-		}
-		sort.Ints(rows)
-		e.ints(rows)
-	}
-	e.time(s.cutoff)
-	e.bool(s.budgetDone)
-
-	e.bool(s.haveFirstEvent)
-	e.time(s.firstEventTime)
-	e.bool(s.haveUER)
-	e.time(s.firstUERTime)
-	e.int(s.ceBefore)
-	e.int(s.ueoBefore)
-	e.int(s.ceTotal)
-	e.int(s.ueoTotal)
-	e.time(s.runTime)
-	e.int(s.ceAtRun)
-	e.int(s.ueoAtRun)
-
-	e.accum(&s.blkCE)
-	e.accum(&s.blkUEO)
-	e.accum(&s.blkUER)
-	e.f64(s.ceRowSum)
-	e.f64(s.uerRowSum)
-	e.ints(s.ceRows.rows)
-	e.ints(s.ueoRows.rows)
-	e.ints(s.uerRows.rows)
-	e.bool(s.rowCounts != nil)
-	if s.rowCounts != nil {
-		rows := make([]int, 0, len(s.rowCounts))
-		for r := range s.rowCounts {
-			rows = append(rows, r)
-		}
-		sort.Ints(rows)
-		e.int(len(rows))
-		for _, r := range rows {
-			rc := s.rowCounts[r]
-			e.int(r)
-			e.int(rc.total)
-			e.int(rc.uer)
-		}
-	}
-	e.time(s.lastTime)
-
-	e.int(s.errBits.count)
-	e.u8(s.errBits.dqUnion)
-	e.u8(s.errBits.burstUnion)
-	for _, c := range s.errBits.dqPinCounts {
-		e.int(c)
-	}
-	e.int(s.errBits.dqPopSum)
-	e.int(s.errBits.burstPopSum)
-	return e.b, nil
+	// 1.3 KB of fixed-size fields, 8 bytes per listed row, 24 per table entry.
+	size := 1320 + 8*(2*len(s.budgetRows)+len(s.ceRows)+len(s.ueoRows)+len(s.uerRows)) + 24*len(s.rowCounts)
+	c := &bincodec.Cursor{B: append(make([]byte, 0, size), bankStateMagic...), What: imageName}
+	c.B = append(c.B, bankStateVersion)
+	r := s.redundant()
+	s.code(c, bankStateVersion, &r)
+	return c.B, c.Err
 }
 
-// UnmarshalBankState decodes a state produced by MarshalBinary. Corrupt or
-// truncated input returns an error, never a panic.
+// UnmarshalBankState decodes a state produced by MarshalBinary. Corrupt,
+// truncated or out-of-range input returns an error, never a panic and never
+// a silently truncated value.
 func UnmarshalBankState(data []byte) (*BankState, error) {
 	if len(data) < len(bankStateMagic)+1 {
 		return nil, fmt.Errorf("features: bank state too short (%d bytes)", len(data))
@@ -255,78 +248,28 @@ func UnmarshalBankState(data []byte) (*BankState, error) {
 	if version != bankStateVersion && version != bankStateVersionV1 {
 		return nil, fmt.Errorf("features: unsupported bank state version %d", version)
 	}
-	d := &dec{b: data, off: 5}
-	s := &BankState{}
-	s.cfg.UERBudget = d.int()
-	s.spec.WindowRadius = d.int()
-	s.spec.BlockSize = d.int()
-	s.events = d.int()
-
-	d.accums(&s.committed)
-	d.accums(&s.staged)
-	s.budgetRows = d.ints()
-	if d.bool() {
-		rows := d.ints()
-		s.budgetSeen = make(map[int]bool, len(rows))
-		for _, r := range rows {
-			s.budgetSeen[r] = true
-		}
-	}
-	s.cutoff = d.time()
-	s.budgetDone = d.bool()
-
-	s.haveFirstEvent = d.bool()
-	s.firstEventTime = d.time()
-	s.haveUER = d.bool()
-	s.firstUERTime = d.time()
-	s.ceBefore = d.int()
-	s.ueoBefore = d.int()
-	s.ceTotal = d.int()
-	s.ueoTotal = d.int()
-	s.runTime = d.time()
-	s.ceAtRun = d.int()
-	s.ueoAtRun = d.int()
-
-	d.accum(&s.blkCE)
-	d.accum(&s.blkUEO)
-	d.accum(&s.blkUER)
-	s.ceRowSum = d.f64()
-	s.uerRowSum = d.f64()
-	s.ceRows.rows = d.ints()
-	s.ueoRows.rows = d.ints()
-	s.uerRows.rows = d.ints()
-	if d.bool() {
-		n := d.count()
-		s.rowCounts = make(map[int]blockRowCount, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			r := d.int()
-			s.rowCounts[r] = blockRowCount{total: d.int(), uer: d.int()}
-		}
-	}
-	s.lastTime = d.time()
-
-	if version >= bankStateVersion {
-		s.errBits.count = d.int()
-		s.errBits.dqUnion = d.u8()
-		s.errBits.burstUnion = d.u8()
-		for i := range s.errBits.dqPinCounts {
-			s.errBits.dqPinCounts[i] = d.int()
-		}
-		s.errBits.dqPopSum = d.int()
-		s.errBits.burstPopSum = d.int()
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("features: %d trailing bytes after bank state", len(data)-d.off)
+	c := &bincodec.Cursor{B: data, Off: 5, Decode: true, What: imageName}
+	s, r := &BankState{}, redundant{}
+	s.code(c, version, &r)
+	s.stagedAll = r.staged.all
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 	if s.cfg.UERBudget <= 0 {
 		return nil, fmt.Errorf("features: decoded non-positive UER budget %d", s.cfg.UERBudget)
 	}
 	if err := s.spec.Validate(); err != nil {
 		return nil, err
+	}
+	distinct := slices.Clone(s.budgetRows)
+	slices.Sort(distinct)
+	if n := len(s.budgetRows); r.firstUER != (n > 0) || n > s.cfg.UERBudget ||
+		s.budgetDone != (n == s.cfg.UERBudget) || len(slices.Compact(distinct)) != n {
+		return nil, fmt.Errorf("features: bank state UER budget bookkeeping is inconsistent")
+	}
+	if want := s.redundant(); r.staged != want.staged || !slices.Equal(r.seen, want.seen) ||
+		r.open != want.open || r.firstEvent != want.firstEvent || r.firstUER != want.firstUER || r.perRow != want.perRow {
+		return nil, fmt.Errorf("features: bank state sections disagree with the fields they are derived from")
 	}
 	return s, nil
 }

@@ -2,9 +2,12 @@ package features
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
+	"cordial/internal/bincodec"
 	"cordial/internal/ecc"
 	"cordial/internal/mcelog"
 	"cordial/internal/xrand"
@@ -119,8 +122,8 @@ func TestBankStateCodecFreshState(t *testing.T) {
 		t.Error("restored fresh state has a pattern vector before any UER")
 	}
 	assertStateEquivalent(t, st, got, 0, t0)
-	if got.lastTime != (time.Time{}) || !got.cutoff.IsZero() {
-		t.Error("zero times did not survive the round trip")
+	if got.lastTime != unsetTime || got.cutoff != unsetTime {
+		t.Error("unset times did not survive the round trip")
 	}
 }
 
@@ -173,5 +176,122 @@ func TestBankStateCodecCorruptInput(t *testing.T) {
 		bad = append([]byte(nil), blob...)
 		bad[5+r.Intn(len(bad)-5)] ^= byte(1 << r.Intn(8))
 		_, _ = UnmarshalBankState(bad)
+	}
+}
+
+// TestBankStateCodecRejectsUnrepresentable: the layout is wider than the
+// state (int64 rows and counts, unordered row lists, redundant sections), so
+// an image can say things the state cannot hold. Each must be an error —
+// never a truncated value, an unsorted table under a binary search, or a
+// state that encodes differently from what was read.
+func TestBankStateCodecRejectsUnrepresentable(t *testing.T) {
+	build := func() *BankState {
+		st, err := NewBankState(DefaultPatternConfig(), DefaultBlockSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range []int{31001, 31007, 31003, 31009, 31012} {
+			class := ecc.ClassCE
+			if i == 2 || i == 3 {
+				class = ecc.ClassUER
+			}
+			st.Observe(mcelog.Event{Time: t0.Add(time.Duration(i) * time.Hour), Addr: hbmAddr(row), Class: class})
+		}
+		return st
+	}
+	le64 := func(vs ...int64) (out []byte) {
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		}
+		return out
+	}
+	// patch replaces the first occurrence of one encoded value with another.
+	patch := func(from, to []byte) func([]byte) []byte {
+		return func(blob []byte) []byte {
+			i := bytes.Index(blob, from)
+			if i < 0 {
+				t.Fatalf("pattern %x not in image", from)
+			}
+			return append(append(append([]byte(nil), blob[:i]...), to...), blob[i+len(from):]...)
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*BankState)
+		patch  func([]byte) []byte
+	}{
+		{name: "row beyond 32 bits", patch: patch(le64(31012), le64(1<<40))},
+		{name: "negative row", patch: patch(le64(31012), le64(-1))},
+		{name: "negative event count", patch: patch(le64(5), le64(-5))},
+		{name: "per-row count beyond 32 bits", patch: patch(le64(31001, 1, 0), le64(31001, 1<<32, 0))},
+		{name: "fractional row minimum", patch: patch(le64(int64(math.Float64bits(31001))), le64(int64(math.Float64bits(31001.5))))},
+		{name: "time span that is no nanosecond count", patch: patch(le64(int64(math.Float64bits(1))), le64(int64(math.Float64bits(1))+1))},
+		{name: "nanoseconds beyond a second", patch: patch(binary.LittleEndian.AppendUint32(le64(t0.Unix()), 0), binary.LittleEndian.AppendUint32(le64(t0.Unix()), 1_000_000_000))},
+		{name: "unsorted CE rows", patch: patch(le64(31001, 31007), le64(31007, 31001))},
+		{name: "duplicate UER rows", // the list after the empty UEO set, not the budget rows
+			patch: patch(le64(0, 2, 31003, 31009), le64(0, 2, 31003, 31003))},
+		{name: "unsorted per-row table", patch: patch(le64(31003, 1, 1), le64(31000, 1, 1))},
+		{name: "duplicate budget rows", patch: patch(le64(2, 31003, 31009), le64(2, 31003, 31003))},
+		{name: "budget done below the budget", mutate: func(s *BankState) { s.budgetDone = true }},
+		{name: "first UER time without a UER row", mutate: func(s *BankState) { s.budgetRows = nil }},
+		{name: "staged accumulators disagree with the block stage", // the staged CE row maximum comes first
+			patch: patch(le64(int64(math.Float64bits(31012))), le64(int64(math.Float64bits(31013))))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := build()
+			if tc.mutate != nil {
+				tc.mutate(st)
+			}
+			blob, err := st.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.patch != nil {
+				blob = tc.patch(blob)
+			}
+			if _, err := UnmarshalBankState(blob); err == nil {
+				t.Fatal("image accepted")
+			}
+		})
+	}
+	blob, err := build().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalBankState(blob); err != nil {
+		t.Fatalf("untouched image rejected: %v", err)
+	}
+}
+
+// TestSpanInvertsHours: the layout stores time extremes as float64 hours and
+// the state as nanosecond counts, so decoding inverts hours(). For every
+// duration — including those past 2⁵³ ns, where several share one image — the
+// decoded duration must have exactly the stored image, and a value between
+// two images must be refused.
+func TestSpanInvertsHours(t *testing.T) {
+	r := xrand.New(11)
+	durations := []time.Duration{0, 1, 999, time.Hour - 1, time.Hour, time.Hour + 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, 230 * 365 * 24 * time.Hour}
+	for i := 0; i < 20000; i++ {
+		durations = append(durations, time.Duration(r.Uint64n(8e18)>>r.Intn(50)))
+	}
+	for _, d := range durations {
+		enc := &bincodec.Cursor{}
+		span(enc, &d)
+		var got time.Duration
+		dec := &bincodec.Cursor{B: enc.B, Decode: true}
+		span(dec, &got)
+		if err := dec.Done(); err != nil {
+			t.Fatalf("%d ns: %v", d, err)
+		}
+		if math.Float64bits(hours(got)) != math.Float64bits(hours(d)) {
+			t.Fatalf("%d ns decoded as %d ns: %v vs %v hours", d, got, hours(got), hours(d))
+		}
+	}
+	between := math.Nextafter(hours(time.Hour+1), 0) // hours() is injective this low, so no duration maps here
+	bad := &bincodec.Cursor{B: binary.LittleEndian.AppendUint64(nil, math.Float64bits(between)), Decode: true}
+	var got time.Duration
+	if span(bad, &got); bad.Err == nil {
+		t.Errorf("%v hours accepted as %d ns", between, got)
 	}
 }

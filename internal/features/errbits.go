@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"cordial/internal/mcelog"
 )
@@ -34,10 +35,10 @@ func ErrBitFeatureNames() []string {
 // errBitAccum incrementally maintains the error-bit aggregates: O(1) per
 // observation, fixed size. Mirrors referenceErrBitVector bit-for-bit.
 type errBitAccum struct {
-	count                 int // events with a nonzero error-bit pattern
+	count                 uint32 // events with a nonzero error-bit pattern
 	dqUnion, burstUnion   uint8
-	dqPinCounts           [8]int
-	dqPopSum, burstPopSum int
+	dqPinCounts           [8]uint32
+	dqPopSum, burstPopSum uint32
 }
 
 // observe folds one event's error-bit pattern; zero patterns are skipped.
@@ -54,8 +55,8 @@ func (a *errBitAccum) observe(b mcelog.ErrBits) {
 			a.dqPinCounts[pin]++
 		}
 	}
-	a.dqPopSum += bits.OnesCount8(dq)
-	a.burstPopSum += bits.OnesCount8(burst)
+	a.dqPopSum += uint32(bits.OnesCount8(dq))
+	a.burstPopSum += uint32(bits.OnesCount8(burst))
 }
 
 // vector renders the accumulator as the feature slice.
@@ -68,16 +69,10 @@ func (a *errBitAccum) vector() []float64 {
 		}
 		return out
 	}
-	dominant := 0
-	for _, c := range a.dqPinCounts {
-		if c > dominant {
-			dominant = c
-		}
-	}
 	n := float64(a.count)
 	out = append(out,
 		float64(bits.OnesCount8(a.dqUnion)),
-		float64(dominant)/n,
+		float64(slices.Max(a.dqPinCounts[:]))/n,
 		float64(a.dqPopSum)/n,
 		float64(bits.OnesCount8(a.burstUnion)),
 		float64(a.burstPopSum)/n,

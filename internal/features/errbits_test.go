@@ -142,13 +142,7 @@ func TestCodecDecodesV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite as v1: drop the trailing error-bit section and patch the
-	// version byte. Section layout: int count, two u8 masks, eight int pin
-	// counts, two int sums.
-	const errBitSectionLen = 8 + 1 + 1 + 8*8 + 8 + 8
-	v1 := append([]byte(nil), blob[:len(blob)-errBitSectionLen]...)
-	v1[4] = bankStateVersionV1
-	restored, err := UnmarshalBankState(v1)
+	restored, err := UnmarshalBankState(asV1(blob))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,17 @@
 package features
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
+	"unsafe"
 
+	"cordial/internal/bincodec"
 	"cordial/internal/ecc"
 	"cordial/internal/mcelog"
+	"cordial/internal/rowset"
 )
 
 // BankState is the incremental feature accumulator behind both Cordial
@@ -39,49 +43,53 @@ type BankState struct {
 	events int
 
 	// Pattern stage (§IV-B). The classifier sees only events up to the
-	// cutoff — the time of the latest first-K distinct UER — so two
-	// accumulator sets are kept: committed covers exactly the visible
-	// events, staged additionally covers events after the cutoff that
-	// become visible if a later distinct UER extends it. Both are O(1) in
-	// size; promotion is a struct copy.
+	// cutoff — the time of the latest first-K distinct UER — so committed
+	// covers exactly the visible events. Events after the cutoff become
+	// visible if a later distinct UER extends it; until the budget is
+	// exhausted every CE and UEO is such a candidate, so the block stage's
+	// blkCE/blkUEO double as their staging accumulators and only the
+	// all-events sequence needs one of its own. Promotion is a struct copy.
 	committed patternAccums
-	staged    patternAccums
+	stagedAll seqAccum
 	// budgetRows is the first-K distinct UER rows in first-occurrence
 	// order (K = cfg.UERBudget, so len ≤ K).
-	budgetRows []int
-	// budgetSeen dedupes budgetRows; ≤ K entries, freed once the budget
-	// is exhausted.
-	budgetSeen map[int]bool
-	cutoff     time.Time
+	budgetRows []int32
+	cutoff     int64
 	budgetDone bool
 
-	haveFirstEvent bool
-	firstEventTime time.Time
-	haveUER        bool
-	firstUERTime   time.Time
+	// firstEventTime and firstUERTime are unsetTime until the first event
+	// and the first UER.
+	firstEventTime, firstUERTime int64
 	// ceBefore/ueoBefore are the §IV-B counts strictly before the first
 	// UER, frozen the moment it arrives.
-	ceBefore, ueoBefore int
+	ceBefore, ueoBefore int32
 	// Pre-first-UER tallies. Ties at the first UER's own timestamp must
 	// not count ("strictly before"), so the trailing run of
 	// equal-timestamp events is tracked separately and subtracted.
-	ceTotal, ueoTotal int
-	runTime           time.Time
-	ceAtRun, ueoAtRun int
+	ceTotal, ueoTotal int32
+	ceAtRun, ueoAtRun int32
+	runTime           int64
 
 	// Block stage (§IV-D). These cover everything observed (block
 	// decisions use the full history up to the decision time).
 	blkCE, blkUEO, blkUER seqAccum
 	ceRowSum, uerRowSum   float64
-	ceRows, ueoRows       rowSet
-	uerRows               rowSet
-	rowCounts             map[int]blockRowCount
-	lastTime              time.Time
+	ceRows, ueoRows       rowset.Set
+	uerRows               rowset.Set
+	rowCounts             []blockRowCount // sorted by row
+	lastTime              int64
 
 	// Error-bit aggregates (intra-word DQ/burst patterns), covering every
 	// observed event with a nonzero pattern.
 	errBits errBitAccum
 }
+
+// Timestamps inside the state are int64 Unix nanoseconds: a third of a
+// time.Time, and for the instants mcelog.ValidateTime admits ([1970, 2200))
+// Duration(t-last) is exactly t.Sub(last), so every derived feature is
+// unchanged. unsetTime marks a field no event has written; it orders before
+// every real instant, which is what the cutoff comparison wants.
+const unsetTime = bincodec.UnsetTime
 
 // NewBankState returns an empty accumulator for one bank. A non-positive
 // UERBudget takes the paper's default of 3, mirroring PatternVector.
@@ -92,7 +100,9 @@ func NewBankState(cfg PatternConfig, spec BlockSpec) (*BankState, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &BankState{cfg: cfg, spec: spec}, nil
+	s := &BankState{cfg: cfg, spec: spec}
+	s.cutoff, s.firstEventTime, s.firstUERTime, s.runTime, s.lastTime = unsetTime, unsetTime, unsetTime, unsetTime, unsetTime
+	return s, nil
 }
 
 // patternAccums is one set of §IV-B sequence accumulators: the three
@@ -103,43 +113,47 @@ type patternAccums struct {
 
 // blockRowCount tallies one row's events for the block-local prior counts.
 type blockRowCount struct {
-	total, uer int
+	row        int32
+	total, uer uint32
 }
 
 // Observe folds one event into the state. Events must arrive in
 // nondecreasing time order (the same contract the batch extractors place
-// on their input slice); the equivalence guarantee holds only then.
+// on their input slice); the equivalence guarantee holds only then. Rows
+// and per-class event counts are held in 32 bits (a bank has at most
+// RowsPerBank rows, far below 2³¹) and timestamps as Unix nanoseconds
+// (years 1678–2262; mcelog.ValidateTime admits 1970–2200).
 func (s *BankState) Observe(e mcelog.Event) {
+	row, t := int32(e.Addr.Row), e.Time.UnixNano()
 	s.events++
-	if !s.haveFirstEvent {
-		s.haveFirstEvent = true
-		s.firstEventTime = e.Time
+	if s.firstEventTime == unsetTime {
+		s.firstEventTime = t
 	}
-	s.observePattern(e)
-	s.observeBlock(e)
+	s.observePattern(row, t, e.Class)
+	s.observeBlock(row, t, e.Class)
 	s.errBits.observe(e.Bits)
 }
 
-// observePattern maintains the §IV-B aggregates.
-func (s *BankState) observePattern(e mcelog.Event) {
-	row, t := e.Addr.Row, e.Time
-	isUER := e.Class == ecc.ClassUER
-	if isUER && !s.haveUER {
+// observePattern maintains the §IV-B aggregates. It runs before
+// observeBlock, so blkCE/blkUEO still hold exactly the events before this
+// one.
+func (s *BankState) observePattern(row int32, t int64, class ecc.Class) {
+	isUER := class == ecc.ClassUER
+	if isUER && s.firstUERTime == unsetTime {
 		// Freeze the strictly-before-first-UER counts. Events in the
 		// trailing run share this UER's timestamp and are excluded.
-		s.haveUER = true
 		s.firstUERTime = t
 		s.ceBefore, s.ueoBefore = s.ceTotal, s.ueoTotal
-		if s.runTime.Equal(t) {
+		if s.runTime == t {
 			s.ceBefore -= s.ceAtRun
 			s.ueoBefore -= s.ueoAtRun
 		}
 	}
-	if !s.haveUER {
-		if !s.runTime.Equal(t) {
+	if s.firstUERTime == unsetTime {
+		if s.runTime != t {
 			s.runTime, s.ceAtRun, s.ueoAtRun = t, 0, 0
 		}
-		switch e.Class {
+		switch class {
 		case ecc.ClassCE:
 			s.ceTotal++
 			s.ceAtRun++
@@ -148,79 +162,68 @@ func (s *BankState) observePattern(e mcelog.Event) {
 			s.ueoAtRun++
 		}
 	}
-	if isUER && !s.budgetDone {
-		if s.budgetSeen == nil {
-			s.budgetSeen = make(map[int]bool, s.cfg.UERBudget)
-		}
-		if !s.budgetSeen[row] {
-			// A new distinct UER row under budget extends the cutoff:
-			// everything staged becomes visible, and this UER joins the
-			// deduplicated first-K subsequence.
-			s.budgetSeen[row] = true
-			s.budgetRows = append(s.budgetRows, row)
-			s.staged.uer.observe(row, t)
-			s.staged.all.observe(row, t)
-			s.committed = s.staged
-			s.cutoff = t
-			if len(s.budgetRows) >= s.cfg.UERBudget {
-				s.budgetDone = true
-				s.budgetSeen = nil
-			}
-			return
-		}
+	if isUER && !s.budgetDone && !slices.Contains(s.budgetRows, row) {
+		// A new distinct UER row under budget extends the cutoff:
+		// everything staged becomes visible, and this UER joins the
+		// deduplicated first-K subsequence.
+		s.budgetRows = append(s.budgetRows, row)
+		s.stagedAll.observe(row, t)
+		s.committed.ce, s.committed.ueo, s.committed.all = s.blkCE, s.blkUEO, s.stagedAll
+		s.committed.uer.observe(row, t)
+		s.cutoff = t
+		s.budgetDone = len(s.budgetRows) >= s.cfg.UERBudget
+		return
 	}
 	// Non-extending event: a CE, a UEO, a repeat-row UER, or a UER past
 	// the budget. Repeat and past-budget UERs never enter the per-class
 	// UER statistics (the batch path deduplicates them away) but do count
 	// toward the all-events sequence when visible.
-	after := t.After(s.cutoff)
-	if after && s.budgetDone {
-		return // the cutoff is final; this event can never become visible
+	if !s.budgetDone {
+		s.stagedAll.observe(row, t)
 	}
-	switch e.Class {
+	if t > s.cutoff {
+		return // not visible unless a later distinct UER extends the cutoff
+	}
+	switch class {
 	case ecc.ClassCE:
-		s.staged.ce.observe(row, t)
+		s.committed.ce.observe(row, t)
 	case ecc.ClassUEO:
-		s.staged.ueo.observe(row, t)
+		s.committed.ueo.observe(row, t)
 	}
-	s.staged.all.observe(row, t)
-	if !after {
-		switch e.Class {
-		case ecc.ClassCE:
-			s.committed.ce.observe(row, t)
-		case ecc.ClassUEO:
-			s.committed.ueo.observe(row, t)
-		}
-		s.committed.all.observe(row, t)
-	}
+	s.committed.all.observe(row, t)
 }
 
 // observeBlock maintains the §IV-D aggregates.
-func (s *BankState) observeBlock(e mcelog.Event) {
-	row, t := e.Addr.Row, e.Time
-	switch e.Class {
+func (s *BankState) observeBlock(row int32, t int64, class ecc.Class) {
+	switch class {
 	case ecc.ClassCE:
 		s.blkCE.observe(row, t)
 		s.ceRowSum += float64(row)
-		s.ceRows.add(row)
+		s.ceRows.Add(int(row))
 	case ecc.ClassUEO:
 		s.blkUEO.observe(row, t)
-		s.ueoRows.add(row)
+		s.ueoRows.Add(int(row))
 	case ecc.ClassUER:
 		s.blkUER.observe(row, t)
 		s.uerRowSum += float64(row)
-		s.uerRows.add(row)
+		s.uerRows.Add(int(row))
 	}
-	if s.rowCounts == nil {
-		s.rowCounts = make(map[int]blockRowCount)
+	i, found := s.findRow(int(row))
+	if !found {
+		s.rowCounts = rowset.InsertAt(s.rowCounts, i, blockRowCount{row: row})
 	}
-	rc := s.rowCounts[row]
-	rc.total++
-	if e.Class == ecc.ClassUER {
-		rc.uer++
+	s.rowCounts[i].total++
+	if class == ecc.ClassUER {
+		s.rowCounts[i].uer++
 	}
-	s.rowCounts[row] = rc
 	s.lastTime = t
+}
+
+// findRow locates row in the sorted per-row table.
+func (s *BankState) findRow(row int) (int, bool) {
+	return slices.BinarySearchFunc(s.rowCounts, row, func(rc blockRowCount, row int) int {
+		return cmp.Compare(int(rc.row), row)
+	})
 }
 
 // Events returns the number of events observed.
@@ -228,13 +231,13 @@ func (s *BankState) Events() int { return s.events }
 
 // DistinctUERRows returns the number of distinct rows with at least one
 // observed UER (not capped by the pattern budget).
-func (s *BankState) DistinctUERRows() int { return s.uerRows.size() }
+func (s *BankState) DistinctUERRows() int { return len(s.uerRows) }
 
 // PatternVector returns the §IV-B feature vector over the events observed
 // so far, bit-identical to PatternVector over the same prefix. It returns
 // an error until the first UER has been observed (no pattern to classify).
 func (s *BankState) PatternVector() ([]float64, error) {
-	if !s.haveUER {
+	if s.firstUERTime == unsetTime {
 		return nil, fmt.Errorf("features: bank has no UER events")
 	}
 	out := make([]float64, 0, patternFeatureCount)
@@ -245,22 +248,13 @@ func (s *BankState) PatternVector() ([]float64, error) {
 			st.dtMin, st.dtMax,
 		)
 	}
-	minRow, maxRow := s.budgetRows[0], s.budgetRows[0]
-	for _, r := range s.budgetRows[1:] {
-		if r < minRow {
-			minRow = r
-		}
-		if r > maxRow {
-			maxRow = r
-		}
-	}
-	out = append(out, float64(maxRow-minRow))
+	out = append(out, float64(slices.Max(s.budgetRows)-slices.Min(s.budgetRows)))
 	out = append(out, float64(len(s.budgetRows)))
 	out = append(out, float64(s.ceBefore), float64(s.ueoBefore))
 	out = append(out, s.committed.all.stats().rowDiffAvg)
 	lead := Missing
-	if s.firstEventTime.Before(s.firstUERTime) {
-		lead = hours(s.firstUERTime.Sub(s.firstEventTime))
+	if s.firstEventTime < s.firstUERTime {
+		lead = hours(time.Duration(s.firstUERTime - s.firstEventTime))
 	}
 	out = append(out, lead)
 	rate := Missing
@@ -289,11 +283,15 @@ type blockWindow struct {
 	anchorRow       int
 	uerRows         float64
 	uerMean, ceMean float64 // Missing without events of the class
+	// Positions in the per-row table and the CE, UEO and UER row sets. A
+	// window's blocks ascend, so each table is binary-searched once, for the
+	// window's first row, and fillBlock only walks forward from there.
+	perRow, ce, ueo, uer int
 }
 
 // windowAt computes the window's block-independent values.
 func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
-	w := blockWindow{anchorRow: anchorRow, uerRows: float64(s.uerRows.size()), uerMean: Missing, ceMean: Missing}
+	w := blockWindow{anchorRow: anchorRow, uerRows: float64(len(s.uerRows)), uerMean: Missing, ceMean: Missing}
 	i := 0
 	for _, a := range [...]*seqAccum{&s.blkCE, &s.blkUEO, &s.blkUER} {
 		st := a.stats()
@@ -305,7 +303,7 @@ func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
 	}
 	sinceLast := Missing
 	if s.events > 0 {
-		sinceLast = hours(now.Sub(s.lastTime))
+		sinceLast = hours(now.Sub(time.Unix(0, s.lastTime)))
 	}
 	w.lead[i], w.lead[i+1] = float64(s.events), sinceLast
 	if s.blkUER.count > 0 {
@@ -314,12 +312,18 @@ func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
 	if s.blkCE.count > 0 {
 		w.ceMean = s.ceRowSum / float64(s.blkCE.count)
 	}
+	first, _ := s.spec.BlockRange(anchorRow, 0)
+	w.perRow, _ = s.findRow(first)
+	w.ce, _ = s.ceRows.Find(first)
+	w.ueo, _ = s.ueoRows.Find(first)
+	w.uer, _ = s.uerRows.Find(first)
 	return w
 }
 
 // fillBlock writes one block's vector into row, whose length and capacity
 // must both be BlockFeatureCount (so a miscounted append cannot spill into a
-// neighbouring row unnoticed).
+// neighbouring row unnoticed). Successive calls on one window must ask for
+// ascending blocks.
 func (s *BankState) fillBlock(row []float64, w *blockWindow, block int) {
 	out := row[:copy(row, w.lead[:])]
 
@@ -329,15 +333,15 @@ func (s *BankState) fillBlock(row []float64, w *blockWindow, block int) {
 	out = append(out, float64(offset), math.Abs(float64(offset)))
 
 	prior, priorUER := 0, 0
-	for r := lo; r <= hi; r++ {
-		if rc, ok := s.rowCounts[r]; ok {
-			prior += rc.total
-			priorUER += rc.uer
+	for ; w.perRow < len(s.rowCounts) && int(s.rowCounts[w.perRow].row) <= hi; w.perRow++ {
+		if rc := s.rowCounts[w.perRow]; int(rc.row) >= lo {
+			prior += int(rc.total)
+			priorUER += int(rc.uer)
 		}
 	}
 	out = append(out, float64(prior), float64(priorUER))
 
-	out = append(out, s.ceRows.nearest(centre), s.ueoRows.nearest(centre), s.uerRows.nearest(centre))
+	out = append(out, nearest(s.ceRows, &w.ce, centre), nearest(s.ueoRows, &w.ueo, centre), nearest(s.uerRows, &w.uer, centre))
 	out = append(out, w.uerRows, float64(w.anchorRow))
 
 	if w.uerMean == Missing {
@@ -399,71 +403,58 @@ type StateFootprint struct {
 	ApproxBytes int
 }
 
-// Per-entry size estimates for Footprint. Rough by design: the point is
-// that the total is proportional to tracked rows, not to events observed.
-const (
-	bankStateFixedBytes = 704 // the fixed-size accumulators and bookkeeping
-	mapEntryBytes       = 48  // approximate per-entry share of a small-valued map
-	rowEntryBytes       = 8   // one int row in a sorted set
-)
-
-// Footprint reports the state's current size. Cost is O(1).
+// Footprint reports the state's current size: the struct itself plus the
+// backing arrays of its per-row tables at their allocated capacity. Cost is
+// O(1).
 func (s *BankState) Footprint() StateFootprint {
-	tracked := len(s.rowCounts) + s.ceRows.size() + s.ueoRows.size() + s.uerRows.size() +
-		len(s.budgetRows) + len(s.budgetSeen)
-	bytes := bankStateFixedBytes +
-		(len(s.rowCounts)+len(s.budgetSeen))*mapEntryBytes +
-		(cap(s.ceRows.rows)+cap(s.ueoRows.rows)+cap(s.uerRows.rows)+cap(s.budgetRows))*rowEntryBytes
+	tracked := len(s.rowCounts) + len(s.ceRows) + len(s.ueoRows) + len(s.uerRows) + len(s.budgetRows)
+	bytes := int(unsafe.Sizeof(*s)) +
+		cap(s.rowCounts)*int(unsafe.Sizeof(blockRowCount{})) +
+		(cap(s.ceRows)+cap(s.ueoRows)+cap(s.uerRows)+cap(s.budgetRows))*4
 	return StateFootprint{Events: s.events, TrackedRows: tracked, ApproxBytes: bytes}
 }
 
 // seqAccum incrementally maintains one error class's seqStats: O(1) per
-// observation, O(1) memory. The float operations mirror newSeqStats
-// exactly (same formulas, same accumulation order) so the resulting stats
-// are bit-identical to a batch pass over the same sequence.
+// observation, 64 bytes. What is integral is held as integers and converted
+// at stats(); the result is bit-identical to newSeqStats over the same
+// sequence because (a) rows and |row differences| are exact in float64, so
+// comparing them as integers picks the same extremes; (b) a sum of integers
+// is exact in float64 below 2⁵³, so rowDiffSum converts to the very value
+// the float accumulation reaches; (c) hours() is monotonic, so
+// hours(min dt) is min(hours(dt)) and likewise for max. Only dtSum, whose
+// roundings depend on accumulation order, stays a float and mirrors the
+// batch loop exactly.
 type seqAccum struct {
-	count    int
-	lastRow  int
-	lastTime time.Time
-
-	rowMin, rowMax                     float64
-	rowDiffMin, rowDiffMax, rowDiffSum float64
-	dtMin, dtMax, dtSum                float64
+	count                  int32
+	lastRow                int32
+	rowMin, rowMax         int32
+	rowDiffMin, rowDiffMax int32
+	lastTime               int64
+	rowDiffSum             int64
+	dtMin, dtMax           time.Duration
+	dtSum                  float64
 }
 
 // observe folds the next event of the sequence.
-func (a *seqAccum) observe(row int, t time.Time) {
-	r := float64(row)
+func (a *seqAccum) observe(row int32, t int64) {
 	if a.count == 0 {
-		a.rowMin, a.rowMax = r, r
+		a.rowMin, a.rowMax = row, row
 	} else {
-		if r < a.rowMin {
-			a.rowMin = r
+		a.rowMin, a.rowMax = min(a.rowMin, row), max(a.rowMax, row)
+		d := row - a.lastRow
+		if d < 0 {
+			d = -d
 		}
-		if r > a.rowMax {
-			a.rowMax = r
-		}
-		d := math.Abs(float64(row - a.lastRow))
-		dt := hours(t.Sub(a.lastTime))
+		dt := time.Duration(t - a.lastTime)
 		if a.count == 1 {
 			a.rowDiffMin, a.rowDiffMax = d, d
 			a.dtMin, a.dtMax = dt, dt
 		} else {
-			if d < a.rowDiffMin {
-				a.rowDiffMin = d
-			}
-			if d > a.rowDiffMax {
-				a.rowDiffMax = d
-			}
-			if dt < a.dtMin {
-				a.dtMin = dt
-			}
-			if dt > a.dtMax {
-				a.dtMax = dt
-			}
+			a.rowDiffMin, a.rowDiffMax = min(a.rowDiffMin, d), max(a.rowDiffMax, d)
+			a.dtMin, a.dtMax = min(a.dtMin, dt), max(a.dtMax, dt)
 		}
-		a.rowDiffSum += d
-		a.dtSum += dt
+		a.rowDiffSum += int64(d)
+		a.dtSum += hours(dt)
 	}
 	a.lastRow, a.lastTime = row, t
 	a.count++
@@ -473,7 +464,7 @@ func (a *seqAccum) observe(row int, t time.Time) {
 // return for the same sequence.
 func (a *seqAccum) stats() seqStats {
 	s := seqStats{
-		count:  a.count,
+		count:  int(a.count),
 		rowMin: Missing, rowMax: Missing,
 		rowDiffMin: Missing, rowDiffMax: Missing, rowDiffAvg: Missing,
 		dtMin: Missing, dtMax: Missing, dtAvg: Missing,
@@ -481,54 +472,35 @@ func (a *seqAccum) stats() seqStats {
 	if a.count == 0 {
 		return s
 	}
-	s.rowMin, s.rowMax = a.rowMin, a.rowMax
+	s.rowMin, s.rowMax = float64(a.rowMin), float64(a.rowMax)
 	if a.count < 2 {
 		return s
 	}
 	n := float64(a.count - 1)
-	s.rowDiffMin, s.rowDiffMax, s.rowDiffAvg = a.rowDiffMin, a.rowDiffMax, a.rowDiffSum/n
-	s.dtMin, s.dtMax, s.dtAvg = a.dtMin, a.dtMax, a.dtSum/n
+	s.rowDiffMin, s.rowDiffMax, s.rowDiffAvg = float64(a.rowDiffMin), float64(a.rowDiffMax), float64(a.rowDiffSum)/n
+	s.dtMin, s.dtMax, s.dtAvg = hours(a.dtMin), hours(a.dtMax), a.dtSum/n
 	return s
 }
 
-// rowSet is a sorted set of distinct rows supporting O(log n)
-// nearest-row queries. Insertion is O(n) in the set size but each distinct
-// row is inserted exactly once, and the set is bounded by the bank's rows,
-// so total insertion work over a session's life is bounded by geometry —
-// independent of event count.
-type rowSet struct {
-	rows []int
-}
-
-// add inserts row if absent, reporting whether it was new.
-func (r *rowSet) add(row int) bool {
-	i := sort.SearchInts(r.rows, row)
-	if i < len(r.rows) && r.rows[i] == row {
-		return false
-	}
-	r.rows = append(r.rows, 0)
-	copy(r.rows[i+1:], r.rows[i:])
-	r.rows[i] = row
-	return true
-}
-
-// size returns the number of distinct rows.
-func (r *rowSet) size() int { return len(r.rows) }
-
-// nearest returns the minimum |row - target| over the set, or Missing when
-// empty. The value equals nearestRowDistance over any event sequence
-// containing exactly these rows.
-func (r *rowSet) nearest(target int) float64 {
-	if len(r.rows) == 0 {
+// nearest returns the minimum |row - target| over a sorted row set, or
+// Missing when it is empty; the value equals nearestRowDistance over any
+// event sequence containing exactly these rows. *pos is at or before the
+// first member ≥ target and is advanced to it.
+func nearest(rows rowset.Set, pos *int, target int) float64 {
+	if len(rows) == 0 {
 		return Missing
 	}
-	i := sort.SearchInts(r.rows, target)
+	i := *pos
+	for i < len(rows) && int(rows[i]) < target {
+		i++
+	}
+	*pos = i
 	best := Missing
-	if i < len(r.rows) {
-		best = math.Abs(float64(r.rows[i] - target))
+	if i < len(rows) {
+		best = math.Abs(float64(int(rows[i]) - target))
 	}
 	if i > 0 {
-		if d := math.Abs(float64(r.rows[i-1] - target)); best == Missing || d < best {
+		if d := math.Abs(float64(int(rows[i-1]) - target)); best == Missing || d < best {
 			best = d
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cordial/internal/ecc"
 	"cordial/internal/hbm"
@@ -160,6 +161,27 @@ func TestIncrementalEquivalenceTable(t *testing.T) {
 				ev(3, 505, ecc.ClassUER), ev(3.5, 530, ecc.ClassCE),
 			},
 		},
+		{
+			// Every timestamp field of the state is still unset when the
+			// first event arrives, and here that event is at once the first
+			// event, the first UER and a cutoff, tied with every class.
+			name: "unset edge: first event, first UER and cutoffs at one timestamp",
+			cfg:  DefaultPatternConfig(), spec: smallSpec,
+			events: []mcelog.Event{
+				ev(0, 100, ecc.ClassUER), ev(0, 100, ecc.ClassCE), ev(0, 100, ecc.ClassUER),
+				ev(0, 97, ecc.ClassUEO), ev(0, 104, ecc.ClassUER), ev(0, 90, ecc.ClassUER),
+				ev(0, 91, ecc.ClassCE), ev(0, 95, ecc.ClassUER), ev(1, 92, ecc.ClassCE),
+				ev(1, 120, ecc.ClassUER),
+			},
+		},
+		{
+			name: "unset edge: budget one, the only cutoff is the first event",
+			cfg:  PatternConfig{UERBudget: 1}, spec: smallSpec,
+			events: []mcelog.Event{
+				ev(0, 10, ecc.ClassUER), ev(0, 11, ecc.ClassUEO), ev(0, 10, ecc.ClassUER),
+				ev(0, 13, ecc.ClassCE), ev(3, 14, ecc.ClassUER), ev(3, 15, ecc.ClassCE),
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -231,7 +253,7 @@ func TestBankStateFootprintBounded(t *testing.T) {
 	if large.ApproxBytes != small.ApproxBytes {
 		t.Errorf("approx bytes grew with history: %d → %d", small.ApproxBytes, large.ApproxBytes)
 	}
-	if small.TrackedRows == 0 || small.ApproxBytes <= bankStateFixedBytes {
+	if small.TrackedRows == 0 || small.ApproxBytes <= int(unsafe.Sizeof(BankState{})) {
 		t.Errorf("implausibly small footprint: %+v", small)
 	}
 }

@@ -1,15 +1,15 @@
 package stream
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
+	"cordial/internal/bincodec"
 	"cordial/internal/core"
-	"cordial/internal/faultsim"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/wal"
@@ -254,105 +254,8 @@ const (
 	maxSnapSessions   = 1 << 24
 )
 
-type snapEncoder struct{ b []byte }
-
-func (e *snapEncoder) u8(v uint8) { e.b = append(e.b, v) }
-func (e *snapEncoder) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *snapEncoder) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *snapEncoder) int(v int)    { e.u64(uint64(int64(v))) }
-func (e *snapEncoder) time(t time.Time) {
-	e.u64(uint64(t.Unix()))
-	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(t.Nanosecond()))
-}
-func (e *snapEncoder) ints(v []int) {
-	e.int(len(v))
-	for _, x := range v {
-		e.int(x)
-	}
-}
-func (e *snapEncoder) bytes(v []byte) {
-	e.int(len(v))
-	e.b = append(e.b, v...)
-}
-
-type snapDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *snapDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("stream: decoding snapshot: "+format, args...)
-	}
-}
-func (d *snapDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.fail("truncated at offset %d", d.off)
-		return nil
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-func (d *snapDecoder) u8() uint8 {
-	if s := d.take(1); s != nil {
-		return s[0]
-	}
-	return 0
-}
-func (d *snapDecoder) bool() bool { return d.u8() != 0 }
-func (d *snapDecoder) u64() uint64 {
-	if s := d.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
-}
-func (d *snapDecoder) int() int { return int(int64(d.u64())) }
-func (d *snapDecoder) time() time.Time {
-	sec := int64(d.u64())
-	var nsec uint32
-	if s := d.take(4); s != nil {
-		nsec = binary.LittleEndian.Uint32(s)
-	}
-	if d.err != nil || (sec == zeroTimeSec && nsec == 0) {
-		return time.Time{}
-	}
-	return time.Unix(sec, int64(nsec)).UTC()
-}
-func (d *snapDecoder) count() int {
-	n := d.int()
-	if n < 0 || n > maxSnapSessions {
-		d.fail("implausible count %d", n)
-		return 0
-	}
-	return n
-}
-func (d *snapDecoder) ints() []int {
-	n := d.count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.int()
-	}
-	return out
-}
-func (d *snapDecoder) bytes() []byte { return d.take(d.count()) }
-
-// zeroTimeSec encodes time.Time{} (whose UnixNano is undefined) as a
-// distinguishable (sec, nsec) sentinel.
-var zeroTimeSec = time.Time{}.Unix()
+// snapWhat names the payload in decode errors.
+const snapWhat = "stream: snapshot payload"
 
 // encodeSnapshot walks every shard (locking each in turn) and serialises
 // the sessions selected by filter (nil = all) plus the retention floor:
@@ -388,27 +291,16 @@ func (e *Engine) encodeSnapshot(filter func(bankKey uint64) bool) (payload []byt
 				s.mu.Unlock()
 				return nil, 0, serr
 			}
-			se := &snapEncoder{}
-			se.u64(key)
-			se.u64(uint64(bs.bank.Pack()))
-			se.u64(bs.lastLSN)
-			se.u64(bs.version)
-			st := &bs.stats
-			se.int(st.Events)
-			se.int(st.UEREvents)
-			se.int(st.DistinctUERRows)
-			se.bool(st.Classified)
-			se.u8(uint8(st.Class))
-			se.bool(st.BankSpared)
-			se.int(st.RowsIsolated)
-			se.int(st.Actions)
-			se.time(st.FirstEvent)
-			se.time(st.LastEvent)
-			se.bool(st.Degraded)
-			se.ints(sortedKeys(bs.uerRows))
-			se.ints(sortedKeys(bs.spared))
-			se.bytes(blob)
-			images = append(images, sessImage{key: key, blob: se.b})
+			im := sessionImage{key: key, bankSession: *bs, blob: blob}
+			// 140 bytes of fixed-size fields, 8 per listed row, the blob.
+			size := 140 + 8*(len(bs.uerRows)+len(bs.spared)) + len(blob)
+			se := &bincodec.Cursor{B: make([]byte, 0, size), What: snapWhat}
+			im.code(se, engineSnapVersion)
+			if se.Err != nil {
+				s.mu.Unlock()
+				return nil, 0, se.Err
+			}
+			images = append(images, sessImage{key: key, blob: se.B})
 		}
 		s.mu.Unlock()
 	}
@@ -421,40 +313,61 @@ func (e *Engine) encodeSnapshot(filter func(bankKey uint64) bool) (payload []byt
 	// Snapshot takes snapMu and SwapModel excludes it, so the header can
 	// never name an epoch the floor disagrees with.
 	active := e.activeEpoch()
-	out := &snapEncoder{b: make([]byte, 0, 1024)}
-	out.b = append(out.b, engineSnapMagic...)
-	out.u8(engineSnapVersion)
-	out.u64(floor)
-	out.u64(active.version)
-	out.u64(active.sinceLSN)
-	out.int(len(images))
+	size := 64 // header
 	for _, im := range images {
-		out.bytes(im.blob)
+		size += 8 + len(im.blob)
 	}
-	return out.b, floor, nil
-}
-
-func sortedKeys(m map[int]struct{}) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	out := &bincodec.Cursor{B: append(make([]byte, 0, size), engineSnapMagic...), What: snapWhat}
+	out.B = append(out.B, engineSnapVersion)
+	hdr := snapshotHeader{floor: floor, activeVersion: active.version, activeSince: active.sinceLSN}
+	n := len(images)
+	hdr.code(out, engineSnapVersion, &n)
+	for _, im := range images {
+		out.Bytes(&im.blob)
 	}
-	sort.Ints(out)
-	return out
+	return out.B, floor, out.Err
 }
 
 // sessionImage is one decoded per-session record of an engine snapshot
-// payload: everything needed to rebuild the bankSession, plus the LSN
-// watermark in the SOURCE engine's journal namespace.
+// payload: the bankSession's bookkeeping (its lastLSN in the SOURCE engine's
+// journal namespace) and the strategy session's state image, from which
+// buildSession restores sess.
 type sessionImage struct {
-	key     uint64
-	bank    hbm.BankAddress
-	lastLSN uint64
-	version uint64
-	stats   SessionStats
-	uerRows []int
-	spared  []int
-	blob    []byte
+	key uint64
+	bankSession
+	blob []byte
+}
+
+// code walks one session record in layout order, writing it or reading it.
+func (im *sessionImage) code(c *bincodec.Cursor, ver uint8) {
+	c.U64(&im.key)
+	packed := uint64(im.bank.Pack())
+	c.U64(&packed)
+	if c.Decode {
+		im.bank = hbm.Unpack(packed)
+	}
+	c.U64(&im.lastLSN)
+	if ver >= 2 {
+		c.U64(&im.version)
+	}
+	bincodec.Ranged(c, &im.events, math.MaxInt64)
+	bincodec.Ranged(c, &im.uerEvents, math.MaxUint32)
+	distinctUERRows := len(im.uerRows) // stored beside the set it counts
+	bincodec.Ranged(c, &distinctUERRows, math.MaxInt32)
+	c.Flag(&im.classified)
+	c.U8(&im.class)
+	c.Flag(&im.bankSpared)
+	bincodec.Ranged(c, &im.rowsIsolated, math.MaxUint32)
+	bincodec.Ranged(c, &im.actions, math.MaxUint32)
+	c.Time(&im.firstEvent)
+	c.Time(&im.lastEvent)
+	c.Flag(&im.degraded)
+	bincodec.Rows(c, &im.uerRows, true)
+	bincodec.Rows(c, &im.spared, true)
+	c.Bytes(&im.blob)
+	if distinctUERRows != len(im.uerRows) {
+		c.Fail("session counts %d distinct UER rows but lists %d", distinctUERRows, len(im.uerRows))
+	}
 }
 
 // snapshotHeader is the decoded fixed prefix of an engine snapshot
@@ -464,6 +377,16 @@ type snapshotHeader struct {
 	floor         uint64
 	activeVersion uint64
 	activeSince   uint64
+}
+
+// code walks the header fields and the session count that follows them.
+func (h *snapshotHeader) code(c *bincodec.Cursor, ver uint8, sessions *int) {
+	c.U64(&h.floor)
+	if ver >= 2 {
+		c.U64(&h.activeVersion)
+		c.U64(&h.activeSince)
+	}
+	c.Count(sessions, maxSnapSessions, 8)
 }
 
 // decodeSnapshotSessions validates an engine snapshot payload and decodes
@@ -481,52 +404,21 @@ func decodeSnapshotSessions(payload []byte) (hdr snapshotHeader, images []sessio
 	if ver != 1 && ver != engineSnapVersion {
 		return hdr, nil, fmt.Errorf("stream: unsupported snapshot payload version %d", ver)
 	}
-	d := &snapDecoder{b: payload, off: 5}
-	hdr.floor = d.u64()
-	if ver >= 2 {
-		hdr.activeVersion = d.u64()
-		hdr.activeSince = d.u64()
-	}
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		body := d.bytes()
-		if d.err != nil {
-			break
-		}
-		sd := &snapDecoder{b: body}
+	d := &bincodec.Cursor{B: payload, Off: 5, Decode: true, What: snapWhat}
+	var n int
+	hdr.code(d, ver, &n)
+	for i := 0; i < n && d.Err == nil; i++ {
+		var body []byte
+		d.Bytes(&body)
+		sd := &bincodec.Cursor{B: body, Decode: true, What: snapWhat}
 		var im sessionImage
-		im.key = sd.u64()
-		im.bank = hbm.Unpack(sd.u64())
-		im.lastLSN = sd.u64()
-		if ver >= 2 {
-			im.version = sd.u64()
+		im.code(sd, ver)
+		if err := sd.Done(); err != nil {
+			return hdr, nil, err
 		}
-		st := &im.stats
-		st.Events = sd.int()
-		st.UEREvents = sd.int()
-		st.DistinctUERRows = sd.int()
-		st.Classified = sd.bool()
-		st.Class = faultsim.Class(sd.u8())
-		st.BankSpared = sd.bool()
-		st.RowsIsolated = sd.int()
-		st.Actions = sd.int()
-		st.FirstEvent = sd.time()
-		st.LastEvent = sd.time()
-		st.Degraded = sd.bool()
-		im.uerRows = sd.ints()
-		im.spared = sd.ints()
-		im.blob = sd.bytes()
-		if sd.err != nil {
-			return hdr, nil, sd.err
-		}
-		if sd.off != len(body) {
-			return hdr, nil, fmt.Errorf("stream: %d trailing bytes in session image", len(body)-sd.off)
-		}
-		st.Bank = im.bank
-		st.ModelVersion = im.version
 		images = append(images, im)
 	}
-	return hdr, images, d.err
+	return hdr, images, d.Err
 }
 
 // buildSession reconstructs a live bankSession from a decoded image,
@@ -536,28 +428,10 @@ func buildSession(ds core.DurableStrategy, im sessionImage) (*bankSession, error
 	if err != nil {
 		return nil, fmt.Errorf("stream: restoring session for bank %s: %w", im.bank.String(), err)
 	}
-	bs := &bankSession{
-		bank:    im.bank,
-		sess:    sess,
-		stats:   im.stats,
-		uerRows: make(map[int]struct{}, len(im.uerRows)),
-		spared:  make(map[int]struct{}, len(im.spared)),
-		lastLSN: im.lastLSN,
-		version: im.version,
-	}
-	for _, r := range im.uerRows {
-		bs.uerRows[r] = struct{}{}
-	}
-	for _, r := range im.spared {
-		bs.spared[r] = struct{}{}
-	}
-	if is, ok := sess.(core.InstrumentedSession); ok {
-		fp, released := is.StateFootprint()
-		bs.stats.StateBytes = fp.ApproxBytes
-		bs.stats.StateRows = fp.TrackedRows
-		bs.stats.StateReleased = released
-	}
-	return bs, nil
+	bs := im.bankSession
+	bs.sess = sess
+	bs.measureState()
+	return &bs, nil
 }
 
 // installSession adds a rebuilt session to its shard's map and folds its
@@ -565,12 +439,12 @@ func buildSession(ds core.DurableStrategy, im sessionImage) (*bankSession, error
 // the pre-consumer boot path, where no one else can touch the shard).
 func (s *shard) installSession(key uint64, bs *bankSession) {
 	s.sessions[key] = bs
-	s.stateBytes += int64(bs.stats.StateBytes)
-	s.stateRows += int64(bs.stats.StateRows)
-	if bs.stats.StateReleased {
+	s.stateBytes += int64(bs.stateBytes)
+	s.stateRows += int64(bs.stateRows)
+	if bs.stateReleased {
 		s.released++
 	}
-	if bs.stats.Degraded {
+	if bs.degraded {
 		s.degraded++
 	}
 	if bs.lastLSN > s.appliedLSN {

@@ -33,12 +33,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cordial/internal/bincodec"
 	"cordial/internal/core"
 	"cordial/internal/ecc"
 	"cordial/internal/faultsim"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/obs"
+	"cordial/internal/rowset"
 	"cordial/internal/sparing"
 )
 
@@ -404,25 +406,82 @@ type shard struct {
 }
 
 // bankSession couples a strategy session with the bookkeeping the engine
-// layers on top. Mutated only under the owning shard's mutex.
+// layers on top. Mutated only under the owning shard's mutex. A fleet holds
+// one per bank that ever logged an error, nearly all of them quiet CE-only
+// banks, so it carries compact counters (SessionStats is built from them on
+// demand by stats) and its row sets own no memory until a UER or a sparing
+// decision writes them.
 type bankSession struct {
-	bank    hbm.BankAddress
-	sess    core.Session
-	stats   SessionStats
-	uerRows map[int]struct{}
-	spared  map[int]struct{}
+	bank hbm.BankAddress
+	sess core.Session
+	// shadow is the candidate-model twin while a shadow evaluation that
+	// saw this session's birth is running; nil otherwise.
+	shadow *shadowSession
 	// lastLSN is the newest journal record applied to this session; replay
 	// skips records at or below it. Tracked per session (not per shard) so
 	// recovery stays correct even if the shard count changes across
 	// restarts.
 	lastLSN uint64
-	// version is the model version the session is pinned to (mirrored in
-	// stats.ModelVersion; kept as its own field because it also rides in
-	// snapshots and must survive stats rewrites).
+	// version is the model version the session is pinned to.
 	version uint64
-	// shadow is the candidate-model twin while a shadow evaluation that
-	// saw this session's birth is running; nil otherwise.
-	shadow *shadowSession
+	// firstEvent and lastEvent are Unix nanoseconds; lastEvent is
+	// bincodec.UnsetTime until an event has been folded.
+	firstEvent, lastEvent int64
+	events                int64
+	uerEvents             uint32
+	rowsIsolated, actions uint32
+	// stateBytes/stateRows/stateReleased mirror the strategy session's
+	// feature-state footprint as of the last fold.
+	stateBytes, stateRows int32
+	class                 uint8 // faultsim.Class, valid when classified
+	classified            bool
+	bankSpared            bool
+	stateReleased         bool
+	degraded              bool
+	uerRows               rowset.Set // distinct rows with at least one UER
+	spared                rowset.Set // rows isolated by emitted actions
+}
+
+// newBankSession starts the session of a bank whose first event is ev, bound
+// to the given model epoch.
+func newBankSession(bank hbm.BankAddress, ep modelEpoch, ev mcelog.Event) *bankSession {
+	return &bankSession{
+		bank:       bank,
+		sess:       ep.strategy.NewSession(bank),
+		version:    ep.version,
+		firstEvent: ev.Time.UnixNano(),
+		lastEvent:  bincodec.UnsetTime,
+	}
+}
+
+// stats builds the session's public snapshot.
+func (bs *bankSession) stats() SessionStats {
+	return SessionStats{
+		Bank:            bs.bank,
+		Events:          int(bs.events),
+		UEREvents:       int(bs.uerEvents),
+		DistinctUERRows: len(bs.uerRows),
+		Classified:      bs.classified,
+		Class:           faultsim.Class(bs.class),
+		BankSpared:      bs.bankSpared,
+		RowsIsolated:    int(bs.rowsIsolated),
+		Actions:         int(bs.actions),
+		FirstEvent:      bincodec.TimeOf(bs.firstEvent),
+		LastEvent:       bincodec.TimeOf(bs.lastEvent),
+		StateBytes:      int(bs.stateBytes),
+		StateRows:       int(bs.stateRows),
+		StateReleased:   bs.stateReleased,
+		ModelVersion:    bs.version,
+		Degraded:        bs.degraded,
+	}
+}
+
+// measureState refreshes the footprint mirror from the strategy session.
+func (bs *bankSession) measureState() {
+	if is, ok := bs.sess.(core.InstrumentedSession); ok {
+		fp, released := is.StateFootprint()
+		bs.stateBytes, bs.stateRows, bs.stateReleased = int32(fp.ApproxBytes), int32(fp.TrackedRows), released
+	}
 }
 
 // New validates cfg (after defaulting) and starts the shard consumers.
@@ -689,16 +748,7 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 		if q.lsn != 0 {
 			ep = e.epochFor(q.lsn)
 		}
-		bs = &bankSession{
-			bank:    bank,
-			sess:    ep.strategy.NewSession(bank),
-			version: ep.version,
-			uerRows: make(map[int]struct{}),
-			spared:  make(map[int]struct{}),
-		}
-		bs.stats.Bank = bank
-		bs.stats.FirstEvent = ev.Time
-		bs.stats.ModelVersion = ep.version
+		bs = newBankSession(bank, ep, ev)
 		// A bank whose history starts while a shadow evaluation is running
 		// gets a candidate twin that will see the same full history.
 		if se := e.loadShadow(); se != nil {
@@ -717,18 +767,18 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 			s.appliedLSN = q.lsn
 		}
 	}
-	if bs.stats.Degraded {
+	if bs.degraded {
 		// The strategy session is quarantined; keep the observational
 		// bookkeeping so /statsz still reflects the bank's traffic.
-		bs.stats.Events++
-		bs.stats.LastEvent = ev.Time
+		bs.events++
+		bs.lastEvent = ev.Time.UnixNano()
 		return nil, nil
 	}
 	// The deferred recover runs before the deferred unlock (LIFO), so the
 	// shard lock is always released exactly once, panic or not.
 	defer func() {
 		if r := recover(); r != nil {
-			bs.stats.Degraded = true
+			bs.degraded = true
 			s.degraded++
 			out = nil
 			dead = &DeadLetter{
@@ -742,25 +792,21 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 			}
 		}
 	}()
-	prevBytes, prevRows, prevReleased := bs.stats.StateBytes, bs.stats.StateRows, bs.stats.StateReleased
-	prevClassified := bs.stats.Classified
+	prevBytes, prevRows, prevReleased := bs.stateBytes, bs.stateRows, bs.stateReleased
+	prevClassified := bs.classified
 	// Shadow scoring needs the primary's pre-fold coverage: was this UER's
 	// row (or the whole bank) already isolated when the event arrived?
 	var primCoveredUER bool
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
-		if bs.stats.BankSpared {
-			primCoveredUER = true
-		} else if _, done := bs.spared[ev.Addr.Row]; done {
-			primCoveredUER = true
-		}
+		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
 	out = foldEvent(bs, ev, &s.process)
-	s.stateBytes += int64(bs.stats.StateBytes - prevBytes)
-	s.stateRows += int64(bs.stats.StateRows - prevRows)
-	if bs.stats.StateReleased && !prevReleased {
+	s.stateBytes += int64(bs.stateBytes - prevBytes)
+	s.stateRows += int64(bs.stateRows - prevRows)
+	if bs.stateReleased && !prevReleased {
 		s.released++
 	}
-	if !prevClassified && bs.stats.Classified {
+	if !prevClassified && bs.classified {
 		e.classifications.Add(1)
 	}
 	if bs.shadow != nil {
@@ -790,8 +836,8 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 // path (apply, holding the shard lock) and cluster handoff's suffix
 // replay over sessions that are not installed in any shard yet. The
 // caller owns panic handling: a panic from the strategy session unwinds
-// through here with bs.stats partially updated, and the caller must mark
-// the session degraded.
+// through here with the session's counters partially updated, and the
+// caller must mark the session degraded.
 func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Action) {
 	t0 := time.Now()
 	d := bs.sess.OnEvent(ev)
@@ -799,35 +845,27 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Ac
 		proc.observe(time.Since(t0))
 	}
 
-	bs.stats.Events++
-	bs.stats.LastEvent = ev.Time
+	bs.events++
+	bs.lastEvent = ev.Time.UnixNano()
 	if ev.Class == ecc.ClassUER {
-		bs.stats.UEREvents++
-		if _, seen := bs.uerRows[ev.Addr.Row]; !seen {
-			bs.uerRows[ev.Addr.Row] = struct{}{}
-			bs.stats.DistinctUERRows++
-		}
+		bs.uerEvents++
+		bs.uerRows.Add(ev.Addr.Row)
 	}
-	if cs, ok := bs.sess.(core.ClassifiedSession); ok && !bs.stats.Classified {
+	if cs, ok := bs.sess.(core.ClassifiedSession); ok && !bs.classified {
 		if class, fired := cs.Class(); fired {
-			bs.stats.Classified = true
-			bs.stats.Class = class
+			bs.classified = true
+			bs.class = uint8(class)
 		}
 	}
-	if is, ok := bs.sess.(core.InstrumentedSession); ok {
-		fp, released := is.StateFootprint()
-		bs.stats.StateBytes = fp.ApproxBytes
-		bs.stats.StateRows = fp.TrackedRows
-		bs.stats.StateReleased = released
-	}
+	bs.measureState()
 
-	if d.SpareBank && !bs.stats.BankSpared {
-		bs.stats.BankSpared = true
-		bs.stats.Actions++
+	if d.SpareBank && !bs.bankSpared {
+		bs.bankSpared = true
+		bs.actions++
 		out = append(out, Action{
 			Kind:  sparing.ActionBankSpare,
 			Bank:  bs.bank,
-			Class: bs.stats.Class,
+			Class: faultsim.Class(bs.class),
 			Time:  ev.Time,
 		})
 	}
@@ -841,25 +879,24 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Ac
 		// first and size fresh to the few rows that are new.
 		n := 0
 		for _, r := range d.IsolateRows {
-			if _, done := bs.spared[r]; !done {
+			if !bs.spared.Has(r) {
 				n++
 			}
 		}
 		if n > 0 {
 			fresh := make([]int, 0, n)
 			for _, r := range d.IsolateRows {
-				if _, done := bs.spared[r]; !done {
-					bs.spared[r] = struct{}{}
+				if bs.spared.Add(r) {
 					fresh = append(fresh, r)
 				}
 			}
-			bs.stats.RowsIsolated += len(fresh)
-			bs.stats.Actions++
+			bs.rowsIsolated += uint32(len(fresh))
+			bs.actions++
 			out = append(out, Action{
 				Kind:  sparing.ActionRowSpare,
 				Bank:  bs.bank,
 				Rows:  fresh,
-				Class: bs.stats.Class,
+				Class: faultsim.Class(bs.class),
 				Time:  ev.Time,
 			})
 		}
@@ -899,7 +936,7 @@ func (e *Engine) Session(bank hbm.BankAddress) (SessionStats, bool) {
 	if !ok {
 		return SessionStats{}, false
 	}
-	return bs.stats, true
+	return bs.stats(), true
 }
 
 // Sessions snapshots every live session's stats, sorted by bank key. The
@@ -909,7 +946,7 @@ func (e *Engine) Sessions() []SessionStats {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		for _, bs := range s.sessions {
-			out = append(out, bs.stats)
+			out = append(out, bs.stats())
 		}
 		s.mu.Unlock()
 	}

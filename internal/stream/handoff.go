@@ -153,18 +153,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 				st.Skipped++ // conflicting local session owns this bank's history
 				continue
 			}
-			bank := hbm.BankOf(ev.Addr)
-			ep := e.activeEpoch()
-			bs = &bankSession{
-				bank:    bank,
-				sess:    ep.strategy.NewSession(bank),
-				version: ep.version,
-				uerRows: make(map[int]struct{}),
-				spared:  make(map[int]struct{}),
-			}
-			bs.stats.Bank = bank
-			bs.stats.FirstEvent = ev.Time
-			bs.stats.ModelVersion = ep.version
+			bs = newBankSession(hbm.BankOf(ev.Addr), e.activeEpoch(), ev)
 			adopted[key] = bs
 		}
 		if rec.LSN <= bs.lastLSN {
@@ -172,9 +161,9 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 			continue
 		}
 		bs.lastLSN = rec.LSN
-		if bs.stats.Degraded {
-			bs.stats.Events++
-			bs.stats.LastEvent = ev.Time
+		if bs.degraded {
+			bs.events++
+			bs.lastEvent = ev.Time.UnixNano()
 			continue
 		}
 		acts, panicked := e.foldDetached(bs, ev)
@@ -237,12 +226,12 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 				continue
 			}
 			delete(s.sessions, key)
-			s.stateBytes -= int64(bs.stats.StateBytes)
-			s.stateRows -= int64(bs.stats.StateRows)
-			if bs.stats.StateReleased {
+			s.stateBytes -= int64(bs.stateBytes)
+			s.stateRows -= int64(bs.stateRows)
+			if bs.stateReleased {
 				s.released--
 			}
-			if bs.stats.Degraded {
+			if bs.degraded {
 				s.degraded--
 			}
 			dropped++
@@ -265,7 +254,7 @@ func (e *Engine) foldDetached(bs *bankSession, ev mcelog.Event) (out []Action, p
 		if r := recover(); r != nil {
 			panicked = true
 			out = nil
-			bs.stats.Degraded = true
+			bs.degraded = true
 			e.quarantineDetached(&DeadLetter{
 				Time:   ev.Time,
 				Bank:   bs.bank.String(),

@@ -308,7 +308,7 @@ func (e *Engine) ExportEvents(from, to uint64) ([]mcelog.Event, error) {
 // same labelling geometry.
 func (e *Engine) RecentClassMix(n int) (map[faultsim.Class]int, int) {
 	type cand struct {
-		last  time.Time
+		last  int64
 		class faultsim.Class
 	}
 	var cands []cand
@@ -318,16 +318,16 @@ func (e *Engine) RecentClassMix(n int) (map[faultsim.Class]int, int) {
 			if len(bs.uerRows) == 0 {
 				continue
 			}
-			rows := make([]int, 0, len(bs.uerRows))
-			for r := range bs.uerRows {
-				rows = append(rows, r)
+			rows := make([]int, len(bs.uerRows))
+			for i, r := range bs.uerRows {
+				rows[i] = int(r)
 			}
 			p := faultsim.LabelPattern(e.cfg.Geometry, rows, nil)
-			cands = append(cands, cand{last: bs.stats.LastEvent, class: faultsim.ClassOf(p)})
+			cands = append(cands, cand{last: bs.lastEvent, class: faultsim.ClassOf(p)})
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].last.After(cands[j].last) })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].last > cands[j].last })
 	if n < len(cands) {
 		cands = cands[:n]
 	}

@@ -13,11 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"cordial/internal/bincodec"
 	"cordial/internal/core"
 	"cordial/internal/ecc"
 	"cordial/internal/faultsim"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
+	"cordial/internal/rowset"
 	"cordial/internal/trace"
 	"cordial/internal/wal"
 	"cordial/internal/xrand"
@@ -28,38 +30,36 @@ import (
 // fakeSession implements core.DurableSession so the fast recovery tests can
 // run without training a pipeline. The image is version, classified flag,
 // class, sorted distinct rows.
-func (s *fakeSession) EncodeState() ([]byte, error) {
-	enc := &snapEncoder{}
-	enc.u8(1)
-	enc.bool(s.classified)
-	enc.u8(uint8(s.class))
-	rows := make([]int, 0, len(s.rows))
-	for r := range s.rows {
-		rows = append(rows, r)
+func (s *fakeSession) code(c *bincodec.Cursor) {
+	version := uint8(1)
+	if c.U8(&version); version != 1 {
+		c.Fail("fake session image version %d", version)
 	}
-	sort.Ints(rows)
-	enc.ints(rows)
-	return enc.b, nil
+	c.Flag(&s.classified)
+	class := uint8(s.class)
+	c.U8(&class)
+	s.class = faultsim.Class(class)
+	var rows rowset.Set
+	for r := range s.rows {
+		rows.Add(r)
+	}
+	bincodec.Rows(c, &rows, true)
+	for _, r := range rows {
+		s.rows[int(r)] = true
+	}
+}
+
+func (s *fakeSession) EncodeState() ([]byte, error) {
+	c := &bincodec.Cursor{What: "fake session image"}
+	s.code(c)
+	return c.B, c.Err
 }
 
 func (f *fakeStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (core.Session, error) {
-	d := &snapDecoder{b: data}
-	if v := d.u8(); d.err == nil && v != 1 {
-		return nil, fmt.Errorf("fake session image version %d", v)
-	}
 	s := &fakeSession{strategy: f, bank: bank, rows: make(map[int]bool)}
-	s.classified = d.bool()
-	s.class = faultsim.Class(d.u8())
-	for _, r := range d.ints() {
-		s.rows[r] = true
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("fake session image has %d trailing bytes", len(data)-d.off)
-	}
-	return s, nil
+	c := &bincodec.Cursor{B: data, Decode: true, What: "fake session image"}
+	s.code(c)
+	return s, c.Done()
 }
 
 var (

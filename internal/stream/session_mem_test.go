@@ -1,0 +1,260 @@
+package stream
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+
+	"cordial/internal/core"
+	"cordial/internal/ecc"
+	"cordial/internal/hbm"
+	"cordial/internal/mcelog"
+)
+
+// quietFleet is the population a fleet engine mostly holds: banks that log
+// seven CEs over five rows and never a UER. Events come back in time order.
+func quietFleet(banks int) []mcelog.Event {
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	rows := [7]int{0, 3, 0, 9, 3, 17, 24}
+	evs := make([]mcelog.Event, 0, banks*len(rows))
+	for j, r := range rows {
+		for i := 0; i < banks; i++ {
+			bank := hbm.BankAddress{Node: i % 64, NPU: i / 64 % 8, HBM: i / 512 % 4, Channel: i / 2048 % 8, BankGroup: i / 16384 % 4}
+			evs = append(evs, mcelog.Event{
+				Time:  base.Add(time.Duration(j)*time.Hour + time.Duration(i)*time.Millisecond),
+				Addr:  hbm.CellInBank(bank, 100+i%1000+r, 0),
+				Class: ecc.ClassCE,
+				Bits:  mcelog.MakeErrBits(1<<(j%8), 1),
+			})
+		}
+	}
+	return evs
+}
+
+// TestSessionHeapPerBank is the engine-level bytes-per-bank gate: the whole
+// per-bank cost of a quiet bank under the default Cordial strategy — session
+// map entry, bankSession, strategy session, feature state and its row
+// tables — stays under 1 800 B and 8 allocations.
+func TestSessionHeapPerBank(t *testing.T) {
+	if got := unsafe.Sizeof(bankSession{}); got > 256 {
+		t.Errorf("bankSession is %d bytes, want ≤ 256", got)
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes and counts")
+	}
+	const banks = 20000
+	pipe, err := core.New(core.DefaultConfig(core.RandomForest)) // unfitted: a CE-only bank never reaches a model
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := quietFleet(banks)
+	e, err := New(Config{
+		Strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry},
+		Shards:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < len(evs); i += 1024 {
+		if _, _, err := e.IngestBatch(evs[i:min(i+1024, len(evs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := e.SessionCount(); got != banks {
+		t.Fatalf("%d sessions, want %d", got, banks)
+	}
+	heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / banks
+	mallocs := float64(after.Mallocs-before.Mallocs) / banks
+	t.Logf("%.0f B and %.2f mallocs per tracked bank", heap, mallocs)
+	if heap > 1800 {
+		t.Errorf("a quiet bank holds %.0f B of heap, want ≤ 1800", heap)
+	}
+	if mallocs > 8 {
+		t.Errorf("a quiet bank cost %.2f mallocs, want ≤ 8", mallocs)
+	}
+	runtime.KeepAlive(evs)
+}
+
+// restoredSessionHistory is a bank that is quiet (CEs only) while its
+// session is snapshotted or handed off, and only afterwards fails: three
+// UERs at distinct rows (the third classifies it and predicts), a repeat, a
+// fourth distinct UER (a second prediction overlapping the first) and a CE.
+func restoredSessionHistory(bank hbm.BankAddress) (quiet, failing []mcelog.Event) {
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(min, row int, class ecc.Class) mcelog.Event {
+		return mcelog.Event{Time: base.Add(time.Duration(min) * time.Minute), Addr: hbm.CellInBank(bank, row, 0), Class: class}
+	}
+	quiet = []mcelog.Event{at(0, 4000, ecc.ClassCE), at(7, 4003, ecc.ClassCE), at(7, 4000, ecc.ClassCE), at(90, 4010, ecc.ClassCE)}
+	failing = []mcelog.Event{
+		at(200, 4001, ecc.ClassUER), at(210, 4002, ecc.ClassUER), at(220, 4004, ecc.ClassUER),
+		at(225, 4004, ecc.ClassUER), at(230, 4005, ecc.ClassUER), at(240, 4006, ecc.ClassCE),
+	}
+	return quiet, failing
+}
+
+// feedAndClose ingests evs, closes the engine and returns every action it
+// emitted over its life plus the bank's final stats.
+func feedAndClose(t *testing.T, e *Engine, bank hbm.BankAddress, evs []mcelog.Event) ([]Action, SessionStats) {
+	t.Helper()
+	for _, ev := range evs {
+		if err := e.Ingest(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st, ok := e.Session(bank)
+	if !ok {
+		t.Fatalf("no session for bank %v", bank)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return drainActions(e), st
+}
+
+// TestRestoredQuietSessionThenFails: a CE-only session owns no row sets, and
+// a snapshot or handoff image of it restores to one that owns none either.
+// The first UER and the first sparing decision after the restore must then
+// allocate them exactly as a session that never left memory does — same
+// actions, same rows, same stats. (With maps, writing to the restored nil
+// set is the bug this catches.)
+func TestRestoredQuietSessionThenFails(t *testing.T) {
+	strategies := map[string]core.Strategy{"fake": &fakeStrategy{budget: 3}}
+	if !testing.Short() {
+		pipe, err := trainedPipeline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		strategies["cordial"] = &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
+	}
+	bank := testBank(1) // odd bank index: the fake strategy row-spares it
+	quiet, failing := restoredSessionHistory(bank)
+	for name, strategy := range strategies {
+		ref, err := New(Config{Strategy: strategy, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantActions, wantStats := feedAndClose(t, ref, bank, append(append([]mcelog.Event(nil), quiet...), failing...))
+		if name == "fake" && len(wantActions) != 2 {
+			t.Fatalf("reference emitted %d actions, want the two row-spares", len(wantActions))
+		}
+		check := func(t *testing.T, e *Engine) {
+			t.Helper()
+			if st, ok := e.Session(bank); !ok || st.Events != len(quiet) || st.DistinctUERRows != 0 {
+				t.Fatalf("restored quiet session: %+v (found %t)", st, ok)
+			}
+			gotActions, gotStats := feedAndClose(t, e, bank, failing)
+			assertSameActionSet(t, actionKeys(gotActions), actionKeys(wantActions))
+			if len(gotActions) != len(wantActions) {
+				t.Errorf("%d actions, want %d", len(gotActions), len(wantActions))
+			}
+			gotStats.StateBytes, wantStats.StateBytes = 0, 0 // table capacities differ after a restore
+			if gotStats != wantStats {
+				t.Errorf("stats diverged:\n got %+v\nwant %+v", gotStats, wantStats)
+			}
+		}
+
+		t.Run(name+"/snapshot-restore", func(t *testing.T) {
+			dir := t.TempDir()
+			src, err := New(durCfg(dir, 2, strategy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range quiet {
+				if err := src.Ingest(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := src.Drain(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := src.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reborn, err := New(durCfg(dir, 3, strategy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, reborn)
+		})
+
+		t.Run(name+"/handoff-import", func(t *testing.T) {
+			src, err := New(Config{Strategy: strategy, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			for _, ev := range quiet {
+				if err := src.Ingest(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := src.Drain(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			payload, err := src.ExportSessions(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := New(Config{Strategy: strategy, Shards: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := dst.ImportSessions(payload, nil, nil); err != nil || st.Sessions != 1 {
+				t.Fatalf("import: %+v, %v", st, err)
+			}
+			check(t, dst)
+		})
+	}
+}
+
+// TestSnapshotRejectsUnsortedRowSets: the session row sets are binary
+// searched, so an image whose lists are not strictly ascending 32-bit rows
+// must fail to decode rather than load as a set that cannot find its members.
+func TestSnapshotRejectsUnsortedRowSets(t *testing.T) {
+	e := newTestEngine(t, Config{Shards: 1})
+	bank := testBank(1)
+	for i, row := range []int{70001, 70002, 70003} {
+		if err := e.Ingest(uerAt(bank, row, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := e.encodeSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if _, images, err := decodeSnapshotSessions(payload); err != nil || len(images) != 1 {
+		t.Fatalf("pristine payload: %d images, %v", len(images), err)
+	}
+	le64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	for name, to := range map[string]uint64{"duplicate": 70001, "descending": 69999, "beyond 32 bits": 1 << 40} {
+		// 70002 first appears as the middle member of the UER row set.
+		i := bytes.Index(payload, le64(70002))
+		bad := append(append(append([]byte(nil), payload[:i]...), le64(to)...), payload[i+8:]...)
+		if _, _, err := decodeSnapshotSessions(bad); err == nil {
+			t.Errorf("%s row accepted", name)
+		}
+	}
+}

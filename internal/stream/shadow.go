@@ -10,6 +10,7 @@ import (
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/metrics"
+	"cordial/internal/rowset"
 )
 
 // Shadow evaluation scores a candidate model against live traffic without
@@ -171,7 +172,7 @@ func (e *Engine) loadShadow() *shadowEval {
 type shadowSession struct {
 	gen        uint64
 	sess       core.Session
-	spared     map[int]struct{}
+	spared     rowset.Set
 	bankSpared bool
 	dead       bool // candidate panicked on this bank; twin retired
 }
@@ -179,11 +180,7 @@ type shadowSession struct {
 // newShadowSession creates the twin for a freshly created primary session.
 func (se *shadowEval) newShadowSession(bank hbm.BankAddress) *shadowSession {
 	se.banks.Add(1)
-	return &shadowSession{
-		gen:    se.gen,
-		sess:   se.strategy.NewSession(bank),
-		spared: make(map[int]struct{}),
-	}
+	return &shadowSession{gen: se.gen, sess: se.strategy.NewSession(bank)}
 }
 
 // foldShadow feeds one event to a bank's twin and scores both sides
@@ -213,9 +210,7 @@ func (se *shadowEval) foldShadow(ss *shadowSession, ev mcelog.Event,
 		if primCoveredUER {
 			se.primCovered.Add(1)
 		}
-		if ss.bankSpared {
-			se.shadCovered.Add(1)
-		} else if _, done := ss.spared[ev.Addr.Row]; done {
+		if ss.bankSpared || ss.spared.Has(ev.Addr.Row) {
 			se.shadCovered.Add(1)
 		}
 	}
@@ -230,8 +225,7 @@ func (se *shadowEval) foldShadow(ss *shadowSession, ev mcelog.Event,
 		se.shadActions.Add(1)
 	}
 	for _, r := range d.IsolateRows {
-		if _, done := ss.spared[r]; !done {
-			ss.spared[r] = struct{}{}
+		if ss.spared.Add(r) {
 			shadFresh++
 		}
 	}

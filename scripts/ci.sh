@@ -66,6 +66,15 @@ echo "==> fuzz smoke (incremental feature equivalence, 5s)"
 go test -run '^$' -fuzz 'FuzzIncrementalFeatureEquivalence' -fuzztime 5s \
     ./internal/features/
 
+echo "==> fuzz smoke (bank-state snapshot decoder, 5s)"
+# The state holds rows, counts and times in fewer bits than the snapshot
+# layout and binary-searches its row tables: arbitrary bytes must decode to
+# an error or to a state that re-encodes to exactly the input — never a
+# truncated value, an unsorted table, or a panic. Seeded with real v1 and v2
+# images.
+go test -run '^$' -fuzz 'FuzzUnmarshalBankState' -fuzztime 5s \
+    ./internal/features/
+
 echo "==> fuzz smoke (WAL record decoder, 5s)"
 # The decoder must classify arbitrary bytes as a record, a clean torn
 # tail, or corruption — never panic, never over-read.
@@ -97,6 +106,15 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 # allocate the probabilities it returns and nothing else, a predicting
 # OnEvent only its Decision, with the default 80-tree forest.
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
+
+echo "==> bytes per bank gate (BankState ≤ 1 KiB, a quiet bank ≤ 1800 B and ≤ 8 mallocs in the engine)"
+# A fleet engine holds one session per bank that ever logged an error, so
+# bytes per tracked bank is its memory bill. The struct sizes are pinned by
+# unsafe.Sizeof, the whole per-bank cost (session map entry, bankSession,
+# strategy session, feature state and row tables) by a HeapAlloc/Mallocs
+# delta over 20 000 CE-only banks under the default Cordial strategy.
+go test -run 'TestBankStateSize|TestSessionHeapPerBank' -count 1 \
+    ./internal/features/ ./internal/stream/
 
 echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)"
 # bench/ is a module of its own, so the root `go test ./...` never sees it;
