@@ -107,6 +107,26 @@ func (c *Cursor) Flag(p *bool) {
 	*p = v == 1
 }
 
+func (c *Cursor) U16(p *uint16) {
+	if s := c.next(2); s != nil {
+		if c.Decode {
+			*p = binary.LittleEndian.Uint16(s)
+		} else {
+			binary.LittleEndian.PutUint16(s, *p)
+		}
+	}
+}
+
+func (c *Cursor) U32(p *uint32) {
+	if s := c.next(4); s != nil {
+		if c.Decode {
+			*p = binary.LittleEndian.Uint32(s)
+		} else {
+			binary.LittleEndian.PutUint32(s, *p)
+		}
+	}
+}
+
 func (c *Cursor) U64(p *uint64) {
 	if s := c.next(8); s != nil {
 		if c.Decode {
@@ -146,13 +166,7 @@ func (c *Cursor) Time(p *int64) {
 		sec, nsec = uint64(s), uint32(t-s*1e9)
 	}
 	c.U64(&sec)
-	if s := c.next(4); s != nil {
-		if c.Decode {
-			nsec = binary.LittleEndian.Uint32(s)
-		} else {
-			binary.LittleEndian.PutUint32(s, nsec)
-		}
-	}
+	c.U32(&nsec)
 	// Whole seconds that keep sec*1e9+nsec inside int64 (years 1678–2262).
 	const maxSec = math.MaxInt64/1_000_000_000 - 1
 	switch s := int64(sec); {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"cordial/internal/faultsim"
+	"cordial/internal/bincodec"
 	"cordial/internal/features"
 	"cordial/internal/hbm"
 )
@@ -31,13 +31,17 @@ type DurableStrategy interface {
 }
 
 // cordialSession state image: magic, version, flags, class, then the
-// feature-state blob (absent once released).
+// feature-state blob, a quiet session's observation log (version 2), or
+// nothing once released. Version-1 images, which predate quiet sessions,
+// still load.
 const (
 	sessionMagic   = "CSES"
-	sessionVersion = 1
+	sessionVersion = 2
+	sessionWhat    = "core: session state"
 
 	sessFlagClassified = 1 << 0
 	sessFlagHasState   = 1 << 1
+	sessFlagQuiet      = 1 << 2
 )
 
 var (
@@ -46,65 +50,79 @@ var (
 )
 
 // EncodeState captures the session: classification outcome plus the full
-// incremental feature state (or its absence, for a spared bank).
+// incremental feature state, the observations a quiet session defers it
+// behind, or neither (a spared bank).
 func (s *cordialSession) EncodeState() ([]byte, error) {
 	var flags byte
 	if s.classified {
 		flags |= sessFlagClassified
 	}
-	if s.state != nil {
+	var blob []byte
+	switch {
+	case s.released:
+	case s.state == nil:
+		flags |= sessFlagQuiet
+	default:
 		flags |= sessFlagHasState
-	}
-	out := make([]byte, 0, 64)
-	out = append(out, sessionMagic...)
-	out = append(out, sessionVersion, flags, byte(s.class))
-	if s.state != nil {
-		blob, err := s.state.MarshalBinary()
-		if err != nil {
+		var err error
+		if blob, err = s.state.MarshalBinary(); err != nil {
 			return nil, err
 		}
-		out = append(out, blob...)
 	}
-	return out, nil
+	c := &bincodec.Cursor{B: make([]byte, 0, 16+len(blob)+19*len(s.pending)), What: sessionWhat}
+	c.B = append(append(c.B, sessionMagic...), sessionVersion, flags, s.class)
+	if flags&sessFlagQuiet != 0 {
+		features.CodeObs(c, &s.pending, maxPending)
+	}
+	return append(c.B, blob...), c.Err
 }
 
 // RestoreSession rebuilds a cordialSession from an EncodeState image,
-// verifying that the embedded feature state was produced under this
-// pipeline's pattern and block configuration.
+// verifying that an embedded feature state was produced under this
+// pipeline's pattern and block configuration. A quiet session comes back
+// quiet.
 func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Session, error) {
 	if len(data) < len(sessionMagic)+3 {
-		return nil, fmt.Errorf("core: session state too short (%d bytes)", len(data))
+		return nil, fmt.Errorf("%s too short (%d bytes)", sessionWhat, len(data))
 	}
 	if string(data[:4]) != sessionMagic {
-		return nil, fmt.Errorf("core: bad session state magic")
+		return nil, fmt.Errorf("%s: bad magic", sessionWhat)
 	}
-	if v := data[4]; v != sessionVersion {
-		return nil, fmt.Errorf("core: unsupported session state version %d", v)
+	if v := data[4]; v != 1 && v != sessionVersion {
+		return nil, fmt.Errorf("%s: unsupported version %d", sessionWhat, v)
 	}
-	flags, class := data[5], faultsim.Class(data[6])
-	sess := &cordialSession{
-		strategy:   s,
-		classified: flags&sessFlagClassified != 0,
-		class:      class,
-	}
-	rest := data[7:]
-	if flags&sessFlagHasState == 0 {
+	flags, rest := data[5], data[7:]
+	sess := &cordialSession{strategy: s, classified: flags&sessFlagClassified != 0, class: data[6]}
+	switch flags &^ sessFlagClassified {
+	case 0:
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("core: released session carries %d state bytes", len(rest))
+			return nil, fmt.Errorf("%s: released session carries %d state bytes", sessionWhat, len(rest))
 		}
-		return sess, nil
+		sess.released = true
+	case sessFlagQuiet:
+		if data[4] == 1 || sess.classified {
+			return nil, fmt.Errorf("%s: quiet session in a version-%d image, classified=%t", sessionWhat, data[4], sess.classified)
+		}
+		c := &bincodec.Cursor{B: data, Off: 7, Decode: true, What: sessionWhat}
+		features.CodeObs(c, &sess.pending, maxPending)
+		if err := c.Done(); err != nil {
+			return nil, err
+		}
+	case sessFlagHasState:
+		st, err := features.UnmarshalBankState(rest)
+		if err != nil {
+			return nil, err
+		}
+		cfg := s.Pipeline.Config()
+		if got := st.Config(); got != cfg.Pattern {
+			return nil, fmt.Errorf("core: session pattern config %+v does not match pipeline %+v", got, cfg.Pattern)
+		}
+		if got := st.Spec(); got != cfg.Block {
+			return nil, fmt.Errorf("core: session block spec %+v does not match pipeline %+v", got, cfg.Block)
+		}
+		sess.state = st
+	default:
+		return nil, fmt.Errorf("%s: flags %#x", sessionWhat, flags)
 	}
-	st, err := features.UnmarshalBankState(rest)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.Pipeline.Config()
-	if got := st.Config(); got != cfg.Pattern {
-		return nil, fmt.Errorf("core: session pattern config %+v does not match pipeline %+v", got, cfg.Pattern)
-	}
-	if got := st.Spec(); got != cfg.Block {
-		return nil, fmt.Errorf("core: session block spec %+v does not match pipeline %+v", got, cfg.Block)
-	}
-	sess.state = st
 	return sess, nil
 }

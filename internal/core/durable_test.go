@@ -2,8 +2,11 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"cordial/internal/ecc"
 	"cordial/internal/hbm"
+	"cordial/internal/mcelog"
 	"cordial/internal/xrand"
 )
 
@@ -85,7 +88,8 @@ func TestCordialSessionEncodeRestoreResume(t *testing.T) {
 }
 
 // TestRestoreSessionRejectsMismatchedConfig: a state encoded under one
-// geometry must not silently drive a pipeline with another.
+// geometry must not silently drive a pipeline with another. A quiet session
+// holds observations only, which mean the same under any configuration.
 func TestRestoreSessionRejectsMismatchedConfig(t *testing.T) {
 	fleet := testFleet(t, 1, 120)
 	train, _, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
@@ -95,19 +99,28 @@ func TestRestoreSessionRejectsMismatchedConfig(t *testing.T) {
 	p := fitPipeline(t, RandomForest, train)
 	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
 
-	sess := strategy.NewSession(hbm.BankAddress{})
-	blob, err := sess.(DurableSession).EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cfg := p.Config()
 	cfg.Pattern.UERBudget++
 	other, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&CordialStrategy{Pipeline: other, Geometry: hbm.DefaultGeometry}).RestoreSession(hbm.BankAddress{}, blob); err == nil {
+	otherStrategy := &CordialStrategy{Pipeline: other, Geometry: hbm.DefaultGeometry}
+
+	sess := strategy.NewSession(hbm.BankAddress{})
+	quiet, err := sess.(DurableSession).EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := otherStrategy.RestoreSession(hbm.BankAddress{}, quiet); err != nil {
+		t.Errorf("quiet session refused under another pattern config: %v", err)
+	}
+	sess.OnEvent(mcelog.Event{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), Addr: hbm.Address{Row: 3}, Class: ecc.ClassUER})
+	blob, err := sess.(DurableSession).EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := otherStrategy.RestoreSession(hbm.BankAddress{}, blob); err == nil {
 		t.Error("mismatched pattern config accepted")
 	}
 

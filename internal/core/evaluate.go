@@ -164,9 +164,13 @@ func (e *PredictionEval) BlockAUC() (float64, bool) {
 // strictly after the prediction time. Probabilities, when present, feed the
 // threshold-free AUC alongside the thresholded confusion.
 func scoreBlocks(eval *PredictionEval, pred *BlockPrediction, spec features.BlockSpec, bf *faultsim.BankFault, now time.Time) {
-	for b, predicted := range pred.Predicted {
+	for b := 0; b < max(len(pred.Predicted), len(pred.Probs)); b++ {
 		actual := blockHasFutureUER(bf, spec, pred.AnchorRow, b, now)
-		eval.BlockOutcomes.Add(actual, predicted)
+		if pred.Predicted != nil {
+			eval.BlockOutcomes.Add(actual, pred.Predicted[b])
+		} else {
+			eval.BlockOutcomes.Add(actual, pred.Probs[b] >= pred.Threshold)
+		}
 		if pred.Probs != nil {
 			eval.BlockScores.Add(pred.Probs[b], actual)
 		}

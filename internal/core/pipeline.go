@@ -504,11 +504,13 @@ type Decision struct {
 // BlockPrediction is one window prediction: the anchor row and a predicted
 // mask over the window's blocks. Probs optionally carries the per-block
 // probabilities for threshold-free metrics (AUC); strategies without scores
-// leave it nil.
+// leave it nil. A strategy that thresholds its scores may leave Predicted
+// nil instead: block b is then predicted when Probs[b] >= Threshold.
 type BlockPrediction struct {
 	AnchorRow int
 	Predicted []bool
 	Probs     []float64
+	Threshold float64
 }
 
 // CordialStrategy adapts a fitted pipeline to the Strategy interface,
@@ -527,27 +529,37 @@ func (s *CordialStrategy) Name() string {
 	return "Cordial-" + s.Pipeline.Config().Model.ShortName()
 }
 
-// NewSession returns per-bank state: an incremental feature accumulator
-// instead of an event buffer, so per-event cost and memory stay flat over
-// the session's life.
+// NewSession returns per-bank state. The session starts quiet — an
+// observation log, no feature state — because almost every bank stays CE-only
+// for life and nothing reads the state before a new UER row arrives.
 func (s *CordialStrategy) NewSession(bank hbm.BankAddress) Session {
-	st, err := s.Pipeline.NewBankState()
-	if err != nil {
-		// Only reachable with a hand-rolled invalid config; the session
-		// then takes no decisions rather than panicking the replay loop.
-		st = nil
-	}
-	return &cordialSession{strategy: s, state: st}
+	return &cordialSession{strategy: s}
 }
+
+// A quiet session is promoted — a BankState built, the log replayed into it
+// in arrival order — on the bank's first UER, or at maxPending observations,
+// so the log never costs more than the state it defers. It starts at
+// pendingStart entries (a typical quiet bank's whole life) and doubles.
+const (
+	maxPending   = 32
+	pendingStart = 8
+)
 
 type cordialSession struct {
 	strategy *CordialStrategy
-	// state accumulates the bank's features incrementally; nil once
-	// released after a terminal decision (bank spared).
+	// state accumulates the bank's features incrementally, an O(1) update
+	// per event and memory flat over the session's life; nil while the
+	// session is quiet and once it is released.
 	state *features.BankState
+	// pending is a quiet session's history: what Observe would have read of
+	// each event so far, none of them a UER.
+	pending []features.Obs
 
 	classified bool
-	class      faultsim.Class
+	// released marks a terminal decision (bank spared): the state is dropped
+	// and further events change nothing.
+	released bool
+	class    uint8 // faultsim.Class, valid when classified
 }
 
 var (
@@ -557,19 +569,51 @@ var (
 
 // Class returns the pattern class assigned at the UER budget; ok is false
 // before classification.
-func (s *cordialSession) Class() (faultsim.Class, bool) { return s.class, s.classified }
+func (s *cordialSession) Class() (faultsim.Class, bool) {
+	return faultsim.Class(s.class), s.classified
+}
 
-// StateFootprint reports the feature accumulator's size; released is true
-// once the session dropped its state after bank sparing.
+// StateFootprint reports the feature accumulator's size, or the observation
+// log's while the session is quiet; released is true once the session
+// dropped its state after bank sparing.
 func (s *cordialSession) StateFootprint() (features.StateFootprint, bool) {
-	if s.state == nil {
+	switch {
+	case s.released:
 		return features.StateFootprint{}, true
+	case s.state == nil:
+		return features.DeferredFootprint(s.pending), false
 	}
 	return s.state.Footprint(), false
 }
 
+// promote ends the quiet phase: the log is replayed into a fresh state,
+// which is then exactly the state eager observation would have built.
+func (s *cordialSession) promote() {
+	st, err := s.strategy.Pipeline.NewBankState()
+	if err != nil {
+		// Only reachable with a hand-rolled invalid config; the session
+		// then takes no decisions rather than panicking the replay loop.
+		s.released = true
+	} else {
+		st.Replay(s.pending)
+	}
+	s.state, s.pending = st, nil
+}
+
 func (s *cordialSession) OnEvent(e mcelog.Event) Decision {
-	if s.state == nil {
+	if s.state == nil && !s.released {
+		if e.Class != ecc.ClassUER {
+			if s.pending == nil {
+				s.pending = make([]features.Obs, 0, pendingStart)
+			}
+			if s.pending = append(s.pending, features.ObsOf(e)); len(s.pending) >= maxPending {
+				s.promote()
+			}
+			return Decision{}
+		}
+		s.promote()
+	}
+	if s.released {
 		// Bank already spared: no further decision can change, and the
 		// feature state has been released.
 		return Decision{}
@@ -590,9 +634,9 @@ func (s *cordialSession) OnEvent(e mcelog.Event) Decision {
 			return Decision{}
 		}
 		s.classified = true
-		s.class = class
+		s.class = uint8(class)
 		if !class.IsAggregation() {
-			s.state = nil // terminal: release the accumulator
+			s.state, s.released = nil, true // terminal: release the accumulator
 			return Decision{SpareBank: true}
 		}
 	}
@@ -601,14 +645,10 @@ func (s *cordialSession) OnEvent(e mcelog.Event) Decision {
 	if err != nil {
 		return Decision{}
 	}
-	mask := make([]bool, len(probs))
-	for b, p := range probs {
-		mask[b] = p >= pipe.Config().Threshold
-	}
 	rows := pipe.PredictRows(probs, anchor, s.strategy.Geometry)
 	return Decision{
 		IsolateRows: rows,
-		Blocks:      &BlockPrediction{AnchorRow: anchor, Predicted: mask, Probs: probs},
+		Blocks:      &BlockPrediction{AnchorRow: anchor, Probs: probs, Threshold: pipe.Config().Threshold},
 	}
 }
 

@@ -1,0 +1,317 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"testing"
+	"time"
+
+	"cordial/internal/ecc"
+	"cordial/internal/hbm"
+	"cordial/internal/mcelog"
+	"cordial/internal/xrand"
+)
+
+// eagerSession is the reference a quiet session must be indistinguishable
+// from: a session that owns its feature state from the first event, which is
+// what NewSession built before sessions started quiet.
+func eagerSession(t testing.TB, s *CordialStrategy) *cordialSession {
+	t.Helper()
+	st, err := s.Pipeline.NewBankState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &cordialSession{strategy: s, state: st}
+}
+
+// assertQuietEquivalence drives a fresh (quiet) session and an eager one with
+// the same events: every decision (probabilities bit for bit), the class and
+// the released flag must agree at every step; the lazy session must be quiet
+// exactly while the promotion rule says so; and from promotion on the two
+// feature states must encode to the same bytes.
+func assertQuietEquivalence(t *testing.T, s *CordialStrategy, events []mcelog.Event) {
+	t.Helper()
+	lazy := s.NewSession(hbm.BankAddress{}).(*cordialSession)
+	eager := eagerSession(t, s)
+	sawUER := false
+	for i, e := range events {
+		got, want := lazy.OnEvent(e), eager.OnEvent(e)
+		if !decisionsEqual(got, want) {
+			t.Fatalf("event %d: decision diverged:\nquiet %+v\neager %+v", i, got, want)
+		}
+		gc, gok := lazy.Class()
+		wc, wok := eager.Class()
+		if gc != wc || gok != wok || lazy.released != eager.released {
+			t.Fatalf("event %d: class (%v,%t) released %t, want (%v,%t) released %t", i, gc, gok, lazy.released, wc, wok, eager.released)
+		}
+		sawUER = sawUER || e.Class == ecc.ClassUER
+		if wantQuiet := !sawUER && i+1 < maxPending; (lazy.state == nil && !lazy.released) != wantQuiet {
+			t.Fatalf("event %d: quiet=%t, want %t", i, !wantQuiet, wantQuiet)
+		}
+		if lazy.state == nil {
+			if !lazy.released && len(lazy.pending) != i+1 {
+				t.Fatalf("event %d: %d observations pending", i, len(lazy.pending))
+			}
+			continue
+		}
+		if lazy.pending != nil {
+			t.Fatalf("event %d: promoted session kept its observation log", i)
+		}
+		gb, err1 := lazy.state.MarshalBinary()
+		wb, err2 := eager.state.MarshalBinary()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("event %d: encoding states: %v / %v", i, err1, err2)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("event %d: promoted state differs from the eagerly built one", i)
+		}
+	}
+}
+
+// featureFuzzCorpus is FuzzIncrementalFeatureEquivalence's seed corpus
+// (internal/features/fuzz_test.go): timestamp ties at the first UER, cutoff
+// extensions, repeat UER rows, post-budget traffic, the unset-timestamp edges.
+var featureFuzzCorpus = [][]byte{
+	{0x00},
+	{0x13, 0x02, 0x10, 0x00, 0x02, 0x14, 0x03, 0x00, 0x10, 0x05},
+	{0x21, 0x02, 0x20, 0x04, 0x02, 0x20, 0x00, 0x00, 0x21, 0x07, 0x02, 0x20, 0x00},
+	{0x02, 0x02, 0x08, 0x11, 0x02, 0x08, 0x00, 0x02, 0x08, 0x09, 0x01, 0x30, 0x22},
+	{0x00, 0x03, 0x00, 0x02, 0x03, 0x07, 0x20, 0x23},
+	{0x01, 0x00, 0x03, 0x03, 0x02, 0x00, 0x07, 0x2b, 0x03, 0x40},
+	{0x02, 0x03, 0x07, 0x0b, 0x00, 0x02, 0x20, 0x03},
+}
+
+// featureFuzzEvents decodes the event bytes of a corpus entry as that fuzz
+// target does, plus error bits (its leading configuration byte is the
+// pipeline's business here and is skipped).
+func featureFuzzEvents(data []byte) []mcelog.Event {
+	now := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	row := 100
+	deltas := [8]int{0, 1, -1, 3, -3, 20, -20, 7}
+	classes := [4]ecc.Class{ecc.ClassCE, ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER}
+	var events []mcelog.Event
+	for _, b := range data[1:] {
+		row = max(row+deltas[(b>>2)&0x07], 0)
+		now = now.Add(time.Duration(b>>5) * 13 * time.Minute)
+		events = append(events, mcelog.Event{Time: now, Addr: hbm.Address{Row: row}, Class: classes[b&0x03], Bits: mcelog.ErrBits(b)})
+	}
+	return events
+}
+
+// TestQuietSessionEquivalence is the lazy≡eager gate. The benchmark's verdict
+// check builds its reference through the same cordialSession, so only a
+// comparison against a session that never was quiet can catch a promotion
+// that replays wrongly.
+func TestQuietSessionEquivalence(t *testing.T) {
+	fleet := testFleet(t, 2, 150)
+	train, test, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fitPipeline(t, RandomForest, train)
+	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
+
+	t.Run("fleet", func(t *testing.T) {
+		spared := 0
+		for _, bf := range test {
+			assertQuietEquivalence(t, strategy, bf.Events)
+			if !bf.Class().IsAggregation() {
+				spared++
+			}
+		}
+		if spared == 0 {
+			t.Error("no scattered bank in the test fleet")
+		}
+	})
+	t.Run("fuzz corpus", func(t *testing.T) {
+		for _, seed := range featureFuzzCorpus {
+			assertQuietEquivalence(t, strategy, featureFuzzEvents(seed))
+		}
+	})
+
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(min, row int, class ecc.Class) mcelog.Event {
+		return mcelog.Event{Time: base.Add(time.Duration(min) * time.Minute), Addr: hbm.Address{Row: row}, Class: class, Bits: mcelog.MakeErrBits(uint8(1+row%7), 1)}
+	}
+	// ces is n CEs over a few rows, two per timestamp; failing is a burst of
+	// UERs at distinct neighbouring rows, which classifies and predicts.
+	ces := func(n int) (evs []mcelog.Event) {
+		for i := 0; i < n; i++ {
+			evs = append(evs, at(i/2, 500+i%5*3, ecc.ClassCE))
+		}
+		return evs
+	}
+	failing := func(from int) (evs []mcelog.Event) {
+		for i := 0; i < 5; i++ {
+			evs = append(evs, at(from+i, 510+2*i, ecc.ClassUER), at(from+i, 511+2*i, ecc.ClassCE))
+		}
+		return evs
+	}
+	edges := map[string][]mcelog.Event{
+		"first event a UER":      failing(0),
+		"UER is observation 31":  append(ces(30), failing(40)...),
+		"UER is observation 32":  append(ces(31), failing(40)...),
+		"UER is observation 33":  append(ces(32), failing(40)...),
+		"long quiet life":        append(ces(100), failing(60)...),
+		"first UER ties the CEs": append(ces(6), failing(2)...), // minute 2 holds CEs 4 and 5
+	}
+	var ueo []mcelog.Event
+	for i := 0; i < 40; i++ {
+		ueo = append(ueo, at(i, 900+i%3, ecc.ClassUEO))
+	}
+	edges["UEO-only bank"] = ueo
+	for _, bf := range test {
+		if !bf.Class().IsAggregation() {
+			last := bf.Events[len(bf.Events)-1].Time
+			more := []mcelog.Event{
+				{Time: last.Add(time.Hour), Addr: hbm.Address{Row: 7}, Class: ecc.ClassCE},
+				{Time: last.Add(2 * time.Hour), Addr: hbm.Address{Row: 9}, Class: ecc.ClassUER},
+			}
+			edges["spared, then fed more"] = append(append([]mcelog.Event(nil), bf.Events...), more...)
+			break
+		}
+	}
+	for name, evs := range edges {
+		t.Run(name, func(t *testing.T) { assertQuietEquivalence(t, strategy, evs) })
+	}
+}
+
+// sessionImageSeeds returns Cordial session images of every kind the decoder
+// accepts: version 2 quiet (empty, short, one short of promotion), promoted
+// and released, and the version-1 spellings of the last two.
+func sessionImageSeeds(t testing.TB, s *CordialStrategy) [][]byte {
+	t.Helper()
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	encode := func(sess *cordialSession) []byte {
+		blob, err := sess.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	var seeds [][]byte
+	for _, n := range []int{0, 3, maxPending - 1} {
+		sess := s.NewSession(hbm.BankAddress{}).(*cordialSession)
+		for i := 0; i < n; i++ {
+			sess.OnEvent(mcelog.Event{Time: base.Add(time.Duration(i/2) * time.Minute), Addr: hbm.Address{Row: 40 + i%4}, Class: ecc.ClassCE + ecc.Class(i%2), Bits: mcelog.ErrBits(i)})
+		}
+		if sess.state != nil {
+			t.Fatalf("session promoted after %d non-UER events", n)
+		}
+		seeds = append(seeds, encode(sess))
+	}
+	promoted := s.NewSession(hbm.BankAddress{}).(*cordialSession)
+	promoted.OnEvent(mcelog.Event{Time: base, Addr: hbm.Address{Row: 5}, Class: ecc.ClassCE})
+	promoted.OnEvent(mcelog.Event{Time: base.Add(time.Minute), Addr: hbm.Address{Row: 6}, Class: ecc.ClassUER})
+	released := &cordialSession{strategy: s, classified: true, released: true, class: 2}
+	for _, sess := range []*cordialSession{promoted, released} {
+		v2 := encode(sess)
+		v1 := append([]byte(nil), v2...)
+		v1[4] = 1
+		seeds = append(seeds, v2, v1)
+	}
+	return seeds
+}
+
+// FuzzRestoreSession feeds the session-image decoder — which reads persisted
+// snapshots and peers' handoff blobs — arbitrary bytes: it must refuse them
+// or return a session that encodes back to exactly the input (a version-1
+// input to its version-2 spelling) and that survives promotion and further
+// events.
+func FuzzRestoreSession(f *testing.F) {
+	p, err := New(DefaultConfig(RandomForest)) // unfitted: decoding never reaches a model
+	if err != nil {
+		f.Fatal(err)
+	}
+	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
+	for _, seed := range sessionImageSeeds(f, strategy) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sess, err := strategy.RestoreSession(hbm.BankAddress{}, data)
+		if err != nil {
+			return
+		}
+		image, err := sess.(DurableSession).EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), data...)
+		want[4] = sessionVersion
+		if !bytes.Equal(image, want) {
+			t.Fatalf("restored session re-encodes differently (%d vs %d bytes)", len(image), len(data))
+		}
+		now := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
+		for i, class := range []ecc.Class{ecc.ClassCE, ecc.ClassUER, ecc.ClassUEO, ecc.ClassUER, ecc.ClassUER} {
+			sess.OnEvent(mcelog.Event{Time: now.Add(time.Duration(i) * time.Minute), Addr: hbm.Address{Row: 50 + 3*i}, Class: class})
+		}
+		if cs := sess.(*cordialSession); cs.state == nil && !cs.released {
+			t.Fatal("session still quiet after a UER")
+		}
+		if _, err := sess.(DurableSession).EncodeState(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRestoreSessionImages: every seed image restores and round-trips; a
+// quiet image comes back quiet with its observations, and what a quiet
+// bank's log cannot hold is refused.
+func TestRestoreSessionImages(t *testing.T) {
+	p, err := New(DefaultConfig(RandomForest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
+	seeds := sessionImageSeeds(t, strategy)
+	for i, seed := range seeds {
+		sess, err := strategy.RestoreSession(hbm.BankAddress{}, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if cs := sess.(*cordialSession); i < 3 && (cs.state != nil || cs.released || len(cs.pending) != []int{0, 3, maxPending - 1}[i]) {
+			t.Errorf("seed %d: quiet image restored as state=%t released=%t with %d observations", i, cs.state != nil, cs.released, len(cs.pending))
+		}
+	}
+	quiet := seeds[1] // three observations of 19 bytes after the 7-byte header and the 8-byte count
+	zeroTime := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, uint64(time.Time{}.Unix())), 0)
+	mutate := func(off int, b byte) []byte {
+		bad := append([]byte(nil), quiet...)
+		bad[off] = b
+		return bad
+	}
+	const obs0 = 7 + 8
+	// Late events are folded in arrival order, so a log whose timestamps run
+	// backwards is a legitimate image (and a ClassNone observation, which
+	// only an unvalidated caller can produce, folds like one in a BankState).
+	late := strategy.NewSession(hbm.BankAddress{}).(*cordialSession)
+	for i, class := range []ecc.Class{ecc.ClassCE, ecc.ClassNone, ecc.ClassUEO} {
+		late.OnEvent(mcelog.Event{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Add(-time.Duration(i) * time.Hour), Addr: hbm.Address{Row: 9 + i}, Class: class})
+	}
+	image, err := late.EncodeState()
+	if err != nil {
+		t.Fatalf("out-of-order quiet history does not encode: %v", err)
+	}
+	if back, err := strategy.RestoreSession(hbm.BankAddress{}, image); err != nil || !slices.Equal(back.(*cordialSession).pending, late.pending) {
+		t.Fatalf("out-of-order quiet history restored as %+v, %v", back, err)
+	}
+	for name, bad := range map[string][]byte{
+		"version 1 quiet":      mutate(4, 1),
+		"classified quiet":     mutate(5, quiet[5]|sessFlagClassified),
+		"quiet with state":     mutate(5, quiet[5]|sessFlagHasState),
+		"unknown flag":         mutate(5, quiet[5]|0x80),
+		"count beyond the log": mutate(7, maxPending+1),
+		"count beyond input":   mutate(7, 4),
+		"UER observation":      mutate(obs0+18, byte(ecc.ClassUER)),
+		"unknown class":        mutate(obs0+18, byte(ecc.ClassUER)+1),
+		"negative row":         mutate(obs0+12+3, 0x80),
+		"unset time":           append(append(append([]byte(nil), quiet[:obs0]...), zeroTime...), quiet[obs0+12:]...),
+		"trailing byte":        append(append([]byte(nil), quiet...), 0),
+		"truncated":            quiet[:len(quiet)-1],
+	} {
+		if _, err := strategy.RestoreSession(hbm.BankAddress{}, bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

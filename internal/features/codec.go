@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cordial/internal/bincodec"
+	"cordial/internal/ecc"
 )
 
 // Binary codec for BankState, the payload format of the online engine's
@@ -88,6 +89,33 @@ func span(c *bincodec.Cursor, p *time.Duration) {
 		}
 	}
 	*p = d
+}
+
+// CodeObs walks an observation log of at most max entries, 19 bytes each
+// (timestamp, 32-bit row, error bits, class), writing it or reading it. The
+// log is a bank's history before its first UER, so reading refuses what such
+// a history cannot hold or a BankState could not take over: a UER or an
+// unknown class, a row beyond 31 bits, an unset timestamp. Timestamps may
+// run backwards — the engine folds late events as they arrive, and the log
+// must stay encodable whenever the state it stands for would be.
+func CodeObs(c *bincodec.Cursor, obs *[]Obs, max int) {
+	n := len(*obs)
+	c.Count(&n, max, 19)
+	if c.Decode {
+		*obs = make([]Obs, n)
+	}
+	for i := range *obs {
+		o := &(*obs)[i]
+		row := uint32(o.row)
+		c.Time(&o.t)
+		c.U32(&row)
+		c.U16(&o.bits)
+		c.U8(&o.class)
+		o.row = int32(row)
+		if o.t == unsetTime || o.row < 0 || ecc.Class(o.class) >= ecc.ClassUER {
+			c.Fail("observation %d (time %d, row %d, class %d) is not a quiet bank's", i, o.t, o.row, o.class)
+		}
+	}
 }
 
 func (a *seqAccum) code(c *bincodec.Cursor) {

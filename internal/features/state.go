@@ -117,21 +117,51 @@ type blockRowCount struct {
 	total, uer uint32
 }
 
+// Obs is what Observe reads of an event: its timestamp, row, class and error
+// bits, 16 bytes. A bank that has logged no UER can keep these instead of a
+// BankState (core's quiet sessions do): Replay over the stored values runs
+// the very code Observe would have run on the very same bytes.
+type Obs struct {
+	t     int64 // Unix nanoseconds
+	row   int32
+	bits  uint16
+	class uint8
+}
+
+// ObsOf extracts an event's observation. Rows and per-class event counts are
+// held in 32 bits (a bank has at most RowsPerBank rows, far below 2³¹) and
+// timestamps as Unix nanoseconds (years 1678–2262; mcelog.ValidateTime
+// admits 1970–2200). A class that is none of CE, UEO and UER folds like
+// ClassNone, whatever its value.
+func ObsOf(e mcelog.Event) Obs {
+	class := e.Class
+	if class < 0 || class > ecc.ClassUER {
+		class = ecc.ClassNone
+	}
+	return Obs{t: e.Time.UnixNano(), row: int32(e.Addr.Row), bits: uint16(e.Bits), class: uint8(class)}
+}
+
 // Observe folds one event into the state. Events must arrive in
 // nondecreasing time order (the same contract the batch extractors place
-// on their input slice); the equivalence guarantee holds only then. Rows
-// and per-class event counts are held in 32 bits (a bank has at most
-// RowsPerBank rows, far below 2³¹) and timestamps as Unix nanoseconds
-// (years 1678–2262; mcelog.ValidateTime admits 1970–2200).
-func (s *BankState) Observe(e mcelog.Event) {
-	row, t := int32(e.Addr.Row), e.Time.UnixNano()
+// on their input slice); the equivalence guarantee holds only then.
+func (s *BankState) Observe(e mcelog.Event) { s.observe(ObsOf(e)) }
+
+// Replay folds stored observations, oldest first.
+func (s *BankState) Replay(obs []Obs) {
+	for _, o := range obs {
+		s.observe(o)
+	}
+}
+
+func (s *BankState) observe(o Obs) {
 	s.events++
 	if s.firstEventTime == unsetTime {
-		s.firstEventTime = t
+		s.firstEventTime = o.t
 	}
-	s.observePattern(row, t, e.Class)
-	s.observeBlock(row, t, e.Class)
-	s.errBits.observe(e.Bits)
+	class := ecc.Class(o.class)
+	s.observePattern(o.row, o.t, class)
+	s.observeBlock(o.row, o.t, class)
+	s.errBits.observe(mcelog.ErrBits(o.bits))
 }
 
 // observePattern maintains the §IV-B aggregates. It runs before
@@ -388,19 +418,28 @@ func (s *BankState) BlockVector(anchorRow, block int, now time.Time) ([]float64,
 	return out, nil
 }
 
-// StateFootprint is a point-in-time estimate of one BankState's memory, for
-// the bounded-memory monitoring the online engine exposes.
+// StateFootprint is a point-in-time estimate of one bank's feature-state
+// memory, for the bounded-memory monitoring the online engine exposes.
 type StateFootprint struct {
-	// Events is the number of events observed (NOT retained — the state
-	// holds no event buffer).
+	// Events is the number of events observed. A BankState retains none of
+	// them; a deferred state is exactly these events' observations.
 	Events int
 	// TrackedRows is the total entries across the per-row structures (the
-	// only parts that grow at all); each is bounded by the bank's distinct
-	// error rows, hence by the geometry's RowsPerBank.
+	// only parts of a BankState that grow at all); each is bounded by the
+	// bank's distinct error rows, hence by the geometry's RowsPerBank.
 	TrackedRows int
 	// ApproxBytes estimates resident bytes: a fixed accumulator core plus
-	// TrackedRows-proportional structures.
+	// TrackedRows-proportional structures, or the observation log.
 	ApproxBytes int
+	// Deferred reports that no BankState exists yet: the bank's history is
+	// an observation log awaiting its first UER.
+	Deferred bool
+}
+
+// DeferredFootprint is the footprint of an observation log kept in place of
+// a BankState.
+func DeferredFootprint(pending []Obs) StateFootprint {
+	return StateFootprint{Events: len(pending), ApproxBytes: cap(pending) * int(unsafe.Sizeof(Obs{})), Deferred: true}
 }
 
 // Footprint reports the state's current size: the struct itself plus the

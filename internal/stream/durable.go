@@ -341,10 +341,10 @@ type sessionImage struct {
 // code walks one session record in layout order, writing it or reading it.
 func (im *sessionImage) code(c *bincodec.Cursor, ver uint8) {
 	c.U64(&im.key)
-	packed := uint64(im.bank.Pack())
+	packed := im.key // the layout repeats the key as the bank's packed address
 	c.U64(&packed)
-	if c.Decode {
-		im.bank = hbm.Unpack(packed)
+	if packed != im.key {
+		c.Fail("session key %#x beside bank address %#x", im.key, packed)
 	}
 	c.U64(&im.lastLSN)
 	if ver >= 2 {
@@ -424,9 +424,10 @@ func decodeSnapshotSessions(payload []byte) (hdr snapshotHeader, images []sessio
 // buildSession reconstructs a live bankSession from a decoded image,
 // including its strategy session and feature-state footprint.
 func buildSession(ds core.DurableStrategy, im sessionImage) (*bankSession, error) {
-	sess, err := ds.RestoreSession(im.bank, im.blob)
+	bank := hbm.Unpack(im.key)
+	sess, err := ds.RestoreSession(bank, im.blob)
 	if err != nil {
-		return nil, fmt.Errorf("stream: restoring session for bank %s: %w", im.bank.String(), err)
+		return nil, fmt.Errorf("stream: restoring session for bank %s: %w", bank.String(), err)
 	}
 	bs := im.bankSession
 	bs.sess = sess
@@ -439,14 +440,7 @@ func buildSession(ds core.DurableStrategy, im sessionImage) (*bankSession, error
 // the pre-consumer boot path, where no one else can touch the shard).
 func (s *shard) installSession(key uint64, bs *bankSession) {
 	s.sessions[key] = bs
-	s.stateBytes += int64(bs.stateBytes)
-	s.stateRows += int64(bs.stateRows)
-	if bs.stateReleased {
-		s.released++
-	}
-	if bs.degraded {
-		s.degraded++
-	}
+	s.tally(bs, +1)
 	if bs.lastLSN > s.appliedLSN {
 		s.appliedLSN = bs.lastLSN
 	}
@@ -584,7 +578,7 @@ func (e *Engine) resetSessions() {
 		s.sessions = make(map[uint64]*bankSession)
 		s.appliedLSN = 0
 		s.stateBytes, s.stateRows = 0, 0
-		s.released, s.degraded = 0, 0
+		s.released, s.quiet, s.degraded = 0, 0, 0
 	}
 	e.recoveredSessions = 0
 }

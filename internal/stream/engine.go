@@ -24,11 +24,12 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,6 +234,10 @@ type SessionStats struct {
 	// StateReleased reports that the session dropped its feature state
 	// after a terminal decision (bank spared).
 	StateReleased bool
+	// StateDeferred reports a quiet bank: no UER yet, so the session keeps
+	// its few observations (StateBytes of them, StateRows zero) instead of a
+	// feature state.
+	StateDeferred bool
 	// ModelVersion is the model version this session is pinned to: the
 	// active version when the session was created. A swap never rebinds a
 	// live session, so during a mixed-version window this differs from the
@@ -283,6 +288,9 @@ type EngineStats struct {
 	// SessionsReleased counts sessions that dropped their feature state
 	// after a terminal decision (bank spared).
 	SessionsReleased int
+	// SessionsQuiet counts sessions whose feature state is still deferred
+	// behind an observation log (banks that have logged no UER).
+	SessionsQuiet int
 	// ShardStateBytes is the per-shard breakdown of FeatureStateBytes.
 	ShardStateBytes []int64
 	// Quarantined counts events whose processing panicked; each was logged
@@ -402,7 +410,27 @@ type shard struct {
 	stateBytes int64
 	stateRows  int64
 	released   int
+	quiet      int
 	degraded   int
+	// acts is the consumer's reusable buffer for one event's actions: apply
+	// fills it and process has emitted them before the next apply.
+	acts []Action
+}
+
+// tally adds (sign +1) or removes (sign -1) a session from the shard's
+// running totals. Callers hold mu.
+func (s *shard) tally(bs *bankSession, sign int) {
+	s.stateBytes += int64(sign) * int64(bs.stateBytes)
+	s.stateRows += int64(sign) * int64(bs.stateRows)
+	if bs.stateReleased {
+		s.released += sign
+	}
+	if bs.stateDeferred {
+		s.quiet += sign
+	}
+	if bs.degraded {
+		s.degraded += sign
+	}
 }
 
 // bankSession couples a strategy session with the bookkeeping the engine
@@ -410,9 +438,9 @@ type shard struct {
 // one per bank that ever logged an error, nearly all of them quiet CE-only
 // banks, so it carries compact counters (SessionStats is built from them on
 // demand by stats) and its row sets own no memory until a UER or a sparing
-// decision writes them.
+// decision writes them. The bank's address is not stored: it is the session
+// map's key, unpacked where needed.
 type bankSession struct {
-	bank hbm.BankAddress
 	sess core.Session
 	// shadow is the candidate-model twin while a shadow evaluation that
 	// saw this session's birth is running; nil otherwise.
@@ -430,13 +458,14 @@ type bankSession struct {
 	events                int64
 	uerEvents             uint32
 	rowsIsolated, actions uint32
-	// stateBytes/stateRows/stateReleased mirror the strategy session's
-	// feature-state footprint as of the last fold.
+	// stateBytes/stateRows/stateReleased/stateDeferred mirror the strategy
+	// session's feature-state footprint as of the last fold.
 	stateBytes, stateRows int32
 	class                 uint8 // faultsim.Class, valid when classified
 	classified            bool
 	bankSpared            bool
 	stateReleased         bool
+	stateDeferred         bool
 	degraded              bool
 	uerRows               rowset.Set // distinct rows with at least one UER
 	spared                rowset.Set // rows isolated by emitted actions
@@ -446,7 +475,6 @@ type bankSession struct {
 // to the given model epoch.
 func newBankSession(bank hbm.BankAddress, ep modelEpoch, ev mcelog.Event) *bankSession {
 	return &bankSession{
-		bank:       bank,
 		sess:       ep.strategy.NewSession(bank),
 		version:    ep.version,
 		firstEvent: ev.Time.UnixNano(),
@@ -454,10 +482,10 @@ func newBankSession(bank hbm.BankAddress, ep modelEpoch, ev mcelog.Event) *bankS
 	}
 }
 
-// stats builds the session's public snapshot.
-func (bs *bankSession) stats() SessionStats {
+// stats builds the public snapshot of the session held under key.
+func (bs *bankSession) stats(key uint64) SessionStats {
 	return SessionStats{
-		Bank:            bs.bank,
+		Bank:            hbm.Unpack(key),
 		Events:          int(bs.events),
 		UEREvents:       int(bs.uerEvents),
 		DistinctUERRows: len(bs.uerRows),
@@ -471,6 +499,7 @@ func (bs *bankSession) stats() SessionStats {
 		StateBytes:      int(bs.stateBytes),
 		StateRows:       int(bs.stateRows),
 		StateReleased:   bs.stateReleased,
+		StateDeferred:   bs.stateDeferred,
 		ModelVersion:    bs.version,
 		Degraded:        bs.degraded,
 	}
@@ -480,7 +509,8 @@ func (bs *bankSession) stats() SessionStats {
 func (bs *bankSession) measureState() {
 	if is, ok := bs.sess.(core.InstrumentedSession); ok {
 		fp, released := is.StateFootprint()
-		bs.stateBytes, bs.stateRows, bs.stateReleased = int32(fp.ApproxBytes), int32(fp.TrackedRows), released
+		bs.stateBytes, bs.stateRows = int32(fp.ApproxBytes), int32(fp.TrackedRows)
+		bs.stateReleased, bs.stateDeferred = released, fp.Deferred
 	}
 }
 
@@ -774,16 +804,20 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 		bs.lastEvent = ev.Time.UnixNano()
 		return nil, nil
 	}
-	// The deferred recover runs before the deferred unlock (LIFO), so the
-	// shard lock is always released exactly once, panic or not.
+	// The session leaves the shard totals while it is folded and re-enters
+	// them as the fold left it. Deferred calls run last-in first-out: the
+	// recover, then the re-entry (which therefore counts a session the
+	// recover degraded), then the unlock — so the shard lock is always
+	// released exactly once, panic or not.
+	s.tally(bs, -1)
+	defer s.tally(bs, +1)
 	defer func() {
 		if r := recover(); r != nil {
 			bs.degraded = true
-			s.degraded++
 			out = nil
 			dead = &DeadLetter{
 				Time:   ev.Time,
-				Bank:   bs.bank.String(),
+				Bank:   hbm.BankOf(ev.Addr).String(),
 				Addr:   ev.Addr.Pack(),
 				Row:    ev.Addr.Row,
 				Class:  ev.Class.String(),
@@ -792,7 +826,6 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 			}
 		}
 	}()
-	prevBytes, prevRows, prevReleased := bs.stateBytes, bs.stateRows, bs.stateReleased
 	prevClassified := bs.classified
 	// Shadow scoring needs the primary's pre-fold coverage: was this UER's
 	// row (or the whole bank) already isolated when the event arrived?
@@ -800,12 +833,8 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
 		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
-	out = foldEvent(bs, ev, &s.process)
-	s.stateBytes += int64(bs.stateBytes - prevBytes)
-	s.stateRows += int64(bs.stateRows - prevRows)
-	if bs.stateReleased && !prevReleased {
-		s.released++
-	}
+	out = foldEvent(bs, ev, &s.process, s.acts[:0])
+	s.acts = out
 	if !prevClassified && bs.classified {
 		e.classifications.Add(1)
 	}
@@ -831,14 +860,14 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 
 // foldEvent runs one event through a bank session: strategy OnEvent, the
 // engine's session bookkeeping (counts, class, feature-state footprint)
-// and action derivation with per-bank row dedupe. It mutates only the
-// session, never shard-level state, so it serves both the shard consumer
-// path (apply, holding the shard lock) and cluster handoff's suffix
-// replay over sessions that are not installed in any shard yet. The
-// caller owns panic handling: a panic from the strategy session unwinds
+// and action derivation with per-bank row dedupe; the actions are appended
+// to out. It mutates only the session, never shard-level state, so it
+// serves both the shard consumer path (apply, holding the shard lock) and
+// cluster handoff's suffix replay over sessions that are not installed in
+// any shard yet. The caller owns panic handling: a panic from the strategy session unwinds
 // through here with the session's counters partially updated, and the
 // caller must mark the session degraded.
-func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Action) {
+func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler, out []Action) []Action {
 	t0 := time.Now()
 	d := bs.sess.OnEvent(ev)
 	if proc != nil {
@@ -864,7 +893,7 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Ac
 		bs.actions++
 		out = append(out, Action{
 			Kind:  sparing.ActionBankSpare,
-			Bank:  bs.bank,
+			Bank:  hbm.BankOf(ev.Addr),
 			Class: faultsim.Class(bs.class),
 			Time:  ev.Time,
 		})
@@ -894,7 +923,7 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Ac
 			bs.actions++
 			out = append(out, Action{
 				Kind:  sparing.ActionRowSpare,
-				Bank:  bs.bank,
+				Bank:  hbm.BankOf(ev.Addr),
 				Rows:  fresh,
 				Class: faultsim.Class(bs.class),
 				Time:  ev.Time,
@@ -928,7 +957,10 @@ func (e *Engine) Actions() <-chan Action { return e.actions }
 
 // Session returns a snapshot of one bank's session state.
 func (e *Engine) Session(bank hbm.BankAddress) (SessionStats, bool) {
-	key := bank.BankKey()
+	return e.sessionByKey(bank.BankKey())
+}
+
+func (e *Engine) sessionByKey(key uint64) (SessionStats, bool) {
 	s := e.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -936,23 +968,31 @@ func (e *Engine) Session(bank hbm.BankAddress) (SessionStats, bool) {
 	if !ok {
 		return SessionStats{}, false
 	}
-	return bs.stats(), true
+	return bs.stats(key), true
 }
 
 // Sessions snapshots every live session's stats, sorted by bank key. The
 // admin surface uses it to report per-session pinned model versions.
 func (e *Engine) Sessions() []SessionStats {
-	var out []SessionStats
+	type keyed struct {
+		key uint64
+		st  SessionStats
+	}
+	var all []keyed
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for _, bs := range s.sessions {
-			out = append(out, bs.stats())
+		for key, bs := range s.sessions {
+			all = append(all, keyed{key, bs.stats(key)})
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Bank.BankKey() < out[j].Bank.BankKey()
-	})
+	// Sorted by the stored key: re-deriving it from the address is a
+	// twelve-field repack per comparison.
+	slices.SortFunc(all, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	out := make([]SessionStats, len(all))
+	for i := range all {
+		out[i] = all[i].st
+	}
 	return out
 }
 
@@ -993,6 +1033,7 @@ func (e *Engine) Stats() EngineStats {
 		st.FeatureStateBytes += s.stateBytes
 		st.FeatureStateRows += s.stateRows
 		st.SessionsReleased += s.released
+		st.SessionsQuiet += s.quiet
 		st.SessionsDegraded += s.degraded
 		s.mu.Unlock()
 		proc.merge(&s.process)

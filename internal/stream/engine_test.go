@@ -26,6 +26,11 @@ type fakeStrategy struct {
 	// poisonRow, when non-zero, makes OnEvent panic on any event at that
 	// row — the supervision tests' stand-in for a session-poisoning bug.
 	poisonRow int
+	// poisonLogRow, when non-zero, plants the panic earlier than it fires: a
+	// non-UER event at that row is absorbed, and the bank's first UER then
+	// panics — the stand-in for a quiet session whose promotion replay hits
+	// an observation it cannot fold.
+	poisonLogRow int
 }
 
 func (f *fakeStrategy) Name() string { return "fake" }
@@ -40,6 +45,7 @@ type fakeSession struct {
 	rows       map[int]bool
 	classified bool
 	class      faultsim.Class
+	poisonLog  bool // an event at poisonLogRow is waiting for the first UER
 }
 
 func (s *fakeSession) Class() (faultsim.Class, bool) { return s.class, s.classified }
@@ -52,7 +58,11 @@ func (s *fakeSession) OnEvent(e mcelog.Event) core.Decision {
 		panic(fmt.Sprintf("poisoned row %d", e.Addr.Row))
 	}
 	if e.Class != ecc.ClassUER {
+		s.poisonLog = s.poisonLog || s.strategy.poisonLogRow != 0 && e.Addr.Row == s.strategy.poisonLogRow
 		return core.Decision{}
+	}
+	if s.poisonLog {
+		panic(fmt.Sprintf("replaying poisoned row %d", s.strategy.poisonLogRow))
 	}
 	s.rows[e.Addr.Row] = true
 	if len(s.rows) < s.strategy.budget {
@@ -492,6 +502,40 @@ func TestMix64Spreads(t *testing.T) {
 	for s, n := range counts {
 		if n == 0 {
 			t.Errorf("shard %d received no banks", s)
+		}
+	}
+}
+
+// TestSessionsSortedByBankKey: Sessions lists every live session once, in
+// ascending bank-key order, and — the session no longer stores its bank —
+// each under the address its events carried.
+func TestSessionsSortedByBankKey(t *testing.T) {
+	e := newTestEngine(t, Config{Shards: 3})
+	defer e.Close()
+	want := make(map[hbm.BankAddress]bool)
+	for i := 40; i > 0; i-- {
+		bank := testBank(7 * i)
+		want[bank] = true
+		if err := e.Ingest(uerAt(bank, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sessions := e.Sessions()
+	if len(sessions) != len(want) {
+		t.Fatalf("%d sessions listed, want %d", len(sessions), len(want))
+	}
+	for i, st := range sessions {
+		if !want[st.Bank] || st.Events != 1 {
+			t.Errorf("session %d: %+v is not one of the ingested banks", i, st)
+		}
+		if i > 0 && sessions[i-1].Bank.BankKey() >= st.Bank.BankKey() {
+			t.Errorf("session %d out of order: key %#x after %#x", i, st.Bank.BankKey(), sessions[i-1].Bank.BankKey())
+		}
+		if one, ok := e.Session(st.Bank); !ok || one != st {
+			t.Errorf("Session(%v) = %+v, listed as %+v", st.Bank, one, st)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 		if owns != nil && !owns(im.key) {
 			continue
 		}
-		if _, exists := e.Session(im.bank); exists {
+		if _, exists := e.sessionByKey(im.key); exists {
 			st.Conflicts++
 			continue
 		}
@@ -149,7 +149,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 		}
 		bs, ok := adopted[key]
 		if !ok {
-			if _, exists := e.Session(hbm.BankOf(ev.Addr)); exists {
+			if _, exists := e.sessionByKey(key); exists {
 				st.Skipped++ // conflicting local session owns this bank's history
 				continue
 			}
@@ -226,14 +226,7 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 				continue
 			}
 			delete(s.sessions, key)
-			s.stateBytes -= int64(bs.stateBytes)
-			s.stateRows -= int64(bs.stateRows)
-			if bs.stateReleased {
-				s.released--
-			}
-			if bs.degraded {
-				s.degraded--
-			}
+			s.tally(bs, -1)
 			dropped++
 		}
 		s.mu.Unlock()
@@ -257,7 +250,7 @@ func (e *Engine) foldDetached(bs *bankSession, ev mcelog.Event) (out []Action, p
 			bs.degraded = true
 			e.quarantineDetached(&DeadLetter{
 				Time:   ev.Time,
-				Bank:   bs.bank.String(),
+				Bank:   hbm.BankOf(ev.Addr).String(),
 				Addr:   ev.Addr.Pack(),
 				Row:    ev.Addr.Row,
 				Class:  ev.Class.String(),
@@ -265,7 +258,7 @@ func (e *Engine) foldDetached(bs *bankSession, ev mcelog.Event) (out []Action, p
 			})
 		}
 	}()
-	return foldEvent(bs, ev, nil), false
+	return foldEvent(bs, ev, nil, nil), false
 }
 
 // quarantineDetached preserves a handoff-replay dead letter. Shard

@@ -43,7 +43,7 @@ func sessionStatsByKey(e *Engine) map[uint64]SessionStats {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		for key, bs := range s.sessions {
-			out[key] = bs.stats()
+			out[key] = bs.stats(key)
 		}
 		s.mu.Unlock()
 	}

@@ -87,50 +87,33 @@ func (e *Engine) registerMetrics() {
 	reg.GaugeFunc("cordial_sessions_live",
 		"Live per-bank sessions.",
 		func() float64 { return float64(e.SessionCount()) })
+	// shardSum is a gauge over a per-shard running total (guarded by mu).
+	shardSum := func(total func(*shard) int64) func() float64 {
+		return func() float64 {
+			var n int64
+			for _, s := range e.shards {
+				s.mu.Lock()
+				n += total(s)
+				s.mu.Unlock()
+			}
+			return float64(n)
+		}
+	}
 	reg.GaugeFunc("cordial_sessions_degraded",
 		"Sessions quarantined after a processing panic; they no longer feed their strategy session.",
-		func() float64 {
-			n := 0
-			for _, s := range e.shards {
-				s.mu.Lock()
-				n += s.degraded
-				s.mu.Unlock()
-			}
-			return float64(n)
-		})
+		shardSum(func(s *shard) int64 { return int64(s.degraded) }))
 	reg.GaugeFunc("cordial_sessions_released",
 		"Sessions that dropped their feature state after a terminal decision (bank spared).",
-		func() float64 {
-			n := 0
-			for _, s := range e.shards {
-				s.mu.Lock()
-				n += s.released
-				s.mu.Unlock()
-			}
-			return float64(n)
-		})
+		shardSum(func(s *shard) int64 { return int64(s.released) }))
+	reg.GaugeFunc("cordial_sessions_quiet",
+		"Sessions of banks with no UER yet, holding an observation log instead of a feature state.",
+		shardSum(func(s *shard) int64 { return int64(s.quiet) }))
 	reg.GaugeFunc("cordial_feature_state_bytes",
 		"Approximate resident bytes of all live sessions' incremental feature state.",
-		func() float64 {
-			var n int64
-			for _, s := range e.shards {
-				s.mu.Lock()
-				n += s.stateBytes
-				s.mu.Unlock()
-			}
-			return float64(n)
-		})
+		shardSum(func(s *shard) int64 { return s.stateBytes }))
 	reg.GaugeFunc("cordial_feature_state_rows",
 		"Tracked-row entries across live sessions' feature states.",
-		func() float64 {
-			var n int64
-			for _, s := range e.shards {
-				s.mu.Lock()
-				n += s.stateRows
-				s.mu.Unlock()
-			}
-			return float64(n)
-		})
+		shardSum(func(s *shard) int64 { return s.stateRows }))
 
 	for i, s := range e.shards {
 		s := s

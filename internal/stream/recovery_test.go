@@ -715,6 +715,68 @@ func TestPoisonQuarantineAndDeadLetter(t *testing.T) {
 	}
 }
 
+// TestPoisonAtPromotionQuarantinesTrigger: a quiet session does its feature
+// work late — the first UER replays the bank's logged observations — so a
+// panic there surfaces on an event other than the one that planted it. The
+// contract is unchanged: the event being processed is the one quarantined,
+// the session is degraded, the shard totals stay consistent and every other
+// bank keeps being served.
+func TestPoisonAtPromotionQuarantinesTrigger(t *testing.T) {
+	deadPath := filepath.Join(t.TempDir(), "dead.jsonl")
+	e, err := New(Config{Strategy: &fakeStrategy{budget: 3, poisonLogRow: 555}, Shards: 2, DeadLetterPath: deadPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, poisoned := testBank(1), testBank(3)
+	ce := uerAt(poisoned, 555, 0)
+	ce.Class = ecc.ClassCE
+	events := []mcelog.Event{ce, uerAt(healthy, 1, 1), uerAt(healthy, 2, 2)}
+	for _, ev := range events {
+		if err := e.Ingest(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Quarantined != 0 || st.SessionsDegraded != 0 {
+		t.Fatalf("logging the poisoned observation already quarantined: %+v", st)
+	}
+	// The first UER replays the log and panics; later traffic is only counted.
+	for _, ev := range []mcelog.Event{uerAt(poisoned, 9, 10), uerAt(poisoned, 10, 11), uerAt(healthy, 3, 12)} {
+		if err := e.Ingest(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Quarantined != 1 || st.SessionsDegraded != 1 || st.Processed != 6 {
+		t.Errorf("quarantined=%d degraded=%d processed=%d, want 1/1/6", st.Quarantined, st.SessionsDegraded, st.Processed)
+	}
+	if bad, ok := e.Session(poisoned); !ok || !bad.Degraded || bad.Events != 2 || bad.Actions != 0 {
+		t.Errorf("poisoned session %+v, want degraded with the CE and the post-poison UER counted", bad)
+	}
+	if good, ok := e.Session(healthy); !ok || good.Degraded || good.Actions == 0 {
+		t.Errorf("healthy session %+v, want active with actions", good)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drainActions(e)
+	data, err := os.ReadFile(deadPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dl DeadLetter
+	if err := json.Unmarshal(bytes.TrimSpace(data), &dl); err != nil {
+		t.Fatalf("dead-letter file %q: %v", data, err)
+	}
+	if dl.Bank != poisoned.String() || dl.Row != 9 || dl.Class != ecc.ClassUER.String() || !strings.Contains(dl.Reason, "replaying poisoned row 555") {
+		t.Errorf("dead letter %+v, want the UER at row 9 of bank %s", dl, poisoned)
+	}
+}
+
 // ---- snapshot retention ----------------------------------------------------
 
 // TestSnapshotRetention: snapshots retire fully-covered journal segments and

@@ -485,6 +485,7 @@ type jsonSession struct {
 	StateBytes      int       `json:"featureStateBytes"`
 	StateRows       int       `json:"featureStateRows"`
 	StateReleased   bool      `json:"featureStateReleased"`
+	StateDeferred   bool      `json:"stateDeferred"`
 	Degraded        bool      `json:"degraded"`
 	ModelVersion    uint64    `json:"modelVersion"`
 }
@@ -516,6 +517,7 @@ func (s *Server) handleBank(w http.ResponseWriter, r *http.Request) {
 		StateBytes:      st.StateBytes,
 		StateRows:       st.StateRows,
 		StateReleased:   st.StateReleased,
+		StateDeferred:   st.StateDeferred,
 		Degraded:        st.Degraded,
 		ModelVersion:    st.ModelVersion,
 	}
@@ -743,6 +745,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StateBytes     int64          `json:"featureStateBytes"`
 		StateRows      int64          `json:"featureStateRows"`
 		StateReleased  int            `json:"sessionsReleased"`
+		SessionsQuiet  int            `json:"sessionsQuiet"`
 		ShardStateB    []int64        `json:"shardFeatureStateBytes"`
 		Quarantined    uint64         `json:"quarantined"`
 		Degraded       int            `json:"sessionsDegraded"`
@@ -780,6 +783,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StateBytes:     es.FeatureStateBytes,
 		StateRows:      es.FeatureStateRows,
 		StateReleased:  es.SessionsReleased,
+		SessionsQuiet:  es.SessionsQuiet,
 		ShardStateB:    es.ShardStateBytes,
 		Quarantined:    es.Quarantined,
 		Degraded:       es.SessionsDegraded,

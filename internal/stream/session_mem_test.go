@@ -10,6 +10,7 @@ import (
 
 	"cordial/internal/core"
 	"cordial/internal/ecc"
+	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 )
@@ -36,11 +37,11 @@ func quietFleet(banks int) []mcelog.Event {
 
 // TestSessionHeapPerBank is the engine-level bytes-per-bank gate: the whole
 // per-bank cost of a quiet bank under the default Cordial strategy — session
-// map entry, bankSession, strategy session, feature state and its row
-// tables — stays under 1 800 B and 8 allocations.
+// map entry, bankSession, strategy session and its observation log — stays
+// under 600 B and 5 allocations.
 func TestSessionHeapPerBank(t *testing.T) {
-	if got := unsafe.Sizeof(bankSession{}); got > 256 {
-		t.Errorf("bankSession is %d bytes, want ≤ 256", got)
+	if got := unsafe.Sizeof(bankSession{}); got > 144 {
+		t.Errorf("bankSession is %d bytes, want ≤ 144", got)
 	}
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes and counts")
@@ -79,11 +80,14 @@ func TestSessionHeapPerBank(t *testing.T) {
 	heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / banks
 	mallocs := float64(after.Mallocs-before.Mallocs) / banks
 	t.Logf("%.0f B and %.2f mallocs per tracked bank", heap, mallocs)
-	if heap > 1800 {
-		t.Errorf("a quiet bank holds %.0f B of heap, want ≤ 1800", heap)
+	if heap > 600 {
+		t.Errorf("a quiet bank holds %.0f B of heap, want ≤ 600", heap)
 	}
-	if mallocs > 8 {
-		t.Errorf("a quiet bank cost %.2f mallocs, want ≤ 8", mallocs)
+	if mallocs > 5 {
+		t.Errorf("a quiet bank cost %.2f mallocs, want ≤ 5", mallocs)
+	}
+	if st := e.Stats(); st.SessionsQuiet != banks {
+		t.Errorf("%d of %d CE-only sessions are quiet", st.SessionsQuiet, banks)
 	}
 	runtime.KeepAlive(evs)
 }
@@ -97,7 +101,10 @@ func restoredSessionHistory(bank hbm.BankAddress) (quiet, failing []mcelog.Event
 	at := func(min, row int, class ecc.Class) mcelog.Event {
 		return mcelog.Event{Time: base.Add(time.Duration(min) * time.Minute), Addr: hbm.CellInBank(bank, row, 0), Class: class}
 	}
-	quiet = []mcelog.Event{at(0, 4000, ecc.ClassCE), at(7, 4003, ecc.ClassCE), at(7, 4000, ecc.ClassCE), at(90, 4010, ecc.ClassCE)}
+	// The last quiet event arrives late (its timestamp precedes its
+	// predecessor's): the engine folds events as they come, and a snapshot of
+	// the bank must not mind.
+	quiet = []mcelog.Event{at(0, 4000, ecc.ClassCE), at(7, 4003, ecc.ClassCE), at(7, 4000, ecc.ClassCE), at(90, 4010, ecc.ClassCE), at(30, 4003, ecc.ClassCE)}
 	failing = []mcelog.Event{
 		at(200, 4001, ecc.ClassUER), at(210, 4002, ecc.ClassUER), at(220, 4004, ecc.ClassUER),
 		at(225, 4004, ecc.ClassUER), at(230, 4005, ecc.ClassUER), at(240, 4006, ecc.ClassCE),
@@ -127,12 +134,43 @@ func feedAndClose(t *testing.T, e *Engine, bank hbm.BankAddress, evs []mcelog.Ev
 	return drainActions(e), st
 }
 
-// TestRestoredQuietSessionThenFails: a CE-only session owns no row sets, and
-// a snapshot or handoff image of it restores to one that owns none either.
-// The first UER and the first sparing decision after the restore must then
-// allocate them exactly as a session that never left memory does — same
-// actions, same rows, same stats. (With maps, writing to the restored nil
-// set is the bug this catches.)
+// v1Images makes a Cordial strategy write version-1 session images, as a
+// node that predates quiet sessions does: every unclassified session, however
+// quiet, as a full feature state.
+type v1Images struct{ *core.CordialStrategy }
+
+func (s v1Images) NewSession(bank hbm.BankAddress) core.Session {
+	st, err := s.Pipeline.NewBankState()
+	if err != nil {
+		panic(err)
+	}
+	return &v1Session{Session: s.CordialStrategy.NewSession(bank), state: st}
+}
+
+type v1Session struct {
+	core.Session
+	state *features.BankState
+}
+
+func (s *v1Session) OnEvent(e mcelog.Event) core.Decision {
+	s.state.Observe(e)
+	return s.Session.OnEvent(e)
+}
+
+func (s *v1Session) EncodeState() ([]byte, error) {
+	blob, err := s.state.MarshalBinary()
+	return append([]byte{'C', 'S', 'E', 'S', 1, 1 << 1 /* has state */, 0}, blob...), err
+}
+
+// TestRestoredQuietSessionThenFails: a CE-only session owns no row sets and,
+// under Cordial, no feature state — only its observations — and a snapshot
+// or handoff image of it restores to one that owns none either. The first
+// UER and the first sparing decision after the restore must then build them
+// exactly as a session that never left memory does — same actions, same
+// rows, same stats. (With maps, writing to the restored nil set is one bug
+// this catches; a promotion that replays a restored log wrongly is another.)
+// A version-1 image of the same bank, which carries a full state, must load
+// too and fail the same way.
 func TestRestoredQuietSessionThenFails(t *testing.T) {
 	strategies := map[string]core.Strategy{"fake": &fakeStrategy{budget: 3}}
 	if !testing.Short() {
@@ -153,10 +191,13 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 		if name == "fake" && len(wantActions) != 2 {
 			t.Fatalf("reference emitted %d actions, want the two row-spares", len(wantActions))
 		}
-		check := func(t *testing.T, e *Engine) {
+		check := func(t *testing.T, e *Engine, wantDeferred bool) {
 			t.Helper()
-			if st, ok := e.Session(bank); !ok || st.Events != len(quiet) || st.DistinctUERRows != 0 {
+			if st, ok := e.Session(bank); !ok || st.Events != len(quiet) || st.DistinctUERRows != 0 || st.StateDeferred != wantDeferred {
 				t.Fatalf("restored quiet session: %+v (found %t)", st, ok)
+			}
+			if es := e.Stats(); (es.SessionsQuiet == 1) != wantDeferred {
+				t.Fatalf("%d quiet sessions after the restore, deferred=%t", es.SessionsQuiet, wantDeferred)
 			}
 			gotActions, gotStats := feedAndClose(t, e, bank, failing)
 			assertSameActionSet(t, actionKeys(gotActions), actionKeys(wantActions))
@@ -193,7 +234,7 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, reborn)
+			check(t, reborn, name == "cordial")
 		})
 
 		t.Run(name+"/handoff-import", func(t *testing.T) {
@@ -221,8 +262,38 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 			if st, err := dst.ImportSessions(payload, nil, nil); err != nil || st.Sessions != 1 {
 				t.Fatalf("import: %+v, %v", st, err)
 			}
-			check(t, dst)
+			check(t, dst, name == "cordial")
 		})
+
+		if cordial, ok := strategy.(*core.CordialStrategy); ok {
+			t.Run(name+"/v1-image-import", func(t *testing.T) {
+				src, err := New(Config{Strategy: v1Images{cordial}, Shards: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer src.Close()
+				for _, ev := range quiet {
+					if err := src.Ingest(ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := src.Drain(10 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				payload, err := src.ExportSessions(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst, err := New(Config{Strategy: strategy, Shards: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st, err := dst.ImportSessions(payload, nil, nil); err != nil || st.Sessions != 1 {
+					t.Fatalf("import: %+v, %v", st, err)
+				}
+				check(t, dst, false)
+			})
+		}
 	}
 }
 

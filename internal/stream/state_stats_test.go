@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +12,9 @@ import (
 
 // TestEngineFeatureStateStats pins the bounded-memory accounting: per-bank
 // snapshots expose the feature state's footprint, spared banks show it
-// released, and the engine aggregate equals the sum over live sessions.
+// released, banks without a UER show it deferred (an observation log: bytes
+// but no tracked rows), and the engine aggregates equal the sums over live
+// sessions.
 func TestEngineFeatureStateStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a pipeline")
@@ -66,7 +69,7 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	// Cross-check the aggregate against the per-session snapshots and the
 	// release contract for spared banks.
 	var sessBytes, sessRows int64
-	released := 0
+	released, quiet := 0, 0
 	for key := range fleet.Log.GroupByBank() {
 		st, ok := engine.Session(hbm.Unpack(key))
 		if !ok {
@@ -76,6 +79,14 @@ func TestEngineFeatureStateStats(t *testing.T) {
 		sessRows += int64(st.StateRows)
 		if st.StateReleased {
 			released++
+		}
+		if st.StateDeferred {
+			quiet++
+			if st.UEREvents != 0 || st.StateReleased || st.StateRows != 0 || st.StateBytes <= 0 {
+				t.Errorf("quiet bank %x: %+v", key, st)
+			}
+		} else if !st.StateReleased && st.StateRows <= 0 {
+			t.Errorf("promoted bank %x tracks no rows", key)
 		}
 		if st.BankSpared {
 			if !st.StateReleased {
@@ -94,6 +105,27 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	}
 	if es.SessionsReleased != released {
 		t.Errorf("SessionsReleased = %d, per-session count %d", es.SessionsReleased, released)
+	}
+	if es.SessionsQuiet != quiet {
+		t.Errorf("SessionsQuiet = %d, per-session count %d", es.SessionsQuiet, quiet)
+	}
+	if quiet == 0 {
+		t.Error("no quiet session (no CE-only bank in test fleet?)")
+	}
+	// The gauges read the same shard totals.
+	var scrape strings.Builder
+	if err := engine.Metrics().WriteText(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]int64{
+		"cordial_sessions_quiet":      int64(quiet),
+		"cordial_sessions_released":   int64(released),
+		"cordial_feature_state_bytes": sessBytes,
+		"cordial_feature_state_rows":  sessRows,
+	} {
+		if got := metricValue(t, scrape.String(), series); got != float64(want) {
+			t.Errorf("%s = %v, per-session sum %d", series, got, want)
+		}
 	}
 	if released == 0 {
 		t.Error("no session released state (no bank spared in test fleet?)")

@@ -37,8 +37,10 @@ go test ./... "$@"
 echo "==> go test -race (parallel-training equivalence focus)"
 # Fast-failing race pass over the tests that exercise the shared worker
 # pool hardest: parallel-vs-serial equivalence, arena-vs-pointer forest
-# equivalence, flat-tree round-trips and batch inference. The full -race
-# suite below still covers everything.
+# equivalence, flat-tree round-trips and batch inference — and, by the same
+# pattern, core's quiet≡eager session gate (TestQuietSessionEquivalence). The
+# full -race suite below still covers everything, the engine-level restore of
+# quiet sessions (TestRestoredQuietSessionThenFails) included.
 go test -race -run 'Equivalence|Parallel|RoundTrip|Batch' \
     ./internal/mltree/ ./internal/core/
 
@@ -75,6 +77,13 @@ echo "==> fuzz smoke (bank-state snapshot decoder, 5s)"
 go test -run '^$' -fuzz 'FuzzUnmarshalBankState' -fuzztime 5s \
     ./internal/features/
 
+echo "==> fuzz smoke (Cordial session image decoder, 5s)"
+# Session images come from disk and from peers (handoff): arbitrary bytes
+# must be refused or restore to a session — quiet, promoted or released —
+# that encodes back to exactly the input and survives its promotion. Seeded
+# with version-1 and version-2 images.
+go test -run '^$' -fuzz 'FuzzRestoreSession' -fuzztime 5s ./internal/core/
+
 echo "==> fuzz smoke (WAL record decoder, 5s)"
 # The decoder must classify arbitrary bytes as a record, a clean torn
 # tail, or corruption — never panic, never over-read.
@@ -107,12 +116,13 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 # OnEvent only its Decision, with the default 80-tree forest.
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 
-echo "==> bytes per bank gate (BankState ≤ 1 KiB, a quiet bank ≤ 1800 B and ≤ 8 mallocs in the engine)"
+echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, a quiet bank ≤ 600 B and ≤ 5 mallocs in the engine)"
 # A fleet engine holds one session per bank that ever logged an error, so
 # bytes per tracked bank is its memory bill. The struct sizes are pinned by
 # unsafe.Sizeof, the whole per-bank cost (session map entry, bankSession,
-# strategy session, feature state and row tables) by a HeapAlloc/Mallocs
-# delta over 20 000 CE-only banks under the default Cordial strategy.
+# strategy session and its observation log — a quiet bank owns no feature
+# state) by a HeapAlloc/Mallocs delta over 20 000 CE-only banks under the
+# default Cordial strategy.
 go test -run 'TestBankStateSize|TestSessionHeapPerBank' -count 1 \
     ./internal/features/ ./internal/stream/
 
