@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -70,6 +72,41 @@ func TestPipelineParallelismEquivalence(t *testing.T) {
 					t.Fatalf("%s: block %d probability differs: %g vs %g", kind, b, ps[b], pp[b])
 				}
 			}
+		}
+	}
+}
+
+// savedModelsGolden pins the bytes Pipeline.SaveModels writes for one seeded
+// default random-forest fit (trace seed 17, 40 failing banks, Config.Seed 17)
+// at Parallelism 1 and 8. The hashes were generated at the commit before the
+// forest trainer was rewritten over value codes (PR 17); the two differ only
+// because ForestConfig.Parallelism is part of the saved payload. A trainer
+// that grows a different tree anywhere — another split, another tie-break,
+// another RNG draw — changes them.
+var savedModelsGolden = map[int]string{
+	1: "76775ab53c16d5e8f252c5ce15b638d4a8d480bbfedbce6133c2a9e2289cf369",
+	8: "9aebf6ff3bb8127215ae5dcaf272d9f803905552b36cf547940052818521567c",
+}
+
+func TestSaveModelsGolden(t *testing.T) {
+	fleet := testFleet(t, 17, 40)
+	for _, parallelism := range []int{1, 8} {
+		cfg := DefaultConfig(RandomForest)
+		cfg.Params.Parallelism = parallelism
+		cfg.Seed = 17
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Fit(fleet.Faults); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := p.SaveModels(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != savedModelsGolden[parallelism] {
+			t.Errorf("Parallelism %d: SaveModels SHA-256 = %s, want %s", parallelism, got, savedModelsGolden[parallelism])
 		}
 	}
 }

@@ -205,12 +205,55 @@ func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	}
 }
 
+// arenasOf returns the node arenas a model predicts through.
+func arenasOf(m Classifier) []*flatEnsemble {
+	switch m := m.(type) {
+	case *Tree:
+		return []*flatEnsemble{m.flat}
+	case *Forest:
+		return []*flatEnsemble{m.arena}
+	case *GBDT:
+		return chainArenas(m.boosters)
+	case *HistGBDT:
+		return chainArenas(m.boosters)
+	}
+	return nil
+}
+
+func chainArenas(boosters []*booster) (out []*flatEnsemble) {
+	for _, b := range boosters {
+		out = append(out, b.flat)
+	}
+	return out
+}
+
+// assertArenasExact asserts every arena array was allocated at exactly its
+// final length: a model held by a serving process carries no append slack.
+func assertArenasExact(t *testing.T, label string, m Classifier) {
+	t.Helper()
+	for _, fe := range arenasOf(m) {
+		if fe == nil {
+			t.Fatalf("%s: model has no flat form", label)
+		}
+		for name, slack := range map[string]int{
+			"feature": cap(fe.feature) - len(fe.feature), "threshold": cap(fe.threshold) - len(fe.threshold),
+			"left": cap(fe.left) - len(fe.left), "right": cap(fe.right) - len(fe.right), "leaf": cap(fe.leaf) - len(fe.leaf),
+		} {
+			if slack != 0 {
+				t.Fatalf("%s: arena %s has %d elements of slack", label, name, slack)
+			}
+		}
+	}
+}
+
 // TestSerializeRoundTripCompilesFlat asserts a loaded model predicts through
-// a recompiled arena — one per forest, none on its members — and matches the
-// original exactly, per-row and batched.
+// a recompiled arena — one per forest, none on its members, each array
+// exactly sized, as on the fitted model — and matches the original exactly,
+// per-row and batched.
 func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 	train, test := noisyBlobs(33, 3, 120)
 	for _, m := range fitAll(t, train, 0) {
+		assertArenasExact(t, typeName(m)+" fitted", m)
 		var buf bytes.Buffer
 		if err := Save(&buf, m); err != nil {
 			t.Fatalf("%s: save: %v", typeName(m), err)
@@ -219,30 +262,14 @@ func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", typeName(m), err)
 		}
-		switch lm := loaded.(type) {
-		case *Tree:
-			if lm.flat == nil {
-				t.Fatal("loaded tree has no flat form")
+		assertArenasExact(t, typeName(m)+" loaded", loaded)
+		if lf, ok := loaded.(*Forest); ok {
+			if len(lf.arena.roots) != len(lf.trees) {
+				t.Fatal("loaded forest's arena does not cover its members")
 			}
-		case *Forest:
-			if lm.arena == nil || len(lm.arena.roots) != len(lm.trees) {
-				t.Fatal("loaded forest has no arena over its members")
-			}
-			for _, tr := range lm.trees {
+			for _, tr := range lf.trees {
 				if tr.flat != nil {
 					t.Fatal("loaded forest member was compiled on its own")
-				}
-			}
-		case *GBDT:
-			for _, b := range lm.boosters {
-				if b.flat == nil {
-					t.Fatal("loaded gbdt booster has no flat form")
-				}
-			}
-		case *HistGBDT:
-			for _, b := range lm.boosters {
-				if b.flat == nil {
-					t.Fatal("loaded histgbdt booster has no flat form")
 				}
 			}
 		}

@@ -33,9 +33,29 @@ type flatEnsemble struct {
 // flatLeaf marks a leaf node in the feature array.
 const flatLeaf = int32(-1)
 
+// newFlatEnsemble sizes an arena for trees full binary trees holding leaves
+// leaves between them — 2·leaves − trees nodes — exactly: add appends within
+// that capacity, so a live model carries no append slack.
+func newFlatEnsemble(width, trees, leaves int) *flatEnsemble {
+	nodes := 2*leaves - trees
+	return &flatEnsemble{
+		feature:   make([]int32, 0, nodes),
+		threshold: make([]float64, 0, nodes),
+		left:      make([]int32, 0, nodes),
+		right:     make([]int32, 0, nodes),
+		leaf:      make([]float64, 0, leaves*width),
+		width:     width,
+		roots:     make([]int32, trees),
+	}
+}
+
 // compileChain flattens a boosting chain's regression trees.
 func compileChain(trees []*treeNode) *flatEnsemble {
-	fe := &flatEnsemble{width: 1, roots: make([]int32, len(trees))}
+	leaves := 0
+	for _, t := range trees {
+		leaves += t.countLeaves()
+	}
+	fe := newFlatEnsemble(1, len(trees), leaves)
 	for i, t := range trees {
 		fe.roots[i] = fe.add(t, nil)
 	}
@@ -47,12 +67,17 @@ func compileChain(trees []*treeNode) *flatEnsemble {
 // of classes and every leaf must carry one probability per class of its
 // tree (Decode checks both for untrusted input).
 func compileClassifier(trees []*Tree, classes []int) *flatEnsemble {
-	fe := &flatEnsemble{width: len(classes), roots: make([]int32, len(trees))}
+	leaves := 0
+	for _, t := range trees {
+		leaves += t.root.countLeaves()
+	}
+	fe := newFlatEnsemble(len(classes), len(trees), leaves)
 	idx := classIndex(classes)
+	cols := make([]int, 0, len(classes)) // non-nil: nil means a regression leaf to add
 	for i, t := range trees {
-		cols := make([]int, len(t.classes))
-		for j, c := range t.classes {
-			cols[j] = idx[c]
+		cols = cols[:0]
+		for _, c := range t.classes {
+			cols = append(cols, idx[c])
 		}
 		fe.roots[i] = fe.add(t.root, cols)
 	}

@@ -76,105 +76,75 @@ func (f *Forest) Fit(ds *Dataset) error {
 		return err
 	}
 	f.classes = ds.Classes()
-	idx := classIndex(f.classes)
-	n := ds.NumSamples()
-	bag := int(float64(n) * f.Config.BootstrapRatio)
-	if bag < 1 {
-		bag = 1
-	}
+	n, k := ds.NumSamples(), len(f.classes)
+	bag := max(1, int(float64(n)*f.Config.BootstrapRatio))
 	rng := xrand.New(f.Config.Seed)
 
-	// Shared read-only training state: the columnized matrix, encoded
-	// labels, and one presort of the full training set. Each member's
-	// bootstrap bag is a multiset of these rows, so its per-feature sorted
-	// lists are derived from the base order by a counting filter — no
-	// per-tree sorting at all. Duplicated rows share a value, so emitting
-	// the copies adjacently leaves every boundary scan (and therefore every
-	// split, tree, and prediction) identical to sorting the bag directly.
-	cols := columnize(ds.Features)
-	y := make([]int, n)
-	for i, l := range ds.Labels {
-		y[i] = idx[l]
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	baseSorted := presortByFeature(cols, all)
-
-	// Out-of-bag vote accumulation: votes[i][c] sums probabilities from
-	// trees whose bag excluded sample i.
-	votes := make([][]float64, n)
-	for i := range votes {
-		votes[i] = make([]float64, len(f.classes))
-	}
-	oobSeen := make([]bool, n)
+	// Shared read-only training state: labels and value codes from one
+	// presort of the full training set (see grower.go). A member's bootstrap
+	// bag is a multiset of these rows, held as a multiplicity per row.
+	cd := newClassData(ds, f.classes)
 
 	// Derive every member's RNG up front so fitting order cannot change
-	// the result, then fan the members out over the shared worker pool.
-	type member struct {
-		tree  *Tree
-		inBag []bool
-	}
-	members := make([]member, f.Config.NumTrees)
+	// the result, then fan the members out over the shared worker pool,
+	// each worker growing its members with one reused grower.
 	rngs := make([]*xrand.RNG, f.Config.NumTrees)
 	for t := range rngs {
 		rngs[t] = rng.Split()
 	}
-
-	runWorkers(f.Config.NumTrees, f.Config.Parallelism, func(_, t int) {
-		treeRNG := rngs[t]
-		mult := make([]int, n)
-		inBag := make([]bool, n)
-		for j := 0; j < bag; j++ {
-			s := treeRNG.Intn(n)
-			mult[s]++
-			inBag[s] = true
+	members := make([]Tree, f.Config.NumTrees)
+	f.trees = make([]*Tree, f.Config.NumTrees)
+	inBag := make([]bool, f.Config.NumTrees*n) // member-major
+	cfg := f.Config.Tree.withDefaults()
+	growers := make([]*grower, maxExtraWorkers+1)
+	runWorkers(f.Config.NumTrees, f.Config.Parallelism, func(worker, t int) {
+		g := growers[worker]
+		if g == nil {
+			g = newGrower(cd, cfg)
+			growers[worker] = g
 		}
-		tree := NewTree(f.Config.Tree, treeRNG)
-		tree.fitFromSorted(cols, y, f.classes, deriveSorted(baseSorted, mult, bag))
-		members[t] = member{tree: tree, inBag: inBag}
+		clear(g.mult)
+		in := inBag[t*n : (t+1)*n]
+		for j := 0; j < bag; j++ {
+			s := rngs[t].Intn(n)
+			g.mult[s]++
+			in[s] = true
+		}
+		members[t] = Tree{Config: cfg, root: g.fit(rngs[t]), classes: f.classes}
+		f.trees[t] = &members[t]
 	})
-
-	f.trees = make([]*Tree, len(members))
-	for t, m := range members {
-		f.trees[t] = m.tree
-	}
 	f.arena = compileClassifier(f.trees, f.classes)
-	for t, m := range members {
-		for i := 0; i < n; i++ {
-			if m.inBag[i] {
+
+	// Out-of-bag votes: votes[i*k+c] sums, in member order, the class-c
+	// probability from the trees whose bag excluded sample i.
+	votes := make([]float64, n*k)
+	oobSeen := make([]bool, n)
+	for t := range f.trees {
+		for i, in := range inBag[t*n : (t+1)*n] {
+			if in {
 				continue
 			}
 			oobSeen[i] = true
 			off := int(f.arena.leafFrom(f.arena.roots[t], ds.Features[i]))
-			for c, p := range f.arena.leaf[off : off+len(f.classes)] {
-				votes[i][c] += p
+			for c, p := range f.arena.leaf[off : off+k] {
+				votes[i*k+c] += p
 			}
 		}
 	}
 
-	// OOB accuracy.
 	correct, counted := 0, 0
 	for i := 0; i < n; i++ {
 		if !oobSeen[i] {
 			continue
 		}
 		counted++
-		best, bestV := 0, votes[i][0]
-		for c, v := range votes[i] {
-			if v > bestV {
-				best, bestV = c, v
-			}
-		}
-		if best == idx[ds.Labels[i]] {
+		if argmaxLabel(f.classes, votes[i*k:(i+1)*k]) == ds.Labels[i] {
 			correct++
 		}
 	}
+	f.oobScore = -1
 	if counted > 0 {
 		f.oobScore = float64(correct) / float64(counted)
-	} else {
-		f.oobScore = -1
 	}
 	return nil
 }

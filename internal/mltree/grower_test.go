@@ -1,0 +1,258 @@
+package mltree
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"testing"
+
+	"cordial/internal/xrand"
+)
+
+// naiveCART is the executable specification of classification-tree growth:
+// at every node, for every candidate feature, stably sort the node's bag rows
+// (a multiset — bootstrap duplicates are rows of their own) by value and scan
+// the boundaries between distinct values. No presort, no codes, no scratch.
+type naiveCART struct {
+	ds  *Dataset
+	y   []int // class index by row
+	k   int
+	cfg TreeConfig
+	rng *xrand.RNG
+}
+
+func (c *naiveCART) grow(rows []int, depth int) *treeNode {
+	counts := make([]float64, c.k)
+	for _, i := range rows {
+		counts[c.y[i]]++
+	}
+	n := float64(len(rows))
+	leaf := &treeNode{Probs: make([]float64, c.k)}
+	for cl, v := range counts {
+		leaf.Probs[cl] = v / n
+	}
+	if len(rows) < c.cfg.MinSamplesSplit || (c.cfg.MaxDepth > 0 && depth >= c.cfg.MaxDepth) || isPure(counts) {
+		return leaf
+	}
+	d := c.ds.NumFeatures()
+	var cands []int
+	if maxFeat := c.cfg.resolveMaxFeatures(d); maxFeat >= d || c.rng == nil {
+		for f := 0; f < d; f++ {
+			cands = append(cands, f)
+		}
+	} else {
+		cands = c.rng.SampleInts(d, maxFeat)
+	}
+	parentImp := impurity(counts, n, c.cfg.Criterion)
+	bestGain, bestFeat, bestV, bestNext := minClassGain, -1, 0.0, 0.0
+	for _, f := range cands {
+		sorted := append([]int(nil), rows...)
+		sort.SliceStable(sorted, func(a, b int) bool { return c.ds.Features[sorted[a]][f] < c.ds.Features[sorted[b]][f] })
+		left, right := make([]float64, c.k), append([]float64(nil), counts...)
+		for j := 0; j+1 < len(sorted); j++ {
+			left[c.y[sorted[j]]]++
+			right[c.y[sorted[j]]]--
+			v, next := c.ds.Features[sorted[j]][f], c.ds.Features[sorted[j+1]][f]
+			if v == next || j+1 < c.cfg.MinSamplesLeaf || len(sorted)-j-1 < c.cfg.MinSamplesLeaf {
+				continue
+			}
+			nl, nr := float64(j+1), n-float64(j+1)
+			gain := parentImp - (nl*impurity(left, nl, c.cfg.Criterion)+nr*impurity(right, nr, c.cfg.Criterion))/n
+			if gain > bestGain {
+				bestGain, bestFeat, bestV, bestNext = gain, f, v, next
+			}
+		}
+	}
+	if bestFeat < 0 {
+		return leaf
+	}
+	var l, r []int
+	for _, i := range rows {
+		if c.ds.Features[i][bestFeat] <= bestV {
+			l = append(l, i)
+		} else {
+			r = append(r, i)
+		}
+	}
+	return &treeNode{Feature: bestFeat, Threshold: (bestV + bestNext) / 2, Left: c.grow(l, depth+1), Right: c.grow(r, depth+1)}
+}
+
+// growerCase draws one dataset and tree configuration from seed: 20–320 rows
+// (a tenth of them copies of other rows), 2–4 classes (the last one rare, so
+// bags miss it), and one column of each kind the scoring paths treat
+// differently — constant, binary, signed zeros, low-cardinality, a
+// cardinality above n/2, continuous — some of them carrying the label.
+func growerCase(seed uint64) (*Dataset, TreeConfig) {
+	r := xrand.New(seed)
+	n, k := 20+r.Intn(300), 2+r.Intn(3)
+	ds := &Dataset{}
+	for i := 0; i < n; i++ {
+		if i > 0 && r.Bool(0.1) {
+			j := r.Intn(i)
+			ds.Features = append(ds.Features, append([]float64(nil), ds.Features[j]...))
+			ds.Labels = append(ds.Labels, ds.Labels[j])
+			continue
+		}
+		label := r.Intn(k)
+		if label == k-1 && r.Bool(0.9) {
+			label = 0
+		}
+		signal := float64(label)
+		if r.Bool(0.2) {
+			signal = float64(r.Intn(k))
+		}
+		zero := 0.0
+		if r.Bool(0.5) {
+			zero = math.Copysign(0, -1)
+		}
+		ds.Features = append(ds.Features, []float64{
+			7,                             // constant
+			float64(r.Intn(2)),            // binary noise
+			[]float64{zero, 1}[r.Intn(2)], // −0, +0 and 1
+			signal + float64(r.Intn(3)),   // low cardinality, informative
+			float64(r.Intn(5)) - 2,        // low cardinality noise
+			math.Round(signal*float64(n)/4 + r.Normal(0, float64(n))), // cardinality above n/2, informative
+			float64(r.Intn(n)),             // cardinality above n/2 noise
+			signal + r.Normal(0, 1),        // continuous, informative
+			r.Normal(0, 1),                 // continuous noise
+			math.Round(r.Normal(0, 2)) / 2, // a dozen values
+		})
+		ds.Labels = append(ds.Labels, label)
+	}
+	cfg := TreeConfig{
+		MaxDepth:        []int{0, 0, 3, 6}[r.Intn(4)],
+		MinSamplesSplit: []int{2, 2, 6, 10}[r.Intn(4)],
+		MinSamplesLeaf:  []int{1, 1, 3, 5}[r.Intn(4)],
+		MaxFeatures:     []int{0, -1, 2, 8}[r.Intn(4)], // all, sqrt, a sparse draw, a dense one
+		Criterion:       []Criterion{Gini, Entropy}[r.Intn(2)],
+	}
+	return ds, cfg.withDefaults()
+}
+
+func assertSameTree(t *testing.T, label string, got, want *treeNode) {
+	t.Helper()
+	if got.isLeaf() != want.isLeaf() {
+		t.Fatalf("%s: leaf where the reference splits, or the reverse", label)
+	}
+	if want.isLeaf() {
+		assertBitsEqual(t, label+" leaf", got.Probs, want.Probs)
+		return
+	}
+	if got.Feature != want.Feature || math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) {
+		t.Fatalf("%s: split on feature %d at %v, reference on %d at %v", label, got.Feature, got.Threshold, want.Feature, want.Threshold)
+	}
+	assertSameTree(t, label+"L", got.Left, want.Left)
+	assertSameTree(t, label+"R", got.Right, want.Right)
+}
+
+// TestGrowerMatchesReference grows, over 120 seeded datasets and
+// configurations, three bootstrap members and one whole-set tree with the
+// grower — the scoring cutover forced to all-sort, left at its default, and
+// forced to all-histogram — and requires each to equal naiveCART's tree node
+// for node (feature, threshold bits, leaf probability bits) and to leave the
+// generator where naiveCART leaves it.
+func TestGrowerMatchesReference(t *testing.T) {
+	saved := histCutover
+	t.Cleanup(func() { histCutover = saved })
+	splits, missed := 0, 0
+	for seed := uint64(1); seed <= 120; seed++ {
+		ds, cfg := growerCase(seed)
+		n := ds.NumSamples()
+		cd := newClassData(ds, ds.Classes())
+		ref := &naiveCART{ds: ds, k: cd.k, cfg: cfg}
+		for _, c := range cd.y {
+			ref.y = append(ref.y, int(c))
+		}
+		for member := uint64(0); member < 4; member++ {
+			// Member 0 is Tree.Fit's shape (every row once, no generator, so
+			// every feature in order); the others are Forest.Fit's.
+			draw := func() (rows []int, rng *xrand.RNG) {
+				rows = make([]int, n)
+				for i := range rows {
+					rows[i] = i
+				}
+				if member > 0 {
+					rng = xrand.New(seed<<8 | member)
+					for j := range rows {
+						rows[j] = rng.Intn(n)
+					}
+				}
+				return rows, rng
+			}
+			rows, rng := draw()
+			ref.rng = rng
+			want := ref.grow(rows, 0)
+			var next uint64
+			if rng != nil {
+				next = rng.Uint64()
+			}
+			splits += want.countLeaves() - 1
+			seen := make([]bool, cd.k)
+			for _, i := range rows {
+				seen[cd.y[i]] = true
+			}
+			if slices.Contains(seen, false) {
+				missed++
+			}
+			for _, cutover := range []int{0, saved, math.MaxInt32} {
+				histCutover = cutover
+				g := newGrower(cd, cfg)
+				// A worker's grower fits one member after another: grow a
+				// decoy first so that stale scratch would show.
+				for i := range g.mult {
+					g.mult[i] = 1
+				}
+				g.fit(nil)
+				rows, rng := draw()
+				clear(g.mult)
+				for _, i := range rows {
+					g.mult[i]++
+				}
+				label := fmt.Sprintf("seed %d member %d cutover %d: node ", seed, member, cutover)
+				assertSameTree(t, label, g.fit(rng), want)
+				if rng != nil && rng.Uint64() != next {
+					t.Fatalf("%s: generator left at a different point than the reference's", label)
+				}
+			}
+		}
+	}
+	if splits < 2000 || missed < 20 {
+		t.Fatalf("cases too easy: %d splits compared, %d bags missing a class", splits, missed)
+	}
+}
+
+// TestForestFitAllocs pins what a forest fit allocates: a member tree costs
+// its generator, its node array and its probability array, and everything
+// else (value codes, one grower per worker, the arena, the out-of-bag
+// tables) is per fit — nothing is per node. The presorted-list trainer this
+// replaced made 6.6 allocations per node: 207 664 for the 80 trees (31 446
+// nodes) fitted here. It also runs the workers' growers side by side for the
+// race detector.
+func TestForestFitAllocs(t *testing.T) {
+	train, _ := noisyBlobs(41, 3, 700) // 2 100 rows of overlapping classes: deep trees
+	fit := func(trees int) (allocs float64, nodes int) {
+		allocs = testing.AllocsPerRun(2, func() {
+			f := NewForest(ForestConfig{NumTrees: trees, Tree: TreeConfig{MaxDepth: 12}, Parallelism: 8, Seed: 11})
+			if err := f.Fit(train); err != nil {
+				t.Fatal(err)
+			}
+			nodes = len(f.arena.feature)
+		})
+		return allocs, nodes
+	}
+	a80, nodes := fit(80)
+	a160, _ := fit(160)
+	perTree := (a160 - a80) / 80
+	perFit := a80 - 80*perTree
+	t.Logf("%v allocations for 80 trees (%d nodes), %v for 160: %.2f per tree + %.0f per fit", a80, nodes, a160, perTree, perFit)
+	if raceEnabled {
+		return // the detector's own bookkeeping allocates
+	}
+	// Measured 3.00 per tree and 63 + 39 per worker per fit (179 with the
+	// three workers of a 2-CPU box).
+	workers := min(8, maxExtraWorkers+1)
+	if limit := float64(80 + 50*workers); perTree > 4 || perFit > limit {
+		t.Fatalf("Forest.Fit allocates %.2f times per tree + %.0f per fit, want ≤ 4 + %.0f", perTree, perFit, limit)
+	}
+}

@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// This file is the package's single worker-pool idiom. Forest fitting,
-// split-finding and batch prediction all fan out through runWorkers, which
-// draws helper goroutines from one package-wide bounded token pool so that
-// nested parallel sections (a parallel forest fit whose member trees also
-// parallelize split search, or concurrent one-vs-rest boosting arms) cannot
-// multiply into GOMAXPROCS² goroutines.
+// This file is the package's single worker-pool idiom. Forest members,
+// presorting, boosted-tree split search and batch prediction all fan out
+// through runWorkers, which draws helper goroutines from one package-wide
+// bounded token pool so that nested parallel sections (one-vs-rest boosting
+// arms whose trees also parallelize split search) cannot multiply into
+// GOMAXPROCS² goroutines. A forest is parallel across members only.
 //
 // Determinism contract: every call site addresses its tasks by index and
 // writes results only at that index, and every reduction over task results
@@ -33,10 +33,10 @@ var workerTokens = func() chan struct{} {
 	return ch
 }()
 
-// minParallelSplitWork gates feature-parallel split search: nodes whose
-// |samples|×|candidate features| product is below it search serially, since
-// pool traffic would cost more than it saves. Variable so tests can force
-// the parallel path on tiny datasets.
+// minParallelSplitWork gates the boosted trees' feature-parallel split
+// search, list partition and presort: nodes whose |samples|×|features|
+// product is below it run serially, since pool traffic would cost more than
+// it saves. Variable so tests can force the parallel path on tiny datasets.
 var minParallelSplitWork = 2048
 
 // defaultParallelism resolves a user parallelism knob: values <= 0 mean

@@ -178,57 +178,14 @@ func (t *Tree) Fit(ds *Dataset) error {
 	if err := ds.Validate(); err != nil {
 		return err
 	}
-	classes := ds.Classes()
-	idx := classIndex(classes)
-	y := make([]int, ds.NumSamples())
-	for i, l := range ds.Labels {
-		y[i] = idx[l]
+	t.classes = ds.Classes()
+	g := newGrower(newClassData(ds, t.classes), t.Config)
+	for i := range g.mult {
+		g.mult[i] = 1
 	}
-	samples := make([]int, ds.NumSamples())
-	for i := range samples {
-		samples[i] = i
-	}
-	cols := columnize(ds.Features)
-	t.fitFromSorted(cols, y, classes, presortByFeature(cols, samples))
-	t.flat = compileClassifier([]*Tree{t}, classes)
+	t.root = g.fit(t.rng)
+	t.flat = compileClassifier([]*Tree{t}, t.classes)
 	return nil
-}
-
-// fitFromSorted grows the tree from prepared training state: a columnized
-// feature matrix, class-index labels, the class list, and per-feature
-// sorted sample lists (possibly a multiset of rows — the forest passes
-// bootstrap bags derived from a shared base presort). sorted is consumed;
-// cols and y are only read.
-func (t *Tree) fitFromSorted(cols [][]float64, y []int, classes []int, sorted [][]int32) {
-	t.classes = classes
-	b := &classBuilder{
-		cfg:     t.Config,
-		cols:    cols,
-		y:       y,
-		k:       len(classes),
-		rng:     t.rng,
-		maxFeat: t.Config.resolveMaxFeatures(len(cols)),
-	}
-	t.root = b.build(sorted, 0)
-}
-
-// deriveSorted filters a base presort down to a bootstrap bag: each base
-// row appears mult[i] times, adjacently, at its sorted position. This is
-// order-equivalent to sorting the bag itself (duplicates share a value) and
-// costs O(features × n) instead of a sort per member.
-func deriveSorted(base [][]int32, mult []int, bag int) [][]int32 {
-	backing := make([]int32, len(base)*bag)
-	out := make([][]int32, len(base))
-	for f, lst := range base {
-		d := backing[f*bag : f*bag : (f+1)*bag]
-		for _, i := range lst {
-			for c := mult[i]; c > 0; c-- {
-				d = append(d, i)
-			}
-		}
-		out[f] = d
-	}
-	return out
 }
 
 // PredictProba returns the class distribution of the leaf x lands in.
@@ -322,9 +279,9 @@ func radixSortPairs(keys []uint64, idx []int32, keysAlt []uint64, idxAlt []int32
 }
 
 // presortByFeature returns, for every feature, the sample indices ordered by
-// that feature's value — the per-fit presort that removes sorting from the
-// per-node split search entirely. Node recursion maintains these orders by
-// stable partition, so only the root ever pays a sort at all. Features sort
+// that feature's value — the one sort a fit pays. Boosted trees maintain
+// these orders down the recursion by stable partition; classification trees
+// derive their value codes from them (grower.go). Features sort
 // independently in parallel; the orders (and anything derived from them)
 // are identical for any worker count.
 func presortByFeature(cols [][]float64, samples []int) [][]int32 {
@@ -336,16 +293,21 @@ func presortByFeature(cols [][]float64, samples []int) [][]int32 {
 	}
 	n := len(samples)
 	backing := make([]int32, numFeatures*n)
-	runWorkers(numFeatures, want, func(_, f int) {
-		col := cols[f]
-		keys := make([]uint64, n)
-		idx := make([]int32, n)
+	// Per worker, not per feature: n keys and n indices, and as many again
+	// for the radix passes to alternate with.
+	keys := make([][]uint64, maxExtraWorkers+1)
+	idx := make([][]int32, maxExtraWorkers+1)
+	runWorkers(numFeatures, want, func(worker, f int) {
+		if keys[worker] == nil {
+			keys[worker], idx[worker] = make([]uint64, 2*n), make([]int32, 2*n)
+		}
+		k, ix, col := keys[worker], idx[worker], cols[f]
 		for i, s := range samples {
-			idx[i] = int32(s)
-			keys[i] = orderableBits(col[s])
+			ix[i] = int32(s)
+			k[i] = orderableBits(col[s])
 		}
 		seg := backing[f*n : (f+1)*n]
-		copy(seg, radixSortPairs(keys, idx, make([]uint64, n), make([]int32, n)))
+		copy(seg, radixSortPairs(k[:n], ix[:n], k[n:], ix[n:]))
 		sorted[f] = seg
 	})
 	return sorted
@@ -437,208 +399,8 @@ type splitCand struct {
 	feat int
 	thr  float64
 	nl   int // left-child size (exact-split paths)
-	bin  int // histogram split bin (HistGBDT path only)
+	bin  int // split bin (HistGBDT) or value code (grower): at most bin goes left
 	ok   bool
-}
-
-// minClassGain is the impurity-decrease floor below which a classification
-// split is not worth making.
-const minClassGain = 1e-12
-
-// classScratch is one worker's reusable class-count buffers.
-type classScratch struct {
-	leftCounts  []float64
-	rightCounts []float64
-}
-
-// classBuilder grows a classification tree recursively.
-type classBuilder struct {
-	cfg     TreeConfig
-	cols    [][]float64 // column-major feature matrix (see columnize)
-	y       []int
-	k       int
-	rng     *xrand.RNG
-	maxFeat int
-
-	// scratches holds per-worker buffers for feature-parallel split
-	// search; worker ids from runWorkers index it.
-	scratches [](*classScratch)
-
-	// part performs the in-place list partition at each split.
-	part *partitioner
-}
-
-// scratch returns worker's buffer set, allocating it on first use. The
-// scratches slice itself must already exist (allocated on the fan-out
-// goroutine); per-slot writes are safe because worker ids are unique among
-// concurrently live workers.
-func (b *classBuilder) scratch(worker int) *classScratch {
-	sc := b.scratches[worker]
-	if sc == nil {
-		sc = &classScratch{
-			leftCounts:  make([]float64, b.k),
-			rightCounts: make([]float64, b.k),
-		}
-		b.scratches[worker] = sc
-	}
-	return sc
-}
-
-// build grows the subtree over sorted (per-feature sorted sample lists; all
-// lists hold the same member set).
-func (b *classBuilder) build(sorted [][]int32, depth int) *treeNode {
-	samples := sorted[0]
-	n := len(samples)
-	counts := make([]float64, b.k)
-	for _, i := range samples {
-		counts[b.y[i]]++
-	}
-	leaf := func() *treeNode {
-		probs := make([]float64, b.k)
-		for c, v := range counts {
-			probs[c] = v / float64(n)
-		}
-		return &treeNode{Probs: probs}
-	}
-	if n < b.cfg.MinSamplesSplit ||
-		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
-		isPure(counts) {
-		return leaf()
-	}
-	feat, thr, nl, ok := b.bestSplit(sorted, counts)
-	if !ok || nl < b.cfg.MinSamplesLeaf || n-nl < b.cfg.MinSamplesLeaf {
-		return leaf()
-	}
-	if b.part == nil {
-		b.part = newPartitioner(len(b.cols[0]))
-	}
-	left, right := b.part.split(sorted, feat, nl)
-	return &treeNode{
-		Feature:   feat,
-		Threshold: thr,
-		Left:      b.build(left, depth+1),
-		Right:     b.build(right, depth+1),
-	}
-}
-
-func isPure(counts []float64) bool {
-	nonZero := 0
-	for _, c := range counts {
-		if c > 0 {
-			nonZero++
-		}
-	}
-	return nonZero <= 1
-}
-
-// impurity computes Gini or entropy from class counts summing to n.
-func impurity(counts []float64, n float64, crit Criterion) float64 {
-	if n == 0 {
-		return 0
-	}
-	switch crit {
-	case Entropy:
-		h := 0.0
-		for _, c := range counts {
-			if c > 0 {
-				p := c / n
-				h -= p * math.Log2(p)
-			}
-		}
-		return h
-	default: // Gini
-		g := 1.0
-		for _, c := range counts {
-			p := c / n
-			g -= p * p
-		}
-		return g
-	}
-}
-
-// bestSplit searches the sampled feature subset for the split with the
-// largest impurity decrease, fanning candidate features out over the shared
-// worker pool. Each feature is scored independently over its presorted
-// sample list and the winners reduce in candidate order with a strict
-// greater-than, which reproduces the serial scan's tie-breaking (first
-// feature, then first threshold, to reach the maximum) bit for bit. It
-// returns ok=false when no valid split exists.
-func (b *classBuilder) bestSplit(sorted [][]int32, parentCounts []float64) (feat int, thr float64, nl int, ok bool) {
-	n := float64(len(sorted[0]))
-	parentImp := impurity(parentCounts, n, b.cfg.Criterion)
-
-	candidates := b.featureCandidates(len(sorted))
-
-	cands := make([]splitCand, len(candidates))
-	want := 1
-	if len(sorted[0])*len(candidates) >= minParallelSplitWork {
-		want = len(candidates)
-	}
-	if b.scratches == nil {
-		b.scratches = make([]*classScratch, maxExtraWorkers+1)
-	}
-	runWorkers(len(candidates), want, func(worker, ci int) {
-		cands[ci] = b.evalFeature(candidates[ci], sorted[candidates[ci]], parentCounts, parentImp, n, b.scratch(worker))
-	})
-
-	bestGain := minClassGain
-	for _, c := range cands {
-		if c.ok && c.gain > bestGain {
-			bestGain, feat, thr, nl, ok = c.gain, c.feat, c.thr, c.nl, true
-		}
-	}
-	return feat, thr, nl, ok
-}
-
-// evalFeature scores every threshold of one feature by a single pass over
-// its presorted sample list and returns the first threshold attaining the
-// feature's maximum gain above the floor.
-func (b *classBuilder) evalFeature(f int, list []int32, parentCounts []float64, parentImp, n float64, sc *classScratch) splitCand {
-	col := b.cols[f]
-	if col[list[0]] == col[list[len(list)-1]] {
-		return splitCand{} // constant feature
-	}
-	leftCounts, rightCounts := sc.leftCounts, sc.rightCounts
-	for c := range leftCounts {
-		leftCounts[c] = 0
-		rightCounts[c] = parentCounts[c]
-	}
-	best := splitCand{gain: minClassGain, feat: f}
-	for i := 0; i < len(list)-1; i++ {
-		yi := b.y[list[i]]
-		leftCounts[yi]++
-		rightCounts[yi]--
-		v, vNext := col[list[i]], col[list[i+1]]
-		if v == vNext {
-			continue
-		}
-		cl, cr := float64(i+1), n-float64(i+1)
-		if i+1 < b.cfg.MinSamplesLeaf || len(list)-i-1 < b.cfg.MinSamplesLeaf {
-			continue
-		}
-		childImp := (cl*impurity(leftCounts, cl, b.cfg.Criterion) +
-			cr*impurity(rightCounts, cr, b.cfg.Criterion)) / n
-		gain := parentImp - childImp
-		if gain > best.gain {
-			best.gain = gain
-			best.thr = (v + vNext) / 2
-			best.nl = i + 1
-			best.ok = true
-		}
-	}
-	return best
-}
-
-// featureCandidates returns the features to consider at one split.
-func (b *classBuilder) featureCandidates(numFeatures int) []int {
-	if b.maxFeat >= numFeatures || b.rng == nil {
-		all := make([]int, numFeatures)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	return b.rng.SampleInts(numFeatures, b.maxFeat)
 }
 
 // regTree grows regression trees on gradient/hessian pairs with the
@@ -658,6 +420,10 @@ type regTree struct {
 	// part performs the in-place list partition at each split; shared
 	// across a boosting chain's rounds (recursion is serial per chain).
 	part *partitioner
+
+	// cand is the candidate-feature buffer, redrawn at every node (a node is
+	// done with its candidates before its children draw theirs).
+	cand []int
 }
 
 // fit grows the tree over the given sample indices and returns its root.
@@ -697,8 +463,11 @@ func (r *regTree) build(sorted [][]int32, depth int) *treeNode {
 }
 
 // bestSplit maximises the XGBoost structure-score gain
-// 0.5*(GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ)) − γ, feature-parallel with the
-// same deterministic reduction as the classification search.
+// 0.5*(GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ)) − γ, fanning candidate features
+// out over the shared worker pool. Each feature is scored independently and
+// the winners reduce in candidate order with a strict greater-than, which
+// reproduces a serial scan's tie-breaking (first feature, then first
+// threshold, to reach the maximum) bit for bit.
 func (r *regTree) bestSplit(sorted [][]int32, g, h float64) (feat int, thr float64, nl int, ok bool) {
 	candidates := r.featureCandidates(len(sorted))
 
@@ -766,5 +535,6 @@ func (r *regTree) featureCandidates(numFeatures int) []int {
 		}
 		return all
 	}
-	return r.rng.SampleInts(numFeatures, r.maxFeat)
+	r.cand = r.rng.SampleIntsInto(r.cand, numFeatures, r.maxFeat)
+	return r.cand
 }

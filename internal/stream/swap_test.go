@@ -611,7 +611,7 @@ func TestServerModelAdminEndpoints(t *testing.T) {
 // BenchmarkModelSwap measures the swap pause — the window SwapModel holds
 // every shard's intake lock while journaling the swap record — over an
 // engine with live sessions. ns/op is the mean pause; the p99 rides along
-// as a custom metric for BENCH_retrain.json.
+// as a custom metric (DESIGN §13 quotes both).
 func BenchmarkModelSwap(b *testing.B) {
 	e, err := New(Config{Models: newFakeModels(1, 2), Shards: 4,
 		Logger:     slog.New(slog.DiscardHandler),

@@ -11,6 +11,7 @@ package xrand
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // RNG is a deterministic pseudo-random number generator. It is not safe for
@@ -308,26 +309,44 @@ func (r *RNG) WeightedChoice(weights []float64) int {
 // SampleInts returns k distinct integers drawn uniformly from [0, n) in
 // random order. It panics if k > n or k < 0.
 func (r *RNG) SampleInts(n, k int) []int {
+	return r.SampleIntsInto(nil, n, k)
+}
+
+// linearDedupeMax is the largest k SampleIntsInto dedupes by scanning what it
+// has drawn so far; beyond it the scan would go quadratic and a set is built.
+const linearDedupeMax = 32
+
+// SampleIntsInto is SampleInts writing into dst's backing array (grown when
+// too small: k values for a sparse draw, n for a dense one) and returning the
+// k-long result. The generator is consumed exactly as SampleInts consumes it,
+// so the two are interchangeable mid-stream.
+func (r *RNG) SampleIntsInto(dst []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("xrand: SampleInts called with k out of range")
 	}
-	if k == 0 {
-		return nil
-	}
-	// For small k relative to n, use a set-based sampler; otherwise shuffle.
+	// For small k relative to n, redraw on collision; otherwise shuffle.
 	if k*4 < n {
-		seen := make(map[int]struct{}, k)
-		out := make([]int, 0, k)
-		for len(out) < k {
+		dst = slices.Grow(dst[:0], k)
+		var seen map[int]struct{}
+		if k > linearDedupeMax {
+			seen = make(map[int]struct{}, k)
+		}
+		for len(dst) < k {
 			v := r.Intn(n)
-			if _, ok := seen[v]; ok {
+			if _, dup := seen[v]; dup || (seen == nil && slices.Contains(dst, v)) {
 				continue
 			}
-			seen[v] = struct{}{}
-			out = append(out, v)
+			if seen != nil {
+				seen[v] = struct{}{}
+			}
+			dst = append(dst, v)
 		}
-		return out
+		return dst
 	}
-	p := r.Perm(n)
-	return p[:k]
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = i
+	}
+	r.ShuffleInts(dst)
+	return dst[:k]
 }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,6 +227,70 @@ func TestSampleIntsDistinct(t *testing.T) {
 				t.Fatalf("SampleInts(%d,%d) invalid: %v", tc.n, tc.k, s)
 			}
 			seen[v] = true
+		}
+	}
+}
+
+// mapSampleInts is SampleInts as it was before SampleIntsInto existed: a map
+// and a fresh slice per sparse draw, Perm for a dense one. It is the
+// specification of the draw sequence.
+func mapSampleInts(r *RNG, n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	if k*4 < n {
+		seen := make(map[int]struct{}, k)
+		out := make([]int, 0, k)
+		for len(out) < k {
+			v := r.Intn(n)
+			if _, ok := seen[v]; ok {
+				continue
+			}
+			seen[v] = struct{}{}
+			out = append(out, v)
+		}
+		return out
+	}
+	return r.Perm(n)[:k]
+}
+
+// TestSampleIntsIntoStream asserts SampleIntsInto (and SampleInts over it)
+// returns what the map-based sampler returned and leaves the generator at the
+// same point, for 1000 seeded (n, k) pairs covering the scanned and the
+// set-backed sparse draw and the dense shuffle, into a buffer reused across
+// all of them.
+func TestSampleIntsIntoStream(t *testing.T) {
+	pick := New(77)
+	branches := map[string]int{}
+	var buf []int
+	for trial := 0; trial < 1000; trial++ {
+		n := 1 + pick.Intn(400)
+		k := pick.Intn(n + 1)
+		switch {
+		case k*4 >= n:
+			branches["dense"]++
+		case k > linearDedupeMax:
+			branches["sparse set"]++
+		default:
+			branches["sparse scan"]++
+		}
+		seed := pick.Uint64()
+		ref, into, wrap := New(seed), New(seed), New(seed)
+		want := mapSampleInts(ref, n, k)
+		buf = into.SampleIntsInto(buf, n, k)
+		if !slices.Equal(buf, want) {
+			t.Fatalf("SampleIntsInto(%d,%d) = %v, want %v", n, k, buf, want)
+		}
+		if got := wrap.SampleInts(n, k); !slices.Equal(got, want) {
+			t.Fatalf("SampleInts(%d,%d) = %v, want %v", n, k, got, want)
+		}
+		if next := ref.Uint64(); into.Uint64() != next || wrap.Uint64() != next {
+			t.Fatalf("generator position differs after sampling (%d,%d)", n, k)
+		}
+	}
+	for _, b := range []string{"dense", "sparse set", "sparse scan"} {
+		if branches[b] < 50 {
+			t.Fatalf("only %d of 1000 draws took the %s branch", branches[b], b)
 		}
 	}
 }

@@ -37,11 +37,13 @@ go test ./... "$@"
 echo "==> go test -race (parallel-training equivalence focus)"
 # Fast-failing race pass over the tests that exercise the shared worker
 # pool hardest: parallel-vs-serial equivalence, arena-vs-pointer forest
-# equivalence, flat-tree round-trips and batch inference — and, by the same
-# pattern, core's quiet≡eager session gate (TestQuietSessionEquivalence). The
-# full -race suite below still covers everything, the engine-level restore of
-# quiet sessions (TestRestoredQuietSessionThenFails) included.
-go test -race -run 'Equivalence|Parallel|RoundTrip|Batch' \
+# equivalence, flat-tree round-trips and batch inference, the forest workers'
+# reused growers at Parallelism 8 (TestForestFitAllocs) and the grower against
+# its reference — and, by the same pattern, core's quiet≡eager session gate
+# (TestQuietSessionEquivalence). The full -race suite below still covers
+# everything, the engine-level restore of quiet sessions
+# (TestRestoredQuietSessionThenFails) included.
+go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit' \
     ./internal/mltree/ ./internal/core/
 
 echo "==> go test -race"
@@ -115,6 +117,14 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 # allocate the probabilities it returns and nothing else, a predicting
 # OnEvent only its Decision, with the default 80-tree forest.
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
+
+echo "==> training perf gate (a forest fit allocates per tree and per fit, never per node)"
+# The lifecycle refits the forests inside cordial-serve, so training garbage
+# lands on the serving heap: the default 80-tree forest on 2 100 rows may
+# allocate each member's generator, node array and probability array plus a
+# per-fit term (value codes, one grower per worker, arena, out-of-bag tables)
+# — 419 allocations where the presorted-list trainer made 207 664.
+go test -run 'TestForestFitAllocs' -count 1 ./internal/mltree/
 
 echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, a quiet bank ≤ 600 B and ≤ 5 mallocs in the engine)"
 # A fleet engine holds one session per bank that ever logged an error, so
