@@ -3,14 +3,15 @@ package cordial
 // Benchmarks regenerating every table and figure of the paper (one bench per
 // experiment, per DESIGN.md §3) plus the DESIGN.md §4 ablations. They run at
 // reduced scale so `go test -bench=.` completes in minutes; cmd/cordial-repro
-// regenerates the full-scale numbers recorded in EXPERIMENTS.md.
+// regenerates the full-scale numbers recorded in EXPERIMENTS.md. The two
+// long-session benchmarks pin a property no other harness measures: per-event
+// cost independent of history length. Every other cost — training, inference,
+// ingest — is measured by the repository benchmark (bash bench/run.sh) or by
+// a benchmark in its own package.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,10 +19,6 @@ import (
 	"cordial/internal/core"
 	"cordial/internal/ecc"
 	"cordial/internal/experiments"
-	"cordial/internal/mcelog"
-	"cordial/internal/mltree"
-	"cordial/internal/stream"
-	"cordial/internal/wal"
 	"cordial/internal/xrand"
 )
 
@@ -153,53 +150,10 @@ func BenchmarkAblationFeatures(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainPipeline measures end-to-end training cost (both stages).
-func BenchmarkTrainPipeline(b *testing.B) {
-	spec := DefaultFleetSpec()
-	spec.UERBanks = 60
-	spec.BenignBanks = 0
-	fleet, err := Simulate(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(RandomForest)
-	cfg.Params = ModelParams{Trees: 15, Depth: 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TrainWithConfig(cfg, fleet.Faults); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClassifyPattern measures single-bank inference latency.
-func BenchmarkClassifyPattern(b *testing.B) {
-	spec := DefaultFleetSpec()
-	spec.UERBanks = 60
-	spec.BenignBanks = 0
-	fleet, err := Simulate(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(RandomForest)
-	cfg.Params = ModelParams{Trees: 15, Depth: 8}
-	pipe, err := TrainWithConfig(cfg, fleet.Faults)
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := fleet.Faults[0].Events
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipe.ClassifyPattern(events); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// streamBenchState shares one trained pipeline and one replay log across
-// the StreamIngest benchmarks; training dominates setup and must not be
-// re-paid per shard count.
-var streamBenchState = sync.OnceValues(func() (*Pipeline, []Event) {
+// sessionBenchPipeline is the one trained pipeline the long-session
+// benchmarks share; training dominates setup and must not be re-paid per
+// history length.
+var sessionBenchPipeline = sync.OnceValue(func() *Pipeline {
 	spec := DefaultFleetSpec()
 	spec.UERBanks = 60
 	spec.BenignBanks = 0
@@ -214,89 +168,8 @@ var streamBenchState = sync.OnceValues(func() (*Pipeline, []Event) {
 	if err != nil {
 		panic(err)
 	}
-	liveSpec := spec
-	liveSpec.UERBanks = 40
-	liveSpec.BenignBanks = 120
-	liveSpec.Seed = 22
-	live, err := Simulate(liveSpec)
-	if err != nil {
-		panic(err)
-	}
-	live.Log.Sort()
-	return pipe, live.Log.Events()
+	return pipe
 })
-
-// benchmarkStreamIngest replays the shared fleet log through a fresh
-// engine and reports end-to-end ingest throughput (enqueue + session +
-// inference) for one shard count. This is the perf baseline for the hot
-// online path; shard scaling should be roughly linear up to GOMAXPROCS on
-// multicore hosts.
-func benchmarkStreamIngest(b *testing.B, shards int) {
-	pipe, events := streamBenchState()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultStreamConfig(pipe)
-		cfg.Shards = shards
-		cfg.QueueDepth = 4096
-		engine, err := NewStreamEngine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for range engine.Actions() {
-			}
-		}()
-		for _, e := range events {
-			if err := engine.Ingest(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := engine.Close(); err != nil {
-			b.Fatal(err)
-		}
-		<-done
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkStreamIngest measures online ingest throughput at 1 shard, 4
-// shards and GOMAXPROCS shards (the cordial-serve default).
-func BenchmarkStreamIngest(b *testing.B) {
-	shardCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, n := range shardCounts {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) { benchmarkStreamIngest(b, n) })
-	}
-}
-
-// BenchmarkStreamSessionOnEvent isolates per-event session cost (feature
-// extraction + ensemble inference) without the engine around it.
-func BenchmarkStreamSessionOnEvent(b *testing.B) {
-	pipe, events := streamBenchState()
-	strategy := NewStrategy(pipe, DefaultGeometry)
-	perBank := make(map[uint64][]Event)
-	for _, e := range events {
-		k := e.Addr.BankKey()
-		perBank[k] = append(perBank[k], e)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bankEvents := range perBank {
-			sess := strategy.NewSession(BankOf(bankEvents[0].Addr))
-			for _, e := range bankEvents {
-				sess.OnEvent(e)
-			}
-		}
-	}
-}
 
 // longSessionEvents synthesises one bank's n-event history with the shape
 // that stresses per-event session cost over a long life: a slowly drifting
@@ -332,7 +205,7 @@ func longSessionEvents(n int) []Event {
 // grows with session age is exactly the O(history²) failure mode the
 // incremental feature state exists to prevent.
 func BenchmarkSessionOnEvent(b *testing.B) {
-	pipe, _ := streamBenchState()
+	pipe := sessionBenchPipeline()
 	strategy := NewStrategy(pipe, DefaultGeometry)
 	for _, h := range []int{1000, 10000} {
 		events := longSessionEvents(h)
@@ -354,7 +227,7 @@ func BenchmarkSessionOnEvent(b *testing.B) {
 // bottleneck): the end-to-end ns/event must stay flat with history length
 // just like the bare-session benchmark.
 func BenchmarkStreamIngestLongSession(b *testing.B) {
-	pipe, _ := streamBenchState()
+	pipe := sessionBenchPipeline()
 	for _, h := range []int{1000, 10000} {
 		events := longSessionEvents(h)
 		b.Run(fmt.Sprintf("history=%d", h), func(b *testing.B) {
@@ -387,94 +260,6 @@ func BenchmarkStreamIngestLongSession(b *testing.B) {
 	}
 }
 
-// mltreeBenchData is a seeded multi-class dataset shared by the mltree
-// training/inference benchmarks (3 classes so the boosting backends fit
-// several one-vs-rest arms).
-var mltreeBenchData = sync.OnceValue(func() *mltree.Dataset {
-	const classes, perClass, dims = 3, 400, 12
-	r := xrand.New(99)
-	ds := &mltree.Dataset{}
-	for c := 0; c < classes; c++ {
-		for i := 0; i < perClass; i++ {
-			row := make([]float64, dims)
-			for d := range row {
-				row[d] = 3*float64((c+d)%classes) + r.Normal(0, 2.5)
-			}
-			ds.Features = append(ds.Features, row)
-			ds.Labels = append(ds.Labels, c)
-		}
-	}
-	return ds
-})
-
-// benchParallelisms runs fn at parallelism 1 and GOMAXPROCS (deduplicated on
-// single-core hosts).
-func benchParallelisms(b *testing.B, fn func(b *testing.B, parallelism int)) {
-	seen := map[int]bool{}
-	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) { fn(b, p) })
-	}
-}
-
-// BenchmarkForestFit measures Random Forest training cost on the shared
-// dataset at 1 worker vs all cores.
-func BenchmarkForestFit(b *testing.B) {
-	ds := mltreeBenchData()
-	benchParallelisms(b, func(b *testing.B, parallelism int) {
-		for i := 0; i < b.N; i++ {
-			f := mltree.NewForest(mltree.ForestConfig{
-				NumTrees: 20, Tree: mltree.TreeConfig{MaxDepth: 10},
-				Parallelism: parallelism, Seed: 5,
-			})
-			if err := f.Fit(ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkHistGBDTFit measures histogram-GBDT training cost (multi-class,
-// so arms fit concurrently) at 1 worker vs all cores.
-func BenchmarkHistGBDTFit(b *testing.B) {
-	ds := mltreeBenchData()
-	benchParallelisms(b, func(b *testing.B, parallelism int) {
-		for i := 0; i < b.N; i++ {
-			h := mltree.NewHistGBDT(mltree.HistGBDTConfig{
-				Rounds: 20, Parallelism: parallelism, Seed: 5,
-			})
-			if err := h.Fit(ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkPredictBatch measures flat-tree batch inference over the whole
-// dataset at 1 worker vs all cores.
-func BenchmarkPredictBatch(b *testing.B) {
-	ds := mltreeBenchData()
-	f := mltree.NewForest(mltree.ForestConfig{
-		NumTrees: 20, Tree: mltree.TreeConfig{MaxDepth: 10}, Seed: 5,
-	})
-	if err := f.Fit(ds); err != nil {
-		b.Fatal(err)
-	}
-	benchParallelisms(b, func(b *testing.B, parallelism int) {
-		f.Config.Parallelism = parallelism
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := f.PredictBatch(ds.Features); len(got) != ds.NumSamples() {
-				b.Fatal("short batch")
-			}
-		}
-		b.ReportMetric(float64(ds.NumSamples()*b.N)/b.Elapsed().Seconds(), "rows/sec")
-	})
-}
-
 // BenchmarkStability aggregates the headline comparison over three seeds.
 func BenchmarkStability(b *testing.B) {
 	p := benchParams()
@@ -494,92 +279,4 @@ func BenchmarkGeneratorValidation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchmarkBinaryIngest replays the shared fleet log through the binary
-// wire path: pre-encoded frames are decoded with a reused FrameDecoder and
-// moved into the engine whole-frame via IngestBatch — the exact hot loop of
-// POST /v1/events.bin. walDir != "" adds the durable path (group-commit WAL,
-// one AppendBatch per frame).
-func benchmarkBinaryIngest(b *testing.B, shards int, durable bool) {
-	pipe, events := streamBenchState()
-	var encBuf bytes.Buffer
-	enc := mcelog.NewFrameEncoder(&encBuf, 1024)
-	for _, e := range events {
-		if err := enc.Add(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	raw := encBuf.Bytes()
-	dec := mcelog.NewFrameDecoder(nil)
-	batch := make([]Event, 0, 1024)
-	base := b.TempDir()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultStreamConfig(pipe)
-		cfg.Shards = shards
-		cfg.QueueDepth = 4096
-		if durable {
-			cfg.Durability = stream.DurabilityConfig{
-				Dir:  filepath.Join(base, fmt.Sprintf("run%d", i)),
-				Sync: wal.SyncAlways, // group commit on by default
-			}
-		}
-		engine, err := NewStreamEngine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for range engine.Actions() {
-			}
-		}()
-		dec.Reset(bytes.NewReader(raw))
-		for {
-			fr, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch = batch[:0]
-			for j, n := 0, fr.Len(); j < n; j++ {
-				batch = append(batch, fr.Event(j))
-			}
-			if acc, _, err := engine.IngestBatch(batch); err != nil || acc != len(batch) {
-				b.Fatalf("IngestBatch = (%d, %v), want %d", acc, err, len(batch))
-			}
-		}
-		if err := engine.Close(); err != nil {
-			b.Fatal(err)
-		}
-		<-done
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(events)*b.N), "ns/event")
-}
-
-// BenchmarkBinaryIngest is the end-to-end binary ingest benchmark: decode +
-// batch-enqueue + session inference, in memory and with the group-commit
-// WAL. Decode cost alone (the zero-allocation bound) is pinned separately
-// by BenchmarkWireFrameDecode in internal/mcelog.
-func BenchmarkBinaryIngest(b *testing.B) {
-	shardCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, n := range shardCounts {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) { benchmarkBinaryIngest(b, n, false) })
-	}
-	b.Run("durable/group-commit", func(b *testing.B) { benchmarkBinaryIngest(b, runtime.GOMAXPROCS(0), true) })
 }

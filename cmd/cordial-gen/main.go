@@ -4,11 +4,14 @@
 // Usage:
 //
 //	cordial-gen -seed 1 -uer-banks 300 -benign-banks 2200 \
-//	    -log fleet.mcelog -format binary -truth truth.json
+//	    -log fleet.mcelog -truth truth.json
 //
-// The log is written in the mcelog binary format (or JSON Lines with
-// -format jsonl); the ground truth (per-bank pattern and UER rows) is
-// written as JSON for cordial-train and offline analysis.
+// The log is written as CBF2 wire frames (-format wire, the default): at
+// once an input for cordial-study and cordial-predict and a valid request
+// body for POST /v1/events.bin on cordial-serve and cordial-router. With
+// -format jsonl it is JSON Lines, the POST /v1/events body. The ground
+// truth (per-bank pattern and UER rows) is written as JSON for
+// cordial-train and offline analysis.
 package main
 
 import (
@@ -21,7 +24,6 @@ import (
 
 	"cordial/internal/faultsim"
 	"cordial/internal/hbm"
-	"cordial/internal/mcelog"
 	"cordial/internal/trace"
 )
 
@@ -67,12 +69,15 @@ func run() error {
 		uerBanks    = flag.Int("uer-banks", 300, "banks given a UER failure pattern")
 		benignBanks = flag.Int("benign-banks", 2200, "banks with only CE/UEO noise")
 		logPath     = flag.String("log", "fleet.mcelog", "output error-log path")
-		format      = flag.String("format", "binary", "log format: binary, jsonl, stream or wire")
+		format      = flag.String("format", "wire", "log format: wire or jsonl")
 		truthPath   = flag.String("truth", "truth.json", "output ground-truth path (empty to skip)")
 		weights     = flag.String("weights", "", "failure-pattern mix as name=weight pairs, e.g. single=15,double=5,scattered=70 (default: the paper's field distribution; use this to simulate a drifted regime)")
 		topology    = flag.String("topology", hbm.ActiveProfile().Name, "topology profile: "+strings.Join(hbm.ProfileNames(), ", "))
 	)
 	flag.Parse()
+	if *format != "wire" && *format != "jsonl" {
+		return fmt.Errorf("unknown format %q (want wire or jsonl; wire replaces the former binary and stream formats)", *format)
+	}
 
 	prof, err := hbm.SetActiveProfile(*topology)
 	if err != nil {
@@ -100,31 +105,10 @@ func run() error {
 		return err
 	}
 	defer logFile.Close()
-	switch *format {
-	case "binary":
-		err = fleet.Log.WriteBinary(logFile)
-	case "jsonl":
+	if *format == "jsonl" {
 		err = fleet.Log.WriteJSONL(logFile)
-	case "stream":
-		w := mcelog.NewStreamWriter(logFile)
-		for _, e := range fleet.Log.Events() {
-			if err := w.Write(e); err != nil {
-				return err
-			}
-		}
-		err = w.Flush()
-	case "wire":
-		// CRC-framed ingest wire format: the output is a valid request body
-		// for POST /v1/events.bin on cordial-serve and cordial-router.
-		enc := mcelog.NewFrameEncoder(logFile, 0)
-		for _, e := range fleet.Log.Events() {
-			if err := enc.Add(e); err != nil {
-				return err
-			}
-		}
-		err = enc.Flush()
-	default:
-		return fmt.Errorf("unknown format %q (want binary, jsonl, stream or wire)", *format)
+	} else {
+		err = fleet.Log.WriteWire(logFile)
 	}
 	if err != nil {
 		return err

@@ -6,7 +6,10 @@
 //
 // Usage:
 //
-//	cordial-predict -models models.json -log fleet.mcelog -format binary
+//	cordial-predict -models models.json -log fleet.mcelog
+//
+// The log may be CBF2 wire frames (what cordial-gen writes) or JSON Lines;
+// the format is worked out from the file.
 package main
 
 import (
@@ -34,7 +37,6 @@ func run() error {
 	var (
 		modelsPath = flag.String("models", "models.json", "model path from cordial-train")
 		logPath    = flag.String("log", "fleet.mcelog", "input error-log path")
-		format     = flag.String("format", "binary", "log format: binary, jsonl or stream")
 		maxRows    = flag.Int("max-rows", 16, "max predicted rows to print per bank")
 		topology   = flag.String("topology", hbm.ActiveProfile().Name, "topology profile the log was generated under: "+strings.Join(hbm.ProfileNames(), ", "))
 	)
@@ -68,17 +70,7 @@ func run() error {
 		return err
 	}
 	defer logFile.Close()
-	var log *mcelog.Log
-	switch *format {
-	case "binary":
-		log, err = mcelog.ReadBinary(logFile)
-	case "jsonl":
-		log, err = mcelog.ReadJSONL(logFile)
-	case "stream":
-		log, err = mcelog.NewStreamReader(logFile).ReadAll()
-	default:
-		return fmt.Errorf("unknown format %q (want binary, jsonl or stream)", *format)
-	}
+	log, err := mcelog.ReadLog(logFile)
 	if err != nil {
 		return err
 	}

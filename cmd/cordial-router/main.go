@@ -1,9 +1,9 @@
 // Command cordial-router is the stateless ingest front for a Cordial
-// cluster: clients POST JSONL event batches to one address and the
-// router forwards each line to the serve node that owns its bank under
-// the current consistent-hash ring, retrying with bounded backoff when
-// a node refuses mid-handoff or the ring moved. Run any number of
-// routers; they hold no session state.
+// cluster: clients POST event batches (JSONL or wire frames) to one
+// address and the router forwards each event, as wire frames, to the serve
+// node that owns its bank under the current consistent-hash ring, retrying
+// with bounded backoff when a node refuses mid-handoff or the ring moved.
+// Run any number of routers; they hold no session state.
 //
 // Usage:
 //
@@ -47,7 +47,6 @@ func run() error {
 		cpURL     = flag.String("control-plane", "", "control plane base URL (http://host:port), required")
 		refresh   = flag.Duration("refresh-interval", 2*time.Second, "background ring poll period")
 		attempts  = flag.Int("max-attempts", 5, "forwarding attempts per node batch before lines are dropped")
-		upstream  = flag.String("upstream", cluster.CodecBinary, "codec for forwarding to serve nodes: binary or jsonl")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 	)
 	flag.Parse()
@@ -66,15 +65,10 @@ func run() error {
 	}
 	logger := slog.New(handler)
 
-	if *upstream != cluster.CodecBinary && *upstream != cluster.CodecJSONL {
-		return fmt.Errorf("unknown upstream codec %q (want binary or jsonl)", *upstream)
-	}
-
 	rt := cluster.NewRouter(cluster.RouterConfig{
 		ControlPlane:    *cpURL,
 		RefreshInterval: *refresh,
 		MaxAttempts:     *attempts,
-		UpstreamCodec:   *upstream,
 		Logger:          logger,
 	})
 

@@ -10,6 +10,7 @@
 // Endpoints:
 //
 //	POST /v1/events        JSONL batch ingest (the cordial-gen -format jsonl shape)
+//	POST /v1/events.bin    wire-frame batch ingest (a cordial-gen log file as it stands)
 //	GET  /v1/actions       mitigation actions emitted so far
 //	GET  /v1/banks/{addr}  one bank's session snapshot
 //	GET  /healthz          liveness (process up; stays 200 under degradation)

@@ -224,13 +224,13 @@ func (st *runState) executePoison(a ChaosAction, rec *ChaosRecord) {
 		{Time: time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC),
 			Addr: hbm.CellInBank(bank, geo.RowsPerBank, 0), Class: 1},
 	}
-	var wire bytes.Buffer
-	enc := mcelog.NewFrameEncoder(&wire, 0)
+	burst := mcelog.NewLog(count)
 	for i := 0; i < count; i++ {
-		enc.Add(poisons[i%len(poisons)])
-		sent++
+		burst.Append(poisons[i%len(poisons)])
 	}
-	enc.Flush()
+	sent += count
+	var wire bytes.Buffer
+	burst.WriteWire(&wire) // a bytes.Buffer write cannot fail
 	code, res := st.rawPost(front.URL("/v1/events.bin"), "application/octet-stream", wire.Bytes())
 	if code == http.StatusOK {
 		accepted += res.Accepted

@@ -576,13 +576,7 @@ func (st *runState) encodeBatch(events []mcelog.Event) ([]byte, string, error) {
 
 	var buf bytes.Buffer
 	if st.sc.Load.Codec == "wire" {
-		enc := mcelog.NewFrameEncoder(&buf, 0)
-		for _, ev := range events {
-			if err := enc.Add(ev); err != nil {
-				return nil, "", err
-			}
-		}
-		if err := enc.Flush(); err != nil {
+		if err := mcelog.FromEvents(events).WriteWire(&buf); err != nil {
 			return nil, "", err
 		}
 		return buf.Bytes(), "application/octet-stream", nil

@@ -78,7 +78,7 @@ type TemplateSpec struct {
 type LoadSpec struct {
 	EventsPerSec int
 	Batch        int
-	Codec        string // wire | jsonl
+	Codec        string // wire | jsonl: which of the daemons' two ingest endpoints is loaded
 	Phases       []LoadPhase
 }
 

@@ -112,21 +112,31 @@ func TestCLIErrors(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("missing log accepted: %s", out)
 	}
+	// The retired log formats are refused with a pointer to their successor.
+	cmd = exec.Command(filepath.Join(bin, "cordial-gen"), "-format", "binary",
+		"-log", filepath.Join(t.TempDir(), "fleet.mcelog"), "-truth", "")
+	out, err = cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "wire") {
+		t.Fatalf("cordial-gen -format binary: err %v, output %s; want a refusal naming wire", err, out)
+	}
 }
 
+// TestCLIStreamFormatRoundTrip: the readers take no -format — whichever
+// format cordial-gen was asked for, the study works it out from the file.
+// (TestCLIPipeline covers the default, wire; this is the other one.)
 func TestCLIStreamFormatRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bin := buildAll(t)
 	work := t.TempDir()
-	logPath := filepath.Join(work, "fleet.stream")
+	logPath := filepath.Join(work, "fleet.jsonl")
 	out := run(t, bin, "cordial-gen", "-seed", "6", "-uer-banks", "30",
-		"-benign-banks", "50", "-log", logPath, "-format", "stream", "-truth", "")
+		"-benign-banks", "50", "-log", logPath, "-format", "jsonl", "-truth", "")
 	if !strings.Contains(out, "30 faulty banks") {
 		t.Fatalf("gen output: %s", out)
 	}
-	out = run(t, bin, "cordial-study", "-log", logPath, "-format", "stream")
+	out = run(t, bin, "cordial-study", "-log", logPath)
 	if !strings.Contains(out, "sudden-UER ratios") {
 		t.Fatalf("study output: %s", out)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,18 +148,33 @@ func clusterUER(bank hbm.BankAddress, row, sec int) mcelog.Event {
 }
 
 // postEvents posts a JSONL batch and returns status + decoded result.
-func postEvents(t *testing.T, baseURL string, events []mcelog.Event) (int, ingestResult) {
+func postEvents(t *testing.T, baseURL string, events []mcelog.Event) (int, stream.IngestResult) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := mcelog.FromEvents(events).WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(baseURL+"/v1/events", "application/x-ndjson", &buf)
+	return postBody(t, baseURL+"/v1/events", "application/x-ndjson", &buf)
+}
+
+// postEventsBin posts the same batch as wire frames.
+func postEventsBin(t *testing.T, baseURL string, events []mcelog.Event) (int, stream.IngestResult) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := mcelog.FromEvents(events).WriteWire(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return postBody(t, baseURL+"/v1/events.bin", "application/octet-stream", &buf)
+}
+
+func postBody(t *testing.T, url, contentType string, body *bytes.Buffer) (int, stream.IngestResult) {
+	t.Helper()
+	resp, err := http.Post(url, contentType, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var res ingestResult
+	var res stream.IngestResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
@@ -440,34 +456,10 @@ func (c *fakeClock) Advance(d time.Duration) time.Time {
 	return c.t
 }
 
-// postEventsBin posts a binary-framed batch and returns status + result.
-func postEventsBin(t *testing.T, baseURL string, events []mcelog.Event) (int, ingestResult) {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := mcelog.NewFrameEncoder(&buf, 0)
-	for _, ev := range events {
-		if err := enc.Add(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(baseURL+"/v1/events.bin", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var res ingestResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, res
-}
-
-// TestRouterCodecMatrix: every client-codec × upstream-codec combination
-// delivers the same batch — binary framing is the default upstream, JSONL
-// stays as a compatibility codec, and either may arrive from clients.
+// TestRouterCodecMatrix: either client codec delivers the same batch — the
+// router forwards wire frames upstream whichever arrived — and either
+// answers a body over MaxBodyBytes as the serve node does: 413, with the
+// counts of the prefix that was read and forwarded.
 func TestRouterCodecMatrix(t *testing.T) {
 	cp, cpSrv := startCP(t, CPConfig{})
 	n1 := startNode(t, cpSrv.URL, "n1")
@@ -477,21 +469,18 @@ func TestRouterCodecMatrix(t *testing.T) {
 	})
 
 	for _, tc := range []struct {
-		name     string
-		upstream string
-		binaryIn bool
+		name string
+		post func(*testing.T, string, []mcelog.Event) (int, stream.IngestResult)
 	}{
-		{"jsonl-in binary-up", CodecBinary, false},
-		{"binary-in binary-up", CodecBinary, true},
-		{"jsonl-in jsonl-up", CodecJSONL, false},
-		{"binary-in jsonl-up", CodecJSONL, true},
+		{"jsonl-in binary-up", postEvents},
+		{"binary-in binary-up", postEventsBin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := NewRouter(RouterConfig{
-				ControlPlane:  cpSrv.URL,
-				UpstreamCodec: tc.upstream,
-				Backoff:       10 * time.Millisecond,
-				Logger:        quiet,
+				ControlPlane: cpSrv.URL,
+				MaxBodyBytes: 4096,
+				Backoff:      10 * time.Millisecond,
+				Logger:       quiet,
 			})
 			if err := rt.refreshRing(); err != nil {
 				t.Fatal(err)
@@ -500,17 +489,26 @@ func TestRouterCodecMatrix(t *testing.T) {
 			defer rtSrv.Close()
 
 			var batch []mcelog.Event
-			row := 1
 			for b := 0; b < 8; b++ {
-				batch = append(batch, clusterUER(clusterBank(b), row, b))
+				batch = append(batch, clusterUER(clusterBank(b), 1, b))
 			}
-			post := postEvents
-			if tc.binaryIn {
-				post = postEventsBin
-			}
-			status, res := post(t, rtSrv.URL, batch)
+			status, res := tc.post(t, rtSrv.URL, batch)
 			if status != http.StatusOK || res.Accepted != len(batch) {
 				t.Fatalf("%s: status %d result %+v", tc.name, status, res)
+			}
+
+			// 400 events are over the 4 KiB cap in either codec. The JSONL
+			// lines under the cap were read, so they are routed and counted;
+			// the one wire frame is cut short, so nothing of it is.
+			for b := 0; len(batch) < 400; b++ {
+				batch = append(batch, clusterUER(clusterBank(b%8), 2+b/8, 8+b))
+			}
+			status, res = tc.post(t, rtSrv.URL, batch)
+			if status != http.StatusRequestEntityTooLarge || !res.Truncated || res.Accepted >= len(batch) {
+				t.Fatalf("%s: over-cap body: status %d result %+v, want 413 and a truncated prefix", tc.name, status, res)
+			}
+			if strings.HasPrefix(tc.name, "jsonl") && res.Accepted == 0 {
+				t.Fatalf("%s: over-cap body: result %+v, want the lines under the cap accepted", tc.name, res)
 			}
 		})
 	}

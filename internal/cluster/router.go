@@ -15,6 +15,7 @@ import (
 
 	"cordial/internal/mcelog"
 	"cordial/internal/obs"
+	"cordial/internal/stream"
 )
 
 // RouterConfig configures the stateless ingest front.
@@ -36,11 +37,6 @@ type RouterConfig struct {
 	// MaxLineBytes caps one JSONL line. Defaults to MaxBodyBytes so a
 	// line the body cap admits is never refused by the line scanner.
 	MaxLineBytes int
-	// UpstreamCodec selects how batches are forwarded to serve nodes:
-	// CodecBinary (default) re-frames events into the binary wire codec
-	// and posts to /v1/events.bin; CodecJSONL posts JSON lines to
-	// /v1/events for nodes that predate the binary endpoint.
-	UpstreamCodec string
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
 	// Client is the HTTP client for node and control-plane calls.
@@ -70,9 +66,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.MaxLineBytes == 0 {
 		c.MaxLineBytes = int(c.MaxBodyBytes)
 	}
-	if c.UpstreamCodec == "" {
-		c.UpstreamCodec = CodecBinary
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -85,13 +78,14 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// Router is the stateless ingest front: it splits a JSONL batch by bank
-// owner under the current ring, forwards each slice to its node, and
-// merges the per-node results. A 503 not-owned answer (a node fenced
-// mid-handoff, or the router's ring is stale) refreshes the ring and
-// resends exactly the unconsumed suffix — the consumed-prefix contract
-// keeps per-bank event order intact across retries because a bank's
-// lines only ever move forward, in order, to exactly one live owner.
+// Router is the stateless ingest front: it splits a batch (JSONL or wire
+// frames) by bank owner under the current ring, forwards each slice to its
+// node as wire frames, and merges the per-node results. A 503 not-owned
+// answer (a node fenced mid-handoff, or the router's ring is stale)
+// refreshes the ring and resends exactly the unconsumed suffix — the
+// consumed-prefix contract keeps per-bank event order intact across retries
+// because a bank's lines only ever move forward, in order, to exactly one
+// live owner.
 type Router struct {
 	cfg RouterConfig
 	mux *http.ServeMux
@@ -207,32 +201,20 @@ func (rt *Router) refreshRing() error {
 	return nil
 }
 
-// Upstream codec names for RouterConfig.UpstreamCodec.
-const (
-	CodecBinary = "binary"
-	CodecJSONL  = "jsonl"
-)
-
-// routedLine is one parsed event awaiting forwarding. text holds the
-// original JSONL line and is retained only under the jsonl upstream codec
-// (binary forwarding re-frames from ev; jsonl forwarding of binary input
-// re-encodes from ev on demand).
+// routedLine is one parsed event awaiting forwarding, with its bank key.
 type routedLine struct {
-	ev   mcelog.Event
-	text []byte
-	key  uint64
+	ev  mcelog.Event
+	key uint64
 }
 
-// ingestResult mirrors the serve node's IngestResult wire shape (the
-// router speaks the same contract to its own clients).
-type ingestResult struct {
-	Accepted  int      `json:"accepted"`
-	Rejected  int      `json:"rejected"`
-	Dropped   int      `json:"dropped"`
-	Errors    []string `json:"errors,omitempty"`
-	Truncated bool     `json:"truncated,omitempty"`
-	NotOwned  int      `json:"notOwned,omitempty"`
-	Epoch     uint64   `json:"epoch,omitempty"`
+// maxRouterErrors caps the failure messages echoed in one response.
+const maxRouterErrors = 16
+
+// note samples one failure message into the response (capped).
+func note(agg *stream.IngestResult, format string, args ...any) {
+	if len(agg.Errors) < maxRouterErrors {
+		agg.Errors = append(agg.Errors, fmt.Sprintf(format, args...))
+	}
 }
 
 // handleEvents splits the batch by owner and forwards each slice.
@@ -247,7 +229,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), rt.cfg.MaxLineBytes)
 
-	var agg ingestResult
+	var agg stream.IngestResult
 	var lines []routedLine
 	lineNo := 0
 	for sc.Scan() {
@@ -259,39 +241,20 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		ev, err := mcelog.ParseJSONEvent(raw)
 		if err != nil {
 			agg.Rejected++
-			if len(agg.Errors) < 16 {
-				agg.Errors = append(agg.Errors, fmt.Sprintf("line %d: %v", lineNo, err))
-			}
+			note(&agg, "line %d: %v", lineNo, err)
 			continue
 		}
-		ln := routedLine{ev: ev, key: ev.Addr.BankKey()}
-		if rt.cfg.UpstreamCodec == CodecJSONL {
-			ln.text = append([]byte(nil), raw...)
-		}
-		lines = append(lines, ln)
+		lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
 	}
-	if err := sc.Err(); err != nil {
-		agg.Truncated = true
-		if len(agg.Errors) < 16 {
-			agg.Errors = append(agg.Errors, fmt.Sprintf("after line %d: %v", lineNo, err))
-		}
-	}
-	rt.lines.Add(uint64(len(lines)))
-	rt.forward(lines, &agg)
-	status := http.StatusOK
-	if agg.Epoch == 0 {
-		if ring := rt.currentRing(); ring != nil {
-			agg.Epoch = ring.Epoch()
-		}
-	}
-	writeJSON(w, status, agg)
+	// An oversized line or a mid-body disconnect keeps what was read (200
+	// with Truncated set), as on the serve node.
+	rt.respond(w, lines, &agg, sc.Err(), "line", lineNo, http.StatusOK)
 }
 
-// handleEventsBin accepts the binary wire codec from clients and routes
-// it like handleEvents. Records decode unconditionally here — geometry
-// validation stays on the serve nodes, which know the fleet's shape. A
-// corrupt frame is a 400 (no way to resynchronise), but frames before it
-// are already routed.
+// handleEventsBin accepts wire frames from clients and routes them like
+// handleEvents. Records decode unconditionally here — geometry validation
+// stays on the serve nodes, which know the fleet's shape. A corrupt frame
+// is a 400 (no way to resynchronise), but the frames before it are routed.
 func (rt *Router) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 	if rt.currentRing() == nil {
 		http.Error(w, "no ring yet", http.StatusServiceUnavailable)
@@ -300,27 +263,16 @@ func (rt *Router) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	dec := mcelog.NewFrameDecoder(body)
 
-	var agg ingestResult
+	var agg stream.IngestResult
 	var lines []routedLine
 	frameNo := 0
 	for {
 		fr, err := dec.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
-				break
+				err = nil
 			}
-			agg.Truncated = true
-			if len(agg.Errors) < 16 {
-				agg.Errors = append(agg.Errors, fmt.Sprintf("after frame %d: %v", frameNo, err))
-			}
-			rt.lines.Add(uint64(len(lines)))
-			rt.forward(lines, &agg)
-			status := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeJSON(w, status, agg)
+			rt.respond(w, lines, &agg, err, "frame", frameNo, http.StatusBadRequest)
 			return
 		}
 		frameNo++
@@ -329,21 +281,39 @@ func (rt *Router) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 			lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
 		}
 	}
+}
+
+// respond is both handlers' tail: forward what was decoded, then answer in
+// the serve node's contract. bodyErr is why decoding stopped short of the
+// body's end after n lines or frames (nil at a clean end): the counts then
+// cover the prefix that was read, and the status is 413 for a body over
+// MaxBodyBytes and badBody otherwise.
+func (rt *Router) respond(w http.ResponseWriter, lines []routedLine, agg *stream.IngestResult, bodyErr error, unit string, n, badBody int) {
+	status := http.StatusOK
+	if bodyErr != nil {
+		agg.Truncated = true
+		note(agg, "after %s %d: %v", unit, n, bodyErr)
+		status = badBody
+		var tooBig *http.MaxBytesError
+		if errors.As(bodyErr, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+	}
 	rt.lines.Add(uint64(len(lines)))
-	rt.forward(lines, &agg)
+	rt.forward(lines, agg)
 	if agg.Epoch == 0 {
 		if ring := rt.currentRing(); ring != nil {
 			agg.Epoch = ring.Epoch()
 		}
 	}
-	writeJSON(w, http.StatusOK, agg)
+	writeJSON(w, status, agg)
 }
 
 // forward delivers lines to their owners, retrying refused or failed
 // slices against fresh rings until attempts run out. Grouping preserves
 // input order within each node slice, so per-bank order is preserved
 // end to end (one bank → one owner at a time).
-func (rt *Router) forward(lines []routedLine, agg *ingestResult) {
+func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
 	for attempt := 0; len(lines) > 0 && attempt < rt.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rt.retries.Inc()
@@ -378,9 +348,7 @@ func (rt *Router) forward(lines []routedLine, agg *ingestResult) {
 			agg.Rejected += res.Rejected
 			agg.Dropped += res.Dropped
 			for _, e := range res.Errors {
-				if len(agg.Errors) < 16 {
-					agg.Errors = append(agg.Errors, fmt.Sprintf("node %s: %s", id, e))
-				}
+				note(agg, "node %s: %s", id, e)
 			}
 			if res.Epoch > agg.Epoch {
 				agg.Epoch = res.Epoch
@@ -404,64 +372,44 @@ func (rt *Router) forward(lines []routedLine, agg *ingestResult) {
 		rt.failures.Inc()
 		agg.Dropped += len(lines)
 		agg.Truncated = true
-		if len(agg.Errors) < 16 {
-			agg.Errors = append(agg.Errors,
-				fmt.Sprintf("%d lines undeliverable after %d attempts", len(lines), rt.cfg.MaxAttempts))
-		}
+		note(agg, "%d lines undeliverable after %d attempts", len(lines), rt.cfg.MaxAttempts)
 	}
 }
 
-// postBatch sends one node its slice of the batch, re-framed in the
-// configured upstream codec. Any 2xx or a 503 carrying an IngestResult
-// body parses as a result; everything else is an error (the caller
-// re-resolves owners and retries).
-func (rt *Router) postBatch(m Member, group []routedLine) (ingestResult, error) {
+// postBatch sends one node its slice of the batch as wire frames on
+// /v1/events.bin — the one upstream codec: every serve node has the
+// endpoint, and the frames are what it journals. Any 2xx or a 503 carrying
+// an IngestResult body parses as a result; everything else is an error
+// (the caller re-resolves owners and retries).
+func (rt *Router) postBatch(m Member, group []routedLine) (stream.IngestResult, error) {
 	rt.forwards.Inc()
 	var buf bytes.Buffer
-	var path, contentType string
-	if rt.cfg.UpstreamCodec == CodecJSONL {
-		path, contentType = "/v1/events", "application/x-ndjson"
-		for _, ln := range group {
-			text := ln.text
-			if text == nil { // binary client input under the jsonl codec
-				var err error
-				if text, err = mcelog.MarshalJSONEvent(ln.ev); err != nil {
-					return ingestResult{}, fmt.Errorf("re-encoding event for node %s: %w", m.ID, err)
-				}
-			}
-			buf.Write(text)
-			buf.WriteByte('\n')
-		}
-	} else {
-		path, contentType = "/v1/events.bin", "application/octet-stream"
-		enc := mcelog.NewFrameEncoder(&buf, 0)
-		for _, ln := range group {
-			if err := enc.Add(ln.ev); err != nil {
-				return ingestResult{}, fmt.Errorf("framing event for node %s: %w", m.ID, err)
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			return ingestResult{}, fmt.Errorf("framing batch for node %s: %w", m.ID, err)
+	enc := mcelog.NewFrameEncoder(&buf, 0)
+	for _, ln := range group {
+		if err := enc.Add(ln.ev); err != nil {
+			return stream.IngestResult{}, fmt.Errorf("framing event for node %s: %w", m.ID, err)
 		}
 	}
-	resp, err := rt.cfg.Client.Post("http://"+m.Addr+path, contentType, &buf)
+	if err := enc.Flush(); err != nil {
+		return stream.IngestResult{}, fmt.Errorf("framing batch for node %s: %w", m.ID, err)
+	}
+	resp, err := rt.cfg.Client.Post("http://"+m.Addr+"/v1/events.bin", "application/octet-stream", &buf)
 	if err != nil {
-		return ingestResult{}, err
+		return stream.IngestResult{}, err
 	}
 	defer resp.Body.Close()
-	var res ingestResult
-	dec := json.NewDecoder(resp.Body)
-	if resp.StatusCode/100 == 2 || resp.StatusCode == http.StatusServiceUnavailable {
-		if err := dec.Decode(&res); err != nil {
-			return ingestResult{}, fmt.Errorf("node %s: %d with undecodable body: %w", m.ID, resp.StatusCode, err)
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && res.NotOwned == 0 {
-			// 503 without the not-owned marker: engine closed/unready.
-			return ingestResult{}, fmt.Errorf("node %s: unavailable", m.ID)
-		}
-		return res, nil
+	if resp.StatusCode/100 != 2 && resp.StatusCode != http.StatusServiceUnavailable {
+		return stream.IngestResult{}, fmt.Errorf("node %s: status %d", m.ID, resp.StatusCode)
 	}
-	return ingestResult{}, fmt.Errorf("node %s: status %d", m.ID, resp.StatusCode)
+	var res stream.IngestResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		return stream.IngestResult{}, fmt.Errorf("node %s: %d with undecodable body: %w", m.ID, resp.StatusCode, err)
+	}
+	if resp.StatusCode == http.StatusServiceUnavailable && res.NotOwned == 0 {
+		// 503 without the not-owned marker: engine closed/unready.
+		return stream.IngestResult{}, fmt.Errorf("node %s: unavailable", m.ID)
+	}
+	return res, nil
 }
 
 // handleReady: the router can route once it has a non-empty ring.

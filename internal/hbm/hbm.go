@@ -347,11 +347,20 @@ func Unpack(v uint64) Address {
 // alias two distinct (corrupt) keys onto one address; checked decode turns
 // that into a detectable error at the trust boundary.
 func UnpackChecked(v uint64) (Address, error) {
-	l := &ActiveProfile().Layout
-	if rest := v &^ l.used; rest != 0 {
-		return Address{}, fmt.Errorf("hbm: packed address %#x has bits %#x outside the %d-bit layout", v, rest, l.Bits())
+	if err := CheckPacked(v); err != nil {
+		return Address{}, err
 	}
 	return Unpack(v), nil
+}
+
+// CheckPacked is UnpackChecked's check alone, for callers that decode the
+// address themselves (unpacking is the expensive half).
+func CheckPacked(v uint64) error {
+	l := &ActiveProfile().Layout
+	if rest := v &^ l.used; rest != 0 {
+		return fmt.Errorf("hbm: packed address %#x has bits %#x outside the %d-bit layout", v, rest, l.Bits())
+	}
+	return nil
 }
 
 // Validate reports whether the address is within the geometry's bounds.

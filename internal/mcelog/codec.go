@@ -2,11 +2,9 @@ package mcelog
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -24,35 +22,14 @@ type jsonEvent struct {
 	Bits  uint16    `json:"bits,omitempty"`
 }
 
-// WriteJSONL writes the log as JSON Lines: one event object per line.
-func (l *Log) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, e := range l.events {
-		je := jsonEvent{Time: e.Time.UTC(), Addr: e.Addr.String(), Class: e.Class.String(), Bits: uint16(e.Bits)}
-		if err := enc.Encode(je); err != nil {
-			return fmt.Errorf("mcelog: encoding event %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
+// jsonEventOf renders an event in the interchange shape.
+func jsonEventOf(e Event) jsonEvent {
+	return jsonEvent{Time: e.Time.UTC(), Addr: e.Addr.String(), Class: e.Class.String(), Bits: uint16(e.Bits)}
 }
 
-// MarshalJSONEvent renders one event in the per-line shape WriteJSONL
-// emits (no trailing newline). It is ParseJSONEvent's inverse — used by
-// forwarders that received an event in another codec and must re-encode
-// it for a JSONL-only peer.
-func MarshalJSONEvent(ev Event) ([]byte, error) {
-	return json.Marshal(jsonEvent{Time: ev.Time.UTC(), Addr: ev.Addr.String(), Class: ev.Class.String(), Bits: uint16(ev.Bits)})
-}
-
-// ParseJSONEvent parses one JSONL-encoded event (the per-line shape
-// WriteJSONL emits). Unlike ReadJSONL it is line-granular, so tolerant
-// ingestors can reject a malformed line and keep the rest of the batch.
-func ParseJSONEvent(line []byte) (Event, error) {
-	var je jsonEvent
-	if err := json.Unmarshal(line, &je); err != nil {
-		return Event{}, fmt.Errorf("mcelog: decoding event: %w", err)
-	}
+// event converts the interchange shape back, with the checks every JSONL
+// reader applies: address and class syntax and the timestamp sanity window.
+func (je jsonEvent) event() (Event, error) {
 	addr, err := hbm.ParseAddress(je.Addr)
 	if err != nil {
 		return Event{}, fmt.Errorf("mcelog: %w", err)
@@ -67,6 +44,36 @@ func ParseJSONEvent(line []byte) (Event, error) {
 	return Event{Time: je.Time, Addr: addr, Class: class, Bits: ErrBits(je.Bits)}, nil
 }
 
+// WriteJSONL writes the log as JSON Lines: one event object per line.
+func (l *Log) WriteJSONL(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i, e := range l.events {
+		if err := enc.Encode(jsonEventOf(e)); err != nil {
+			return fmt.Errorf("mcelog: encoding event %d: %w", i, err)
+		}
+	}
+	return bw.Flush()
+}
+
+// MarshalJSONEvent renders one event in the per-line shape WriteJSONL
+// emits (no trailing newline). It is ParseJSONEvent's inverse, for
+// producers that build a JSONL request body event by event.
+func MarshalJSONEvent(ev Event) ([]byte, error) {
+	return json.Marshal(jsonEventOf(ev))
+}
+
+// ParseJSONEvent parses one JSONL-encoded event (the per-line shape
+// WriteJSONL emits). Unlike ReadJSONL it is line-granular, so tolerant
+// ingestors can reject a malformed line and keep the rest of the batch.
+func ParseJSONEvent(line []byte) (Event, error) {
+	var je jsonEvent
+	if err := json.Unmarshal(line, &je); err != nil {
+		return Event{}, fmt.Errorf("mcelog: decoding event: %w", err)
+	}
+	return je.event()
+}
+
 // ReadJSONL parses a JSON Lines stream produced by WriteJSONL.
 func ReadJSONL(r io.Reader) (*Log, error) {
 	dec := json.NewDecoder(r)
@@ -79,128 +86,10 @@ func ReadJSONL(r io.Reader) (*Log, error) {
 			}
 			return nil, fmt.Errorf("mcelog: decoding line %d: %w", i, err)
 		}
-		addr, err := hbm.ParseAddress(je.Addr)
+		ev, err := je.event()
 		if err != nil {
-			return nil, fmt.Errorf("mcelog: line %d: %w", i, err)
+			return nil, fmt.Errorf("line %d: %w", i, err)
 		}
-		class, err := ecc.ParseClass(je.Class)
-		if err != nil {
-			return nil, fmt.Errorf("mcelog: line %d: %w", i, err)
-		}
-		log.Append(Event{Time: je.Time, Addr: addr, Class: class, Bits: ErrBits(je.Bits)})
+		log.Append(ev)
 	}
-}
-
-// Binary format:
-//
-//	header:  magic "MCEL" | uint16 version | uint32 event count
-//	record:  int64 unix-nanos | uint64 packed addr | uint8 class | uint16 error bits   (×count)
-//	trailer: uint32 CRC-32 (IEEE) over all record bytes
-//
-// All integers are little-endian. The trailer detects truncation and
-// corruption; readers must verify it before trusting the events. Version
-// 1 files, whose records lack the trailing error-bit field, still read
-// (with Bits zero); writers always emit version 2.
-const (
-	binaryMagic     = "MCEL"
-	binaryVersion   = 2
-	binaryVersionV1 = 1
-	recordSize      = 8 + 8 + 1 + 2
-	recordSizeV1    = 8 + 8 + 1
-)
-
-// WriteBinary writes the log in the compact binary format.
-func (l *Log) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return fmt.Errorf("mcelog: writing magic: %w", err)
-	}
-	var head [6]byte
-	binary.LittleEndian.PutUint16(head[0:2], binaryVersion)
-	binary.LittleEndian.PutUint32(head[2:6], uint32(len(l.events)))
-	if _, err := bw.Write(head[:]); err != nil {
-		return fmt.Errorf("mcelog: writing header: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	var rec [recordSize]byte
-	for _, e := range l.events {
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(e.Time.UnixNano()))
-		binary.LittleEndian.PutUint64(rec[8:16], e.Addr.Pack())
-		rec[16] = byte(e.Class)
-		binary.LittleEndian.PutUint16(rec[17:19], uint16(e.Bits))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fmt.Errorf("mcelog: writing record: %w", err)
-		}
-		crc.Write(rec[:]) // hash.Hash.Write never errors
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	if _, err := bw.Write(tail[:]); err != nil {
-		return fmt.Errorf("mcelog: writing checksum: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the compact binary format, verifying the checksum.
-func ReadBinary(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4+6)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("mcelog: reading header: %w", err)
-	}
-	if string(head[:4]) != binaryMagic {
-		return nil, fmt.Errorf("mcelog: bad magic %q", head[:4])
-	}
-	recSize := recordSize
-	switch v := binary.LittleEndian.Uint16(head[4:6]); v {
-	case binaryVersion:
-	case binaryVersionV1:
-		recSize = recordSizeV1
-	default:
-		return nil, fmt.Errorf("mcelog: unsupported version %d", v)
-	}
-	count := binary.LittleEndian.Uint32(head[6:10])
-	// The count is untrusted input: preallocate only up to a sane bound and
-	// let append grow beyond it, so a corrupt header cannot OOM the reader.
-	prealloc := int(count)
-	if prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	log := NewLog(prealloc)
-	crc := crc32.NewIEEE()
-	rec := make([]byte, recSize)
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("mcelog: reading record %d of %d: %w", i, count, err)
-		}
-		crc.Write(rec)
-		class := ecc.Class(rec[16])
-		if class != ecc.ClassCE && class != ecc.ClassUEO && class != ecc.ClassUER {
-			return nil, fmt.Errorf("mcelog: record %d has invalid class byte %d", i, rec[16])
-		}
-		// Checked unpack: a packed address with bits outside the layout
-		// would silently alias onto a wrong (but valid-looking) address.
-		addr, err := hbm.UnpackChecked(binary.LittleEndian.Uint64(rec[8:16]))
-		if err != nil {
-			return nil, fmt.Errorf("mcelog: record %d: %w", i, err)
-		}
-		var bits ErrBits
-		if recSize == recordSize {
-			bits = ErrBits(binary.LittleEndian.Uint16(rec[17:19]))
-		}
-		log.Append(Event{
-			Time:  time.Unix(0, int64(binary.LittleEndian.Uint64(rec[0:8]))).UTC(),
-			Addr:  addr,
-			Class: class,
-			Bits:  bits,
-		})
-	}
-	tail := make([]byte, 4)
-	if _, err := io.ReadFull(br, tail); err != nil {
-		return nil, fmt.Errorf("mcelog: reading checksum: %w", err)
-	}
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("mcelog: checksum mismatch: computed %#x, stored %#x", got, want)
-	}
-	return log, nil
 }

@@ -2,6 +2,9 @@ package mcelog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -84,35 +87,73 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	l := FromEvents(randomEvents(500, 4))
-	l.Sort()
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
+// The tests below are the log-file and event-stream tests of the two binary
+// formats CBF2 replaced (the MCEL file codec: TestBinary*; the MCES record
+// stream: TestStream*), kept under their names and pointed at the one format
+// that remains: Log.WriteWire / ReadLog for files, FrameEncoder / FrameDecoder
+// for incremental streams.
+
+// wireFile renders events as a log file of frameEvents records per frame
+// (0 = what WriteWire itself does).
+func wireFile(t testing.TB, events []Event, frameEvents int) []byte {
+	t.Helper()
+	if frameEvents == 0 {
+		var buf bytes.Buffer
+		if err := FromEvents(events).WriteWire(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
+	return encodeWireStream(t, events, frameEvents)
+}
+
+// withBits gives every event a distinct error-bit pattern.
+func withBits(events []Event) []Event {
+	for i := range events {
+		events[i].Bits = ErrBits(uint16(i*2654435761) & 0x7f3f)
 	}
-	if got.Len() != l.Len() {
-		t.Fatalf("round trip len = %d, want %d", got.Len(), l.Len())
+	return events
+}
+
+// sameEvents fails unless got holds exactly want, in order.
+func sameEvents(t *testing.T, got *Log, want []Event) {
+	t.Helper()
+	if got.Len() != len(want) {
+		t.Fatalf("read %d events, want %d", got.Len(), len(want))
 	}
-	for i := 0; i < l.Len(); i++ {
-		want, have := l.At(i), got.At(i)
-		if !want.Time.Equal(have.Time) || want.Addr != have.Addr || want.Class != have.Class {
-			t.Fatalf("event %d mismatch: %+v vs %+v", i, want, have)
+	for i, w := range want {
+		if g := got.At(i); !g.Time.Equal(w.Time) || g.Addr != w.Addr || g.Class != w.Class || g.Bits != w.Bits {
+			t.Fatalf("event %d: got %+v, want %+v", i, g, w)
 		}
 	}
 }
 
-func TestBinaryEmpty(t *testing.T) {
-	var l Log
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
+// reframe replaces the first frame's payload of a wire file and recomputes
+// its checksum, so only a per-record check can refuse the result.
+func reframe(file []byte, mutate func(payload []byte)) []byte {
+	out := append([]byte(nil), file...)
+	n := binary.LittleEndian.Uint32(out[4:8])
+	payload := out[4+wireFrameHdrSize : 4+wireFrameHdrSize+int(n)]
+	mutate(payload)
+	copy(out[4:], encodeFrame(payload))
+	return out
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	events := withBits(randomEvents(2500, 4)) // three frames
+	got, err := ReadLog(bytes.NewReader(wireFile(t, events, 0)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	sameEvents(t, got, events)
+}
+
+func TestBinaryEmpty(t *testing.T) {
+	file := wireFile(t, nil, 0)
+	if len(file) != 0 {
+		t.Fatalf("empty log wrote %d bytes", len(file))
+	}
+	got, err := ReadLog(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,69 +163,62 @@ func TestBinaryEmpty(t *testing.T) {
 }
 
 func TestBinaryDetectsTruncation(t *testing.T) {
-	l := FromEvents(randomEvents(50, 5))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Any strict prefix must fail (header, mid-record, or missing trailer).
-	for _, cut := range []int{0, 3, 9, 11, 40, len(full) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
+	full := wireFile(t, randomEvents(50, 5), 0)
+	// Any cut inside the magic, the frame header or the payload must fail;
+	// past the magic it is framing damage.
+	for _, cut := range []int{3, 9, 11, 40, len(full) - 1} {
+		_, err := ReadLog(bytes.NewReader(full[:cut]))
+		if err == nil {
 			t.Errorf("truncation at %d bytes went undetected", cut)
+		}
+		if cut > 4 && !errors.Is(err, ErrWireFrame) {
+			t.Errorf("truncation at %d bytes: error %v does not wrap ErrWireFrame", cut, err)
 		}
 	}
 }
 
 func TestBinaryDetectsCorruption(t *testing.T) {
-	l := FromEvents(randomEvents(50, 6))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Flip one byte inside a record's timestamp region (after the 10-byte
-	// header): the CRC must catch it.
-	corrupted := make([]byte, len(data))
-	copy(corrupted, data)
-	corrupted[12] ^= 0xff
-	if _, err := ReadBinary(bytes.NewReader(corrupted)); err == nil {
-		t.Fatal("corrupted stream went undetected")
+	data := wireFile(t, randomEvents(50, 6), 0)
+	data[4+wireFrameHdrSize+2] ^= 0xff // inside record 0's timestamp
+	if _, err := ReadLog(bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("corrupted file error = %v, want ErrWireFrame", err)
 	}
 }
 
 func TestBinaryRejectsBadMagicAndVersion(t *testing.T) {
-	l := FromEvents(randomEvents(5, 7))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	badMagic := append([]byte{}, data...)
-	badMagic[0] = 'X'
-	if _, err := ReadBinary(bytes.NewReader(badMagic)); err == nil {
-		t.Error("bad magic accepted")
-	}
-
-	badVersion := append([]byte{}, data...)
-	badVersion[4] = 99
-	if _, err := ReadBinary(bytes.NewReader(badVersion)); err == nil {
-		t.Error("bad version accepted")
+	data := wireFile(t, randomEvents(5, 7), 0)
+	for _, magic := range []string{"XBF2", "CBF9"} {
+		bad := append([]byte(magic), data[4:]...)
+		if _, err := ReadLog(bytes.NewReader(bad)); err == nil {
+			t.Errorf("magic %q accepted", magic)
+		}
 	}
 }
 
+// TestBinaryRejectsInvalidClassByte: file bytes are checked per record. A
+// frame whose checksum is right but whose records no collector could have
+// logged is refused by ReadLog, while the unchecked frame decoder — whose
+// callers validate each event against their geometry — lets it through.
 func TestBinaryRejectsInvalidClassByte(t *testing.T) {
-	l := FromEvents(randomEvents(3, 8))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Class byte of record 0 sits at offset 10 + 16.
-	data[10+16] = 0xEE
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("invalid class byte accepted")
+	file := wireFile(t, randomEvents(3, 8), 0)
+	for _, tc := range []struct {
+		name   string
+		mutate func(payload []byte)
+	}{
+		{"invalid class byte", func(p []byte) { p[16] = 0xEE }},
+		{"stray address bits", func(p []byte) { binary.LittleEndian.PutUint64(p[8:16], ^uint64(0)) }},
+	} {
+		bad := reframe(file, tc.mutate)
+		if got := decodeWireStream(t, bad); len(got) != 3 {
+			t.Fatalf("%s: frame decoder yielded %d events, want 3", tc.name, len(got))
+		}
+		log, err := ReadLog(bytes.NewReader(bad))
+		if err == nil || errors.Is(err, ErrWireFrame) || !strings.Contains(err.Error(), "frame 1 record 0") {
+			t.Errorf("%s: ReadLog error = %v, want a frame 1 record 0 refusal", tc.name, err)
+		}
+		if log.Len() != 0 {
+			t.Errorf("%s: ReadLog kept %d events of the refused frame", tc.name, log.Len())
+		}
 	}
 }
 
@@ -194,7 +228,7 @@ func TestBinaryMoreCompactThanJSONL(t *testing.T) {
 	if err := l.WriteJSONL(&jb); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteBinary(&bb); err != nil {
+	if err := l.WriteWire(&bb); err != nil {
 		t.Fatal(err)
 	}
 	if bb.Len() >= jb.Len() {
@@ -202,46 +236,132 @@ func TestBinaryMoreCompactThanJSONL(t *testing.T) {
 	}
 }
 
-func BenchmarkWriteBinary(b *testing.B) {
+func TestBinaryHostileCountDoesNotOOM(t *testing.T) {
+	// A length prefix claiming gigabytes must be refused before any
+	// allocation sized by it.
+	data := wireFile(t, randomEvents(3, 99), 0)
+	binary.LittleEndian.PutUint32(data[4:8], 0x7fffffff)
+	if _, err := ReadLog(bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("hostile length error = %v, want ErrWireFrame", err)
+	}
+}
+
+func BenchmarkWriteWire(b *testing.B) {
 	l := FromEvents(randomEvents(10000, 10))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := l.WriteBinary(&buf); err != nil {
+		if err := l.WriteWire(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkReadBinary(b *testing.B) {
-	l := FromEvents(randomEvents(10000, 10))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+func BenchmarkReadLog(b *testing.B) {
+	data := wireFile(b, randomEvents(10000, 10), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+		if _, err := ReadLog(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func TestBinaryHostileCountDoesNotOOM(t *testing.T) {
-	// Regression (found by FuzzReadBinary): a header claiming billions of
-	// records must not preallocate billions of entries. The read must fail
-	// on the truncated body instead of exhausting memory.
-	l := FromEvents(randomEvents(3, 99))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
+func TestStreamRoundTrip(t *testing.T) {
+	// A collector that cannot know the event count up front adds events one
+	// at a time; the reader takes them back frame by frame, checked.
+	events := withBits(randomEvents(300, 21))
+	dec := NewFrameDecoder(bytes.NewReader(wireFile(t, events, 7)))
+	got := &Log{}
+	for {
+		fr, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < fr.Len(); i++ {
+			ev, err := fr.EventChecked(i)
+			if err != nil {
+				t.Fatalf("record %d: %v", got.Len(), err)
+			}
+			got.Append(ev)
+		}
+	}
+	sameEvents(t, got, events)
+}
+
+// TestStreamReadAll: ReadLog drains a many-frame stream, and a legacy CBF1
+// stream (17-byte records, no error bits) still reads, with Bits zero.
+func TestStreamReadAll(t *testing.T) {
+	events := randomEvents(50, 22)
+	got, err := ReadLog(bytes.NewReader(wireFile(t, withBits(append([]Event(nil), events...)), 7)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// Overwrite the count field (offset 6) with a huge value.
-	data[6], data[7], data[8], data[9] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("hostile count accepted")
+	if got.Len() != 50 || got.At(49).Bits == 0 {
+		t.Fatalf("read %d events, last bits %#x", got.Len(), got.At(49).Bits)
 	}
+
+	var payload []byte
+	for _, ev := range events {
+		payload = append(payload, AppendWireRecord(nil, ev)[:wireRecordSizeV1]...)
+	}
+	v1 := append([]byte(wireMagicV1), encodeFrame(payload)...)
+	if got, err = ReadLog(bytes.NewReader(v1)); err != nil {
+		t.Fatal(err)
+	}
+	sameEvents(t, got, events)
+}
+
+func TestStreamTornWriteKeepsPrefix(t *testing.T) {
+	data := wireFile(t, randomEvents(20, 23), 6) // frames of 6, 6, 6, 2
+	log, err := ReadLog(bytes.NewReader(data[:len(data)-10]))
+	if !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("torn stream error = %v", err)
+	}
+	if log.Len() != 18 {
+		t.Fatalf("kept %d events before the tear, want 18", log.Len())
+	}
+}
+
+func TestStreamBitFlipDetected(t *testing.T) {
+	data := wireFile(t, randomEvents(5, 24), 1)
+	// Flip a byte in frame 2's payload (magic, then two whole frames).
+	data[4+2*(wireFrameHdrSize+WireRecordSize)+wireFrameHdrSize+3] ^= 0x40
+	log, err := ReadLog(bytes.NewReader(data))
+	if !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("bit flip error = %v", err)
+	}
+	if log.Len() != 2 {
+		t.Fatalf("kept %d events before corruption, want 2", log.Len())
+	}
+}
+
+func TestStreamRejectsBadHeader(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"torn frame header":  []byte("CBF2\x13\x00"),
+		"empty frame":        append([]byte("CBF2"), make([]byte, wireFrameHdrSize)...),
+		"legacy, torn frame": []byte("CBF1\x11\x00\x00\x00"),
+	} {
+		if log, err := ReadLog(bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) || log.Len() != 0 {
+			t.Errorf("%s: ReadLog = %d events, %v; want ErrWireFrame", name, log.Len(), err)
+		}
+	}
+}
+
+// TestStreamRejectsInvalidClassEvenWithValidCRC: a refused record takes its
+// whole frame with it — the events ReadLog returns beside the error are
+// those of the complete frames before, never part of a frame.
+func TestStreamRejectsInvalidClassEvenWithValidCRC(t *testing.T) {
+	events := randomEvents(8, 25)
+	first := wireFile(t, events[:4], 0)
+	second := reframe(wireFile(t, events[4:], 0), func(p []byte) { p[2*WireRecordSize+16] = 0xEE })
+	log, err := ReadLog(bytes.NewReader(append(first, second[4:]...)))
+	if err == nil || !strings.Contains(err.Error(), "frame 2 record 2") {
+		t.Fatalf("invalid class error = %v", err)
+	}
+	sameEvents(t, log, events[:4])
 }

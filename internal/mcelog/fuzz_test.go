@@ -3,46 +3,44 @@ package mcelog
 import (
 	"bytes"
 	"errors"
-	"io"
+	"strings"
 	"testing"
 )
 
-// FuzzReadBinary verifies the binary codec never panics and never silently
-// accepts corrupted input as a different log.
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid log and a few mutations.
-	l := FromEvents(randomEvents(10, 1))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+// FuzzReadLog feeds ReadLog — the reader of every log file, whichever of
+// the two formats it sniffs — arbitrary bytes: it must never panic, and
+// whatever it decodes must re-encode through WriteWire to the same events
+// (so nothing ReadLog returns is a record the checked decoder would refuse,
+// and no accepted input is silently read as a different log).
+func FuzzReadLog(f *testing.F) {
+	valid := wireFile(f, withBits(randomEvents(10, 1)), 4)
 	f.Add(valid)
-	f.Add(valid[:5])
+	f.Add(valid[:len(valid)-5]) // torn last frame
 	f.Add([]byte{})
-	f.Add([]byte("MCEL"))
+	f.Add([]byte("CBF2"))
 	mutated := append([]byte{}, valid...)
 	mutated[12] ^= 0xff
 	f.Add(mutated)
+	f.Add(reframe(valid, func(p []byte) { p[16] = 0xEE })) // valid CRC, junk class
+	f.Add([]byte(`{"time":"2025-01-01T00:00:00Z","addr":"n0.u0.h0.s0.c0.p0.g0.b0.r1.col2","class":"CE"}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
+		log, err := ReadLog(bytes.NewReader(data))
+		if log == nil {
+			if err == nil {
+				t.Fatal("no log and no error")
+			}
+			return // JSONL input refused outright
 		}
-		// Round-trip property: whatever parses must re-serialise and
-		// re-parse identically.
 		var out bytes.Buffer
-		if err := log.WriteBinary(&out); err != nil {
+		if err := log.WriteWire(&out); err != nil {
 			t.Fatalf("reserialise: %v", err)
 		}
-		again, err := ReadBinary(&out)
+		again, err := ReadLog(&out)
 		if err != nil {
 			t.Fatalf("reparse: %v", err)
 		}
-		if again.Len() != log.Len() {
-			t.Fatalf("round trip changed length %d -> %d", log.Len(), again.Len())
-		}
+		sameEvents(t, again, log.Events())
 	})
 }
 
@@ -77,35 +75,32 @@ func FuzzReadJSONL(f *testing.F) {
 	})
 }
 
-// FuzzStreamReader verifies the streaming codec never panics and preserves
-// the valid prefix of torn streams.
+// FuzzStreamReader is the torn-write property of an event stream: cut
+// anywhere, a stream reads back as a prefix of what the whole stream reads
+// back as — a crashed writer or a dropped connection loses the tail, never
+// changes or invents an event.
 func FuzzStreamReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewStreamWriter(&buf)
-	for _, e := range randomEvents(5, 3) {
-		if err := w.Write(e); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:10])
-	f.Add([]byte("MCES\x01\x00"))
-	f.Add([]byte{})
+	valid := wireFile(f, withBits(randomEvents(5, 3)), 2)
+	f.Add(valid, uint16(10))
+	f.Add(valid, uint16(len(valid)-1))
+	f.Add([]byte("CBF1\x11\x00"), uint16(5))
+	f.Add([]byte{}, uint16(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewStreamReader(bytes.NewReader(data))
-		for i := 0; i < 10000; i++ {
-			_, err := r.Next()
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if err != nil {
-				return // any error terminates cleanly
-			}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		whole, err := ReadLog(bytes.NewReader(data))
+		if whole == nil || int(cut) > len(data) {
+			return
 		}
+		if err != nil && !errors.Is(err, ErrWireFrame) && !strings.Contains(err.Error(), " record ") {
+			t.Fatalf("binary stream failed with neither a framing nor a record error: %v", err)
+		}
+		torn, _ := ReadLog(bytes.NewReader(data[:cut]))
+		if torn == nil {
+			return // cut inside the magic: no longer sniffed as a stream
+		}
+		if torn.Len() > whole.Len() {
+			t.Fatalf("%d events from a %d-byte prefix, %d from the whole", torn.Len(), cut, whole.Len())
+		}
+		sameEvents(t, torn, whole.Events()[:torn.Len()])
 	})
 }

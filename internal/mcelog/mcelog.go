@@ -5,9 +5,9 @@
 // Cordial pipeline all consume these records.
 //
 // The package provides a typed Event record, an in-memory Log with the
-// query operations the paper's analyses need (sorting, windowing, grouping
-// by bank and by micro-level), and two interchange codecs: JSON Lines for
-// interoperability and a compact checksummed binary format for volume.
+// query operations the paper's analyses need, and the event's two encodings:
+// JSON Lines for interoperability (codec.go), and one 19-byte binary record
+// in CRC-checked frames (wire.go) shared by log files, wire and journal.
 package mcelog
 
 import (

@@ -98,8 +98,9 @@ func TestValidateRejectsPoisonedWireRecords(t *testing.T) {
 	}
 }
 
-// TestParseJSONEventRejectsPoisonedTimestamps: the line-granular JSONL
-// ingest path must reject timestamp poison at parse time.
+// TestParseJSONEventRejectsPoisonedTimestamps: both JSONL readers — the
+// line-granular ingest path and the whole-file one behind cordial-predict
+// and cordial-study — must reject timestamp poison at parse time.
 func TestParseJSONEventRejectsPoisonedTimestamps(t *testing.T) {
 	for _, tc := range []struct {
 		name, line string
@@ -113,13 +114,16 @@ func TestParseJSONEventRejectsPoisonedTimestamps(t *testing.T) {
 		if _, err := ParseJSONEvent([]byte(tc.line)); err == nil {
 			t.Errorf("%s: ParseJSONEvent accepted %s", tc.name, tc.line)
 		}
+		if _, err := ReadJSONL(strings.NewReader(tc.line + "\n")); err == nil {
+			t.Errorf("%s: ReadJSONL accepted %s", tc.name, tc.line)
+		}
 	}
 
 	good := `{"time":"2025-06-01T00:00:00Z","addr":"n0.u0.h0.s0.c0.p0.g0.b0.r1.col2","class":"CE"}`
 	if _, err := ParseJSONEvent([]byte(good)); err != nil {
 		t.Errorf("ParseJSONEvent rejected valid line: %v", err)
 	}
-	if !strings.Contains(good, "2025") {
-		t.Fatal("sanity")
+	if l, err := ReadJSONL(strings.NewReader(good + "\n")); err != nil || l.Len() != 1 {
+		t.Errorf("ReadJSONL rejected valid line: %v", err)
 	}
 }

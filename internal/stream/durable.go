@@ -11,7 +11,6 @@ import (
 	"cordial/internal/bincodec"
 	"cordial/internal/core"
 	"cordial/internal/hbm"
-	"cordial/internal/mcelog"
 	"cordial/internal/wal"
 )
 
@@ -94,146 +93,6 @@ func (e *Engine) writeDeadLetter(d *DeadLetter) {
 		return
 	}
 	e.dead.write(line)
-}
-
-// ---- journal event records -------------------------------------------------
-
-// eventRecordSize is the fixed WAL payload for one event: int64 unix-nanos,
-// uint64 packed address, uint8 ECC class — byte-identical to the wire
-// codec's record (mcelog.WireRecordSize), so a binary frame's payload is
-// exactly the concatenation of the journal payloads it produces.
-const eventRecordSize = mcelog.WireRecordSize
-
-// encodeEventRecord packs one event into a journal payload.
-func encodeEventRecord(ev mcelog.Event) []byte {
-	return mcelog.AppendWireRecord(nil, ev)
-}
-
-// decodeEventRecord unpacks a journal payload.
-func decodeEventRecord(p []byte) (mcelog.Event, error) {
-	if len(p) != eventRecordSize {
-		return mcelog.Event{}, fmt.Errorf("stream: event record of %d bytes, want %d", len(p), eventRecordSize)
-	}
-	return mcelog.DecodeWireRecord(p), nil
-}
-
-// ingestDurable journals the event, then enqueues it. The per-shard
-// ingestMu holds both steps together so queue order equals LSN order
-// within the shard — the invariant that lets replay reproduce exactly what
-// the consumer saw. Under IngestDrop the capacity check happens BEFORE the
-// append: an event shed at ingest must never be resurrected by replay.
-func (e *Engine) ingestDurable(s *shard, ev mcelog.Event) error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if e.cfg.Policy == IngestDrop && s.in.free() == 0 {
-		s.dropped.Inc()
-		return ErrDropped
-	}
-	lsn, err := e.wal.Append(encodeEventRecord(ev))
-	if err != nil {
-		// Not journaled: reject rather than accept an event that a crash
-		// would silently forget. The caller decides whether to retry. The
-		// failure also flips /readyz: a daemon that cannot persist intake
-		// should be rotated out of traffic, not just return errors.
-		e.walAppendErrs.Add(1)
-		e.lastAppendErr.Store(err.Error())
-		return fmt.Errorf("stream: journaling event: %w", err)
-	}
-	if last, _ := e.lastAppendErr.Load().(string); last != "" {
-		e.lastAppendErr.Store("") // append works again: readiness restored
-	}
-	t0 := time.Now()
-	s.in.push(queued{ev: ev, lsn: lsn})
-	e.ingestWait.observe(time.Since(t0))
-	e.metrics.ingested.Inc()
-	return nil
-}
-
-// ingestBatchDurable is IngestBatch's journaled path. The invariant it
-// must preserve is the same one ingestDurable's per-shard lock encodes:
-// within a shard, queue order equals LSN order. Batches touch several
-// shards, so the batch takes every touched shard's ingest lock in shard
-// index order (all batch ingests lock ascending and singles lock one, so
-// lock order is globally consistent — no deadlock) and holds them across
-// journal-append + enqueue. Concurrent appends from other shards land in
-// the same WAL group-commit window and share the fsync. Drop-policy
-// admission runs BEFORE the append (shed events must never be journaled,
-// or replay would resurrect them), truncating each shard group to its
-// queue's free space — safe because the consumer only grows it and every
-// producer for that shard is excluded by the ingest lock.
-func (e *Engine) ingestBatchDurable(events []mcelog.Event, sc *batchScratch) (accepted, dropped int, err error) {
-	for si := range sc.groups {
-		if len(sc.groups[si]) == 0 {
-			continue
-		}
-		e.shards[si].ingestMu.Lock()
-		defer e.shards[si].ingestMu.Unlock()
-	}
-	if e.cfg.Policy == IngestDrop {
-		for si, g := range sc.groups {
-			if len(g) == 0 {
-				continue
-			}
-			if free := e.shards[si].in.free(); len(g) > free {
-				sc.drops[si] = len(g) - free
-				dropped += sc.drops[si]
-				sc.groups[si] = g[:free]
-			}
-		}
-	}
-	// Encode admitted events in arrival order, so a batch's LSN assignment
-	// is exactly what the same events ingested one at a time would get.
-	// Session snapshots embed LSN watermarks and the crash gate compares
-	// them byte-for-byte across ingest shapes; arrival order also keeps
-	// the assignment independent of the shard count, which recovery is
-	// allowed to change. A shard's admitted events are the first
-	// len(groups[si]) of its arrivals (admission trims the tail), tracked
-	// by the pos cursor. Each queued entry temporarily holds its offset
-	// within the batch; the WAL's first LSN is added after the append.
-	total := 0
-	for _, ev := range events {
-		si := e.shardIndex(ev.Addr.BankKey())
-		if sc.pos[si] >= len(sc.groups[si]) {
-			continue // shed by admission
-		}
-		sc.groups[si][sc.pos[si]].lsn = uint64(total)
-		sc.pos[si]++
-		sc.enc = mcelog.AppendWireRecord(sc.enc, ev)
-		total++
-	}
-	if total > 0 {
-		first, aerr := e.wal.AppendBatch(sc.enc, eventRecordSize)
-		if aerr != nil {
-			// Nothing journaled, nothing queued: the caller must treat the
-			// whole batch as rejected (shed events are not counted either —
-			// their fate was never decided). Readiness flips as for singles.
-			e.walAppendErrs.Add(1)
-			e.lastAppendErr.Store(aerr.Error())
-			return 0, 0, fmt.Errorf("stream: journaling batch: %w", aerr)
-		}
-		if last, _ := e.lastAppendErr.Load().(string); last != "" {
-			e.lastAppendErr.Store("")
-		}
-		for si, g := range sc.groups {
-			if len(g) == 0 {
-				continue
-			}
-			for i := range g {
-				g[i].lsn += first
-			}
-			t0 := time.Now()
-			e.shards[si].in.pushBatch(g)
-			e.ingestWait.observe(time.Since(t0))
-			accepted += len(g)
-		}
-		e.metrics.ingested.Add(uint64(accepted))
-	}
-	for si, n := range sc.drops {
-		if n > 0 {
-			e.shards[si].dropped.Add(uint64(n))
-		}
-	}
-	return accepted, dropped, nil
 }
 
 // ---- snapshot payload ------------------------------------------------------
@@ -533,7 +392,11 @@ func (e *Engine) recoverDurable() error {
 
 	var replayed uint64
 	err = w.Replay(func(lsn uint64, payload []byte) error {
-		if version, isSwap := decodeSwapRecord(payload); isSwap {
+		ev, version, isSwap, derr := decodeJournalRecord(payload)
+		if derr != nil {
+			return derr
+		}
+		if isSwap {
 			// Re-install the epoch at its original position so sessions
 			// created later in the replay bind the same version they bound
 			// live. Idempotent against the snapshot header's seed. An
@@ -544,10 +407,6 @@ func (e *Engine) recoverDurable() error {
 			}
 			e.installEpoch(modelEpoch{version: version, sinceLSN: lsn, strategy: strat})
 			return nil
-		}
-		ev, derr := decodeEventRecord(payload)
-		if derr != nil {
-			return derr
 		}
 		replayed++
 		s := e.shardFor(ev.Addr.BankKey())

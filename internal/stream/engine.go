@@ -45,7 +45,8 @@ import (
 	"cordial/internal/sparing"
 )
 
-// IngestPolicy selects what Ingest does when a shard queue is full.
+// IngestPolicy selects what Ingest does when a shard queue is full. Both
+// values are in use (cordial-serve -policy block|drop), so it stays an option.
 type IngestPolicy int
 
 const (
@@ -532,13 +533,7 @@ func New(cfg Config) (*Engine, error) {
 			sessions: make(map[uint64]*bankSession),
 		}
 	}
-	e.batchPool.New = func() any {
-		return &batchScratch{
-			groups: make([][]queued, len(e.shards)),
-			drops:  make([]int, len(e.shards)),
-			pos:    make([]int, len(e.shards)),
-		}
-	}
+	e.batchPool.New = func() any { return e.newBatchScratch() }
 	e.lastAppendErr.Store("")
 	e.shadow.Store((*shadowEval)(nil))
 	// The boot epoch is whatever the model source calls active right now.
@@ -614,132 +609,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Ingest routes one event to its bank's shard. Under IngestBlock a full
-// queue applies backpressure; under IngestDrop the event is shed and
-// ErrDropped returned. Ingest returns ErrClosed after Close. Events for
-// the same bank ingested from the same goroutine are processed in order.
-// With durability configured the event is journaled before it is queued:
-// a nil return means the event is on stable storage (subject to the fsync
-// policy) and will survive a crash.
-func (e *Engine) Ingest(ev mcelog.Event) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	s := e.shardFor(ev.Addr.BankKey())
-	if e.wal != nil {
-		return e.ingestDurable(s, ev)
-	}
-	switch e.cfg.Policy {
-	case IngestDrop:
-		if !s.in.tryPush(queued{ev: ev}) {
-			s.dropped.Inc()
-			return ErrDropped
-		}
-	default:
-		t0 := time.Now()
-		if !s.in.push(queued{ev: ev}) {
-			return ErrClosed
-		}
-		e.ingestWait.observe(time.Since(t0))
-	}
-	e.metrics.ingested.Inc()
-	return nil
-}
-
-// batchScratch is the reusable working set of one IngestBatch call:
-// per-shard event groups, per-shard drop counts, and the journal payload
-// buffer. Pooled so the steady-state batch ingest path allocates nothing.
-type batchScratch struct {
-	groups [][]queued
-	drops  []int
-	pos    []int // per-shard cursor for arrival-order LSN assignment
-	enc    []byte
-}
-
-// IngestBatch routes a batch of already-validated events, the bulk
-// counterpart of Ingest for the binary wire path. Events are grouped by
-// shard (preserving input order, so per-bank order is preserved), and
-// with durability configured the whole admitted batch is journaled with
-// one WAL append — one buffered write, at most one fsync — before any
-// event is queued: a nil error means every accepted event is on stable
-// storage, exactly Ingest's contract amortised. Under IngestDrop the
-// portion of a shard's group that does not fit its queue is shed (and
-// counted in dropped) before journaling, so shed events are never
-// resurrected by replay. A non-nil error means no event of the batch was
-// accepted.
-func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err error) {
-	if len(events) == 0 {
-		return 0, 0, nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return 0, 0, ErrClosed
-	}
-	sc := e.batchPool.Get().(*batchScratch)
-	defer e.releaseScratch(sc)
-	for _, ev := range events {
-		si := e.shardIndex(ev.Addr.BankKey())
-		sc.groups[si] = append(sc.groups[si], queued{ev: ev})
-	}
-	if e.wal != nil {
-		return e.ingestBatchDurable(events, sc)
-	}
-	for si, g := range sc.groups {
-		if len(g) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		switch e.cfg.Policy {
-		case IngestDrop:
-			pushed := s.in.tryPushBatch(g)
-			if shed := len(g) - pushed; shed > 0 {
-				s.dropped.Add(uint64(shed))
-				dropped += shed
-			}
-			accepted += pushed
-		default:
-			t0 := time.Now()
-			if !s.in.pushBatch(g) {
-				break // closing: events already queued still process
-			}
-			e.ingestWait.observe(time.Since(t0))
-			accepted += len(g)
-		}
-	}
-	e.metrics.ingested.Add(uint64(accepted))
-	return accepted, dropped, nil
-}
-
-// releaseScratch resets and pools a batch working set.
-func (e *Engine) releaseScratch(sc *batchScratch) {
-	for i := range sc.groups {
-		sc.groups[i] = sc.groups[i][:0]
-		sc.drops[i] = 0
-		sc.pos[i] = 0
-	}
-	sc.enc = sc.enc[:0]
-	e.batchPool.Put(sc)
-}
-
-// IngestLog feeds every event of a log through Ingest, returning the
-// number accepted and the first non-drop error.
-func (e *Engine) IngestLog(l *mcelog.Log) (accepted int, err error) {
-	for i := 0; i < l.Len(); i++ {
-		switch ierr := e.Ingest(l.At(i)); {
-		case ierr == nil:
-			accepted++
-		case errors.Is(ierr, ErrDropped):
-			// Counted by the engine; load shedding is not a caller error.
-		default:
-			return accepted, ierr
-		}
-	}
-	return accepted, nil
 }
 
 // process runs one event through its bank session and emits any resulting

@@ -31,6 +31,9 @@ type fakeStrategy struct {
 	// panics — the stand-in for a quiet session whose promotion replay hits
 	// an observation it cannot fold.
 	poisonLogRow int
+	// gate, when non-nil, holds every OnEvent until it is closed: the shard
+	// consumers stall on their first event, so queues fill deterministically.
+	gate chan struct{}
 }
 
 func (f *fakeStrategy) Name() string { return "fake" }
@@ -51,6 +54,9 @@ type fakeSession struct {
 func (s *fakeSession) Class() (faultsim.Class, bool) { return s.class, s.classified }
 
 func (s *fakeSession) OnEvent(e mcelog.Event) core.Decision {
+	if s.strategy.gate != nil {
+		<-s.strategy.gate
+	}
 	if s.strategy.delay > 0 {
 		time.Sleep(s.strategy.delay)
 	}

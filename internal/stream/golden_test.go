@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"flag"
 	"os"
@@ -114,5 +115,50 @@ func TestEngineSnapshotGolden(t *testing.T) {
 	}
 	if !bytes.Equal(again[snapBodyOffset:], want[snapBodyOffset:]) {
 		t.Fatal("restored golden snapshot re-encodes differently")
+	}
+}
+
+// journalGoldenSHA256 is the SHA-256 of the one journal segment (638 bytes)
+// the golden fleet leaves behind, generated at the commit before the four
+// ingest functions became one: the single path must write the bytes the
+// per-event and the batch path both wrote.
+const journalGoldenSHA256 = "5318e973d504eb9fc7b6fd1c618038c5595545f155cedd51fdc38b858d6a40ff"
+
+// TestJournalGolden pins the journal's bytes across the ingest rewrite, for
+// both ingest shapes: one Ingest per event, and one IngestBatch.
+func TestJournalGolden(t *testing.T) {
+	for name, ingest := range map[string]func(*Engine) error{
+		"Ingest": func(e *Engine) error {
+			for _, ev := range goldenSnapshotEvents() {
+				if err := e.Ingest(ev); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		"IngestBatch": func(e *Engine) error {
+			_, _, err := e.IngestBatch(goldenSnapshotEvents())
+			return err
+		},
+	} {
+		dir := t.TempDir()
+		e, err := New(durCfg(dir, 3, &fakeStrategy{budget: 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ingest(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000001.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(seg)
+		if got := hex.EncodeToString(sum[:]); got != journalGoldenSHA256 {
+			t.Errorf("%s: journal segment (%d bytes) hashes to %s, want %s", name, len(seg), got, journalGoldenSHA256)
+		}
 	}
 }

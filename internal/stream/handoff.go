@@ -132,18 +132,17 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// first erred after the source's last checkpoint).
 	var pending []Action
 	for _, rec := range suffix {
-		if _, isSwap := decodeSwapRecord(rec.Payload); isSwap {
-			// The source's model swaps are its own history; the importer's
-			// active model is governed by its own source.
-			st.Skipped++
-			continue
+		ev, _, isSwap, derr := decodeJournalRecord(rec.Payload)
+		if derr == nil && !isSwap {
+			derr = ev.Validate(e.cfg.Geometry) // a peer's bytes: checked as at the HTTP edge
 		}
-		ev, derr := decodeEventRecord(rec.Payload)
-		if derr != nil {
+		if derr != nil { // nothing is installed yet: a refused record refuses the bundle
 			return st, fmt.Errorf("stream: decoding handoff suffix record %d: %w", rec.LSN, derr)
 		}
+		// A swap record is skipped like another node's event: the source's model
+		// swaps are its own history, the importer's model source governs its own.
 		key := ev.Addr.BankKey()
-		if owns != nil && !owns(key) {
+		if isSwap || owns != nil && !owns(key) {
 			st.Skipped++
 			continue
 		}

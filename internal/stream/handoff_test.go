@@ -265,7 +265,7 @@ func TestHandoffSuffixCreatesUnseenSessions(t *testing.T) {
 	var suffix []wal.Record
 	for row := 1; row <= 4; row++ {
 		ev := uerAt(bank, row, row)
-		suffix = append(suffix, wal.Record{LSN: uint64(100 + row), Payload: encodeEventRecord(ev)})
+		suffix = append(suffix, wal.Record{LSN: uint64(100 + row), Payload: mcelog.AppendWireRecord(nil, ev)})
 	}
 	// Empty-but-valid payload: a source that never snapshotted.
 	empty, err := newTestEngine(t, Config{Strategy: &fakeStrategy{budget: 3}}).ExportSessions(nil)
@@ -303,12 +303,30 @@ func TestHandoffImportRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []wal.Record{{LSN: 1, Payload: []byte("short")}}
-	if _, err := dst.ImportSessions(empty, bad, nil); err == nil {
-		t.Error("garbage suffix record accepted")
+	// The suffix arrives from a peer as JSON with no checksum: a record must
+	// be refused if no collector could have logged it, and one refused
+	// record refuses the bundle, the good records before it included.
+	good := mcelog.AppendWireRecord(nil, uerAt(testBank(2), 1, 1))
+	poisoned := make([]byte, mcelog.WireRecordSize) // timestamp 0 …
+	for i := 8; i < 16; i++ {
+		poisoned[i] = 0xff // … address bits outside the layout, aliasing a real bank …
 	}
-	if n := dst.SessionCount(); n != 0 {
-		t.Errorf("%d sessions adopted from garbage", n)
+	poisoned[16] = 9 // … and a class byte that is no ECC class
+	preEpoch := mcelog.AppendWireRecord(nil, uerAt(testBank(2), 1, -60*365*24*3600))
+	outOfGeometry := mcelog.AppendWireRecord(nil, uerAt(testBank(2), dst.Config().Geometry.RowsPerBank, 1))
+	for name, rec := range map[string][]byte{
+		"wrong length":                []byte("short"),
+		"bad class and stray address": poisoned,
+		"pre-epoch timestamp":         preEpoch,
+		"row outside the geometry":    outOfGeometry,
+	} {
+		bad := []wal.Record{{LSN: 1, Payload: good}, {LSN: 2, Payload: rec}}
+		if st, err := dst.ImportSessions(empty, bad, nil); err == nil {
+			t.Errorf("%s: suffix record accepted: %+v", name, st)
+		}
+		if n := dst.SessionCount(); n != 0 {
+			t.Errorf("%s: %d sessions adopted from garbage", name, n)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -147,37 +148,34 @@ func (e *Engine) resolveDurable(version uint64) (core.DurableStrategy, error) {
 // ---- swap records ----------------------------------------------------------
 
 // A model swap is journaled like an event: a fixed 12-byte record, length-
-// discriminated from the 17-byte event records sharing the journal. Replay
-// re-installs the epoch at the same position, so sessions created after
-// the swap rebind the same version they bound live.
+// discriminated from the 19-byte event records (mcelog.WireRecordSize)
+// sharing the journal. Replay re-installs the epoch at the same position,
+// so sessions created after the swap rebind the same version they bound
+// live.
 const (
 	swapRecordMagic = "CSWP"
 	swapRecordSize  = 12
 )
 
 func encodeSwapRecord(version uint64) []byte {
-	b := make([]byte, swapRecordSize)
-	copy(b, swapRecordMagic)
-	b[4] = byte(version)
-	b[5] = byte(version >> 8)
-	b[6] = byte(version >> 16)
-	b[7] = byte(version >> 24)
-	b[8] = byte(version >> 32)
-	b[9] = byte(version >> 40)
-	b[10] = byte(version >> 48)
-	b[11] = byte(version >> 56)
-	return b
+	return binary.LittleEndian.AppendUint64([]byte(swapRecordMagic), version)
 }
 
-// decodeSwapRecord reports whether a journal payload is a swap record and,
-// if so, its model version.
-func decodeSwapRecord(p []byte) (uint64, bool) {
-	if len(p) != swapRecordSize || string(p[:4]) != swapRecordMagic {
-		return 0, false
+// decodeJournalRecord decodes one journal payload: a model swap (isSwap,
+// with the version swapped to) or an event. It is the one reader of journal
+// bytes — boot replay, ExportEvents (the retraining feed) and
+// ImportSessions, whose suffix arrives from a peer as JSON with no checksum
+// — so events go through the checked record decoder: a class byte no
+// collector logs, or address bits outside the layout (which the unchecked
+// unpack would alias onto another bank), is an error, never a session.
+// Replaying our own journal is unaffected: a packed in-range address has no
+// stray bits.
+func decodeJournalRecord(p []byte) (ev mcelog.Event, version uint64, isSwap bool, err error) {
+	if len(p) == swapRecordSize && string(p[:4]) == swapRecordMagic {
+		return mcelog.Event{}, binary.LittleEndian.Uint64(p[4:]), true, nil
 	}
-	v := uint64(p[4]) | uint64(p[5])<<8 | uint64(p[6])<<16 | uint64(p[7])<<24 |
-		uint64(p[8])<<32 | uint64(p[9])<<40 | uint64(p[10])<<48 | uint64(p[11])<<56
-	return v, true
+	ev, err = mcelog.DecodeWireRecordChecked(p)
+	return ev, 0, false, err
 }
 
 // SwapModel atomically makes a model version the one new sessions bind.
@@ -284,14 +282,13 @@ func (e *Engine) ExportEvents(from, to uint64) ([]mcelog.Event, error) {
 	}
 	out := make([]mcelog.Event, 0, len(recs))
 	for _, rec := range recs {
-		if _, isSwap := decodeSwapRecord(rec.Payload); isSwap {
-			continue
-		}
-		ev, derr := decodeEventRecord(rec.Payload)
+		ev, _, isSwap, derr := decodeJournalRecord(rec.Payload)
 		if derr != nil {
 			return nil, fmt.Errorf("stream: exporting journal record %d: %w", rec.LSN, derr)
 		}
-		out = append(out, ev)
+		if !isSwap {
+			out = append(out, ev)
+		}
 	}
 	return out, nil
 }

@@ -7,9 +7,10 @@ import "sync"
 // events in batches: the binary ingest path pushes a whole frame's worth
 // of events per lock round and the consumer drains up to a batch per
 // round, instead of paying one synchronised channel operation per event.
-// Semantics match the channel it replaced: push blocks when full
-// (IngestBlock backpressure), tryPush sheds when full (IngestDrop), and
-// after close the consumer still drains everything already queued.
+// Semantics match the channel it replaced: pushBatch blocks when full
+// (IngestBlock backpressure), tryPushBatch sheds what does not fit
+// (IngestDrop), and after close the consumer still drains everything
+// already queued.
 type eventRing struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond
@@ -25,38 +26,6 @@ func newEventRing(capacity int) *eventRing {
 	r.notEmpty.L = &r.mu
 	r.notFull.L = &r.mu
 	return r
-}
-
-// push appends one event, blocking while the ring is full. It returns
-// false only if the ring was closed before space opened up.
-func (r *eventRing) push(q queued) bool {
-	r.mu.Lock()
-	for r.n == len(r.buf) && !r.closed {
-		r.notFull.Wait()
-	}
-	if r.closed {
-		r.mu.Unlock()
-		return false
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = q
-	r.n++
-	r.mu.Unlock()
-	r.notEmpty.Signal()
-	return true
-}
-
-// tryPush appends one event if there is room, without blocking.
-func (r *eventRing) tryPush(q queued) bool {
-	r.mu.Lock()
-	if r.closed || r.n == len(r.buf) {
-		r.mu.Unlock()
-		return false
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = q
-	r.n++
-	r.mu.Unlock()
-	r.notEmpty.Signal()
-	return true
 }
 
 // pushBatch appends every element of qs in order, blocking as needed. It

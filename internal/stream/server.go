@@ -82,11 +82,11 @@ type Server struct {
 	cfg    ServerConfig
 	mux    *http.ServeMux
 
-	requests  *obs.Counter
-	notOwned  *obs.Counter
-	decode    latencySampler
-	binDecode latencySampler
-	binPool   sync.Pool // *binScratch: frame decoder + event slice reuse
+	requests   *obs.Counter
+	notOwned   *obs.Counter
+	decode     latencySampler
+	binDecode  latencySampler
+	ingestPool sync.Pool // *ingestRequest: frame decoder + event chunk reuse
 
 	// ownership is nil while the node serves standalone (it owns every
 	// bank). In a cluster the node agent installs the current ring view
@@ -155,7 +155,7 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		"Per-line JSONL event decode time on POST /v1/events.", nil))
 	s.binDecode.attach(reg.Histogram("cordial_http_bin_decode_seconds",
 		"Per-frame binary decode time on POST /v1/events.bin.", nil))
-	s.binPool.New = func() any { return &binScratch{dec: mcelog.NewFrameDecoder(nil)} }
+	s.ingestPool.New = func() any { return &ingestRequest{srv: s, dec: mcelog.NewFrameDecoder(nil)} }
 	reg.GaugeFunc("cordial_actions_stored",
 		"Actions currently held in the bounded GET /v1/actions store.",
 		func() float64 {
@@ -248,28 +248,128 @@ type IngestResult struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// handleEvents ingests a JSONL batch. Malformed lines are rejected
-// individually — one bad line never sinks the batch, and a mid-batch
-// disconnect keeps everything already accepted.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64<<10), s.cfg.MaxLineBytes)
+// ingestRequest is one ingest request past its decoder, whichever codec
+// carried it. The two handlers only decode; what happens to a decoded event
+// — validate, ownership check, pending chunk, IngestBatch, merged counts —
+// and how a request ends early (503 consumed-prefix, 413, 400) is decided
+// here, once. Messages name positions in the codec's own unit ("line 12",
+// "frame 3 record 40"). Pooled with its buffers: a steady stream of batches
+// decodes without per-request allocation.
+type ingestRequest struct {
+	srv    *Server
+	dec    *mcelog.FrameDecoder // owns the payload read buffer; idle for JSONL
+	chunk  []mcelog.Event       // validated and owned, not yet ingested
+	unit   string               // "line" or "frame"
+	geo    hbm.Geometry
+	own    *ownershipView
+	res    IngestResult
+	status int // non-zero once the request must end before its body does
+}
 
-	var res IngestResult
-	geo := s.engine.Config().Geometry
-	own := s.ownership.Load()
-	if own != nil {
-		res.Epoch = own.epoch
+// beginIngest takes a request from the pool; end returns it.
+func (s *Server) beginIngest(unit string) *ingestRequest {
+	q := s.ingestPool.Get().(*ingestRequest)
+	q.unit, q.geo, q.own = unit, s.engine.Config().Geometry, s.ownership.Load()
+	if q.own != nil {
+		q.res.Epoch = q.own.epoch
 	}
-	lineNo := 0
-	reject := func(err error) {
-		res.Rejected++
-		if len(res.Errors) < s.cfg.MaxBatchErrors {
-			res.Errors = append(res.Errors, fmt.Sprintf("line %d: %v", lineNo, err))
+	return q
+}
+
+func (q *ingestRequest) end() {
+	q.dec.Reset(nil)
+	q.chunk, q.res, q.status = q.chunk[:0], IngestResult{}, 0
+	q.srv.ingestPool.Put(q)
+}
+
+// note samples a failure at body position n (record rec of it, if >= 0).
+func (q *ingestRequest) note(prefix string, n, rec int, err error) {
+	if len(q.res.Errors) >= q.srv.cfg.MaxBatchErrors {
+		return
+	}
+	where := fmt.Sprintf("%s %d", q.unit, n)
+	if rec >= 0 {
+		where += fmt.Sprintf(" record %d", rec)
+	}
+	q.res.Errors = append(q.res.Errors, fmt.Sprintf("%s%s: %v", prefix, where, err))
+}
+
+// reject counts one malformed or invalid event; it never sinks the batch.
+func (q *ingestRequest) reject(n, rec int, err error) {
+	q.res.Rejected++
+	q.note("", n, rec, err)
+}
+
+// add takes one decoded event. An event for a bank this node does not own
+// ends the request with the consumed-prefix 503: everything before it is
+// ingested (or was rejected) and must not be resent; the event itself and
+// the rest of the body belong to another node (see IngestResult.NotOwned).
+func (q *ingestRequest) add(ev mcelog.Event, n, rec int) {
+	if err := ev.Validate(q.geo); err != nil {
+		q.reject(n, rec, err)
+		return
+	}
+	if q.own != nil && q.own.owns != nil && !q.own.owns(ev.Addr.BankKey()) {
+		if q.flush(n) {
+			q.res.NotOwned = 1
+			q.srv.notOwned.Inc()
+			q.status = http.StatusServiceUnavailable
+		}
+		return
+	}
+	q.chunk = append(q.chunk, ev)
+}
+
+// flush ingests the pending chunk — on a durable node, one journal append —
+// and reports whether the request may go on. When the engine is closed or
+// journaling failed, nothing of the chunk landed: the counts cover what
+// earlier chunks ingested and the request ends 503.
+func (q *ingestRequest) flush(n int) bool {
+	accepted, dropped, err := q.srv.engine.IngestBatch(q.chunk)
+	q.chunk = q.chunk[:0]
+	q.res.Accepted += accepted
+	q.res.Dropped += dropped
+	if err != nil {
+		q.res.Truncated = true
+		q.note("", n, -1, err)
+		q.status = http.StatusServiceUnavailable
+		return false
+	}
+	return true
+}
+
+// finish ingests what is pending and answers. bodyErr is why the decoder
+// stopped short of the body's end (nil at a clean end): the counts cover the
+// prefix read, the status is 413 for a body over the cap, else badBody.
+func (q *ingestRequest) finish(w http.ResponseWriter, n int, bodyErr error, badBody int) {
+	if q.status == 0 && q.flush(n) {
+		q.status = http.StatusOK
+		if bodyErr != nil {
+			q.res.Truncated = true
+			q.note("after ", n, -1, bodyErr)
+			q.status = badBody
+			var tooBig *http.MaxBytesError
+			if errors.As(bodyErr, &tooBig) {
+				q.status = http.StatusRequestEntityTooLarge
+			}
 		}
 	}
-	for sc.Scan() {
+	writeJSON(w, q.status, q.res)
+}
+
+// handleEvents ingests a JSONL batch. Malformed lines are rejected
+// individually, and a mid-batch disconnect or an oversized line keeps what
+// was read (200, Truncated). Lines reach the engine in chunks of
+// mcelog.DefaultFrameEvents — a binary frame's worth — so a durable node
+// pays one journal append per chunk, not per line.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	sc.Buffer(make([]byte, 64<<10), s.cfg.MaxLineBytes)
+	q := s.beginIngest("line")
+	defer q.end()
+
+	lineNo := 0
+	for q.status == 0 && sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -279,66 +379,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		ev, err := mcelog.ParseJSONEvent(line)
 		s.decode.observe(time.Since(t0))
 		if err != nil {
-			reject(err)
+			q.reject(lineNo, -1, err)
 			continue
 		}
-		if err := ev.Validate(geo); err != nil {
-			reject(err)
-			continue
-		}
-		if own != nil && own.owns != nil && !own.owns(ev.Addr.BankKey()) {
-			// Consumed-prefix contract: everything before this line landed
-			// (or was rejected) and must not be resent; this line and the
-			// rest of the body belong to another node.
-			res.NotOwned = 1
-			s.notOwned.Inc()
-			writeJSON(w, http.StatusServiceUnavailable, res)
-			return
-		}
-		switch err := s.engine.Ingest(ev); err {
-		case nil:
-			res.Accepted++
-		case ErrDropped:
-			res.Dropped++
-		default:
-			// Engine closed mid-batch: report what landed.
-			reject(err)
-			res.Truncated = true
-			writeJSON(w, http.StatusServiceUnavailable, res)
-			return
+		q.add(ev, lineNo, -1)
+		if len(q.chunk) == mcelog.DefaultFrameEvents {
+			q.flush(lineNo)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		res.Truncated = true
-		if len(res.Errors) < s.cfg.MaxBatchErrors {
-			res.Errors = append(res.Errors, fmt.Sprintf("after line %d: %v", lineNo, err))
-		}
-		// A body over MaxBodyBytes is the client's error: 413, with the
-		// counts for the prefix that was ingested before the cap hit.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, res)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, res)
+	q.finish(w, lineNo, sc.Err(), http.StatusOK)
 }
 
-// binScratch is the per-request reusable state of the binary ingest path:
-// the frame decoder (which owns the payload read buffer) and the decoded
-// event slice handed to IngestBatch. Pooled so a steady stream of binary
-// batches decodes without per-request allocation.
-type binScratch struct {
-	dec    *mcelog.FrameDecoder
-	events []mcelog.Event
-}
-
-// handleEventsBin ingests a length-prefixed CRC-framed binary batch (the
-// mcelog wire codec: "CBF1" magic, then u32 length | u32 crc32c | N×17-byte
-// records per frame). It mirrors handleEvents' response contract — same
-// IngestResult shape, same consumed-prefix rule on 503 — but moves whole
-// frames through Engine.IngestBatch, so a frame costs one shard lock round
-// and (when durable) one WAL batch append instead of per-event synchronisation.
+// handleEventsBin ingests a CBF2 wire body (mcelog/wire.go: "CBF2" magic,
+// then u32 length | u32 crc32c | N×19-byte records per frame; legacy CBF1
+// bodies still decode) in handleEvents' contract — same IngestResult, same
+// consumed-prefix rule on 503 — ingesting once per frame.
 //
 // Error semantics differ from JSONL in one deliberate way: a framing error
 // (bad CRC, truncated or oversized frame) is a 400, not a per-record
@@ -346,86 +401,31 @@ type binScratch struct {
 // so the rest of the body is undecodable; counts in the response cover the
 // frames consumed before the corruption.
 func (s *Server) handleEventsBin(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	bs := s.binPool.Get().(*binScratch)
-	defer func() {
-		bs.dec.Reset(nil)
-		bs.events = bs.events[:0]
-		s.binPool.Put(bs)
-	}()
-	bs.dec.Reset(body)
+	q := s.beginIngest("frame")
+	defer q.end()
+	q.dec.Reset(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 
-	var res IngestResult
-	geo := s.engine.Config().Geometry
-	own := s.ownership.Load()
-	if own != nil {
-		res.Epoch = own.epoch
-	}
 	frameNo := 0
-	for {
+	var bodyErr error
+	for q.status == 0 {
 		t0 := time.Now()
-		fr, err := bs.dec.Next()
+		fr, err := q.dec.Next()
 		s.binDecode.observe(time.Since(t0))
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
+			if !errors.Is(err, io.EOF) {
+				bodyErr = err
 			}
-			res.Truncated = true
-			if len(res.Errors) < s.cfg.MaxBatchErrors {
-				res.Errors = append(res.Errors, fmt.Sprintf("after frame %d: %v", frameNo, err))
-			}
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeJSON(w, http.StatusRequestEntityTooLarge, res)
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, res)
-			return
+			break
 		}
 		frameNo++
-
-		// Validate and ownership-scan the frame, collecting the ingestable
-		// prefix. A record for a bank this node does not own stops the scan:
-		// everything before it is ingested below, then the 503 tells the
-		// router to resend from index Accepted+Rejected+Dropped.
-		bs.events = bs.events[:0]
-		notOwned := false
-		for i, n := 0, fr.Len(); i < n; i++ {
-			ev := fr.Event(i)
-			if err := ev.Validate(geo); err != nil {
-				res.Rejected++
-				if len(res.Errors) < s.cfg.MaxBatchErrors {
-					res.Errors = append(res.Errors, fmt.Sprintf("frame %d record %d: %v", frameNo, i, err))
-				}
-				continue
-			}
-			if own != nil && own.owns != nil && !own.owns(ev.Addr.BankKey()) {
-				notOwned = true
-				break
-			}
-			bs.events = append(bs.events, ev)
+		for i, n := 0, fr.Len(); i < n && q.status == 0; i++ {
+			q.add(fr.Event(i), frameNo, i)
 		}
-		accepted, dropped, err := s.engine.IngestBatch(bs.events)
-		res.Accepted += accepted
-		res.Dropped += dropped
-		if err != nil {
-			// Engine closed or journaling failed: nothing from this frame
-			// landed; report what previous frames ingested.
-			res.Truncated = true
-			if len(res.Errors) < s.cfg.MaxBatchErrors {
-				res.Errors = append(res.Errors, fmt.Sprintf("frame %d: %v", frameNo, err))
-			}
-			writeJSON(w, http.StatusServiceUnavailable, res)
-			return
-		}
-		if notOwned {
-			res.NotOwned = 1
-			s.notOwned.Inc()
-			writeJSON(w, http.StatusServiceUnavailable, res)
-			return
+		if q.status == 0 {
+			q.flush(frameNo)
 		}
 	}
-	writeJSON(w, http.StatusOK, res)
+	q.finish(w, frameNo, bodyErr, http.StatusBadRequest)
 }
 
 // jsonAction is the wire shape of one action.

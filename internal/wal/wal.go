@@ -392,46 +392,14 @@ func (w *WAL) openSegment(lsn uint64) error {
 	return nil
 }
 
-// Append frames and writes one record, returning its LSN. Under
-// SyncAlways the record is on stable storage when Append returns; a sync
-// or write failure is returned to the caller and the record must be
-// considered lost (the torn frame will be truncated on the next Open).
+// Append frames and writes one record, returning its LSN: AppendBatch of
+// one record, so the frame bytes, the commit and the failure handling are
+// the batch path's. Under SyncAlways the record is on stable storage when
+// Append returns; a sync or write failure is returned to the caller and the
+// record must be considered lost (the torn frame will be truncated on the
+// next Open).
 func (w *WAL) Append(payload []byte) (uint64, error) {
-	if len(payload) > MaxRecordBytes {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), MaxRecordBytes)
-	}
-	t0 := time.Now()
-	lsn, err := w.append(payload)
-	w.metrics.appendDur.ObserveSince(t0)
-	if err != nil {
-		w.metrics.appendErrors.Inc()
-	} else {
-		w.metrics.appends.Inc()
-	}
-	return lsn, err
-}
-
-func (w *WAL) append(payload []byte) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, fmt.Errorf("wal: append to closed journal")
-	}
-	lsn, err := w.stageLocked(payload)
-	if err != nil {
-		return 0, err
-	}
-	if err := w.commitLocked(); err != nil {
-		// Outside a group-commit window no one else staged after us, so
-		// the LSN can be reused; inside one, racing appenders may already
-		// hold later LSNs and the failed window leaves a gap instead.
-		if w.nextLSN == lsn+1 {
-			w.nextLSN = lsn
-		}
-		return 0, err
-	}
-	w.appended++
-	return lsn, nil
+	return w.AppendBatch(payload, len(payload))
 }
 
 // AppendBatch journals a contiguous run of fixed-size records (the batch

@@ -103,6 +103,13 @@ echo "==> fuzz smoke (binary wire-frame decoder, 5s)"
 # an over-read, or a record that a re-encode wouldn't reproduce.
 go test -run '^$' -fuzz 'FuzzBinaryFrameDecode' -fuzztime 5s ./internal/mcelog/
 
+echo "==> fuzz smoke (log file reader, 5s)"
+# ReadLog reads every log file, sniffing wire frames from JSON Lines, and
+# checks each record as it goes (nothing validates a file's events
+# afterwards): arbitrary bytes must never panic, and whatever decodes must
+# re-encode through WriteWire to the same events.
+go test -run '^$' -fuzz 'FuzzReadLog' -fuzztime 5s ./internal/mcelog/
+
 echo "==> bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
@@ -111,6 +118,16 @@ echo "==> binary ingest perf gate (steady-state decode allocates nothing)"
 # AllocsPerRun test, not just a benchmark — run it by name so a regression
 # fails CI with a direct message rather than a drifting BENCH number.
 go test -run 'TestWireDecodeZeroAllocs' -count 1 ./internal/mcelog/
+
+echo "==> ingest path gate (one journal append per JSONL chunk; a shed event is never journaled)"
+# The one ingest path's two contracts that a refactor breaks silently: both
+# HTTP codecs reach the engine in chunks, so 3 000 JSONL lines on a
+# SyncAlways node cost <= 4 fsyncs, not 3 000; and on a journaled engine
+# under the drop policy admission precedes the append, so a restart replays
+# exactly the events that were accepted. (The full -race pass above runs
+# both under the race detector.)
+go test -run 'TestServerJSONLDurableBatchesAppends|TestDurableDropNeverResurrects' \
+    -count 1 ./internal/stream/
 
 echo "==> block inference perf gate (a window prediction allocates only its result)"
 # Same idea for the §IV-D hot path: one warmed PredictBlocksState may
@@ -242,15 +259,20 @@ grep -q '^cordial_ingest_accepted_total 3$' "$smokedir/metrics.txt" \
 grep -q '^# TYPE cordial_process_seconds histogram$' "$smokedir/metrics.txt" \
     || { echo "metrics missing process histogram" >&2; exit 1; }
 # Binary ingest smoke: the same daemon accepts the CRC-framed wire format
-# on /v1/events.bin (cordial-gen -format wire emits a valid request body).
+# on /v1/events.bin, and a log file IS a wire body — what cordial-gen
+# writes (its default format) is POSTed as it stands, and the same file is
+# then read by cordial-study, which must count the events the daemon
+# accepted: file ≡ wire, end to end.
 go run ./cmd/cordial-gen -seed 5 -uer-banks 4 -benign-banks 4 \
-    -log "$smokedir/fleet.wire" -format wire -truth "" >"$smokedir/gen.out"
+    -log "$smokedir/fleet.wire" -truth "" >"$smokedir/gen.out"
 nwire=$(sed -n 's/^generated \([0-9]*\) events.*/\1/p' "$smokedir/gen.out")
 [ -n "$nwire" ] || { echo "cordial-gen reported no event count" >&2; exit 1; }
 curl -fsS -X POST -H 'Content-Type: application/octet-stream' \
     --data-binary @"$smokedir/fleet.wire" "http://$addr/v1/events.bin" \
     | grep -q "\"accepted\": $nwire" \
     || { echo "binary ingest smoke failed" >&2; exit 1; }
+go run ./cmd/cordial-study -log "$smokedir/fleet.wire" | grep -q "^log: $nwire events" \
+    || { echo "cordial-study does not read the events the daemon accepted" >&2; exit 1; }
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
