@@ -59,7 +59,7 @@ func EvaluatePattern(p *Pipeline, banks []*faultsim.BankFault) (*PatternEval, er
 	}
 	eval := &PatternEval{PerClass: make(map[faultsim.Class]metrics.Report)}
 	// Extract every classifiable bank's feature vector, then classify the
-	// whole test set in one batch over the flat trees.
+	// whole test set in one batch over the model's arena.
 	var vecs [][]float64
 	var truths []int
 	for _, bf := range banks {

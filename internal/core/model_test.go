@@ -1,0 +1,89 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"regexp"
+	"runtime"
+	"strings"
+	"testing"
+
+	"cordial/internal/features"
+)
+
+// TestLoadModelsRejectsWideModel asserts a model file whose pattern or block
+// model splits on a feature the stage's vectors do not have is refused at
+// LoadModels, with the pipeline left as it was — not loaded and left to index
+// past a vector at the first prediction. The last feature of each vector is
+// still accepted.
+func TestLoadModelsRejectsWideModel(t *testing.T) {
+	p := fitPipeline(t, RandomForest, testFleet(t, 2, 60).Faults)
+	var buf bytes.Buffer
+	if err := p.SaveModels(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n") // header, pattern model, block model
+	firstRoot := regexp.MustCompile(`"root":\{"f":\d+`)
+	for stage, width := range map[string]int{"pattern": len(features.PatternFeatureNames()), "block": features.BlockFeatureCount} {
+		for _, feature := range []int{width - 1, width} {
+			file := append([]string(nil), lines...)
+			line, done := map[string]int{"pattern": 1, "block": 2}[stage], false
+			file[line] = firstRoot.ReplaceAllStringFunc(file[line], func(m string) string {
+				if done {
+					return m
+				}
+				done = true
+				return fmt.Sprintf(`"root":{"f":%d`, feature)
+			})
+			clone, err := New(DefaultConfig(RandomForest))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = clone.LoadModels(strings.NewReader(strings.Join(file, "")))
+			switch {
+			case feature < width && err != nil:
+				t.Errorf("%s model splitting on feature %d of %d refused: %v", stage, feature, width, err)
+			case feature >= width && (err == nil || !strings.Contains(err.Error(), stage) || clone.Fitted()):
+				t.Errorf("%s model splitting on feature %d of %d: err %v, pipeline fitted %v", stage, feature, width, err, clone.Fitted())
+			}
+		}
+	}
+}
+
+// TestModelHeapPerNode is the model-footprint gate: a fitted default pipeline
+// — both models, their class lists, the metadata — holds at most 24 B of live
+// heap per tree node (an 8-byte node, its share of a leaf row and of the
+// threshold tables; the pointer trees and their flat copy took ≈ 110), and
+// ModelSize accounts for nearly all of it.
+func TestModelHeapPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	fleet := testFleet(t, 1, 120)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := New(DefaultConfig(RandomForest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Fit(fleet.Faults); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	nodes, size := p.ModelSize()
+	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("%d nodes: %.1f B of live heap per node, ModelSize %.1f", nodes, heap/float64(nodes), float64(size)/float64(nodes))
+	if nodes < 10000 {
+		t.Fatalf("default pipeline has %d nodes: too small to measure", nodes)
+	}
+	if perNode := heap / float64(nodes); perNode > 24 {
+		t.Errorf("a fitted pipeline holds %.1f B of heap per tree node, want ≤ 24", perNode)
+	}
+	if float64(size) < 0.8*heap || float64(size) > heap {
+		t.Errorf("ModelSize reports %d B of a pipeline holding %.0f B", size, heap)
+	}
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(fleet)
+}

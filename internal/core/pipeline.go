@@ -80,8 +80,10 @@ type Pipeline struct {
 	patternModel mltree.Classifier
 	blockModel   mltree.Classifier
 	// blockPosIdx is the positive class's index in blockModel.Classes(), or
-	// -1; resolved when the model is installed (Fit, LoadModels).
+	// -1, and modelSize both models' in-memory size; resolved when the models
+	// are installed (Fit, LoadModels).
 	blockPosIdx int
+	modelSize   mltree.Size
 	meta        *ModelMeta
 	// scratch pools *blockScratch, the working memory of one window
 	// prediction. It belongs to the pipeline, not to a session: a fleet has
@@ -118,11 +120,35 @@ func (p *Pipeline) blockScratchFor(blocks, classes int) *blockScratch {
 	return sc
 }
 
-// setBlockModel installs the block model and resolves its positive class.
-func (p *Pipeline) setBlockModel(m mltree.Classifier) {
-	p.blockModel = m
-	p.blockPosIdx = positiveIndex(m.Classes())
+// patternWidth and errBitWidth are the pattern vector's columns and the
+// error-bit columns appended to them when enabled.
+var patternWidth, errBitWidth = len(features.PatternFeatureNames()), len(features.ErrBitFeatureNames())
+
+// setModels installs both stages' models, refusing one that splits on a
+// feature its stage's vectors do not have (a model file is operator input; the
+// first prediction would index past the vector), and resolves the block
+// model's positive class and the models' size.
+func (p *Pipeline) setModels(pattern, block mltree.Classifier, errBits bool) error {
+	ps, bs := mltree.SizeOf(pattern), mltree.SizeOf(block)
+	width := patternWidth
+	if errBits {
+		width += errBitWidth
+	}
+	if ps.Features > width {
+		return fmt.Errorf("core: pattern model splits on feature %d of %d-feature vectors", ps.Features-1, width)
+	}
+	if bs.Features > features.BlockFeatureCount {
+		return fmt.Errorf("core: block model splits on feature %d of %d-feature vectors", bs.Features-1, features.BlockFeatureCount)
+	}
+	p.patternModel, p.blockModel = pattern, block
+	p.blockPosIdx = positiveIndex(block.Classes())
+	p.modelSize = mltree.Size{Nodes: ps.Nodes + bs.Nodes, Bytes: ps.Bytes + bs.Bytes}
+	return nil
 }
+
+// ModelSize returns the tree nodes both fitted models hold and the bytes
+// they occupy in memory, as measured when they were installed.
+func (p *Pipeline) ModelSize() (nodes, bytes int) { return p.modelSize.Nodes, p.modelSize.Bytes }
 
 // positiveIndex returns the index of class 1 (block will see a UER) in a
 // binary block model's class list, or -1.
@@ -192,7 +218,6 @@ func (p *Pipeline) Fit(banks []*faultsim.BankFault) error {
 	if err := pm.Fit(patternDS); err != nil {
 		return fmt.Errorf("core: fitting pattern model: %w", err)
 	}
-	p.patternModel = pm
 
 	blockDS, err := BuildBlockDataset(banks, p.cfg.Block, p.cfg.Pattern.UERBudget)
 	if err != nil {
@@ -205,7 +230,9 @@ func (p *Pipeline) Fit(banks []*faultsim.BankFault) error {
 	if err := bm.Fit(blockDS); err != nil {
 		return fmt.Errorf("core: fitting block model: %w", err)
 	}
-	p.setBlockModel(bm)
+	if err := p.setModels(pm, bm, p.cfg.ErrBits); err != nil {
+		return err
+	}
 
 	if p.cfg.Threshold == 0 {
 		thr, err := crossFitThreshold(p.cfg, blockDS)
@@ -440,14 +467,15 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: loading block model: %w", err)
 	}
+	if err := p.setModels(pm, bm, head.ErrBits); err != nil {
+		return err
+	}
 	p.cfg.Threshold = head.Threshold
 	p.cfg.Pattern = head.Pattern
 	p.cfg.Block = head.Block
 	p.cfg.Model = head.Model
 	p.cfg.ErrBits = head.ErrBits
 	p.meta = head.Meta
-	p.patternModel = pm
-	p.setBlockModel(bm)
 	return nil
 }
 
@@ -523,6 +551,9 @@ type CordialStrategy struct {
 }
 
 var _ Strategy = (*CordialStrategy)(nil)
+
+// ModelSize reports the pipeline's models to the serving engine's gauges.
+func (s *CordialStrategy) ModelSize() (nodes, bytes int) { return s.Pipeline.ModelSize() }
 
 // Name returns "Cordial-<backend>".
 func (s *CordialStrategy) Name() string {

@@ -2,8 +2,12 @@ package mltree
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
+
+	"cordial/internal/xrand"
 )
 
 // forceParallelSplits drops the work-size gate so even tiny test datasets
@@ -64,12 +68,19 @@ func TestParallelismEquivalenceAllModels(t *testing.T) {
 	}
 	for i := range serial {
 		assertSameProbs(t, typeName(serial[i]), serial[i], parallel[i], test.Features)
-		ps, pp := serial[i].PredictBatch(batch), parallel[i].PredictBatch(batch)
-		for r := range batch {
-			assertBitsEqual(t, typeName(serial[i])+" batch", ps[r], pp[r])
+		for _, n := range append(batchSizes, len(batch)) {
+			ps, pp := serial[i].PredictBatch(batch[:n]), parallel[i].PredictBatch(batch[:n])
+			for r := range ps {
+				assertBitsEqual(t, typeName(serial[i])+" batch", ps[r], pp[r])
+			}
 		}
 	}
 }
+
+// batchSizes straddle the kernel's seams: fewer rows than one eight-row
+// interleave, whole groups, groups with a remainder, a whole tile of 64 rows
+// and its neighbours, and several tiles.
+var batchSizes = []int{1, 3, 16, 63, 64, 65, 480}
 
 func typeName(c Classifier) string {
 	switch c.(type) {
@@ -97,181 +108,319 @@ func assertBitsEqual(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// pointerForestProba is the executable specification of Forest inference:
-// walk every member's pointer tree, re-align its leaf distribution onto the
-// forest's class list (a bag can miss a class), sum in tree order, scale by
-// 1/trees last.
-func pointerForestProba(f *Forest, x []float64) []float64 {
-	out := make([]float64, len(f.classes))
-	idx := classIndex(f.classes)
-	for _, tr := range f.trees {
-		for j, p := range tr.root.navigate(x).Probs {
-			out[idx[tr.classes[j]]] += p
+// pointerModel is the executable specification of inference: a model's trees
+// as the pointer nodes the file format and the boosters' training use, walked
+// one row at a time with float comparisons. It is the reference the arena
+// kernels are held to, bit for bit.
+type pointerModel struct {
+	classes     []int
+	trees       []*treeNode // a tree's or a forest's members, or
+	treeClasses [][]int
+	boosters    []*booster // a boosted model's chains
+}
+
+func (p *pointerModel) proba(x []float64) []float64 {
+	k := len(p.classes)
+	out := make([]float64, k)
+	if p.boosters == nil {
+		// Re-align every member's leaf distribution onto the model's class
+		// list (a bag can miss a class), sum in tree order, scale last.
+		idx := classIndex(p.classes)
+		for i, root := range p.trees {
+			for j, v := range root.navigate(x).Probs {
+				out[idx[p.treeClasses[i][j]]] += v
+			}
 		}
+		inv := 1 / float64(len(p.trees))
+		for c := range out {
+			out[c] *= inv
+		}
+		return out
 	}
-	inv := 1 / float64(len(f.trees))
-	for c := range out {
-		out[c] *= inv
+	total := 0.0
+	for a, b := range p.boosters {
+		margin := b.Bias
+		for _, root := range b.Trees {
+			margin += b.LR * root.navigate(x).Value
+		}
+		if k == 2 {
+			return []float64{1 - sigmoid(margin), sigmoid(margin)}
+		}
+		out[a] = sigmoid(margin)
+		total += out[a]
+	}
+	for a := range out {
+		out[a] /= total
 	}
 	return out
 }
 
-// TestArenaForestEquivalence asserts the forest's single node arena
-// reproduces the pointer forest bit for bit: on the default forest, on a
-// forest with a member whose bag missed a class (the compile-time
-// alignment), per row and batched, and after save→load→predict.
+// savedPointerModel decodes what Save writes of m into pointer trees, the way
+// every reader did before models compiled to an arena. TestParentFixture pins
+// those bytes to files the parent commit wrote from its own pointer trees.
+func savedPointerModel(t *testing.T, m Classifier) *pointerModel {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	p := &pointerModel{classes: env.Classes}
+	var err error
+	switch env.Kind {
+	case kindTree:
+		var tp treePayload
+		err = json.Unmarshal(env.Payload, &tp)
+		p.trees, p.treeClasses = []*treeNode{tp.Root}, [][]int{env.Classes}
+	case kindForest:
+		var fp forestPayload
+		err = json.Unmarshal(env.Payload, &fp)
+		for _, tp := range fp.Trees {
+			p.trees = append(p.trees, tp.Root)
+		}
+		p.treeClasses = fp.TreeClasses
+	default:
+		var gp boostedPayload
+		err = json.Unmarshal(env.Payload, &gp)
+		p.boosters = gp.Boosters
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// assertMatchesPointers asserts m predicts exactly what the pointer walk
+// does: per row, and batched at every size of batchSizes.
+func assertMatchesPointers(t *testing.T, label string, m Classifier, ref *pointerModel, X [][]float64) {
+	t.Helper()
+	if len(X) < batchSizes[len(batchSizes)-1] {
+		t.Fatalf("%s: %d rows do not cover the batch sizes", label, len(X))
+	}
+	want := make([][]float64, len(X))
+	for i, x := range X {
+		want[i] = ref.proba(x)
+		assertBitsEqual(t, label+" single", m.PredictProba(x), want[i])
+	}
+	for _, n := range batchSizes {
+		off := len(X) - n // not always the same leading rows
+		for i, got := range m.PredictBatch(X[off:]) {
+			assertBitsEqual(t, fmt.Sprintf("%s batch of %d row %d", label, n, i), got, want[off+i])
+		}
+	}
+}
+
+// reload returns m after a Save and a Load.
+func reload(t *testing.T, m Classifier) Classifier {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// TestArenaForestEquivalence asserts the forest's arena reproduces the
+// pointer forest bit for bit: on the default forest, on a forest with a
+// member whose bag missed a class (the alignment at Load), per row and at
+// every batch size, and after save→load→predict.
 func TestArenaForestEquivalence(t *testing.T) {
 	train, test := noisyBlobs(32, 3, 120)
+	X := append(append([][]float64{}, train.Features...), test.Features...)
 
 	def := NewForest(ForestConfig{Seed: 7})
 	if err := def.Fit(train); err != nil {
 		t.Fatal(err)
 	}
+	ref := savedPointerModel(t, def)
+	assertMatchesPointers(t, "default", def, ref, X)
+	assertMatchesPointers(t, "default loaded", reload(t, def), ref, X)
 
-	// Members fitted on their own subsets, one of which holds only classes
-	// 0 and 2, assembled under the full class list.
-	subset := func(keep func(label int) bool) *Dataset {
+	missing, ref := missingClassForest(t, train)
+	assertMatchesPointers(t, "missing class", missing, ref, X)
+	assertMatchesPointers(t, "missing class loaded", reload(t, missing), ref, X)
+}
+
+// missingClassForest assembles, as a model file, a forest of three trees
+// grown on their own subsets of train — one holding only classes 0 and 2, one
+// only 1 and 2 — under the full class list, and returns it loaded, with the
+// members' pointer trees straight from the grower.
+func missingClassForest(t *testing.T, train *Dataset) (*Forest, *pointerModel) {
+	t.Helper()
+	ref := &pointerModel{classes: train.Classes()}
+	cfg := TreeConfig{MaxDepth: 6}.withDefaults()
+	fp := forestPayload{Config: ForestConfig{Parallelism: 1}}
+	for _, drop := range []int{-1, 1, 0} {
 		ds := &Dataset{}
 		for i, l := range train.Labels {
-			if keep(l) {
+			if l != drop {
 				ds.Features = append(ds.Features, train.Features[i])
 				ds.Labels = append(ds.Labels, l)
 			}
 		}
-		return ds
+		root, classes := growPointerTree(ds, cfg), ds.Classes()
+		ref.trees, ref.treeClasses = append(ref.trees, root), append(ref.treeClasses, classes)
+		fp.Trees, fp.TreeClasses = append(fp.Trees, treePayload{Config: cfg, Root: root}), append(fp.TreeClasses, classes)
 	}
-	missing := &Forest{Config: ForestConfig{Parallelism: 1}, classes: train.Classes()}
-	for _, ds := range []*Dataset{train, subset(func(l int) bool { return l != 1 }), subset(func(l int) bool { return l != 0 })} {
-		tr := NewTree(TreeConfig{MaxDepth: 6}, nil)
-		if err := tr.Fit(ds); err != nil {
-			t.Fatal(err)
-		}
-		missing.trees = append(missing.trees, tr)
-	}
-	if got := len(missing.trees[1].classes); got != 2 {
+	if got := len(ref.treeClasses[1]); got != 2 {
 		t.Fatalf("subset member has %d classes, want 2", got)
 	}
-	missing.arena = compileClassifier(missing.trees, missing.classes)
-
-	for name, f := range map[string]*Forest{"default": def, "missing class": missing} {
-		var buf bytes.Buffer
-		if err := Save(&buf, f); err != nil {
-			t.Fatalf("%s: save: %v", name, err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		batch, loadedBatch := f.PredictBatch(test.Features), loaded.PredictBatch(test.Features)
-		for i, x := range test.Features {
-			want := pointerForestProba(f, x)
-			assertBitsEqual(t, name+" single", f.PredictProba(x), want)
-			assertBitsEqual(t, name+" batch", batch[i], want)
-			assertBitsEqual(t, name+" loaded single", loaded.PredictProba(x), want)
-			assertBitsEqual(t, name+" loaded batch", loadedBatch[i], want)
-		}
+	m, err := Load(bytes.NewReader(marshalModel(t, kindForest, ref.classes, fp)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return m.(*Forest), ref
 }
 
-// TestFlatTreeMatchesPointerNavigation asserts flat descent reproduces
-// pointer navigation exactly, for single trees and boosting chains.
+// growPointerTree is Tree.Fit up to the grower's output, as a pointer tree.
+func growPointerTree(ds *Dataset, cfg TreeConfig) *treeNode {
+	classes := ds.Classes()
+	g := newGrower(newClassData(ds, classes), cfg)
+	for i := range g.mult {
+		g.mult[i] = 1
+	}
+	return pointerOf(g.fit(nil), len(classes))
+}
+
+// pointerOf converts a grower's tree to pointer nodes, k probabilities a leaf.
+func pointerOf(gt grownTree, k int) *treeNode {
+	nodes := make([]treeNode, len(gt.nodes))
+	for i, gn := range gt.nodes {
+		if gn.feature < 0 {
+			nodes[i].Probs = gt.leaf[gn.at : int(gn.at)+k]
+			continue
+		}
+		nodes[i] = treeNode{Feature: int(gn.feature), Threshold: gn.threshold, Left: &nodes[i+1], Right: &nodes[gn.at]}
+	}
+	return &nodes[0]
+}
+
+func (n *treeNode) countLeaves() int {
+	if n.isLeaf() {
+		return 1
+	}
+	return n.Left.countLeaves() + n.Right.countLeaves()
+}
+
+// marshalModel writes a model file from its parts.
+func marshalModel(t *testing.T, kind string, classes []int, payload any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(envelope{Kind: kind, Classes: classes, Payload: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFlatTreeMatchesPointerNavigation asserts the arena reproduces pointer
+// navigation exactly for a single tree and for both boosters' chains, the
+// pointers being the trainers' own: the grower's tree, and the chains as
+// boosting grew and navigated them, before Fit compiled and dropped them.
 func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	train, test := noisyBlobs(32, 3, 120)
+	X := append(append([][]float64{}, train.Features...), test.Features...)
 
 	tr := NewTree(TreeConfig{MaxDepth: 8}, nil)
 	if err := tr.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range test.Features {
-		assertBitsEqual(t, "tree", tr.PredictProba(x), tr.root.navigate(x).Probs)
-	}
+	assertMatchesPointers(t, "tree", tr, &pointerModel{
+		classes: tr.classes, trees: []*treeNode{growPointerTree(train, tr.Config)}, treeClasses: [][]int{tr.classes},
+	}, X)
 
 	g := NewGBDT(GBDTConfig{Rounds: 10, Seed: 3})
-	if err := g.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, len(test.Features))
-	for _, b := range g.boosters {
-		b.flat.margins(got, 1, b.Bias, b.LR, test.Features)
-		for i, x := range test.Features {
-			want := b.Bias
-			for _, tn := range b.Trees {
-				want += b.LR * tn.navigate(x).Value
-			}
-			if got[i] != want {
-				t.Fatalf("flat margin %v differs from pointer walk %v", got[i], want)
-			}
+	h := NewHistGBDT(HistGBDTConfig{Rounds: 10, Seed: 3})
+	for _, m := range []Classifier{g, h} {
+		if err := m.Fit(train); err != nil {
+			t.Fatal(err)
 		}
 	}
+	assertMatchesPointers(t, "gbdt", g, &pointerModel{classes: g.classes, boosters: gbdtChains(g, train)}, X)
+	assertMatchesPointers(t, "histgbdt", h, &pointerModel{classes: h.classes, boosters: histChains(h, train)}, X)
 }
 
-// arenasOf returns the node arenas a model predicts through.
-func arenasOf(m Classifier) []*flatEnsemble {
-	switch m := m.(type) {
-	case *Tree:
-		return []*flatEnsemble{m.flat}
-	case *Forest:
-		return []*flatEnsemble{m.arena}
-	case *GBDT:
-		return chainArenas(m.boosters)
-	case *HistGBDT:
-		return chainArenas(m.boosters)
+// gbdtChains trains g's chains as Fit does and returns them uncompiled.
+func gbdtChains(g *GBDT, ds *Dataset) []*booster {
+	return trainArms(ds, ds.Classes(), 1, g.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
+		return g.fitBinary(ds, y, rng)
+	})
+}
+
+// histChains trains h's chains as Fit does and returns them uncompiled.
+func histChains(h *HistGBDT, ds *Dataset) []*booster {
+	bins, binned := binAll(ds, h.Config.MaxBins)
+	return trainArms(ds, ds.Classes(), 1, h.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
+		return h.fitBinary(ds, binned, bins, y, rng)
+	})
+}
+
+func binAll(ds *Dataset, maxBins int) (*binner, [][]uint16) {
+	bins := newBinner(ds.Features, maxBins)
+	binned := make([][]uint16, len(ds.Features))
+	for i, row := range ds.Features {
+		binned[i] = make([]uint16, len(row))
+		for f, v := range row {
+			binned[i][f] = uint16(bins.bin(f, v))
+		}
 	}
-	return nil
+	return bins, binned
 }
 
-func chainArenas(boosters []*booster) (out []*flatEnsemble) {
-	for _, b := range boosters {
-		out = append(out, b.flat)
-	}
-	return out
-}
-
-// assertArenasExact asserts every arena array was allocated at exactly its
+// assertArenaExact asserts every arena array was allocated at exactly its
 // final length: a model held by a serving process carries no append slack.
-func assertArenasExact(t *testing.T, label string, m Classifier) {
+func assertArenaExact(t *testing.T, label string, m Classifier) {
 	t.Helper()
-	for _, fe := range arenasOf(m) {
-		if fe == nil {
-			t.Fatalf("%s: model has no flat form", label)
-		}
-		for name, slack := range map[string]int{
-			"feature": cap(fe.feature) - len(fe.feature), "threshold": cap(fe.threshold) - len(fe.threshold),
-			"left": cap(fe.left) - len(fe.left), "right": cap(fe.right) - len(fe.right), "leaf": cap(fe.leaf) - len(fe.leaf),
-		} {
-			if slack != 0 {
-				t.Fatalf("%s: arena %s has %d elements of slack", label, name, slack)
-			}
+	a, _ := arenaOf(m)
+	if a == nil {
+		t.Fatalf("%s: model has no arena", label)
+	}
+	tables := 0
+	for _, tab := range a.thr {
+		tables += cap(tab) - len(tab)
+	}
+	for name, slack := range map[string]int{
+		"nodes": cap(a.nodes) - len(a.nodes), "roots": cap(a.roots) - len(a.roots),
+		"leaf": cap(a.leaf) - len(a.leaf), "thr": cap(a.thr) - len(a.thr), "threshold tables": tables,
+	} {
+		if slack != 0 {
+			t.Fatalf("%s: arena %s has %d elements of slack", label, name, slack)
 		}
 	}
 }
 
 // TestSerializeRoundTripCompilesFlat asserts a loaded model predicts through
-// a recompiled arena — one per forest, none on its members, each array
-// exactly sized, as on the fitted model — and matches the original exactly,
-// per-row and batched.
+// a recompiled arena — one per model, each array exactly sized, as on the
+// fitted model — matches the original exactly, per-row and batched, and saves
+// to the bytes it was loaded from.
 func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 	train, test := noisyBlobs(33, 3, 120)
 	for _, m := range fitAll(t, train, 0) {
-		assertArenasExact(t, typeName(m)+" fitted", m)
-		var buf bytes.Buffer
+		assertArenaExact(t, typeName(m)+" fitted", m)
+		var buf, again bytes.Buffer
 		if err := Save(&buf, m); err != nil {
 			t.Fatalf("%s: save: %v", typeName(m), err)
 		}
-		loaded, err := Load(&buf)
+		loaded, err := Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: load: %v", typeName(m), err)
 		}
-		assertArenasExact(t, typeName(m)+" loaded", loaded)
-		if lf, ok := loaded.(*Forest); ok {
-			if len(lf.arena.roots) != len(lf.trees) {
-				t.Fatal("loaded forest's arena does not cover its members")
-			}
-			for _, tr := range lf.trees {
-				if tr.flat != nil {
-					t.Fatal("loaded forest member was compiled on its own")
-				}
-			}
+		assertArenaExact(t, typeName(m)+" loaded", loaded)
+		if err := Save(&again, loaded); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("%s: save→load→save changed the file (err %v)", typeName(m), err)
+		}
+		if lf, ok := loaded.(*Forest); ok && (len(lf.arena.roots) != len(lf.members) || lf.NumTrees() != 12) {
+			t.Fatal("loaded forest's arena does not cover its members")
 		}
 		assertSameProbs(t, typeName(m), m, loaded, test.Features)
 		batch := loaded.PredictBatch(test.Features)
@@ -281,36 +430,95 @@ func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMisalignedMember asserts Decode refuses what the arena
-// compile cannot align: a member class outside the model's class list, and
-// a leaf whose distribution is not one value per class of its tree.
+// TestLoadRejectsMisalignedMember asserts Decode refuses, for every kind,
+// what the arena compile cannot align or lay out, and what would panic at the
+// first prediction: a member class outside the model's class list, a leaf
+// whose distribution is not one value per class of its tree, a missing or
+// single child, a split feature the node layout cannot hold, a chain count
+// that does not match the classes.
 func TestLoadRejectsMisalignedMember(t *testing.T) {
 	train, _ := noisyBlobs(36, 3, 60)
-	corrupt := map[string]func(f *Forest){
-		"foreign class": func(f *Forest) { f.trees[0].classes = []int{0, 1, 99} },
-		"short leaf": func(f *Forest) {
-			leaf := f.trees[0].root
-			for !leaf.isLeaf() {
-				leaf = leaf.Left
-			}
+	leftmost := func(n *treeNode) *treeNode {
+		for !n.isLeaf() {
+			n = n.Left
+		}
+		return n
+	}
+	forest := map[string]func(env *envelope, fp *forestPayload){
+		"foreign class": func(_ *envelope, fp *forestPayload) { fp.TreeClasses[0] = []int{0, 1, 99} },
+		"short leaf": func(_ *envelope, fp *forestPayload) {
+			leaf := leftmost(fp.Trees[0].Root)
 			leaf.Probs = leaf.Probs[:1]
 		},
-		"one-child node": func(f *Forest) { f.trees[0].root.Right = nil },
+		"one-child node":        func(_ *envelope, fp *forestPayload) { fp.Trees[0].Root.Right = nil },
+		"missing root":          func(_ *envelope, fp *forestPayload) { fp.Trees[1].Root = nil },
+		"negative feature":      func(_ *envelope, fp *forestPayload) { fp.Trees[0].Root.Feature = -1 },
+		"feature beyond layout": func(_ *envelope, fp *forestPayload) { fp.Trees[2].Root.Feature = arenaLeaf },
+		"fewer class lists":     func(_ *envelope, fp *forestPayload) { fp.TreeClasses = fp.TreeClasses[:2] },
+		"no classes":            func(env *envelope, _ *forestPayload) { env.Classes = nil },
 	}
-	for name, mutate := range corrupt {
+	for name, mutate := range forest {
 		f := NewForest(ForestConfig{NumTrees: 3, Seed: 1})
 		if err := f.Fit(train); err != nil {
 			t.Fatal(err)
 		}
-		mutate(f)
-		var buf bytes.Buffer
-		if err := Save(&buf, f); err != nil {
-			t.Fatalf("%s: save: %v", name, err)
-		}
-		if _, err := Load(&buf); err == nil {
-			t.Fatalf("%s: corrupt forest accepted", name)
+		if _, err := Load(bytes.NewReader(mutated(t, f, mutate))); err == nil {
+			t.Errorf("forest, %s: corrupt model accepted", name)
 		}
 	}
+	chains := map[string]func(env *envelope, gp *boostedPayload){
+		"one-child node":        func(_ *envelope, gp *boostedPayload) { gp.Boosters[0].Trees[0].Left = nil },
+		"missing tree":          func(_ *envelope, gp *boostedPayload) { gp.Boosters[1].Trees[2] = nil },
+		"missing chain":         func(_ *envelope, gp *boostedPayload) { gp.Boosters[2] = nil },
+		"leaf with probs":       func(_ *envelope, gp *boostedPayload) { leftmost(gp.Boosters[0].Trees[0]).Probs = []float64{1} },
+		"feature beyond layout": func(_ *envelope, gp *boostedPayload) { gp.Boosters[0].Trees[0].Feature = 1 << 20 },
+		"extra chain":           func(_ *envelope, gp *boostedPayload) { gp.Boosters = append(gp.Boosters, gp.Boosters[0]) },
+		"two classes":           func(env *envelope, _ *boostedPayload) { env.Classes = env.Classes[:2] },
+	}
+	for name, mutate := range chains {
+		for _, m := range []Classifier{NewGBDT(GBDTConfig{Rounds: 3, Seed: 1}), NewHistGBDT(HistGBDTConfig{Rounds: 3, Seed: 1})} {
+			if err := m.Fit(train); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(bytes.NewReader(mutated(t, m, mutate))); err == nil {
+				t.Errorf("%s, %s: corrupt model accepted", typeName(m), name)
+			}
+		}
+	}
+
+	// The bug this validator was extended for: "f":0 rewritten to "f":99 in a
+	// saved 6-feature forest used to load, and panic at the first prediction.
+	f := NewForest(ForestConfig{NumTrees: 3, Seed: 1})
+	if err := f.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	wide, err := Load(bytes.NewReader(mutated(t, f, func(_ *envelope, fp *forestPayload) { fp.Trees[0].Root.Feature = 99 })))
+	if err != nil {
+		t.Fatalf("a split on feature 99 is within the layout: %v", err)
+	}
+	if got := SizeOf(wide).Features; got != 100 {
+		t.Fatalf("SizeOf(...).Features = %d, want 100: callers refuse the model by it", got)
+	}
+}
+
+// mutated saves m, decodes the file into its pointer form P, lets mutate
+// corrupt it and returns the file re-encoded.
+func mutated[P any](t *testing.T, m Classifier, mutate func(*envelope, *P)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	var payload P
+	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env.Payload, &payload); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&env, &payload)
+	return marshalModel(t, env.Kind, env.Classes, payload)
 }
 
 // TestPredictBatchMatchesSingle asserts PredictBatchInto and PredictBatch
@@ -358,19 +566,8 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 func TestHistGBDTBinnedNavigationMatchesRaw(t *testing.T) {
 	train, _ := noisyBlobs(35, 3, 120)
 	h := NewHistGBDT(HistGBDTConfig{Rounds: 8, Seed: 5})
-	if err := h.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	bins := newBinner(train.Features, h.Config.MaxBins)
-	binned := make([][]uint16, len(train.Features))
-	for i, row := range train.Features {
-		br := make([]uint16, len(row))
-		for f, v := range row {
-			br[f] = uint16(bins.bin(f, v))
-		}
-		binned[i] = br
-	}
-	for _, b := range h.boosters {
+	_, binned := binAll(train, h.Config.MaxBins)
+	for _, b := range histChains(h, train) {
 		for _, root := range b.Trees {
 			for i, row := range train.Features {
 				raw := root.navigate(row)

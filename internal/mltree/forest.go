@@ -44,13 +44,20 @@ func (c ForestConfig) withDefaults() ForestConfig {
 // per-split feature subsampling, predictions averaged over members.
 type Forest struct {
 	Config ForestConfig
-	trees  []*Tree
-	// arena is every member compiled into one node arena for inference,
-	// leaf rows aligned to classes; rebuilt after fitting or loading.
-	arena   *flatEnsemble
+	// arena is every member's tree, leaf rows aligned to classes.
+	arena   *arena
 	classes []int
+	// members is what Save writes of each member beside its tree.
+	members []member
 	// oobScore is the out-of-bag accuracy estimated during Fit, or -1.
 	oobScore float64
+}
+
+// member is a forest member's configuration and its own class list (a model
+// file may hold members whose bags missed classes).
+type member struct {
+	config  TreeConfig
+	classes []int
 }
 
 // NewForest returns an unfitted Random Forest.
@@ -64,7 +71,7 @@ var _ Classifier = (*Forest)(nil)
 func (f *Forest) Classes() []int { return f.classes }
 
 // NumTrees returns the number of fitted members.
-func (f *Forest) NumTrees() int { return len(f.trees) }
+func (f *Forest) NumTrees() int { return f.arena.numTrees() }
 
 // OOBScore returns the out-of-bag accuracy estimate from Fit, or -1 when it
 // could not be computed (e.g. every sample was in every bag).
@@ -92,8 +99,8 @@ func (f *Forest) Fit(ds *Dataset) error {
 	for t := range rngs {
 		rngs[t] = rng.Split()
 	}
-	members := make([]Tree, f.Config.NumTrees)
-	f.trees = make([]*Tree, f.Config.NumTrees)
+	grown := make([]grownTree, f.Config.NumTrees)
+	f.members = make([]member, f.Config.NumTrees)
 	inBag := make([]bool, f.Config.NumTrees*n) // member-major
 	cfg := f.Config.Tree.withDefaults()
 	growers := make([]*grower, maxExtraWorkers+1)
@@ -110,24 +117,32 @@ func (f *Forest) Fit(ds *Dataset) error {
 			g.mult[s]++
 			in[s] = true
 		}
-		members[t] = Tree{Config: cfg, root: g.fit(rngs[t]), classes: f.classes}
-		f.trees[t] = &members[t]
+		grown[t], f.members[t] = g.fit(rngs[t]), member{cfg, f.classes}
 	})
-	f.arena = compileClassifier(f.trees, f.classes)
+	var err error
+	if f.arena, err = compileArena(grown, k, nil); err != nil {
+		return err
+	}
 
 	// Out-of-bag votes: votes[i*k+c] sums, in member order, the class-c
 	// probability from the trees whose bag excluded sample i.
 	votes := make([]float64, n*k)
 	oobSeen := make([]bool, n)
-	for t := range f.trees {
-		for i, in := range inBag[t*n : (t+1)*n] {
-			if in {
-				continue
-			}
-			oobSeen[i] = true
-			off := int(f.arena.leafFrom(f.arena.roots[t], ds.Features[i]))
-			for c, p := range f.arena.leaf[off : off+k] {
-				votes[i*k+c] += p
+	var buf [rankScratch]uint16
+	ranks := f.arena.tile(buf[:])
+	for lo := 0; lo < n; lo += tileRows {
+		rows := ds.Features[lo:min(lo+tileRows, n)]
+		f.arena.rank(ranks, rows)
+		for t, root := range f.arena.roots {
+			for i, in := range inBag[t*n+lo : t*n+lo+len(rows)] {
+				if in {
+					continue
+				}
+				oobSeen[lo+i] = true
+				off := int(f.arena.leafOf(root, ranks, i))
+				for c, p := range f.arena.leaf[off : off+k] {
+					votes[(lo+i)*k+c] += p
+				}
 			}
 		}
 	}
@@ -152,20 +167,14 @@ func (f *Forest) Fit(ds *Dataset) error {
 // PredictProba averages the member trees' leaf distributions.
 func (f *Forest) PredictProba(x []float64) []float64 {
 	out := make([]float64, len(f.classes))
-	if len(f.trees) > 0 {
-		f.arena.predictBlock(out, [][]float64{x})
-	}
+	f.arena.predictBlock(out, [][]float64{x})
 	return out
 }
 
 // PredictBatchInto predicts every row of X into dst; a forest without trees
 // predicts all zeros.
 func (f *Forest) PredictBatchInto(dst []float64, X [][]float64) {
-	if len(f.trees) == 0 {
-		clear(dst[:len(X)*len(f.classes)])
-		return
-	}
-	predictBatchInto(f.arena, len(f.classes), len(f.trees), f.Config.Parallelism, dst, X)
+	predictBatchInto(f.arena, len(f.classes), f.NumTrees(), f.Config.Parallelism, dst, X)
 }
 
 // PredictBatch predicts every row of X.

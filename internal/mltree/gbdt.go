@@ -86,37 +86,108 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 	return c
 }
 
-// booster is one binary logistic gradient-boosting chain (one-vs-rest arm).
+// booster is one binary logistic gradient-boosting chain (one-vs-rest arm) as
+// it trains and as the model file holds it.
 type booster struct {
 	Bias  float64     `json:"bias"`
 	Trees []*treeNode `json:"trees"`
 	LR    float64     `json:"lr"`
-
-	// flat is the chain compiled for inference; rebuilt by compile()
-	// after fitting or deserialising.
-	flat *flatEnsemble
 }
 
-// compile flattens the fitted chain for cache-friendly inference.
-func (b *booster) compile() { b.flat = compileChain(b.Trees) }
-
 // boosted is the fitted state GBDT and HistGBDT share — one boosting chain
-// per class (a single chain for binary problems) — and the inference over it.
+// per class (a single chain for binary problems), every chain's trees in one
+// arena — and the inference over it.
 type boosted struct {
-	classes  []int
-	boosters []*booster
+	classes []int
+	arena   *arena
 }
 
 // Classes returns the labels seen during Fit.
 func (m *boosted) Classes() []int { return m.classes }
 
 // NumTrees returns the total tree count across all arms.
-func (m *boosted) NumTrees() int {
-	n := 0
-	for _, b := range m.boosters {
-		n += len(b.Trees)
+func (m *boosted) NumTrees() int { return m.arena.numTrees() }
+
+// begin validates the training set and records its classes.
+func (m *boosted) begin(ds *Dataset, kind string) error {
+	if err := ds.Validate(); err != nil {
+		return err
 	}
-	return n
+	m.classes = ds.Classes()
+	if len(m.classes) < 2 {
+		return fmt.Errorf("mltree: %s needs ≥2 classes, got %d", kind, len(m.classes))
+	}
+	return nil
+}
+
+// armsFor returns how many chains a model of k classes has: one per class,
+// or a single one, for the larger class, when there are two.
+func armsFor(k int) int {
+	if k == 2 {
+		return 1
+	}
+	return k
+}
+
+// trainArms trains a model's chains, each fitted by fit against its class's
+// 0/1 targets.
+func trainArms(ds *Dataset, classes []int, parallelism int, seed uint64, fit func(y []float64, rng *xrand.RNG) *booster) []*booster {
+	rng, arms := xrand.New(seed), armsFor(len(classes))
+	// Derive every arm's RNG up front, in arm order, so concurrent arm
+	// fitting consumes the exact streams the serial loop did.
+	rngs := make([]*xrand.RNG, arms)
+	for a := range rngs {
+		rngs[a] = rng.Split()
+	}
+	boosters := make([]*booster, arms)
+	runWorkers(arms, parallelism, func(_, a int) {
+		positive := classes[a]
+		if len(classes) == 2 {
+			positive = classes[1]
+		}
+		y := make([]float64, ds.NumSamples())
+		for i, l := range ds.Labels {
+			if l == positive {
+				y[i] = 1
+			}
+		}
+		boosters[a] = fit(y, rngs[a])
+	})
+	return boosters
+}
+
+// compile validates trained or decoded chains and lays them out in the
+// model's arena; the pointer trees are garbage afterwards.
+func (m *boosted) compile(boosters []*booster) (err error) {
+	var grown []grownTree
+	chains := make([]chain, len(boosters))
+	for c, b := range boosters {
+		if b == nil {
+			return fmt.Errorf("chain %d is missing", c)
+		}
+		chains[c] = chain{bias: b.Bias, lr: b.LR, lo: len(grown), hi: len(grown) + len(b.Trees)}
+		for t, root := range b.Trees {
+			var gt grownTree
+			if err := gt.flatten(root, nil, 1); err != nil {
+				return fmt.Errorf("chain %d tree %d: %w", c, t, err)
+			}
+			grown = append(grown, gt)
+		}
+	}
+	m.arena, err = compileArena(grown, 1, chains)
+	return err
+}
+
+// boosters rebuilds the chains as Save writes them: compile's inverse.
+func (m *boosted) boosters() []*booster {
+	out := make([]*booster, len(m.arena.chains))
+	for c, ch := range m.arena.chains {
+		out[c] = &booster{Bias: ch.bias, LR: ch.lr}
+		for _, r := range m.arena.roots[ch.lo:ch.hi] {
+			out[c].Trees = append(out[c].Trees, m.arena.pointerTree(r, nil))
+		}
+	}
+	return out
 }
 
 // PredictProba returns class probabilities: the sigmoid margin for binary
@@ -131,22 +202,19 @@ func (m *boosted) PredictProba(x []float64) []float64 {
 // scratch.
 func (m *boosted) predictBlock(dst []float64, X [][]float64) {
 	k := len(m.classes)
-	if len(m.boosters) == 0 {
+	if m.arena == nil {
 		clear(dst)
 		return
 	}
 	if k == 2 {
-		b := m.boosters[0]
-		b.flat.margins(dst[1:], 2, b.Bias, b.LR, X)
+		m.arena.sums(dst[1:], 2, X)
 		for i := range X {
 			p := sigmoid(dst[2*i+1])
 			dst[2*i], dst[2*i+1] = 1-p, p
 		}
 		return
 	}
-	for a, b := range m.boosters {
-		b.flat.margins(dst[a:], k, b.Bias, b.LR, X)
-	}
+	m.arena.sums(dst, k, X)
 	for i := range X {
 		row := dst[i*k : (i+1)*k]
 		total := 0.0
@@ -187,62 +255,72 @@ var _ Classifier = (*GBDT)(nil)
 // Fit trains one boosting chain per class (a single chain for binary
 // problems).
 func (g *GBDT) Fit(ds *Dataset) error {
-	if err := ds.Validate(); err != nil {
+	if err := g.begin(ds, "GBDT"); err != nil {
 		return err
 	}
-	g.classes = ds.Classes()
-	if len(g.classes) < 2 {
-		return fmt.Errorf("mltree: GBDT needs ≥2 classes, got %d", len(g.classes))
-	}
-	rng := xrand.New(g.Config.Seed)
-
-	arms := len(g.classes)
-	if arms == 2 {
-		arms = 1 // binary: a single chain for the positive (larger) class
-	}
-	// Derive every arm's RNG up front, in arm order, so concurrent arm
-	// fitting consumes the exact streams the serial loop did.
-	rngs := make([]*xrand.RNG, arms)
-	for a := range rngs {
-		rngs[a] = rng.Split()
-	}
-	g.boosters = make([]*booster, arms)
-	errs := make([]error, arms)
-	runWorkers(arms, g.Config.Parallelism, func(_, a int) {
-		positive := g.classes[a]
-		if len(g.classes) == 2 {
-			positive = g.classes[1]
-		}
-		y := make([]float64, ds.NumSamples())
-		for i, l := range ds.Labels {
-			if l == positive {
-				y[i] = 1
-			}
-		}
-		b, err := g.fitBinary(ds, y, rngs[a])
-		if err != nil {
-			errs[a] = fmt.Errorf("mltree: GBDT arm %d: %w", a, err)
-			return
-		}
-		b.compile()
-		g.boosters[a] = b
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.compile(trainArms(ds, g.classes, g.Config.Parallelism, g.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
+		return g.fitBinary(ds, y, rng)
+	}))
 }
 
-func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) (*booster, error) {
+func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) *booster {
 	cfg := g.Config
-	n := ds.NumSamples()
+	n, numFeatures := ds.NumSamples(), ds.NumFeatures()
+	colsPerSplit := int(math.Round(cfg.ColsampleRatio * float64(numFeatures)))
+	if colsPerSplit < 1 {
+		colsPerSplit = 1
+	}
 
+	// The columnized matrix is shared by every round's tree, and when row
+	// subsampling is off (the default) the per-feature sorted order of the
+	// training rows never changes either — presort once and let every tree
+	// start from the same read-only root lists.
+	cols := columnize(ds.Features)
+	part := newPartitioner(n)
+	var rootSorted [][]int32
+
+	return boost(n, y, rng, cfg.Rounds, cfg.EarlyStopRounds, cfg.LearningRate, cfg.PositiveWeight,
+		func(trainIdx []int, grad, hess []float64) *treeNode {
+			if rootSorted == nil && cfg.SubsampleRatio >= 1 {
+				rootSorted = presortByFeature(cols, trainIdx)
+			}
+			rt := &regTree{
+				cfg: TreeConfig{
+					MaxDepth:        cfg.MaxDepth,
+					MinSamplesSplit: 2 * cfg.MinSamplesLeaf,
+					MinSamplesLeaf:  cfg.MinSamplesLeaf,
+				},
+				lambda:  cfg.Lambda,
+				gamma:   cfg.Gamma,
+				minHess: cfg.MinChildWeight,
+				rng:     rng,
+				maxFeat: colsPerSplit,
+				cols:    cols,
+				grad:    grad,
+				hess:    hess,
+				part:    part,
+			}
+			if rootSorted != nil {
+				// Tree growth partitions its lists in place, so each round
+				// works on an arena copy of the cached root presort.
+				return rt.build(copyLists(rootSorted), 0)
+			}
+			return rt.fit(g.subsample(trainIdx, rng))
+		},
+		func(root *treeNode, i int) float64 { return root.navigate(ds.Features[i]).Value })
+}
+
+// boost is the Newton boosting loop of one chain over n samples with 0/1
+// targets y, shared by both boosters: an optional early-stopping hold-out,
+// the prior margin, and each round the logistic gradients and hessians, a
+// tree from grow, the margin update by value (the tree's leaf value for
+// sample i) and the hold-out check.
+func boost(n int, y []float64, rng *xrand.RNG, rounds, earlyStopRounds int, lr, positiveWeight float64,
+	grow func(trainIdx []int, grad, hess []float64) *treeNode, value func(root *treeNode, i int) float64) *booster {
 	// Optional early-stopping validation split.
 	trainIdx := make([]int, 0, n)
 	var valIdx []int
-	if cfg.EarlyStopRounds > 0 && n >= 20 {
+	if earlyStopRounds > 0 && n >= 20 {
 		perm := rng.Perm(n)
 		cut := n / 5
 		valIdx = perm[:cut]
@@ -259,7 +337,7 @@ func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) (*booster, er
 	}
 	// Prior log-odds, clamped away from degeneracy.
 	p0 := (pos + 1) / (float64(len(trainIdx)) + 2)
-	b := &booster{Bias: math.Log(p0 / (1 - p0)), LR: cfg.LearningRate}
+	b := &booster{Bias: math.Log(p0 / (1 - p0)), LR: lr}
 
 	margin := make([]float64, n)
 	for i := range margin {
@@ -268,64 +346,24 @@ func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) (*booster, er
 	grad := make([]float64, n)
 	hess := make([]float64, n)
 
-	numFeatures := ds.NumFeatures()
-	colsPerSplit := int(math.Round(cfg.ColsampleRatio * float64(numFeatures)))
-	if colsPerSplit < 1 {
-		colsPerSplit = 1
-	}
-
 	bestLoss := math.Inf(1)
 	bestLen := 0
 	sinceBest := 0
 
-	// The columnized matrix is shared by every round's tree, and when row
-	// subsampling is off (the default) the per-feature sorted order of the
-	// training rows never changes either — presort once and let every tree
-	// start from the same read-only root lists.
-	cols := columnize(ds.Features)
-	part := newPartitioner(n)
-	var rootSorted [][]int32
-	if cfg.SubsampleRatio >= 1 {
-		rootSorted = presortByFeature(cols, trainIdx)
-	}
-
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		for _, i := range trainIdx {
 			p := sigmoid(margin[i])
 			w := 1.0
 			if y[i] == 1 {
-				w = cfg.PositiveWeight
+				w = positiveWeight
 			}
 			grad[i] = w * (p - y[i])
 			hess[i] = w * p * (1 - p)
 		}
-		rt := &regTree{
-			cfg: TreeConfig{
-				MaxDepth:        cfg.MaxDepth,
-				MinSamplesSplit: 2 * cfg.MinSamplesLeaf,
-				MinSamplesLeaf:  cfg.MinSamplesLeaf,
-			},
-			lambda:  cfg.Lambda,
-			gamma:   cfg.Gamma,
-			minHess: cfg.MinChildWeight,
-			rng:     rng,
-			maxFeat: colsPerSplit,
-			cols:    cols,
-			grad:    grad,
-			hess:    hess,
-			part:    part,
-		}
-		var root *treeNode
-		if rootSorted != nil {
-			// Tree growth partitions its lists in place, so each round
-			// works on an arena copy of the cached root presort.
-			root = rt.build(copyLists(rootSorted), 0)
-		} else {
-			root = rt.fit(g.subsample(trainIdx, rng))
-		}
+		root := grow(trainIdx, grad, hess)
 		b.Trees = append(b.Trees, root)
 		for i := 0; i < n; i++ {
-			margin[i] += cfg.LearningRate * root.navigate(ds.Features[i]).Value
+			margin[i] += lr * value(root, i)
 		}
 
 		if len(valIdx) > 0 {
@@ -340,14 +378,14 @@ func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) (*booster, er
 				sinceBest = 0
 			} else {
 				sinceBest++
-				if sinceBest >= cfg.EarlyStopRounds {
+				if sinceBest >= earlyStopRounds {
 					b.Trees = b.Trees[:bestLen]
 					break
 				}
 			}
 		}
 	}
-	return b, nil
+	return b
 }
 
 // logLoss is the binary cross-entropy of predicting probability p for

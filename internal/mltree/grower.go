@@ -112,12 +112,19 @@ type grower struct {
 	probs []float64
 }
 
-// grownNode is a node during growth: feature < 0 marks a leaf, whose
-// probabilities start at probs[at]; a split's right child is nodes[at].
+// grownNode is a node of a grownTree: feature < 0 marks a leaf, whose payload
+// starts at leaf[at]; a split's right child is nodes[at].
 type grownNode struct {
 	feature   int32
 	at        int32
 	threshold float64
+}
+
+// grownTree is a tree in pre-order — a node's left child follows it — as
+// training hands it to compileArena, which is all that ever reads one.
+type grownTree struct {
+	nodes []grownNode
+	leaf  []float64
 }
 
 func newGrower(cd *classData, cfg TreeConfig) *grower {
@@ -148,7 +155,7 @@ func newGrower(cd *classData, cfg TreeConfig) *grower {
 
 // fit grows one tree over the samples with mult[i] > 0, each counted mult[i]
 // times, and returns it as one node array and one probability array.
-func (g *grower) fit(rng *xrand.RNG) *treeNode {
+func (g *grower) fit(rng *xrand.RNG) grownTree {
 	g.rng = rng
 	g.nodes, g.probs = g.nodes[:0], g.probs[:0]
 	k := g.cd.k
@@ -163,17 +170,7 @@ func (g *grower) fit(rng *xrand.RNG) *treeNode {
 	}
 	g.grow(0, len(ids), bag, 0)
 
-	nodes := make([]treeNode, len(g.nodes))
-	probs := make([]float64, len(g.probs))
-	copy(probs, g.probs)
-	for i, gn := range g.nodes {
-		if gn.feature < 0 {
-			nodes[i].Probs = probs[gn.at : int(gn.at)+k : int(gn.at)+k]
-			continue
-		}
-		nodes[i] = treeNode{Feature: int(gn.feature), Threshold: gn.threshold, Left: &nodes[i+1], Right: &nodes[gn.at]}
-	}
-	return &nodes[0]
+	return grownTree{nodes: slices.Clone(g.nodes), leaf: slices.Clone(g.probs)}
 }
 
 // grow appends the subtree over ids[lo:hi] — n samples counting multiplicity,

@@ -210,7 +210,7 @@ func TestGrowerMatchesReference(t *testing.T) {
 					g.mult[i]++
 				}
 				label := fmt.Sprintf("seed %d member %d cutover %d: node ", seed, member, cutover)
-				assertSameTree(t, label, g.fit(rng), want)
+				assertSameTree(t, label, pointerOf(g.fit(rng), cd.k), want)
 				if rng != nil && rng.Uint64() != next {
 					t.Fatalf("%s: generator left at a different point than the reference's", label)
 				}
@@ -237,7 +237,7 @@ func TestForestFitAllocs(t *testing.T) {
 			if err := f.Fit(train); err != nil {
 				t.Fatal(err)
 			}
-			nodes = len(f.arena.feature)
+			nodes = len(f.arena.nodes)
 		})
 		return allocs, nodes
 	}

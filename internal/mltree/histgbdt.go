@@ -1,7 +1,6 @@
 package mltree
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -171,14 +170,9 @@ var _ Classifier = (*HistGBDT)(nil)
 
 // Fit trains one boosting chain per class (a single chain for binary).
 func (h *HistGBDT) Fit(ds *Dataset) error {
-	if err := ds.Validate(); err != nil {
+	if err := h.begin(ds, "HistGBDT"); err != nil {
 		return err
 	}
-	h.classes = ds.Classes()
-	if len(h.classes) < 2 {
-		return fmt.Errorf("mltree: HistGBDT needs ≥2 classes, got %d", len(h.classes))
-	}
-	rng := xrand.New(h.Config.Seed)
 	bins := newBinner(ds.Features, h.Config.MaxBins)
 
 	// Pre-bin the whole matrix once, rows in parallel (each row is
@@ -192,131 +186,31 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 		}
 		binned[i] = br
 	})
-
-	arms := len(h.classes)
-	if arms == 2 {
-		arms = 1
-	}
-	// Derive every arm's RNG up front, in arm order, so concurrent arm
-	// fitting consumes the exact streams the serial loop did.
-	rngs := make([]*xrand.RNG, arms)
-	for a := range rngs {
-		rngs[a] = rng.Split()
-	}
-	h.boosters = make([]*booster, arms)
-	errs := make([]error, arms)
-	runWorkers(arms, h.Config.Parallelism, func(_, a int) {
-		positive := h.classes[a]
-		if len(h.classes) == 2 {
-			positive = h.classes[1]
-		}
-		y := make([]float64, ds.NumSamples())
-		for i, l := range ds.Labels {
-			if l == positive {
-				y[i] = 1
-			}
-		}
-		b, err := h.fitBinary(ds, binned, bins, y, rngs[a])
-		if err != nil {
-			errs[a] = fmt.Errorf("mltree: HistGBDT arm %d: %w", a, err)
-			return
-		}
-		b.compile()
-		h.boosters[a] = b
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return h.compile(trainArms(ds, h.classes, h.Config.Parallelism, h.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
+		return h.fitBinary(ds, binned, bins, y, rng)
+	}))
 }
 
-func (h *HistGBDT) fitBinary(ds *Dataset, binned [][]uint16, bins *binner, y []float64, rng *xrand.RNG) (*booster, error) {
+func (h *HistGBDT) fitBinary(ds *Dataset, binned [][]uint16, bins *binner, y []float64, rng *xrand.RNG) *booster {
 	cfg := h.Config
-	n := ds.NumSamples()
-
-	// Optional early-stopping validation split.
-	trainIdx := make([]int, 0, n)
-	var valIdx []int
-	if cfg.EarlyStopRounds > 0 && n >= 20 {
-		perm := rng.Perm(n)
-		cut := n / 5
-		valIdx = perm[:cut]
-		trainIdx = append(trainIdx, perm[cut:]...)
-	} else {
-		for i := 0; i < n; i++ {
-			trainIdx = append(trainIdx, i)
-		}
-	}
-
-	pos := 0.0
-	for _, i := range trainIdx {
-		pos += y[i]
-	}
-	p0 := (pos + 1) / (float64(len(trainIdx)) + 2)
-	b := &booster{Bias: math.Log(p0 / (1 - p0)), LR: cfg.LearningRate}
-
-	margin := make([]float64, n)
-	for i := range margin {
-		margin[i] = b.Bias
-	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-
-	bestLoss := math.Inf(1)
-	bestLen := 0
-	sinceBest := 0
-
-	for round := 0; round < cfg.Rounds; round++ {
-		for _, i := range trainIdx {
-			p := sigmoid(margin[i])
-			w := 1.0
-			if y[i] == 1 {
-				w = cfg.PositiveWeight
+	return boost(ds.NumSamples(), y, rng, cfg.Rounds, cfg.EarlyStopRounds, cfg.LearningRate, cfg.PositiveWeight,
+		func(trainIdx []int, grad, hess []float64) *treeNode {
+			samples, scale := h.goss(grad, trainIdx, rng)
+			g := &histGrower{
+				cfg:    cfg,
+				bins:   bins,
+				binned: binned,
+				grad:   grad,
+				hess:   hess,
+				scale:  scale,
 			}
-			grad[i] = w * (p - y[i])
-			hess[i] = w * p * (1 - p)
-		}
-		samples, scale := h.goss(grad, trainIdx, rng)
-		g := &histGrower{
-			cfg:    cfg,
-			bins:   bins,
-			binned: binned,
-			grad:   grad,
-			hess:   hess,
-			scale:  scale,
-		}
-		root := g.grow(samples)
-		b.Trees = append(b.Trees, root)
+			return g.grow(samples)
+		},
 		// Update margins by navigating the pre-binned matrix: split bins
 		// were chosen so that binned[i][f] <= bin ⟺ raw value <= threshold,
 		// so this is bit-identical to navigating the raw features — without
 		// touching the float matrix.
-		for i := 0; i < n; i++ {
-			margin[i] += cfg.LearningRate * root.navigateBinned(binned[i]).Value
-		}
-
-		if len(valIdx) > 0 {
-			loss := 0.0
-			for _, i := range valIdx {
-				loss += logLoss(y[i], sigmoid(margin[i]))
-			}
-			loss /= float64(len(valIdx))
-			if loss < bestLoss-1e-9 {
-				bestLoss = loss
-				bestLen = len(b.Trees)
-				sinceBest = 0
-			} else {
-				sinceBest++
-				if sinceBest >= cfg.EarlyStopRounds {
-					b.Trees = b.Trees[:bestLen]
-					break
-				}
-			}
-		}
-	}
-	return b, nil
+		func(root *treeNode, i int) float64 { return root.navigateBinned(binned[i]).Value })
 }
 
 // goss performs Gradient-based One-Side Sampling over the training indices:

@@ -24,44 +24,30 @@ func sortImportances(imps []Importance) {
 	})
 }
 
-// splitCounter visits a fitted tree and counts split occurrences per
+// splitCounts visits the tree at node i and counts split occurrences per
 // feature, weighted by the subtree's share of the root (an approximation of
 // split-gain importance that needs no stored gain values).
-func splitCounts(root *treeNode, counts map[int]float64, weight float64) {
-	if root == nil || root.isLeaf() {
+func (a *arena) splitCounts(i uint32, counts map[int]float64, weight float64) {
+	n := a.nodes[i]
+	if n.isLeaf() {
 		return
 	}
-	counts[root.Feature] += weight
-	splitCounts(root.Left, counts, weight/2)
-	splitCounts(root.Right, counts, weight/2)
+	counts[int(n.feature())] += weight
+	a.splitCounts(n.children(), counts, weight/2)
+	a.splitCounts(n.children()+1, counts, weight/2)
 }
 
 // SplitImportance returns per-feature importance for a fitted model, based
 // on depth-weighted split frequency: splits near the root matter more.
 // Scores are normalised to sum to 1. names may be nil.
 func SplitImportance(model Classifier, names []string) ([]Importance, error) {
-	counts := make(map[int]float64)
-	switch m := model.(type) {
-	case *Tree:
-		splitCounts(m.root, counts, 1)
-	case *Forest:
-		for _, t := range m.trees {
-			splitCounts(t.root, counts, 1)
-		}
-	case *GBDT:
-		for _, b := range m.boosters {
-			for _, t := range b.Trees {
-				splitCounts(t, counts, 1)
-			}
-		}
-	case *HistGBDT:
-		for _, b := range m.boosters {
-			for _, t := range b.Trees {
-				splitCounts(t, counts, 1)
-			}
-		}
-	default:
+	a, ok := arenaOf(model)
+	if !ok {
 		return nil, fmt.Errorf("mltree: cannot compute importance for %T", model)
+	}
+	counts := make(map[int]float64)
+	for t := 0; t < a.numTrees(); t++ {
+		a.splitCounts(a.roots[t], counts, 1)
 	}
 	total := 0.0
 	for _, v := range counts {

@@ -118,13 +118,8 @@ func runWorkers(n, want int, task func(worker, i int)) {
 // rows×trees product is below it is one predictBlock call on the calling
 // goroutine. The online engine's 16-row windows must never pay for waking
 // helpers — in a busy engine that is pure overhead — while a thousand-row
-// evaluation batch still spreads over the pool, predictBlockRows rows per
-// task: a block's rows and one tree's nodes fit the L1/L2 together, so
-// neither is evicted while the kernels go tree-major.
-const (
-	minParallelPredictWork = 4096
-	predictBlockRows       = 64
-)
+// evaluation batch still spreads over the pool, one tile of rows per task.
+const minParallelPredictWork = 4096
 
 // blockPredictor is a fitted model's inference kernel: predictBlock writes
 // the class probabilities of every row of X into dst (row-major), on the
@@ -143,9 +138,9 @@ func predictBatchInto(m blockPredictor, k, trees, parallelism int, dst []float64
 		m.predictBlock(dst, X)
 		return
 	}
-	blocks := (len(X) + predictBlockRows - 1) / predictBlockRows
+	blocks := (len(X) + tileRows - 1) / tileRows
 	runWorkers(blocks, defaultParallelism(parallelism), func(_, b int) {
-		lo, hi := b*predictBlockRows, min((b+1)*predictBlockRows, len(X))
+		lo, hi := b*tileRows, min((b+1)*tileRows, len(X))
 		m.predictBlock(dst[lo*k:hi*k], X[lo:hi])
 	})
 }

@@ -35,40 +35,41 @@ type forestPayload struct {
 	OOB         float64 `json:"oob"`
 }
 
-type gbdtPayload struct {
-	Config   GBDTConfig `json:"config"`
+// boostedPayload is a GBDT or a HistGBDT: Config holds (a pointer to) the
+// kind's own configuration.
+type boostedPayload struct {
+	Config   any        `json:"config"`
 	Boosters []*booster `json:"boosters"`
-}
-
-type histPayload struct {
-	Config   HistGBDTConfig `json:"config"`
-	Boosters []*booster     `json:"boosters"`
 }
 
 // Save serialises a fitted model to w as JSON. Supported types: *Tree,
 // *Forest, *GBDT, *HistGBDT.
 func Save(w io.Writer, model Classifier) error {
+	if a, ok := arenaOf(model); ok && a == nil {
+		return fmt.Errorf("mltree: cannot serialise an unfitted %T", model)
+	}
 	var env envelope
 	env.Classes = model.Classes()
 	var payload any
 	switch m := model.(type) {
 	case *Tree:
 		env.Kind = kindTree
-		payload = treePayload{Config: m.Config, Root: m.root}
+		payload = treePayload{Config: m.Config, Root: m.arena.pointerTree(0, classColumns(m.classes, classIndex(m.classes)))}
 	case *Forest:
 		env.Kind = kindForest
-		fp := forestPayload{Config: m.Config, OOB: m.oobScore}
-		for _, t := range m.trees {
-			fp.Trees = append(fp.Trees, treePayload{Config: t.Config, Root: t.root})
-			fp.TreeClasses = append(fp.TreeClasses, t.classes)
+		fp, idx := forestPayload{Config: m.Config, OOB: m.oobScore}, classIndex(m.classes)
+		for t, mb := range m.members {
+			root := m.arena.pointerTree(m.arena.roots[t], classColumns(mb.classes, idx))
+			fp.Trees = append(fp.Trees, treePayload{Config: mb.config, Root: root})
+			fp.TreeClasses = append(fp.TreeClasses, mb.classes)
 		}
 		payload = fp
 	case *GBDT:
 		env.Kind = kindGBDT
-		payload = gbdtPayload{Config: m.Config, Boosters: m.boosters}
+		payload = boostedPayload{Config: m.Config, Boosters: m.boosters()}
 	case *HistGBDT:
 		env.Kind = kindHistGBDT
-		payload = histPayload{Config: m.Config, Boosters: m.boosters}
+		payload = boostedPayload{Config: m.Config, Boosters: m.boosters()}
 	default:
 		return fmt.Errorf("mltree: cannot serialise model type %T", model)
 	}
@@ -111,78 +112,86 @@ func (d *Decoder) Decode() (Classifier, error) {
 	if err := d.dec.Decode(&env); err != nil {
 		return nil, fmt.Errorf("mltree: decoding envelope: %w", err)
 	}
+	if len(env.Classes) == 0 {
+		return nil, fmt.Errorf("mltree: model has no classes")
+	}
+	var model Classifier
+	var err error
 	switch env.Kind {
 	case kindTree:
 		var p treePayload
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			return nil, fmt.Errorf("mltree: decoding tree: %w", err)
+		if err = json.Unmarshal(env.Payload, &p); err == nil {
+			t := &Tree{Config: p.Config, classes: env.Classes}
+			t.arena, _, err = decodeTrees([]treePayload{p}, [][]int{env.Classes}, env.Classes)
+			model = t
 		}
-		t := &Tree{Config: p.Config, root: p.Root, classes: env.Classes}
-		if err := checkMember(t, classIndex(env.Classes)); err != nil {
-			return nil, fmt.Errorf("mltree: tree: %w", err)
-		}
-		t.flat = compileClassifier([]*Tree{t}, env.Classes)
-		return t, nil
 	case kindForest:
 		var p forestPayload
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			return nil, fmt.Errorf("mltree: decoding forest: %w", err)
+		if err = json.Unmarshal(env.Payload, &p); err == nil {
+			f := &Forest{Config: p.Config, classes: env.Classes, oobScore: p.OOB}
+			f.arena, f.members, err = decodeTrees(p.Trees, p.TreeClasses, env.Classes)
+			model = f
 		}
-		if len(p.Trees) != len(p.TreeClasses) {
-			return nil, fmt.Errorf("mltree: forest has %d trees but %d class lists", len(p.Trees), len(p.TreeClasses))
-		}
-		f := &Forest{Config: p.Config, classes: env.Classes, oobScore: p.OOB}
-		idx := classIndex(env.Classes)
-		for i, tp := range p.Trees {
-			t := &Tree{Config: tp.Config, root: tp.Root, classes: p.TreeClasses[i]}
-			if err := checkMember(t, idx); err != nil {
-				return nil, fmt.Errorf("mltree: forest member %d: %w", i, err)
-			}
-			f.trees = append(f.trees, t)
-		}
-		f.arena = compileClassifier(f.trees, f.classes)
-		return f, nil
 	case kindGBDT:
-		var p gbdtPayload
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			return nil, fmt.Errorf("mltree: decoding gbdt: %w", err)
-		}
-		for _, b := range p.Boosters {
-			b.compile()
-		}
-		return &GBDT{Config: p.Config, boosted: boosted{classes: env.Classes, boosters: p.Boosters}}, nil
+		m := &GBDT{}
+		model, err = m, decodeBoosted(env, &m.Config, &m.boosted)
 	case kindHistGBDT:
-		var p histPayload
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			return nil, fmt.Errorf("mltree: decoding histgbdt: %w", err)
-		}
-		for _, b := range p.Boosters {
-			b.compile()
-		}
-		return &HistGBDT{Config: p.Config, boosted: boosted{classes: env.Classes, boosters: p.Boosters}}, nil
+		m := &HistGBDT{}
+		model, err = m, decodeBoosted(env, &m.Config, &m.boosted)
 	default:
-		return nil, fmt.Errorf("mltree: unknown model kind %q", env.Kind)
+		err = fmt.Errorf("unknown model kind %q", env.Kind)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("mltree: decoding %s: %w", env.Kind, err)
+	}
+	return model, nil
 }
 
-// checkMember validates what compileClassifier relies on in a decoded
-// classification tree: classes drawn from the model's class list (idx), no
-// missing node, and one probability per class of the tree at every leaf.
-func checkMember(t *Tree, idx map[int]int) error {
-	for _, c := range t.classes {
-		if _, ok := idx[c]; !ok {
-			return fmt.Errorf("class %d is not one of the model's", c)
+// classColumns returns, for each of a member's classes, its column in the
+// model's class list (idx, from classIndex), or nil if one is not there.
+func classColumns(member []int, idx map[int]int) []int {
+	cols := make([]int, len(member)) // non-nil: nil means a regression leaf
+	for j, c := range member {
+		col, ok := idx[c]
+		if !ok {
+			return nil
 		}
+		cols[j] = col
 	}
-	if !wellFormed(t.root, len(t.classes)) {
-		return fmt.Errorf("a node is missing, or a leaf does not carry %d probabilities", len(t.classes))
-	}
-	return nil
+	return cols
 }
 
-func wellFormed(n *treeNode, k int) bool {
-	if n == nil || n.isLeaf() {
-		return n != nil && len(n.Probs) == k
+// decodeBoosted decodes a boosted model's payload into its configuration and
+// compiles its chains.
+func decodeBoosted(env envelope, config any, m *boosted) error {
+	p := boostedPayload{Config: config}
+	if err := json.Unmarshal(env.Payload, &p); err != nil {
+		return err
 	}
-	return wellFormed(n.Left, k) && wellFormed(n.Right, k)
+	if len(env.Classes) < 2 || len(p.Boosters) != armsFor(len(env.Classes)) {
+		return fmt.Errorf("%d boosting chains for %d classes", len(p.Boosters), len(env.Classes))
+	}
+	m.classes = env.Classes
+	return m.compile(p.Boosters)
+}
+
+// decodeTrees validates decoded classification trees and compiles them, leaf
+// rows aligned to classes, into one arena.
+func decodeTrees(trees []treePayload, treeClasses [][]int, classes []int) (*arena, []member, error) {
+	if len(trees) != len(treeClasses) {
+		return nil, nil, fmt.Errorf("%d trees but %d class lists", len(trees), len(treeClasses))
+	}
+	members, grown, idx := make([]member, len(trees)), make([]grownTree, len(trees)), classIndex(classes)
+	for i, tp := range trees {
+		cols := classColumns(treeClasses[i], idx)
+		if cols == nil {
+			return nil, nil, fmt.Errorf("member %d: a class is not one of the model's", i)
+		}
+		if err := grown[i].flatten(tp.Root, cols, len(classes)); err != nil {
+			return nil, nil, fmt.Errorf("member %d: %w", i, err)
+		}
+		members[i] = member{tp.Config, treeClasses[i]}
+	}
+	a, err := compileArena(grown, len(classes), nil)
+	return a, members, err
 }

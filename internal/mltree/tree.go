@@ -76,8 +76,10 @@ func (c TreeConfig) resolveMaxFeatures(numFeatures int) int {
 	}
 }
 
-// treeNode is one node of a fitted tree. Leaves carry a class-probability
-// vector (classification) or a scalar (regression boosting).
+// treeNode is one node of a tree as the model file holds it, and as the
+// boosters grow and navigate it while training; a fitted model keeps none (see
+// arena.go). Leaves carry a class-probability vector (classification) or a
+// scalar (regression boosting).
 type treeNode struct {
 	Feature   int       `json:"f"`
 	Threshold float64   `json:"t"`
@@ -124,34 +126,10 @@ func (n *treeNode) navigateBinned(row []uint16) *treeNode {
 	return cur
 }
 
-func (n *treeNode) depth() int {
-	if n == nil || n.isLeaf() {
-		return 0
-	}
-	l, r := n.Left.depth(), n.Right.depth()
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-func (n *treeNode) countLeaves() int {
-	if n == nil {
-		return 0
-	}
-	if n.isLeaf() {
-		return 1
-	}
-	return n.Left.countLeaves() + n.Right.countLeaves()
-}
-
 // Tree is a CART decision-tree classifier.
 type Tree struct {
-	Config TreeConfig
-	root   *treeNode
-	// flat is the tree compiled for inference. Nil on a forest's members:
-	// they are never predicted alone, the forest compiles one arena for all.
-	flat    *flatEnsemble
+	Config  TreeConfig
+	arena   *arena
 	classes []int
 	rng     *xrand.RNG
 }
@@ -168,13 +146,13 @@ var _ Classifier = (*Tree)(nil)
 func (t *Tree) Classes() []int { return t.classes }
 
 // Depth returns the fitted tree's depth (0 for a stump/leaf-only tree).
-func (t *Tree) Depth() int { return t.root.depth() }
+func (t *Tree) Depth() int { return t.arena.depth(0) }
 
 // NumLeaves returns the fitted tree's leaf count.
-func (t *Tree) NumLeaves() int { return t.root.countLeaves() }
+func (t *Tree) NumLeaves() int { return (len(t.arena.nodes) + 1) / 2 }
 
 // Fit grows the tree on the dataset and compiles it for inference.
-func (t *Tree) Fit(ds *Dataset) error {
+func (t *Tree) Fit(ds *Dataset) (err error) {
 	if err := ds.Validate(); err != nil {
 		return err
 	}
@@ -183,15 +161,14 @@ func (t *Tree) Fit(ds *Dataset) error {
 	for i := range g.mult {
 		g.mult[i] = 1
 	}
-	t.root = g.fit(t.rng)
-	t.flat = compileClassifier([]*Tree{t}, t.classes)
-	return nil
+	t.arena, err = compileArena([]grownTree{g.fit(t.rng)}, len(t.classes), nil)
+	return err
 }
 
 // PredictProba returns the class distribution of the leaf x lands in.
 func (t *Tree) PredictProba(x []float64) []float64 {
 	out := make([]float64, len(t.classes))
-	t.flat.predictBlock(out, [][]float64{x})
+	t.arena.predictBlock(out, [][]float64{x})
 	return out
 }
 
@@ -199,7 +176,7 @@ func (t *Tree) PredictProba(x []float64) []float64 {
 // Parallelism setting and one descent per row is cheaper than a goroutine
 // hand-off, so it drives the shared kernel on the calling goroutine.
 func (t *Tree) PredictBatchInto(dst []float64, X [][]float64) {
-	predictBatchInto(t.flat, len(t.classes), 1, 1, dst, X)
+	predictBatchInto(t.arena, len(t.classes), 1, 1, dst, X)
 }
 
 // PredictBatch predicts every row of X.

@@ -323,9 +323,12 @@ type EngineStats struct {
 	// (empty once an append succeeds again).
 	WALAppendErrors    uint64
 	LastWALAppendError string
-	// ActiveModelVersion is the model version new sessions currently bind;
-	// ModelSwaps counts SwapModel calls that took effect since boot.
+	// ActiveModelVersion is the model version new sessions currently bind,
+	// ModelNodes and ModelBytes the tree nodes and in-memory bytes of its
+	// models; ModelSwaps counts SwapModel calls that took effect since boot.
 	ActiveModelVersion uint64
+	ModelNodes         int
+	ModelBytes         int
 	ModelSwaps         uint64
 	// Shadow describes the in-progress shadow evaluation (Active false
 	// when none is running).
@@ -909,6 +912,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 	st.Process = proc.snapshot()
 	st.ActiveModelVersion = e.ActiveModelVersion()
+	st.ModelNodes, st.ModelBytes = e.modelSize(false)
 	st.ModelSwaps = e.metrics.modelSwaps.Value()
 	st.Shadow = e.ShadowStats()
 	st.RecoveredSessions = e.recoveredSessions

@@ -63,6 +63,15 @@ func (e *Engine) registerMetrics() {
 	reg.GaugeFunc("cordial_model_active_version",
 		"Model version new sessions currently bind.",
 		func() float64 { return float64(e.ActiveModelVersion()) })
+	for _, slot := range []string{"active", "shadow"} {
+		shadow := slot == "shadow"
+		reg.GaugeFunc("cordial_model_nodes",
+			"Tree nodes, leaves included, of the slot's models (0: empty slot, or a strategy without models).",
+			func() float64 { nodes, _ := e.modelSize(shadow); return float64(nodes) }, obs.L("slot", slot))
+		reg.GaugeFunc("cordial_model_bytes",
+			"In-memory bytes of the slot's models: node arenas, threshold tables and leaf rows.",
+			func() float64 { _, bytes := e.modelSize(shadow); return float64(bytes) }, obs.L("slot", slot))
+	}
 	reg.GaugeFunc("cordial_shadow_active",
 		"1 while a shadow evaluation is running, else 0.",
 		func() float64 {

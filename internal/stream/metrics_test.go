@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"cordial/internal/core"
+	"cordial/internal/hbm"
 	"cordial/internal/obs"
 	"cordial/internal/wal"
 )
@@ -104,6 +106,9 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE cordial_process_seconds histogram",
 		"# TYPE cordial_shard_queue_depth gauge",
 		"# TYPE cordial_feature_state_bytes gauge",
+		"# TYPE cordial_model_nodes gauge",
+		"# TYPE cordial_model_bytes gauge",
+		`cordial_model_bytes{slot="shadow"} 0`,
 		"# TYPE cordial_http_requests_total counter",
 		"# TYPE cordial_http_decode_seconds histogram",
 		`cordial_events_processed_total{shard="0"}`,
@@ -416,4 +421,60 @@ func TestRetentionErrorsSurfaced(t *testing.T) {
 	if got := engine.Stats().RetentionErrors; got != before {
 		t.Fatalf("healthy retention still counted errors: %d -> %d", before, got)
 	}
+}
+
+// TestModelSizeSurfaces asserts the model footprint reads the same on every
+// surface — the pipeline's own ModelSize, cordial_model_nodes/_bytes by slot
+// and /statsz — and follows a swap and a shadow evaluation: a fake strategy
+// has no models and reads zero.
+func TestModelSizeSurfaces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline")
+	}
+	pipe, err := trainedPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, size := pipe.ModelSize()
+	if nodes == 0 || size < 8*nodes {
+		t.Fatalf("fitted pipeline reports %d nodes in %d bytes", nodes, size)
+	}
+	fm := newFakeModels(1, 2)
+	fm.versions[2] = &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
+	e, err := New(Config{Models: fm, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	srv := NewServer(e, ServerConfig{})
+	check := func(when string, activeNodes, activeBytes, shadowNodes int) {
+		t.Helper()
+		out := scrapeMetrics(t, srv)
+		var stats struct{ ModelNodes, ModelBytes int }
+		_, body := get(t, srv, "/statsz")
+		if err := json.Unmarshal(body, &stats); err != nil {
+			t.Fatal(err)
+		}
+		for series, want := range map[string]int{
+			`cordial_model_nodes{slot="active"}`: activeNodes, `cordial_model_bytes{slot="active"}`: activeBytes,
+			`cordial_model_nodes{slot="shadow"}`: shadowNodes,
+		} {
+			if got := metricValue(t, out, series); got != float64(want) {
+				t.Errorf("%s: %s = %v, want %d", when, series, got, want)
+			}
+		}
+		if stats.ModelNodes != activeNodes || stats.ModelBytes != activeBytes {
+			t.Errorf("%s: statsz modelNodes/modelBytes = %d/%d, want %d/%d", when, stats.ModelNodes, stats.ModelBytes, activeNodes, activeBytes)
+		}
+	}
+	check("fake strategy active", 0, 0, 0)
+	if err := e.StartShadow(2); err != nil {
+		t.Fatal(err)
+	}
+	check("pipeline shadowed", 0, 0, nodes)
+	e.StopShadow()
+	if _, err := e.SwapModel(2); err != nil {
+		t.Fatal(err)
+	}
+	check("pipeline active", nodes, size, 0)
 }

@@ -249,6 +249,25 @@ func (e *Engine) ActiveModelVersion() uint64 {
 	return e.activeEpoch().version
 }
 
+// modelSize returns the tree nodes and in-memory bytes of the models behind
+// the active strategy, or behind the shadow candidate: zero for an empty slot
+// or a strategy without models. A strategy sizes its models once, when they
+// are installed, so a scrape takes no lock here.
+func (e *Engine) modelSize(shadow bool) (nodes, bytes int) {
+	strat := e.activeEpoch().strategy
+	if shadow {
+		se := e.loadShadow()
+		if se == nil {
+			return 0, 0
+		}
+		strat = se.strategy
+	}
+	if sized, ok := strat.(interface{ ModelSize() (nodes, bytes int) }); ok {
+		return sized.ModelSize()
+	}
+	return 0, 0
+}
+
 // PinnedVersionFloor returns the lowest model version any live session is
 // pinned to (0 when no sessions exist). Registry pruning uses it to avoid
 // deleting artefacts a running session might still need to recover under.

@@ -760,6 +760,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WALAppendErrs  uint64         `json:"walAppendErrors"`
 		LastAppendErr  string         `json:"lastWALAppendError,omitempty"`
 		ActiveModelV   uint64         `json:"activeModelVersion"`
+		ModelNodes     int            `json:"modelNodes"`
+		ModelBytes     int            `json:"modelBytes"`
 		ModelSwaps     uint64         `json:"modelSwaps"`
 		PinnedSessions map[uint64]int `json:"sessionsByModelVersion"`
 		Shadow         jsonShadow     `json:"shadow"`
@@ -798,6 +800,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WALAppendErrs:  es.WALAppendErrors,
 		LastAppendErr:  es.LastWALAppendError,
 		ActiveModelV:   es.ActiveModelVersion,
+		ModelNodes:     es.ModelNodes,
+		ModelBytes:     es.ModelBytes,
 		ModelSwaps:     es.ModelSwaps,
 		PinnedSessions: pinned,
 		Shadow:         toJSONShadow(es.Shadow),

@@ -36,14 +36,15 @@ go test ./... "$@"
 
 echo "==> go test -race (parallel-training equivalence focus)"
 # Fast-failing race pass over the tests that exercise the shared worker
-# pool hardest: parallel-vs-serial equivalence, arena-vs-pointer forest
-# equivalence, flat-tree round-trips and batch inference, the forest workers'
+# pool hardest: parallel-vs-serial equivalence, arena-vs-pointer equivalence
+# for all four model kinds, the rank kernel's exactness table, model round-trips
+# and batch inference, the model loader's fuzz corpus, the forest workers'
 # reused growers at Parallelism 8 (TestForestFitAllocs) and the grower against
 # its reference — and, by the same pattern, core's quiet≡eager session gate
 # (TestQuietSessionEquivalence). The full -race suite below still covers
 # everything, the engine-level restore of quiet sessions
 # (TestRestoredQuietSessionThenFails) included.
-go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit' \
+go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel' \
     ./internal/mltree/ ./internal/core/
 
 echo "==> go test -race"
@@ -110,6 +111,14 @@ echo "==> fuzz smoke (log file reader, 5s)"
 # re-encode through WriteWire to the same events.
 go test -run '^$' -fuzz 'FuzzReadLog' -fuzztime 5s ./internal/mcelog/
 
+echo "==> fuzz smoke (model file loader, 5s)"
+# A model file is operator input (-models, the registry, SIGHUP reloads):
+# arbitrary bytes must be refused or load to a model that predicts a row as
+# wide as it says it needs — never one that loads and panics at the first
+# prediction. Seeded with files of all four kinds written before models
+# compiled to an arena, a forest with class-missing members among them.
+go test -run '^$' -fuzz 'FuzzLoadModel' -fuzztime 5s ./internal/mltree/
+
 echo "==> bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
@@ -142,6 +151,17 @@ echo "==> training perf gate (a forest fit allocates per tree and per fit, never
 # per-fit term (value codes, one grower per worker, arena, out-of-bag tables)
 # — 419 allocations where the presorted-list trainer made 207 664.
 go test -run 'TestForestFitAllocs' -count 1 ./internal/mltree/
+
+echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files and predictions as the parent commit's)"
+# A fitted model lives in memory once, as a rank-quantised arena: the default
+# pipeline's live heap per tree node is pinned by a HeapAlloc delta, a fit's
+# allocation counts stay where the training gate above put them, and the arena
+# may not change one byte of a model file (TestSaveModelsGolden at Parallelism
+# 1 and 8; TestParentFixture: all four kinds against files and predictions
+# written before the arena existed) or one bit of a prediction on the values
+# where rank and float comparison could part (TestRankKernelExactness).
+go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
+    -count 1 ./internal/core/ ./internal/mltree/
 
 echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, a quiet bank ≤ 600 B and ≤ 5 mallocs in the engine)"
 # A fleet engine holds one session per bank that ever logged an error, so
