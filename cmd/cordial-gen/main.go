@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "cordial-gen:", err)
+		slog.New(slog.NewTextHandler(os.Stderr, nil)).Error("cordial-gen failed", "err", err)
 		os.Exit(1)
 	}
 }

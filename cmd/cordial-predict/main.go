@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"sort"
 	"strings"
@@ -27,13 +28,14 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "cordial-predict:", err)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	if err := run(logger); err != nil {
+		logger.Error("cordial-predict failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(logger *slog.Logger) error {
 	var (
 		modelsPath = flag.String("models", "models.json", "model path from cordial-train")
 		logPath    = flag.String("log", "fleet.mcelog", "input error-log path")
@@ -61,8 +63,8 @@ func run() error {
 		return err
 	}
 	if meta := pipe.Meta(); meta != nil {
-		fmt.Fprintf(os.Stderr, "model: trainedAt=%s banks=%d events=%d trees=%d\n",
-			meta.TrainedAt.Format(time.RFC3339), meta.BankCount, meta.EventCount, meta.Params.Trees)
+		logger.Info("model loaded", "trainedAt", meta.TrainedAt.Format(time.RFC3339),
+			"banks", meta.BankCount, "events", meta.EventCount, "trees", meta.Params.Trees)
 	}
 
 	logFile, err := os.Open(*logPath)

@@ -255,22 +255,6 @@ func PatternDistribution(faults []*BankFault) []PatternShare {
 	return trace.PatternDistribution(faults)
 }
 
-// Trainer maintains a deployed pipeline over a stream of labelled banks,
-// retraining on a sliding window per policy, early on drift.
-type Trainer = core.Trainer
-
-// RetrainPolicy governs Trainer scheduling and drift detection.
-type RetrainPolicy = core.RetrainPolicy
-
-// DefaultRetrainPolicy returns a two-month-window, weekly-cadence policy
-// with chi-square drift detection.
-func DefaultRetrainPolicy() RetrainPolicy { return core.DefaultRetrainPolicy() }
-
-// NewTrainer returns a retraining driver that builds pipelines with cfg.
-func NewTrainer(cfg Config, policy RetrainPolicy) (*Trainer, error) {
-	return core.NewTrainer(cfg, policy)
-}
-
 // DriftSpec configures a multi-regime fleet whose failure mix changes over
 // time (for exercising drift detection).
 type DriftSpec = trace.DriftSpec

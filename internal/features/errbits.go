@@ -104,52 +104,3 @@ func ErrBitVector(events []mcelog.Event) ([]float64, error) {
 	}
 	return st.ErrBitVector()
 }
-
-// referenceErrBitVector is the batch reference implementation, kept as the
-// executable specification the incremental path is tested against.
-func referenceErrBitVector(events []mcelog.Event) []float64 {
-	var (
-		count                 int
-		dqUnion, burstUnion   uint8
-		dqPinCounts           [8]int
-		dqPopSum, burstPopSum int
-	)
-	for _, e := range events {
-		if e.Bits.IsZero() {
-			continue
-		}
-		count++
-		dq, burst := e.Bits.DQ(), e.Bits.Burst()
-		dqUnion |= dq
-		burstUnion |= burst
-		for pin := 0; pin < 8; pin++ {
-			if dq&(1<<pin) != 0 {
-				dqPinCounts[pin]++
-			}
-		}
-		dqPopSum += bits.OnesCount8(dq)
-		burstPopSum += bits.OnesCount8(burst)
-	}
-	out := make([]float64, 0, errBitFeatureCount)
-	out = append(out, float64(count))
-	if count == 0 {
-		for len(out) < errBitFeatureCount {
-			out = append(out, Missing)
-		}
-		return out
-	}
-	dominant := 0
-	for _, c := range dqPinCounts {
-		if c > dominant {
-			dominant = c
-		}
-	}
-	n := float64(count)
-	return append(out,
-		float64(bits.OnesCount8(dqUnion)),
-		float64(dominant)/n,
-		float64(dqPopSum)/n,
-		float64(bits.OnesCount8(burstUnion)),
-		float64(burstPopSum)/n,
-	)
-}

@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"cordial/internal/ecc"
@@ -320,4 +321,53 @@ func nearestRowDistance(events []mcelog.Event, target int) float64 {
 		}
 	}
 	return best
+}
+
+// referenceErrBitVector is the batch reference of the error-bit aggregates,
+// the executable specification errBitAccum is tested against.
+func referenceErrBitVector(events []mcelog.Event) []float64 {
+	var (
+		count                 int
+		dqUnion, burstUnion   uint8
+		dqPinCounts           [8]int
+		dqPopSum, burstPopSum int
+	)
+	for _, e := range events {
+		if e.Bits.IsZero() {
+			continue
+		}
+		count++
+		dq, burst := e.Bits.DQ(), e.Bits.Burst()
+		dqUnion |= dq
+		burstUnion |= burst
+		for pin := 0; pin < 8; pin++ {
+			if dq&(1<<pin) != 0 {
+				dqPinCounts[pin]++
+			}
+		}
+		dqPopSum += bits.OnesCount8(dq)
+		burstPopSum += bits.OnesCount8(burst)
+	}
+	out := make([]float64, 0, errBitFeatureCount)
+	out = append(out, float64(count))
+	if count == 0 {
+		for len(out) < errBitFeatureCount {
+			out = append(out, Missing)
+		}
+		return out
+	}
+	dominant := 0
+	for _, c := range dqPinCounts {
+		if c > dominant {
+			dominant = c
+		}
+	}
+	n := float64(count)
+	return append(out,
+		float64(bits.OnesCount8(dqUnion)),
+		float64(dominant)/n,
+		float64(dqPopSum)/n,
+		float64(bits.OnesCount8(burstUnion)),
+		float64(burstPopSum)/n,
+	)
 }

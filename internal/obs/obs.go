@@ -154,25 +154,10 @@ func labelKey(labels []Label) string {
 }
 
 // escapeLabelValue applies the exposition-format escapes for label values.
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+// Byte-wise, so a value round-trips through the parser whatever it holds.
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // register finds or creates the family and the series slot. It returns the
 // existing instrument when the same name+labels was registered before, or
@@ -415,7 +400,7 @@ func (g *gaugeFunc) renderTo(w io.Writer, name, labelStr string) {
 // ---- histogram -------------------------------------------------------------
 
 // Histogram counts observations into fixed cumulative buckets and tracks
-// an exact count and sum. Observe is lock-free; a scrape may split an
+// an exact count, sum and maximum. Observe is lock-free; a scrape may split an
 // observation between the bucket counters and the sum (the usual
 // Prometheus histogram relaxation) but every per-series value is itself
 // consistent and monotone. Methods on a nil receiver are no-ops.
@@ -424,10 +409,13 @@ type Histogram struct {
 	counts []atomic.Uint64
 	count  atomic.Uint64
 	sum    atomicFloat
+	max    atomicFloat // -Inf until the first observation
 }
 
 func newHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	h := &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	h.max.bits.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one value.
@@ -445,12 +433,15 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.add(v)
+	h.max.raise(v)
 }
 
 // ObserveSince records the seconds elapsed since t0 — the common shape for
 // latency instrumentation.
 func (h *Histogram) ObserveSince(t0 time.Time) {
-	h.Observe(time.Since(t0).Seconds())
+	if h != nil {
+		h.Observe(time.Since(t0).Seconds())
+	}
 }
 
 // Count returns the number of observations.
@@ -467,6 +458,79 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum.load()
+}
+
+// Max returns the largest value observed, exactly (0 before the first).
+func (h *Histogram) Max() float64 {
+	if h == nil {
+		return 0
+	}
+	if m := h.max.load(); !math.IsInf(m, -1) {
+		return m
+	}
+	return 0
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) of everything observed so
+// far from the bucket counts — bucketQuantile, the estimate a scrape of the
+// rendered series gives (Snapshot.Quantile). False while the histogram is
+// empty.
+func (h *Histogram) Quantile(q float64) (float64, bool) {
+	if h == nil {
+		return 0, false
+	}
+	var stack [32]bucket // the default ladder has 26 rungs
+	buckets, cum := stack[:0], uint64(0)
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		le := math.Inf(1)
+		if i < len(h.bounds) {
+			le = h.bounds[i]
+		}
+		buckets = append(buckets, bucket{le: le, cum: float64(cum)})
+	}
+	return bucketQuantile(buckets, q)
+}
+
+// bucket is one cumulative histogram bucket: cum observations were <= le.
+type bucket struct {
+	le, cum float64
+}
+
+// bucketQuantile estimates the q-quantile (0 < q <= 1) from cumulative
+// buckets in ascending le order, the last one +Inf: linear interpolation
+// inside the bucket the rank falls in, the same estimate histogram_quantile
+// gives. A rank beyond the ladder reports the highest finite bound. False for
+// an empty histogram.
+func bucketQuantile(buckets []bucket, q float64) (float64, bool) {
+	if !(q > 0 && q <= 1) || len(buckets) == 0 { // NaN fails both
+		return 0, false
+	}
+	total := buckets[len(buckets)-1].cum
+	if total == 0 {
+		return 0, false
+	}
+	rank := q * total
+	for i, b := range buckets {
+		if b.cum < rank {
+			continue
+		}
+		if math.IsInf(b.le, 1) {
+			if i > 0 {
+				return buckets[i-1].le, true
+			}
+			return 0, false
+		}
+		lower, prevCum := 0.0, 0.0
+		if i > 0 {
+			lower, prevCum = buckets[i-1].le, buckets[i-1].cum
+		}
+		if b.cum == prevCum {
+			return b.le, true
+		}
+		return lower + (b.le-lower)*(rank-prevCum)/(b.cum-prevCum), true
+	}
+	return buckets[len(buckets)-1].le, true
 }
 
 func (h *Histogram) renderTo(w io.Writer, name, labelStr string) {
@@ -492,76 +556,13 @@ func (h *Histogram) renderTo(w io.Writer, name, labelStr string) {
 
 // ValidateLine checks one non-comment exposition line for the shape a
 // Prometheus scraper requires: a valid metric name, an optional
-// well-formed {label="value",...} block, and a parseable float sample.
-// Exported for tests that assert /metrics output stays scrapeable.
+// well-formed {label="value",...} block, a parseable float sample and at most
+// an integer timestamp after it. It is the parser ParseText runs, asked only
+// for its verdict. Exported for tests that assert /metrics output stays
+// scrapeable.
 func ValidateLine(line string) error {
-	rest := line
-	name := rest
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		name = rest[:i]
-		close := strings.LastIndexByte(rest, '}')
-		if close < i {
-			return fmt.Errorf("obs: unterminated label block")
-		}
-		if err := validateLabelBlock(rest[i+1 : close]); err != nil {
-			return err
-		}
-		rest = strings.TrimPrefix(rest[close+1:], " ")
-	} else {
-		sp := strings.IndexByte(rest, ' ')
-		if sp < 0 {
-			return fmt.Errorf("obs: no sample value")
-		}
-		name, rest = rest[:sp], rest[sp+1:]
-	}
-	if !validName(name, false) {
-		return fmt.Errorf("obs: invalid metric name %q", name)
-	}
-	rest = strings.TrimSpace(rest)
-	if rest == "+Inf" || rest == "-Inf" || rest == "NaN" {
-		return nil
-	}
-	if _, err := strconv.ParseFloat(rest, 64); err != nil {
-		return fmt.Errorf("obs: invalid sample value %q", rest)
-	}
-	return nil
-}
-
-// validateLabelBlock checks the inside of a {...} block.
-func validateLabelBlock(s string) error {
-	for len(s) > 0 {
-		eq := strings.IndexByte(s, '=')
-		if eq <= 0 || !validName(s[:eq], true) {
-			return fmt.Errorf("obs: invalid label name in %q", s)
-		}
-		s = s[eq+1:]
-		if len(s) == 0 || s[0] != '"' {
-			return fmt.Errorf("obs: unquoted label value in %q", s)
-		}
-		s = s[1:]
-		// Scan to the closing quote, honouring escapes.
-		i := 0
-		for ; i < len(s); i++ {
-			if s[i] == '\\' {
-				i++
-				continue
-			}
-			if s[i] == '"' {
-				break
-			}
-		}
-		if i >= len(s) {
-			return fmt.Errorf("obs: unterminated label value")
-		}
-		s = s[i+1:]
-		if len(s) > 0 {
-			if s[0] != ',' {
-				return fmt.Errorf("obs: expected comma between labels, got %q", s)
-			}
-			s = s[1:]
-		}
-	}
-	return nil
+	_, err := parseSampleLine(line)
+	return err
 }
 
 // atomicFloat is a CAS-updated float64.
@@ -573,6 +574,16 @@ func (a *atomicFloat) add(v float64) {
 	for {
 		old := a.bits.Load()
 		if a.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
+// raise lifts the value to v if v is larger.
+func (a *atomicFloat) raise(v float64) {
+	for {
+		old := a.bits.Load()
+		if v <= math.Float64frombits(old) || a.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}

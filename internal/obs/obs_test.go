@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -218,5 +220,93 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
+	}
+}
+
+// TestHistogramQuantileMatchesScrape: the in-process estimate and the one a
+// scraper computes from the rendered buckets are one function over the same
+// counts, so they agree exactly — for every q, on empty, single-bucket,
+// all-in-overflow and seeded random fills.
+func TestHistogramQuantileMatchesScrape(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	fills := map[string]func(h *Histogram){
+		"empty":         func(h *Histogram) {},
+		"single bucket": func(h *Histogram) { h.Observe(3e-6); h.Observe(4e-6); h.Observe(5e-6) },
+		"all overflow":  func(h *Histogram) { h.Observe(11); h.Observe(3600) },
+		"one sample":    func(h *Histogram) { h.Observe(7e-3) },
+	}
+	for i := 0; i < 20; i++ {
+		n, scale := 1+rng.Intn(5000), math.Pow(10, -7+8*rng.Float64())
+		fills[fmt.Sprintf("random %d", i)] = func(h *Histogram) {
+			for j := 0; j < n; j++ {
+				h.Observe(rng.ExpFloat64() * scale)
+			}
+		}
+	}
+	for name, fill := range fills {
+		for _, bounds := range [][]float64{nil, {0.5}, {1e-6, 1e-3, 1}} {
+			r := NewRegistry()
+			h := r.Histogram("lat_seconds", "", bounds, L("shard", "0"))
+			fill(h)
+			snap, err := ParseText(strings.NewReader(render(t, r)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := 0.01; q <= 1.0001; q += 0.01 {
+				q = math.Min(q, 1)
+				got, gotOK := h.Quantile(q)
+				want, wantOK := snap.Quantile("lat_seconds", q)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("%s, %d bounds, q=%.2f: Histogram.Quantile = %v, %v; scrape says %v, %v",
+						name, len(bounds), q, got, gotOK, want, wantOK)
+				}
+				if gotOK != (h.Count() > 0) {
+					t.Fatalf("%s: Quantile ok=%v with %d observations", name, gotOK, h.Count())
+				}
+			}
+		}
+	}
+	for _, q := range []float64{0, -1, 1.01, math.NaN()} {
+		h := NewRegistry().Histogram("h", "", nil)
+		h.Observe(1)
+		if v, ok := h.Quantile(q); ok {
+			t.Errorf("Quantile(%v) = %v, true; want false", q, v)
+		}
+	}
+}
+
+// TestHistogramMaxCountSumConcurrent: Max, Count and Sum are exact however
+// the observations interleave (run under -race in CI).
+func TestHistogramMaxCountSumConcurrent(t *testing.T) {
+	h := NewRegistry().Histogram("h_seconds", "", nil)
+	if h.Max() != 0 {
+		t.Fatalf("empty Max = %v", h.Max())
+	}
+	const workers, per = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= per; i++ {
+				h.Observe(float64(w*per + i)) // integers: the float sum is exact
+				if m := h.Max(); m < float64(w*per+i) {
+					t.Errorf("Max %v below a value already observed (%d)", m, w*per+i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const n = workers * per
+	if h.Count() != n || h.Max() != n || h.Sum() != n*(n+1)/2 {
+		t.Errorf("count %d max %v sum %v, want %d %d %d", h.Count(), h.Max(), h.Sum(), n, n, n*(n+1)/2)
+	}
+	neg := NewRegistry().Histogram("neg", "", []float64{0})
+	neg.Observe(-3)
+	neg.Observe(-5)
+	if neg.Max() != -3 {
+		t.Errorf("Max over {-3,-5} = %v", neg.Max())
 	}
 }

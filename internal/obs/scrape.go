@@ -116,16 +116,12 @@ func (s *Snapshot) SumByName(name string) (float64, bool) {
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the histogram family
 // name from its cumulative <name>_bucket series, restricted to series
-// whose labels include every given label. It interpolates linearly inside
-// the target bucket, the same estimate histogram_quantile gives. The
-// second return is false when the histogram is absent or empty.
+// whose labels include every given label — bucketQuantile, the estimate
+// Histogram.Quantile gives in-process. The second return is false when the
+// histogram is absent or empty.
 func (s *Snapshot) Quantile(name string, q float64, labels ...Label) (float64, bool) {
-	if s == nil || q <= 0 || q > 1 {
+	if s == nil {
 		return 0, false
-	}
-	type bucket struct {
-		le  float64
-		cum float64
 	}
 	var buckets []bucket
 	for _, i := range s.byName[name+"_bucket"] {
@@ -143,36 +139,8 @@ func (s *Snapshot) Quantile(name string, q float64, labels ...Label) (float64, b
 		}
 		buckets = append(buckets, bucket{le: bound, cum: smp.Value})
 	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * total
-	for i, b := range buckets {
-		if b.cum < rank {
-			continue
-		}
-		if math.IsInf(b.le, 1) {
-			// Off the ladder: report the highest finite bound.
-			if i > 0 {
-				return buckets[i-1].le, true
-			}
-			return 0, false
-		}
-		lower, prevCum := 0.0, 0.0
-		if i > 0 {
-			lower, prevCum = buckets[i-1].le, buckets[i-1].cum
-		}
-		if b.cum == prevCum {
-			return b.le, true
-		}
-		return lower + (b.le-lower)*(rank-prevCum)/(b.cum-prevCum), true
-	}
-	return buckets[len(buckets)-1].le, true
+	return bucketQuantile(buckets, q)
 }
 
 // parseSampleLine splits one exposition line into name, labels and value.
@@ -201,14 +169,17 @@ func parseSampleLine(line string) (Sample, error) {
 	if !validName(s.Name, false) {
 		return Sample{}, fmt.Errorf("obs: invalid metric name %q", s.Name)
 	}
-	// Exposition lines may carry a trailing timestamp; the value is the
-	// first field.
-	if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-		rest = rest[:sp]
+	// Exposition lines may carry a trailing timestamp: integer milliseconds,
+	// and nothing after it.
+	if value, stamp, ok := strings.Cut(rest, " "); ok {
+		if _, err := strconv.ParseInt(strings.TrimSpace(stamp), 10, 64); err != nil {
+			return Sample{}, fmt.Errorf("obs: invalid timestamp %q", stamp)
+		}
+		rest = value
 	}
 	v, err := parseSampleValue(rest)
 	if err != nil {
-		return Sample{}, err
+		return Sample{}, fmt.Errorf("obs: invalid sample value %q", rest)
 	}
 	s.Value = v
 	return s, nil
@@ -234,8 +205,8 @@ func parseLabelBlock(s string) ([]Label, error) {
 	var labels []Label
 	for len(s) > 0 {
 		eq := strings.IndexByte(s, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("obs: invalid label pair in %q", s)
+		if eq <= 0 || !validName(s[:eq], true) {
+			return nil, fmt.Errorf("obs: invalid label name in %q", s)
 		}
 		key := s[:eq]
 		s = s[eq+1:]
@@ -266,7 +237,12 @@ func parseLabelBlock(s string) ([]Label, error) {
 		}
 		labels = append(labels, Label{Key: key, Value: b.String()})
 		s = s[i+1:]
-		s = strings.TrimPrefix(s, ",")
+		if len(s) > 0 {
+			if s[0] != ',' {
+				return nil, fmt.Errorf("obs: expected comma between labels, got %q", s)
+			}
+			s = s[1:]
+		}
 	}
 	return labels, nil
 }

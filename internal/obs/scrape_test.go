@@ -86,11 +86,97 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 		`unterminated{a="b 1`,
 		"1leading_digit 2",
 		"name not_a_number",
+		`name{bad-key="v"} 1`,
+		`name{a="1"b="2"} 1`,
+		`name{a=1} 1`,
+		"name 1 soon",
+		"name 1 1700000000 2",
 	} {
 		if _, err := ParseText(strings.NewReader(bad + "\n")); err == nil {
 			t.Errorf("ParseText(%q): want error, got nil", bad)
 		}
+		if err := ValidateLine(bad); err == nil {
+			t.Errorf("ValidateLine(%q): want error, got nil", bad)
+		}
 	}
+}
+
+// renderSample writes a parsed sample back as an exposition line.
+func renderSample(s Sample) string {
+	var b strings.Builder
+	b.WriteString(s.Name)
+	if len(s.Labels) > 0 {
+		b.WriteByte('{')
+		for i, l := range s.Labels {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(l.Key + `="` + escapeLabelValue(l.Value) + `"`)
+		}
+		b.WriteByte('}')
+	}
+	return b.String() + " " + formatFloat(s.Value)
+}
+
+// FuzzParseText feeds the scraper arbitrary peer bytes: it never panics,
+// ValidateLine and the parser agree line by line, and the samples of an
+// accepted payload survive being rendered and parsed again.
+func FuzzParseText(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("events_total", "events", L("class", "CE")).Add(41)
+	r.Gauge("b_bytes", "b", L("x", `quo"te`), L("y", "line\nbreak\\")).Set(-1.5)
+	r.Histogram("c_seconds", "c", []float64{0.1, 1}).Observe(0.2)
+	var seed strings.Builder
+	if err := r.WriteText(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.String())
+	f.Add("x{a=\"1\",} +Inf 1700000000000\ny NaN\n\n# c\n")
+	f.Add(`x{a="b"c="d"} 1`)
+	f.Add("x{a=\"\\")
+	f.Fuzz(func(t *testing.T, payload string) {
+		snap, err := ParseText(strings.NewReader(payload))
+		if len(payload) < 64<<10 { // under the scanner's line cap the verdict is per line
+			refused := ""
+			for _, line := range strings.Split(payload, "\n") {
+				line = strings.TrimSpace(line)
+				if line != "" && !strings.HasPrefix(line, "#") && ValidateLine(line) != nil {
+					refused = line
+				}
+			}
+			if (refused != "") != (err != nil) {
+				t.Fatalf("ParseText says %v, ValidateLine refuses %q", err, refused)
+			}
+		}
+		if err != nil {
+			return
+		}
+		var again strings.Builder
+		for _, s := range snap.Samples {
+			if verr := ValidateLine(renderSample(s)); verr != nil {
+				t.Fatalf("re-rendered sample %q refused: %v", renderSample(s), verr)
+			}
+			again.WriteString(renderSample(s) + "\n")
+		}
+		snap2, err := ParseText(strings.NewReader(again.String()))
+		if err != nil {
+			t.Fatalf("re-rendered payload refused: %v\n%s", err, again.String())
+		}
+		if len(snap2.Samples) != len(snap.Samples) {
+			t.Fatalf("%d samples re-parsed from %d", len(snap2.Samples), len(snap.Samples))
+		}
+		for i, a := range snap.Samples {
+			b := snap2.Samples[i]
+			same := a.Name == b.Name && len(a.Labels) == len(b.Labels) &&
+				(a.Value == b.Value || math.IsNaN(a.Value) && math.IsNaN(b.Value))
+			for j := 0; same && j < len(a.Labels); j++ {
+				same = a.Labels[j] == b.Labels[j]
+			}
+			if !same {
+				t.Fatalf("sample %d: %+v re-parsed as %+v", i, a, b)
+			}
+		}
+	})
 }
 
 // TestScrape exercises the HTTP path end to end against a live registry.

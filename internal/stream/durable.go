@@ -294,12 +294,11 @@ func buildSession(ds core.DurableStrategy, im sessionImage) (*bankSession, error
 	return &bs, nil
 }
 
-// installSession adds a rebuilt session to its shard's map and folds its
-// footprint into the shard aggregates. Callers must hold s.mu (or be on
-// the pre-consumer boot path, where no one else can touch the shard).
+// installSession adds a rebuilt session to its shard. Callers must hold s.mu
+// (or be on the pre-consumer boot path, where no one else can touch the
+// shard).
 func (s *shard) installSession(key uint64, bs *bankSession) {
-	s.sessions[key] = bs
-	s.tally(bs, +1)
+	s.addSession(key, bs)
 	if bs.lastLSN > s.appliedLSN {
 		s.appliedLSN = bs.lastLSN
 	}
@@ -373,7 +372,7 @@ func (e *Engine) recoverDurable() error {
 			e.epochs.Store(bootEpochs)
 			continue
 		}
-		e.snapSeq = seq
+		e.snapSeq.Store(seq)
 		break
 	}
 
@@ -434,10 +433,10 @@ func (e *Engine) recoverDurable() error {
 // when a snapshot payload fails mid-restore before falling back).
 func (e *Engine) resetSessions() {
 	for _, s := range e.shards {
-		s.sessions = make(map[uint64]*bankSession)
+		for key, bs := range s.sessions {
+			s.dropSession(key, bs)
+		}
 		s.appliedLSN = 0
-		s.stateBytes, s.stateRows = 0, 0
-		s.released, s.quiet, s.degraded = 0, 0, 0
 	}
 	e.recoveredSessions = 0
 }
@@ -463,10 +462,7 @@ func (e *Engine) Snapshot() (uint64, error) {
 		e.metrics.snapshotErrors.Inc()
 		return 0, err
 	}
-	seq := e.wal.NextLSN()
-	if seq <= e.snapSeq {
-		seq = e.snapSeq + 1
-	}
+	seq := max(e.wal.NextLSN(), e.snapSeq.Load()+1)
 	fs := e.cfg.Durability.FS
 	if fs == nil {
 		fs = wal.OSFS
@@ -475,7 +471,7 @@ func (e *Engine) Snapshot() (uint64, error) {
 		e.metrics.snapshotErrors.Inc()
 		return 0, err
 	}
-	e.snapSeq = seq
+	e.snapSeq.Store(seq)
 	e.metrics.snapshots.Inc()
 	e.metrics.snapshotBytes.Set(float64(len(payload)))
 	// Retention is best-effort — a failure leaves extra files, not broken

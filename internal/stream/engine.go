@@ -24,12 +24,10 @@
 package stream
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,140 +199,6 @@ type Action struct {
 	Time time.Time
 }
 
-// SessionStats is a point-in-time snapshot of one bank's session, for
-// inspection endpoints and operator tooling.
-type SessionStats struct {
-	// Bank is the session's bank address.
-	Bank hbm.BankAddress
-	// Events counts all events routed to the bank.
-	Events int
-	// UEREvents counts UER-class events.
-	UEREvents int
-	// DistinctUERRows counts distinct rows with at least one UER.
-	DistinctUERRows int
-	// Classified reports whether the pattern stage has fired.
-	Classified bool
-	// Class is the assigned failure class (valid when Classified).
-	Class faultsim.Class
-	// BankSpared reports whether a bank-spare action was emitted.
-	BankSpared bool
-	// RowsIsolated counts distinct rows isolated by emitted actions.
-	RowsIsolated int
-	// Actions counts actions emitted for the bank.
-	Actions int
-	// FirstEvent and LastEvent bound the session's observed window.
-	FirstEvent, LastEvent time.Time
-	// StateBytes approximates the resident bytes of the session's
-	// incremental feature state; zero once released. The state holds no
-	// event buffer, so this is bounded by the bank's distinct error rows,
-	// not by Events.
-	StateBytes int
-	// StateRows is the tracked-row entry count of the feature state (the
-	// only part of it that grows at all).
-	StateRows int
-	// StateReleased reports that the session dropped its feature state
-	// after a terminal decision (bank spared).
-	StateReleased bool
-	// StateDeferred reports a quiet bank: no UER yet, so the session keeps
-	// its few observations (StateBytes of them, StateRows zero) instead of a
-	// feature state.
-	StateDeferred bool
-	// ModelVersion is the model version this session is pinned to: the
-	// active version when the session was created. A swap never rebinds a
-	// live session, so during a mixed-version window this differs from the
-	// engine's active version.
-	ModelVersion uint64
-	// Degraded reports that an event for this bank panicked during
-	// processing: the event was quarantined and the session no longer
-	// feeds events to its strategy session (its state may be inconsistent).
-	Degraded bool
-}
-
-// EngineStats is a point-in-time snapshot of the whole engine.
-type EngineStats struct {
-	// Uptime is the time since New.
-	Uptime time.Duration
-	// Ingested counts events accepted by Ingest (enqueued to a shard).
-	Ingested uint64
-	// Dropped counts events shed at ingest under IngestDrop.
-	Dropped uint64
-	// Processed counts events fully run through a session.
-	Processed uint64
-	// ActionsEmitted counts actions delivered to the output channel.
-	ActionsEmitted uint64
-	// ActionsDropped counts actions evicted from a full output channel.
-	ActionsDropped uint64
-	// SessionsLive is the number of live per-bank sessions.
-	SessionsLive int
-	// Shards is the configured shard count.
-	Shards int
-	// IngestRate is accepted events per second since New.
-	IngestRate float64
-	// QueueDepths is the current per-shard input queue occupancy.
-	QueueDepths []int
-	// IngestWait samples the time Ingest spent enqueueing (the
-	// backpressure signal).
-	IngestWait LatencySnapshot
-	// Process samples per-event session time (feature extraction +
-	// model inference).
-	Process LatencySnapshot
-	// FeatureStateBytes approximates the resident bytes of all live
-	// sessions' incremental feature state. Each session's state is bounded
-	// by its bank's distinct error rows (never by event count), so this is
-	// the operator-facing proof of the bounded-memory claim.
-	FeatureStateBytes int64
-	// FeatureStateRows is the total tracked-row entries across live
-	// sessions' feature states.
-	FeatureStateRows int64
-	// SessionsReleased counts sessions that dropped their feature state
-	// after a terminal decision (bank spared).
-	SessionsReleased int
-	// SessionsQuiet counts sessions whose feature state is still deferred
-	// behind an observation log (banks that have logged no UER).
-	SessionsQuiet int
-	// ShardStateBytes is the per-shard breakdown of FeatureStateBytes.
-	ShardStateBytes []int64
-	// Quarantined counts events whose processing panicked; each was logged
-	// to the dead-letter file (when configured) and its session degraded.
-	Quarantined uint64
-	// SessionsDegraded is the number of sessions in the degraded state.
-	SessionsDegraded int
-	// WALEnabled reports whether the durability layer is active.
-	WALEnabled bool
-	// WALAppended counts records journaled since this process opened the
-	// WAL; WALSegments and WALNextLSN describe the journal itself.
-	WALAppended uint64
-	WALSegments int
-	WALNextLSN  uint64
-	// LastSnapshotSeq is the sequence of the most recent snapshot written
-	// or recovered from (zero when none).
-	LastSnapshotSeq uint64
-	// RecoveredSessions and RecoveredEvents describe the boot-time
-	// recovery: sessions restored from the snapshot and WAL records
-	// replayed (including ones skipped as already applied).
-	RecoveredSessions int
-	RecoveredEvents   uint64
-	// RetentionErrors counts failed post-snapshot retention steps (journal
-	// truncation or snapshot pruning). Non-zero means disk usage is growing
-	// past the configured retention until a later snapshot succeeds.
-	RetentionErrors uint64
-	// WALAppendErrors counts Ingest calls that failed to journal their
-	// event; LastWALAppendError is the most recent failure's message
-	// (empty once an append succeeds again).
-	WALAppendErrors    uint64
-	LastWALAppendError string
-	// ActiveModelVersion is the model version new sessions currently bind,
-	// ModelNodes and ModelBytes the tree nodes and in-memory bytes of its
-	// models; ModelSwaps counts SwapModel calls that took effect since boot.
-	ActiveModelVersion uint64
-	ModelNodes         int
-	ModelBytes         int
-	ModelSwaps         uint64
-	// Shadow describes the in-progress shadow evaluation (Active false
-	// when none is running).
-	Shadow ShadowStats
-}
-
 // Engine is the sharded online prediction engine. Construct with New; all
 // exported methods are safe for concurrent use.
 type Engine struct {
@@ -342,10 +206,9 @@ type Engine struct {
 	shards []*shard
 	start  time.Time
 
-	actions    chan Action
-	metrics    engineMetrics
-	ingestWait latencySampler
-	batchPool  sync.Pool // *batchScratch, sized to the shard count
+	actions   chan Action
+	metrics   engineMetrics
+	batchPool sync.Pool // *batchScratch, sized to the shard count
 
 	// walAppendErrs / lastAppendErr track journal-append failures for
 	// readiness: a serving daemon that cannot persist intake is not ready.
@@ -370,9 +233,9 @@ type Engine struct {
 
 	// Durability state; all nil/zero when no WAL directory is configured.
 	wal               *walJournal
-	snapMu            sync.Mutex // serialises Snapshot
-	snapSeq           uint64     // under snapMu
-	recoveredSessions int        // set before consumers start
+	snapMu            sync.Mutex    // serialises Snapshot
+	snapSeq           atomic.Uint64 // written under snapMu, read without it
+	recoveredSessions int           // set before consumers start
 	recoveredEvents   uint64
 
 	dead *deadLetterLog
@@ -397,7 +260,6 @@ type shard struct {
 	processed   *obs.Counter
 	dropped     *obs.Counter
 	quarantined *obs.Counter
-	process     latencySampler
 
 	// ingestMu serialises journal-append + enqueue so queue order equals
 	// LSN order within the shard (the invariant replay depends on). Only
@@ -409,32 +271,103 @@ type shard struct {
 	// appliedLSN is the highest journal position folded into this shard's
 	// sessions; the minimum across shards bounds WAL retention.
 	appliedLSN uint64
-	// Running feature-state totals over this shard's sessions, maintained
-	// by O(1) per-event deltas in process (also under mu).
-	stateBytes int64
-	stateRows  int64
-	released   int
-	quiet      int
-	degraded   int
+	totals     shardTotals
 	// acts is the consumer's reusable buffer for one event's actions: apply
 	// fills it and process has emitted them before the next apply.
 	acts []Action
 }
 
-// tally adds (sign +1) or removes (sign -1) a session from the shard's
-// running totals. Callers hold mu.
-func (s *shard) tally(bs *bankSession, sign int) {
-	s.stateBytes += int64(sign) * int64(bs.stateBytes)
-	s.stateRows += int64(sign) * int64(bs.stateRows)
+// total names one of a shard's running totals over its sessions.
+type total int
+
+const (
+	totalSessions total = iota
+	totalStateBytes
+	totalStateRows
+	totalReleased
+	totalQuiet
+	totalDegraded
+	numTotals
+)
+
+// shardTotals are the running totals over one shard's sessions. Only the
+// holder of the shard's mu writes them — so writes never race each other and
+// the totals always equal a recount of the map — but they are atomics so that
+// Stats, the gauges, readiness and /statsz read them without the lock: each
+// value is consistent on its own, and no two are read at one instant (what
+// the counters beside them already promise).
+type shardTotals struct {
+	n [numTotals]atomic.Int64
+	// byVersion counts sessions per pinned model version. A shard meets a new
+	// version once per model swap, so the table is copy-on-write: readers
+	// load it and read the counts, the writer replaces it to grow it.
+	byVersion atomic.Pointer[[]*versionCount]
+}
+
+// versionCount is the number of a shard's sessions pinned to one version.
+type versionCount struct {
+	version uint64
+	n       atomic.Int64
+}
+
+// contribution is what one session adds to each total.
+type contribution [numTotals]int64
+
+func (bs *bankSession) contribution() contribution {
+	c := contribution{totalSessions: 1, totalStateBytes: int64(bs.stateBytes), totalStateRows: int64(bs.stateRows)}
 	if bs.stateReleased {
-		s.released += sign
+		c[totalReleased] = 1
 	}
 	if bs.stateDeferred {
-		s.quiet += sign
+		c[totalQuiet] = 1
 	}
 	if bs.degraded {
-		s.degraded += sign
+		c[totalDegraded] = 1
 	}
+	return c
+}
+
+// move applies the net change of one session's contribution, touching only
+// the totals that changed. Callers hold the shard's mu.
+func (t *shardTotals) move(from, to contribution) {
+	for i := range t.n {
+		if d := to[i] - from[i]; d != 0 {
+			t.n[i].Add(d)
+		}
+	}
+}
+
+// pin adds (sign +1) or removes (sign -1) one session pinned to version.
+// Callers hold the shard's mu.
+func (t *shardTotals) pin(version uint64, sign int64) {
+	var table []*versionCount
+	if p := t.byVersion.Load(); p != nil {
+		table = *p
+	}
+	for _, vc := range table {
+		if vc.version == version {
+			vc.n.Add(sign)
+			return
+		}
+	}
+	vc := &versionCount{version: version}
+	vc.n.Store(sign)
+	grown := append(table[:len(table):len(table)], vc)
+	t.byVersion.Store(&grown)
+}
+
+// addSession puts a session into the shard's map and totals; dropSession
+// takes it out again. Callers hold mu (or are on the pre-consumer boot path).
+func (s *shard) addSession(key uint64, bs *bankSession) {
+	s.sessions[key] = bs
+	s.totals.pin(bs.version, +1)
+	s.totals.move(contribution{}, bs.contribution())
+}
+
+func (s *shard) dropSession(key uint64, bs *bankSession) {
+	delete(s.sessions, key)
+	s.totals.pin(bs.version, -1)
+	s.totals.move(bs.contribution(), contribution{})
 }
 
 // bankSession couples a strategy session with the bookkeeping the engine
@@ -656,7 +589,7 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 		if se := e.loadShadow(); se != nil {
 			bs.shadow = se.newShadowSession(bank)
 		}
-		s.sessions[key] = bs
+		s.addSession(key, bs)
 	}
 	if q.lsn != 0 {
 		if q.lsn <= bs.lastLSN {
@@ -676,13 +609,12 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 		bs.lastEvent = ev.Time.UnixNano()
 		return nil, nil
 	}
-	// The session leaves the shard totals while it is folded and re-enters
-	// them as the fold left it. Deferred calls run last-in first-out: the
-	// recover, then the re-entry (which therefore counts a session the
-	// recover degraded), then the unlock — so the shard lock is always
-	// released exactly once, panic or not.
-	s.tally(bs, -1)
-	defer s.tally(bs, +1)
+	// The shard totals take the fold's net change to the session. Deferred
+	// calls run last-in first-out: the recover, then the totals (which
+	// therefore count a session the recover degraded), then the unlock — so
+	// the shard lock is always released exactly once, panic or not.
+	before := bs.contribution()
+	defer func() { s.totals.move(before, bs.contribution()) }()
 	defer func() {
 		if r := recover(); r != nil {
 			bs.degraded = true
@@ -705,7 +637,7 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
 		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
-	out = foldEvent(bs, ev, &s.process, s.acts[:0])
+	out = foldEvent(bs, ev, e.metrics.processDur, s.acts[:0])
 	s.acts = out
 	if !prevClassified && bs.classified {
 		e.classifications.Add(1)
@@ -736,15 +668,14 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 // to out. It mutates only the session, never shard-level state, so it
 // serves both the shard consumer path (apply, holding the shard lock) and
 // cluster handoff's suffix replay over sessions that are not installed in
-// any shard yet. The caller owns panic handling: a panic from the strategy session unwinds
+// any shard yet (proc nil: a replayed fold is not a served one). The caller
+// owns panic handling: a panic from the strategy session unwinds
 // through here with the session's counters partially updated, and the
 // caller must mark the session degraded.
-func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler, out []Action) []Action {
+func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Action) []Action {
 	t0 := time.Now()
 	d := bs.sess.OnEvent(ev)
-	if proc != nil {
-		proc.observe(time.Since(t0))
-	}
+	proc.ObserveSince(t0)
 
 	bs.events++
 	bs.lastEvent = ev.Time.UnixNano()
@@ -841,122 +772,6 @@ func (e *Engine) sessionByKey(key uint64) (SessionStats, bool) {
 		return SessionStats{}, false
 	}
 	return bs.stats(key), true
-}
-
-// Sessions snapshots every live session's stats, sorted by bank key. The
-// admin surface uses it to report per-session pinned model versions.
-func (e *Engine) Sessions() []SessionStats {
-	type keyed struct {
-		key uint64
-		st  SessionStats
-	}
-	var all []keyed
-	for _, s := range e.shards {
-		s.mu.Lock()
-		for key, bs := range s.sessions {
-			all = append(all, keyed{key, bs.stats(key)})
-		}
-		s.mu.Unlock()
-	}
-	// Sorted by the stored key: re-deriving it from the address is a
-	// twelve-field repack per comparison.
-	slices.SortFunc(all, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-	out := make([]SessionStats, len(all))
-	for i := range all {
-		out[i] = all[i].st
-	}
-	return out
-}
-
-// SessionCount returns the number of live sessions.
-func (e *Engine) SessionCount() int {
-	n := 0
-	for _, s := range e.shards {
-		s.mu.Lock()
-		n += len(s.sessions)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Stats returns a point-in-time snapshot of the engine's counters, queue
-// depths and latency distributions. The counters are read back from the
-// obs instruments, so this is the same data GET /metrics renders.
-func (e *Engine) Stats() EngineStats {
-	st := EngineStats{
-		Uptime:         time.Since(e.start),
-		Ingested:       e.metrics.ingested.Value(),
-		ActionsEmitted: e.metrics.actionsEmitted.Value(),
-		ActionsDropped: e.metrics.actionsDropped.Value(),
-		Shards:         len(e.shards),
-		QueueDepths:    make([]int, len(e.shards)),
-		IngestWait:     e.ingestWait.snapshot(),
-	}
-	st.ShardStateBytes = make([]int64, len(e.shards))
-	var proc latencySampler
-	for i, s := range e.shards {
-		st.Processed += s.processed.Value()
-		st.Dropped += s.dropped.Value()
-		st.Quarantined += s.quarantined.Value()
-		st.QueueDepths[i] = s.in.length()
-		s.mu.Lock()
-		st.SessionsLive += len(s.sessions)
-		st.ShardStateBytes[i] = s.stateBytes
-		st.FeatureStateBytes += s.stateBytes
-		st.FeatureStateRows += s.stateRows
-		st.SessionsReleased += s.released
-		st.SessionsQuiet += s.quiet
-		st.SessionsDegraded += s.degraded
-		s.mu.Unlock()
-		proc.merge(&s.process)
-	}
-	st.Process = proc.snapshot()
-	st.ActiveModelVersion = e.ActiveModelVersion()
-	st.ModelNodes, st.ModelBytes = e.modelSize(false)
-	st.ModelSwaps = e.metrics.modelSwaps.Value()
-	st.Shadow = e.ShadowStats()
-	st.RecoveredSessions = e.recoveredSessions
-	st.RecoveredEvents = e.recoveredEvents
-	st.RetentionErrors = e.metrics.retentionErrors.Value()
-	st.WALAppendErrors = e.walAppendErrs.Load()
-	if s, ok := e.lastAppendErr.Load().(string); ok {
-		st.LastWALAppendError = s
-	}
-	if e.wal != nil {
-		st.WALEnabled = true
-		st.WALAppended = e.wal.Appended()
-		st.WALSegments = e.wal.Segments()
-		st.WALNextLSN = e.wal.NextLSN()
-		e.snapMu.Lock()
-		st.LastSnapshotSeq = e.snapSeq
-		e.snapMu.Unlock()
-	}
-	if secs := st.Uptime.Seconds(); secs > 0 {
-		st.IngestRate = float64(st.Ingested) / secs
-	}
-	return st
-}
-
-// ReadyReasons reports why the engine is not ready to serve, one reason
-// per condition; an empty slice means ready. Liveness (/healthz) is a
-// different question — a degraded engine is alive but should be rotated
-// out of intake, which is exactly what a 503 from /readyz tells the load
-// balancer.
-func (e *Engine) ReadyReasons() []string {
-	var reasons []string
-	degraded := 0
-	for _, s := range e.shards {
-		s.mu.Lock()
-		degraded += s.degraded
-		s.mu.Unlock()
-	}
-	if degraded > 0 {
-		reasons = append(reasons, fmt.Sprintf("%d session(s) degraded after processing panics", degraded))
-	}
-	if msg, ok := e.lastAppendErr.Load().(string); ok && msg != "" {
-		reasons = append(reasons, "last WAL append failed: "+msg)
-	}
-	return reasons
 }
 
 // Drain blocks until every accepted event has been processed (or the

@@ -11,6 +11,7 @@ import (
 	"cordial/internal/core"
 	"cordial/internal/ecc"
 	"cordial/internal/faultsim"
+	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 )
@@ -34,6 +35,10 @@ type fakeStrategy struct {
 	// gate, when non-nil, holds every OnEvent until it is closed: the shard
 	// consumers stall on their first event, so queues fill deterministically.
 	gate chan struct{}
+	// footprint gives sessions a feature-state footprint (deferred until the
+	// first UER, a tracked row per UER row, released once bank-spared), so the
+	// engine's byte, row, quiet and released totals move.
+	footprint bool
 }
 
 func (f *fakeStrategy) Name() string { return "fake" }
@@ -52,6 +57,16 @@ type fakeSession struct {
 }
 
 func (s *fakeSession) Class() (faultsim.Class, bool) { return s.class, s.classified }
+
+func (s *fakeSession) StateFootprint() (features.StateFootprint, bool) {
+	switch {
+	case !s.strategy.footprint || s.classified && s.class == faultsim.ClassScattered:
+		return features.StateFootprint{}, s.strategy.footprint
+	case len(s.rows) == 0:
+		return features.StateFootprint{ApproxBytes: 24, Deferred: true}, false
+	}
+	return features.StateFootprint{ApproxBytes: 100 + 16*len(s.rows), TrackedRows: len(s.rows)}, false
+}
 
 func (s *fakeSession) OnEvent(e mcelog.Event) core.Decision {
 	if s.strategy.gate != nil {
@@ -470,31 +485,6 @@ func (s *recordingSession) OnEvent(e mcelog.Event) core.Decision {
 	s.r.times[s.key] = append(s.r.times[s.key], e.Time)
 	s.r.mu.Unlock()
 	return core.Decision{}
-}
-
-func TestLatencySampler(t *testing.T) {
-	var l latencySampler
-	if s := l.snapshot(); s.Count != 0 || s.Max != 0 {
-		t.Fatalf("zero sampler snapshot %+v", s)
-	}
-	for i := 1; i <= 100; i++ {
-		l.observe(time.Duration(i) * time.Millisecond)
-	}
-	s := l.snapshot()
-	if s.Count != 100 || s.Max != 100*time.Millisecond {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if s.P50 < 40*time.Millisecond || s.P50 > 60*time.Millisecond {
-		t.Errorf("p50 %v out of range", s.P50)
-	}
-	if s.P99 < s.P90 || s.P90 < s.P50 {
-		t.Errorf("quantiles not monotone: %+v", s)
-	}
-	var m latencySampler
-	m.merge(&l)
-	if got := m.snapshot(); got.Count != 100 || got.Max != s.Max {
-		t.Errorf("merged snapshot %+v", got)
-	}
 }
 
 func TestMix64Spreads(t *testing.T) {

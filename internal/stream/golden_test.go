@@ -16,7 +16,7 @@ import (
 	"cordial/internal/mcelog"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/engine_snapshot.hex from the current encoder")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata from the current code")
 
 // goldenSnapshotEvents is a small fleet that reaches every kind of session
 // bookkeeping the snapshot carries: CE-only banks (empty row sets), a bank

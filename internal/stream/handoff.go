@@ -224,8 +224,7 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 			if filter != nil && !filter(key) {
 				continue
 			}
-			delete(s.sessions, key)
-			s.tally(bs, -1)
+			s.dropSession(key, bs)
 			dropped++
 		}
 		s.mu.Unlock()

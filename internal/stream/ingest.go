@@ -147,7 +147,7 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 		// whole group is queued.
 		t0 := time.Now()
 		s.in.pushBatch(g)
-		e.ingestWait.observe(time.Since(t0))
+		e.metrics.ingestWaitDur.ObserveSince(t0)
 		accepted += len(g)
 	}
 	e.metrics.ingested.Add(uint64(accepted))

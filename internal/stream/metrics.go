@@ -36,8 +36,9 @@ type engineMetrics struct {
 
 // registerMetrics creates the engine's instruments and scrape-time gauges
 // in the configured registry. Called from New after the shards exist and
-// before any consumer starts; gauge callbacks take the shard mutexes, so
-// a scrape observes the same consistency /statsz does.
+// before any consumer starts. The gauge callbacks read atomics only (the
+// shard totals, the epoch table, the snapshot sequence), so a scrape takes no
+// engine lock and sees what /statsz sees.
 func (e *Engine) registerMetrics() {
 	reg := e.cfg.Metrics
 	m := &e.metrics
@@ -52,7 +53,6 @@ func (e *Engine) registerMetrics() {
 		"Time Ingest spent enqueueing an event (the backpressure signal).", nil)
 	m.processDur = reg.Histogram("cordial_process_seconds",
 		"Per-event session time: feature extraction plus model inference.", nil)
-	e.ingestWait.attach(m.ingestWaitDur)
 
 	m.modelSwaps = reg.Counter("cordial_model_swaps_total",
 		"Model swaps that took effect (new sessions bind the new version).")
@@ -93,36 +93,20 @@ func (e *Engine) registerMetrics() {
 	reg.GaugeFunc("cordial_uptime_seconds",
 		"Seconds since the engine started.",
 		func() float64 { return time.Since(e.start).Seconds() })
-	reg.GaugeFunc("cordial_sessions_live",
-		"Live per-bank sessions.",
-		func() float64 { return float64(e.SessionCount()) })
-	// shardSum is a gauge over a per-shard running total (guarded by mu).
-	shardSum := func(total func(*shard) int64) func() float64 {
-		return func() float64 {
-			var n int64
-			for _, s := range e.shards {
-				s.mu.Lock()
-				n += total(s)
-				s.mu.Unlock()
-			}
-			return float64(n)
-		}
+	for _, g := range []struct {
+		name, help string
+		of         total
+	}{
+		{"cordial_sessions_live", "Live per-bank sessions.", totalSessions},
+		{"cordial_sessions_degraded", "Sessions quarantined after a processing panic; they no longer feed their strategy session.", totalDegraded},
+		{"cordial_sessions_released", "Sessions that dropped their feature state after a terminal decision (bank spared).", totalReleased},
+		{"cordial_sessions_quiet", "Sessions of banks with no UER yet, holding an observation log instead of a feature state.", totalQuiet},
+		{"cordial_feature_state_bytes", "Approximate resident bytes of all live sessions' incremental feature state.", totalStateBytes},
+		{"cordial_feature_state_rows", "Tracked-row entries across live sessions' feature states.", totalStateRows},
+	} {
+		g := g
+		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(e.total(g.of)) })
 	}
-	reg.GaugeFunc("cordial_sessions_degraded",
-		"Sessions quarantined after a processing panic; they no longer feed their strategy session.",
-		shardSum(func(s *shard) int64 { return int64(s.degraded) }))
-	reg.GaugeFunc("cordial_sessions_released",
-		"Sessions that dropped their feature state after a terminal decision (bank spared).",
-		shardSum(func(s *shard) int64 { return int64(s.released) }))
-	reg.GaugeFunc("cordial_sessions_quiet",
-		"Sessions of banks with no UER yet, holding an observation log instead of a feature state.",
-		shardSum(func(s *shard) int64 { return int64(s.quiet) }))
-	reg.GaugeFunc("cordial_feature_state_bytes",
-		"Approximate resident bytes of all live sessions' incremental feature state.",
-		shardSum(func(s *shard) int64 { return s.stateBytes }))
-	reg.GaugeFunc("cordial_feature_state_rows",
-		"Tracked-row entries across live sessions' feature states.",
-		shardSum(func(s *shard) int64 { return s.stateRows }))
 
 	for i, s := range e.shards {
 		s := s
@@ -133,17 +117,12 @@ func (e *Engine) registerMetrics() {
 			"Events fully run through a bank session.", shard)
 		s.quarantined = reg.Counter("cordial_events_quarantined_total",
 			"Events whose processing panicked; preserved in the dead-letter file when configured.", shard)
-		s.process.attach(m.processDur)
 		reg.GaugeFunc("cordial_shard_queue_depth",
 			"Current shard input queue occupancy.",
 			func() float64 { return float64(s.in.length()) }, shard)
 		reg.GaugeFunc("cordial_shard_feature_state_bytes",
 			"Per-shard breakdown of cordial_feature_state_bytes.",
-			func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return float64(s.stateBytes)
-			}, shard)
+			func() float64 { return float64(s.totals.n[totalStateBytes].Load()) }, shard)
 	}
 
 	if e.cfg.Durability.Dir == "" {
@@ -165,11 +144,7 @@ func (e *Engine) registerMetrics() {
 		"Journal records replayed at the last boot (including ones skipped as already applied).")
 	reg.GaugeFunc("cordial_snapshot_seq",
 		"Sequence number of the most recent snapshot written or recovered from.",
-		func() float64 {
-			e.snapMu.Lock()
-			defer e.snapMu.Unlock()
-			return float64(e.snapSeq)
-		})
+		func() float64 { return float64(e.snapSeq.Load()) })
 }
 
 // Metrics returns the engine's registry: its own instruments, the WAL's

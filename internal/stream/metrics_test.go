@@ -3,6 +3,8 @@ package stream
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"cordial/internal/core"
+	"cordial/internal/ecc"
 	"cordial/internal/hbm"
 	"cordial/internal/obs"
 	"cordial/internal/wal"
@@ -146,14 +149,20 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestStatszMetricsAgree pins the one-source-of-truth property: every
 // quantity reported by both /statsz and /metrics is identical, because
-// both read the same instruments.
+// both read the same instruments and the same shard totals.
 func TestStatszMetricsAgree(t *testing.T) {
-	engine, srv := newTestServer(t, Config{Shards: 3})
+	engine, srv := newTestServer(t, Config{
+		Shards:   3,
+		Strategy: &fakeStrategy{budget: 3, poisonRow: 666, footprint: true},
+	})
 	for i := 0; i < 4; i++ {
 		bank := testBank(i)
 		post(t, srv, jsonlBody(t,
 			uerAt(bank, 100, 0), uerAt(bank, 101, 1), uerAt(bank, 102, 2), uerAt(bank, 102, 3)))
 	}
+	quiet := uerAt(testBank(5), 7, 4)
+	quiet.Class = ecc.ClassCE
+	post(t, srv, jsonlBody(t, quiet, uerAt(testBank(6), 666, 5)))
 	if err := engine.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +174,29 @@ func TestStatszMetricsAgree(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("statsz = %d", rec.Code)
 	}
+	type latency struct {
+		Count uint64 `json:"count"`
+		Mean  string `json:"mean"`
+		P99   string `json:"p99"`
+		Max   string `json:"max"`
+	}
 	var st struct {
-		Ingested       uint64 `json:"ingested"`
-		Dropped        uint64 `json:"dropped"`
-		Processed      uint64 `json:"processed"`
-		ActionsEmitted uint64 `json:"actionsEmitted"`
-		Quarantined    uint64 `json:"quarantined"`
-		Process        struct {
-			Count uint64 `json:"count"`
-		} `json:"processLatency"`
+		Ingested         uint64  `json:"ingested"`
+		Dropped          uint64  `json:"dropped"`
+		Processed        uint64  `json:"processed"`
+		ActionsEmitted   uint64  `json:"actionsEmitted"`
+		Quarantined      uint64  `json:"quarantined"`
+		SessionsLive     uint64  `json:"sessionsLive"`
+		SessionsQuiet    uint64  `json:"sessionsQuiet"`
+		SessionsReleased uint64  `json:"sessionsReleased"`
+		SessionsDegraded uint64  `json:"sessionsDegraded"`
+		StateBytes       uint64  `json:"featureStateBytes"`
+		StateRows        uint64  `json:"featureStateRows"`
+		ShardStateBytes  []int64 `json:"shardFeatureStateBytes"`
+		ModelNodes       uint64  `json:"modelNodes"`
+		ModelBytes       uint64  `json:"modelBytes"`
+		Process          latency `json:"processLatency"`
+		IngestWait       latency `json:"ingestWaitLatency"`
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
@@ -189,14 +212,54 @@ func TestStatszMetricsAgree(t *testing.T) {
 		{"processed", st.Processed, metricSum(t, out, "cordial_events_processed_total")},
 		{"actionsEmitted", st.ActionsEmitted, metricValue(t, out, "cordial_actions_emitted_total")},
 		{"quarantined", st.Quarantined, metricSum(t, out, "cordial_events_quarantined_total")},
+		{"sessionsLive", st.SessionsLive, metricValue(t, out, "cordial_sessions_live")},
+		{"sessionsQuiet", st.SessionsQuiet, metricValue(t, out, "cordial_sessions_quiet")},
+		{"sessionsReleased", st.SessionsReleased, metricValue(t, out, "cordial_sessions_released")},
+		{"sessionsDegraded", st.SessionsDegraded, metricValue(t, out, "cordial_sessions_degraded")},
+		{"featureStateBytes", st.StateBytes, metricValue(t, out, "cordial_feature_state_bytes")},
+		{"featureStateRows", st.StateRows, metricValue(t, out, "cordial_feature_state_rows")},
+		{"modelNodes", st.ModelNodes, metricValue(t, out, `cordial_model_nodes{slot="active"}`)},
+		{"modelBytes", st.ModelBytes, metricValue(t, out, `cordial_model_bytes{slot="active"}`)},
 		{"processCount", st.Process.Count, metricValue(t, out, "cordial_process_seconds_count")},
+		{"ingestWaitCount", st.IngestWait.Count, metricValue(t, out, "cordial_ingest_wait_seconds_count")},
 	} {
 		if float64(tc.json) != tc.prom {
 			t.Errorf("%s: /statsz %d != /metrics %v", tc.name, tc.json, tc.prom)
 		}
 	}
-	if st.Ingested == 0 || st.Processed == 0 {
-		t.Fatalf("test ingested nothing (ingested=%d processed=%d)", st.Ingested, st.Processed)
+	for i, b := range st.ShardStateBytes {
+		series := fmt.Sprintf(`cordial_shard_feature_state_bytes{shard="%d"}`, i)
+		if got := metricValue(t, out, series); got != float64(b) {
+			t.Errorf("%s = %v, /statsz shardFeatureStateBytes[%d] = %d", series, got, i, b)
+		}
+	}
+	// A latency's mean is its histogram's _sum over _count, and its p99 the
+	// scrape-side quantile of the same buckets (capped at the exact max).
+	snap, err := obs.ParseText(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for family, l := range map[string]latency{
+		"cordial_process_seconds":     st.Process,
+		"cordial_ingest_wait_seconds": st.IngestWait,
+	} {
+		seconds := func(v float64) string { return time.Duration(math.Round(v * 1e9)).String() }
+		sum := metricValue(t, out, family+"_sum")
+		if want := seconds(sum / float64(l.Count)); l.Mean != want {
+			t.Errorf("%s: /statsz mean %s, /metrics _sum/_count %s", family, l.Mean, want)
+		}
+		p99, ok := snap.Quantile(family, 0.99)
+		max, err := time.ParseDuration(l.Max)
+		if !ok || err != nil {
+			t.Fatalf("%s: quantile ok=%v, max %q: %v", family, ok, l.Max, err)
+		}
+		if want := min(time.Duration(math.Round(p99*1e9)), max).String(); l.P99 != want {
+			t.Errorf("%s: /statsz p99 %s, scrape quantile %s (max %s)", family, l.P99, want, l.Max)
+		}
+	}
+	if st.Ingested == 0 || st.Processed == 0 || st.SessionsQuiet == 0 || st.SessionsReleased == 0 ||
+		st.SessionsDegraded == 0 || st.StateRows == 0 {
+		t.Fatalf("test traffic does not reach every quantity: %s", body)
 	}
 }
 

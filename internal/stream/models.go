@@ -273,14 +273,10 @@ func (e *Engine) modelSize(shadow bool) (nodes, bytes int) {
 // deleting artefacts a running session might still need to recover under.
 func (e *Engine) PinnedVersionFloor() uint64 {
 	var floor uint64
-	for _, s := range e.shards {
-		s.mu.Lock()
-		for _, bs := range s.sessions {
-			if bs.version != 0 && (floor == 0 || bs.version < floor) {
-				floor = bs.version
-			}
+	for version := range e.sessionsByVersion() {
+		if version != 0 && (floor == 0 || version < floor) {
+			floor = version
 		}
-		s.mu.Unlock()
 	}
 	return floor
 }

@@ -84,8 +84,8 @@ type Server struct {
 
 	requests   *obs.Counter
 	notOwned   *obs.Counter
-	decode     latencySampler
-	binDecode  latencySampler
+	decode     *obs.Histogram
+	binDecode  *obs.Histogram
 	ingestPool sync.Pool // *ingestRequest: frame decoder + event chunk reuse
 
 	// ownership is nil while the node serves standalone (it owns every
@@ -151,10 +151,10 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		"HTTP requests served (all routes).")
 	s.notOwned = reg.Counter("cordial_http_not_owned_total",
 		"Ingest batches refused because a bank is outside this node's ring ownership.")
-	s.decode.attach(reg.Histogram("cordial_http_decode_seconds",
-		"Per-line JSONL event decode time on POST /v1/events.", nil))
-	s.binDecode.attach(reg.Histogram("cordial_http_bin_decode_seconds",
-		"Per-frame binary decode time on POST /v1/events.bin.", nil))
+	s.decode = reg.Histogram("cordial_http_decode_seconds",
+		"Per-line JSONL event decode time on POST /v1/events.", nil)
+	s.binDecode = reg.Histogram("cordial_http_bin_decode_seconds",
+		"Per-frame binary decode time on POST /v1/events.bin.", nil)
 	s.ingestPool.New = func() any { return &ingestRequest{srv: s, dec: mcelog.NewFrameDecoder(nil)} }
 	reg.GaugeFunc("cordial_actions_stored",
 		"Actions currently held in the bounded GET /v1/actions store.",
@@ -377,7 +377,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		t0 := time.Now()
 		ev, err := mcelog.ParseJSONEvent(line)
-		s.decode.observe(time.Since(t0))
+		s.decode.ObserveSince(t0)
 		if err != nil {
 			q.reject(lineNo, -1, err)
 			continue
@@ -410,13 +410,13 @@ func (s *Server) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 	for q.status == 0 {
 		t0 := time.Now()
 		fr, err := q.dec.Next()
-		s.binDecode.observe(time.Since(t0))
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				bodyErr = err
 			}
 			break
 		}
+		s.binDecode.ObserveSince(t0) // decoded frames only: the body's EOF is not one
 		frameNo++
 		for i, n := 0, fr.Len(); i < n && q.status == 0; i++ {
 			q.add(fr.Event(i), frameNo, i)
@@ -653,160 +653,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.engine.Metrics().WriteText(w) // connection may be gone; nothing to do
 }
 
-// jsonLatency is the wire shape of a latency snapshot.
-type jsonLatency struct {
-	Count uint64 `json:"count"`
-	Mean  string `json:"mean"`
-	P50   string `json:"p50"`
-	P90   string `json:"p90"`
-	P99   string `json:"p99"`
-	Max   string `json:"max"`
-}
-
-func toJSONLatency(l LatencySnapshot) jsonLatency {
-	return jsonLatency{
-		Count: l.Count,
-		Mean:  l.Mean.String(),
-		P50:   l.P50.String(),
-		P90:   l.P90.String(),
-		P99:   l.P99.String(),
-		Max:   l.Max.String(),
-	}
-}
-
-// jsonShadow is the wire shape of a shadow-evaluation snapshot.
-type jsonShadow struct {
-	Active          bool      `json:"active"`
-	Version         uint64    `json:"version,omitempty"`
-	Since           time.Time `json:"since,omitempty"`
-	Banks           int       `json:"banks"`
-	Events          uint64    `json:"events"`
-	UEREvents       uint64    `json:"uerEvents"`
-	Decisions       uint64    `json:"decisions"`
-	Agreements      uint64    `json:"agreements"`
-	PrimaryActions  uint64    `json:"primaryActions"`
-	ShadowActions   uint64    `json:"shadowActions"`
-	PrimaryICR      float64   `json:"primaryICR"`
-	ShadowICR       float64   `json:"shadowICR"`
-	CandidatePanics uint64    `json:"candidatePanics"`
-}
-
-func toJSONShadow(ss ShadowStats) jsonShadow {
-	js := jsonShadow{
-		Active:          ss.Active,
-		Version:         ss.Version,
-		Banks:           ss.Banks,
-		Events:          ss.Events,
-		UEREvents:       ss.UEREvents,
-		Decisions:       ss.Decisions,
-		Agreements:      ss.Agreements,
-		PrimaryActions:  ss.PrimaryActions,
-		ShadowActions:   ss.ShadowActions,
-		PrimaryICR:      ss.PrimaryICR.Rate(),
-		ShadowICR:       ss.ShadowICR.Rate(),
-		CandidatePanics: ss.CandidatePanics,
-	}
-	if !ss.Since.IsZero() {
-		js.Since = ss.Since.UTC()
-	}
-	return js
-}
-
-// handleStats reports engine and server counters.
+// handleStats reports the engine's stats and, beside them, the server's own
+// counters: one JSON object, EngineStats' fields at its top level.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	es := s.engine.Stats()
 	s.mu.Lock()
 	stored, evicted := s.actions.count(), s.actions.evicted()
 	s.mu.Unlock()
-	// Per-session pinned versions, folded to counts: version -> sessions
-	// still pinned to it. The interesting signal after a swap is how much
-	// of the fleet still rides the old model.
-	pinned := make(map[uint64]int)
-	for _, ses := range s.engine.Sessions() {
-		pinned[ses.ModelVersion]++
-	}
-	out := struct {
-		Uptime         string         `json:"uptime"`
-		Ingested       uint64         `json:"ingested"`
-		Dropped        uint64         `json:"dropped"`
-		Processed      uint64         `json:"processed"`
-		IngestRate     float64        `json:"ingestRatePerSec"`
-		SessionsLive   int            `json:"sessionsLive"`
-		Shards         int            `json:"shards"`
-		QueueDepths    []int          `json:"queueDepths"`
-		ActionsEmitted uint64         `json:"actionsEmitted"`
-		ActionsDropped uint64         `json:"actionsDropped"`
-		ActionsStored  int            `json:"actionsStored"`
-		ActionsEvicted uint64         `json:"actionsEvicted"`
-		HTTPRequests   uint64         `json:"httpRequests"`
-		Decode         jsonLatency    `json:"decodeLatency"`
-		IngestWait     jsonLatency    `json:"ingestWaitLatency"`
-		Process        jsonLatency    `json:"processLatency"`
-		StateBytes     int64          `json:"featureStateBytes"`
-		StateRows      int64          `json:"featureStateRows"`
-		StateReleased  int            `json:"sessionsReleased"`
-		SessionsQuiet  int            `json:"sessionsQuiet"`
-		ShardStateB    []int64        `json:"shardFeatureStateBytes"`
-		Quarantined    uint64         `json:"quarantined"`
-		Degraded       int            `json:"sessionsDegraded"`
-		WALEnabled     bool           `json:"walEnabled"`
-		WALAppended    uint64         `json:"walAppended,omitempty"`
-		WALSegments    int            `json:"walSegments,omitempty"`
-		WALNextLSN     uint64         `json:"walNextLSN,omitempty"`
-		SnapshotSeq    uint64         `json:"lastSnapshotSeq,omitempty"`
-		RecoveredSess  int            `json:"recoveredSessions,omitempty"`
-		RecoveredEvts  uint64         `json:"recoveredEvents,omitempty"`
-		RetentionErrs  uint64         `json:"retentionErrors"`
-		WALAppendErrs  uint64         `json:"walAppendErrors"`
-		LastAppendErr  string         `json:"lastWALAppendError,omitempty"`
-		ActiveModelV   uint64         `json:"activeModelVersion"`
-		ModelNodes     int            `json:"modelNodes"`
-		ModelBytes     int            `json:"modelBytes"`
-		ModelSwaps     uint64         `json:"modelSwaps"`
-		PinnedSessions map[uint64]int `json:"sessionsByModelVersion"`
-		Shadow         jsonShadow     `json:"shadow"`
-	}{
-		Uptime:         es.Uptime.String(),
-		Ingested:       es.Ingested,
-		Dropped:        es.Dropped,
-		Processed:      es.Processed,
-		IngestRate:     es.IngestRate,
-		SessionsLive:   es.SessionsLive,
-		Shards:         es.Shards,
-		QueueDepths:    es.QueueDepths,
-		ActionsEmitted: es.ActionsEmitted,
-		ActionsDropped: es.ActionsDropped,
-		ActionsStored:  stored,
-		ActionsEvicted: evicted,
-		HTTPRequests:   s.requests.Value(),
-		Decode:         toJSONLatency(s.decode.snapshot()),
-		IngestWait:     toJSONLatency(es.IngestWait),
-		Process:        toJSONLatency(es.Process),
-		StateBytes:     es.FeatureStateBytes,
-		StateRows:      es.FeatureStateRows,
-		StateReleased:  es.SessionsReleased,
-		SessionsQuiet:  es.SessionsQuiet,
-		ShardStateB:    es.ShardStateBytes,
-		Quarantined:    es.Quarantined,
-		Degraded:       es.SessionsDegraded,
-		WALEnabled:     es.WALEnabled,
-		WALAppended:    es.WALAppended,
-		WALSegments:    es.WALSegments,
-		WALNextLSN:     es.WALNextLSN,
-		SnapshotSeq:    es.LastSnapshotSeq,
-		RecoveredSess:  es.RecoveredSessions,
-		RecoveredEvts:  es.RecoveredEvents,
-		RetentionErrs:  es.RetentionErrors,
-		WALAppendErrs:  es.WALAppendErrors,
-		LastAppendErr:  es.LastWALAppendError,
-		ActiveModelV:   es.ActiveModelVersion,
-		ModelNodes:     es.ModelNodes,
-		ModelBytes:     es.ModelBytes,
-		ModelSwaps:     es.ModelSwaps,
-		PinnedSessions: pinned,
-		Shadow:         toJSONShadow(es.Shadow),
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, struct {
+		Uptime string `json:"uptime"`
+		EngineStats
+		ActionsStored  int             `json:"actionsStored"`
+		ActionsEvicted uint64          `json:"actionsEvicted"`
+		HTTPRequests   uint64          `json:"httpRequests"`
+		Decode         LatencySnapshot `json:"decodeLatency"`
+	}{es.Uptime.String(), es, stored, evicted, s.requests.Value(), latencySnapshot(s.decode)})
 }
 
 // writeJSON writes v as a JSON response.

@@ -63,6 +63,10 @@ func TestServerEventsBin(t *testing.T) {
 	if st := engine.Stats(); st.Processed != 9 {
 		t.Fatalf("processed %d events, want 9", st.Processed)
 	}
+	// Three frames were decoded; the Next() that found the body's end is not one.
+	if got := metricValue(t, scrapeMetrics(t, srv), "cordial_http_bin_decode_seconds_count"); got != 3 {
+		t.Errorf("cordial_http_bin_decode_seconds_count = %v after a 3-frame body, want 3", got)
+	}
 }
 
 // TestServerEventsBinEmpty: an empty body (no magic) and a magic-only body
@@ -74,6 +78,9 @@ func TestServerEventsBinEmpty(t *testing.T) {
 		if res.Accepted != 0 || res.Truncated {
 			t.Fatalf("empty batch result %+v", res)
 		}
+	}
+	if got := metricValue(t, scrapeMetrics(t, srv), "cordial_http_bin_decode_seconds_count"); got != 0 {
+		t.Errorf("two frameless bodies left cordial_http_bin_decode_seconds_count at %v", got)
 	}
 }
 

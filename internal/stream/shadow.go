@@ -120,7 +120,7 @@ func (e *Engine) StartShadow(version uint64) error {
 		gen:       e.shadowGen.Add(1),
 		version:   version,
 		strategy:  strat,
-		startedAt: time.Now(),
+		startedAt: time.Now().UTC(),
 	}
 	e.shadow.Store(se)
 	e.metrics.shadowStarts.Inc()

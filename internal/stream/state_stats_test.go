@@ -58,12 +58,12 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	if len(es.ShardStateBytes) != es.Shards {
 		t.Fatalf("per-shard breakdown has %d entries, want %d", len(es.ShardStateBytes), es.Shards)
 	}
-	var shardSum int64
+	var breakdown int64
 	for _, b := range es.ShardStateBytes {
-		shardSum += b
+		breakdown += b
 	}
-	if shardSum != es.FeatureStateBytes {
-		t.Errorf("shard breakdown sums to %d, aggregate %d", shardSum, es.FeatureStateBytes)
+	if breakdown != es.FeatureStateBytes {
+		t.Errorf("shard breakdown sums to %d, aggregate %d", breakdown, es.FeatureStateBytes)
 	}
 
 	// Cross-check the aggregate against the per-session snapshots and the

@@ -1,188 +1,76 @@
 package stream
 
 import (
-	"math/rand"
-	"sort"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"cordial/internal/obs"
 )
 
-// refQuantile is the independent nearest-rank oracle: the smallest sample v
-// such that at least ceil(q*n) samples are <= v, found by scanning — no
-// index arithmetic shared with the implementation.
-func refQuantile(samples []time.Duration, q float64) time.Duration {
-	n := len(samples)
-	need := int(float64(n) * q)
-	if float64(need) < float64(n)*q {
-		need++ // ceil without math.Ceil: count, not float index
+// TestLatencySampler: a LatencySnapshot is a reading of one obs.Histogram —
+// count, mean and max exact, the quantiles the scrape-side estimate.
+func TestLatencySampler(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("lat_seconds", "", nil)
+	if s := latencySnapshot(h); s != (LatencySnapshot{}) {
+		t.Fatalf("empty histogram snapshot %+v", s)
 	}
-	if need < 1 {
-		need = 1
+	if s := latencySnapshot(nil); s != (LatencySnapshot{}) {
+		t.Fatalf("nil histogram snapshot %+v", s)
 	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, v := range sorted {
-		le := 0
-		for _, s := range samples {
-			if s <= v {
-				le++
-			}
-		}
-		if le >= need {
-			return v
-		}
+	for i := 1; i <= 100; i++ {
+		h.Observe((time.Duration(i) * time.Millisecond).Seconds())
 	}
-	return sorted[n-1]
-}
+	s := latencySnapshot(h)
+	if s.Count != 100 || s.Max != 100*time.Millisecond || s.Mean != 50500*time.Microsecond {
+		t.Fatalf("snapshot %+v", s)
+	}
+	if s.P50 < 40*time.Millisecond || s.P50 > 60*time.Millisecond {
+		t.Errorf("p50 %v out of range", s.P50)
+	}
+	if s.P99 < s.P90 || s.P90 < s.P50 {
+		t.Errorf("quantiles not monotone: %+v", s)
+	}
+	p99, ok := h.Quantile(0.99)
+	if want := time.Duration(p99 * 1e9); !ok || s.P99 != want {
+		t.Errorf("P99 %v, histogram estimate %v", s.P99, want)
+	}
 
-// TestQuantileNearestRankVsReference verifies the sampler's quantiles
-// bit-for-bit against the scan-based oracle across every window size the
-// ring can hold, 1..latencySamplerSize*4 (wrapped sizes clamp to the ring).
-// Small n is where floor indexing went wrong: with n=10, int(0.99*9) = 8
-// returned the 9th sample as P99.
-func TestQuantileNearestRankVsReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sizes := []int{}
-	for n := 1; n <= 64; n++ {
-		sizes = append(sizes, n)
+	out, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sizes = append(sizes, 100, 511, 512, 1000, 1023, 1024, 1025, 2048, 4096)
-	for _, n := range sizes {
-		var l latencySampler
-		for i := 0; i < n; i++ {
-			l.observe(time.Duration(rng.Intn(1_000_000)) * time.Nanosecond)
-		}
-		// The comparable window is what the ring retained.
-		w := n
-		if w > latencySamplerSize {
-			w = latencySamplerSize
-		}
-		window := make([]time.Duration, w)
-		start := 0
-		if n > latencySamplerSize {
-			start = l.next % latencySamplerSize
-		}
-		for i := 0; i < w; i++ {
-			window[i] = l.ring[(start+i)%latencySamplerSize]
-		}
-		got := l.snapshot()
-		for _, tc := range []struct {
-			q    float64
-			have time.Duration
-		}{{0.50, got.P50}, {0.90, got.P90}, {0.99, got.P99}} {
-			if want := refQuantile(window, tc.q); tc.have != want {
-				t.Fatalf("n=%d q=%v: got %v, want %v", n, tc.q, tc.have, want)
-			}
-		}
+	if want := `{"count":100,"mean":"50.5ms","p50":"50ms","p90":"90ms","p99":"99ms","max":"100ms"}`; string(out) != want {
+		t.Errorf("JSON %s, want %s", out, want)
 	}
 }
 
-// TestQuantileSmallSampleTail pins the exact regression: at n=10 the P99
-// must be the maximum sample, which floor indexing (int(0.99*9) = 8)
-// silently missed.
+// TestQuantileSmallSampleTail: with a handful of samples the estimate must
+// not understate the tail below the bucket that holds the largest one — at
+// n=10 the P99 lies in the top occupied bucket, and a single sample's
+// quantiles all lie in its bucket.
 func TestQuantileSmallSampleTail(t *testing.T) {
-	var l latencySampler
+	h := obs.NewRegistry().Histogram("lat_seconds", "", nil)
 	for i := 1; i <= 10; i++ {
-		l.observe(time.Duration(i) * time.Millisecond)
+		h.Observe((time.Duration(i) * time.Millisecond).Seconds())
 	}
-	s := l.snapshot()
-	if s.P99 != 10*time.Millisecond {
-		t.Errorf("P99 over 1..10ms = %v, want 10ms (nearest rank)", s.P99)
+	s := latencySnapshot(h)
+	if s.P99 <= 5*time.Millisecond || s.P99 > 10*time.Millisecond {
+		t.Errorf("P99 over 1..10ms = %v, want in the (5ms, 10ms] bucket", s.P99)
 	}
-	if s.P90 != 9*time.Millisecond {
-		t.Errorf("P90 over 1..10ms = %v, want 9ms", s.P90)
+	if s.P50 <= 2500*time.Microsecond || s.P50 > 5*time.Millisecond {
+		t.Errorf("P50 over 1..10ms = %v, want in the (2.5ms, 5ms] bucket", s.P50)
 	}
-	if s.P50 != 5*time.Millisecond {
-		t.Errorf("P50 over 1..10ms = %v, want 5ms", s.P50)
-	}
-	// n=1: every quantile is the single sample.
-	var one latencySampler
-	one.observe(7 * time.Millisecond)
-	s = one.snapshot()
-	if s.P50 != 7*time.Millisecond || s.P99 != 7*time.Millisecond {
-		t.Errorf("single-sample quantiles %v/%v, want 7ms", s.P50, s.P99)
-	}
-}
-
-// TestMergeWrappedRing merges a wrapped sampler and checks the destination
-// holds exactly the retained window in chronological order — the explicit
-// contract merge previously met only by modular coincidence when the
-// destination was empty.
-func TestMergeWrappedRing(t *testing.T) {
-	var src latencySampler
-	total := latencySamplerSize + 100 // wraps: first 100 samples evicted
-	for i := 1; i <= total; i++ {
-		src.observe(time.Duration(i) * time.Microsecond)
-	}
-	if src.next != total {
-		t.Fatalf("src.next = %d", src.next)
-	}
-	var dst latencySampler
-	dst.merge(&src)
-	if dst.count != uint64(total) {
-		t.Errorf("merged count = %d, want %d", dst.count, total)
-	}
-	if dst.next != latencySamplerSize {
-		t.Fatalf("merged next = %d, want %d (only retained samples copied)", dst.next, latencySamplerSize)
-	}
-	// Chronological: oldest retained sample (101) first.
-	for i := 0; i < latencySamplerSize; i++ {
-		want := time.Duration(101+i) * time.Microsecond
-		if dst.ring[i] != want {
-			t.Fatalf("ring[%d] = %v, want %v", i, dst.ring[i], want)
+	one := obs.NewRegistry().Histogram("lat_seconds", "", nil)
+	one.Observe((7 * time.Millisecond).Seconds())
+	s = latencySnapshot(one)
+	for _, p := range []time.Duration{s.P50, s.P90, s.P99} {
+		if p <= 5*time.Millisecond || p > 10*time.Millisecond {
+			t.Errorf("single 7ms sample: quantiles %v/%v/%v, want in (5ms, 10ms]", s.P50, s.P90, s.P99)
 		}
 	}
-	// And the quantile view over the merged ring matches the oracle.
-	window := dst.ring[:latencySamplerSize]
-	got := dst.snapshot()
-	if want := refQuantile(window, 0.99); got.P99 != want {
-		t.Errorf("merged P99 = %v, want %v", got.P99, want)
-	}
-}
-
-// TestMergeUnwrappedAndAggregates merges two partial samplers and checks
-// count/sum/max aggregation plus ordering.
-func TestMergeUnwrappedAndAggregates(t *testing.T) {
-	var a, b, dst latencySampler
-	a.observe(1 * time.Millisecond)
-	a.observe(3 * time.Millisecond)
-	b.observe(2 * time.Millisecond)
-	dst.merge(&a)
-	dst.merge(&b)
-	if dst.count != 3 || dst.sum != 6*time.Millisecond || dst.max != 3*time.Millisecond {
-		t.Errorf("aggregates count=%d sum=%v max=%v", dst.count, dst.sum, dst.max)
-	}
-	want := []time.Duration{1 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond}
-	for i, w := range want {
-		if dst.ring[i] != w {
-			t.Errorf("ring[%d] = %v, want %v", i, dst.ring[i], w)
-		}
-	}
-	s := dst.snapshot()
-	if s.Mean != 2*time.Millisecond {
-		t.Errorf("mean = %v", s.Mean)
-	}
-}
-
-// TestMergeIntoPartiallyFilled covers the general case: the destination
-// already holds samples and the merge continues from its cursor.
-func TestMergeIntoPartiallyFilled(t *testing.T) {
-	var src latencySampler
-	for i := 1; i <= latencySamplerSize+10; i++ { // wrapped source
-		src.observe(time.Duration(i) * time.Microsecond)
-	}
-	var dst latencySampler
-	dst.observe(999 * time.Microsecond)
-	dst.merge(&src)
-	if dst.next != 1+latencySamplerSize {
-		t.Fatalf("dst.next = %d", dst.next)
-	}
-	// dst ring wrapped by 1: position 0 now holds the newest source sample.
-	if got := dst.ring[0]; got != time.Duration(latencySamplerSize+10)*time.Microsecond {
-		t.Errorf("ring[0] after wrap = %v", got)
-	}
-	// Position 1 holds the oldest retained source sample (11).
-	if got := dst.ring[1]; got != 11*time.Microsecond {
-		t.Errorf("ring[1] = %v, want 11µs", got)
+	if s.Max != 7*time.Millisecond || s.Mean != 7*time.Millisecond {
+		t.Errorf("single 7ms sample: max %v mean %v", s.Max, s.Mean)
 	}
 }

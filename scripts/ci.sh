@@ -16,6 +16,17 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "==> one instrument set (what obs.Histogram and EngineStats replaced stays deleted)"
+# The second latency instrument, its quantile estimator, /statsz's mirror
+# structs, the lock-taking gauge closure, the second exposition-line parser
+# and the offline Trainer were each deleted for one remaining implementation;
+# a name coming back means a duplicate came back with it.
+if grep -rn "latencySampler\|nearestRank\|jsonLatency\|jsonShadow\|shardSum\|validateLabelBlock\|NewTrainer" \
+    --include=*.go internal cmd cordial.go; then
+    echo "a deleted duplicate is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "==> go vet"
 go vet ./...
 
@@ -46,6 +57,11 @@ echo "==> go test -race (parallel-training equivalence focus)"
 # (TestRestoredQuietSessionThenFails) included.
 go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel' \
     ./internal/mltree/ ./internal/core/
+# The stats path's contract, by the same pattern: readers take no shard lock
+# and no snapshot lock, a /statsz costs the same at fleet size, and the atomic
+# totals they read equal a recount after every kind of writer.
+go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestShardTotalsMatchRecount|TestHistogramMaxCountSumConcurrent' \
+    ./internal/stream/ ./internal/obs/
 
 echo "==> go test -race"
 go test -race ./... "$@"
@@ -118,6 +134,19 @@ echo "==> fuzz smoke (model file loader, 5s)"
 # prediction. Seeded with files of all four kinds written before models
 # compiled to an arena, a forest with class-missing members among them.
 go test -run '^$' -fuzz 'FuzzLoadModel' -fuzztime 5s ./internal/mltree/
+
+echo "==> fuzz smoke (exposition text scraper, 5s)"
+# ParseText reads a peer's /metrics (the chaos harness asserts SLOs on it):
+# arbitrary bytes must never panic, the parser and ValidateLine must agree on
+# every line, and an accepted payload's samples must survive re-rendering.
+go test -run '^$' -fuzz 'FuzzParseText' -fuzztime 5s ./internal/obs/
+
+echo "==> fuzz smoke (engine snapshot / handoff payload decoder, 5s)"
+# decodeSnapshotSessions reads snapshot files a crash may have left and the
+# session bundle a peer hands over: arbitrary bytes must never panic, and an
+# accepted payload must re-encode to one that decodes to the same images.
+# Seeded with the TestEngineSnapshotGolden image and its version-1 layout.
+go test -run '^$' -fuzz 'FuzzDecodeSnapshotSessions' -fuzztime 5s ./internal/stream/
 
 echo "==> bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./...
