@@ -38,6 +38,8 @@ const (
 	sessionMagic   = "CSES"
 	sessionVersion = 2
 	sessionWhat    = "core: session state"
+	// sessionHeaderSize is the magic, the version, the flags and the class.
+	sessionHeaderSize = 7
 
 	sessFlagClassified = 1 << 0
 	sessFlagHasState   = 1 << 1
@@ -77,22 +79,46 @@ func (s *cordialSession) EncodeState() ([]byte, error) {
 	return append(c.B, blob...), c.Err
 }
 
+// sessionImageHeader checks an image's magic and version and returns the
+// version, the flags and the class byte; the body starts at sessionHeaderSize.
+func sessionImageHeader(data []byte) (ver, flags, class byte, err error) {
+	if len(data) < sessionHeaderSize {
+		return 0, 0, 0, fmt.Errorf("%s too short (%d bytes)", sessionWhat, len(data))
+	}
+	if string(data[:4]) != sessionMagic {
+		return 0, 0, 0, fmt.Errorf("%s: bad magic", sessionWhat)
+	}
+	if v := data[4]; v != 1 && v != sessionVersion {
+		return 0, 0, 0, fmt.Errorf("%s: unsupported version %d", sessionWhat, v)
+	}
+	return data[4], data[5], data[6], nil
+}
+
+// QuietImageLog decodes a quiet session's image into its observation log
+// without building the session. Any other image reports quiet false — one
+// with a bad header too, which RestoreSession then refuses with the reason.
+func (s *CordialStrategy) QuietImageLog(image []byte, buf []features.Obs) ([]features.Obs, bool, error) {
+	ver, flags, _, err := sessionImageHeader(image)
+	if err != nil || flags != sessFlagQuiet || ver == 1 {
+		return nil, false, nil
+	}
+	log := buf[:0]
+	c := &bincodec.Cursor{B: image, Off: sessionHeaderSize, Decode: true, What: sessionWhat}
+	features.CodeObs(c, &log, maxPending)
+	return log, true, c.Done()
+}
+
 // RestoreSession rebuilds a cordialSession from an EncodeState image,
 // verifying that an embedded feature state was produced under this
 // pipeline's pattern and block configuration. A quiet session comes back
 // quiet.
 func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Session, error) {
-	if len(data) < len(sessionMagic)+3 {
-		return nil, fmt.Errorf("%s too short (%d bytes)", sessionWhat, len(data))
+	ver, flags, class, err := sessionImageHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:4]) != sessionMagic {
-		return nil, fmt.Errorf("%s: bad magic", sessionWhat)
-	}
-	if v := data[4]; v != 1 && v != sessionVersion {
-		return nil, fmt.Errorf("%s: unsupported version %d", sessionWhat, v)
-	}
-	flags, rest := data[5], data[7:]
-	sess := &cordialSession{strategy: s, classified: flags&sessFlagClassified != 0, class: data[6]}
+	rest := data[sessionHeaderSize:]
+	sess := &cordialSession{strategy: s, classified: flags&sessFlagClassified != 0, class: class}
 	switch flags &^ sessFlagClassified {
 	case 0:
 		if len(rest) != 0 {
@@ -100,10 +126,10 @@ func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Ses
 		}
 		sess.released = true
 	case sessFlagQuiet:
-		if data[4] == 1 || sess.classified {
-			return nil, fmt.Errorf("%s: quiet session in a version-%d image, classified=%t", sessionWhat, data[4], sess.classified)
+		if ver == 1 || sess.classified {
+			return nil, fmt.Errorf("%s: quiet session in a version-%d image, classified=%t", sessionWhat, ver, sess.classified)
 		}
-		c := &bincodec.Cursor{B: data, Off: 7, Decode: true, What: sessionWhat}
+		c := &bincodec.Cursor{B: data, Off: sessionHeaderSize, Decode: true, What: sessionWhat}
 		features.CodeObs(c, &sess.pending, maxPending)
 		if err := c.Done(); err != nil {
 			return nil, err

@@ -576,6 +576,34 @@ const (
 	pendingStart = 8
 )
 
+// QuietLogMax is the longest observation log a session that is still quiet
+// after an event holds: the next observation promotes it.
+const QuietLogMax = maxPending - 1
+
+// QuietStrategy is optionally implemented by strategies whose sessions are,
+// until their bank's first UER, nothing but the log of what they observed. A
+// caller holding very many such banks (the stream engine) keeps the logs in
+// memory of its own and asks for a session only when a bank needs one.
+type QuietStrategy interface {
+	Strategy
+	// ResumeSession returns the session NewSession followed by OnEvent over
+	// the events behind log — none of them a UER, oldest first — would be. The
+	// session keeps log.
+	ResumeSession(bank hbm.BankAddress, log []features.Obs) Session
+	// QuietImageLog reads the EncodeState image of a session: quiet reports
+	// that it is a quiet one's, and log is then its observations, decoded into
+	// buf when buf's capacity holds them.
+	QuietImageLog(image []byte, buf []features.Obs) (log []features.Obs, quiet bool, err error)
+}
+
+// QuietSession is implemented by the sessions of a QuietStrategy.
+type QuietSession interface {
+	Session
+	// QuietLog returns the session's observation log; quiet is false once the
+	// session has built (or released) its feature state.
+	QuietLog() (log []features.Obs, quiet bool)
+}
+
 type cordialSession struct {
 	strategy *CordialStrategy
 	// state accumulates the bank's features incrementally, an O(1) update
@@ -596,7 +624,23 @@ type cordialSession struct {
 var (
 	_ ClassifiedSession   = (*cordialSession)(nil)
 	_ InstrumentedSession = (*cordialSession)(nil)
+	_ QuietSession        = (*cordialSession)(nil)
+	_ QuietStrategy       = (*CordialStrategy)(nil)
 )
+
+// ResumeSession returns a quiet session whose log so far is log.
+func (s *CordialStrategy) ResumeSession(bank hbm.BankAddress, log []features.Obs) Session {
+	sess := &cordialSession{strategy: s, pending: log}
+	if len(log) >= maxPending {
+		sess.promote()
+	}
+	return sess
+}
+
+// QuietLog returns the observations a quiet session defers its state behind.
+func (s *cordialSession) QuietLog() ([]features.Obs, bool) {
+	return s.pending, s.state == nil && !s.released
+}
 
 // Class returns the pattern class assigned at the UER budget; ok is false
 // before classification.

@@ -97,12 +97,17 @@ func span(c *bincodec.Cursor, p *time.Duration) {
 // a history cannot hold or a BankState could not take over: a UER or an
 // unknown class, a row beyond 31 bits, an unset timestamp. Timestamps may
 // run backwards — the engine folds late events as they arrive, and the log
-// must stay encodable whenever the state it stands for would be.
+// must stay encodable whenever the state it stands for would be. Reading fills
+// *obs in place when its capacity holds the log (a caller decoding many logs
+// passes one buffer) and allocates otherwise.
 func CodeObs(c *bincodec.Cursor, obs *[]Obs, max int) {
 	n := len(*obs)
 	c.Count(&n, max, 19)
 	if c.Decode {
-		*obs = make([]Obs, n)
+		if cap(*obs) < n {
+			*obs = make([]Obs, n)
+		}
+		*obs = (*obs)[:n]
 	}
 	for i := range *obs {
 		o := &(*obs)[i]

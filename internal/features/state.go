@@ -141,6 +141,9 @@ func ObsOf(e mcelog.Event) Obs {
 	return Obs{t: e.Time.UnixNano(), row: int32(e.Addr.Row), bits: uint16(e.Bits), class: uint8(class)}
 }
 
+// UnixNano is the observed event's timestamp.
+func (o Obs) UnixNano() int64 { return o.t }
+
 // Observe folds one event into the state. Events must arrive in
 // nondecreasing time order (the same contract the batch extractors place
 // on their input slice); the equivalence guarantee holds only then.

@@ -10,6 +10,7 @@ import (
 
 	"cordial/internal/bincodec"
 	"cordial/internal/core"
+	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/wal"
 )
@@ -130,38 +131,44 @@ func (e *Engine) encodeSnapshot(filter func(bankKey uint64) bool) (payload []byt
 		blob []byte
 	}
 	var images []sessImage
+	var log []features.Obs // reused: a stored bank's chain, collected to encode it
 	floor = ^uint64(0)
 	for _, s := range e.shards {
 		s.mu.Lock()
 		if s.appliedLSN < floor {
 			floor = s.appliedLSN
 		}
-		for key, bs := range s.sessions {
-			if filter != nil && !filter(key) {
-				continue
+		s.store.each(func(sl *slot) {
+			if err != nil || filter != nil && !filter(sl.key) {
+				return
 			}
-			ds, ok := bs.sess.(core.DurableSession)
+			im := sessionImage{key: sl.key, bankSession: s.view(sl)}
+			sess := im.sess
+			if sl.form == slotStored {
+				// A stored bank encodes as the quiet session it stands for.
+				log = s.store.log(sl, log)
+				sess = s.totals.version(sl.ver).quiet.ResumeSession(hbm.Unpack(sl.key), log)
+			}
+			ds, ok := sess.(core.DurableSession)
 			if !ok {
-				s.mu.Unlock()
-				return nil, 0, fmt.Errorf("stream: session %T is not durable", bs.sess)
+				err = fmt.Errorf("stream: session %T is not durable", sess)
+				return
 			}
-			blob, serr := ds.EncodeState()
-			if serr != nil {
-				s.mu.Unlock()
-				return nil, 0, serr
+			if im.blob, err = ds.EncodeState(); err != nil {
+				return
 			}
-			im := sessionImage{key: key, bankSession: *bs, blob: blob}
 			// 140 bytes of fixed-size fields, 8 per listed row, the blob.
-			size := 140 + 8*(len(bs.uerRows)+len(bs.spared)) + len(blob)
+			size := 140 + 8*(len(im.uerRows)+len(im.spared)) + len(im.blob)
 			se := &bincodec.Cursor{B: make([]byte, 0, size), What: snapWhat}
 			im.code(se, engineSnapVersion)
-			if se.Err != nil {
-				s.mu.Unlock()
-				return nil, 0, se.Err
+			if err = se.Err; err == nil {
+				images = append(images, sessImage{key: sl.key, blob: se.B})
 			}
-			images = append(images, sessImage{key: key, blob: se.B})
-		}
+		})
 		s.mu.Unlock()
+		if err != nil {
+			return nil, 0, err
+		}
 	}
 	if floor == ^uint64(0) {
 		floor = 0
@@ -266,10 +273,14 @@ func decodeSnapshotSessions(payload []byte) (hdr snapshotHeader, images []sessio
 	d := &bincodec.Cursor{B: payload, Off: 5, Decode: true, What: snapWhat}
 	var n int
 	hdr.code(d, ver, &n)
+	// One allocation for all the images: a record is its 8-byte length and at
+	// least 132 bytes of fixed-size fields, which bounds what a count can claim.
+	images = make([]sessionImage, 0, min(n, (len(payload)-d.Off)/140))
+	sd := &bincodec.Cursor{Decode: true, What: snapWhat}
 	for i := 0; i < n && d.Err == nil; i++ {
 		var body []byte
 		d.Bytes(&body)
-		sd := &bincodec.Cursor{B: body, Decode: true, What: snapWhat}
+		sd.B, sd.Off = body, 0
 		var im sessionImage
 		im.code(sd, ver)
 		if err := sd.Done(); err != nil {
@@ -280,9 +291,9 @@ func decodeSnapshotSessions(payload []byte) (hdr snapshotHeader, images []sessio
 	return hdr, images, d.Err
 }
 
-// buildSession reconstructs a live bankSession from a decoded image,
-// including its strategy session and feature-state footprint.
-func buildSession(ds core.DurableStrategy, im sessionImage) (*bankSession, error) {
+// buildSession reconstructs a bankSession from a decoded image, including
+// its strategy session and feature-state footprint.
+func buildSession(ds core.DurableStrategy, im *sessionImage) (*bankSession, error) {
 	bank := hbm.Unpack(im.key)
 	sess, err := ds.RestoreSession(bank, im.blob)
 	if err != nil {
@@ -294,22 +305,69 @@ func buildSession(ds core.DurableStrategy, im sessionImage) (*bankSession, error
 	return &bs, nil
 }
 
-// installSession adds a rebuilt session to its shard. Callers must hold s.mu
-// (or be on the pre-consumer boot path, where no one else can touch the
-// shard).
-func (s *shard) installSession(key uint64, bs *bankSession) {
-	s.addSession(key, bs)
-	if bs.lastLSN > s.appliedLSN {
-		s.appliedLSN = bs.lastLSN
+// imageLoader reads decoded session images for a restore or an import,
+// resolving each pinned model version once — not once per bank.
+type imageLoader struct {
+	e        *Engine
+	resolved map[uint64]core.DurableStrategy
+	buf      []features.Obs // the last quiet image's log
+}
+
+// strategy resolves the version an image pins. A version the model source
+// cannot resolve is a hard error — serving a bank under the wrong model would
+// silently diverge from the source's verdict stream, which is worse than
+// refusing the payload. (Version 0 — an image from before versioning — binds
+// the boot model, and a static source resolves any version to its one strategy.)
+func (l *imageLoader) strategy(version uint64) (core.DurableStrategy, error) {
+	if ds, ok := l.resolved[version]; ok {
+		return ds, nil
+	}
+	ds, err := l.e.resolveDurable(version)
+	if err != nil {
+		return nil, err
+	}
+	if l.resolved == nil {
+		l.resolved = make(map[uint64]core.DurableStrategy)
+	}
+	l.resolved[version] = ds
+	return ds, nil
+}
+
+// quietLog decodes the log of an image that a store slot can hold whole — a
+// quiet session's, with the bookkeeping of a bank that has done nothing but
+// log those observations — straight from the image, building no session. The
+// log is valid until the next call.
+func (l *imageLoader) quietLog(ds core.DurableStrategy, im *sessionImage) (log []features.Obs, ok bool, err error) {
+	qs, isQuiet := ds.(core.QuietStrategy)
+	if !isQuiet {
+		return nil, false, nil
+	}
+	log, quiet, err := qs.QuietImageLog(im.blob, l.buf)
+	if err != nil {
+		return nil, false, fmt.Errorf("stream: restoring session for bank %s: %w", hbm.Unpack(im.key).String(), err)
+	}
+	if !quiet {
+		return nil, false, nil
+	}
+	l.buf = log
+	return log, storable(&im.bankSession, log), nil
+}
+
+// reserve presizes each shard's store for counts[i] more banks. Callers hold
+// no shard lock.
+func (e *Engine) reserve(counts []int) {
+	for i, s := range e.shards {
+		s.mu.Lock()
+		s.store.reserve(counts[i])
+		s.mu.Unlock()
 	}
 }
 
-// restoreSnapshot rebuilds every session from an engine snapshot payload,
-// re-seeding the model epoch table from the header and rebinding each
-// session to its pinned version. A version the model source cannot resolve
-// is a hard error — serving a bank under the wrong model would silently
-// diverge from the pre-crash verdict stream, which is worse than refusing
-// to boot. Called during New, before the consumers start.
+// restoreSnapshot rebuilds every bank from an engine snapshot payload,
+// re-seeding the model epoch table from the header and rebinding each bank to
+// its pinned version; an unresolvable version fails the boot loudly. A quiet
+// bank goes straight into its shard's store — no session, no allocation of its
+// own. Called during New, before the consumers start.
 func (e *Engine) restoreSnapshot(payload []byte) error {
 	hdr, images, err := decodeSnapshotSessions(payload)
 	if err != nil {
@@ -322,16 +380,33 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 		}
 		e.seedEpochs(modelEpoch{version: hdr.activeVersion, sinceLSN: hdr.activeSince, strategy: strat})
 	}
-	for _, im := range images {
-		ds, derr := e.resolveDurable(im.version)
-		if derr != nil {
-			return derr
+	counts := make([]int, len(e.shards))
+	for i := range images {
+		counts[e.shardIndex(images[i].key)]++
+	}
+	e.reserve(counts)
+	load := imageLoader{e: e}
+	for i := range images {
+		im := &images[i]
+		ds, err := load.strategy(im.version)
+		if err != nil {
+			return err
 		}
-		bs, berr := buildSession(ds, im)
-		if berr != nil {
-			return berr
+		s := e.shardFor(im.key)
+		ver := s.totals.versionIndex(im.version, ds)
+		log, quiet, err := load.quietLog(ds, im)
+		if err != nil {
+			return err
 		}
-		e.shardFor(im.key).installSession(im.key, bs)
+		if quiet {
+			s.addStored(im.key, ver, im.lastLSN, im.firstEvent, log)
+		} else {
+			bs, err := buildSession(ds, im)
+			if err != nil {
+				return err
+			}
+			s.addHeap(im.key, ver, bs)
+		}
 		e.recoveredSessions++
 	}
 	return nil
@@ -433,9 +508,7 @@ func (e *Engine) recoverDurable() error {
 // when a snapshot payload fails mid-restore before falling back).
 func (e *Engine) resetSessions() {
 	for _, s := range e.shards {
-		for key, bs := range s.sessions {
-			s.dropSession(key, bs)
-		}
+		s.store.each(s.drop)
 		s.appliedLSN = 0
 	}
 	e.recoveredSessions = 0

@@ -8,12 +8,14 @@
 // typed mitigation Actions (row-spare / bank-spare) on a bounded output
 // channel.
 //
-// Concurrency model: each shard owns its bank-session map and is mutated
-// only by its single consumer goroutine; a per-shard mutex makes the map
-// readable for inspection (GET /v1/banks/{addr}) without stopping the
-// world. Ingest is wait-free apart from the queue send; per-bank event
-// order is preserved because one bank always hashes to the same shard and
-// shard queues are FIFO.
+// Concurrency model: each shard owns its banks — a bankStore (store.go) that
+// holds a CE-only bank as a slot and a chain of observations and a bank that
+// has logged a UER as a session — and is mutated only by the holder of the
+// shard's mutex, on the live path its single consumer goroutine; the mutex
+// makes the store readable for inspection (GET /v1/banks/{addr}) without
+// stopping the world. Ingest is wait-free apart from the queue send; per-bank
+// event order is preserved because one bank always hashes to the same shard
+// and shard queues are FIFO.
 //
 // Per-event inference cost: a UER on an aggregation bank triggers one
 // window prediction, which the pipeline issues as one BlockVectorsInto fill
@@ -36,6 +38,7 @@ import (
 	"cordial/internal/core"
 	"cordial/internal/ecc"
 	"cordial/internal/faultsim"
+	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/obs"
@@ -266,10 +269,10 @@ type shard struct {
 	// taken on the durable ingest path.
 	ingestMu sync.Mutex
 
-	mu       sync.Mutex // guards sessions for cross-goroutine inspection
-	sessions map[uint64]*bankSession
+	mu    sync.Mutex // guards store for cross-goroutine inspection
+	store bankStore
 	// appliedLSN is the highest journal position folded into this shard's
-	// sessions; the minimum across shards bounds WAL retention.
+	// banks; the minimum across shards bounds WAL retention.
 	appliedLSN uint64
 	totals     shardTotals
 	// acts is the consumer's reusable buffer for one event's actions: apply
@@ -290,27 +293,37 @@ const (
 	numTotals
 )
 
-// shardTotals are the running totals over one shard's sessions. Only the
-// holder of the shard's mu writes them — so writes never race each other and
-// the totals always equal a recount of the map — but they are atomics so that
+// shardTotals are the running totals over one shard's banks. Only the holder
+// of the shard's mu writes them — so writes never race each other and the
+// totals always equal a recount of the store — but they are atomics so that
 // Stats, the gauges, readiness and /statsz read them without the lock: each
 // value is consistent on its own, and no two are read at one instant (what
 // the counters beside them already promise).
 type shardTotals struct {
 	n [numTotals]atomic.Int64
-	// byVersion counts sessions per pinned model version. A shard meets a new
-	// version once per model swap, so the table is copy-on-write: readers
-	// load it and read the counts, the writer replaces it to grow it.
+	// byVersion is the shard's version table: one entry per model version a
+	// bank of the shard is or was pinned to, in order of first sight, never
+	// reordered — a store slot names its version by index. A shard meets a new
+	// version once per model swap, so the table is copy-on-write: readers load
+	// it and read the counts, the writer replaces it to grow it.
 	byVersion atomic.Pointer[[]*versionCount]
 }
 
-// versionCount is the number of a shard's sessions pinned to one version.
+// versionCount is one model version in a shard: how many of the shard's banks
+// are pinned to it, and the strategy that serves it — held here so that a
+// stored bank's promotion never has to resolve a model. (A version names one
+// strategy for the engine's life: strategyFor resolves by version alone.)
+// Readers without the shard's mu read version and n only.
 type versionCount struct {
-	version uint64
-	n       atomic.Int64
+	version  uint64
+	n        atomic.Int64
+	strategy core.Strategy
+	// quiet is strategy as a core.QuietStrategy, nil when it is none: banks
+	// pinned to such a version take the heap form from birth.
+	quiet core.QuietStrategy
 }
 
-// contribution is what one session adds to each total.
+// contribution is what one bank adds to each total.
 type contribution [numTotals]int64
 
 func (bs *bankSession) contribution() contribution {
@@ -327,8 +340,8 @@ func (bs *bankSession) contribution() contribution {
 	return c
 }
 
-// move applies the net change of one session's contribution, touching only
-// the totals that changed. Callers hold the shard's mu.
+// move applies the net change of one bank's contribution, touching only the
+// totals that changed. Callers hold the shard's mu.
 func (t *shardTotals) move(from, to contribution) {
 	for i := range t.n {
 		if d := to[i] - from[i]; d != 0 {
@@ -337,46 +350,132 @@ func (t *shardTotals) move(from, to contribution) {
 	}
 }
 
-// pin adds (sign +1) or removes (sign -1) one session pinned to version.
-// Callers hold the shard's mu.
-func (t *shardTotals) pin(version uint64, sign int64) {
-	var table []*versionCount
+// versions returns the version table.
+func (t *shardTotals) versions() []*versionCount {
 	if p := t.byVersion.Load(); p != nil {
-		table = *p
+		return *p
 	}
-	for _, vc := range table {
+	return nil
+}
+
+// version returns the table entry at index ver.
+func (t *shardTotals) version(ver uint32) *versionCount { return t.versions()[ver] }
+
+// versionIndex returns the table index of version, adding it — served by
+// strat — on first sight. Callers hold the shard's mu.
+func (t *shardTotals) versionIndex(version uint64, strat core.Strategy) uint32 {
+	table := t.versions()
+	for i, vc := range table {
 		if vc.version == version {
-			vc.n.Add(sign)
+			return uint32(i)
+		}
+	}
+	vc := &versionCount{version: version, strategy: strat}
+	vc.quiet, _ = strat.(core.QuietStrategy)
+	grown := append(table[:len(table):len(table)], vc)
+	t.byVersion.Store(&grown)
+	return uint32(len(table))
+}
+
+// view returns the bookkeeping of the bank in sl: the heap session's own, or
+// what a stored bank's slot and chain amount to (sess is then nil). A stored
+// bank and a session that has folded the same events show the same bookkeeping
+// apart from stateBytes, which for a stored bank is the bytes of its nodes.
+func (s *shard) view(sl *slot) bankSession {
+	if sl.form == slotHeap {
+		return *s.store.session(sl)
+	}
+	last := int64(bincodec.UnsetTime)
+	if sl.ref != 0 {
+		last = s.store.nodes.at(sl.ref).obs.UnixNano()
+	}
+	return bankSession{
+		lastLSN:       sl.lastLSN,
+		version:       s.totals.version(sl.ver).version,
+		firstEvent:    sl.first,
+		lastEvent:     last,
+		events:        int64(sl.count),
+		stateBytes:    int32(sl.count) * int32(nodeBytes),
+		stateDeferred: true,
+	}
+}
+
+// storable reports whether a quiet session's bookkeeping is exactly the view
+// of a store slot holding log — whether the stored form would lose nothing.
+func storable(bs *bankSession, log []features.Obs) bool {
+	last := int64(bincodec.UnsetTime)
+	if n := len(log); n > 0 {
+		last = log[n-1].UnixNano()
+	}
+	return len(log) <= quietCap && bs.events == int64(len(log)) && bs.lastEvent == last &&
+		bs.shadow == nil && !bs.degraded && !bs.classified && bs.class == 0 && !bs.bankSpared &&
+		bs.uerEvents == 0 && bs.rowsIsolated == 0 && bs.actions == 0 && len(bs.uerRows) == 0 && len(bs.spared) == 0
+}
+
+// quietCap is the most observations a stored bank holds; the next event
+// promotes it. At core.QuietLogMax every quiet session image fits a slot and
+// the session a promotion resumes builds its feature state on that very event.
+const quietCap = core.QuietLogMax
+
+// addStored puts a quiet bank into the store in the stored form, pinned to the
+// version at table index ver, and addHeap one in the heap form; drop takes a
+// bank of either form out again. Each keeps the totals in step. Callers hold
+// mu (or are on the pre-consumer boot path).
+func (s *shard) addStored(key uint64, ver uint32, lastLSN uint64, first int64, log []features.Obs) *slot {
+	sl := s.store.insert(key)
+	sl.form, sl.ver, sl.lastLSN, sl.first = slotStored, ver, lastLSN, first
+	for _, o := range log {
+		s.store.appendObs(sl, o)
+	}
+	s.added(sl, lastLSN)
+	return sl
+}
+
+func (s *shard) addHeap(key uint64, ver uint32, bs *bankSession) *slot {
+	sl := s.store.insert(key)
+	sl.ver = ver
+	s.store.setHeap(sl, bs)
+	s.added(sl, bs.lastLSN)
+	return sl
+}
+
+func (s *shard) added(sl *slot, lastLSN uint64) {
+	s.totals.version(sl.ver).n.Add(1)
+	v := s.view(sl)
+	s.totals.move(contribution{}, v.contribution())
+	if lastLSN > s.appliedLSN {
+		s.appliedLSN = lastLSN
+	}
+}
+
+func (s *shard) drop(sl *slot) {
+	s.totals.version(sl.ver).n.Add(-1)
+	v := s.view(sl)
+	s.totals.move(v.contribution(), contribution{})
+	s.store.remove(sl)
+}
+
+// install puts a detached session (rebuilt from an image, or born in a handoff
+// suffix) into the shard: in the stored form when it is still a quiet session
+// whose bookkeeping a slot holds, in the heap form otherwise. strat is the
+// strategy serving the session's version.
+func (s *shard) install(key uint64, bs *bankSession, strat core.Strategy) {
+	ver := s.totals.versionIndex(bs.version, strat)
+	if qs, ok := bs.sess.(core.QuietSession); ok && s.totals.version(ver).quiet != nil {
+		if log, quiet := qs.QuietLog(); quiet && storable(bs, log) {
+			s.addStored(key, ver, bs.lastLSN, bs.firstEvent, log)
 			return
 		}
 	}
-	vc := &versionCount{version: version}
-	vc.n.Store(sign)
-	grown := append(table[:len(table):len(table)], vc)
-	t.byVersion.Store(&grown)
-}
-
-// addSession puts a session into the shard's map and totals; dropSession
-// takes it out again. Callers hold mu (or are on the pre-consumer boot path).
-func (s *shard) addSession(key uint64, bs *bankSession) {
-	s.sessions[key] = bs
-	s.totals.pin(bs.version, +1)
-	s.totals.move(contribution{}, bs.contribution())
-}
-
-func (s *shard) dropSession(key uint64, bs *bankSession) {
-	delete(s.sessions, key)
-	s.totals.pin(bs.version, -1)
-	s.totals.move(bs.contribution(), contribution{})
+	s.addHeap(key, ver, bs)
 }
 
 // bankSession couples a strategy session with the bookkeeping the engine
-// layers on top. Mutated only under the owning shard's mutex. A fleet holds
-// one per bank that ever logged an error, nearly all of them quiet CE-only
-// banks, so it carries compact counters (SessionStats is built from them on
-// demand by stats) and its row sets own no memory until a UER or a sparing
-// decision writes them. The bank's address is not stored: it is the session
-// map's key, unpacked where needed.
+// layers on top: the heap form of a bank, which a bank takes at its first UER
+// (see bankStore). Mutated only under the owning shard's mutex. It carries
+// compact counters (SessionStats is built from them on demand by stats) and
+// its row sets own no memory until a UER or a sparing decision writes them.
+// The bank's address is not stored: it is the slot's key, unpacked where needed.
 type bankSession struct {
 	sess core.Session
 	// shadow is the candidate-model twin while a shadow evaluation that
@@ -464,10 +563,7 @@ func New(cfg Config) (*Engine, error) {
 		actions: make(chan Action, cfg.ActionBuffer),
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{
-			in:       newEventRing(cfg.QueueDepth),
-			sessions: make(map[uint64]*bankSession),
-		}
+		e.shards[i] = &shard{in: newEventRing(cfg.QueueDepth)}
 	}
 	e.batchPool.New = func() any { return e.newBatchScratch() }
 	e.lastAppendErr.Store("")
@@ -560,48 +656,140 @@ func (e *Engine) process(s *shard, q queued) {
 	}
 }
 
-// apply folds one event into its bank session under the shard lock and
-// returns the actions to emit. A panic anywhere in the strategy session is
-// caught: the event is returned as a dead-letter entry, the session is
-// marked degraded (it stops feeding its strategy session, whose state may
-// be mid-mutation), and the shard keeps consuming — one poisoned event
-// must never take the daemon down.
+// apply folds one event into its bank under the shard lock and returns the
+// actions to emit. A non-UER event of a stored bank is one append to the
+// bank's chain: no strategy is called, so nothing can panic. Every other event
+// goes through the bank's session (fold), first promoting a stored bank.
 func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
-	ev := q.ev
-	key := ev.Addr.BankKey()
+	key := q.ev.Addr.BankKey()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bs, ok := s.sessions[key]
-	if !ok {
-		bank := hbm.BankOf(ev.Addr)
-		// The swap point: a session binds the model epoch in force when it
-		// is born and stays pinned to it for life. Live events (and the
-		// non-durable path, lsn 0) bind the current active epoch; replayed
-		// events bind the epoch at their journal position, so recovery
-		// recreates each session under the same version it was born under.
-		ep := e.activeEpoch()
-		if q.lsn != 0 {
-			ep = e.epochFor(q.lsn)
-		}
-		bs = newBankSession(bank, ep, ev)
-		// A bank whose history starts while a shadow evaluation is running
-		// gets a candidate twin that will see the same full history.
-		if se := e.loadShadow(); se != nil {
-			bs.shadow = se.newShadowSession(bank)
-		}
-		s.addSession(key, bs)
+	sl := s.store.find(key)
+	if sl == nil {
+		sl = e.newBank(s, key, &q)
 	}
+	if sl.form == slotHeap {
+		bs := s.store.session(sl)
+		if !s.admit(&bs.lastLSN, q.lsn) {
+			return nil, nil
+		}
+		return e.fold(s, bs, &q)
+	}
+	if !s.admit(&sl.lastLSN, q.lsn) {
+		return nil, nil
+	}
+	if q.ev.Class != ecc.ClassUER && sl.count < quietCap {
+		t0 := time.Now()
+		s.store.appendObs(sl, features.ObsOf(q.ev))
+		s.totals.n[totalStateBytes].Add(int64(nodeBytes))
+		e.metrics.processDur.ObserveSince(t0)
+		return nil, nil
+	}
+	bs, dead := s.promote(sl, &q)
+	if dead != nil {
+		return nil, dead
+	}
+	return e.fold(s, bs, &q)
+}
+
+// admit applies the replay watermark to a journaled event (lsn != 0): a record
+// at or below the bank's watermark is already in the snapshot the bank was
+// restored from and is refused; otherwise the watermark advances — before the
+// event is folded, so a poisoned event is never replayed into its bank again
+// after a restart. The watermark is tracked per bank (not per shard) so
+// recovery stays correct even if the shard count changes across restarts.
+func (s *shard) admit(last *uint64, lsn uint64) bool {
+	if lsn == 0 {
+		return true
+	}
+	if lsn <= *last {
+		return false
+	}
+	*last = lsn
+	if lsn > s.appliedLSN {
+		s.appliedLSN = lsn
+	}
+	return true
+}
+
+// newBank starts the bank whose first event is q's. This is the swap point: a
+// bank binds the model epoch in force when it is born and stays pinned to it
+// for life. Live events (and the non-durable path, lsn 0) bind the current
+// active epoch; replayed events bind the epoch at their journal position, so
+// recovery recreates each bank under the same version it was born under. The
+// bank is born stored when its strategy can resume a session from a log;
+// otherwise, and while a shadow evaluation is running — the candidate twin
+// must see the same full history — it is born with its session.
+func (e *Engine) newBank(s *shard, key uint64, q *queued) *slot {
+	ep := e.activeEpoch()
 	if q.lsn != 0 {
-		if q.lsn <= bs.lastLSN {
-			return nil, nil // replay of a record already in the snapshot
-		}
-		// Recorded before OnEvent so a poisoned event is never replayed
-		// into its session again after a restart.
-		bs.lastLSN = q.lsn
-		if q.lsn > s.appliedLSN {
-			s.appliedLSN = q.lsn
-		}
+		ep = e.epochFor(q.lsn)
 	}
+	ver := s.totals.versionIndex(ep.version, ep.strategy)
+	se := e.loadShadow()
+	if se == nil && s.totals.version(ver).quiet != nil {
+		return s.addStored(key, ver, 0, q.ev.Time.UnixNano(), nil)
+	}
+	bank := hbm.BankOf(q.ev.Addr)
+	bs := newBankSession(bank, ep, q.ev)
+	if se != nil {
+		bs.shadow = se.newShadowSession(bank)
+	}
+	return s.addHeap(key, ver, bs)
+}
+
+// promote moves a stored bank to the heap form ahead of the event q, which its
+// slot cannot take (a UER, or one observation more than the cap): the chain,
+// oldest first, becomes the log of a resumed strategy session, and its nodes
+// go back to the free list. A strategy that panics resuming gets the quarantine
+// contract of one that panics folding: the event is returned as a dead letter
+// and the bank, with a fresh session in place of the one that could not be
+// resumed, is degraded.
+func (s *shard) promote(sl *slot, q *queued) (bs *bankSession, dead *DeadLetter) {
+	v := s.view(sl)
+	before := v.contribution()
+	v.stateBytes, v.stateDeferred = 0, false // measureState's to say
+	bs = &v
+	log := s.store.log(sl, nil) // the session keeps it
+	s.store.freeLog(sl)
+	s.store.setHeap(sl, bs)
+	vc := s.totals.version(sl.ver)
+	bank := hbm.BankOf(q.ev.Addr)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				bs.sess, bs.degraded = vc.strategy.NewSession(bank), true
+				dead = newDeadLetter(q, r)
+			}
+		}()
+		bs.sess = vc.quiet.ResumeSession(bank, log)
+	}()
+	bs.measureState()
+	s.totals.move(before, bs.contribution())
+	return bs, dead
+}
+
+// newDeadLetter is the dead-letter entry of an event whose processing
+// panicked with r.
+func newDeadLetter(q *queued, r any) *DeadLetter {
+	return &DeadLetter{
+		Time:   q.ev.Time,
+		Bank:   hbm.BankOf(q.ev.Addr).String(),
+		Addr:   q.ev.Addr.Pack(),
+		Row:    q.ev.Addr.Row,
+		Class:  q.ev.Class.String(),
+		LSN:    q.lsn,
+		Reason: fmt.Sprint(r),
+	}
+}
+
+// fold runs one admitted event through a bank's session, under the shard
+// lock. A panic anywhere in the strategy session is caught: the event is
+// returned as a dead-letter entry, the session is marked degraded (it stops
+// feeding its strategy session, whose state may be mid-mutation), and the
+// shard keeps consuming — one poisoned event must never take the daemon down.
+func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead *DeadLetter) {
+	ev := &q.ev
 	if bs.degraded {
 		// The strategy session is quarantined; keep the observational
 		// bookkeeping so /statsz still reflects the bank's traffic.
@@ -611,23 +799,14 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 	}
 	// The shard totals take the fold's net change to the session. Deferred
 	// calls run last-in first-out: the recover, then the totals (which
-	// therefore count a session the recover degraded), then the unlock — so
-	// the shard lock is always released exactly once, panic or not.
+	// therefore count a session the recover degraded), then apply's unlock.
 	before := bs.contribution()
 	defer func() { s.totals.move(before, bs.contribution()) }()
 	defer func() {
 		if r := recover(); r != nil {
 			bs.degraded = true
 			out = nil
-			dead = &DeadLetter{
-				Time:   ev.Time,
-				Bank:   hbm.BankOf(ev.Addr).String(),
-				Addr:   ev.Addr.Pack(),
-				Row:    ev.Addr.Row,
-				Class:  ev.Class.String(),
-				LSN:    q.lsn,
-				Reason: fmt.Sprint(r),
-			}
+			dead = newDeadLetter(q, r)
 		}
 	}()
 	prevClassified := bs.classified
@@ -637,7 +816,7 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
 		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
-	out = foldEvent(bs, ev, e.metrics.processDur, s.acts[:0])
+	out = foldEvent(bs, *ev, e.metrics.processDur, s.acts[:0])
 	s.acts = out
 	if !prevClassified && bs.classified {
 		e.classifications.Add(1)
@@ -654,7 +833,7 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 					primFresh += len(a.Rows)
 				}
 			}
-			se.foldShadow(bs.shadow, ev, primCoveredUER, primSpareBank, primFresh)
+			se.foldShadow(bs.shadow, *ev, primCoveredUER, primSpareBank, primFresh)
 		} else {
 			bs.shadow = nil // evaluation over or superseded; release the twin
 		}
@@ -767,11 +946,12 @@ func (e *Engine) sessionByKey(key uint64) (SessionStats, bool) {
 	s := e.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bs, ok := s.sessions[key]
-	if !ok {
+	sl := s.store.find(key)
+	if sl == nil {
 		return SessionStats{}, false
 	}
-	return bs.stats(key), true
+	v := s.view(sl)
+	return v.stats(key), true
 }
 
 // Drain blocks until every accepted event has been processed (or the

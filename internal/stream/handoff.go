@@ -98,12 +98,48 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 		}
 	}
 
-	// Rebuild the accepted sessions detached from any shard, keyed by
-	// bank. Conflict checks against live shards happen again at install
-	// time under the shard lock; this early pass just avoids rebuilding
-	// state that is sure to be rejected.
-	adopted := make(map[uint64]*bankSession)
-	for _, im := range images {
+	// Decode the suffix. Nothing is installed yet: a refused record refuses
+	// the bundle. A swap record is skipped like another node's event: the
+	// source's model swaps are its own history, the importer's model source
+	// governs its own.
+	events := make([]queued, 0, len(suffix))
+	touched := make(map[uint64]bool) // banks the suffix has events for
+	for _, rec := range suffix {
+		ev, _, isSwap, derr := decodeJournalRecord(rec.Payload)
+		if derr == nil && !isSwap {
+			derr = ev.Validate(e.cfg.Geometry) // a peer's bytes: checked as at the HTTP edge
+		}
+		if derr != nil {
+			return st, fmt.Errorf("stream: decoding handoff suffix record %d: %w", rec.LSN, derr)
+		}
+		key := ev.Addr.BankKey()
+		if isSwap || owns != nil && !owns(key) {
+			st.Skipped++
+			continue
+		}
+		events = append(events, queued{ev: ev, lsn: rec.LSN})
+		touched[key] = true
+	}
+
+	// Read the accepted images. A quiet bank the suffix does not touch — nearly
+	// every bank of a fleet — needs no session: it is checked here and placed
+	// in its shard's store at install time. Every other image is rebuilt as a
+	// session detached from any shard, keyed by bank. Conflict checks against
+	// live shards happen again at install time under the shard lock; this early
+	// pass just avoids rebuilding state that is sure to be rejected.
+	type detached struct {
+		bs       *bankSession
+		strategy core.Strategy // serves bs.version
+	}
+	type quietImage struct {
+		im *sessionImage
+		ds core.DurableStrategy
+	}
+	adopted := make(map[uint64]detached)
+	var quietImages []quietImage
+	load := imageLoader{e: e}
+	for i := range images {
+		im := &images[i]
 		if owns != nil && !owns(im.key) {
 			continue
 		}
@@ -112,18 +148,26 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 			continue
 		}
 		// Sessions keep their pinned version across the move; this engine's
-		// model source must be able to resolve it (version 0 — a pre-
-		// versioning export — binds the boot model, and a static source
-		// resolves any version to its one strategy).
-		ds, err := e.resolveDurable(im.version)
+		// model source must be able to resolve it.
+		ds, err := load.strategy(im.version)
 		if err != nil {
 			return st, err
+		}
+		if !touched[im.key] {
+			_, quiet, err := load.quietLog(ds, im)
+			if err != nil {
+				return st, err
+			}
+			if quiet {
+				quietImages = append(quietImages, quietImage{im, ds})
+				continue
+			}
 		}
 		bs, err := buildSession(ds, im)
 		if err != nil {
 			return st, err
 		}
-		adopted[im.key] = bs
+		adopted[im.key] = detached{bs, ds}
 	}
 
 	// Replay the suffix over the detached sessions. Events below a
@@ -131,41 +175,30 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// events for banks the snapshot never saw get fresh sessions (the bank
 	// first erred after the source's last checkpoint).
 	var pending []Action
-	for _, rec := range suffix {
-		ev, _, isSwap, derr := decodeJournalRecord(rec.Payload)
-		if derr == nil && !isSwap {
-			derr = ev.Validate(e.cfg.Geometry) // a peer's bytes: checked as at the HTTP edge
-		}
-		if derr != nil { // nothing is installed yet: a refused record refuses the bundle
-			return st, fmt.Errorf("stream: decoding handoff suffix record %d: %w", rec.LSN, derr)
-		}
-		// A swap record is skipped like another node's event: the source's model
-		// swaps are its own history, the importer's model source governs its own.
-		key := ev.Addr.BankKey()
-		if isSwap || owns != nil && !owns(key) {
-			st.Skipped++
-			continue
-		}
-		bs, ok := adopted[key]
+	for _, q := range events {
+		key := q.ev.Addr.BankKey()
+		d, ok := adopted[key]
 		if !ok {
 			if _, exists := e.sessionByKey(key); exists {
 				st.Skipped++ // conflicting local session owns this bank's history
 				continue
 			}
-			bs = newBankSession(hbm.BankOf(ev.Addr), e.activeEpoch(), ev)
-			adopted[key] = bs
+			ep := e.activeEpoch()
+			d = detached{newBankSession(hbm.BankOf(q.ev.Addr), ep, q.ev), ep.strategy}
+			adopted[key] = d
 		}
-		if rec.LSN <= bs.lastLSN {
+		bs := d.bs
+		if q.lsn <= bs.lastLSN {
 			st.Skipped++ // covered by the snapshot image
 			continue
 		}
-		bs.lastLSN = rec.LSN
+		bs.lastLSN = q.lsn
 		if bs.degraded {
 			bs.events++
-			bs.lastEvent = ev.Time.UnixNano()
+			bs.lastEvent = q.ev.Time.UnixNano()
 			continue
 		}
-		acts, panicked := e.foldDetached(bs, ev)
+		acts, panicked := e.foldDetached(bs, q.ev)
 		if panicked {
 			st.Quarantined++
 			continue
@@ -178,18 +211,34 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// that appeared locally since the early pass wins and the adopted one
 	// is dropped. Watermarks are zeroed — from here on the session's
 	// history lives in THIS engine's journal namespace.
-	for key, bs := range adopted {
-		bs.lastLSN = 0
+	counts := make([]int, len(e.shards))
+	for _, qi := range quietImages {
+		counts[e.shardIndex(qi.im.key)]++
+	}
+	for key := range adopted {
+		counts[e.shardIndex(key)]++
+	}
+	e.reserve(counts)
+	install := func(key uint64, put func(s *shard)) {
 		s := e.shardFor(key)
 		s.mu.Lock()
-		if _, exists := s.sessions[key]; exists {
+		defer s.mu.Unlock()
+		if s.store.find(key) != nil {
 			st.Conflicts++
-			s.mu.Unlock()
-			continue
+			return
 		}
-		s.installSession(key, bs)
-		s.mu.Unlock()
+		put(s)
 		st.Sessions++
+	}
+	for _, qi := range quietImages {
+		install(qi.im.key, func(s *shard) {
+			log, _, _ := load.quietLog(qi.ds, qi.im) // decoded once above: cannot fail
+			s.addStored(qi.im.key, s.totals.versionIndex(qi.im.version, qi.ds), 0, qi.im.firstEvent, log)
+		})
+	}
+	for key, d := range adopted {
+		d.bs.lastLSN = 0
+		install(key, func(s *shard) { s.install(key, d.bs, d.strategy) })
 	}
 
 	// Re-derived actions are emitted after install so a consumer that
@@ -220,13 +269,12 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 	dropped := 0
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for key, bs := range s.sessions {
-			if filter != nil && !filter(key) {
-				continue
+		s.store.each(func(sl *slot) {
+			if filter == nil || filter(sl.key) {
+				s.drop(sl)
+				dropped++
 			}
-			s.dropSession(key, bs)
-			dropped++
-		}
+		})
 		s.mu.Unlock()
 	}
 	if e.wal != nil && dropped > 0 {
@@ -246,14 +294,7 @@ func (e *Engine) foldDetached(bs *bankSession, ev mcelog.Event) (out []Action, p
 			panicked = true
 			out = nil
 			bs.degraded = true
-			e.quarantineDetached(&DeadLetter{
-				Time:   ev.Time,
-				Bank:   hbm.BankOf(ev.Addr).String(),
-				Addr:   ev.Addr.Pack(),
-				Row:    ev.Addr.Row,
-				Class:  ev.Class.String(),
-				Reason: fmt.Sprint(r),
-			})
+			e.quarantineDetached(newDeadLetter(&queued{ev: ev}, r))
 		}
 	}()
 	return foldEvent(bs, ev, nil, nil), false

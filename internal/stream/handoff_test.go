@@ -12,27 +12,22 @@ import (
 	"cordial/internal/wal"
 )
 
-// sessionStates captures every live session's strategy-state image and
-// bookkeeping, keyed by bank key — the bit-identity oracle for handoff.
+// sessionStates captures every live bank's strategy-state image, keyed by
+// bank key — the bit-identity oracle for handoff. It decodes an export, so a
+// stored bank shows the image of the quiet session it stands for.
 func sessionStates(t *testing.T, e *Engine) map[uint64][]byte {
 	t.Helper()
+	payload, err := e.ExportSessions(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, images, err := decodeSnapshotSessions(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make(map[uint64][]byte)
-	for _, s := range e.shards {
-		s.mu.Lock()
-		for key, bs := range s.sessions {
-			ds, ok := bs.sess.(core.DurableSession)
-			if !ok {
-				s.mu.Unlock()
-				t.Fatalf("session %T is not durable", bs.sess)
-			}
-			blob, err := ds.EncodeState()
-			if err != nil {
-				s.mu.Unlock()
-				t.Fatal(err)
-			}
-			out[key] = blob
-		}
-		s.mu.Unlock()
+	for _, im := range images {
+		out[im.key] = im.blob
 	}
 	return out
 }
@@ -40,12 +35,8 @@ func sessionStates(t *testing.T, e *Engine) map[uint64][]byte {
 // sessionStatsByKey snapshots every live session's stats, keyed by bank key.
 func sessionStatsByKey(e *Engine) map[uint64]SessionStats {
 	out := make(map[uint64]SessionStats)
-	for _, s := range e.shards {
-		s.mu.Lock()
-		for key, bs := range s.sessions {
-			out[key] = bs.stats(key)
-		}
-		s.mu.Unlock()
+	for _, st := range e.Sessions() {
+		out[st.Bank.BankKey()] = st
 	}
 	return out
 }

@@ -326,9 +326,9 @@ func (e *Engine) RecentClassMix(n int) (map[faultsim.Class]int, int) {
 	var cands []cand
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for _, bs := range s.sessions {
+		s.store.eachSession(func(bs *bankSession) { // a stored bank has no UER row
 			if len(bs.uerRows) == 0 {
-				continue
+				return
 			}
 			rows := make([]int, len(bs.uerRows))
 			for i, r := range bs.uerRows {
@@ -336,7 +336,7 @@ func (e *Engine) RecentClassMix(n int) (map[faultsim.Class]int, int) {
 			}
 			p := faultsim.LabelPattern(e.cfg.Geometry, rows, nil)
 			cands = append(cands, cand{last: bs.lastEvent, class: faultsim.ClassOf(p)})
-		}
+		})
 		s.mu.Unlock()
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].last > cands[j].last })

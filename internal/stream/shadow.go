@@ -139,11 +139,11 @@ func (e *Engine) StopShadow() ShadowStats {
 	}
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for _, bs := range s.sessions {
+		s.store.eachSession(func(bs *bankSession) { // a stored bank has no twin
 			if bs.shadow != nil && bs.shadow.gen == se.gen {
 				bs.shadow = nil
 			}
-		}
+		})
 		s.mu.Unlock()
 	}
 	e.cfg.Logger.Info("shadow evaluation stopped", "version", se.version,

@@ -96,9 +96,9 @@ type SessionStats struct {
 	// StateReleased reports that the session dropped its feature state
 	// after a terminal decision (bank spared).
 	StateReleased bool
-	// StateDeferred reports a quiet bank: no UER yet, so the session keeps
-	// its few observations (StateBytes of them, StateRows zero) instead of a
-	// feature state.
+	// StateDeferred reports a quiet bank: no UER yet, so the engine keeps
+	// its few observations (StateBytes of them — 24 per observation while the
+	// bank is in its shard's store — StateRows zero) instead of a feature state.
 	StateDeferred bool
 	// ModelVersion is the model version this session is pinned to: the
 	// active version when the session was created. A swap never rebinds a
@@ -211,9 +211,10 @@ func (e *Engine) Sessions() []SessionStats {
 	var all []keyed
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for key, bs := range s.sessions {
-			all = append(all, keyed{key, bs.stats(key)})
-		}
+		s.store.each(func(sl *slot) {
+			v := s.view(sl)
+			all = append(all, keyed{sl.key, v.stats(sl.key)})
+		})
 		s.mu.Unlock()
 	}
 	// Sorted by the stored key: re-deriving it from the address is a
@@ -241,11 +242,9 @@ func (e *Engine) SessionCount() int { return int(e.total(totalSessions)) }
 func (e *Engine) sessionsByVersion() map[uint64]int {
 	out := make(map[uint64]int)
 	for _, s := range e.shards {
-		if table := s.totals.byVersion.Load(); table != nil {
-			for _, vc := range *table {
-				if n := vc.n.Load(); n > 0 {
-					out[vc.version] += int(n)
-				}
+		for _, vc := range s.totals.versions() {
+			if n := vc.n.Load(); n > 0 {
+				out[vc.version] += int(n)
 			}
 		}
 	}

@@ -6,8 +6,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,11 +20,42 @@ import (
 	"cordial/internal/wal"
 )
 
-// TestStatsSurfacesTakeNoShardLock holds every shard's mu and the engine's
-// snapMu — a consumer mid-fold on each shard and a snapshot mid-encode — and
-// requires every reader on the stats path to return regardless.
+// stallSyncFS is a filesystem whose next fsync, once armed, parks until it is
+// released: the journal's mutex is then held by an append for as long as the
+// test likes.
+type stallSyncFS struct {
+	wal.FS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (fs *stallSyncFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	return &stallSyncFile{File: f, fs: fs}, err
+}
+
+type stallSyncFile struct {
+	wal.File
+	fs *stallSyncFS
+}
+
+func (f *stallSyncFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestStatsSurfacesTakeNoShardLock holds every shard's mu, the engine's
+// snapMu and the journal's mu — a consumer mid-fold on each shard, a snapshot
+// mid-encode and an append mid-fsync — and requires every reader on the stats
+// path to return regardless.
 func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
-	e, srv := newTestServer(t, durCfg(filepath.Join(t.TempDir(), "wal"), 3, &fakeStrategy{budget: 3, poisonRow: 666}))
+	fs := &stallSyncFS{FS: wal.OSFS, entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := durCfg(filepath.Join(t.TempDir(), "wal"), 3, &fakeStrategy{budget: 3, poisonRow: 666})
+	cfg.Durability.FS, cfg.Durability.Sync = fs, wal.SyncAlways
+	e, srv := newTestServer(t, cfg)
 	for i := 0; i < 12; i++ {
 		if err := e.Ingest(uerAt(testBank(i), 100+i, i)); err != nil {
 			t.Fatal(err)
@@ -34,6 +68,19 @@ func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// An append to a bank the engine already holds parks in its fsync, inside
+	// the journal's mutex, until the readers below have all returned.
+	fs.armed.Store(true)
+	appended := make(chan error, 1)
+	go func() { appended <- e.Ingest(uerAt(testBank(0), 100, 30)) }()
+	<-fs.entered
+	defer func() {
+		close(fs.release)
+		if err := <-appended; err != nil {
+			t.Errorf("the parked append: %v", err)
+		}
+	}()
+
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	for _, s := range e.shards {
@@ -42,7 +89,7 @@ func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
 	}
 	for name, read := range map[string]func() error{
 		"Stats": func() error {
-			if st := e.Stats(); st.SessionsLive != 13 || st.SessionsDegraded != 1 {
+			if st := e.Stats(); st.SessionsLive != 13 || st.SessionsDegraded != 1 || st.WALAppended != 13 || st.WALSegments != 1 {
 				return fmt.Errorf("stats %+v", st)
 			}
 			return nil
@@ -78,7 +125,7 @@ func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
 				t.Errorf("%s: %v", name, err)
 			}
 		case <-time.After(time.Second):
-			t.Errorf("%s blocked behind a shard lock or the snapshot lock", name)
+			t.Errorf("%s blocked behind a shard lock, the snapshot lock or the journal lock", name)
 		}
 	}
 }
@@ -197,11 +244,13 @@ func assertTotalsMatchRecount(t *testing.T, when string, e *Engine) {
 }
 
 // TestShardTotalsMatchRecount drives every writer of the shard totals — live
-// folds, a poisoned event, a model swap, import, drop, and a restore that
-// falls back past a snapshot whose payload fails mid-restore — under a seeded
-// event mix, and after each step requires every total to equal a recount
-// from a full walk. Run under -race in CI: a scraper reads throughout.
+// folds, a poisoned event, a model swap, import, drop, a restore that falls
+// back past a snapshot whose payload fails mid-restore, and a stored bank
+// whose promotion panics — under a seeded event mix, and after each step
+// requires every total to equal a recount from a full walk. Run under -race
+// in CI: a scraper reads throughout.
 func TestShardTotalsMatchRecount(t *testing.T) {
+	t.Run("promotion panics", testPromotionPanicTotals)
 	rng := rand.New(rand.NewSource(22))
 	fleet := func(banks, events int, poison bool) []mcelog.Event {
 		evs := make([]mcelog.Event, events)
@@ -330,5 +379,57 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 	assertTotalsMatchRecount(t, "after a restore that fell back past a bad payload", re)
 	if re.SessionCount() == 0 {
 		t.Fatal("nothing recovered")
+	}
+}
+
+// testPromotionPanicTotals: a stored bank whose strategy panics resuming its
+// log is promoted all the same — degraded, its event dead-lettered, nothing
+// else disturbed — and the totals equal a recount before, at and after it.
+func testPromotionPanicTotals(t *testing.T) {
+	poison := time.Date(2026, 1, 1, 0, 0, 3, 0, time.UTC) // uerAt(_, _, 3)'s timestamp
+	dead := filepath.Join(t.TempDir(), "dead.jsonl")
+	e, err := New(Config{Strategy: &logStrategy{poisonAt: poison}, Shards: 2, DeadLetterPath: dead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ingest := func(evs ...mcelog.Event) {
+		t.Helper()
+		if _, _, err := e.IngestBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ce := func(bank, sec int) mcelog.Event {
+		ev := uerAt(testBank(bank), 10+sec, sec)
+		ev.Class = ecc.ClassCE
+		return ev
+	}
+	ingest(ce(1, 1), ce(2, 2), ce(2, 3), ce(2, 4), ce(5, 5), ce(1, 6))
+	assertTotalsMatchRecount(t, "stored banks", e)
+	if st := e.Stats(); st.SessionsQuiet != 3 || st.FeatureStateBytes != int64(6*nodeBytes) {
+		t.Fatalf("three stored banks, six observations: %+v", st)
+	}
+	ingest(uerAt(testBank(1), 40, 7), uerAt(testBank(2), 40, 8))
+	assertTotalsMatchRecount(t, "after a promotion and a promotion that panicked", e)
+	st := e.Stats()
+	if st.Quarantined != 1 || st.SessionsDegraded != 1 || st.SessionsLive != 3 || st.Processed != 8 {
+		t.Fatalf("one quarantined promotion: %+v", st)
+	}
+	if bank, _ := e.Session(testBank(2)); !bank.Degraded || bank.Events != 3 || bank.UEREvents != 0 {
+		t.Errorf("the poisoned bank: %+v", bank)
+	}
+	if bank, _ := e.Session(testBank(1)); bank.Degraded || bank.Events != 3 || bank.UEREvents != 1 {
+		t.Errorf("the healthy promoted bank: %+v", bank)
+	}
+	if text, err := os.ReadFile(dead); err != nil || strings.Count(string(text), "\n") != 1 || !strings.Contains(string(text), "cannot resume a poisoned log") {
+		t.Errorf("dead-letter file: %q, %v", text, err)
+	}
+	ingest(ce(2, 9), uerAt(testBank(2), 41, 10), ce(5, 11)) // a degraded bank only counts
+	assertTotalsMatchRecount(t, "after events on the degraded bank", e)
+	if bank, _ := e.Session(testBank(2)); bank.Events != 5 || e.Stats().Quarantined != 1 {
+		t.Errorf("the degraded bank after two more events: %+v", bank)
 	}
 }

@@ -1,0 +1,290 @@
+package stream
+
+import (
+	"math/bits"
+	"unsafe"
+
+	"cordial/internal/features"
+)
+
+// A shard's bankStore is where its banks live and the shard's only index of
+// them. Nearly every bank a fleet engine tracks logs correctable errors for
+// life and needs nothing but remembering, so a bank is held in the cheapest
+// form that remembers it — a fixed-size slot and a chain of its observations
+// in the store's own memory — until its first UER (or the per-bank cap) asks
+// for a strategy session; only then does it cost Go objects of its own.
+//
+//   - index: an open-addressed table, bank key → slot reference, linear
+//     probing, at most half full, deletion by backward shift. It is the one
+//     part that grows by doubling (4 B per entry).
+//   - slots: one pointer-free 40-byte slot per bank. A stored bank's slot holds
+//     its replay watermark, first-event time, pinned model version (an index
+//     into the shard's version table) and the newest node of its chain; a
+//     promoted bank's slot holds the reference of its *bankSession in heap.
+//   - nodes: the observations, 24 bytes each, linked newest → oldest, recycled
+//     through a free list when a bank promotes or is dropped.
+//
+// Slots, nodes and heap entries sit in fixed-size chunks that are allocated
+// one at a time and never moved, so a stored bank costs no allocation and the
+// store never holds a doubled array's slack. Like everything a shard owns, a
+// store is written only by the holder of the shard's mu.
+type bankStore struct {
+	index []uint32 // slot references, 0 = empty; len is zero or a power of two
+	shift uint     // 64 - log2(len(index)): a key's home is the top bits of its hash
+	banks int      // live slots
+
+	slots    chunked[slot]
+	freeSlot uint32 // head of the free slots, linked through slot.ref
+	nodes    chunked[obsNode]
+	freeNode uint32 // head of the free nodes, linked through obsNode.next
+	heap     chunked[*bankSession]
+	freeHeap []uint32 // heap entries vacated by dropped banks
+}
+
+// slot is one bank in the store.
+type slot struct {
+	key     uint64
+	lastLSN uint64 // stored banks: newest journal record applied (bankSession.lastLSN once promoted)
+	first   int64  // stored banks: first event, Unix nanoseconds
+	ref     uint32 // stored: newest node of the chain; heap: entry in bankStore.heap; free: next free slot
+	ver     uint32 // index of the pinned version in the shard's version table
+	count   uint16 // stored: observations in the chain
+	form    uint8
+}
+
+const (
+	slotFree   = iota // zero, so fresh chunk memory is free slots
+	slotStored        // a CE-only bank: the slot and its chain are all there is
+	slotHeap          // a bank with a *bankSession
+)
+
+// obsNode is one stored observation and the reference of the one before it.
+type obsNode struct {
+	obs  features.Obs
+	next uint32
+}
+
+// nodeBytes is what one stored observation occupies: a stored bank's
+// StateBytes is nodeBytes per observation.
+const nodeBytes = int(unsafe.Sizeof(obsNode{}))
+
+// chunkLen is the number of elements per chunk: 40 KB of slots, 24 KB of
+// nodes — small enough that the last, part-filled chunk of each kind is noise
+// beside the fleet, large enough that chunk allocations are one per thousand
+// banks or observations.
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+)
+
+// chunked is an append-only array in fixed-size chunks, addressed by 1-based
+// reference so that 0 can mean "none". Elements never move.
+type chunked[T any] struct {
+	chunks []*[chunkLen]T
+	n      uint32 // elements handed out; also the highest valid reference
+}
+
+func (c *chunked[T]) at(ref uint32) *T {
+	i := ref - 1
+	return &c.chunks[i>>chunkShift][i&(chunkLen-1)]
+}
+
+// push adds one zero element and returns its reference.
+func (c *chunked[T]) push() uint32 {
+	c.reserve(1)
+	c.n++
+	return c.n
+}
+
+// reserve allocates the chunks n more elements will fill.
+func (c *chunked[T]) reserve(n int) {
+	for len(c.chunks)<<chunkShift < int(c.n)+n {
+		c.chunks = append(c.chunks, new([chunkLen]T))
+	}
+}
+
+// home is the index position a key's probe sequence starts at. It takes the
+// hash's top bits: shard routing reduces the same hash modulo the shard count,
+// which for a power-of-two count fixes the low ones.
+func (st *bankStore) home(key uint64) uint32 { return uint32(mix64(key) >> st.shift) }
+
+// find returns the slot of the bank with the given key, nil if there is none.
+func (st *bankStore) find(key uint64) *slot {
+	if len(st.index) == 0 {
+		return nil
+	}
+	mask := uint32(len(st.index) - 1)
+	for i := st.home(key); ; i = (i + 1) & mask {
+		ref := st.index[i]
+		if ref == 0 {
+			return nil
+		}
+		if sl := st.slots.at(ref); sl.key == key {
+			return sl
+		}
+	}
+}
+
+// minIndex is the index's first size.
+const minIndex = 64
+
+// insert adds a slot for key, which the caller has found absent, and returns
+// it with only the key set.
+func (st *bankStore) insert(key uint64) *slot {
+	if 2*(st.banks+1) > len(st.index) {
+		st.rehash(max(minIndex, 2*len(st.index)))
+	}
+	ref := st.freeSlot
+	if ref != 0 {
+		st.freeSlot = st.slots.at(ref).ref
+	} else {
+		ref = st.slots.push()
+	}
+	sl := st.slots.at(ref)
+	*sl = slot{key: key}
+	st.place(ref, key)
+	st.banks++
+	return sl
+}
+
+// place puts a slot reference at the first empty position of key's probe
+// sequence.
+func (st *bankStore) place(ref uint32, key uint64) {
+	mask := uint32(len(st.index) - 1)
+	i := st.home(key)
+	for st.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	st.index[i] = ref
+}
+
+// rehash rebuilds the index at the given power-of-two size from the slots.
+func (st *bankStore) rehash(size int) {
+	st.index = make([]uint32, size)
+	st.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for ref := uint32(1); ref <= st.slots.n; ref++ {
+		if sl := st.slots.at(ref); sl.form != slotFree {
+			st.place(ref, sl.key)
+		}
+	}
+}
+
+// reserve makes room for n more banks, so that a restore or an import builds
+// the index once instead of doubling its way up.
+func (st *bankStore) reserve(n int) {
+	st.slots.reserve(n)
+	size := max(minIndex, len(st.index))
+	for 2*(st.banks+n) > size {
+		size *= 2
+	}
+	if size > len(st.index) {
+		st.rehash(size)
+	}
+}
+
+// remove takes a bank out: its chain or heap entry is released, its slot goes
+// on the free list, and the index entries probing past it shift back so that
+// no tombstone is left.
+func (st *bankStore) remove(sl *slot) {
+	switch sl.form {
+	case slotStored:
+		st.freeLog(sl)
+	case slotHeap:
+		*st.heap.at(sl.ref) = nil
+		st.freeHeap = append(st.freeHeap, sl.ref)
+	}
+	mask := uint32(len(st.index) - 1)
+	i := st.home(sl.key)
+	for st.slots.at(st.index[i]) != sl {
+		i = (i + 1) & mask
+	}
+	ref := st.index[i]
+	for j := (i + 1) & mask; st.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may move back to the hole at i unless its home lies
+		// cyclically in (i, j]: then the hole is before its probe sequence starts.
+		if h := st.home(st.slots.at(st.index[j]).key); (j-h)&mask >= (j-i)&mask {
+			st.index[i] = st.index[j]
+			i = j
+		}
+	}
+	st.index[i] = 0
+	*sl = slot{ref: st.freeSlot}
+	st.freeSlot = ref
+	st.banks--
+}
+
+// appendObs adds an observation to a stored bank's chain.
+func (st *bankStore) appendObs(sl *slot, o features.Obs) {
+	ref := st.freeNode
+	if ref != 0 {
+		st.freeNode = st.nodes.at(ref).next
+	} else {
+		ref = st.nodes.push()
+	}
+	*st.nodes.at(ref) = obsNode{obs: o, next: sl.ref}
+	sl.ref = ref
+	sl.count++
+}
+
+// log copies a stored bank's observations, oldest first, into buf (or a new
+// slice when buf is too small).
+func (st *bankStore) log(sl *slot, buf []features.Obs) []features.Obs {
+	n := int(sl.count)
+	if cap(buf) < n {
+		buf = make([]features.Obs, n)
+	}
+	buf = buf[:n]
+	for ref, i := sl.ref, n-1; ref != 0; i-- {
+		nd := st.nodes.at(ref)
+		buf[i], ref = nd.obs, nd.next
+	}
+	return buf
+}
+
+// freeLog returns a stored bank's nodes to the free list.
+func (st *bankStore) freeLog(sl *slot) {
+	if sl.ref == 0 {
+		return
+	}
+	oldest := st.nodes.at(sl.ref)
+	for oldest.next != 0 {
+		oldest = st.nodes.at(oldest.next)
+	}
+	oldest.next = st.freeNode
+	st.freeNode = sl.ref
+	sl.ref, sl.count = 0, 0
+}
+
+// setHeap turns a slot — new, or stored with its log already freed — into the
+// heap form holding bs.
+func (st *bankStore) setHeap(sl *slot, bs *bankSession) {
+	var ref uint32
+	if n := len(st.freeHeap); n > 0 {
+		ref, st.freeHeap = st.freeHeap[n-1], st.freeHeap[:n-1]
+	} else {
+		ref = st.heap.push()
+	}
+	*st.heap.at(ref) = bs
+	sl.ref, sl.form = ref, slotHeap
+}
+
+// session returns a heap-form bank's session.
+func (st *bankStore) session(sl *slot) *bankSession { return *st.heap.at(sl.ref) }
+
+// each visits every bank, in slot order. fn may remove the bank it is given.
+func (st *bankStore) each(fn func(sl *slot)) {
+	for ref := uint32(1); ref <= st.slots.n; ref++ {
+		if sl := st.slots.at(ref); sl.form != slotFree {
+			fn(sl)
+		}
+	}
+}
+
+// eachSession visits every heap-form bank's session.
+func (st *bankStore) eachSession(fn func(bs *bankSession)) {
+	for ref := uint32(1); ref <= st.heap.n; ref++ {
+		if bs := *st.heap.at(ref); bs != nil {
+			fn(bs)
+		}
+	}
+}

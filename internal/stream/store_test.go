@@ -1,0 +1,593 @@
+package stream
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"cordial/internal/bincodec"
+	"cordial/internal/core"
+	"cordial/internal/ecc"
+	"cordial/internal/features"
+	"cordial/internal/hbm"
+	"cordial/internal/mcelog"
+	"cordial/internal/trace"
+)
+
+// logStrategy is the smallest core.QuietStrategy: a session is the log of the
+// non-UER events it has seen, in order, plus the rows of its UERs. It decides
+// nothing, so a test can read back exactly what the engine handed a session.
+type logStrategy struct {
+	// poisonAt, when set, makes ResumeSession panic on a log holding an
+	// observation with that timestamp: a promotion that cannot resume.
+	poisonAt time.Time
+}
+
+type logSession struct {
+	strategy *logStrategy
+	log      []features.Obs
+	uerRows  []int32
+}
+
+func (s *logStrategy) Name() string { return "log" }
+
+func (s *logStrategy) NewSession(hbm.BankAddress) core.Session { return &logSession{strategy: s} }
+
+func (s *logStrategy) ResumeSession(_ hbm.BankAddress, log []features.Obs) core.Session {
+	for _, o := range log {
+		if !s.poisonAt.IsZero() && o.UnixNano() == s.poisonAt.UnixNano() {
+			panic("cannot resume a poisoned log")
+		}
+	}
+	return &logSession{strategy: s, log: log}
+}
+
+func (s *logSession) OnEvent(ev mcelog.Event) core.Decision {
+	if ev.Class == ecc.ClassUER {
+		s.uerRows = append(s.uerRows, int32(ev.Addr.Row))
+	} else {
+		s.log = append(s.log, features.ObsOf(ev))
+	}
+	return core.Decision{}
+}
+
+func (s *logSession) QuietLog() ([]features.Obs, bool) { return s.log, len(s.uerRows) == 0 }
+
+func (s *logSession) code(c *bincodec.Cursor) {
+	features.CodeObs(c, &s.log, 1<<16)
+	bincodec.Rows(c, &s.uerRows, false)
+}
+
+func (s *logSession) EncodeState() ([]byte, error) {
+	c := &bincodec.Cursor{What: "log session"}
+	s.code(c)
+	return c.B, c.Err
+}
+
+func (s *logStrategy) RestoreSession(_ hbm.BankAddress, data []byte) (core.Session, error) {
+	sess := &logSession{strategy: s}
+	c := &bincodec.Cursor{B: data, Decode: true, What: "log session"}
+	sess.code(c)
+	return sess, c.Done()
+}
+
+func (s *logStrategy) QuietImageLog(image []byte, buf []features.Obs) ([]features.Obs, bool, error) {
+	sess := logSession{log: buf[:0]}
+	c := &bincodec.Cursor{B: image, Decode: true, What: "log session"}
+	sess.code(c)
+	return sess.log, len(sess.uerRows) == 0, c.Done()
+}
+
+// TestStoreLayout pins the two sizes the store's memory bill is made of, and
+// that neither holds a Go pointer (the collector never scans a slot or a node).
+func TestStoreLayout(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got > 64 {
+		t.Errorf("slot is %d bytes, want ≤ 64", got)
+	}
+	if got := unsafe.Sizeof(obsNode{}); got > 24 {
+		t.Errorf("obsNode is %d bytes, want ≤ 24", got)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(slot{}), reflect.TypeOf(obsNode{})} {
+		var walk func(reflect.Type)
+		walk = func(ft reflect.Type) {
+			switch ft.Kind() {
+			case reflect.Struct:
+				for i := 0; i < ft.NumField(); i++ {
+					walk(ft.Field(i).Type)
+				}
+			case reflect.Array:
+				walk(ft.Elem())
+			case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+				t.Errorf("%v holds a %v", typ, ft)
+			}
+		}
+		walk(typ)
+	}
+}
+
+// refBank is the model of one bank: what it has logged, oldest first.
+type refBank struct {
+	log  []features.Obs
+	uers int
+}
+
+// stored reports the form the engine must hold the bank in.
+func (r *refBank) stored() bool { return r.uers == 0 && len(r.log) <= quietCap }
+
+// checkStoreAgainst compares an engine, bank by bank and total by total, with
+// the model: every lookup, every chain (oldest first, in the slot's nodes or
+// in the session a promotion handed them to), the iteration, the totals and
+// the store's own invariants.
+func checkStoreAgainst(t *testing.T, when string, e *Engine, ref map[uint64]*refBank, gone []uint64) {
+	t.Helper()
+	keys := make([]uint64, 0, len(ref))
+	var wantBytes int64
+	for key, r := range ref {
+		keys = append(keys, key)
+		if r.stored() {
+			wantBytes += int64(len(r.log) * nodeBytes)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	sessions := e.Sessions()
+	if len(sessions) != len(keys) {
+		t.Fatalf("%s: Sessions() lists %d banks, the model holds %d", when, len(sessions), len(keys))
+	}
+	for i, st := range sessions {
+		r := ref[keys[i]]
+		if st.Bank.BankKey() != keys[i] || st.Events != len(r.log)+r.uers || st.UEREvents != r.uers || st.StateDeferred != r.stored() {
+			t.Fatalf("%s: bank %#x: %+v, the model has %d observations and %d UERs", when, keys[i], st, len(r.log), r.uers)
+		}
+		if got, ok := e.sessionByKey(keys[i]); !ok || got != st {
+			t.Fatalf("%s: bank %#x: lookup (%t) %+v, iteration %+v", when, keys[i], ok, got, st)
+		}
+	}
+	for _, key := range gone {
+		if _, still := ref[key]; still {
+			continue
+		}
+		if st, ok := e.sessionByKey(key); ok {
+			t.Fatalf("%s: dropped bank %#x still found: %+v", when, key, st)
+		}
+	}
+	nodes, banks := 0, 0
+	for _, s := range e.shards {
+		s.mu.Lock()
+		st := &s.store
+		banks += st.banks
+		if st.banks > 0 && 2*st.banks > len(st.index) {
+			t.Errorf("%s: index of %d entries holds %d banks", when, len(st.index), st.banks)
+		}
+		free := 0
+		for ref := st.freeNode; ref != 0; ref = st.nodes.at(ref).next {
+			free++
+		}
+		nodes += int(st.nodes.n) - free
+		st.each(func(sl *slot) {
+			r := ref[sl.key]
+			if r == nil {
+				t.Fatalf("%s: store holds bank %#x, the model does not", when, sl.key)
+			}
+			var log []features.Obs
+			if sl.form == slotStored {
+				log = st.log(sl, nil)
+			} else {
+				log = st.session(sl).sess.(*logSession).log
+			}
+			if (sl.form == slotStored) != r.stored() || !slices.Equal(log, r.log) {
+				t.Fatalf("%s: bank %#x (form %d): log of %d, the model's has %d (stored %t)", when, sl.key, sl.form, len(log), len(r.log), r.stored())
+			}
+		})
+		s.mu.Unlock()
+	}
+	if banks != len(ref) {
+		t.Errorf("%s: stores count %d banks, the model %d", when, banks, len(ref))
+	}
+	if int64(nodes*nodeBytes) != wantBytes {
+		t.Errorf("%s: %d nodes in use, the model's stored banks hold %d observations", when, nodes, wantBytes/int64(nodeBytes))
+	}
+	if got := e.Stats().FeatureStateBytes; got != wantBytes {
+		t.Errorf("%s: FeatureStateBytes %d, the model's stored observations occupy %d", when, got, wantBytes)
+	}
+	assertTotalsMatchRecount(t, when, e)
+}
+
+// TestStoreModel drives seeded random insert / append / promote / drop /
+// iterate / restore sequences through an engine and through a map of logs,
+// and requires them to agree after every phase — across index growth,
+// backward-shift deletion, free-list reuse of slots and nodes, chunk
+// boundaries and the per-bank cap. A reader walks Sessions() and Session()
+// throughout, which is what the -race leg in CI is for.
+func TestStoreModel(t *testing.T) {
+	const pool, steps = 5000, 40000
+	rng := rand.New(rand.NewSource(23))
+	strategy := &logStrategy{}
+	newEngine := func() *Engine {
+		e, err := New(Config{Strategy: strategy, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	var cur atomic.Pointer[Engine]
+	e := newEngine()
+	cur.Store(e)
+	defer func() { cur.Load().Close() }()
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := cur.Load()
+			if i%1024 == 0 {
+				e.Sessions()
+			}
+			e.Session(testBankN(i % pool))
+		}
+	}()
+	defer reader.Wait()
+	defer close(stop)
+
+	ref := make(map[uint64]*refBank)
+	var gone []uint64
+	maxBanks, promotions := 0, make(map[ecc.Class]int) // by the class of the promoting event
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for step := 0; step < steps; step++ {
+		bank := testBankN(rng.Intn(pool))
+		if rng.Intn(10) == 0 {
+			bank = testBankN(rng.Intn(8)) // a few hot banks reach the cap
+		}
+		key := bank.BankKey()
+		switch op := rng.Intn(1000); {
+		case op < 996: // an event: mostly CEs, now and then a bank's UER
+			ev := mcelog.Event{
+				Time:  base.Add(time.Duration(step) * time.Second),
+				Addr:  hbm.CellInBank(bank, rng.Intn(4096), 0),
+				Class: ecc.ClassCE,
+				Bits:  mcelog.MakeErrBits(uint8(1+rng.Intn(255)), 1),
+			}
+			if rng.Intn(40) == 0 {
+				ev.Class = ecc.ClassUER
+			}
+			if out, dead := e.apply(e.shardFor(key), queued{ev: ev}); len(out) != 0 || dead != nil {
+				t.Fatalf("step %d: %d actions, dead letter %v", step, len(out), dead)
+			}
+			r := ref[key]
+			if r == nil {
+				r = &refBank{}
+				ref[key] = r
+			}
+			was := r.stored()
+			if ev.Class == ecc.ClassUER {
+				r.uers++
+			} else {
+				r.log = append(r.log, features.ObsOf(ev))
+			}
+			if was && !r.stored() {
+				promotions[ev.Class]++
+			}
+			maxBanks = max(maxBanks, len(ref))
+		case op < 999: // drop about an eighth of the banks
+			salt := rng.Uint64()
+			doomed := func(key uint64) bool { return mix64(key^salt)%8 == 0 }
+			want := 0
+			for key := range ref {
+				if doomed(key) {
+					want++
+					delete(ref, key)
+					gone = append(gone, key)
+				}
+			}
+			if got, err := e.DropSessions(doomed); err != nil || got != want {
+				t.Fatalf("step %d: dropped %d (%v), the model %d", step, got, err, want)
+			}
+		default: // restore: a fresh engine from this one's snapshot
+			checkStoreAgainst(t, fmt.Sprintf("step %d, before a restore", step), e, ref, gone)
+			payload, _, err := e.encodeSnapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := newEngine()
+			if err := next.restoreSnapshot(payload); err != nil {
+				t.Fatal(err)
+			}
+			again, _, err := next.encodeSnapshot(nil)
+			if err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("step %d: restored engine re-encodes differently (%v)", step, err)
+			}
+			cur.Store(next)
+			e.Close()
+			e = next
+			checkStoreAgainst(t, fmt.Sprintf("step %d, after a restore", step), e, ref, gone)
+			gone = gone[:0]
+		}
+	}
+	checkStoreAgainst(t, "at the end", e, ref, gone)
+	if maxBanks < 2*chunkLen || promotions[ecc.ClassUER] == 0 || promotions[ecc.ClassCE] == 0 {
+		t.Errorf("the run peaked at %d banks and promoted %d at a UER, %d at the cap: not the coverage it is for",
+			maxBanks, promotions[ecc.ClassUER], promotions[ecc.ClassCE])
+	}
+}
+
+// testBankN is testBank over a space of 2^15 distinct banks.
+func testBankN(i int) hbm.BankAddress {
+	return hbm.BankAddress{Node: i % 64, NPU: i / 64 % 8, HBM: i / 512 % 4, Channel: i / 2048 % 8, BankGroup: i / 16384 % 4}
+}
+
+// perBankActions reduces an action stream to each bank's sequence.
+func perBankActions(acts []Action) map[uint64][]string {
+	out := make(map[uint64][]string)
+	for _, a := range acts {
+		key := a.Bank.BankKey()
+		out[key] = append(out[key], fmt.Sprintf("%v %v %v %v", a.Kind, a.Class, a.Time.UnixNano(), a.Rows))
+	}
+	return out
+}
+
+// assertEnginesEquivalent requires two engines that were fed the same events
+// — one holding quiet banks in its stores, one holding every bank in the heap
+// form — to be indistinguishable: the same Sessions() apart from StateBytes
+// and the same snapshot bytes.
+func assertEnginesEquivalent(t *testing.T, when string, store, heap *Engine) {
+	t.Helper()
+	got, want := store.Sessions(), heap.Sessions()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d sessions with the store, %d without", when, len(got), len(want))
+	}
+	quiet := 0
+	for i := range got {
+		if got[i].StateDeferred {
+			quiet++
+		}
+		got[i].StateBytes, want[i].StateBytes = 0, 0
+		if got[i] != want[i] {
+			t.Errorf("%s: sessions differ:\n store %+v\n heap  %+v", when, got[i], want[i])
+		}
+	}
+	a, _, err := store.encodeSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := heap.encodeSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: snapshot payloads differ (%d vs %d bytes)", when, len(a), len(b))
+	}
+	stored := 0
+	for _, s := range store.shards {
+		s.mu.Lock()
+		s.store.each(func(sl *slot) {
+			if sl.form == slotStored {
+				stored++
+			}
+		})
+		s.mu.Unlock()
+	}
+	if stored != quiet || quiet == 0 {
+		t.Errorf("%s: %d quiet banks, %d of them stored", when, quiet, stored)
+	}
+	for _, s := range heap.shards {
+		s.mu.Lock()
+		s.store.each(func(sl *slot) {
+			if sl.form == slotStored {
+				t.Errorf("%s: the heap-only engine stores bank %#x", when, sl.key)
+			}
+		})
+		s.mu.Unlock()
+	}
+}
+
+// TestQuietStoreEquivalence: the store changes where a quiet bank's history
+// is kept and nothing else. A fleet-shaped stream (mostly CE-only banks with
+// a few events each, some failing banks) and the restoredSessionHistory bank
+// go through an engine under the Cordial strategy, which stores quiet banks,
+// and through one whose strategy hides core.QuietStrategy, which holds every
+// bank as a session from birth: identical action sequences per bank,
+// identical Sessions() apart from StateBytes, identical snapshot bytes — mid-
+// stream (banks still quiet) and at the end. A bank that crosses the store's
+// cap without a UER is in the stream.
+func TestQuietStoreEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline")
+	}
+	pipe, err := trainedPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cordial := &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
+
+	spec := trace.DefaultSpec(hbm.DefaultGeometry)
+	spec.UERBanks = 30
+	spec.BenignBanks = 300
+	spec.Seed = 23
+	fleet, err := trace.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Log.Sort()
+	events := fleet.Log.Events() // a copy
+	quiet, failing := restoredSessionHistory(testBank(1))
+	events = append(append(events, quiet...), failing...)
+	// One bank logs CEs until it is past the cap, and then fails.
+	capped := hbm.BankAddress{Node: 7, NPU: 7, HBM: 3, Channel: 7, BankGroup: 3, Bank: 3}
+	last := events[len(events)-1].Time
+	for i := 0; i < quietCap+6; i++ {
+		events = append(events, mcelog.Event{Time: last.Add(time.Duration(i) * time.Minute), Addr: hbm.CellInBank(capped, 900+i%5, 0), Class: ecc.ClassCE})
+	}
+	for i := 0; i < 4; i++ {
+		events = append(events, mcelog.Event{Time: last.Add(time.Duration(100+i) * time.Minute), Addr: hbm.CellInBank(capped, 901+i, 0), Class: ecc.ClassUER})
+	}
+
+	newEngine := func(s core.Strategy) *Engine {
+		e, err := New(Config{Strategy: s, Shards: 3, ActionBuffer: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	store, heap := newEngine(cordial), newEngine(heapOnly{cordial})
+	feed := func(evs []mcelog.Event) {
+		for _, e := range []*Engine{store, heap} {
+			if _, _, err := e.IngestBatch(evs); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Drain(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	half := fleet.Log.Len() / 2
+	feed(events[:half])
+	assertEnginesEquivalent(t, "mid-stream", store, heap)
+	feed(events[half:])
+	assertEnginesEquivalent(t, "at the end", store, heap)
+	if st, ok := store.Session(capped); !ok || st.Events != quietCap+10 || st.StateDeferred {
+		t.Errorf("the capped bank: %+v (found %t)", st, ok)
+	}
+	store.Close()
+	heap.Close()
+	got, want := perBankActions(drainActions(store)), perBankActions(drainActions(heap))
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("per-bank action sequences differ: %d banks acted with the store, %d without", len(got), len(want))
+	}
+}
+
+// TestStoredBankKeepsItsVersion: a bank stored under version 1 is promoted
+// under version 1 — by the strategy its slot pins, found in the shard's
+// version table — after the active model has moved on to version 2.
+func TestStoredBankKeepsItsVersion(t *testing.T) {
+	fm := newFakeModels(1, 2)
+	v1, v2 := &logStrategy{}, &logStrategy{}
+	fm.versions[1], fm.versions[2] = v1, v2
+	e, err := New(Config{Models: fm, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	old, young := testBank(1), testBank(2)
+	ce := func(bank hbm.BankAddress, sec int) mcelog.Event {
+		ev := uerAt(bank, 10+sec, sec)
+		ev.Class = ecc.ClassCE
+		return ev
+	}
+	ingest := func(evs ...mcelog.Event) {
+		t.Helper()
+		if _, _, err := e.IngestBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(ce(old, 0), ce(old, 1))
+	if _, err := e.SwapModel(2); err != nil {
+		t.Fatal(err)
+	}
+	ingest(ce(old, 2), ce(young, 3), uerAt(old, 50, 4), uerAt(young, 50, 5))
+	for bank, want := range map[hbm.BankAddress]*logStrategy{old: v1, young: v2} {
+		s := e.shardFor(bank.BankKey())
+		s.mu.Lock()
+		sl := s.store.find(bank.BankKey())
+		if sl == nil || sl.form != slotHeap {
+			t.Fatalf("bank %v not promoted: %+v", bank, sl)
+		}
+		sess := s.store.session(sl).sess.(*logSession)
+		s.mu.Unlock()
+		if sess.strategy != want {
+			t.Errorf("bank %v promoted under the wrong version's strategy", bank)
+		}
+	}
+	if st, _ := e.Session(old); st.ModelVersion != 1 || st.Events != 4 {
+		t.Errorf("old bank: %+v", st)
+	}
+	if st, _ := e.Session(young); st.ModelVersion != 2 || st.Events != 2 {
+		t.Errorf("young bank: %+v", st)
+	}
+	assertTotalsMatchRecount(t, "after both promotions", e)
+}
+
+// TestRestoreQuietBanksAllocation: restoring a snapshot of 20 000 quiet banks
+// places each bank in its shard's store without a session or a log of its
+// own — at most 0.2 allocations per bank, all of them the decoder's and the
+// store's chunks — and the restored engine's next snapshot is the one it
+// booted from, byte for byte.
+func TestRestoreQuietBanksAllocation(t *testing.T) {
+	const banks = 20000
+	pipe, err := core.New(core.DefaultConfig(core.RandomForest)) // unfitted: a CE-only bank never reaches a model
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}, Shards: 2}
+	src, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := quietFleet(banks)
+	for i := 0; i < len(evs); i += 1024 {
+		if _, _, err := src.IngestBatch(evs[i:min(i+1024, len(evs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := src.encodeSnapshot(nil)
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, restore := range map[string]func(*Engine) error{
+		"restoreSnapshot": func(e *Engine) error { return e.restoreSnapshot(payload) },
+		"ImportSessions": func(e *Engine) error {
+			_, err := e.ImportSessions(payload, nil, nil)
+			return err
+		},
+	} {
+		dst, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := restore(dst); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perBank := float64(after.Mallocs-before.Mallocs) / banks
+		t.Logf("%s: %.3f mallocs per restored bank", name, perBank)
+		if !raceEnabled && perBank > 0.2 {
+			t.Errorf("%s: %.2f mallocs per restored quiet bank, want ≤ 0.2", name, perBank)
+		}
+		if st := dst.Stats(); st.SessionsLive != banks || st.SessionsQuiet != banks {
+			t.Errorf("%s: %d sessions, %d quiet, want %d", name, st.SessionsLive, st.SessionsQuiet, banks)
+		}
+		again, _, err := dst.encodeSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An import zeroes the watermarks (there are none here: no journal) and
+		// keeps everything else, so both re-encode to the payload.
+		if !bytes.Equal(again, payload) {
+			t.Errorf("%s: the restored engine's snapshot differs from the one it was given (%d vs %d bytes)", name, len(again), len(payload))
+		}
+		dst.Close()
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cordial/internal/obs"
@@ -199,8 +200,28 @@ type WAL struct {
 	nextLSN  uint64
 	segments []uint64 // first LSN of each live segment, ascending
 	lastSync time.Time
-	appended uint64
 	closed   bool
+
+	// What NextLSN, Appended and Segments report: written only under mu, but
+	// atomics, so that the stats path — polled while a group-commit leader
+	// holds mu across its fsync — never waits for it. publishedLSN is nextLSN
+	// as of the last batch staged or rolled back (the per-record increments
+	// inside a batch stay plain stores), segmentCount is len(segments).
+	publishedLSN atomic.Uint64
+	appended     atomic.Uint64
+	segmentCount atomic.Int64
+}
+
+// setNextLSN and setSegments keep the published copies in step. Callers hold
+// w.mu (or own w).
+func (w *WAL) setNextLSN(lsn uint64) {
+	w.nextLSN = lsn
+	w.publishedLSN.Store(lsn)
+}
+
+func (w *WAL) setSegments(segs []uint64) {
+	w.segments = segs
+	w.segmentCount.Store(int64(len(segs)))
 }
 
 // commitWindow is one group-commit round: the leader flushes and fsyncs
@@ -239,7 +260,8 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating dir: %w", err)
 	}
-	w := &WAL{dir: dir, opts: opts, nextLSN: firstRecLSN, lastSync: time.Now()}
+	w := &WAL{dir: dir, opts: opts, lastSync: time.Now()}
+	w.setNextLSN(firstRecLSN)
 	if opts.Metrics != nil {
 		w.metrics.register(opts.Metrics, w)
 	}
@@ -277,11 +299,12 @@ func Open(dir string, opts Options) (*WAL, error) {
 			f.Close()
 			return nil, fmt.Errorf("wal: seeking segment end: %w", err)
 		}
-		w.f, w.size, w.segments = f, validSize, segs
+		w.f, w.size = f, validSize
+		w.setSegments(segs)
 		if lastLSN > 0 {
-			w.nextLSN = lastLSN + 1
+			w.setNextLSN(lastLSN + 1)
 		} else {
-			w.nextLSN = last
+			w.setNextLSN(last)
 		}
 		return w, nil
 	}
@@ -388,7 +411,7 @@ func (w *WAL) openSegment(lsn uint64) error {
 		return fmt.Errorf("wal: syncing segment header: %w", err)
 	}
 	w.f, w.size = f, segHdrSize
-	w.segments = append(w.segments, lsn)
+	w.setSegments(append(w.segments, lsn))
 	return nil
 }
 
@@ -440,17 +463,18 @@ func (w *WAL) appendBatch(records []byte, recordSize, n int) (uint64, error) {
 	first := w.nextLSN
 	for i := 0; i < n; i++ {
 		if _, err := w.stageLocked(records[i*recordSize : (i+1)*recordSize]); err != nil {
-			w.nextLSN = first
+			w.setNextLSN(first)
 			return 0, err
 		}
 	}
+	w.publishedLSN.Store(w.nextLSN)
 	if err := w.commitLocked(); err != nil {
 		if w.nextLSN == first+uint64(n) {
-			w.nextLSN = first
+			w.setNextLSN(first)
 		}
 		return 0, err
 	}
-	w.appended += uint64(n)
+	w.appended.Add(uint64(n))
 	return first, nil
 }
 
@@ -610,25 +634,13 @@ func (w *WAL) Sync() error {
 }
 
 // NextLSN returns the LSN the next Append will receive.
-func (w *WAL) NextLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextLSN
-}
+func (w *WAL) NextLSN() uint64 { return w.publishedLSN.Load() }
 
 // Appended returns the number of records appended since Open.
-func (w *WAL) Appended() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appended
-}
+func (w *WAL) Appended() uint64 { return w.appended.Load() }
 
 // Segments returns the number of live segment files.
-func (w *WAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.segments)
-}
+func (w *WAL) Segments() int { return int(w.segmentCount.Load()) }
 
 // Replay calls fn for every record in the journal in LSN order. A record
 // that fails validation is ErrCorrupt: Open has already truncated the
@@ -711,7 +723,7 @@ func (w *WAL) TruncateBefore(lsn uint64) error {
 		}
 		kept = append(kept, first)
 	}
-	w.segments = kept
+	w.setSegments(kept)
 	return nil
 }
 

@@ -27,6 +27,14 @@ if grep -rn "latencySampler\|nearestRank\|jsonLatency\|jsonShadow\|shardSum\|val
     exit 1
 fi
 
+echo "==> one bank index (the session map the store replaced stays deleted)"
+# A shard's bankStore is its only index of its banks; a second one beside it
+# is a second thing to keep in step. Tests may still model one with a map.
+if grep -rn "map\[uint64\]\*bankSession" --include=*.go internal/stream | grep -v "_test\.go:"; then
+    echo "a session map is back beside the store (see the matches above)" >&2
+    exit 1
+fi
+
 echo "==> go vet"
 go vet ./...
 
@@ -62,6 +70,10 @@ go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|
 # totals they read equal a recount after every kind of writer.
 go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestShardTotalsMatchRecount|TestHistogramMaxCountSumConcurrent' \
     ./internal/stream/ ./internal/obs/
+# The quiet-bank store, by the same pattern: the seeded model run (a reader
+# walks Sessions()/Session() while banks are inserted, appended to, promoted,
+# dropped and restored) and the store ≡ heap-form engine equivalence.
+go test -race -run 'TestStoreModel|TestQuietStoreEquivalence' ./internal/stream/
 
 echo "==> go test -race"
 go test -race ./... "$@"
@@ -148,6 +160,13 @@ echo "==> fuzz smoke (engine snapshot / handoff payload decoder, 5s)"
 # Seeded with the TestEngineSnapshotGolden image and its version-1 layout.
 go test -run '^$' -fuzz 'FuzzDecodeSnapshotSessions' -fuzztime 5s ./internal/stream/
 
+echo "==> fuzz smoke (journal / handoff-suffix record decoder, 5s)"
+# decodeJournalRecord reads the journal at boot and the record suffix a peer
+# hands over (JSON, no checksum): arbitrary bytes must never panic, an
+# accepted event or swap record must re-encode to its input, and only a
+# 19-byte event record or a 12-byte CSWP record is ever accepted.
+go test -run '^$' -fuzz 'FuzzDecodeJournalRecord' -fuzztime 5s ./internal/stream/
+
 echo "==> bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
@@ -192,14 +211,16 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
     -count 1 ./internal/core/ ./internal/mltree/
 
-echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, a quiet bank ≤ 600 B and ≤ 5 mallocs in the engine)"
-# A fleet engine holds one session per bank that ever logged an error, so
-# bytes per tracked bank is its memory bill. The struct sizes are pinned by
-# unsafe.Sizeof, the whole per-bank cost (session map entry, bankSession,
-# strategy session and its observation log — a quiet bank owns no feature
-# state) by a HeapAlloc/Mallocs delta over 20 000 CE-only banks under the
-# default Cordial strategy.
-go test -run 'TestBankStateSize|TestSessionHeapPerBank' -count 1 \
+echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot ≤ 64 B and node ≤ 24 B, a quiet bank ≤ 256 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore)"
+# A fleet engine holds every bank that ever logged an error, so bytes per
+# tracked bank is its memory bill. The struct sizes are pinned by
+# unsafe.Sizeof (and the store's slot and node hold no Go pointer), the whole
+# per-bank cost (index entry, slot and seven observation nodes in the shard's
+# store, every chunk's slack included — a quiet bank owns no session and no
+# feature state) by a HeapAlloc/Mallocs delta over 20 000 CE-only banks under
+# the default Cordial strategy, and a restore or import of those banks by a
+# Mallocs delta and a byte-identical next snapshot.
+go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation' -count 1 \
     ./internal/features/ ./internal/stream/
 
 echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)"
