@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"cordial/internal/ecc"
@@ -101,7 +102,11 @@ func (c *Calchas) Fit(banks []*faultsim.BankFault) error {
 		if err := cm.Fit(calTrain); err != nil {
 			return err
 		}
-		c.Threshold = calibrateThreshold(cm, calVal)
+		var ranked bool
+		if c.Threshold, ranked = calibrateThreshold(cm, calVal); !ranked {
+			slog.Warn("core: the Calchas-lite calibration fold lacks a class, so no cutoff can be ranked: row threshold left at the default",
+				"threshold", c.Threshold, "instances", ds.NumSamples())
+		}
 	}
 	return nil
 }

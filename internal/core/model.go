@@ -148,7 +148,11 @@ func minInt(a, b int) int {
 // ground-truth class. Banks whose feature extraction fails are skipped.
 // With errBits set, each vector gains the intra-word error-bit columns.
 func BuildPatternDataset(banks []*faultsim.BankFault, cfg features.PatternConfig, errBits bool) (*mltree.Dataset, error) {
-	ds := &mltree.Dataset{Names: patternFeatureNames(errBits)}
+	ds := &mltree.Dataset{
+		Names:    patternFeatureNames(errBits),
+		Features: make([][]float64, 0, len(banks)),
+		Labels:   make([]int, 0, len(banks)),
+	}
 	for _, bf := range banks {
 		st, err := features.NewBankState(cfg, features.DefaultBlockSpec())
 		if err != nil {
@@ -180,14 +184,13 @@ func BuildPatternDataset(banks []*faultsim.BankFault, cfg features.PatternConfig
 // nondecreasing, so each decision point only needs to fold in the events
 // between the previous cutoff and its own. This replaces the earlier
 // prefix-slice recomputation, which was quadratic in the event count per
-// bank.
-func blockInstances(bf *faultsim.BankFault, spec features.BlockSpec, warmup int) (vecs [][]float64, labels []int, err error) {
+// bank. The instances are appended to vecs and labels: blockInstanceCount says
+// how many there will be.
+func blockInstances(vecs [][]float64, labels []int, bf *faultsim.BankFault, spec features.BlockSpec, warmup int) ([][]float64, []int, error) {
 	n := len(bf.UERRows)
-	if warmup < 1 {
-		warmup = 1
-	}
+	warmup = max(warmup, 1)
 	if n < warmup {
-		return nil, nil, nil
+		return vecs, labels, nil
 	}
 	st, err := features.NewBankState(features.DefaultPatternConfig(), spec)
 	if err != nil {
@@ -216,6 +219,12 @@ func blockInstances(bf *faultsim.BankFault, spec features.BlockSpec, warmup int)
 	return vecs, labels, nil
 }
 
+// blockInstanceCount is the number of instances blockInstances generates for
+// the bank: a window of blocks per UER row from the warmup-th onward.
+func blockInstanceCount(bf *faultsim.BankFault, spec features.BlockSpec, warmup int) int {
+	return max(len(bf.UERRows)-max(warmup, 1)+1, 0) * spec.NumBlocks()
+}
+
 // blockHasFutureUER reports whether any UER event of the bank falls in the
 // block's row range strictly after now. Repeat UERs of already-failed rows
 // count: §IV-D's objective is "whether there will be a UER in each block",
@@ -241,17 +250,25 @@ func BuildBlockDataset(banks []*faultsim.BankFault, spec features.BlockSpec, war
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ds := &mltree.Dataset{Names: features.BlockFeatureNames()}
+	instances := 0
+	for _, bf := range banks {
+		if bf.Class().IsAggregation() {
+			instances += blockInstanceCount(bf, spec, warmup)
+		}
+	}
+	ds := &mltree.Dataset{
+		Names:    features.BlockFeatureNames(),
+		Features: make([][]float64, 0, instances),
+		Labels:   make([]int, 0, instances),
+	}
 	for _, bf := range banks {
 		if !bf.Class().IsAggregation() {
 			continue
 		}
-		vecs, labels, err := blockInstances(bf, spec, warmup)
-		if err != nil {
+		var err error
+		if ds.Features, ds.Labels, err = blockInstances(ds.Features, ds.Labels, bf, spec, warmup); err != nil {
 			return nil, err
 		}
-		ds.Features = append(ds.Features, vecs...)
-		ds.Labels = append(ds.Labels, labels...)
 	}
 	if ds.NumSamples() == 0 {
 		return nil, fmt.Errorf("core: no aggregation banks to build a block dataset")

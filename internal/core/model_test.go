@@ -87,3 +87,38 @@ func TestModelHeapPerNode(t *testing.T) {
 	runtime.KeepAlive(p)
 	runtime.KeepAlive(fleet)
 }
+
+// TestFitTransientBytes is the training-garbage gate: one default
+// Pipeline.Fit on a fixed 120-bank fleet — three forest fits, the third a
+// calibration refit on a view of the block dataset — may allocate at most
+// 12 MB in total (18.9 MB when every fit transposed, presorted and coded its
+// own copy of the matrix). What the fitted pipeline retains is
+// TestModelHeapPerNode's.
+func TestFitTransientBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	fleet := testFleet(t, 1, 120)
+	fit := func() *Pipeline {
+		p, err := New(DefaultConfig(RandomForest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Fit(fleet.Faults); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fit() // warm pools and lazily initialised tables
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := fit()
+	runtime.ReadMemStats(&after)
+	total := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("one default Pipeline.Fit allocates %.2f MB in %d allocations", total, after.Mallocs-before.Mallocs)
+	if total > 12 {
+		t.Errorf("Pipeline.Fit allocates %.2f MB, want ≤ 12", total)
+	}
+	runtime.KeepAlive(p)
+}

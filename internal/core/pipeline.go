@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -235,9 +236,13 @@ func (p *Pipeline) Fit(banks []*faultsim.BankFault) error {
 	}
 
 	if p.cfg.Threshold == 0 {
-		thr, err := crossFitThreshold(p.cfg, blockDS)
+		thr, ranked, err := crossFitThreshold(p.cfg, blockDS)
 		if err != nil {
 			return fmt.Errorf("core: calibrating threshold: %w", err)
+		}
+		if !ranked {
+			slog.Warn("core: the calibration fold lacks a class, so no cutoff can be ranked: block threshold left at the default",
+				"threshold", thr, "instances", blockDS.NumSamples())
 		}
 		p.cfg.Threshold = thr
 	}
@@ -249,35 +254,48 @@ func (p *Pipeline) Fit(banks []*faultsim.BankFault) error {
 // clone of the block model is fitted on 75% of the instances and the
 // F1-maximising cutoff is searched on the remaining 25%. Calibrating on the
 // final model's own training predictions would be badly biased for Random
-// Forest, whose in-bag probabilities are close to the labels.
-func crossFitThreshold(cfg Config, blockDS *mltree.Dataset) (float64, error) {
+// Forest, whose in-bag probabilities are close to the labels. Both folds are
+// views of blockDS: fitted after the block model, the clone trains on the
+// codes that fit left on the dataset and the held-out fold is scored from
+// them. ranked is calibrateThreshold's.
+func crossFitThreshold(cfg Config, blockDS *mltree.Dataset) (thr float64, ranked bool, err error) {
 	calTrain, calVal, err := blockDS.StratifiedSplit(xrand.New(cfg.Seed+2), 0.75)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	cm, err := NewModel(cfg.Model, cfg.Params, cfg.Seed+3)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if err := cm.Fit(calTrain); err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	return calibrateThreshold(cm, calVal), nil
+	thr, ranked = calibrateThreshold(cm, calVal)
+	return thr, ranked, nil
 }
 
 // calibrateThreshold grid-searches the probability cutoff that maximises F1
-// over the training block instances. Ensemble probabilities on an
+// over the held-out block instances. Ensemble probabilities on an
 // imbalanced task concentrate well below 0.5, so a fixed cutoff would
 // silently predict nothing; calibration keeps the operating point sane for
-// every backend.
-func calibrateThreshold(model mltree.Classifier, ds *mltree.Dataset) float64 {
+// every backend. A model without the positive class, or a fold without a
+// positive or without a negative instance (a stratified 75/25 split rounds two
+// positives into the training side), scores every cutoff alike: the default
+// 0.5 comes back with ranked false, never the grid's first point.
+func calibrateThreshold(model mltree.Classifier, ds *mltree.Dataset) (thr float64, ranked bool) {
 	k := len(model.Classes())
 	posIdx := positiveIndex(model.Classes())
-	if posIdx < 0 {
-		return 0.5
+	positives := 0
+	for _, label := range ds.Labels {
+		if label == 1 {
+			positives++
+		}
+	}
+	if posIdx < 0 || positives == 0 || positives == len(ds.Labels) {
+		return 0.5, false
 	}
 	probs := make([]float64, ds.NumSamples()*k)
-	model.PredictBatchInto(probs, ds.Features)
+	mltree.PredictDatasetInto(probs, model, ds)
 	best, bestF1 := 0.5, -1.0
 	for thr := 0.05; thr < 0.90; thr += 0.025 {
 		var bin metrics.Binary
@@ -288,7 +306,7 @@ func calibrateThreshold(model mltree.Classifier, ds *mltree.Dataset) float64 {
 			best, bestF1 = thr, f1
 		}
 	}
-	return best
+	return best, true
 }
 
 // Fitted reports whether both stages have been trained.

@@ -103,9 +103,12 @@ func TestBlockInstancesSingleReplayEquivalence(t *testing.T) {
 		if !bf.Class().IsAggregation() || len(bf.UERRows) < 3 {
 			continue
 		}
-		vecs, labels, err := blockInstances(bf, spec, 3)
+		vecs, labels, err := blockInstances(nil, nil, bf, spec, 3)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := blockInstanceCount(bf, spec, 3); len(vecs) != want {
+			t.Fatalf("%d instances where BuildBlockDataset sizes for %d", len(vecs), want)
 		}
 		var wantVecs [][]float64
 		var wantLabels []int

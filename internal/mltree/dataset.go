@@ -13,13 +13,21 @@ package mltree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"cordial/internal/xrand"
 )
 
 // Dataset is a dense feature matrix with integer class labels. Labels may be
 // any ints (not necessarily contiguous); learners remap them internally.
+//
+// Classification training reads the matrix in value-coded form (coded.go),
+// which a dataset derives at its first Tree or Forest fit and keeps: fit as
+// often as you like, but replace Features (append, re-slice, a new matrix)
+// rather than overwrite a value in place — only the former is noticed. A
+// Dataset holds a lock and is used through a pointer.
 type Dataset struct {
 	// Features is sample-major: Features[i][j] is feature j of sample i.
 	Features [][]float64
@@ -28,6 +36,54 @@ type Dataset struct {
 	// Names optionally names the feature columns (used in diagnostics and
 	// serialisation); when non-nil its length must equal the feature count.
 	Names []string
+
+	// view is set on a dataset cut from another by Subset: classification
+	// training then grows over the source's codes instead of coding these rows
+	// again.
+	view *viewOf
+
+	mu    sync.Mutex   // guards coded
+	coded *codedMatrix // of Features as they were when it was built
+}
+
+// viewOf records where a Subset's samples came from: sample i is row rows[i]
+// of root, which is not itself a view. It holds while neither matrix has been
+// replaced since (the identities below) and the labels still agree.
+type viewOf struct {
+	root         *Dataset
+	rows         []int32
+	rootID, self matrixID
+}
+
+// matrixID tells one Features slice from another by where it starts and how
+// long it is.
+type matrixID struct {
+	first *[]float64
+	n     int
+}
+
+func idOf(X [][]float64) matrixID {
+	if len(X) == 0 {
+		return matrixID{}
+	}
+	return matrixID{&X[0], len(X)}
+}
+
+// source returns the dataset whose rows d's samples are and the row of each:
+// d's root while d is an intact view, otherwise d itself and nil (sample i is
+// row i).
+func (d *Dataset) source() (*Dataset, []int32) {
+	v := d.view
+	if v == nil || v.self != idOf(d.Features) || v.rootID != idOf(v.root.Features) ||
+		len(d.Labels) != len(v.rows) || len(v.root.Labels) != v.rootID.n {
+		return d, nil
+	}
+	for i, r := range v.rows {
+		if d.Labels[i] != v.root.Labels[r] {
+			return d, nil
+		}
+	}
+	return v.root, v.rows
 }
 
 // NumSamples returns the number of samples.
@@ -83,18 +139,27 @@ func (d *Dataset) Classes() []int {
 	return out
 }
 
-// Subset returns a new dataset view built from copies of the selected rows.
-// Indices may repeat (bootstrap sampling).
+// Subset returns the selected samples as a dataset of their own: Features
+// shares the rows' storage, and the result is a view of d (of d's source, when
+// d is a view) for classification training. Indices may repeat (bootstrap
+// sampling).
 func (d *Dataset) Subset(indices []int) *Dataset {
+	root, rows := d.source()
+	v := &viewOf{root: root, rows: make([]int32, len(indices)), rootID: idOf(root.Features)}
 	out := &Dataset{
 		Features: make([][]float64, len(indices)),
 		Labels:   make([]int, len(indices)),
 		Names:    d.Names,
+		view:     v,
 	}
 	for k, i := range indices {
 		out.Features[k] = d.Features[i]
 		out.Labels[k] = d.Labels[i]
+		if v.rows[k] = int32(i); rows != nil {
+			v.rows[k] = rows[i]
+		}
 	}
+	v.self = idOf(out.Features)
 	return out
 }
 
@@ -117,14 +182,25 @@ func (d *Dataset) StratifiedSplit(rng *xrand.RNG, trainFrac float64) (train, tes
 	if trainFrac <= 0 || trainFrac >= 1 {
 		return nil, nil, fmt.Errorf("mltree: stratified split fraction %g out of (0,1)", trainFrac)
 	}
-	byClass := make(map[int][]int)
-	for i, l := range d.Labels {
-		byClass[l] = append(byClass[l], i)
+	// The samples grouped by class in one array, classes in label order (a
+	// deterministic order, for reproducibility), each class's ascending.
+	classes := d.Classes()
+	at := classIndex(classes)
+	start := make([]int, len(classes)+1)
+	for _, l := range d.Labels {
+		start[at[l]+1]++
 	}
-	var trainIdx, testIdx []int
-	// Deterministic class order for reproducibility.
-	for _, class := range d.Classes() {
-		idx := byClass[class]
+	for c := range classes {
+		start[c+1] += start[c]
+	}
+	byClass, next := make([]int, len(d.Labels)), slices.Clone(start)
+	for i, l := range d.Labels {
+		byClass[next[at[l]]] = i
+		next[at[l]]++
+	}
+	trainIdx, testIdx := make([]int, 0, len(byClass)), make([]int, 0, len(byClass))
+	for c := range classes {
+		idx := byClass[start[c]:start[c+1]]
 		rng.ShuffleInts(idx)
 		k := int(math.Round(float64(len(idx)) * trainFrac))
 		if k == 0 {

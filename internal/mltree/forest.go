@@ -1,6 +1,7 @@
 package mltree
 
 import (
+	"math/bits"
 	"runtime"
 
 	"cordial/internal/xrand"
@@ -87,9 +88,9 @@ func (f *Forest) Fit(ds *Dataset) error {
 	bag := max(1, int(float64(n)*f.Config.BootstrapRatio))
 	rng := xrand.New(f.Config.Seed)
 
-	// Shared read-only training state: labels and value codes from one
-	// presort of the full training set (see grower.go). A member's bootstrap
-	// bag is a multiset of these rows, held as a multiplicity per row.
+	// Shared read-only training state: labels and the dataset's value codes
+	// (see grower.go). A member's bootstrap bag is a multiset of the samples,
+	// held as a multiplicity per row of the coded matrix.
 	cd := newClassData(ds, f.classes)
 
 	// Derive every member's RNG up front so fitting order cannot change
@@ -101,7 +102,8 @@ func (f *Forest) Fit(ds *Dataset) error {
 	}
 	grown := make([]grownTree, f.Config.NumTrees)
 	f.members = make([]member, f.Config.NumTrees)
-	inBag := make([]bool, f.Config.NumTrees*n) // member-major
+	words := bagWords(n)
+	inBag := make([]uint64, f.Config.NumTrees*words) // member-major, a bit per sample
 	cfg := f.Config.Tree.withDefaults()
 	growers := make([]*grower, maxExtraWorkers+1)
 	runWorkers(f.Config.NumTrees, f.Config.Parallelism, func(worker, t int) {
@@ -111,11 +113,11 @@ func (f *Forest) Fit(ds *Dataset) error {
 			growers[worker] = g
 		}
 		clear(g.mult)
-		in := inBag[t*n : (t+1)*n]
+		in := inBag[t*words : (t+1)*words]
 		for j := 0; j < bag; j++ {
 			s := rngs[t].Intn(n)
-			g.mult[s]++
-			in[s] = true
+			in[s/tileRows] |= 1 << (s % tileRows)
+			g.mult[cd.row(s)]++
 		}
 		grown[t], f.members[t] = g.fit(rngs[t]), member{cfg, f.classes}
 	})
@@ -127,29 +129,10 @@ func (f *Forest) Fit(ds *Dataset) error {
 	// Out-of-bag votes: votes[i*k+c] sums, in member order, the class-c
 	// probability from the trees whose bag excluded sample i.
 	votes := make([]float64, n*k)
-	oobSeen := make([]bool, n)
-	var buf [rankScratch]uint16
-	ranks := f.arena.tile(buf[:])
-	for lo := 0; lo < n; lo += tileRows {
-		rows := ds.Features[lo:min(lo+tileRows, n)]
-		f.arena.rank(ranks, rows)
-		for t, root := range f.arena.roots {
-			for i, in := range inBag[t*n+lo : t*n+lo+len(rows)] {
-				if in {
-					continue
-				}
-				oobSeen[lo+i] = true
-				off := int(f.arena.leafOf(root, ranks, i))
-				for c, p := range f.arena.leaf[off : off+k] {
-					votes[(lo+i)*k+c] += p
-				}
-			}
-		}
-	}
-
+	seen := f.arena.votesCoded(votes, cd.codedMatrix, cd.rows, n, inBag, f.Config.Parallelism)
 	correct, counted := 0, 0
 	for i := 0; i < n; i++ {
-		if !oobSeen[i] {
+		if seen[i/tileRows]>>(i%tileRows)&1 == 0 {
 			continue
 		}
 		counted++
@@ -162,6 +145,112 @@ func (f *Forest) Fit(ds *Dataset) error {
 		f.oobScore = float64(correct) / float64(counted)
 	}
 	return nil
+}
+
+// bagWords is the length of a bitset over n samples whose words each cover one
+// tile of them.
+func bagWords(n int) int { return (n + tileRows - 1) / tileRows }
+
+var _ [0]struct{} = [tileRows - 64]struct{}{} // a uint64 of bag bits per tile
+
+// votesCoded adds to votes[i*width:], for each of n samples, the leaf rows of
+// the trees whose bag missed it, in tree order. Sample i is row rows[i] of cm
+// (row i when rows is nil); tree t's bag is the bitset
+// inBag[t*bagWords(n):(t+1)*bagWords(n)] over samples, and a nil inBag means
+// empty bags: every tree votes on every sample, which makes votes the
+// forest's sums. The returned bitset marks the samples some tree voted on.
+//
+// A sample's rank on a feature is looked up by its code in a table built from
+// one merge of the feature's distinct values with its thresholds, where a
+// float matrix costs a binary search per cell. Tiles of samples are walked in
+// parallel; a sample's votes add up in tree order within its tile, so the
+// sums are those of any other tiling, and of one sample at a time.
+func (a *arena) votesCoded(votes []float64, cm *codedMatrix, rows []int32, n int, inBag []uint64, parallelism int) []uint64 {
+	distinct := 0
+	for f, t := range a.thr {
+		if len(t) > 0 {
+			distinct += len(cm.vals[f])
+		}
+	}
+	backing, tables := make([]uint16, distinct), make([][]uint16, len(a.thr))
+	for f, t := range a.thr {
+		if len(t) == 0 {
+			continue // no tree splits on it: no node reads its ranks
+		}
+		tables[f], backing = backing[:len(cm.vals[f])], backing[len(cm.vals[f]):]
+		r := 0
+		for c, v := range cm.vals[f] {
+			for r < len(t) && t[r] < v {
+				r++
+			}
+			tables[f][c] = uint16(r)
+		}
+	}
+	words := bagWords(n)
+	seen := make([]uint64, words)
+	runWorkers(words, parallelism, func(_, w int) {
+		var buf [rankScratch]uint16
+		var at [tileRows]uint32
+		var row [tileRows]int32
+		ranks := a.tile(buf[:])
+		lo := w * tileRows
+		m := min(tileRows, n-lo)
+		for i := range row[:m] {
+			if row[i] = int32(lo + i); rows != nil {
+				row[i] = rows[lo+i]
+			}
+		}
+		for f, table := range tables {
+			if table == nil {
+				continue
+			}
+			codes, out := cm.codes[f], ranks[f*tileRows:]
+			for i, r := range row[:m] {
+				out[i] = table[codes[r]]
+			}
+		}
+		all := ^uint64(0) >> (tileRows - m)
+		for t, root := range a.roots {
+			out := all
+			if inBag != nil {
+				out &^= inBag[t*words+w]
+			}
+			if out == 0 {
+				continue
+			}
+			seen[w] |= out
+			a.descend(root, ranks, m, &at)
+			for ; out != 0; out &= out - 1 {
+				i := bits.TrailingZeros64(out)
+				sum := votes[(lo+i)*a.width : (lo+i+1)*a.width]
+				for c, p := range a.leaf[at[i] : int(at[i])+a.width] {
+					sum[c] += p
+				}
+			}
+		}
+	})
+	return seen
+}
+
+// PredictDatasetInto is model.PredictBatchInto(dst, ds.Features), bit for bit.
+// For a forest and a dataset already in coded form (one a Tree or Forest was
+// fitted on, or a view of one: a held-out fold) it reads the codes instead of
+// searching the threshold tables for every value.
+func PredictDatasetInto(dst []float64, model Classifier, ds *Dataset) {
+	if f, ok := model.(*Forest); ok && f.NumTrees() > 0 && len(f.arena.thr) <= ds.NumFeatures() {
+		src, rows := ds.source()
+		if cm := src.codesIfBuilt(); cm != nil {
+			dst = dst[:ds.NumSamples()*len(f.classes)]
+			clear(dst)
+			f.arena.votesCoded(dst, cm, rows, ds.NumSamples(), nil, defaultParallelism(f.Config.Parallelism))
+			inv := 1 / float64(f.NumTrees())
+			for i := range dst {
+				dst[i] *= inv
+			}
+			return
+		}
+	}
+	model.PredictBatchInto(dst, ds.Features)
 }
 
 // PredictProba averages the member trees' leaf distributions.

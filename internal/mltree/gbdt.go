@@ -428,3 +428,24 @@ func (g *GBDT) PredictBatchInto(dst []float64, X [][]float64) {
 
 // PredictBatch predicts every row of X.
 func (g *GBDT) PredictBatch(X [][]float64) [][]float64 { return predictBatch(g, X) }
+
+// columnize transposes the row-major feature matrix into per-feature
+// columns backed by one contiguous allocation, for the boosting trainer: its
+// split search reads a feature's values at every node, and a column of a few
+// thousand float64s stays resident in L1/L2, where row-pointer chasing would
+// miss on every sample.
+func columnize(features [][]float64) [][]float64 {
+	n := len(features)
+	numFeatures := len(features[0])
+	backing := make([]float64, n*numFeatures)
+	cols := make([][]float64, numFeatures)
+	for f := range cols {
+		cols[f] = backing[f*n : (f+1)*n]
+	}
+	for i, row := range features {
+		for f, v := range row {
+			cols[f][i] = v
+		}
+	}
+	return cols
+}

@@ -11,71 +11,66 @@ import (
 //
 // A forest member scores round(√d) of d features per node, so keeping d
 // presorted sample lists current down the tree sorts six times what it
-// scores. Instead a fit's one presort becomes per-feature value codes (a
-// sample's rank among the feature's distinct values), a tree grows over one
-// list of its distinct in-bag samples, and a candidate feature is put in
-// value order only to be scored: by a class-count histogram over its codes,
-// or by sorting the node's (code, sample) keys when it has far more values
-// than the node has samples. Both walk the boundaries between consecutive
-// *present* values in ascending order with integer-valued class counts either
-// side — what a scan of the bag sorted by that feature sees: same impurity
-// operands, tie-breaks, (v+vNext)/2 thresholds and pre-order RNG draws, so
+// scores. Instead a dataset is coded once (coded.go: a row's code is its
+// value's rank among the feature's distinct values), a tree grows over one
+// list of its distinct in-bag rows, and a candidate feature is put in value
+// order only to be scored: by a class-count histogram over its codes, or by
+// sorting the node's (code, row) keys when it has far more values than the
+// node has rows. Both walk the boundaries between consecutive *present*
+// values in ascending order with integer-valued class counts either side —
+// what a scan of the bag sorted by that feature sees: same impurity operands,
+// tie-breaks, (v+vNext)/2 thresholds and pre-order RNG draws, so
 // bit-identical trees (TestGrowerMatchesReference).
+//
+// Fitting on a view (Dataset.Subset) codes nothing: the bag is drawn over the
+// view's samples and grown over the source's codes, a row's multiplicity
+// summed over the samples that are that row. The tree is the one a fit on a
+// copy of those samples grows (TestViewFitMatchesCopyFit): the source's codes
+// order the view's values as its own would, a threshold lies between two
+// present values whatever absent ones the source knows between them, a
+// feature constant on the view scans to no boundary, and the class counts are
+// integers, so the order of rows within a node is immaterial.
 //
 // GBDT's regTree keeps presorted lists and the partitioner: a boosted tree
 // scores ~all features at every node (ColsampleRatio), so every list it keeps
 // sorted it reads, and its gradient sums are order-dependent floats that a
-// histogram would re-associate. The two trainers share the presort and the
+// histogram would re-associate. The two trainers share the radix sort and the
 // worker pool and nothing else.
 
 // histCutover scores a candidate feature by histogram when it has at most
-// histCutover distinct values per sample of the node, by sorting otherwise.
+// histCutover distinct values per row of the node, by sorting otherwise.
 // Fit time on the block dataset is flat from 4 to 32 (DESIGN §7); a variable
 // only so tests can force either path.
 var histCutover = 8
 
-// classData is the read-only training state the members of one fit share.
+// classData is the read-only training state the members of one fit share: the
+// coded matrix, and which of its rows the fit's n samples are.
 type classData struct {
-	k     int         // classes
-	y     []int32     // class index by sample
-	codes [][]int32   // codes[f][i]: rank of sample i's value among feature f's distinct values
-	vals  [][]float64 // vals[f][code]: that value, ascending
+	*codedMatrix
+	k    int     // classes
+	y    []int32 // class index by row (of the rows that are samples)
+	n    int     // samples
+	rows []int32 // rows[i]: the row sample i is; nil: sample i is row i
 }
 
-// newClassData presorts ds once and derives the value codes from the sorted
-// order. Values equal under == share a code (so −0 and +0 do, as they share
-// a side of every threshold).
+// newClassData reads ds for a fit: its own codes, or for a view its source's.
 func newClassData(ds *Dataset, classes []int) *classData {
-	n, d := ds.NumSamples(), ds.NumFeatures()
-	cd := &classData{k: len(classes), y: make([]int32, n), codes: make([][]int32, d), vals: make([][]float64, d)}
+	src, rows := ds.source()
+	cd := &classData{codedMatrix: src.codes(), k: len(classes), n: ds.NumSamples(), rows: rows}
+	cd.y = make([]int32, src.NumSamples())
 	idx := classIndex(classes)
 	for i, l := range ds.Labels {
-		cd.y[i] = int32(idx[l])
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	cols := columnize(ds.Features)
-	sorted := presortByFeature(cols, all)
-
-	codes := make([]int32, d*n)
-	var vals []float64 // every feature's distinct values back to back
-	starts := make([]int, d+1)
-	for f, list := range sorted {
-		col, fc := cols[f], codes[f*n:(f+1)*n]
-		for j, i := range list {
-			if j == 0 || col[i] != col[list[j-1]] {
-				vals = append(vals, col[i])
-			}
-			fc[i] = int32(len(vals) - starts[f] - 1)
-		}
-		cd.codes[f], starts[f+1] = fc, len(vals)
-	}
-	for f := range cd.vals {
-		cd.vals[f] = vals[starts[f]:starts[f+1]:starts[f+1]]
+		cd.y[cd.row(i)] = int32(idx[l])
 	}
 	return cd
+}
+
+// row returns the row of the coded matrix that sample i is.
+func (cd *classData) row(i int) int {
+	if cd.rows == nil {
+		return i
+	}
+	return int(cd.rows[i])
 }
 
 // grower grows classification trees one after another over one classData. It
@@ -88,12 +83,12 @@ type grower struct {
 	maxFeat int
 	rng     *xrand.RNG // of the tree being grown; nil scores every feature
 
-	mult  []int32 // bootstrap multiplicity by sample; the caller fills it
-	ids   []int32 // the tree's distinct samples; a node owns a segment, partitioned in place
+	mult  []int32 // bootstrap multiplicity by row; the caller fills it
+	ids   []int32 // the tree's distinct rows; a node owns a segment, partitioned in place
 	spill []int32 // right-hand side of a partition in flight
 
 	hist   []int32   // class counts by value code (k per code); all zero between scans
-	keys   []uint64  // code<<32|sample of one node, for the sort path
+	keys   []uint64  // code<<32|row of one node, for the sort path
 	counts []float64 // class counts by depth (k per level): a node's, then each child's in turn
 	all    []int     // every feature in order
 	cand   []int     // candidate features drawn for the node being split
@@ -133,15 +128,16 @@ func newGrower(cd *classData, cfg TreeConfig) *grower {
 	for _, v := range cd.vals {
 		maxDistinct = max(maxDistinct, len(v))
 	}
+	bag := min(n, cd.n) // a tree's distinct rows at most
 	g := &grower{
 		cd:       cd,
 		cfg:      cfg,
 		maxFeat:  cfg.resolveMaxFeatures(d),
 		mult:     make([]int32, n),
-		ids:      make([]int32, n),
-		spill:    make([]int32, n),
+		ids:      make([]int32, bag),
+		spill:    make([]int32, bag),
 		hist:     make([]int32, maxDistinct*k),
-		keys:     make([]uint64, n),
+		keys:     make([]uint64, bag),
 		all:      make([]int, d),
 		left:     make([]float64, k),
 		right:    make([]float64, k),
@@ -153,7 +149,7 @@ func newGrower(cd *classData, cfg TreeConfig) *grower {
 	return g
 }
 
-// fit grows one tree over the samples with mult[i] > 0, each counted mult[i]
+// fit grows one tree over the rows with mult[i] > 0, each counted mult[i]
 // times, and returns it as one node array and one probability array.
 func (g *grower) fit(rng *xrand.RNG) grownTree {
 	g.rng = rng

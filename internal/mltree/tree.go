@@ -157,9 +157,10 @@ func (t *Tree) Fit(ds *Dataset) (err error) {
 		return err
 	}
 	t.classes = ds.Classes()
-	g := newGrower(newClassData(ds, t.classes), t.Config)
-	for i := range g.mult {
-		g.mult[i] = 1
+	cd := newClassData(ds, t.classes)
+	g := newGrower(cd, t.Config)
+	for i := 0; i < cd.n; i++ {
+		g.mult[cd.row(i)]++
 	}
 	t.arena, err = compileArena([]grownTree{g.fit(t.rng)}, len(t.classes), nil)
 	return err
@@ -182,45 +183,13 @@ func (t *Tree) PredictBatchInto(dst []float64, X [][]float64) {
 // PredictBatch predicts every row of X.
 func (t *Tree) PredictBatch(X [][]float64) [][]float64 { return predictBatch(t, X) }
 
-// columnize transposes the row-major feature matrix into per-feature
-// columns backed by one contiguous allocation. Split search is dominated by
-// random accesses into a single feature at a time; a column of a few
-// thousand float64s stays resident in L1/L2, where row-pointer chasing
-// would miss on every sample.
-func columnize(features [][]float64) [][]float64 {
-	n := len(features)
-	numFeatures := len(features[0])
-	backing := make([]float64, n*numFeatures)
-	cols := make([][]float64, numFeatures)
-	for f := range cols {
-		cols[f] = backing[f*n : (f+1)*n]
-	}
-	for i, row := range features {
-		for f, v := range row {
-			cols[f][i] = v
-		}
-	}
-	return cols
-}
-
-// orderableBits maps a float64 to a uint64 whose unsigned order matches the
-// float's numeric order (sign bit flipped for positives, all bits flipped
-// for negatives) — the classic radix-sortable float encoding.
-func orderableBits(v float64) uint64 {
-	u := math.Float64bits(v)
-	if u&(1<<63) != 0 {
-		return ^u
-	}
-	return u | 1<<63
-}
-
 // radixSortPairs stably sorts idx by keys with an LSD byte radix — no
 // comparator calls, so it runs several times faster than a comparison sort
 // on these sizes. keysAlt/idxAlt are same-length scratch. Passes whose byte
 // is constant across all keys (common: exponent bytes of same-scale
-// features) are skipped. Returns the sorted index slice (one of idx/idxAlt,
-// depending on pass parity).
-func radixSortPairs(keys []uint64, idx []int32, keysAlt []uint64, idxAlt []int32) []int32 {
+// features) are skipped. Returns the sorted keys and index slice (the
+// arguments or the scratch, depending on pass parity).
+func radixSortPairs(keys []uint64, idx []int32, keysAlt []uint64, idxAlt []int32) ([]uint64, []int32) {
 	var counts [256]int
 	for shift := 0; shift < 64; shift += 8 {
 		first := byte(keys[0] >> shift)
@@ -252,15 +221,14 @@ func radixSortPairs(keys []uint64, idx []int32, keysAlt []uint64, idxAlt []int32
 		keys, keysAlt = keysAlt, keys
 		idx, idxAlt = idxAlt, idx
 	}
-	return idx
+	return keys, idx
 }
 
 // presortByFeature returns, for every feature, the sample indices ordered by
-// that feature's value — the one sort a fit pays. Boosted trees maintain
-// these orders down the recursion by stable partition; classification trees
-// derive their value codes from them (grower.go). Features sort
-// independently in parallel; the orders (and anything derived from them)
-// are identical for any worker count.
+// that feature's value — the one sort a boosting fit pays; its trees maintain
+// these orders down the recursion by stable partition. (Classification trees
+// train on value codes instead: coded.go.) Features sort independently in
+// parallel; the orders are identical for any worker count.
 func presortByFeature(cols [][]float64, samples []int) [][]int32 {
 	numFeatures := len(cols)
 	sorted := make([][]int32, numFeatures)
@@ -284,7 +252,8 @@ func presortByFeature(cols [][]float64, samples []int) [][]int32 {
 			k[i] = orderableBits(col[s])
 		}
 		seg := backing[f*n : (f+1)*n]
-		copy(seg, radixSortPairs(k[:n], ix[:n], k[n:], ix[n:]))
+		_, order := radixSortPairs(k[:n], ix[:n], k[n:], ix[n:])
+		copy(seg, order)
 		sorted[f] = seg
 	})
 	return sorted

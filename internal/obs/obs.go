@@ -86,7 +86,8 @@ func (k metricKind) String() string {
 type series struct {
 	labels []Label
 	key    string // canonical label signature, for dedupe and sort
-	render func(w io.Writer, name, labelStr string)
+	// render appends the series' exposition lines.
+	render func(b []byte, name, labelStr string) []byte
 }
 
 // family groups all series sharing one metric name.
@@ -107,6 +108,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	buf      []byte // WriteText's rendering, reused from scrape to scrape
 }
 
 // NewRegistry returns an empty registry.
@@ -190,13 +192,13 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label, 
 	s := &series{labels: labels, key: key}
 	switch v := inst.(type) {
 	case *Counter:
-		s.render = v.renderTo
+		s.render = v.appendTo
 	case *Gauge:
-		s.render = v.renderTo
+		s.render = v.appendTo
 	case *gaugeFunc:
-		s.render = v.renderTo
+		s.render = v.appendTo
 	case *Histogram:
-		s.render = v.renderTo
+		s.render = v.appendTo
 	}
 	// Keep series sorted by label signature for deterministic output.
 	at := sort.Search(len(f.series), func(i int) bool { return f.series[i].key >= key })
@@ -258,60 +260,91 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 }
 
 // WriteText renders every family in the Prometheus text exposition format
-// (version 0.0.4): # HELP and # TYPE comments, then one line per series.
+// (version 0.0.4): # HELP and # TYPE comments, then one line per series. The
+// text is appended to one buffer the registry keeps and handed to w in a
+// single Write, so a scrape of a warmed registry allocates nothing of its own.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ew := &errWriter{w: w}
+	b := r.buf[:0]
 	for _, f := range r.families {
-		fmt.Fprintf(ew, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(ew, "# TYPE %s %s\n", f.name, f.kind)
+		b = append(b, "# HELP "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = appendHelp(b, f.help)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.kind.String()...)
+		b = append(b, '\n')
 		for _, s := range f.series {
-			s.render(ew, f.name, s.key)
+			b = s.render(b, f.name, s.key)
 		}
 	}
-	return ew.err
+	r.buf = b
+	_, err := w.Write(b)
+	return err
 }
 
-// escapeHelp applies the exposition-format escapes for HELP text.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// errWriter latches the first write error so rendering loops stay flat.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return len(p), nil
+// appendHelp appends HELP text with the exposition-format escapes applied.
+func appendHelp(b []byte, help string) []byte {
+	for i := 0; i < len(help); i++ {
+		switch c := help[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '\n':
+			b = append(b, `\n`...)
+		default:
+			b = append(b, c)
+		}
 	}
-	n, err := e.w.Write(p)
-	e.err = err
-	return n, nil
+	return b
 }
 
-// formatFloat renders a sample value the way Prometheus clients do.
-func formatFloat(v float64) string {
+// appendFloat appends a sample value the way Prometheus clients render it.
+func appendFloat(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	default:
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
 }
 
-// seriesName renders "name{labels}" (or bare name without labels).
-func seriesName(name, labelStr string) string {
-	if labelStr == "" {
-		return name
+// appendSeries appends "name{labels} " (the bare name without labels), with
+// suffix ("_sum", "_count") after the name.
+func appendSeries(b []byte, name, suffix, labelStr string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if labelStr != "" {
+		b = append(b, '{')
+		b = append(b, labelStr...)
+		b = append(b, '}')
 	}
-	return name + "{" + labelStr + "}"
+	return append(b, ' ')
+}
+
+// appendBucket appends a histogram bucket's series up to the value of its le
+// label, the last one: the caller appends the bound and closes with `"} `.
+func appendBucket(b []byte, name, labelStr string) []byte {
+	b = append(b, name...)
+	b = append(b, "_bucket{"...)
+	if labelStr != "" {
+		b = append(b, labelStr...)
+		b = append(b, ',')
+	}
+	return append(b, `le="`...)
+}
+
+// appendUintLine and appendFloatLine finish a sample line with its value.
+func appendUintLine(b []byte, v uint64) []byte {
+	return append(strconv.AppendUint(b, v, 10), '\n')
+}
+
+func appendFloatLine(b []byte, v float64) []byte {
+	return append(appendFloat(b, v), '\n')
 }
 
 // ---- counter ---------------------------------------------------------------
@@ -344,8 +377,8 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-func (c *Counter) renderTo(w io.Writer, name, labelStr string) {
-	fmt.Fprintf(w, "%s %d\n", seriesName(name, labelStr), c.Value())
+func (c *Counter) appendTo(b []byte, name, labelStr string) []byte {
+	return appendUintLine(appendSeries(b, name, "", labelStr), c.Value())
 }
 
 // ---- gauge -----------------------------------------------------------------
@@ -384,8 +417,8 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-func (g *Gauge) renderTo(w io.Writer, name, labelStr string) {
-	fmt.Fprintf(w, "%s %s\n", seriesName(name, labelStr), formatFloat(g.Value()))
+func (g *Gauge) appendTo(b []byte, name, labelStr string) []byte {
+	return appendFloatLine(appendSeries(b, name, "", labelStr), g.Value())
 }
 
 // gaugeFunc is a gauge computed at scrape time.
@@ -393,8 +426,8 @@ type gaugeFunc struct {
 	fn func() float64
 }
 
-func (g *gaugeFunc) renderTo(w io.Writer, name, labelStr string) {
-	fmt.Fprintf(w, "%s %s\n", seriesName(name, labelStr), formatFloat(g.fn()))
+func (g *gaugeFunc) appendTo(b []byte, name, labelStr string) []byte {
+	return appendFloatLine(appendSeries(b, name, "", labelStr), g.fn())
 }
 
 // ---- histogram -------------------------------------------------------------
@@ -533,25 +566,18 @@ func bucketQuantile(buckets []bucket, q float64) (float64, bool) {
 	return buckets[len(buckets)-1].le, true
 }
 
-func (h *Histogram) renderTo(w io.Writer, name, labelStr string) {
+func (h *Histogram) appendTo(b []byte, name, labelStr string) []byte {
 	cum := uint64(0)
-	for i, b := range h.bounds {
+	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		le := `le="` + formatFloat(b) + `"`
-		ls := le
-		if labelStr != "" {
-			ls = labelStr + "," + le
-		}
-		fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", ls), cum)
+		b = append(appendFloat(appendBucket(b, name, labelStr), bound), `"} `...)
+		b = appendUintLine(b, cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	ls := `le="+Inf"`
-	if labelStr != "" {
-		ls = labelStr + "," + ls
-	}
-	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", ls), cum)
-	fmt.Fprintf(w, "%s %s\n", seriesName(name+"_sum", labelStr), formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", labelStr), h.count.Load())
+	b = append(appendBucket(b, name, labelStr), `+Inf"} `...)
+	b = appendUintLine(b, cum)
+	b = appendFloatLine(appendSeries(b, name, "_sum", labelStr), h.Sum())
+	return appendUintLine(appendSeries(b, name, "_count", labelStr), h.count.Load())
 }
 
 // ValidateLine checks one non-comment exposition line for the shape a

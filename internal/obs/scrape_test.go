@@ -115,7 +115,7 @@ func renderSample(s Sample) string {
 		}
 		b.WriteByte('}')
 	}
-	return b.String() + " " + formatFloat(s.Value)
+	return b.String() + " " + string(appendFloat(nil, s.Value))
 }
 
 // FuzzParseText feeds the scraper arbitrary peer bytes: it never panics,

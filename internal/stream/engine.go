@@ -647,10 +647,10 @@ func mix64(x uint64) uint64 {
 // actions. Runs on the shard's consumer goroutine only.
 func (e *Engine) process(s *shard, q queued) {
 	out, dead := e.apply(s, q)
-	s.processed.Inc()
 	if dead != nil {
-		e.quarantine(s, dead)
+		e.quarantine(s, dead) // before the event counts as processed: Drain covers the dead letter
 	}
+	s.processed.Inc()
 	for _, a := range out {
 		e.emit(a)
 	}

@@ -35,6 +35,15 @@ if grep -rn "map\[uint64\]\*bankSession" --include=*.go internal/stream | grep -
     exit 1
 fi
 
+echo "==> one coded training matrix (classification training transposes nothing)"
+# A dataset is value-coded once and every Tree or Forest fit, on it or on a
+# view of it, grows over those codes; the float64 transpose belongs to the
+# boosting trainer (gbdt.go), which reads a feature's values at every node.
+if grep -rn "columnize(" --include=*.go internal/mltree | grep -v "_test\.go:\|/gbdt\.go:"; then
+    echo "columnize is called outside the boosting trainer (see the matches above)" >&2
+    exit 1
+fi
+
 echo "==> go vet"
 go vet ./...
 
@@ -58,12 +67,15 @@ echo "==> go test -race (parallel-training equivalence focus)"
 # pool hardest: parallel-vs-serial equivalence, arena-vs-pointer equivalence
 # for all four model kinds, the rank kernel's exactness table, model round-trips
 # and batch inference, the model loader's fuzz corpus, the forest workers'
-# reused growers at Parallelism 8 (TestForestFitAllocs) and the grower against
-# its reference — and, by the same pattern, core's quiet≡eager session gate
+# reused growers at Parallelism 8 (TestForestFitAllocs), the grower against
+# its reference, a fit on a view against a fit on a copy for all four kinds
+# (TestViewFitMatchesCopyFit) and two forests fitted at once on two views of
+# an uncoded dataset (TestConcurrentViewFits: the coded-matrix memo) — and, by
+# the same pattern, core's quiet≡eager session gate
 # (TestQuietSessionEquivalence). The full -race suite below still covers
 # everything, the engine-level restore of quiet sessions
 # (TestRestoredQuietSessionThenFails) included.
-go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel' \
+go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView' \
     ./internal/mltree/ ./internal/core/
 # The stats path's contract, by the same pattern: readers take no shard lock
 # and no snapshot lock, a /statsz costs the same at fleet size, and the atomic
@@ -167,6 +179,21 @@ echo "==> fuzz smoke (journal / handoff-suffix record decoder, 5s)"
 # 19-byte event record or a 12-byte CSWP record is ever accepted.
 go test -run '^$' -fuzz 'FuzzDecodeJournalRecord' -fuzztime 5s ./internal/stream/
 
+echo "==> fuzz smoke (registry artefact decoder, 5s)"
+# DecodeArtifact reads the model store at boot and whatever an operator
+# imports: arbitrary bytes must never panic, and an accepted artefact written
+# back must decode to the same model bytes and re-encode to itself (the
+# checksum tail is resealed when the input asks, so mutations reach the header
+# and metadata checks). Seeded with WriteArtifact output.
+go test -run '^$' -fuzz 'FuzzDecodeArtifact' -fuzztime 5s ./internal/registry/
+
+echo "==> fuzz smoke (chaos scenario YAML parser, 5s)"
+# parseYAML is a hand-rolled YAML subset reading operator-written scenario
+# files: arbitrary bytes must return — no panic, no line it stops consuming —
+# with only the value shapes the scenario decoder handles. Seeded with every
+# checked-in scenario, whose plan digests TestScenarioPlanDigests pins.
+go test -run '^$' -fuzz 'FuzzParseYAML' -fuzztime 5s ./internal/chaos/
+
 echo "==> bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
@@ -192,13 +219,16 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 # OnEvent only its Decision, with the default 80-tree forest.
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 
-echo "==> training perf gate (a forest fit allocates per tree and per fit, never per node)"
+echo "==> training perf gate (a forest fit allocates per tree and per fit, never per node; a Pipeline.Fit ≤ 12 MB)"
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
 # allocate each member's generator, node array and probability array plus a
 # per-fit term (value codes, one grower per worker, arena, out-of-bag tables)
-# — 419 allocations where the presorted-list trainer made 207 664.
-go test -run 'TestForestFitAllocs' -count 1 ./internal/mltree/
+# — 414 allocations where the presorted-list trainer made 207 664 — and one
+# default Pipeline.Fit on 120 banks, its three forest fits over two coded
+# datasets, at most 12 MB in all (10.5 measured; 19.1 when each fit
+# transposed, presorted and coded its own copy).
+go test -run 'TestForestFitAllocs|TestFitTransientBytes' -count 1 ./internal/mltree/ ./internal/core/
 
 echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files and predictions as the parent commit's)"
 # A fitted model lives in memory once, as a rank-quantised arena: the default
