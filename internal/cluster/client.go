@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -94,6 +95,29 @@ type heartbeatResponse struct {
 // bundles dominate; 256 MiB is far above any realistic session set and
 // still protects against a runaway peer.
 const maxResponseBytes = 256 << 20
+
+// maxRequestBytes bounds any cluster-internal request body at the same
+// figure: the largest request is an import carrying the bundle an export
+// responded with. A variable only so that a test can cross it without a
+// quarter-gigabyte body.
+var maxRequestBytes int64 = maxResponseBytes
+
+// decodeRequest decodes a cluster handler's JSON request body into v. A body
+// past maxRequestBytes is answered 413 and a malformed one 400, before the
+// handler acts on any of it; it reports whether v may be used.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
+}
 
 // postJSON posts in as JSON to url and decodes the response into out
 // (nil out discards the body). Non-2xx statuses become errors carrying

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -177,8 +176,7 @@ func (cp *ControlPlane) Descriptor() Descriptor {
 // its address and lease — no topology change.
 func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	m := req.Member
@@ -253,8 +251,7 @@ func (cp *ControlPlane) rebalanceJoin(next Descriptor, joiner Member, sources []
 // leaver may exit.
 func (cp *ControlPlane) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	cp.topo.Lock()
@@ -321,8 +318,7 @@ func withoutMember(ms []Member, id string) []Member {
 // control plane does not know it (restart or prior eviction): re-register.
 func (cp *ControlPlane) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	cp.mu.Lock()

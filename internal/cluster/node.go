@@ -114,8 +114,13 @@ func (a *Agent) Epoch() uint64 {
 
 // adopt installs a descriptor's ownership view. Stale or same-epoch
 // descriptors are no-ops: epochs only move forward, so a late-arriving
-// control-plane call can never roll ownership back.
+// control-plane call can never roll ownership back. Epoch 0 is a standalone
+// node's, never a ring's: a descriptor claiming it is refused (a fresh agent
+// would otherwise answer it with the ring it does not have).
 func (a *Agent) adopt(desc Descriptor) (*Ring, error) {
+	if desc.Epoch == 0 {
+		return nil, fmt.Errorf("cluster: descriptor without an epoch")
+	}
 	ring, err := BuildRing(desc)
 	if err != nil {
 		return nil, err
@@ -143,8 +148,7 @@ func (a *Agent) adopt(desc Descriptor) (*Ring, error) {
 // payload covers every accepted event for the moved banks.
 func (a *Agent) handleExport(w http.ResponseWriter, r *http.Request) {
 	var req exportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	ring, err := a.adopt(req.Desc)
@@ -172,8 +176,7 @@ func (a *Agent) handleExport(w http.ResponseWriter, r *http.Request) {
 // the control plane may tell the source to drop its copies.
 func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 	var req importRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	ring, err := a.adopt(req.Desc)
@@ -202,8 +205,7 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 // 200, so the moved state exists durably elsewhere.
 func (a *Agent) handleDrop(w http.ResponseWriter, r *http.Request) {
 	var req dropRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	ring, err := a.adopt(req.Desc)

@@ -134,15 +134,29 @@ type Obs struct {
 // admits 1970–2200). A class that is none of CE, UEO and UER folds like
 // ClassNone, whatever its value.
 func ObsOf(e mcelog.Event) Obs {
-	class := e.Class
+	return MakeObs(e.Time.UnixNano(), int32(e.Addr.Row), e.Class, e.Bits)
+}
+
+// MakeObs is the observation of an event at unixNano on row with the given
+// class and error bits: what ObsOf makes of such an event, for callers that
+// hold its fields rather than the event.
+func MakeObs(unixNano int64, row int32, class ecc.Class, bits mcelog.ErrBits) Obs {
 	if class < 0 || class > ecc.ClassUER {
 		class = ecc.ClassNone
 	}
-	return Obs{t: e.Time.UnixNano(), row: int32(e.Addr.Row), bits: uint16(e.Bits), class: uint8(class)}
+	return Obs{t: unixNano, row: row, bits: uint16(bits), class: uint8(class)}
 }
 
 // UnixNano is the observed event's timestamp.
 func (o Obs) UnixNano() int64 { return o.t }
+
+// Row, Class and Bits are the observed event's other fields: MakeObs of the
+// four accessors is o.
+func (o Obs) Row() int32 { return o.row }
+
+func (o Obs) Class() ecc.Class { return ecc.Class(o.class) }
+
+func (o Obs) Bits() mcelog.ErrBits { return mcelog.ErrBits(o.bits) }
 
 // Observe folds one event into the state. Events must arrive in
 // nondecreasing time order (the same contract the batch extractors place

@@ -122,6 +122,27 @@ func (l Layout) Bits() int {
 // capacity returns the number of distinct values field f can encode.
 func (l Layout) capacity(f field) int { return 1 << l.width[f] }
 
+// BankMask reduces an address packed under the layout to its bank's key:
+// v & BankMask() == Unpack(v).BankKey() for every v. It keeps the bits of
+// every field down to the bank and drops the finer ones — the row and the
+// column under every registered order.
+func (l Layout) BankMask() uint64 {
+	m, finer := l.used, false
+	for _, f := range l.order {
+		if finer {
+			m &^= (uint64(1)<<l.width[f] - 1) << l.shift[f]
+		}
+		finer = finer || f == fieldBank
+	}
+	return m
+}
+
+// RowField returns where the row sits in a packed address: the row of v is
+// v >> shift & (1<<width - 1).
+func (l Layout) RowField() (shift uint, width int) {
+	return l.shift[fieldRow], l.width[fieldRow]
+}
+
 // fits reports whether the geometry's dimensions all fit the layout.
 func (l Layout) fits(g Geometry) error {
 	for f := field(0); f < numFields; f++ {
@@ -206,6 +227,21 @@ func (p *Profile) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Derive returns an unregistered profile with p's hierarchy, level names and
+// the minimal layout (DeriveLayout) of geometry g: an ad-hoc topology for
+// tests and experiments, activated with ActivateProfile.
+func (p *Profile) Derive(name string, g Geometry) (*Profile, error) {
+	l, err := DeriveLayout(g, p.Layout.order[:])
+	if err != nil {
+		return nil, err
+	}
+	d := &Profile{Name: name, Geometry: g, Layout: l, Levels: p.Levels, TableLevels: p.TableLevels, levelNames: p.levelNames}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // truncateFrom returns the index in the layout order after which fields are

@@ -88,6 +88,58 @@ func TestProfilePackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedBankKeyAndRow: on a packed address, the bank key is one AND with
+// BankMask and the row one shift and mask by RowField — under every profile,
+// for in-range addresses and for arbitrary bit patterns, whose bank key is
+// what Unpack makes of them.
+func TestPackedBankKeyAndRow(t *testing.T) {
+	for _, name := range ProfileNames() {
+		t.Run(name, func(t *testing.T) {
+			p, err := ProfileByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := ActivateProfile(p)
+			defer ActivateProfile(prev)
+			mask, l := p.Layout.BankMask(), p.Layout
+			shift, width := l.RowField()
+			r := xrand.New(7)
+			g := p.Geometry
+			for i := 0; i < 500; i++ {
+				a := CellInBank(RandomBank(g, r), r.Intn(g.RowsPerBank), r.Intn(g.ColsPerBank))
+				v := a.Pack()
+				if v&mask != a.BankKey() || int(v>>shift&(1<<width-1)) != a.Row {
+					t.Fatalf("%+v: key %#x row %d, want %#x and %d", a, v&mask, v>>shift&(1<<width-1), a.BankKey(), a.Row)
+				}
+				if raw := r.Uint64(); raw&mask != Unpack(raw).BankKey() {
+					t.Fatalf("%#x: key %#x, Unpack's %#x", raw, raw&mask, Unpack(raw).BankKey())
+				}
+			}
+		})
+	}
+}
+
+// TestDeriveProfile: a derived profile keeps its parent's hierarchy and gives
+// each field the bits its geometry needs.
+func TestDeriveProfile(t *testing.T) {
+	g := DefaultGeometry
+	g.RowsPerBank = 1 << 19
+	p, err := HBM2E.Derive("wide", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, width := p.Layout.RowField(); width != 19 || p.Layout.order != HBM2E.Layout.order || p.Layout.width[fieldNode] != 7 {
+		t.Errorf("derived layout %+v", p.Layout)
+	}
+	if _, err := ProfileByName("wide"); err == nil {
+		t.Error("Derive registered its profile")
+	}
+	g.Nodes = 0
+	if _, err := HBM2E.Derive("bad", g); err == nil {
+		t.Error("Derive accepted a geometry without nodes")
+	}
+}
+
 func TestDDRTruncateHierarchy(t *testing.T) {
 	prev := ActivateProfile(DDR5DIMM)
 	defer ActivateProfile(prev)

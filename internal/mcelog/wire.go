@@ -66,46 +66,89 @@ var wireCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // frame. The stream cannot be trusted past this point.
 var ErrWireFrame = errors.New("mcelog: malformed binary frame")
 
-// AppendWireRecord appends one event's fixed-size record to dst.
-func AppendWireRecord(dst []byte, ev Event) []byte {
+// Record is one record's fields as the record lays them out: the form an
+// event keeps where nothing needs it unpacked (the stream engine queues,
+// journals and replays records). RecordOf packs an event into one; Event
+// unpacks it again.
+type Record struct {
+	UnixNano int64
+	Packed   uint64 // the address, packed under the active layout
+	Class    uint8  // the ecc.Class byte
+	Bits     uint16 // the ErrBits
+}
+
+// RecordOf is the record of an event.
+func RecordOf(ev Event) Record {
+	return Record{UnixNano: ev.Time.UnixNano(), Packed: ev.Addr.Pack(), Class: byte(ev.Class), Bits: uint16(ev.Bits)}
+}
+
+// Append appends the record's WireRecordSize bytes to dst.
+func (r Record) Append(dst []byte) []byte {
 	var rec [WireRecordSize]byte
-	binary.LittleEndian.PutUint64(rec[0:8], uint64(ev.Time.UnixNano()))
-	binary.LittleEndian.PutUint64(rec[8:16], ev.Addr.Pack())
-	rec[16] = byte(ev.Class)
-	binary.LittleEndian.PutUint16(rec[17:19], uint16(ev.Bits))
+	binary.LittleEndian.PutUint64(rec[0:8], uint64(r.UnixNano))
+	binary.LittleEndian.PutUint64(rec[8:16], r.Packed)
+	rec[16] = r.Class
+	binary.LittleEndian.PutUint16(rec[17:19], r.Bits)
 	return append(dst, rec[:]...)
 }
+
+// ParseRecord reads one fixed-size record's fields, checking nothing.
+func ParseRecord(rec []byte) Record {
+	_ = rec[WireRecordSize-1]
+	return Record{
+		UnixNano: int64(binary.LittleEndian.Uint64(rec[0:8])),
+		Packed:   binary.LittleEndian.Uint64(rec[8:16]),
+		Class:    rec[16],
+		Bits:     binary.LittleEndian.Uint16(rec[17:19]),
+	}
+}
+
+// Event unpacks the record: its time is the instant in UTC with no
+// monotonic reading.
+func (r Record) Event() Event {
+	return Event{
+		Time:  time.Unix(0, r.UnixNano).UTC(),
+		Addr:  hbm.Unpack(r.Packed),
+		Class: ecc.Class(r.Class),
+		Bits:  ErrBits(r.Bits),
+	}
+}
+
+// AppendWireRecord appends one event's fixed-size record to dst.
+func AppendWireRecord(dst []byte, ev Event) []byte { return RecordOf(ev).Append(dst) }
 
 // DecodeWireRecord unpacks one fixed-size record. The class byte is not
 // validated here — callers validate events against their geometry, which
 // subsumes the class check.
-func DecodeWireRecord(rec []byte) Event {
-	_ = rec[WireRecordSize-1]
-	return Event{
-		Time:  time.Unix(0, int64(binary.LittleEndian.Uint64(rec[0:8]))).UTC(),
-		Addr:  hbm.Unpack(binary.LittleEndian.Uint64(rec[8:16])),
-		Class: ecc.Class(rec[16]),
-		Bits:  ErrBits(binary.LittleEndian.Uint16(rec[17:19])),
-	}
-}
+func DecodeWireRecord(rec []byte) Event { return ParseRecord(rec).Event() }
 
-// DecodeWireRecordChecked is DecodeWireRecord for bytes nobody has
-// validated — a log file, a journal, a peer's handoff suffix — where no
-// Event.Validate follows the decode. It refuses a record of the wrong
-// length, a class byte that is not a loggable class, and a packed address
-// with bits outside the active layout (Unpack would silently drop them and
-// alias the record onto a different, valid-looking bank).
-func DecodeWireRecordChecked(rec []byte) (Event, error) {
+// ParseRecordChecked is ParseRecord for bytes nobody has validated — a log
+// file, a journal, a peer's handoff suffix — where no Event.Validate follows
+// the decode. It refuses a record of the wrong length, a class byte that is
+// not a loggable class, and a packed address with bits outside the active
+// layout (Unpack would silently drop them and alias the record onto a
+// different, valid-looking bank).
+func ParseRecordChecked(rec []byte) (Record, error) {
 	if len(rec) != WireRecordSize {
-		return Event{}, fmt.Errorf("mcelog: event record of %d bytes, want %d", len(rec), WireRecordSize)
+		return Record{}, fmt.Errorf("mcelog: event record of %d bytes, want %d", len(rec), WireRecordSize)
 	}
 	if c := ecc.Class(rec[16]); c != ecc.ClassCE && c != ecc.ClassUEO && c != ecc.ClassUER {
-		return Event{}, fmt.Errorf("mcelog: event record has invalid class byte %d", rec[16])
+		return Record{}, fmt.Errorf("mcelog: event record has invalid class byte %d", rec[16])
 	}
-	if err := hbm.CheckPacked(binary.LittleEndian.Uint64(rec[8:16])); err != nil {
-		return Event{}, fmt.Errorf("mcelog: event record: %w", err)
+	r := ParseRecord(rec)
+	if err := hbm.CheckPacked(r.Packed); err != nil {
+		return Record{}, fmt.Errorf("mcelog: event record: %w", err)
 	}
-	return DecodeWireRecord(rec), nil
+	return r, nil
+}
+
+// DecodeWireRecordChecked is ParseRecordChecked's record unpacked.
+func DecodeWireRecordChecked(rec []byte) (Event, error) {
+	r, err := ParseRecordChecked(rec)
+	if err != nil {
+		return Event{}, err
+	}
+	return r.Event(), nil
 }
 
 // WireFrame is a decoded, checksum-verified view over one frame's payload.
@@ -125,7 +168,7 @@ func (f WireFrame) Event(i int) Event {
 	if f.recSize == wireRecordSizeV1 {
 		return decodeWireRecordV1(rec)
 	}
-	return DecodeWireRecord(rec)
+	return ParseRecord(rec).Event() // DecodeWireRecord, a call frame shorter
 }
 
 // decodeWireRecordV1 decodes a legacy 17-byte CBF1 record: the CBF2 layout

@@ -144,10 +144,10 @@ func (e *Engine) encodeSnapshot(filter func(bankKey uint64) bool) (payload []byt
 			}
 			im := sessionImage{key: sl.key, bankSession: s.view(sl)}
 			sess := im.sess
-			if sl.form == slotStored {
+			if sl.form() == slotStored {
 				// A stored bank encodes as the quiet session it stands for.
 				log = s.store.log(sl, log)
-				sess = s.totals.version(sl.ver).quiet.ResumeSession(hbm.Unpack(sl.key), log)
+				sess = s.totals.version(sl.ver()).quiet.ResumeSession(hbm.Unpack(sl.key), log)
 			}
 			ds, ok := sess.(core.DurableSession)
 			if !ok {
@@ -333,10 +333,10 @@ func (l *imageLoader) strategy(version uint64) (core.DurableStrategy, error) {
 	return ds, nil
 }
 
-// quietLog decodes the log of an image that a store slot can hold whole — a
-// quiet session's, with the bookkeeping of a bank that has done nothing but
-// log those observations — straight from the image, building no session. The
-// log is valid until the next call.
+// quietLog decodes the log of an image that a store slot stands for — a quiet
+// session's, with the bookkeeping of a bank that has done nothing but log
+// those observations — straight from the image, building no session
+// (addQuiet then places it). The log is valid until the next call.
 func (l *imageLoader) quietLog(ds core.DurableStrategy, im *sessionImage) (log []features.Obs, ok bool, err error) {
 	qs, isQuiet := ds.(core.QuietStrategy)
 	if !isQuiet {
@@ -399,7 +399,7 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 			return err
 		}
 		if quiet {
-			s.addStored(im.key, ver, im.lastLSN, im.firstEvent, log)
+			s.addQuiet(im.key, ver, &im.bankSession, log)
 		} else {
 			bs, err := buildSession(ds, im)
 			if err != nil {
@@ -466,7 +466,7 @@ func (e *Engine) recoverDurable() error {
 
 	var replayed uint64
 	err = w.Replay(func(lsn uint64, payload []byte) error {
-		ev, version, isSwap, derr := decodeJournalRecord(payload)
+		rec, version, isSwap, derr := decodeJournalRecord(payload)
 		if derr != nil {
 			return derr
 		}
@@ -483,8 +483,9 @@ func (e *Engine) recoverDurable() error {
 			return nil
 		}
 		replayed++
-		s := e.shardFor(ev.Addr.BankKey())
-		out, dead := e.apply(s, queued{ev: ev, lsn: lsn})
+		q := queued{rec: rec, lsn: lsn}
+		s := e.shardFor(e.layout.key(&q.rec))
+		out, dead := e.apply(s, &q)
 		if dead != nil {
 			e.quarantine(s, dead)
 		}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,6 +213,7 @@ type Engine struct {
 	actions   chan Action
 	metrics   engineMetrics
 	batchPool sync.Pool // *batchScratch, sized to the shard count
+	layout    recordLayout
 
 	// walAppendErrs / lastAppendErr track journal-append failures for
 	// readiness: a serving daemon that cannot persist intake is not ready.
@@ -248,11 +250,36 @@ type Engine struct {
 	wg     sync.WaitGroup
 }
 
-// queued is one event in a shard queue, tagged with its WAL position (0
-// when the journal is disabled).
+// queued is one event in a shard queue: its record — the 19 bytes the wire
+// and the journal carry, packed once at ingest or read straight from a
+// checked journal record — and its WAL position (0 when the journal is
+// disabled). 32 bytes and no pointer, so a ring of them is never scanned by
+// the collector.
 type queued struct {
-	ev  mcelog.Event
+	rec mcelog.Record
 	lsn uint64
+}
+
+// recordLayout is what the engine reads of the active profile's packed-address
+// layout, once, at New: a record's bank key is its packed address with the
+// row and column bits cleared, and its row is read straight from those bits.
+type recordLayout struct {
+	bankMask uint64
+	rowShift uint
+	rowMask  uint64
+}
+
+func newRecordLayout(l hbm.Layout) recordLayout {
+	shift, width := l.RowField()
+	return recordLayout{bankMask: l.BankMask(), rowShift: shift, rowMask: 1<<width - 1}
+}
+
+// key is the record's bank key: its address's hbm.Address.BankKey.
+func (l *recordLayout) key(r *mcelog.Record) uint64 { return r.Packed & l.bankMask }
+
+// obs is the record's observation: features.ObsOf of its event.
+func (l *recordLayout) obs(r *mcelog.Record) features.Obs {
+	return features.MakeObs(r.UnixNano, int32(r.Packed>>l.rowShift&l.rowMask), ecc.Class(r.Class), mcelog.ErrBits(r.Bits))
 }
 
 // shard is one session partition, consumed by a single goroutine. The
@@ -370,6 +397,9 @@ func (t *shardTotals) versionIndex(version uint64, strat core.Strategy) uint32 {
 			return uint32(i)
 		}
 	}
+	if len(table) == maxVersions {
+		panic(fmt.Sprintf("stream: a shard has met %d model versions, more than a slot can name", maxVersions))
+	}
 	vc := &versionCount{version: version, strategy: strat}
 	vc.quiet, _ = strat.(core.QuietStrategy)
 	grown := append(table[:len(table):len(table)], vc)
@@ -382,32 +412,33 @@ func (t *shardTotals) versionIndex(version uint64, strat core.Strategy) uint32 {
 // bank and a session that has folded the same events show the same bookkeeping
 // apart from stateBytes, which for a stored bank is the bytes of its nodes.
 func (s *shard) view(sl *slot) bankSession {
-	if sl.form == slotHeap {
+	if sl.form() == slotHeap {
 		return *s.store.session(sl)
 	}
-	last := int64(bincodec.UnsetTime)
+	first, last := int64(bincodec.UnsetTime), int64(bincodec.UnsetTime)
 	if sl.ref != 0 {
-		last = s.store.nodes.at(sl.ref).obs.UnixNano()
+		first, last = s.store.oldest(sl).t, s.store.nodes.at(sl.ref).t
 	}
 	return bankSession{
 		lastLSN:       sl.lastLSN,
-		version:       s.totals.version(sl.ver).version,
-		firstEvent:    sl.first,
+		version:       s.totals.version(sl.ver()).version,
+		firstEvent:    first,
 		lastEvent:     last,
-		events:        int64(sl.count),
-		stateBytes:    int32(sl.count) * int32(nodeBytes),
+		events:        int64(sl.count()),
+		stateBytes:    int32(sl.count()) * int32(nodeBytes),
 		stateDeferred: true,
 	}
 }
 
 // storable reports whether a quiet session's bookkeeping is exactly the view
 // of a store slot holding log — whether the stored form would lose nothing.
+// A slot keeps no first-event time of its own: it is the oldest observation's.
 func storable(bs *bankSession, log []features.Obs) bool {
-	last := int64(bincodec.UnsetTime)
+	first, last := int64(bincodec.UnsetTime), int64(bincodec.UnsetTime)
 	if n := len(log); n > 0 {
-		last = log[n-1].UnixNano()
+		first, last = log[0].UnixNano(), log[n-1].UnixNano()
 	}
-	return len(log) <= quietCap && bs.events == int64(len(log)) && bs.lastEvent == last &&
+	return len(log) <= quietCap && bs.events == int64(len(log)) && bs.firstEvent == first && bs.lastEvent == last &&
 		bs.shadow == nil && !bs.degraded && !bs.classified && bs.class == 0 && !bs.bankSpared &&
 		bs.uerEvents == 0 && bs.rowsIsolated == 0 && bs.actions == 0 && len(bs.uerRows) == 0 && len(bs.spared) == 0
 }
@@ -420,10 +451,11 @@ const quietCap = core.QuietLogMax
 // addStored puts a quiet bank into the store in the stored form, pinned to the
 // version at table index ver, and addHeap one in the heap form; drop takes a
 // bank of either form out again. Each keeps the totals in step. Callers hold
-// mu (or are on the pre-consumer boot path).
-func (s *shard) addStored(key uint64, ver uint32, lastLSN uint64, first int64, log []features.Obs) *slot {
+// mu (or are on the pre-consumer boot path). addStored's log is one the store
+// holds.
+func (s *shard) addStored(key uint64, ver uint32, lastLSN uint64, log []features.Obs) *slot {
 	sl := s.store.insert(key)
-	sl.form, sl.ver, sl.lastLSN, sl.first = slotStored, ver, lastLSN, first
+	sl.meta, sl.lastLSN = ver<<verShift|slotStored, lastLSN
 	for _, o := range log {
 		s.store.appendObs(sl, o)
 	}
@@ -433,14 +465,14 @@ func (s *shard) addStored(key uint64, ver uint32, lastLSN uint64, first int64, l
 
 func (s *shard) addHeap(key uint64, ver uint32, bs *bankSession) *slot {
 	sl := s.store.insert(key)
-	sl.ver = ver
+	sl.meta = ver << verShift
 	s.store.setHeap(sl, bs)
 	s.added(sl, bs.lastLSN)
 	return sl
 }
 
 func (s *shard) added(sl *slot, lastLSN uint64) {
-	s.totals.version(sl.ver).n.Add(1)
+	s.totals.version(sl.ver()).n.Add(1)
 	v := s.view(sl)
 	s.totals.move(contribution{}, v.contribution())
 	if lastLSN > s.appliedLSN {
@@ -449,7 +481,7 @@ func (s *shard) added(sl *slot, lastLSN uint64) {
 }
 
 func (s *shard) drop(sl *slot) {
-	s.totals.version(sl.ver).n.Add(-1)
+	s.totals.version(sl.ver()).n.Add(-1)
 	v := s.view(sl)
 	s.totals.move(v.contribution(), contribution{})
 	s.store.remove(sl)
@@ -457,17 +489,33 @@ func (s *shard) drop(sl *slot) {
 
 // install puts a detached session (rebuilt from an image, or born in a handoff
 // suffix) into the shard: in the stored form when it is still a quiet session
-// whose bookkeeping a slot holds, in the heap form otherwise. strat is the
-// strategy serving the session's version.
+// whose bookkeeping and log a slot and its chain hold, in the heap form
+// otherwise. strat is the strategy serving the session's version.
 func (s *shard) install(key uint64, bs *bankSession, strat core.Strategy) {
 	ver := s.totals.versionIndex(bs.version, strat)
 	if qs, ok := bs.sess.(core.QuietSession); ok && s.totals.version(ver).quiet != nil {
-		if log, quiet := qs.QuietLog(); quiet && storable(bs, log) {
-			s.addStored(key, ver, bs.lastLSN, bs.firstEvent, log)
+		if log, quiet := qs.QuietLog(); quiet && storable(bs, log) && s.store.holds(log) {
+			s.addStored(key, ver, bs.lastLSN, log)
 			return
 		}
 	}
 	s.addHeap(key, ver, bs)
+}
+
+// addQuiet puts a bank whose image storable found quiet into the shard: in the
+// stored form when the store holds its log, otherwise in the heap form, as the
+// session the version's strategy resumes from the log — what a promotion would
+// make of the stored bank. im is the image's bookkeeping, which the heap form
+// copies.
+func (s *shard) addQuiet(key uint64, ver uint32, im *bankSession, log []features.Obs) {
+	if s.store.holds(log) {
+		s.addStored(key, ver, im.lastLSN, log)
+		return
+	}
+	bs := *im
+	bs.sess = s.totals.version(ver).quiet.ResumeSession(hbm.Unpack(key), slices.Clone(log))
+	bs.measureState()
+	s.addHeap(key, ver, &bs)
 }
 
 // bankSession couples a strategy session with the bookkeeping the engine
@@ -507,13 +555,13 @@ type bankSession struct {
 	spared                rowset.Set // rows isolated by emitted actions
 }
 
-// newBankSession starts the session of a bank whose first event is ev, bound
-// to the given model epoch.
-func newBankSession(bank hbm.BankAddress, ep modelEpoch, ev mcelog.Event) *bankSession {
+// newBankSession starts the session of a bank whose first event is at
+// firstEvent (Unix nanoseconds), bound to the given model epoch.
+func newBankSession(bank hbm.BankAddress, ep modelEpoch, firstEvent int64) *bankSession {
 	return &bankSession{
 		sess:       ep.strategy.NewSession(bank),
 		version:    ep.version,
-		firstEvent: ev.Time.UnixNano(),
+		firstEvent: firstEvent,
 		lastEvent:  bincodec.UnsetTime,
 	}
 }
@@ -561,9 +609,11 @@ func New(cfg Config) (*Engine, error) {
 		shards:  make([]*shard, cfg.Shards),
 		start:   time.Now(),
 		actions: make(chan Action, cfg.ActionBuffer),
+		layout:  newRecordLayout(hbm.ActiveProfile().Layout),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{in: newEventRing(cfg.QueueDepth)}
+		e.shards[i].store.heapOnly = e.layout.rowMask > maxNodeRow
 	}
 	e.batchPool.New = func() any { return e.newBatchScratch() }
 	e.lastAppendErr.Store("")
@@ -605,7 +655,7 @@ func New(cfg Config) (*Engine, error) {
 					return
 				}
 				for i := 0; i < n; i++ {
-					e.process(s, buf[i])
+					e.process(s, &buf[i])
 				}
 			}
 		}()
@@ -645,7 +695,7 @@ func mix64(x uint64) uint64 {
 
 // process runs one event through its bank session and emits any resulting
 // actions. Runs on the shard's consumer goroutine only.
-func (e *Engine) process(s *shard, q queued) {
+func (e *Engine) process(s *shard, q *queued) {
 	out, dead := e.apply(s, q)
 	if dead != nil {
 		e.quarantine(s, dead) // before the event counts as processed: Drain covers the dead letter
@@ -658,38 +708,41 @@ func (e *Engine) process(s *shard, q queued) {
 
 // apply folds one event into its bank under the shard lock and returns the
 // actions to emit. A non-UER event of a stored bank is one append to the
-// bank's chain: no strategy is called, so nothing can panic. Every other event
-// goes through the bank's session (fold), first promoting a stored bank.
-func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
-	key := q.ev.Addr.BankKey()
+// bank's chain, its row read straight from the record's packed address: no
+// strategy is called, so nothing can panic. Every other event goes through the
+// bank's session (fold), first promoting a stored bank — also when the shard
+// has no node left for the append.
+func (e *Engine) apply(s *shard, q *queued) (out []Action, dead *DeadLetter) {
+	key := e.layout.key(&q.rec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sl := s.store.find(key)
 	if sl == nil {
-		sl = e.newBank(s, key, &q)
+		sl = e.newBank(s, key, q)
 	}
-	if sl.form == slotHeap {
+	if sl.form() == slotHeap {
 		bs := s.store.session(sl)
 		if !s.admit(&bs.lastLSN, q.lsn) {
 			return nil, nil
 		}
-		return e.fold(s, bs, &q)
+		return e.fold(s, bs, q)
 	}
 	if !s.admit(&sl.lastLSN, q.lsn) {
 		return nil, nil
 	}
-	if q.ev.Class != ecc.ClassUER && sl.count < quietCap {
+	if q.rec.Class != uint8(ecc.ClassUER) && sl.count() < quietCap {
 		t0 := time.Now()
-		s.store.appendObs(sl, features.ObsOf(q.ev))
-		s.totals.n[totalStateBytes].Add(int64(nodeBytes))
-		e.metrics.processDur.ObserveSince(t0)
-		return nil, nil
+		if s.store.appendObs(sl, e.layout.obs(&q.rec)) {
+			s.totals.n[totalStateBytes].Add(int64(nodeBytes))
+			e.metrics.processDur.ObserveSince(t0)
+			return nil, nil
+		}
 	}
-	bs, dead := s.promote(sl, &q)
+	bs, dead := s.promote(sl, q)
 	if dead != nil {
 		return nil, dead
 	}
-	return e.fold(s, bs, &q)
+	return e.fold(s, bs, q)
 }
 
 // admit applies the replay watermark to a journaled event (lsn != 0): a record
@@ -717,9 +770,10 @@ func (s *shard) admit(last *uint64, lsn uint64) bool {
 // for life. Live events (and the non-durable path, lsn 0) bind the current
 // active epoch; replayed events bind the epoch at their journal position, so
 // recovery recreates each bank under the same version it was born under. The
-// bank is born stored when its strategy can resume a session from a log;
-// otherwise, and while a shadow evaluation is running — the candidate twin
-// must see the same full history — it is born with its session.
+// bank is born stored when its strategy can resume a session from a log and
+// its store can take q as its first observation; otherwise, and while a shadow
+// evaluation is running — the candidate twin must see the same full history —
+// it is born with its session.
 func (e *Engine) newBank(s *shard, key uint64, q *queued) *slot {
 	ep := e.activeEpoch()
 	if q.lsn != 0 {
@@ -727,11 +781,11 @@ func (e *Engine) newBank(s *shard, key uint64, q *queued) *slot {
 	}
 	ver := s.totals.versionIndex(ep.version, ep.strategy)
 	se := e.loadShadow()
-	if se == nil && s.totals.version(ver).quiet != nil {
-		return s.addStored(key, ver, 0, q.ev.Time.UnixNano(), nil)
+	if se == nil && s.totals.version(ver).quiet != nil && q.rec.Class != uint8(ecc.ClassUER) && s.store.canAppend() {
+		return s.addStored(key, ver, 0, nil)
 	}
-	bank := hbm.BankOf(q.ev.Addr)
-	bs := newBankSession(bank, ep, q.ev)
+	bank := hbm.Unpack(key)
+	bs := newBankSession(bank, ep, q.rec.UnixNano)
 	if se != nil {
 		bs.shadow = se.newShadowSession(bank)
 	}
@@ -739,12 +793,12 @@ func (e *Engine) newBank(s *shard, key uint64, q *queued) *slot {
 }
 
 // promote moves a stored bank to the heap form ahead of the event q, which its
-// slot cannot take (a UER, or one observation more than the cap): the chain,
-// oldest first, becomes the log of a resumed strategy session, and its nodes
-// go back to the free list. A strategy that panics resuming gets the quarantine
-// contract of one that panics folding: the event is returned as a dead letter
-// and the bank, with a fresh session in place of the one that could not be
-// resumed, is degraded.
+// slot cannot take (a UER, one observation more than the cap, or one more than
+// the shard's nodes hold): the chain, oldest first, becomes the log of a
+// resumed strategy session, and its nodes go back to the free list. A strategy
+// that panics resuming gets the quarantine contract of one that panics
+// folding: the event is returned as a dead letter and the bank, with a fresh
+// session in place of the one that could not be resumed, is degraded.
 func (s *shard) promote(sl *slot, q *queued) (bs *bankSession, dead *DeadLetter) {
 	v := s.view(sl)
 	before := v.contribution()
@@ -753,8 +807,8 @@ func (s *shard) promote(sl *slot, q *queued) (bs *bankSession, dead *DeadLetter)
 	log := s.store.log(sl, nil) // the session keeps it
 	s.store.freeLog(sl)
 	s.store.setHeap(sl, bs)
-	vc := s.totals.version(sl.ver)
-	bank := hbm.BankOf(q.ev.Addr)
+	vc := s.totals.version(sl.ver())
+	bank := hbm.Unpack(sl.key)
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -772,29 +826,31 @@ func (s *shard) promote(sl *slot, q *queued) (bs *bankSession, dead *DeadLetter)
 // newDeadLetter is the dead-letter entry of an event whose processing
 // panicked with r.
 func newDeadLetter(q *queued, r any) *DeadLetter {
+	ev := q.rec.Event()
 	return &DeadLetter{
-		Time:   q.ev.Time,
-		Bank:   hbm.BankOf(q.ev.Addr).String(),
-		Addr:   q.ev.Addr.Pack(),
-		Row:    q.ev.Addr.Row,
-		Class:  q.ev.Class.String(),
+		Time:   ev.Time,
+		Bank:   hbm.BankOf(ev.Addr).String(),
+		Addr:   q.rec.Packed,
+		Row:    ev.Addr.Row,
+		Class:  ev.Class.String(),
 		LSN:    q.lsn,
 		Reason: fmt.Sprint(r),
 	}
 }
 
 // fold runs one admitted event through a bank's session, under the shard
-// lock. A panic anywhere in the strategy session is caught: the event is
-// returned as a dead-letter entry, the session is marked degraded (it stops
-// feeding its strategy session, whose state may be mid-mutation), and the
-// shard keeps consuming — one poisoned event must never take the daemon down.
+// lock. The session sees the event its record unpacks to — exactly what a
+// replay of the journaled record shows it. A panic anywhere in the strategy
+// session is caught: the event is returned as a dead-letter entry, the session
+// is marked degraded (it stops feeding its strategy session, whose state may
+// be mid-mutation), and the shard keeps consuming — one poisoned event must
+// never take the daemon down.
 func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead *DeadLetter) {
-	ev := &q.ev
 	if bs.degraded {
 		// The strategy session is quarantined; keep the observational
 		// bookkeeping so /statsz still reflects the bank's traffic.
 		bs.events++
-		bs.lastEvent = ev.Time.UnixNano()
+		bs.lastEvent = q.rec.UnixNano
 		return nil, nil
 	}
 	// The shard totals take the fold's net change to the session. Deferred
@@ -809,6 +865,7 @@ func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead 
 			dead = newDeadLetter(q, r)
 		}
 	}()
+	ev := q.rec.Event()
 	prevClassified := bs.classified
 	// Shadow scoring needs the primary's pre-fold coverage: was this UER's
 	// row (or the whole bank) already isolated when the event arrived?
@@ -816,7 +873,7 @@ func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead 
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
 		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
-	out = foldEvent(bs, *ev, e.metrics.processDur, s.acts[:0])
+	out = foldEvent(bs, ev, e.metrics.processDur, s.acts[:0])
 	s.acts = out
 	if !prevClassified && bs.classified {
 		e.classifications.Add(1)
@@ -833,7 +890,7 @@ func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead 
 					primFresh += len(a.Rows)
 				}
 			}
-			se.foldShadow(bs.shadow, *ev, primCoveredUER, primSpareBank, primFresh)
+			se.foldShadow(bs.shadow, ev, primCoveredUER, primSpareBank, primFresh)
 		} else {
 			bs.shadow = nil // evaluation over or superseded; release the twin
 		}

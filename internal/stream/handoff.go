@@ -5,7 +5,6 @@ import (
 
 	"cordial/internal/core"
 	"cordial/internal/hbm"
-	"cordial/internal/mcelog"
 	"cordial/internal/wal"
 )
 
@@ -104,20 +103,20 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// governs its own.
 	events := make([]queued, 0, len(suffix))
 	touched := make(map[uint64]bool) // banks the suffix has events for
-	for _, rec := range suffix {
-		ev, _, isSwap, derr := decodeJournalRecord(rec.Payload)
+	for _, sr := range suffix {
+		rec, _, isSwap, derr := decodeJournalRecord(sr.Payload)
 		if derr == nil && !isSwap {
-			derr = ev.Validate(e.cfg.Geometry) // a peer's bytes: checked as at the HTTP edge
+			derr = rec.Event().Validate(e.cfg.Geometry) // a peer's bytes: checked as at the HTTP edge
 		}
 		if derr != nil {
-			return st, fmt.Errorf("stream: decoding handoff suffix record %d: %w", rec.LSN, derr)
+			return st, fmt.Errorf("stream: decoding handoff suffix record %d: %w", sr.LSN, derr)
 		}
-		key := ev.Addr.BankKey()
+		key := e.layout.key(&rec)
 		if isSwap || owns != nil && !owns(key) {
 			st.Skipped++
 			continue
 		}
-		events = append(events, queued{ev: ev, lsn: rec.LSN})
+		events = append(events, queued{rec: rec, lsn: sr.LSN})
 		touched[key] = true
 	}
 
@@ -175,8 +174,9 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// events for banks the snapshot never saw get fresh sessions (the bank
 	// first erred after the source's last checkpoint).
 	var pending []Action
-	for _, q := range events {
-		key := q.ev.Addr.BankKey()
+	for i := range events {
+		q := &events[i]
+		key := e.layout.key(&q.rec)
 		d, ok := adopted[key]
 		if !ok {
 			if _, exists := e.sessionByKey(key); exists {
@@ -184,7 +184,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 				continue
 			}
 			ep := e.activeEpoch()
-			d = detached{newBankSession(hbm.BankOf(q.ev.Addr), ep, q.ev), ep.strategy}
+			d = detached{newBankSession(hbm.Unpack(key), ep, q.rec.UnixNano), ep.strategy}
 			adopted[key] = d
 		}
 		bs := d.bs
@@ -195,10 +195,10 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 		bs.lastLSN = q.lsn
 		if bs.degraded {
 			bs.events++
-			bs.lastEvent = q.ev.Time.UnixNano()
+			bs.lastEvent = q.rec.UnixNano
 			continue
 		}
-		acts, panicked := e.foldDetached(bs, q.ev)
+		acts, panicked := e.foldDetached(bs, q)
 		if panicked {
 			st.Quarantined++
 			continue
@@ -233,7 +233,8 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	for _, qi := range quietImages {
 		install(qi.im.key, func(s *shard) {
 			log, _, _ := load.quietLog(qi.ds, qi.im) // decoded once above: cannot fail
-			s.addStored(qi.im.key, s.totals.versionIndex(qi.im.version, qi.ds), 0, qi.im.firstEvent, log)
+			qi.im.lastLSN = 0
+			s.addQuiet(qi.im.key, s.totals.versionIndex(qi.im.version, qi.ds), &qi.im.bankSession, log)
 		})
 	}
 	for key, d := range adopted {
@@ -288,16 +289,16 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 // foldDetached folds one event into a detached (not yet installed)
 // session, converting a strategy panic into the degraded state plus a
 // dead-letter entry — the same quarantine contract the live path has.
-func (e *Engine) foldDetached(bs *bankSession, ev mcelog.Event) (out []Action, panicked bool) {
+func (e *Engine) foldDetached(bs *bankSession, q *queued) (out []Action, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
 			out = nil
 			bs.degraded = true
-			e.quarantineDetached(newDeadLetter(&queued{ev: ev}, r))
+			e.quarantineDetached(newDeadLetter(&queued{rec: q.rec}, r))
 		}
 	}()
-	return foldEvent(bs, ev, nil, nil), false
+	return foldEvent(bs, q.rec.Event(), nil, nil), false
 }
 
 // quarantineDetached preserves a handoff-replay dead letter. Shard

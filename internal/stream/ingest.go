@@ -110,11 +110,13 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 	defer e.releaseScratch(sc)
 	journaled := e.wal != nil
 	for _, ev := range events {
-		si := e.shardIndex(ev.Addr.BankKey())
+		// The one pack of the event: from here on the engine holds its record.
+		q := queued{rec: mcelog.RecordOf(ev)}
+		si := e.shardIndex(e.layout.key(&q.rec))
 		if journaled { // only the journal step walks the batch a second time
 			sc.shard = append(sc.shard, int32(si))
 		}
-		sc.groups[si] = append(sc.groups[si], queued{ev: ev})
+		sc.groups[si] = append(sc.groups[si], q)
 	}
 	if journaled {
 		for si, g := range sc.groups {
@@ -123,7 +125,7 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 				defer e.shards[si].ingestMu.Unlock()
 			}
 		}
-		if dropped, err = e.journalBatch(events, sc); err != nil {
+		if dropped, err = e.journalBatch(sc); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -170,8 +172,9 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 // change. A shard's admitted events are the first len(groups[si]) of its
 // arrivals (admission trims the tail), tracked by the pos cursor; each
 // queued entry holds its offset within the batch until the WAL's first LSN
-// is added after the append.
-func (e *Engine) journalBatch(events []mcelog.Event, sc *batchScratch) (dropped int, err error) {
+// is added after the append. The payload is the admitted entries' records,
+// each copied as it stands: nothing is packed again.
+func (e *Engine) journalBatch(sc *batchScratch) (dropped int, err error) {
 	if e.cfg.Policy == IngestDrop {
 		for si, g := range sc.groups {
 			if len(g) == 0 {
@@ -184,14 +187,15 @@ func (e *Engine) journalBatch(events []mcelog.Event, sc *batchScratch) (dropped 
 			}
 		}
 	}
-	for i, si := range sc.shard {
+	for _, si := range sc.shard {
 		g := sc.groups[si]
 		if sc.pos[si] == len(g) {
 			continue // shed by admission
 		}
-		g[sc.pos[si]].lsn = uint64(len(sc.enc) / mcelog.WireRecordSize)
+		q := &g[sc.pos[si]]
+		q.lsn = uint64(len(sc.enc) / mcelog.WireRecordSize)
 		sc.pos[si]++
-		sc.enc = mcelog.AppendWireRecord(sc.enc, events[i])
+		sc.enc = q.rec.Append(sc.enc)
 	}
 	var first uint64
 	if len(sc.enc) > 0 { // admission may have shed the whole batch

@@ -169,13 +169,14 @@ func encodeSwapRecord(version uint64) []byte {
 // collector logs, or address bits outside the layout (which the unchecked
 // unpack would alias onto another bank), is an error, never a session.
 // Replaying our own journal is unaffected: a packed in-range address has no
-// stray bits.
-func decodeJournalRecord(p []byte) (ev mcelog.Event, version uint64, isSwap bool, err error) {
+// stray bits. An event comes back as its record, which is what the engine
+// queues.
+func decodeJournalRecord(p []byte) (rec mcelog.Record, version uint64, isSwap bool, err error) {
 	if len(p) == swapRecordSize && string(p[:4]) == swapRecordMagic {
-		return mcelog.Event{}, binary.LittleEndian.Uint64(p[4:]), true, nil
+		return mcelog.Record{}, binary.LittleEndian.Uint64(p[4:]), true, nil
 	}
-	ev, err = mcelog.DecodeWireRecordChecked(p)
-	return ev, 0, false, err
+	rec, err = mcelog.ParseRecordChecked(p)
+	return rec, 0, false, err
 }
 
 // SwapModel atomically makes a model version the one new sessions bind.
@@ -297,12 +298,12 @@ func (e *Engine) ExportEvents(from, to uint64) ([]mcelog.Event, error) {
 	}
 	out := make([]mcelog.Event, 0, len(recs))
 	for _, rec := range recs {
-		ev, _, isSwap, derr := decodeJournalRecord(rec.Payload)
+		r, _, isSwap, derr := decodeJournalRecord(rec.Payload)
 		if derr != nil {
 			return nil, fmt.Errorf("stream: exporting journal record %d: %w", rec.LSN, derr)
 		}
 		if !isSwap {
-			out = append(out, ev)
+			out = append(out, r.Event())
 		}
 	}
 	return out, nil

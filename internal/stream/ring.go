@@ -96,7 +96,6 @@ func (r *eventRing) popBatch(dst []queued) (k int, ok bool) {
 	}
 	for i := 0; i < k; i++ {
 		dst[i] = r.buf[(r.head+i)%len(r.buf)]
-		r.buf[(r.head+i)%len(r.buf)] = queued{} // drop references for GC
 	}
 	r.head = (r.head + k) % len(r.buf)
 	r.n -= k

@@ -38,9 +38,9 @@ func quietFleet(banks int) []mcelog.Event {
 // TestSessionHeapPerBank is the engine-level bytes-per-bank gate: the whole
 // per-bank cost of a quiet bank with seven CEs under the default Cordial
 // strategy — its index entry, its slot and its seven nodes in the shard's
-// store (TestStoreLayout pins the slot at ≤ 64 B and the node at ≤ 24), with
-// every chunk's and the index's slack counted in — stays under 256 B and a
-// tenth of an allocation.
+// store (TestStoreLayout pins the slot at 24 B and the node at 16), with every
+// chunk's and the index's slack counted in — stays under 160 B and a tenth of
+// an allocation.
 func TestSessionHeapPerBank(t *testing.T) {
 	if got := unsafe.Sizeof(bankSession{}); got > 144 {
 		t.Errorf("bankSession is %d bytes, want ≤ 144", got)
@@ -82,8 +82,8 @@ func TestSessionHeapPerBank(t *testing.T) {
 	heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / banks
 	mallocs := float64(after.Mallocs-before.Mallocs) / banks
 	t.Logf("%.0f B and %.2f mallocs per tracked bank", heap, mallocs)
-	if heap > 256 {
-		t.Errorf("a quiet bank holds %.0f B of heap, want ≤ 256", heap)
+	if heap > 160 {
+		t.Errorf("a quiet bank holds %.0f B of heap, want ≤ 160", heap)
 	}
 	if mallocs > 0.1 {
 		t.Errorf("a quiet bank cost %.2f mallocs, want ≤ 0.1", mallocs)
@@ -319,7 +319,7 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 func TestSnapshotRejectsUnsortedRowSets(t *testing.T) {
 	e := newTestEngine(t, Config{Shards: 1})
 	bank := testBank(1)
-	for i, row := range []int{70001, 70002, 70003} {
+	for i, row := range []int{60001, 60002, 60003} {
 		if err := e.Ingest(uerAt(bank, row, i)); err != nil {
 			t.Fatal(err)
 		}
@@ -336,9 +336,9 @@ func TestSnapshotRejectsUnsortedRowSets(t *testing.T) {
 		t.Fatalf("pristine payload: %d images, %v", len(images), err)
 	}
 	le64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
-	for name, to := range map[string]uint64{"duplicate": 70001, "descending": 69999, "beyond 32 bits": 1 << 40} {
-		// 70002 first appears as the middle member of the UER row set.
-		i := bytes.Index(payload, le64(70002))
+	for name, to := range map[string]uint64{"duplicate": 60001, "descending": 59999, "beyond 32 bits": 1 << 40} {
+		// 60002 first appears as the middle member of the UER row set.
+		i := bytes.Index(payload, le64(60002))
 		bad := append(append(append([]byte(nil), payload[:i]...), le64(to)...), payload[i+8:]...)
 		if _, _, err := decodeSnapshotSessions(bad); err == nil {
 			t.Errorf("%s row accepted", name)

@@ -4,7 +4,9 @@ import (
 	"math/bits"
 	"unsafe"
 
+	"cordial/internal/ecc"
 	"cordial/internal/features"
+	"cordial/internal/mcelog"
 )
 
 // A shard's bankStore is where its banks live and the shard's only index of
@@ -17,11 +19,12 @@ import (
 //   - index: an open-addressed table, bank key → slot reference, linear
 //     probing, at most half full, deletion by backward shift. It is the one
 //     part that grows by doubling (4 B per entry).
-//   - slots: one pointer-free 40-byte slot per bank. A stored bank's slot holds
-//     its replay watermark, first-event time, pinned model version (an index
-//     into the shard's version table) and the newest node of its chain; a
+//   - slots: one pointer-free 24-byte slot per bank. A stored bank's slot holds
+//     its replay watermark, pinned model version (an index into the shard's
+//     version table), observation count and the newest node of its chain; a
 //     promoted bank's slot holds the reference of its *bankSession in heap.
-//   - nodes: the observations, 24 bytes each, linked newest → oldest, recycled
+//     A stored bank's first-event time is its oldest node's.
+//   - nodes: the observations, 16 bytes each, linked newest → oldest, recycled
 //     through a free list when a bank promotes or is dropped.
 //
 // Slots, nodes and heap entries sit in fixed-size chunks that are allocated
@@ -36,20 +39,21 @@ type bankStore struct {
 	slots    chunked[slot]
 	freeSlot uint32 // head of the free slots, linked through slot.ref
 	nodes    chunked[obsNode]
-	freeNode uint32 // head of the free nodes, linked through obsNode.next
+	freeNode uint32 // head of the free nodes, linked through their next references
 	heap     chunked[*bankSession]
 	freeHeap []uint32 // heap entries vacated by dropped banks
+
+	// heapOnly is set when the layout's row field is wider than a node's: every
+	// bank then takes the heap form.
+	heapOnly bool
 }
 
-// slot is one bank in the store.
+// slot is one bank in the store: 24 bytes.
 type slot struct {
 	key     uint64
 	lastLSN uint64 // stored banks: newest journal record applied (bankSession.lastLSN once promoted)
-	first   int64  // stored banks: first event, Unix nanoseconds
 	ref     uint32 // stored: newest node of the chain; heap: entry in bankStore.heap; free: next free slot
-	ver     uint32 // index of the pinned version in the shard's version table
-	count   uint16 // stored: observations in the chain
-	form    uint8
+	meta    uint32 // ver<<verShift | count<<countShift | form
 }
 
 const (
@@ -58,17 +62,66 @@ const (
 	slotHeap          // a bank with a *bankSession
 )
 
-// obsNode is one stored observation and the reference of the one before it.
+// A slot's meta word: the form in the low 2 bits, a stored bank's observation
+// count in the next 6 (quietCap < 64), the pinned version's table index in
+// the top 24 (versionIndex refuses a table longer than maxVersions).
+const (
+	countShift  = 2
+	verShift    = 8
+	formMask    = 1<<countShift - 1
+	countMask   = 1<<verShift - 1 - formMask
+	maxVersions = 1 << (32 - verShift)
+)
+
+func (sl *slot) form() uint8     { return uint8(sl.meta & formMask) }
+func (sl *slot) count() int      { return int(sl.meta & countMask >> countShift) }
+func (sl *slot) ver() uint32     { return sl.meta >> verShift }
+func (sl *slot) setForm(f uint8) { sl.meta = sl.meta&^formMask | uint32(f) }
+
+// obsNode is one stored observation — the features.Obs a node holds — and the
+// reference of the one before it, in 16 bytes: the time, and one word of
+// next<<nodeNextShift | row<<nodeRowShift | class<<nodeClassShift | bits.
 type obsNode struct {
-	obs  features.Obs
-	next uint32
+	t int64
+	w uint64
 }
+
+// The node word's fields. A row is held in 18 bits — every registered
+// layout's row field fits (hbm3's is the widest, 17); a wider layout puts its
+// banks in the heap form — and a reference in 28, so a shard holds at most
+// maxNodeRef nodes and promotes a bank whose next observation finds none.
+const (
+	nodeClassShift = 16
+	nodeRowShift   = nodeClassShift + 2
+	nodeRowBits    = 18
+	nodeNextShift  = nodeRowShift + nodeRowBits
+	maxNodeRow     = 1<<nodeRowBits - 1
+	maxNodeRef     = 1<<(64-nodeNextShift) - 1
+)
+
+// nodeOf packs an observation that nodeHolds and the reference before it.
+func nodeOf(o features.Obs, next uint32) obsNode {
+	return obsNode{t: o.UnixNano(), w: uint64(next)<<nodeNextShift | uint64(o.Row())<<nodeRowShift |
+		uint64(o.Class())<<nodeClassShift | uint64(o.Bits())}
+}
+
+// nodeHolds reports whether a node can hold the observation: whether its row
+// fits (the class, folded by MakeObs, and the bits always do).
+func nodeHolds(o features.Obs) bool { return uint32(o.Row()) <= maxNodeRow }
+
+func (n *obsNode) obs() features.Obs {
+	return features.MakeObs(n.t, int32(n.w>>nodeRowShift&maxNodeRow), ecc.Class(n.w>>nodeClassShift&3), mcelog.ErrBits(n.w))
+}
+
+func (n *obsNode) next() uint32 { return uint32(n.w >> nodeNextShift) }
+
+func (n *obsNode) setNext(ref uint32) { n.w = n.w&(1<<nodeNextShift-1) | uint64(ref)<<nodeNextShift }
 
 // nodeBytes is what one stored observation occupies: a stored bank's
 // StateBytes is nodeBytes per observation.
 const nodeBytes = int(unsafe.Sizeof(obsNode{}))
 
-// chunkLen is the number of elements per chunk: 40 KB of slots, 24 KB of
+// chunkLen is the number of elements per chunk: 24 KB of slots, 16 KB of
 // nodes — small enough that the last, part-filled chunk of each kind is noise
 // beside the fleet, large enough that chunk allocations are one per thousand
 // banks or observations.
@@ -163,7 +216,7 @@ func (st *bankStore) rehash(size int) {
 	st.index = make([]uint32, size)
 	st.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for ref := uint32(1); ref <= st.slots.n; ref++ {
-		if sl := st.slots.at(ref); sl.form != slotFree {
+		if sl := st.slots.at(ref); sl.form() != slotFree {
 			st.place(ref, sl.key)
 		}
 	}
@@ -186,7 +239,7 @@ func (st *bankStore) reserve(n int) {
 // on the free list, and the index entries probing past it shift back so that
 // no tombstone is left.
 func (st *bankStore) remove(sl *slot) {
-	switch sl.form {
+	switch sl.form() {
 	case slotStored:
 		st.freeLog(sl)
 	case slotHeap:
@@ -213,30 +266,67 @@ func (st *bankStore) remove(sl *slot) {
 	st.banks--
 }
 
-// appendObs adds an observation to a stored bank's chain.
-func (st *bankStore) appendObs(sl *slot, o features.Obs) {
-	ref := st.freeNode
-	if ref != 0 {
-		st.freeNode = st.nodes.at(ref).next
-	} else {
-		ref = st.nodes.push()
+// canAppend reports whether appendObs would find a node — never under a
+// heapOnly layout, which stores no bank.
+func (st *bankStore) canAppend() bool {
+	return !st.heapOnly && (st.freeNode != 0 || st.nodes.n < maxNodeRef)
+}
+
+// holds reports whether a whole log can go into the store's nodes: the
+// layout's rows fit a node, so does every observation's, and the references
+// not yet handed out cover it (free nodes are not counted: a log the check
+// turns away takes the heap form, which is exact).
+func (st *bankStore) holds(log []features.Obs) bool {
+	if st.heapOnly || int(maxNodeRef-st.nodes.n) < len(log) {
+		return false
 	}
-	*st.nodes.at(ref) = obsNode{obs: o, next: sl.ref}
+	for _, o := range log {
+		if !nodeHolds(o) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendObs adds an observation that nodeHolds to a stored bank's chain. It
+// appends nothing and reports false when the shard's node references are
+// exhausted.
+func (st *bankStore) appendObs(sl *slot, o features.Obs) bool {
+	ref := st.freeNode
+	switch {
+	case ref != 0:
+		st.freeNode = st.nodes.at(ref).next()
+	case st.nodes.n < maxNodeRef:
+		ref = st.nodes.push()
+	default:
+		return false
+	}
+	*st.nodes.at(ref) = nodeOf(o, sl.ref)
 	sl.ref = ref
-	sl.count++
+	sl.meta += 1 << countShift
+	return true
+}
+
+// oldest returns the oldest node of a stored bank's chain, which holds one.
+func (st *bankStore) oldest(sl *slot) *obsNode {
+	nd := st.nodes.at(sl.ref)
+	for nd.next() != 0 {
+		nd = st.nodes.at(nd.next())
+	}
+	return nd
 }
 
 // log copies a stored bank's observations, oldest first, into buf (or a new
 // slice when buf is too small).
 func (st *bankStore) log(sl *slot, buf []features.Obs) []features.Obs {
-	n := int(sl.count)
+	n := sl.count()
 	if cap(buf) < n {
 		buf = make([]features.Obs, n)
 	}
 	buf = buf[:n]
 	for ref, i := sl.ref, n-1; ref != 0; i-- {
 		nd := st.nodes.at(ref)
-		buf[i], ref = nd.obs, nd.next
+		buf[i], ref = nd.obs(), nd.next()
 	}
 	return buf
 }
@@ -246,13 +336,10 @@ func (st *bankStore) freeLog(sl *slot) {
 	if sl.ref == 0 {
 		return
 	}
-	oldest := st.nodes.at(sl.ref)
-	for oldest.next != 0 {
-		oldest = st.nodes.at(oldest.next)
-	}
-	oldest.next = st.freeNode
+	st.oldest(sl).setNext(st.freeNode)
 	st.freeNode = sl.ref
-	sl.ref, sl.count = 0, 0
+	sl.ref = 0
+	sl.meta &^= countMask
 }
 
 // setHeap turns a slot — new, or stored with its log already freed — into the
@@ -265,7 +352,8 @@ func (st *bankStore) setHeap(sl *slot, bs *bankSession) {
 		ref = st.heap.push()
 	}
 	*st.heap.at(ref) = bs
-	sl.ref, sl.form = ref, slotHeap
+	sl.ref = ref
+	sl.setForm(slotHeap)
 }
 
 // session returns a heap-form bank's session.
@@ -274,7 +362,7 @@ func (st *bankStore) session(sl *slot) *bankSession { return *st.heap.at(sl.ref)
 // each visits every bank, in slot order. fn may remove the bank it is given.
 func (st *bankStore) each(fn func(sl *slot)) {
 	for ref := uint32(1); ref <= st.slots.n; ref++ {
-		if sl := st.slots.at(ref); sl.form != slotFree {
+		if sl := st.slots.at(ref); sl.form() != slotFree {
 			fn(sl)
 		}
 	}

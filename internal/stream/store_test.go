@@ -87,16 +87,20 @@ func (s *logStrategy) QuietImageLog(image []byte, buf []features.Obs) ([]feature
 	return sess.log, len(sess.uerRows) == 0, c.Done()
 }
 
-// TestStoreLayout pins the two sizes the store's memory bill is made of, and
-// that neither holds a Go pointer (the collector never scans a slot or a node).
+// TestStoreLayout pins the two sizes the store's memory bill is made of and
+// the size of a queue entry, and that none of them holds a Go pointer (the
+// collector never scans a slot, a node or a shard's ring).
 func TestStoreLayout(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got > 64 {
-		t.Errorf("slot is %d bytes, want ≤ 64", got)
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Errorf("slot is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(obsNode{}); got > 24 {
-		t.Errorf("obsNode is %d bytes, want ≤ 24", got)
+	if got := unsafe.Sizeof(obsNode{}); got != 16 {
+		t.Errorf("obsNode is %d bytes, want 16", got)
 	}
-	for _, typ := range []reflect.Type{reflect.TypeOf(slot{}), reflect.TypeOf(obsNode{})} {
+	if got := unsafe.Sizeof(queued{}); got > 32 {
+		t.Errorf("queued is %d bytes, want ≤ 32", got)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(slot{}), reflect.TypeOf(obsNode{}), reflect.TypeOf(queued{})} {
 		var walk func(reflect.Type)
 		walk = func(ft reflect.Type) {
 			switch ft.Kind() {
@@ -168,7 +172,7 @@ func checkStoreAgainst(t *testing.T, when string, e *Engine, ref map[uint64]*ref
 			t.Errorf("%s: index of %d entries holds %d banks", when, len(st.index), st.banks)
 		}
 		free := 0
-		for ref := st.freeNode; ref != 0; ref = st.nodes.at(ref).next {
+		for ref := st.freeNode; ref != 0; ref = st.nodes.at(ref).next() {
 			free++
 		}
 		nodes += int(st.nodes.n) - free
@@ -178,13 +182,13 @@ func checkStoreAgainst(t *testing.T, when string, e *Engine, ref map[uint64]*ref
 				t.Fatalf("%s: store holds bank %#x, the model does not", when, sl.key)
 			}
 			var log []features.Obs
-			if sl.form == slotStored {
+			if sl.form() == slotStored {
 				log = st.log(sl, nil)
 			} else {
 				log = st.session(sl).sess.(*logSession).log
 			}
-			if (sl.form == slotStored) != r.stored() || !slices.Equal(log, r.log) {
-				t.Fatalf("%s: bank %#x (form %d): log of %d, the model's has %d (stored %t)", when, sl.key, sl.form, len(log), len(r.log), r.stored())
+			if (sl.form() == slotStored) != r.stored() || !slices.Equal(log, r.log) {
+				t.Fatalf("%s: bank %#x (form %d): log of %d, the model's has %d (stored %t)", when, sl.key, sl.form(), len(log), len(r.log), r.stored())
 			}
 		})
 		s.mu.Unlock()
@@ -265,7 +269,7 @@ func TestStoreModel(t *testing.T) {
 			if rng.Intn(40) == 0 {
 				ev.Class = ecc.ClassUER
 			}
-			if out, dead := e.apply(e.shardFor(key), queued{ev: ev}); len(out) != 0 || dead != nil {
+			if out, dead := e.apply(e.shardFor(key), &queued{rec: mcelog.RecordOf(ev)}); len(out) != 0 || dead != nil {
 				t.Fatalf("step %d: %d actions, dead letter %v", step, len(out), dead)
 			}
 			r := ref[key]
@@ -375,7 +379,7 @@ func assertEnginesEquivalent(t *testing.T, when string, store, heap *Engine) {
 	for _, s := range store.shards {
 		s.mu.Lock()
 		s.store.each(func(sl *slot) {
-			if sl.form == slotStored {
+			if sl.form() == slotStored {
 				stored++
 			}
 		})
@@ -387,7 +391,7 @@ func assertEnginesEquivalent(t *testing.T, when string, store, heap *Engine) {
 	for _, s := range heap.shards {
 		s.mu.Lock()
 		s.store.each(func(sl *slot) {
-			if sl.form == slotStored {
+			if sl.form() == slotStored {
 				t.Errorf("%s: the heap-only engine stores bank %#x", when, sl.key)
 			}
 		})
@@ -506,7 +510,7 @@ func TestStoredBankKeepsItsVersion(t *testing.T) {
 		s := e.shardFor(bank.BankKey())
 		s.mu.Lock()
 		sl := s.store.find(bank.BankKey())
-		if sl == nil || sl.form != slotHeap {
+		if sl == nil || sl.form() != slotHeap {
 			t.Fatalf("bank %v not promoted: %+v", bank, sl)
 		}
 		sess := s.store.session(sl).sess.(*logSession)

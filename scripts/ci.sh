@@ -35,6 +35,16 @@ if grep -rn "map\[uint64\]\*bankSession" --include=*.go internal/stream | grep -
     exit 1
 fi
 
+echo "==> one pack per event (the engine queues, journals and folds the record)"
+# IngestBatch packs each event into its record once; the consumer keys it with
+# one AND and the journal step copies its bytes. A bank key or a wire record
+# computed again inside either is the second pack coming back.
+if awk '/^func \(e \*Engine\) (apply|journalBatch)\(/,/^}/' internal/stream/*.go \
+    | grep -n "BankKey(\|AppendWireRecord("; then
+    echo "apply or journalBatch packs an event again (see the matches above)" >&2
+    exit 1
+fi
+
 echo "==> one coded training matrix (classification training transposes nothing)"
 # A dataset is value-coded once and every Tree or Forest fit, on it or on a
 # view of it, grows over those codes; the float64 transpose belongs to the
@@ -84,8 +94,11 @@ go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestSh
     ./internal/stream/ ./internal/obs/
 # The quiet-bank store, by the same pattern: the seeded model run (a reader
 # walks Sessions()/Session() while banks are inserted, appended to, promoted,
-# dropped and restored) and the store ≡ heap-form engine equivalence.
-go test -race -run 'TestStoreModel|TestQuietStoreEquivalence' ./internal/stream/
+# dropped and restored), the store ≡ heap-form engine equivalence, the packed
+# store's two limit fallbacks (a row field wider than a node's, node references
+# exhausted) and live ≡ replayed actions for events with a zone or a monotonic
+# reading.
+go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed' ./internal/stream/
 
 echo "==> go test -race"
 go test -race ./... "$@"
@@ -179,6 +192,13 @@ echo "==> fuzz smoke (journal / handoff-suffix record decoder, 5s)"
 # 19-byte event record or a 12-byte CSWP record is ever accepted.
 go test -run '^$' -fuzz 'FuzzDecodeJournalRecord' -fuzztime 5s ./internal/stream/
 
+echo "==> fuzz smoke (handoff bundle envelope, 5s)"
+# handleImport reads a peer's JSON envelope around the snapshot payload and
+# journal suffix: arbitrary bytes must never panic the agent, an envelope that
+# does not decode must answer 4xx, and a refused bundle must install no
+# session. Seeded with a real export and truncations of it.
+go test -run '^$' -fuzz 'FuzzHandoffEnvelope' -fuzztime 5s ./internal/cluster/
+
 echo "==> fuzz smoke (registry artefact decoder, 5s)"
 # DecodeArtifact reads the model store at boot and whatever an operator
 # imports: arbitrary bytes must never panic, and an accepted artefact written
@@ -241,10 +261,11 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
     -count 1 ./internal/core/ ./internal/mltree/
 
-echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot ≤ 64 B and node ≤ 24 B, a quiet bank ≤ 256 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore)"
+echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore)"
 # A fleet engine holds every bank that ever logged an error, so bytes per
 # tracked bank is its memory bill. The struct sizes are pinned by
-# unsafe.Sizeof (and the store's slot and node hold no Go pointer), the whole
+# unsafe.Sizeof (and the store's slot and node and a shard queue's entry hold
+# no Go pointer), the whole
 # per-bank cost (index entry, slot and seven observation nodes in the shard's
 # store, every chunk's slack included — a quiet bank owns no session and no
 # feature state) by a HeapAlloc/Mallocs delta over 20 000 CE-only banks under
