@@ -11,11 +11,15 @@ import (
 )
 
 // TestPredictBlocksStateAllocs pins the allocation count of the §IV-D hot
-// path with the default 80-tree forest: a warmed PredictBlocksState allocates
-// only the probabilities it returns, and a predicting OnEvent only its
-// Decision (probabilities, rows, the BlockPrediction) — one more is allowed
-// for the feature state's amortised row-set growth. Before the forest
-// arena and the pooled scratch these were 1 341 and 1 345.
+// path with the default 80-tree forest. A warmed PredictBlocksState allocates
+// only the probabilities it returns. A predicting OnEvent allocates only what
+// its caller keeps: a buffer of the decision's own (which holds the
+// BlockPrediction), the probabilities and the rows. A predicting Decide into a
+// reused buffer allocates nothing of its own. Both are allowed one more for the
+// feature state's amortised row-set growth. A window prediction used to make
+// ≈ 1 340 allocations, one leaf copy per tree and block; the pooled scratch
+// and the arena kernel took it to its result, and deciding into a reused
+// buffer takes a predicting step from OnEvent's three to the row-set growth.
 func TestPredictBlocksStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -69,7 +73,7 @@ func TestPredictBlocksStateAllocs(t *testing.T) {
 	// Every run is a UER at a row the bank has not failed at yet, so every
 	// run predicts.
 	row, step := last.Addr.Row, 0
-	if allocs := testing.AllocsPerRun(100, func() {
+	nextUER := func() mcelog.Event {
 		step++
 		for failed[row] {
 			row = (row + 3) % len(failed)
@@ -77,10 +81,23 @@ func TestPredictBlocksStateAllocs(t *testing.T) {
 		failed[row] = true
 		e := last
 		e.Class, e.Addr.Row, e.Time = ecc.ClassUER, row, now.Add(time.Duration(step)*time.Minute)
-		if d := sess.OnEvent(e); d.Blocks == nil {
+		return e
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if d := sess.OnEvent(nextUER()); d.Blocks == nil {
 			t.Error("OnEvent at a new UER row made no block prediction")
 		}
 	}); allocs > 4 {
 		t.Errorf("predicting OnEvent allocates %v times, want at most 4", allocs)
+	}
+
+	// AllocsPerRun's warm-up run sizes the buffer.
+	var buf DecisionBuffer
+	if allocs := testing.AllocsPerRun(100, func() {
+		if d := sess.Decide(nextUER(), &buf); d.Blocks == nil {
+			t.Error("Decide at a new UER row made no block prediction")
+		}
+	}); allocs > 1 {
+		t.Errorf("predicting Decide into a reused buffer allocates %v times, want at most 1", allocs)
 	}
 }

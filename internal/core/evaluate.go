@@ -127,10 +127,13 @@ func EvaluatePrediction(s Strategy, banks []*faultsim.BankFault, spec features.B
 	}
 	eval := &PredictionEval{Name: s.Name()}
 
+	// Each decision is applied and scored before the next is made, so one
+	// buffer serves them all (SpareRows keeps no reference to the rows).
+	var buf DecisionBuffer
 	for _, bf := range banks {
 		session := s.NewSession(bf.Bank)
 		for _, e := range bf.Events {
-			d := session.OnEvent(e)
+			d := Decide(session, e, &buf)
 			if d.SpareBank {
 				// Exhausted bank spares degrade coverage but are not an
 				// evaluation error — that is the cost model at work.

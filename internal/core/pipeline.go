@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -372,21 +373,31 @@ func (p *Pipeline) PredictBlocks(events []mcelog.Event, anchorRow int, now time.
 
 // PredictBlocksState returns the per-block UER probability for the window
 // anchored at anchorRow, computed from an incrementally maintained feature
-// state at decision time now. The whole window is one BlockVectorsInto fill
-// and one PredictBatchInto call over pooled scratch; the returned slice is
-// the only allocation.
+// state at decision time now. It is predictBlocksInto over a fresh slice,
+// which is its only allocation.
 func (p *Pipeline) PredictBlocksState(st *features.BankState, anchorRow int, now time.Time) ([]float64, error) {
+	probs := make([]float64, p.cfg.Block.NumBlocks())
+	if err := p.predictBlocksInto(probs, st, anchorRow, now); err != nil {
+		return nil, err
+	}
+	return probs, nil
+}
+
+// predictBlocksInto writes PredictBlocksState's probabilities into probs,
+// which holds one per block of the pipeline's window. The whole window is one
+// BlockVectorsInto fill and one PredictBatchInto call over pooled scratch, so
+// a warmed call allocates nothing.
+func (p *Pipeline) predictBlocksInto(probs []float64, st *features.BankState, anchorRow int, now time.Time) error {
 	if p.blockModel == nil {
-		return nil, fmt.Errorf("core: pipeline not fitted")
+		return fmt.Errorf("core: pipeline not fitted")
 	}
 	if p.blockPosIdx < 0 {
-		return nil, fmt.Errorf("core: block model has no positive class")
+		return fmt.Errorf("core: block model has no positive class")
 	}
 	if st.Spec() != p.cfg.Block {
-		return nil, fmt.Errorf("core: feature state block spec %+v does not match pipeline %+v", st.Spec(), p.cfg.Block)
+		return fmt.Errorf("core: feature state block spec %+v does not match pipeline %+v", st.Spec(), p.cfg.Block)
 	}
 	k := len(p.blockModel.Classes())
-	probs := make([]float64, p.cfg.Block.NumBlocks())
 	sc := p.blockScratchFor(len(probs), k)
 	st.BlockVectorsInto(sc.feats, anchorRow, now)
 	p.blockModel.PredictBatchInto(sc.probs, sc.rows)
@@ -394,14 +405,20 @@ func (p *Pipeline) PredictBlocksState(st *features.BankState, anchorRow int, now
 		probs[b] = sc.probs[b*k+p.blockPosIdx]
 	}
 	p.scratch.Put(sc)
-	return probs, nil
+	return nil
 }
 
 // PredictRows converts block probabilities into the concrete rows Cordial
 // would isolate: every row of every block whose probability clears the
 // threshold, clipped to the bank geometry, ascending (blocks are contiguous
-// and ordered by row).
+// and ordered by row). It is appendRows into a fresh slice of exactly those
+// rows, nil when there are none.
 func (p *Pipeline) PredictRows(probs []float64, anchorRow int, geo hbm.Geometry) []int {
+	return p.appendRows(nil, probs, anchorRow, geo)
+}
+
+// appendRows appends PredictRows' rows to rows, growing it at most once.
+func (p *Pipeline) appendRows(rows []int, probs []float64, anchorRow int, geo hbm.Geometry) []int {
 	clipped := func(b int) (lo, hi int) {
 		lo, hi = p.cfg.Block.BlockRange(anchorRow, b)
 		return max(lo, 0), min(hi, geo.RowsPerBank-1)
@@ -412,10 +429,7 @@ func (p *Pipeline) PredictRows(probs []float64, anchorRow int, geo hbm.Geometry)
 			n += hi - lo + 1
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	rows := make([]int, 0, n)
+	rows = slices.Grow(rows, n)
 	for b, prob := range probs {
 		if prob < p.cfg.Threshold {
 			continue
@@ -510,8 +524,42 @@ type Strategy interface {
 // Session consumes one bank's events in time order.
 type Session interface {
 	// OnEvent reacts to the next event and returns the decision taken at
-	// this step (the zero Decision means "do nothing").
+	// this step (the zero Decision means "do nothing"). The decision is the
+	// caller's: no later call touches its slices or its BlockPrediction, so a
+	// caller may keep a bank's decisions and read them after further events
+	// (the benchmark's reference replay does exactly that).
 	OnEvent(e mcelog.Event) Decision
+}
+
+// BufferedSession is optionally implemented by sessions that can decide
+// without making garbage. Callers that consume each decision before the next
+// one (the stream engine, EvaluatePrediction) reach it through Decide.
+type BufferedSession interface {
+	Session
+	// Decide is OnEvent deciding into buf: the returned IsolateRows and Blocks
+	// alias buf and are valid only until buf is next passed to Decide. A nil
+	// buf makes it OnEvent, allocating a buffer only when it predicts.
+	Decide(e mcelog.Event, buf *DecisionBuffer) Decision
+}
+
+// DecisionBuffer is the memory a BufferedSession decides into: a prediction's
+// block probabilities, its rows and its BlockPrediction. The zero value is
+// ready; it keeps the largest window it has held, so a warmed buffer makes a
+// decision without allocating. One buffer serves any number of sessions, one
+// decision at a time.
+type DecisionBuffer struct {
+	probs  []float64
+	rows   []int
+	blocks BlockPrediction
+}
+
+// Decide runs sess on e, into buf when sess is a BufferedSession and through
+// OnEvent otherwise. The decision is valid until buf is next used.
+func Decide(sess Session, e mcelog.Event, buf *DecisionBuffer) Decision {
+	if bs, ok := sess.(BufferedSession); ok {
+		return bs.Decide(e, buf)
+	}
+	return sess.OnEvent(e)
 }
 
 // ClassifiedSession is optionally implemented by sessions that expose the
@@ -536,7 +584,9 @@ type InstrumentedSession interface {
 	StateFootprint() (fp features.StateFootprint, released bool)
 }
 
-// Decision is a mitigation step taken at one event.
+// Decision is a mitigation step taken at one event. Who owns its slices
+// depends on how it was made: OnEvent's are the caller's, Decide's belong to
+// the buffer it was given.
 type Decision struct {
 	// SpareBank requests bank sparing (scattered pattern policy).
 	SpareBank bool
@@ -641,6 +691,7 @@ type cordialSession struct {
 
 var (
 	_ ClassifiedSession   = (*cordialSession)(nil)
+	_ BufferedSession     = (*cordialSession)(nil)
 	_ InstrumentedSession = (*cordialSession)(nil)
 	_ QuietSession        = (*cordialSession)(nil)
 	_ QuietStrategy       = (*CordialStrategy)(nil)
@@ -693,7 +744,13 @@ func (s *cordialSession) promote() {
 	s.state, s.pending = st, nil
 }
 
-func (s *cordialSession) OnEvent(e mcelog.Event) Decision {
+// OnEvent is Decide into a buffer of the decision's own.
+func (s *cordialSession) OnEvent(e mcelog.Event) Decision { return s.Decide(e, nil) }
+
+// Decide folds e into the session and, at a new UER row of a classified
+// aggregation bank, predicts the window anchored there into buf (a fresh
+// buffer when buf is nil).
+func (s *cordialSession) Decide(e mcelog.Event, buf *DecisionBuffer) Decision {
 	if s.state == nil && !s.released {
 		if e.Class != ecc.ClassUER {
 			if s.pending == nil {
@@ -718,7 +775,7 @@ func (s *cordialSession) OnEvent(e mcelog.Event) Decision {
 	}
 
 	pipe := s.strategy.Pipeline
-	if s.state.DistinctUERRows() < pipe.Config().Pattern.UERBudget {
+	if s.state.DistinctUERRows() < pipe.cfg.Pattern.UERBudget {
 		return Decision{}
 	}
 	if !s.classified {
@@ -733,16 +790,18 @@ func (s *cordialSession) OnEvent(e mcelog.Event) Decision {
 			return Decision{SpareBank: true}
 		}
 	}
+	if buf == nil {
+		buf = new(DecisionBuffer)
+	}
 	anchor := e.Addr.Row
-	probs, err := pipe.PredictBlocksState(s.state, anchor, e.Time)
-	if err != nil {
+	n := pipe.cfg.Block.NumBlocks()
+	buf.probs = slices.Grow(buf.probs[:0], n)[:n]
+	if err := pipe.predictBlocksInto(buf.probs, s.state, anchor, e.Time); err != nil {
 		return Decision{}
 	}
-	rows := pipe.PredictRows(probs, anchor, s.strategy.Geometry)
-	return Decision{
-		IsolateRows: rows,
-		Blocks:      &BlockPrediction{AnchorRow: anchor, Probs: probs, Threshold: pipe.Config().Threshold},
-	}
+	buf.rows = pipe.appendRows(buf.rows[:0], buf.probs, anchor, s.strategy.Geometry)
+	buf.blocks = BlockPrediction{AnchorRow: anchor, Probs: buf.probs, Threshold: pipe.cfg.Threshold}
+	return Decision{IsolateRows: buf.rows, Blocks: &buf.blocks}
 }
 
 // PatternImportance returns the fitted pattern model's feature importances

@@ -8,6 +8,7 @@ package sparing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -140,11 +141,16 @@ func (e *Engine) markRow(bankKey uint64, row int, t time.Time) {
 // SpareRows row-spares the given rows of bank at time t, consuming one spare
 // per not-yet-isolated row. It applies as many rows as the budget allows (in
 // ascending row order) and returns the rows actually spared. Rows already
-// isolated are skipped without consuming budget.
+// isolated are skipped without consuming budget. The caller's rows are
+// neither modified nor retained; ascending rows (every strategy's) are read in
+// place, others through a sorted copy.
 func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) []int {
 	key := bank.BankKey()
-	sorted := append([]int(nil), rows...)
-	sort.Ints(sorted)
+	sorted := rows
+	if !slices.IsSorted(rows) {
+		sorted = slices.Clone(rows)
+		slices.Sort(sorted)
+	}
 	var applied []int
 	for _, row := range sorted {
 		if e.isRowIsolatedAt(key, row, t) {

@@ -1,6 +1,7 @@
 package sparing
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +42,36 @@ func TestSpareRowsBasics(t *testing.T) {
 	}
 	if e.IsRowIsolatedBefore(bank, 99, at(5)) {
 		t.Fatal("unspared row reported isolated")
+	}
+}
+
+// TestSpareRowsNeverTouchesCallerRows: SpareRows reads ascending rows in place
+// and sorts a copy of others, but in neither case writes the caller's slice or
+// keeps it — the caller may reuse it for its next decision.
+func TestSpareRowsNeverTouchesCallerRows(t *testing.T) {
+	for _, rows := range [][]int{{3, 4, 5, 9}, {9, 3, 5, 4}} {
+		e := newEngine(t, DefaultBudget())
+		bank := hbm.BankAddress{Node: 3}
+		caller := append([]int(nil), rows...)
+		applied := e.SpareRows(bank, caller, at(1))
+		if !slices.Equal(caller, rows) {
+			t.Errorf("SpareRows(%v) left the caller's rows as %v", rows, caller)
+		}
+		if !slices.Equal(applied, []int{3, 4, 5, 9}) {
+			t.Errorf("SpareRows(%v) applied %v", rows, applied)
+		}
+		clear(caller) // the caller reuses its buffer
+		if acts := e.Actions(); len(acts) != 1 || !slices.Equal(acts[0].Rows, []int{3, 4, 5, 9}) {
+			t.Errorf("after the caller reused its rows the engine holds %+v", acts)
+		}
+		if !slices.Equal(applied, []int{3, 4, 5, 9}) {
+			t.Errorf("after the caller reused its rows the applied rows read %v", applied)
+		}
+		for _, r := range []int{3, 4, 5, 9} {
+			if !e.IsRowIsolatedBefore(bank, r, at(2)) {
+				t.Errorf("row %d of %v not isolated", r, rows)
+			}
+		}
 	}
 }
 

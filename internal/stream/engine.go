@@ -21,8 +21,9 @@
 // window prediction, which the pipeline issues as one BlockVectorsInto fill
 // and one PredictBatchInto over all 16 block vectors — pooled scratch, the
 // forest's single node arena walked tree-major on the consumer's own
-// goroutine — so the shard consumer's critical path stays short and
-// allocation-free under burst load.
+// goroutine. The session decides into the shard's decision buffer and the
+// emitted rows are carved from the shard's slab (verdictBuffers), so the shard
+// consumer's critical path stays short and allocation-free under burst load.
 package stream
 
 import (
@@ -195,7 +196,9 @@ type Action struct {
 	Bank hbm.BankAddress
 	// Rows lists newly isolated rows for row-granular actions; nil for
 	// bank sparing. Rows already isolated by an earlier action on the same
-	// bank are not re-emitted.
+	// bank are not re-emitted. Rows is read-only: it is carved from a slab
+	// that other actions' rows share. Its capacity is its length, so an
+	// append copies rather than writing into a neighbour's rows.
 	Rows []int
 	// Class is the failure class the pipeline assigned the bank.
 	Class faultsim.Class
@@ -305,6 +308,39 @@ type shard struct {
 	// acts is the consumer's reusable buffer for one event's actions: apply
 	// fills it and process has emitted them before the next apply.
 	acts []Action
+	// verdicts is the memory the shard's folds decide into and carve their
+	// actions' rows from.
+	verdicts verdictBuffers
+}
+
+// verdictBuffers is the memory one folding goroutine hands verdicts off
+// through: the decision buffer its sessions decide into, which the next fold
+// reuses, and an append-only slab the fresh rows of its emitted actions are
+// copied to. A slab is never written below its length, so rows carved from it
+// stay valid for as long as an action holds them; a full slab is left to those
+// actions and a new one started.
+type verdictBuffers struct {
+	dec  core.DecisionBuffer
+	slab []int
+}
+
+// slabInts is the size of a rows slab: one malloc per 1 024 emitted rows,
+// where each action would cost its own, and 8 KiB pinned at most by the
+// actions a slab is left to.
+const slabInts = 1024
+
+// carve returns an empty slice with room for n rows, carved from the slab with
+// its capacity clipped to n. A row set larger than a slab gets its own array.
+func (v *verdictBuffers) carve(n int) []int {
+	if n > slabInts {
+		return make([]int, 0, n)
+	}
+	if cap(v.slab)-len(v.slab) < n {
+		v.slab = make([]int, 0, slabInts)
+	}
+	l := len(v.slab)
+	v.slab = v.slab[:l+n]
+	return v.slab[l : l : l+n]
 }
 
 // total names one of a shard's running totals over its sessions.
@@ -873,7 +909,7 @@ func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead 
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
 		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
-	out = foldEvent(bs, ev, e.metrics.processDur, s.acts[:0])
+	out = foldEvent(bs, ev, e.metrics.processDur, s.acts[:0], &s.verdicts)
 	s.acts = out
 	if !prevClassified && bs.classified {
 		e.classifications.Add(1)
@@ -890,7 +926,7 @@ func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead 
 					primFresh += len(a.Rows)
 				}
 			}
-			se.foldShadow(bs.shadow, ev, primCoveredUER, primSpareBank, primFresh)
+			se.foldShadow(bs.shadow, ev, &s.verdicts.dec, primCoveredUER, primSpareBank, primFresh)
 		} else {
 			bs.shadow = nil // evaluation over or superseded; release the twin
 		}
@@ -898,19 +934,21 @@ func (e *Engine) fold(s *shard, bs *bankSession, q *queued) (out []Action, dead 
 	return out, nil
 }
 
-// foldEvent runs one event through a bank session: strategy OnEvent, the
-// engine's session bookkeeping (counts, class, feature-state footprint)
-// and action derivation with per-bank row dedupe; the actions are appended
-// to out. It mutates only the session, never shard-level state, so it
-// serves both the shard consumer path (apply, holding the shard lock) and
-// cluster handoff's suffix replay over sessions that are not installed in
-// any shard yet (proc nil: a replayed fold is not a served one). The caller
-// owns panic handling: a panic from the strategy session unwinds
-// through here with the session's counters partially updated, and the
-// caller must mark the session degraded.
-func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Action) []Action {
+// foldEvent runs one event through a bank session: the strategy's decision
+// (into vb's buffer when the session is a core.BufferedSession, through
+// OnEvent otherwise), the engine's session bookkeeping (counts, class,
+// feature-state footprint) and action derivation with per-bank row dedupe;
+// the actions are appended to out, their rows carved from vb's slab. It
+// mutates only the session and vb, never shard-level state, so it serves
+// both the shard consumer path (apply, holding the shard lock) and cluster
+// handoff's suffix replay over sessions that are not installed in any shard
+// yet (proc nil: a replayed fold is not a served one). The caller owns panic
+// handling: a panic from the strategy session unwinds through here with the
+// session's counters partially updated, and the caller must mark the session
+// degraded.
+func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Action, vb *verdictBuffers) []Action {
 	t0 := time.Now()
-	d := bs.sess.OnEvent(ev)
+	d := core.Decide(bs.sess, ev, &vb.dec)
 	proc.ObserveSince(t0)
 
 	bs.events++
@@ -944,7 +982,10 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 		// replay convergent: re-derived actions for already-spared rows are
 		// suppressed here.
 		// Consecutive windows of a bank overlap almost entirely, so count
-		// first and size fresh to the few rows that are new.
+		// first and carve fresh to the few rows that are new. The decision's
+		// own rows are not handed on: they are the buffer's, and a whole
+		// window's array held by every retained action would pin far more
+		// than the fresh rows.
 		n := 0
 		for _, r := range d.IsolateRows {
 			if !bs.spared.Has(r) {
@@ -952,7 +993,7 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 			}
 		}
 		if n > 0 {
-			fresh := make([]int, 0, n)
+			fresh := vb.carve(n)
 			for _, r := range d.IsolateRows {
 				if bs.spared.Add(r) {
 					fresh = append(fresh, r)

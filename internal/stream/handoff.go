@@ -174,6 +174,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// events for banks the snapshot never saw get fresh sessions (the bank
 	// first erred after the source's last checkpoint).
 	var pending []Action
+	var vb verdictBuffers // the replay's: pending's rows are carved from its slabs
 	for i := range events {
 		q := &events[i]
 		key := e.layout.key(&q.rec)
@@ -198,7 +199,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 			bs.lastEvent = q.rec.UnixNano
 			continue
 		}
-		acts, panicked := e.foldDetached(bs, q)
+		acts, panicked := e.foldDetached(bs, q, &vb)
 		if panicked {
 			st.Quarantined++
 			continue
@@ -289,7 +290,7 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 // foldDetached folds one event into a detached (not yet installed)
 // session, converting a strategy panic into the degraded state plus a
 // dead-letter entry — the same quarantine contract the live path has.
-func (e *Engine) foldDetached(bs *bankSession, q *queued) (out []Action, panicked bool) {
+func (e *Engine) foldDetached(bs *bankSession, q *queued, vb *verdictBuffers) (out []Action, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
@@ -298,7 +299,7 @@ func (e *Engine) foldDetached(bs *bankSession, q *queued) (out []Action, panicke
 			e.quarantineDetached(newDeadLetter(&queued{rec: q.rec}, r))
 		}
 	}()
-	return foldEvent(bs, q.rec.Event(), nil, nil), false
+	return foldEvent(bs, q.rec.Event(), nil, nil, vb), false
 }
 
 // quarantineDetached preserves a handoff-replay dead letter. Shard

@@ -190,10 +190,11 @@ func (se *shadowEval) newShadowSession(bank hbm.BankAddress) *shadowSession {
 // mirroring how a real spare must precede the failure it absorbs),
 // primSpareBank (the primary emitted a bank-spare on this event) and
 // primFresh (how many newly isolated rows its dedupe admitted). Runs
-// under the shard lock on the consumer goroutine. A candidate panic
-// retires the twin and never propagates — apart from timing, the primary
-// path must be indistinguishable from an un-shadowed run.
-func (se *shadowEval) foldShadow(ss *shadowSession, ev mcelog.Event,
+// under the shard lock on the consumer goroutine, after the primary's
+// actions are derived, so the twin decides into the shard's decision buffer
+// too. A candidate panic retires the twin and never propagates — apart from
+// timing, the primary path must be indistinguishable from an un-shadowed run.
+func (se *shadowEval) foldShadow(ss *shadowSession, ev mcelog.Event, buf *core.DecisionBuffer,
 	primCoveredUER, primSpareBank bool, primFresh int) {
 	if ss.dead {
 		return
@@ -215,7 +216,7 @@ func (se *shadowEval) foldShadow(ss *shadowSession, ev mcelog.Event,
 		}
 	}
 
-	d := ss.sess.OnEvent(ev)
+	d := core.Decide(ss.sess, ev, buf)
 
 	shadSpareBank := false
 	shadFresh := 0

@@ -1,0 +1,239 @@
+package stream
+
+import (
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+	"unsafe"
+
+	"cordial/internal/core"
+	"cordial/internal/ecc"
+	"cordial/internal/features"
+	"cordial/internal/hbm"
+	"cordial/internal/mcelog"
+	"cordial/internal/xrand"
+)
+
+// hotBankEvents is the benchmark's hot_banks shape, time-sorted: each bank has
+// a slowly drifting CE cluster and a UER at a new row every 10th event, so its
+// first UER rows are adjacent (an aggregation failure) and it predicts at a
+// tenth of its events.
+func hotBankEvents(banks, perBank int, seed uint64) []mcelog.Event {
+	rng := xrand.New(seed)
+	geo := hbm.DefaultGeometry
+	start := time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
+	var evs []mcelog.Event
+	for b := 0; b < banks; b++ {
+		bank := hbm.RandomBank(geo, rng)
+		baseRow := 64 + rng.Intn(geo.RowsPerBank-256)
+		offset := time.Duration(rng.Intn(300_000)) * time.Millisecond
+		for i := 0; i < perBank; i++ {
+			row, class := baseRow+i/10, ecc.ClassCE
+			if i%10 == 9 {
+				class = ecc.ClassUER
+			} else {
+				row += rng.Intn(4)
+			}
+			evs = append(evs, mcelog.Event{
+				Time:  start.Add(offset + time.Duration(i)*30*time.Second),
+				Addr:  hbm.CellInBank(bank, row, rng.Intn(geo.ColsPerBank)),
+				Class: class,
+			})
+		}
+	}
+	slices.SortStableFunc(evs, func(a, b mcelog.Event) int { return a.Time.Compare(b.Time) })
+	return evs
+}
+
+// undecided is everything the engine reads of a Cordial session but Decide.
+type undecided interface {
+	core.ClassifiedSession
+	core.InstrumentedSession
+	core.QuietSession
+}
+
+// onEventSession is a Cordial session with Decide hidden, and onEventCordial
+// the Cordial strategy serving its sessions that way: the engine then decides
+// through OnEvent, as it does for a baseline.
+type onEventSession struct{ undecided }
+
+type onEventCordial struct{ *core.CordialStrategy }
+
+func (s onEventCordial) NewSession(bank hbm.BankAddress) core.Session {
+	return onEventSession{s.CordialStrategy.NewSession(bank).(undecided)}
+}
+
+func (s onEventCordial) ResumeSession(bank hbm.BankAddress, log []features.Obs) core.Session {
+	return onEventSession{s.CordialStrategy.ResumeSession(bank, log).(undecided)}
+}
+
+// TestDecideEqualsOnEvent: the engine decides into its shard's buffer when a
+// session is a core.BufferedSession and through OnEvent when it is not. On a
+// hot-bank stream and on a fleet stream, both serve the same actions, bank by
+// bank and in order, and leave the same sessions.
+func TestDecideEqualsOnEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline")
+	}
+	pipe, err := trainedPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cordial := &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
+	wrapped := onEventCordial{cordial}
+	if _, ok := wrapped.NewSession(hbm.BankAddress{}).(core.BufferedSession); ok {
+		t.Fatal("the wrapper does not hide Decide")
+	}
+	if _, ok := any(wrapped).(core.QuietStrategy); !ok {
+		t.Fatal("the wrapper hides the quiet store from the engine")
+	}
+	for name, evs := range map[string][]mcelog.Event{
+		"hot-banks": hotBankEvents(48, 120, 3),
+		"fleet":     fleetEvents(t, 31),
+	} {
+		t.Run(name, func(t *testing.T) {
+			wantActs, wantSessions, _ := runFleet(t, wrapped, evs, nil)
+			gotActs, gotSessions, _ := runFleet(t, cordial, evs, nil)
+			actions := 0
+			for _, acts := range wantActs {
+				actions += len(acts)
+			}
+			if actions < len(wantActs)+10 {
+				t.Fatalf("%d banks acted %d times: not the coverage the test is for", len(wantActs), actions)
+			}
+			if !reflect.DeepEqual(gotActs, wantActs) {
+				t.Errorf("actions through Decide differ from OnEvent's: %d banks acted, want %d", len(gotActs), len(wantActs))
+			}
+			if !reflect.DeepEqual(gotSessions, wantSessions) {
+				t.Errorf("sessions through Decide differ from OnEvent's")
+			}
+		})
+	}
+}
+
+// TestActionRowsSurviveSlabRollover: emitted rows are carved from a shard's
+// append-only slab. Over more than four slabs, every action's rows still read
+// what they read when the action was received, and appending to one action's
+// rows copies them rather than writing into the next action's.
+func TestActionRowsSurviveSlabRollover(t *testing.T) {
+	// Neighbor Rows isolates the 8 rows around each UER; 9 rows apart, no two
+	// UERs of a bank share a row, so every UER emits 8 fresh rows.
+	strategy := &core.NeighborRowsStrategy{Radius: 4, Geometry: hbm.DefaultGeometry}
+	e := newTestEngine(t, Config{Strategy: strategy, Shards: 1, ActionBuffer: 1 << 12})
+	const banks, perBank = 4, 200
+	var got []Action
+	var atReceipt [][]int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for a := range e.Actions() {
+			got = append(got, a)
+			atReceipt = append(atReceipt, slices.Clone(a.Rows))
+		}
+	}()
+	for i := 0; i < perBank; i++ {
+		for b := 0; b < banks; b++ {
+			if err := e.Ingest(uerAt(testBank(b), 16+9*i, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+
+	rows, adjacent := 0, 0
+	for i, a := range got {
+		rows += len(a.Rows)
+		if !slices.Equal(a.Rows, atReceipt[i]) {
+			t.Fatalf("action %d's rows read %v, %v at receipt", i, a.Rows, atReceipt[i])
+		}
+		if cap(a.Rows) != len(a.Rows) {
+			t.Fatalf("action %d's rows have capacity %d for %d rows", i, cap(a.Rows), len(a.Rows))
+		}
+		if i > 0 && addr(a.Rows) == addr(got[i-1].Rows)+uintptr(len(got[i-1].Rows))*unsafe.Sizeof(0) {
+			adjacent++
+		}
+	}
+	if len(got) != banks*perBank || rows <= 4*slabInts+slabInts {
+		t.Fatalf("%d actions, %d rows: not the coverage the test is for", len(got), rows)
+	}
+	if adjacent < len(got)/2 {
+		t.Fatalf("only %d of %d actions' rows follow their predecessor's in memory: not carved from a slab", adjacent, len(got))
+	}
+	for i := 0; i+1 < len(got); i++ {
+		_ = append(got[i].Rows, -1, -1, -1)
+		if !slices.Equal(got[i+1].Rows, atReceipt[i+1]) {
+			t.Fatalf("appending to action %d's rows changed action %d's to %v", i, i+1, got[i+1].Rows)
+		}
+	}
+}
+
+// addr is the address of rows' first element.
+func addr(rows []int) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(rows))) }
+
+// TestPredictingFoldAllocs pins the mallocs of a predicting fold on a warmed
+// engine: a UER at a new row of an aggregation bank. The decision goes into
+// the shard's buffer and the fresh rows into its slab, so what is left is the
+// row sets' amortised growth (the feature state's and the bank's UER and
+// spared rows) and a slab now and then: 0.02 per fold measured, where each
+// such fold used to make four (the probabilities, the rows, the
+// BlockPrediction and the fresh rows) on top of that growth.
+func TestPredictingFoldAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	pipe, err := trainedPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Config{Strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}, Shards: 1, ActionBuffer: 1 << 12})
+	defer e.Close()
+	// The test folds on its own goroutine, as the shard's consumer would; the
+	// consumer stays idle, for nothing is queued.
+	s := e.shards[0]
+	process := func(ev mcelog.Event) { e.process(s, &queued{rec: mcelog.RecordOf(ev)}) }
+
+	warm := hotBankEvents(1, 300, 7)
+	for _, ev := range warm {
+		process(ev)
+	}
+	last := warm[len(warm)-1]
+	if st, ok := e.Session(hbm.BankOf(last.Addr)); !ok || !st.Classified || !st.Class.IsAggregation() {
+		t.Fatalf("the hot bank is not a classified aggregation bank: %+v", st)
+	}
+
+	// UERs at new rows just past the bank's cluster: every fold predicts, and
+	// the windows overlap as a real bank's do.
+	const folds = 400
+	next := func() mcelog.Event {
+		ev := last
+		ev.Class, ev.Addr.Row, ev.Time = ecc.ClassUER, last.Addr.Row+1, last.Time.Add(time.Minute)
+		last = ev
+		return ev
+	}
+	for i := 0; i < folds/4; i++ { // warms the buffer, the pooled scratch and the slab
+		process(next())
+	}
+	actsBefore := len(e.actions)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < folds; i++ {
+		process(next())
+	}
+	runtime.ReadMemStats(&m1)
+	perFold := float64(m1.Mallocs-m0.Mallocs) / folds
+	t.Logf("%.3f mallocs per predicting fold, %d actions", perFold, len(e.actions)-actsBefore)
+	if len(e.actions)-actsBefore < folds/4 {
+		t.Fatalf("%d actions over %d folds: not the coverage the test is for", len(e.actions)-actsBefore, folds)
+	}
+	if perFold > 0.05 {
+		t.Errorf("a predicting fold makes %.3f mallocs, want at most 0.05", perFold)
+	}
+}
