@@ -72,12 +72,11 @@ type DeadLetter struct {
 	Reason string `json:"reason"`
 }
 
-// quarantine counts a poisoned event (on its shard's counter) and
-// preserves it in the dead-letter file. Runs outside the shard lock; file
-// errors are swallowed (losing a dead-letter line must not take down
-// processing).
-func (e *Engine) quarantine(s *shard, d *DeadLetter) {
-	s.quarantined.Inc()
+// quarantine counts a poisoned event on its bank's shard and preserves it in
+// the dead-letter file. Runs outside the shard lock; file errors are swallowed
+// (losing a dead-letter line must not take down processing).
+func (e *Engine) quarantine(d *DeadLetter) {
+	e.shardFor(d.Addr & e.layout.bankMask).quarantined.Inc()
 	e.cfg.Logger.Warn("event quarantined",
 		"bank", d.Bank, "row", d.Row, "class", d.Class, "reason", d.Reason)
 	e.writeDeadLetter(d)
@@ -126,78 +125,93 @@ const snapWhat = "stream: snapshot payload"
 // uses the same framing, but its floor only describes the exporting
 // engine and is informational to the importer.
 func (e *Engine) encodeSnapshot(filter func(bankKey uint64) bool) (payload []byte, floor uint64, err error) {
-	type sessImage struct {
-		key  uint64
-		blob []byte
-	}
-	var images []sessImage
-	var log []features.Obs // reused: a stored bank's chain, collected to encode it
+	var w snapshotWriter
 	floor = ^uint64(0)
 	for _, s := range e.shards {
 		s.mu.Lock()
-		if s.appliedLSN < floor {
-			floor = s.appliedLSN
-		}
-		s.store.each(func(sl *slot) {
-			if err != nil || filter != nil && !filter(sl.key) {
-				return
-			}
-			im := sessionImage{key: sl.key, bankSession: s.view(sl)}
-			sess := im.sess
-			if sl.form() == slotStored {
-				// A stored bank encodes as the quiet session it stands for.
-				log = s.store.log(sl, log)
-				sess = s.totals.version(sl.ver()).quiet.ResumeSession(hbm.Unpack(sl.key), log)
-			}
-			ds, ok := sess.(core.DurableSession)
-			if !ok {
-				err = fmt.Errorf("stream: session %T is not durable", sess)
-				return
-			}
-			if im.blob, err = ds.EncodeState(); err != nil {
-				return
-			}
-			// 140 bytes of fixed-size fields, 8 per listed row, the blob.
-			size := 140 + 8*(len(im.uerRows)+len(im.spared)) + len(im.blob)
-			se := &bincodec.Cursor{B: make([]byte, 0, size), What: snapWhat}
-			im.code(se, engineSnapVersion)
-			if err = se.Err; err == nil {
-				images = append(images, sessImage{key: sl.key, blob: se.B})
-			}
-		})
+		floor = min(floor, s.appliedLSN)
+		err = w.add(s.shardState, filter)
 		s.mu.Unlock()
 		if err != nil {
 			return nil, 0, err
 		}
 	}
-	if floor == ^uint64(0) {
-		floor = 0
-	}
-	sort.Slice(images, func(i, j int) bool { return images[i].key < images[j].key })
 	// The active epoch rides in the header so recovery can rebind new
 	// sessions correctly even after the swap record itself is truncated.
 	// Snapshot takes snapMu and SwapModel excludes it, so the header can
 	// never name an epoch the floor disagrees with.
-	active := e.activeEpoch()
+	payload, err = w.payload(floor, e.activeEpoch())
+	return payload, floor, err
+}
+
+// snapshotWriter collects the session records of a snapshot payload, one
+// shard state at a time, and frames them.
+type snapshotWriter struct {
+	images []keyedBlob
+	log    []features.Obs // reused: a stored bank's chain, collected to encode it
+}
+
+type keyedBlob struct {
+	key  uint64
+	blob []byte
+}
+
+// add encodes the record of every bank of st that filter selects (nil = all).
+// The caller holds st's lock.
+func (w *snapshotWriter) add(st *shardState, filter func(bankKey uint64) bool) (err error) {
+	st.store.each(func(sl *slot) {
+		if err != nil || filter != nil && !filter(sl.key) {
+			return
+		}
+		im := sessionImage{key: sl.key, bankSession: st.view(sl)}
+		sess := im.sess
+		if sl.form() == slotStored {
+			// A stored bank encodes as the quiet session it stands for.
+			w.log = st.store.log(sl, w.log)
+			sess = st.totals.version(sl.ver()).quiet.ResumeSession(hbm.Unpack(sl.key), w.log)
+		}
+		ds, ok := sess.(core.DurableSession)
+		if !ok {
+			err = fmt.Errorf("stream: session %T is not durable", sess)
+			return
+		}
+		if im.blob, err = ds.EncodeState(); err != nil {
+			return
+		}
+		// 140 bytes of fixed-size fields, 8 per listed row, the blob.
+		size := 140 + 8*(len(im.uerRows)+len(im.spared)) + len(im.blob)
+		se := &bincodec.Cursor{B: make([]byte, 0, size), What: snapWhat}
+		im.code(se, engineSnapVersion)
+		if err = se.Err; err == nil {
+			w.images = append(w.images, keyedBlob{key: sl.key, blob: se.B})
+		}
+	})
+	return err
+}
+
+// payload frames the records, in bank-key order, behind a header naming the
+// retention floor and the active epoch.
+func (w *snapshotWriter) payload(floor uint64, active modelEpoch) ([]byte, error) {
+	sort.Slice(w.images, func(i, j int) bool { return w.images[i].key < w.images[j].key })
 	size := 64 // header
-	for _, im := range images {
+	for _, im := range w.images {
 		size += 8 + len(im.blob)
 	}
 	out := &bincodec.Cursor{B: append(make([]byte, 0, size), engineSnapMagic...), What: snapWhat}
 	out.B = append(out.B, engineSnapVersion)
 	hdr := snapshotHeader{floor: floor, activeVersion: active.version, activeSince: active.sinceLSN}
-	n := len(images)
+	n := len(w.images)
 	hdr.code(out, engineSnapVersion, &n)
-	for _, im := range images {
+	for _, im := range w.images {
 		out.Bytes(&im.blob)
 	}
-	return out.B, floor, out.Err
+	return out.B, out.Err
 }
 
 // sessionImage is one decoded per-session record of an engine snapshot
 // payload: the bankSession's bookkeeping (its lastLSN in the SOURCE engine's
 // journal namespace) and the strategy session's state image, from which
-// buildSession restores sess.
+// shardState.restore rebuilds sess.
 type sessionImage struct {
 	key uint64
 	bankSession
@@ -291,24 +305,11 @@ func decodeSnapshotSessions(payload []byte) (hdr snapshotHeader, images []sessio
 	return hdr, images, d.Err
 }
 
-// buildSession reconstructs a bankSession from a decoded image, including
-// its strategy session and feature-state footprint.
-func buildSession(ds core.DurableStrategy, im *sessionImage) (*bankSession, error) {
-	bank := hbm.Unpack(im.key)
-	sess, err := ds.RestoreSession(bank, im.blob)
-	if err != nil {
-		return nil, fmt.Errorf("stream: restoring session for bank %s: %w", bank.String(), err)
-	}
-	bs := im.bankSession
-	bs.sess = sess
-	bs.measureState()
-	return &bs, nil
-}
-
 // imageLoader reads decoded session images for a restore or an import,
-// resolving each pinned model version once — not once per bank.
+// resolving each pinned model version once — not once per bank — through
+// resolve (the engine's resolveDurable).
 type imageLoader struct {
-	e        *Engine
+	resolve  func(version uint64) (core.DurableStrategy, error)
 	resolved map[uint64]core.DurableStrategy
 	buf      []features.Obs // the last quiet image's log
 }
@@ -322,7 +323,7 @@ func (l *imageLoader) strategy(version uint64) (core.DurableStrategy, error) {
 	if ds, ok := l.resolved[version]; ok {
 		return ds, nil
 	}
-	ds, err := l.e.resolveDurable(version)
+	ds, err := l.resolve(version)
 	if err != nil {
 		return nil, err
 	}
@@ -343,31 +344,48 @@ func (l *imageLoader) quietLog(ds core.DurableStrategy, im *sessionImage) (log [
 		return nil, false, nil
 	}
 	log, quiet, err := qs.QuietImageLog(im.blob, l.buf)
-	if err != nil {
-		return nil, false, fmt.Errorf("stream: restoring session for bank %s: %w", hbm.Unpack(im.key).String(), err)
-	}
-	if !quiet {
-		return nil, false, nil
+	if err != nil || !quiet {
+		return nil, false, err
 	}
 	l.buf = log
 	return log, storable(&im.bankSession, log), nil
 }
 
-// reserve presizes each shard's store for counts[i] more banks. Callers hold
-// no shard lock.
-func (e *Engine) reserve(counts []int) {
-	for i, s := range e.shards {
-		s.mu.Lock()
-		s.store.reserve(counts[i])
-		s.mu.Unlock()
+// restore puts the bank of a decoded image into st, pinned to the version the
+// image names: a quiet image as addQuiet places it — in the stored form, with
+// no session and no allocation of its own — any other as the session the
+// version's strategy restores from the image.
+func (st *shardState) restore(load *imageLoader, im *sessionImage) error {
+	ds, err := load.strategy(im.version)
+	if err != nil {
+		return err
 	}
+	ver := st.totals.versionIndex(im.version, ds)
+	log, quiet, err := load.quietLog(ds, im)
+	var sess core.Session
+	if err == nil && !quiet {
+		sess, err = ds.RestoreSession(hbm.Unpack(im.key), im.blob)
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("stream: restoring session for bank %s: %w", hbm.Unpack(im.key), err)
+	case quiet:
+		st.addQuiet(im.key, ver, &im.bankSession, log)
+	default:
+		bs := im.bankSession
+		bs.sess = sess
+		bs.measureState()
+		st.addHeap(im.key, ver, &bs)
+	}
+	return nil
 }
 
 // restoreSnapshot rebuilds every bank from an engine snapshot payload,
 // re-seeding the model epoch table from the header and rebinding each bank to
-// its pinned version; an unresolvable version fails the boot loudly. A quiet
-// bank goes straight into its shard's store — no session, no allocation of its
-// own. Called during New, before the consumers start.
+// its pinned version; an unresolvable version fails the boot loudly. The banks
+// go into fresh shard states, which replace the shards' only once every image
+// has restored: a payload that fails part-way leaves the shards as they were.
+// Called during New, before the consumers start.
 func (e *Engine) restoreSnapshot(payload []byte) error {
 	hdr, images, err := decodeSnapshotSessions(payload)
 	if err != nil {
@@ -384,31 +402,23 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 	for i := range images {
 		counts[e.shardIndex(images[i].key)]++
 	}
-	e.reserve(counts)
-	load := imageLoader{e: e}
-	for i := range images {
-		im := &images[i]
-		ds, err := load.strategy(im.version)
-		if err != nil {
-			return err
-		}
-		s := e.shardFor(im.key)
-		ver := s.totals.versionIndex(im.version, ds)
-		log, quiet, err := load.quietLog(ds, im)
-		if err != nil {
-			return err
-		}
-		if quiet {
-			s.addQuiet(im.key, ver, &im.bankSession, log)
-		} else {
-			bs, err := buildSession(ds, im)
-			if err != nil {
-				return err
-			}
-			s.addHeap(im.key, ver, bs)
-		}
-		e.recoveredSessions++
+	fresh := make([]*shardState, len(e.shards))
+	for i := range fresh {
+		fresh[i] = newShardState(e.layout)
+		fresh[i].store.reserve(counts[i])
 	}
+	load := imageLoader{resolve: e.resolveDurable}
+	for i := range images {
+		if err := fresh[e.shardIndex(images[i].key)].restore(&load, &images[i]); err != nil {
+			return err
+		}
+	}
+	for i, s := range e.shards {
+		s.mu.Lock()
+		s.shardState = fresh[i]
+		s.mu.Unlock()
+	}
+	e.recoveredSessions = len(images)
 	return nil
 }
 
@@ -416,11 +426,12 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 
 // recoverDurable restores the newest decodable snapshot (walking past
 // corrupt ones — a bad snapshot costs replay time, never the recovery),
-// opens the journal (repairing any torn tail), and replays the suffix
-// through the normal apply path. Per-session watermarks skip records the
-// snapshot already covers; actions re-derived by the replayed suffix are
-// emitted again (at-least-once), deduplicated per bank by the restored
-// spared-row state.
+// opens the journal (repairing any torn tail), and replays the suffix. Replay
+// is one of the shard step's three callers: it queues the decoded records per
+// shard and steps them a consumer batch at a time. Per-bank watermarks skip
+// records the snapshot already covers; actions re-derived by the replayed
+// suffix are emitted again (at-least-once), deduplicated per bank by the
+// restored spared-row state.
 func (e *Engine) recoverDurable() error {
 	dcfg := e.cfg.Durability
 	fs := dcfg.FS
@@ -441,10 +452,7 @@ func (e *Engine) recoverDurable() error {
 			continue // corrupt file: fall back to the previous snapshot
 		}
 		if rerr = e.restoreSnapshot(payload); rerr != nil {
-			// Undecodable payload (e.g. version skew): also fall back, but
-			// drop any partially restored sessions first.
-			e.resetSessions()
-			e.epochs.Store(bootEpochs)
+			e.epochs.Store(bootEpochs) // undecodable payload (e.g. version skew): also fall back
 			continue
 		}
 		e.snapSeq.Store(seq)
@@ -464,6 +472,13 @@ func (e *Engine) recoverDurable() error {
 	}
 	e.wal = w
 
+	pending := make([][]queued, len(e.shards))
+	flush := func(si int) {
+		if len(pending[si]) > 0 {
+			e.deliver(e.shards[si].lockedStep(stepEnv{epochs: e.epochList(), shadow: e.loadShadow()}, pending[si]))
+			pending[si] = pending[si][:0]
+		}
+	}
 	var replayed uint64
 	err = w.Replay(func(lsn uint64, payload []byte) error {
 		rec, version, isSwap, derr := decodeJournalRecord(payload)
@@ -473,8 +488,13 @@ func (e *Engine) recoverDurable() error {
 		if isSwap {
 			// Re-install the epoch at its original position so sessions
 			// created later in the replay bind the same version they bound
-			// live. Idempotent against the snapshot header's seed. An
-			// unresolvable version fails the boot loudly, same as restore.
+			// live — after stepping the records before it, under the table
+			// they were replayed under. Idempotent against the snapshot
+			// header's seed. An unresolvable version fails the boot loudly,
+			// same as restore.
+			for si := range pending {
+				flush(si)
+			}
 			strat, serr := e.strategyFor(version)
 			if serr != nil {
 				return fmt.Errorf("stream: resolving replayed model swap to version %d: %w", version, serr)
@@ -483,14 +503,9 @@ func (e *Engine) recoverDurable() error {
 			return nil
 		}
 		replayed++
-		q := queued{rec: rec, lsn: lsn}
-		s := e.shardFor(e.layout.key(&q.rec))
-		out, dead := e.apply(s, &q)
-		if dead != nil {
-			e.quarantine(s, dead)
-		}
-		for _, a := range out {
-			e.emit(a)
+		si := e.shardIndex(e.layout.key(&rec))
+		if pending[si] = append(pending[si], queued{rec: rec, lsn: lsn}); len(pending[si]) == consumerBatch {
+			flush(si)
 		}
 		return nil
 	})
@@ -499,20 +514,13 @@ func (e *Engine) recoverDurable() error {
 		e.wal = nil
 		return fmt.Errorf("stream: replaying journal: %w", err)
 	}
+	for si := range pending {
+		flush(si)
+	}
 	e.recoveredEvents = replayed
 	e.metrics.recoveredSessions.Set(float64(e.recoveredSessions))
 	e.metrics.recoveredEvents.Set(float64(replayed))
 	return nil
-}
-
-// resetSessions drops all restored sessions and shard bookkeeping (used
-// when a snapshot payload fails mid-restore before falling back).
-func (e *Engine) resetSessions() {
-	for _, s := range e.shards {
-		s.store.each(s.drop)
-		s.appliedLSN = 0
-	}
-	e.recoveredSessions = 0
 }
 
 // ErrNotDurable is returned by Snapshot when no WAL directory was

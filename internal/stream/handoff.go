@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"cordial/internal/core"
-	"cordial/internal/hbm"
+	"cordial/internal/features"
 	"cordial/internal/wal"
 )
 
@@ -17,14 +17,15 @@ import (
 //   - a WAL record suffix (wal.Record, in the SOURCE journal's LSN
 //     namespace) covering events the snapshot may not include.
 //
-// ImportSessions replays the suffix against the decoded sessions using the
-// same per-session watermark rule boot-time recovery uses, then installs
-// the sessions with their watermark reset to zero — imported state must
-// never be compared against the LOCAL journal's LSNs, which live in a
-// different namespace. A post-import Snapshot persists the adopted
-// sessions before the importer acknowledges the handoff, preserving the
-// append-before-ack contract end to end: state is only ever acknowledged
-// once it is on the receiving node's stable storage.
+// ImportSessions restores the sessions into a scratch shard state and replays
+// the suffix over it through the shard step — the per-bank watermark rule
+// boot-time recovery uses — then moves the banks into the shards with their
+// watermarks reset to zero: imported state must never be compared against
+// the LOCAL journal's LSNs, which live in a different namespace. A
+// post-import Snapshot persists the adopted sessions before the importer
+// acknowledges the handoff, preserving the append-before-ack contract end to
+// end: state is only ever acknowledged once it is on the receiving node's
+// stable storage.
 //
 // Ownership discipline is the caller's job (the cluster control plane):
 // the source must stop accepting the moved banks before ExportSessions,
@@ -44,7 +45,8 @@ func (e *Engine) ExportSessions(filter func(bankKey uint64) bool) ([]byte, error
 type ImportStats struct {
 	// Sessions is the number of sessions adopted (installed into shards).
 	Sessions int
-	// Replayed counts WAL-suffix records folded into adopted sessions.
+	// Replayed counts WAL-suffix records folded into adopted sessions,
+	// including those a degraded session only counts.
 	Replayed int
 	// Skipped counts suffix records dropped by the ownership filter, the
 	// per-session watermark (already covered by the snapshot), or a
@@ -60,7 +62,9 @@ type ImportStats struct {
 	// boot-time recovery).
 	Actions int
 	// Quarantined counts suffix events whose replay panicked; the adopted
-	// session is installed degraded, exactly as a live panic would leave it.
+	// session is installed degraded, exactly as a live panic would leave it,
+	// and the event counted on its shard's cordial_events_quarantined_total
+	// and dead-lettered.
 	Quarantined int
 }
 
@@ -75,10 +79,9 @@ type ImportStats struct {
 // this engine already holds are skipped and counted as conflicts.
 func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(bankKey uint64) bool) (ImportStats, error) {
 	var st ImportStats
-	if strat := e.activeEpoch().strategy; strat != nil {
-		if _, ok := strat.(core.DurableStrategy); !ok {
-			return st, fmt.Errorf("stream: import requires a durable strategy, have %T", strat)
-		}
+	active := e.activeEpoch()
+	if _, ok := active.strategy.(core.DurableStrategy); !ok {
+		return st, fmt.Errorf("stream: import requires a durable strategy, have %T", active.strategy)
 	}
 	e.mu.RLock()
 	closed := e.closed
@@ -100,9 +103,9 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// Decode the suffix. Nothing is installed yet: a refused record refuses
 	// the bundle. A swap record is skipped like another node's event: the
 	// source's model swaps are its own history, the importer's model source
-	// governs its own.
+	// governs its own. A bank this engine already holds keeps its own history.
+	held := func(key uint64) bool { _, ok := e.sessionByKey(key); return ok }
 	events := make([]queued, 0, len(suffix))
-	touched := make(map[uint64]bool) // banks the suffix has events for
 	for _, sr := range suffix {
 		rec, _, isSwap, derr := decodeJournalRecord(sr.Payload)
 		if derr == nil && !isSwap {
@@ -111,144 +114,53 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 		if derr != nil {
 			return st, fmt.Errorf("stream: decoding handoff suffix record %d: %w", sr.LSN, derr)
 		}
-		key := e.layout.key(&rec)
-		if isSwap || owns != nil && !owns(key) {
+		if key := e.layout.key(&rec); isSwap || owns != nil && !owns(key) || held(key) {
 			st.Skipped++
 			continue
 		}
 		events = append(events, queued{rec: rec, lsn: sr.LSN})
-		touched[key] = true
 	}
-
-	// Read the accepted images. A quiet bank the suffix does not touch — nearly
-	// every bank of a fleet — needs no session: it is checked here and placed
-	// in its shard's store at install time. Every other image is rebuilt as a
-	// session detached from any shard, keyed by bank. Conflict checks against
-	// live shards happen again at install time under the shard lock; this early
-	// pass just avoids rebuilding state that is sure to be rejected.
-	type detached struct {
-		bs       *bankSession
-		strategy core.Strategy // serves bs.version
-	}
-	type quietImage struct {
-		im *sessionImage
-		ds core.DurableStrategy
-	}
-	adopted := make(map[uint64]detached)
-	var quietImages []quietImage
-	load := imageLoader{e: e}
-	for i := range images {
-		im := &images[i]
-		if owns != nil && !owns(im.key) {
-			continue
-		}
-		if _, exists := e.sessionByKey(im.key); exists {
+	accepted := images[:0]
+	for _, im := range images {
+		switch {
+		case owns != nil && !owns(im.key):
+		case held(im.key):
 			st.Conflicts++
-			continue
+		default:
+			accepted = append(accepted, im)
 		}
-		// Sessions keep their pinned version across the move; this engine's
-		// model source must be able to resolve it.
-		ds, err := load.strategy(im.version)
-		if err != nil {
-			return st, err
-		}
-		if !touched[im.key] {
-			_, quiet, err := load.quietLog(ds, im)
-			if err != nil {
-				return st, err
-			}
-			if quiet {
-				quietImages = append(quietImages, quietImage{im, ds})
-				continue
-			}
-		}
-		bs, err := buildSession(ds, im)
-		if err != nil {
-			return st, err
-		}
-		adopted[im.key] = detached{bs, ds}
 	}
+	scratch, res, err := replayImport(e.layout, &imageLoader{resolve: e.resolveDurable}, accepted, events, active)
+	if err != nil {
+		return st, err
+	}
+	st.Skipped += res.refused
+	st.Quarantined = len(res.dead)
+	st.Replayed = len(events) - res.refused - len(res.dead)
 
-	// Replay the suffix over the detached sessions. Events below a
-	// session's source watermark are already inside its snapshot image;
-	// events for banks the snapshot never saw get fresh sessions (the bank
-	// first erred after the source's last checkpoint).
-	var pending []Action
-	var vb verdictBuffers // the replay's: pending's rows are carved from its slabs
-	for i := range events {
-		q := &events[i]
-		key := e.layout.key(&q.rec)
-		d, ok := adopted[key]
-		if !ok {
-			if _, exists := e.sessionByKey(key); exists {
-				st.Skipped++ // conflicting local session owns this bank's history
-				continue
-			}
-			ep := e.activeEpoch()
-			d = detached{newBankSession(hbm.Unpack(key), ep, q.rec.UnixNano), ep.strategy}
-			adopted[key] = d
-		}
-		bs := d.bs
-		if q.lsn <= bs.lastLSN {
-			st.Skipped++ // covered by the snapshot image
-			continue
-		}
-		bs.lastLSN = q.lsn
-		if bs.degraded {
-			bs.events++
-			bs.lastEvent = q.rec.UnixNano
-			continue
-		}
-		acts, panicked := e.foldDetached(bs, q, &vb)
-		if panicked {
-			st.Quarantined++
-			continue
-		}
-		st.Replayed++
-		pending = append(pending, acts...)
-	}
-
-	// Install under the shard locks, re-checking for conflicts: a session
-	// that appeared locally since the early pass wins and the adopted one
-	// is dropped. Watermarks are zeroed — from here on the session's
-	// history lives in THIS engine's journal namespace.
-	counts := make([]int, len(e.shards))
-	for _, qi := range quietImages {
-		counts[e.shardIndex(qi.im.key)]++
-	}
-	for key := range adopted {
-		counts[e.shardIndex(key)]++
-	}
-	e.reserve(counts)
-	install := func(key uint64, put func(s *shard)) {
-		s := e.shardFor(key)
+	// Move the banks into the shards, re-checking for conflicts under each
+	// shard's lock: a session that appeared locally since the first check wins
+	// and the imported one is dropped.
+	var log []features.Obs
+	scratch.store.each(func(sl *slot) {
+		s := e.shardFor(sl.key)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.store.find(key) != nil {
+		if s.store.find(sl.key) != nil {
 			st.Conflicts++
 			return
 		}
-		put(s)
+		log = s.adopt(scratch, sl, log)
 		st.Sessions++
-	}
-	for _, qi := range quietImages {
-		install(qi.im.key, func(s *shard) {
-			log, _, _ := load.quietLog(qi.ds, qi.im) // decoded once above: cannot fail
-			qi.im.lastLSN = 0
-			s.addQuiet(qi.im.key, s.totals.versionIndex(qi.im.version, qi.ds), &qi.im.bankSession, log)
-		})
-	}
-	for key, d := range adopted {
-		d.bs.lastLSN = 0
-		install(key, func(s *shard) { s.install(key, d.bs, d.strategy) })
-	}
+	})
 
-	// Re-derived actions are emitted after install so a consumer that
-	// inspects the session behind an action always finds it.
-	for _, a := range pending {
-		e.emit(a)
+	// Dead letters and re-derived actions go out after the move, so a consumer
+	// that inspects the bank behind one always finds it.
+	for i := range res.dead {
+		res.dead[i].LSN = 0 // a position in the source's journal, not this one's
 	}
-	st.Actions = len(pending)
+	e.deliver(res)
+	st.Actions = len(res.acts)
 
 	// Persist before the caller acknowledges the handoff: without this, a
 	// crash after ack would lose state the source already gave away.
@@ -258,6 +170,44 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 		}
 	}
 	return st, nil
+}
+
+// replayImport is an import's replay, which needs no engine: the images
+// restored into a scratch shard state exactly as a restore places them, then
+// the suffix run through one step over it. Events at or below a bank's source
+// watermark are already inside its image and are refused; a bank the suffix
+// gives birth to (it first erred after the source's last checkpoint) binds
+// active, for the suffix's positions are the source's. Every bank keeps its
+// source watermark until adopt moves it.
+func replayImport(layout recordLayout, load *imageLoader, images []sessionImage, suffix []queued, active modelEpoch) (*shardState, stepResult, error) {
+	scratch := newShardState(layout)
+	scratch.store.reserve(len(images))
+	for i := range images {
+		if err := scratch.restore(load, &images[i]); err != nil {
+			return nil, stepResult{}, err
+		}
+	}
+	return scratch, scratch.step(stepEnv{epochs: []modelEpoch{active}}, suffix), nil
+}
+
+// adopt moves the bank in from's slot sl into st, in the form it has there,
+// with its watermark zeroed: from here on the bank's history lives in st's
+// journal namespace. buf is scratch for a stored bank's chain; adopt returns
+// it for reuse.
+func (st *shardState) adopt(from *shardState, sl *slot, buf []features.Obs) []features.Obs {
+	vc := from.totals.version(sl.ver())
+	ver := st.totals.versionIndex(vc.version, vc.strategy)
+	if sl.form() == slotHeap {
+		bs := from.store.session(sl)
+		bs.lastLSN = 0
+		st.addHeap(sl.key, ver, bs)
+		return buf
+	}
+	v := from.view(sl)
+	v.lastLSN = 0
+	buf = from.store.log(sl, buf)
+	st.addQuiet(sl.key, ver, &v, buf)
+	return buf
 }
 
 // DropSessions removes the sessions selected by filter (nil = all) and,
@@ -285,28 +235,4 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 		}
 	}
 	return dropped, nil
-}
-
-// foldDetached folds one event into a detached (not yet installed)
-// session, converting a strategy panic into the degraded state plus a
-// dead-letter entry — the same quarantine contract the live path has.
-func (e *Engine) foldDetached(bs *bankSession, q *queued, vb *verdictBuffers) (out []Action, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			out = nil
-			bs.degraded = true
-			e.quarantineDetached(newDeadLetter(&queued{rec: q.rec}, r))
-		}
-	}()
-	return foldEvent(bs, q.rec.Event(), nil, nil, vb), false
-}
-
-// quarantineDetached preserves a handoff-replay dead letter. Shard
-// counters don't apply (the session isn't installed yet); the event still
-// goes to the log and the dead-letter file.
-func (e *Engine) quarantineDetached(d *DeadLetter) {
-	e.cfg.Logger.Warn("event quarantined during handoff import",
-		"bank", d.Bank, "row", d.Row, "class", d.Class, "reason", d.Reason)
-	e.writeDeadLetter(d)
 }

@@ -2,6 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,6 +282,37 @@ func TestHandoffSuffixCreatesUnseenSessions(t *testing.T) {
 	}
 	if st.Actions == 0 {
 		t.Error("no actions re-derived from suffix replay")
+	}
+}
+
+// TestHandoffSuffixQuarantine: a suffix event whose replay panics gets the
+// live quarantine contract. The import counts it, the bank is installed
+// degraded with its later events counted, the dead-letter file has the line,
+// and the owning shard's cordial_events_quarantined_total moves on /metrics.
+func TestHandoffSuffixQuarantine(t *testing.T) {
+	dead := filepath.Join(t.TempDir(), "dead.jsonl")
+	dst, srv := newTestServer(t, Config{Strategy: &fakeStrategy{budget: 3, poisonRow: 777}, Shards: 3, DeadLetterPath: dead})
+	bank := testBank(3)
+	var suffix []wal.Record
+	for i, row := range []int{1, 777, 2, 3} {
+		suffix = append(suffix, wal.Record{LSN: uint64(10 + i), Payload: mcelog.AppendWireRecord(nil, uerAt(bank, row, i))})
+	}
+	st, err := dst.ImportSessions(nil, suffix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Quarantined != 1 || st.Sessions != 1 || st.Actions != 0 {
+		t.Fatalf("import stats %+v, want one quarantined event in one adopted session", st)
+	}
+	if sess, ok := dst.Session(bank); !ok || !sess.Degraded || sess.Events != 3 {
+		t.Errorf("imported bank %+v (found %t), want degraded with three events counted", sess, ok)
+	}
+	text, err := os.ReadFile(dead)
+	if err != nil || strings.Count(string(text), "\n") != 1 || !strings.Contains(string(text), "poisoned row 777") {
+		t.Errorf("dead-letter file %q, %v", text, err)
+	}
+	if got := metricSum(t, scrapeMetrics(t, srv), "cordial_events_quarantined_total"); got != 1 {
+		t.Errorf("cordial_events_quarantined_total = %v, want 1", got)
 	}
 }
 

@@ -14,6 +14,30 @@ import (
 // their LSN order, because replay must reproduce exactly what the consumer
 // saw.
 
+// IngestPolicy selects what Ingest does when a shard queue is full. Both
+// values are in use (cordial-serve -policy block|drop), so it stays an option.
+type IngestPolicy int
+
+const (
+	// IngestBlock applies backpressure: Ingest waits for queue space.
+	IngestBlock IngestPolicy = iota
+	// IngestDrop sheds load: Ingest drops the event, counts it, and
+	// returns ErrDropped.
+	IngestDrop
+)
+
+// String names the policy.
+func (p IngestPolicy) String() string {
+	switch p {
+	case IngestBlock:
+		return "block"
+	case IngestDrop:
+		return "drop"
+	default:
+		return fmt.Sprintf("IngestPolicy(%d)", int(p))
+	}
+}
+
 // batchScratch is the reusable working set of one IngestBatch call. Pooled
 // so the steady-state ingest path allocates nothing.
 type batchScratch struct {

@@ -66,18 +66,22 @@ func (e *Engine) epochList() []modelEpoch {
 	return e.epochs.Load().([]modelEpoch)
 }
 
-// activeEpoch is the epoch new sessions bind outside replay.
+// activeEpoch is the newest epoch: what a bank born without a journal
+// position binds, and every bank an import's suffix gives birth to.
 func (e *Engine) activeEpoch() modelEpoch {
 	eps := e.epochList()
 	return eps[len(eps)-1]
 }
 
-// epochFor resolves the epoch in force at journal position lsn: the last
-// epoch that began strictly before it. Positions at or before the first
-// epoch's start (a snapshot-seeded epoch whose swap record was truncated)
-// fall back to the first epoch.
-func (e *Engine) epochFor(lsn uint64) modelEpoch {
-	eps := e.epochList()
+// epochAt resolves, in the epoch table eps, the epoch a bank born at journal
+// position lsn binds: the newest for lsn 0 (no journal), else the last epoch
+// that began strictly before it. Positions at or before the first epoch's
+// start (a snapshot-seeded epoch whose swap record was truncated) fall back to
+// the first epoch.
+func epochAt(eps []modelEpoch, lsn uint64) modelEpoch {
+	if lsn == 0 {
+		return eps[len(eps)-1]
+	}
 	for i := len(eps) - 1; i >= 0; i-- {
 		if eps[i].sinceLSN < lsn {
 			return eps[i]
@@ -90,7 +94,7 @@ func (e *Engine) epochFor(lsn uint64) modelEpoch {
 // by sinceLSN. Re-installing an epoch already present (a replayed swap
 // record the snapshot header also seeded) is a no-op, which makes replay
 // idempotent; a replayed swap OLDER than the seeded header epoch slots in
-// before it, so epochFor stays correct for sessions born between the two.
+// before it, so epochAt stays correct for sessions born between the two.
 // Callers serialise: SwapModel under snapMu, recovery before the
 // consumers start.
 func (e *Engine) installEpoch(ep modelEpoch) {

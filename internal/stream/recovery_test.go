@@ -469,6 +469,43 @@ func TestRecoverySnapshotFallback(t *testing.T) {
 	}
 	t.Run("garbage-payload", func(t *testing.T) { reopen(t, snaps[1].Seq) })
 
+	// A payload that decodes, newer than everything, whose middle image will
+	// not restore: a bank that exists nowhere else restores before it, and the
+	// recovery must still be the older snapshot's plus the journal — nothing of
+	// the half-restored payload left behind, every total a recount.
+	_, older, err := wal.ReadSnapshot(wal.OSFS, snaps[1].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, images, err := decodeSnapshotSessions(older)
+	if err != nil || len(images) != 1 {
+		t.Fatalf("%d images, %v", len(images), err)
+	}
+	phantom, bad := images[0], images[0]
+	phantom.key, bad.key, bad.blob = testBank(5).BankKey(), testBank(6).BankKey(), []byte{9}
+	partial, err := encodeSnapshotImages(engineSnapVersion, hdr, []sessionImage{phantom, bad, images[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.WriteSnapshot(wal.OSFS, dir, snaps[0].Seq+20, partial); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("restore-fails-mid-payload", func(t *testing.T) {
+		reopen(t, snaps[1].Seq)
+		e2, err := New(durCfg(dir, 2, strategy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			e2.Close()
+			drainActions(e2)
+		}()
+		if _, ok := e2.Session(testBank(5)); ok {
+			t.Error("a bank of the payload that failed part-way was restored")
+		}
+		assertTotalsMatchRecount(t, "after a restore that failed part-way", e2)
+	})
+
 	// Every snapshot corrupt: full replay from an empty state, no panic.
 	snaps, err = wal.ListSnapshots(wal.OSFS, dir)
 	if err != nil {
@@ -900,6 +937,35 @@ func TestDrainTimeout(t *testing.T) {
 	}
 	if st := e.Stats(); st.Processed != st.Ingested {
 		t.Errorf("processed %d != ingested %d after unbounded drain", st.Processed, st.Ingested)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drainActions(e)
+}
+
+// TestDrainCoversEmittedActions: a batch counts as processed only after its
+// actions are emitted, so once Drain returns, Stats (and a /metrics scrape)
+// already count every action the drained events derive — with no wait. Each
+// round gives four row-spare banks on different shards a UER at a fresh row,
+// one action apiece.
+func TestDrainCoversEmittedActions(t *testing.T) {
+	e := newTestEngine(t, Config{Shards: 4, Strategy: &fakeStrategy{budget: 1}, ActionBuffer: 1 << 12})
+	banks := []hbm.BankAddress{testBank(1), testBank(3), testBank(5), testBank(7)}
+	for round := 0; round < 200; round++ {
+		evs := make([]mcelog.Event, len(banks))
+		for i, bank := range banks {
+			evs[i] = uerAt(bank, 1+2*round, round)
+		}
+		if _, _, err := e.IngestBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.Stats().ActionsEmitted, uint64(len(banks)*(round+1)); got != want {
+			t.Fatalf("round %d: %d actions emitted once Drain returned, want %d", round, got, want)
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -269,8 +269,8 @@ func TestStoreModel(t *testing.T) {
 			if rng.Intn(40) == 0 {
 				ev.Class = ecc.ClassUER
 			}
-			if out, dead := e.apply(e.shardFor(key), &queued{rec: mcelog.RecordOf(ev)}); len(out) != 0 || dead != nil {
-				t.Fatalf("step %d: %d actions, dead letter %v", step, len(out), dead)
+			if res := e.shardFor(key).lockedStep(stepEnv{epochs: e.epochList()}, []queued{{rec: mcelog.RecordOf(ev)}}); len(res.acts) != 0 || len(res.dead) != 0 {
+				t.Fatalf("step %d: %d actions, dead letters %v", step, len(res.acts), res.dead)
 			}
 			r := ref[key]
 			if r == nil {

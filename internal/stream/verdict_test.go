@@ -198,7 +198,7 @@ func TestPredictingFoldAllocs(t *testing.T) {
 	// The test folds on its own goroutine, as the shard's consumer would; the
 	// consumer stays idle, for nothing is queued.
 	s := e.shards[0]
-	process := func(ev mcelog.Event) { e.process(s, &queued{rec: mcelog.RecordOf(ev)}) }
+	process := func(ev mcelog.Event) { e.consume(s, []queued{{rec: mcelog.RecordOf(ev)}}) }
 
 	warm := hotBankEvents(1, 300, 7)
 	for _, ev := range warm {

@@ -36,12 +36,40 @@ if grep -rn "map\[uint64\]\*bankSession" --include=*.go internal/stream | grep -
 fi
 
 echo "==> one pack per event (the engine queues, journals and folds the record)"
-# IngestBatch packs each event into its record once; the consumer keys it with
-# one AND and the journal step copies its bytes. A bank key or a wire record
-# computed again inside either is the second pack coming back.
-if awk '/^func \(e \*Engine\) (apply|journalBatch)\(/,/^}/' internal/stream/*.go \
+# IngestBatch packs each event into its record once; the shard step keys it
+# with one AND and the journal step copies its bytes. A bank key or a wire
+# record computed again inside either is the second pack coming back. A gate
+# whose functions are gone would pass by matching nothing, so both must exist.
+for fn in 'func (st *shardState) step(' 'func (e *Engine) journalBatch('; do
+    if ! grep -qF "$fn" internal/stream/*.go; then
+        echo "the pack gate's target is gone: $fn" >&2
+        exit 1
+    fi
+done
+if awk '/^func \(st \*shardState\) step\(|^func \(e \*Engine\) journalBatch\(/,/^}/' internal/stream/*.go \
     | grep -n "BankKey(\|AppendWireRecord("; then
-    echo "apply or journalBatch packs an event again (see the matches above)" >&2
+    echo "step or journalBatch packs an event again (see the matches above)" >&2
+    exit 1
+fi
+
+echo "==> one fold (live ingest, boot replay and handoff import all fold through shardState.step)"
+# Live ingest, boot replay and handoff import all run one fold: the
+# names of the copies it replaced must not come back, the step is the only
+# code with a recover around a primary strategy call (the shadow twin keeps
+# its own), and it takes no lock, starts no goroutine and reads the clock only
+# for the histogram its caller passes.
+if grep -rn "foldDetached\|quarantineDetached\|resetSessions" --include=*.go internal/stream; then
+    echo "a second fold is back (see the matches above)" >&2
+    exit 1
+fi
+if grep -n "recover()" internal/stream/*.go | grep -v "_test\.go:\|/shard\.go:\|/shadow\.go:"; then
+    echo "a recover outside the shard step (see the matches above)" >&2
+    exit 1
+fi
+if awk '/time\.Now\(/ && prev !~ /proc != nil \{$/ || /sync\./ || /^[[:space:]]*go / { print FILENAME ":" FNR ": " $0; bad = 1 }
+        { prev = $0 }
+        END { exit !bad }' internal/stream/shard.go; then
+    echo "shard.go locks, starts a goroutine or reads a clock outside the histogram's nil check (see the matches above)" >&2
     exit 1
 fi
 
@@ -97,8 +125,9 @@ go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestSh
 # dropped and restored), the store ≡ heap-form engine equivalence, the packed
 # store's two limit fallbacks (a row field wider than a node's, node references
 # exhausted) and live ≡ replayed actions for events with a zone or a monotonic
-# reading.
-go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed' ./internal/stream/
+# reading; and the shard step's seeded interleavings of batches, snapshots,
+# restores, handoff imports, a model swap and a poisoned row.
+go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed|TestShardStepInterleavings' ./internal/stream/
 
 echo "==> go test -race"
 go test -race ./... "$@"
