@@ -214,6 +214,24 @@ func Rows[S ~[]int32](c *Cursor, p *S, ascending bool) {
 	}
 }
 
+// BeginBytes starts encoding a length-prefixed byte string whose body the
+// caller then writes through c; EndBytes, given what BeginBytes returned, fills
+// the length in. The pair writes what Bytes writes of the same body.
+func (c *Cursor) BeginBytes() (start int) {
+	c.next(8)
+	return len(c.B)
+}
+
+// EndBytes finishes the byte string BeginBytes started at start.
+func (c *Cursor) EndBytes(start int) {
+	n := len(c.B) - start
+	if n > math.MaxInt32 {
+		c.Fail("byte string of %d bytes", n)
+		return
+	}
+	binary.LittleEndian.PutUint64(c.B[start-8:start], uint64(n))
+}
+
 // Bytes codes a length-prefixed byte string; a decoded one aliases the input.
 func (c *Cursor) Bytes(p *[]byte) {
 	n := len(*p)

@@ -80,6 +80,15 @@ func TestCursorRoundTrip(t *testing.T) {
 	if got.at != want.at || math.Float64bits(got.ratio) != math.Float64bits(want.ratio) || string(got.blob) != "state" {
 		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
+	// A body written between BeginBytes and EndBytes is framed as Bytes frames it.
+	framed, inPlace := &Cursor{}, &Cursor{}
+	framed.Bytes(&enc.B)
+	start := inPlace.BeginBytes()
+	want.code(inPlace)
+	inPlace.EndBytes(start)
+	if !bytes.Equal(inPlace.B, framed.B) {
+		t.Fatal("BeginBytes/EndBytes frame a body differently from Bytes")
+	}
 	for n := 0; n < len(enc.B); n++ {
 		short := &Cursor{B: enc.B[:n], Decode: true}
 		new(record).code(short)

@@ -31,9 +31,10 @@ type DurableStrategy interface {
 }
 
 // cordialSession state image: magic, version, flags, class, then the
-// feature-state blob, a quiet session's observation log (version 2), or
-// nothing once released. Version-1 images, which predate quiet sessions,
-// still load.
+// feature-state blob, or nothing once released. Version 2 added the quiet
+// image, which no session writes — a session is never quiet — but the stream
+// engine does, for the banks it keeps as observations (AppendQuietImage).
+// Version-1 images still load.
 const (
 	sessionMagic   = "CSES"
 	sessionVersion = 2
@@ -52,31 +53,23 @@ var (
 )
 
 // EncodeState captures the session: classification outcome plus the full
-// incremental feature state, the observations a quiet session defers it
-// behind, or neither (a spared bank).
+// incremental feature state, or no state (a spared bank).
 func (s *cordialSession) EncodeState() ([]byte, error) {
 	var flags byte
 	if s.classified {
 		flags |= sessFlagClassified
 	}
 	var blob []byte
-	switch {
-	case s.released:
-	case s.state == nil:
-		flags |= sessFlagQuiet
-	default:
+	if !s.released {
 		flags |= sessFlagHasState
 		var err error
 		if blob, err = s.state.MarshalBinary(); err != nil {
 			return nil, err
 		}
 	}
-	c := &bincodec.Cursor{B: make([]byte, 0, 16+len(blob)+19*len(s.pending)), What: sessionWhat}
-	c.B = append(append(c.B, sessionMagic...), sessionVersion, flags, s.class)
-	if flags&sessFlagQuiet != 0 {
-		features.CodeObs(c, &s.pending, maxPending)
-	}
-	return append(c.B, blob...), c.Err
+	out := make([]byte, 0, sessionHeaderSize+len(blob))
+	out = append(append(out, sessionMagic...), sessionVersion, flags, s.class)
+	return append(out, blob...), nil
 }
 
 // sessionImageHeader checks an image's magic and version and returns the
@@ -94,24 +87,45 @@ func sessionImageHeader(data []byte) (ver, flags, class byte, err error) {
 	return data[4], data[5], data[6], nil
 }
 
-// QuietImageLog decodes a quiet session's image into its observation log
-// without building the session. Any other image reports quiet false — one
-// with a bad header too, which RestoreSession then refuses with the reason.
-func (s *CordialStrategy) QuietImageLog(image []byte, buf []features.Obs) ([]features.Obs, bool, error) {
-	ver, flags, _, err := sessionImageHeader(image)
+// QuietLogMax is the most observations a quiet image holds.
+const QuietLogMax = 31
+
+// A quiet image is a version-2 image with flags sessFlagQuiet and class 0,
+// then the observation log of a bank that has logged no UER: what
+// ResumeSession over that log restores. AppendQuietImage and QuietImageLog are
+// its encoder and decoder; neither builds a session.
+
+// AppendQuietImage appends the quiet image of log to dst. It fails on a log
+// the decoder would refuse.
+func AppendQuietImage(dst []byte, log []features.Obs) ([]byte, error) {
+	c := bincodec.Cursor{B: append(dst, sessionMagic...), What: sessionWhat}
+	c.B = append(c.B, sessionVersion, sessFlagQuiet, 0)
+	features.CodeObs(&c, &log, QuietLogMax)
+	return c.B, c.Err
+}
+
+// QuietImageLog decodes a quiet image into its observation log, into buf when
+// buf's capacity holds it. Any other image reports quiet false and an empty
+// log — one with a bad header too, which RestoreSession then refuses with the
+// reason.
+func QuietImageLog(image []byte, buf []features.Obs) (log []features.Obs, quiet bool, err error) {
+	log = buf[:0]
+	ver, flags, class, err := sessionImageHeader(image)
 	if err != nil || flags != sessFlagQuiet || ver == 1 {
-		return nil, false, nil
+		return log, false, nil
 	}
-	log := buf[:0]
-	c := &bincodec.Cursor{B: image, Off: sessionHeaderSize, Decode: true, What: sessionWhat}
-	features.CodeObs(c, &log, maxPending)
+	c := bincodec.Cursor{B: image, Off: sessionHeaderSize, Decode: true, What: sessionWhat}
+	if class != 0 {
+		c.Fail("quiet session with class %d", class)
+	}
+	features.CodeObs(&c, &log, QuietLogMax)
 	return log, true, c.Done()
 }
 
 // RestoreSession rebuilds a cordialSession from an EncodeState image,
 // verifying that an embedded feature state was produced under this
-// pipeline's pattern and block configuration. A quiet session comes back
-// quiet.
+// pipeline's pattern and block configuration. A quiet image restores as the
+// session ResumeSession makes of its log.
 func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Session, error) {
 	ver, flags, class, err := sessionImageHeader(data)
 	if err != nil {
@@ -129,11 +143,11 @@ func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Ses
 		if ver == 1 || sess.classified {
 			return nil, fmt.Errorf("%s: quiet session in a version-%d image, classified=%t", sessionWhat, ver, sess.classified)
 		}
-		c := &bincodec.Cursor{B: data, Off: sessionHeaderSize, Decode: true, What: sessionWhat}
-		features.CodeObs(c, &sess.pending, maxPending)
-		if err := c.Done(); err != nil {
+		log, _, err := QuietImageLog(data, nil)
+		if err != nil {
 			return nil, err
 		}
+		return s.ResumeSession(bank, log), nil
 	case sessFlagHasState:
 		st, err := features.UnmarshalBankState(rest)
 		if err != nil {

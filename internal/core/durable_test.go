@@ -88,7 +88,7 @@ func TestCordialSessionEncodeRestoreResume(t *testing.T) {
 }
 
 // TestRestoreSessionRejectsMismatchedConfig: a state encoded under one
-// geometry must not silently drive a pipeline with another. A quiet session
+// geometry must not silently drive a pipeline with another. A quiet image
 // holds observations only, which mean the same under any configuration.
 func TestRestoreSessionRejectsMismatchedConfig(t *testing.T) {
 	fleet := testFleet(t, 1, 120)
@@ -107,14 +107,14 @@ func TestRestoreSessionRejectsMismatchedConfig(t *testing.T) {
 	}
 	otherStrategy := &CordialStrategy{Pipeline: other, Geometry: hbm.DefaultGeometry}
 
-	sess := strategy.NewSession(hbm.BankAddress{})
-	quiet, err := sess.(DurableSession).EncodeState()
+	quiet, err := AppendQuietImage(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := otherStrategy.RestoreSession(hbm.BankAddress{}, quiet); err != nil {
-		t.Errorf("quiet session refused under another pattern config: %v", err)
+		t.Errorf("quiet image refused under another pattern config: %v", err)
 	}
+	sess := strategy.NewSession(hbm.BankAddress{})
 	sess.OnEvent(mcelog.Event{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), Addr: hbm.Address{Row: 3}, Class: ecc.ClassUER})
 	blob, err := sess.(DurableSession).EncodeState()
 	if err != nil {

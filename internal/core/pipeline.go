@@ -628,59 +628,36 @@ func (s *CordialStrategy) Name() string {
 	return "Cordial-" + s.Pipeline.Config().Model.ShortName()
 }
 
-// NewSession returns per-bank state. The session starts quiet — an
-// observation log, no feature state — because almost every bank stays CE-only
-// for life and nothing reads the state before a new UER row arrives.
+// NewSession returns per-bank state: an empty feature accumulator, which every
+// event updates in O(1).
 func (s *CordialStrategy) NewSession(bank hbm.BankAddress) Session {
-	return &cordialSession{strategy: s}
+	st, err := s.Pipeline.NewBankState()
+	if err != nil {
+		// Only reachable with a hand-rolled invalid config; the session then
+		// takes no decisions rather than panicking the replay loop.
+		return &cordialSession{strategy: s, released: true}
+	}
+	return &cordialSession{strategy: s, state: st}
 }
 
-// A quiet session is promoted — a BankState built, the log replayed into it
-// in arrival order — on the bank's first UER, or at maxPending observations,
-// so the log never costs more than the state it defers. It starts at
-// pendingStart entries (a typical quiet bank's whole life) and doubles.
-const (
-	maxPending   = 32
-	pendingStart = 8
-)
-
-// QuietLogMax is the longest observation log a session that is still quiet
-// after an event holds: the next observation promotes it.
-const QuietLogMax = maxPending - 1
-
-// QuietStrategy is optionally implemented by strategies whose sessions are,
-// until their bank's first UER, nothing but the log of what they observed. A
-// caller holding very many such banks (the stream engine) keeps the logs in
-// memory of its own and asks for a session only when a bank needs one.
+// QuietStrategy is optionally implemented by strategies whose sessions, until
+// their bank's first UER, depend on nothing but the observations folded into
+// them. A caller holding very many such banks (the stream engine) keeps the
+// observations in memory of its own and asks for a session only when a bank
+// needs one.
 type QuietStrategy interface {
 	Strategy
 	// ResumeSession returns the session NewSession followed by OnEvent over
 	// the events behind log — none of them a UER, oldest first — would be. The
-	// session keeps log.
+	// session does not keep log.
 	ResumeSession(bank hbm.BankAddress, log []features.Obs) Session
-	// QuietImageLog reads the EncodeState image of a session: quiet reports
-	// that it is a quiet one's, and log is then its observations, decoded into
-	// buf when buf's capacity holds them.
-	QuietImageLog(image []byte, buf []features.Obs) (log []features.Obs, quiet bool, err error)
-}
-
-// QuietSession is implemented by the sessions of a QuietStrategy.
-type QuietSession interface {
-	Session
-	// QuietLog returns the session's observation log; quiet is false once the
-	// session has built (or released) its feature state.
-	QuietLog() (log []features.Obs, quiet bool)
 }
 
 type cordialSession struct {
 	strategy *CordialStrategy
 	// state accumulates the bank's features incrementally, an O(1) update
-	// per event and memory flat over the session's life; nil while the
-	// session is quiet and once it is released.
+	// per event and memory flat over the session's life; nil once released.
 	state *features.BankState
-	// pending is a quiet session's history: what Observe would have read of
-	// each event so far, none of them a UER.
-	pending []features.Obs
 
 	classified bool
 	// released marks a terminal decision (bank spared): the state is dropped
@@ -693,22 +670,16 @@ var (
 	_ ClassifiedSession   = (*cordialSession)(nil)
 	_ BufferedSession     = (*cordialSession)(nil)
 	_ InstrumentedSession = (*cordialSession)(nil)
-	_ QuietSession        = (*cordialSession)(nil)
 	_ QuietStrategy       = (*CordialStrategy)(nil)
 )
 
-// ResumeSession returns a quiet session whose log so far is log.
+// ResumeSession is NewSession with log replayed into its state.
 func (s *CordialStrategy) ResumeSession(bank hbm.BankAddress, log []features.Obs) Session {
-	sess := &cordialSession{strategy: s, pending: log}
-	if len(log) >= maxPending {
-		sess.promote()
+	sess := s.NewSession(bank).(*cordialSession)
+	if sess.state != nil {
+		sess.state.Replay(log)
 	}
 	return sess
-}
-
-// QuietLog returns the observations a quiet session defers its state behind.
-func (s *cordialSession) QuietLog() ([]features.Obs, bool) {
-	return s.pending, s.state == nil && !s.released
 }
 
 // Class returns the pattern class assigned at the UER budget; ok is false
@@ -717,31 +688,13 @@ func (s *cordialSession) Class() (faultsim.Class, bool) {
 	return faultsim.Class(s.class), s.classified
 }
 
-// StateFootprint reports the feature accumulator's size, or the observation
-// log's while the session is quiet; released is true once the session
-// dropped its state after bank sparing.
+// StateFootprint reports the feature accumulator's size; released is true
+// once the session dropped its state after bank sparing.
 func (s *cordialSession) StateFootprint() (features.StateFootprint, bool) {
-	switch {
-	case s.released:
+	if s.released {
 		return features.StateFootprint{}, true
-	case s.state == nil:
-		return features.DeferredFootprint(s.pending), false
 	}
 	return s.state.Footprint(), false
-}
-
-// promote ends the quiet phase: the log is replayed into a fresh state,
-// which is then exactly the state eager observation would have built.
-func (s *cordialSession) promote() {
-	st, err := s.strategy.Pipeline.NewBankState()
-	if err != nil {
-		// Only reachable with a hand-rolled invalid config; the session
-		// then takes no decisions rather than panicking the replay loop.
-		s.released = true
-	} else {
-		st.Replay(s.pending)
-	}
-	s.state, s.pending = st, nil
 }
 
 // OnEvent is Decide into a buffer of the decision's own.
@@ -751,18 +704,6 @@ func (s *cordialSession) OnEvent(e mcelog.Event) Decision { return s.Decide(e, n
 // aggregation bank, predicts the window anchored there into buf (a fresh
 // buffer when buf is nil).
 func (s *cordialSession) Decide(e mcelog.Event, buf *DecisionBuffer) Decision {
-	if s.state == nil && !s.released {
-		if e.Class != ecc.ClassUER {
-			if s.pending == nil {
-				s.pending = make([]features.Obs, 0, pendingStart)
-			}
-			if s.pending = append(s.pending, features.ObsOf(e)); len(s.pending) >= maxPending {
-				s.promote()
-			}
-			return Decision{}
-		}
-		s.promote()
-	}
 	if s.released {
 		// Bank already spared: no further decision can change, and the
 		// feature state has been released.

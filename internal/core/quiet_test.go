@@ -8,63 +8,73 @@ import (
 	"time"
 
 	"cordial/internal/ecc"
+	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/xrand"
 )
 
-// eagerSession is the reference a quiet session must be indistinguishable
-// from: a session that owns its feature state from the first event, which is
-// what NewSession built before sessions started quiet.
-func eagerSession(t testing.TB, s *CordialStrategy) *cordialSession {
+// quietEvents is n non-UER events, alternately CE and UEO, two per minute.
+func quietEvents(n int) []mcelog.Event {
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	evs := make([]mcelog.Event, n)
+	for i := range evs {
+		evs[i] = mcelog.Event{Time: base.Add(time.Duration(i/2) * time.Minute), Addr: hbm.Address{Row: 40 + i%4}, Class: ecc.ClassCE + ecc.Class(i%2), Bits: mcelog.ErrBits(i)}
+	}
+	return evs
+}
+
+// obsOf is the observation log of evs.
+func obsOf(evs []mcelog.Event) []features.Obs {
+	log := make([]features.Obs, len(evs))
+	for i, e := range evs {
+		log[i] = features.ObsOf(e)
+	}
+	return log
+}
+
+// eventOf is an event whose observation is o.
+func eventOf(o features.Obs) mcelog.Event {
+	return mcelog.Event{Time: time.Unix(0, o.UnixNano()), Addr: hbm.Address{Row: int(o.Row())}, Class: o.Class(), Bits: o.Bits()}
+}
+
+func encodeSession(t testing.TB, sess Session) []byte {
 	t.Helper()
-	st, err := s.Pipeline.NewBankState()
+	blob, err := sess.(DurableSession).EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &cordialSession{strategy: s, state: st}
+	return blob
 }
 
-// assertQuietEquivalence drives a fresh (quiet) session and an eager one with
-// the same events: every decision (probabilities bit for bit), the class and
-// the released flag must agree at every step; the lazy session must be quiet
-// exactly while the promotion rule says so; and from promotion on the two
-// feature states must encode to the same bytes.
-func assertQuietEquivalence(t *testing.T, s *CordialStrategy, events []mcelog.Event) {
+// assertResumeEquivalence drives a session resumed from the quiet prefix of
+// events — the observations before the first UER, at most QuietLogMax, which is
+// what the engine's store holds when it promotes a bank — and a session that
+// folded every event, with the events after the prefix: every decision
+// (probabilities bit for bit), the class and the encoded session must agree,
+// from the resume on.
+func assertResumeEquivalence(t *testing.T, s *CordialStrategy, events []mcelog.Event) {
 	t.Helper()
-	lazy := s.NewSession(hbm.BankAddress{}).(*cordialSession)
-	eager := eagerSession(t, s)
-	sawUER := false
-	for i, e := range events {
-		got, want := lazy.OnEvent(e), eager.OnEvent(e)
-		if !decisionsEqual(got, want) {
-			t.Fatalf("event %d: decision diverged:\nquiet %+v\neager %+v", i, got, want)
+	k := 0
+	for k < len(events) && k < QuietLogMax && events[k].Class != ecc.ClassUER {
+		k++
+	}
+	eager := s.NewSession(hbm.BankAddress{})
+	for _, e := range events[:k] {
+		eager.OnEvent(e)
+	}
+	resumed := s.ResumeSession(hbm.BankAddress{}, obsOf(events[:k]))
+	for i := k; ; i++ {
+		gc, gok := resumed.(ClassifiedSession).Class()
+		wc, wok := eager.(ClassifiedSession).Class()
+		if gc != wc || gok != wok || !bytes.Equal(encodeSession(t, resumed), encodeSession(t, eager)) {
+			t.Fatalf("after event %d of %d (resumed after %d): class (%v,%t), want (%v,%t), or the images differ", i, len(events), k, gc, gok, wc, wok)
 		}
-		gc, gok := lazy.Class()
-		wc, wok := eager.Class()
-		if gc != wc || gok != wok || lazy.released != eager.released {
-			t.Fatalf("event %d: class (%v,%t) released %t, want (%v,%t) released %t", i, gc, gok, lazy.released, wc, wok, eager.released)
+		if i == len(events) {
+			return
 		}
-		sawUER = sawUER || e.Class == ecc.ClassUER
-		if wantQuiet := !sawUER && i+1 < maxPending; (lazy.state == nil && !lazy.released) != wantQuiet {
-			t.Fatalf("event %d: quiet=%t, want %t", i, !wantQuiet, wantQuiet)
-		}
-		if lazy.state == nil {
-			if !lazy.released && len(lazy.pending) != i+1 {
-				t.Fatalf("event %d: %d observations pending", i, len(lazy.pending))
-			}
-			continue
-		}
-		if lazy.pending != nil {
-			t.Fatalf("event %d: promoted session kept its observation log", i)
-		}
-		gb, err1 := lazy.state.MarshalBinary()
-		wb, err2 := eager.state.MarshalBinary()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("event %d: encoding states: %v / %v", i, err1, err2)
-		}
-		if !bytes.Equal(gb, wb) {
-			t.Fatalf("event %d: promoted state differs from the eagerly built one", i)
+		if got, want := resumed.OnEvent(events[i]), eager.OnEvent(events[i]); !decisionsEqual(got, want) {
+			t.Fatalf("event %d: decision diverged:\nresumed %+v\neager   %+v", i, got, want)
 		}
 	}
 }
@@ -99,10 +109,10 @@ func featureFuzzEvents(data []byte) []mcelog.Event {
 	return events
 }
 
-// TestQuietSessionEquivalence is the lazy≡eager gate. The benchmark's verdict
-// check builds its reference through the same cordialSession, so only a
-// comparison against a session that never was quiet can catch a promotion
-// that replays wrongly.
+// TestQuietSessionEquivalence holds ResumeSession to its contract at the point
+// the engine's store promotes a bank: the fleet's banks, the incremental≡batch
+// fuzz corpus and the edges of a bank's quiet life (the engine-level twin of
+// these edges is TestQuietStoreEquivalence in internal/stream).
 func TestQuietSessionEquivalence(t *testing.T) {
 	fleet := testFleet(t, 2, 150)
 	train, test, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
@@ -115,7 +125,7 @@ func TestQuietSessionEquivalence(t *testing.T) {
 	t.Run("fleet", func(t *testing.T) {
 		spared := 0
 		for _, bf := range test {
-			assertQuietEquivalence(t, strategy, bf.Events)
+			assertResumeEquivalence(t, strategy, bf.Events)
 			if !bf.Class().IsAggregation() {
 				spared++
 			}
@@ -126,7 +136,7 @@ func TestQuietSessionEquivalence(t *testing.T) {
 	})
 	t.Run("fuzz corpus", func(t *testing.T) {
 		for _, seed := range featureFuzzCorpus {
-			assertQuietEquivalence(t, strategy, featureFuzzEvents(seed))
+			assertResumeEquivalence(t, strategy, featureFuzzEvents(seed))
 		}
 	})
 
@@ -173,40 +183,30 @@ func TestQuietSessionEquivalence(t *testing.T) {
 		}
 	}
 	for name, evs := range edges {
-		t.Run(name, func(t *testing.T) { assertQuietEquivalence(t, strategy, evs) })
+		t.Run(name, func(t *testing.T) { assertResumeEquivalence(t, strategy, evs) })
 	}
 }
 
 // sessionImageSeeds returns Cordial session images of every kind the decoder
-// accepts: version 2 quiet (empty, short, one short of promotion), promoted
-// and released, and the version-1 spellings of the last two.
+// accepts: quiet images (empty, short, full), a session's with its state and
+// a released one's, and the version-1 spellings of the last two.
 func sessionImageSeeds(t testing.TB, s *CordialStrategy) [][]byte {
 	t.Helper()
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	encode := func(sess *cordialSession) []byte {
-		blob, err := sess.EncodeState()
+	var seeds [][]byte
+	for _, n := range []int{0, 3, QuietLogMax} {
+		image, err := AppendQuietImage(nil, obsOf(quietEvents(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return blob
+		seeds = append(seeds, image)
 	}
-	var seeds [][]byte
-	for _, n := range []int{0, 3, maxPending - 1} {
-		sess := s.NewSession(hbm.BankAddress{}).(*cordialSession)
-		for i := 0; i < n; i++ {
-			sess.OnEvent(mcelog.Event{Time: base.Add(time.Duration(i/2) * time.Minute), Addr: hbm.Address{Row: 40 + i%4}, Class: ecc.ClassCE + ecc.Class(i%2), Bits: mcelog.ErrBits(i)})
-		}
-		if sess.state != nil {
-			t.Fatalf("session promoted after %d non-UER events", n)
-		}
-		seeds = append(seeds, encode(sess))
-	}
-	promoted := s.NewSession(hbm.BankAddress{}).(*cordialSession)
-	promoted.OnEvent(mcelog.Event{Time: base, Addr: hbm.Address{Row: 5}, Class: ecc.ClassCE})
-	promoted.OnEvent(mcelog.Event{Time: base.Add(time.Minute), Addr: hbm.Address{Row: 6}, Class: ecc.ClassUER})
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	state := s.NewSession(hbm.BankAddress{})
+	state.OnEvent(mcelog.Event{Time: base, Addr: hbm.Address{Row: 5}, Class: ecc.ClassCE})
+	state.OnEvent(mcelog.Event{Time: base.Add(time.Minute), Addr: hbm.Address{Row: 6}, Class: ecc.ClassUER})
 	released := &cordialSession{strategy: s, classified: true, released: true, class: 2}
-	for _, sess := range []*cordialSession{promoted, released} {
-		v2 := encode(sess)
+	for _, sess := range []Session{state, released} {
+		v2 := encodeSession(t, sess)
 		v1 := append([]byte(nil), v2...)
 		v1[4] = 1
 		seeds = append(seeds, v2, v1)
@@ -215,10 +215,12 @@ func sessionImageSeeds(t testing.TB, s *CordialStrategy) [][]byte {
 }
 
 // FuzzRestoreSession feeds the session-image decoder — which reads persisted
-// snapshots and peers' handoff blobs — arbitrary bytes: it must refuse them
-// or return a session that encodes back to exactly the input (a version-1
-// input to its version-2 spelling) and that survives promotion and further
-// events.
+// snapshots and peers' handoff blobs — arbitrary bytes: it must refuse them or
+// return a session that survives further events. A quiet image must restore
+// as the session NewSession and OnEvent over its logged events build, and
+// re-encode through AppendQuietImage to exactly the input; any other image
+// must re-encode to exactly the input (a version-1 one to its version-2
+// spelling).
 func FuzzRestoreSession(f *testing.F) {
 	p, err := New(DefaultConfig(RandomForest)) // unfitted: decoding never reaches a model
 	if err != nil {
@@ -233,31 +235,39 @@ func FuzzRestoreSession(f *testing.F) {
 		if err != nil {
 			return
 		}
-		image, err := sess.(DurableSession).EncodeState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append([]byte(nil), data...)
-		want[4] = sessionVersion
-		if !bytes.Equal(image, want) {
-			t.Fatalf("restored session re-encodes differently (%d vs %d bytes)", len(image), len(data))
+		image := encodeSession(t, sess)
+		if log, quiet, err := QuietImageLog(data, nil); quiet {
+			if err != nil {
+				t.Fatalf("restored a quiet image its decoder refuses: %v", err)
+			}
+			eager := strategy.NewSession(hbm.BankAddress{})
+			for _, o := range log {
+				eager.OnEvent(eventOf(o))
+			}
+			if !bytes.Equal(image, encodeSession(t, eager)) {
+				t.Fatal("a quiet image restores to another session than its events build")
+			}
+			if again, err := AppendQuietImage(nil, log); err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("quiet image re-encodes differently (%d vs %d bytes, %v)", len(again), len(data), err)
+			}
+		} else {
+			want := append([]byte(nil), data...)
+			want[4] = sessionVersion
+			if !bytes.Equal(image, want) {
+				t.Fatalf("restored session re-encodes differently (%d vs %d bytes)", len(image), len(data))
+			}
 		}
 		now := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 		for i, class := range []ecc.Class{ecc.ClassCE, ecc.ClassUER, ecc.ClassUEO, ecc.ClassUER, ecc.ClassUER} {
 			sess.OnEvent(mcelog.Event{Time: now.Add(time.Duration(i) * time.Minute), Addr: hbm.Address{Row: 50 + 3*i}, Class: class})
 		}
-		if cs := sess.(*cordialSession); cs.state == nil && !cs.released {
-			t.Fatal("session still quiet after a UER")
-		}
-		if _, err := sess.(DurableSession).EncodeState(); err != nil {
-			t.Fatal(err)
-		}
+		encodeSession(t, sess)
 	})
 }
 
-// TestRestoreSessionImages: every seed image restores and round-trips; a
-// quiet image comes back quiet with its observations, and what a quiet
-// bank's log cannot hold is refused.
+// TestRestoreSessionImages: every seed image restores — a quiet one as a
+// session holding a feature state of its observations — and what a quiet
+// bank's log cannot hold is refused, by the decoder and the encoder alike.
 func TestRestoreSessionImages(t *testing.T) {
 	p, err := New(DefaultConfig(RandomForest))
 	if err != nil {
@@ -270,9 +280,12 @@ func TestRestoreSessionImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
-		if cs := sess.(*cordialSession); i < 3 && (cs.state != nil || cs.released || len(cs.pending) != []int{0, 3, maxPending - 1}[i]) {
-			t.Errorf("seed %d: quiet image restored as state=%t released=%t with %d observations", i, cs.state != nil, cs.released, len(cs.pending))
+		if cs := sess.(*cordialSession); i < 3 && (cs.state == nil || cs.released || cs.state.Footprint().Events != []int{0, 3, QuietLogMax}[i]) {
+			t.Errorf("seed %d: quiet image restored as state=%t released=%t", i, cs.state != nil, cs.released)
 		}
+	}
+	if _, err := AppendQuietImage(nil, obsOf(quietEvents(QuietLogMax+1))); err == nil {
+		t.Error("encoded a quiet image longer than QuietLogMax")
 	}
 	quiet := seeds[1] // three observations of 19 bytes after the 7-byte header and the 8-byte count
 	zeroTime := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, uint64(time.Time{}.Unix())), 0)
@@ -285,23 +298,27 @@ func TestRestoreSessionImages(t *testing.T) {
 	// Late events are folded in arrival order, so a log whose timestamps run
 	// backwards is a legitimate image (and a ClassNone observation, which
 	// only an unvalidated caller can produce, folds like one in a BankState).
-	late := strategy.NewSession(hbm.BankAddress{}).(*cordialSession)
+	var late []features.Obs
 	for i, class := range []ecc.Class{ecc.ClassCE, ecc.ClassNone, ecc.ClassUEO} {
-		late.OnEvent(mcelog.Event{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Add(-time.Duration(i) * time.Hour), Addr: hbm.Address{Row: 9 + i}, Class: class})
+		late = append(late, features.ObsOf(mcelog.Event{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Add(-time.Duration(i) * time.Hour), Addr: hbm.Address{Row: 9 + i}, Class: class}))
 	}
-	image, err := late.EncodeState()
+	image, err := AppendQuietImage(nil, late)
 	if err != nil {
 		t.Fatalf("out-of-order quiet history does not encode: %v", err)
 	}
-	if back, err := strategy.RestoreSession(hbm.BankAddress{}, image); err != nil || !slices.Equal(back.(*cordialSession).pending, late.pending) {
-		t.Fatalf("out-of-order quiet history restored as %+v, %v", back, err)
+	if back, quiet, err := QuietImageLog(image, nil); err != nil || !quiet || !slices.Equal(back, late) {
+		t.Fatalf("out-of-order quiet history decoded as %v (quiet %t), %v", back, quiet, err)
+	}
+	if _, err := strategy.RestoreSession(hbm.BankAddress{}, image); err != nil {
+		t.Fatalf("out-of-order quiet history does not restore: %v", err)
 	}
 	for name, bad := range map[string][]byte{
 		"version 1 quiet":      mutate(4, 1),
 		"classified quiet":     mutate(5, quiet[5]|sessFlagClassified),
 		"quiet with state":     mutate(5, quiet[5]|sessFlagHasState),
+		"quiet with a class":   mutate(6, 1),
 		"unknown flag":         mutate(5, quiet[5]|0x80),
-		"count beyond the log": mutate(7, maxPending+1),
+		"count beyond the log": mutate(7, QuietLogMax+1),
 		"count beyond input":   mutate(7, 4),
 		"UER observation":      mutate(obs0+18, byte(ecc.ClassUER)),
 		"unknown class":        mutate(obs0+18, byte(ecc.ClassUER)+1),

@@ -119,8 +119,8 @@ type blockRowCount struct {
 
 // Obs is what Observe reads of an event: its timestamp, row, class and error
 // bits, 16 bytes. A bank that has logged no UER can keep these instead of a
-// BankState (core's quiet sessions do): Replay over the stored values runs
-// the very code Observe would have run on the very same bytes.
+// BankState (the stream engine's stored banks do): Replay over the stored
+// values runs the very code Observe would have run on the very same bytes.
 type Obs struct {
 	t     int64 // Unix nanoseconds
 	row   int32
@@ -439,24 +439,15 @@ func (s *BankState) BlockVector(anchorRow, block int, now time.Time) ([]float64,
 // memory, for the bounded-memory monitoring the online engine exposes.
 type StateFootprint struct {
 	// Events is the number of events observed. A BankState retains none of
-	// them; a deferred state is exactly these events' observations.
+	// them.
 	Events int
 	// TrackedRows is the total entries across the per-row structures (the
 	// only parts of a BankState that grow at all); each is bounded by the
 	// bank's distinct error rows, hence by the geometry's RowsPerBank.
 	TrackedRows int
 	// ApproxBytes estimates resident bytes: a fixed accumulator core plus
-	// TrackedRows-proportional structures, or the observation log.
+	// TrackedRows-proportional structures.
 	ApproxBytes int
-	// Deferred reports that no BankState exists yet: the bank's history is
-	// an observation log awaiting its first UER.
-	Deferred bool
-}
-
-// DeferredFootprint is the footprint of an observation log kept in place of
-// a BankState.
-func DeferredFootprint(pending []Obs) StateFootprint {
-	return StateFootprint{Events: len(pending), ApproxBytes: cap(pending) * int(unsafe.Sizeof(Obs{})), Deferred: true}
 }
 
 // Footprint reports the state's current size: the struct itself plus the

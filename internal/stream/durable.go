@@ -1,16 +1,16 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"cordial/internal/bincodec"
 	"cordial/internal/core"
-	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/wal"
 )
@@ -145,46 +145,49 @@ func (e *Engine) encodeSnapshot(filter func(bankKey uint64) bool) (payload []byt
 }
 
 // snapshotWriter collects the session records of a snapshot payload, one
-// shard state at a time, and frames them.
+// shard state at a time, and frames them. Every record is appended to one
+// arena, length prefix and all, and indexed by its bank key and span.
 type snapshotWriter struct {
-	images []keyedBlob
-	log    []features.Obs // reused: a stored bank's chain, collected to encode it
+	arena bincodec.Cursor
+	index []snapRecord
+	image []byte // reused: a stored bank's quiet image
 }
 
-type keyedBlob struct {
-	key  uint64
-	blob []byte
+// snapRecord locates one framed record in the arena: arena[off:end].
+type snapRecord struct {
+	key      uint64
+	off, end int
 }
 
-// add encodes the record of every bank of st that filter selects (nil = all).
-// The caller holds st's lock.
+// add appends the record of every bank of st that filter selects (nil = all).
+// A stored bank's strategy image is the quiet image of its chain, encoded
+// without a session. The caller holds st's lock.
 func (w *snapshotWriter) add(st *shardState, filter func(bankKey uint64) bool) (err error) {
 	st.store.each(func(sl *slot) {
 		if err != nil || filter != nil && !filter(sl.key) {
 			return
 		}
 		im := sessionImage{key: sl.key, bankSession: st.view(sl)}
-		sess := im.sess
 		if sl.form() == slotStored {
-			// A stored bank encodes as the quiet session it stands for.
-			w.log = st.store.log(sl, w.log)
-			sess = st.totals.version(sl.ver()).quiet.ResumeSession(hbm.Unpack(sl.key), w.log)
+			st.chain = st.store.log(sl, st.chain)
+			w.image, err = core.AppendQuietImage(w.image[:0], st.chain)
+			im.blob = w.image
+		} else if ds, ok := im.sess.(core.DurableSession); ok {
+			im.blob, err = ds.EncodeState()
+		} else {
+			err = fmt.Errorf("stream: session %T is not durable", im.sess)
 		}
-		ds, ok := sess.(core.DurableSession)
-		if !ok {
-			err = fmt.Errorf("stream: session %T is not durable", sess)
+		if err != nil {
 			return
 		}
-		if im.blob, err = ds.EncodeState(); err != nil {
-			return
-		}
-		// 140 bytes of fixed-size fields, 8 per listed row, the blob.
-		size := 140 + 8*(len(im.uerRows)+len(im.spared)) + len(im.blob)
-		se := &bincodec.Cursor{B: make([]byte, 0, size), What: snapWhat}
-		im.code(se, engineSnapVersion)
-		if err = se.Err; err == nil {
-			w.images = append(w.images, keyedBlob{key: sl.key, blob: se.B})
-		}
+		c := &w.arena
+		c.What = snapWhat
+		off := len(c.B)
+		start := c.BeginBytes()
+		im.code(c, engineSnapVersion)
+		c.EndBytes(start)
+		err = c.Err
+		w.index = append(w.index, snapRecord{key: sl.key, off: off, end: len(c.B)})
 	})
 	return err
 }
@@ -192,18 +195,14 @@ func (w *snapshotWriter) add(st *shardState, filter func(bankKey uint64) bool) (
 // payload frames the records, in bank-key order, behind a header naming the
 // retention floor and the active epoch.
 func (w *snapshotWriter) payload(floor uint64, active modelEpoch) ([]byte, error) {
-	sort.Slice(w.images, func(i, j int) bool { return w.images[i].key < w.images[j].key })
-	size := 64 // header
-	for _, im := range w.images {
-		size += 8 + len(im.blob)
-	}
-	out := &bincodec.Cursor{B: append(make([]byte, 0, size), engineSnapMagic...), What: snapWhat}
+	slices.SortFunc(w.index, func(a, b snapRecord) int { return cmp.Compare(a.key, b.key) })
+	out := &bincodec.Cursor{B: append(make([]byte, 0, 64+len(w.arena.B)), engineSnapMagic...), What: snapWhat}
 	out.B = append(out.B, engineSnapVersion)
 	hdr := snapshotHeader{floor: floor, activeVersion: active.version, activeSince: active.sinceLSN}
-	n := len(w.images)
+	n := len(w.index)
 	hdr.code(out, engineSnapVersion, &n)
-	for _, im := range w.images {
-		out.Bytes(&im.blob)
+	for _, r := range w.index {
+		out.B = append(out.B, w.arena.B[r.off:r.end]...)
 	}
 	return out.B, out.Err
 }
@@ -311,7 +310,6 @@ func decodeSnapshotSessions(payload []byte) (hdr snapshotHeader, images []sessio
 type imageLoader struct {
 	resolve  func(version uint64) (core.DurableStrategy, error)
 	resolved map[uint64]core.DurableStrategy
-	buf      []features.Obs // the last quiet image's log
 }
 
 // strategy resolves the version an image pins. A version the model source
@@ -334,34 +332,21 @@ func (l *imageLoader) strategy(version uint64) (core.DurableStrategy, error) {
 	return ds, nil
 }
 
-// quietLog decodes the log of an image that a store slot stands for — a quiet
-// session's, with the bookkeeping of a bank that has done nothing but log
-// those observations — straight from the image, building no session
-// (addQuiet then places it). The log is valid until the next call.
-func (l *imageLoader) quietLog(ds core.DurableStrategy, im *sessionImage) (log []features.Obs, ok bool, err error) {
-	qs, isQuiet := ds.(core.QuietStrategy)
-	if !isQuiet {
-		return nil, false, nil
-	}
-	log, quiet, err := qs.QuietImageLog(im.blob, l.buf)
-	if err != nil || !quiet {
-		return nil, false, err
-	}
-	l.buf = log
-	return log, storable(&im.bankSession, log), nil
-}
-
 // restore puts the bank of a decoded image into st, pinned to the version the
-// image names: a quiet image as addQuiet places it — in the stored form, with
-// no session and no allocation of its own — any other as the session the
-// version's strategy restores from the image.
+// image names. Under a core.QuietStrategy a quiet image is decoded here, into
+// st's chain scratch, and placed by addQuiet — in the stored form, with no
+// session and no allocation of its own, when the store can take it; any other
+// image comes back as the session the version's strategy restores from it.
 func (st *shardState) restore(load *imageLoader, im *sessionImage) error {
 	ds, err := load.strategy(im.version)
 	if err != nil {
 		return err
 	}
 	ver := st.totals.versionIndex(im.version, ds)
-	log, quiet, err := load.quietLog(ds, im)
+	quiet := false
+	if st.totals.version(ver).quiet != nil {
+		st.chain, quiet, err = core.QuietImageLog(im.blob, st.chain)
+	}
 	var sess core.Session
 	if err == nil && !quiet {
 		sess, err = ds.RestoreSession(hbm.Unpack(im.key), im.blob)
@@ -370,7 +355,7 @@ func (st *shardState) restore(load *imageLoader, im *sessionImage) error {
 	case err != nil:
 		return fmt.Errorf("stream: restoring session for bank %s: %w", hbm.Unpack(im.key), err)
 	case quiet:
-		st.addQuiet(im.key, ver, &im.bankSession, log)
+		st.addQuiet(im.key, ver, &im.bankSession, st.chain)
 	default:
 		bs := im.bankSession
 		bs.sess = sess

@@ -35,13 +35,25 @@ type fakeStrategy struct {
 	// gate, when non-nil, holds every OnEvent until it is closed: the shard
 	// consumers stall on their first event, so queues fill deterministically.
 	gate chan struct{}
-	// footprint gives sessions a feature-state footprint (deferred until the
+	// footprint gives sessions a feature-state footprint (24 bytes until the
 	// first UER, a tracked row per UER row, released once bank-spared), so the
-	// engine's byte, row, quiet and released totals move.
+	// engine's byte, row and released totals move.
 	footprint bool
 }
 
 func (f *fakeStrategy) Name() string { return "fake" }
+
+// quietFake is a fakeStrategy whose CE-only banks the engine keeps in its
+// stores: a session resumes by folding the logged events.
+type quietFake struct{ *fakeStrategy }
+
+func (q quietFake) ResumeSession(bank hbm.BankAddress, log []features.Obs) core.Session {
+	sess := q.NewSession(bank)
+	for _, o := range log {
+		sess.OnEvent(mcelog.Event{Time: time.Unix(0, o.UnixNano()), Addr: hbm.Address{Row: int(o.Row())}, Class: o.Class(), Bits: o.Bits()})
+	}
+	return sess
+}
 
 func (f *fakeStrategy) NewSession(bank hbm.BankAddress) core.Session {
 	return &fakeSession{strategy: f, bank: bank, rows: make(map[int]bool)}
@@ -63,7 +75,7 @@ func (s *fakeSession) StateFootprint() (features.StateFootprint, bool) {
 	case !s.strategy.footprint || s.classified && s.class == faultsim.ClassScattered:
 		return features.StateFootprint{}, s.strategy.footprint
 	case len(s.rows) == 0:
-		return features.StateFootprint{ApproxBytes: 24, Deferred: true}, false
+		return features.StateFootprint{ApproxBytes: 24}, false
 	}
 	return features.StateFootprint{ApproxBytes: 100 + 16*len(s.rows), TrackedRows: len(s.rows)}, false
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cordial/internal/core"
-	"cordial/internal/features"
 	"cordial/internal/wal"
 )
 
@@ -141,7 +140,6 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	// Move the banks into the shards, re-checking for conflicts under each
 	// shard's lock: a session that appeared locally since the first check wins
 	// and the imported one is dropped.
-	var log []features.Obs
 	scratch.store.each(func(sl *slot) {
 		s := e.shardFor(sl.key)
 		s.mu.Lock()
@@ -150,7 +148,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 			st.Conflicts++
 			return
 		}
-		log = s.adopt(scratch, sl, log)
+		s.adopt(scratch, sl)
 		st.Sessions++
 	})
 
@@ -192,22 +190,20 @@ func replayImport(layout recordLayout, load *imageLoader, images []sessionImage,
 
 // adopt moves the bank in from's slot sl into st, in the form it has there,
 // with its watermark zeroed: from here on the bank's history lives in st's
-// journal namespace. buf is scratch for a stored bank's chain; adopt returns
-// it for reuse.
-func (st *shardState) adopt(from *shardState, sl *slot, buf []features.Obs) []features.Obs {
+// journal namespace. A stored bank's chain is collected into from's scratch.
+func (st *shardState) adopt(from *shardState, sl *slot) {
 	vc := from.totals.version(sl.ver())
 	ver := st.totals.versionIndex(vc.version, vc.strategy)
 	if sl.form() == slotHeap {
 		bs := from.store.session(sl)
 		bs.lastLSN = 0
 		st.addHeap(sl.key, ver, bs)
-		return buf
+		return
 	}
 	v := from.view(sl)
 	v.lastLSN = 0
-	buf = from.store.log(sl, buf)
-	st.addQuiet(sl.key, ver, &v, buf)
-	return buf
+	from.chain = from.store.log(sl, from.chain)
+	st.addQuiet(sl.key, ver, &v, from.chain)
 }
 
 // DropSessions removes the sessions selected by filter (nil = all) and,

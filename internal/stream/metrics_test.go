@@ -153,7 +153,7 @@ func TestMetricsExposition(t *testing.T) {
 func TestStatszMetricsAgree(t *testing.T) {
 	engine, srv := newTestServer(t, Config{
 		Shards:   3,
-		Strategy: &fakeStrategy{budget: 3, poisonRow: 666, footprint: true},
+		Strategy: quietFake{&fakeStrategy{budget: 3, poisonRow: 666, footprint: true}},
 	})
 	for i := 0; i < 4; i++ {
 		bank := testBank(i)

@@ -114,8 +114,7 @@ func runFleet(t *testing.T, strategy core.Strategy, evs []mcelog.Event, between 
 	}
 	sessions := make(map[string]SessionStats)
 	for _, st := range e.Sessions() {
-		st.StateBytes = 0 // a node is not a session's feature state
-		sessions[st.Bank.String()] = st
+		sessions[st.Bank.String()] = withoutFootprint(st)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -313,13 +312,10 @@ func encodeImages(hdr snapshotHeader, images []sessionImage) []byte {
 // oldest observation's, so a quiet image whose firstEvent says otherwise (a
 // late event folded first, or an image this engine did not write) cannot be
 // stored without changing it. It installs in the heap form — by restore and
-// by import — with its stats intact, and re-encodes to the same bytes.
+// by import — as the session resumed from its log, with its stats intact, and
+// re-encodes with that session's image in place of the quiet one.
 func TestImageFirstEventMustBeOldest(t *testing.T) {
-	pipe, err := core.New(core.DefaultConfig(core.RandomForest)) // unfitted: a CE-only bank never reaches a model
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}, Shards: 2}
+	cfg := Config{Strategy: unfittedCordial(t), Shards: 2}
 	src, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -343,6 +339,21 @@ func TestImageFirstEventMustBeOldest(t *testing.T) {
 	odd.firstEvent -= int64(time.Hour)
 	crafted := encodeImages(hdr, images)
 	oddBank := hbm.Unpack(odd.key)
+	// It re-encodes as the crafted payload with the bank's quiet image replaced
+	// by the image of a session fed its events: a has-state image, several
+	// times the quiet image's size.
+	sess := cfg.Strategy.NewSession(oddBank)
+	for _, ev := range quietFleet(3) {
+		if hbm.BankOf(ev.Addr) == oddBank {
+			sess.OnEvent(ev)
+		}
+	}
+	quietLen := len(odd.blob)
+	if odd.blob, err = sess.(core.DurableSession).EncodeState(); err != nil {
+		t.Fatal(err)
+	}
+	want := encodeImages(hdr, images)
+	t.Logf("the bank's image: %d B quiet, %d B re-encoded", quietLen, len(odd.blob))
 
 	for name, restore := range map[string]func(*Engine) error{
 		"restoreSnapshot": func(e *Engine) error { return e.restoreSnapshot(crafted) },
@@ -367,12 +378,11 @@ func TestImageFirstEventMustBeOldest(t *testing.T) {
 		}
 		st, ok := dst.Session(oddBank)
 		if !ok || st.FirstEvent.UnixNano() != odd.firstEvent || st.LastEvent.UnixNano() != odd.lastEvent ||
-			st.Events != int(odd.events) || !st.StateDeferred {
+			st.Events != int(odd.events) || st.StateDeferred {
 			t.Errorf("%s: %+v (found %t), the image says first %d, last %d, %d events", name, st, ok, odd.firstEvent, odd.lastEvent, odd.events)
 		}
-		again, _, err := dst.encodeSnapshot(nil)
-		if err != nil || !bytes.Equal(again, crafted) {
-			t.Errorf("%s: the engine re-encodes differently (%v)", name, err)
+		if again, _, err := dst.encodeSnapshot(nil); err != nil || !bytes.Equal(again, want) {
+			t.Errorf("%s: the engine re-encodes to %d bytes, want the crafted payload with the bank's eager image, %d bytes (%v)", name, len(again), len(want), err)
 		}
 		assertTotalsMatchRecount(t, name, dst)
 		dst.Close()

@@ -469,7 +469,8 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// jsonSession is the wire shape of one bank session snapshot.
+// jsonSession is the wire shape of one bank session snapshot; stateDeferred
+// is SessionStats.StateDeferred, a bank held in the store's stored form.
 type jsonSession struct {
 	Bank            string    `json:"bank"`
 	Events          int       `json:"events"`

@@ -3,14 +3,17 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
 	"cordial/internal/core"
 	"cordial/internal/ecc"
-	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 )
@@ -35,37 +38,19 @@ func quietFleet(banks int) []mcelog.Event {
 	return evs
 }
 
-// TestSessionHeapPerBank is the engine-level bytes-per-bank gate: the whole
-// per-bank cost of a quiet bank with seven CEs under the default Cordial
-// strategy — its index entry, its slot and its seven nodes in the shard's
-// store (TestStoreLayout pins the slot at 24 B and the node at 16), with every
-// chunk's and the index's slack counted in — stays under 160 B and a tenth of
-// an allocation.
-func TestSessionHeapPerBank(t *testing.T) {
-	if got := unsafe.Sizeof(bankSession{}); got > 144 {
-		t.Errorf("bankSession is %d bytes, want ≤ 144", got)
-	}
-	if raceEnabled {
-		t.Skip("the race detector changes allocation sizes and counts")
-	}
-	const banks = 20000
-	pipe, err := core.New(core.DefaultConfig(core.RandomForest)) // unfitted: a CE-only bank never reaches a model
+// unfittedCordial is the Cordial strategy over an unfitted pipeline: enough
+// for CE-only banks and a bank's first UER, neither of which reaches a model.
+func unfittedCordial(t testing.TB) *core.CordialStrategy {
+	pipe, err := core.New(core.DefaultConfig(core.RandomForest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := quietFleet(banks)
-	e, err := New(Config{
-		Strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry},
-		Shards:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	return &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
+}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+// ingestChunks feeds evs to e 1 024 at a time and drains it.
+func ingestChunks(t testing.TB, e *Engine, evs []mcelog.Event) {
+	t.Helper()
 	for i := 0; i < len(evs); i += 1024 {
 		if _, _, err := e.IngestBatch(evs[i:min(i+1024, len(evs))]); err != nil {
 			t.Fatal(err)
@@ -74,22 +59,67 @@ func TestSessionHeapPerBank(t *testing.T) {
 	if err := e.Drain(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// perBankCost runs fn and returns the heap it left behind and the mallocs it
+// made, per bank.
+func perBankCost(banks int, fn func()) (heap, mallocs float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if got := e.SessionCount(); got != banks {
-		t.Fatalf("%d sessions, want %d", got, banks)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(banks), float64(after.Mallocs-before.Mallocs) / float64(banks)
+}
+
+// TestSessionHeapPerBank is the engine-level bytes-per-bank gate: the whole
+// per-bank cost of a quiet bank with seven CEs under the default Cordial
+// strategy — its index entry, its slot and its seven nodes in the shard's
+// store (TestStoreLayout pins the slot at 24 B and the node at 16), with every
+// chunk's and the index's slack counted in — stays under 160 B and a tenth of
+// an allocation. So it does for a bank born while a shadow evaluation runs on
+// a Cordial candidate: it is born stored too, and its twin waits for its
+// promotion (such a bank held 628 B and cost 6.03 mallocs while core sessions
+// kept a lazy log of their own, born in the heap form with a twin).
+func TestSessionHeapPerBank(t *testing.T) {
+	if got := unsafe.Sizeof(bankSession{}); got > 144 {
+		t.Errorf("bankSession is %d bytes, want ≤ 144", got)
 	}
-	heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / banks
-	mallocs := float64(after.Mallocs-before.Mallocs) / banks
-	t.Logf("%.0f B and %.2f mallocs per tracked bank", heap, mallocs)
-	if heap > 160 {
-		t.Errorf("a quiet bank holds %.0f B of heap, want ≤ 160", heap)
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes and counts")
 	}
-	if mallocs > 0.1 {
-		t.Errorf("a quiet bank cost %.2f mallocs, want ≤ 0.1", mallocs)
-	}
-	if st := e.Stats(); st.SessionsQuiet != banks {
-		t.Errorf("%d of %d CE-only sessions are quiet", st.SessionsQuiet, banks)
+	const banks = 20000
+	evs := quietFleet(banks)
+	for _, shadow := range []bool{false, true} {
+		t.Run(map[bool]string{false: "live", true: "under-a-shadow"}[shadow], func(t *testing.T) {
+			fm := newFakeModels(1, 2)
+			fm.versions[1], fm.versions[2] = unfittedCordial(t), unfittedCordial(t)
+			e := newTestEngine(t, Config{Models: fm, Shards: 2})
+			defer e.Close()
+			if shadow {
+				if err := e.StartShadow(2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			heap, mallocs := perBankCost(banks, func() { ingestChunks(t, e, evs) })
+			if got := e.SessionCount(); got != banks {
+				t.Fatalf("%d sessions, want %d", got, banks)
+			}
+			t.Logf("%.0f B and %.2f mallocs per tracked bank", heap, mallocs)
+			if heap > 160 {
+				t.Errorf("a quiet bank holds %.0f B of heap, want ≤ 160", heap)
+			}
+			if mallocs > 0.1 {
+				t.Errorf("a quiet bank cost %.2f mallocs, want ≤ 0.1", mallocs)
+			}
+			if st := e.Stats(); st.SessionsQuiet != banks {
+				t.Errorf("%d of %d CE-only sessions are quiet", st.SessionsQuiet, banks)
+			}
+			if ss := e.ShadowStats(); shadow && (ss.Banks != banks || ss.Events != uint64(len(evs))) {
+				t.Errorf("the shadow counted %d banks and %d events, want %d and %d", ss.Banks, ss.Events, banks, len(evs))
+			}
+		})
 	}
 	runtime.KeepAlive(evs)
 }
@@ -142,11 +172,7 @@ func feedAndClose(t *testing.T, e *Engine, bank hbm.BankAddress, evs []mcelog.Ev
 type v1Images struct{ heapOnly }
 
 func (s v1Images) NewSession(bank hbm.BankAddress) core.Session {
-	st, err := s.cordial.Pipeline.NewBankState()
-	if err != nil {
-		panic(err)
-	}
-	return &v1Session{Session: s.cordial.NewSession(bank), state: st}
+	return v1Session{s.cordial.NewSession(bank)}
 }
 
 // heapOnly is a Cordial strategy without the core.QuietStrategy methods — what
@@ -163,24 +189,19 @@ func (h heapOnly) RestoreSession(bank hbm.BankAddress, data []byte) (core.Sessio
 	return h.cordial.RestoreSession(bank, data)
 }
 
-type v1Session struct {
-	core.Session
-	state *features.BankState
+type v1Session struct{ core.Session }
+
+func (s v1Session) EncodeState() ([]byte, error) {
+	blob, err := s.Session.(core.DurableSession).EncodeState()
+	if err == nil {
+		blob[4] = 1 // a session image's version byte; versions 1 and 2 spell a state alike
+	}
+	return blob, err
 }
 
-func (s *v1Session) OnEvent(e mcelog.Event) core.Decision {
-	s.state.Observe(e)
-	return s.Session.OnEvent(e)
-}
-
-func (s *v1Session) EncodeState() ([]byte, error) {
-	blob, err := s.state.MarshalBinary()
-	return append([]byte{'C', 'S', 'E', 'S', 1, 1 << 1 /* has state */, 0}, blob...), err
-}
-
-// TestRestoredQuietSessionThenFails: a CE-only session owns no row sets and,
-// under Cordial, no feature state — only its observations — and a snapshot
-// or handoff image of it restores to one that owns none either. The first
+// TestRestoredQuietSessionThenFails: a CE-only bank owns no row sets and,
+// under Cordial, no session — only its observations in the store — and a
+// snapshot or handoff image of it restores to one that owns none either. The first
 // UER and the first sparing decision after the restore must then build them
 // exactly as a session that never left memory does — same actions, same
 // rows, same stats. (With maps, writing to the restored nil set is one bug
@@ -281,6 +302,31 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 			check(t, dst, name == "cordial")
 		})
 
+		if _, ok := strategy.(*core.CordialStrategy); ok {
+			// The payloads a node at the commit before core sessions became
+			// eager exported of the bank: its heap-form session's quiet image,
+			// and a version-1 image of the same history.
+			text, err := os.ReadFile(filepath.Join("testdata", "parent_session_images.hex"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Fields(string(text)) {
+				t.Run(name+"/"+[]string{"parent-quiet-image", "parent-v1-image"}[i], func(t *testing.T) {
+					payload, err := hex.DecodeString(line)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dst, err := New(Config{Strategy: strategy, Shards: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st, err := dst.ImportSessions(payload, nil, nil); err != nil || st.Sessions != 1 {
+						t.Fatalf("import: %+v, %v", st, err)
+					}
+					check(t, dst, i == 0)
+				})
+			}
+		}
 		if cordial, ok := strategy.(*core.CordialStrategy); ok {
 			t.Run(name+"/v1-image-import", func(t *testing.T) {
 				src, err := New(Config{Strategy: v1Images{heapOnly{cordial}}, Shards: 2})

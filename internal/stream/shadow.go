@@ -7,6 +7,7 @@ import (
 
 	"cordial/internal/core"
 	"cordial/internal/ecc"
+	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/metrics"
@@ -15,10 +16,12 @@ import (
 
 // Shadow evaluation scores a candidate model against live traffic without
 // letting it touch the action stream. While a shadow is active, every
-// NEWLY created primary session gets a twin session on the candidate;
-// both twins see the bank's full event history from its first event, so
-// their verdicts are comparable like-for-like. Banks whose primary session
-// predates the shadow are left out — feeding a candidate the tail of a
+// NEWLY born bank gets a twin session on the candidate; both twins see the
+// bank's full event history from its first event, so their verdicts are
+// comparable like-for-like. A bank born stored gets its twin when it
+// promotes, resumed from the same chain as its own session: until then
+// neither side decides, and each stored event counts as one the twin folded.
+// Banks born before the shadow are left out — feeding a candidate the tail of a
 // history it never saw the head of would measure recovery behaviour, not
 // model quality.
 //
@@ -37,9 +40,12 @@ import (
 // every shard consumer updates them concurrently; gen distinguishes this
 // run's per-session twins from a previous run's stale ones.
 type shadowEval struct {
-	gen       uint64
-	version   uint64
-	strategy  core.Strategy
+	gen      uint64
+	version  uint64
+	strategy core.Strategy
+	// quiet is strategy as a core.QuietStrategy, nil when it is none: banks
+	// born under the evaluation then take the heap form from birth.
+	quiet     core.QuietStrategy
 	startedAt time.Time
 
 	banks       atomic.Int64
@@ -122,6 +128,7 @@ func (e *Engine) StartShadow(version uint64) error {
 		strategy:  strat,
 		startedAt: time.Now().UTC(),
 	}
+	se.quiet, _ = strat.(core.QuietStrategy)
 	e.shadow.Store(se)
 	e.metrics.shadowStarts.Inc()
 	e.cfg.Logger.Info("shadow evaluation started", "version", version)
@@ -177,10 +184,24 @@ type shadowSession struct {
 	dead       bool // candidate panicked on this bank; twin retired
 }
 
-// newShadowSession creates the twin for a freshly created primary session.
-func (se *shadowEval) newShadowSession(bank hbm.BankAddress) *shadowSession {
-	se.banks.Add(1)
-	return &shadowSession{gen: se.gen, sess: se.strategy.NewSession(bank)}
+// newShadowSession creates the twin of a bank born under the evaluation: the
+// candidate's session, resumed from log — the bank's observations, when it was
+// born stored and is promoting — under a core.QuietStrategy candidate. A
+// candidate panic leaves the twin retired.
+func (se *shadowEval) newShadowSession(bank hbm.BankAddress, log []features.Obs) (ss *shadowSession) {
+	ss = &shadowSession{gen: se.gen}
+	defer func() {
+		if r := recover(); r != nil {
+			ss.dead = true
+			se.panics.Add(1)
+		}
+	}()
+	if se.quiet != nil {
+		ss.sess = se.quiet.ResumeSession(bank, log)
+	} else {
+		ss.sess = se.strategy.NewSession(bank)
+	}
+	return ss
 }
 
 // foldShadow feeds one event to a bank's twin and scores both sides

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -37,6 +36,13 @@ type shardState struct {
 	// verdicts is the memory the folds decide into and carve their actions'
 	// rows from.
 	verdicts verdictBuffers
+	// chain is scratch for a stored bank's observations, collected or decoded
+	// to resume a session from (which does not keep them), to store, encode or
+	// move the bank.
+	chain []features.Obs
+	// shadowGen is the shadow evaluation the shadowed marks of the store's
+	// slots refer to: the last one a step ran under (zero before the first).
+	shadowGen uint64
 }
 
 func newShardState(layout recordLayout) *shardState {
@@ -220,8 +226,8 @@ func (st *shardState) view(sl *slot) bankSession {
 	}
 }
 
-// storable reports whether a quiet session's bookkeeping is exactly the view
-// of a store slot holding log — whether the stored form would lose nothing.
+// storable reports whether a quiet bank's bookkeeping is exactly the view of a
+// store slot holding log — whether the stored form would lose nothing.
 // A slot keeps no first-event time of its own: it is the oldest observation's.
 func storable(bs *bankSession, log []features.Obs) bool {
 	first, last := int64(bincodec.UnsetTime), int64(bincodec.UnsetTime)
@@ -234,8 +240,8 @@ func storable(bs *bankSession, log []features.Obs) bool {
 }
 
 // quietCap is the most observations a stored bank holds; the next event
-// promotes it. At core.QuietLogMax every quiet session image fits a slot and
-// the session a promotion resumes builds its feature state on that very event.
+// promotes it. At core.QuietLogMax a stored bank's chain always encodes as a
+// quiet image.
 const quietCap = core.QuietLogMax
 
 // addStored puts a quiet bank into the store in the stored form, pinned to the
@@ -276,18 +282,18 @@ func (st *shardState) drop(sl *slot) {
 	st.store.remove(sl)
 }
 
-// addQuiet puts a bank whose bookkeeping storable found quiet into the store:
-// in the stored form when the store holds its log, otherwise in the heap form,
-// as the session the version's strategy resumes from the log — what a
-// promotion would make of the stored bank. im is the bank's bookkeeping, which
-// the heap form copies.
+// addQuiet puts a bank that has logged nothing but log into the store, pinned
+// to a version whose strategy is a core.QuietStrategy: in the stored form when
+// its bookkeeping im is storable and the store holds log, otherwise in the heap
+// form, as the session the strategy resumes from log — what a promotion would
+// make of the stored bank — with im copied.
 func (st *shardState) addQuiet(key uint64, ver uint32, im *bankSession, log []features.Obs) {
-	if st.store.holds(log) {
+	if storable(im, log) && st.store.holds(log) {
 		st.addStored(key, ver, im.lastLSN, log)
 		return
 	}
 	bs := *im
-	bs.sess = st.totals.version(ver).quiet.ResumeSession(hbm.Unpack(key), slices.Clone(log))
+	bs.sess = st.totals.version(ver).quiet.ResumeSession(hbm.Unpack(key), log)
 	bs.measureState()
 	st.addHeap(key, ver, &bs)
 }
@@ -316,8 +322,9 @@ type bankSession struct {
 	events                int64
 	uerEvents             uint32
 	rowsIsolated, actions uint32
-	// stateBytes/stateRows/stateReleased/stateDeferred mirror the strategy
-	// session's feature-state footprint as of the last fold.
+	// stateBytes/stateRows/stateReleased mirror the strategy session's
+	// feature-state footprint as of the last fold. stateDeferred marks the view
+	// of a stored bank: a heap session's is always false.
 	stateBytes, stateRows int32
 	class                 uint8 // faultsim.Class, valid when classified
 	classified            bool
@@ -357,7 +364,7 @@ func (bs *bankSession) measureState() {
 	if is, ok := bs.sess.(core.InstrumentedSession); ok {
 		fp, released := is.StateFootprint()
 		bs.stateBytes, bs.stateRows = int32(fp.ApproxBytes), int32(fp.TrackedRows)
-		bs.stateReleased, bs.stateDeferred = released, fp.Deferred
+		bs.stateReleased = released
 	}
 }
 
@@ -403,6 +410,14 @@ type stepResult struct {
 //     first promoted — also when the shard has no node left for the append.
 func (st *shardState) step(env stepEnv, batch []queued) stepResult {
 	res := stepResult{acts: st.acts[:0], dead: st.dead[:0]}
+	if se := env.shadow; se != nil && se.gen != st.shadowGen {
+		// The marks name one evaluation: a bank born under an earlier one gets
+		// no twin from this one, as a heap bank's stale twin is released.
+		if st.shadowGen != 0 {
+			st.store.each(func(sl *slot) { sl.meta &^= shadowedBit })
+		}
+		st.shadowGen = se.gen
+	}
 	for i := range batch {
 		q := &batch[i]
 		key := st.layout.key(&q.rec)
@@ -427,6 +442,9 @@ func (st *shardState) step(env stepEnv, batch []queued) stepResult {
 			}
 			if st.store.appendObs(sl, st.layout.obs(&q.rec)) {
 				st.totals.n[totalStateBytes].Add(int64(nodeBytes))
+				if env.shadow != nil && sl.shadowed() {
+					env.shadow.events.Add(1) // what its twin would have folded
+				}
 				env.proc.ObserveSince(t0)
 				continue
 			}
@@ -460,20 +478,30 @@ func (st *shardState) admit(last *uint64, lsn uint64) bool {
 // newBank starts the bank whose first event is q's. This is the swap point: a
 // bank binds the epoch env names for q's position and stays pinned to it for
 // life, so replay recreates each bank under the version it was born under. The
-// bank is born stored when its strategy can resume a session from a log and
-// its store can take q as its first observation; otherwise, and while a shadow
-// evaluation is running — the candidate twin must see the same full history —
-// it is born with its session.
+// bank is born stored when its strategy — and a running shadow evaluation's
+// candidate — can resume a session from a log and its store can take q as its
+// first observation; otherwise it is born with its session. Under a shadow
+// evaluation a stored bank is marked shadowed, and its candidate twin is
+// resumed from the same chain as the bank when it promotes (fold): the twin
+// sees the bank's full history either way.
 func (st *shardState) newBank(env *stepEnv, key uint64, q *queued) *slot {
 	ep := epochAt(env.epochs, q.lsn)
 	ver := st.totals.versionIndex(ep.version, ep.strategy)
-	if env.shadow == nil && st.totals.version(ver).quiet != nil && q.rec.Class != uint8(ecc.ClassUER) && st.store.canAppend() {
-		return st.addStored(key, ver, 0, nil)
+	se := env.shadow
+	if se != nil {
+		se.banks.Add(1)
+	}
+	if st.totals.version(ver).quiet != nil && (se == nil || se.quiet != nil) && q.rec.Class != uint8(ecc.ClassUER) && st.store.canAppend() {
+		sl := st.addStored(key, ver, 0, nil)
+		if se != nil {
+			sl.meta |= shadowedBit
+		}
+		return sl
 	}
 	bank := hbm.Unpack(key)
 	bs := &bankSession{sess: ep.strategy.NewSession(bank), version: ep.version, firstEvent: q.rec.UnixNano, lastEvent: bincodec.UnsetTime}
-	if env.shadow != nil {
-		bs.shadow = env.shadow.newShadowSession(bank)
+	if se != nil {
+		bs.shadow = se.newShadowSession(bank, nil)
 	}
 	return st.addHeap(key, ver, bs)
 }
@@ -491,17 +519,17 @@ func (st *shardState) newBank(env *stepEnv, key uint64, q *queued) *slot {
 // event must never take the daemon down.
 func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, res *stepResult) {
 	promote := bs == nil
+	twin := promote && sl.shadowed() && env.shadow != nil
 	var before contribution
-	var log []features.Obs
 	switch {
 	case promote:
-		// The chain, oldest first, becomes the resumed session's log, and its
+		// The chain, oldest first, is what the session resumes from, and its
 		// nodes go back to the free list.
 		v := st.view(sl)
 		before = v.contribution()
 		v.stateBytes, v.stateDeferred = 0, false // measureState's to say
 		bs = &v
-		log = st.store.log(sl, nil) // the session keeps it
+		st.chain = st.store.log(sl, st.chain)
 		st.store.freeLog(sl)
 		st.store.setHeap(sl, bs)
 	case bs.degraded:
@@ -528,8 +556,11 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 		}
 	}()
 	if promote {
-		bs.sess = st.totals.version(sl.ver()).quiet.ResumeSession(hbm.Unpack(sl.key), log)
+		bs.sess = st.totals.version(sl.ver()).quiet.ResumeSession(hbm.Unpack(sl.key), st.chain)
 		bs.measureState()
+		if twin {
+			bs.shadow = env.shadow.newShadowSession(hbm.Unpack(sl.key), st.chain)
+		}
 	}
 	ev := q.rec.Event()
 	prevClassified := bs.classified

@@ -12,9 +12,9 @@ import (
 
 // TestEngineFeatureStateStats pins the bounded-memory accounting: per-bank
 // snapshots expose the feature state's footprint, spared banks show it
-// released, banks without a UER show it deferred (an observation log: bytes
-// but no tracked rows), and the engine aggregates equal the sums over live
-// sessions.
+// released, exactly the banks held in the store's stored form show it
+// deferred (their nodes: bytes but no tracked rows), and the engine aggregates
+// equal the sums over live sessions.
 func TestEngineFeatureStateStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a pipeline")
@@ -80,9 +80,16 @@ func TestEngineFeatureStateStats(t *testing.T) {
 		if st.StateReleased {
 			released++
 		}
+		s := engine.shardFor(key)
+		s.mu.Lock()
+		stored := s.store.find(key).form() == slotStored
+		s.mu.Unlock()
+		if st.StateDeferred != stored {
+			t.Errorf("bank %x: stored form %t, %+v", key, stored, st)
+		}
 		if st.StateDeferred {
 			quiet++
-			if st.UEREvents != 0 || st.StateReleased || st.StateRows != 0 || st.StateBytes <= 0 {
+			if st.UEREvents != 0 || st.StateReleased || st.StateRows != 0 || st.StateBytes != st.Events*nodeBytes {
 				t.Errorf("quiet bank %x: %+v", key, st)
 			}
 		} else if !st.StateReleased && st.StateRows <= 0 {

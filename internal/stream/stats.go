@@ -96,9 +96,10 @@ type SessionStats struct {
 	// StateReleased reports that the session dropped its feature state
 	// after a terminal decision (bank spared).
 	StateReleased bool
-	// StateDeferred reports a quiet bank: no UER yet, so the engine keeps
-	// its few observations (StateBytes of them — 24 per observation while the
-	// bank is in its shard's store — StateRows zero) instead of a feature state.
+	// StateDeferred reports a bank held in its shard's store in the stored
+	// form: no UER yet and at most core.QuietLogMax events, kept as the
+	// observations themselves (StateBytes is 16 per observation, StateRows
+	// zero) with no session and no feature state.
 	StateDeferred bool
 	// ModelVersion is the model version this session is pinned to: the
 	// active version when the session was created. A swap never rebinds a
@@ -151,8 +152,9 @@ type EngineStats struct {
 	// SessionsReleased counts sessions that dropped their feature state
 	// after a terminal decision (bank spared).
 	SessionsReleased int `json:"sessionsReleased"`
-	// SessionsQuiet counts sessions whose feature state is still deferred
-	// behind an observation log (banks that have logged no UER).
+	// SessionsQuiet counts the banks held in the stored form
+	// (SessionStats.StateDeferred): no UER yet, observations in the store
+	// instead of a session.
 	SessionsQuiet int `json:"sessionsQuiet"`
 	// ShardStateBytes is the per-shard breakdown of FeatureStateBytes.
 	ShardStateBytes []int64 `json:"shardFeatureStateBytes"`

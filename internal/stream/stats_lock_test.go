@@ -270,7 +270,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 	newModels := func() *fakeModels {
 		fm := newFakeModels(1, 2)
 		for v := range fm.versions {
-			fm.versions[v] = &fakeStrategy{budget: 3, poisonRow: 666, footprint: true}
+			fm.versions[v] = quietFake{&fakeStrategy{budget: 3, poisonRow: 666, footprint: true}}
 		}
 		return fm
 	}

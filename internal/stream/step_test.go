@@ -40,7 +40,7 @@ func (s *stepStrategy) Name() string { return "step" }
 func (s *stepStrategy) NewSession(hbm.BankAddress) core.Session { return &stepSession{strategy: s} }
 
 func (s *stepStrategy) ResumeSession(_ hbm.BankAddress, log []features.Obs) core.Session {
-	return &stepSession{strategy: s, log: log}
+	return &stepSession{strategy: s, log: slices.Clone(log)}
 }
 
 func (s *stepSession) OnEvent(ev mcelog.Event) core.Decision {
@@ -83,13 +83,6 @@ func (s *stepStrategy) RestoreSession(_ hbm.BankAddress, data []byte) (core.Sess
 	c := &bincodec.Cursor{B: data, Decode: true, What: "step session"}
 	sess.code(c)
 	return sess, c.Done()
-}
-
-func (s *stepStrategy) QuietImageLog(image []byte, buf []features.Obs) ([]features.Obs, bool, error) {
-	sess := stepSession{log: buf[:0]}
-	c := &bincodec.Cursor{B: image, Decode: true, What: "step session"}
-	sess.code(c)
-	return sess.log, len(sess.rows) == 0, c.Done()
 }
 
 // stepNode is one engine of the interleaving test's fleet: the state its
@@ -264,13 +257,12 @@ func (s *stepSim) handoff(src, dst *stepNode) (takeover bool) {
 	s.steps, s.refused = s.steps+1, s.refused+res.refused
 	addActs(s.acts, res.acts)
 	var got []uint64
-	var log []features.Obs
 	scratch.store.each(func(sl *slot) {
 		if dst.st.store.find(sl.key) != nil {
 			s.t.Fatalf("bank %#x is on both nodes", sl.key)
 		}
 		got = append(got, sl.key)
-		log = dst.st.adopt(scratch, sl, log)
+		dst.st.adopt(scratch, sl)
 		s.owner[sl.key] = slices.Index(s.nodes, dst)
 	})
 	slices.Sort(want)

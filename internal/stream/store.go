@@ -63,13 +63,15 @@ const (
 )
 
 // A slot's meta word: the form in the low 2 bits, a stored bank's observation
-// count in the next 6 (quietCap < 64), the pinned version's table index in
-// the top 24 (versionIndex refuses a table longer than maxVersions).
+// count in the next 6 (quietCap < 64), the shadowed mark in the next, the
+// pinned version's table index in the top 23 (versionIndex refuses a table
+// longer than maxVersions).
 const (
 	countShift  = 2
-	verShift    = 8
+	shadowedBit = 1 << 8
+	verShift    = 9
 	formMask    = 1<<countShift - 1
-	countMask   = 1<<verShift - 1 - formMask
+	countMask   = shadowedBit - 1 - formMask
 	maxVersions = 1 << (32 - verShift)
 )
 
@@ -77,6 +79,11 @@ func (sl *slot) form() uint8     { return uint8(sl.meta & formMask) }
 func (sl *slot) count() int      { return int(sl.meta & countMask >> countShift) }
 func (sl *slot) ver() uint32     { return sl.meta >> verShift }
 func (sl *slot) setForm(f uint8) { sl.meta = sl.meta&^formMask | uint32(f) }
+
+// shadowed reports a stored bank born while the shard's current shadow
+// evaluation ran (shardState.shadowGen): it gets a candidate twin when it
+// promotes under that evaluation.
+func (sl *slot) shadowed() bool { return sl.meta&shadowedBit != 0 }
 
 // obsNode is one stored observation — the features.Obs a node holds — and the
 // reference of the one before it, in 16 bytes: the time, and one word of

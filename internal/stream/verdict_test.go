@@ -51,7 +51,6 @@ func hotBankEvents(banks, perBank int, seed uint64) []mcelog.Event {
 type undecided interface {
 	core.ClassifiedSession
 	core.InstrumentedSession
-	core.QuietSession
 }
 
 // onEventSession is a Cordial session with Decide hidden, and onEventCordial

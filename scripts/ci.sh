@@ -73,6 +73,22 @@ if awk '/time\.Now\(/ && prev !~ /proc != nil \{$/ || /sync\./ || /^[[:space:]]*
     exit 1
 fi
 
+echo "==> one quiet tier (the engine's store; a core session is always eager)"
+# A bank that has logged no UER is kept as observations in one place, its
+# shard's store. Core's own deferral, the footprint that mirrored it and the
+# interfaces that joined the two tiers must not come back, and QuietStrategy
+# keeps its one method, ResumeSession.
+if grep -rnE "maxPending|pendingStart|QuietSession|QuietLog\(|DeferredFootprint|(^|[^[:alnum:]_])Deferred:" \
+    --include=*.go internal | grep -v "_test\.go:"; then
+    echo "a second quiet tier is back (see the matches above)" >&2
+    exit 1
+fi
+methods=$(awk '/^type QuietStrategy interface \{/,/^\}/' internal/core/pipeline.go | grep -cE '^[[:space:]]+[A-Z][[:alnum:]]*\(')
+if [ "$methods" != 1 ]; then
+    echo "core.QuietStrategy declares $methods methods, want ResumeSession alone" >&2
+    exit 1
+fi
+
 echo "==> one coded training matrix (classification training transposes nothing)"
 # A dataset is value-coded once and every Tree or Forest fit, on it or on a
 # view of it, grows over those codes; the float64 transpose belongs to the
@@ -108,10 +124,11 @@ echo "==> go test -race (parallel-training equivalence focus)"
 # reused growers at Parallelism 8 (TestForestFitAllocs), the grower against
 # its reference, a fit on a view against a fit on a copy for all four kinds
 # (TestViewFitMatchesCopyFit) and two forests fitted at once on two views of
-# an uncoded dataset (TestConcurrentViewFits: the coded-matrix memo) — and, by
-# the same pattern, core's quiet≡eager session gate
-# (TestQuietSessionEquivalence). The full -race suite below still covers
-# everything, the engine-level restore of quiet sessions
+# an uncoded dataset (TestConcurrentViewFits: the coded-matrix memo). The
+# stored ≡ eager edge banks (first event a UER, a UER at observation 31/32/33,
+# a long quiet life, a first UER tied with CEs, a UEO-only bank, spared banks
+# fed more) run in TestQuietStoreEquivalence, in the store pass below; the full
+# -race suite still covers everything, the engine-level restore of quiet banks
 # (TestRestoredQuietSessionThenFails) included.
 go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView' \
     ./internal/mltree/ ./internal/core/
@@ -124,10 +141,11 @@ go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestSh
 # walks Sessions()/Session() while banks are inserted, appended to, promoted,
 # dropped and restored), the store ≡ heap-form engine equivalence, the packed
 # store's two limit fallbacks (a row field wider than a node's, node references
-# exhausted) and live ≡ replayed actions for events with a zone or a monotonic
-# reading; and the shard step's seeded interleavings of batches, snapshots,
+# exhausted), live ≡ replayed actions for events with a zone or a monotonic
+# reading, banks born stored under a shadow evaluation scoring as banks born
+# with their twins; and the shard step's seeded interleavings of batches, snapshots,
 # restores, handoff imports, a model swap and a poisoned row.
-go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed|TestShardStepInterleavings' ./internal/stream/
+go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestShadowOverStoredBanks|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed|TestShardStepInterleavings' ./internal/stream/
 
 echo "==> go test -race"
 go test -race ./... "$@"
@@ -164,9 +182,10 @@ go test -run '^$' -fuzz 'FuzzUnmarshalBankState' -fuzztime 5s \
 
 echo "==> fuzz smoke (Cordial session image decoder, 5s)"
 # Session images come from disk and from peers (handoff): arbitrary bytes
-# must be refused or restore to a session — quiet, promoted or released —
-# that encodes back to exactly the input and survives its promotion. Seeded
-# with version-1 and version-2 images.
+# must be refused or restore to a session that survives further events. A
+# quiet image restores as the session its logged events build and re-encodes
+# through AppendQuietImage to exactly the input; any other image re-encodes to
+# exactly the input. Seeded with version-1 and version-2 images.
 go test -run '^$' -fuzz 'FuzzRestoreSession' -fuzztime 5s ./internal/core/
 
 echo "==> fuzz smoke (WAL record decoder, 5s)"
@@ -295,7 +314,7 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
     -count 1 ./internal/core/ ./internal/mltree/
 
-echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore)"
+echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs)"
 # A fleet engine holds every bank that ever logged an error, so bytes per
 # tracked bank is its memory bill. The struct sizes are pinned by
 # unsafe.Sizeof (and the store's slot and node and a shard queue's entry hold
@@ -303,9 +322,12 @@ echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store
 # per-bank cost (index entry, slot and seven observation nodes in the shard's
 # store, every chunk's slack included — a quiet bank owns no session and no
 # feature state) by a HeapAlloc/Mallocs delta over 20 000 CE-only banks under
-# the default Cordial strategy, and a restore or import of those banks by a
-# Mallocs delta and a byte-identical next snapshot.
-go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation' -count 1 \
+# the default Cordial strategy, born live and born under a shadow evaluation
+# (stored too: the twin waits for the promotion), a snapshot of those banks (encoded from their
+# chains into one arena, no session built) and a restore or import of it by
+# Mallocs deltas and byte-identical payloads, and a promotion at a bank's first
+# UER by its malloc count.
+go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation|TestSnapshotQuietBanksAllocation|TestPromotionAllocs' -count 1 \
     ./internal/features/ ./internal/stream/
 
 echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)"
