@@ -50,11 +50,7 @@ func main() {
 	for _, s := range strategies {
 		fmt.Printf("%-16s", s.Name())
 		for _, rows := range budgets {
-			budget := sparing.Budget{
-				RowSparesPerBank:     rows,
-				BankSparesPerChannel: 2,
-				OfflinePagesPerHBM:   0,
-			}
+			budget := sparing.Budget{RowSparesPerBank: rows, BankSparesPerChannel: 2}
 			res, err := core.EvaluatePrediction(s, test, block, budget)
 			if err != nil {
 				log.Fatal(err)

@@ -442,16 +442,6 @@ func validTarget(target string, nodes int, allowInfra bool) error {
 	return nil
 }
 
-// TotalDuration sums the load phases; a scenario without phases runs one
-// implicit phase just long enough to deliver the generated events.
-func (s *Scenario) TotalDuration() time.Duration {
-	var total time.Duration
-	for _, ph := range s.Load.Phases {
-		total += ph.Duration
-	}
-	return total
-}
-
 // decoder pulls typed fields out of the parseYAML tree, accumulating the
 // first error and tracking which keys each section consumed so unknown
 // keys are reported instead of silently ignored.

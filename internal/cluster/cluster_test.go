@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
@@ -512,4 +514,41 @@ func TestRouterCodecMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRouterRejectsStrayAddressBits: a wire record whose packed address has
+// bits outside the layout counts as rejected at the router — re-encoded, it
+// would reach its owner as the valid bank those bits alias it onto — and the
+// rest of its frame is forwarded.
+func TestRouterRejectsStrayAddressBits(t *testing.T) {
+	cp, cpSrv := startCP(t, CPConfig{})
+	n1 := startNode(t, cpSrv.URL, "n1")
+	waitFor(t, "n1 registration", func() bool { return n1.agent.Epoch() == 1 && cp.Descriptor().Epoch == 1 })
+	rt := NewRouter(RouterConfig{ControlPlane: cpSrv.URL, Backoff: 10 * time.Millisecond, Logger: quiet})
+	if err := rt.refreshRing(); err != nil {
+		t.Fatal(err)
+	}
+	rtSrv := httptest.NewServer(rt)
+	defer rtSrv.Close()
+
+	bank := clusterBank(1)
+	var buf bytes.Buffer
+	if err := mcelog.FromEvents([]mcelog.Event{clusterUER(bank, 1, 0), clusterUER(bank, 2, 1), clusterUER(bank, 3, 2)}).WriteWire(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	const magic = 4 // "CBF2"; the frame header follows: u32 length | u32 CRC-32C
+	payload := body[magic+8:]
+	payload[mcelog.WireRecordSize+8+7] |= 1 << 4 // bit 60 of record 1's packed address (bytes 8–15, little-endian)
+	binary.LittleEndian.PutUint32(body[magic+4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+
+	status, res := postBody(t, rtSrv.URL+"/v1/events.bin", "application/octet-stream", bytes.NewBuffer(body))
+	if status != http.StatusOK || res.Accepted != 2 || res.Rejected != 1 || len(res.Errors) != 1 ||
+		!strings.HasPrefix(res.Errors[0], "frame 1 record 1: ") {
+		t.Fatalf("routed ingest: status %d result %+v, want 2 accepted and record 1 rejected", status, res)
+	}
+	waitFor(t, "the forwarded records on the owner", func() bool {
+		st, ok := n1.engine.Session(bank)
+		return ok && st.Events == 2
+	})
 }

@@ -111,14 +111,14 @@ func TestClusterRequestBodiesCapped(t *testing.T) {
 			t.Errorf("%s: an over-cap body answered %d, want 413", path, code)
 		}
 	}
-	if agent.Epoch() != 0 || engine.SessionCount() != 0 {
-		t.Fatalf("over-cap requests adopted epoch %d and imported %d sessions", agent.Epoch(), engine.SessionCount())
+	if agent.Epoch() != 0 || engine.Stats().SessionsLive != 0 {
+		t.Fatalf("over-cap requests adopted epoch %d and imported %d sessions", agent.Epoch(), engine.Stats().SessionsLive)
 	}
 	if code := serve(agent.Handler(), "/cluster/v1/import", over(imp)-1, imp); code != http.StatusOK {
 		t.Fatalf("the same import at the cap answered %d", code)
 	}
-	if agent.Epoch() != 1 || engine.SessionCount() != 8 {
-		t.Errorf("the import at the cap adopted epoch %d and imported %d sessions, want 1 and 8", agent.Epoch(), engine.SessionCount())
+	if agent.Epoch() != 1 || engine.Stats().SessionsLive != 8 {
+		t.Errorf("the import at the cap adopted epoch %d and imported %d sessions, want 1 and 8", agent.Epoch(), engine.Stats().SessionsLive)
 	}
 
 	cp, _ := startCP(t, CPConfig{})
@@ -162,8 +162,8 @@ func FuzzHandoffEnvelope(f *testing.F) {
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil && rec.Code/100 != 4 {
 			t.Fatalf("an envelope that does not decode (%v) answered %d", err, rec.Code)
 		}
-		if rec.Code != http.StatusOK && engine.SessionCount() != 0 {
-			t.Fatalf("a refused bundle (%d: %s) installed %d sessions", rec.Code, rec.Body, engine.SessionCount())
+		if rec.Code != http.StatusOK && engine.Stats().SessionsLive != 0 {
+			t.Fatalf("a refused bundle (%d: %s) installed %d sessions", rec.Code, rec.Body, engine.Stats().SessionsLive)
 		}
 	})
 }

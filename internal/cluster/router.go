@@ -252,9 +252,11 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEventsBin accepts wire frames from clients and routes them like
-// handleEvents. Records decode unconditionally here — geometry validation
-// stays on the serve nodes, which know the fleet's shape. A corrupt frame
-// is a 400 (no way to resynchronise), but the frames before it are routed.
+// handleEvents. Records decode checked: one whose packed address has bits
+// outside the layout is rejected here, since re-encoding it would forward the
+// bank it aliases onto. Geometry validation stays on the serve nodes, which
+// know the fleet's shape. A corrupt frame is a 400 (no way to resynchronise),
+// but the frames before it are routed.
 func (rt *Router) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 	if rt.currentRing() == nil {
 		http.Error(w, "no ring yet", http.StatusServiceUnavailable)
@@ -277,7 +279,12 @@ func (rt *Router) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 		}
 		frameNo++
 		for i, n := 0, fr.Len(); i < n; i++ {
-			ev := fr.Event(i)
+			ev, err := fr.EventChecked(i)
+			if err != nil {
+				agg.Rejected++
+				note(&agg, "frame %d record %d: %v", frameNo, i, err)
+				continue
+			}
 			lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
 		}
 	}

@@ -111,9 +111,6 @@ func (c *Calchas) Fit(banks []*faultsim.BankFault) error {
 	return nil
 }
 
-// Fitted reports whether Fit has run.
-func (c *Calchas) Fitted() bool { return c.model != nil }
-
 // NewSession returns per-bank state.
 func (c *Calchas) NewSession(bank hbm.BankAddress) Session {
 	return &calchasSession{strategy: c}

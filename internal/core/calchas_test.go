@@ -16,13 +16,13 @@ func TestCalchasFitAndEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Calchas{Params: smallParams(), Seed: 1}
-	if c.Fitted() {
+	if c.model != nil {
 		t.Fatal("unfitted Calchas claims fitted")
 	}
 	if err := c.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Fitted() {
+	if c.model == nil {
 		t.Fatal("fitted Calchas claims unfitted")
 	}
 

@@ -72,7 +72,3 @@ func buildMeta(banks []*faultsim.BankFault, params ModelParams) *ModelMeta {
 // Meta returns the pipeline's training metadata, or nil when unknown (a
 // pipeline loaded from a pre-metadata artefact, or not yet fitted).
 func (p *Pipeline) Meta() *ModelMeta { return p.meta }
-
-// SetMeta attaches (or replaces) the pipeline's training metadata; tools
-// use it to stamp TrainedAt before saving.
-func (p *Pipeline) SetMeta(m *ModelMeta) { p.meta = m }

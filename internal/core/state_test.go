@@ -115,9 +115,15 @@ func TestBlockInstancesSingleReplayEquivalence(t *testing.T) {
 		for k := 3; k <= len(bf.UERRows); k++ {
 			anchor := bf.UERRows[k-1]
 			now := bf.UERTimes[k-1]
-			visible := visibleEvents(bf.Events, now)
+			st, err := features.NewBankState(features.DefaultPatternConfig(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range visibleEvents(bf.Events, now) {
+				st.Observe(e)
+			}
 			for b := 0; b < spec.NumBlocks(); b++ {
-				vec, err := features.BlockVector(visible, anchor, spec, b, now)
+				vec, err := st.BlockVector(anchor, b, now)
 				if err != nil {
 					t.Fatal(err)
 				}

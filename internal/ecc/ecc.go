@@ -233,9 +233,6 @@ func ParseClass(s string) (Class, error) {
 	}
 }
 
-// IsUncorrectable reports whether the class is a UCE (UEO or UER).
-func (c Class) IsUncorrectable() bool { return c == ClassUEO || c == ClassUER }
-
 // Classify maps a decode outcome and the access that triggered it to the
 // paper's error taxonomy.
 func Classify(o Outcome, access AccessKind) Class {

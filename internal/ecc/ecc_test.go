@@ -176,16 +176,6 @@ func TestClassStringsAndParse(t *testing.T) {
 	}
 }
 
-func TestIsUncorrectable(t *testing.T) {
-	for c, want := range map[Class]bool{
-		ClassNone: false, ClassCE: false, ClassUEO: true, ClassUER: true,
-	} {
-		if got := c.IsUncorrectable(); got != want {
-			t.Errorf("%v.IsUncorrectable() = %v", c, got)
-		}
-	}
-}
-
 func TestOutcomeString(t *testing.T) {
 	for o, want := range map[Outcome]string{
 		OutcomeClean:         "clean",

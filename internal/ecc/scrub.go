@@ -141,46 +141,3 @@ func (m *FaultMap) Read(word uint64, t time.Time, access AccessKind) Class {
 	}
 	return class
 }
-
-// Scrubber walks every faulty word of a FaultMap at a fixed interval,
-// emitting the classified results — the patrol-scrubbing behaviour of §II-B
-// that separates UEOs (found by scrub) from UERs (hit by demand reads).
-type Scrubber struct {
-	// Interval between scrub passes over the whole bank.
-	Interval time.Duration
-	// Map is the bank's fault map.
-	Map *FaultMap
-}
-
-// Observation is one classified access produced by a scrub pass or demand
-// read.
-type Observation struct {
-	Word  uint64
-	Time  time.Time
-	Class Class
-}
-
-// Run performs scrub passes from start until end and returns every non-clean
-// observation in time order. Only faulty words are visited (clean words
-// never produce observations).
-func (s *Scrubber) Run(start, end time.Time) ([]Observation, error) {
-	if s.Interval <= 0 {
-		return nil, fmt.Errorf("ecc: scrub interval must be positive, got %v", s.Interval)
-	}
-	if s.Map == nil {
-		return nil, fmt.Errorf("ecc: scrubber has no fault map")
-	}
-	if end.Before(start) {
-		return nil, fmt.Errorf("ecc: scrub window ends before it starts")
-	}
-	var out []Observation
-	words := s.Map.FaultyWords()
-	for t := start; !t.After(end); t = t.Add(s.Interval) {
-		for _, w := range words {
-			if class := s.Map.Read(w, t, AccessPatrolScrub); class != ClassNone {
-				out = append(out, Observation{Word: w, Time: t, Class: class})
-			}
-		}
-	}
-	return out, nil
-}

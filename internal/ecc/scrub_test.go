@@ -134,64 +134,6 @@ func TestScrubPreventsAccumulation(t *testing.T) {
 	}
 }
 
-func TestScrubberRun(t *testing.T) {
-	var m FaultMap
-	if err := m.AddFault(1, Fault{Bits: []int{2}, Kind: FaultStuck, Onset: at(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddFault(2, Fault{Bits: []int{3, 7}, Kind: FaultStuck, Onset: at(5)}); err != nil {
-		t.Fatal(err)
-	}
-	s := &Scrubber{Interval: time.Hour, Map: &m}
-	obs, err := s.Run(at(0), at(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) == 0 {
-		t.Fatal("no observations")
-	}
-	var ces, ueos int
-	for i, o := range obs {
-		if i > 0 && o.Time.Before(obs[i-1].Time) {
-			t.Fatal("observations out of time order")
-		}
-		switch o.Class {
-		case ClassCE:
-			if o.Word != 1 {
-				t.Fatalf("CE on word %d", o.Word)
-			}
-			ces++
-		case ClassUEO:
-			if o.Word != 2 {
-				t.Fatalf("UEO on word %d", o.Word)
-			}
-			ueos++
-		default:
-			t.Fatalf("unexpected class %v", o.Class)
-		}
-	}
-	// Word 1 is CE on all 11 passes; word 2 is UEO on passes from hour 5.
-	if ces != 11 {
-		t.Errorf("CE count = %d, want 11", ces)
-	}
-	if ueos != 6 {
-		t.Errorf("UEO count = %d, want 6", ueos)
-	}
-}
-
-func TestScrubberRunErrors(t *testing.T) {
-	var m FaultMap
-	if _, err := (&Scrubber{Interval: 0, Map: &m}).Run(at(0), at(1)); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := (&Scrubber{Interval: time.Hour}).Run(at(0), at(1)); err == nil {
-		t.Error("nil map accepted")
-	}
-	if _, err := (&Scrubber{Interval: time.Hour, Map: &m}).Run(at(2), at(1)); err == nil {
-		t.Error("inverted window accepted")
-	}
-}
-
 func TestFaultMapRejectsInvalidFault(t *testing.T) {
 	var m FaultMap
 	if err := m.AddFault(1, Fault{}); err == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,16 @@ import (
 	"cordial/internal/faultsim"
 	"cordial/internal/hbm"
 )
+
+// tableIVRow returns the named row of t4.
+func tableIVRow(t *testing.T, t4 *TableIV, name string) TableIVRow {
+	t.Helper()
+	i := slices.IndexFunc(t4.Rows, func(r TableIVRow) bool { return r.Name == name })
+	if i < 0 {
+		t.Fatalf("Table IV has no %q row", name)
+	}
+	return t4.Rows[i]
+}
 
 func TestParamsValidate(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -29,7 +40,7 @@ func TestTableIShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(hbm.TableLevels) {
+	if len(res.Rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("TableI has %d rows", len(res.Rows))
 	}
 	// The paper's headline: >95% of row-level UERs are sudden.
@@ -52,7 +63,7 @@ func TestTableIIShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(hbm.TableLevels) {
+	if len(res.Rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("TableII has %d rows", len(res.Rows))
 	}
 	for _, r := range res.Rows {
@@ -95,15 +106,9 @@ func TestEvaluationTablesShape(t *testing.T) {
 	if len(t4.Rows) != 6 {
 		t.Fatalf("TableIV has %d rows", len(t4.Rows))
 	}
-	base, ok := t4.Row("Neighbor Rows")
-	if !ok {
-		t.Fatal("baseline row missing")
-	}
+	base := tableIVRow(t, t4, "Neighbor Rows")
 	for _, kind := range core.AllModelKinds {
-		row, ok := t4.Row("Cordial-" + kind.ShortName())
-		if !ok {
-			t.Fatalf("Cordial-%s row missing", kind.ShortName())
-		}
+		row := tableIVRow(t, t4, "Cordial-"+kind.ShortName())
 		if row.F1 <= base.F1 {
 			t.Errorf("Cordial-%s F1 %.3f not above baseline %.3f", kind.ShortName(), row.F1, base.F1)
 		}
@@ -111,10 +116,7 @@ func TestEvaluationTablesShape(t *testing.T) {
 			t.Errorf("Cordial-%s ICR %.3f not above baseline %.3f", kind.ShortName(), row.ICR, base.ICR)
 		}
 	}
-	inrow, ok := t4.Row("In-row")
-	if !ok {
-		t.Fatal("in-row row missing")
-	}
+	inrow := tableIVRow(t, t4, "In-row")
 	// In-row coverage is bounded by the non-sudden ratio; at full scale it
 	// sits clearly below the neighbor-rows baseline, at quick scale allow a
 	// small margin of noise.
@@ -124,10 +126,7 @@ func TestEvaluationTablesShape(t *testing.T) {
 	if inrow.ICR > 0.12 {
 		t.Errorf("in-row ICR %.3f above the sudden-ratio bound", inrow.ICR)
 	}
-	calchas, ok := t4.Row("Calchas-lite")
-	if !ok {
-		t.Fatal("Calchas-lite row missing")
-	}
+	calchas := tableIVRow(t, t4, "Calchas-lite")
 	// A learned in-row method is still bounded by the non-sudden ratio.
 	if calchas.ICR > 0.15 {
 		t.Errorf("Calchas-lite ICR %.3f unexpectedly high", calchas.ICR)
@@ -310,10 +309,11 @@ func TestStability(t *testing.T) {
 	if res.Seeds != 3 || len(res.Rows) != 6 {
 		t.Fatalf("stability = %+v", res)
 	}
-	adv, ok := res.Row("Cordial F1 advantage")
-	if !ok {
+	i := slices.IndexFunc(res.Rows, func(r StabilityRow) bool { return r.Metric == "Cordial F1 advantage" })
+	if i < 0 {
 		t.Fatal("advantage row missing")
 	}
+	adv := res.Rows[i]
 	// Cordial beats the baseline on average across seeds.
 	if adv.Mean <= 0 {
 		t.Fatalf("mean F1 advantage = %.3f", adv.Mean)

@@ -126,13 +126,3 @@ func (s *Stability) Render(w io.Writer) error {
 	}
 	return tw.Flush()
 }
-
-// Row returns the named metric row.
-func (s *Stability) Row(metric string) (StabilityRow, bool) {
-	for _, r := range s.Rows {
-		if r.Metric == metric {
-			return r, true
-		}
-	}
-	return StabilityRow{}, false
-}

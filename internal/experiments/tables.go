@@ -205,18 +205,6 @@ func predictionRow(res *core.PredictionEval) TableIVRow {
 	return row
 }
 
-// RunTableIII runs the evaluation and returns only Table III.
-func RunTableIII(p Params) (*TableIII, error) {
-	t3, _, err := RunEvaluation(p)
-	return t3, err
-}
-
-// RunTableIV runs the evaluation and returns only Table IV.
-func RunTableIV(p Params) (*TableIV, error) {
-	_, t4, err := RunEvaluation(p)
-	return t4, err
-}
-
 // Render writes the paper-style table.
 func (t *TableIII) Render(w io.Writer) error {
 	tw := newTabWriter(w)
@@ -267,14 +255,4 @@ func (t *TableIV) Render(w io.Writer) error {
 		}
 	}
 	return tw.Flush()
-}
-
-// Row returns the named row, or false when absent.
-func (t *TableIV) Row(name string) (TableIVRow, bool) {
-	for _, r := range t.Rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return TableIVRow{}, false
 }

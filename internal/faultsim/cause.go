@@ -90,17 +90,3 @@ func SampleCause(p Pattern, rng *xrand.RNG) Cause {
 	}
 	return entries[rng.WeightedChoice(weights)].cause
 }
-
-// PossibleCauses returns the root causes consistent with the pattern, most
-// likely first.
-func PossibleCauses(p Pattern) []Cause {
-	entries, ok := causeWeights[p]
-	if !ok {
-		return nil
-	}
-	out := make([]Cause, len(entries))
-	for i, e := range entries {
-		out[i] = e.cause
-	}
-	return out
-}

@@ -360,9 +360,6 @@ func NewGenerator(cfg Config, rng *xrand.RNG) (*Generator, error) {
 	return &Generator{cfg: cfg, rng: rng}, nil
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Generate synthesises the fault process of one bank with the given pattern.
 // Every emitted event is checked against the configured geometry and the
 // active address layout before it leaves the generator: a simulator bug that

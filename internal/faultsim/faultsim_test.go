@@ -2,11 +2,11 @@ package faultsim
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"cordial/internal/ecc"
 	"cordial/internal/hbm"
-	"cordial/internal/mcelog"
 	"cordial/internal/xrand"
 )
 
@@ -120,13 +120,12 @@ func TestGenerateProducesGroundTruthConsistency(t *testing.T) {
 			}
 		}
 		// Every UER row has a UER event; events sorted; all within bank.
-		log := mcelog.FromEvents(bf.Events)
-		if !log.IsSorted() {
+		if !sort.SliceIsSorted(bf.Events, func(i, j int) bool { return bf.Events[i].Before(bf.Events[j]) }) {
 			t.Fatalf("%v: events not sorted", p)
 		}
 		uerRows := make(map[int]bool)
 		for _, e := range bf.Events {
-			if !e.Addr.SameBank(bank) {
+			if e.Addr.BankKey() != bank.BankKey() {
 				t.Fatalf("%v: event outside bank: %v", p, e.Addr)
 			}
 			if err := e.Validate(hbm.DefaultGeometry); err != nil {
@@ -221,7 +220,7 @@ func TestSingleRowClusterIsTight(t *testing.T) {
 
 func TestDoubleRowHasTwoClusters(t *testing.T) {
 	g := newGen(t, 9)
-	cfg := g.Config()
+	cfg := g.cfg
 	bank := hbm.BankAddress{}
 	for trial := 0; trial < 100; trial++ {
 		bf, err := g.Generate(bank, PatternDoubleRow)
@@ -447,7 +446,7 @@ func TestGenerateDeterministicPerSeed(t *testing.T) {
 
 func TestEventsWithinWindow(t *testing.T) {
 	g := newGen(t, 25)
-	cfg := g.Config()
+	cfg := g.cfg
 	end := cfg.Start.Add(cfg.Duration)
 	for _, p := range AllPatterns {
 		bf, err := g.Generate(hbm.BankAddress{}, p)

@@ -36,7 +36,7 @@ func TestGeneratePhysicalBasics(t *testing.T) {
 			if err := e.Validate(hbm.DefaultGeometry); err != nil {
 				t.Fatalf("%v: %v", p, err)
 			}
-			if !e.Addr.SameBank(bank) {
+			if e.Addr.BankKey() != bank.BankKey() {
 				t.Fatalf("%v: event outside bank", p)
 			}
 		}

@@ -17,8 +17,8 @@ import (
 // vectors (the codec's contract) and matching bookkeeping.
 func assertStateEquivalent(t *testing.T, want, got *BankState, anchor int, now time.Time) {
 	t.Helper()
-	if want.Events() != got.Events() {
-		t.Fatalf("events %d vs %d", want.Events(), got.Events())
+	if want.events != got.events {
+		t.Fatalf("events %d vs %d", want.events, got.events)
 	}
 	wp, werr := want.PatternVector()
 	gp, gerr := got.PatternVector()

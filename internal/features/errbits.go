@@ -91,16 +91,3 @@ func (s *BankState) ErrBitVector() ([]float64, error) {
 	}
 	return out, nil
 }
-
-// ErrBitVector computes the error-bit feature vector from a bank's
-// time-sorted events, via a single replay through a BankState.
-func ErrBitVector(events []mcelog.Event) ([]float64, error) {
-	st, err := NewBankState(DefaultPatternConfig(), DefaultBlockSpec())
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range events {
-		st.Observe(e)
-	}
-	return st.ErrBitVector()
-}

@@ -63,7 +63,7 @@ func TestErrBitIncrementalMatchesReference(t *testing.T) {
 
 // TestErrBitVectorValues checks the aggregates on a hand-computed sequence.
 func TestErrBitVectorValues(t *testing.T) {
-	got, err := ErrBitVector(errBitTestEvents())
+	got, err := errBitVector(errBitTestEvents())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestErrBitVectorEmpty(t *testing.T) {
 	for _, events := range [][]mcelog.Event{nil, {
 		{Time: time.Now().UTC(), Addr: hbm.CellInBank(hbm.BankAddress{}, 1, 1), Class: ecc.ClassCE},
 	}} {
-		got, err := ErrBitVector(events)
+		got, err := errBitVector(events)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestCodecDecodesV1(t *testing.T) {
 	if got[0] != 0 {
 		t.Errorf("v1 snapshot decoded with errbit count %v, want 0", got[0])
 	}
-	if restored.Events() != st.Events() {
-		t.Errorf("v1 snapshot decoded with %d events, want %d", restored.Events(), st.Events())
+	if restored.events != st.events {
+		t.Errorf("v1 snapshot decoded with %d events, want %d", restored.events, st.events)
 	}
 }

@@ -4,15 +4,12 @@
 // first three UERs) and for per-block cross-row failure prediction (using
 // everything observed up to the decision time, plus block-local geometry).
 //
-// Every vector is reproducible through two interchangeable paths with
-// bit-identical results: the batch path (PatternVector/BlockVector over an
-// event slice, internally a single forward replay) and the incremental
-// path (a BankState fed one event at a time via Observe, O(1) amortized
-// per event and bounded memory — the representation the offline dataset
-// builders and the online stream engine share). The original whole-slice
-// implementations are kept as the executable specification in
-// reference_test.go; equivalence with them is enforced by table tests and
-// a fuzz target.
+// Every vector comes from a BankState fed one event at a time via Observe:
+// O(1) amortized per event and bounded memory — the representation the
+// offline dataset builders and the online stream engine share. The original
+// whole-slice implementations are kept as the executable specification in
+// reference_test.go; equivalence with them is enforced by table tests and a
+// fuzz target.
 //
 // Missing information is encoded with the Missing sentinel, which tree
 // learners split around naturally. A bank with no events of a class
@@ -26,8 +23,6 @@ package features
 import (
 	"fmt"
 	"time"
-
-	"cordial/internal/mcelog"
 )
 
 // Missing is the sentinel for undefined feature values (no events of the
@@ -86,23 +81,6 @@ func PatternFeatureNames() []string {
 	return names
 }
 
-// PatternVector computes the §IV-B feature vector for failure-pattern
-// classification from a bank's time-sorted events. It returns an error when
-// the bank has no UER (no pattern to classify). It is a thin wrapper that
-// replays the events once through an incremental BankState; the result is
-// bit-identical to referencePatternVector (the original whole-slice
-// implementation, kept as the executable specification).
-func PatternVector(events []mcelog.Event, cfg PatternConfig) ([]float64, error) {
-	st, err := NewBankState(cfg, DefaultBlockSpec())
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range events {
-		st.Observe(e)
-	}
-	return st.PatternVector()
-}
-
 // BlockSpec describes the cross-row prediction window geometry (§IV-D):
 // WindowRadius rows above and below the last UER row, divided into blocks of
 // BlockSize rows. The paper uses radius 64 with 8-row blocks → 16 blocks.
@@ -134,17 +112,6 @@ func (s BlockSpec) NumBlocks() int { return 2 * s.WindowRadius / s.BlockSize }
 func (s BlockSpec) BlockRange(lastUERRow, b int) (lo, hi int) {
 	lo = lastUERRow - s.WindowRadius + b*s.BlockSize
 	return lo, lo + s.BlockSize - 1
-}
-
-// BlockOf returns the block index containing row (relative to the anchor),
-// or -1 when the row falls outside the window. The anchor row itself falls
-// in block NumBlocks/2.
-func (s BlockSpec) BlockOf(lastUERRow, row int) int {
-	off := row - (lastUERRow - s.WindowRadius)
-	if off < 0 || off >= 2*s.WindowRadius {
-		return -1
-	}
-	return off / s.BlockSize
 }
 
 // BlockFeatureCount is the length of a block vector, kept in sync with
@@ -180,23 +147,4 @@ func BlockFeatureNames() []string {
 		"block_dist_to_ce_mean",
 	)
 	return names
-}
-
-// BlockVector computes the §IV-D feature vector for one prediction block.
-// events must be the bank's events observed up to the decision time (sorted
-// by time); anchorRow is the last observed UER row; now is the decision
-// time. It is a thin wrapper that replays the events once through an
-// incremental BankState; the result is bit-identical to
-// referenceBlockVector (the original whole-slice implementation, kept as
-// the executable specification). Callers scoring several blocks of one
-// window should build a BankState once and query it per block instead.
-func BlockVector(events []mcelog.Event, anchorRow int, spec BlockSpec, block int, now time.Time) ([]float64, error) {
-	st, err := NewBankState(DefaultPatternConfig(), spec)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range events {
-		st.Observe(e)
-	}
-	return st.BlockVector(anchorRow, block, now)
 }

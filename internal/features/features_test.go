@@ -22,6 +22,42 @@ func ev(hoursIn float64, row int, class ecc.Class) mcelog.Event {
 	}
 }
 
+// replayed returns the BankState a session holds after events: the path
+// every program takes to a feature vector.
+func replayed(events []mcelog.Event, cfg PatternConfig, spec BlockSpec) (*BankState, error) {
+	st, err := NewBankState(cfg, spec)
+	if err == nil {
+		for _, e := range events {
+			st.Observe(e)
+		}
+	}
+	return st, err
+}
+
+func patternVector(events []mcelog.Event, cfg PatternConfig) ([]float64, error) {
+	st, err := replayed(events, cfg, DefaultBlockSpec())
+	if err != nil {
+		return nil, err
+	}
+	return st.PatternVector()
+}
+
+func blockVector(events []mcelog.Event, anchorRow int, spec BlockSpec, block int, now time.Time) ([]float64, error) {
+	st, err := replayed(events, DefaultPatternConfig(), spec)
+	if err != nil {
+		return nil, err
+	}
+	return st.BlockVector(anchorRow, block, now)
+}
+
+func errBitVector(events []mcelog.Event) ([]float64, error) {
+	st, err := replayed(events, DefaultPatternConfig(), DefaultBlockSpec())
+	if err != nil {
+		return nil, err
+	}
+	return st.ErrBitVector()
+}
+
 func featureIndex(t *testing.T, names []string, name string) int {
 	t.Helper()
 	for i, n := range names {
@@ -40,7 +76,7 @@ func TestPatternFeatureNamesMatchVectorLength(t *testing.T) {
 		ev(1, 110, ecc.ClassUER),
 		ev(2, 112, ecc.ClassUER),
 	}
-	vec, err := PatternVector(events, DefaultPatternConfig())
+	vec, err := patternVector(events, DefaultPatternConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +87,7 @@ func TestPatternFeatureNamesMatchVectorLength(t *testing.T) {
 
 func TestPatternVectorNoUERFails(t *testing.T) {
 	events := []mcelog.Event{ev(0, 1, ecc.ClassCE)}
-	if _, err := PatternVector(events, DefaultPatternConfig()); err == nil {
+	if _, err := patternVector(events, DefaultPatternConfig()); err == nil {
 		t.Fatal("CE-only bank accepted")
 	}
 }
@@ -66,7 +102,7 @@ func TestPatternVectorKnownValues(t *testing.T) {
 		ev(7, 115, ecc.ClassUER),
 		ev(9, 999, ecc.ClassUER), // beyond budget: must be invisible
 	}
-	vec, err := PatternVector(events, DefaultPatternConfig())
+	vec, err := patternVector(events, DefaultPatternConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +160,7 @@ func TestPatternVectorRepeatUERRowsDeduplicated(t *testing.T) {
 		ev(2, 105, ecc.ClassUER),
 		ev(3, 110, ecc.ClassUER),
 	}
-	vec, err := PatternVector(events, DefaultPatternConfig())
+	vec, err := patternVector(events, DefaultPatternConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +179,7 @@ func TestPatternVectorBudgetOne(t *testing.T) {
 		ev(0, 100, ecc.ClassUER),
 		ev(5, 9999, ecc.ClassUER),
 	}
-	vec, err := PatternVector(events, PatternConfig{UERBudget: 1})
+	vec, err := patternVector(events, PatternConfig{UERBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +204,7 @@ func TestPatternVectorAllFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec, err := PatternVector(bf.Events, DefaultPatternConfig())
+		vec, err := patternVector(bf.Events, DefaultPatternConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,29 +250,6 @@ func TestBlockSpecGeometry(t *testing.T) {
 	}
 }
 
-func TestBlockOfInvertsBlockRange(t *testing.T) {
-	spec := DefaultBlockSpec()
-	anchor := 5000
-	for b := 0; b < spec.NumBlocks(); b++ {
-		lo, hi := spec.BlockRange(anchor, b)
-		for _, r := range []int{lo, (lo + hi) / 2, hi} {
-			if got := spec.BlockOf(anchor, r); got != b {
-				t.Fatalf("BlockOf(%d) = %d, want %d", r, got, b)
-			}
-		}
-	}
-	if got := spec.BlockOf(anchor, anchor-65); got != -1 {
-		t.Fatalf("BlockOf below window = %d", got)
-	}
-	if got := spec.BlockOf(anchor, anchor+64); got != -1 {
-		t.Fatalf("BlockOf above window = %d", got)
-	}
-	// Anchor row falls in the first upper block.
-	if got := spec.BlockOf(anchor, anchor); got != 8 {
-		t.Fatalf("BlockOf(anchor) = %d, want 8", got)
-	}
-}
-
 func TestBlockSpecValidateRejects(t *testing.T) {
 	for _, s := range []BlockSpec{
 		{WindowRadius: 0, BlockSize: 8},
@@ -254,7 +267,7 @@ func TestBlockFeatureNamesMatchVectorLength(t *testing.T) {
 		ev(0, 100, ecc.ClassCE),
 		ev(1, 105, ecc.ClassUER),
 	}
-	vec, err := BlockVector(events, 105, DefaultBlockSpec(), 3, t0.Add(2*time.Hour))
+	vec, err := blockVector(events, 105, DefaultBlockSpec(), 3, t0.Add(2*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +286,7 @@ func TestBlockVectorKnownValues(t *testing.T) {
 		ev(2, 940, ecc.ClassCE), // inside block 0 (rows 936..943)
 	}
 	now := t0.Add(3 * time.Hour)
-	vec, err := BlockVector(events, anchor, spec, 0, now)
+	vec, err := blockVector(events, anchor, spec, 0, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,19 +336,19 @@ func TestBlockVectorKnownValues(t *testing.T) {
 
 func TestBlockVectorRejectsBadBlock(t *testing.T) {
 	events := []mcelog.Event{ev(0, 1, ecc.ClassUER)}
-	if _, err := BlockVector(events, 1, DefaultBlockSpec(), -1, t0); err == nil {
+	if _, err := blockVector(events, 1, DefaultBlockSpec(), -1, t0); err == nil {
 		t.Error("block -1 accepted")
 	}
-	if _, err := BlockVector(events, 1, DefaultBlockSpec(), 16, t0); err == nil {
+	if _, err := blockVector(events, 1, DefaultBlockSpec(), 16, t0); err == nil {
 		t.Error("block 16 accepted")
 	}
-	if _, err := BlockVector(events, 1, BlockSpec{WindowRadius: 64, BlockSize: 7}, 0, t0); err == nil {
+	if _, err := blockVector(events, 1, BlockSpec{WindowRadius: 64, BlockSize: 7}, 0, t0); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
 
 func TestBlockVectorEmptyEvents(t *testing.T) {
-	vec, err := BlockVector(nil, 100, DefaultBlockSpec(), 5, t0)
+	vec, err := blockVector(nil, 100, DefaultBlockSpec(), 5, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +379,7 @@ func TestBlockVectorAllFiniteFuzz(t *testing.T) {
 			}
 		}
 		for b := 0; b < spec.NumBlocks(); b++ {
-			vec, err := BlockVector(visible, anchor, spec, b, now)
+			vec, err := blockVector(visible, anchor, spec, b, now)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +404,7 @@ func BenchmarkPatternVector(b *testing.B) {
 	cfg := DefaultPatternConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PatternVector(bf.Events, cfg); err != nil {
+		if _, err := patternVector(bf.Events, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,7 +423,7 @@ func BenchmarkBlockVector(b *testing.B) {
 	now := bf.UERTimes[len(bf.UERTimes)-1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BlockVector(bf.Events, bf.UERRows[0], spec, i%16, now); err != nil {
+		if _, err := blockVector(bf.Events, bf.UERRows[0], spec, i%16, now); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // long-lived online session flat in both latency and footprint.
 //
 // Equivalence contract: for any event sequence with nondecreasing
-// timestamps, the vectors returned by PatternVector and BlockVector are
+// timestamps, the vectors PatternVector and BlockVector return are
 // bit-identical to referencePatternVector/referenceBlockVector over the
 // same prefix. This is pinned by table tests and by
 // FuzzIncrementalFeatureEquivalence.
@@ -92,7 +92,7 @@ type BankState struct {
 const unsetTime = bincodec.UnsetTime
 
 // NewBankState returns an empty accumulator for one bank. A non-positive
-// UERBudget takes the paper's default of 3, mirroring PatternVector.
+// UERBudget takes the paper's default of 3.
 func NewBankState(cfg PatternConfig, spec BlockSpec) (*BankState, error) {
 	if cfg.UERBudget <= 0 {
 		cfg.UERBudget = 3
@@ -273,16 +273,14 @@ func (s *BankState) findRow(row int) (int, bool) {
 	})
 }
 
-// Events returns the number of events observed.
-func (s *BankState) Events() int { return s.events }
-
 // DistinctUERRows returns the number of distinct rows with at least one
 // observed UER (not capped by the pattern budget).
 func (s *BankState) DistinctUERRows() int { return len(s.uerRows) }
 
 // PatternVector returns the §IV-B feature vector over the events observed
-// so far, bit-identical to PatternVector over the same prefix. It returns
-// an error until the first UER has been observed (no pattern to classify).
+// so far, bit-identical to referencePatternVector over the same prefix. It
+// returns an error until the first UER has been observed (no pattern to
+// classify).
 func (s *BankState) PatternVector() ([]float64, error) {
 	if s.firstUERTime == unsetTime {
 		return nil, fmt.Errorf("features: bank has no UER events")

@@ -45,7 +45,7 @@ func FuzzParseAddress(f *testing.F) {
 }
 
 // FuzzPackUnpack verifies Unpack never panics, in-range addresses
-// round-trip through Pack, and UnpackChecked rejects exactly the packed
+// round-trip through Pack, and CheckPacked rejects exactly the packed
 // values with bits outside the active layout.
 func FuzzPackUnpack(f *testing.F) {
 	f.Add(uint64(0))
@@ -59,13 +59,13 @@ func FuzzPackUnpack(f *testing.F) {
 		if Unpack(a.Pack()) != a {
 			t.Fatalf("pack/unpack unstable for %#x", v)
 		}
-		if _, err := UnpackChecked(v); err != nil {
+		if err := CheckPacked(v); err != nil {
 			// Rejection is only correct when v really carries stray bits.
 			if a.Pack() == v {
-				t.Fatalf("UnpackChecked rejected %#x though it round-trips cleanly", v)
+				t.Fatalf("CheckPacked rejected %#x though it round-trips cleanly", v)
 			}
 		} else if a.Pack() != v {
-			t.Fatalf("UnpackChecked accepted %#x though bits are lost on re-pack", v)
+			t.Fatalf("CheckPacked accepted %#x though bits are lost on re-pack", v)
 		}
 	})
 }

@@ -125,36 +125,6 @@ func (g Geometry) Validate() error {
 	return ActiveProfile().Layout.fits(g)
 }
 
-// TotalNPUs returns the number of NPUs (or sockets) in the fleet.
-func (g Geometry) TotalNPUs() int { return g.Nodes * g.NPUsPerNode }
-
-// isDIMM reports whether the geometry describes a DIMM topology, where
-// the channel level sits above the module and ranks/devices sit inside it.
-func (g Geometry) isDIMM() bool { return g.RanksPerModule > 0 || g.DevicesPerRank > 0 }
-
-// modulesPerNPU returns the memory modules below one NPU/socket. For HBM
-// topologies that is HBMsPerNPU; for DIMM topologies the channel level
-// sits above the module, so it is channels × DIMMs-per-channel.
-func (g Geometry) modulesPerNPU() int {
-	if g.isDIMM() {
-		return g.ChannelsPerSID * g.HBMsPerNPU
-	}
-	return g.HBMsPerNPU
-}
-
-// TotalHBMs returns the number of memory modules (HBM stacks or DIMMs) in
-// the fleet.
-func (g Geometry) TotalHBMs() int { return g.TotalNPUs() * g.modulesPerNPU() }
-
-// BanksPerHBM returns the number of banks in one memory module.
-func (g Geometry) BanksPerHBM() int {
-	if g.isDIMM() {
-		return g.SIDsPerHBM * g.PseudoChPerCh * g.dim(fieldRank) * g.dim(fieldDevice) *
-			g.BankGroups * g.BanksPerGroup
-	}
-	return g.SIDsPerHBM * g.ChannelsPerSID * g.PseudoChPerCh * g.BankGroups * g.BanksPerGroup
-}
-
 // TotalBanks returns the number of banks in the fleet.
 func (g Geometry) TotalBanks() int {
 	return g.Nodes * g.NPUsPerNode * g.HBMsPerNPU * g.SIDsPerHBM *
@@ -184,13 +154,6 @@ const (
 	LevelRank
 	LevelDevice
 )
-
-// TableLevels are the micro-levels reported in the paper's Tables I and II
-// for the HBM2E topology. Profile.TableLevels carries the per-topology
-// equivalent; this package-level list is retained for the default profile.
-var TableLevels = []Level{
-	LevelNPU, LevelHBM, LevelSID, LevelPseudoChannel, LevelBankGroup, LevelBank, LevelRow,
-}
 
 var levelNames = map[Level]string{
 	LevelNPU:           "NPU",
@@ -297,7 +260,7 @@ func (a *Address) set(f field, v int) {
 // layout. Pack and Unpack are inverses for any address whose fields are
 // within the layout's encoding capacities; a field outside its capacity is
 // silently lost, which is why every trust boundary (wire decode, JSONL
-// parse, simulator emit) must use PackChecked or UnpackChecked instead.
+// parse, simulator emit) must use PackChecked or CheckPacked instead.
 func (a Address) Pack() uint64 {
 	l := &ActiveProfile().Layout
 	return uint64(a.Node)<<l.shift[fieldNode] |
@@ -342,19 +305,10 @@ func Unpack(v uint64) Address {
 	return a
 }
 
-// UnpackChecked decodes a packed address, rejecting values with bits set
-// outside the active layout. Unpack silently drops such bits, which would
-// alias two distinct (corrupt) keys onto one address; checked decode turns
-// that into a detectable error at the trust boundary.
-func UnpackChecked(v uint64) (Address, error) {
-	if err := CheckPacked(v); err != nil {
-		return Address{}, err
-	}
-	return Unpack(v), nil
-}
-
-// CheckPacked is UnpackChecked's check alone, for callers that decode the
-// address themselves (unpacking is the expensive half).
+// CheckPacked rejects a packed address with bits set outside the active
+// layout. Unpack silently drops such bits, which would alias two distinct
+// (corrupt) keys onto one address; checking before decoding turns that into a
+// detectable error at the trust boundary.
 func CheckPacked(v uint64) error {
 	l := &ActiveProfile().Layout
 	if rest := v &^ l.used; rest != 0 {
@@ -498,22 +452,6 @@ func (a Address) EntityKey(l Level) uint64 { return a.Truncate(l).Pack() }
 // BankKey is shorthand for EntityKey(LevelBank): a unique identifier for the
 // bank containing the address.
 func (a Address) BankKey() uint64 { return a.EntityKey(LevelBank) }
-
-// RowKey uniquely identifies a row within the fleet.
-func (a Address) RowKey() uint64 { return a.EntityKey(LevelRow) }
-
-// SameBank reports whether two addresses fall in the same bank.
-func (a Address) SameBank(b Address) bool { return a.BankKey() == b.BankKey() }
-
-// RowDistance returns |a.Row - b.Row|. It is only meaningful for addresses
-// in the same bank.
-func RowDistance(a, b Address) int {
-	d := a.Row - b.Row
-	if d < 0 {
-		return -d
-	}
-	return d
-}
 
 // BankAddress identifies one bank in the fleet; it is an Address with row
 // and column zeroed, retained as a distinct named type for API clarity.

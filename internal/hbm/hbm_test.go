@@ -38,16 +38,7 @@ func TestGeometryValidateRejects(t *testing.T) {
 
 func TestGeometryCounts(t *testing.T) {
 	g := DefaultGeometry
-	if got, want := g.TotalNPUs(), 128*8; got != want {
-		t.Errorf("TotalNPUs = %d, want %d", got, want)
-	}
-	if got, want := g.TotalHBMs(), 128*8*2; got != want {
-		t.Errorf("TotalHBMs = %d, want %d", got, want)
-	}
-	if got, want := g.BanksPerHBM(), 2*8*2*4*4; got != want {
-		t.Errorf("BanksPerHBM = %d, want %d", got, want)
-	}
-	if got, want := g.TotalBanks(), g.TotalHBMs()*g.BanksPerHBM(); got != want {
+	if got, want := g.TotalBanks(), 128*8*2*(2*8*2*4*4); got != want {
 		t.Errorf("TotalBanks = %d, want %d", got, want)
 	}
 }
@@ -92,14 +83,17 @@ func TestPackCheckedRejectsOverflow(t *testing.T) {
 	}
 }
 
+// TestUnpackCheckedRejectsStrayBits: the checked decode — CheckPacked, then
+// Unpack — refuses a packed address with bits outside the layout, which
+// Unpack alone would drop.
 func TestUnpackCheckedRejectsStrayBits(t *testing.T) {
 	a := Address{Node: 3, NPU: 7, Row: 999, Column: 55}
-	if _, err := UnpackChecked(a.Pack()); err != nil {
-		t.Fatalf("UnpackChecked rejected clean packed address: %v", err)
+	if err := CheckPacked(a.Pack()); err != nil {
+		t.Fatalf("CheckPacked rejected clean packed address: %v", err)
 	}
 	stray := a.Pack() | 1<<63
-	if _, err := UnpackChecked(stray); err == nil {
-		t.Fatal("UnpackChecked accepted a packed address with stray high bits")
+	if err := CheckPacked(stray); err == nil {
+		t.Fatal("CheckPacked accepted a packed address with stray high bits")
 	}
 }
 
@@ -231,28 +225,14 @@ func TestSameBankAndRowKeys(t *testing.T) {
 	a := Address{Node: 1, Row: 10, Column: 3}
 	b := Address{Node: 1, Row: 10, Column: 99}
 	c := Address{Node: 1, Row: 11}
-	if !a.SameBank(b) || !a.SameBank(c) {
-		t.Fatal("SameBank false for same-bank addresses")
+	if a.BankKey() != b.BankKey() || a.BankKey() != c.BankKey() {
+		t.Fatal("same-bank addresses have different bank keys")
 	}
-	if a.RowKey() != b.RowKey() {
+	if a.EntityKey(LevelRow) != b.EntityKey(LevelRow) {
 		t.Fatal("same-row addresses have different row keys")
 	}
-	if a.RowKey() == c.RowKey() {
+	if a.EntityKey(LevelRow) == c.EntityKey(LevelRow) {
 		t.Fatal("different rows share a row key")
-	}
-}
-
-func TestRowDistance(t *testing.T) {
-	a := Address{Row: 100}
-	b := Address{Row: 228}
-	if got := RowDistance(a, b); got != 128 {
-		t.Fatalf("RowDistance = %d, want 128", got)
-	}
-	if got := RowDistance(b, a); got != 128 {
-		t.Fatalf("RowDistance reversed = %d, want 128", got)
-	}
-	if got := RowDistance(a, a); got != 0 {
-		t.Fatalf("RowDistance self = %d, want 0", got)
 	}
 }
 
@@ -295,10 +275,11 @@ func TestLevelString(t *testing.T) {
 
 func TestTableLevelsOrder(t *testing.T) {
 	want := []string{"NPU", "HBM", "SID", "PS-CH", "BG", "Bank", "Row"}
-	if len(TableLevels) != len(want) {
-		t.Fatalf("TableLevels has %d entries, want %d", len(TableLevels), len(want))
+	levels := HBM2E.TableLevels
+	if len(levels) != len(want) {
+		t.Fatalf("TableLevels has %d entries, want %d", len(levels), len(want))
 	}
-	for i, l := range TableLevels {
+	for i, l := range levels {
 		if l.String() != want[i] {
 			t.Errorf("TableLevels[%d] = %s, want %s", i, l, want[i])
 		}

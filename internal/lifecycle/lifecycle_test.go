@@ -143,8 +143,8 @@ func TestDriftRetrainShadowPromote(t *testing.T) {
 	// Phase 1: drifted traffic. Classifications fill the ring; the journal
 	// accumulates the self-labelling corpus.
 	ingest(t, engine, driftedFleet(t, 31, 60))
-	if n := engine.ClassificationsTotal(); n < 30 {
-		t.Fatalf("only %d classifications after drifted ingest, need 30", n)
+	if _, n := engine.RecentClassMix(1 << 30); n < 30 {
+		t.Fatalf("only %d classified banks after drifted ingest, need 30", n)
 	}
 
 	mgr.Tick()

@@ -115,28 +115,12 @@ func (l *Log) TopEntities(level hbm.Level, k int) []EntityLoad {
 	return out
 }
 
-// InterArrivals returns the successive inter-arrival durations of a sorted
-// log's events.
-func (l *Log) InterArrivals() []time.Duration {
-	if len(l.events) < 2 {
-		return nil
-	}
-	out := make([]time.Duration, 0, len(l.events)-1)
-	for i := 1; i < len(l.events); i++ {
-		out = append(out, l.events[i].Time.Sub(l.events[i-1].Time))
-	}
-	return out
-}
-
 // Burst is a maximal run of events whose successive gaps stay within
 // maxGap.
 type Burst struct {
 	Start, End time.Time
 	Events     int
 }
-
-// Duration returns the burst's span.
-func (b Burst) Duration() time.Duration { return b.End.Sub(b.Start) }
 
 // Bursts segments a sorted log into bursts separated by gaps longer than
 // maxGap, returning bursts with at least minEvents events.

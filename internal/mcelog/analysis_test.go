@@ -117,19 +117,6 @@ func TestTopEntities(t *testing.T) {
 	}
 }
 
-func TestInterArrivals(t *testing.T) {
-	l := FromEvents([]Event{ev(0, 0, ecc.ClassCE), ev(10, 1, ecc.ClassCE), ev(30, 2, ecc.ClassCE)})
-	l.Sort()
-	gaps := l.InterArrivals()
-	if len(gaps) != 2 || gaps[0] != 10*time.Second || gaps[1] != 20*time.Second {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	var empty Log
-	if empty.InterArrivals() != nil {
-		t.Fatal("empty log produced gaps")
-	}
-}
-
 func TestBursts(t *testing.T) {
 	l := FromEvents([]Event{
 		ev(0, 0, ecc.ClassCE), ev(5, 1, ecc.ClassCE), ev(9, 2, ecc.ClassCE),
@@ -146,7 +133,7 @@ func TestBursts(t *testing.T) {
 	if len(bursts) != 2 {
 		t.Fatalf("got %d bursts: %+v", len(bursts), bursts)
 	}
-	if bursts[0].Events != 3 || bursts[0].Duration() != 9*time.Second {
+	if bursts[0].Events != 3 || bursts[0].End.Sub(bursts[0].Start) != 9*time.Second {
 		t.Fatalf("burst 0 = %+v", bursts[0])
 	}
 	if bursts[1].Events != 2 {

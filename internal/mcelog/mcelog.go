@@ -156,13 +156,6 @@ func (l *Log) Sort() {
 	})
 }
 
-// IsSorted reports whether the log is already in (time, address, class) order.
-func (l *Log) IsSorted() bool {
-	return sort.SliceIsSorted(l.events, func(i, j int) bool {
-		return l.events[i].Before(l.events[j])
-	})
-}
-
 // FilterClass returns a new log containing only events of the given classes.
 func (l *Log) FilterClass(classes ...ecc.Class) *Log {
 	want := make(map[ecc.Class]bool, len(classes))
@@ -172,17 +165,6 @@ func (l *Log) FilterClass(classes ...ecc.Class) *Log {
 	out := &Log{}
 	for _, e := range l.events {
 		if want[e.Class] {
-			out.events = append(out.events, e)
-		}
-	}
-	return out
-}
-
-// Window returns a new log with events in [from, to).
-func (l *Log) Window(from, to time.Time) *Log {
-	out := &Log{}
-	for _, e := range l.events {
-		if !e.Time.Before(from) && e.Time.Before(to) {
 			out.events = append(out.events, e)
 		}
 	}
@@ -214,15 +196,6 @@ func (l *Log) BankKeys() []uint64 {
 	return keys
 }
 
-// CountByClass tallies events per error class.
-func (l *Log) CountByClass() map[ecc.Class]int {
-	counts := make(map[ecc.Class]int, 3)
-	for _, e := range l.events {
-		counts[e.Class]++
-	}
-	return counts
-}
-
 // EntitiesWithClass returns the number of distinct entities at the given
 // micro-level that logged at least one event of the given class. This is the
 // counting primitive behind the paper's Table II.
@@ -244,15 +217,6 @@ func (l *Log) Entities(level hbm.Level) int {
 		seen[e.Addr.EntityKey(level)] = struct{}{}
 	}
 	return len(seen)
-}
-
-// Merge returns a new sorted log containing the events of both logs.
-func Merge(a, b *Log) *Log {
-	out := NewLog(a.Len() + b.Len())
-	out.events = append(out.events, a.events...)
-	out.events = append(out.events, b.events...)
-	out.Sort()
-	return out
 }
 
 // Dedupe removes consecutive duplicate events (same instant, address and

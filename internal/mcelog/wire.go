@@ -297,13 +297,6 @@ func NewFrameEncoder(w io.Writer, maxEvents int) *FrameEncoder {
 	return &FrameEncoder{w: w, maxEvents: maxEvents}
 }
 
-// Reset points the encoder at a new stream, keeping its buffer.
-func (e *FrameEncoder) Reset(w io.Writer) {
-	e.w = w
-	e.buf = e.buf[:0]
-	e.opened = false
-}
-
 // Add appends one event to the pending frame, flushing it when full.
 func (e *FrameEncoder) Add(ev Event) error {
 	e.buf = AppendWireRecord(e.buf, ev)

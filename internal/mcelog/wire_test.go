@@ -381,7 +381,6 @@ func BenchmarkWireFrameEncode(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		buf.Reset()
-		enc.Reset(&buf)
 		for _, ev := range evs {
 			if err := enc.Add(ev); err != nil {
 				b.Fatal(err)

@@ -30,12 +30,6 @@ func (c *Confusion) Add(actual, predicted int) {
 	row[predicted]++
 }
 
-// Count returns the number of observations with the given actual and
-// predicted labels.
-func (c *Confusion) Count(actual, predicted int) int {
-	return c.counts[actual][predicted]
-}
-
 // Total returns the number of recorded observations.
 func (c *Confusion) Total() int {
 	n := 0
@@ -71,19 +65,6 @@ func (c *Confusion) Support(class int) int {
 		n += v
 	}
 	return n
-}
-
-// Accuracy returns the fraction of observations on the diagonal.
-func (c *Confusion) Accuracy() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	correct := 0
-	for a, row := range c.counts {
-		correct += row[a]
-	}
-	return float64(correct) / float64(total)
 }
 
 // Report holds precision, recall and F1 for one class (or one binary task).
@@ -218,9 +199,6 @@ func (s *Scored) Add(score float64, positive bool) {
 	s.scores = append(s.scores, score)
 	s.labels = append(s.labels, positive)
 }
-
-// Total returns the number of recorded observations.
-func (s *Scored) Total() int { return len(s.scores) }
 
 // AUC returns the area under the ROC curve: the probability that a uniformly
 // random positive outranks a uniformly random negative, with ties counted as

@@ -214,15 +214,6 @@ func (a *arena) pointerTree(i uint32, cols []int) *treeNode {
 	return &treeNode{Probs: probs}
 }
 
-// depth returns the height of the subtree at node i (0 for a leaf).
-func (a *arena) depth(i uint32) int {
-	n := a.nodes[i]
-	if n.isLeaf() {
-		return 0
-	}
-	return 1 + max(a.depth(n.children()), a.depth(n.children()+1))
-}
-
 // numTrees is nil-safe: an unfitted model has no arena.
 func (a *arena) numTrees() int {
 	if a == nil {

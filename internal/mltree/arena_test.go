@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -132,7 +133,7 @@ func parentFixture(t testing.TB) (files [][]byte, probs [][]string) {
 func fixtureModels(t *testing.T) ([]Classifier, [][]float64) {
 	train, test := noisyBlobs(77, 3, 40)
 	models := []Classifier{
-		NewTree(TreeConfig{MaxDepth: 5}, nil),
+		newTree(TreeConfig{MaxDepth: 5}, nil),
 		NewForest(ForestConfig{NumTrees: 6, Tree: TreeConfig{MaxDepth: 6}, Seed: 77, Parallelism: 1}),
 		NewGBDT(GBDTConfig{Rounds: 6, Seed: 77, Parallelism: 1}),
 		NewHistGBDT(HistGBDTConfig{Rounds: 6, Seed: 77, Parallelism: 1}),
@@ -162,7 +163,7 @@ func TestParentFixture(t *testing.T) {
 		}
 	}
 	for i, file := range files {
-		m, err := Load(bytes.NewReader(file))
+		m, err := load(bytes.NewReader(file))
 		if err != nil {
 			t.Fatalf("model %d: %v", i, err)
 		}
@@ -185,9 +186,15 @@ func TestParentFixture(t *testing.T) {
 	}
 }
 
-// FuzzLoadModel feeds Decode arbitrary bytes, seeded with real files of all
-// four kinds: it must refuse them or return a model that predicts a row as
-// wide as SizeOf says it needs — a model file is operator input, and one that
+// load reads one model the way core reads a models file: through
+// NewDecoderFromJSON over a json.Decoder.
+func load(r io.Reader) (Classifier, error) {
+	return NewDecoderFromJSON(json.NewDecoder(r)).Decode()
+}
+
+// FuzzLoadModel feeds Decode (through load, core's entry) arbitrary bytes,
+// seeded with real files of all four kinds: it must refuse them or return a
+// model that predicts a row as wide as SizeOf says it needs — a model file is operator input, and one that
 // loads and then panics costs a serving daemon a quarantined bank per
 // prediction.
 func FuzzLoadModel(f *testing.F) {
@@ -197,7 +204,7 @@ func FuzzLoadModel(f *testing.F) {
 	}
 	f.Add([]byte(`{"kind":"gbdt","classes":[0,1],"payload":{"boosters":[{"trees":[{"f":2,"t":0.5,"l":{"v":1}}]}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Load(bytes.NewReader(data))
+		m, err := load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -22,8 +22,8 @@ var codingPasses atomic.Int64
 
 // CodingPasses returns how many times this process has sorted and coded a
 // feature matrix: once per dataset that a Tree or Forest was fitted on, not
-// once per fit, and never for a view (Subset, the splits, CrossValidate's
-// folds) of a dataset already coded.
+// once per fit, and never for a view (Subset, the stratified split, a k-fold
+// cut) of a dataset already coded.
 func CodingPasses() int64 { return codingPasses.Load() }
 
 // codes returns d's coded matrix, building it on first use and again when

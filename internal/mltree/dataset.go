@@ -163,19 +163,6 @@ func (d *Dataset) Subset(indices []int) *Dataset {
 	return out
 }
 
-// Split partitions the dataset into train and test sets with the given train
-// fraction, shuffling with rng. It returns an error if either side would be
-// empty.
-func (d *Dataset) Split(rng *xrand.RNG, trainFrac float64) (train, test *Dataset, err error) {
-	n := d.NumSamples()
-	k := int(math.Round(float64(n) * trainFrac))
-	if k <= 0 || k >= n {
-		return nil, nil, fmt.Errorf("mltree: split fraction %g leaves an empty side (n=%d)", trainFrac, n)
-	}
-	perm := rng.Perm(n)
-	return d.Subset(perm[:k]), d.Subset(perm[k:]), nil
-}
-
 // StratifiedSplit partitions the dataset preserving per-class proportions.
 // Classes with a single sample go to the training side.
 func (d *Dataset) StratifiedSplit(rng *xrand.RNG, trainFrac float64) (train, test *Dataset, err error) {

@@ -83,23 +83,6 @@ func TestSubsetWithRepeats(t *testing.T) {
 	}
 }
 
-func TestSplitProportions(t *testing.T) {
-	ds := blobs(1, 2, 100, 3, 10, 1)
-	train, test, err := ds.Split(xrand.New(2), 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.NumSamples() != 140 || test.NumSamples() != 60 {
-		t.Fatalf("split sizes %d/%d", train.NumSamples(), test.NumSamples())
-	}
-	if _, _, err := ds.Split(xrand.New(2), 0); err == nil {
-		t.Error("empty train side accepted")
-	}
-	if _, _, err := ds.Split(xrand.New(2), 1); err == nil {
-		t.Error("empty test side accepted")
-	}
-}
-
 func TestStratifiedSplitPreservesProportions(t *testing.T) {
 	// Imbalanced: 200 of class 10, 20 of class 11.
 	ds := blobs(3, 1, 200, 2, 10, 1)
@@ -159,7 +142,7 @@ func TestStratifiedSplitSingletonClassGoesToTrain(t *testing.T) {
 
 func TestPredictTieBreaksTowardSmallerLabel(t *testing.T) {
 	// A stump that returns uniform probabilities.
-	tree := NewTree(TreeConfig{MaxDepth: 1}, nil)
+	tree := newTree(TreeConfig{MaxDepth: 1}, nil)
 	ds := &Dataset{
 		Features: [][]float64{{0}, {0}},
 		Labels:   []int{1, 2},

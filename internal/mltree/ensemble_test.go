@@ -53,7 +53,7 @@ func TestForestOOBScoreReasonable(t *testing.T) {
 	if err := f.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	oob := f.OOBScore()
+	oob := f.oobScore
 	if oob < 0 || oob > 1 {
 		t.Fatalf("OOB = %g out of [0,1]", oob)
 	}
@@ -264,7 +264,7 @@ func TestBinnerConstantFeature(t *testing.T) {
 func TestSerializeRoundTripAllModels(t *testing.T) {
 	train, test := noisyBlobs(13, 3, 120)
 	models := []Classifier{
-		NewTree(TreeConfig{MaxDepth: 6}, nil),
+		newTree(TreeConfig{MaxDepth: 6}, nil),
 		NewForest(ForestConfig{NumTrees: 10, Seed: 13}),
 		NewGBDT(GBDTConfig{Rounds: 10, Seed: 13}),
 		NewHistGBDT(HistGBDTConfig{Rounds: 10, Seed: 13}),
@@ -277,7 +277,7 @@ func TestSerializeRoundTripAllModels(t *testing.T) {
 		if err := Save(&buf, m); err != nil {
 			t.Fatalf("%T: Save: %v", m, err)
 		}
-		loaded, err := Load(&buf)
+		loaded, err := load(&buf)
 		if err != nil {
 			t.Fatalf("%T: Load: %v", m, err)
 		}
@@ -296,13 +296,13 @@ func TestSerializeRoundTripAllModels(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not json"))); err == nil {
+	if _, err := load(bytes.NewReader([]byte("not json"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Load(bytes.NewReader([]byte(`{"kind":"alien","classes":[],"payload":{}}`))); err == nil {
+	if _, err := load(bytes.NewReader([]byte(`{"kind":"alien","classes":[],"payload":{}}`))); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := Load(bytes.NewReader([]byte(`{"kind":"tree","classes":[0],"payload":{}}`))); err == nil {
+	if _, err := load(bytes.NewReader([]byte(`{"kind":"tree","classes":[0],"payload":{}}`))); err == nil {
 		t.Fatal("rootless tree accepted")
 	}
 }
@@ -311,7 +311,7 @@ func TestEnsemblesBeatSingleTreeOnNoisyData(t *testing.T) {
 	// The paper's rationale for tree ensembles: variance reduction. On a
 	// noisy task the forest should not do worse than a deep single tree.
 	train, test := noisyBlobs(14, 3, 250)
-	tree := NewTree(TreeConfig{}, nil) // fully grown, overfits
+	tree := newTree(TreeConfig{}, nil) // fully grown, overfits
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -497,8 +497,8 @@ func TestForestParallelFitDeterministic(t *testing.T) {
 	}
 	serial := fit(1)
 	parallel := fit(4)
-	if serial.OOBScore() != parallel.OOBScore() {
-		t.Fatalf("OOB differs: %g vs %g", serial.OOBScore(), parallel.OOBScore())
+	if serial.oobScore != parallel.oobScore {
+		t.Fatalf("OOB differs: %g vs %g", serial.oobScore, parallel.oobScore)
 	}
 	for _, x := range test.Features {
 		ps, pp := serial.PredictProba(x), parallel.PredictProba(x)

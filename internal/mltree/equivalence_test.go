@@ -24,7 +24,7 @@ func forceParallelSplits(t *testing.T) {
 func fitAll(t *testing.T, train *Dataset, parallelism int) []Classifier {
 	t.Helper()
 	models := []Classifier{
-		NewTree(TreeConfig{MaxDepth: 8}, nil),
+		newTree(TreeConfig{MaxDepth: 8}, nil),
 		NewForest(ForestConfig{NumTrees: 12, Seed: 7, Parallelism: parallelism}),
 		NewGBDT(GBDTConfig{Rounds: 15, Seed: 7, Parallelism: parallelism}),
 		NewHistGBDT(HistGBDTConfig{Rounds: 15, Seed: 7, Parallelism: parallelism}),
@@ -220,7 +220,7 @@ func reload(t *testing.T, m Classifier) Classifier {
 	if err := Save(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func missingClassForest(t *testing.T, train *Dataset) (*Forest, *pointerModel) {
 	if got := len(ref.treeClasses[1]); got != 2 {
 		t.Fatalf("subset member has %d classes, want 2", got)
 	}
-	m, err := Load(bytes.NewReader(marshalModel(t, kindForest, ref.classes, fp)))
+	m, err := load(bytes.NewReader(marshalModel(t, kindForest, ref.classes, fp)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	train, test := noisyBlobs(32, 3, 120)
 	X := append(append([][]float64{}, train.Features...), test.Features...)
 
-	tr := NewTree(TreeConfig{MaxDepth: 8}, nil)
+	tr := newTree(TreeConfig{MaxDepth: 8}, nil)
 	if err := tr.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 		if err := Save(&buf, m); err != nil {
 			t.Fatalf("%s: save: %v", typeName(m), err)
 		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		loaded, err := load(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: load: %v", typeName(m), err)
 		}
@@ -462,7 +462,7 @@ func TestLoadRejectsMisalignedMember(t *testing.T) {
 		if err := f.Fit(train); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(bytes.NewReader(mutated(t, f, mutate))); err == nil {
+		if _, err := load(bytes.NewReader(mutated(t, f, mutate))); err == nil {
 			t.Errorf("forest, %s: corrupt model accepted", name)
 		}
 	}
@@ -480,7 +480,7 @@ func TestLoadRejectsMisalignedMember(t *testing.T) {
 			if err := m.Fit(train); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Load(bytes.NewReader(mutated(t, m, mutate))); err == nil {
+			if _, err := load(bytes.NewReader(mutated(t, m, mutate))); err == nil {
 				t.Errorf("%s, %s: corrupt model accepted", typeName(m), name)
 			}
 		}
@@ -492,7 +492,7 @@ func TestLoadRejectsMisalignedMember(t *testing.T) {
 	if err := f.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Load(bytes.NewReader(mutated(t, f, func(_ *envelope, fp *forestPayload) { fp.Trees[0].Root.Feature = 99 })))
+	wide, err := load(bytes.NewReader(mutated(t, f, func(_ *envelope, fp *forestPayload) { fp.Trees[0].Root.Feature = 99 })))
 	if err != nil {
 		t.Fatalf("a split on feature 99 is within the layout: %v", err)
 	}

@@ -74,10 +74,6 @@ func (f *Forest) Classes() []int { return f.classes }
 // NumTrees returns the number of fitted members.
 func (f *Forest) NumTrees() int { return f.arena.numTrees() }
 
-// OOBScore returns the out-of-bag accuracy estimate from Fit, or -1 when it
-// could not be computed (e.g. every sample was in every bag).
-func (f *Forest) OOBScore() float64 { return f.oobScore }
-
 // Fit trains the ensemble.
 func (f *Forest) Fit(ds *Dataset) error {
 	if err := ds.Validate(); err != nil {

@@ -3,8 +3,6 @@ package mltree
 import (
 	"fmt"
 	"sort"
-
-	"cordial/internal/xrand"
 )
 
 // Importance is one feature's importance score.
@@ -66,66 +64,4 @@ func SplitImportance(model Classifier, names []string) ([]Importance, error) {
 	}
 	sortImportances(out)
 	return out, nil
-}
-
-// PermutationImportance measures each feature's contribution as the drop in
-// accuracy on ds when that feature's column is randomly permuted (breaking
-// its relationship with the label). Features the model ignores score ~0.
-// It runs rounds permutations per feature and averages.
-func PermutationImportance(model Classifier, ds *Dataset, rounds int, rng *xrand.RNG) ([]Importance, error) {
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("mltree: nil RNG")
-	}
-	base := datasetAccuracy(model, ds)
-	n := ds.NumSamples()
-	numFeatures := ds.NumFeatures()
-
-	// Work on a mutable copy of the feature matrix.
-	work := make([][]float64, n)
-	for i, row := range ds.Features {
-		work[i] = append([]float64(nil), row...)
-	}
-	probe := &Dataset{Features: work, Labels: ds.Labels, Names: ds.Names}
-
-	out := make([]Importance, 0, numFeatures)
-	saved := make([]float64, n)
-	for f := 0; f < numFeatures; f++ {
-		for i := range work {
-			saved[i] = work[i][f]
-		}
-		drop := 0.0
-		for r := 0; r < rounds; r++ {
-			perm := rng.Perm(n)
-			for i := range work {
-				work[i][f] = saved[perm[i]]
-			}
-			drop += base - datasetAccuracy(model, probe)
-		}
-		for i := range work {
-			work[i][f] = saved[i]
-		}
-		imp := Importance{Feature: f, Score: drop / float64(rounds)}
-		if ds.Names != nil {
-			imp.Name = ds.Names[f]
-		}
-		out = append(out, imp)
-	}
-	sortImportances(out)
-	return out, nil
-}
-
-func datasetAccuracy(model Classifier, ds *Dataset) float64 {
-	correct := 0
-	for i, x := range ds.Features {
-		if Predict(model, x) == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.NumSamples())
 }

@@ -31,7 +31,7 @@ func signalNoise(seed uint64, n, dim int) *Dataset {
 func TestSplitImportanceFindsSignalFeature(t *testing.T) {
 	ds := signalNoise(1, 400, 5)
 	for _, model := range []Classifier{
-		NewTree(TreeConfig{MaxDepth: 6}, nil),
+		newTree(TreeConfig{MaxDepth: 6}, nil),
 		NewForest(ForestConfig{NumTrees: 20, Seed: 1}),
 		NewGBDT(GBDTConfig{Rounds: 20, Seed: 1}),
 		NewHistGBDT(HistGBDTConfig{Rounds: 20, Seed: 1}),
@@ -61,108 +61,11 @@ func TestSplitImportanceFindsSignalFeature(t *testing.T) {
 
 func TestSplitImportanceLeafOnlyModel(t *testing.T) {
 	ds := &Dataset{Features: [][]float64{{1}, {1}}, Labels: []int{0, 0}}
-	tree := NewTree(TreeConfig{}, nil)
+	tree := newTree(TreeConfig{}, nil)
 	if err := tree.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := SplitImportance(tree, nil); err == nil {
 		t.Fatal("splitless model accepted")
-	}
-}
-
-func TestPermutationImportanceFindsSignalFeature(t *testing.T) {
-	ds := signalNoise(2, 400, 4)
-	forest := NewForest(ForestConfig{NumTrees: 20, Seed: 2})
-	if err := forest.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	imps, err := PermutationImportance(forest, ds, 3, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imps[0].Feature != 0 {
-		t.Fatalf("top permutation feature = %d, want 0", imps[0].Feature)
-	}
-	if imps[0].Score < 0.2 {
-		t.Fatalf("signal feature importance = %g, want substantial", imps[0].Score)
-	}
-	// Noise features hover near zero.
-	for _, imp := range imps[1:] {
-		if imp.Score > 0.1 {
-			t.Errorf("noise feature %d importance = %g", imp.Feature, imp.Score)
-		}
-	}
-	// The original dataset must be unchanged.
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermutationImportanceErrors(t *testing.T) {
-	ds := signalNoise(3, 50, 3)
-	forest := NewForest(ForestConfig{NumTrees: 5, Seed: 3})
-	if err := forest.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PermutationImportance(forest, ds, 2, nil); err == nil {
-		t.Error("nil RNG accepted")
-	}
-	if _, err := PermutationImportance(forest, &Dataset{}, 2, xrand.New(1)); err == nil {
-		t.Error("empty dataset accepted")
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	ds := signalNoise(4, 300, 4)
-	res, err := CrossValidate(ds, 5, xrand.New(5), func() Classifier {
-		return NewTree(TreeConfig{MaxDepth: 4}, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Folds) != 5 {
-		t.Fatalf("folds = %d", len(res.Folds))
-	}
-	totalTest := 0
-	for _, f := range res.Folds {
-		if f.TrainSize+f.TestSize != 300 {
-			t.Fatalf("fold sizes %d+%d", f.TrainSize, f.TestSize)
-		}
-		totalTest += f.TestSize
-	}
-	if totalTest != 300 {
-		t.Fatalf("test folds cover %d samples", totalTest)
-	}
-	// The task is nearly separable; CV accuracy must be high.
-	if res.MeanAccuracy() < 0.9 {
-		t.Fatalf("mean CV accuracy = %g", res.MeanAccuracy())
-	}
-	if res.StdAccuracy() < 0 || res.StdAccuracy() > 0.2 {
-		t.Fatalf("std CV accuracy = %g", res.StdAccuracy())
-	}
-}
-
-func TestCrossValidateErrors(t *testing.T) {
-	ds := signalNoise(5, 20, 2)
-	factory := func() Classifier { return NewTree(TreeConfig{}, nil) }
-	if _, err := CrossValidate(ds, 1, xrand.New(1), factory); err == nil {
-		t.Error("k=1 accepted")
-	}
-	if _, err := CrossValidate(ds, 30, xrand.New(1), factory); err == nil {
-		t.Error("k>n accepted")
-	}
-	if _, err := CrossValidate(ds, 5, nil, factory); err == nil {
-		t.Error("nil RNG accepted")
-	}
-	if _, err := CrossValidate(ds, 5, xrand.New(1), nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-}
-
-func TestSqrtHelper(t *testing.T) {
-	for _, tc := range []struct{ in, want float64 }{{0, 0}, {-1, 0}, {4, 2}, {9, 3}, {2, math.Sqrt2}} {
-		if got := sqrt(tc.in); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("sqrt(%g) = %g", tc.in, got)
-		}
 	}
 }

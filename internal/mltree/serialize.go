@@ -82,21 +82,9 @@ func Save(w io.Writer, model Classifier) error {
 	return enc.Encode(env)
 }
 
-// Load deserialises a model previously written by Save. To read several
-// concatenated models from one stream, use a Decoder — Load consumes an
-// unspecified amount of buffered input beyond the first model.
-func Load(r io.Reader) (Classifier, error) {
-	return NewDecoder(r).Decode()
-}
-
 // Decoder reads a stream of models written back-to-back by Save.
 type Decoder struct {
 	dec *json.Decoder
-}
-
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{dec: json.NewDecoder(r)}
 }
 
 // NewDecoderFromJSON wraps an existing json.Decoder, so callers that decoded

@@ -134,22 +134,10 @@ type Tree struct {
 	rng     *xrand.RNG
 }
 
-// NewTree returns a tree classifier. rng drives feature subsampling; pass
-// nil to consider all features deterministically.
-func NewTree(cfg TreeConfig, rng *xrand.RNG) *Tree {
-	return &Tree{Config: cfg.withDefaults(), rng: rng}
-}
-
 var _ Classifier = (*Tree)(nil)
 
 // Classes returns the labels seen during Fit.
 func (t *Tree) Classes() []int { return t.classes }
-
-// Depth returns the fitted tree's depth (0 for a stump/leaf-only tree).
-func (t *Tree) Depth() int { return t.arena.depth(0) }
-
-// NumLeaves returns the fitted tree's leaf count.
-func (t *Tree) NumLeaves() int { return (len(t.arena.nodes) + 1) / 2 }
 
 // Fit grows the tree on the dataset and compiles it for inference.
 func (t *Tree) Fit(ds *Dataset) (err error) {

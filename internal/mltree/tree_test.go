@@ -8,10 +8,28 @@ import (
 	"cordial/internal/xrand"
 )
 
+// newTree returns a tree classifier; rng drives feature subsampling, and nil
+// considers every feature deterministically.
+func newTree(cfg TreeConfig, rng *xrand.RNG) *Tree {
+	return &Tree{Config: cfg.withDefaults(), rng: rng}
+}
+
+// treeDepth returns the height of a fitted tree's subtree at node i (0 for
+// a leaf).
+func treeDepth(t *Tree, i uint32) int {
+	if n := t.arena.nodes[i]; !n.isLeaf() {
+		return 1 + max(treeDepth(t, n.children()), treeDepth(t, n.children()+1))
+	}
+	return 0
+}
+
+// numLeaves returns a fitted tree's leaf count.
+func numLeaves(t *Tree) int { return (len(t.arena.nodes) + 1) / 2 }
+
 func TestTreeLearnsSeparableBlobs(t *testing.T) {
 	train := blobs(1, 3, 150, 4, 20, 1)
 	test := blobs(2, 3, 50, 4, 20, 1)
-	tree := NewTree(TreeConfig{MaxDepth: 8}, nil)
+	tree := newTree(TreeConfig{MaxDepth: 8}, nil)
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +52,7 @@ func TestTreeLearnsXOR(t *testing.T) {
 		ds.Features = append(ds.Features, x)
 		ds.Labels = append(ds.Labels, label)
 	}
-	tree := NewTree(TreeConfig{MaxDepth: 3}, nil)
+	tree := newTree(TreeConfig{MaxDepth: 3}, nil)
 	if err := tree.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +71,11 @@ func bTo(b bool) float64 {
 func TestTreeRespectsMaxDepth(t *testing.T) {
 	train := blobs(3, 4, 100, 3, 5, 2)
 	for _, depth := range []int{1, 2, 5} {
-		tree := NewTree(TreeConfig{MaxDepth: depth}, nil)
+		tree := newTree(TreeConfig{MaxDepth: depth}, nil)
 		if err := tree.Fit(train); err != nil {
 			t.Fatal(err)
 		}
-		if got := tree.Depth(); got > depth {
+		if got := treeDepth(tree, 0); got > depth {
 			t.Fatalf("tree depth %d exceeds cap %d", got, depth)
 		}
 	}
@@ -65,19 +83,19 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 
 func TestTreeMinSamplesLeaf(t *testing.T) {
 	train := blobs(4, 2, 100, 2, 10, 3)
-	tree := NewTree(TreeConfig{MinSamplesLeaf: 30}, nil)
+	tree := newTree(TreeConfig{MinSamplesLeaf: 30}, nil)
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
 	// With 200 samples and ≥30 per leaf there can be at most 6 leaves.
-	if got := tree.NumLeaves(); got > 6 {
+	if got := numLeaves(tree); got > 6 {
 		t.Fatalf("tree has %d leaves with MinSamplesLeaf=30", got)
 	}
 }
 
 func TestTreeEntropyCriterion(t *testing.T) {
 	train := blobs(5, 3, 100, 3, 15, 1)
-	tree := NewTree(TreeConfig{MaxDepth: 8, Criterion: Entropy}, nil)
+	tree := newTree(TreeConfig{MaxDepth: 8, Criterion: Entropy}, nil)
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +109,12 @@ func TestTreePureDataYieldsLeaf(t *testing.T) {
 		Features: [][]float64{{1, 2}, {3, 4}, {5, 6}},
 		Labels:   []int{9, 9, 9},
 	}
-	tree := NewTree(TreeConfig{}, nil)
+	tree := newTree(TreeConfig{}, nil)
 	if err := tree.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 || tree.NumLeaves() != 1 {
-		t.Fatalf("pure-data tree depth=%d leaves=%d", tree.Depth(), tree.NumLeaves())
+	if treeDepth(tree, 0) != 0 || numLeaves(tree) != 1 {
+		t.Fatalf("pure-data tree depth=%d leaves=%d", treeDepth(tree, 0), numLeaves(tree))
 	}
 	probs := tree.PredictProba([]float64{0, 0})
 	if len(probs) != 1 || probs[0] != 1 {
@@ -110,12 +128,12 @@ func TestTreeConstantFeatures(t *testing.T) {
 		Features: [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}},
 		Labels:   []int{0, 0, 0, 1},
 	}
-	tree := NewTree(TreeConfig{}, nil)
+	tree := newTree(TreeConfig{}, nil)
 	if err := tree.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	if tree.NumLeaves() != 1 {
-		t.Fatalf("constant-feature tree has %d leaves", tree.NumLeaves())
+	if numLeaves(tree) != 1 {
+		t.Fatalf("constant-feature tree has %d leaves", numLeaves(tree))
 	}
 	if got := Predict(tree, []float64{1, 1}); got != 0 {
 		t.Fatalf("majority prediction = %d", got)
@@ -125,7 +143,7 @@ func TestTreeConstantFeatures(t *testing.T) {
 func TestTreeDeterministicWithoutRNG(t *testing.T) {
 	train := blobs(6, 3, 80, 4, 10, 2)
 	fit := func() *Tree {
-		tree := NewTree(TreeConfig{MaxDepth: 6}, nil)
+		tree := newTree(TreeConfig{MaxDepth: 6}, nil)
 		if err := tree.Fit(train); err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +163,7 @@ func TestTreeDeterministicWithoutRNG(t *testing.T) {
 
 func TestTreeProbaSumsToOneProperty(t *testing.T) {
 	train := blobs(8, 3, 60, 3, 10, 2)
-	tree := NewTree(TreeConfig{MaxDepth: 6}, nil)
+	tree := newTree(TreeConfig{MaxDepth: 6}, nil)
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +189,7 @@ func TestTreeProbaSumsToOneProperty(t *testing.T) {
 }
 
 func TestTreeRejectsInvalidDataset(t *testing.T) {
-	tree := NewTree(TreeConfig{}, nil)
+	tree := newTree(TreeConfig{}, nil)
 	if err := tree.Fit(&Dataset{}); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
@@ -187,7 +205,7 @@ func BenchmarkTreeFit(b *testing.B) {
 	train := blobs(1, 3, 200, 10, 10, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := NewTree(TreeConfig{MaxDepth: 8}, nil)
+		tree := newTree(TreeConfig{MaxDepth: 8}, nil)
 		if err := tree.Fit(train); err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +214,7 @@ func BenchmarkTreeFit(b *testing.B) {
 
 func BenchmarkTreePredict(b *testing.B) {
 	train := blobs(1, 3, 200, 10, 10, 3)
-	tree := NewTree(TreeConfig{MaxDepth: 8}, nil)
+	tree := newTree(TreeConfig{MaxDepth: 8}, nil)
 	if err := tree.Fit(train); err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func deepCopy(ds *Dataset) *Dataset {
 // features), freshly seeded.
 func viewModels() map[string]Classifier {
 	return map[string]Classifier{
-		"Tree":     NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: 4}, xrand.New(3)),
+		"Tree":     newTree(TreeConfig{MaxDepth: 8, MaxFeatures: 4}, xrand.New(3)),
 		"Forest/1": NewForest(ForestConfig{NumTrees: 9, Seed: 7, Parallelism: 1}),
 		"Forest/8": NewForest(ForestConfig{NumTrees: 9, Seed: 7, Parallelism: 8}),
 		"GBDT":     NewGBDT(GBDTConfig{Rounds: 6, Seed: 7, Parallelism: 2}),
@@ -53,7 +53,7 @@ func assertSameFit(t *testing.T, label string, got, want Classifier, X [][]float
 		assertBitsEqual(t, label+" prediction", gp[i], wp[i])
 	}
 	if gf, ok := got.(*Forest); ok {
-		if g, w := gf.OOBScore(), want.(*Forest).OOBScore(); g != w || g < 0 {
+		if g, w := gf.oobScore, want.(*Forest).oobScore; g != w || g < 0 {
 			t.Fatalf("%s: out-of-bag score %v on the view, %v on the copy", label, g, w)
 		}
 	}
@@ -169,8 +169,8 @@ func TestConcurrentViewFits(t *testing.T) {
 
 // TestViewsCodeNothing counts coding passes: a dataset is coded at its first
 // classification fit and never again — not by a refit, not by a fit on a
-// split of it (the calibration refit's shape), not by the k folds of
-// CrossValidate — while a dataset of its own is coded once itself.
+// split of it (the calibration refit's shape), not by k-fold subsets of it —
+// while a dataset of its own is coded once itself.
 func TestViewsCodeNothing(t *testing.T) {
 	ds, _ := noisyBlobs(23, 3, 150)
 	forest := func() Classifier { return NewForest(ForestConfig{NumTrees: 5, Seed: 1, Parallelism: 2}) }
@@ -189,7 +189,7 @@ func TestViewsCodeNothing(t *testing.T) {
 		}
 	}
 	passes("the first fit", 1, func() { fit(forest(), ds) })
-	passes("a second fit and a tree", 0, func() { fit(forest(), ds); fit(NewTree(TreeConfig{}, nil), ds) })
+	passes("a second fit and a tree", 0, func() { fit(forest(), ds); fit(newTree(TreeConfig{}, nil), ds) })
 	passes("a fit on a stratified split", 0, func() {
 		train, test, err := ds.StratifiedSplit(xrand.New(2), 0.75)
 		if err != nil {
@@ -199,16 +199,20 @@ func TestViewsCodeNothing(t *testing.T) {
 		fit(m, train)
 		PredictDatasetInto(make([]float64, test.NumSamples()*3), m, test)
 	})
-	passes("five-fold cross-validation", 0, func() {
-		if _, err := CrossValidate(ds, 5, xrand.New(3), forest); err != nil {
-			t.Fatal(err)
+	folds := func(on *Dataset) {
+		perm := xrand.New(3).Perm(on.NumSamples())
+		for k := 0; k < 5; k++ {
+			var train []int
+			for i, row := range perm {
+				if i%5 != k {
+					train = append(train, row)
+				}
+			}
+			fit(forest(), on.Subset(train))
 		}
-	})
-	passes("cross-validation of a fresh dataset", 1, func() {
-		if _, err := CrossValidate(deepCopy(ds), 5, xrand.New(3), forest); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
+	passes("five folds", 0, func() { folds(ds) })
+	passes("five folds of a fresh dataset", 1, func() { folds(deepCopy(ds)) })
 	passes("the boosters", 0, func() {
 		fit(NewGBDT(GBDTConfig{Rounds: 2, Seed: 1}), deepCopy(ds))
 		fit(NewHistGBDT(HistGBDTConfig{Rounds: 2, Seed: 1}), deepCopy(ds))

@@ -396,19 +396,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adds delta (atomically, via CAS).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -138,7 +138,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -146,11 +145,10 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 }
 
-func TestGaugeAddAndNegatives(t *testing.T) {
+func TestGaugeNegatives(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("g", "")
-	g.Add(2)
-	g.Add(-5)
+	g.Set(-3)
 	if got := g.Value(); got != -3 {
 		t.Errorf("gauge = %v, want -3", got)
 	}
@@ -194,7 +192,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i) * 1e-6)
 			}
 		}()
@@ -215,8 +213,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)
+	if g.Value() != per-1 { // every worker's last Set is per-1
+		t.Errorf("gauge = %v, want %d", g.Value(), per-1)
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)

@@ -25,11 +25,10 @@ type Sample struct {
 	Value  float64
 }
 
-// Snapshot is one parsed scrape. Samples keep payload order; lookups go
-// through an index keyed by name plus canonical label signature.
+// Snapshot is one parsed scrape. Samples keep payload order; Quantile finds
+// a family's series through an index by name.
 type Snapshot struct {
 	Samples []Sample
-	byKey   map[string]float64
 	byName  map[string][]int // name -> indices into Samples
 }
 
@@ -39,7 +38,6 @@ type Snapshot struct {
 // not a scrape the harness should assert against.
 func ParseText(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{
-		byKey:  make(map[string]float64),
 		byName: make(map[string][]int),
 	}
 	sc := bufio.NewScanner(r)
@@ -57,7 +55,6 @@ func ParseText(r io.Reader) (*Snapshot, error) {
 		}
 		idx := len(snap.Samples)
 		snap.Samples = append(snap.Samples, s)
-		snap.byKey[sampleKey(s.Name, s.Labels)] = s.Value
 		snap.byName[s.Name] = append(snap.byName[s.Name], idx)
 	}
 	if err := sc.Err(); err != nil {
@@ -85,33 +82,6 @@ func Scrape(client *http.Client, url string) (*Snapshot, error) {
 		return nil, fmt.Errorf("obs: scraping %s: %w", url, err)
 	}
 	return snap, nil
-}
-
-// Value returns the sample for name with exactly the given label set.
-func (s *Snapshot) Value(name string, labels ...Label) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	v, ok := s.byKey[sampleKey(name, labels)]
-	return v, ok
-}
-
-// SumByName sums every series of the family, whatever its labels — the
-// natural read for counters split across label values (e.g. rejects by
-// reason).
-func (s *Snapshot) SumByName(name string) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	idxs, ok := s.byName[name]
-	if !ok {
-		return 0, false
-	}
-	total := 0.0
-	for _, i := range idxs {
-		total += s.Samples[i].Value
-	}
-	return total, true
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the histogram family
@@ -245,11 +215,6 @@ func parseLabelBlock(s string) ([]Label, error) {
 		}
 	}
 	return labels, nil
-}
-
-// sampleKey is the lookup signature: name plus canonical label string.
-func sampleKey(name string, labels []Label) string {
-	return name + "{" + labelKey(labels) + "}"
 }
 
 // hasLabels reports whether have includes every label in want.

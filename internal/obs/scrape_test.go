@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// value returns the sample of name with exactly the given labels.
+func value(snap *Snapshot, name string, labels ...Label) (float64, bool) {
+	for _, s := range snap.Samples {
+		if s.Name == name && len(s.Labels) == len(labels) && hasLabels(s.Labels, labels) {
+			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
 // TestParseTextRoundTrip renders a registry and reads it back: every
 // instrument's value must be recoverable from the parsed snapshot.
 func TestParseTextRoundTrip(t *testing.T) {
@@ -32,16 +42,16 @@ func TestParseTextRoundTrip(t *testing.T) {
 		t.Fatalf("ParseText: %v", err)
 	}
 
-	if v, ok := snap.Value("events_total", L("class", "CE")); !ok || v != 41 {
+	if v, ok := value(snap, "events_total", L("class", "CE")); !ok || v != 41 {
 		t.Errorf("events_total{class=CE} = %v, %v; want 41, true", v, ok)
 	}
-	if v, ok := snap.SumByName("events_total"); !ok || v != 43 {
-		t.Errorf("SumByName(events_total) = %v, %v; want 43, true", v, ok)
+	if v, ok := value(snap, "events_total", L("class", "UER")); !ok || v != 2 {
+		t.Errorf("events_total{class=UER} = %v, %v; want 2, true", v, ok)
 	}
-	if v, ok := snap.Value("queue_depth"); !ok || v != 17.5 {
+	if v, ok := value(snap, "queue_depth"); !ok || v != 17.5 {
 		t.Errorf("queue_depth = %v, %v; want 17.5, true", v, ok)
 	}
-	if v, ok := snap.Value("latency_seconds_count"); !ok || v != 100 {
+	if v, ok := value(snap, "latency_seconds_count"); !ok || v != 100 {
 		t.Errorf("latency_seconds_count = %v, %v; want 100, true", v, ok)
 	}
 	// 90% of samples sit in the first bucket, so P50 interpolates inside
@@ -68,13 +78,13 @@ z NaN
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
-	if v, ok := snap.Value("x", L("note", "line\nbreak"), L("path", `a"b\c`)); !ok || !math.IsInf(v, 1) {
+	if v, ok := value(snap, "x", L("note", "line\nbreak"), L("path", `a"b\c`)); !ok || !math.IsInf(v, 1) {
 		t.Errorf("x = %v, %v; want +Inf, true", v, ok)
 	}
-	if v, ok := snap.Value("y"); !ok || !math.IsInf(v, -1) {
+	if v, ok := value(snap, "y"); !ok || !math.IsInf(v, -1) {
 		t.Errorf("y = %v, %v; want -Inf, true", v, ok)
 	}
-	if v, ok := snap.Value("z"); !ok || !math.IsNaN(v) {
+	if v, ok := value(snap, "z"); !ok || !math.IsNaN(v) {
 		t.Errorf("z = %v, %v; want NaN, true", v, ok)
 	}
 }
@@ -192,7 +202,7 @@ func TestScrape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scrape: %v", err)
 	}
-	if v, ok := snap.Value("hits_total"); !ok || v != 7 {
+	if v, ok := value(snap, "hits_total"); !ok || v != 7 {
 		t.Errorf("hits_total = %v, %v; want 7, true", v, ok)
 	}
 

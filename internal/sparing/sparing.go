@@ -1,15 +1,14 @@
 // Package sparing models the mitigation mechanisms the paper's isolation
 // strategy drives (§I, §IV-C): hardware row sparing for aggregation failure
-// patterns, hardware bank sparing for scattered patterns, and OS-level page
-// offlining as the software fallback. An Engine tracks spare budgets and
-// isolation times so that the Isolation Coverage Rate — the fraction of UER
-// rows isolated before they failed — can be computed faithfully.
+// patterns and hardware bank sparing for scattered patterns. An Engine tracks
+// spare budgets and isolation times so that the Isolation Coverage Rate — the
+// fraction of UER rows isolated before they failed — can be computed
+// faithfully.
 package sparing
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"cordial/internal/hbm"
@@ -42,27 +41,14 @@ func (k ActionKind) String() string {
 	}
 }
 
-// Action records one applied mitigation.
-type Action struct {
-	Kind ActionKind
-	Bank hbm.BankAddress
-	// Rows lists the isolated rows for row-granular actions; empty for
-	// bank sparing.
-	Rows []int
-	Time time.Time
-}
-
 // Budget bounds the spare resources. The defaults reflect the paper's cost
 // argument: row spares are cheap and plentiful per bank, bank spares are
-// scarce and shared at channel granularity, page offlining is bounded
-// per HBM by the OS retirement limit.
+// scarce and shared at channel granularity.
 type Budget struct {
 	// RowSparesPerBank is the number of spare rows each bank has.
 	RowSparesPerBank int
 	// BankSparesPerChannel is the number of spare banks per channel.
 	BankSparesPerChannel int
-	// OfflinePagesPerHBM caps page-offline rows per HBM stack.
-	OfflinePagesPerHBM int
 }
 
 // DefaultBudget returns a budget consistent with HBM2E repair resources.
@@ -70,13 +56,12 @@ func DefaultBudget() Budget {
 	return Budget{
 		RowSparesPerBank:     64,
 		BankSparesPerChannel: 2,
-		OfflinePagesPerHBM:   256,
 	}
 }
 
 // Validate checks the budget.
 func (b Budget) Validate() error {
-	if b.RowSparesPerBank < 0 || b.BankSparesPerChannel < 0 || b.OfflinePagesPerHBM < 0 {
+	if b.RowSparesPerBank < 0 || b.BankSparesPerChannel < 0 {
 		return fmt.Errorf("sparing: negative budget %+v", b)
 	}
 	return nil
@@ -92,13 +77,10 @@ type Engine struct {
 	rowIsolated map[uint64]map[int]time.Time
 	// bankIsolated[bankKey] = isolation time.
 	bankIsolated map[uint64]time.Time
-	// rowSparesUsed[bankKey], bankSparesUsed[channelKey],
-	// pagesUsed[hbmKey] track budget consumption.
+	// rowSparesUsed[bankKey] and bankSparesUsed[channelKey] track budget
+	// consumption.
 	rowSparesUsed  map[uint64]int
 	bankSparesUsed map[uint64]int
-	pagesUsed      map[uint64]int
-
-	actions []Action
 }
 
 // NewEngine returns an engine with the given budget.
@@ -112,18 +94,7 @@ func NewEngine(budget Budget) (*Engine, error) {
 		bankIsolated:   make(map[uint64]time.Time),
 		rowSparesUsed:  make(map[uint64]int),
 		bankSparesUsed: make(map[uint64]int),
-		pagesUsed:      make(map[uint64]int),
 	}, nil
-}
-
-// Budget returns the engine's budget.
-func (e *Engine) Budget() Budget { return e.budget }
-
-// Actions returns a copy of all applied actions, in application order.
-func (e *Engine) Actions() []Action {
-	out := make([]Action, len(e.actions))
-	copy(out, e.actions)
-	return out
 }
 
 // markRow records row isolation at t, keeping the earliest time.
@@ -163,9 +134,6 @@ func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) []int 
 		e.markRow(key, row, t)
 		applied = append(applied, row)
 	}
-	if len(applied) > 0 {
-		e.actions = append(e.actions, Action{Kind: ActionRowSpare, Bank: hbm.BankOf(bank), Rows: applied, Time: t})
-	}
 	return applied
 }
 
@@ -186,33 +154,7 @@ func (e *Engine) SpareBank(bank hbm.BankAddress, t time.Time) error {
 	}
 	e.bankSparesUsed[chKey]++
 	e.bankIsolated[key] = t
-	e.actions = append(e.actions, Action{Kind: ActionBankSpare, Bank: hbm.BankOf(bank), Time: t})
 	return nil
-}
-
-// OfflinePages retires the pages backing the given rows at time t, bounded
-// by the per-HBM offline budget. It returns the rows actually offlined.
-func (e *Engine) OfflinePages(bank hbm.BankAddress, rows []int, t time.Time) []int {
-	bankKey := bank.BankKey()
-	hbmKey := bank.EntityKey(hbm.LevelHBM)
-	sorted := append([]int(nil), rows...)
-	sort.Ints(sorted)
-	var applied []int
-	for _, row := range sorted {
-		if e.isRowIsolatedAt(bankKey, row, t) {
-			continue
-		}
-		if e.pagesUsed[hbmKey] >= e.budget.OfflinePagesPerHBM {
-			break
-		}
-		e.pagesUsed[hbmKey]++
-		e.markRow(bankKey, row, t)
-		applied = append(applied, row)
-	}
-	if len(applied) > 0 {
-		e.actions = append(e.actions, Action{Kind: ActionPageOffline, Bank: hbm.BankOf(bank), Rows: applied, Time: t})
-	}
-	return applied
 }
 
 // isRowIsolatedAt reports whether the row is covered by an isolation that
@@ -253,7 +195,6 @@ func (e *Engine) IsRowSparedBefore(bank hbm.BankAddress, row int, t time.Time) b
 type UsageStats struct {
 	RowSpares     int
 	BankSpares    int
-	OfflinedPages int
 	IsolatedBanks int
 	IsolatedRows  int
 }
@@ -266,9 +207,6 @@ func (e *Engine) Usage() UsageStats {
 	}
 	for _, n := range e.bankSparesUsed {
 		s.BankSpares += n
-	}
-	for _, n := range e.pagesUsed {
-		s.OfflinedPages += n
 	}
 	s.IsolatedBanks = len(e.bankIsolated)
 	for _, rows := range e.rowIsolated {

@@ -61,9 +61,6 @@ func TestSpareRowsNeverTouchesCallerRows(t *testing.T) {
 			t.Errorf("SpareRows(%v) applied %v", rows, applied)
 		}
 		clear(caller) // the caller reuses its buffer
-		if acts := e.Actions(); len(acts) != 1 || !slices.Equal(acts[0].Rows, []int{3, 4, 5, 9}) {
-			t.Errorf("after the caller reused its rows the engine holds %+v", acts)
-		}
 		if !slices.Equal(applied, []int{3, 4, 5, 9}) {
 			t.Errorf("after the caller reused its rows the applied rows read %v", applied)
 		}
@@ -76,7 +73,7 @@ func TestSpareRowsNeverTouchesCallerRows(t *testing.T) {
 }
 
 func TestSpareRowsRespectsBudget(t *testing.T) {
-	e := newEngine(t, Budget{RowSparesPerBank: 2, BankSparesPerChannel: 1, OfflinePagesPerHBM: 10})
+	e := newEngine(t, Budget{RowSparesPerBank: 2, BankSparesPerChannel: 1})
 	bank := hbm.BankAddress{}
 	applied := e.SpareRows(bank, []int{1, 2, 3, 4}, at(1))
 	if len(applied) != 2 {
@@ -94,7 +91,7 @@ func TestSpareRowsRespectsBudget(t *testing.T) {
 }
 
 func TestSpareRowsSkipsAlreadyIsolatedWithoutConsumingBudget(t *testing.T) {
-	e := newEngine(t, Budget{RowSparesPerBank: 2, BankSparesPerChannel: 1, OfflinePagesPerHBM: 0})
+	e := newEngine(t, Budget{RowSparesPerBank: 2, BankSparesPerChannel: 1})
 	bank := hbm.BankAddress{}
 	e.SpareRows(bank, []int{5}, at(1))
 	applied := e.SpareRows(bank, []int{5, 6}, at(2))
@@ -107,7 +104,7 @@ func TestSpareRowsSkipsAlreadyIsolatedWithoutConsumingBudget(t *testing.T) {
 }
 
 func TestSpareBank(t *testing.T) {
-	e := newEngine(t, Budget{RowSparesPerBank: 1, BankSparesPerChannel: 1, OfflinePagesPerHBM: 0})
+	e := newEngine(t, Budget{RowSparesPerBank: 1, BankSparesPerChannel: 1})
 	bank := hbm.BankAddress{Node: 2}
 	if err := e.SpareBank(bank, at(3)); err != nil {
 		t.Fatal(err)
@@ -148,58 +145,20 @@ func TestSpareBankKeepsEarliestTime(t *testing.T) {
 	}
 }
 
-func TestOfflinePages(t *testing.T) {
-	e := newEngine(t, Budget{RowSparesPerBank: 0, BankSparesPerChannel: 0, OfflinePagesPerHBM: 3})
-	bank := hbm.BankAddress{Node: 1}
-	applied := e.OfflinePages(bank, []int{1, 2}, at(1))
-	if len(applied) != 2 {
-		t.Fatalf("offlined %v", applied)
-	}
-	// Same HBM, different bank shares the per-HBM budget.
-	sibling := bank
-	sibling.Bank = 2
-	applied = e.OfflinePages(sibling, []int{7, 8, 9}, at(2))
-	if len(applied) != 1 {
-		t.Fatalf("offlined %v with 1 page left", applied)
-	}
-	// Different HBM has fresh budget.
-	other := bank
-	other.HBM = 1
-	if got := e.OfflinePages(other, []int{1}, at(2)); len(got) != 1 {
-		t.Fatalf("other HBM offlined %v", got)
-	}
-	if !e.IsRowIsolatedBefore(bank, 1, at(2)) {
-		t.Fatal("offlined row not isolated")
-	}
-}
-
-func TestUsageAndActions(t *testing.T) {
+func TestUsage(t *testing.T) {
 	e := newEngine(t, DefaultBudget())
-	bank := hbm.BankAddress{}
-	e.SpareRows(bank, []int{1, 2}, at(1))
+	e.SpareRows(hbm.BankAddress{}, []int{1, 2}, at(1))
 	if err := e.SpareBank(hbm.BankAddress{Bank: 1}, at(2)); err != nil {
 		t.Fatal(err)
 	}
-	e.OfflinePages(hbm.BankAddress{Bank: 2}, []int{5}, at(3))
+	e.SpareRows(hbm.BankAddress{Bank: 2}, []int{5}, at(3))
 
 	u := e.Usage()
-	if u.RowSpares != 2 || u.BankSpares != 1 || u.OfflinedPages != 1 {
+	if u.RowSpares != 3 || u.BankSpares != 1 {
 		t.Fatalf("usage = %+v", u)
 	}
 	if u.IsolatedBanks != 1 || u.IsolatedRows != 3 {
 		t.Fatalf("usage = %+v", u)
-	}
-	acts := e.Actions()
-	if len(acts) != 3 {
-		t.Fatalf("actions = %d", len(acts))
-	}
-	if acts[0].Kind != ActionRowSpare || acts[1].Kind != ActionBankSpare || acts[2].Kind != ActionPageOffline {
-		t.Fatalf("action kinds = %v %v %v", acts[0].Kind, acts[1].Kind, acts[2].Kind)
-	}
-	// Actions() returns a copy.
-	acts[0].Kind = ActionBankSpare
-	if e.Actions()[0].Kind != ActionRowSpare {
-		t.Fatal("Actions returned internal storage")
 	}
 }
 
@@ -219,11 +178,9 @@ func TestRowSpareKeepsEarliestTime(t *testing.T) {
 	e := newEngine(t, DefaultBudget())
 	bank := hbm.BankAddress{}
 	e.SpareRows(bank, []int{4}, at(5))
-	// Row 4 already isolated at hour 5; offline attempt at hour 1 should
-	// still isolate at the earlier time... but OfflinePages skips already
-	// isolated rows only if isolated at-or-before t; at hour 1 it is not
-	// yet isolated, so it records the earlier time.
-	e.OfflinePages(bank, []int{4}, at(1))
+	// Row 4 is isolated from hour 5 on; a spare of it dated hour 1 is not
+	// yet covered there, so it applies and the earlier time is kept.
+	e.SpareRows(bank, []int{4}, at(1))
 	if !e.IsRowIsolatedBefore(bank, 4, at(2)) {
 		t.Fatal("earliest isolation time not kept for row")
 	}

@@ -1,147 +1,14 @@
 // Package stats provides the statistical machinery behind the paper's
-// empirical study: descriptive statistics, histograms, and chi-square tests
-// (goodness-of-fit and contingency) with p-values computed from the
-// regularised incomplete gamma function. It is dependency-free and operates
-// on plain float64 slices.
+// empirical study: chi-square tests (goodness-of-fit and contingency) with
+// p-values computed from the regularised incomplete gamma function. It is
+// dependency-free and operates on plain float64 slices.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// ErrEmpty is returned by descriptive statistics invoked on empty data.
-var ErrEmpty = errors.New("stats: empty data")
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// Variance returns the unbiased (n-1) sample variance of xs. It requires at
-// least two observations.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: variance needs ≥2 observations, got %d", len(xs))
-	}
-	m, _ := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1), nil
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (minV, maxV float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	minV, maxV = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < minV {
-			minV = x
-		}
-		if x > maxV {
-			maxV = x
-		}
-	}
-	return minV, maxV, nil
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g out of [0,1]", q)
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Histogram is a fixed-width binning of observations over [Lo, Hi). Values
-// outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram builds a histogram with the given number of bins over
-// [lo, hi). It returns an error for a non-positive bin count or an empty
-// range.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bins, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram range [%g,%g) is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // floating-point edge at Hi
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
 
 // ChiSquareGoodnessOfFit returns the chi-square statistic and degrees of
 // freedom for observed counts against expected counts. Cells with expected

@@ -9,95 +9,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMean(t *testing.T) {
-	if _, err := Mean(nil); err == nil {
-		t.Fatal("Mean(nil) did not error")
-	}
-	m, err := Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Fatalf("Mean = %g, err=%v", m, err)
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	if _, err := Variance([]float64{1}); err == nil {
-		t.Fatal("Variance of one value did not error")
-	}
-	v, err := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 32.0/7.0, 1e-12) {
-		t.Fatalf("Variance = %g, want %g", v, 32.0/7.0)
-	}
-	sd, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(sd, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("StdDev = %g", sd)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil || lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %g,%g err=%v", lo, hi, err)
-	}
-	if _, _, err := MinMax(nil); err == nil {
-		t.Fatal("MinMax(nil) did not error")
-	}
-}
-
-func TestQuantileAndMedian(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	med, err := Median(xs)
-	if err != nil || med != 3 {
-		t.Fatalf("Median = %g err=%v", med, err)
-	}
-	q0, _ := Quantile(xs, 0)
-	q1, _ := Quantile(xs, 1)
-	if q0 != 1 || q1 != 5 {
-		t.Fatalf("Quantile extremes = %g,%g", q0, q1)
-	}
-	q25, _ := Quantile(xs, 0.25)
-	if q25 != 2 {
-		t.Fatalf("Quantile(0.25) = %g, want 2", q25)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("Quantile(1.5) did not error")
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("Counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
 func TestChiSquareGoodnessOfFitKnownValue(t *testing.T) {
 	// Classic die example: 60 rolls, observed vs uniform expectation 10.
 	observed := []float64{5, 8, 9, 8, 10, 20}

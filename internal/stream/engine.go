@@ -208,11 +208,6 @@ type Engine struct {
 	shadow    atomic.Value
 	shadowGen atomic.Uint64
 
-	// classifications counts pattern-stage classification flips (a session
-	// deciding its bank's class for the first time); the lifecycle manager
-	// uses it as an activity signal for drift-check scheduling.
-	classifications atomic.Uint64
-
 	// Durability state; all nil/zero when no WAL directory is configured.
 	wal               *walJournal
 	snapMu            sync.Mutex    // serialises Snapshot
@@ -343,13 +338,12 @@ func (e *Engine) consume(s *shard, batch []queued) {
 }
 
 // deliver hands out what a step produced, in the order every caller keeps:
-// every dead letter quarantined on its bank's shard, the classification flips
-// counted, then the actions emitted.
+// every dead letter quarantined on its bank's shard, then the actions
+// emitted.
 func (e *Engine) deliver(res stepResult) {
 	for i := range res.dead {
 		e.quarantine(&res.dead[i])
 	}
-	e.classifications.Add(res.flips)
 	for _, a := range res.acts {
 		e.emit(a)
 	}

@@ -274,8 +274,8 @@ func TestEngineSessionStats(t *testing.T) {
 	if _, ok := e.Session(testBank(7)); ok {
 		t.Error("session reported for untouched bank")
 	}
-	if n := e.SessionCount(); n != 1 {
-		t.Errorf("SessionCount = %d, want 1", n)
+	if n := e.Stats().SessionsLive; n != 1 {
+		t.Errorf("%d live sessions, want 1", n)
 	}
 
 	es := e.Stats()
@@ -403,7 +403,7 @@ func TestEngineConcurrentIngest(t *testing.T) {
 			default:
 				_ = e.Stats()
 				_, _ = e.Session(testBank(3))
-				_ = e.SessionCount()
+				_ = e.Stats().SessionsLive
 			}
 		}
 	}()

@@ -349,7 +349,7 @@ func TestHandoffImportRejectsGarbage(t *testing.T) {
 		if st, err := dst.ImportSessions(empty, bad, nil); err == nil {
 			t.Errorf("%s: suffix record accepted: %+v", name, st)
 		}
-		if n := dst.SessionCount(); n != 0 {
+		if n := dst.Stats().SessionsLive; n != 0 {
 			t.Errorf("%s: %d sessions adopted from garbage", name, n)
 		}
 	}

@@ -354,9 +354,3 @@ func (e *Engine) RecentClassMix(n int) (map[faultsim.Class]int, int) {
 	}
 	return out, len(cands)
 }
-
-// ClassificationsTotal returns how many sessions have ever classified
-// (monotone; drives drift-check scheduling).
-func (e *Engine) ClassificationsTotal() uint64 {
-	return e.classifications.Load()
-}

@@ -419,7 +419,14 @@ func (s *Server) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 		s.binDecode.ObserveSince(t0) // decoded frames only: the body's EOF is not one
 		frameNo++
 		for i, n := 0, fr.Len(); i < n && q.status == 0; i++ {
-			q.add(fr.Event(i), frameNo, i)
+			// Checked: Unpack drops address bits outside the layout, and
+			// Validate would pass the bank they alias the record onto.
+			ev, err := fr.EventChecked(i)
+			if err != nil {
+				q.reject(frameNo, i, err)
+				continue
+			}
+			q.add(ev, frameNo, i)
 		}
 		if q.status == 0 {
 			q.flush(frameNo)

@@ -2,9 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,6 +117,37 @@ func TestServerEventsBinInvalidRecord(t *testing.T) {
 	}
 	if err := engine.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// withStrayBit sets bit 60 of record rec's packed address in a one-frame
+// wire body — a bit no layout uses, which Unpack drops — and reseals the
+// frame's CRC.
+func withStrayBit(body []byte, rec int) []byte {
+	const magic = 4 // "CBF2"; the frame header follows: u32 length | u32 CRC-32C
+	payload := body[magic+8:]
+	payload[rec*mcelog.WireRecordSize+8+7] |= 1 << 4 // the packed u64 is record bytes 8–15, little-endian
+	binary.LittleEndian.PutUint32(body[magic+4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return body
+}
+
+// TestServerEventsBinStrayAddressBits: a record whose packed address has
+// bits outside the layout is rejected with the checked decoder's message,
+// not ingested on the valid-looking bank those bits alias it onto; the rest
+// of the frame lands.
+func TestServerEventsBinStrayAddressBits(t *testing.T) {
+	engine, srv := newTestServer(t, Config{Shards: 1})
+	body := binBody(t, 0, uerAt(testBank(1), 1, 0), uerAt(testBank(1), 2, 1), uerAt(testBank(1), 3, 2))
+	res := postBin(t, srv, bytes.NewBuffer(withStrayBit(body.Bytes(), 1)), http.StatusOK)
+	if res.Accepted != 2 || res.Rejected != 1 || len(res.Errors) != 1 ||
+		!strings.HasPrefix(res.Errors[0], "frame 1 record 1: ") || !strings.Contains(res.Errors[0], "outside the") {
+		t.Fatalf("ingest result %+v, want 2 accepted and record 1 rejected for its stray bits", res)
+	}
+	if err := engine.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := engine.Stats(); st.Processed != 2 {
+		t.Fatalf("processed %d events, want 2", st.Processed)
 	}
 }
 

@@ -103,7 +103,7 @@ func TestSessionHeapPerBank(t *testing.T) {
 				}
 			}
 			heap, mallocs := perBankCost(banks, func() { ingestChunks(t, e, evs) })
-			if got := e.SessionCount(); got != banks {
+			if got := e.Stats().SessionsLive; got != banks {
 				t.Fatalf("%d sessions, want %d", got, banks)
 			}
 			t.Logf("%.0f B and %.2f mallocs per tracked bank", heap, mallocs)

@@ -392,8 +392,6 @@ type stepResult struct {
 	acts []Action
 	// dead are the events whose fold panicked, to quarantine.
 	dead []DeadLetter
-	// flips counts banks classified for the first time.
-	flips uint64
 	// refused counts journaled events at or below their bank's watermark.
 	refused int
 }
@@ -563,7 +561,6 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 		}
 	}
 	ev := q.rec.Event()
-	prevClassified := bs.classified
 	// Shadow scoring needs the primary's pre-fold coverage: was this UER's
 	// row (or the whole bank) already isolated when the event arrived?
 	var primCoveredUER bool
@@ -571,9 +568,6 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
 	res.acts = foldEvent(bs, ev, env.proc, res.acts, &st.verdicts)
-	if !prevClassified && bs.classified {
-		res.flips++
-	}
 	if bs.shadow == nil {
 		return
 	}

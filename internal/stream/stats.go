@@ -14,10 +14,10 @@ import (
 )
 
 // The engine's reporting surface. Every number here is read from an obs
-// instrument or a shard's atomic totals, so Stats, SessionCount and
-// ReadyReasons — and with them /statsz, /readyz and a /metrics scrape — take
-// neither a shard's mu nor the engine's snapMu: a reader never stalls a
-// consumer or waits out a snapshot. Each value is consistent on its own; no
+// instrument or a shard's atomic totals, so Stats and ReadyReasons — and with
+// them /statsz, /readyz and a /metrics scrape — take neither a shard's mu nor
+// the engine's snapMu: a reader never stalls a consumer or waits out a
+// snapshot. Each value is consistent on its own; no
 // two are read at one instant. Only the per-bank inspection calls (Session,
 // Sessions) lock a shard.
 
@@ -236,9 +236,6 @@ func (e *Engine) total(t total) (n int64) {
 	}
 	return n
 }
-
-// SessionCount returns the number of live sessions.
-func (e *Engine) SessionCount() int { return int(e.total(totalSessions)) }
 
 // sessionsByVersion counts live sessions per pinned model version.
 func (e *Engine) sessionsByVersion() map[uint64]int {

@@ -101,12 +101,6 @@ func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
 			}
 			return nil
 		},
-		"SessionCount": func() error {
-			if n := e.SessionCount(); n != 13 {
-				return fmt.Errorf("%d sessions", n)
-			}
-			return nil
-		},
 		"PinnedVersionFloor": func() error {
 			if v := e.PinnedVersionFloor(); v != staticVersion {
 				return fmt.Errorf("floor %d", v)
@@ -228,9 +222,6 @@ func assertTotalsMatchRecount(t *testing.T, when string, e *Engine) {
 	}
 	if pick(got) != pick(want) {
 		t.Errorf("%s: totals\n  %s\nrecount\n  %s", when, pick(got), pick(want))
-	}
-	if n := e.SessionCount(); n != want.SessionsLive {
-		t.Errorf("%s: SessionCount %d, recount %d", when, n, want.SessionsLive)
 	}
 	floor := uint64(0)
 	for v := range want.SessionsByModelVersion {
@@ -377,7 +368,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 		t.Fatalf("recovered from snapshot %d, want the fallback %d", got, seq)
 	}
 	assertTotalsMatchRecount(t, "after a restore that fell back past a bad payload", re)
-	if re.SessionCount() == 0 {
+	if re.Stats().SessionsLive == 0 {
 		t.Fatal("nothing recovered")
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"cordial/internal/ecc"
@@ -57,7 +58,7 @@ func TestGenerateBasicShape(t *testing.T) {
 	if len(f.Faults) != 120 {
 		t.Fatalf("fault count = %d, want 120", len(f.Faults))
 	}
-	if !f.Log.IsSorted() {
+	if evs := f.Log.Events(); !sort.SliceIsSorted(evs, func(i, j int) bool { return evs[i].Before(evs[j]) }) {
 		t.Fatal("fleet log not sorted")
 	}
 	if f.Log.Len() == 0 {
@@ -140,7 +141,7 @@ func TestBenignBanksLogNoUER(t *testing.T) {
 func TestSuddenByLevelTableIShape(t *testing.T) {
 	f := generate(t, 5)
 	rows := SuddenByLevel(f.Log)
-	if len(rows) != len(hbm.TableLevels) {
+	if len(rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("SuddenByLevel returned %d rows", len(rows))
 	}
 	byLevel := make(map[hbm.Level]SuddenStats)
@@ -181,7 +182,7 @@ func TestSuddenByLevelTableIShape(t *testing.T) {
 func TestSummaryByLevelTableIIShape(t *testing.T) {
 	f := generate(t, 6)
 	rows := SummaryByLevel(f.Log)
-	if len(rows) != len(hbm.TableLevels) {
+	if len(rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("SummaryByLevel returned %d rows", len(rows))
 	}
 	for _, r := range rows {

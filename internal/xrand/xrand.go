@@ -64,20 +64,12 @@ func (r *RNG) Uint64() uint64 {
 	return uint64(r.next32())<<32 | uint64(r.next32())
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *RNG) Uint32() uint32 { return r.next32() }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with n <= 0")
 	}
 	return int(r.Uint64n(uint64(n)))
-}
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Uint64n returns a uniform value in [0, n) using Lemire's multiply-shift
@@ -165,83 +157,6 @@ func (r *RNG) Exp(rate float64) float64 {
 		panic("xrand: Exp called with rate <= 0")
 	}
 	return r.ExpFloat64() / rate
-}
-
-// Poisson returns a Poisson variate with the given mean. For small means it
-// uses Knuth's method; for large means a normal approximation with
-// continuity correction, which is accurate enough for workload synthesis.
-func (r *RNG) Poisson(mean float64) int {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		n := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-}
-
-// Zipf returns a value in [1, n] following a Zipf distribution with exponent
-// s > 0, drawn by inversion over the precomputed harmonic weights. For the
-// simulator's modest n this is fast enough and allocation-free after the
-// first call with a given n via ZipfGen.
-func (r *RNG) Zipf(n int, s float64) int {
-	g := NewZipf(n, s)
-	return g.Draw(r)
-}
-
-// Zipf is a reusable Zipf(n, s) sampler with precomputed cumulative weights.
-type Zipf struct {
-	cum []float64
-}
-
-// NewZipf builds a Zipf sampler over [1, n] with exponent s. It panics if
-// n <= 0 or s <= 0.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf called with n <= 0")
-	}
-	if s <= 0 {
-		panic("xrand: NewZipf called with s <= 0")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 1; i <= n; i++ {
-		total += 1 / math.Pow(float64(i), s)
-		cum[i-1] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Zipf{cum: cum}
-}
-
-// Draw samples a value in [1, len(cum)] from the Zipf distribution.
-func (z *Zipf) Draw(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }
 
 // Perm returns a random permutation of [0, n).

@@ -133,50 +133,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(19)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > mean*0.05+0.05 {
-			t.Errorf("Poisson(%g) mean = %g", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 1000; i++ {
-		if v := r.Poisson(100); v < 0 {
-			t.Fatalf("Poisson returned negative %d", v)
-		}
-	}
-	if v := r.Poisson(-1); v != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", v)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(29)
-	z := NewZipf(100, 1.2)
-	counts := make([]int, 101)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := z.Draw(r)
-		if v < 1 || v > 100 {
-			t.Fatalf("Zipf draw %d out of [1,100]", v)
-		}
-		counts[v]++
-	}
-	if counts[1] <= counts[2] || counts[2] <= counts[10] {
-		t.Fatalf("Zipf not skewed: c1=%d c2=%d c10=%d", counts[1], counts[2], counts[10])
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(31)
 	for _, n := range []int{0, 1, 2, 10, 257} {
@@ -335,32 +291,6 @@ func BenchmarkNormFloat64(b *testing.B) {
 	}
 }
 
-func TestUint32AndInt63(t *testing.T) {
-	r := New(50)
-	seen := make(map[uint32]bool)
-	for i := 0; i < 100; i++ {
-		seen[r.Uint32()] = true
-	}
-	if len(seen) < 95 {
-		t.Fatalf("Uint32 produced only %d distinct values", len(seen))
-	}
-	for i := 0; i < 1000; i++ {
-		if v := r.Int63(); v < 0 {
-			t.Fatalf("Int63 returned negative %d", v)
-		}
-	}
-}
-
-func TestZipfMethod(t *testing.T) {
-	r := New(51)
-	for i := 0; i < 100; i++ {
-		v := r.Zipf(50, 1.1)
-		if v < 1 || v > 50 {
-			t.Fatalf("Zipf = %d", v)
-		}
-	}
-}
-
 func TestShuffleGeneric(t *testing.T) {
 	r := New(52)
 	s := []string{"a", "b", "c", "d", "e"}
@@ -393,6 +323,4 @@ func TestPanics(t *testing.T) {
 	expectPanic("WeightedChoice all-zero", func() { r.WeightedChoice([]float64{0, 0}) })
 	expectPanic("SampleInts k>n", func() { r.SampleInts(2, 3) })
 	expectPanic("Uint64n zero", func() { r.Uint64n(0) })
-	expectPanic("NewZipf bad n", func() { NewZipf(0, 1) })
-	expectPanic("NewZipf bad s", func() { NewZipf(5, 0) })
 }

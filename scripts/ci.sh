@@ -98,6 +98,15 @@ if grep -rn "columnize(" --include=*.go internal/mltree | grep -v "_test\.go:\|/
     exit 1
 fi
 
+echo "==> one library, the programs' (no declaration under internal/ that only tests reach)"
+# The library reached by no program was deleted with the tests that only
+# exercised it; TestEveryInternalDeclReached keeps it gone. It type-checks the
+# module and bench/ from source and fails, with file:line and name, on any
+# non-test declaration under internal/ that cmd/, examples/, bench/ and the
+# root package do not reach, outside its short commented keep-list — and on a
+# keep-list entry that no longer exists. It runs inside `go test ./...` too.
+go test -run 'TestEveryInternalDeclReached' -count 1 .
+
 echo "==> go vet"
 go vet ./...
 
