@@ -96,8 +96,7 @@ func run() error {
 		policy     = flag.String("policy", "block", "full-queue ingest policy: block or drop")
 		walDir     = flag.String("wal-dir", "", "durability directory: journal accepted events, snapshot sessions, recover on boot")
 		snapEvery  = flag.Duration("snapshot-interval", 0, "periodic snapshot interval (0 disables; requires -wal-dir)")
-		fsync      = flag.String("fsync", "always", "journal fsync policy with -wal-dir: always, interval or never")
-		groupWAL   = flag.Bool("group-commit", true, "coalesce concurrent journal appends into shared fsyncs under -fsync=always")
+		fsync      = flag.String("fsync", "always", "journal fsync policy with -wal-dir: always (concurrent appends share fsyncs), interval or never")
 		faultSpec  = flag.String("faultfs", "", "chaos-testing disk faults for the WAL path (sync-fail[=N], write-budget=N, open-fail; comma-separated); starts DISARMED, SIGUSR2 toggles arm/disarm")
 		deadLetter = flag.String("dead-letter", "", "append quarantined events (panicked processing) to this JSONL file")
 		deadMaxMB  = flag.Int64("dead-letter-max-mb", 0, "rotate the dead-letter file past this many MiB (0 = default 64)")
@@ -163,7 +162,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfg.Durability = stream.DurabilityConfig{Dir: *walDir, Sync: pol, NoGroupCommit: !*groupWAL}
+		cfg.Durability = stream.DurabilityConfig{Dir: *walDir, Sync: pol}
 		if *faultSpec != "" {
 			// Chaos plumbing: the WAL runs over a FaultFS that boots
 			// disarmed (recovery and steady state are unaffected) and flips

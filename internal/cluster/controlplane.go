@@ -28,8 +28,6 @@ type CPConfig struct {
 	// Client is the HTTP client for node calls. Handoffs move real state,
 	// so the default timeout is generous (60s).
 	Client *http.Client
-	// Metrics receives the control plane's instruments when non-nil.
-	Metrics *obs.Registry
 	// Clock is the time source (tests inject a fake). Default time.Now.
 	Clock func() time.Time
 }
@@ -49,9 +47,6 @@ func (c CPConfig) withDefaults() CPConfig {
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 60 * time.Second}
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -99,7 +94,7 @@ func NewControlPlane(cfg CPConfig) *ControlPlane {
 		mux:     http.NewServeMux(),
 		members: make(map[string]*memberState),
 	}
-	reg := cp.cfg.Metrics
+	reg := obs.NewRegistry() // served on the control plane's own /metrics
 	cp.handoffs = reg.Counter("cordial_cp_handoffs_total",
 		"Session handoffs orchestrated (joins and leaves).")
 	cp.takeovers = reg.Counter("cordial_cp_takeovers_total",

@@ -26,26 +26,23 @@ type RouterConfig struct {
 	// included). Default 5.
 	MaxAttempts int
 	// Backoff is the initial retry delay, doubling per attempt up to
-	// BackoffCap. Defaults 50ms / 2s.
-	Backoff    time.Duration
-	BackoffCap time.Duration
+	// backoffCap. Default 50ms.
+	Backoff time.Duration
 	// RefreshInterval is the background ring poll period. Default 2s.
 	// (503 responses also trigger an immediate refresh.)
 	RefreshInterval time.Duration
-	// MaxBodyBytes caps one POST /v1/events body. Default 32 MiB.
+	// MaxBodyBytes caps one POST /v1/events body, and so one JSONL line.
+	// Default 32 MiB.
 	MaxBodyBytes int64
-	// MaxLineBytes caps one JSONL line. Defaults to MaxBodyBytes so a
-	// line the body cap admits is never refused by the line scanner.
-	MaxLineBytes int
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
 	// Client is the HTTP client for node and control-plane calls.
 	// Default: 30s timeout.
 	Client *http.Client
-	// Metrics receives the router's instruments; nil creates a private
-	// registry (served on the router's own /metrics).
-	Metrics *obs.Registry
 }
+
+// backoffCap bounds the router's doubling retry delay.
+const backoffCap = 2 * time.Second
 
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.MaxAttempts <= 0 {
@@ -54,26 +51,17 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
 	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 2 * time.Second
-	}
 	if c.RefreshInterval <= 0 {
 		c.RefreshInterval = 2 * time.Second
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
-	if c.MaxLineBytes == 0 {
-		c.MaxLineBytes = int(c.MaxBodyBytes)
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	return c
 }
@@ -103,7 +91,7 @@ type Router struct {
 // NewRouter builds the router. Call Run to keep its ring fresh.
 func NewRouter(cfg RouterConfig) *Router {
 	rt := &Router{cfg: cfg.withDefaults(), mux: http.NewServeMux()}
-	reg := rt.cfg.Metrics
+	reg := obs.NewRegistry() // served on the router's own /metrics
 	rt.forwards = reg.Counter("cordial_router_forwards_total",
 		"Per-node batch forwards attempted.")
 	rt.retries = reg.Counter("cordial_router_retries_total",
@@ -227,7 +215,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64<<10), rt.cfg.MaxLineBytes)
+	sc.Buffer(make([]byte, 64<<10), int(rt.cfg.MaxBodyBytes)+1) // a byte past the body cap: see stream's handleEvents
 
 	var agg stream.IngestResult
 	var lines []routedLine
@@ -246,8 +234,8 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
 	}
-	// An oversized line or a mid-body disconnect keeps what was read (200
-	// with Truncated set), as on the serve node.
+	// A mid-body disconnect keeps what was read (200 with Truncated set),
+	// and a body over the cap is a 413, as on the serve node.
 	rt.respond(w, lines, &agg, sc.Err(), "line", lineNo, http.StatusOK)
 }
 
@@ -324,7 +312,7 @@ func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
 	for attempt := 0; len(lines) > 0 && attempt < rt.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rt.retries.Inc()
-			time.Sleep(jitteredBackoff(attempt-1, rt.cfg.Backoff, rt.cfg.BackoffCap))
+			time.Sleep(jitteredBackoff(attempt-1, rt.cfg.Backoff, backoffCap))
 		}
 		ring := rt.currentRing()
 		groups := make(map[string][]routedLine)

@@ -36,7 +36,7 @@ func testFleet(t testing.TB, seed uint64, uerBanks int) *trace.Fleet {
 
 // smallParams keeps model fitting fast in tests.
 func smallParams() ModelParams {
-	return ModelParams{Trees: 30, Depth: 8, Leaves: 15, LearningRate: 0.15}
+	return ModelParams{Trees: 30, Depth: 8, Leaves: 15}
 }
 
 func fitPipeline(t testing.TB, kind ModelKind, train []*faultsim.BankFault) *Pipeline {

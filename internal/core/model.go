@@ -72,12 +72,11 @@ type ModelParams struct {
 	Depth int
 	// Leaves bounds LightGBM's leaf-wise growth.
 	Leaves int
-	// LearningRate applies to the boosting backends.
-	LearningRate float64
 	// Parallelism caps the goroutines used for training (forest members,
 	// boosting arms, split search) and batch inference; <=0 means
-	// runtime.GOMAXPROCS(0). Predictions are identical for any value.
-	Parallelism int
+	// runtime.GOMAXPROCS(0). Predictions are identical for any value, and
+	// a model file does not record it.
+	Parallelism int `json:"-"`
 }
 
 func (p ModelParams) withDefaults() ModelParams {
@@ -89,9 +88,6 @@ func (p ModelParams) withDefaults() ModelParams {
 	}
 	if p.Leaves <= 0 {
 		p.Leaves = 31
-	}
-	if p.LearningRate <= 0 {
-		p.LearningRate = 0.1
 	}
 	if p.Parallelism <= 0 {
 		p.Parallelism = runtime.GOMAXPROCS(0)
@@ -116,7 +112,6 @@ func NewModel(kind ModelKind, params ModelParams, seed uint64) (mltree.Classifie
 	case XGBoost:
 		return mltree.NewGBDT(mltree.GBDTConfig{
 			Rounds:         p.Trees,
-			LearningRate:   p.LearningRate,
 			MaxDepth:       minInt(p.Depth, 5),
 			SubsampleRatio: 0.9,
 			ColsampleRatio: 0.9,
@@ -125,11 +120,10 @@ func NewModel(kind ModelKind, params ModelParams, seed uint64) (mltree.Classifie
 		}), nil
 	case LightGBM:
 		return mltree.NewHistGBDT(mltree.HistGBDTConfig{
-			Rounds:       p.Trees,
-			LearningRate: p.LearningRate,
-			MaxLeaves:    p.Leaves,
-			Parallelism:  p.Parallelism,
-			Seed:         seed,
+			Rounds:      p.Trees,
+			MaxLeaves:   p.Leaves,
+			Parallelism: p.Parallelism,
+			Seed:        seed,
 		}), nil
 	default:
 		return nil, fmt.Errorf("core: unknown model kind %d", int(kind))

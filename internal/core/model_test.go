@@ -61,6 +61,10 @@ func TestModelHeapPerNode(t *testing.T) {
 	}
 	fleet := testFleet(t, 1, 120)
 	var before, after runtime.MemStats
+	// Two collections: a sync.Pool (json's encoder buffers, left by earlier
+	// tests) keeps its contents through one, and freeing them during Fit would
+	// count against the pipeline.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	p, err := New(DefaultConfig(RandomForest))

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -77,36 +79,107 @@ func TestPipelineParallelismEquivalence(t *testing.T) {
 }
 
 // savedModelsGolden pins the bytes Pipeline.SaveModels writes for one seeded
-// default random-forest fit (trace seed 17, 40 failing banks, Config.Seed 17)
-// at Parallelism 1 and 8. The hashes were generated at the commit before the
-// forest trainer was rewritten over value codes (PR 17); the two differ only
-// because ForestConfig.Parallelism is part of the saved payload. A trainer
-// that grows a different tree anywhere — another split, another tie-break,
-// another RNG draw — changes them.
-var savedModelsGolden = map[int]string{
-	1: "76775ab53c16d5e8f252c5ce15b638d4a8d480bbfedbce6133c2a9e2289cf369",
-	8: "9aebf6ff3bb8127215ae5dcaf272d9f803905552b36cf547940052818521567c",
+// fit of each backend (trace seed 17, 40 failing banks, Config.Seed 17), the
+// same at Parallelism 1 and 8: a model file does not record the trainer's
+// core count. normalised is the hash of the file with the keys learner
+// options used to write removed (normaliseModels), generated from the files
+// the commit before those options became constants wrote; raw is the file as
+// written now. A trainer that grows a different tree anywhere — another
+// split, another tie-break, another RNG draw — changes both.
+var savedModelsGolden = map[ModelKind]struct{ normalised, raw string }{
+	RandomForest: {
+		normalised: "e3a6385b8627bb48e1b408050d2d4711a1e87392ffd1f9a23cdb147444f780f2",
+		raw:        "a2557fea040b7f89d2e60d598632ddd95e99e0333bcf6a011cc276bb9b12e55c",
+	},
+	XGBoost: {
+		normalised: "69b996836b1064ff34d63b14a83dcf964fc081eb99cd447b286c6e4e21c633f8",
+		raw:        "6f4c62e691f4a5fd09e424853c42dbce9e7098738e3efee59954161944616cf6",
+	},
+	LightGBM: {
+		normalised: "52864d4244524e39f80128f5671f14ca61d81d4ca5903fc2cb9f48d332489cca",
+		raw:        "3d6d567271032b55cd1dc8a838b34806b5f631cbff4f8b6f626e00815dfd5539",
+	},
+}
+
+// removedModelKeys are the keys a model file no longer carries: the learner
+// options that became constants, the forest's out-of-bag score, and the core
+// count (which the loading process chooses for itself).
+var removedModelKeys = map[string]bool{
+	"MinSamplesSplit": true, "MinSamplesLeaf": true, "Criterion": true, "BootstrapRatio": true,
+	"LearningRate": true, "Lambda": true, "Gamma": true, "MinChildWeight": true,
+	"PositiveWeight": true, "EarlyStopRounds": true, "MaxBins": true, "TopRate": true,
+	"OtherRate": true, "oob": true, "Parallelism": true,
+}
+
+// normaliseModels re-encodes every JSON value of a models file with the
+// removed keys deleted at any depth, numbers kept as written.
+func normaliseModels(t *testing.T, file []byte) []byte {
+	t.Helper()
+	var drop func(v any)
+	drop = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, c := range v {
+				if removedModelKeys[k] {
+					delete(v, k)
+				} else {
+					drop(c)
+				}
+			}
+		case []any:
+			for _, c := range v {
+				drop(c)
+			}
+		}
+	}
+	var out bytes.Buffer
+	dec := json.NewDecoder(bytes.NewReader(file))
+	dec.UseNumber()
+	for dec.More() {
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		drop(v)
+		line, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(append(line, '\n'))
+	}
+	return out.Bytes()
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 func TestSaveModelsGolden(t *testing.T) {
 	fleet := testFleet(t, 17, 40)
-	for _, parallelism := range []int{1, 8} {
-		cfg := DefaultConfig(RandomForest)
-		cfg.Params.Parallelism = parallelism
-		cfg.Seed = 17
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Fit(fleet.Faults); err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		if err := p.SaveModels(h); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != savedModelsGolden[parallelism] {
-			t.Errorf("Parallelism %d: SaveModels SHA-256 = %s, want %s", parallelism, got, savedModelsGolden[parallelism])
+	for _, kind := range AllModelKinds {
+		want := savedModelsGolden[kind]
+		for _, parallelism := range []int{1, 8} {
+			cfg := DefaultConfig(kind)
+			cfg.Params.Parallelism = parallelism
+			cfg.Seed = 17
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Fit(fleet.Faults); err != nil {
+				t.Fatal(err)
+			}
+			var file bytes.Buffer
+			if err := p.SaveModels(&file); err != nil {
+				t.Fatal(err)
+			}
+			if got := sha256Hex(normaliseModels(t, file.Bytes())); got != want.normalised {
+				t.Errorf("%s, Parallelism %d: normalised SaveModels SHA-256 = %s, want %s", kind, parallelism, got, want.normalised)
+			}
+			if got := sha256Hex(file.Bytes()); got != want.raw {
+				t.Errorf("%s, Parallelism %d: SaveModels SHA-256 = %s, want %s", kind, parallelism, got, want.raw)
+			}
 		}
 	}
 }

@@ -41,7 +41,10 @@ type Config struct {
 	Train core.Config
 
 	// Interval is the drift-check (and shadow-judgement) cadence.
-	// Default 30s.
+	// Default 30s. A drift-triggered retrain waits 4 intervals after the
+	// previous one concluded (promoted or rolled back), so the live mix can
+	// settle; a candidate that has not scored ShadowMinEvents within 20
+	// intervals is rolled back.
 	Interval time.Duration
 	// DriftPValue triggers a retrain when the chi-square test of the
 	// recent class mix against the active model's training mix comes in
@@ -54,18 +57,10 @@ type Config struct {
 	// MinBanks is the minimum self-labelled banks needed to fit a
 	// candidate. Default 20.
 	MinBanks int
-	// Cooldown suppresses a new drift-triggered retrain for this long
-	// after the previous retrain concluded (promoted or rolled back),
-	// preventing retrain storms while the live mix settles. Default
-	// 4*Interval.
-	Cooldown time.Duration
 
 	// ShadowMinEvents is how much traffic the candidate must score before
 	// the promotion decision. Default 200.
 	ShadowMinEvents uint64
-	// ShadowTimeout abandons (rolls back) a candidate that has not
-	// reached ShadowMinEvents in this long. Default 20*Interval.
-	ShadowTimeout time.Duration
 	// ICRMargin is how far the candidate's shadow ICR may fall below the
 	// primary's and still be promoted; slack for small-sample noise.
 	// Default 0.02.
@@ -139,14 +134,8 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.MinBanks <= 0 {
 		cfg.MinBanks = 20
 	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 4 * cfg.Interval
-	}
 	if cfg.ShadowMinEvents == 0 {
 		cfg.ShadowMinEvents = 200
-	}
-	if cfg.ShadowTimeout <= 0 {
-		cfg.ShadowTimeout = 20 * cfg.Interval
 	}
 	if cfg.ICRMargin == 0 {
 		cfg.ICRMargin = 0.02
@@ -216,7 +205,7 @@ func (m *Manager) driftCheck() (float64, bool) {
 		return 1, false
 	}
 	m.mu.Lock()
-	inCooldown := !m.lastDone.IsZero() && m.cfg.Now().Sub(m.lastDone) < m.cfg.Cooldown
+	inCooldown := !m.lastDone.IsZero() && m.cfg.Now().Sub(m.lastDone) < 4*m.cfg.Interval
 	m.mu.Unlock()
 	recent, n := m.cfg.Engine.RecentClassMix(m.cfg.DriftSample)
 	if n < m.cfg.DriftSample {
@@ -365,7 +354,7 @@ func (m *Manager) judge(candidate uint64) {
 	}
 	elapsed := m.cfg.Now().Sub(m.shadowStart())
 	if ss.Events < m.cfg.ShadowMinEvents {
-		if elapsed < m.cfg.ShadowTimeout {
+		if elapsed < m.shadowTimeout() {
 			return // keep scoring
 		}
 		m.cfg.Logger.Warn("shadow evaluation timed out short of traffic",
@@ -391,6 +380,9 @@ func (m *Manager) shadowStart() time.Time {
 	defer m.mu.Unlock()
 	return m.shadowFrom
 }
+
+// shadowTimeout is how long a candidate may take to score ShadowMinEvents.
+func (m *Manager) shadowTimeout() time.Duration { return 20 * m.cfg.Interval }
 
 // Promote makes a version the active model: journaled engine swap first
 // (so the swap's position in event order is durable), then the registry

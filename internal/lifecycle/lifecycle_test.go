@@ -27,7 +27,7 @@ var seedPipeline = sync.OnceValues(func() (*core.Pipeline, error) {
 		return nil, err
 	}
 	cfg := core.DefaultConfig(core.RandomForest)
-	cfg.Params = core.ModelParams{Trees: 10, Depth: 6, LearningRate: 0.15}
+	cfg.Params = core.ModelParams{Trees: 10, Depth: 6}
 	pipe, err := core.New(cfg)
 	if err != nil {
 		return nil, err
@@ -80,16 +80,15 @@ func harness(t *testing.T) (*stream.Engine, *registry.Registry, *Manager, *obs.R
 	if err := reg.Activate(meta.Version); err != nil {
 		t.Fatal(err)
 	}
-	metrics := obs.NewRegistry()
 	engine, err := stream.New(stream.Config{
 		Models:     reg,
 		Shards:     4,
-		Metrics:    metrics,
 		Durability: stream.DurabilityConfig{Dir: t.TempDir(), Sync: wal.SyncNever},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics := engine.Metrics()
 	t.Cleanup(func() { engine.Close() })
 	go func() {
 		for range engine.Actions() {
@@ -97,7 +96,7 @@ func harness(t *testing.T) (*stream.Engine, *registry.Registry, *Manager, *obs.R
 	}()
 
 	trainCfg := core.DefaultConfig(core.RandomForest)
-	trainCfg.Params = core.ModelParams{Trees: 10, Depth: 6, LearningRate: 0.15}
+	trainCfg.Params = core.ModelParams{Trees: 10, Depth: 6}
 	mgr, err := New(Config{
 		Engine:          engine,
 		Registry:        reg,
@@ -254,7 +253,7 @@ func TestShadowRollbackOnTimeout(t *testing.T) {
 
 	// No further traffic; simulate the timeout by aging the shadow start.
 	mgr.mu.Lock()
-	mgr.shadowFrom = mgr.shadowFrom.Add(-mgr.cfg.ShadowTimeout - time.Second)
+	mgr.shadowFrom = mgr.shadowFrom.Add(-mgr.shadowTimeout() - time.Second)
 	mgr.mu.Unlock()
 	mgr.Tick()
 

@@ -47,22 +47,6 @@ func TestForestLearnsAndBeatsChance(t *testing.T) {
 	}
 }
 
-func TestForestOOBScoreReasonable(t *testing.T) {
-	train, test := noisyBlobs(2, 3, 200)
-	f := NewForest(ForestConfig{NumTrees: 40, Tree: TreeConfig{MaxDepth: 8}, Seed: 2})
-	if err := f.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	oob := f.oobScore
-	if oob < 0 || oob > 1 {
-		t.Fatalf("OOB = %g out of [0,1]", oob)
-	}
-	// OOB should roughly track test accuracy.
-	if math.Abs(oob-accuracy(f, test)) > 0.15 {
-		t.Fatalf("OOB %.3f far from test accuracy %.3f", oob, accuracy(f, test))
-	}
-}
-
 func TestForestDeterministicPerSeed(t *testing.T) {
 	train, _ := noisyBlobs(3, 3, 100)
 	fit := func() *Forest {
@@ -215,18 +199,6 @@ func TestHistGBDTLearnsMulticlass(t *testing.T) {
 	}
 }
 
-func TestHistGBDTGOSSDisabled(t *testing.T) {
-	train, test := noisyBlobs(12, 2, 150)
-	// TopRate+OtherRate ≥ 1 disables GOSS (full data per tree).
-	h := NewHistGBDT(HistGBDTConfig{Rounds: 40, TopRate: 0.6, OtherRate: 0.5, Seed: 12})
-	if err := h.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(h, test); acc < 0.75 {
-		t.Fatalf("no-GOSS HistGBDT accuracy = %.3f", acc)
-	}
-}
-
 func TestHistGBDTRejectsSingleClass(t *testing.T) {
 	ds := &Dataset{Features: [][]float64{{1}, {2}}, Labels: []int{3, 3}}
 	if err := NewHistGBDT(HistGBDTConfig{Rounds: 2}).Fit(ds); err == nil {
@@ -358,134 +330,6 @@ func BenchmarkHistGBDTFit(b *testing.B) {
 	}
 }
 
-func TestGBDTEarlyStopping(t *testing.T) {
-	train, test := noisyBlobs(15, 2, 250)
-	full := NewGBDT(GBDTConfig{Rounds: 150, MaxDepth: 3, Seed: 15})
-	if err := full.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	early := NewGBDT(GBDTConfig{Rounds: 150, MaxDepth: 3, Seed: 15, EarlyStopRounds: 10})
-	if err := early.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if early.NumTrees() >= full.NumTrees() {
-		t.Fatalf("early stopping kept %d trees vs %d without", early.NumTrees(), full.NumTrees())
-	}
-	// Accuracy must not collapse.
-	fa, ea := accuracy(full, test), accuracy(early, test)
-	if ea < fa-0.05 {
-		t.Fatalf("early-stopped accuracy %.3f far below full %.3f", ea, fa)
-	}
-}
-
-func TestGBDTPositiveWeightRaisesRecall(t *testing.T) {
-	// Heavily imbalanced binary task: 95% negatives.
-	r := xrand.New(16)
-	mk := func(n int) *Dataset {
-		ds := &Dataset{}
-		for i := 0; i < n; i++ {
-			label := 0
-			if r.Bool(0.05) {
-				label = 1
-			}
-			row := []float64{float64(label)*2 + r.Normal(0, 1.6), r.Normal(0, 1)}
-			ds.Features = append(ds.Features, row)
-			ds.Labels = append(ds.Labels, label)
-		}
-		return ds
-	}
-	train, test := mk(2000), mk(1000)
-	recallOf := func(weight float64) float64 {
-		g := NewGBDT(GBDTConfig{Rounds: 30, MaxDepth: 3, Seed: 16, PositiveWeight: weight})
-		if err := g.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		tp, fn := 0, 0
-		for i, x := range test.Features {
-			if test.Labels[i] != 1 {
-				continue
-			}
-			if Predict(g, x) == 1 {
-				tp++
-			} else {
-				fn++
-			}
-		}
-		if tp+fn == 0 {
-			t.Skip("no positives in test draw")
-		}
-		return float64(tp) / float64(tp+fn)
-	}
-	plain := recallOf(1)
-	weighted := recallOf(8)
-	if weighted <= plain {
-		t.Fatalf("positive weighting did not raise recall: %.3f vs %.3f", weighted, plain)
-	}
-}
-
-func TestHistGBDTEarlyStopping(t *testing.T) {
-	train, test := noisyBlobs(17, 2, 250)
-	full := NewHistGBDT(HistGBDTConfig{Rounds: 150, MaxLeaves: 15, Seed: 17})
-	if err := full.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	early := NewHistGBDT(HistGBDTConfig{Rounds: 150, MaxLeaves: 15, Seed: 17, EarlyStopRounds: 10})
-	if err := early.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if early.NumTrees() >= full.NumTrees() {
-		t.Fatalf("early stopping kept %d trees vs %d without", early.NumTrees(), full.NumTrees())
-	}
-	fa, ea := accuracy(full, test), accuracy(early, test)
-	if ea < fa-0.05 {
-		t.Fatalf("early-stopped accuracy %.3f far below full %.3f", ea, fa)
-	}
-}
-
-func TestHistGBDTPositiveWeightChangesOperatingPoint(t *testing.T) {
-	r := xrand.New(18)
-	mk := func(n int) *Dataset {
-		ds := &Dataset{}
-		for i := 0; i < n; i++ {
-			label := 0
-			if r.Bool(0.05) {
-				label = 1
-			}
-			row := []float64{float64(label)*2 + r.Normal(0, 1.6), r.Normal(0, 1)}
-			ds.Features = append(ds.Features, row)
-			ds.Labels = append(ds.Labels, label)
-		}
-		return ds
-	}
-	train, test := mk(2000), mk(1000)
-	recallOf := func(weight float64) float64 {
-		h := NewHistGBDT(HistGBDTConfig{Rounds: 30, MaxLeaves: 7, Seed: 18, PositiveWeight: weight})
-		if err := h.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		tp, fn := 0, 0
-		for i, x := range test.Features {
-			if test.Labels[i] != 1 {
-				continue
-			}
-			if Predict(h, x) == 1 {
-				tp++
-			} else {
-				fn++
-			}
-		}
-		if tp+fn == 0 {
-			t.Skip("no positives in test draw")
-		}
-		return float64(tp) / float64(tp+fn)
-	}
-	plain := recallOf(1)
-	weighted := recallOf(8)
-	if weighted <= plain {
-		t.Fatalf("positive weighting did not raise recall: %.3f vs %.3f", weighted, plain)
-	}
-}
-
 func TestForestParallelFitDeterministic(t *testing.T) {
 	train, test := noisyBlobs(19, 3, 150)
 	fit := func(parallelism int) *Forest {
@@ -497,9 +341,6 @@ func TestForestParallelFitDeterministic(t *testing.T) {
 	}
 	serial := fit(1)
 	parallel := fit(4)
-	if serial.oobScore != parallel.oobScore {
-		t.Fatalf("OOB differs: %g vs %g", serial.oobScore, parallel.oobScore)
-	}
 	for _, x := range test.Features {
 		ps, pp := serial.PredictProba(x), parallel.PredictProba(x)
 		for i := range ps {

@@ -255,7 +255,7 @@ func TestArenaForestEquivalence(t *testing.T) {
 func missingClassForest(t *testing.T, train *Dataset) (*Forest, *pointerModel) {
 	t.Helper()
 	ref := &pointerModel{classes: train.Classes()}
-	cfg := TreeConfig{MaxDepth: 6}.withDefaults()
+	cfg := TreeConfig{MaxDepth: 6}
 	fp := forestPayload{Config: ForestConfig{Parallelism: 1}}
 	for _, drop := range []int{-1, 1, 0} {
 		ds := &Dataset{}
@@ -359,14 +359,14 @@ func gbdtChains(g *GBDT, ds *Dataset) []*booster {
 
 // histChains trains h's chains as Fit does and returns them uncompiled.
 func histChains(h *HistGBDT, ds *Dataset) []*booster {
-	bins, binned := binAll(ds, h.Config.MaxBins)
+	bins, binned := binAll(ds)
 	return trainArms(ds, ds.Classes(), 1, h.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
 		return h.fitBinary(ds, binned, bins, y, rng)
 	})
 }
 
-func binAll(ds *Dataset, maxBins int) (*binner, [][]uint16) {
-	bins := newBinner(ds.Features, maxBins)
+func binAll(ds *Dataset) (*binner, [][]uint16) {
+	bins := newBinner(ds.Features, histMaxBins)
 	binned := make([][]uint16, len(ds.Features))
 	for i, row := range ds.Features {
 		binned[i] = make([]uint16, len(row))
@@ -566,7 +566,7 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 func TestHistGBDTBinnedNavigationMatchesRaw(t *testing.T) {
 	train, _ := noisyBlobs(35, 3, 120)
 	h := NewHistGBDT(HistGBDTConfig{Rounds: 8, Seed: 5})
-	_, binned := binAll(train, h.Config.MaxBins)
+	_, binned := binAll(train)
 	for _, b := range histChains(h, train) {
 		for _, root := range b.Trees {
 			for i, row := range train.Features {

@@ -1,26 +1,24 @@
 package mltree
 
 import (
-	"math/bits"
 	"runtime"
 
 	"cordial/internal/xrand"
 )
 
-// ForestConfig configures a Random Forest classifier.
+// ForestConfig configures a Random Forest classifier. Each member grows on a
+// bootstrap bag as large as the training set.
 type ForestConfig struct {
 	// NumTrees is the ensemble size (default 100).
 	NumTrees int
 	// Tree configures each member; MaxFeatures defaults to sqrt when 0.
 	Tree TreeConfig
-	// BootstrapRatio is the bootstrap sample size as a fraction of the
-	// training set (default 1.0).
-	BootstrapRatio float64
 	// Parallelism is the number of goroutines fitting member trees;
 	// <=0 means runtime.GOMAXPROCS(0). Results are deterministic
 	// regardless of the value: every member's RNG is derived up front and
-	// trees land at their index.
-	Parallelism int
+	// trees land at their index. A model file does not record it: a loaded
+	// model predicts on the loading process's cores.
+	Parallelism int `json:"-"`
 	// Seed drives bootstrapping and feature subsampling.
 	Seed uint64
 }
@@ -28,9 +26,6 @@ type ForestConfig struct {
 func (c ForestConfig) withDefaults() ForestConfig {
 	if c.NumTrees <= 0 {
 		c.NumTrees = 100
-	}
-	if c.BootstrapRatio <= 0 {
-		c.BootstrapRatio = 1
 	}
 	if c.Tree.MaxFeatures == 0 {
 		c.Tree.MaxFeatures = -1 // sqrt
@@ -50,8 +45,6 @@ type Forest struct {
 	classes []int
 	// members is what Save writes of each member beside its tree.
 	members []member
-	// oobScore is the out-of-bag accuracy estimated during Fit, or -1.
-	oobScore float64
 }
 
 // member is a forest member's configuration and its own class list (a model
@@ -63,7 +56,7 @@ type member struct {
 
 // NewForest returns an unfitted Random Forest.
 func NewForest(cfg ForestConfig) *Forest {
-	return &Forest{Config: cfg.withDefaults(), oobScore: -1}
+	return &Forest{Config: cfg.withDefaults()}
 }
 
 var _ Classifier = (*Forest)(nil)
@@ -80,8 +73,7 @@ func (f *Forest) Fit(ds *Dataset) error {
 		return err
 	}
 	f.classes = ds.Classes()
-	n, k := ds.NumSamples(), len(f.classes)
-	bag := max(1, int(float64(n)*f.Config.BootstrapRatio))
+	n := ds.NumSamples()
 	rng := xrand.New(f.Config.Seed)
 
 	// Shared read-only training state: labels and the dataset's value codes
@@ -98,70 +90,34 @@ func (f *Forest) Fit(ds *Dataset) error {
 	}
 	grown := make([]grownTree, f.Config.NumTrees)
 	f.members = make([]member, f.Config.NumTrees)
-	words := bagWords(n)
-	inBag := make([]uint64, f.Config.NumTrees*words) // member-major, a bit per sample
-	cfg := f.Config.Tree.withDefaults()
 	growers := make([]*grower, maxExtraWorkers+1)
 	runWorkers(f.Config.NumTrees, f.Config.Parallelism, func(worker, t int) {
 		g := growers[worker]
 		if g == nil {
-			g = newGrower(cd, cfg)
+			g = newGrower(cd, f.Config.Tree)
 			growers[worker] = g
 		}
 		clear(g.mult)
-		in := inBag[t*words : (t+1)*words]
-		for j := 0; j < bag; j++ {
-			s := rngs[t].Intn(n)
-			in[s/tileRows] |= 1 << (s % tileRows)
-			g.mult[cd.row(s)]++
+		for range n {
+			g.mult[cd.row(rngs[t].Intn(n))]++
 		}
-		grown[t], f.members[t] = g.fit(rngs[t]), member{cfg, f.classes}
+		grown[t], f.members[t] = g.fit(rngs[t]), member{f.Config.Tree, f.classes}
 	})
 	var err error
-	if f.arena, err = compileArena(grown, k, nil); err != nil {
-		return err
-	}
-
-	// Out-of-bag votes: votes[i*k+c] sums, in member order, the class-c
-	// probability from the trees whose bag excluded sample i.
-	votes := make([]float64, n*k)
-	seen := f.arena.votesCoded(votes, cd.codedMatrix, cd.rows, n, inBag, f.Config.Parallelism)
-	correct, counted := 0, 0
-	for i := 0; i < n; i++ {
-		if seen[i/tileRows]>>(i%tileRows)&1 == 0 {
-			continue
-		}
-		counted++
-		if argmaxLabel(f.classes, votes[i*k:(i+1)*k]) == ds.Labels[i] {
-			correct++
-		}
-	}
-	f.oobScore = -1
-	if counted > 0 {
-		f.oobScore = float64(correct) / float64(counted)
-	}
-	return nil
+	f.arena, err = compileArena(grown, len(f.classes), nil)
+	return err
 }
 
-// bagWords is the length of a bitset over n samples whose words each cover one
-// tile of them.
-func bagWords(n int) int { return (n + tileRows - 1) / tileRows }
-
-var _ [0]struct{} = [tileRows - 64]struct{}{} // a uint64 of bag bits per tile
-
 // votesCoded adds to votes[i*width:], for each of n samples, the leaf rows of
-// the trees whose bag missed it, in tree order. Sample i is row rows[i] of cm
-// (row i when rows is nil); tree t's bag is the bitset
-// inBag[t*bagWords(n):(t+1)*bagWords(n)] over samples, and a nil inBag means
-// empty bags: every tree votes on every sample, which makes votes the
-// forest's sums. The returned bitset marks the samples some tree voted on.
+// every tree, in tree order: the forest's sums. Sample i is row rows[i] of cm
+// (row i when rows is nil).
 //
 // A sample's rank on a feature is looked up by its code in a table built from
 // one merge of the feature's distinct values with its thresholds, where a
 // float matrix costs a binary search per cell. Tiles of samples are walked in
 // parallel; a sample's votes add up in tree order within its tile, so the
 // sums are those of any other tiling, and of one sample at a time.
-func (a *arena) votesCoded(votes []float64, cm *codedMatrix, rows []int32, n int, inBag []uint64, parallelism int) []uint64 {
+func (a *arena) votesCoded(votes []float64, cm *codedMatrix, rows []int32, n int, parallelism int) {
 	distinct := 0
 	for f, t := range a.thr {
 		if len(t) > 0 {
@@ -182,9 +138,7 @@ func (a *arena) votesCoded(votes []float64, cm *codedMatrix, rows []int32, n int
 			tables[f][c] = uint16(r)
 		}
 	}
-	words := bagWords(n)
-	seen := make([]uint64, words)
-	runWorkers(words, parallelism, func(_, w int) {
+	runWorkers((n+tileRows-1)/tileRows, parallelism, func(_, w int) {
 		var buf [rankScratch]uint16
 		var at [tileRows]uint32
 		var row [tileRows]int32
@@ -205,19 +159,9 @@ func (a *arena) votesCoded(votes []float64, cm *codedMatrix, rows []int32, n int
 				out[i] = table[codes[r]]
 			}
 		}
-		all := ^uint64(0) >> (tileRows - m)
-		for t, root := range a.roots {
-			out := all
-			if inBag != nil {
-				out &^= inBag[t*words+w]
-			}
-			if out == 0 {
-				continue
-			}
-			seen[w] |= out
+		for _, root := range a.roots {
 			a.descend(root, ranks, m, &at)
-			for ; out != 0; out &= out - 1 {
-				i := bits.TrailingZeros64(out)
+			for i := range m {
 				sum := votes[(lo+i)*a.width : (lo+i+1)*a.width]
 				for c, p := range a.leaf[at[i] : int(at[i])+a.width] {
 					sum[c] += p
@@ -225,7 +169,6 @@ func (a *arena) votesCoded(votes []float64, cm *codedMatrix, rows []int32, n int
 			}
 		}
 	})
-	return seen
 }
 
 // PredictDatasetInto is model.PredictBatchInto(dst, ds.Features), bit for bit.
@@ -238,7 +181,7 @@ func PredictDatasetInto(dst []float64, model Classifier, ds *Dataset) {
 		if cm := src.codesIfBuilt(); cm != nil {
 			dst = dst[:ds.NumSamples()*len(f.classes)]
 			clear(dst)
-			f.arena.votesCoded(dst, cm, rows, ds.NumSamples(), nil, defaultParallelism(f.Config.Parallelism))
+			f.arena.votesCoded(dst, cm, rows, ds.NumSamples(), defaultParallelism(f.Config.Parallelism))
 			inv := 1 / float64(f.NumTrees())
 			for i := range dst {
 				dst[i] *= inv

@@ -8,41 +8,34 @@ import (
 	"cordial/internal/xrand"
 )
 
+// The boosters' fixed settings, XGBoost's and LightGBM's defaults: the
+// shrinkage applied to every tree, the L2 penalty on leaf values, and the
+// least hessian sum a child may hold.
+const (
+	learningRate   = 0.1
+	lambda         = 1.0
+	minChildWeight = 1e-3
+)
+
 // GBDTConfig configures the XGBoost-style gradient-boosted trees.
 type GBDTConfig struct {
 	// Rounds is the number of boosting rounds per class (default 100).
 	Rounds int
-	// LearningRate is the shrinkage applied to every tree (default 0.1).
-	LearningRate float64
 	// MaxDepth bounds each tree (default 4).
 	MaxDepth int
-	// MinSamplesLeaf is the minimum samples per leaf (default 1).
-	MinSamplesLeaf int
-	// Lambda is the L2 regularisation on leaf values (default 1).
-	Lambda float64
-	// Gamma is the minimum gain to make a split (default 0).
-	Gamma float64
-	// MinChildWeight is the minimum hessian sum per child (default 1e-3).
-	MinChildWeight float64
 	// SubsampleRatio is the per-tree row subsample fraction in (0,1]
 	// (default 1).
 	SubsampleRatio float64
 	// ColsampleRatio is the per-split feature subsample fraction in (0,1]
 	// (default 1).
 	ColsampleRatio float64
-	// PositiveWeight scales the gradient/hessian of positive samples to
-	// counter class imbalance (default 1; like scale_pos_weight).
-	PositiveWeight float64
-	// EarlyStopRounds stops boosting when the held-out log-loss has not
-	// improved for this many rounds (0 disables). A 20% validation split
-	// is carved from the training data.
-	EarlyStopRounds int
 	// Parallelism caps the goroutines fitting one-vs-rest arms and
 	// searching splits; <=0 means runtime.GOMAXPROCS(0). Results are
 	// identical for any value: arm RNG streams are derived up front and
-	// split search reduces deterministically.
-	Parallelism int
-	// Seed drives row/column subsampling and the early-stop split.
+	// split search reduces deterministically. A model file does not record
+	// it: a loaded model predicts on the loading process's cores.
+	Parallelism int `json:"-"`
+	// Seed drives row and column subsampling.
 	Seed uint64
 }
 
@@ -50,32 +43,11 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 	if c.Rounds <= 0 {
 		c.Rounds = 100
 	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 4
 	}
-	if c.MinSamplesLeaf <= 0 {
-		c.MinSamplesLeaf = 1
-	}
-	if c.Lambda < 0 {
-		c.Lambda = 1
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 1
-	}
-	if c.MinChildWeight <= 0 {
-		c.MinChildWeight = 1e-3
-	}
 	if c.SubsampleRatio <= 0 || c.SubsampleRatio > 1 {
 		c.SubsampleRatio = 1
-	}
-	if c.PositiveWeight <= 0 {
-		c.PositiveWeight = 1
-	}
-	if c.EarlyStopRounds < 0 {
-		c.EarlyStopRounds = 0
 	}
 	if c.ColsampleRatio <= 0 || c.ColsampleRatio > 1 {
 		c.ColsampleRatio = 1
@@ -271,73 +243,44 @@ func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) *booster {
 		colsPerSplit = 1
 	}
 
-	// The columnized matrix is shared by every round's tree, and when row
-	// subsampling is off (the default) the per-feature sorted order of the
-	// training rows never changes either — presort once and let every tree
-	// start from the same read-only root lists.
+	// The columnized matrix and the partitioner's buffers serve every
+	// round's tree; each tree presorts the rows it grows on.
 	cols := columnize(ds.Features)
 	part := newPartitioner(n)
-	var rootSorted [][]int32
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 
-	return boost(n, y, rng, cfg.Rounds, cfg.EarlyStopRounds, cfg.LearningRate, cfg.PositiveWeight,
-		func(trainIdx []int, grad, hess []float64) *treeNode {
-			if rootSorted == nil && cfg.SubsampleRatio >= 1 {
-				rootSorted = presortByFeature(cols, trainIdx)
-			}
+	return boost(n, y, cfg.Rounds,
+		func(grad, hess []float64) *treeNode {
 			rt := &regTree{
-				cfg: TreeConfig{
-					MaxDepth:        cfg.MaxDepth,
-					MinSamplesSplit: 2 * cfg.MinSamplesLeaf,
-					MinSamplesLeaf:  cfg.MinSamplesLeaf,
-				},
-				lambda:  cfg.Lambda,
-				gamma:   cfg.Gamma,
-				minHess: cfg.MinChildWeight,
-				rng:     rng,
-				maxFeat: colsPerSplit,
-				cols:    cols,
-				grad:    grad,
-				hess:    hess,
-				part:    part,
+				maxDepth: cfg.MaxDepth,
+				rng:      rng,
+				maxFeat:  colsPerSplit,
+				cols:     cols,
+				grad:     grad,
+				hess:     hess,
+				part:     part,
 			}
-			if rootSorted != nil {
-				// Tree growth partitions its lists in place, so each round
-				// works on an arena copy of the cached root presort.
-				return rt.build(copyLists(rootSorted), 0)
-			}
-			return rt.fit(g.subsample(trainIdx, rng))
+			return rt.fit(g.subsample(all, rng))
 		},
 		func(root *treeNode, i int) float64 { return root.navigate(ds.Features[i]).Value })
 }
 
 // boost is the Newton boosting loop of one chain over n samples with 0/1
-// targets y, shared by both boosters: an optional early-stopping hold-out,
-// the prior margin, and each round the logistic gradients and hessians, a
-// tree from grow, the margin update by value (the tree's leaf value for
-// sample i) and the hold-out check.
-func boost(n int, y []float64, rng *xrand.RNG, rounds, earlyStopRounds int, lr, positiveWeight float64,
-	grow func(trainIdx []int, grad, hess []float64) *treeNode, value func(root *treeNode, i int) float64) *booster {
-	// Optional early-stopping validation split.
-	trainIdx := make([]int, 0, n)
-	var valIdx []int
-	if earlyStopRounds > 0 && n >= 20 {
-		perm := rng.Perm(n)
-		cut := n / 5
-		valIdx = perm[:cut]
-		trainIdx = append(trainIdx, perm[cut:]...)
-	} else {
-		for i := 0; i < n; i++ {
-			trainIdx = append(trainIdx, i)
-		}
-	}
-
+// targets y, shared by both boosters: the prior margin, then each round the
+// logistic gradients and hessians, a tree from grow, and the margin update by
+// value (the tree's leaf value for sample i).
+func boost(n int, y []float64, rounds int,
+	grow func(grad, hess []float64) *treeNode, value func(root *treeNode, i int) float64) *booster {
 	pos := 0.0
-	for _, i := range trainIdx {
-		pos += y[i]
+	for _, v := range y {
+		pos += v
 	}
 	// Prior log-odds, clamped away from degeneracy.
-	p0 := (pos + 1) / (float64(len(trainIdx)) + 2)
-	b := &booster{Bias: math.Log(p0 / (1 - p0)), LR: lr}
+	p0 := (pos + 1) / (float64(n) + 2)
+	b := &booster{Bias: math.Log(p0 / (1 - p0)), LR: learningRate}
 
 	margin := make([]float64, n)
 	for i := range margin {
@@ -346,79 +289,31 @@ func boost(n int, y []float64, rng *xrand.RNG, rounds, earlyStopRounds int, lr, 
 	grad := make([]float64, n)
 	hess := make([]float64, n)
 
-	bestLoss := math.Inf(1)
-	bestLen := 0
-	sinceBest := 0
-
 	for round := 0; round < rounds; round++ {
-		for _, i := range trainIdx {
-			p := sigmoid(margin[i])
-			w := 1.0
-			if y[i] == 1 {
-				w = positiveWeight
-			}
-			grad[i] = w * (p - y[i])
-			hess[i] = w * p * (1 - p)
+		for i, m := range margin {
+			p := sigmoid(m)
+			grad[i] = p - y[i]
+			hess[i] = p * (1 - p)
 		}
-		root := grow(trainIdx, grad, hess)
+		root := grow(grad, hess)
 		b.Trees = append(b.Trees, root)
-		for i := 0; i < n; i++ {
-			margin[i] += lr * value(root, i)
-		}
-
-		if len(valIdx) > 0 {
-			loss := 0.0
-			for _, i := range valIdx {
-				loss += logLoss(y[i], sigmoid(margin[i]))
-			}
-			loss /= float64(len(valIdx))
-			if loss < bestLoss-1e-9 {
-				bestLoss = loss
-				bestLen = len(b.Trees)
-				sinceBest = 0
-			} else {
-				sinceBest++
-				if sinceBest >= earlyStopRounds {
-					b.Trees = b.Trees[:bestLen]
-					break
-				}
-			}
+		for i := range margin {
+			margin[i] += learningRate * value(root, i)
 		}
 	}
 	return b
 }
 
-// logLoss is the binary cross-entropy of predicting probability p for
-// label y, clamped away from infinities.
-func logLoss(y, p float64) float64 {
-	const eps = 1e-12
-	if p < eps {
-		p = eps
-	}
-	if p > 1-eps {
-		p = 1 - eps
-	}
-	if y == 1 {
-		return -math.Log(p)
-	}
-	return -math.Log(1 - p)
-}
-
-// subsample draws the per-tree row sample from the training indices.
-func (g *GBDT) subsample(trainIdx []int, rng *xrand.RNG) []int {
+// subsample draws the per-tree row sample from all, every training row.
+func (g *GBDT) subsample(all []int, rng *xrand.RNG) []int {
 	if g.Config.SubsampleRatio >= 1 {
-		return trainIdx
+		return all
 	}
-	k := int(math.Round(g.Config.SubsampleRatio * float64(len(trainIdx))))
+	k := int(math.Round(g.Config.SubsampleRatio * float64(len(all))))
 	if k < 1 {
 		k = 1
 	}
-	picks := rng.SampleInts(len(trainIdx), k)
-	out := make([]int, len(picks))
-	for i, p := range picks {
-		out[i] = trainIdx[p]
-	}
-	return out
+	return rng.SampleInts(len(all), k)
 }
 
 // PredictBatchInto predicts every row of X into dst.

@@ -176,7 +176,7 @@ func (g *grower) grow(lo, hi, n, depth int) {
 	counts := g.counts[depth*k : (depth+1)*k]
 	self := len(g.nodes)
 	g.nodes = append(g.nodes, grownNode{feature: -1, at: int32(len(g.probs))})
-	if n < g.cfg.MinSamplesSplit ||
+	if n < 2 ||
 		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) ||
 		isPure(counts) || !g.bestSplit(g.ids[lo:hi], n, counts) {
 		for _, c := range counts {
@@ -224,7 +224,7 @@ func (g *grower) bestSplit(seg []int32, n int, counts []float64) bool {
 		cand = g.cand
 	}
 	g.n = n
-	g.parentImp = impurity(counts, float64(n), g.cfg.Criterion)
+	g.parentImp = gini(counts, float64(n))
 	g.best = splitCand{gain: minClassGain}
 	for _, f := range cand {
 		distinct := len(g.cd.vals[f])
@@ -301,15 +301,12 @@ func (g *grower) scanSorted(f int, seg []int32) {
 
 // boundary scores the threshold between consecutive present codes prev < next
 // of feature f, nl samples to its left, with g.left and g.right the class
-// counts either side of it.
+// counts either side of it. Both sides hold a present code, so neither is
+// empty.
 func (g *grower) boundary(f int, prev, next int32, nl int) {
-	if nl < g.cfg.MinSamplesLeaf || g.n-nl < g.cfg.MinSamplesLeaf {
-		return
-	}
 	n := float64(g.n)
 	cl, cr := float64(nl), n-float64(nl)
-	childImp := (cl*impurity(g.left, cl, g.cfg.Criterion) +
-		cr*impurity(g.right, cr, g.cfg.Criterion)) / n
+	childImp := (cl*gini(g.left, cl) + cr*gini(g.right, cr)) / n
 	if gain := g.parentImp - childImp; gain > g.best.gain {
 		vals := g.cd.vals[f]
 		g.best = splitCand{gain: gain, feat: f, thr: (vals[prev] + vals[next]) / 2, nl: nl, bin: int(prev), ok: true}
@@ -331,27 +328,12 @@ func isPure(counts []float64) bool {
 	return nonZero <= 1
 }
 
-// impurity computes Gini or entropy from class counts summing to n.
-func impurity(counts []float64, n float64, crit Criterion) float64 {
-	if n == 0 {
-		return 0
+// gini is the Gini impurity of class counts summing to n > 0.
+func gini(counts []float64, n float64) float64 {
+	g := 1.0
+	for _, c := range counts {
+		p := c / n
+		g -= p * p
 	}
-	switch crit {
-	case Entropy:
-		h := 0.0
-		for _, c := range counts {
-			if c > 0 {
-				p := c / n
-				h -= p * math.Log2(p)
-			}
-		}
-		return h
-	default: // Gini
-		g := 1.0
-		for _, c := range counts {
-			p := c / n
-			g -= p * p
-		}
-		return g
-	}
+	return g
 }

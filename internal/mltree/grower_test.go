@@ -32,7 +32,7 @@ func (c *naiveCART) grow(rows []int, depth int) *treeNode {
 	for cl, v := range counts {
 		leaf.Probs[cl] = v / n
 	}
-	if len(rows) < c.cfg.MinSamplesSplit || (c.cfg.MaxDepth > 0 && depth >= c.cfg.MaxDepth) || isPure(counts) {
+	if len(rows) < 2 || (c.cfg.MaxDepth > 0 && depth >= c.cfg.MaxDepth) || isPure(counts) {
 		return leaf
 	}
 	d := c.ds.NumFeatures()
@@ -44,7 +44,7 @@ func (c *naiveCART) grow(rows []int, depth int) *treeNode {
 	} else {
 		cands = c.rng.SampleInts(d, maxFeat)
 	}
-	parentImp := impurity(counts, n, c.cfg.Criterion)
+	parentImp := gini(counts, n)
 	bestGain, bestFeat, bestV, bestNext := minClassGain, -1, 0.0, 0.0
 	for _, f := range cands {
 		sorted := append([]int(nil), rows...)
@@ -54,11 +54,11 @@ func (c *naiveCART) grow(rows []int, depth int) *treeNode {
 			left[c.y[sorted[j]]]++
 			right[c.y[sorted[j]]]--
 			v, next := c.ds.Features[sorted[j]][f], c.ds.Features[sorted[j+1]][f]
-			if v == next || j+1 < c.cfg.MinSamplesLeaf || len(sorted)-j-1 < c.cfg.MinSamplesLeaf {
+			if v == next {
 				continue
 			}
 			nl, nr := float64(j+1), n-float64(j+1)
-			gain := parentImp - (nl*impurity(left, nl, c.cfg.Criterion)+nr*impurity(right, nr, c.cfg.Criterion))/n
+			gain := parentImp - (nl*gini(left, nl)+nr*gini(right, nr))/n
 			if gain > bestGain {
 				bestGain, bestFeat, bestV, bestNext = gain, f, v, next
 			}
@@ -120,14 +120,10 @@ func growerCase(seed uint64) (*Dataset, TreeConfig) {
 		})
 		ds.Labels = append(ds.Labels, label)
 	}
-	cfg := TreeConfig{
-		MaxDepth:        []int{0, 0, 3, 6}[r.Intn(4)],
-		MinSamplesSplit: []int{2, 2, 6, 10}[r.Intn(4)],
-		MinSamplesLeaf:  []int{1, 1, 3, 5}[r.Intn(4)],
-		MaxFeatures:     []int{0, -1, 2, 8}[r.Intn(4)], // all, sqrt, a sparse draw, a dense one
-		Criterion:       []Criterion{Gini, Entropy}[r.Intn(2)],
+	return ds, TreeConfig{
+		MaxDepth:    []int{0, 0, 3, 6}[r.Intn(4)],
+		MaxFeatures: []int{0, -1, 2, 8}[r.Intn(4)], // all, sqrt, a sparse draw, a dense one
 	}
-	return ds, cfg.withDefaults()
 }
 
 func assertSameTree(t *testing.T, label string, got, want *treeNode) {
@@ -224,8 +220,8 @@ func TestGrowerMatchesReference(t *testing.T) {
 
 // TestForestFitAllocs pins what a forest fit allocates: a member tree costs
 // its generator, its node array and its probability array, and everything
-// else (the dataset's value codes, one grower per worker, the arena, the
-// out-of-bag bitset and rank tables) is per fit — nothing is per node. The presorted-list trainer this
+// else (the dataset's value codes, one grower per worker, the arena) is per
+// fit — nothing is per node. The presorted-list trainer this
 // replaced made 6.6 allocations per node: 207 664 for the 80 trees (31 446
 // nodes) fitted here. It also runs the workers' growers side by side for the
 // race detector.

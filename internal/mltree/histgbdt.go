@@ -8,40 +8,30 @@ import (
 	"cordial/internal/xrand"
 )
 
+// HistGBDT's fixed settings beside those it shares with GBDT (learningRate,
+// lambda, minChildWeight), LightGBM's defaults: histogram bins per feature,
+// the fewest samples a leaf may hold, and GOSS's fractions — the share of
+// largest gradients every tree keeps, and the share of the rest it samples.
+const (
+	histMaxBins   = 64
+	histMinLeaf   = 5
+	gossTopRate   = 0.2
+	gossOtherRate = 0.1
+)
+
 // HistGBDTConfig configures the LightGBM-style histogram gradient booster.
 type HistGBDTConfig struct {
 	// Rounds is the number of boosting rounds per class (default 100).
 	Rounds int
-	// LearningRate is the shrinkage applied to every tree (default 0.1).
-	LearningRate float64
 	// MaxLeaves bounds leaf-wise growth (default 31).
 	MaxLeaves int
-	// MaxBins is the histogram resolution per feature (default 64).
-	MaxBins int
-	// MinSamplesLeaf is the minimum samples per leaf (default 5).
-	MinSamplesLeaf int
-	// Lambda is the L2 regularisation on leaf values (default 1).
-	Lambda float64
-	// MinChildWeight is the minimum hessian sum per child (default 1e-3).
-	MinChildWeight float64
-	// TopRate is the GOSS large-gradient keep fraction (default 0.2).
-	// Set TopRate+OtherRate ≥ 1 to disable GOSS.
-	TopRate float64
-	// OtherRate is the GOSS small-gradient sample fraction (default 0.1).
-	OtherRate float64
-	// PositiveWeight scales the gradient/hessian of positive samples to
-	// counter class imbalance (default 1; like scale_pos_weight).
-	PositiveWeight float64
-	// EarlyStopRounds stops boosting when the held-out log-loss has not
-	// improved for this many rounds (0 disables). A 20% validation split
-	// is carved from the training data.
-	EarlyStopRounds int
 	// Parallelism caps the goroutines fitting one-vs-rest arms and
 	// scanning split histograms; <=0 means runtime.GOMAXPROCS(0). Results
 	// are identical for any value: arm RNG streams are derived up front
-	// and split search reduces deterministically.
-	Parallelism int
-	// Seed drives GOSS sampling and the early-stop split.
+	// and split search reduces deterministically. A model file does not
+	// record it: a loaded model predicts on the loading process's cores.
+	Parallelism int `json:"-"`
+	// Seed drives GOSS sampling.
 	Seed uint64
 }
 
@@ -49,35 +39,8 @@ func (c HistGBDTConfig) withDefaults() HistGBDTConfig {
 	if c.Rounds <= 0 {
 		c.Rounds = 100
 	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
 	if c.MaxLeaves <= 1 {
 		c.MaxLeaves = 31
-	}
-	if c.MaxBins <= 1 {
-		c.MaxBins = 64
-	}
-	if c.MinSamplesLeaf <= 0 {
-		c.MinSamplesLeaf = 5
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 1
-	}
-	if c.MinChildWeight <= 0 {
-		c.MinChildWeight = 1e-3
-	}
-	if c.TopRate <= 0 {
-		c.TopRate = 0.2
-	}
-	if c.OtherRate <= 0 {
-		c.OtherRate = 0.1
-	}
-	if c.PositiveWeight <= 0 {
-		c.PositiveWeight = 1
-	}
-	if c.EarlyStopRounds < 0 {
-		c.EarlyStopRounds = 0
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
@@ -173,7 +136,7 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 	if err := h.begin(ds, "HistGBDT"); err != nil {
 		return err
 	}
-	bins := newBinner(ds.Features, h.Config.MaxBins)
+	bins := newBinner(ds.Features, histMaxBins)
 
 	// Pre-bin the whole matrix once, rows in parallel (each row is
 	// independent, so worker count cannot change the result).
@@ -192,17 +155,16 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 }
 
 func (h *HistGBDT) fitBinary(ds *Dataset, binned [][]uint16, bins *binner, y []float64, rng *xrand.RNG) *booster {
-	cfg := h.Config
-	return boost(ds.NumSamples(), y, rng, cfg.Rounds, cfg.EarlyStopRounds, cfg.LearningRate, cfg.PositiveWeight,
-		func(trainIdx []int, grad, hess []float64) *treeNode {
-			samples, scale := h.goss(grad, trainIdx, rng)
+	return boost(ds.NumSamples(), y, h.Config.Rounds,
+		func(grad, hess []float64) *treeNode {
+			samples, scale := goss(grad, rng)
 			g := &histGrower{
-				cfg:    cfg,
-				bins:   bins,
-				binned: binned,
-				grad:   grad,
-				hess:   hess,
-				scale:  scale,
+				maxLeaves: h.Config.MaxLeaves,
+				bins:      bins,
+				binned:    binned,
+				grad:      grad,
+				hess:      hess,
+				scale:     scale,
 			}
 			return g.grow(samples)
 		},
@@ -213,29 +175,25 @@ func (h *HistGBDT) fitBinary(ds *Dataset, binned [][]uint16, bins *binner, y []f
 		func(root *treeNode, i int) float64 { return root.navigateBinned(binned[i]).Value })
 }
 
-// goss performs Gradient-based One-Side Sampling over the training indices:
-// keep the TopRate fraction with the largest |gradient|, sample OtherRate of
-// the rest, and return a per-sample weight multiplier that compensates the
+// goss performs Gradient-based One-Side Sampling over the training rows: keep
+// the gossTopRate fraction with the largest |gradient|, sample gossOtherRate
+// of the rest, and return a per-sample weight multiplier that compensates the
 // downsampling.
-func (h *HistGBDT) goss(grad []float64, trainIdx []int, rng *xrand.RNG) (samples []int, scale []float64) {
-	n := len(trainIdx)
-	cfg := h.Config
-	scale = make([]float64, len(grad))
-	if cfg.TopRate+cfg.OtherRate >= 1 {
-		for _, i := range trainIdx {
-			scale[i] = 1
-		}
-		return trainIdx, scale
+func goss(grad []float64, rng *xrand.RNG) (samples []int, scale []float64) {
+	n := len(grad)
+	scale = make([]float64, n)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	order := append([]int(nil), trainIdx...)
 	sort.Slice(order, func(a, b int) bool {
 		return math.Abs(grad[order[a]]) > math.Abs(grad[order[b]])
 	})
-	topN := int(cfg.TopRate * float64(n))
+	topN := int(gossTopRate * float64(n))
 	if topN < 1 {
 		topN = 1
 	}
-	restN := int(cfg.OtherRate * float64(n))
+	restN := int(gossOtherRate * float64(n))
 	if restN < 1 {
 		restN = 1
 	}
@@ -247,7 +205,8 @@ func (h *HistGBDT) goss(grad []float64, trainIdx []int, rng *xrand.RNG) (samples
 		scale[i] = 1
 	}
 	rest := order[topN:]
-	amplify := (1 - cfg.TopRate) / cfg.OtherRate
+	// Exactly 8, the value the float64 operations give as well.
+	amplify := (1 - gossTopRate) / gossOtherRate
 	if len(rest) > 0 && restN > 0 {
 		for _, k := range rng.SampleInts(len(rest), min(restN, len(rest))) {
 			i := rest[k]
@@ -260,12 +219,12 @@ func (h *HistGBDT) goss(grad []float64, trainIdx []int, rng *xrand.RNG) (samples
 
 // histGrower grows one tree leaf-wise over binned features.
 type histGrower struct {
-	cfg    HistGBDTConfig
-	bins   *binner
-	binned [][]uint16
-	grad   []float64
-	hess   []float64
-	scale  []float64
+	maxLeaves int
+	bins      *binner
+	binned    [][]uint16
+	grad      []float64
+	hess      []float64
+	scale     []float64
 }
 
 // leafHist is a leaf's per-feature histograms, flattened into one arena
@@ -303,7 +262,7 @@ func (g *histGrower) grow(samples []int) *treeNode {
 	rootLeaf := g.newLeaf(root, samples)
 	leaves := []*leafState{rootLeaf}
 
-	for len(leaves) < g.cfg.MaxLeaves {
+	for len(leaves) < g.maxLeaves {
 		// Pick the splittable leaf with the largest gain.
 		var best *leafState
 		for _, l := range leaves {
@@ -331,7 +290,7 @@ func (g *histGrower) grow(samples []int) *treeNode {
 	// Finalise leaf values.
 	for _, l := range leaves {
 		l.node.Left, l.node.Right = nil, nil
-		l.node.Value = -l.sumG / (l.sumH + g.cfg.Lambda)
+		l.node.Value = -l.sumG / (l.sumH + lambda)
 		l.hist = nil
 	}
 	return root
@@ -397,7 +356,7 @@ func (g *histGrower) buildHist(samples []int) *leafHist {
 // order with a strict greater-than — the serial scan's winner, bit for bit.
 func (g *histGrower) findBestSplit(l *leafState) {
 	l.bestGain = 0
-	if len(l.samples) < 2*g.cfg.MinSamplesLeaf {
+	if len(l.samples) < 2*histMinLeaf {
 		return
 	}
 	numFeatures := len(g.binned[0])
@@ -428,7 +387,7 @@ func (g *histGrower) evalFeature(l *leafState, f int) splitCand {
 	histG := l.hist.g[off : off+nb]
 	histH := l.hist.h[off : off+nb]
 	histN := l.hist.n[off : off+nb]
-	score := func(gs, hs float64) float64 { return gs * gs / (hs + g.cfg.Lambda) }
+	score := func(gs, hs float64) float64 { return gs * gs / (hs + lambda) }
 	parent := score(l.sumG, l.sumH)
 	best := splitCand{feat: f}
 	var gl, hl float64
@@ -437,11 +396,11 @@ func (g *histGrower) evalFeature(l *leafState, f int) splitCand {
 		gl += histG[b]
 		hl += histH[b]
 		nl += histN[b]
-		if nl < g.cfg.MinSamplesLeaf || len(l.samples)-nl < g.cfg.MinSamplesLeaf {
+		if nl < histMinLeaf || len(l.samples)-nl < histMinLeaf {
 			continue
 		}
 		gr, hr := l.sumG-gl, l.sumH-hl
-		if hl < g.cfg.MinChildWeight || hr < g.cfg.MinChildWeight {
+		if hl < minChildWeight || hr < minChildWeight {
 			continue
 		}
 		gain := 0.5 * (score(gl, hl) + score(gr, hr) - parent)

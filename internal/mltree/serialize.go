@@ -32,7 +32,6 @@ type forestPayload struct {
 	// TreeClasses holds each member's own class list (bootstrap bags can
 	// miss classes).
 	TreeClasses [][]int `json:"treeClasses"`
-	OOB         float64 `json:"oob"`
 }
 
 // boostedPayload is a GBDT or a HistGBDT: Config holds (a pointer to) the
@@ -57,7 +56,7 @@ func Save(w io.Writer, model Classifier) error {
 		payload = treePayload{Config: m.Config, Root: m.arena.pointerTree(0, classColumns(m.classes, classIndex(m.classes)))}
 	case *Forest:
 		env.Kind = kindForest
-		fp, idx := forestPayload{Config: m.Config, OOB: m.oobScore}, classIndex(m.classes)
+		fp, idx := forestPayload{Config: m.Config}, classIndex(m.classes)
 		for t, mb := range m.members {
 			root := m.arena.pointerTree(m.arena.roots[t], classColumns(mb.classes, idx))
 			fp.Trees = append(fp.Trees, treePayload{Config: mb.config, Root: root})
@@ -116,7 +115,7 @@ func (d *Decoder) Decode() (Classifier, error) {
 	case kindForest:
 		var p forestPayload
 		if err = json.Unmarshal(env.Payload, &p); err == nil {
-			f := &Forest{Config: p.Config, classes: env.Classes, oobScore: p.OOB}
+			f := &Forest{Config: p.Config, classes: env.Classes}
 			f.arena, f.members, err = decodeTrees(p.Trees, p.TreeClasses, env.Classes)
 			model = f
 		}

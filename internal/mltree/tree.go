@@ -1,61 +1,20 @@
 package mltree
 
 import (
-	"fmt"
 	"math"
 
 	"cordial/internal/xrand"
 )
 
-// Criterion selects the impurity measure for classification splits.
-type Criterion int
-
-// Split criteria.
-const (
-	// Gini is the Gini impurity (CART default).
-	Gini Criterion = iota + 1
-	// Entropy is the Shannon-entropy information gain.
-	Entropy
-)
-
-// String names the criterion.
-func (c Criterion) String() string {
-	switch c {
-	case Gini:
-		return "gini"
-	case Entropy:
-		return "entropy"
-	default:
-		return fmt.Sprintf("Criterion(%d)", int(c))
-	}
-}
-
-// TreeConfig configures a single CART decision tree.
+// TreeConfig configures a single CART decision tree. Splits minimise Gini
+// impurity; a node of fewer than two samples is a leaf, and a child may hold
+// a single sample.
 type TreeConfig struct {
 	// MaxDepth bounds tree depth; <=0 means unlimited.
 	MaxDepth int
-	// MinSamplesSplit is the minimum node size eligible for splitting.
-	MinSamplesSplit int
-	// MinSamplesLeaf is the minimum samples in each child.
-	MinSamplesLeaf int
 	// MaxFeatures is the number of features considered per split;
 	// 0 means all, -1 means round(sqrt(numFeatures)).
 	MaxFeatures int
-	// Criterion selects the impurity measure (default Gini).
-	Criterion Criterion
-}
-
-func (c TreeConfig) withDefaults() TreeConfig {
-	if c.MinSamplesSplit < 2 {
-		c.MinSamplesSplit = 2
-	}
-	if c.MinSamplesLeaf < 1 {
-		c.MinSamplesLeaf = 1
-	}
-	if c.Criterion == 0 {
-		c.Criterion = Gini
-	}
-	return c
 }
 
 // resolveMaxFeatures turns the MaxFeatures convention into a concrete count.
@@ -310,21 +269,6 @@ func (p *partitioner) split(sorted [][]int32, feat, nl int) (left, right [][]int
 	return left, right
 }
 
-// copyLists clones per-feature sorted lists into a fresh contiguous arena,
-// so a cached presort survives the in-place partitioning of one tree's
-// growth (GBDT reuses the root presort across rounds).
-func copyLists(src [][]int32) [][]int32 {
-	n := len(src[0])
-	backing := make([]int32, len(src)*n)
-	out := make([][]int32, len(src))
-	for f, lst := range src {
-		seg := backing[f*n : (f+1)*n]
-		copy(seg, lst)
-		out[f] = seg
-	}
-	return out
-}
-
 // splitCand is one feature's best split, produced independently per feature
 // so split search can fan out across features and still reduce in
 // deterministic candidate order.
@@ -340,12 +284,9 @@ type splitCand struct {
 // regTree grows regression trees on gradient/hessian pairs with the
 // XGBoost-style regularised gain; it is the weak learner inside GBDT.
 type regTree struct {
-	cfg     TreeConfig
-	lambda  float64
-	gamma   float64
-	minHess float64
-	rng     *xrand.RNG
-	maxFeat int
+	maxDepth int
+	rng      *xrand.RNG
+	maxFeat  int
 
 	cols [][]float64 // column-major feature matrix (see columnize)
 	grad []float64
@@ -374,14 +315,13 @@ func (r *regTree) build(sorted [][]int32, depth int) *treeNode {
 		h += r.hess[i]
 	}
 	leaf := func() *treeNode {
-		return &treeNode{Value: -g / (h + r.lambda)}
+		return &treeNode{Value: -g / (h + lambda)}
 	}
-	if n < r.cfg.MinSamplesSplit ||
-		(r.cfg.MaxDepth > 0 && depth >= r.cfg.MaxDepth) {
+	if n < 2 || depth >= r.maxDepth {
 		return leaf()
 	}
 	feat, thr, nl, ok := r.bestSplit(sorted, g, h)
-	if !ok || nl < r.cfg.MinSamplesLeaf || n-nl < r.cfg.MinSamplesLeaf {
+	if !ok {
 		return leaf()
 	}
 	if r.part == nil {
@@ -397,7 +337,7 @@ func (r *regTree) build(sorted [][]int32, depth int) *treeNode {
 }
 
 // bestSplit maximises the XGBoost structure-score gain
-// 0.5*(GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ)) − γ, fanning candidate features
+// 0.5*(GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ)), fanning candidate features
 // out over the shared worker pool. Each feature is scored independently and
 // the winners reduce in candidate order with a strict greater-than, which
 // reproduces a serial scan's tie-breaking (first feature, then first
@@ -427,7 +367,7 @@ func (r *regTree) bestSplit(sorted [][]int32, g, h float64) (feat int, thr float
 // gain in one pass over its presorted sample list, returning the first
 // threshold attaining the feature's maximum.
 func (r *regTree) evalFeature(f int, list []int32, g, h float64) splitCand {
-	score := func(gs, hs float64) float64 { return gs * gs / (hs + r.lambda) }
+	score := func(gs, hs float64) float64 { return gs * gs / (hs + lambda) }
 	parent := score(g, h)
 
 	col := r.cols[f]
@@ -443,14 +383,11 @@ func (r *regTree) evalFeature(f int, list []int32, g, h float64) splitCand {
 		if v == vNext {
 			continue
 		}
-		if i+1 < r.cfg.MinSamplesLeaf || len(list)-i-1 < r.cfg.MinSamplesLeaf {
-			continue
-		}
 		gr, hr := g-gl, h-hl
-		if hl < r.minHess || hr < r.minHess {
+		if hl < minChildWeight || hr < minChildWeight {
 			continue
 		}
-		gain := 0.5*(score(gl, hl)+score(gr, hr)-parent) - r.gamma
+		gain := 0.5 * (score(gl, hl) + score(gr, hr) - parent)
 		if gain > best.gain {
 			best.gain = gain
 			best.thr = (v + vNext) / 2

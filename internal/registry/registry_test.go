@@ -35,7 +35,7 @@ func testPipeline(t testing.TB) *core.Pipeline {
 			return
 		}
 		cfg := core.DefaultConfig(core.RandomForest)
-		cfg.Params = core.ModelParams{Trees: 10, Depth: 6, Leaves: 15, LearningRate: 0.15}
+		cfg.Params = core.ModelParams{Trees: 10, Depth: 6, Leaves: 15}
 		pipe, err := core.New(cfg)
 		if err != nil {
 			fitErr = err

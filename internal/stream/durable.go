@@ -32,17 +32,13 @@ type DurabilityConfig struct {
 	// FS overrides the filesystem (fault-injection tests); nil means the
 	// real one.
 	FS wal.FS
-	// Sync is the journal fsync policy (default SyncAlways).
+	// Sync is the journal fsync policy (default SyncAlways). Under
+	// SyncAlways concurrent appends coalesce into shared fsyncs (group
+	// commit; each ack still waits for the fsync covering its record);
+	// under SyncInterval the journal flushes every 100 ms.
 	Sync wal.SyncPolicy
-	// SyncInterval is the flush interval under SyncInterval.
-	SyncInterval time.Duration
 	// SegmentBytes is the journal segment rotation size (0 = 8 MiB).
 	SegmentBytes int64
-	// NoGroupCommit disables WAL group commit. By default, concurrent
-	// appends under SyncAlways coalesce into shared fsyncs (each ack still
-	// waits for the fsync covering its record); set this to force one
-	// fsync per append, trading throughput for simpler failure analysis.
-	NoGroupCommit bool
 	// SnapshotKeep is how many snapshot files to retain (0 = 3).
 	SnapshotKeep int
 }
@@ -448,9 +444,8 @@ func (e *Engine) recoverDurable() error {
 		FS:           fs,
 		SegmentBytes: dcfg.SegmentBytes,
 		Sync:         dcfg.Sync,
-		SyncInterval: dcfg.SyncInterval,
-		GroupCommit:  !dcfg.NoGroupCommit,
-		Metrics:      e.cfg.Metrics,
+		GroupCommit:  true,
+		Metrics:      e.metrics.reg,
 	})
 	if err != nil {
 		return err

@@ -96,12 +96,6 @@ type Config struct {
 	// rotation plus count/age pruning of rotated files). The zero value
 	// applies the package defaults; it only matters with DeadLetterPath.
 	DeadLetterRotation DeadLetterRotation
-	// Metrics is the registry the engine registers its instruments in.
-	// Nil means a fresh private registry — instrumentation is always on
-	// (the instruments ARE the engine's counters); passing a registry only
-	// controls where they are visible. Exposed via Engine.Metrics for the
-	// HTTP /metrics endpoint.
-	Metrics *obs.Registry
 	// Logger receives the engine's structured diagnostics (retention
 	// failures, quarantines). Nil means slog.Default().
 	Logger *slog.Logger
@@ -123,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Geometry == (hbm.Geometry{}) {
 		c.Geometry = hbm.ActiveProfile().Geometry
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()

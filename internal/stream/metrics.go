@@ -13,6 +13,8 @@ import (
 // shared quantity. Durability instruments stay nil (and so no-op) when no
 // WAL directory is configured, keeping /metrics free of dead series.
 type engineMetrics struct {
+	reg *obs.Registry // the engine's own, served by Engine.Metrics
+
 	ingested       *obs.Counter
 	actionsEmitted *obs.Counter
 	actionsDropped *obs.Counter
@@ -35,13 +37,14 @@ type engineMetrics struct {
 }
 
 // registerMetrics creates the engine's instruments and scrape-time gauges
-// in the configured registry. Called from New after the shards exist and
-// before any consumer starts. The gauge callbacks read atomics only (the
+// in a registry of the engine's own. Called from New after the shards exist
+// and before any consumer starts. The gauge callbacks read atomics only (the
 // shard totals, the epoch table, the snapshot sequence), so a scrape takes no
 // engine lock and sees what /statsz sees.
 func (e *Engine) registerMetrics() {
-	reg := e.cfg.Metrics
 	m := &e.metrics
+	m.reg = obs.NewRegistry()
+	reg := m.reg
 
 	m.ingested = reg.Counter("cordial_ingest_accepted_total",
 		"Events accepted by Ingest and enqueued to a shard.")
@@ -150,4 +153,4 @@ func (e *Engine) registerMetrics() {
 // Metrics returns the engine's registry: its own instruments, the WAL's
 // (when durability is on), and whatever else the caller registered (the
 // HTTP server adds its instruments here). Rendered by GET /metrics.
-func (e *Engine) Metrics() *obs.Registry { return e.cfg.Metrics }
+func (e *Engine) Metrics() *obs.Registry { return e.metrics.reg }

@@ -303,7 +303,7 @@ func TestCrashRecoveryEquivalenceBatched(t *testing.T) {
 		t.Run(fmt.Sprintf("kill=%d", kill), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := durCfg(dir, 3, strategy)
-			cfg.Durability.Sync = wal.SyncAlways // group commit is the default
+			cfg.Durability.Sync = wal.SyncAlways // group-committed
 			e1, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

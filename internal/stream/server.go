@@ -20,19 +20,12 @@ import (
 // ServerConfig bounds the HTTP ingestion front-end. Zero fields take the
 // defaults noted per field.
 type ServerConfig struct {
-	// MaxBodyBytes caps one POST /v1/events body. Default 32 MiB.
+	// MaxBodyBytes caps one POST /v1/events body, and so one JSONL line.
+	// Default 32 MiB.
 	MaxBodyBytes int64
-	// MaxLineBytes caps one JSONL line. Defaults to MaxBodyBytes: a line
-	// the body cap admits must not be refused by the line scanner, or a
-	// legal batch aborts mid-body (the whole batch used to sink when one
-	// line crossed an unrelated 1 MiB scanner default).
-	MaxLineBytes int
 	// MaxStoredActions caps the in-memory action store served by
 	// GET /v1/actions; the oldest actions are evicted past it. Default 4096.
 	MaxStoredActions int
-	// MaxBatchErrors caps per-line error messages echoed in one ingest
-	// response. Default 16.
-	MaxBatchErrors int
 	// ModelAdmin, when set, enables the model-lifecycle admin endpoints
 	// (GET /v1/models, POST /v1/models/{promote,rollback,retrain}).
 	// Normally lifecycle.AdminFor over the daemon's Manager; nil leaves
@@ -62,17 +55,15 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
-	if c.MaxLineBytes == 0 {
-		c.MaxLineBytes = int(c.MaxBodyBytes)
-	}
 	if c.MaxStoredActions <= 0 {
 		c.MaxStoredActions = 4096
 	}
-	if c.MaxBatchErrors == 0 {
-		c.MaxBatchErrors = 16
-	}
 	return c
 }
+
+// maxBatchErrors caps the per-line error messages echoed in one ingest
+// response.
+const maxBatchErrors = 16
 
 // Server is the HTTP front-end over an Engine: JSONL batch ingest, action
 // retrieval, per-bank session inspection, health and stats. It implements
@@ -234,8 +225,8 @@ type IngestResult struct {
 	Dropped int `json:"dropped"`
 	// Errors samples per-line failure messages (capped).
 	Errors []string `json:"errors,omitempty"`
-	// Truncated reports that the batch ended early (oversized line or a
-	// mid-body disconnect); counts cover the prefix that was read.
+	// Truncated reports that the batch ended early (a body over the cap or
+	// a mid-body disconnect); counts cover the prefix that was read.
 	Truncated bool `json:"truncated,omitempty"`
 	// NotOwned is 1 when the batch stopped at a line whose bank this node
 	// does not own under the current ring epoch (response status 503).
@@ -284,7 +275,7 @@ func (q *ingestRequest) end() {
 
 // note samples a failure at body position n (record rec of it, if >= 0).
 func (q *ingestRequest) note(prefix string, n, rec int, err error) {
-	if len(q.res.Errors) >= q.srv.cfg.MaxBatchErrors {
+	if len(q.res.Errors) >= maxBatchErrors {
 		return
 	}
 	where := fmt.Sprintf("%s %d", q.unit, n)
@@ -358,13 +349,15 @@ func (q *ingestRequest) finish(w http.ResponseWriter, n int, bodyErr error, badB
 }
 
 // handleEvents ingests a JSONL batch. Malformed lines are rejected
-// individually, and a mid-batch disconnect or an oversized line keeps what
-// was read (200, Truncated). Lines reach the engine in chunks of
-// mcelog.DefaultFrameEvents — a binary frame's worth — so a durable node
-// pays one journal append per chunk, not per line.
+// individually, and a mid-batch disconnect keeps what was read (200,
+// Truncated). A line is never refused for its length: the scanner may hold a
+// byte more than the body cap admits, so a line too long for it is a body
+// over the cap, answered 413 with the prefix counted. Lines reach the engine
+// in chunks of mcelog.DefaultFrameEvents — a binary frame's worth — so a
+// durable node pays one journal append per chunk, not per line.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	sc.Buffer(make([]byte, 64<<10), s.cfg.MaxLineBytes)
+	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes)+1)
 	q := s.beginIngest("line")
 	defer q.end()
 

@@ -257,26 +257,6 @@ func TestServerLongLineWithinBody(t *testing.T) {
 	}
 }
 
-// TestServerExplicitLineCap: an explicitly configured MaxLineBytes still
-// truncates the batch at an oversized line, preserving the prefix.
-func TestServerExplicitLineCap(t *testing.T) {
-	e := newTestEngine(t, Config{Shards: 1})
-	t.Cleanup(func() { e.Close() })
-	srv := NewServer(e, ServerConfig{MaxLineBytes: 1 << 16})
-	var buf bytes.Buffer
-	if err := mcelog.FromEvents([]mcelog.Event{uerAt(testBank(1), 1, 0)}).WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString(strings.Repeat("x", 2<<16) + "\n")
-	res := post(t, srv, &buf)
-	if res.Accepted != 1 || !res.Truncated {
-		t.Fatalf("ingest result %+v, want 1 accepted and truncated", res)
-	}
-	if err := e.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServerIngestAfterEngineClose: a batch against a closed engine fails
 // with 503 and reports the partial state instead of panicking.
 func TestServerIngestAfterEngineClose(t *testing.T) {
@@ -400,6 +380,14 @@ func TestServerBodyTooLarge(t *testing.T) {
 	// The server is healthy for the next, properly sized batch.
 	if res := post(t, srv, jsonlBody(t, uerAt(testBank(1), 9, 9))); res.Accepted != 1 {
 		t.Errorf("follow-up batch %+v", res)
+	}
+	// A line longer than a cap beyond the scanner's first buffer is an
+	// oversized body too, even as the body's first line.
+	srv = NewServer(e, ServerConfig{MaxBodyBytes: 1 << 17})
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/events", strings.NewReader(strings.Repeat("x", 1<<18)+"\n")))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized first line = %d: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -22,6 +22,7 @@ var reachKeep = map[string]string{
 	"mltree.CodingPasses":           "the one-coding-pass invariant core's training tests count",
 	"(*hbm.Profile).Derive":         "the wide-row profile of TestStoreLimitFallbacks",
 	"(*chaos.Report).TemplateNames": "called by name from the HTML report template, which go/types cannot see",
+	"(*xrand.RNG).Perm":             "the shuffled views of mltree's view tests and SampleInts' reference draw",
 }
 
 // stdMethods are the method names the standard library calls through its own

@@ -107,6 +107,19 @@ echo "==> one library, the programs' (no declaration under internal/ that only t
 # keep-list entry that no longer exists. It runs inside `go test ./...` too.
 go test -run 'TestEveryInternalDeclReached' -count 1 .
 
+echo "==> only the knobs programs turn (deleted learner and serving options stay deleted)"
+# Every learner option core.NewModel left at its default became a constant,
+# and the code only another value ran was deleted with it: entropy splits,
+# early stopping, class weighting, GOSS's off-switch, GBDT's presort cache and
+# the forest's unread out-of-bag pass. Serving options nothing set went the
+# same way. A name coming back outside tests and docs means an option, or the
+# code behind it, came back.
+if grep -rnwE "Entropy|Criterion|EarlyStopRounds|PositiveWeight|TopRate|oobScore|copyLists|rootSorted|NoGroupCommit|MaxLineBytes|MaxBatchErrors" \
+    --include=*.go internal cmd examples bench cordial.go | grep -v "_test\.go:"; then
+    echo "a deleted option is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "==> go vet"
 go vet ./...
 
@@ -305,7 +318,7 @@ echo "==> training perf gate (a forest fit allocates per tree and per fit, never
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
 # allocate each member's generator, node array and probability array plus a
-# per-fit term (value codes, one grower per worker, arena, out-of-bag tables)
+# per-fit term (value codes, one grower per worker, arena)
 # — 414 allocations where the presorted-list trainer made 207 664 — and one
 # default Pipeline.Fit on 120 banks, its three forest fits over two coded
 # datasets, at most 12 MB in all (10.5 measured; 19.1 when each fit
@@ -316,8 +329,10 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 # A fitted model lives in memory once, as a rank-quantised arena: the default
 # pipeline's live heap per tree node is pinned by a HeapAlloc delta, a fit's
 # allocation counts stay where the training gate above put them, and the arena
-# may not change one byte of a model file (TestSaveModelsGolden at Parallelism
-# 1 and 8; TestParentFixture: all four kinds against files and predictions
+# may not change one tree in a model file (TestSaveModelsGolden: all three
+# backends at Parallelism 1 and 8, one file for both, equal to the files
+# written before the learner options became constants once their keys are
+# dropped; TestParentFixture: all four kinds against files and predictions
 # written before the arena existed) or one bit of a prediction on the values
 # where rank and float comparison could part (TestRankKernelExactness).
 go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
