@@ -12,14 +12,16 @@ import (
 
 // TestPredictBlocksStateAllocs pins the allocation count of the §IV-D hot
 // path with the default 80-tree forest. A warmed PredictBlocksState allocates
-// only the probabilities it returns. A predicting OnEvent allocates only what
-// its caller keeps: a buffer of the decision's own (which holds the
+// only the probabilities it returns, and a warmed ClassifyPatternState (the
+// §IV-B decision a bank makes once) nothing. A predicting OnEvent allocates
+// only what its caller keeps: a buffer of the decision's own (which holds the
 // BlockPrediction), the probabilities and the rows. A predicting Decide into a
 // reused buffer allocates nothing of its own. Both are allowed one more for the
-// feature state's amortised row-set growth. A window prediction used to make
-// ≈ 1 340 allocations, one leaf copy per tree and block; the pooled scratch
-// and the arena kernel took it to its result, and deciding into a reused
-// buffer takes a predicting step from OnEvent's three to the row-set growth.
+// amortised growth of the feature state's per-row table. A window prediction
+// used to make ≈ 1 340 allocations, one leaf copy per tree and block; the
+// pooled scratch and the arena kernel took it to its result, and deciding into
+// a reused buffer takes a predicting step from OnEvent's three to the table's
+// growth.
 func TestPredictBlocksStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -68,6 +70,13 @@ func TestPredictBlocksStateAllocs(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Errorf("warmed PredictBlocksState allocates %v times, want at most 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.ClassifyPatternState(sess.state); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warmed ClassifyPatternState allocates %v times, want 0", allocs)
 	}
 
 	// Every run is a UER at a row the bank has not failed at yet, so every

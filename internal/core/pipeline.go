@@ -87,35 +87,41 @@ type Pipeline struct {
 	blockPosIdx int
 	modelSize   mltree.Size
 	meta        *ModelMeta
-	// scratch pools *blockScratch, the working memory of one window
-	// prediction. It belongs to the pipeline, not to a session: a fleet has
-	// millions of mostly idle sessions and a handful of shard consumers
-	// predicting at any instant, so per-session buffers would be resident
-	// memory bought for nothing.
+	// scratch pools *predictScratch, the working memory of one
+	// classification or window prediction. It belongs to the pipeline, not to
+	// a session: a fleet has millions of mostly idle sessions and a handful of
+	// shard consumers predicting at any instant, so per-session buffers would
+	// be resident memory bought for nothing.
 	scratch sync.Pool
 }
 
-// blockScratch is one window prediction's working memory: the feature
-// matrix (row views over one backing array) and the class probabilities of
-// every block.
-type blockScratch struct {
-	feats []float64
-	rows  [][]float64
-	probs []float64
+// predictScratch is one prediction's working memory: the pattern vector and
+// a one-row batch over it, a window's feature matrix (row views over one
+// backing array), and the class probabilities of either batch.
+type predictScratch struct {
+	pattern    []float64
+	patternRow [][]float64
+	feats      []float64
+	rows       [][]float64
+	probs      []float64
 }
 
-// blockScratchFor returns a scratch sized for blocks rows and classes
-// probabilities per row, from the pool when it holds one of that shape (the
-// shape only changes when LoadModels installs a different model).
-func (p *Pipeline) blockScratchFor(blocks, classes int) *blockScratch {
-	if sc, ok := p.scratch.Get().(*blockScratch); ok && len(sc.rows) == blocks && len(sc.probs) == blocks*classes {
+// scratchFor returns a scratch shaped for the installed models, from the pool
+// when it holds one of that shape (the shape only changes when LoadModels
+// installs different models). The pipeline must be fitted.
+func (p *Pipeline) scratchFor() *predictScratch {
+	width, blocks := patternColumns(p.cfg.ErrBits), p.cfg.Block.NumBlocks()
+	probs := max(blocks*len(p.blockModel.Classes()), len(p.patternModel.Classes()))
+	if sc, ok := p.scratch.Get().(*predictScratch); ok && len(sc.pattern) == width && len(sc.rows) == blocks && len(sc.probs) == probs {
 		return sc
 	}
-	sc := &blockScratch{
-		feats: make([]float64, blocks*features.BlockFeatureCount),
-		rows:  make([][]float64, blocks),
-		probs: make([]float64, blocks*classes),
+	sc := &predictScratch{
+		pattern: make([]float64, width),
+		feats:   make([]float64, blocks*features.BlockFeatureCount),
+		rows:    make([][]float64, blocks),
+		probs:   make([]float64, probs),
 	}
+	sc.patternRow = [][]float64{sc.pattern}
 	for b := range sc.rows {
 		sc.rows[b] = sc.feats[b*features.BlockFeatureCount : (b+1)*features.BlockFeatureCount]
 	}
@@ -126,17 +132,21 @@ func (p *Pipeline) blockScratchFor(blocks, classes int) *blockScratch {
 // error-bit columns appended to them when enabled.
 var patternWidth, errBitWidth = len(features.PatternFeatureNames()), len(features.ErrBitFeatureNames())
 
+// patternColumns is the width of the pattern stage's vectors.
+func patternColumns(errBits bool) int {
+	if errBits {
+		return patternWidth + errBitWidth
+	}
+	return patternWidth
+}
+
 // setModels installs both stages' models, refusing one that splits on a
 // feature its stage's vectors do not have (a model file is operator input; the
 // first prediction would index past the vector), and resolves the block
 // model's positive class and the models' size.
 func (p *Pipeline) setModels(pattern, block mltree.Classifier, errBits bool) error {
 	ps, bs := mltree.SizeOf(pattern), mltree.SizeOf(block)
-	width := patternWidth
-	if errBits {
-		width += errBitWidth
-	}
-	if ps.Features > width {
+	if width := patternColumns(errBits); ps.Features > width {
 		return fmt.Errorf("core: pattern model splits on feature %d of %d-feature vectors", ps.Features-1, width)
 	}
 	if bs.Features > features.BlockFeatureCount {
@@ -180,19 +190,24 @@ func New(cfg Config) (*Pipeline, error) {
 // Config returns the pipeline's configuration.
 func (p *Pipeline) Config() Config { return p.cfg }
 
-// patternVectorOf renders the state's pattern vector under the pipeline's
-// configuration, appending the error-bit features when enabled.
-func patternVectorOf(st *features.BankState, errBits bool) ([]float64, error) {
-	vec, err := st.PatternVector()
-	if err != nil {
-		return nil, err
+// patternVectorInto writes the state's pattern vector under the pipeline's
+// configuration — the error-bit features appended when enabled — into dst,
+// which holds exactly patternColumns(errBits) values.
+func patternVectorInto(dst []float64, st *features.BankState, errBits bool) error {
+	if err := st.PatternVectorInto(dst[:patternWidth]); err != nil {
+		return err
 	}
 	if errBits {
-		eb, err := st.ErrBitVector()
-		if err != nil {
-			return nil, err
-		}
-		vec = append(vec, eb...)
+		st.ErrBitVectorInto(dst[patternWidth:])
+	}
+	return nil
+}
+
+// patternVectorOf is patternVectorInto a fresh slice.
+func patternVectorOf(st *features.BankState, errBits bool) ([]float64, error) {
+	vec := make([]float64, patternColumns(errBits))
+	if err := patternVectorInto(vec, st, errBits); err != nil {
+		return nil, err
 	}
 	return vec, nil
 }
@@ -348,16 +363,22 @@ func (p *Pipeline) ClassifyPattern(events []mcelog.Event) (faultsim.Class, error
 
 // ClassifyPatternState predicts the bank-level failure class from an
 // incrementally maintained feature state, without revisiting the event
-// history. This is the online engine's O(1)-per-event path.
+// history. This is the online engine's O(1)-per-event path: one
+// PatternVectorInto fill and one PredictBatchInto over a one-row batch, both
+// in pooled scratch, so a warmed call allocates nothing.
 func (p *Pipeline) ClassifyPatternState(st *features.BankState) (faultsim.Class, error) {
-	if p.patternModel == nil {
+	if !p.Fitted() {
 		return 0, fmt.Errorf("core: pipeline not fitted")
 	}
-	vec, err := patternVectorOf(st, p.cfg.ErrBits)
-	if err != nil {
+	sc := p.scratchFor()
+	defer p.scratch.Put(sc)
+	if err := patternVectorInto(sc.pattern, st, p.cfg.ErrBits); err != nil {
 		return 0, err
 	}
-	return faultsim.Class(mltree.Predict(p.patternModel, vec)), nil
+	classes := p.patternModel.Classes()
+	probs := sc.probs[:len(classes)]
+	p.patternModel.PredictBatchInto(probs, sc.patternRow)
+	return faultsim.Class(mltree.ArgmaxLabel(classes, probs)), nil
 }
 
 // PredictBlocks returns the per-block UER probability for the window
@@ -398,7 +419,7 @@ func (p *Pipeline) predictBlocksInto(probs []float64, st *features.BankState, an
 		return fmt.Errorf("core: feature state block spec %+v does not match pipeline %+v", st.Spec(), p.cfg.Block)
 	}
 	k := len(p.blockModel.Classes())
-	sc := p.blockScratchFor(len(probs), k)
+	sc := p.scratchFor()
 	st.BlockVectorsInto(sc.feats, anchorRow, now)
 	p.blockModel.PredictBatchInto(sc.probs, sc.rows)
 	for b := range probs {

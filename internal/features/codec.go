@@ -23,11 +23,12 @@ import (
 // byte for byte (golden_test.go): integers are int64, timestamps seconds +
 // nanoseconds, sequence extremes and the row-difference sum float64, time
 // extremes float64 hours, and some sections repeat what others imply
-// (redundant below). One walk over the fields (BankState.code) both writes
-// and reads it; reading refuses everything the wider layout can say that the
-// narrower state cannot hold — value ranges, unsorted or repeated rows,
-// redundant sections that disagree with their source — so a decoded state is
-// always one MarshalBinary reproduces exactly.
+// (redundant below) — among them the CE, UEO and UER row lists, which the
+// per-row table's bits and counts imply. One walk over the fields
+// (BankState.code) both writes and reads it; reading refuses everything the
+// wider layout can say that the narrower state cannot hold — value ranges,
+// unsorted or repeated rows, redundant sections that disagree with their
+// source — so a decoded state is always one MarshalBinary reproduces exactly.
 const (
 	bankStateMagic     = "CBNK"
 	bankStateVersion   = 2
@@ -159,10 +160,12 @@ func (p *patternAccums) code(c *bincodec.Cursor) {
 // until the budget is exhausted those are all CEs and UEOs, i.e. the block
 // accumulators, and stagedAll; afterwards nothing can be promoted and the
 // set equals committed), the budget rows' dedupe set (sorted, present while
-// the budget is open), and three presence flags.
+// the budget is open), the per-row table's CE, UEO and UER rows (in
+// nearClasses order), and three presence flags.
 type redundant struct {
 	staged                             patternAccums
 	seen                               []int32
+	classRows                          [3][]int32
 	open, firstEvent, firstUER, perRow bool
 }
 
@@ -172,7 +175,14 @@ func (s *BankState) redundant() redundant {
 		open:       len(s.budgetRows) > 0 && !s.budgetDone,
 		firstEvent: s.firstEventTime != unsetTime,
 		firstUER:   s.firstUERTime != unsetTime,
-		perRow:     len(s.rowCounts) > 0,
+		perRow:     len(s.rows) > 0,
+	}
+	for k, class := range nearClasses {
+		for i := range s.rows {
+			if s.rows[i].has(class) {
+				r.classRows[k] = append(r.classRows[k], s.rows[i].row)
+			}
+		}
 	}
 	if !s.budgetDone {
 		r.staged.ce, r.staged.ueo, r.staged.all = s.blkCE, s.blkUEO, s.stagedAll
@@ -219,22 +229,22 @@ func (s *BankState) code(c *bincodec.Cursor, version uint8, r *redundant) {
 	s.blkUER.code(c)
 	c.F64(&s.ceRowSum)
 	c.F64(&s.uerRowSum)
-	bincodec.Rows(c, &s.ceRows, true)
-	bincodec.Rows(c, &s.ueoRows, true)
-	bincodec.Rows(c, &s.uerRows, true)
+	for k := range r.classRows {
+		bincodec.Rows(c, &r.classRows[k], true)
+	}
 	c.Flag(&r.perRow)
 	if r.perRow {
-		n := len(s.rowCounts)
+		n := len(s.rows)
 		c.Count(&n, maxCodecEntries, 24)
 		if c.Decode {
-			s.rowCounts = make([]blockRowCount, n)
+			s.rows = make([]rowEntry, n)
 		}
-		for i := range s.rowCounts {
-			rc := &s.rowCounts[i]
-			bincodec.Ranged(c, &rc.row, math.MaxInt32)
-			bincodec.Ranged(c, &rc.total, math.MaxUint32)
-			bincodec.Ranged(c, &rc.uer, math.MaxUint32)
-			if i > 0 && rc.row <= s.rowCounts[i-1].row {
+		for i := range s.rows {
+			e := &s.rows[i]
+			bincodec.Ranged(c, &e.row, math.MaxInt32)
+			bincodec.Ranged(c, &e.total, math.MaxUint32)
+			bincodec.Ranged(c, &e.uer, math.MaxUint32)
+			if i > 0 && e.row <= s.rows[i-1].row {
 				c.Fail("per-row table not strictly ascending")
 			}
 		}
@@ -258,11 +268,11 @@ func (s *BankState) code(c *bincodec.Cursor, version uint8, r *redundant) {
 // (magic + version) and decodable by UnmarshalBankState; the error is that
 // of a state the layout cannot hold, which no event sequence produces.
 func (s *BankState) MarshalBinary() ([]byte, error) {
+	r := s.redundant()
 	// 1.3 KB of fixed-size fields, 8 bytes per listed row, 24 per table entry.
-	size := 1320 + 8*(2*len(s.budgetRows)+len(s.ceRows)+len(s.ueoRows)+len(s.uerRows)) + 24*len(s.rowCounts)
+	size := 1320 + 8*(2*len(s.budgetRows)+len(r.classRows[0])+len(r.classRows[1])+len(r.classRows[2])) + 24*len(s.rows)
 	c := &bincodec.Cursor{B: append(make([]byte, 0, size), bankStateMagic...), What: imageName}
 	c.B = append(c.B, bankStateVersion)
-	r := s.redundant()
 	s.code(c, bankStateVersion, &r)
 	return c.B, c.Err
 }
@@ -300,11 +310,42 @@ func UnmarshalBankState(data []byte) (*BankState, error) {
 		s.budgetDone != (n == s.cfg.UERBudget) || len(slices.Compact(distinct)) != n {
 		return nil, fmt.Errorf("features: bank state UER budget bookkeeping is inconsistent")
 	}
-	if want := s.redundant(); r.staged != want.staged || !slices.Equal(r.seen, want.seen) ||
+	s.markClassRows(&r.classRows)
+	want := s.redundant()
+	if r.staged != want.staged || !slices.Equal(r.seen, want.seen) || !slices.EqualFunc(r.classRows[:], want.classRows[:], slices.Equal) ||
 		r.open != want.open || r.firstEvent != want.firstEvent || r.firstUER != want.firstUER || r.perRow != want.perRow {
 		return nil, fmt.Errorf("features: bank state sections disagree with the fields they are derived from")
 	}
+	// The block accumulators and the table count the same events: a class
+	// has rows exactly when it has events (windowAt relies on it).
+	for k, a := range [...]*seqAccum{&s.blkCE, &s.blkUEO, &s.blkUER} {
+		if (a.count > 0) != (len(r.classRows[k]) > 0) {
+			return nil, fmt.Errorf("features: bank state has %d %v events but %d such rows", a.count, nearClasses[k], len(r.classRows[k]))
+		}
+	}
 	return s, nil
+}
+
+// markClassRows sets the decoded per-row table's CE and UEO bits from the
+// image's CE and UEO row lists and counts its UER rows. A listed row the
+// table lacks, like a UER list that is not the table's rows with UERs, leaves
+// the lists unlike what the table derives, which UnmarshalBankState refuses.
+func (s *BankState) markClassRows(lists *[3][]int32) {
+	for _, row := range lists[0] {
+		if i, found := s.findRow(int(row)); found {
+			s.rows[i].ce = true
+		}
+	}
+	for _, row := range lists[1] {
+		if i, found := s.findRow(int(row)); found {
+			s.rows[i].ueo = true
+		}
+	}
+	for i := range s.rows {
+		if s.rows[i].uer > 0 {
+			s.uerRows++
+		}
+	}
 }
 
 // Config returns the pattern config the state was created with.

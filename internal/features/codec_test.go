@@ -236,6 +236,14 @@ func TestBankStateCodecRejectsUnrepresentable(t *testing.T) {
 		{name: "first UER time without a UER row", mutate: func(s *BankState) { s.budgetRows = nil }},
 		{name: "staged accumulators disagree with the block stage", // the staged CE row maximum comes first
 			patch: patch(le64(int64(math.Float64bits(31012))), le64(int64(math.Float64bits(31013))))},
+		// The CE, UEO and UER lists are derived from the per-row table, which
+		// follows them: CE rows 31001, 31007, 31012, no UEO row, UER rows 31003
+		// and 31009, then the table's five (row, total, uer) entries.
+		{name: "CE row absent from the per-row table", patch: patch(le64(3, 31001, 31007, 31012), le64(3, 31001, 31007, 31013))},
+		{name: "UEO row absent from the per-row table", patch: patch(le64(31012, 0, 2), le64(31012, 1, 31005, 2))},
+		{name: "UER row absent from the per-row table", patch: patch(le64(0, 2, 31003, 31009), le64(0, 2, 31003, 31010))},
+		{name: "per-row UERs on a row the UER list lacks", patch: patch(le64(31007, 1, 0), le64(31007, 2, 1))},
+		{name: "UEO row of a bank without UEOs", patch: patch(le64(31012, 0, 2), le64(31012, 1, 31007, 2))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

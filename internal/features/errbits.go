@@ -17,10 +17,10 @@ import (
 // for every statistic, so the features degrade to no-ops rather than
 // inventing signal.
 
-// errBitFeatureCount is kept in sync with ErrBitVector/ErrBitFeatureNames.
+// errBitFeatureCount is kept in sync with ErrBitVectorInto/ErrBitFeatureNames.
 const errBitFeatureCount = 6
 
-// ErrBitFeatureNames returns the column names of ErrBitVector, in order.
+// ErrBitFeatureNames returns the column names of ErrBitVectorInto, in order.
 func ErrBitFeatureNames() []string {
 	return []string{
 		"errbit_event_count",
@@ -59,35 +59,28 @@ func (a *errBitAccum) observe(b mcelog.ErrBits) {
 	a.burstPopSum += uint32(bits.OnesCount8(burst))
 }
 
-// vector renders the accumulator as the feature slice.
-func (a *errBitAccum) vector() []float64 {
-	out := make([]float64, 0, errBitFeatureCount)
-	out = append(out, float64(a.count))
+// ErrBitVectorInto writes the error-bit feature vector over the events
+// observed so far into dst, whose length must be len(ErrBitFeatureNames()):
+// bit-identical to referenceErrBitVector over the same prefix. An empty state
+// has every statistic Missing and the count zero.
+func (s *BankState) ErrBitVectorInto(dst []float64) {
+	a := &s.errBits
+	out := append(dst[:0:errBitFeatureCount], float64(a.count))
 	if a.count == 0 {
 		for len(out) < errBitFeatureCount {
 			out = append(out, Missing)
 		}
-		return out
+	} else {
+		n := float64(a.count)
+		out = append(out,
+			float64(bits.OnesCount8(a.dqUnion)),
+			float64(slices.Max(a.dqPinCounts[:]))/n,
+			float64(a.dqPopSum)/n,
+			float64(bits.OnesCount8(a.burstUnion)),
+			float64(a.burstPopSum)/n,
+		)
 	}
-	n := float64(a.count)
-	out = append(out,
-		float64(bits.OnesCount8(a.dqUnion)),
-		float64(slices.Max(a.dqPinCounts[:]))/n,
-		float64(a.dqPopSum)/n,
-		float64(bits.OnesCount8(a.burstUnion)),
-		float64(a.burstPopSum)/n,
-	)
-	return out
-}
-
-// ErrBitVector returns the error-bit feature vector over the events
-// observed so far, bit-identical to referenceErrBitVector over the same
-// prefix. It never errors on an empty state (all statistics are Missing,
-// the count zero); the signature matches the other vector methods.
-func (s *BankState) ErrBitVector() ([]float64, error) {
-	out := s.errBits.vector()
-	if len(out) != errBitFeatureCount {
-		panic(fmt.Sprintf("features: error-bit vector has %d values, want %d", len(out), errBitFeatureCount))
+	if len(out) != len(dst) {
+		panic(fmt.Sprintf("features: error-bit vector has %d values, want %d", len(out), len(dst)))
 	}
-	return out, nil
 }

@@ -32,6 +32,13 @@ func errBitTestEvents() []mcelog.Event {
 	}
 }
 
+// ErrBitVector is ErrBitVectorInto a fresh slice.
+func (s *BankState) ErrBitVector() ([]float64, error) {
+	out := make([]float64, errBitFeatureCount)
+	s.ErrBitVectorInto(out)
+	return out, nil
+}
+
 // TestErrBitIncrementalMatchesReference pins the incremental accumulator to
 // the batch reference at every prefix, including the empty one.
 func TestErrBitIncrementalMatchesReference(t *testing.T) {

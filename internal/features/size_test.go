@@ -11,11 +11,12 @@ import (
 )
 
 // TestBankStateSize is the bytes-per-bank gate: a fleet holds one BankState
-// per bank that ever logged an error, so the struct's size class is most of
-// the engine's resident memory.
+// per bank that has logged a UER, so the struct's size class is most of such a
+// bank's resident memory. 728 B (the 768-byte class) is one row table and the
+// budget rows; four row tables made it 800 B, in the 896-byte class.
 func TestBankStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(BankState{}); got > 1024 {
-		t.Errorf("BankState is %d bytes, want ≤ 1024", got)
+	if got := unsafe.Sizeof(BankState{}); got > 728 {
+		t.Errorf("BankState is %d bytes, want ≤ 728", got)
 	}
 	if got := unsafe.Sizeof(seqAccum{}); got > 64 {
 		t.Errorf("seqAccum is %d bytes, want ≤ 64", got)

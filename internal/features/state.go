@@ -56,6 +56,8 @@ type BankState struct {
 	budgetRows []int32
 	cutoff     int64
 	budgetDone bool
+	// uerRows counts the per-row table's UER rows.
+	uerRows int32
 
 	// firstEventTime and firstUERTime are unsetTime until the first event
 	// and the first UER.
@@ -71,12 +73,12 @@ type BankState struct {
 	runTime           int64
 
 	// Block stage (§IV-D). These cover everything observed (block
-	// decisions use the full history up to the decision time).
+	// decisions use the full history up to the decision time). rows is the
+	// bank's per-row table, sorted by row: every row an event has landed on,
+	// with the facts the block features read of it.
 	blkCE, blkUEO, blkUER seqAccum
 	ceRowSum, uerRowSum   float64
-	ceRows, ueoRows       rowset.Set
-	uerRows               rowset.Set
-	rowCounts             []blockRowCount // sorted by row
+	rows                  []rowEntry
 	lastTime              int64
 
 	// Error-bit aggregates (intra-word DQ/burst patterns), covering every
@@ -111,10 +113,25 @@ type patternAccums struct {
 	ce, ueo, uer, all seqAccum
 }
 
-// blockRowCount tallies one row's events for the block-local prior counts.
-type blockRowCount struct {
+// rowEntry is one row of the per-row table: its events and UERs (the
+// block-local prior counts) and whether a CE and a UEO have landed on it. A
+// row is a UER row when uer > 0.
+type rowEntry struct {
 	row        int32
 	total, uer uint32
+	ce, ueo    bool
+}
+
+// has reports whether an event of class — CE, UEO or UER — has landed on the
+// row: whether the row is a member of that class's row set.
+func (r *rowEntry) has(class ecc.Class) bool {
+	switch class {
+	case ecc.ClassCE:
+		return r.ce
+	case ecc.ClassUEO:
+		return r.ueo
+	}
+	return r.uer > 0
 }
 
 // Obs is what Observe reads of an event: its timestamp, row, class and error
@@ -242,51 +259,62 @@ func (s *BankState) observePattern(row int32, t int64, class ecc.Class) {
 
 // observeBlock maintains the §IV-D aggregates.
 func (s *BankState) observeBlock(row int32, t int64, class ecc.Class) {
+	i, found := s.findRow(int(row))
+	if !found {
+		s.rows = rowset.InsertAt(s.rows, i, rowEntry{row: row})
+	}
+	r := &s.rows[i]
+	r.total++
 	switch class {
 	case ecc.ClassCE:
 		s.blkCE.observe(row, t)
 		s.ceRowSum += float64(row)
-		s.ceRows.Add(int(row))
+		r.ce = true
 	case ecc.ClassUEO:
 		s.blkUEO.observe(row, t)
-		s.ueoRows.Add(int(row))
+		r.ueo = true
 	case ecc.ClassUER:
 		s.blkUER.observe(row, t)
 		s.uerRowSum += float64(row)
-		s.uerRows.Add(int(row))
-	}
-	i, found := s.findRow(int(row))
-	if !found {
-		s.rowCounts = rowset.InsertAt(s.rowCounts, i, blockRowCount{row: row})
-	}
-	s.rowCounts[i].total++
-	if class == ecc.ClassUER {
-		s.rowCounts[i].uer++
+		if r.uer == 0 {
+			s.uerRows++
+		}
+		r.uer++
 	}
 	s.lastTime = t
 }
 
 // findRow locates row in the sorted per-row table.
 func (s *BankState) findRow(row int) (int, bool) {
-	return slices.BinarySearchFunc(s.rowCounts, row, func(rc blockRowCount, row int) int {
-		return cmp.Compare(int(rc.row), row)
+	return slices.BinarySearchFunc(s.rows, row, func(r rowEntry, row int) int {
+		return cmp.Compare(int(r.row), row)
 	})
 }
 
 // DistinctUERRows returns the number of distinct rows with at least one
 // observed UER (not capped by the pattern budget).
-func (s *BankState) DistinctUERRows() int { return len(s.uerRows) }
+func (s *BankState) DistinctUERRows() int { return int(s.uerRows) }
 
 // PatternVector returns the §IV-B feature vector over the events observed
 // so far, bit-identical to referencePatternVector over the same prefix. It
 // returns an error until the first UER has been observed (no pattern to
-// classify).
+// classify). It is PatternVectorInto a fresh slice.
 func (s *BankState) PatternVector() ([]float64, error) {
-	if s.firstUERTime == unsetTime {
-		return nil, fmt.Errorf("features: bank has no UER events")
+	out := make([]float64, patternFeatureCount)
+	if err := s.PatternVectorInto(out); err != nil {
+		return nil, err
 	}
-	out := make([]float64, 0, patternFeatureCount)
-	for _, st := range []seqStats{s.committed.ce.stats(), s.committed.ueo.stats(), s.committed.uer.stats()} {
+	return out, nil
+}
+
+// PatternVectorInto writes PatternVector's values into dst, whose length must
+// be len(PatternFeatureNames()). It does not allocate.
+func (s *BankState) PatternVectorInto(dst []float64) error {
+	if s.firstUERTime == unsetTime {
+		return fmt.Errorf("features: bank has no UER events")
+	}
+	out := dst[:0:patternFeatureCount]
+	for _, st := range [...]seqStats{s.committed.ce.stats(), s.committed.ueo.stats(), s.committed.uer.stats()} {
 		out = append(out,
 			st.rowMin, st.rowMax,
 			st.rowDiffMin, st.rowDiffMax, st.rowDiffAvg,
@@ -308,10 +336,10 @@ func (s *BankState) PatternVector() ([]float64, error) {
 	}
 	out = append(out, rate)
 	out = append(out, s.committed.uer.stats().dtAvg)
-	if len(out) != patternFeatureCount {
-		panic(fmt.Sprintf("features: pattern vector has %d values, want %d", len(out), patternFeatureCount))
+	if len(out) != len(dst) {
+		panic(fmt.Sprintf("features: pattern vector has %d values, want %d", len(out), len(dst)))
 	}
-	return out, nil
+	return nil
 }
 
 // blockLeadCols is the number of leading block-vector columns that do not
@@ -328,17 +356,25 @@ type blockWindow struct {
 	anchorRow       int
 	uerRows         float64
 	uerMean, ceMean float64 // Missing without events of the class
-	// Positions in the per-row table and the CE, UEO and UER row sets. A
-	// window's blocks ascend, so each table is binary-searched once, for the
-	// window's first row, and fillBlock only walks forward from there.
-	perRow, ce, ueo, uer int
+	// Positions in the per-row table. A window's blocks ascend, so the table
+	// is binary-searched once, for the window's first row, and fillBlock only
+	// walks forward from there: perRow for the prior counts, near for the
+	// nearest-row distances. For each class of nearClasses, prev is the index
+	// of the last of its rows below near (-1 for none) and next that of the
+	// first at or above near (len for none, -1 until looked for).
+	perRow, near int
+	prev, next   [3]int
 }
+
+// nearClasses are the classes of the nearest-row distances, in column order.
+var nearClasses = [3]ecc.Class{ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER}
 
 // windowAt computes the window's block-independent values.
 func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
-	w := blockWindow{anchorRow: anchorRow, uerRows: float64(len(s.uerRows)), uerMean: Missing, ceMean: Missing}
+	w := blockWindow{anchorRow: anchorRow, uerRows: float64(s.uerRows), uerMean: Missing, ceMean: Missing}
+	accums := [...]*seqAccum{&s.blkCE, &s.blkUEO, &s.blkUER}
 	i := 0
-	for _, a := range [...]*seqAccum{&s.blkCE, &s.blkUEO, &s.blkUER} {
+	for _, a := range accums {
 		st := a.stats()
 		i += copy(w.lead[i:], []float64{
 			float64(st.count),
@@ -359,10 +395,30 @@ func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
 	}
 	first, _ := s.spec.BlockRange(anchorRow, 0)
 	w.perRow, _ = s.findRow(first)
-	w.ce, _ = s.ceRows.Find(first)
-	w.ueo, _ = s.ueoRows.Find(first)
-	w.uer, _ = s.uerRows.Find(first)
+	w.near = w.perRow
+	for k, class := range nearClasses {
+		w.prev[k], w.next[k] = -1, -1
+		if accums[k].count == 0 {
+			w.next[k] = len(s.rows) // no row of the class: nothing to look for
+			continue
+		}
+		for j := w.near - 1; j >= 0; j-- {
+			if s.rows[j].has(class) {
+				w.prev[k] = j
+				break
+			}
+		}
+	}
 	return w
+}
+
+// nextOf returns the index of the first row of class at or after index i of
+// the per-row table, or len for none.
+func (s *BankState) nextOf(class ecc.Class, i int) int {
+	for i < len(s.rows) && !s.rows[i].has(class) {
+		i++
+	}
+	return i
 }
 
 // fillBlock writes one block's vector into row, whose length and capacity
@@ -378,15 +434,32 @@ func (s *BankState) fillBlock(row []float64, w *blockWindow, block int) {
 	out = append(out, float64(offset), math.Abs(float64(offset)))
 
 	prior, priorUER := 0, 0
-	for ; w.perRow < len(s.rowCounts) && int(s.rowCounts[w.perRow].row) <= hi; w.perRow++ {
-		if rc := s.rowCounts[w.perRow]; int(rc.row) >= lo {
-			prior += int(rc.total)
-			priorUER += int(rc.uer)
+	for ; w.perRow < len(s.rows) && int(s.rows[w.perRow].row) <= hi; w.perRow++ {
+		if r := &s.rows[w.perRow]; int(r.row) >= lo {
+			prior += int(r.total)
+			priorUER += int(r.uer)
 		}
 	}
 	out = append(out, float64(prior), float64(priorUER))
 
-	out = append(out, nearest(s.ceRows, &w.ce, centre), nearest(s.ueoRows, &w.ueo, centre), nearest(s.uerRows, &w.uer, centre))
+	for ; w.near < len(s.rows) && int(s.rows[w.near].row) < centre; w.near++ {
+		r := &s.rows[w.near]
+		if r.ce {
+			w.prev[0] = w.near
+		}
+		if r.ueo {
+			w.prev[1] = w.near
+		}
+		if r.uer > 0 {
+			w.prev[2] = w.near
+		}
+	}
+	for k, class := range nearClasses {
+		if w.next[k] < w.near {
+			w.next[k] = s.nextOf(class, w.near)
+		}
+		out = append(out, s.nearest(w.prev[k], w.next[k], centre))
+	}
 	out = append(out, w.uerRows, float64(w.anchorRow))
 
 	if w.uerMean == Missing {
@@ -439,9 +512,9 @@ type StateFootprint struct {
 	// Events is the number of events observed. A BankState retains none of
 	// them.
 	Events int
-	// TrackedRows is the total entries across the per-row structures (the
-	// only parts of a BankState that grow at all); each is bounded by the
-	// bank's distinct error rows, hence by the geometry's RowsPerBank.
+	// TrackedRows is the entries of the per-row table and the UER budget's
+	// rows (the only parts of a BankState that grow at all); each is bounded
+	// by the bank's distinct error rows, hence by the geometry's RowsPerBank.
 	TrackedRows int
 	// ApproxBytes estimates resident bytes: a fixed accumulator core plus
 	// TrackedRows-proportional structures.
@@ -449,14 +522,11 @@ type StateFootprint struct {
 }
 
 // Footprint reports the state's current size: the struct itself plus the
-// backing arrays of its per-row tables at their allocated capacity. Cost is
-// O(1).
+// backing arrays of the per-row table and the budget rows at their allocated
+// capacity. Cost is O(1).
 func (s *BankState) Footprint() StateFootprint {
-	tracked := len(s.rowCounts) + len(s.ceRows) + len(s.ueoRows) + len(s.uerRows) + len(s.budgetRows)
-	bytes := int(unsafe.Sizeof(*s)) +
-		cap(s.rowCounts)*int(unsafe.Sizeof(blockRowCount{})) +
-		(cap(s.ceRows)+cap(s.ueoRows)+cap(s.uerRows)+cap(s.budgetRows))*4
-	return StateFootprint{Events: s.events, TrackedRows: tracked, ApproxBytes: bytes}
+	bytes := int(unsafe.Sizeof(*s)) + cap(s.rows)*int(unsafe.Sizeof(rowEntry{})) + cap(s.budgetRows)*4
+	return StateFootprint{Events: s.events, TrackedRows: len(s.rows) + len(s.budgetRows), ApproxBytes: bytes}
 }
 
 // seqAccum incrementally maintains one error class's seqStats: O(1) per
@@ -527,25 +597,18 @@ func (a *seqAccum) stats() seqStats {
 	return s
 }
 
-// nearest returns the minimum |row - target| over a sorted row set, or
-// Missing when it is empty; the value equals nearestRowDistance over any
-// event sequence containing exactly these rows. *pos is at or before the
-// first member ≥ target and is advanced to it.
-func nearest(rows rowset.Set, pos *int, target int) float64 {
-	if len(rows) == 0 {
-		return Missing
-	}
-	i := *pos
-	for i < len(rows) && int(rows[i]) < target {
-		i++
-	}
-	*pos = i
+// nearest returns the minimum |row - target| over one class's rows of the
+// per-row table, given the indices of the last of them below target (prev,
+// -1 for none) and of the first at or above it (next, len for none): Missing
+// when the class has no row. The value equals nearestRowDistance over any
+// event sequence with exactly these rows of the class.
+func (s *BankState) nearest(prev, next, target int) float64 {
 	best := Missing
-	if i < len(rows) {
-		best = math.Abs(float64(int(rows[i]) - target))
+	if next < len(s.rows) {
+		best = math.Abs(float64(int(s.rows[next].row) - target))
 	}
-	if i > 0 {
-		if d := math.Abs(float64(int(rows[i-1]) - target)); best == Missing || d < best {
+	if prev >= 0 {
+		if d := math.Abs(float64(int(s.rows[prev].row) - target)); best == Missing || d < best {
 			best = d
 		}
 	}

@@ -231,7 +231,7 @@ type Classifier interface {
 // Predict returns the label with the highest predicted probability, breaking
 // ties toward the smaller label.
 func Predict(c Classifier, x []float64) int {
-	return argmaxLabel(c.Classes(), c.PredictProba(x))
+	return ArgmaxLabel(c.Classes(), c.PredictProba(x))
 }
 
 // PredictLabels batch-predicts the most probable label for every row of X.
@@ -240,14 +240,15 @@ func PredictLabels(c Classifier, X [][]float64) []int {
 	classes := c.Classes()
 	out := make([]int, len(probs))
 	for i, p := range probs {
-		out[i] = argmaxLabel(classes, p)
+		out[i] = ArgmaxLabel(classes, p)
 	}
 	return out
 }
 
-// argmaxLabel returns the label of the largest probability, breaking ties
-// toward the smaller label.
-func argmaxLabel(classes []int, probs []float64) int {
+// ArgmaxLabel returns the label of the largest of one row's probabilities,
+// aligned with classes, breaking ties toward the smaller label: Predict's
+// answer for a row whose probabilities were predicted elsewhere.
+func ArgmaxLabel(classes []int, probs []float64) int {
 	best, bestP := 0, math.Inf(-1)
 	for i, p := range probs {
 		if p > bestP {

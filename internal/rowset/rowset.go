@@ -1,9 +1,11 @@
 // Package rowset holds the sorted-slice tables that per-bank state is made
-// of: the feature accumulator's distinct-row sets and per-row counts, and
-// the stream engine's UER-row and spared-row sets. A bank touches a handful
-// of rows, so a sorted slice of 32-bit rows costs a few dozen bytes and one
-// allocation where a map costs hundreds of bytes and several — and it comes
-// out of a snapshot already in the order the snapshot stores it.
+// of: the feature accumulator's per-row table, the stream engine's row table
+// of each bank and a shadow twin's spared rows. One table per bank in each
+// layer: each row's facts ride in its entry rather than in a set of their
+// own, so a bank's tables grow once per doubling, not once per fact. A bank
+// touches a handful of rows, so a sorted slice costs a few dozen bytes and
+// one allocation where a map costs hundreds of bytes and several — and it
+// comes out of a snapshot already in the order the snapshot stores it.
 package rowset
 
 import (

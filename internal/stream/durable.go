@@ -97,8 +97,9 @@ func (e *Engine) writeDeadLetter(d *DeadLetter) {
 // framing): magic, version, retention floor, the active model epoch
 // (version + the journal position it took effect), session count, then
 // per session the bank key, packed address, LSN watermark, pinned model
-// version, engine bookkeeping (stats, distinct-UER and spared-row sets)
-// and the strategy session's own state image.
+// version, engine bookkeeping (stats, distinct-UER and spared-row sets — the
+// two lists of the row table's marks, and their counts beside them) and the
+// strategy session's own state image.
 //
 // Version 2 added the model epoch header fields and the per-session
 // pinned version; version-1 payloads still decode (sessions come back
@@ -214,7 +215,11 @@ type sessionImage struct {
 }
 
 // code walks one session record in layout order, writing it or reading it.
+// The row table is written as its two lists, each with its count in the
+// stats before it; reading merges the lists back into the table and refuses
+// a count that disagrees with its list.
 func (im *sessionImage) code(c *bincodec.Cursor, ver uint8) {
+	uerRows, spared := im.rowLists()
 	c.U64(&im.key)
 	packed := im.key // the layout repeats the key as the bank's packed address
 	c.U64(&packed)
@@ -227,22 +232,47 @@ func (im *sessionImage) code(c *bincodec.Cursor, ver uint8) {
 	}
 	bincodec.Ranged(c, &im.events, math.MaxInt64)
 	bincodec.Ranged(c, &im.uerEvents, math.MaxUint32)
-	distinctUERRows := len(im.uerRows) // stored beside the set it counts
+	distinctUERRows, rowsIsolated := len(uerRows), len(spared)
 	bincodec.Ranged(c, &distinctUERRows, math.MaxInt32)
 	c.Flag(&im.classified)
 	c.U8(&im.class)
 	c.Flag(&im.bankSpared)
-	bincodec.Ranged(c, &im.rowsIsolated, math.MaxUint32)
+	bincodec.Ranged(c, &rowsIsolated, math.MaxUint32)
 	bincodec.Ranged(c, &im.actions, math.MaxUint32)
 	c.Time(&im.firstEvent)
 	c.Time(&im.lastEvent)
 	c.Flag(&im.degraded)
-	bincodec.Rows(c, &im.uerRows, true)
-	bincodec.Rows(c, &im.spared, true)
+	bincodec.Rows(c, &uerRows, true)
+	bincodec.Rows(c, &spared, true)
 	c.Bytes(&im.blob)
-	if distinctUERRows != len(im.uerRows) {
-		c.Fail("session counts %d distinct UER rows but lists %d", distinctUERRows, len(im.uerRows))
+	if !c.Decode {
+		return
 	}
+	if distinctUERRows != len(uerRows) {
+		c.Fail("session counts %d distinct UER rows but lists %d", distinctUERRows, len(uerRows))
+	}
+	if rowsIsolated != len(spared) {
+		c.Fail("session counts %d isolated rows but lists %d spared", rowsIsolated, len(spared))
+	}
+	for _, row := range uerRows {
+		im.mark(int(row)).uer = true
+	}
+	for _, row := range spared {
+		im.mark(int(row)).spared = true
+	}
+}
+
+// rowLists returns the row table's UER rows and spared rows, each ascending.
+func (bs *bankSession) rowLists() (uerRows, spared []int32) {
+	for _, m := range bs.rows {
+		if m.uer {
+			uerRows = append(uerRows, m.row)
+		}
+		if m.spared {
+			spared = append(spared, m.row)
+		}
+	}
+	return uerRows, spared
 }
 
 // snapshotHeader is the decoded fixed prefix of an engine snapshot
@@ -366,7 +396,8 @@ func (st *shardState) restore(load *imageLoader, im *sessionImage) error {
 // its pinned version; an unresolvable version fails the boot loudly. The banks
 // go into fresh shard states, which replace the shards' only once every image
 // has restored: a payload that fails part-way leaves the shards as they were.
-// Called during New, before the consumers start.
+// The header's floor is kept for replay. Called during New, before the
+// consumers start.
 func (e *Engine) restoreSnapshot(payload []byte) error {
 	hdr, images, err := decodeSnapshotSessions(payload)
 	if err != nil {
@@ -399,7 +430,7 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 		s.shardState = fresh[i]
 		s.mu.Unlock()
 	}
-	e.recoveredSessions = len(images)
+	e.recoveredSessions, e.recoveredFloor = len(images), hdr.floor
 	return nil
 }
 
@@ -410,9 +441,10 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 // opens the journal (repairing any torn tail), and replays the suffix. Replay
 // is one of the shard step's three callers: it queues the decoded records per
 // shard and steps them a consumer batch at a time. Per-bank watermarks skip
-// records the snapshot already covers; actions re-derived by the replayed
-// suffix are emitted again (at-least-once), deduplicated per bank by the
-// restored spared-row state.
+// records the snapshot already covers, and its floor those of banks dropped
+// before it was taken; actions re-derived by the replayed suffix are emitted
+// again (at-least-once), deduplicated per bank by the restored spared-row
+// state.
 func (e *Engine) recoverDurable() error {
 	dcfg := e.cfg.Durability
 	fs := dcfg.FS
@@ -455,7 +487,7 @@ func (e *Engine) recoverDurable() error {
 	pending := make([][]queued, len(e.shards))
 	flush := func(si int) {
 		if len(pending[si]) > 0 {
-			e.deliver(e.shards[si].lockedStep(stepEnv{epochs: e.epochList(), shadow: e.loadShadow()}, pending[si]))
+			e.deliver(e.shards[si].lockedStep(stepEnv{epochs: e.epochList(), shadow: e.loadShadow(), floor: e.recoveredFloor}, pending[si]))
 			pending[si] = pending[si][:0]
 		}
 	}
@@ -496,6 +528,14 @@ func (e *Engine) recoverDurable() error {
 	}
 	for si := range pending {
 		flush(si)
+	}
+	// Every record of the journal is folded or refused: each shard is
+	// complete to its end, so what the snapshot was authoritative to stays so
+	// in the next one.
+	if end := w.NextLSN(); end > 0 {
+		for _, s := range e.shards {
+			s.appliedLSN = max(s.appliedLSN, end-1)
+		}
 	}
 	e.recoveredEvents = replayed
 	e.metrics.recoveredSessions.Set(float64(e.recoveredSessions))

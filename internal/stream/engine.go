@@ -205,6 +205,9 @@ type Engine struct {
 	snapSeq           atomic.Uint64 // written under snapMu, read without it
 	recoveredSessions int           // set before consumers start
 	recoveredEvents   uint64
+	// recoveredFloor is the floor of the snapshot recovery restored, the
+	// position replay holds it authoritative to.
+	recoveredFloor uint64
 
 	dead *deadLetterLog
 
@@ -236,8 +239,10 @@ type shard struct {
 
 	// ingestMu serialises journal-append + enqueue so queue order equals
 	// LSN order within the shard (the invariant replay depends on). Only
-	// taken on the durable ingest path.
-	ingestMu sync.Mutex
+	// taken on the durable ingest path. journaled, which it guards, is the
+	// journal position of the last record queued to the shard.
+	ingestMu  sync.Mutex
+	journaled uint64
 
 	mu sync.Mutex // guards the state for cross-goroutine inspection
 	*shardState

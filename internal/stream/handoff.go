@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"time"
 
 	"cordial/internal/core"
 	"cordial/internal/wal"
@@ -17,14 +18,15 @@ import (
 //     namespace) covering events the snapshot may not include.
 //
 // ImportSessions restores the sessions into a scratch shard state and replays
-// the suffix over it through the shard step — the per-bank watermark rule
-// boot-time recovery uses — then moves the banks into the shards with their
-// watermarks reset to zero: imported state must never be compared against
-// the LOCAL journal's LSNs, which live in a different namespace. A
-// post-import Snapshot persists the adopted sessions before the importer
-// acknowledges the handoff, preserving the append-before-ack contract end to
-// end: state is only ever acknowledged once it is on the receiving node's
-// stable storage.
+// the suffix over it through the shard step — the per-bank watermark and the
+// snapshot floor rules boot-time recovery uses — then moves the banks into the
+// shards with their watermarks set to the receiving shard's: imported state
+// must never be compared against the LOCAL journal's older LSNs, which live in
+// a different namespace, and the local journal may still hold records of the
+// bank from before it last moved away. A post-import Snapshot persists the
+// adopted sessions before the importer acknowledges the handoff, preserving
+// the append-before-ack contract end to end: state is only ever acknowledged
+// once it is on the receiving node's stable storage.
 //
 // Ownership discipline is the caller's job (the cluster control plane):
 // the source must stop accepting the moved banks before ExportSessions,
@@ -71,8 +73,11 @@ type ImportStats struct {
 // pass the owns filter (nil = all), replays the accompanying WAL suffix
 // through them, installs them into the engine's shards and — when this
 // engine is durable — snapshots so the adopted state survives a local
-// crash. Suffix LSNs and session watermarks are interpreted in the SOURCE
-// journal's namespace and discarded on install.
+// crash. Suffix LSNs, session watermarks and the payload's floor are
+// interpreted in the SOURCE journal's namespace and discarded on install. A
+// suffix record at or below the floor of a bank the payload lacks is refused,
+// as replay refuses it: the source dropped the bank before it wrote the
+// payload.
 //
 // The engine keeps serving its own banks throughout. Sessions for banks
 // this engine already holds are skipped and counted as conflicts.
@@ -91,10 +96,11 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 
 	// An empty payload is a valid handoff from a source with no snapshot
 	// (all of its history rides in the suffix).
+	var hdr snapshotHeader
 	var images []sessionImage
 	if len(payload) > 0 {
 		var err error
-		if _, images, err = decodeSnapshotSessions(payload); err != nil {
+		if hdr, images, err = decodeSnapshotSessions(payload); err != nil {
 			return st, err
 		}
 	}
@@ -129,7 +135,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 			accepted = append(accepted, im)
 		}
 	}
-	scratch, res, err := replayImport(e.layout, &imageLoader{resolve: e.resolveDurable}, accepted, events, active)
+	scratch, res, err := replayImport(e.layout, &imageLoader{resolve: e.resolveDurable}, accepted, events, stepEnv{epochs: []modelEpoch{active}, floor: hdr.floor})
 	if err != nil {
 		return st, err
 	}
@@ -172,12 +178,13 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 
 // replayImport is an import's replay, which needs no engine: the images
 // restored into a scratch shard state exactly as a restore places them, then
-// the suffix run through one step over it. Events at or below a bank's source
-// watermark are already inside its image and are refused; a bank the suffix
-// gives birth to (it first erred after the source's last checkpoint) binds
-// active, for the suffix's positions are the source's. Every bank keeps its
-// source watermark until adopt moves it.
-func replayImport(layout recordLayout, load *imageLoader, images []sessionImage, suffix []queued, active modelEpoch) (*shardState, stepResult, error) {
+// the suffix run through one step over it under env — the active epoch alone
+// and the payload's floor. Events at or below a bank's source watermark are
+// already inside its image and are refused; a bank the suffix gives birth to
+// (it first erred after the source's last checkpoint) binds the active epoch,
+// for the suffix's positions are the source's. Every bank keeps its source
+// watermark until adopt moves it.
+func replayImport(layout recordLayout, load *imageLoader, images []sessionImage, suffix []queued, env stepEnv) (*shardState, stepResult, error) {
 	scratch := newShardState(layout)
 	scratch.store.reserve(len(images))
 	for i := range images {
@@ -185,34 +192,39 @@ func replayImport(layout recordLayout, load *imageLoader, images []sessionImage,
 			return nil, stepResult{}, err
 		}
 	}
-	return scratch, scratch.step(stepEnv{epochs: []modelEpoch{active}}, suffix), nil
+	return scratch, scratch.step(env, suffix), nil
 }
 
 // adopt moves the bank in from's slot sl into st, in the form it has there,
-// with its watermark zeroed: from here on the bank's history lives in st's
-// journal namespace. A stored bank's chain is collected into from's scratch.
+// with its watermark set to st's appliedLSN: from here on the bank's history
+// lives in st's journal namespace, and whatever st's journal already holds of
+// the bank — records folded before the bank last moved away — is refused by
+// a replay rather than folded over the imported history. A stored bank's
+// chain is collected into from's scratch.
 func (st *shardState) adopt(from *shardState, sl *slot) {
 	vc := from.totals.version(sl.ver())
 	ver := st.totals.versionIndex(vc.version, vc.strategy)
 	if sl.form() == slotHeap {
 		bs := from.store.session(sl)
-		bs.lastLSN = 0
+		bs.lastLSN = st.appliedLSN
 		st.addHeap(sl.key, ver, bs)
 		return
 	}
 	v := from.view(sl)
-	v.lastLSN = 0
+	v.lastLSN = st.appliedLSN
 	from.chain = from.store.log(sl, from.chain)
 	st.addQuiet(sl.key, ver, &v, from.chain)
 }
 
 // DropSessions removes the sessions selected by filter (nil = all) and,
 // when the engine is durable, snapshots so the removal sticks across a
-// restart. It is the final step of a handoff: once the importer has
-// acknowledged the moved banks, the source drops its now-inert copies so
-// a later move back does not collide with stale local state. Events for
-// the dropped banks must already be fenced off by the ownership filter —
-// DropSessions does not stop intake.
+// restart: replay holds a snapshot authoritative to its floor, so it refuses
+// the journal's records of the dropped banks, and a bank imported back later
+// starts from its import, not from them (adopt). It is the final step of a
+// handoff: once the importer has acknowledged the moved banks, the source
+// drops its now-inert copies so a later move back does not collide with
+// stale local state. Events for the dropped banks must already be fenced off
+// by the ownership filter — DropSessions does not stop intake.
 func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 	dropped := 0
 	for _, s := range e.shards {
@@ -226,9 +238,45 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 		s.mu.Unlock()
 	}
 	if e.wal != nil && dropped > 0 {
+		e.settle()
 		if _, err := e.Snapshot(); err != nil {
 			return dropped, fmt.Errorf("stream: persisting session drop: %w", err)
 		}
 	}
 	return dropped, nil
+}
+
+// settle brings every shard's appliedLSN up to the last record queued to any
+// shard as of the call. With every ingest lock held no record is between
+// append and queue, so each shard's own last record then bounds what it was
+// given; once the shard has folded that far, no record of its lies between
+// there and the end, and it is complete to the end. (Recovery left every
+// shard complete to the journal it replayed.) The next snapshot's floor then
+// passes every record of a bank dropped before the call, however idle or busy
+// the other shards are.
+func (e *Engine) settle() {
+	last := make([]uint64, len(e.shards))
+	var end uint64
+	for i, s := range e.shards { // ascending, the batch-ingest order
+		s.ingestMu.Lock()
+		last[i] = s.journaled
+		end = max(end, last[i])
+	}
+	for _, s := range e.shards {
+		s.ingestMu.Unlock()
+	}
+	for i, s := range e.shards {
+		for {
+			s.mu.Lock()
+			done := s.appliedLSN >= last[i]
+			if done {
+				s.appliedLSN = max(s.appliedLSN, end)
+			}
+			s.mu.Unlock()
+			if done {
+				break
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
 }

@@ -414,3 +414,180 @@ func TestHandoffReplayRespectsWatermarks(t *testing.T) {
 		t.Errorf("events double-counted: %d, want %d", gotEvents, wantEvents)
 	}
 }
+
+// TestDroppedBankStaysDropped: a durable engine that drops a bank restarts
+// without it, though the bank's records are still in its journal and most of
+// its three shards have seen none of them: the drop's snapshot is
+// authoritative to its floor, and replay refuses a record at or below it of a
+// bank the snapshot lacks. Another bank ingests all the while and comes back
+// whole, whether its records landed before the drop, during it or after. The
+// dropped bank's next event starts it afresh, and so it stays across another
+// restart.
+func TestDroppedBankStaysDropped(t *testing.T) {
+	dir := t.TempDir()
+	e, err := New(durCfg(dir, 3, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, busy := testBank(3), testBank(5)
+	for row := 1; row <= 4; row++ {
+		if err := e.Ingest(uerAt(dropped, row, row)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	const busyEvents = 300
+	ingested := make(chan error, 1)
+	go func() {
+		for i := 0; i < busyEvents; i++ {
+			if err := e.Ingest(uerAt(busy, 1+i%7, i)); err != nil {
+				ingested <- err
+				return
+			}
+		}
+		ingested <- nil
+	}()
+	if n, err := e.DropSessions(func(key uint64) bool { return key == dropped.BankKey() }); err != nil || n != 1 {
+		t.Fatalf("dropped %d sessions, %v", n, err)
+	}
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		reborn, err := New(durCfg(dir, 3, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch sess, ok := reborn.Session(dropped); {
+		case i == 0 && ok:
+			t.Fatalf("the dropped bank came back at restart with %d events", sess.Events)
+		case i == 1 && (!ok || sess.Events != 1):
+			t.Fatalf("the bank's next event did not start it afresh: %+v (found %t)", sess, ok)
+		}
+		if sess, ok := reborn.Session(busy); !ok || sess.Events != busyEvents {
+			t.Fatalf("the other bank came back with %d of its %d events (found %t)", sess.Events, busyEvents, ok)
+		}
+		if i == 0 {
+			if err := reborn.Ingest(uerAt(dropped, 9, 9)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := reborn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBankMovesAwayAndBack: a bank handed from A to B and back to A — A
+// restarted while the bank is away and again once it is back, each time with
+// another shard count — ends with the state, stats and verdicts of one engine
+// that saw its whole history. A's journal keeps the bank's first records
+// throughout; the first restart must not bring the bank back from them, and
+// the second must not fold them into the bank B handed back.
+func TestBankMovesAwayAndBack(t *testing.T) {
+	strategy := &fakeStrategy{budget: 3}
+	moved, stays := testBank(3), testBank(5) // odd: row-spared at every UER past the budget
+	key := moved.BankKey()
+	isMoved := func(k uint64) bool { return k == key }
+	uers := func(bank hbm.BankAddress, from, to int) []mcelog.Event {
+		var evs []mcelog.Event
+		for row := from; row <= to; row++ {
+			evs = append(evs, uerAt(bank, row, row))
+		}
+		return evs
+	}
+	first := append(uers(moved, 1, 4), uers(stays, 1, 3)...)
+	away := uers(moved, 5, 7)
+	back := append(uers(moved, 8, 10), uers(stays, 4, 5)...)
+	ingest := func(e *Engine, evs []mcelog.Event) {
+		t.Helper()
+		for _, ev := range evs {
+			if err := e.Ingest(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Drain(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var acts []Action
+	closeEngine := func(e *Engine) {
+		t.Helper()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range drainActions(e) {
+			if a.Bank.BankKey() == key {
+				acts = append(acts, a)
+			}
+		}
+	}
+	hand := func(from, to *Engine) {
+		t.Helper()
+		payload, err := from.ExportSessions(isMoved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := to.ImportSessions(payload, nil, isMoved); err != nil || st.Sessions != 1 {
+			t.Fatalf("import: %+v, %v", st, err)
+		}
+		if n, err := from.DropSessions(isMoved); err != nil || n != 1 {
+			t.Fatalf("dropped %d sessions, %v", n, err)
+		}
+	}
+
+	ref := newTestEngine(t, Config{Strategy: strategy, Shards: 2})
+	ingest(ref, append(append(append([]mcelog.Event(nil), first...), away...), back...))
+	wantState, wantStats := sessionStates(t, ref)[key], sessionStatsByKey(ref)[key]
+	closeEngine(ref)
+	wantActs := actionKeys(acts)
+	acts = nil
+
+	dir := t.TempDir()
+	a, err := New(durCfg(dir, 2, strategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newTestEngine(t, Config{Strategy: strategy, Shards: 3})
+	defer b.Close()
+	ingest(a, first)
+	hand(a, b)
+	closeEngine(a)
+	if a, err = New(durCfg(dir, 3, strategy)); err != nil {
+		t.Fatal(err)
+	}
+	if sess, ok := a.Session(moved); ok {
+		t.Fatalf("the bank came back to A at restart with %d events", sess.Events)
+	}
+	ingest(b, away)
+	hand(b, a)
+	ingest(a, back)
+	closeEngine(a)
+	if a, err = New(durCfg(dir, 4, strategy)); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	if got := sessionStates(t, a)[key]; !bytes.Equal(got, wantState) {
+		t.Errorf("the bank's state differs from the uninterrupted engine's")
+	}
+	if got := sessionStatsByKey(a)[key]; got.Events != wantStats.Events || got.UEREvents != wantStats.UEREvents ||
+		got.DistinctUERRows != wantStats.DistinctUERRows || got.Classified != wantStats.Classified ||
+		got.Class != wantStats.Class || got.RowsIsolated != wantStats.RowsIsolated || got.Actions != wantStats.Actions {
+		t.Errorf("the bank's stats diverged:\n got %+v\nwant %+v", got, wantStats)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, act := range drainActions(b) {
+		if act.Bank.BankKey() == key {
+			acts = append(acts, act)
+		}
+	}
+	assertSameActionSet(t, actionKeys(acts), wantActs)
+}

@@ -241,6 +241,9 @@ func (e *Engine) journalBatch(sc *batchScratch) (dropped int, err error) {
 		for i := range g {
 			g[i].lsn += first
 		}
+		if len(g) > 0 {
+			e.shards[si].journaled = g[len(g)-1].lsn
+		}
 		if n := sc.drops[si]; n > 0 {
 			e.shards[si].dropped.Add(uint64(n))
 		}

@@ -332,12 +332,15 @@ func (e *Engine) RecentClassMix(n int) (map[faultsim.Class]int, int) {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		s.store.eachSession(func(bs *bankSession) { // a stored bank has no UER row
-			if len(bs.uerRows) == 0 {
+			n, _ := bs.rowCounts()
+			if n == 0 {
 				return
 			}
-			rows := make([]int, len(bs.uerRows))
-			for i, r := range bs.uerRows {
-				rows[i] = int(r)
+			rows := make([]int, 0, n)
+			for _, m := range bs.rows {
+				if m.uer {
+					rows = append(rows, int(m.row))
+				}
 			}
 			p := faultsim.LabelPattern(e.cfg.Geometry, rows, nil)
 			cands = append(cands, cand{last: bs.lastEvent, class: faultsim.ClassOf(p)})

@@ -83,8 +83,10 @@ func perBankCost(banks int, fn func()) (heap, mallocs float64) {
 // promotion (such a bank held 628 B and cost 6.03 mallocs while core sessions
 // kept a lazy log of their own, born in the heap form with a twin).
 func TestSessionHeapPerBank(t *testing.T) {
-	if got := unsafe.Sizeof(bankSession{}); got > 144 {
-		t.Errorf("bankSession is %d bytes, want ≤ 144", got)
+	// One row table and no counters it implies: two row sets and a count of
+	// the spared rows made it 144 B.
+	if got := unsafe.Sizeof(bankSession{}); got > 112 {
+		t.Errorf("bankSession is %d bytes, want ≤ 112", got)
 	}
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes and counts")

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,8 +26,10 @@ import (
 // other holder.
 type shardState struct {
 	store bankStore
-	// appliedLSN is the highest journal position folded into the banks; the
-	// minimum across shards bounds WAL retention.
+	// appliedLSN is the journal position the banks are complete to: every
+	// journaled record of theirs at or below it has been folded into them or
+	// refused. The minimum across shards is a snapshot's floor, which bounds
+	// WAL retention and which replay holds the snapshot authoritative to.
 	appliedLSN uint64
 	totals     shardTotals
 	layout     recordLayout
@@ -236,7 +240,7 @@ func storable(bs *bankSession, log []features.Obs) bool {
 	}
 	return len(log) <= quietCap && bs.events == int64(len(log)) && bs.firstEvent == first && bs.lastEvent == last &&
 		bs.shadow == nil && !bs.degraded && !bs.classified && bs.class == 0 && !bs.bankSpared &&
-		bs.uerEvents == 0 && bs.rowsIsolated == 0 && bs.actions == 0 && len(bs.uerRows) == 0 && len(bs.spared) == 0
+		bs.uerEvents == 0 && bs.actions == 0 && len(bs.rows) == 0
 }
 
 // quietCap is the most observations a stored bank holds; the next event
@@ -301,8 +305,8 @@ func (st *shardState) addQuiet(key uint64, ver uint32, im *bankSession, log []fe
 // bankSession couples a strategy session with the bookkeeping the engine
 // layers on top: the heap form of a bank, which a bank takes at its first UER
 // (see bankStore). It carries compact counters (SessionStats is built from
-// them on demand by stats) and its row sets own no memory until a UER or a
-// sparing decision writes them. The bank's address is not stored: it is the
+// them on demand by stats) and one row table, which owns no memory until a UER
+// or a sparing decision writes it. The bank's address is not stored: it is the
 // slot's key, unpacked where needed.
 type bankSession struct {
 	sess core.Session
@@ -320,8 +324,7 @@ type bankSession struct {
 	// bincodec.UnsetTime until an event has been folded.
 	firstEvent, lastEvent int64
 	events                int64
-	uerEvents             uint32
-	rowsIsolated, actions uint32
+	uerEvents, actions    uint32
 	// stateBytes/stateRows/stateReleased mirror the strategy session's
 	// feature-state footprint as of the last fold. stateDeferred marks the view
 	// of a stored bank: a heap session's is always false.
@@ -332,21 +335,66 @@ type bankSession struct {
 	stateReleased         bool
 	stateDeferred         bool
 	degraded              bool
-	uerRows               rowset.Set // distinct rows with at least one UER
-	spared                rowset.Set // rows isolated by emitted actions
+	// rows is the bank's row table, sorted by row: every row a UER has landed
+	// on or an emitted action has spared.
+	rows []rowMark
+}
+
+// rowMark is one row of a bank's row table.
+type rowMark struct {
+	row int32
+	// uer marks a row at least one UER has landed on, spared one an emitted
+	// action has isolated.
+	uer, spared bool
+}
+
+// find locates row in the row table.
+func (bs *bankSession) find(row int) (int, bool) {
+	return slices.BinarySearchFunc(bs.rows, row, func(m rowMark, row int) int { return cmp.Compare(int(m.row), row) })
+}
+
+// mark returns row's entry in the row table, adding an unmarked one first
+// when the table lacks it.
+func (bs *bankSession) mark(row int) *rowMark {
+	i, found := bs.find(row)
+	if !found {
+		bs.rows = rowset.InsertAt(bs.rows, i, rowMark{row: int32(row)})
+	}
+	return &bs.rows[i]
+}
+
+// spared reports whether an emitted action has isolated row.
+func (bs *bankSession) spared(row int) bool {
+	i, found := bs.find(row)
+	return found && bs.rows[i].spared
+}
+
+// rowCounts returns how many rows of the table are UER rows and how many are
+// spared.
+func (bs *bankSession) rowCounts() (uer, spared int) {
+	for _, m := range bs.rows {
+		if m.uer {
+			uer++
+		}
+		if m.spared {
+			spared++
+		}
+	}
+	return uer, spared
 }
 
 // stats builds the public snapshot of the session held under key.
 func (bs *bankSession) stats(key uint64) SessionStats {
+	uerRows, spared := bs.rowCounts()
 	return SessionStats{
 		Bank:            hbm.Unpack(key),
 		Events:          int(bs.events),
 		UEREvents:       int(bs.uerEvents),
-		DistinctUERRows: len(bs.uerRows),
+		DistinctUERRows: uerRows,
 		Classified:      bs.classified,
 		Class:           faultsim.Class(bs.class),
 		BankSpared:      bs.bankSpared,
-		RowsIsolated:    int(bs.rowsIsolated),
+		RowsIsolated:    spared,
 		Actions:         int(bs.actions),
 		FirstEvent:      bincodec.TimeOf(bs.firstEvent),
 		LastEvent:       bincodec.TimeOf(bs.lastEvent),
@@ -383,6 +431,12 @@ type stepEnv struct {
 	// proc, when set, times each event's fold into cordial_process_seconds
 	// (the live consumer's); nil reads no clock.
 	proc *obs.Histogram
+	// floor is the floor of the snapshot a replay or an import restored the
+	// banks from, zero for none. The snapshot holds every bank with a
+	// journaled record at or below it but the banks dropped before it was
+	// taken, so such a record of a bank the state lacks is refused: a dropped
+	// bank stays dropped.
+	floor uint64
 }
 
 // stepResult is what came of a step. acts and dead are the state's buffers,
@@ -399,6 +453,8 @@ type stepResult struct {
 // step folds a batch of queued events, in order, into st's banks. It is the
 // only code that admits, promotes or folds an event. For each event:
 //
+//   - a journaled event at or below env.floor of a bank not held is refused:
+//     the bank was dropped before the snapshot the state was restored from;
 //   - a bank not seen before is born (newBank), binding its model epoch;
 //   - a journaled event at or below its bank's watermark is refused (admit);
 //   - a non-UER event of a stored bank with room in its chain is one append to
@@ -421,6 +477,10 @@ func (st *shardState) step(env stepEnv, batch []queued) stepResult {
 		key := st.layout.key(&q.rec)
 		sl := st.store.find(key)
 		if sl == nil {
+			if q.lsn != 0 && q.lsn <= env.floor {
+				res.refused++
+				continue
+			}
 			sl = st.newBank(&env, key, q)
 		}
 		var bs *bankSession
@@ -459,17 +519,18 @@ func (st *shardState) step(env stepEnv, batch []queued) stepResult {
 // event is folded, so a poisoned event is never replayed into its bank again
 // after a restart. The watermark is tracked per bank (not per shard) so
 // recovery stays correct even if the shard count changes across restarts.
+// Either way the record is accounted for, and appliedLSN passes it.
 func (st *shardState) admit(last *uint64, lsn uint64) bool {
 	if lsn == 0 {
 		return true
+	}
+	if lsn > st.appliedLSN {
+		st.appliedLSN = lsn
 	}
 	if lsn <= *last {
 		return false
 	}
 	*last = lsn
-	if lsn > st.appliedLSN {
-		st.appliedLSN = lsn
-	}
 	return true
 }
 
@@ -565,7 +626,7 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 	// row (or the whole bank) already isolated when the event arrived?
 	var primCoveredUER bool
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
-		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
+		primCoveredUER = bs.bankSpared || bs.spared(ev.Addr.Row)
 	}
 	res.acts = foldEvent(bs, ev, env.proc, res.acts, &st.verdicts)
 	if bs.shadow == nil {
@@ -621,7 +682,7 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 	bs.lastEvent = ev.Time.UnixNano()
 	if ev.Class == ecc.ClassUER {
 		bs.uerEvents++
-		bs.uerRows.Add(ev.Addr.Row)
+		bs.mark(ev.Addr.Row).uer = true
 	}
 	if cs, ok := bs.sess.(core.ClassifiedSession); ok && !bs.classified {
 		if class, fired := cs.Class(); fired {
@@ -654,18 +715,18 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 		// than the fresh rows.
 		n := 0
 		for _, r := range d.IsolateRows {
-			if !bs.spared.Has(r) {
+			if !bs.spared(r) {
 				n++
 			}
 		}
 		if n > 0 {
 			fresh := vb.carve(n)
 			for _, r := range d.IsolateRows {
-				if bs.spared.Add(r) {
+				if m := bs.mark(r); !m.spared {
+					m.spared = true
 					fresh = append(fresh, r)
 				}
 			}
-			bs.rowsIsolated += uint32(len(fresh))
 			bs.actions++
 			out = append(out, Action{
 				Kind:  sparing.ActionRowSpare,

@@ -120,17 +120,19 @@ func addActs(set map[string]bool, acts []Action) {
 	}
 }
 
-func (s *stepSim) step(n *stepNode, batch []queued) {
-	res := n.st.step(stepEnv{epochs: n.epochs}, batch)
+// step steps batch through n, under a replay's snapshot floor (0 for live
+// records).
+func (s *stepSim) step(n *stepNode, batch []queued, floor uint64) {
+	res := n.st.step(stepEnv{epochs: n.epochs, floor: floor}, batch)
 	s.steps, s.refused = s.steps+1, s.refused+res.refused
 	addActs(s.acts, res.acts)
 }
 
 // stepRandom steps qs through n in batches of random size, 1–300.
-func (s *stepSim) stepRandom(n *stepNode, qs []queued) {
+func (s *stepSim) stepRandom(n *stepNode, qs []queued, floor uint64) {
 	for len(qs) > 0 {
 		k := min(len(qs), 1+s.rng.Intn(300))
-		s.step(n, qs[:k])
+		s.step(n, qs[:k], floor)
 		qs = qs[k:]
 	}
 }
@@ -161,7 +163,7 @@ func (s *stepSim) ingest(evs []mcelog.Event, first, swapAt int, v2 core.Strategy
 	}
 	for i, g := range groups {
 		if len(g) > 0 {
-			s.step(s.nodes[i], g)
+			s.step(s.nodes[i], g, 0)
 		}
 	}
 }
@@ -183,13 +185,13 @@ func (s *stepSim) snapshot(n *stepNode) {
 	n.snap, n.snapLSN, n.snapEpochs = s.encode(n, nil), n.lsn, len(n.epochs)
 }
 
-// decode is the images of a payload that filter takes.
-func (s *stepSim) decode(payload []byte, filter func(uint64) bool) []sessionImage {
-	_, images, err := decodeSnapshotSessions(payload)
+// decode is the floor of a payload and the images of it that filter takes.
+func (s *stepSim) decode(payload []byte, filter func(uint64) bool) (uint64, []sessionImage) {
+	hdr, images, err := decodeSnapshotSessions(payload)
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	return slices.DeleteFunc(images, func(im sessionImage) bool { return !filter(im.key) })
+	return hdr.floor, slices.DeleteFunc(images, func(im sessionImage) bool { return !filter(im.key) })
 }
 
 // tail is the node's journal past its snapshot, plus a random overlap of
@@ -208,13 +210,17 @@ func (s *stepSim) tail(n *stepNode, filter func(uint64) bool) []queued {
 	return out
 }
 
-// crash restarts a node: its newest snapshot restored into a fresh state and
-// its journal replayed from a little before it.
+// crash restarts a node as the engine's recovery does: its newest snapshot
+// restored into a fresh state, its journal replayed from a little before it
+// under the snapshot's floor, and the state then complete to the journal's
+// end.
 func (s *stepSim) crash(n *stepNode) {
 	all := func(uint64) bool { return true }
 	st := newShardState(s.layout)
+	var floor uint64
 	if n.snap != nil {
-		images := s.decode(n.snap, all)
+		var images []sessionImage
+		floor, images = s.decode(n.snap, all)
 		for i := range images {
 			if err := st.restore(&s.load, &images[i]); err != nil {
 				s.t.Fatal(err)
@@ -222,16 +228,18 @@ func (s *stepSim) crash(n *stepNode) {
 		}
 	}
 	n.st = st
-	s.stepRandom(n, s.tail(n, all))
+	s.stepRandom(n, s.tail(n, all), floor)
+	st.appliedLSN = max(st.appliedLSN, n.lsn)
 }
 
 // handoff moves about a third of src's banks to dst: exported from src's live
 // state with its journal tail as the suffix (every record of which the
-// watermarks refuse), or — when src's newest snapshot predates no model swap,
-// so that banks the suffix gives birth to bind the version they were born
-// under — from that snapshot with the journal past it, as a takeover reads a
-// dead node's directory. src drops them; dst imports them through the
-// ImportSessions path: a scratch state, one step over the suffix, adopt.
+// watermarks or the floor refuse), or — when src's newest snapshot predates no
+// model swap, so that banks the suffix gives birth to bind the version they
+// were born under — from that snapshot with the journal past it, as a takeover
+// reads a dead node's directory. src drops them and keeps their records in its
+// journal, as a node does; dst imports them through the ImportSessions path: a
+// scratch state, one step over the suffix under the payload's floor, adopt.
 func (s *stepSim) handoff(src, dst *stepNode) (takeover bool) {
 	salt := s.rng.Uint64()
 	moved := func(key uint64) bool { return mix64(key^salt)%3 == 0 }
@@ -239,7 +247,8 @@ func (s *stepSim) handoff(src, dst *stepNode) (takeover bool) {
 	if takeover = src.snap != nil && src.snapEpochs == len(src.epochs) && s.rng.Intn(2) == 0; takeover {
 		payload = src.snap
 	}
-	images, suffix := s.decode(payload, moved), s.tail(src, moved)
+	floor, images := s.decode(payload, moved)
+	suffix := s.tail(src, moved)
 
 	var want []uint64
 	src.st.store.each(func(sl *slot) {
@@ -248,9 +257,8 @@ func (s *stepSim) handoff(src, dst *stepNode) (takeover bool) {
 			src.st.drop(sl)
 		}
 	})
-	src.journal = slices.DeleteFunc(src.journal, func(q queued) bool { return moved(s.layout.key(&q.rec)) })
 
-	scratch, res, err := replayImport(s.layout, &s.load, images, suffix, dst.epochs[len(dst.epochs)-1])
+	scratch, res, err := replayImport(s.layout, &s.load, images, suffix, stepEnv{epochs: dst.epochs[len(dst.epochs)-1:], floor: floor})
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -281,7 +289,8 @@ func (s *stepSim) images(nodes []*stepNode) map[uint64][]byte {
 	out := make(map[uint64][]byte)
 	all := func(uint64) bool { return true }
 	for _, n := range nodes {
-		for _, im := range s.decode(s.encode(n, nil), all) {
+		_, images := s.decode(s.encode(n, nil), all)
+		for _, im := range images {
 			if _, dup := out[im.key]; dup {
 				s.t.Fatalf("bank %#x is on two nodes", im.key)
 			}
@@ -415,7 +424,7 @@ func TestShardStepInterleavings(t *testing.T) {
 		}
 		steps, refused = steps+s.steps, refused+s.refused
 	}
-	t.Logf("%d seeds, %d steps, %d records refused by a watermark; %v", seeds, steps, refused, ops)
+	t.Logf("%d seeds, %d steps, %d records refused by a watermark or a floor; %v", seeds, steps, refused, ops)
 	if refused == 0 || ops["takeover"] == 0 || ops["export"] == 0 || ops["restore"] == 0 {
 		t.Errorf("not the coverage the test is for")
 	}

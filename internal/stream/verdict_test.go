@@ -177,10 +177,10 @@ func addr(rows []int) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(r
 // TestPredictingFoldAllocs pins the mallocs of a predicting fold on a warmed
 // engine: a UER at a new row of an aggregation bank. The decision goes into
 // the shard's buffer and the fresh rows into its slab, so what is left is the
-// row sets' amortised growth (the feature state's and the bank's UER and
-// spared rows) and a slab now and then: 0.02 per fold measured, where each
-// such fold used to make four (the probabilities, the rows, the
-// BlockPrediction and the fresh rows) on top of that growth.
+// amortised growth of the row tables (the feature state's and the bank's) and
+// a slab now and then: 0.02 per fold measured, where each such fold used to
+// make four (the probabilities, the rows, the BlockPrediction and the fresh
+// rows) on top of that growth.
 func TestPredictingFoldAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a pipeline")
@@ -234,5 +234,57 @@ func TestPredictingFoldAllocs(t *testing.T) {
 	}
 	if perFold > 0.05 {
 		t.Errorf("a predicting fold makes %.3f mallocs, want at most 0.05", perFold)
+	}
+}
+
+// TestHotBankAllocs pins the mallocs a whole hot_banks bank costs a warmed
+// engine, from its first CE to its 120th event: its slot, its promotion to a
+// session and feature state at its first UER, one classification, a dozen
+// predictions, and the growth of its three tables — the feature state's
+// per-row table and budget rows and the engine's row table. 13.1 per bank
+// measured; four sorted row sets in the feature state, two in the engine and
+// a classification into fresh slices made it 24.1.
+func TestHotBankAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	pipe, err := trainedPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Config{Strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}, Shards: 1, ActionBuffer: 1 << 14})
+	defer e.Close()
+	// The test folds on its own goroutine, as the shard's consumer would, in
+	// consumer-sized batches.
+	s := e.shards[0]
+	fold := func(evs []mcelog.Event) {
+		batch := make([]queued, 0, consumerBatch)
+		for i, ev := range evs {
+			batch = append(batch, queued{rec: mcelog.RecordOf(ev)})
+			if len(batch) == consumerBatch || i == len(evs)-1 {
+				e.consume(s, batch)
+				batch = batch[:0]
+			}
+		}
+	}
+	const banks, perBank = 64, 120
+	fold(hotBankEvents(banks, perBank, 5)) // warms the store, the scratch, the buffer and the slab
+	evs := hotBankEvents(banks, perBank, 6)
+	actsBefore := e.metrics.actionsEmitted.Value()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fold(evs)
+	runtime.ReadMemStats(&m1)
+	perBankMallocs := float64(m1.Mallocs-m0.Mallocs) / banks
+	acts := e.metrics.actionsEmitted.Value() - actsBefore
+	t.Logf("%.2f mallocs per hot bank, %d actions", perBankMallocs, acts)
+	if st := e.Stats(); st.SessionsLive != 2*banks || acts < banks*perBank/20 {
+		t.Fatalf("%d sessions and %d actions: not the coverage the test is for", st.SessionsLive, acts)
+	}
+	if perBankMallocs > 14 {
+		t.Errorf("a hot bank costs %.2f mallocs, want at most 14", perBankMallocs)
 	}
 }

@@ -186,103 +186,21 @@ echo "==> cluster failover e2e (3 nodes + router, SIGKILL one, zero verdict loss
 # a single-node reference exactly — no verdict lost, none invented.
 go test -run 'TestCLIClusterFailover' -count 1 ./internal/clitest/
 
-echo "==> fuzz smoke (incremental feature equivalence, 5s)"
-# Short fuzzing pass over the incremental-vs-batch feature equivalence
-# property; the seed corpus alone already covers the known-tricky cutoff
-# and timestamp-tie shapes, the extra seconds search for new ones.
-go test -run '^$' -fuzz 'FuzzIncrementalFeatureEquivalence' -fuzztime 5s \
-    ./internal/features/
-
-echo "==> fuzz smoke (bank-state snapshot decoder, 5s)"
-# The state holds rows, counts and times in fewer bits than the snapshot
-# layout and binary-searches its row tables: arbitrary bytes must decode to
-# an error or to a state that re-encodes to exactly the input — never a
-# truncated value, an unsorted table, or a panic. Seeded with real v1 and v2
-# images.
-go test -run '^$' -fuzz 'FuzzUnmarshalBankState' -fuzztime 5s \
-    ./internal/features/
-
-echo "==> fuzz smoke (Cordial session image decoder, 5s)"
-# Session images come from disk and from peers (handoff): arbitrary bytes
-# must be refused or restore to a session that survives further events. A
-# quiet image restores as the session its logged events build and re-encodes
-# through AppendQuietImage to exactly the input; any other image re-encodes to
-# exactly the input. Seeded with version-1 and version-2 images.
-go test -run '^$' -fuzz 'FuzzRestoreSession' -fuzztime 5s ./internal/core/
-
-echo "==> fuzz smoke (WAL record decoder, 5s)"
-# The decoder must classify arbitrary bytes as a record, a clean torn
-# tail, or corruption — never panic, never over-read.
-go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 5s ./internal/wal/
-
-echo "==> fuzz smoke (consistent-hash ring placement, 5s)"
-# Routing correctness rests on two ring properties: every participant
-# that knows the descriptor computes the identical owner for every bank,
-# and membership changes move at most ≈1/N of keys.
-go test -run '^$' -fuzz 'FuzzRingPlacement' -fuzztime 5s ./internal/cluster/
-
-echo "==> fuzz smoke (binary wire-frame decoder, 5s)"
-# The frame decoder sits on the network edge: arbitrary bytes must come
-# back as decoded records, a framing error, or clean EOF — never a panic,
-# an over-read, or a record that a re-encode wouldn't reproduce.
-go test -run '^$' -fuzz 'FuzzBinaryFrameDecode' -fuzztime 5s ./internal/mcelog/
-
-echo "==> fuzz smoke (log file reader, 5s)"
-# ReadLog reads every log file, sniffing wire frames from JSON Lines, and
-# checks each record as it goes (nothing validates a file's events
-# afterwards): arbitrary bytes must never panic, and whatever decodes must
-# re-encode through WriteWire to the same events.
-go test -run '^$' -fuzz 'FuzzReadLog' -fuzztime 5s ./internal/mcelog/
-
-echo "==> fuzz smoke (model file loader, 5s)"
-# A model file is operator input (-models, the registry, SIGHUP reloads):
-# arbitrary bytes must be refused or load to a model that predicts a row as
-# wide as it says it needs — never one that loads and panics at the first
-# prediction. Seeded with files of all four kinds written before models
-# compiled to an arena, a forest with class-missing members among them.
-go test -run '^$' -fuzz 'FuzzLoadModel' -fuzztime 5s ./internal/mltree/
-
-echo "==> fuzz smoke (exposition text scraper, 5s)"
-# ParseText reads a peer's /metrics (the chaos harness asserts SLOs on it):
-# arbitrary bytes must never panic, the parser and ValidateLine must agree on
-# every line, and an accepted payload's samples must survive re-rendering.
-go test -run '^$' -fuzz 'FuzzParseText' -fuzztime 5s ./internal/obs/
-
-echo "==> fuzz smoke (engine snapshot / handoff payload decoder, 5s)"
-# decodeSnapshotSessions reads snapshot files a crash may have left and the
-# session bundle a peer hands over: arbitrary bytes must never panic, and an
-# accepted payload must re-encode to one that decodes to the same images.
-# Seeded with the TestEngineSnapshotGolden image and its version-1 layout.
-go test -run '^$' -fuzz 'FuzzDecodeSnapshotSessions' -fuzztime 5s ./internal/stream/
-
-echo "==> fuzz smoke (journal / handoff-suffix record decoder, 5s)"
-# decodeJournalRecord reads the journal at boot and the record suffix a peer
-# hands over (JSON, no checksum): arbitrary bytes must never panic, an
-# accepted event or swap record must re-encode to its input, and only a
-# 19-byte event record or a 12-byte CSWP record is ever accepted.
-go test -run '^$' -fuzz 'FuzzDecodeJournalRecord' -fuzztime 5s ./internal/stream/
-
-echo "==> fuzz smoke (handoff bundle envelope, 5s)"
-# handleImport reads a peer's JSON envelope around the snapshot payload and
-# journal suffix: arbitrary bytes must never panic the agent, an envelope that
-# does not decode must answer 4xx, and a refused bundle must install no
-# session. Seeded with a real export and truncations of it.
-go test -run '^$' -fuzz 'FuzzHandoffEnvelope' -fuzztime 5s ./internal/cluster/
-
-echo "==> fuzz smoke (registry artefact decoder, 5s)"
-# DecodeArtifact reads the model store at boot and whatever an operator
-# imports: arbitrary bytes must never panic, and an accepted artefact written
-# back must decode to the same model bytes and re-encode to itself (the
-# checksum tail is resealed when the input asks, so mutations reach the header
-# and metadata checks). Seeded with WriteArtifact output.
-go test -run '^$' -fuzz 'FuzzDecodeArtifact' -fuzztime 5s ./internal/registry/
-
-echo "==> fuzz smoke (chaos scenario YAML parser, 5s)"
-# parseYAML is a hand-rolled YAML subset reading operator-written scenario
-# files: arbitrary bytes must return — no panic, no line it stops consuming —
-# with only the value shapes the scenario decoder handles. Seeded with every
-# checked-in scenario, whose plan digests TestScenarioPlanDigests pins.
-go test -run '^$' -fuzz 'FuzzParseYAML' -fuzztime 5s ./internal/chaos/
+echo "==> fuzz smoke (every fuzz target, 5s each)"
+# Every decoder of persisted or peer bytes has a fuzz target — the log readers
+# and wire-frame decoder, the address parser and packer, the WAL record,
+# bank-state, session-image, snapshot-payload and journal-record decoders, the
+# handoff envelope, model files, registry artefacts, the metrics scraper and
+# the scenario parser — and so do the incremental-feature equivalence and the
+# ring placement properties. Each target's doc comment states what it holds
+# to; 5 s each searches past its seeds. The targets are listed per package by
+# `go test -list`, so a new one is fuzzed here without an edit.
+for pkg in $(go list ./...); do
+	for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
+		echo "--> $target ($pkg)"
+		go test -run '^$' -fuzz "^$target\$" -fuzztime 5s "$pkg"
+	done
+done
 
 echo "==> bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./...
