@@ -7,6 +7,7 @@ import (
 	"cordial/internal/ecc"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
+	"cordial/internal/sparing"
 	"cordial/internal/xrand"
 )
 
@@ -108,5 +109,39 @@ func TestPredictBlocksStateAllocs(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Errorf("predicting Decide into a reused buffer allocates %v times, want at most 1", allocs)
+	}
+}
+
+// TestEvaluateAllocsPerBank is the offline evaluation's garbage gate:
+// EvaluatePattern and EvaluatePrediction over a held-out set fold every bank
+// through one pattern feature state, carve the pattern vectors from one
+// backing array and spare rows into one row table, so what is left per bank is
+// mostly the evaluation session and its feature state: 9.25 mallocs per bank
+// measured, gated at 12. A fresh state and vector per bank, a returned slice
+// per SpareRows and a row map per bank made 36.6.
+func TestEvaluateAllocsPerBank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	fleet := testFleet(t, 1, 120)
+	train, test, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fitPipeline(t, RandomForest, train)
+	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
+	cfg := p.Config()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := EvaluatePattern(p, test); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := EvaluatePrediction(strategy, test, cfg.Block, sparing.DefaultBudget()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perBank := allocs / float64(len(test))
+	t.Logf("%d test banks: %.0f mallocs, %.2f per bank", len(test), allocs, perBank)
+	if perBank > 12 {
+		t.Errorf("evaluation makes %.2f mallocs per bank, want ≤ 12", perBank)
 	}
 }

@@ -78,10 +78,7 @@ func TestFitLogsUnrankedCalibrationOnce(t *testing.T) {
 	quiet := 0
 	for _, bf := range fleet.Faults {
 		if bf.Class().IsAggregation() {
-			_, labels, err := blockInstances(nil, nil, bf, cfg.Block, cfg.Pattern.UERBudget)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, labels := bankInstances(t, bf, cfg.Block, cfg.Pattern.UERBudget)
 			if len(labels) == 0 || slices.Contains(labels, 1) {
 				continue
 			}

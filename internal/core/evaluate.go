@@ -60,20 +60,11 @@ func EvaluatePattern(p *Pipeline, banks []*faultsim.BankFault) (*PatternEval, er
 	eval := &PatternEval{PerClass: make(map[faultsim.Class]metrics.Report)}
 	// Extract every classifiable bank's feature vector, then classify the
 	// whole test set in one batch over the model's arena.
-	var vecs [][]float64
-	var truths []int
-	for _, bf := range banks {
-		st, err := p.replayState(bf.Events)
-		if err != nil {
-			return nil, err
-		}
-		vec, err := patternVectorOf(st, p.cfg.ErrBits)
-		if err != nil {
-			continue // bank without UERs: out of scope
-		}
-		vecs = append(vecs, vec)
-		truths = append(truths, int(bf.Class()))
+	st, err := p.NewBankState()
+	if err != nil {
+		return nil, err
 	}
+	vecs, truths := patternSamples(banks, st, p.cfg.ErrBits)
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("core: no classifiable banks in the test set")
 	}

@@ -142,30 +142,39 @@ func minInt(a, b int) int {
 // ground-truth class. Banks whose feature extraction fails are skipped.
 // With errBits set, each vector gains the intra-word error-bit columns.
 func BuildPatternDataset(banks []*faultsim.BankFault, cfg features.PatternConfig, errBits bool) (*mltree.Dataset, error) {
-	ds := &mltree.Dataset{
-		Names:    patternFeatureNames(errBits),
-		Features: make([][]float64, 0, len(banks)),
-		Labels:   make([]int, 0, len(banks)),
+	st, err := features.NewBankState(cfg, features.DefaultBlockSpec())
+	if err != nil {
+		return nil, err
 	}
+	vecs, labels := patternSamples(banks, st, errBits)
+	if len(vecs) == 0 {
+		return nil, fmt.Errorf("core: no banks with UERs to build a pattern dataset")
+	}
+	return &mltree.Dataset{Names: patternFeatureNames(errBits), Features: vecs, Labels: labels}, nil
+}
+
+// patternSamples folds every bank through st, reset between banks, and returns
+// the pattern vector and ground-truth class of each bank with a UER; a bank
+// without one has nothing to classify and is skipped. The vectors are rows of
+// one backing array.
+func patternSamples(banks []*faultsim.BankFault, st *features.BankState, errBits bool) (vecs [][]float64, labels []int) {
+	width := patternColumns(errBits)
+	backing := make([]float64, len(banks)*width)
+	vecs, labels = make([][]float64, 0, len(banks)), make([]int, 0, len(banks))
 	for _, bf := range banks {
-		st, err := features.NewBankState(cfg, features.DefaultBlockSpec())
-		if err != nil {
-			return nil, err
-		}
+		st.Reset()
 		for _, e := range bf.Events {
 			st.Observe(e)
 		}
-		vec, err := patternVectorOf(st, errBits)
-		if err != nil {
-			continue // bank without UERs: nothing to classify
+		vec := backing[:width:width]
+		if patternVectorInto(vec, st, errBits) != nil {
+			continue
 		}
-		ds.Features = append(ds.Features, vec)
-		ds.Labels = append(ds.Labels, int(bf.Class()))
+		backing = backing[width:]
+		vecs = append(vecs, vec)
+		labels = append(labels, int(bf.Class()))
 	}
-	if ds.NumSamples() == 0 {
-		return nil, fmt.Errorf("core: no banks with UERs to build a pattern dataset")
-	}
-	return ds, nil
+	return vecs, labels
 }
 
 // blockInstances generates the §IV-D training instances of one bank: after
@@ -173,23 +182,23 @@ func BuildPatternDataset(banks []*faultsim.BankFault, cfg features.PatternConfig
 // labelled by whether any UER event — a new row failing or a known row
 // recurring — lands in that block strictly after the decision time.
 //
-// The bank's events are replayed exactly once through an incremental
-// feature state: BankFault.Events are time-sorted and UERTimes is
-// nondecreasing, so each decision point only needs to fold in the events
-// between the previous cutoff and its own. This replaces the earlier
-// prefix-slice recomputation, which was quadratic in the event count per
-// bank. The instances are appended to vecs and labels: blockInstanceCount says
-// how many there will be.
-func blockInstances(vecs [][]float64, labels []int, bf *faultsim.BankFault, spec features.BlockSpec, warmup int) ([][]float64, []int, error) {
+// The bank's events are replayed exactly once through st, reset first:
+// BankFault.Events are time-sorted and UERTimes is nondecreasing, so each
+// decision point only needs to fold in the events between the previous cutoff
+// and its own. This replaces the earlier prefix-slice recomputation, which was
+// quadratic in the event count per bank. The instances are appended to vecs
+// and labels, their vectors carved from the front of backing, which must hold
+// blockInstanceCount × BlockFeatureCount values; the rest of backing is
+// returned.
+func blockInstances(vecs [][]float64, labels []int, backing []float64, st *features.BankState, bf *faultsim.BankFault, warmup int) ([][]float64, []int, []float64) {
 	n := len(bf.UERRows)
 	warmup = max(warmup, 1)
 	if n < warmup {
-		return vecs, labels, nil
+		return vecs, labels, backing
 	}
-	st, err := features.NewBankState(features.DefaultPatternConfig(), spec)
-	if err != nil {
-		return nil, nil, err
-	}
+	st.Reset()
+	spec := st.Spec()
+	width := spec.NumBlocks() * features.BlockFeatureCount
 	next := 0
 	for k := warmup; k <= n; k++ {
 		anchor := bf.UERRows[k-1]
@@ -198,7 +207,8 @@ func blockInstances(vecs [][]float64, labels []int, bf *faultsim.BankFault, spec
 			st.Observe(bf.Events[next])
 			next++
 		}
-		window := make([]float64, spec.NumBlocks()*features.BlockFeatureCount)
+		window := backing[:width:width]
+		backing = backing[width:]
 		st.BlockVectorsInto(window, anchor, now)
 		for b := 0; b < spec.NumBlocks(); b++ {
 			label := 0
@@ -210,7 +220,7 @@ func blockInstances(vecs [][]float64, labels []int, bf *faultsim.BankFault, spec
 			labels = append(labels, label)
 		}
 	}
-	return vecs, labels, nil
+	return vecs, labels, backing
 }
 
 // blockInstanceCount is the number of instances blockInstances generates for
@@ -241,7 +251,8 @@ func blockHasFutureUER(bf *faultsim.BankFault, spec features.BlockSpec, anchor, 
 // warmup is the number of UERs observed before the first prediction — the
 // pattern classifier's UER budget in the full pipeline.
 func BuildBlockDataset(banks []*faultsim.BankFault, spec features.BlockSpec, warmup int) (*mltree.Dataset, error) {
-	if err := spec.Validate(); err != nil {
+	st, err := features.NewBankState(features.DefaultPatternConfig(), spec) // validates spec
+	if err != nil {
 		return nil, err
 	}
 	instances := 0
@@ -255,13 +266,10 @@ func BuildBlockDataset(banks []*faultsim.BankFault, spec features.BlockSpec, war
 		Features: make([][]float64, 0, instances),
 		Labels:   make([]int, 0, instances),
 	}
+	backing := make([]float64, instances*features.BlockFeatureCount)
 	for _, bf := range banks {
-		if !bf.Class().IsAggregation() {
-			continue
-		}
-		var err error
-		if ds.Features, ds.Labels, err = blockInstances(ds.Features, ds.Labels, bf, spec, warmup); err != nil {
-			return nil, err
+		if bf.Class().IsAggregation() {
+			ds.Features, ds.Labels, backing = blockInstances(ds.Features, ds.Labels, backing, st, bf, warmup)
 		}
 	}
 	if ds.NumSamples() == 0 {

@@ -203,15 +203,6 @@ func patternVectorInto(dst []float64, st *features.BankState, errBits bool) erro
 	return nil
 }
 
-// patternVectorOf is patternVectorInto a fresh slice.
-func patternVectorOf(st *features.BankState, errBits bool) ([]float64, error) {
-	vec := make([]float64, patternColumns(errBits))
-	if err := patternVectorInto(vec, st, errBits); err != nil {
-		return nil, err
-	}
-	return vec, nil
-}
-
 // patternFeatureNames returns the pattern-stage column names, including the
 // error-bit columns when enabled.
 func patternFeatureNames(errBits bool) []string {

@@ -93,23 +93,58 @@ func TestStateVariantsMatchSliceAPI(t *testing.T) {
 	}
 }
 
+// bankInstances is blockInstances over one bank, through a state and a
+// backing of its own.
+func bankInstances(t testing.TB, bf *faultsim.BankFault, spec features.BlockSpec, warmup int) ([][]float64, []int) {
+	t.Helper()
+	st, err := features.NewBankState(features.DefaultPatternConfig(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := make([]float64, blockInstanceCount(bf, spec, warmup)*features.BlockFeatureCount)
+	vecs, labels, _ := blockInstances(nil, nil, backing, st, bf, warmup)
+	return vecs, labels
+}
+
 // TestBlockInstancesSingleReplayEquivalence pins blockInstances' forward
-// replay against the original prefix-slice recomputation it replaced.
+// replay against the original prefix-slice recomputation it replaced. As in
+// BuildBlockDataset, one state folds every bank, reset between them, and the
+// vectors are carved from one backing array; the reference builds a fresh
+// state per decision, and every bank's instances are compared after all of
+// them were made, so a window two decisions share or a state a bank leaves
+// behind shows.
 func TestBlockInstancesSingleReplayEquivalence(t *testing.T) {
 	fleet := testFleet(t, 2, 150)
 	spec := features.DefaultBlockSpec()
-	banks := 0
+	var chosen []*faultsim.BankFault
+	instances := 0
 	for _, bf := range fleet.Faults {
-		if !bf.Class().IsAggregation() || len(bf.UERRows) < 3 {
-			continue
+		if bf.Class().IsAggregation() && len(bf.UERRows) >= 3 && len(chosen) < 10 {
+			chosen = append(chosen, bf)
+			instances += blockInstanceCount(bf, spec, 3)
 		}
-		vecs, labels, err := blockInstances(nil, nil, bf, spec, 3)
-		if err != nil {
-			t.Fatal(err)
+	}
+	if len(chosen) == 0 {
+		t.Fatal("no aggregation banks with enough UERs")
+	}
+	st, err := features.NewBankState(features.DefaultPatternConfig(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := make([]float64, instances*features.BlockFeatureCount)
+	made := make([][][]float64, len(chosen))
+	madeLabels := make([][]int, len(chosen))
+	for i, bf := range chosen {
+		made[i], madeLabels[i], backing = blockInstances(nil, nil, backing, st, bf, 3)
+		if want := blockInstanceCount(bf, spec, 3); len(made[i]) != want {
+			t.Fatalf("%d instances where BuildBlockDataset sizes for %d", len(made[i]), want)
 		}
-		if want := blockInstanceCount(bf, spec, 3); len(vecs) != want {
-			t.Fatalf("%d instances where BuildBlockDataset sizes for %d", len(vecs), want)
-		}
+	}
+	if len(backing) != 0 {
+		t.Fatalf("%d values of the backing left over", len(backing))
+	}
+	for n, bf := range chosen {
+		vecs, labels := made[n], madeLabels[n]
 		var wantVecs [][]float64
 		var wantLabels []int
 		for k := 3; k <= len(bf.UERRows); k++ {
@@ -146,13 +181,6 @@ func TestBlockInstancesSingleReplayEquivalence(t *testing.T) {
 				t.Fatalf("label %d: replay %d, reference %d", i, labels[i], wantLabels[i])
 			}
 		}
-		banks++
-		if banks >= 10 {
-			break
-		}
-	}
-	if banks == 0 {
-		t.Fatal("no aggregation banks with enough UERs")
 	}
 }
 

@@ -67,7 +67,7 @@ func FuzzIncrementalFeatureEquivalence(f *testing.F) {
 			now = now.Add(time.Duration(b>>5) * 13 * time.Minute)
 			events = append(events, mcelog.Event{Time: now, Addr: hbmAddr(row), Class: class})
 		}
-		assertPrefixEquivalence(t, events, cfg, spec)
+		assertPrefixEquivalence(t, freshState(t, cfg, spec), events)
 	})
 }
 

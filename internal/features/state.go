@@ -103,8 +103,19 @@ func NewBankState(cfg PatternConfig, spec BlockSpec) (*BankState, error) {
 		return nil, err
 	}
 	s := &BankState{cfg: cfg, spec: spec}
-	s.cutoff, s.firstEventTime, s.firstUERTime, s.runTime, s.lastTime = unsetTime, unsetTime, unsetTime, unsetTime, unsetTime
+	s.Reset()
 	return s, nil
+}
+
+// Reset empties the state for another bank under the same configuration: it
+// then equals a fresh NewBankState in everything it reports and encodes,
+// except that its per-row table and budget rows keep their capacity, so a
+// caller folding banks one after another (the offline dataset builders and
+// evaluators) allocates them once. Footprint counts that kept capacity, which
+// is why a caller holding many banks at once gives each its own state.
+func (s *BankState) Reset() {
+	*s = BankState{cfg: s.cfg, spec: s.spec, budgetRows: s.budgetRows[:0], rows: s.rows[:0]}
+	s.cutoff, s.firstEventTime, s.firstUERTime, s.runTime, s.lastTime = unsetTime, unsetTime, unsetTime, unsetTime, unsetTime
 }
 
 // patternAccums is one set of §IV-B sequence accumulators: the three
@@ -523,7 +534,8 @@ type StateFootprint struct {
 
 // Footprint reports the state's current size: the struct itself plus the
 // backing arrays of the per-row table and the budget rows at their allocated
-// capacity. Cost is O(1).
+// capacity. Cost is O(1). A state Reset for another bank reports the capacity
+// its earlier banks left, not what the current bank alone would need.
 func (s *BankState) Footprint() StateFootprint {
 	bytes := int(unsafe.Sizeof(*s)) + cap(s.rows)*int(unsafe.Sizeof(rowEntry{})) + cap(s.budgetRows)*4
 	return StateFootprint{Events: s.events, TrackedRows: len(s.rows) + len(s.budgetRows), ApproxBytes: bytes}

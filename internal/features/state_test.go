@@ -1,6 +1,7 @@
 package features
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -26,16 +27,23 @@ func vecBitsEqual(a, b []float64) bool {
 	return true
 }
 
-// assertPrefixEquivalence feeds events through one long-lived BankState and
-// checks, after every event, that its pattern and block vectors — each block
-// alone and as a row of BlockVectorsInto — are bit-identical to the batch
-// reference over the same prefix.
-func assertPrefixEquivalence(t *testing.T, events []mcelog.Event, cfg PatternConfig, spec BlockSpec) {
+// freshState is NewBankState, failing t on an error.
+func freshState(t testing.TB, cfg PatternConfig, spec BlockSpec) *BankState {
 	t.Helper()
 	st, err := NewBankState(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// assertPrefixEquivalence feeds events through st, an empty state, and
+// checks, after every event, that its pattern and block vectors — each block
+// alone and as a row of BlockVectorsInto — are bit-identical to the batch
+// reference over the same prefix under st's configuration.
+func assertPrefixEquivalence(t *testing.T, st *BankState, events []mcelog.Event) {
+	t.Helper()
+	cfg, spec := st.cfg, st.spec
 	lastUERRow := -1
 	window := make([]float64, spec.NumBlocks()*BlockFeatureCount)
 	for i, e := range events {
@@ -185,7 +193,7 @@ func TestIncrementalEquivalenceTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertPrefixEquivalence(t, tc.events, tc.cfg, tc.spec)
+			assertPrefixEquivalence(t, freshState(t, tc.cfg, tc.spec), tc.events)
 		})
 	}
 }
@@ -195,29 +203,74 @@ func TestIncrementalEquivalenceTable(t *testing.T) {
 func TestIncrementalEquivalenceRandom(t *testing.T) {
 	r := xrand.New(31)
 	for trial := 0; trial < 20; trial++ {
-		n := 10 + r.Intn(70)
-		events := make([]mcelog.Event, 0, n)
-		now := t0
-		row := 200 + r.Intn(100)
-		for i := 0; i < n; i++ {
-			if r.Bool(0.7) {
-				// duplicate timestamps are common in bursts
-				now = now.Add(time.Duration(r.Intn(5)) * 13 * time.Minute)
+		events := randomStream(r)
+		cfg := PatternConfig{UERBudget: 1 + r.Intn(4)}
+		assertPrefixEquivalence(t, freshState(t, cfg, BlockSpec{WindowRadius: 8, BlockSize: 4}), events)
+	}
+}
+
+// randomStream draws 10–79 time-ordered events of every class on clustered
+// rows, with duplicate timestamps.
+func randomStream(r *xrand.RNG) []mcelog.Event {
+	n := 10 + r.Intn(70)
+	events := make([]mcelog.Event, 0, n)
+	now := t0
+	row := 200 + r.Intn(100)
+	for i := 0; i < n; i++ {
+		if r.Bool(0.7) {
+			// duplicate timestamps are common in bursts
+			now = now.Add(time.Duration(r.Intn(5)) * 13 * time.Minute)
+		}
+		switch {
+		case r.Bool(0.6):
+			row = 200 + r.Intn(100)
+		default:
+			row += r.Intn(9) - 4
+			if row < 0 {
+				row = 0
 			}
-			switch {
-			case r.Bool(0.6):
-				row = 200 + r.Intn(100)
-			default:
-				row += r.Intn(9) - 4
-				if row < 0 {
-					row = 0
-				}
-			}
-			class := []ecc.Class{ecc.ClassCE, ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER}[r.Intn(4)]
-			events = append(events, mcelog.Event{Time: now, Addr: hbmAddr(row), Class: class})
+		}
+		class := []ecc.Class{ecc.ClassCE, ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER}[r.Intn(4)]
+		events = append(events, mcelog.Event{Time: now, Addr: hbmAddr(row), Class: class})
+	}
+	return events
+}
+
+// TestResetStateIsFresh: a state that folded an unrelated bank and was Reset
+// is a fresh state. It passes the prefix check over another bank's events,
+// and its snapshot image — error-bit aggregates included — then equals that of
+// a fresh state over the same events, byte for byte.
+func TestResetStateIsFresh(t *testing.T) {
+	r := xrand.New(32)
+	spec := BlockSpec{WindowRadius: 8, BlockSize: 4}
+	for trial := 0; trial < 20; trial++ {
+		unrelated, events := randomStream(r), randomStream(r)
+		for i := range unrelated {
+			unrelated[i].Bits = mcelog.ErrBits(r.Intn(1 << 16))
 		}
 		cfg := PatternConfig{UERBudget: 1 + r.Intn(4)}
-		assertPrefixEquivalence(t, events, cfg, BlockSpec{WindowRadius: 8, BlockSize: 4})
+		st := freshState(t, cfg, spec)
+		for _, e := range unrelated {
+			st.Observe(e)
+		}
+		st.Reset()
+		assertPrefixEquivalence(t, st, events)
+
+		fresh := freshState(t, cfg, spec)
+		for _, e := range events {
+			fresh.Observe(e)
+		}
+		got, err := st.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: the reset state's image differs from a fresh state's (%d vs %d bytes)", trial, len(got), len(want))
+		}
 	}
 }
 

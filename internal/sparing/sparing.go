@@ -73,14 +73,20 @@ func (b Budget) Validate() error {
 type Engine struct {
 	budget Budget
 
-	// rowIsolated[bankKey][row] = earliest isolation time.
-	rowIsolated map[uint64]map[int]time.Time
+	// rowIsolated[{bankKey, row}] = earliest isolation time.
+	rowIsolated map[bankRow]time.Time
 	// bankIsolated[bankKey] = isolation time.
 	bankIsolated map[uint64]time.Time
 	// rowSparesUsed[bankKey] and bankSparesUsed[channelKey] track budget
 	// consumption.
 	rowSparesUsed  map[uint64]int
 	bankSparesUsed map[uint64]int
+}
+
+// bankRow names one row of one bank: the bank's key and the row.
+type bankRow struct {
+	bank uint64
+	row  int
 }
 
 // NewEngine returns an engine with the given budget.
@@ -90,7 +96,7 @@ func NewEngine(budget Budget) (*Engine, error) {
 	}
 	return &Engine{
 		budget:         budget,
-		rowIsolated:    make(map[uint64]map[int]time.Time),
+		rowIsolated:    make(map[bankRow]time.Time),
 		bankIsolated:   make(map[uint64]time.Time),
 		rowSparesUsed:  make(map[uint64]int),
 		bankSparesUsed: make(map[uint64]int),
@@ -99,30 +105,26 @@ func NewEngine(budget Budget) (*Engine, error) {
 
 // markRow records row isolation at t, keeping the earliest time.
 func (e *Engine) markRow(bankKey uint64, row int, t time.Time) {
-	rows := e.rowIsolated[bankKey]
-	if rows == nil {
-		rows = make(map[int]time.Time)
-		e.rowIsolated[bankKey] = rows
-	}
-	if prev, ok := rows[row]; !ok || t.Before(prev) {
-		rows[row] = t
+	k := bankRow{bankKey, row}
+	if prev, ok := e.rowIsolated[k]; !ok || t.Before(prev) {
+		e.rowIsolated[k] = t
 	}
 }
 
 // SpareRows row-spares the given rows of bank at time t, consuming one spare
 // per not-yet-isolated row. It applies as many rows as the budget allows (in
-// ascending row order) and returns the rows actually spared. Rows already
-// isolated are skipped without consuming budget. The caller's rows are
-// neither modified nor retained; ascending rows (every strategy's) are read in
-// place, others through a sorted copy.
-func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) []int {
+// ascending row order) and returns how many it spared; IsRowSparedBefore says
+// which. Rows already isolated are skipped without consuming budget. The
+// caller's rows are neither modified nor retained; ascending rows (every
+// strategy's) are read in place, others through a sorted copy.
+func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) int {
 	key := bank.BankKey()
 	sorted := rows
 	if !slices.IsSorted(rows) {
 		sorted = slices.Clone(rows)
 		slices.Sort(sorted)
 	}
-	var applied []int
+	applied := 0
 	for _, row := range sorted {
 		if e.isRowIsolatedAt(key, row, t) {
 			continue
@@ -132,7 +134,7 @@ func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) []int 
 		}
 		e.rowSparesUsed[key]++
 		e.markRow(key, row, t)
-		applied = append(applied, row)
+		applied++
 	}
 	return applied
 }
@@ -163,7 +165,7 @@ func (e *Engine) isRowIsolatedAt(bankKey uint64, row int, t time.Time) bool {
 	if bt, ok := e.bankIsolated[bankKey]; ok && !bt.After(t) {
 		return true
 	}
-	if rt, ok := e.rowIsolated[bankKey][row]; ok && !rt.After(t) {
+	if rt, ok := e.rowIsolated[bankRow{bankKey, row}]; ok && !rt.After(t) {
 		return true
 	}
 	return false
@@ -187,7 +189,7 @@ func (e *Engine) IsRowIsolatedBefore(bank hbm.BankAddress, row int, t time.Time)
 // predicate behind the paper's cross-row ICR, which credits only row-level
 // predictions.
 func (e *Engine) IsRowSparedBefore(bank hbm.BankAddress, row int, t time.Time) bool {
-	rt, ok := e.rowIsolated[bank.BankKey()][row]
+	rt, ok := e.rowIsolated[bankRow{bank.BankKey(), row}]
 	return ok && rt.Before(t)
 }
 
@@ -209,8 +211,6 @@ func (e *Engine) Usage() UsageStats {
 		s.BankSpares += n
 	}
 	s.IsolatedBanks = len(e.bankIsolated)
-	for _, rows := range e.rowIsolated {
-		s.IsolatedRows += len(rows)
-	}
+	s.IsolatedRows = len(e.rowIsolated)
 	return s
 }

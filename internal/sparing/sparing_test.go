@@ -27,12 +27,25 @@ func TestNewEngineRejectsNegativeBudget(t *testing.T) {
 	}
 }
 
+// sparedRows returns which of rows e reports spared before t.
+func sparedRows(e *Engine, bank hbm.BankAddress, rows []int, t time.Time) []int {
+	var spared []int
+	for _, r := range rows {
+		if e.IsRowSparedBefore(bank, r, t) {
+			spared = append(spared, r)
+		}
+	}
+	return spared
+}
+
 func TestSpareRowsBasics(t *testing.T) {
 	e := newEngine(t, DefaultBudget())
 	bank := hbm.BankAddress{Node: 1}
-	applied := e.SpareRows(bank, []int{10, 5, 7}, at(1))
-	if len(applied) != 3 || applied[0] != 5 || applied[2] != 10 {
-		t.Fatalf("applied = %v", applied)
+	if n := e.SpareRows(bank, []int{10, 5, 7}, at(1)); n != 3 {
+		t.Fatalf("applied %d rows, want 3", n)
+	}
+	if got := sparedRows(e, bank, []int{4, 5, 6, 7, 10, 11}, at(2)); !slices.Equal(got, []int{5, 7, 10}) {
+		t.Fatalf("spared rows %v, want [5 7 10]", got)
 	}
 	if !e.IsRowIsolatedBefore(bank, 7, at(2)) {
 		t.Fatal("row 7 not isolated before hour 2")
@@ -53,21 +66,20 @@ func TestSpareRowsNeverTouchesCallerRows(t *testing.T) {
 		e := newEngine(t, DefaultBudget())
 		bank := hbm.BankAddress{Node: 3}
 		caller := append([]int(nil), rows...)
-		applied := e.SpareRows(bank, caller, at(1))
+		if n := e.SpareRows(bank, caller, at(1)); n != 4 {
+			t.Errorf("SpareRows(%v) applied %d rows, want 4", rows, n)
+		}
 		if !slices.Equal(caller, rows) {
 			t.Errorf("SpareRows(%v) left the caller's rows as %v", rows, caller)
 		}
-		if !slices.Equal(applied, []int{3, 4, 5, 9}) {
-			t.Errorf("SpareRows(%v) applied %v", rows, applied)
-		}
 		clear(caller) // the caller reuses its buffer
-		if !slices.Equal(applied, []int{3, 4, 5, 9}) {
-			t.Errorf("after the caller reused its rows the applied rows read %v", applied)
-		}
 		for _, r := range []int{3, 4, 5, 9} {
 			if !e.IsRowIsolatedBefore(bank, r, at(2)) {
-				t.Errorf("row %d of %v not isolated", r, rows)
+				t.Errorf("after the caller reused its rows, row %d of %v is not isolated", r, rows)
 			}
+		}
+		if e.IsRowSparedBefore(bank, 0, at(2)) {
+			t.Errorf("the zeroed caller rows were spared after the call")
 		}
 	}
 }
@@ -75,18 +87,20 @@ func TestSpareRowsNeverTouchesCallerRows(t *testing.T) {
 func TestSpareRowsRespectsBudget(t *testing.T) {
 	e := newEngine(t, Budget{RowSparesPerBank: 2, BankSparesPerChannel: 1})
 	bank := hbm.BankAddress{}
-	applied := e.SpareRows(bank, []int{1, 2, 3, 4}, at(1))
-	if len(applied) != 2 {
-		t.Fatalf("applied %d rows with budget 2", len(applied))
+	if n := e.SpareRows(bank, []int{4, 3, 2, 1}, at(1)); n != 2 {
+		t.Fatalf("applied %d rows with budget 2", n)
+	}
+	if got := sparedRows(e, bank, []int{1, 2, 3, 4}, at(2)); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("spared rows %v, want the two lowest", got)
 	}
 	// Second call: budget exhausted.
-	if got := e.SpareRows(bank, []int{9}, at(2)); len(got) != 0 {
-		t.Fatalf("over-budget sparing applied %v", got)
+	if n := e.SpareRows(bank, []int{9}, at(2)); n != 0 || e.IsRowSparedBefore(bank, 9, at(3)) {
+		t.Fatalf("over-budget sparing applied %d rows", n)
 	}
 	// A different bank has its own budget.
 	other := hbm.BankAddress{Bank: 1}
-	if got := e.SpareRows(other, []int{1}, at(2)); len(got) != 1 {
-		t.Fatalf("other bank sparing applied %v", got)
+	if n := e.SpareRows(other, []int{1}, at(2)); n != 1 || !e.IsRowSparedBefore(other, 1, at(3)) {
+		t.Fatalf("other bank sparing applied %d rows", n)
 	}
 }
 
@@ -94,12 +108,53 @@ func TestSpareRowsSkipsAlreadyIsolatedWithoutConsumingBudget(t *testing.T) {
 	e := newEngine(t, Budget{RowSparesPerBank: 2, BankSparesPerChannel: 1})
 	bank := hbm.BankAddress{}
 	e.SpareRows(bank, []int{5}, at(1))
-	applied := e.SpareRows(bank, []int{5, 6}, at(2))
-	if len(applied) != 1 || applied[0] != 6 {
-		t.Fatalf("re-sparing applied %v", applied)
+	if n := e.SpareRows(bank, []int{5, 6}, at(2)); n != 1 {
+		t.Fatalf("re-sparing applied %d rows, want 1", n)
+	}
+	if !e.IsRowSparedBefore(bank, 5, at(2)) || e.IsRowSparedBefore(bank, 6, at(2)) || !e.IsRowSparedBefore(bank, 6, at(3)) {
+		t.Fatal("row 5 must keep hour 1 and row 6 be spared at hour 2")
 	}
 	if e.Usage().RowSpares != 2 {
 		t.Fatalf("row spares used = %d, want 2", e.Usage().RowSpares)
+	}
+}
+
+// TestTwoBanksSpareOneRow: the row table is keyed by bank and row, so two
+// banks sparing the same row number each keep their own time and budget, and
+// both rows count as isolated.
+func TestTwoBanksSpareOneRow(t *testing.T) {
+	e := newEngine(t, Budget{RowSparesPerBank: 1, BankSparesPerChannel: 1})
+	a, b := hbm.BankAddress{Bank: 1}, hbm.BankAddress{Bank: 2}
+	if n := e.SpareRows(a, []int{7}, at(1)); n != 1 {
+		t.Fatalf("bank a applied %d rows", n)
+	}
+	if n := e.SpareRows(b, []int{7}, at(5)); n != 1 {
+		t.Fatalf("bank b applied %d rows: a's spare of row 7 counted against it", n)
+	}
+	if !e.IsRowSparedBefore(a, 7, at(2)) || e.IsRowSparedBefore(b, 7, at(2)) || !e.IsRowSparedBefore(b, 7, at(6)) {
+		t.Fatal("the two banks' row 7 do not keep their own times (a at hour 1, b at hour 5)")
+	}
+	if n := e.SpareRows(a, []int{8}, at(6)); n != 0 {
+		t.Fatalf("bank a spared %d rows past its budget of one", n)
+	}
+	if u := e.Usage(); u.IsolatedRows != 2 || u.RowSpares != 2 {
+		t.Fatalf("usage %+v, want 2 isolated rows and 2 row spares", u)
+	}
+}
+
+// TestRespareAllocatesNothing: a warmed engine asked to spare rows it already
+// holds allocates nothing.
+func TestRespareAllocatesNothing(t *testing.T) {
+	e := newEngine(t, DefaultBudget())
+	bank := hbm.BankAddress{Node: 4}
+	rows := []int{10, 11, 12, 13, 14, 15, 16, 17}
+	e.SpareRows(bank, rows, at(1))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if n := e.SpareRows(bank, rows, at(2)); n != 0 {
+			t.Errorf("re-sparing applied %d rows", n)
+		}
+	}); allocs != 0 {
+		t.Errorf("re-sparing held rows allocates %v times, want 0", allocs)
 	}
 }
 

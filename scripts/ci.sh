@@ -16,109 +16,11 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> one instrument set (what obs.Histogram and EngineStats replaced stays deleted)"
-# The second latency instrument, its quantile estimator, /statsz's mirror
-# structs, the lock-taking gauge closure, the second exposition-line parser
-# and the offline Trainer were each deleted for one remaining implementation;
-# a name coming back means a duplicate came back with it.
-if grep -rn "latencySampler\|nearestRank\|jsonLatency\|jsonShadow\|shardSum\|validateLabelBlock\|NewTrainer" \
-    --include=*.go internal cmd cordial.go; then
-    echo "a deleted duplicate is back (see the matches above)" >&2
-    exit 1
-fi
-
-echo "==> one bank index (the session map the store replaced stays deleted)"
-# A shard's bankStore is its only index of its banks; a second one beside it
-# is a second thing to keep in step. Tests may still model one with a map.
-if grep -rn "map\[uint64\]\*bankSession" --include=*.go internal/stream | grep -v "_test\.go:"; then
-    echo "a session map is back beside the store (see the matches above)" >&2
-    exit 1
-fi
-
-echo "==> one pack per event (the engine queues, journals and folds the record)"
-# IngestBatch packs each event into its record once; the shard step keys it
-# with one AND and the journal step copies its bytes. A bank key or a wire
-# record computed again inside either is the second pack coming back. A gate
-# whose functions are gone would pass by matching nothing, so both must exist.
-for fn in 'func (st *shardState) step(' 'func (e *Engine) journalBatch('; do
-    if ! grep -qF "$fn" internal/stream/*.go; then
-        echo "the pack gate's target is gone: $fn" >&2
-        exit 1
-    fi
-done
-if awk '/^func \(st \*shardState\) step\(|^func \(e \*Engine\) journalBatch\(/,/^}/' internal/stream/*.go \
-    | grep -n "BankKey(\|AppendWireRecord("; then
-    echo "step or journalBatch packs an event again (see the matches above)" >&2
-    exit 1
-fi
-
-echo "==> one fold (live ingest, boot replay and handoff import all fold through shardState.step)"
-# Live ingest, boot replay and handoff import all run one fold: the
-# names of the copies it replaced must not come back, the step is the only
-# code with a recover around a primary strategy call (the shadow twin keeps
-# its own), and it takes no lock, starts no goroutine and reads the clock only
-# for the histogram its caller passes.
-if grep -rn "foldDetached\|quarantineDetached\|resetSessions" --include=*.go internal/stream; then
-    echo "a second fold is back (see the matches above)" >&2
-    exit 1
-fi
-if grep -n "recover()" internal/stream/*.go | grep -v "_test\.go:\|/shard\.go:\|/shadow\.go:"; then
-    echo "a recover outside the shard step (see the matches above)" >&2
-    exit 1
-fi
-if awk '/time\.Now\(/ && prev !~ /proc != nil \{$/ || /sync\./ || /^[[:space:]]*go / { print FILENAME ":" FNR ": " $0; bad = 1 }
-        { prev = $0 }
-        END { exit !bad }' internal/stream/shard.go; then
-    echo "shard.go locks, starts a goroutine or reads a clock outside the histogram's nil check (see the matches above)" >&2
-    exit 1
-fi
-
-echo "==> one quiet tier (the engine's store; a core session is always eager)"
-# A bank that has logged no UER is kept as observations in one place, its
-# shard's store. Core's own deferral, the footprint that mirrored it and the
-# interfaces that joined the two tiers must not come back, and QuietStrategy
-# keeps its one method, ResumeSession.
-if grep -rnE "maxPending|pendingStart|QuietSession|QuietLog\(|DeferredFootprint|(^|[^[:alnum:]_])Deferred:" \
-    --include=*.go internal | grep -v "_test\.go:"; then
-    echo "a second quiet tier is back (see the matches above)" >&2
-    exit 1
-fi
-methods=$(awk '/^type QuietStrategy interface \{/,/^\}/' internal/core/pipeline.go | grep -cE '^[[:space:]]+[A-Z][[:alnum:]]*\(')
-if [ "$methods" != 1 ]; then
-    echo "core.QuietStrategy declares $methods methods, want ResumeSession alone" >&2
-    exit 1
-fi
-
-echo "==> one coded training matrix (classification training transposes nothing)"
-# A dataset is value-coded once and every Tree or Forest fit, on it or on a
-# view of it, grows over those codes; the float64 transpose belongs to the
-# boosting trainer (gbdt.go), which reads a feature's values at every node.
-if grep -rn "columnize(" --include=*.go internal/mltree | grep -v "_test\.go:\|/gbdt\.go:"; then
-    echo "columnize is called outside the boosting trainer (see the matches above)" >&2
-    exit 1
-fi
-
-echo "==> one library, the programs' (no declaration under internal/ that only tests reach)"
-# The library reached by no program was deleted with the tests that only
-# exercised it; TestEveryInternalDeclReached keeps it gone. It type-checks the
-# module and bench/ from source and fails, with file:line and name, on any
-# non-test declaration under internal/ that cmd/, examples/, bench/ and the
-# root package do not reach, outside its short commented keep-list — and on a
-# keep-list entry that no longer exists. It runs inside `go test ./...` too.
-go test -run 'TestEveryInternalDeclReached' -count 1 .
-
-echo "==> only the knobs programs turn (deleted learner and serving options stay deleted)"
-# Every learner option core.NewModel left at its default became a constant,
-# and the code only another value ran was deleted with it: entropy splits,
-# early stopping, class weighting, GOSS's off-switch, GBDT's presort cache and
-# the forest's unread out-of-bag pass. Serving options nothing set went the
-# same way. A name coming back outside tests and docs means an option, or the
-# code behind it, came back.
-if grep -rnwE "Entropy|Criterion|EarlyStopRounds|PositiveWeight|TopRate|oobScore|copyLists|rootSorted|NoGroupCommit|MaxLineBytes|MaxBatchErrors" \
-    --include=*.go internal cmd examples bench cordial.go | grep -v "_test\.go:"; then
-    echo "a deleted option is back (see the matches above)" >&2
-    exit 1
-fi
+echo "==> deleted stays deleted, one library (the type-checked gates of reach_test.go)"
+# TestDeletedStaysDeleted's table holds each deletion gate (deleted names, the
+# PR, the replacement, structural checks); TestEveryInternalDeclReached fails on
+# a declaration under internal/ that no program reaches. Both run in go test ./...
+go test -run 'TestDeletedStaysDeleted|TestEveryInternalDeclReached' -count 1 .
 
 echo "==> go vet"
 go vet ./...
@@ -232,16 +134,15 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 go test -run 'TestPredictingFoldAllocs' -count 1 ./internal/stream/
 
-echo "==> training perf gate (a forest fit allocates per tree and per fit, never per node; a Pipeline.Fit ≤ 12 MB)"
+echo "==> training perf gate (a forest fit allocates per tree and per fit, never per node; a Pipeline.Fit ≤ 12 MB in ≤ 1 500 allocations; evaluation ≤ 12 per bank)"
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
 # allocate each member's generator, node array and probability array plus a
-# per-fit term (value codes, one grower per worker, arena)
-# — 414 allocations where the presorted-list trainer made 207 664 — and one
-# default Pipeline.Fit on 120 banks, its three forest fits over two coded
-# datasets, at most 12 MB in all (10.5 measured; 19.1 when each fit
-# transposed, presorted and coded its own copy).
-go test -run 'TestForestFitAllocs|TestFitTransientBytes' -count 1 ./internal/mltree/ ./internal/core/
+# per-fit term (value codes, one grower per worker, arena) — 414 allocations
+# where the presorted-list trainer made 207 664 — and one default Pipeline.Fit
+# on 120 banks at most 12 MB and 1 500 allocations; the dataset builders and the
+# evaluators fold every bank through one reset feature state.
+go test -run 'TestForestFitAllocs|TestFitTransientBytes|TestEvaluateAllocsPerBank' -count 1 ./internal/mltree/ ./internal/core/
 
 echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files and predictions as the parent commit's)"
 # A fitted model lives in memory once, as a rank-quantised arena: the default
