@@ -77,10 +77,10 @@ type Config struct {
 	Shards int
 	// QueueDepth is the per-shard input queue capacity. Zero means 1024.
 	QueueDepth int
-	// ActionBuffer is the output channel capacity. Zero means 4096. When
-	// the consumer falls behind, the oldest queued action is dropped to
-	// admit the newest (counted in EngineStats.ActionsDropped) so a slow
-	// reader can never wedge a shard.
+	// ActionBuffer is the most actions outstanding, emitted and not received
+	// from Actions; zero means 4096. At the bound the oldest is dropped for the
+	// newest (EngineStats.ActionsDropped), so a slow reader never wedges a
+	// shard. Memory follows the backlog: 1 024 in the channel, then chunks.
 	ActionBuffer int
 	// Policy selects the full-queue behaviour of Ingest.
 	Policy IngestPolicy
@@ -179,7 +179,7 @@ type Engine struct {
 	shards []*shard
 	start  time.Time
 
-	actions   chan Action
+	actions   *actionQueue
 	metrics   engineMetrics
 	batchPool sync.Pool // *batchScratch, sized to the shard count
 	layout    recordLayout
@@ -262,11 +262,10 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:     cfg,
-		shards:  make([]*shard, cfg.Shards),
-		start:   time.Now(),
-		actions: make(chan Action, cfg.ActionBuffer),
-		layout:  newRecordLayout(hbm.ActiveProfile().Layout),
+		cfg:    cfg,
+		shards: make([]*shard, cfg.Shards),
+		start:  time.Now(),
+		layout: newRecordLayout(hbm.ActiveProfile().Layout),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{in: newEventRing(cfg.QueueDepth), shardState: newShardState(e.layout)}
@@ -282,6 +281,7 @@ func New(cfg Config) (*Engine, error) {
 	// Instruments must exist before recovery (the WAL registers its own on
 	// Open) and before the first Ingest.
 	e.registerMetrics()
+	e.actions = newActionQueue(cfg.ActionBuffer, e.metrics.actionsEmitted, e.metrics.actionsDropped)
 	if cfg.DeadLetterPath != "" {
 		dl, err := openDeadLetterLog(cfg.DeadLetterPath, cfg.DeadLetterRotation)
 		if err != nil {
@@ -341,7 +341,7 @@ func (e *Engine) deliver(res stepResult) {
 		e.quarantine(&res.dead[i])
 	}
 	for _, a := range res.acts {
-		e.emit(a)
+		e.actions.push(a)
 	}
 }
 
@@ -370,27 +370,9 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// emit delivers an action, evicting the oldest queued action when the
-// buffer is full so a slow consumer can never block a shard.
-func (e *Engine) emit(a Action) {
-	for {
-		select {
-		case e.actions <- a:
-			e.metrics.actionsEmitted.Inc()
-			return
-		default:
-		}
-		select {
-		case <-e.actions:
-			e.metrics.actionsDropped.Inc()
-		default:
-		}
-	}
-}
-
-// Actions returns the engine's output channel. It is closed by Close after
-// all in-flight events have drained.
-func (e *Engine) Actions() <-chan Action { return e.actions }
+// Actions returns the engine's output channel. After Close it closes once the
+// reader has taken every action still queued.
+func (e *Engine) Actions() <-chan Action { return e.actions.ch }
 
 // Session returns a snapshot of one bank's session state.
 func (e *Engine) Session(bank hbm.BankAddress) (SessionStats, bool) {
@@ -432,10 +414,10 @@ func (e *Engine) Drain(d time.Duration) error {
 }
 
 // Close stops intake, drains every shard queue through the sessions, then
-// closes the Actions channel. Safe to call more than once. Close does NOT
-// snapshot: a plain Close is deliberately equivalent to a crash (the WAL
-// carries everything), so tests and operators exercise the same recovery
-// path either way. Call Snapshot first for a fast subsequent boot.
+// ends the action stream without waiting for a reader. Safe to call more than
+// once. Close does NOT snapshot: a plain Close is deliberately equivalent to a
+// crash (the WAL carries everything), so tests and operators exercise the same
+// recovery path either way. Call Snapshot first for a fast subsequent boot.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -448,7 +430,7 @@ func (e *Engine) Close() error {
 		s.in.close()
 	}
 	e.wg.Wait()
-	close(e.actions)
+	e.actions.close()
 	var err error
 	if e.wal != nil {
 		err = e.wal.Close()

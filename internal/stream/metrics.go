@@ -52,6 +52,8 @@ func (e *Engine) registerMetrics() {
 		"Mitigation actions delivered to the output channel.")
 	m.actionsDropped = reg.Counter("cordial_actions_dropped_total",
 		"Actions evicted from a full output channel to admit newer ones.")
+	reg.GaugeFunc("cordial_actions_queued", "Actions emitted and not yet received from the output channel or evicted (at most the action buffer).",
+		func() float64 { return float64(e.actions.queued()) })
 	m.ingestWaitDur = reg.Histogram("cordial_ingest_wait_seconds",
 		"Time Ingest spent enqueueing an event (the backpressure signal).", nil)
 	m.processDur = reg.Histogram("cordial_process_seconds",

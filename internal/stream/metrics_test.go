@@ -166,6 +166,13 @@ func TestStatszMetricsAgree(t *testing.T) {
 	if err := engine.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// The server's reader takes the actions off the queue; wait until it has,
+	// so that the backlog is the same in both views.
+	for deadline := time.Now().Add(5 * time.Second); engine.Stats().ActionsQueued > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d actions still queued", engine.Stats().ActionsQueued)
+		}
+	}
 
 	// Scrape /metrics FIRST: the /statsz request increments the HTTP
 	// request counter, so the later JSON view must be >= the scrape.
@@ -185,6 +192,7 @@ func TestStatszMetricsAgree(t *testing.T) {
 		Dropped          uint64  `json:"dropped"`
 		Processed        uint64  `json:"processed"`
 		ActionsEmitted   uint64  `json:"actionsEmitted"`
+		ActionsQueued    uint64  `json:"actionsQueued"`
 		Quarantined      uint64  `json:"quarantined"`
 		SessionsLive     uint64  `json:"sessionsLive"`
 		SessionsQuiet    uint64  `json:"sessionsQuiet"`
@@ -211,6 +219,7 @@ func TestStatszMetricsAgree(t *testing.T) {
 		{"dropped", st.Dropped, metricSum(t, out, "cordial_ingest_dropped_total")},
 		{"processed", st.Processed, metricSum(t, out, "cordial_events_processed_total")},
 		{"actionsEmitted", st.ActionsEmitted, metricValue(t, out, "cordial_actions_emitted_total")},
+		{"actionsQueued", st.ActionsQueued, metricValue(t, out, "cordial_actions_queued")},
 		{"quarantined", st.Quarantined, metricSum(t, out, "cordial_events_quarantined_total")},
 		{"sessionsLive", st.SessionsLive, metricValue(t, out, "cordial_sessions_live")},
 		{"sessionsQuiet", st.SessionsQuiet, metricValue(t, out, "cordial_sessions_quiet")},

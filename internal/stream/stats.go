@@ -17,9 +17,9 @@ import (
 // instrument or a shard's atomic totals, so Stats and ReadyReasons — and with
 // them /statsz, /readyz and a /metrics scrape — take neither a shard's mu nor
 // the engine's snapMu: a reader never stalls a consumer or waits out a
-// snapshot. Each value is consistent on its own; no
-// two are read at one instant. Only the per-bank inspection calls (Session,
-// Sessions) lock a shard.
+// snapshot; the action backlog takes the action queue's lock, held by no one
+// waiting for a reader. Each value is consistent on its own; no two are read
+// at one instant. Only Session and Sessions lock a shard.
 
 // LatencySnapshot summarises a latency histogram at one instant, over the
 // engine's lifetime. Count, Mean and Max are exact; the quantiles are the
@@ -125,8 +125,10 @@ type EngineStats struct {
 	Processed uint64 `json:"processed"`
 	// ActionsEmitted counts actions delivered to the output channel.
 	ActionsEmitted uint64 `json:"actionsEmitted"`
-	// ActionsDropped counts actions evicted from a full output channel.
+	// ActionsDropped counts actions evicted at the action buffer's bound.
 	ActionsDropped uint64 `json:"actionsDropped"`
+	// ActionsQueued counts actions emitted and not yet received or evicted.
+	ActionsQueued int `json:"actionsQueued"`
 	// SessionsLive is the number of live per-bank sessions.
 	SessionsLive int `json:"sessionsLive"`
 	// Shards is the configured shard count.
@@ -259,6 +261,7 @@ func (e *Engine) Stats() EngineStats {
 		Ingested:               e.metrics.ingested.Value(),
 		ActionsEmitted:         e.metrics.actionsEmitted.Value(),
 		ActionsDropped:         e.metrics.actionsDropped.Value(),
+		ActionsQueued:          e.actions.queued(),
 		Shards:                 len(e.shards),
 		QueueDepths:            make([]int, len(e.shards)),
 		ShardStateBytes:        make([]int64, len(e.shards)),

@@ -220,7 +220,7 @@ func TestPredictingFoldAllocs(t *testing.T) {
 	for i := 0; i < folds/4; i++ { // warms the buffer, the pooled scratch and the slab
 		process(next())
 	}
-	actsBefore := len(e.actions)
+	actsBefore := e.actions.queued()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < folds; i++ {
@@ -228,9 +228,9 @@ func TestPredictingFoldAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perFold := float64(m1.Mallocs-m0.Mallocs) / folds
-	t.Logf("%.3f mallocs per predicting fold, %d actions", perFold, len(e.actions)-actsBefore)
-	if len(e.actions)-actsBefore < folds/4 {
-		t.Fatalf("%d actions over %d folds: not the coverage the test is for", len(e.actions)-actsBefore, folds)
+	t.Logf("%.3f mallocs per predicting fold, %d actions", perFold, e.actions.queued()-actsBefore)
+	if e.actions.queued()-actsBefore < folds/4 {
+		t.Fatalf("%d actions over %d folds: not the coverage the test is for", e.actions.queued()-actsBefore, folds)
 	}
 	if perFold > 0.05 {
 		t.Errorf("a predicting fold makes %.3f mallocs, want at most 0.05", perFold)
