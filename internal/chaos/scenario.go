@@ -37,7 +37,7 @@ type FleetSpec struct {
 	Trees      int
 	TrainSeed  uint64
 	Topology   string // registered hbm profile name; empty means the active profile
-	Fsync      string // cordial-serve -fsync policy: always|interval|never
+	Fsync      string // cordial-serve -fsync policy: always|never
 	FaultFS    string // wal.FaultSpec armed/disarmed via SIGUSR2
 	Retrain    bool   // enable the drift retrain loop on serve nodes
 
@@ -279,10 +279,8 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario: fleet.topology: %w", err)
 		}
 	}
-	switch f.Fsync {
-	case "always", "interval", "never":
-	default:
-		return fmt.Errorf("scenario: fleet.fsync %q (want always|interval|never)", f.Fsync)
+	if _, err := wal.ParseSyncPolicy(f.Fsync); err != nil {
+		return fmt.Errorf("scenario: fleet.fsync: %w", err)
 	}
 	if f.FaultFS != "" {
 		spec, err := wal.ParseFaultSpec(f.FaultFS)

@@ -44,7 +44,7 @@ fleet:
   train_banks: 25
   trees: 9
   train_seed: 11
-  fsync: interval
+  fsync: always
   faultfs: sync-fail=2
   retrain: true
   heartbeat: 150ms
@@ -125,6 +125,7 @@ func TestParseScenarioRejects(t *testing.T) {
 		{"unknown fleet key", minimalScenario + "fleet:\n  wheels: 4\n", "unknown key"},
 		{"bad pattern", strings.Replace(minimalScenario, "pattern: single", "pattern: zigzag", 1), "unknown pattern"},
 		{"bad fsync", minimalScenario + "fleet:\n  fsync: sometimes\n", "fsync"},
+		{"deleted interval fsync", minimalScenario + "fleet:\n  fsync: interval\n", "fsync"},
 		{"bad codec", minimalScenario + "load:\n  codec: csv\n", "codec"},
 		{"bad startup", minimalScenario + "fleet:\n  startup:\n    pattern: explode\n", "startup.pattern"},
 		{"unarmed faultfs", minimalScenario + "fleet:\n  faultfs: \" \"\n", "arms nothing"},

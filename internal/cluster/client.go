@@ -17,43 +17,13 @@ import (
 // []byte fields ride as base64 in JSON, which keeps the handoff bundle a
 // plain JSON document end to end.
 
-// walRecordWire is one WAL suffix record in transit. LSNs stay in the
-// SOURCE journal's namespace; the importer treats them as foreign
-// watermarks only (see stream.ImportSessions).
-type walRecordWire struct {
-	LSN     uint64 `json:"lsn"`
-	Payload []byte `json:"payload"`
-}
-
 // HandoffBundle carries one node's portable session state: an engine
-// snapshot payload plus the journal suffix the snapshot may not cover.
+// snapshot payload plus the journal suffix the snapshot may not cover. The
+// suffix's LSNs stay in the SOURCE journal's namespace; the importer treats
+// them as foreign watermarks only (see stream.ImportSessions).
 type HandoffBundle struct {
-	Payload []byte          `json:"payload"`
-	Suffix  []walRecordWire `json:"suffix,omitempty"`
-}
-
-// suffixRecords converts the wire suffix back to wal.Record.
-func (b *HandoffBundle) suffixRecords() []wal.Record {
-	if len(b.Suffix) == 0 {
-		return nil
-	}
-	out := make([]wal.Record, len(b.Suffix))
-	for i, r := range b.Suffix {
-		out[i] = wal.Record{LSN: r.LSN, Payload: r.Payload}
-	}
-	return out
-}
-
-// toWire converts wal.Record suffix records to the wire shape.
-func toWire(recs []wal.Record) []walRecordWire {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]walRecordWire, len(recs))
-	for i, r := range recs {
-		out[i] = walRecordWire{LSN: r.LSN, Payload: r.Payload}
-	}
-	return out
+	Payload []byte       `json:"payload"`
+	Suffix  []wal.Record `json:"suffix,omitempty"`
 }
 
 // exportRequest asks a node to adopt the descriptor's ownership, drain,

@@ -431,7 +431,9 @@ func (cp *ControlPlane) takeover(dead Member) {
 
 // readNodeState loads a dead node's portable state off its WAL
 // directory: newest snapshot payload plus the complete journal as the
-// suffix (watermarks deduplicate the overlap during import).
+// suffix (watermarks deduplicate the overlap during import). Both reads
+// leave the directory as the node left it, torn tail and temp files
+// included.
 func readNodeState(dir string) (HandoffBundle, error) {
 	if dir == "" {
 		return HandoffBundle{}, fmt.Errorf("cluster: node registered no WAL directory")
@@ -442,14 +444,9 @@ func readNodeState(dir string) (HandoffBundle, error) {
 	}
 	// No snapshot (node died before its first checkpoint) is fine: the
 	// journal alone rebuilds every session.
-	j, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+	recs, err := wal.ReadJournal(nil, dir)
 	if err != nil {
-		return HandoffBundle{}, fmt.Errorf("cluster: opening journal in %s: %w", dir, err)
+		return HandoffBundle{}, fmt.Errorf("cluster: reading journal in %s: %w", dir, err)
 	}
-	defer j.Close()
-	recs, err := j.ExportRange(0, ^uint64(0))
-	if err != nil {
-		return HandoffBundle{}, fmt.Errorf("cluster: exporting journal in %s: %w", dir, err)
-	}
-	return HandoffBundle{Payload: payload, Suffix: toWire(recs)}, nil
+	return HandoffBundle{Payload: payload, Suffix: recs}, nil
 }

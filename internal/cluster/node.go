@@ -185,7 +185,7 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	self := a.cfg.Self.ID
-	st, err := a.engine.ImportSessions(req.Bundle.Payload, req.Bundle.suffixRecords(),
+	st, err := a.engine.ImportSessions(req.Bundle.Payload, req.Bundle.Suffix,
 		func(key uint64) bool { return ring.Owns(self, key) })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -8,8 +8,9 @@
 // and crash recovery can rebind every session to the exact version it was
 // pinned to.
 //
-// The artefact codec follows the WAL snapshot discipline (temp file,
-// fsync, rename, checksum tail): a crash mid-write leaves the store's
+// Artefacts and the active pointer are written by wal.Publish, as the
+// engine's snapshots are (temp file, fsync, rename, directory fsync), and
+// artefacts carry a checksum tail: a crash mid-write leaves the store's
 // previous contents intact, and a corrupt artefact fails loudly at read
 // time instead of serving a half-written model.
 package registry
@@ -20,11 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"cordial/internal/core"
@@ -45,8 +42,8 @@ const (
 	artSuffix  = ".cmdl"
 	artNameFmt = artPrefix + "%016x" + artSuffix
 
-	// activeName is the atomic active-pointer file: the hex version of the
-	// model new sessions should bind, replaced by rename on Activate.
+	// activeName is the active-pointer file: the hex version of the model
+	// new sessions should bind, published anew on Activate.
 	activeName = "ACTIVE"
 )
 
@@ -70,54 +67,11 @@ type Meta struct {
 	Model *core.ModelMeta `json:"model,omitempty"`
 }
 
-// ArtifactInfo identifies one artefact file.
-type ArtifactInfo struct {
-	Version uint64
-	Path    string
-}
-
 func artName(version uint64) string { return fmt.Sprintf(artNameFmt, version) }
 
-// ListArtifacts returns the directory's artefact files, oldest (lowest
-// version) first. Validity is checked on read, not here.
-func ListArtifacts(fs wal.FS, dir string) ([]ArtifactInfo, error) {
-	if fs == nil {
-		fs = wal.OSFS
-	}
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("registry: listing artefacts: %w", err)
-	}
-	var out []ArtifactInfo
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, artPrefix) || !strings.HasSuffix(name, artSuffix) {
-			continue
-		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, artPrefix), artSuffix)
-		if len(hex) != 16 {
-			continue
-		}
-		var v uint64
-		if _, err := fmt.Sscanf(hex, "%016x", &v); err != nil {
-			continue
-		}
-		out = append(out, ArtifactInfo{Version: v, Path: filepath.Join(dir, name)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
-	return out, nil
-}
-
-// WriteArtifact atomically persists one model version: temp file, fsync,
-// rename. On any error the temp file is removed and existing artefacts are
-// untouched.
-func WriteArtifact(fs wal.FS, dir string, meta Meta, payload []byte) (path string, err error) {
-	if fs == nil {
-		fs = wal.OSFS
-	}
+// WriteArtifact publishes one model version (wal.Publish). On any error
+// existing artefacts are untouched.
+func WriteArtifact(fs wal.FS, dir string, meta Meta, payload []byte) (string, error) {
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
 		return "", fmt.Errorf("registry: encoding meta: %w", err)
@@ -126,20 +80,6 @@ func WriteArtifact(fs wal.FS, dir string, meta Meta, payload []byte) (path strin
 		return "", fmt.Errorf("registry: artefact of %d bytes exceeds max %d",
 			len(metaJSON)+len(payload), MaxArtifactBytes)
 	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("registry: creating dir: %w", err)
-	}
-	final := filepath.Join(dir, artName(meta.Version))
-	tmp := final + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", fmt.Errorf("registry: creating artefact temp: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			_ = fs.Remove(tmp)
-		}
-	}()
 	hdr := make([]byte, artHdrSize)
 	copy(hdr[:4], artMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], artVersion)
@@ -149,38 +89,16 @@ func WriteArtifact(fs wal.FS, dir string, meta Meta, payload []byte) (path strin
 	sum := crc32.Update(0, crcTable, hdr)
 	sum = crc32.Update(sum, crcTable, metaJSON)
 	sum = crc32.Update(sum, crcTable, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	for _, chunk := range [][]byte{hdr, metaJSON, payload, tail[:]} {
-		if _, werr := f.Write(chunk); werr != nil {
-			f.Close()
-			return "", fmt.Errorf("registry: writing artefact: %w", werr)
-		}
+	path := filepath.Join(dir, artName(meta.Version))
+	if err := wal.Publish(fs, path, hdr, metaJSON, payload, binary.LittleEndian.AppendUint32(nil, sum)); err != nil {
+		return "", err
 	}
-	if serr := f.Sync(); serr != nil {
-		f.Close()
-		return "", fmt.Errorf("registry: syncing artefact: %w", serr)
-	}
-	if cerr := f.Close(); cerr != nil {
-		return "", fmt.Errorf("registry: closing artefact: %w", cerr)
-	}
-	if rerr := fs.Rename(tmp, final); rerr != nil {
-		return "", fmt.Errorf("registry: publishing artefact: %w", rerr)
-	}
-	return final, nil
+	return path, nil
 }
 
 // ReadArtifact reads and validates one artefact file.
 func ReadArtifact(fs wal.FS, path string) (Meta, []byte, error) {
-	if fs == nil {
-		fs = wal.OSFS
-	}
-	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("registry: opening artefact: %w", err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, MaxArtifactBytes+artHdrSize+8))
+	data, err := wal.ReadFile(fs, path, MaxArtifactBytes+artHdrSize+8)
 	if err != nil {
 		return Meta{}, nil, fmt.Errorf("registry: reading artefact: %w", err)
 	}

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -45,6 +44,7 @@ type entry struct {
 // ModelByVersion resolves the pinned version of recovered sessions.
 type Registry struct {
 	dir  string
+	fs   wal.FS
 	geo  hbm.Geometry
 	keep int
 	now  func() time.Time
@@ -66,6 +66,7 @@ type Registry struct {
 func Open(opts Options) (*Registry, error) {
 	r := &Registry{
 		dir:     opts.Dir,
+		fs:      wal.OSFS,
 		geo:     opts.Geometry,
 		keep:    opts.Keep,
 		now:     opts.Now,
@@ -81,92 +82,41 @@ func Open(opts Options) (*Registry, error) {
 	if r.dir == "" {
 		return r, nil
 	}
-	if err := wal.OSFS.MkdirAll(r.dir, 0o755); err != nil {
+	if err := r.fs.MkdirAll(r.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating %s: %w", r.dir, err)
 	}
-	arts, err := ListArtifacts(wal.OSFS, r.dir)
+	versions, err := wal.Numbered(r.fs, r.dir, artPrefix, artSuffix)
 	if err != nil {
 		return nil, err
 	}
 	var firstErr error
-	for _, a := range arts {
-		meta, _, err := ReadArtifact(wal.OSFS, a.Path)
+	for _, v := range versions {
+		path := filepath.Join(r.dir, artName(v))
+		meta, _, err := ReadArtifact(r.fs, path)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		r.entries[meta.Version] = &entry{meta: meta, path: a.Path}
-		if meta.Version >= r.next {
-			r.next = meta.Version + 1
-		}
+		r.entries[meta.Version] = &entry{meta: meta, path: path}
+		r.next = max(r.next, meta.Version+1)
 	}
 	if len(r.entries) == 0 && firstErr != nil {
 		// Every artefact on disk is corrupt: refuse to silently start empty.
 		return nil, fmt.Errorf("registry: no valid artefacts in %s: %w", r.dir, firstErr)
 	}
-	if v, ok := r.readActivePointer(); ok {
-		if _, known := r.entries[v]; known {
+	if data, err := wal.ReadFile(r.fs, filepath.Join(r.dir, activeName), 64); err == nil {
+		if v, err := strconv.ParseUint(strings.TrimSpace(string(data)), 16, 64); err == nil && r.entries[v] != nil {
 			r.active = v
 		}
 	}
-	if r.active == 0 && len(r.entries) > 0 {
+	if r.active == 0 {
 		for v := range r.entries {
-			if v > r.active {
-				r.active = v
-			}
+			r.active = max(r.active, v)
 		}
 	}
 	return r, nil
-}
-
-func (r *Registry) readActivePointer() (uint64, bool) {
-	f, err := wal.OSFS.OpenFile(filepath.Join(r.dir, activeName), os.O_RDONLY, 0)
-	if err != nil {
-		return 0, false
-	}
-	defer f.Close()
-	buf := make([]byte, 64)
-	n, _ := f.Read(buf)
-	s := strings.TrimSpace(string(buf[:n]))
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil || v == 0 {
-		return 0, false
-	}
-	return v, true
-}
-
-// writeActivePointer persists the active version atomically (temp+rename);
-// the pointer file is tiny, so a torn write is impossible after rename.
-func (r *Registry) writeActivePointer(v uint64) error {
-	if r.dir == "" {
-		return nil
-	}
-	final := filepath.Join(r.dir, activeName)
-	tmp := final + ".tmp"
-	f, err := wal.OSFS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("registry: creating active pointer temp: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "%016x\n", v); err != nil {
-		f.Close()
-		_ = wal.OSFS.Remove(tmp)
-		return fmt.Errorf("registry: writing active pointer: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = wal.OSFS.Remove(tmp)
-		return fmt.Errorf("registry: syncing active pointer: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = wal.OSFS.Remove(tmp)
-		return fmt.Errorf("registry: closing active pointer: %w", err)
-	}
-	if err := wal.OSFS.Rename(tmp, final); err != nil {
-		return fmt.Errorf("registry: publishing active pointer: %w", err)
-	}
-	return nil
 }
 
 // Install assigns the next version to a fitted pipeline and persists it
@@ -191,7 +141,7 @@ func (r *Registry) Install(pipe *core.Pipeline, trigger string) (Meta, error) {
 		if err != nil {
 			return Meta{}, fmt.Errorf("registry: encoding pipeline: %w", err)
 		}
-		path, err := WriteArtifact(wal.OSFS, r.dir, meta, payload)
+		path, err := WriteArtifact(r.fs, r.dir, meta, payload)
 		if err != nil {
 			return Meta{}, err
 		}
@@ -203,7 +153,7 @@ func (r *Registry) Install(pipe *core.Pipeline, trigger string) (Meta, error) {
 }
 
 // Activate flips the active pointer to an installed version. The pointer
-// write hits disk before the in-memory flip, so a crash between the two
+// is published before the in-memory flip, so a crash between the two
 // re-activates the same version on reboot.
 func (r *Registry) Activate(version uint64) error {
 	r.mu.Lock()
@@ -211,8 +161,10 @@ func (r *Registry) Activate(version uint64) error {
 	if _, ok := r.entries[version]; !ok {
 		return fmt.Errorf("registry: version %d not installed", version)
 	}
-	if err := r.writeActivePointer(version); err != nil {
-		return err
+	if r.dir != "" {
+		if err := wal.Publish(r.fs, filepath.Join(r.dir, activeName), fmt.Appendf(nil, "%016x\n", version)); err != nil {
+			return err
+		}
 	}
 	r.active = version
 	r.activeStrategy = nil
@@ -281,7 +233,7 @@ func (r *Registry) strategyLocked(version uint64) (*core.CordialStrategy, error)
 		if e.path == "" {
 			return nil, fmt.Errorf("registry: version %d has no artefact", version)
 		}
-		_, payload, err := ReadArtifact(wal.OSFS, e.path)
+		_, payload, err := ReadArtifact(r.fs, e.path)
 		if err != nil {
 			return nil, fmt.Errorf("registry: loading version %d: %w", version, err)
 		}
@@ -339,7 +291,7 @@ func (r *Registry) Prune(floor uint64) (removed int, err error) {
 		}
 		e := r.entries[v]
 		if e.path != "" {
-			if rerr := wal.OSFS.Remove(e.path); rerr != nil {
+			if rerr := r.fs.Remove(e.path); rerr != nil {
 				if err == nil {
 					err = fmt.Errorf("registry: pruning version %d: %w", v, rerr)
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -337,7 +338,7 @@ func TestWriteArtifactFaultInjection(t *testing.T) {
 		t.Fatal("short write not surfaced")
 	}
 	// The failed write leaves no artefact and no temp file behind.
-	arts, err := ListArtifacts(nil, dir)
+	arts, err := wal.Numbered(nil, dir, artPrefix, artSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,5 +351,43 @@ func TestWriteArtifactFaultInjection(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("failed write left files: %v", entries)
+	}
+}
+
+// dirSyncFS records the directory of every rename and directory sync, in
+// order.
+type dirSyncFS struct {
+	wal.FS
+	ops []string
+}
+
+func (fs *dirSyncFS) Rename(oldpath, newpath string) error {
+	fs.ops = append(fs.ops, "rename "+filepath.Base(newpath))
+	return fs.FS.Rename(oldpath, newpath)
+}
+
+func (fs *dirSyncFS) SyncDir(dir string) error {
+	fs.ops = append(fs.ops, "syncdir "+dir)
+	return fs.FS.SyncDir(dir)
+}
+
+// TestPublishesSyncDirectory: an installed artefact and the active pointer
+// are each renamed into place and then their directory is synced, so a
+// version a crash must not lose survives power loss by name.
+func TestPublishesSyncDirectory(t *testing.T) {
+	dir := t.TempDir()
+	r := openTestRegistry(t, dir)
+	fs := &dirSyncFS{FS: wal.OSFS}
+	r.fs = fs
+	m, err := r.Install(testPipeline(t), "boot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Activate(m.Version); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"rename " + artName(m.Version), "syncdir " + dir, "rename " + activeName, "syncdir " + dir}
+	if strings.Join(fs.ops, "|") != strings.Join(want, "|") {
+		t.Fatalf("ops = %v, want %v", fs.ops, want)
 	}
 }

@@ -35,7 +35,7 @@ type DurabilityConfig struct {
 	// Sync is the journal fsync policy (default SyncAlways). Under
 	// SyncAlways concurrent appends coalesce into shared fsyncs (group
 	// commit; each ack still waits for the fsync covering its record);
-	// under SyncInterval the journal flushes every 100 ms.
+	// under SyncNever the OS decides when the journal reaches the disk.
 	Sync wal.SyncPolicy
 	// SegmentBytes is the journal segment rotation size (0 = 8 MiB).
 	SegmentBytes int64
@@ -447,20 +447,16 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 // state.
 func (e *Engine) recoverDurable() error {
 	dcfg := e.cfg.Durability
-	fs := dcfg.FS
-	if fs == nil {
-		fs = wal.OSFS
-	}
 	// The boot epoch table, restored before each fallback attempt so a
 	// half-restored snapshot cannot leave its header's epoch behind.
 	bootEpochs := e.epochList()
 
-	snaps, err := wal.ListSnapshots(fs, dcfg.Dir)
+	snaps, err := wal.ListSnapshots(dcfg.FS, dcfg.Dir)
 	if err != nil {
 		return err
 	}
 	for _, si := range snaps {
-		seq, payload, rerr := wal.ReadSnapshot(fs, si.Path)
+		seq, payload, rerr := wal.ReadSnapshot(dcfg.FS, si.Path)
 		if rerr != nil {
 			continue // corrupt file: fall back to the previous snapshot
 		}
@@ -473,7 +469,7 @@ func (e *Engine) recoverDurable() error {
 	}
 
 	w, err := wal.Open(dcfg.Dir, wal.Options{
-		FS:           fs,
+		FS:           dcfg.FS,
 		SegmentBytes: dcfg.SegmentBytes,
 		Sync:         dcfg.Sync,
 		GroupCommit:  true,
@@ -565,11 +561,7 @@ func (e *Engine) Snapshot() (uint64, error) {
 		return 0, err
 	}
 	seq := max(e.wal.NextLSN(), e.snapSeq.Load()+1)
-	fs := e.cfg.Durability.FS
-	if fs == nil {
-		fs = wal.OSFS
-	}
-	if _, err := wal.WriteSnapshot(fs, e.cfg.Durability.Dir, seq, payload); err != nil {
+	if _, err := wal.WriteSnapshot(e.cfg.Durability.FS, e.cfg.Durability.Dir, seq, payload); err != nil {
 		e.metrics.snapshotErrors.Inc()
 		return 0, err
 	}
@@ -586,7 +578,7 @@ func (e *Engine) Snapshot() (uint64, error) {
 		e.cfg.Logger.Warn("snapshot retention failed",
 			"stage", "truncate", "floor", floor, "err", terr)
 	}
-	if perr := wal.PruneSnapshots(fs, e.cfg.Durability.Dir, e.cfg.Durability.keep()); perr != nil {
+	if perr := wal.PruneSnapshots(e.cfg.Durability.FS, e.cfg.Durability.Dir, e.cfg.Durability.keep()); perr != nil {
 		e.metrics.retentionErrors.Inc()
 		e.cfg.Logger.Warn("snapshot retention failed",
 			"stage", "prune", "keep", e.cfg.Durability.keep(), "err", perr)

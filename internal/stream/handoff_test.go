@@ -117,15 +117,8 @@ func TestHandoffPortabilityAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcWAL, err := wal.Open(srcDir, wal.Options{Sync: wal.SyncNever})
+	suffix, err := wal.ReadJournal(nil, srcDir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	suffix, err := srcWAL.ExportRange(0, ^uint64(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srcWAL.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if len(suffix) == 0 {
@@ -386,16 +379,11 @@ func TestHandoffReplayRespectsWatermarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcWAL, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Full journal: every record here is below the snapshot watermark.
-	suffix, err := srcWAL.ExportRange(0, ^uint64(0))
+	suffix, err := wal.ReadJournal(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcWAL.Close()
 
 	dst := newTestEngine(t, Config{Strategy: &fakeStrategy{budget: 3}, Shards: 3})
 	defer dst.Close()

@@ -293,22 +293,22 @@ func (e *Engine) ExportEvents(from, to uint64) ([]mcelog.Event, error) {
 	if e.wal == nil {
 		return nil, ErrNotDurable
 	}
-	if to == 0 {
-		to = ^uint64(0)
-	}
-	recs, err := e.wal.ExportRange(from, to)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]mcelog.Event, 0, len(recs))
-	for _, rec := range recs {
-		r, _, isSwap, derr := decodeJournalRecord(rec.Payload)
-		if derr != nil {
-			return nil, fmt.Errorf("stream: exporting journal record %d: %w", rec.LSN, derr)
+	var out []mcelog.Event
+	err := e.wal.Replay(func(lsn uint64, payload []byte) error {
+		if lsn < from || (to != 0 && lsn >= to) {
+			return nil
+		}
+		r, _, isSwap, err := decodeJournalRecord(payload)
+		if err != nil {
+			return fmt.Errorf("stream: exporting journal record %d: %w", lsn, err)
 		}
 		if !isSwap {
 			out = append(out, r.Event())
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

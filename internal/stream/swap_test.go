@@ -169,6 +169,64 @@ func TestSwapRecordsInvisibleToExport(t *testing.T) {
 	}
 }
 
+// TestExportEventsRange pins the retraining feed's bounds over a journal
+// that spans several segments: half-open [from, to) by LSN, the whole
+// journal for to = 0, nothing for an empty range, and events that outlive
+// the engine.
+func TestExportEventsRange(t *testing.T) {
+	cfg := durCfg(t.TempDir(), 2, nil)
+	cfg.Durability.SegmentBytes = 128
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	var evs []mcelog.Event
+	for i := 0; i < n; i++ {
+		ev := uerAt(testBank(i%4), 1+i, i)
+		evs = append(evs, ev)
+		if err := e.Ingest(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if segs := e.Stats().WALSegments; segs < 2 {
+		t.Fatalf("journal has %d segments, want several", segs)
+	}
+	mid, err := e.ExportEvents(6, 16) // LSNs 6..15: events 5..14
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := e.ExportEvents(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := e.ExportEvents(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drainActions(e)
+	same := func(got, want []mcelog.Event) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("exported %d events, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Addr != want[i].Addr || got[i].Class != want[i].Class || !got[i].Time.Equal(want[i].Time) {
+				t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+	same(mid, evs[5:15])
+	same(all, evs)
+	same(none, nil)
+}
+
 // TestCrashDuringSwapEquivalence is the mid-swap durability gate: kill the
 // engine at points straddling a model swap (with and without an intervening
 // snapshot) and require byte-identical recovered state, the reference

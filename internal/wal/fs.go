@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 )
 
@@ -23,6 +22,9 @@ type FS interface {
 	Remove(name string) error
 	// MkdirAll creates a directory and any missing parents.
 	MkdirAll(path string, perm os.FileMode) error
+	// SyncDir flushes a directory's entries to stable storage, making the
+	// files created in it and renamed into it durable by name.
+	SyncDir(dir string) error
 }
 
 // File is the open-file surface the journal uses.
@@ -41,6 +43,15 @@ type File interface {
 // OSFS is the real filesystem.
 var OSFS FS = osFS{}
 
+// orOS is fs, or OSFS for nil: every exported function here that takes an
+// FS reads nil as the real filesystem.
+func orOS(fs FS) FS {
+	if fs == nil {
+		return OSFS
+	}
+	return fs
+}
+
 type osFS struct{}
 
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -53,17 +64,13 @@ func (osFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
 
-// syncDir best-effort fsyncs the directory containing path, making a
-// preceding rename durable. Only meaningful on the real filesystem; errors
-// are ignored (not every platform or FS supports directory fsync).
-func syncDir(fs FS, path string) {
-	if _, ok := fs.(osFS); !ok {
-		return
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Injected fault sentinels returned by FaultFS.
@@ -79,27 +86,27 @@ var (
 )
 
 // FaultFS wraps another FS and injects failures: partial writes after a
-// byte budget, fsync errors after a sync count, and open errors. It is the
-// harness behind the durability fault-injection tests — a crash-safe WAL
-// must turn every one of these into a clean error, never a panic and never
-// a corrupted acknowledged record.
+// byte budget, fsync errors after a sync count (file and directory syncs
+// alike), and open errors. It is the harness behind the durability
+// fault-injection tests — a crash-safe WAL must turn every one of these
+// into a clean error, never a panic and never a corrupted acknowledged
+// record.
 //
 // All knobs are safe for concurrent use and may be re-armed mid-test.
 type FaultFS struct {
-	inner FS
+	FS // the wrapped filesystem
 
-	mu           sync.Mutex
-	writeBudget  int64 // bytes writable before ErrInjectedWrite; <0 = unlimited
-	syncsLeft    int   // successful syncs before ErrInjectedSync; <0 = unlimited
-	failOpens    bool
-	writeFaults  int
-	syncFaults   int
-	bytesWritten int64
+	mu          sync.Mutex
+	writeBudget int64 // bytes writable before ErrInjectedWrite; <0 = unlimited
+	syncsLeft   int   // successful syncs before ErrInjectedSync; <0 = unlimited
+	failOpens   bool
+	writeFaults int
+	syncFaults  int
 }
 
 // NewFaultFS wraps inner with no faults armed.
 func NewFaultFS(inner FS) *FaultFS {
-	return &FaultFS{inner: inner, writeBudget: -1, syncsLeft: -1}
+	return &FaultFS{FS: inner, writeBudget: -1, syncsLeft: -1}
 }
 
 // LimitWriteBytes arms the write fault: after n more bytes are written
@@ -111,8 +118,8 @@ func (f *FaultFS) LimitWriteBytes(n int64) {
 	f.mu.Unlock()
 }
 
-// FailSyncAfter arms the sync fault: the next n Sync calls succeed, every
-// later one returns ErrInjectedSync. n < 0 disarms.
+// FailSyncAfter arms the sync fault: the next n Sync or SyncDir calls
+// succeed, every later one returns ErrInjectedSync. n < 0 disarms.
 func (f *FaultFS) FailSyncAfter(n int) {
 	f.mu.Lock()
 	f.syncsLeft = n
@@ -140,31 +147,39 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	if fail {
 		return nil, ErrInjectedOpen
 	}
-	inner, err := f.inner.OpenFile(name, flag, perm)
+	inner, err := f.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{fs: f, inner: inner}, nil
+	return &faultFile{File: inner, fs: f}, nil
 }
 
-func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDir(name) }
-func (f *FaultFS) Rename(oldpath, newpath string) error       { return f.inner.Rename(oldpath, newpath) }
-func (f *FaultFS) Remove(name string) error                   { return f.inner.Remove(name) }
-func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
-	return f.inner.MkdirAll(path, perm)
+func (f *FaultFS) SyncDir(dir string) error {
+	if err := f.syncFault(); err != nil {
+		return err
+	}
+	return f.FS.SyncDir(dir)
+}
+
+// syncFault spends one sync from the budget, returning ErrInjectedSync
+// once it is exhausted.
+func (f *FaultFS) syncFault() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.syncsLeft == 0 {
+		f.syncFaults++
+		return ErrInjectedSync
+	}
+	if f.syncsLeft > 0 {
+		f.syncsLeft--
+	}
+	return nil
 }
 
 // faultFile applies the shared FaultFS state to one open file.
 type faultFile struct {
-	fs    *FaultFS
-	inner File
-}
-
-func (f *faultFile) Read(p []byte) (int, error) { return f.inner.Read(p) }
-func (f *faultFile) Close() error               { return f.inner.Close() }
-func (f *faultFile) Truncate(size int64) error  { return f.inner.Truncate(size) }
-func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
-	return f.inner.Seek(offset, whence)
+	File
+	fs *FaultFS
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
@@ -175,7 +190,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 		f.fs.writeBudget = 0
 		f.fs.writeFaults++
 		f.fs.mu.Unlock()
-		n, err := f.inner.Write(p[:budget])
+		n, err := f.File.Write(p[:budget])
 		if err != nil {
 			return n, err
 		}
@@ -184,21 +199,13 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	if budget >= 0 {
 		f.fs.writeBudget = budget - int64(len(p))
 	}
-	f.fs.bytesWritten += int64(len(p))
 	f.fs.mu.Unlock()
-	return f.inner.Write(p)
+	return f.File.Write(p)
 }
 
 func (f *faultFile) Sync() error {
-	f.fs.mu.Lock()
-	if f.fs.syncsLeft == 0 {
-		f.fs.syncFaults++
-		f.fs.mu.Unlock()
-		return ErrInjectedSync
+	if err := f.fs.syncFault(); err != nil {
+		return err
 	}
-	if f.fs.syncsLeft > 0 {
-		f.fs.syncsLeft--
-	}
-	f.fs.mu.Unlock()
-	return f.inner.Sync()
+	return f.File.Sync()
 }

@@ -7,23 +7,31 @@ import (
 	"testing"
 )
 
+// segmentImage frames payloads under LSNs first, first+1, ... into a whole
+// segment image, header included — the bytes a journal writes.
+func segmentImage(first uint64, payloads ...[]byte) []byte {
+	img := append([]byte(segMagic), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint16(img[4:6], segVersion)
+	for i, p := range payloads {
+		var lsn [8]byte
+		binary.LittleEndian.PutUint64(lsn[:], first+uint64(i))
+		sum := crc32.Update(crc32.Update(0, crcTable, lsn[:]), crcTable, p)
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(p)))
+		img = binary.LittleEndian.AppendUint32(img, sum)
+		img = append(append(img, lsn[:]...), p...)
+	}
+	return img
+}
+
 // FuzzWALDecode feeds arbitrary bytes through both untrusted-input decoders
-// — the record framer and the snapshot decoder. Corrupt, truncated, or
-// adversarial input must produce an error or a clean "no record", never a
-// panic or an over-allocation.
+// — the segment reader, as a tail and as a sealed segment, and the snapshot
+// decoder. Corrupt, truncated, or adversarial input must produce an error
+// or an early end, never a panic, a buffer larger than the input, or a
+// record whose frame does not re-verify.
 func FuzzWALDecode(f *testing.F) {
-	// Seed with a well-formed record frame...
 	payload := []byte("seed-record")
-	var lsnb [8]byte
-	binary.LittleEndian.PutUint64(lsnb[:], 42)
-	sum := crc32.Update(0, crcTable, lsnb[:])
-	sum = crc32.Update(sum, crcTable, payload)
-	frame := make([]byte, recHdrSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], sum)
-	copy(frame[8:16], lsnb[:])
-	copy(frame[recHdrSize:], payload)
-	f.Add(frame)
+	// A well-formed segment...
+	f.Add(segmentImage(42, payload, []byte("second")))
 
 	// ...a well-formed snapshot image...
 	snap := make([]byte, snapHdrSize)
@@ -40,18 +48,30 @@ func FuzzWALDecode(f *testing.F) {
 	// ...and some degenerate shapes.
 	f.Add([]byte{})
 	f.Add([]byte("CSNP"))
-	f.Add(bytes.Repeat([]byte{0xff}, recHdrSize))
+	f.Add(append(segmentImage(1), bytes.Repeat([]byte{0xff}, recHdrSize)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lsn, payload, _, ok := readRecord(bytes.NewReader(data))
-		if ok {
-			// A frame that validates must re-verify against its own CRC.
-			var lb [8]byte
-			binary.LittleEndian.PutUint64(lb[:], lsn)
-			s := crc32.Update(0, crcTable, lb[:])
-			s = crc32.Update(s, crcTable, payload)
-			if len(data) >= 8 && s != binary.LittleEndian.Uint32(data[4:8]) {
-				t.Fatalf("readRecord accepted a frame whose CRC does not verify")
+		for _, tail := range []bool{true, false} {
+			var r segmentReader
+			off := int64(segHdrSize)
+			end, err := r.frames(bytes.NewReader(data), int64(len(data)), tail, func(lsn uint64, p []byte) error {
+				// The yielded record is the frame at off, and it re-verifies.
+				frame := data[off:]
+				if int(binary.LittleEndian.Uint32(frame[0:4])) != len(p) || binary.LittleEndian.Uint64(frame[8:16]) != lsn ||
+					!bytes.Equal(frame[recHdrSize:recHdrSize+len(p)], p) {
+					t.Fatalf("record at offset %d is not the frame there", off)
+				}
+				if crc32.Update(crc32.Update(0, crcTable, frame[8:16]), crcTable, p) != binary.LittleEndian.Uint32(frame[4:8]) {
+					t.Fatalf("record at offset %d does not re-verify", off)
+				}
+				off += int64(recHdrSize + len(p))
+				return nil
+			})
+			if err == nil && end != off && end != -1 {
+				t.Fatalf("tail=%v: walk ended at %d, past the last record at %d", tail, end, off)
+			}
+			if cap(r.buf) > len(data) {
+				t.Fatalf("tail=%v: read buffer of %d bytes for a %d-byte segment", tail, cap(r.buf), len(data))
 			}
 		}
 

@@ -5,11 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Snapshot file layout:
@@ -19,19 +15,17 @@ import (
 //	payload
 //	uint32 CRC-32C over everything above
 //
-// Snapshots are written to a temp file, synced, then renamed into place,
-// so a crash mid-write leaves either the old set of snapshots or the old
-// set plus one complete new file — never a half-written one under the
-// final name. Loading walks snapshots newest-first and falls back past
-// any that fail validation, so one corrupted snapshot costs a longer WAL
-// replay, not the recovery.
+// Snapshots are written by Publish, so a crash mid-write leaves either the
+// old set of snapshots or the old set plus one complete new file — never a
+// half-written one under the final name. Loading walks snapshots
+// newest-first and falls back past any that fail validation, so one
+// corrupted snapshot costs a longer WAL replay, not the recovery.
 const (
 	snapMagic   = "CSNP"
 	snapVersion = 1
 	snapHdrSize = 24
 	snapPrefix  = "snap-"
 	snapSuffix  = ".snap"
-	snapNameFmt = snapPrefix + "%016x" + snapSuffix
 )
 
 // MaxSnapshotBytes caps a snapshot payload; decoded lengths beyond it are
@@ -50,66 +44,27 @@ type SnapshotInfo struct {
 	Path string
 }
 
-func snapName(seq uint64) string { return fmt.Sprintf(snapNameFmt, seq) }
-
 // ListSnapshots returns the directory's snapshot files, newest (highest
 // sequence) first. Files that merely look like snapshots are listed; the
 // validity check happens on read.
 func ListSnapshots(fs FS, dir string) ([]SnapshotInfo, error) {
-	if fs == nil {
-		fs = OSFS
-	}
-	entries, err := fs.ReadDir(dir)
+	seqs, err := Numbered(fs, dir, snapPrefix, snapSuffix)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: listing snapshots: %w", err)
+		return nil, err
 	}
-	var out []SnapshotInfo
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		var seq uint64
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix)
-		if len(hex) != 16 {
-			continue
-		}
-		if _, err := fmt.Sscanf(hex, "%016x", &seq); err != nil {
-			continue
-		}
-		out = append(out, SnapshotInfo{Seq: seq, Path: filepath.Join(dir, name)})
+	out := make([]SnapshotInfo, len(seqs))
+	for i, seq := range seqs {
+		out[len(seqs)-1-i] = SnapshotInfo{Seq: seq, Path: filepath.Join(dir, numberedName(snapPrefix, seq, snapSuffix))}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
 	return out, nil
 }
 
-// WriteSnapshot atomically writes a snapshot with the given sequence
-// number: temp file, fsync, rename. On any error the temp file is removed
-// and the previous snapshots remain untouched.
-func WriteSnapshot(fs FS, dir string, seq uint64, payload []byte) (path string, err error) {
-	if fs == nil {
-		fs = OSFS
-	}
+// WriteSnapshot publishes a snapshot with the given sequence number. On
+// any error the previous snapshots remain untouched.
+func WriteSnapshot(fs FS, dir string, seq uint64, payload []byte) (string, error) {
 	if len(payload) > MaxSnapshotBytes {
 		return "", fmt.Errorf("wal: snapshot of %d bytes exceeds max %d", len(payload), MaxSnapshotBytes)
 	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("wal: creating snapshot dir: %w", err)
-	}
-	final := filepath.Join(dir, snapName(seq))
-	tmp := final + tmpSuffix
-	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", fmt.Errorf("wal: creating snapshot temp: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			_ = fs.Remove(tmp)
-		}
-	}()
 	hdr := make([]byte, snapHdrSize)
 	copy(hdr[:4], snapMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], snapVersion)
@@ -117,41 +72,19 @@ func WriteSnapshot(fs FS, dir string, seq uint64, payload []byte) (path string, 
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
 	sum := crc32.Update(0, crcTable, hdr)
 	sum = crc32.Update(sum, crcTable, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	for _, chunk := range [][]byte{hdr, payload, tail[:]} {
-		if _, werr := f.Write(chunk); werr != nil {
-			f.Close()
-			return "", fmt.Errorf("wal: writing snapshot: %w", werr)
-		}
+	tail := binary.LittleEndian.AppendUint32(nil, sum)
+	path := filepath.Join(dir, numberedName(snapPrefix, seq, snapSuffix))
+	if err := Publish(fs, path, hdr, payload, tail); err != nil {
+		return "", err
 	}
-	if serr := f.Sync(); serr != nil {
-		f.Close()
-		return "", fmt.Errorf("wal: syncing snapshot: %w", serr)
-	}
-	if cerr := f.Close(); cerr != nil {
-		return "", fmt.Errorf("wal: closing snapshot: %w", cerr)
-	}
-	if rerr := fs.Rename(tmp, final); rerr != nil {
-		return "", fmt.Errorf("wal: publishing snapshot: %w", rerr)
-	}
-	syncDir(fs, final)
-	return final, nil
+	return path, nil
 }
 
 // ReadSnapshot reads and validates one snapshot file, returning its
 // sequence number and payload. Any framing or checksum violation is an
 // error — the caller falls back to an older snapshot.
 func ReadSnapshot(fs FS, path string) (seq uint64, payload []byte, err error) {
-	if fs == nil {
-		fs = OSFS
-	}
-	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return 0, nil, fmt.Errorf("wal: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, MaxSnapshotBytes+snapHdrSize+8))
+	data, err := ReadFile(fs, path, MaxSnapshotBytes+snapHdrSize+8)
 	if err != nil {
 		return 0, nil, fmt.Errorf("wal: reading snapshot: %w", err)
 	}
@@ -202,9 +135,6 @@ func LoadLatestSnapshot(fs FS, dir string) (seq uint64, payload []byte, err erro
 // is always kept; errors removing individual files are returned but the
 // sweep continues.
 func PruneSnapshots(fs FS, dir string, keep int) error {
-	if fs == nil {
-		fs = OSFS
-	}
 	if keep < 1 {
 		keep = 1
 	}
@@ -214,7 +144,7 @@ func PruneSnapshots(fs FS, dir string, keep int) error {
 	}
 	var firstErr error
 	for i := keep; i < len(snaps); i++ {
-		if rerr := fs.Remove(snaps[i].Path); rerr != nil && firstErr == nil {
+		if rerr := orOS(fs).Remove(snaps[i].Path); rerr != nil && firstErr == nil {
 			firstErr = fmt.Errorf("wal: pruning snapshot: %w", rerr)
 		}
 	}

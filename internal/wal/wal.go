@@ -12,17 +12,20 @@
 //	record:  uint32 payload length | uint32 CRC-32C over (lsn ‖ payload)
 //	         | uint64 lsn | payload
 //
-// All integers are little-endian. The CRC makes torn or corrupted
-// records detectable; on Open the final segment's tail is scanned and any
-// incomplete record — the footprint of a crash mid-append — is truncated
-// away. A corrupt record in the interior of the journal (not the tail) is
-// a hard error: it means acknowledged data was lost, which recovery must
-// surface rather than silently skip.
+// All integers are little-endian. One segment reader walks these frames,
+// under Open's tail repair, Replay and ReadJournal, and applies one rule
+// to a bad frame. In the journal's last segment the first bad frame starts
+// the torn tail — the footprint of a crash mid-append — which Open
+// truncates away and ReadJournal stops before. In a sealed segment a complete
+// frame that fails its CRC is ErrCorrupt: acknowledged data was lost, which
+// recovery must surface rather than silently skip.
 //
-// Durability is governed by a SyncPolicy: SyncAlways fsyncs every append
-// (every acknowledged record survives power loss), SyncInterval bounds
-// the unsynced window, SyncNever leaves flushing to the OS. Retention is
-// snapshot-driven: once a snapshot covers every record below an LSN,
+// Durability is governed by a SyncPolicy: SyncAlways fsyncs before an
+// append returns (every acknowledged record survives power loss), SyncNever
+// leaves flushing to the OS. Every other file — snapshots, and the model
+// registry's artefacts and active pointer — is written by Publish (temp
+// file, fsync, rename, directory fsync) and listed by Numbered. Retention
+// is snapshot-driven: once a snapshot covers every record below an LSN,
 // TruncateBefore deletes the segments wholly beneath it.
 package wal
 
@@ -35,8 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +54,11 @@ const (
 	recHdrSize  = 16 // u32 len | u32 crc | u64 lsn
 	segPrefix   = "wal-"
 	segSuffix   = ".seg"
-	segNameFmt  = segPrefix + "%016x" + segSuffix
 	tmpSuffix   = ".tmp"
 	firstRecLSN = 1
+
+	// blockBytes is the segment reader's read size.
+	blockBytes = 64 << 10
 )
 
 // MaxRecordBytes caps one record's payload; larger appends (and decoded
@@ -72,9 +76,6 @@ const (
 	// SyncAlways fsyncs after every append: an acknowledged record is on
 	// stable storage before Append returns.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs when the configured interval has elapsed since
-	// the last sync (checked on each append), and on rotation and Close.
-	SyncInterval
 	// SyncNever leaves flushing to the operating system.
 	SyncNever
 )
@@ -84,8 +85,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	default:
@@ -98,12 +97,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	default:
-		return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
+		return 0, fmt.Errorf("wal: unknown sync policy %q (want always or never)", s)
 	}
 }
 
@@ -117,16 +114,13 @@ type Options struct {
 	SegmentBytes int64
 	// Sync selects the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncInterval is the flush interval under SyncInterval (default
-	// 100ms).
-	SyncInterval time.Duration
 	// GroupCommit, under SyncAlways, lets concurrent appenders share one
 	// fsync: the first appender to commit becomes the window leader,
 	// briefly yields so racing appenders can stage their records, then
 	// performs one buffered write and one fsync covering the whole
 	// window. Every ack is still released only after the fsync that
 	// covers it — append-before-ack is unchanged, only the fsync count
-	// drops. Ignored under the other policies (which already batch).
+	// drops. Ignored under SyncNever.
 	GroupCommit bool
 	// Metrics, when non-nil, receives the journal's instruments
 	// (cordial_wal_*): append/fsync counts, error counts and duration
@@ -142,15 +136,15 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
-	}
 	return o
 }
 
-// ErrCorrupt reports an invalid record in the interior of the journal —
-// data loss that recovery must surface, not skip.
+// ErrCorrupt reports an invalid record in a sealed segment — data loss that
+// recovery must surface, not skip.
 var ErrCorrupt = errors.New("wal: corrupt record in journal interior")
+
+// errStop ends a segment walk early without error (Replay at its horizon).
+var errStop = errors.New("wal: walk stopped")
 
 // walMetrics is the journal's instrument set; the zero value (all nil) is
 // fully operational because obs instruments are nil-safe — no branches on
@@ -174,7 +168,7 @@ func (m *walMetrics) register(reg *obs.Registry, w *WAL) {
 	m.appendDur = reg.Histogram("cordial_wal_append_seconds",
 		"Journal append latency including any fsync the policy requires.", nil)
 	m.fsyncs = reg.Counter("cordial_wal_fsyncs_total",
-		"Journal fsync calls (per-append under always, batched under interval).")
+		"Journal fsync calls (per commit under always, plus rotation and close).")
 	m.fsyncErrors = reg.Counter("cordial_wal_fsync_errors_total",
 		"Journal fsync calls that returned an error.")
 	m.fsyncDur = reg.Histogram("cordial_wal_fsync_seconds",
@@ -199,8 +193,11 @@ type WAL struct {
 	window   *commitWindow
 	nextLSN  uint64
 	segments []uint64 // first LSN of each live segment, ascending
-	lastSync time.Time
 	closed   bool
+	// failed, once set, refuses every append: a failed write's bytes could
+	// not be cut back off the segment, so a later frame would land behind a
+	// torn one and be lost at the next Open.
+	failed error
 
 	// What NextLSN, Appended and Segments report: written only under mu, but
 	// atomics, so that the stats path — polled while a group-commit leader
@@ -233,52 +230,43 @@ type commitWindow struct {
 }
 
 // segName returns the filename for a segment starting at lsn.
-func segName(lsn uint64) string { return fmt.Sprintf(segNameFmt, lsn) }
-
-// parseSegName extracts the first LSN from a segment filename.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
-	var lsn uint64
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-	if len(hex) != 16 {
-		return 0, false
-	}
-	if _, err := fmt.Sscanf(hex, "%016x", &lsn); err != nil {
-		return 0, false
-	}
-	return lsn, true
-}
+func segName(lsn uint64) string { return numberedName(segPrefix, lsn, segSuffix) }
 
 // Open opens (or creates) the journal in dir, repairing a torn tail: the
-// final segment is scanned record by record and truncated after the last
-// record whose frame and checksum are intact. A final segment too damaged
-// to hold even a header (a crash during rotation) is removed entirely.
+// final segment is read frame by frame and truncated after the last record
+// whose frame and checksum are intact. A final segment too damaged to hold
+// even a header (a crash during rotation) is removed entirely, and so are
+// the temp files of interrupted snapshot writes.
 func Open(dir string, opts Options) (*WAL, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating dir: %w", err)
 	}
-	w := &WAL{dir: dir, opts: opts, lastSync: time.Now()}
+	w := &WAL{dir: dir, opts: opts}
 	w.setNextLSN(firstRecLSN)
 	if opts.Metrics != nil {
 		w.metrics.register(opts.Metrics, w)
 	}
-
-	segs, err := listSegments(opts.FS, dir)
+	temps, _ := Numbered(opts.FS, dir, snapPrefix, snapSuffix+tmpSuffix) // a listing error surfaces below
+	for _, seq := range temps {
+		_ = opts.FS.Remove(filepath.Join(dir, numberedName(snapPrefix, seq, snapSuffix+tmpSuffix)))
+	}
+	segs, err := Numbered(opts.FS, dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, err
 	}
-	// Repair from the tail: drop unreadable trailing segments (crash
-	// during rotation), truncate the torn tail of the last readable one.
+	r := segmentReader{fs: opts.FS, dir: dir}
 	for len(segs) > 0 {
 		last := segs[len(segs)-1]
-		lastLSN, validSize, err := scanSegment(opts.FS, filepath.Join(dir, segName(last)), last)
+		next := last
+		end, err := r.walk(last, true, func(lsn uint64, _ []byte) error {
+			next = lsn + 1
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if validSize < 0 {
+		if end < 0 {
 			// Header missing or mangled: the segment holds nothing
 			// recoverable. Remove it and retry with its predecessor.
 			if err := opts.FS.Remove(filepath.Join(dir, segName(last))); err != nil {
@@ -291,7 +279,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: opening segment: %w", err)
 		}
-		if err := f.Truncate(validSize); err != nil {
+		if err := f.Truncate(end); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
@@ -299,13 +287,9 @@ func Open(dir string, opts Options) (*WAL, error) {
 			f.Close()
 			return nil, fmt.Errorf("wal: seeking segment end: %w", err)
 		}
-		w.f, w.size = f, validSize
+		w.f, w.size = f, end
 		w.setSegments(segs)
-		if lastLSN > 0 {
-			w.setNextLSN(lastLSN + 1)
-		} else {
-			w.setNextLSN(last)
-		}
+		w.setNextLSN(next)
 		return w, nil
 	}
 	// Fresh journal.
@@ -315,100 +299,174 @@ func Open(dir string, opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// listSegments returns the first-LSNs of the directory's segments,
-// ascending. Stray temp files from an interrupted snapshot write are
-// removed.
-func listSegments(fs FS, dir string) ([]uint64, error) {
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: listing dir: %w", err)
-	}
-	var segs []uint64
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), tmpSuffix) {
-			_ = fs.Remove(filepath.Join(dir, e.Name()))
-			continue
-		}
-		if lsn, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, lsn)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
+// Record is one journal record out of its framing, as ReadJournal returns
+// it. Handoff bundles carry these across nodes as JSON; the LSN is the
+// SOURCE journal's, an opaque watermark to a receiver, never one of its own.
+type Record struct {
+	// LSN is the record's position in the source journal.
+	LSN uint64 `json:"lsn"`
+	// Payload is the record body.
+	Payload []byte `json:"payload"`
 }
 
-// scanSegment walks one segment validating every frame. It returns the
-// highest valid LSN (0 if the segment holds no records) and the byte
-// offset just past the last valid record — the truncation point for torn
-// tails. validSize < 0 means the header itself is unreadable.
-func scanSegment(fs FS, path string, firstLSN uint64) (lastLSN uint64, validSize int64, err error) {
-	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
+// ReadJournal returns every intact record of the journal in dir, in LSN
+// order, and writes nothing: a torn tail is read up to, not truncated, and
+// no file is created or removed — an empty or missing directory reads as
+// no records. It is the read of a journal no process has open, such as a
+// dead node's at cluster takeover. Payloads are copies, safe to retain.
+func ReadJournal(fs FS, dir string) ([]Record, error) {
+	segs, err := Numbered(fs, dir, segPrefix, segSuffix)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: opening segment for scan: %w", err)
+		return nil, err
+	}
+	var out []Record
+	r := segmentReader{fs: orOS(fs), dir: dir}
+	for i, first := range segs {
+		if _, err := r.walk(first, i == len(segs)-1, func(lsn uint64, payload []byte) error {
+			out = append(out, Record{LSN: lsn, Payload: append([]byte(nil), payload...)})
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// segmentReader is the journal's one reader of segment files. It reads a
+// segment in blocks into one buffer, reused across the segments of one read
+// and dropped with the reader, and yields payloads as sub-slices of it.
+type segmentReader struct {
+	fs  FS
+	dir string
+	buf []byte
+}
+
+// walk reads the segment starting at first; see frames.
+func (r *segmentReader) walk(first uint64, tail bool, fn func(lsn uint64, payload []byte) error) (int64, error) {
+	f, err := r.fs.OpenFile(filepath.Join(r.dir, segName(first)), os.O_RDONLY, 0)
+	if err != nil {
+		return 0, fmt.Errorf("wal: opening segment: %w", err)
 	}
 	defer f.Close()
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wal: sizing segment: %w", err)
+	}
+	return r.frames(f, size, tail, fn)
+}
+
+// frames reads the size-byte segment image in src and calls fn with each
+// record in order; the payload is valid only during the call. It returns
+// the offset just past the last record fn took — the end of the intact
+// records — or -1 for a tail segment whose header is torn.
+//
+// The torn-vs-corrupt rule: in the journal's last segment (tail) the first
+// bad frame — cut short by the segment's end, over-long, or failing its CRC
+// — starts the torn tail, and the walk ends before it without error. In a
+// sealed segment a bad header, an over-long frame or a complete frame that
+// fails its CRC is ErrCorrupt; a frame cut short by the segment's end ends
+// the walk, since only a failed write of an older journal leaves one there.
+func (r *segmentReader) frames(src io.Reader, size int64, tail bool, fn func(lsn uint64, payload []byte) error) (int64, error) {
 	var hdr [segHdrSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, -1, nil // too short for a header: unrecoverable segment
-	}
-	if string(hdr[:4]) != segMagic || binary.LittleEndian.Uint16(hdr[4:6]) != segVersion {
-		return 0, -1, nil
-	}
-	offset := int64(segHdrSize)
-	for {
-		lsn, payload, n, ok := readRecord(f)
-		if !ok {
-			return lastLSN, offset, nil
+	if _, err := io.ReadFull(src, hdr[:]); err != nil || size < segHdrSize ||
+		string(hdr[:4]) != segMagic || binary.LittleEndian.Uint16(hdr[4:6]) != segVersion {
+		if tail {
+			return -1, nil
 		}
-		_ = payload
-		lastLSN = lsn
-		offset += n
+		return 0, fmt.Errorf("%w: segment header unreadable", ErrCorrupt)
 	}
+	if want := int(min(blockBytes, size-segHdrSize)); len(r.buf) < want {
+		r.buf = make([]byte, want)
+	}
+	// off is the segment offset of buf[lo]; buf[lo:hi] is read and not yet
+	// consumed; unread bytes of the segment follow it.
+	off, unread := int64(segHdrSize), size-segHdrSize
+	lo, hi := 0, 0
+	fill := func(n int) error { // buffer n bytes at buf[lo:]; n <= hi-lo+unread
+		if hi-lo >= n {
+			return nil
+		}
+		hi = copy(r.buf, r.buf[lo:hi])
+		lo = 0
+		if len(r.buf) < n {
+			grown := make([]byte, n)
+			copy(grown, r.buf[:hi])
+			r.buf = grown
+		}
+		m, err := io.ReadAtLeast(src, r.buf[hi:hi+int(min(int64(len(r.buf)-hi), unread))], n-hi)
+		hi += m
+		unread -= int64(m)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return errStop // the file shrank under a Replay: a failed append being cut off
+		}
+		if err != nil {
+			return fmt.Errorf("wal: reading segment: %w", err)
+		}
+		return nil
+	}
+	for off < size {
+		if size-off < recHdrSize {
+			return off, nil // a frame header cut short
+		}
+		if err := fill(recHdrSize); err != nil {
+			return off, err
+		}
+		length := binary.LittleEndian.Uint32(r.buf[lo:])
+		n := recHdrSize + int(min(length, MaxRecordBytes+1))
+		if length > MaxRecordBytes || int64(n) > size-off {
+			if tail || length <= MaxRecordBytes {
+				return off, nil // the torn tail, or a frame cut short
+			}
+			return off, fmt.Errorf("%w: record length %d out of range", ErrCorrupt, length)
+		}
+		if err := fill(n); err != nil {
+			return off, err
+		}
+		frame := r.buf[lo : lo+n]
+		sum := crc32.Update(0, crcTable, frame[8:recHdrSize])
+		if crc32.Update(sum, crcTable, frame[recHdrSize:]) != binary.LittleEndian.Uint32(frame[4:8]) {
+			if tail {
+				return off, nil
+			}
+			return off, fmt.Errorf("%w: record checksum mismatch at offset %d", ErrCorrupt, off)
+		}
+		if err := fn(binary.LittleEndian.Uint64(frame[8:16]), frame[recHdrSize:]); err != nil {
+			return off, err
+		}
+		lo += n
+		off += int64(n)
+	}
+	return off, nil
 }
 
-// readRecord reads one frame from r. ok is false on EOF, a short read, a
-// CRC mismatch or an implausible length — every way a tail can be torn.
-func readRecord(r io.Reader) (lsn uint64, payload []byte, size int64, ok bool) {
-	var hdr [recHdrSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, false
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	lsn = binary.LittleEndian.Uint64(hdr[8:16])
-	if length > MaxRecordBytes {
-		return 0, nil, 0, false
-	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, false
-	}
-	sum := crc32.Update(0, crcTable, hdr[8:16])
-	sum = crc32.Update(sum, crcTable, payload)
-	if sum != crc {
-		return 0, nil, 0, false
-	}
-	return lsn, payload, int64(recHdrSize) + int64(length), true
-}
-
-// openSegment creates and syncs a fresh segment starting at lsn and makes
-// it current.
-func (w *WAL) openSegment(lsn uint64) error {
+// openSegment creates a fresh segment starting at lsn, syncs it and its
+// directory entry, and makes it current: a record acknowledged in it must
+// not vanish with the file's name. On failure the file is removed again, so
+// a later rotation can retry.
+func (w *WAL) openSegment(lsn uint64) (err error) {
 	path := filepath.Join(w.dir, segName(lsn))
 	f, err := w.opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	var hdr [segHdrSize]byte
-	copy(hdr[:4], segMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], segVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			_ = w.opts.FS.Remove(path)
+		}
+	}()
+	hdr := binary.LittleEndian.AppendUint16([]byte(segMagic), segVersion)
+	if _, err := f.Write(append(hdr, 0, 0)); err != nil {
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return fmt.Errorf("wal: syncing segment header: %w", err)
+	}
+	if err := w.opts.FS.SyncDir(w.dir); err != nil {
+		return fmt.Errorf("wal: syncing journal directory: %w", err)
 	}
 	w.f, w.size = f, segHdrSize
 	w.setSegments(append(w.segments, lsn))
@@ -419,8 +477,7 @@ func (w *WAL) openSegment(lsn uint64) error {
 // one record, so the frame bytes, the commit and the failure handling are
 // the batch path's. Under SyncAlways the record is on stable storage when
 // Append returns; a sync or write failure is returned to the caller and the
-// record must be considered lost (the torn frame will be truncated on the
-// next Open).
+// record must be considered lost.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	return w.AppendBatch(payload, len(payload))
 }
@@ -459,6 +516,9 @@ func (w *WAL) appendBatch(records []byte, recordSize, n int) (uint64, error) {
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, fmt.Errorf("wal: append to closed journal")
+	}
+	if w.failed != nil {
+		return 0, w.failed
 	}
 	first := w.nextLSN
 	for i := 0; i < n; i++ {
@@ -504,53 +564,51 @@ func (w *WAL) stageLocked(payload []byte) (uint64, error) {
 }
 
 // flushLocked writes every staged frame to the current segment in one
-// write. On a write error the unwritten remainder is dropped — their
-// appenders are told the append failed, and any torn bytes are truncated
-// by the next Open. Callers hold w.mu.
+// write. On a write error the staged frames are dropped — their appenders
+// are told the append failed, and so is every follower of an open commit
+// window — and the segment is cut back to its size before the write, so a
+// later append never lands behind a torn frame. If the cut fails too, the
+// journal refuses every later append. Callers hold w.mu.
 func (w *WAL) flushLocked() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	n, err := w.f.Write(w.buf)
-	if err != nil {
-		w.size -= int64(len(w.buf) - n)
+	_, err := w.f.Write(w.buf)
+	if err == nil {
 		w.buf = w.buf[:0]
-		return fmt.Errorf("wal: appending records: %w", err)
+		return nil
 	}
+	w.size -= int64(len(w.buf))
 	w.buf = w.buf[:0]
-	return nil
+	err = fmt.Errorf("wal: appending records: %w", err)
+	if w.window != nil {
+		w.window.err = err
+	}
+	if terr := w.f.Truncate(w.size); terr != nil {
+		w.failed = fmt.Errorf("wal: journal refuses appends: cutting off a failed write: %w", terr)
+	} else if _, serr := w.f.Seek(w.size, io.SeekStart); serr != nil {
+		w.failed = fmt.Errorf("wal: journal refuses appends: seeking past a failed write: %w", serr)
+	}
+	return err
 }
 
 // commitLocked makes the staged frames durable per the sync policy.
 // Callers hold w.mu; under group commit the lock is briefly released to
 // gather a window (see commitWindowLocked) and re-held on return.
 func (w *WAL) commitLocked() error {
-	switch w.opts.Sync {
-	case SyncAlways:
-		if w.opts.GroupCommit {
-			return w.commitWindowLocked()
-		}
-		if err := w.flushLocked(); err != nil {
-			return err
-		}
-		if err := w.syncTimed(); err != nil {
-			return fmt.Errorf("wal: syncing record: %w", err)
-		}
-		return nil
-	case SyncInterval:
-		if err := w.flushLocked(); err != nil {
-			return err
-		}
-		if time.Since(w.lastSync) >= w.opts.SyncInterval {
-			if err := w.syncTimed(); err != nil {
-				return fmt.Errorf("wal: syncing record: %w", err)
-			}
-			w.lastSync = time.Now()
-		}
-		return nil
-	default: // SyncNever: write through, let the OS flush
-		return w.flushLocked()
+	if w.opts.Sync == SyncNever {
+		return w.flushLocked() // write through, let the OS flush
 	}
+	if w.opts.GroupCommit {
+		return w.commitWindowLocked()
+	}
+	if err := w.flushLocked(); err != nil {
+		return err
+	}
+	if err := w.syncTimed(); err != nil {
+		return fmt.Errorf("wal: syncing record: %w", err)
+	}
+	return nil
 }
 
 // commitWindowLocked is the SyncAlways group-commit protocol. The first
@@ -582,9 +640,11 @@ func (w *WAL) commitWindowLocked() error {
 			err = fmt.Errorf("wal: syncing record: %w", serr)
 		}
 	}
-	win.err = err
+	if win.err == nil { // a flush inside the window may have failed it already
+		win.err = err
+	}
 	close(win.done)
-	return err
+	return win.err
 }
 
 // syncTimed fsyncs the current segment under the journal's fsync
@@ -609,27 +669,13 @@ func (w *WAL) rotateLocked() error {
 	if err := w.syncTimed(); err != nil {
 		return fmt.Errorf("wal: syncing sealed segment: %w", err)
 	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("wal: closing sealed segment: %w", err)
+	// The sealed segment stays current until its successor exists, so a
+	// failed rotation leaves a journal that can retry it.
+	sealed := w.f
+	if err := w.openSegment(w.nextLSN); err != nil {
+		return err
 	}
-	return w.openSegment(w.nextLSN)
-}
-
-// Sync flushes the current segment (staged frames included) to stable
-// storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.f == nil {
-		return nil
-	}
-	if err := w.flushLocked(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	if err := w.syncTimed(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	w.lastSync = time.Now()
+	_ = sealed.Close() // its frames are synced: a close error loses nothing
 	return nil
 }
 
@@ -642,67 +688,41 @@ func (w *WAL) Appended() uint64 { return w.appended.Load() }
 // Segments returns the number of live segment files.
 func (w *WAL) Segments() int { return int(w.segmentCount.Load()) }
 
-// Replay calls fn for every record in the journal in LSN order. A record
-// that fails validation is ErrCorrupt: Open has already truncated the
-// torn tail, so nothing invalid can legitimately remain. fn's payload is
-// only valid for the duration of the call.
+// Replay calls fn for every record in the journal in LSN order, up to the
+// last record appended when it was called. Open has already cut off the
+// torn tail, so every segment is held to the sealed-segment rule: a record
+// that fails validation is ErrCorrupt. fn's payload is only valid for the
+// duration of the call.
 func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 	w.mu.Lock()
 	// Replay reads the segment files, so records still sitting in the
 	// staging buffer must be written out first or the tail would be
-	// invisible (ExportRange — live cluster handoff — rides on this too).
+	// invisible.
 	if w.f != nil && !w.closed {
 		if err := w.flushLocked(); err != nil {
 			w.mu.Unlock()
 			return err
 		}
 	}
-	segs := append([]uint64(nil), w.segments...)
-	valid := w.nextLSN
+	segs := slices.Clone(w.segments)
+	horizon := w.nextLSN
 	w.mu.Unlock()
+	r := segmentReader{fs: w.opts.FS, dir: w.dir}
 	for _, first := range segs {
-		path := filepath.Join(w.dir, segName(first))
-		f, err := w.opts.FS.OpenFile(path, os.O_RDONLY, 0)
-		if err != nil {
-			return fmt.Errorf("wal: opening segment for replay: %w", err)
+		_, err := r.walk(first, false, func(lsn uint64, payload []byte) error {
+			if lsn >= horizon {
+				return errStop // appends racing the replay
+			}
+			return fn(lsn, payload)
+		})
+		if err == errStop {
+			return nil
 		}
-		err = replaySegment(f, valid, fn)
-		f.Close()
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// replaySegment streams one segment's records through fn. Records at or
-// past the valid horizon (appends racing the replay) are skipped.
-func replaySegment(f File, horizon uint64, fn func(lsn uint64, payload []byte) error) error {
-	var hdr [segHdrSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("wal: %w: segment header unreadable", ErrCorrupt)
-	}
-	if string(hdr[:4]) != segMagic || binary.LittleEndian.Uint16(hdr[4:6]) != segVersion {
-		return fmt.Errorf("wal: %w: bad segment magic/version", ErrCorrupt)
-	}
-	for {
-		lsn, payload, _, ok := readRecord(f)
-		if !ok {
-			// Distinguish clean EOF from mid-segment corruption: try to
-			// read one more byte.
-			var b [1]byte
-			if _, err := f.Read(b[:]); err == io.EOF {
-				return nil
-			}
-			return ErrCorrupt
-		}
-		if lsn >= horizon {
-			return nil
-		}
-		if err := fn(lsn, payload); err != nil {
-			return err
-		}
-	}
 }
 
 // TruncateBefore deletes every segment whose records all have LSN < lsn

@@ -127,7 +127,7 @@ func TestWALRotationAndRetention(t *testing.T) {
 // lastSegmentPath returns the path of the newest segment file.
 func lastSegmentPath(t *testing.T, dir string) string {
 	t.Helper()
-	segs, err := listSegments(OSFS, dir)
+	segs, err := Numbered(OSFS, dir, segPrefix, segSuffix)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in %s: %v", dir, err)
 	}
@@ -226,7 +226,7 @@ func TestWALInteriorCorruptionIsAnError(t *testing.T) {
 	}
 	// Corrupt a record in the FIRST segment — acknowledged data in the
 	// journal interior. Replay must refuse, not silently skip.
-	segs, _ := listSegments(OSFS, dir)
+	segs, _ := Numbered(OSFS, dir, segPrefix, segSuffix)
 	path := filepath.Join(dir, segName(segs[0]))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -413,7 +413,7 @@ func TestParseSyncPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SyncPolicy
-	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"never", SyncNever}} {
+	}{{"always", SyncAlways}, {"never", SyncNever}} {
 		got, err := ParseSyncPolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)
@@ -422,7 +422,9 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got.String(), tc.in)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Error("bogus policy accepted")
+	for _, bogus := range []string{"sometimes", "interval"} {
+		if _, err := ParseSyncPolicy(bogus); err == nil {
+			t.Errorf("policy %q accepted", bogus)
+		}
 	}
 }

@@ -283,6 +283,12 @@ var deletionGates = []struct {
 		names: []string{"Entropy", "Criterion", "EarlyStopRounds", "PositiveWeight", "TopRate", "oobScore",
 			"copyLists", "rootSorted", "NoGroupCommit", "MaxLineBytes", "MaxBatchErrors"},
 	},
+	{
+		gate: "one journal reader, one publish", deletedBy: "The journal and its files, one of each",
+		replacedBy: "wal's segment reader under Open, Replay and ReadJournal; wal.Publish and wal.Numbered under snapshots, model artefacts and the active pointer",
+		names: []string{"readRecord", "scanSegment", "replaySegment", "ExportRange", "walRecordWire", "toWire",
+			"suffixRecords", "writeActivePointer", "SyncInterval"},
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
