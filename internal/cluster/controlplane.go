@@ -444,7 +444,7 @@ func readNodeState(dir string) (HandoffBundle, error) {
 	}
 	// No snapshot (node died before its first checkpoint) is fine: the
 	// journal alone rebuilds every session.
-	recs, err := wal.ReadJournal(nil, dir)
+	recs, err := wal.ReadJournal(dir)
 	if err != nil {
 		return HandoffBundle{}, fmt.Errorf("cluster: reading journal in %s: %w", dir, err)
 	}

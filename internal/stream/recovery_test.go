@@ -629,6 +629,65 @@ func TestRecoveryFsyncFailureSurfaces(t *testing.T) {
 	drainActions(e)
 }
 
+// TestRecoveryFailedRotationKeepsAcknowledged: a batch that crosses a journal
+// segment boundary is rejected when the new segment's directory sync fails,
+// after its first record was already flushed into the sealed segment. The
+// bank's later, acknowledged events must not reuse that record's LSN: recovery
+// replays it first, raising the bank's watermark, and would refuse every
+// acknowledged event journaled under the same LSN.
+func TestRecoveryFailedRotationKeepsAcknowledged(t *testing.T) {
+	ffs := wal.NewFaultFS(wal.OSFS)
+	cfg := Config{
+		Strategy: &fakeStrategy{budget: 100},
+		Shards:   1,
+		// An 8-byte header and three 35-byte frames: the batch's first
+		// record fills the segment and its second rotates.
+		Durability: DurabilityConfig{Dir: t.TempDir(), FS: ffs, Sync: wal.SyncAlways, SegmentBytes: 100},
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := testBank(1)
+	for i := 0; i < 2; i++ {
+		if err := e.Ingest(uerAt(bank, i+1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.FailSyncAfter(2) // the sealed segment's and the new header's syncs pass, the directory's fails
+	if _, _, err := e.IngestBatch([]mcelog.Event{uerAt(bank, 3, 2), uerAt(bank, 4, 3)}); !errors.Is(err, wal.ErrInjectedSync) {
+		t.Fatalf("batch across a failed rotation = %v, want ErrInjectedSync", err)
+	}
+	ffs.FailSyncAfter(-1)
+	for i := 0; i < 4; i++ {
+		if err := e.Ingest(uerAt(bank, 10+i, 4+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil { // a plain Close writes no snapshot: recovery replays the journal
+		t.Fatal(err)
+	}
+	drainActions(e)
+
+	cfg.Durability.FS = nil
+	e2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		e2.Close()
+		drainActions(e2)
+	}()
+	// Six acknowledged events, and the rejected batch's first record, which
+	// reached the sealed segment before the rotation failed.
+	if s, ok := e2.Session(bank); !ok || s.Events != 7 {
+		t.Fatalf("recovered session %+v (found %v), want 7 events", s, ok)
+	}
+}
+
 // ---- supervision -----------------------------------------------------------
 
 // TestPoisonQuarantineAndDeadLetter: an event that panics inside the

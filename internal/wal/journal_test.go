@@ -50,7 +50,7 @@ func TestReadJournal(t *testing.T) {
 	if w.Segments() < 2 {
 		t.Fatalf("want multiple segments, got %d", w.Segments())
 	}
-	recs, err := ReadJournal(nil, dir)
+	recs, err := ReadJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestReadJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dirFiles(t, dir)
-	recs, err = ReadJournal(nil, dir)
+	recs, err = ReadJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,14 @@ func TestReadJournal(t *testing.T) {
 	}
 
 	empty := t.TempDir()
-	if recs, err := ReadJournal(nil, empty); err != nil || len(recs) != 0 {
+	if recs, err := ReadJournal(empty); err != nil || len(recs) != 0 {
 		t.Errorf("empty directory read = %d records, %v", len(recs), err)
 	}
 	if files := dirFiles(t, empty); len(files) != 0 {
 		t.Errorf("ReadJournal created %v in an empty directory", files)
 	}
 	missing := filepath.Join(empty, "gone")
-	if recs, err := ReadJournal(nil, missing); err != nil || len(recs) != 0 {
+	if recs, err := ReadJournal(missing); err != nil || len(recs) != 0 {
 		t.Errorf("missing directory read = %d records, %v", len(recs), err)
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
@@ -156,7 +156,7 @@ func TestSealedSegmentBadFinalRecordIsCorrupt(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay over a sealed segment's bad final record = %v after %d records, want ErrCorrupt", err, replayed)
 	}
-	if _, err := ReadJournal(nil, dir); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadJournal(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadJournal over a sealed segment's bad final record = %v, want ErrCorrupt", err)
 	}
 }
@@ -361,6 +361,50 @@ func TestRotationRetriesAfterFailure(t *testing.T) {
 	defer w2.Close()
 	if lsns, _ := replayAll(t, w2); len(lsns) != 6 || lsns[5] != 6 {
 		t.Fatalf("replayed %v, want 1..6", lsns)
+	}
+}
+
+// TestFailedAppendReusesNoLSN: an append whose frames reached the segment
+// before it failed — a batch cut off by a failed rotation after its first
+// frame was flushed into the sealed segment, or a record whose fsync failed —
+// leaves those frames on disk, so the LSNs they carry are never handed out
+// again: after a restart the journal replays each LSN once, the records
+// acknowledged after the failures included.
+func TestFailedAppendReusesNoLSN(t *testing.T) {
+	ffs := NewFaultFS(OSFS)
+	dir := t.TempDir()
+	w, err := Open(dir, Options{FS: ffs, SegmentBytes: 64, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 0, 2)  // 8 + 2×21 bytes: the batch's first frame fills the segment
+	ffs.FailSyncAfter(2) // the sealed segment's and the new header's syncs pass, the directory's fails
+	if _, err := w.AppendBatch([]byte("rec-Xrec-Xrec-X"), 5); !errors.Is(err, ErrInjectedSync) {
+		t.Fatalf("batch across a failed rotation = %v, want ErrInjectedSync", err)
+	}
+	ffs.FailSyncAfter(-1)
+	appendN(t, w, 2, 2) // the retried rotation
+	ffs.FailSyncAfter(0)
+	if _, err := w.Append([]byte("rec-Y")); !errors.Is(err, ErrInjectedSync) {
+		t.Fatalf("append under a failing fsync = %v, want ErrInjectedSync", err)
+	}
+	ffs.FailSyncAfter(-1)
+	appendN(t, w, 4, 2)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	// The batch's first frame and the unsynced record replay too: an append
+	// error promises only that nothing may be counted on, not that nothing
+	// lands.
+	lsns, payloads := replayAll(t, w2)
+	want := []string{"rec-0", "rec-1", "rec-X", "rec-2", "rec-3", "rec-Y", "rec-4", "rec-5"}
+	if !slices.Equal(lsns, []uint64{1, 2, 3, 4, 5, 6, 7, 8}) || !slices.Equal(payloads, want) || w2.NextLSN() != 9 {
+		t.Fatalf("replayed %v %v, NextLSN %d; want LSNs 1..8 for %v and 9", lsns, payloads, w2.NextLSN(), want)
 	}
 }
 

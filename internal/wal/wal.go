@@ -197,7 +197,8 @@ type WAL struct {
 	// failed, once set, refuses every append: a failed write's bytes could
 	// not be cut back off the segment, so a later frame would land behind a
 	// torn one and be lost at the next Open.
-	failed error
+	failed  error
+	written uint64 // one past the last LSN written to a segment: a failed append rolls nextLSN back no further
 
 	// What NextLSN, Appended and Segments report: written only under mu, but
 	// atomics, so that the stats path — polled while a group-commit leader
@@ -314,13 +315,13 @@ type Record struct {
 // no file is created or removed — an empty or missing directory reads as
 // no records. It is the read of a journal no process has open, such as a
 // dead node's at cluster takeover. Payloads are copies, safe to retain.
-func ReadJournal(fs FS, dir string) ([]Record, error) {
-	segs, err := Numbered(fs, dir, segPrefix, segSuffix)
+func ReadJournal(dir string) ([]Record, error) {
+	segs, err := Numbered(OSFS, dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, err
 	}
 	var out []Record
-	r := segmentReader{fs: orOS(fs), dir: dir}
+	r := segmentReader{fs: OSFS, dir: dir}
 	for i, first := range segs {
 		if _, err := r.walk(first, i == len(segs)-1, func(lsn uint64, payload []byte) error {
 			out = append(out, Record{LSN: lsn, Payload: append([]byte(nil), payload...)})
@@ -488,7 +489,8 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 // with one buffered write, and — policy permitting — made durable by one
 // fsync before AppendBatch returns, so acknowledging the batch after a
 // nil return preserves append-before-ack for every record in it. An
-// error means none of the batch's records may be considered durable.
+// error means none of the batch's records may be considered durable, though
+// those written before it may replay; their LSNs are never handed out again.
 func (w *WAL) AppendBatch(records []byte, recordSize int) (first uint64, err error) {
 	if recordSize <= 0 || recordSize > MaxRecordBytes {
 		return 0, fmt.Errorf("wal: invalid batch record size %d", recordSize)
@@ -523,14 +525,14 @@ func (w *WAL) appendBatch(records []byte, recordSize, n int) (uint64, error) {
 	first := w.nextLSN
 	for i := 0; i < n; i++ {
 		if _, err := w.stageLocked(records[i*recordSize : (i+1)*recordSize]); err != nil {
-			w.setNextLSN(first)
+			w.setNextLSN(max(first, w.written))
 			return 0, err
 		}
 	}
 	w.publishedLSN.Store(w.nextLSN)
 	if err := w.commitLocked(); err != nil {
 		if w.nextLSN == first+uint64(n) {
-			w.setNextLSN(first)
+			w.setNextLSN(max(first, w.written))
 		}
 		return 0, err
 	}
@@ -576,6 +578,7 @@ func (w *WAL) flushLocked() error {
 	_, err := w.f.Write(w.buf)
 	if err == nil {
 		w.buf = w.buf[:0]
+		w.written = w.nextLSN
 		return nil
 	}
 	w.size -= int64(len(w.buf))
