@@ -3,24 +3,49 @@
 package clitest
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var (
+	buildOnce sync.Once
+	binDir    string
+	buildErr  error
+)
+
+// TestMain removes the directory buildAll built the commands into.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
 
 // buildAll compiles every command into a temp dir once per test binary.
 func buildAll(t *testing.T) string {
 	t.Helper()
-	bin := t.TempDir()
-	for _, cmd := range []string{"cordial-gen", "cordial-train", "cordial-predict", "cordial-repro", "cordial-study", "cordial-serve", "cordial-control", "cordial-router"} {
-		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "cordial/cmd/"+cmd).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", cmd, err, out)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "cordial-clitest-"); buildErr != nil {
+			return
 		}
+		for _, cmd := range []string{"cordial-gen", "cordial-train", "cordial-predict", "cordial-repro", "cordial-study", "cordial-serve", "cordial-control", "cordial-router"} {
+			out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "cordial/cmd/"+cmd).CombinedOutput()
+			if err != nil {
+				buildErr = fmt.Errorf("building %s: %v\n%s", cmd, err, out)
+				return
+			}
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bin
+	return binDir
 }
 
 func run(t *testing.T, bin string, args ...string) string {

@@ -3,7 +3,10 @@ package mltree
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
+	"sort"
 )
 
 // The compact forest arena (DESIGN §7): the one form a fitted model's trees
@@ -75,10 +78,9 @@ func compileArena(members []grownTree, width int, chains []chain) (*arena, error
 		feature   int32
 		threshold float64
 	}
-	nodes, leaves := 0, 0
+	nodes := 0
 	for _, m := range members {
 		nodes += len(m.nodes)
-		leaves += len(m.leaf)
 	}
 	splits := make([]split, 0, nodes/2)
 	for _, m := range members {
@@ -106,7 +108,6 @@ func compileArena(members []grownTree, width int, chains []chain) (*arena, error
 	a := &arena{
 		nodes:  make([]arenaNode, 0, nodes),
 		roots:  make([]uint32, len(members)),
-		leaf:   make([]float64, 0, leaves),
 		width:  width,
 		chains: chains,
 	}
@@ -127,21 +128,118 @@ func compileArena(members []grownTree, width int, chains []chain) (*arena, error
 		}
 		a.thr[f] = tables[lo:hi:hi]
 	}
+	set := a.internLeaves(members)
 	for t, m := range members {
 		a.roots[t] = uint32(len(a.nodes))
 		a.nodes = append(a.nodes, 0)
-		a.place(m, 0, a.roots[t])
+		a.place(m, 0, a.roots[t], &set)
 	}
 	return a, nil
 }
 
+// internLeaves fills leaf with each distinct leaf row of the members once —
+// distinct in its bits, so −0 and +0 stay apart — and returns the set that
+// finds a row's copy there. The set holds references to the members' own
+// rows until every row is interned, so that leaf is allocated once, at its
+// final size.
+func (a *arena) internLeaves(members []grownTree) rowSet {
+	set := rowSet{width: a.width, members: members, base: make([]uint32, len(members)+1)}
+	for t, m := range members {
+		set.base[t+1] = set.base[t] + uint32(len(m.leaf))
+	}
+	rows, size := int(set.base[len(members)])/max(a.width, 1), 16
+	for size < 2*min(rows, 512) {
+		size *= 2 // room for 512 rows: a forest's distinct rows are few, its leaves many
+	}
+	set.slots = make([]uint32, size)
+	distinct := 0
+	for t, m := range members {
+		for _, n := range m.nodes {
+			if n.feature >= 0 {
+				continue
+			}
+			if i := set.find(m.leaf[n.at:][:a.width]); set.slots[i] == 0 {
+				set.slots[i] = set.base[t] + uint32(n.at) + 1
+				if distinct++; 2*distinct > len(set.slots) {
+					set.grow()
+				}
+			}
+		}
+	}
+	a.leaf = make([]float64, 0, distinct*a.width)
+	for i, ref := range set.slots {
+		if ref != 0 {
+			set.slots[i] = uint32(len(a.leaf)) + 1
+			a.leaf = append(a.leaf, set.at(ref-1)...)
+		}
+	}
+	set.leaf = a.leaf
+	return set
+}
+
+// rowSet is an open-addressed set of width-wide rows compared by their bits.
+// A slot holds 1 + a row's ref, or 0 when empty; the table is at most half
+// full. A ref is the row's offset in leaf once that is set, and before then
+// its offset in the members' leaves laid back to back, members[t]'s from
+// base[t].
+type rowSet struct {
+	slots   []uint32 // a power of two
+	width   int
+	members []grownTree
+	base    []uint32
+	leaf    []float64
+}
+
+// at returns the row ref refers to.
+func (s *rowSet) at(ref uint32) []float64 {
+	if s.leaf != nil {
+		return s.leaf[ref:][:s.width]
+	}
+	t := sort.Search(len(s.members), func(t int) bool { return s.base[t+1] > ref })
+	return s.members[t].leaf[ref-s.base[t]:][:s.width]
+}
+
+// find returns the slot holding row, or the empty slot where it belongs.
+func (s *rowSet) find(row []float64) int {
+	mask := len(s.slots) - 1
+	h := uint64(len(row))
+	for _, v := range row {
+		h = (h ^ math.Float64bits(v)) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	i := int(h >> (64 - bits.Len(uint(mask))))
+	for ; s.slots[i] != 0 && !sameBits(s.at(s.slots[i]-1), row); i = (i + 1) & mask {
+	}
+	return i
+}
+
+// grow doubles the table.
+func (s *rowSet) grow() {
+	old := s.slots
+	s.slots = make([]uint32, 2*len(old))
+	for _, ref := range old {
+		if ref != 0 {
+			s.slots[s.find(s.at(ref-1))] = ref
+		}
+	}
+}
+
+// sameBits reports whether the rows x and y hold the same float64 bits.
+func sameBits(x, y []float64) bool {
+	for i, v := range x {
+		if math.Float64bits(v) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // place writes m's subtree at src into the reserved node dst, appending its
-// descendants pair by pair.
-func (a *arena) place(m grownTree, src int32, dst uint32) {
+// descendants pair by pair; a leaf points at its row's copy in set.
+func (a *arena) place(m grownTree, src int32, dst uint32, set *rowSet) {
 	n := m.nodes[src]
 	if n.feature < 0 {
-		a.nodes[dst] = newArenaNode(uint32(len(a.leaf)), 0, arenaLeaf)
-		a.leaf = append(a.leaf, m.leaf[n.at:int(n.at)+a.width]...)
+		a.nodes[dst] = newArenaNode(set.slots[set.find(m.leaf[n.at:][:a.width])]-1, 0, arenaLeaf)
 		return
 	}
 	t := a.thr[n.feature]
@@ -152,8 +250,8 @@ func (a *arena) place(m grownTree, src int32, dst uint32) {
 	c := uint32(len(a.nodes))
 	a.nodes = append(a.nodes, 0, 0)
 	a.nodes[dst] = newArenaNode(c, uint16(rank), uint16(n.feature))
-	a.place(m, src+1, c)
-	a.place(m, n.at, c+1)
+	a.place(m, src+1, c, set)
+	a.place(m, n.at, c+1, set)
 }
 
 // flatten appends the pointer tree n to gt in pre-order, validating it: the

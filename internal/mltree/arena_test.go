@@ -261,3 +261,114 @@ func FuzzLoadModel(f *testing.F) {
 		m.PredictBatchInto(make([]float64, 2*len(m.Classes())), [][]float64{row, make([]float64, len(row))})
 	})
 }
+
+// TestArenaLeafRowsInterned holds compileArena to one copy of each leaf row.
+// On a fitted default forest, a shallow one (whose leaves mix classes) and a
+// boosted model no two rows of leaf have the same bits, every leaf points at the start of a row, and leaf has no slack.
+// Rows that differ only in the sign of a zero stay apart, so that a model
+// file saves back to the bytes it was loaded from.
+func TestArenaLeafRowsInterned(t *testing.T) {
+	train, _ := noisyBlobs(33, 3, 120)
+	for _, m := range []Classifier{NewForest(ForestConfig{Seed: 7}), NewForest(ForestConfig{Seed: 7, Tree: TreeConfig{MaxDepth: 4}}), NewGBDT(GBDTConfig{Seed: 7})} {
+		if err := m.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := arenaOf(m)
+		leaves := assertLeafRowsInterned(t, typeName(m), a)
+		t.Logf("%s: %d leaves, %d distinct rows of %d", typeName(m), leaves, len(a.leaf)/a.width, a.width)
+		if _, ok := m.(*Forest); ok && leaves <= len(a.leaf)/a.width {
+			t.Fatalf("forest: %d leaves share no row: the test shows nothing", leaves)
+		}
+	}
+
+	// Sixteen leaves whose rows differ only in the signs of their zeros: rows
+	// that share a probe sequence are compared, and must stay apart.
+	negZero := math.Copysign(0, -1)
+	signs := combTree(0, []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	signs.leaf = signs.leaf[:0]
+	for i := range 16 {
+		for b := range 4 {
+			if signs.leaf = append(signs.leaf, 0); i>>b&1 == 1 {
+				signs.leaf[len(signs.leaf)-1] = negZero
+			}
+		}
+	}
+	for i := range signs.nodes {
+		if signs.nodes[i].feature < 0 {
+			signs.nodes[i].at *= 4
+		}
+	}
+	a, err := compileArena([]grownTree{signs}, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertLeafRowsInterned(t, "±0 rows", a)
+	for i, x := range []float64{-1, 0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5, 10.5, 11.5, 12.5, 13.5, 15} {
+		var ranks [rankScratch]uint16
+		a.rank(ranks[:], [][]float64{{x}})
+		off := a.leafOf(a.roots[0], ranks[:], 0)
+		if got, want := bitsOf(a.leaf[off:off+4]), bitsOf(signs.leaf[4*i:4*i+4]); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("leaf %d reads row %x, want %x", i, got, want)
+		}
+	}
+
+	// A tree whose two leaves differ in the sign of a zero probability. (A
+	// boosted model's zero leaf value is left out of its file, whatever its
+	// sign.)
+	file := `{"kind":"tree","classes":[0,1],"payload":{"config":{"MaxDepth":2,"MaxFeatures":0},"root":{"f":0,"t":1.5,"l":{"f":0,"t":0,"p":[-0,1]},"r":{"f":0,"t":0,"p":[0,1]}}}}` + "\n"
+	m, err := load(strings.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ = arenaOf(m)
+	assertLeafRowsInterned(t, "−0/+0 tree", a)
+	if rows := len(a.leaf) / a.width; rows != 2 {
+		t.Fatalf("leaves −0 and +0 compiled to %d rows, want 2", rows)
+	}
+	var out bytes.Buffer
+	if err := Save(&out, m); err != nil || out.String() != file {
+		t.Fatalf("saved %q (err %v), loaded %q", out.String(), err, file)
+	}
+}
+
+// assertLeafRowsInterned asserts a's leaf rows are pairwise distinct in their
+// bits, exactly allocated and each the target of a leaf node, which starts at
+// a row, and returns the number of leaves.
+func assertLeafRowsInterned(t *testing.T, label string, a *arena) int {
+	t.Helper()
+	if cap(a.leaf) != len(a.leaf) || len(a.leaf)%a.width != 0 {
+		t.Fatalf("%s: leaf has length %d and capacity %d, rows of %d", label, len(a.leaf), cap(a.leaf), a.width)
+	}
+	seen := map[string]int{}
+	for off := 0; off < len(a.leaf); off += a.width {
+		key := fmt.Sprint(bitsOf(a.leaf[off : off+a.width]))
+		if prev, ok := seen[key]; ok {
+			t.Fatalf("%s: leaf rows at %d and %d are the same bits %v", label, prev, off, a.leaf[off:off+a.width])
+		}
+		seen[key] = off
+	}
+	leaves, used := 0, map[uint32]bool{}
+	for _, n := range a.nodes {
+		if !n.isLeaf() {
+			continue
+		}
+		leaves++
+		if off := n.children(); int(off)%a.width != 0 || int(off)+a.width > len(a.leaf) {
+			t.Fatalf("%s: a leaf points at offset %d of %d values, rows of %d", label, off, len(a.leaf), a.width)
+		} else {
+			used[off] = true
+		}
+	}
+	if len(used) != len(seen) {
+		t.Fatalf("%s: leaves point at %d of %d rows", label, len(used), len(seen))
+	}
+	return leaves
+}
+
+func bitsOf(row []float64) []uint64 {
+	b := make([]uint64, len(row))
+	for i, v := range row {
+		b[i] = math.Float64bits(v)
+	}
+	return b
+}
