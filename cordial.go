@@ -51,6 +51,8 @@ type (
 	Geometry = hbm.Geometry
 	// Address locates a memory cell (or coarser entity) in the fleet.
 	Address = hbm.Address
+	// BankAddress identifies one bank: an Address without row and column.
+	BankAddress = hbm.BankAddress
 	// Event is one logged memory error.
 	Event = mcelog.Event
 	// Log is an in-memory MCE log.
@@ -111,8 +113,8 @@ const (
 	LevelRow           = hbm.LevelRow
 )
 
-// BankOf returns the bank-level address containing a.
-func BankOf(a Address) Address { return hbm.BankOf(a) }
+// BankOf returns the bank containing a.
+func BankOf(a Address) BankAddress { return hbm.BankOf(a) }
 
 // DefaultGeometry is the HBM2E organisation of the paper's Figure 1.
 var DefaultGeometry = hbm.DefaultGeometry

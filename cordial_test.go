@@ -185,7 +185,7 @@ func TestFacadeCalchasBaseline(t *testing.T) {
 func TestFacadeBankOfAndLevels(t *testing.T) {
 	a := Address{Node: 3, Row: 100, Column: 5}
 	b := BankOf(a)
-	if b.Row != 0 || b.Column != 0 || b.Node != 3 {
+	if b != (BankAddress{Node: 3}) || b.String() != "n3.u0.h0.s0.c0.p0.g0.b0.r0.col0" {
 		t.Fatalf("BankOf = %+v", b)
 	}
 	if LevelNPU.String() != "NPU" || LevelRow.String() != "Row" {

@@ -3,13 +3,19 @@
 package clitest
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"cordial/internal/faultsim"
 )
 
 var (
@@ -165,4 +171,66 @@ func TestCLIStreamFormatRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "sudden-UER ratios") {
 		t.Fatalf("study output: %s", out)
 	}
+}
+
+// TestCLITruthGolden: the ground truth cordial-gen writes is byte-identical
+// to files written before hbm.BankAddress was a type of its own (a bank
+// still encodes as the Address object with a zero row and column), under an
+// HBM and a DIMM profile; it decodes back to the same bytes, and
+// cordial-train reads it.
+func TestCLITruthGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildAll(t)
+	for _, topo := range []string{"hbm2e", "ddr5-dimm"} {
+		t.Run(topo, func(t *testing.T) {
+			work := t.TempDir()
+			truthPath := filepath.Join(work, "truth.json")
+			run(t, bin, "cordial-gen", "-topology", topo, "-seed", "9", "-uer-banks", "30",
+				"-benign-banks", "20", "-log", filepath.Join(work, "fleet.mcelog"), "-truth", truthPath)
+			got, err := os.ReadFile(truthPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := readGzip(t, filepath.Join("testdata", "truth_seed9_"+topo+".json.gz"))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("truth file differs from the golden: %d B, want %d B", len(got), len(want))
+			}
+			var faults []*faultsim.BankFault
+			if err := json.Unmarshal(want, &faults); err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if err := json.NewEncoder(&again).Encode(faults); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), want) {
+				t.Fatal("the golden does not re-encode to its own bytes")
+			}
+			out := run(t, bin, "cordial-train", "-topology", topo, "-truth", truthPath, "-trees", "5",
+				"-out", filepath.Join(work, "models.json"))
+			if !strings.Contains(out, "on 30 banks") {
+				t.Fatalf("train output: %s", out)
+			}
+		})
+	}
+}
+
+func readGzip(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

@@ -138,7 +138,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func clusterBank(i int) hbm.BankAddress {
-	return hbm.BankAddress{Node: i % 8, NPU: (i / 8) % 8, BankGroup: (i / 64) % 4, Bank: i % 4}
+	return hbm.BankOf(hbm.Address{Node: i % 8, NPU: (i / 8) % 8, BankGroup: (i / 64) % 4, Bank: i % 4})
 }
 
 func clusterUER(bank hbm.BankAddress, row, sec int) mcelog.Event {

@@ -46,7 +46,9 @@ func FuzzParseAddress(f *testing.F) {
 
 // FuzzPackUnpack verifies Unpack never panics, in-range addresses
 // round-trip through Pack, and CheckPacked rejects exactly the packed
-// values with bits outside the active layout.
+// values with bits outside the active layout. A key CheckPacked accepts
+// round-trips through the bank form too: its bank packs to its bank bits,
+// and the bank with the key's row and column is the key again.
 func FuzzPackUnpack(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(^uint64(0))
@@ -66,6 +68,14 @@ func FuzzPackUnpack(f *testing.F) {
 			}
 		} else if a.Pack() != v {
 			t.Fatalf("CheckPacked accepted %#x though bits are lost on re-pack", v)
+		} else {
+			b := UnpackBank(v)
+			if b.Pack() != v&ActiveProfile().Layout.BankMask() || b.Pack() != a.BankKey() {
+				t.Fatalf("bank of %#x packs to %#x, want %#x", v, b.Pack(), a.BankKey())
+			}
+			if CellInBank(b, a.Row, a.Column).Pack() != v {
+				t.Fatalf("bank of %#x with its row and column packs to %#x", v, CellInBank(b, a.Row, a.Column).Pack())
+			}
 		}
 	})
 }

@@ -17,6 +17,7 @@
 package hbm
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -261,8 +262,9 @@ func (a *Address) set(f field, v int) {
 // within the layout's encoding capacities; a field outside its capacity is
 // silently lost, which is why every trust boundary (wire decode, JSONL
 // parse, simulator emit) must use PackChecked or CheckPacked instead.
-func (a Address) Pack() uint64 {
-	l := &ActiveProfile().Layout
+func (a Address) Pack() uint64 { return a.packIn(&ActiveProfile().Layout) }
+
+func (a Address) packIn(l *Layout) uint64 {
 	return uint64(a.Node)<<l.shift[fieldNode] |
 		uint64(a.NPU)<<l.shift[fieldNPU] |
 		uint64(a.HBM)<<l.shift[fieldHBM] |
@@ -449,16 +451,107 @@ func (a Address) Truncate(l Level) Address {
 // when they fall in the same level-l entity.
 func (a Address) EntityKey(l Level) uint64 { return a.Truncate(l).Pack() }
 
-// BankKey is shorthand for EntityKey(LevelBank): a unique identifier for the
-// bank containing the address.
-func (a Address) BankKey() uint64 { return a.EntityKey(LevelBank) }
+// BankKey is EntityKey(LevelBank): a unique identifier for the bank
+// containing the address. It is Pack() & Layout.BankMask(), which needs no
+// truncated copy of the address.
+func (a Address) BankKey() uint64 {
+	l := &ActiveProfile().Layout
+	return a.packIn(l) & l.bank
+}
 
-// BankAddress identifies one bank in the fleet; it is an Address with row
-// and column zeroed, retained as a distinct named type for API clarity.
-type BankAddress = Address
+// BankAddress identifies one bank in the fleet: the ten fields of an Address
+// from the node down to the bank, with no row and no column, so a cell
+// address is not accepted where a bank is meant. The node is held in 32 bits
+// and every other field in 8; NewLayout refuses a layout with a wider field,
+// so every bank a layout encodes fits the type. Rank and Device are zero
+// under HBM topologies.
+type BankAddress struct {
+	Node          uint32
+	NPU           uint8
+	HBM           uint8
+	SID           uint8
+	Channel       uint8
+	PseudoChannel uint8
+	Rank          uint8
+	Device        uint8
+	BankGroup     uint8
+	Bank          uint8
+}
 
-// BankOf returns the bank-level address containing a.
-func BankOf(a Address) BankAddress { return a.Truncate(LevelBank) }
+// BankOf returns the bank containing a. Every layout places the bank, the row
+// and the column finest (NewLayout), so this is a.Truncate(LevelBank).
+func BankOf(a Address) BankAddress {
+	return BankAddress{
+		Node:          uint32(a.Node),
+		NPU:           uint8(a.NPU),
+		HBM:           uint8(a.HBM),
+		SID:           uint8(a.SID),
+		Channel:       uint8(a.Channel),
+		PseudoChannel: uint8(a.PseudoChannel),
+		Rank:          uint8(a.Rank),
+		Device:        uint8(a.Device),
+		BankGroup:     uint8(a.BankGroup),
+		Bank:          uint8(a.Bank),
+	}
+}
+
+// UnpackBank decodes the bank of a packed address: BankOf(Unpack(v)).
+func UnpackBank(v uint64) BankAddress { return BankOf(Unpack(v)) }
+
+// CellInBank returns the full address of (row, col) within the given bank.
+func CellInBank(b BankAddress, row, col int) Address {
+	return Address{
+		Node:          int(b.Node),
+		NPU:           int(b.NPU),
+		HBM:           int(b.HBM),
+		SID:           int(b.SID),
+		Channel:       int(b.Channel),
+		PseudoChannel: int(b.PseudoChannel),
+		Rank:          int(b.Rank),
+		Device:        int(b.Device),
+		BankGroup:     int(b.BankGroup),
+		Bank:          int(b.Bank),
+		Row:           row,
+		Column:        col,
+	}
+}
+
+// cell is the bank's address with row and column zero, the form its key,
+// string and JSON encode.
+func (b BankAddress) cell() Address { return CellInBank(b, 0, 0) }
+
+// Pack encodes the bank under the active layout; it equals the BankKey of
+// every cell in the bank.
+func (b BankAddress) Pack() uint64 { return b.cell().Pack() }
+
+// BankKey is the bank's packed key, the same as Pack.
+func (b BankAddress) BankKey() uint64 { return b.Pack() }
+
+// EntityKey returns the key of the level-l entity containing the bank.
+func (b BankAddress) EntityKey(l Level) uint64 { return b.cell().EntityKey(l) }
+
+// String renders the bank as its row-0, column-0 cell, e.g.
+// "n3.u2.h1.s0.c5.p1.g2.b3.r0.col0", so that ParseAddress reads it back.
+func (b BankAddress) String() string { return b.cell().String() }
+
+// MarshalJSON writes the bank as the Address object of its row-0, column-0
+// cell, the form ground-truth files have always carried.
+func (b BankAddress) MarshalJSON() ([]byte, error) { return json.Marshal(b.cell()) }
+
+// UnmarshalJSON reads the Address object MarshalJSON writes. A non-zero row
+// or column, or a field the type cannot hold, is an error.
+func (b *BankAddress) UnmarshalJSON(data []byte) error {
+	var a Address
+	if err := json.Unmarshal(data, &a); err != nil {
+		return err
+	}
+	bank := BankOf(a)
+	if bank.cell() != a {
+		return fmt.Errorf("hbm: %s is not a bank address: it has a row, a column or a field out of range", a)
+	}
+	*b = bank
+	return nil
+}
 
 // RandomSource abstracts the subset of xrand.RNG the package needs, keeping
 // hbm free of a dependency on the generator implementation.
@@ -477,17 +570,17 @@ func RandomBank(g Geometry, r RandomSource) BankAddress {
 		}
 		return r.Intn(n)
 	}
-	return Address{
-		Node:          draw(g.Nodes),
-		NPU:           draw(g.NPUsPerNode),
-		HBM:           draw(g.HBMsPerNPU),
-		SID:           draw(g.SIDsPerHBM),
-		Channel:       draw(g.ChannelsPerSID),
-		PseudoChannel: draw(g.PseudoChPerCh),
-		Rank:          draw(g.dim(fieldRank)),
-		Device:        draw(g.dim(fieldDevice)),
-		BankGroup:     draw(g.BankGroups),
-		Bank:          draw(g.BanksPerGroup),
+	return BankAddress{
+		Node:          uint32(draw(g.Nodes)),
+		NPU:           uint8(draw(g.NPUsPerNode)),
+		HBM:           uint8(draw(g.HBMsPerNPU)),
+		SID:           uint8(draw(g.SIDsPerHBM)),
+		Channel:       uint8(draw(g.ChannelsPerSID)),
+		PseudoChannel: uint8(draw(g.PseudoChPerCh)),
+		Rank:          uint8(draw(g.dim(fieldRank))),
+		Device:        uint8(draw(g.dim(fieldDevice))),
+		BankGroup:     uint8(draw(g.BankGroups)),
+		Bank:          uint8(draw(g.BanksPerGroup)),
 	}
 }
 
@@ -501,7 +594,7 @@ func RandomBankWithin(g Geometry, r RandomSource, anchor BankAddress, level Leve
 	if i < 0 {
 		return anchor
 	}
-	b := anchor
+	b := anchor.cell()
 	for _, f := range p.Layout.order[i+1:] {
 		if f == fieldRow || f == fieldColumn {
 			continue
@@ -512,15 +605,7 @@ func RandomBankWithin(g Geometry, r RandomSource, anchor BankAddress, level Leve
 			b.set(f, 0)
 		}
 	}
-	return b
-}
-
-// CellInBank returns the full address of (row, col) within the given bank.
-func CellInBank(bank BankAddress, row, col int) Address {
-	a := bank
-	a.Row = row
-	a.Column = col
-	return a
+	return BankOf(b)
 }
 
 // ClampRow clamps row into [0, g.RowsPerBank).

@@ -69,10 +69,22 @@ type Layout struct {
 	width [numFields]int   // bits per field, indexed by field
 	shift [numFields]uint  // bit position per field, indexed by field
 	used  uint64           // mask of bits any field occupies
+	bank  uint64           // BankMask: used without the row and column bits
+}
+
+// maxWidth is the widest each field may be: BankAddress holds the node in 32
+// bits and the other bank-level fields in 8, and a row or column index in a
+// packed address gets at most 32.
+var maxWidth = [numFields]int{
+	fieldNode: 32, fieldNPU: 8, fieldHBM: 8, fieldSID: 8, fieldChannel: 8,
+	fieldPseudoChannel: 8, fieldRank: 8, fieldDevice: 8, fieldBankGroup: 8,
+	fieldBank: 8, fieldRow: 32, fieldColumn: 32,
 }
 
 // NewLayout builds a layout from a hierarchy order (coarsest first; must
-// mention every field exactly once) and per-field bit widths.
+// mention every field exactly once and end with the bank, the row and the
+// column, so that a bank is its ten coarser fields) and per-field bit widths,
+// each at most its maxWidth.
 func NewLayout(order []field, width map[field]int) (Layout, error) {
 	var l Layout
 	if len(order) != int(numFields) {
@@ -86,10 +98,13 @@ func NewLayout(order []field, width map[field]int) (Layout, error) {
 		seen[f] = true
 		l.order[i] = f
 	}
+	if l.order[numFields-3] != fieldBank || l.order[numFields-2] != fieldRow || l.order[numFields-1] != fieldColumn {
+		return Layout{}, fmt.Errorf("hbm: layout order must end with bank, row, column")
+	}
 	total := 0
 	for f, w := range width {
-		if w < 0 || w > 32 {
-			return Layout{}, fmt.Errorf("hbm: layout width %d for %s out of range [0,32]", w, fieldNames[f])
+		if w < 0 || w > maxWidth[f] {
+			return Layout{}, fmt.Errorf("hbm: layout width %d for %s out of range [0,%d]", w, fieldNames[f], maxWidth[f])
 		}
 		l.width[f] = w
 		total += w
@@ -103,10 +118,9 @@ func NewLayout(order []field, width map[field]int) (Layout, error) {
 		f := l.order[i]
 		l.shift[f] = shift
 		shift += uint(l.width[f])
-		if w := l.width[f]; w > 0 {
-			l.used |= ((uint64(1) << w) - 1) << l.shift[f]
-		}
+		l.used |= l.fieldMask(f)
 	}
+	l.bank = l.used &^ (l.fieldMask(fieldRow) | l.fieldMask(fieldColumn))
 	return l, nil
 }
 
@@ -124,18 +138,11 @@ func (l Layout) capacity(f field) int { return 1 << l.width[f] }
 
 // BankMask reduces an address packed under the layout to its bank's key:
 // v & BankMask() == Unpack(v).BankKey() for every v. It keeps the bits of
-// every field down to the bank and drops the finer ones — the row and the
-// column under every registered order.
-func (l Layout) BankMask() uint64 {
-	m, finer := l.used, false
-	for _, f := range l.order {
-		if finer {
-			m &^= (uint64(1)<<l.width[f] - 1) << l.shift[f]
-		}
-		finer = finer || f == fieldBank
-	}
-	return m
-}
+// every field but the row and the column, the two finest in every layout.
+func (l Layout) BankMask() uint64 { return l.bank }
+
+// fieldMask is the bits field f occupies.
+func (l Layout) fieldMask(f field) uint64 { return (uint64(1)<<l.width[f] - 1) << l.shift[f] }
 
 // RowField returns where the row sits in a packed address: the row of v is
 // v >> shift & (1<<width - 1).

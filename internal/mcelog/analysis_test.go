@@ -95,8 +95,8 @@ func TestFanoFactorErrors(t *testing.T) {
 }
 
 func TestTopEntities(t *testing.T) {
-	bankA := hbm.Address{Node: 1}
-	bankB := hbm.Address{Node: 2}
+	bankA := hbm.BankAddress{Node: 1}
+	bankB := hbm.BankAddress{Node: 2}
 	l := NewLog(0)
 	for i := 0; i < 5; i++ {
 		l.Append(Event{Time: epoch, Addr: hbm.CellInBank(bankA, i, 0), Class: ecc.ClassCE})

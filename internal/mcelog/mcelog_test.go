@@ -102,8 +102,8 @@ func TestFilterClass(t *testing.T) {
 }
 
 func TestGroupByBank(t *testing.T) {
-	bankA := hbm.Address{Node: 1, Bank: 0}
-	bankB := hbm.Address{Node: 1, Bank: 1}
+	bankA := hbm.BankAddress{Node: 1, Bank: 0}
+	bankB := hbm.BankAddress{Node: 1, Bank: 1}
 	l := FromEvents([]Event{
 		{Time: epoch, Addr: hbm.CellInBank(bankA, 1, 0), Class: ecc.ClassCE},
 		{Time: epoch, Addr: hbm.CellInBank(bankB, 2, 0), Class: ecc.ClassCE},
@@ -123,7 +123,7 @@ func TestGroupByBank(t *testing.T) {
 }
 
 func TestCountByClassAndEntities(t *testing.T) {
-	bank := hbm.Address{Node: 2}
+	bank := hbm.BankAddress{Node: 2}
 	l := FromEvents([]Event{
 		{Time: epoch, Addr: hbm.CellInBank(bank, 1, 0), Class: ecc.ClassCE},
 		{Time: epoch, Addr: hbm.CellInBank(bank, 1, 5), Class: ecc.ClassCE},

@@ -6,8 +6,9 @@ import (
 	"cordial/internal/obs"
 )
 
-// The window holds at most 160 KB of Action: at 256 slots, hot_banks' reader
-// lagged past the window often enough to churn chunks. A chunk is 40 KB.
+// The window holds at most 80 KB of Action (80 B each, TestActionSize): at 256
+// slots, hot_banks' reader lagged past the window often enough to churn
+// chunks. A chunk is 20 KB.
 const (
 	actionWindow = 1024
 	chunkActions = 256

@@ -13,6 +13,16 @@ import (
 	"cordial/internal/obs"
 )
 
+// TestActionSize pins the verdict record at 80 B: Kind 8, Bank 16
+// (hbm.TestBankAddressSize), Rows 24, Class 8, Time 24. Every consumer copies
+// it once per verdict, and the action queue's chunks and the server's store
+// hold it by value.
+func TestActionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Action{}); got > 80 {
+		t.Errorf("Action is %d B, want at most 80", got)
+	}
+}
+
 // testActionQueue builds a queue with counters of its own.
 func testActionQueue(bound int) *actionQueue {
 	reg := obs.NewRegistry()

@@ -375,11 +375,11 @@ func (st *shardState) restore(load *imageLoader, im *sessionImage) error {
 	}
 	var sess core.Session
 	if err == nil && !quiet {
-		sess, err = ds.RestoreSession(hbm.Unpack(im.key), im.blob)
+		sess, err = ds.RestoreSession(hbm.UnpackBank(im.key), im.blob)
 	}
 	switch {
 	case err != nil:
-		return fmt.Errorf("stream: restoring session for bank %s: %w", hbm.Unpack(im.key), err)
+		return fmt.Errorf("stream: restoring session for bank %s: %w", hbm.UnpackBank(im.key), err)
 	case quiet:
 		st.addQuiet(im.key, ver, &im.bankSession, st.chain)
 	default:

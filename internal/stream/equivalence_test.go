@@ -169,7 +169,7 @@ func assertOnlineOfflineEquivalent(t *testing.T, strategy core.Strategy, fleet *
 		if want.classified && got.class != want.class {
 			t.Errorf("bank %x: class online=%v offline=%v", key, got.class, want.class)
 		}
-		st, ok := engine.Session(hbm.Unpack(key))
+		st, ok := engine.Session(hbm.UnpackBank(key))
 		if !ok {
 			t.Errorf("bank %x: no session snapshot", key)
 			continue

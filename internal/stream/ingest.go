@@ -46,6 +46,7 @@ type batchScratch struct {
 	drops  []int      // per shard: events shed by admission (journaled path)
 	pos    []int      // per shard: cursor for arrival-order LSN assignment
 	enc    []byte     // journal payload: the admitted events' records
+	locked []int32    // the shards whose ingestMu the batch holds (journaled path)
 }
 
 // newBatchScratch sizes a working set to the shard count.
@@ -66,6 +67,7 @@ func (e *Engine) releaseScratch(sc *batchScratch) {
 	}
 	sc.shard = sc.shard[:0]
 	sc.enc = sc.enc[:0]
+	sc.locked = sc.locked[:0]
 	e.batchPool.Put(sc)
 }
 
@@ -146,9 +148,10 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 		for si, g := range sc.groups {
 			if len(g) > 0 {
 				e.shards[si].ingestMu.Lock()
-				defer e.shards[si].ingestMu.Unlock()
+				sc.locked = append(sc.locked, int32(si))
 			}
 		}
+		defer e.unlockShards(sc)
 		if dropped, err = e.journalBatch(sc); err != nil {
 			return 0, 0, err
 		}
@@ -178,6 +181,15 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 	}
 	e.metrics.ingested.Add(uint64(accepted))
 	return accepted, dropped, nil
+}
+
+// unlockShards releases the ingest locks a journaled IngestBatch holds. One
+// deferred call instead of one per shard: a defer inside a loop costs a heap
+// allocation each time it runs.
+func (e *Engine) unlockShards(sc *batchScratch) {
+	for _, si := range sc.locked {
+		e.shards[si].ingestMu.Unlock()
+	}
 }
 
 // journalBatch is IngestBatch's journal step; the caller holds the touched

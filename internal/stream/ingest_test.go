@@ -17,6 +17,46 @@ import (
 	"cordial/internal/wal"
 )
 
+// TestDurableBatchAllocs: a warmed journaled IngestBatch that touches two
+// shards allocates at most the group-commit window's struct and channel. It
+// holds both shards' ingest locks to its return, released by one deferred
+// call: a defer per locked shard inside the loop heap-allocates a record for
+// each. The consumers are held at their first event, so their work stays out
+// of the count.
+func TestDurableBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	gate := make(chan struct{})
+	cfg := durCfg(t.TempDir(), 2, &fakeStrategy{budget: 3, gate: gate})
+	cfg.Durability.Sync = wal.SyncAlways
+	cfg.QueueDepth = 1 << 12
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	defer close(gate)
+	var batch []mcelog.Event
+	seen := map[int]bool{}
+	for i := 0; len(batch) < 2; i++ {
+		bank := testBank(i)
+		if si := e.shardIndex(bank.BankKey()); !seen[si] {
+			seen[si] = true
+			batch = append(batch, uerAt(bank, 1, i))
+		}
+	}
+	ingest := func() {
+		if accepted, _, err := e.IngestBatch(batch); err != nil || accepted != len(batch) {
+			t.Fatalf("accepted %d of %d: %v", accepted, len(batch), err)
+		}
+	}
+	ingest()
+	if allocs := testing.AllocsPerRun(100, ingest); allocs > 2 {
+		t.Errorf("a journaled batch over 2 shards made %.1f allocations, want at most 2 (the commit window)", allocs)
+	}
+}
+
 // TestDurableDropNeverResurrects: on a journaled engine under IngestDrop,
 // admission comes before the append — an event shed at a full queue is
 // never journaled, so a restart replays exactly what was accepted. Both

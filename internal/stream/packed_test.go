@@ -338,7 +338,7 @@ func TestImageFirstEventMustBeOldest(t *testing.T) {
 	odd := &images[1]
 	odd.firstEvent -= int64(time.Hour)
 	crafted := encodeImages(hdr, images)
-	oddBank := hbm.Unpack(odd.key)
+	oddBank := hbm.UnpackBank(odd.key)
 	// It re-encodes as the crafted payload with the bank's quiet image replaced
 	// by the image of a session fed its events: a has-state image, several
 	// times the quiet image's size.

@@ -297,7 +297,7 @@ func (st *shardState) addQuiet(key uint64, ver uint32, im *bankSession, log []fe
 		return
 	}
 	bs := *im
-	bs.sess = st.totals.version(ver).quiet.ResumeSession(hbm.Unpack(key), log)
+	bs.sess = st.totals.version(ver).quiet.ResumeSession(hbm.UnpackBank(key), log)
 	bs.measureState()
 	st.addHeap(key, ver, &bs)
 }
@@ -387,7 +387,7 @@ func (bs *bankSession) rowCounts() (uer, spared int) {
 func (bs *bankSession) stats(key uint64) SessionStats {
 	uerRows, spared := bs.rowCounts()
 	return SessionStats{
-		Bank:            hbm.Unpack(key),
+		Bank:            hbm.UnpackBank(key),
 		Events:          int(bs.events),
 		UEREvents:       int(bs.uerEvents),
 		DistinctUERRows: uerRows,
@@ -557,7 +557,7 @@ func (st *shardState) newBank(env *stepEnv, key uint64, q *queued) *slot {
 		}
 		return sl
 	}
-	bank := hbm.Unpack(key)
+	bank := hbm.UnpackBank(key)
 	bs := &bankSession{sess: ep.strategy.NewSession(bank), version: ep.version, firstEvent: q.rec.UnixNano, lastEvent: bincodec.UnsetTime}
 	if se != nil {
 		bs.shadow = se.newShadowSession(bank, nil)
@@ -606,7 +606,7 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 	defer func() {
 		if r := recover(); r != nil {
 			if bs.sess == nil { // the promotion's resume panicked
-				bs.sess = st.totals.version(sl.ver()).strategy.NewSession(hbm.Unpack(sl.key))
+				bs.sess = st.totals.version(sl.ver()).strategy.NewSession(hbm.UnpackBank(sl.key))
 				bs.measureState()
 			}
 			bs.degraded = true
@@ -615,10 +615,10 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 		}
 	}()
 	if promote {
-		bs.sess = st.totals.version(sl.ver()).quiet.ResumeSession(hbm.Unpack(sl.key), st.chain)
+		bs.sess = st.totals.version(sl.ver()).quiet.ResumeSession(hbm.UnpackBank(sl.key), st.chain)
 		bs.measureState()
 		if twin {
-			bs.shadow = env.shadow.newShadowSession(hbm.Unpack(sl.key), st.chain)
+			bs.shadow = env.shadow.newShadowSession(hbm.UnpackBank(sl.key), st.chain)
 		}
 	}
 	ev := q.rec.Event()

@@ -71,7 +71,7 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	var sessBytes, sessRows int64
 	released, quiet := 0, 0
 	for key := range fleet.Log.GroupByBank() {
-		st, ok := engine.Session(hbm.Unpack(key))
+		st, ok := engine.Session(hbm.UnpackBank(key))
 		if !ok {
 			t.Fatalf("no session for bank %x", key)
 		}

@@ -157,7 +157,7 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
     -count 1 ./internal/core/ ./internal/mltree/
 
-echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs)"
+echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs, a bank address ≤ 16 B, an action ≤ 80 B, a journaled 2-shard batch ≤ 2 mallocs)"
 # A fleet engine holds every bank that ever logged an error, so bytes per
 # tracked bank is its memory bill. The struct sizes are pinned by
 # unsafe.Sizeof (and the store's slot and node and a shard queue's entry hold
@@ -169,9 +169,11 @@ echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store
 # (stored too: the twin waits for the promotion), a snapshot of those banks (encoded from their
 # chains into one arena, no session built) and a restore or import of it by
 # Mallocs deltas and byte-identical payloads, and a promotion at a bank's first
-# UER by its malloc count.
-go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation|TestSnapshotQuietBanksAllocation|TestPromotionAllocs' -count 1 \
-    ./internal/features/ ./internal/stream/
+# UER by its malloc count. The verdict record every consumer copies is pinned
+# too — hbm.BankAddress ≤ 16 B, stream.Action ≤ 80 B — and a warmed journaled
+# IngestBatch over two shards allocates only its group-commit window (≤ 2).
+go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation|TestSnapshotQuietBanksAllocation|TestPromotionAllocs|TestBankAddressSize|TestActionSize|TestDurableBatchAllocs' -count 1 \
+    ./internal/features/ ./internal/hbm/ ./internal/stream/
 
 echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)"
 # bench/ is a module of its own, so the root `go test ./...` never sees it;
@@ -182,9 +184,10 @@ echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)
 echo "==> topology matrix (profile registry, wire round-trips, cross-profile gates)"
 # Every registered profile must validate and round-trip packed addresses
 # through the wire codec allocation-free (TestWireProfileMatrix iterates
-# the registry); the equivalence gates then re-run under ddr5-dimm, and a
-# two-profile transfer study must complete end to end.
-go test -run 'TestRegisteredProfiles|PackUnpackRoundTrip|TestWireProfileMatrix' \
+# the registry) and banks through their key, UnpackBank, CellInBank and JSON
+# (TestBankAddressRoundTrip); the equivalence gates then re-run under
+# ddr5-dimm, and a two-profile transfer study must complete end to end.
+go test -run 'TestRegisteredProfiles|PackUnpackRoundTrip|TestWireProfileMatrix|TestBankAddressRoundTrip' \
     -count 1 ./internal/hbm/ ./internal/mcelog/
 go test -run 'DDR5' -count 1 ./internal/stream/
 go test -run 'TestTransferSmoke' -count 1 ./internal/experiments/
