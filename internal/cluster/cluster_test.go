@@ -97,6 +97,12 @@ type testNode struct {
 
 func startNode(t *testing.T, cpURL, id string) *testNode {
 	t.Helper()
+	return startNodeWith(t, cpURL, id, stream.ServerConfig{})
+}
+
+// startNodeWith is startNode with the node's HTTP front-end configured.
+func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig) *testNode {
+	t.Helper()
 	dir := t.TempDir()
 	engine, err := stream.New(stream.Config{
 		Strategy:   &testStrategy{budget: 3},
@@ -107,7 +113,7 @@ func startNode(t *testing.T, cpURL, id string) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := stream.NewServer(engine, stream.ServerConfig{})
+	api := stream.NewServer(engine, apiCfg)
 	mux := http.NewServeMux()
 	hs := httptest.NewServer(mux)
 	agent := NewAgent(AgentConfig{

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -112,8 +109,8 @@ func NewRouter(cfg RouterConfig) *Router {
 			}
 			return float64(rt.ring.Epoch())
 		})
-	rt.mux.HandleFunc("POST /v1/events", rt.handleEvents)
-	rt.mux.HandleFunc("POST /v1/events.bin", rt.handleEventsBin)
+	rt.mux.HandleFunc("POST /v1/events", rt.handleIngest(mcelog.JSONL))
+	rt.mux.HandleFunc("POST /v1/events.bin", rt.handleIngest(mcelog.Wire))
 	rt.mux.HandleFunc("GET /statsz", rt.handleStats)
 	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -195,113 +192,48 @@ type routedLine struct {
 	key uint64
 }
 
-// maxRouterErrors caps the failure messages echoed in one response.
-const maxRouterErrors = 16
-
-// note samples one failure message into the response (capped).
-func note(agg *stream.IngestResult, format string, args ...any) {
-	if len(agg.Errors) < maxRouterErrors {
-		agg.Errors = append(agg.Errors, fmt.Sprintf(format, args...))
-	}
-}
-
-// handleEvents splits the batch by owner and forwards each slice.
-// Lines the router cannot parse are rejected here — an unroutable line
-// has no owner to forward it to. Validation stays on the serve nodes.
-func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if rt.currentRing() == nil {
-		http.Error(w, "no ring yet", http.StatusServiceUnavailable)
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64<<10), int(rt.cfg.MaxBodyBytes)+1) // a byte past the body cap: see stream's handleEvents
-
-	var agg stream.IngestResult
-	var lines []routedLine
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		ev, err := mcelog.ParseJSONEvent(raw)
-		if err != nil {
-			agg.Rejected++
-			note(&agg, "line %d: %v", lineNo, err)
-			continue
-		}
-		lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
-	}
-	// A mid-body disconnect keeps what was read (200 with Truncated set),
-	// and a body over the cap is a 413, as on the serve node.
-	rt.respond(w, lines, &agg, sc.Err(), "line", lineNo, http.StatusOK)
-}
-
-// handleEventsBin accepts wire frames from clients and routes them like
-// handleEvents. Records decode checked: one whose packed address has bits
-// outside the layout is rejected here, since re-encoding it would forward the
-// bank it aliases onto. Geometry validation stays on the serve nodes, which
-// know the fleet's shape. A corrupt frame is a 400 (no way to resynchronise),
-// but the frames before it are routed.
-func (rt *Router) handleEventsBin(w http.ResponseWriter, r *http.Request) {
-	if rt.currentRing() == nil {
-		http.Error(w, "no ring yet", http.StatusServiceUnavailable)
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	dec := mcelog.NewFrameDecoder(body)
-
-	var agg stream.IngestResult
-	var lines []routedLine
-	frameNo := 0
-	for {
-		fr, err := dec.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = nil
-			}
-			rt.respond(w, lines, &agg, err, "frame", frameNo, http.StatusBadRequest)
+// handleIngest serves both ingest routes, the route naming its body's
+// codec, as the serve node's own handler does: it splits the batch by owner
+// and forwards each slice. Records decode checked — one whose packed
+// address has bits outside the layout is rejected here, since re-encoding
+// it would forward the bank it aliases onto — and a record the router
+// cannot decode is rejected here too, as it has no owner to forward it to.
+// Geometry validation stays on the serve nodes, which know the fleet's
+// shape. How the body ends (a corrupt frame, a disconnect, a body over
+// MaxBodyBytes) is stream.IngestResult.EndBody's; what was read before is
+// forwarded either way.
+func (rt *Router) handleIngest(codec mcelog.Codec) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if rt.currentRing() == nil {
+			http.Error(w, "no ring yet", http.StatusServiceUnavailable)
 			return
 		}
-		frameNo++
-		for i, n := 0, fr.Len(); i < n; i++ {
-			ev, err := fr.EventChecked(i)
-			if err != nil {
-				agg.Rejected++
-				note(&agg, "frame %d record %d: %v", frameNo, i, err)
-				continue
+		var body mcelog.BodyReader
+		body.Reset(codec, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), int(rt.cfg.MaxBodyBytes)+1, nil)
+		var agg stream.IngestResult
+		var lines []routedLine
+		var end error
+		for end == nil {
+			ev, err := body.Next()
+			switch err.(type) {
+			case nil:
+				lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
+			case *mcelog.RecordError:
+				agg.Reject(err)
+			default:
+				end = err
 			}
-			lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
 		}
-	}
-}
-
-// respond is both handlers' tail: forward what was decoded, then answer in
-// the serve node's contract. bodyErr is why decoding stopped short of the
-// body's end after n lines or frames (nil at a clean end): the counts then
-// cover the prefix that was read, and the status is 413 for a body over
-// MaxBodyBytes and badBody otherwise.
-func (rt *Router) respond(w http.ResponseWriter, lines []routedLine, agg *stream.IngestResult, bodyErr error, unit string, n, badBody int) {
-	status := http.StatusOK
-	if bodyErr != nil {
-		agg.Truncated = true
-		note(agg, "after %s %d: %v", unit, n, bodyErr)
-		status = badBody
-		var tooBig *http.MaxBytesError
-		if errors.As(bodyErr, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
+		status := agg.EndBody(body.Pos(), end)
+		rt.lines.Add(uint64(len(lines)))
+		rt.forward(lines, &agg)
+		if agg.Epoch == 0 {
+			if ring := rt.currentRing(); ring != nil {
+				agg.Epoch = ring.Epoch()
+			}
 		}
+		writeJSON(w, status, agg)
 	}
-	rt.lines.Add(uint64(len(lines)))
-	rt.forward(lines, agg)
-	if agg.Epoch == 0 {
-		if ring := rt.currentRing(); ring != nil {
-			agg.Epoch = ring.Epoch()
-		}
-	}
-	writeJSON(w, status, agg)
 }
 
 // forward delivers lines to their owners, retrying refused or failed
@@ -343,7 +275,7 @@ func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
 			agg.Rejected += res.Rejected
 			agg.Dropped += res.Dropped
 			for _, e := range res.Errors {
-				note(agg, "node %s: %s", id, e)
+				agg.Note("node %s: %s", id, e)
 			}
 			if res.Epoch > agg.Epoch {
 				agg.Epoch = res.Epoch
@@ -367,7 +299,7 @@ func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
 		rt.failures.Inc()
 		agg.Dropped += len(lines)
 		agg.Truncated = true
-		note(agg, "%d lines undeliverable after %d attempts", len(lines), rt.cfg.MaxAttempts)
+		agg.Note("%d lines undeliverable after %d attempts", len(lines), rt.cfg.MaxAttempts)
 	}
 }
 

@@ -3,7 +3,6 @@ package mcelog
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -27,9 +26,14 @@ func jsonEventOf(e Event) jsonEvent {
 	return jsonEvent{Time: e.Time.UTC(), Addr: e.Addr.String(), Class: e.Class.String(), Bits: uint16(e.Bits)}
 }
 
-// event converts the interchange shape back, with the checks every JSONL
-// reader applies: address and class syntax and the timestamp sanity window.
-func (je jsonEvent) event() (Event, error) {
+// ParseJSONEvent parses one JSONL-encoded event (the per-line shape
+// WriteJSONL emits), checking address and class syntax and the timestamp
+// sanity window: the line decoder of BodyReader.
+func ParseJSONEvent(line []byte) (Event, error) {
+	var je jsonEvent
+	if err := json.Unmarshal(line, &je); err != nil {
+		return Event{}, fmt.Errorf("mcelog: decoding event: %w", err)
+	}
 	addr, err := hbm.ParseAddress(je.Addr)
 	if err != nil {
 		return Event{}, fmt.Errorf("mcelog: %w", err)
@@ -61,35 +65,4 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 // producers that build a JSONL request body event by event.
 func MarshalJSONEvent(ev Event) ([]byte, error) {
 	return json.Marshal(jsonEventOf(ev))
-}
-
-// ParseJSONEvent parses one JSONL-encoded event (the per-line shape
-// WriteJSONL emits). Unlike ReadJSONL it is line-granular, so tolerant
-// ingestors can reject a malformed line and keep the rest of the batch.
-func ParseJSONEvent(line []byte) (Event, error) {
-	var je jsonEvent
-	if err := json.Unmarshal(line, &je); err != nil {
-		return Event{}, fmt.Errorf("mcelog: decoding event: %w", err)
-	}
-	return je.event()
-}
-
-// ReadJSONL parses a JSON Lines stream produced by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
-	log := &Log{}
-	for i := 0; ; i++ {
-		var je jsonEvent
-		if err := dec.Decode(&je); err != nil {
-			if errors.Is(err, io.EOF) {
-				return log, nil
-			}
-			return nil, fmt.Errorf("mcelog: decoding line %d: %w", i, err)
-		}
-		ev, err := je.event()
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i, err)
-		}
-		log.Append(ev)
-	}
 }

@@ -1,6 +1,7 @@
 package mcelog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -16,7 +17,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestJSONLEmpty(t *testing.T) {
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +82,41 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 		`{"time":"2025-01-01T00:00:00Z","addr":"bogus","class":"CE"}`,
 		`{"time":"2025-01-01T00:00:00Z","addr":"n1.u2.h1.s0.c5.p1.g2.b3.r1.col8","class":"WAT"}`,
 	} {
-		if _, err := ReadJSONL(strings.NewReader(s)); err == nil {
-			t.Errorf("ReadJSONL accepted %q", s)
+		if _, err := ReadLog(strings.NewReader(s)); err == nil {
+			t.Errorf("ReadLog accepted %q", s)
 		}
+	}
+}
+
+// TestReadLogJSONLKeepsPrefix: a JSONL file reads as a frame stream does.
+// Lines count from 1, blank ones included; a refused line returns the lines
+// before it with the error, as a refused record returns the whole frames
+// before it; and a line longer than MaxWireFrameBytes ends the body.
+func TestReadLogJSONLKeepsPrefix(t *testing.T) {
+	events := randomEvents(3, 11)
+	var buf bytes.Buffer
+	if err := FromEvents(events).WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	for _, tc := range []struct {
+		name, file, where string
+		kept              int
+		tooLong           bool
+	}{
+		{"bad third line", lines[0] + lines[1] + "not json\n" + lines[2], "line 3: ", 2, false},
+		{"blank lines counted", "\n" + lines[0] + "\n" + `{"time":"2025-01-01T00:00:00Z","addr":"bogus","class":"CE"}` + "\n", "line 4: ", 1, false},
+		{"bad first line", "{}\n" + lines[0], "line 1: ", 0, false},
+		{"line over the cap", lines[0] + lines[1] + `{"addr":"` + strings.Repeat("x", MaxWireFrameBytes) + "\"}\n" + lines[2], "", 2, true},
+	} {
+		log, err := ReadLog(strings.NewReader(tc.file))
+		if log == nil {
+			t.Fatalf("%s: no log beside error %v", tc.name, err)
+		}
+		if tc.tooLong && !errors.Is(err, bufio.ErrTooLong) || !tc.tooLong && (err == nil || !strings.HasPrefix(err.Error(), tc.where)) {
+			t.Errorf("%s: error %v, want it at %q", tc.name, err, tc.where)
+		}
+		sameEvents(t, log, events[:tc.kept])
 	}
 }
 

@@ -5,9 +5,9 @@
 // Cordial pipeline all consume these records.
 //
 // The package provides a typed Event record, an in-memory Log with the
-// query operations the paper's analyses need, and the event's two encodings:
-// JSON Lines for interoperability (codec.go), and one 19-byte binary record
-// in CRC-checked frames (wire.go) shared by log files, wire and journal.
+// query operations the paper's analyses need, the event's two encodings —
+// JSON Lines (codec.go) and a 19-byte record in CRC-checked frames (wire.go)
+// — and the one reader of a body in either (body.go).
 package mcelog
 
 import (

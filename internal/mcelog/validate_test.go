@@ -39,7 +39,7 @@ func TestValidateTimeBounds(t *testing.T) {
 }
 
 // TestValidateRejectsPoisonedWireRecords feeds Event.Validate exactly what
-// DecodeWireRecord produces from attacker-shaped records: flipped-bit
+// an unchecked record decode produces from attacker-shaped records: flipped-bit
 // timestamps and out-of-geometry packed addresses must be rejected, never
 // admitted or panicked on.
 func TestValidateRejectsPoisonedWireRecords(t *testing.T) {
@@ -91,16 +91,16 @@ func TestValidateRejectsPoisonedWireRecords(t *testing.T) {
 		}},
 	}
 	for _, tc := range poison {
-		ev := DecodeWireRecord(tc.rec())
+		ev := ParseRecord(tc.rec()).Event()
 		if err := ev.Validate(g); err == nil {
 			t.Errorf("%s: Validate accepted poisoned event %+v", tc.name, ev)
 		}
 	}
 }
 
-// TestParseJSONEventRejectsPoisonedTimestamps: both JSONL readers — the
-// line-granular ingest path and the whole-file one behind cordial-predict
-// and cordial-study — must reject timestamp poison at parse time.
+// TestParseJSONEventRejectsPoisonedTimestamps: the line parser and ReadLog,
+// which reads a JSONL file through it for cordial-predict and cordial-study,
+// must reject timestamp poison at parse time.
 func TestParseJSONEventRejectsPoisonedTimestamps(t *testing.T) {
 	for _, tc := range []struct {
 		name, line string
@@ -114,8 +114,8 @@ func TestParseJSONEventRejectsPoisonedTimestamps(t *testing.T) {
 		if _, err := ParseJSONEvent([]byte(tc.line)); err == nil {
 			t.Errorf("%s: ParseJSONEvent accepted %s", tc.name, tc.line)
 		}
-		if _, err := ReadJSONL(strings.NewReader(tc.line + "\n")); err == nil {
-			t.Errorf("%s: ReadJSONL accepted %s", tc.name, tc.line)
+		if _, err := ReadLog(strings.NewReader(tc.line + "\n")); err == nil {
+			t.Errorf("%s: ReadLog accepted %s", tc.name, tc.line)
 		}
 	}
 
@@ -123,7 +123,7 @@ func TestParseJSONEventRejectsPoisonedTimestamps(t *testing.T) {
 	if _, err := ParseJSONEvent([]byte(good)); err != nil {
 		t.Errorf("ParseJSONEvent rejected valid line: %v", err)
 	}
-	if l, err := ReadJSONL(strings.NewReader(good + "\n")); err != nil || l.Len() != 1 {
-		t.Errorf("ReadJSONL rejected valid line: %v", err)
+	if l, err := ReadLog(strings.NewReader(good + "\n")); err != nil || l.Len() != 1 {
+		t.Errorf("ReadLog rejected valid line: %v", err)
 	}
 }

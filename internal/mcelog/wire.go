@@ -1,7 +1,6 @@
 package mcelog
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,8 +16,8 @@ import (
 //
 // One fixed 19-byte record is the only binary layout of an Event. Log
 // files (Log.WriteWire / ReadLog), the ingest wire (POST /v1/events.bin)
-// and the engine's journal payloads all carry it, and AppendWireRecord /
-// DecodeWireRecord are the only code that lays it out or reads it. Files
+// and the engine's journal payloads all carry it, and Record.Append /
+// ParseRecord are the only code that lays it out or reads it. Files
 // and the wire frame it identically — a log file is a valid request body —
 // into length-prefixed, CRC-checked batches, so a reader decodes
 // incrementally with zero allocations and rejects a corrupt or truncated
@@ -117,11 +116,6 @@ func (r Record) Event() Event {
 // AppendWireRecord appends one event's fixed-size record to dst.
 func AppendWireRecord(dst []byte, ev Event) []byte { return RecordOf(ev).Append(dst) }
 
-// DecodeWireRecord unpacks one fixed-size record. The class byte is not
-// validated here — callers validate events against their geometry, which
-// subsumes the class check.
-func DecodeWireRecord(rec []byte) Event { return ParseRecord(rec).Event() }
-
 // ParseRecordChecked is ParseRecord for bytes nobody has validated — a log
 // file, a journal, a peer's handoff suffix — where no Event.Validate follows
 // the decode. It refuses a record of the wrong length, a class byte that is
@@ -142,15 +136,6 @@ func ParseRecordChecked(rec []byte) (Record, error) {
 	return r, nil
 }
 
-// DecodeWireRecordChecked is ParseRecordChecked's record unpacked.
-func DecodeWireRecordChecked(rec []byte) (Event, error) {
-	r, err := ParseRecordChecked(rec)
-	if err != nil {
-		return Event{}, err
-	}
-	return r.Event(), nil
-}
-
 // WireFrame is a decoded, checksum-verified view over one frame's payload.
 // It borrows the decoder's buffer: valid only until the next call to Next
 // or Reset.
@@ -168,7 +153,7 @@ func (f WireFrame) Event(i int) Event {
 	if f.recSize == wireRecordSizeV1 {
 		return decodeWireRecordV1(rec)
 	}
-	return ParseRecord(rec).Event() // DecodeWireRecord, a call frame shorter
+	return ParseRecord(rec).Event()
 }
 
 // decodeWireRecordV1 decodes a legacy 17-byte CBF1 record: the CBF2 layout
@@ -180,15 +165,16 @@ func (f WireFrame) Event(i int) Event {
 func decodeWireRecordV1(rec []byte) Event {
 	var wide [WireRecordSize]byte
 	copy(wide[:], rec)
-	return DecodeWireRecord(wide[:])
+	return ParseRecord(wide[:]).Event()
 }
 
-// EventChecked decodes record i with DecodeWireRecordChecked's checks, for
-// frames whose events are used without an Event.Validate (ReadLog).
+// EventChecked decodes record i with ParseRecordChecked's checks: the
+// record decoder of BodyReader, whose events no Event.Validate may follow.
 func (f WireFrame) EventChecked(i int) (Event, error) {
 	var wide [WireRecordSize]byte // a CBF1 record widens to CBF2, Bits zero
 	copy(wide[:], f.payload[i*f.recSize:(i+1)*f.recSize])
-	return DecodeWireRecordChecked(wide[:])
+	r, err := ParseRecordChecked(wide[:])
+	return r.Event(), err
 }
 
 // FrameDecoder reads a CBF2 (or legacy CBF1) stream frame by frame. The
@@ -342,37 +328,4 @@ func (l *Log) WriteWire(w io.Writer) error {
 		}
 	}
 	return enc.Flush()
-}
-
-// ReadLog reads a log file in either interchange format, worked out from
-// its first bytes: a CBF2 (or legacy CBF1) frame stream, or JSON Lines.
-// File bytes are untrusted, so frame records go through the checked
-// decoder. When a frame is torn, corrupt or holds a record the checked
-// decoder refuses, ReadLog returns the events of the complete frames before
-// it along with the error (wrapping ErrWireFrame for framing damage).
-func ReadLog(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	if head, _ := br.Peek(len(wireMagic)); string(head) != wireMagic && string(head) != wireMagicV1 {
-		return ReadJSONL(br)
-	}
-	log := &Log{}
-	dec := NewFrameDecoder(br)
-	for frame := 1; ; frame++ {
-		fr, err := dec.Next()
-		if err == io.EOF {
-			return log, nil
-		}
-		if err != nil {
-			return log, err
-		}
-		whole := len(log.events)
-		for i, n := 0, fr.Len(); i < n; i++ {
-			ev, err := fr.EventChecked(i)
-			if err != nil {
-				log.events = log.events[:whole]
-				return log, fmt.Errorf("frame %d record %d: %w", frame, i, err)
-			}
-			log.events = append(log.events, ev)
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,8 +60,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// maxBatchErrors caps the per-line error messages echoed in one ingest
-// response.
+// maxBatchErrors caps the error messages echoed in one ingest response, at
+// a serve node or the router.
 const maxBatchErrors = 16
 
 // Server is the HTTP front-end over an Engine: JSONL batch ingest, action
@@ -77,7 +76,7 @@ type Server struct {
 	notOwned   *obs.Counter
 	decode     *obs.Histogram
 	binDecode  *obs.Histogram
-	ingestPool sync.Pool // *ingestRequest: frame decoder + event chunk reuse
+	ingestPool sync.Pool // *ingestRequest: body reader + event chunk reuse
 
 	// ownership is nil while the node serves standalone (it owns every
 	// bank). In a cluster the node agent installs the current ring view
@@ -146,7 +145,7 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		"Per-line JSONL event decode time on POST /v1/events.", nil)
 	s.binDecode = reg.Histogram("cordial_http_bin_decode_seconds",
 		"Per-frame binary decode time on POST /v1/events.bin.", nil)
-	s.ingestPool.New = func() any { return &ingestRequest{srv: s, dec: mcelog.NewFrameDecoder(nil)} }
+	s.ingestPool.New = func() any { return &ingestRequest{srv: s} }
 	reg.GaugeFunc("cordial_actions_stored",
 		"Actions currently held in the bounded GET /v1/actions store.",
 		func() float64 {
@@ -154,8 +153,8 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 			defer s.mu.Unlock()
 			return float64(s.actions.count())
 		})
-	s.mux.HandleFunc("POST /v1/events", s.handleEvents)
-	s.mux.HandleFunc("POST /v1/events.bin", s.handleEventsBin)
+	s.mux.HandleFunc("POST /v1/events", s.handleIngest(mcelog.JSONL, s.decode))
+	s.mux.HandleFunc("POST /v1/events.bin", s.handleIngest(mcelog.Wire, s.binDecode))
 	s.mux.HandleFunc("GET /v1/actions", s.handleActions)
 	s.mux.HandleFunc("GET /v1/banks/{addr}", s.handleBank)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
@@ -239,69 +238,120 @@ type IngestResult struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// ingestRequest is one ingest request past its decoder, whichever codec
-// carried it. The two handlers only decode; what happens to a decoded event
-// — validate, ownership check, pending chunk, IngestBatch, merged counts —
-// and how a request ends early (503 consumed-prefix, 413, 400) is decided
-// here, once. Messages name positions in the codec's own unit ("line 12",
-// "frame 3 record 40"). Pooled with its buffers: a steady stream of batches
-// decodes without per-request allocation.
+// Note samples one failure message into the result: at most maxBatchErrors
+// of them, at either ingest door.
+func (r *IngestResult) Note(format string, args ...any) {
+	if len(r.Errors) < maxBatchErrors {
+		r.Errors = append(r.Errors, fmt.Sprintf(format, args...))
+	}
+}
+
+// Reject counts one refused event and samples its message.
+func (r *IngestResult) Reject(err error) {
+	r.Rejected++
+	r.Note("%v", err)
+}
+
+// EndBody is every ingest door's end-of-body rule: end is how reading the
+// body stopped at pos. A clean end (io.EOF) answers 200. A body that ended
+// short is Truncated, its counts cover the prefix read, and the status is
+// 413 for a body over the cap, else the codec's: 200 for JSONL (a mid-body
+// disconnect keeps what was read), 400 for frames (a corrupt frame leaves no
+// next frame boundary to resume at).
+func (r *IngestResult) EndBody(pos mcelog.Pos, end error) int {
+	if end == io.EOF {
+		return http.StatusOK
+	}
+	r.Truncated = true
+	r.Note("after %v: %v", pos, end)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(end, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	case pos.Codec == mcelog.Wire:
+		return http.StatusBadRequest
+	}
+	return http.StatusOK
+}
+
+// ingestRequest is one ingest request past its reader, whichever codec
+// carried it: what happens to a decoded event — validate, ownership check,
+// pending chunk, IngestBatch, merged counts — and how a request ends early
+// (503 consumed-prefix) is decided here, once. Pooled, so the frame
+// decoder's payload buffer and the chunk serve request after request.
 type ingestRequest struct {
 	srv    *Server
-	dec    *mcelog.FrameDecoder // owns the payload read buffer; idle for JSONL
-	chunk  []mcelog.Event       // validated and owned, not yet ingested
-	unit   string               // "line" or "frame"
+	body   mcelog.BodyReader
+	chunk  []mcelog.Event // validated and owned, not yet ingested
 	geo    hbm.Geometry
 	own    *ownershipView
 	res    IngestResult
 	status int // non-zero once the request must end before its body does
 }
 
-// beginIngest takes a request from the pool; end returns it.
-func (s *Server) beginIngest(unit string) *ingestRequest {
-	q := s.ingestPool.Get().(*ingestRequest)
-	q.unit, q.geo, q.own = unit, s.engine.Config().Geometry, s.ownership.Load()
-	if q.own != nil {
-		q.res.Epoch = q.own.epoch
+// handleIngest serves both ingest routes, the route naming its body's
+// codec: POST /v1/events takes JSONL, POST /v1/events.bin CBF2 frames
+// (mcelog/wire.go; legacy CBF1 bodies still decode). A malformed or invalid
+// record is rejected on its own, under its place in the codec's own unit
+// ("line 12", "frame 3 record 40"), and the rest of the body goes on.
+// Events reach the engine in chunks — a binary body's own frames, JSONL
+// lines a frame's worth (mcelog.DefaultFrameEvents) at a time — so a
+// durable node pays one journal append per chunk, not per event.
+func (s *Server) handleIngest(codec mcelog.Codec, timer *obs.Histogram) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := s.ingestPool.Get().(*ingestRequest)
+		defer q.end()
+		q.body.Reset(codec, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), int(s.cfg.MaxBodyBytes)+1, timer)
+		q.geo, q.own = s.engine.Config().Geometry, s.ownership.Load()
+		if q.own != nil {
+			q.res.Epoch = q.own.epoch
+		}
+		var end error
+		for q.status == 0 && end == nil {
+			end = q.step()
+		}
+		if q.status == 0 && q.flush() {
+			q.status = q.res.EndBody(q.body.Pos(), end)
+		}
+		writeJSON(w, q.status, q.res)
 	}
-	return q
 }
 
 func (q *ingestRequest) end() {
-	q.dec.Reset(nil)
+	q.body.Reset(mcelog.Wire, nil, 0, nil) // let go of the request's body
 	q.chunk, q.res, q.status = q.chunk[:0], IngestResult{}, 0
 	q.srv.ingestPool.Put(q)
 }
 
-// note samples a failure at body position n (record rec of it, if >= 0).
-func (q *ingestRequest) note(prefix string, n, rec int, err error) {
-	if len(q.res.Errors) >= maxBatchErrors {
-		return
+// step takes one step of the body: nil, or how the body ended.
+func (q *ingestRequest) step() error {
+	ev, err := q.body.Next()
+	switch err.(type) {
+	case nil:
+		q.add(ev)
+	case *mcelog.RecordError:
+		q.res.Reject(err)
+	default:
+		return err
 	}
-	where := fmt.Sprintf("%s %d", q.unit, n)
-	if rec >= 0 {
-		where += fmt.Sprintf(" record %d", rec)
+	// A chunk is a binary body's own frame, or a frame's worth of JSONL.
+	if q.status == 0 && (q.body.FrameEnd() || q.body.Pos().Codec == mcelog.JSONL && len(q.chunk) == mcelog.DefaultFrameEvents) {
+		q.flush()
 	}
-	q.res.Errors = append(q.res.Errors, fmt.Sprintf("%s%s: %v", prefix, where, err))
-}
-
-// reject counts one malformed or invalid event; it never sinks the batch.
-func (q *ingestRequest) reject(n, rec int, err error) {
-	q.res.Rejected++
-	q.note("", n, rec, err)
+	return nil
 }
 
 // add takes one decoded event. An event for a bank this node does not own
 // ends the request with the consumed-prefix 503: everything before it is
 // ingested (or was rejected) and must not be resent; the event itself and
 // the rest of the body belong to another node (see IngestResult.NotOwned).
-func (q *ingestRequest) add(ev mcelog.Event, n, rec int) {
+func (q *ingestRequest) add(ev mcelog.Event) {
 	if err := ev.Validate(q.geo); err != nil {
-		q.reject(n, rec, err)
+		q.res.Reject(&mcelog.RecordError{Pos: q.body.Pos(), Err: err})
 		return
 	}
 	if q.own != nil && q.own.owns != nil && !q.own.owns(ev.Addr.BankKey()) {
-		if q.flush(n) {
+		if q.flush() {
 			q.res.NotOwned = 1
 			q.srv.notOwned.Inc()
 			q.status = http.StatusServiceUnavailable
@@ -315,117 +365,20 @@ func (q *ingestRequest) add(ev mcelog.Event, n, rec int) {
 // and reports whether the request may go on. When the engine is closed or
 // journaling failed, nothing of the chunk landed: the counts cover what
 // earlier chunks ingested and the request ends 503.
-func (q *ingestRequest) flush(n int) bool {
+func (q *ingestRequest) flush() bool {
 	accepted, dropped, err := q.srv.engine.IngestBatch(q.chunk)
 	q.chunk = q.chunk[:0]
 	q.res.Accepted += accepted
 	q.res.Dropped += dropped
 	if err != nil {
+		pos := q.body.Pos()
+		pos.Rec = -1 // the whole line or frame
 		q.res.Truncated = true
-		q.note("", n, -1, err)
+		q.res.Note("%v: %v", pos, err)
 		q.status = http.StatusServiceUnavailable
 		return false
 	}
 	return true
-}
-
-// finish ingests what is pending and answers. bodyErr is why the decoder
-// stopped short of the body's end (nil at a clean end): the counts cover the
-// prefix read, the status is 413 for a body over the cap, else badBody.
-func (q *ingestRequest) finish(w http.ResponseWriter, n int, bodyErr error, badBody int) {
-	if q.status == 0 && q.flush(n) {
-		q.status = http.StatusOK
-		if bodyErr != nil {
-			q.res.Truncated = true
-			q.note("after ", n, -1, bodyErr)
-			q.status = badBody
-			var tooBig *http.MaxBytesError
-			if errors.As(bodyErr, &tooBig) {
-				q.status = http.StatusRequestEntityTooLarge
-			}
-		}
-	}
-	writeJSON(w, q.status, q.res)
-}
-
-// handleEvents ingests a JSONL batch. Malformed lines are rejected
-// individually, and a mid-batch disconnect keeps what was read (200,
-// Truncated). A line is never refused for its length: the scanner may hold a
-// byte more than the body cap admits, so a line too long for it is a body
-// over the cap, answered 413 with the prefix counted. Lines reach the engine
-// in chunks of mcelog.DefaultFrameEvents — a binary frame's worth — so a
-// durable node pays one journal append per chunk, not per line.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes)+1)
-	q := s.beginIngest("line")
-	defer q.end()
-
-	lineNo := 0
-	for q.status == 0 && sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		t0 := time.Now()
-		ev, err := mcelog.ParseJSONEvent(line)
-		s.decode.ObserveSince(t0)
-		if err != nil {
-			q.reject(lineNo, -1, err)
-			continue
-		}
-		q.add(ev, lineNo, -1)
-		if len(q.chunk) == mcelog.DefaultFrameEvents {
-			q.flush(lineNo)
-		}
-	}
-	q.finish(w, lineNo, sc.Err(), http.StatusOK)
-}
-
-// handleEventsBin ingests a CBF2 wire body (mcelog/wire.go: "CBF2" magic,
-// then u32 length | u32 crc32c | N×19-byte records per frame; legacy CBF1
-// bodies still decode) in handleEvents' contract — same IngestResult, same
-// consumed-prefix rule on 503 — ingesting once per frame.
-//
-// Error semantics differ from JSONL in one deliberate way: a framing error
-// (bad CRC, truncated or oversized frame) is a 400, not a per-record
-// rejection. A corrupt frame leaves no way to find the next frame boundary,
-// so the rest of the body is undecodable; counts in the response cover the
-// frames consumed before the corruption.
-func (s *Server) handleEventsBin(w http.ResponseWriter, r *http.Request) {
-	q := s.beginIngest("frame")
-	defer q.end()
-	q.dec.Reset(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-
-	frameNo := 0
-	var bodyErr error
-	for q.status == 0 {
-		t0 := time.Now()
-		fr, err := q.dec.Next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				bodyErr = err
-			}
-			break
-		}
-		s.binDecode.ObserveSince(t0) // decoded frames only: the body's EOF is not one
-		frameNo++
-		for i, n := 0, fr.Len(); i < n && q.status == 0; i++ {
-			// Checked: Unpack drops address bits outside the layout, and
-			// Validate would pass the bank they alias the record onto.
-			ev, err := fr.EventChecked(i)
-			if err != nil {
-				q.reject(frameNo, i, err)
-				continue
-			}
-			q.add(ev, frameNo, i)
-		}
-		if q.status == 0 {
-			q.flush(frameNo)
-		}
-	}
-	q.finish(w, frameNo, bodyErr, http.StatusBadRequest)
 }
 
 // jsonAction is the wire shape of one action.

@@ -289,6 +289,12 @@ var deletionGates = []struct {
 		names: []string{"readRecord", "scanSegment", "replaySegment", "ExportRange", "walRecordWire", "toWire",
 			"suffixRecords", "writeActivePointer", "SyncInterval"},
 	},
+	{
+		gate: "one event-body reader", deletedBy: "One event-body reader behind every door",
+		replacedBy: "mcelog.BodyReader, read by ReadLog and by the one ingest handler of the serve node and of the router; stream.IngestResult's Note and EndBody",
+		names:      []string{"ReadJSONL", "maxRouterErrors"},
+		check:      bodyDecodedInMcelog,
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
@@ -487,6 +493,38 @@ func columnizeOnlyInGBDT(mod *module) []string {
 	for id, used := range p.info.Uses {
 		if pos := mod.fset.Position(id.Pos()); used == obj && filepath.Base(pos.Filename) != "gbdt.go" {
 			bad = append(bad, fmt.Sprintf("%s: columnize called outside the boosting trainer", pos))
+		}
+	}
+	return bad
+}
+
+// bodyDecodedInMcelog: outside internal/mcelog no program (bench/'s probes
+// aside) calls the frame decoder or a record decoder of its own; event bodies
+// are read through mcelog.BodyReader.
+func bodyDecodedInMcelog(mod *module) []string {
+	const mcelogPkg = "cordial/internal/mcelog"
+	var bad []string
+	var targets []types.Object
+	scope := mod.pkgs[mcelogPkg].pkg.Scope()
+	for _, name := range []string{"NewFrameDecoder", "FrameDecoder.Next", "WireFrame.EventChecked", "ParseJSONEvent"} {
+		obj := scope.Lookup(name)
+		if typ, method, ok := strings.Cut(name, "."); ok && scope.Lookup(typ) != nil {
+			obj, _, _ = types.LookupFieldOrMethod(scope.Lookup(typ).Type(), true, mod.pkgs[mcelogPkg].pkg, method)
+		}
+		if obj == nil {
+			bad = append(bad, fmt.Sprintf("the body-reader gate's target mcelog.%s is gone", name))
+			continue
+		}
+		targets = append(targets, obj)
+	}
+	for _, path := range mod.paths {
+		if path == mcelogPkg || strings.HasPrefix(path, "cordial/bench") {
+			continue
+		}
+		for id, obj := range mod.pkgs[path].info.Uses {
+			if slices.Contains(targets, obj) {
+				bad = append(bad, fmt.Sprintf("%s: %s decodes an event body outside mcelog.BodyReader", mod.fset.Position(id.Pos()), id.Name))
+			}
 		}
 	}
 	return bad

@@ -113,15 +113,19 @@ echo "==> binary ingest perf gate (steady-state decode allocates nothing)"
 # fails CI with a direct message rather than a drifting BENCH number.
 go test -run 'TestWireDecodeZeroAllocs' -count 1 ./internal/mcelog/
 
-echo "==> ingest path gate (one journal append per JSONL chunk; a shed event is never journaled)"
-# The one ingest path's two contracts that a refactor breaks silently: both
+echo "==> ingest path gate (one journal append per JSONL chunk; a shed event is never journaled; every door answers alike)"
+# The one ingest path's contracts that a refactor breaks silently: both
 # HTTP codecs reach the engine in chunks, so 3 000 JSONL lines on a
-# SyncAlways node cost <= 4 fsyncs, not 3 000; and on a journaled engine
-# under the drop policy admission precedes the append, so a restart replays
-# exactly the events that were accepted. (The full -race pass above runs
-# both under the race detector.)
-go test -run 'TestServerJSONLDurableBatchesAppends|TestDurableDropNeverResurrects' \
-    -count 1 ./internal/stream/
+# SyncAlways node cost <= 4 fsyncs, not 3 000; on a journaled engine under
+# the drop policy admission precedes the append, so a restart replays
+# exactly the events that were accepted; the two codecs leave the same
+# engine and counts behind; and the four doors (a serve node's two routes,
+# the router's two) give one answer per body. The door tests then run again
+# under the race detector, as the one body reader is pooled across requests.
+go test -run 'TestServerJSONLDurableBatchesAppends|TestDurableDropNeverResurrects|TestIngestCodecParity|TestIngestDoorMatrix' \
+    -count 1 ./internal/stream/ ./internal/cluster/
+go test -race -run 'TestServer|TestIngestCodecParity|TestIngestDoorMatrix|TestRouter' \
+    -count 1 ./internal/stream/ ./internal/cluster/
 
 echo "==> block inference perf gate (a window prediction allocates only its result; the engine's verdict hand-off makes no garbage)"
 # Same idea for the §IV-D hot path: one warmed PredictBlocksState may
