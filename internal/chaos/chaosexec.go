@@ -284,23 +284,23 @@ func (st *runState) awaitRecovery(killedAt time.Time) (time.Duration, error) {
 		}
 	}
 	cpURL := "http://" + st.fleet.control.Addr() + "/statsz"
-	err := pollUntil("cluster recovery", 2*time.Minute, func() bool {
+	err := PollUntil("cluster recovery", 2*time.Minute, func() bool {
 		var cp struct {
 			Members   []struct{ ID string } `json:"members"`
 			Takeovers uint64                `json:"takeovers"`
 		}
-		if getJSON(st.client, cpURL, &cp) != http.StatusOK {
+		if GetJSON(st.client, cpURL, &cp) != http.StatusOK {
 			return false
 		}
 		if int(cp.Takeovers) < kills || len(cp.Members) != alive {
 			return false
 		}
 		for _, n := range st.fleet.nodes {
-			if n.Alive() && getJSON(st.client, n.URL("/readyz"), nil) != http.StatusOK {
+			if n.Alive() && GetJSON(st.client, n.URL("/readyz"), nil) != http.StatusOK {
 				return false
 			}
 		}
-		return getJSON(st.client, st.fleet.router.URL("/readyz"), nil) == http.StatusOK
+		return GetJSON(st.client, st.fleet.router.URL("/readyz"), nil) == http.StatusOK
 	})
 	return time.Since(killedAt), err
 }
@@ -322,7 +322,7 @@ func (st *runState) startProbes() {
 			case <-st.probeStop:
 				return
 			case <-ticker.C:
-				code := getJSON(client, st.fleet.frontDoor().URL("/readyz"), nil)
+				code := GetJSON(client, st.fleet.frontDoor().URL("/readyz"), nil)
 				st.mu.Lock()
 				st.probes.Samples++
 				if code == http.StatusOK {
@@ -351,7 +351,7 @@ func (st *runState) drain() error {
 		if !n.Alive() {
 			continue
 		}
-		if err := waitDrained(n); err != nil {
+		if err := WaitDrained(n); err != nil {
 			return fmt.Errorf("chaos: %s: %w", n.Name, err)
 		}
 	}
@@ -368,7 +368,7 @@ func (st *runState) collectStats(rep *Report) {
 			ModelSwaps  uint64 `json:"modelSwaps"`
 			Quarantined uint64 `json:"quarantined"`
 		}
-		if getJSON(st.client, n.URL("/statsz"), &stz) == http.StatusOK {
+		if GetJSON(st.client, n.URL("/statsz"), &stz) == http.StatusOK {
 			rep.Load.ModelSwaps += stz.ModelSwaps
 			rep.Load.Quarantined += stz.Quarantined
 		}
@@ -390,7 +390,7 @@ func (st *runState) compareVerdicts(rep *Report, want map[string]bool) {
 		if !n.Alive() {
 			continue
 		}
-		set, err := actionSet(n)
+		set, err := ActionSet(n)
 		if err != nil {
 			rep.Verdict.Extra = append(rep.Verdict.Extra, "scrape error: "+err.Error())
 			return
@@ -422,10 +422,10 @@ func (st *runState) compareVerdicts(rep *Report, want map[string]bool) {
 	}
 }
 
-// actionSet fetches /v1/actions and reduces it to the deduplicated
+// ActionSet fetches /v1/actions and reduces it to the deduplicated
 // comparison set (recovery re-emits actions at least once, so comparisons
 // are on sets, never counts).
-func actionSet(d *Daemon) (map[string]bool, error) {
+func ActionSet(d *Daemon) (map[string]bool, error) {
 	var acts struct {
 		Actions []struct {
 			Kind  string `json:"kind"`
@@ -434,7 +434,7 @@ func actionSet(d *Daemon) (map[string]bool, error) {
 			Class string `json:"class"`
 		} `json:"actions"`
 	}
-	if code := getJSON(nil, d.URL("/v1/actions?limit=1000000"), &acts); code != http.StatusOK {
+	if code := GetJSON(nil, d.URL("/v1/actions?limit=1000000"), &acts); code != http.StatusOK {
 		return nil, fmt.Errorf("GET /v1/actions = %d", code)
 	}
 	set := make(map[string]bool, len(acts.Actions))
@@ -444,21 +444,21 @@ func actionSet(d *Daemon) (map[string]bool, error) {
 	return set, nil
 }
 
-// waitDrained polls /statsz until processed catches up with ingested.
-func waitDrained(d *Daemon) error {
-	return pollUntil(d.Name+" drained", 2*time.Minute, func() bool {
+// WaitDrained polls /statsz until processed catches up with ingested.
+func WaitDrained(d *Daemon) error {
+	return PollUntil(d.Name+" drained", 2*time.Minute, func() bool {
 		var stz struct {
 			Ingested  uint64 `json:"ingested"`
 			Processed uint64 `json:"processed"`
 		}
-		return getJSON(nil, d.URL("/statsz"), &stz) == http.StatusOK &&
+		return GetJSON(nil, d.URL("/statsz"), &stz) == http.StatusOK &&
 			stz.Processed == stz.Ingested
 	})
 }
 
-// getJSON fetches url, decoding the body into out when non-nil. A
+// GetJSON fetches url, decoding the body into out when non-nil. A
 // transport error returns status 0.
-func getJSON(client *http.Client, url string, out any) int {
+func GetJSON(client *http.Client, url string, out any) int {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -477,8 +477,8 @@ func getJSON(client *http.Client, url string, out any) int {
 	return resp.StatusCode
 }
 
-// pollUntil polls cond every 50ms until it holds or the deadline passes.
-func pollUntil(what string, limit time.Duration, cond func() bool) error {
+// PollUntil polls cond every 50ms until it holds or the deadline passes.
+func PollUntil(what string, limit time.Duration, cond func() bool) error {
 	deadline := time.Now().Add(limit)
 	for !cond() {
 		if time.Now().After(deadline) {

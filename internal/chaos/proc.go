@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -13,10 +15,10 @@ import (
 )
 
 // Daemon is one supervised fleet process (cordial-serve, cordial-control
-// or cordial-router). It mirrors the clitest harness pattern — launch,
-// scan stdout for the resolved-address slog line, capture output — but
-// lives outside testing.T so the chaos runner can also SIGKILL, pause and
-// restart processes mid-run.
+// or cordial-router): launch, scan stdout for the resolved-address slog
+// line, capture output. It lives outside testing.T so the chaos runner can
+// SIGKILL, pause and restart processes mid-run, and the clitest end-to-end
+// tests start every daemon through it too.
 type Daemon struct {
 	Name string // role label: node-1, control, router, reference
 	Path string // binary path
@@ -26,6 +28,7 @@ type Daemon struct {
 	cmd   *exec.Cmd
 	addr  string
 	out   *tailBuf
+	read  chan struct{} // closed once stdout is read to its end
 	alive bool
 }
 
@@ -43,11 +46,7 @@ func (b *tailBuf) Write(p []byte) (int, error) {
 	defer b.mu.Unlock()
 	n, err := b.buf.Write(p)
 	if b.buf.Len() > maxTail {
-		rest := b.buf.Bytes()[b.buf.Len()-maxTail:]
-		trimmed := make([]byte, len(rest))
-		copy(trimmed, rest)
-		b.buf.Reset()
-		b.buf.Write(trimmed)
+		b.buf.Next(b.buf.Len() - maxTail) // the buffer reuses the skipped front
 	}
 	return n, err
 }
@@ -63,53 +62,71 @@ func (b *tailBuf) String() string {
 const startupTimeout = 3 * time.Minute
 
 // Start launches the process and blocks until it logs
-// "msg=listening addr=127.0.0.1:NNNNN" on stdout.
+// "msg=listening addr=127.0.0.1:NNNNN" on stdout. A process that closes
+// stdout first (it exited at boot) fails at once, with its exit status and
+// output.
 func (d *Daemon) Start() error {
 	d.mu.Lock()
 	if d.alive {
 		d.mu.Unlock()
 		return fmt.Errorf("chaos: %s already running", d.Name)
 	}
-	cmd := exec.Command(d.Path, d.Args...)
-	out := &tailBuf{}
-	stdout, err := cmd.StdoutPipe()
+	// The harness owns stdout's read end, so Wait cannot close it under the
+	// reader: the output is whole once read is closed.
+	stdout, pw, err := os.Pipe()
 	if err != nil {
 		d.mu.Unlock()
 		return err
 	}
-	cmd.Stderr = out
-	if err := cmd.Start(); err != nil {
+	cmd := exec.Command(d.Path, d.Args...)
+	out := &tailBuf{}
+	cmd.Stdout, cmd.Stderr = pw, out
+	err = cmd.Start()
+	pw.Close()
+	if err != nil {
+		stdout.Close()
 		d.mu.Unlock()
 		return fmt.Errorf("chaos: start %s: %w", d.Name, err)
 	}
-	d.cmd = cmd
-	d.out = out
-	d.alive = true
+	read := make(chan struct{})
+	d.cmd, d.out, d.read, d.alive = cmd, out, read, true
 	d.mu.Unlock()
 
+	// addrc receives the address once, or is closed when stdout ends
+	// without one.
 	addrc := make(chan string, 1)
 	go func() {
+		defer close(read)
+		defer stdout.Close()
+		sent := false
 		sc := bufio.NewScanner(stdout)
 		sc.Buffer(make([]byte, 64<<10), 64<<10)
 		for sc.Scan() {
 			line := sc.Text()
 			fmt.Fprintln(out, line)
-			if !strings.Contains(line, "msg=listening") {
+			if sent || !strings.Contains(line, "msg=listening") {
 				continue
 			}
 			if _, rest, ok := strings.Cut(line, "addr="); ok {
 				if fields := strings.Fields(rest); len(fields) > 0 {
-					select {
-					case addrc <- strings.Trim(fields[0], `"`):
-					default:
-					}
+					addrc <- strings.Trim(fields[0], `"`)
+					sent = true
 				}
 			}
+		}
+		io.Copy(out, stdout) // a line past the scanner's limit: keep draining
+		if !sent {
+			close(addrc)
 		}
 	}()
 
 	select {
-	case addr := <-addrc:
+	case addr, ok := <-addrc:
+		if !ok { // a process that closed stdout but lives on is killed too
+			err := d.stop(syscall.SIGKILL, time.Minute)
+			return fmt.Errorf("chaos: %s exited before reporting its address (%v); output:\n%s",
+				filepath.Base(d.Path), err, out.String())
+		}
 		d.mu.Lock()
 		d.addr = addr
 		d.mu.Unlock()
@@ -161,37 +178,35 @@ func (d *Daemon) Signal(sig syscall.Signal) error {
 }
 
 // Kill SIGKILLs the process and reaps it.
-func (d *Daemon) Kill() {
-	d.mu.Lock()
-	cmd := d.cmd
-	d.alive = false
-	d.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-}
+func (d *Daemon) Kill() { d.stop(syscall.SIGKILL, time.Minute) }
 
-// Terminate sends SIGTERM and waits up to grace for a clean exit, then
-// escalates to SIGKILL.
-func (d *Daemon) Terminate(grace time.Duration) {
+// Terminate sends SIGTERM and waits up to grace for the process to exit,
+// then escalates to SIGKILL. It returns the exit error: nil is a clean exit.
+func (d *Daemon) Terminate(grace time.Duration) error { return d.stop(syscall.SIGTERM, grace) }
+
+// stop delivers sig and reaps the process, SIGKILLing it after grace; the
+// output is whole when it returns.
+func (d *Daemon) stop(sig syscall.Signal, grace time.Duration) error {
 	d.mu.Lock()
-	cmd := d.cmd
-	d.alive = false
+	cmd, read := d.cmd, d.read
+	d.cmd, d.alive = nil, false
 	d.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return
+	if cmd == nil {
+		return nil
 	}
-	cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan struct{})
+	cmd.Process.Signal(sig)
+	done := make(chan error, 1)
 	go func() {
-		cmd.Wait()
-		close(done)
+		err := cmd.Wait()
+		<-read
+		done <- err
 	}()
 	select {
-	case <-done:
+	case err := <-done:
+		return err
 	case <-time.After(grace):
 		cmd.Process.Kill()
 		<-done
+		return fmt.Errorf("chaos: %s did not exit within %v of %v", d.Name, grace, sig)
 	}
 }

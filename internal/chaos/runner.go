@@ -106,7 +106,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		return nil, err
 	}
 
-	bin, err := ensureBinaries(opts.BinDir, work, logf)
+	bin, err := BuildBinaries(opts.BinDir, work, logf, serveBinaries...)
 	if err != nil {
 		return nil, err
 	}
@@ -171,11 +171,11 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 
 	fleet, err := startFleet(sc, bin, work, logf)
 	if err != nil {
-		teardown(fleet)
+		teardown(logf, allDaemons(fleet)...)
 		return rep, err
 	}
 	st.fleet = fleet
-	defer teardown(fleet)
+	defer teardown(logf, allDaemons(fleet)...)
 
 	st.startProbes()
 	runErr := st.driveLoad(rep)
@@ -232,11 +232,12 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	return rep, nil
 }
 
-// ensureBinaries returns a directory holding the three daemons, building
-// them from source when no prebuilt directory was given.
-func ensureBinaries(binDir, work string, logf func(string, ...any)) (string, error) {
+// BuildBinaries returns a directory holding the named commands of the
+// module: binDir when one is given (each must already be in it), otherwise
+// work/bin, built from the module's source.
+func BuildBinaries(binDir, work string, logf func(string, ...any), names ...string) (string, error) {
 	if binDir != "" {
-		for _, name := range serveBinaries {
+		for _, name := range names {
 			if _, err := os.Stat(filepath.Join(binDir, name)); err != nil {
 				return "", fmt.Errorf("chaos: missing binary %s in %s", name, binDir)
 			}
@@ -251,13 +252,15 @@ func ensureBinaries(binDir, work string, logf func(string, ...any)) (string, err
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return "", err
 	}
-	logf("building daemons into %s", out)
-	for _, name := range serveBinaries {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(out, name), "cordial/cmd/"+name)
-		cmd.Dir = root
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			return "", fmt.Errorf("chaos: building %s: %v\n%s", name, err, msg)
-		}
+	logf("building %s into %s", strings.Join(names, ", "), out)
+	args := []string{"build", "-o", out + string(filepath.Separator)}
+	for _, name := range names {
+		args = append(args, "cordial/cmd/"+name)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		return "", fmt.Errorf("chaos: building %s: %v\n%s", strings.Join(names, ", "), err, msg)
 	}
 	return out, nil
 }
@@ -350,11 +353,11 @@ func startFleet(sc *Scenario, bin, work string, logf func(string, ...any)) (*fle
 	}
 
 	// All nodes registered before the router comes up.
-	if err := pollUntil("all nodes registered", 60*time.Second, func() bool {
+	if err := PollUntil("all nodes registered", 60*time.Second, func() bool {
 		var cp struct {
 			Members []struct{ ID string } `json:"members"`
 		}
-		return getJSON(nil, "http://"+fleet.control.Addr()+"/statsz", &cp) == http.StatusOK &&
+		return GetJSON(nil, "http://"+fleet.control.Addr()+"/statsz", &cp) == http.StatusOK &&
 			len(cp.Members) == sc.Fleet.Nodes
 	}); err != nil {
 		return fleet, err
@@ -371,8 +374,8 @@ func startFleet(sc *Scenario, bin, work string, logf func(string, ...any)) (*fle
 	if err := fleet.router.Start(); err != nil {
 		return fleet, err
 	}
-	if err := pollUntil("router ready", 60*time.Second, func() bool {
-		return getJSON(nil, fleet.router.URL("/readyz"), nil) == http.StatusOK
+	if err := PollUntil("router ready", 60*time.Second, func() bool {
+		return GetJSON(nil, fleet.router.URL("/readyz"), nil) == http.StatusOK
 	}); err != nil {
 		return fleet, err
 	}
@@ -447,13 +450,15 @@ func allDaemons(f *fleetDaemons) []*Daemon {
 	return append(out, f.nodes...)
 }
 
-func teardown(f *fleetDaemons) {
-	for _, d := range allDaemons(f) {
+func teardown(logf func(string, ...any), daemons ...*Daemon) {
+	for _, d := range daemons {
 		if d.Alive() {
 			// SIGCONT first: a daemon paused by partition_router cannot
 			// handle SIGTERM while stopped.
 			d.Signal(syscall.SIGCONT)
-			d.Terminate(30 * time.Second)
+			if err := d.Terminate(30 * time.Second); err != nil {
+				logf("%s shutdown: %v", d.Name, err)
+			}
 		}
 	}
 }
@@ -469,7 +474,7 @@ func (st *runState) referenceRun(bin, work string) (map[string]bool, error) {
 	if err := ref.Start(); err != nil {
 		return nil, err
 	}
-	defer ref.Terminate(30 * time.Second)
+	defer teardown(st.logf, ref)
 
 	events := st.plan.Fleet.Events
 	batch := st.sc.Load.Batch
@@ -482,10 +487,10 @@ func (st *runState) referenceRun(bin, work string) (map[string]bool, error) {
 			return nil, err
 		}
 	}
-	if err := waitDrained(ref); err != nil {
+	if err := WaitDrained(ref); err != nil {
 		return nil, err
 	}
-	return actionSet(ref)
+	return ActionSet(ref)
 }
 
 // ingestResult is the /v1/events response shape shared by serve and

@@ -1,12 +1,12 @@
 // Package clitest builds the repository's command binaries and exercises
-// them end to end: generate → study → train → predict → repro.
+// them end to end: generate → study → train → predict → repro, and the
+// daemons, started and probed through the chaos harness.
 package clitest
 
 import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -15,11 +15,13 @@ import (
 	"sync"
 	"testing"
 
+	"cordial/internal/chaos"
 	"cordial/internal/faultsim"
 )
 
 var (
 	buildOnce sync.Once
+	buildDir  string
 	binDir    string
 	buildErr  error
 )
@@ -27,8 +29,8 @@ var (
 // TestMain removes the directory buildAll built the commands into.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if binDir != "" {
-		os.RemoveAll(binDir)
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
 	}
 	os.Exit(code)
 }
@@ -37,16 +39,11 @@ func TestMain(m *testing.M) {
 func buildAll(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		if binDir, buildErr = os.MkdirTemp("", "cordial-clitest-"); buildErr != nil {
+		if buildDir, buildErr = os.MkdirTemp("", "cordial-clitest-"); buildErr != nil {
 			return
 		}
-		for _, cmd := range []string{"cordial-gen", "cordial-train", "cordial-predict", "cordial-repro", "cordial-study", "cordial-serve", "cordial-control", "cordial-router"} {
-			out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "cordial/cmd/"+cmd).CombinedOutput()
-			if err != nil {
-				buildErr = fmt.Errorf("building %s: %v\n%s", cmd, err, out)
-				return
-			}
-		}
+		binDir, buildErr = chaos.BuildBinaries("", buildDir, t.Logf, "cordial-gen", "cordial-train", "cordial-predict",
+			"cordial-repro", "cordial-study", "cordial-serve", "cordial-control", "cordial-router")
 	})
 	if buildErr != nil {
 		t.Fatal(buildErr)
@@ -177,7 +174,9 @@ func TestCLIStreamFormatRoundTrip(t *testing.T) {
 // to files written before hbm.BankAddress was a type of its own (a bank
 // still encodes as the Address object with a zero row and column), under an
 // HBM and a DIMM profile; it decodes back to the same bytes, and
-// cordial-train reads it.
+// cordial-train reads it with the error-bit features on. Under the DIMM
+// profile the models then classify the log, and a two-profile transfer
+// study completes.
 func TestCLITruthGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -208,10 +207,24 @@ func TestCLITruthGolden(t *testing.T) {
 			if !bytes.Equal(again.Bytes(), want) {
 				t.Fatal("the golden does not re-encode to its own bytes")
 			}
-			out := run(t, bin, "cordial-train", "-topology", topo, "-truth", truthPath, "-trees", "5",
-				"-out", filepath.Join(work, "models.json"))
+			modelPath := filepath.Join(work, "models.json")
+			out := run(t, bin, "cordial-train", "-topology", topo, "-errbits", "-truth", truthPath,
+				"-trees", "5", "-out", modelPath)
 			if !strings.Contains(out, "on 30 banks") {
 				t.Fatalf("train output: %s", out)
+			}
+			if topo != "ddr5-dimm" {
+				return
+			}
+			out = run(t, bin, "cordial-predict", "-topology", topo, "-models", modelPath,
+				"-log", filepath.Join(work, "fleet.mcelog"))
+			if !strings.Contains("\n"+out, "\nclassified ") {
+				t.Fatalf("predict output: %s", out)
+			}
+			out = run(t, bin, "cordial-study", "-transfer", "hbm2e,ddr5-dimm", "-transfer-banks", "40",
+				"-transfer-trees", "8")
+			if !strings.Contains(out, "baseline") {
+				t.Fatalf("transfer study output: %s", out)
 			}
 		})
 	}

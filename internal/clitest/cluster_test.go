@@ -1,13 +1,16 @@
 package clitest
 
 import (
+	"bytes"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
+
+	"cordial/internal/chaos"
+	"cordial/internal/mcelog"
 )
 
 // TestCLIClusterFailover is the distributed-serving e2e: a three-node
@@ -28,13 +31,16 @@ func TestCLIClusterFailover(t *testing.T) {
 	run(t, bin, "cordial-gen", "-seed", "21", "-uer-banks", "30",
 		"-benign-banks", "20", "-log", logPath, "-format", "jsonl", "-truth", "")
 	logBytes, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	lines := strings.Split(strings.TrimSpace(string(logBytes)), "\n")
 	half := len(lines) / 2
 	firstHalf := []byte(strings.Join(lines[:half], "\n") + "\n")
-	secondHalf := []byte(strings.Join(lines[half:], "\n") + "\n")
+	// The second half travels as wire frames, through the router's binary
+	// door and its binary forwarding.
+	rest, err := mcelog.ReadLog(strings.NewReader(strings.Join(lines[half:], "\n")))
+	check(t, err)
+	var secondHalf bytes.Buffer
+	check(t, rest.WriteWire(&secondHalf))
 
 	// Every daemon self-trains the same (deterministic) model so the
 	// cluster and the reference make identical decisions.
@@ -45,31 +51,26 @@ func TestCLIClusterFailover(t *testing.T) {
 
 	// Reference: one node, the whole log, no failures.
 	ref := startServe(t, bin, serveArgs(filepath.Join(work, "wal-ref"))...)
-	if res := ref.postBody(t, logBytes); int(res["accepted"].(float64)) != len(lines) {
+	if res := post(t, ref, "/v1/events", http.StatusOK, logBytes); int(res["accepted"].(float64)) != len(lines) {
 		t.Fatalf("reference ingest %v", res)
 	}
-	ref.waitDrained(t)
-	want := ref.actionSet(t)
+	check(t, chaos.WaitDrained(ref))
+	want, err := chaos.ActionSet(ref)
+	check(t, err)
 	if len(want) == 0 {
 		t.Fatal("reference emitted no actions; fleet too small")
 	}
-	if err := ref.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.cmd.Wait(); err != nil {
-		t.Fatalf("reference exit: %v\noutput:\n%s", err, ref.out)
-	}
+	stop(t, ref)
 
 	// Control plane with test-speed failure detection.
-	cp := startDaemon(t, filepath.Join(bin, "cordial-control"),
+	cp := startDaemon(t, bin, "cordial-control",
 		"-addr", "127.0.0.1:0", "-heartbeat-ttl", "1s", "-sweep-interval", "300ms")
-	cpURL := "http://" + cp.addr
 
 	// Three serve nodes join; handoffs at this point are empty.
-	nodes := make(map[string]*serveProc, 3)
+	nodes := make(map[string]*chaos.Daemon, 3)
 	for _, id := range []string{"n1", "n2", "n3"} {
 		nodes[id] = startServe(t, bin, serveArgs(filepath.Join(work, "wal-"+id),
-			"-control-plane", cpURL, "-node-id", id, "-heartbeat", "100ms")...)
+			"-control-plane", cp.URL(""), "-node-id", id, "-heartbeat", "100ms")...)
 	}
 	var cpStats struct {
 		Epoch   uint64 `json:"epoch"`
@@ -78,60 +79,51 @@ func TestCLIClusterFailover(t *testing.T) {
 		} `json:"members"`
 		Takeovers uint64 `json:"takeovers"`
 	}
-	waitUntil(t, "all nodes registered", func() bool {
-		return cp.getJSON(t, "/statsz", &cpStats) == http.StatusOK && len(cpStats.Members) == 3
-	})
+	check(t, chaos.PollUntil("all nodes registered", 30*time.Second, func() bool {
+		return chaos.GetJSON(nil, cp.URL("/statsz"), &cpStats) == http.StatusOK && len(cpStats.Members) == 3
+	}))
 
 	// Router: generous retries so a batch can ride out the whole failover
 	// window (heartbeat TTL + sweep + takeover) on backoff alone.
-	router := startDaemon(t, filepath.Join(bin, "cordial-router"),
-		"-addr", "127.0.0.1:0", "-control-plane", cpURL,
+	router := startDaemon(t, bin, "cordial-router",
+		"-addr", "127.0.0.1:0", "-control-plane", cp.URL(""),
 		"-refresh-interval", "200ms", "-max-attempts", "8")
-	waitUntil(t, "router ready", func() bool {
-		return router.getJSON(t, "/readyz", nil) == http.StatusOK
-	})
+	routerReady := func() bool { return chaos.GetJSON(nil, router.URL("/readyz"), nil) == http.StatusOK }
+	check(t, chaos.PollUntil("router ready", 30*time.Second, routerReady))
 
 	// First half through the router, spread across all three nodes.
-	if res := router.postBody(t, firstHalf); int(res["accepted"].(float64)) != half {
+	if res := post(t, router, "/v1/events", http.StatusOK, firstHalf); int(res["accepted"].(float64)) != half {
 		t.Fatalf("first-half ingest %v", res)
 	}
 	for id, n := range nodes {
-		n.waitDrained(t)
+		check(t, chaos.WaitDrained(n))
 		var st map[string]any
-		if n.getJSON(t, "/statsz", &st) == http.StatusOK {
-			if int(st["sessionsLive"].(float64)) == 0 {
-				t.Logf("note: node %s holds no sessions after first half", id)
-			}
+		if chaos.GetJSON(nil, n.URL("/statsz"), &st) == http.StatusOK && int(st["sessionsLive"].(float64)) == 0 {
+			t.Logf("note: node %s holds no sessions after first half", id)
 		}
 	}
 
 	// SIGKILL one node mid-stream: no drain, no snapshot, no goodbye. Its
 	// accepted events exist only in its journal.
-	victim := nodes["n2"]
-	if err := victim.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	victim.cmd.Wait()
+	nodes["n2"].Kill()
 
 	// Second half through the router while the control plane detects the
 	// death and reassigns the victim's banks to the survivors.
-	if res := router.postBody(t, secondHalf); int(res["accepted"].(float64)) != len(lines)-half {
+	if res := post(t, router, "/v1/events.bin", http.StatusOK, secondHalf.Bytes()); int(res["accepted"].(float64)) != len(lines)-half {
 		t.Fatalf("second-half ingest %v", res)
 	}
-	waitUntil(t, "takeover recorded", func() bool {
-		return cp.getJSON(t, "/statsz", &cpStats) == http.StatusOK &&
+	check(t, chaos.PollUntil("takeover recorded", 30*time.Second, func() bool {
+		return chaos.GetJSON(nil, cp.URL("/statsz"), &cpStats) == http.StatusOK &&
 			cpStats.Takeovers == 1 && len(cpStats.Members) == 2
-	})
+	}))
 	// Both survivors and the router must be ready again after failover.
 	for _, id := range []string{"n1", "n3"} {
-		waitUntil(t, id+" ready after failover", func() bool {
-			return nodes[id].getJSON(t, "/readyz", nil) == http.StatusOK
-		})
-		nodes[id].waitDrained(t)
+		check(t, chaos.PollUntil(id+" ready after failover", 30*time.Second, func() bool {
+			return chaos.GetJSON(nil, nodes[id].URL("/readyz"), nil) == http.StatusOK
+		}))
+		check(t, chaos.WaitDrained(nodes[id]))
 	}
-	waitUntil(t, "router ready after failover", func() bool {
-		return router.getJSON(t, "/readyz", nil) == http.StatusOK
-	})
+	check(t, chaos.PollUntil("router ready after failover", 30*time.Second, routerReady))
 
 	// Zero verdict loss: the union of the survivors' deduplicated action
 	// sets must equal the single-node reference exactly. The victim's
@@ -139,7 +131,9 @@ func TestCLIClusterFailover(t *testing.T) {
 	// journal on the survivors (at-least-once, same as crash recovery).
 	got := map[string]bool{}
 	for _, id := range []string{"n1", "n3"} {
-		for k := range nodes[id].actionSet(t) {
+		set, err := chaos.ActionSet(nodes[id])
+		check(t, err)
+		for k := range set {
 			got[k] = true
 		}
 	}
@@ -159,7 +153,7 @@ func TestCLIClusterFailover(t *testing.T) {
 		Epoch uint64                    `json:"epoch"`
 		Nodes map[string]map[string]any `json:"nodes"`
 	}
-	if code := router.getJSON(t, "/statsz", &rstats); code != http.StatusOK {
+	if code := chaos.GetJSON(nil, router.URL("/statsz"), &rstats); code != http.StatusOK {
 		t.Fatalf("router statsz = %d", code)
 	}
 	for _, id := range []string{"n1", "n3"} {
@@ -170,26 +164,6 @@ func TestCLIClusterFailover(t *testing.T) {
 
 	// Graceful teardown: survivors leave cleanly (SIGTERM triggers a
 	// cluster leave, then drain).
-	for _, id := range []string{"n1", "n3"} {
-		if err := nodes[id].cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []string{"n1", "n3"} {
-		if err := nodes[id].cmd.Wait(); err != nil {
-			t.Fatalf("node %s exit: %v\noutput:\n%s", id, err, nodes[id].out)
-		}
-	}
-}
-
-// waitUntil polls cond for up to 30s.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	stop(t, nodes["n1"])
+	stop(t, nodes["n3"])
 }

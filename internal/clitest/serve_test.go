@@ -1,149 +1,93 @@
 package clitest
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
-	"syscall"
 	"testing"
 	"time"
+
+	"cordial/internal/chaos"
+	"cordial/internal/stream"
 )
 
-// lockedBuf is a concurrency-safe output capture: the daemon's reader
-// goroutine appends while test assertions read.
-type lockedBuf struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuf) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuf) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// serveProc is a running cordial-serve under test.
-type serveProc struct {
-	cmd  *exec.Cmd
-	addr string
-	out  *lockedBuf
-}
-
-// startServe launches cordial-serve on an ephemeral port with demo-mode
-// defaults; extraArgs append to (and may override) them.
-func startServe(t *testing.T, bin string, extraArgs ...string) *serveProc {
+// startDaemon starts one of the built daemons through the chaos harness
+// and kills it when the test ends.
+func startDaemon(t *testing.T, bin, name string, args ...string) *chaos.Daemon {
 	t.Helper()
-	args := append([]string{
+	d := &chaos.Daemon{Name: name, Path: filepath.Join(bin, name), Args: args}
+	t.Cleanup(d.Kill)
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// startServe starts cordial-serve on an ephemeral port with demo-mode
+// defaults; extraArgs append to (and may override) them.
+func startServe(t *testing.T, bin string, extraArgs ...string) *chaos.Daemon {
+	t.Helper()
+	return startDaemon(t, bin, "cordial-serve", append([]string{
 		"-selftrain", "-seed", "7", "-train-banks", "50", "-trees", "10",
 		"-addr", "127.0.0.1:0",
-	}, extraArgs...)
-	return startDaemon(t, filepath.Join(bin, "cordial-serve"), args...)
+	}, extraArgs...)...)
 }
 
-// startDaemon launches any of the repo's daemons (cordial-serve,
-// cordial-control, cordial-router) and waits for its resolved-address log
-// line (slog text format: msg=listening addr=127.0.0.1:NNNNN ...).
-func startDaemon(t *testing.T, path string, args ...string) *serveProc {
+// stop sends SIGTERM and requires a clean exit.
+func stop(t *testing.T, d *chaos.Daemon) {
 	t.Helper()
-	cmd := exec.Command(path, args...)
-	out := &lockedBuf{}
-	stdout, err := cmd.StdoutPipe()
+	if err := d.Terminate(30 * time.Second); err != nil {
+		t.Fatalf("%s exit: %v\noutput:\n%s", d.Name, err, d.Output())
+	}
+}
+
+// check fails the test on a harness error.
+func check(t *testing.T, err error) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = out
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p := &serveProc{cmd: cmd, out: out}
-	addrc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(p.out, line)
-			if !strings.Contains(line, "msg=listening") {
-				continue
-			}
-			if _, rest, ok := strings.Cut(line, "addr="); ok {
-				fields := strings.Fields(rest)
-				if len(fields) > 0 {
-					select {
-					case addrc <- strings.Trim(fields[0], `"`):
-					default:
-					}
-				}
-			}
-		}
-	}()
-	t.Cleanup(func() {
-		if p.cmd.Process != nil {
-			p.cmd.Process.Kill()
-			p.cmd.Wait()
-		}
-	})
-	// Self-training dominates startup; allow generous slack on slow CI.
-	select {
-	case p.addr = <-addrc:
-	case <-time.After(3 * time.Minute):
-		t.Fatalf("%s never reported its address; output:\n%s", filepath.Base(path), p.out)
-	}
-	return p
 }
 
-func (p *serveProc) url(path string) string { return "http://" + p.addr + path }
-
-// postBody POSTs raw bytes to /v1/events and decodes the result.
-func (p *serveProc) postBody(t *testing.T, body []byte) map[string]any {
+// post POSTs body to path and decodes the JSON answer, which must carry
+// status want.
+func post(t *testing.T, d *chaos.Daemon, path string, want int, body []byte) map[string]any {
 	t.Helper()
-	resp, err := http.Post(p.url("/v1/events"), "application/jsonl", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, err := http.Post(d.URL(path), "application/octet-stream", bytes.NewReader(body))
+	check(t, err)
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/events = %d", resp.StatusCode)
-	}
 	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	if err := json.NewDecoder(resp.Body).Decode(&out); resp.StatusCode != want || err != nil {
+		t.Fatalf("POST %s = %d, want %d (%v)\noutput:\n%s", path, resp.StatusCode, want, err, d.Output())
 	}
 	return out
 }
 
-func (p *serveProc) getJSON(t *testing.T, path string, out any) int {
+// metrics scrapes /metrics through the real HTTP stack.
+func metrics(t *testing.T, d *chaos.Daemon) string {
 	t.Helper()
-	resp, err := http.Get(p.url(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, err := http.Get(d.URL("/metrics"))
+	check(t, err)
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
+	body, err := io.ReadAll(resp.Body)
+	check(t, err)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics = %d", resp.StatusCode)
 	}
-	return resp.StatusCode
+	return string(body)
 }
 
 // TestCLIServeEndToEnd drives the daemon over a localhost port: JSONL
 // ingest of a generated fleet log, session inspection, stats, action
-// retrieval, malformed-batch resilience, a mid-batch disconnect, and
-// graceful SIGTERM shutdown with a drain report.
+// retrieval, malformed-batch resilience, a mid-batch disconnect, the
+// Prometheus scrape, a wire log file POSTed as it stands, and graceful
+// SIGTERM shutdown with a drain report.
 func TestCLIServeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and trains a model")
@@ -159,9 +103,7 @@ func TestCLIServeEndToEnd(t *testing.T) {
 		t.Fatalf("gen output: %s", out)
 	}
 	logBytes, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	lines := strings.Split(strings.TrimSpace(string(logBytes)), "\n")
 
 	p := startServe(t, bin)
@@ -172,34 +114,24 @@ func TestCLIServeEndToEnd(t *testing.T) {
 		Ready   bool     `json:"ready"`
 		Reasons []string `json:"reasons"`
 	}
-	if code := p.getJSON(t, "/readyz", &ready); code != http.StatusOK || !ready.Ready {
+	if code := chaos.GetJSON(nil, p.URL("/readyz"), &ready); code != http.StatusOK || !ready.Ready {
 		t.Fatalf("readyz = %d (ready=%v reasons=%v)", code, ready.Ready, ready.Reasons)
 	}
 	// Liveness stays a separate, weaker probe.
-	if code := p.getJSON(t, "/healthz", nil); code != http.StatusOK {
+	if code := chaos.GetJSON(nil, p.URL("/healthz"), nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
 
-	// Ingest the whole month in one batch.
-	res := p.postBody(t, logBytes)
+	// Ingest the whole month in one batch, and wait until every event has
+	// flowed through its session.
+	res := post(t, p, "/v1/events", http.StatusOK, logBytes)
 	if int(res["accepted"].(float64)) != len(lines) {
 		t.Fatalf("accepted %v of %d lines: %v", res["accepted"], len(lines), res)
 	}
-
-	// Wait until every event has flowed through its session.
+	check(t, chaos.WaitDrained(p))
 	var stats map[string]any
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if code := p.getJSON(t, "/statsz", &stats); code != http.StatusOK {
-			t.Fatalf("statsz = %d", code)
-		}
-		if stats["processed"] == stats["ingested"] {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never drained: %v", stats)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if code := chaos.GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
+		t.Fatalf("statsz = %d", code)
 	}
 	if int(stats["ingested"].(float64)) != len(lines) {
 		t.Errorf("statsz ingested %v, want %d", stats["ingested"], len(lines))
@@ -215,11 +147,11 @@ func TestCLIServeEndToEnd(t *testing.T) {
 			Bank string `json:"bank"`
 		} `json:"actions"`
 	}
-	if code := p.getJSON(t, "/v1/actions", &acts); code != http.StatusOK {
+	if code := chaos.GetJSON(nil, p.URL("/v1/actions"), &acts); code != http.StatusOK {
 		t.Fatalf("actions = %d", code)
 	}
 	if len(acts.Actions) == 0 {
-		t.Fatalf("no actions emitted; stats %v\noutput:\n%s", stats, p.out)
+		t.Fatalf("no actions emitted; stats %v\noutput:\n%s", stats, p.Output())
 	}
 
 	// Inspect the bank behind the first action.
@@ -227,17 +159,17 @@ func TestCLIServeEndToEnd(t *testing.T) {
 		Bank   string `json:"bank"`
 		Events int    `json:"events"`
 	}
-	if code := p.getJSON(t, "/v1/banks/"+acts.Actions[0].Bank, &sess); code != http.StatusOK {
+	if code := chaos.GetJSON(nil, p.URL("/v1/banks/"+acts.Actions[0].Bank), &sess); code != http.StatusOK {
 		t.Fatalf("banks/{addr} = %d", code)
 	}
 	if sess.Events == 0 || sess.Bank != acts.Actions[0].Bank {
 		t.Errorf("session %+v for bank %s", sess, acts.Actions[0].Bank)
 	}
 	// Unknown bank and garbage address.
-	if code := p.getJSON(t, "/v1/banks/n127.u7.h1.s1.c7.p1.g3.b3.r0.col0", nil); code != http.StatusNotFound {
+	if code := chaos.GetJSON(nil, p.URL("/v1/banks/n127.u7.h1.s1.c7.p1.g3.b3.r0.col0"), nil); code != http.StatusNotFound {
 		t.Errorf("unknown bank = %d", code)
 	}
-	if code := p.getJSON(t, "/v1/banks/junk", nil); code != http.StatusBadRequest {
+	if code := chaos.GetJSON(nil, p.URL("/v1/banks/junk"), nil); code != http.StatusBadRequest {
 		t.Errorf("junk bank = %d", code)
 	}
 
@@ -245,108 +177,150 @@ func TestCLIServeEndToEnd(t *testing.T) {
 	// good line and reports the rest.
 	batch := lines[0] + "\nnot json\n" +
 		`{"time":"2026-01-01T00:00:00Z","addr":"n0.u0.h0.s0.c0.p0.g0.b0.r1.col1","class":"??"}` + "\n"
-	res = p.postBody(t, []byte(batch))
+	res = post(t, p, "/v1/events", http.StatusOK, []byte(batch))
 	if int(res["accepted"].(float64)) != 1 || int(res["rejected"].(float64)) != 2 {
 		t.Fatalf("malformed batch result %v", res)
 	}
 
 	// Mid-batch disconnect: declare a large body, send half a line, slam
 	// the connection. The daemon must stay healthy.
-	conn, err := net.Dial("tcp", p.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(conn, "POST /v1/events HTTP/1.1\r\nHost: %s\r\nContent-Length: 1000000\r\nContent-Type: application/jsonl\r\n\r\n", p.addr)
+	conn, err := net.Dial("tcp", p.Addr())
+	check(t, err)
+	fmt.Fprintf(conn, "POST /v1/events HTTP/1.1\r\nHost: %s\r\nContent-Length: 1000000\r\nContent-Type: application/jsonl\r\n\r\n", p.Addr())
 	fmt.Fprintf(conn, "%s\n{\"time\":\"2026-01-01T", lines[0])
 	conn.Close()
 	time.Sleep(100 * time.Millisecond)
-	if code := p.getJSON(t, "/readyz", nil); code != http.StatusOK {
+	if code := chaos.GetJSON(nil, p.URL("/readyz"), nil); code != http.StatusOK {
 		t.Fatalf("readyz after disconnect = %d", code)
 	}
-	if code := p.getJSON(t, "/statsz", &stats); code != http.StatusOK {
+	if code := chaos.GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
 		t.Fatalf("statsz after disconnect = %d", code)
 	}
 
-	// One /metrics scrape through the real HTTP stack: parseable lines and
-	// the ingest counter agreeing with /statsz.
-	resp, err := http.Get(p.url("/metrics"))
-	if err != nil {
-		t.Fatal(err)
+	// One /metrics scrape: the ingest counter agrees with /statsz, and the
+	// process latency is exported as a histogram.
+	scrape := metrics(t, p)
+	for _, want := range []string{
+		fmt.Sprintf("\ncordial_ingest_accepted_total %d\n", int(stats["ingested"].(float64))),
+		"\n# TYPE cordial_process_seconds histogram\n",
+	} {
+		if !strings.Contains(scrape, want) {
+			t.Errorf("metrics scrape missing %q", strings.TrimSpace(want))
+		}
 	}
-	metricsBody := new(bytes.Buffer)
-	if _, err := metricsBody.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+
+	// File ≡ wire: what cordial-gen writes in its default format is a
+	// /v1/events.bin body as it stands, and cordial-study counts the same
+	// events in the file that the daemon accepts from it.
+	wirePath := filepath.Join(work, "fleet.wire")
+	out = run(t, bin, "cordial-gen", "-seed", "5", "-uer-banks", "4", "-benign-banks", "4",
+		"-log", wirePath, "-truth", "")
+	var nwire int
+	if _, err := fmt.Sscanf(out, "generated %d events", &nwire); err != nil || nwire == 0 {
+		t.Fatalf("gen output: %s", out)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics = %d", resp.StatusCode)
+	wire, err := os.ReadFile(wirePath)
+	check(t, err)
+	if res := post(t, p, "/v1/events.bin", http.StatusOK, wire); int(res["accepted"].(float64)) != nwire {
+		t.Errorf("wire ingest %v, want %d accepted", res, nwire)
 	}
-	wantSeries := fmt.Sprintf("cordial_ingest_accepted_total %d\n", int(stats["ingested"].(float64)))
-	if !strings.Contains(metricsBody.String(), wantSeries) {
-		t.Errorf("metrics scrape missing %q", strings.TrimSpace(wantSeries))
+	if out := run(t, bin, "cordial-study", "-log", wirePath); !strings.HasPrefix(out, fmt.Sprintf("log: %d events,", nwire)) {
+		t.Errorf("cordial-study does not count the %d events the daemon accepted:\n%s", nwire, out)
 	}
 
 	// Graceful shutdown: SIGTERM → drain report → clean exit.
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("daemon exit: %v\noutput:\n%s", err, p.out)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon did not exit on SIGTERM; output:\n%s", p.out)
-	}
-	time.Sleep(50 * time.Millisecond) // let the reader goroutine flush
-	if !strings.Contains(p.out.String(), "drained") {
-		t.Errorf("no drain report in output:\n%s", p.out)
+	stop(t, p)
+	if !strings.Contains(p.Output(), "drained") {
+		t.Errorf("no drain report in output:\n%s", p.Output())
 	}
 }
 
-// waitDrained polls /statsz until processed catches up with ingested, and
-// returns the final stats.
-func (p *serveProc) waitDrained(t *testing.T) map[string]any {
-	t.Helper()
-	var stats map[string]any
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if code := p.getJSON(t, "/statsz", &stats); code != http.StatusOK {
-			t.Fatalf("statsz = %d", code)
-		}
-		if stats["processed"] == stats["ingested"] {
-			return stats
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never drained: %v", stats)
-		}
-		time.Sleep(50 * time.Millisecond)
+// TestCLIServeRetraining drives the online retraining loop on a live
+// daemon with the journal and model registry enabled: a drifted pattern mix
+// in, a retrain forced off the journal, the candidate's shadow twins fed
+// fresh drifted banks, the shadow scoreboard read, and the candidate
+// promoted through the admin API, with /readyz 200 throughout. The
+// lifecycle interval is parked at 30m so the test, not the timer, drives
+// every transition.
+func TestCLIServeRetraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries and trains models")
 	}
-}
+	bin := buildAll(t)
+	work := t.TempDir()
+	// The paper's field mix is single-row dominant; this one is
+	// scattered/whole-column heavy.
+	drifted := func(seed string) []byte {
+		path := filepath.Join(work, "drift-"+seed+".wire")
+		run(t, bin, "cordial-gen", "-seed", seed, "-uer-banks", "40", "-benign-banks", "10",
+			"-weights", "single=5,scattered=70,wholecol=25", "-log", path, "-truth", "")
+		data, err := os.ReadFile(path)
+		check(t, err)
+		return data
+	}
+	d := startServe(t, bin, "-seed", "3", "-train-banks", "20", "-trees", "5",
+		"-wal-dir", filepath.Join(work, "wal"), "-fsync", "never",
+		"-retrain", "-retrain-interval", "30m")
+	ready := func(when string) {
+		t.Helper()
+		if code := chaos.GetJSON(nil, d.URL("/readyz"), nil); code != http.StatusOK {
+			t.Fatalf("readyz = %d %s\noutput:\n%s", code, when, d.Output())
+		}
+	}
+	var models struct {
+		ActiveVersion uint64 `json:"activeVersion"`
+		Lifecycle     struct {
+			CandidateVersion uint64 `json:"candidateVersion"`
+		} `json:"lifecycle"`
+	}
+	var stats struct {
+		ActiveModelVersion uint64             `json:"activeModelVersion"`
+		Shadow             stream.ShadowStats `json:"shadow"`
+	}
 
-// actionSet fetches /v1/actions and reduces it to a comparable set of
-// action keys (recovery re-emits actions at least once, so comparisons are
-// on the deduplicated set).
-func (p *serveProc) actionSet(t *testing.T) map[string]bool {
-	t.Helper()
-	var acts struct {
-		Actions []struct {
-			Kind  string `json:"kind"`
-			Bank  string `json:"bank"`
-			Rows  []int  `json:"rows"`
-			Class string `json:"class"`
-		} `json:"actions"`
+	ready("at boot")
+	post(t, d, "/v1/events.bin", http.StatusOK, drifted("11"))
+	ready("after the first ingest")
+	if res := post(t, d, "/v1/models/retrain", http.StatusAccepted, []byte(`{"trigger":"clitest"}`)); res["status"] != "retraining" {
+		t.Fatalf("forced retrain answered %v", res)
 	}
-	if code := p.getJSON(t, "/v1/actions?limit=100000", &acts); code != http.StatusOK {
-		t.Fatalf("actions = %d", code)
+	if code := chaos.GetJSON(nil, d.URL("/v1/models"), &models); code != http.StatusOK || models.Lifecycle.CandidateVersion != 2 {
+		t.Fatalf("/v1/models = %d, candidate %d; want candidate 2", code, models.Lifecycle.CandidateVersion)
 	}
-	set := make(map[string]bool)
-	for _, a := range acts.Actions {
-		set[fmt.Sprintf("%s|%s|%v|%s", a.Kind, a.Bank, a.Rows, a.Class)] = true
+	// Fresh drifted banks (another seed) create their sessions while the
+	// shadow is live, so each gets a candidate twin and the shadow scores
+	// real traffic before the promotion decision.
+	post(t, d, "/v1/events.bin", http.StatusOK, drifted("12"))
+	ready("while the shadow runs")
+
+	// The drift-trained candidate covers more of the drifted UERs than the
+	// incumbent, over the same UERs, and never panicked.
+	check(t, chaos.WaitDrained(d))
+	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK {
+		t.Fatalf("statsz = %d", code)
 	}
-	return set
+	sh := stats.Shadow
+	t.Logf("shadow ICR %d/%d, primary ICR %d/%d", sh.ShadowICR.Covered, sh.ShadowICR.Total,
+		sh.PrimaryICR.Covered, sh.PrimaryICR.Total)
+	if sh.ShadowICR.Total == 0 || sh.ShadowICR.Total != sh.PrimaryICR.Total ||
+		sh.ShadowICR.Covered <= sh.PrimaryICR.Covered || sh.CandidatePanics != 0 {
+		t.Errorf("shadow scoreboard %+v: want the candidate ahead over equal totals, no panics", sh)
+	}
+
+	if res := post(t, d, "/v1/models/promote", http.StatusOK, nil); res["activeVersion"] != 2.0 {
+		t.Fatalf("promotion answered %v", res)
+	}
+	check(t, chaos.PollUntil("the swap on /metrics", 10*time.Second, func() bool {
+		return strings.Contains(metrics(t, d), "\ncordial_model_swaps_total 1\n")
+	}))
+	ready("after promotion")
+	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK || stats.ActiveModelVersion != 2 {
+		t.Errorf("statsz = %d, activeModelVersion %d; want 2", code, stats.ActiveModelVersion)
+	}
+	if code := chaos.GetJSON(nil, d.URL("/v1/models"), &models); code != http.StatusOK || models.ActiveVersion != 2 {
+		t.Errorf("/v1/models = %d, activeVersion %d; want the registry pointer on 2", code, models.ActiveVersion)
+	}
+	stop(t, d)
 }
 
 // TestCLIServeCrashRecovery is the crash-restart e2e: a daemon with a WAL
@@ -364,9 +338,7 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 	run(t, bin, "cordial-gen", "-seed", "21", "-uer-banks", "30",
 		"-benign-banks", "20", "-log", logPath, "-format", "jsonl", "-truth", "")
 	logBytes, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	lines := strings.Split(strings.TrimSpace(string(logBytes)), "\n")
 	half := len(lines) / 2
 	firstHalf := []byte(strings.Join(lines[:half], "\n") + "\n")
@@ -380,46 +352,37 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 
 	// Reference: never crashes.
 	ref := startServe(t, bin, serveArgs(filepath.Join(work, "wal-ref"))...)
-	if res := ref.postBody(t, logBytes); int(res["accepted"].(float64)) != len(lines) {
+	if res := post(t, ref, "/v1/events", http.StatusOK, logBytes); int(res["accepted"].(float64)) != len(lines) {
 		t.Fatalf("reference ingest %v", res)
 	}
-	ref.waitDrained(t)
-	want := ref.actionSet(t)
+	check(t, chaos.WaitDrained(ref))
+	want, err := chaos.ActionSet(ref)
+	check(t, err)
 	if len(want) == 0 {
 		t.Fatal("reference daemon emitted no actions; fleet too small")
 	}
-	if err := ref.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.cmd.Wait(); err != nil {
-		t.Fatalf("reference exit: %v\noutput:\n%s", err, ref.out)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if !strings.Contains(ref.out.String(), "snapshot") {
-		t.Errorf("no shutdown snapshot report in reference output:\n%s", ref.out)
+	stop(t, ref)
+	if !strings.Contains(ref.Output(), "snapshot") {
+		t.Errorf("no shutdown snapshot report in reference output:\n%s", ref.Output())
 	}
 
 	// Victim: half the log, then SIGKILL — no drain, no snapshot, no
 	// goodbye.
 	walDir := filepath.Join(work, "wal-crash")
 	p1 := startServe(t, bin, serveArgs(walDir)...)
-	if res := p1.postBody(t, firstHalf); int(res["accepted"].(float64)) != half {
+	if res := post(t, p1, "/v1/events", http.StatusOK, firstHalf); int(res["accepted"].(float64)) != half {
 		t.Fatalf("first-half ingest %v", res)
 	}
-	if err := p1.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	p1.cmd.Wait()
+	p1.Kill()
 
 	// Survivor: same directory; must recover the journal, then finish the
 	// log and match the reference exactly.
 	p2 := startServe(t, bin, serveArgs(walDir)...)
-	time.Sleep(50 * time.Millisecond)
-	if !strings.Contains(p2.out.String(), "recovered") {
-		t.Errorf("no recovery report in output:\n%s", p2.out)
+	if !strings.Contains(p2.Output(), "recovered") {
+		t.Errorf("no recovery report in output:\n%s", p2.Output())
 	}
 	var stats map[string]any
-	if code := p2.getJSON(t, "/statsz", &stats); code != http.StatusOK {
+	if code := chaos.GetJSON(nil, p2.URL("/statsz"), &stats); code != http.StatusOK {
 		t.Fatalf("statsz = %d", code)
 	}
 	if stats["walEnabled"] != true {
@@ -428,11 +391,12 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 	if got := int(stats["recoveredEvents"].(float64)); got != half {
 		t.Errorf("recoveredEvents = %d, want %d", got, half)
 	}
-	if res := p2.postBody(t, secondHalf); int(res["accepted"].(float64)) != len(lines)-half {
+	if res := post(t, p2, "/v1/events", http.StatusOK, secondHalf); int(res["accepted"].(float64)) != len(lines)-half {
 		t.Fatalf("second-half ingest %v", res)
 	}
-	p2.waitDrained(t)
-	got := p2.actionSet(t)
+	check(t, chaos.WaitDrained(p2))
+	got, err := chaos.ActionSet(p2)
+	check(t, err)
 	for k := range want {
 		if !got[k] {
 			t.Errorf("recovered daemon missing action %s", k)
@@ -443,33 +407,34 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 			t.Errorf("recovered daemon invented action %s", k)
 		}
 	}
-	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.cmd.Wait(); err != nil {
-		t.Fatalf("recovered daemon exit: %v\noutput:\n%s", err, p2.out)
-	}
+	stop(t, p2)
 }
 
-// TestCLIServeFlagErrors covers startup validation.
+// TestCLIServeFlagErrors covers startup validation: each bad command line
+// fails Start within seconds, for its own reason.
 func TestCLIServeFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bin := buildAll(t)
-	for _, args := range [][]string{
-		{},                                 // neither -models nor -selftrain
-		{"-models", "/nonexistent"},        // missing model file
-		{"-selftrain", "-models", "x"},     // mutually exclusive
-		{"-selftrain", "-policy", "bogus"}, // unknown ingest policy
-		{"-selftrain", "-snapshot-interval", "5s"},             // snapshots need a WAL dir
-		{"-selftrain", "-wal-dir", "x", "-fsync", "sometimes"}, // unknown fsync policy
-		{"-selftrain", "-log-format", "xml"},                   // unknown log format
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "need -models <path> or -selftrain"},
+		{[]string{"-models", "/nonexistent"}, "open /nonexistent"},
+		{[]string{"-selftrain", "-models", "x"}, "mutually exclusive"},
+		{[]string{"-selftrain", "-policy", "bogus"}, `unknown ingest policy "bogus"`},
+		{[]string{"-selftrain", "-snapshot-interval", "5s"}, "-snapshot-interval requires -wal-dir"},
+		{[]string{"-selftrain", "-wal-dir", "x", "-fsync", "sometimes"}, `unknown sync policy "sometimes"`},
+		{[]string{"-selftrain", "-log-format", "xml"}, `unknown log format "xml"`},
 	} {
-		cmd := exec.Command(filepath.Join(bin, "cordial-serve"), args...)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Errorf("cordial-serve %v succeeded: %s", args, out)
+		d := &chaos.Daemon{Name: "cordial-serve", Path: filepath.Join(bin, "cordial-serve"), Args: tc.args}
+		t.Cleanup(d.Kill)
+		began := time.Now()
+		err := d.Start()
+		if took := time.Since(began); err == nil || !strings.Contains(err.Error(), tc.want) || took > 10*time.Second {
+			t.Errorf("cordial-serve %v: Start = %v after %v; want %q within 10 s", tc.args, err, took, tc.want)
 		}
 	}
 }
