@@ -274,7 +274,7 @@ func run() error {
 		snapStop, snapDone = make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(snapDone)
-			tick := time.NewTicker(*snapEvery)
+			tick := engine.Config().Clock.NewTicker(*snapEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -289,6 +289,10 @@ func run() error {
 		}()
 	}
 
+	// Signals are caught from before the listener opens: a SIGTERM sent as
+	// soon as the daemon answers must drain it, not kill it.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP, syscall.SIGUSR2)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -381,8 +385,6 @@ func run() error {
 		}
 	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP, syscall.SIGUSR2)
 	faultsArmed := false
 serve:
 	for {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -408,6 +409,58 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 		}
 	}
 	stop(t, p2)
+}
+
+// TestCLIServePeriodicSnapshot: -snapshot-interval checkpoints a running
+// daemon, so one SIGKILLed after an ingest boots back from a snapshot, not
+// from the journal alone.
+func TestCLIServePeriodicSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries and trains models")
+	}
+	bin := buildAll(t)
+	work := t.TempDir()
+	logPath := filepath.Join(work, "fleet.jsonl")
+	run(t, bin, "cordial-gen", "-seed", "22", "-uer-banks", "10",
+		"-benign-banks", "10", "-log", logPath, "-format", "jsonl", "-truth", "")
+	logBytes, err := os.ReadFile(logPath)
+	check(t, err)
+	args := []string{"-train-banks", "30", "-trees", "8", "-wal-dir", filepath.Join(work, "wal"),
+		"-fsync", "never", "-snapshot-interval", "200ms"}
+
+	d := startServe(t, bin, args...)
+	post(t, d, "/v1/events", http.StatusOK, logBytes)
+	check(t, chaos.WaitDrained(d))
+	// Of the snapshots completed from here on, the second began after the drain.
+	base := snapshotCount(t, d)
+	check(t, chaos.PollUntil("two periodic snapshots", 10*time.Second, func() bool {
+		return snapshotCount(t, d) >= base+2
+	}))
+	d.Kill()
+
+	d = startServe(t, bin, args...)
+	var stats struct {
+		RecoveredSessions int `json:"recoveredSessions"`
+	}
+	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK || stats.RecoveredSessions == 0 {
+		t.Fatalf("statsz = %d, recoveredSessions %d after a restart; want sessions from the periodic snapshot\noutput:\n%s",
+			code, stats.RecoveredSessions, d.Output())
+	}
+	stop(t, d)
+}
+
+// snapshotCount reads cordial_snapshot_seconds_count off /metrics.
+func snapshotCount(t *testing.T, d *chaos.Daemon) int {
+	t.Helper()
+	for _, line := range strings.Split(metrics(t, d), "\n") {
+		if v, ok := strings.CutPrefix(line, "cordial_snapshot_seconds_count "); ok {
+			n, err := strconv.Atoi(v)
+			check(t, err)
+			return n
+		}
+	}
+	t.Fatal("no cordial_snapshot_seconds_count on /metrics")
+	return 0
 }
 
 // TestCLIServeFlagErrors covers startup validation: each bad command line

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"cordial/internal/obs"
 	"cordial/internal/wal"
 )
 
@@ -176,4 +177,17 @@ func jitteredBackoff(attempt int, base, max time.Duration) time.Duration {
 	}
 	half := d / 2
 	return half + time.Duration(rand.Int64N(int64(d-half)+1))
+}
+
+// backoff waits out one jittered retry delay on clock. It returns false at
+// once if done closes first (a nil done never does).
+func backoff(clock obs.Clock, done <-chan struct{}, attempt int, base, max time.Duration) bool {
+	t := clock.NewTimer(jitteredBackoff(attempt, base, max))
+	defer t.Stop()
+	select {
+	case <-done:
+		return false
+	case <-t.C:
+		return true
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +20,7 @@ import (
 	"cordial/internal/ecc"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
+	"cordial/internal/obs"
 	"cordial/internal/stream"
 	"cordial/internal/wal"
 )
@@ -97,11 +97,12 @@ type testNode struct {
 
 func startNode(t *testing.T, cpURL, id string) *testNode {
 	t.Helper()
-	return startNodeWith(t, cpURL, id, stream.ServerConfig{})
+	return startNodeWith(t, cpURL, id, stream.ServerConfig{}, nil)
 }
 
-// startNodeWith is startNode with the node's HTTP front-end configured.
-func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig) *testNode {
+// startNodeWith is startNode with the node's HTTP front-end configured and
+// its engine, and so its agent, on clock (nil: the system clock).
+func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig, clock obs.Clock) *testNode {
 	t.Helper()
 	dir := t.TempDir()
 	engine, err := stream.New(stream.Config{
@@ -109,6 +110,7 @@ func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig) *
 		Shards:     2,
 		Durability: stream.DurabilityConfig{Dir: dir, Sync: wal.SyncNever},
 		Logger:     quiet,
+		Clock:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,6 @@ func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig) *
 	agent := NewAgent(AgentConfig{
 		ControlPlane: cpURL,
 		Self:         Member{ID: id, Addr: hs.Listener.Addr().String(), WALDir: dir},
-		Heartbeat:    50 * time.Millisecond,
 		DrainTimeout: 5 * time.Second,
 		Logger:       quiet,
 	}, engine, api)
@@ -371,13 +372,7 @@ func TestRouterRoutesAndRetriesStaleRing(t *testing.T) {
 // the control plane rebuilds its sessions from its journal (no snapshot
 // ever written) and the survivor adopts them with full history.
 func TestTakeoverDeadNode(t *testing.T) {
-	clock := &fakeClock{t: time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)}
-	cp, cpSrv := startCP(t, CPConfig{HeartbeatTTL: time.Hour, Clock: clock.Now})
-	n1 := startNode(t, cpSrv.URL, "n1")
-	n2 := startNode(t, cpSrv.URL, "n2")
-	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
-	})
+	cp, _, n1, n2, clock := startLeasedPair(t)
 
 	// Ingest each bank directly at its owner.
 	ring, err := BuildRing(cp.Descriptor())
@@ -413,15 +408,7 @@ func TestTakeoverDeadNode(t *testing.T) {
 	n2.stop()
 	n2.http.Close()
 
-	// Expire n2's lease but keep n1's fresh: advance the clock, then wait
-	// for one n1 heartbeat stamped with the advanced time.
-	expired := clock.Advance(2 * time.Hour)
-	waitFor(t, "n1 heartbeat after clock jump", func() bool {
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		m := cp.members["n1"]
-		return m != nil && !m.lastSeen.Before(expired)
-	})
+	expireLease(t, cp, clock)
 	cp.Sweep()
 
 	if got := cp.Descriptor(); len(got.Members) != 1 || got.Members[0].ID != "n1" {
@@ -445,23 +432,34 @@ func TestTakeoverDeadNode(t *testing.T) {
 	}
 }
 
-// fakeClock is an injectable time source for lease tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+// startLeasedPair starts a control plane with an hour's lease and nodes n1
+// and n2, all three on one fake clock, and waits until both nodes are in the
+// ring and heartbeating.
+func startLeasedPair(t *testing.T) (*ControlPlane, *httptest.Server, *testNode, *testNode, *obs.FakeClock) {
+	t.Helper()
+	clock := obs.NewFakeClock(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC))
+	cp, cpSrv := startCP(t, CPConfig{HeartbeatTTL: time.Hour, Clock: clock})
+	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{}, clock)
+	n2 := startNodeWith(t, cpSrv.URL, "n2", stream.ServerConfig{}, clock)
+	waitFor(t, "two nodes", func() bool {
+		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
+	})
+	clock.BlockUntil(2) // both heartbeat tickers: nothing else is armed once the join is done
+	return cp, cpSrv, n1, n2, clock
 }
 
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-	return c.t
+// expireLease moves the clock two leases on, which fires n1's
+// heartbeat; it returns once the control plane has stamped n1 at the new time,
+// so a sweep now finds n2, and only n2, expired.
+func expireLease(t *testing.T, cp *ControlPlane, clock *obs.FakeClock) {
+	t.Helper()
+	clock.Advance(2 * time.Hour)
+	waitFor(t, "n1 heartbeat after the clock jump", func() bool {
+		cp.mu.Lock()
+		defer cp.mu.Unlock()
+		m := cp.members["n1"]
+		return m != nil && m.lastSeen.Equal(clock.Now())
+	})
 }
 
 // TestRouterCodecMatrix: either client codec delivers the same batch — the
@@ -475,6 +473,20 @@ func TestRouterCodecMatrix(t *testing.T) {
 	waitFor(t, "two nodes", func() bool {
 		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
 	})
+	// One router serves both codecs: a server that answered 413 before the
+	// body's end lingers on that connection before closing it, so each
+	// router server costs its Close that linger once.
+	rt := NewRouter(RouterConfig{
+		ControlPlane: cpSrv.URL,
+		MaxBodyBytes: 4096,
+		Backoff:      10 * time.Millisecond,
+		Logger:       quiet,
+	})
+	if err := rt.refreshRing(); err != nil {
+		t.Fatal(err)
+	}
+	rtSrv := httptest.NewServer(rt)
+	defer rtSrv.Close()
 
 	for _, tc := range []struct {
 		name string
@@ -484,18 +496,6 @@ func TestRouterCodecMatrix(t *testing.T) {
 		{"binary-in binary-up", postEventsBin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := NewRouter(RouterConfig{
-				ControlPlane: cpSrv.URL,
-				MaxBodyBytes: 4096,
-				Backoff:      10 * time.Millisecond,
-				Logger:       quiet,
-			})
-			if err := rt.refreshRing(); err != nil {
-				t.Fatal(err)
-			}
-			rtSrv := httptest.NewServer(rt)
-			defer rtSrv.Close()
-
 			var batch []mcelog.Event
 			for b := 0; b < 8; b++ {
 				batch = append(batch, clusterUER(clusterBank(b), 1, b))

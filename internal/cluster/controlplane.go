@@ -28,8 +28,9 @@ type CPConfig struct {
 	// Client is the HTTP client for node calls. Handoffs move real state,
 	// so the default timeout is generous (60s).
 	Client *http.Client
-	// Clock is the time source (tests inject a fake). Default time.Now.
-	Clock func() time.Time
+	// Clock stamps heartbeats and drives the sweep. Default
+	// obs.SystemClock.
+	Clock obs.Clock
 }
 
 func (c CPConfig) withDefaults() CPConfig {
@@ -49,7 +50,7 @@ func (c CPConfig) withDefaults() CPConfig {
 		c.Client = &http.Client{Timeout: 60 * time.Second}
 	}
 	if c.Clock == nil {
-		c.Clock = time.Now
+		c.Clock = obs.SystemClock{}
 	}
 	return c
 }
@@ -135,7 +136,7 @@ func (cp *ControlPlane) Handler() http.Handler { return cp.mux }
 
 // Run drives the failure detector until ctx ends.
 func (cp *ControlPlane) Run(ctx interface{ Done() <-chan struct{} }) {
-	tick := time.NewTicker(cp.cfg.SweepInterval)
+	tick := cp.cfg.Clock.NewTicker(cp.cfg.SweepInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -185,7 +186,7 @@ func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 	cp.mu.Lock()
 	if old, ok := cp.members[m.ID]; ok {
 		old.Member = m
-		old.lastSeen = cp.cfg.Clock()
+		old.lastSeen = cp.cfg.Clock.Now()
 		desc := cp.descriptorLocked()
 		cp.mu.Unlock()
 		writeJSON(w, http.StatusOK, desc)
@@ -206,7 +207,7 @@ func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 	cp.mu.Lock()
 	cp.epoch = next.Epoch
-	cp.members[m.ID] = &memberState{Member: m, lastSeen: cp.cfg.Clock()}
+	cp.members[m.ID] = &memberState{Member: m, lastSeen: cp.cfg.Clock.Now()}
 	cp.mu.Unlock()
 	cp.cfg.Logger.Info("node joined", "id", m.ID, "addr", m.Addr, "epoch", next.Epoch)
 	if len(sources) > 0 {
@@ -319,7 +320,7 @@ func (cp *ControlPlane) handleHeartbeat(w http.ResponseWriter, r *http.Request) 
 	cp.mu.Lock()
 	m, ok := cp.members[req.ID]
 	if ok {
-		m.lastSeen = cp.cfg.Clock()
+		m.lastSeen = cp.cfg.Clock.Now()
 	}
 	epoch := cp.epoch
 	cp.mu.Unlock()
@@ -369,7 +370,7 @@ func (cp *ControlPlane) handleStats(w http.ResponseWriter, r *http.Request) {
 // expired is declared dead and taken over. Exported for tests; Run
 // calls it periodically.
 func (cp *ControlPlane) Sweep() {
-	now := cp.cfg.Clock()
+	now := cp.cfg.Clock.Now()
 	cp.mu.Lock()
 	var dead []Member
 	for _, m := range cp.members {
@@ -396,7 +397,7 @@ func (cp *ControlPlane) takeover(dead Member) {
 	defer cp.topo.Unlock()
 	cp.mu.Lock()
 	cur, ok := cp.members[dead.ID]
-	if !ok || cp.cfg.Clock().Sub(cur.lastSeen) <= cp.cfg.HeartbeatTTL {
+	if !ok || cp.cfg.Clock.Now().Sub(cur.lastSeen) <= cp.cfg.HeartbeatTTL {
 		cp.mu.Unlock() // re-registered or heartbeat landed while we waited
 		return
 	}

@@ -44,7 +44,7 @@ type doorError struct {
 func TestIngestDoorMatrix(t *testing.T) {
 	const maxBody = 4096
 	cp, cpSrv := startCP(t, CPConfig{})
-	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{MaxBodyBytes: maxBody})
+	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{MaxBodyBytes: maxBody}, nil)
 	waitFor(t, "n1 registration", func() bool { return n1.agent.Epoch() == 1 && cp.Descriptor().Epoch == 1 })
 	rt := NewRouter(RouterConfig{ControlPlane: cpSrv.URL, MaxBodyBytes: maxBody, Backoff: 10 * time.Millisecond, Logger: quiet})
 	if err := rt.refreshRing(); err != nil {

@@ -235,19 +235,18 @@ func (a *Agent) handleDrop(w http.ResponseWriter, r *http.Request) {
 // — the agent re-registers. A heartbeat reporting a newer epoch makes
 // the agent fetch and adopt the current ring.
 func (a *Agent) Run(ctx context.Context) error {
+	clock := a.engine.Config().Clock
 	for attempt := 0; ; attempt++ {
 		if err := a.register(); err == nil {
 			break
 		} else {
 			a.cfg.Logger.Warn("cluster register failed; retrying", "err", err)
 		}
-		select {
-		case <-ctx.Done():
+		if !backoff(clock, ctx.Done(), attempt, 200*time.Millisecond, 5*time.Second) {
 			return ctx.Err()
-		case <-time.After(jitteredBackoff(attempt, 200*time.Millisecond, 5*time.Second)):
 		}
 	}
-	tick := time.NewTicker(a.cfg.Heartbeat)
+	tick := clock.NewTicker(a.cfg.Heartbeat)
 	defer tick.Stop()
 	for {
 		select {

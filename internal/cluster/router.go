@@ -136,14 +136,12 @@ func (rt *Router) Run(ctx context.Context) error {
 	for attempt := 0; rt.currentRing() == nil; attempt++ {
 		if err := rt.refreshRing(); err != nil {
 			rt.cfg.Logger.Warn("ring fetch failed; retrying", "err", err)
-			select {
-			case <-ctx.Done():
+			if !backoff(obs.SystemClock{}, ctx.Done(), attempt, 200*time.Millisecond, 5*time.Second) {
 				return ctx.Err()
-			case <-time.After(jitteredBackoff(attempt, 200*time.Millisecond, 5*time.Second)):
 			}
 		}
 	}
-	tick := time.NewTicker(rt.cfg.RefreshInterval)
+	tick := obs.SystemClock{}.NewTicker(rt.cfg.RefreshInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -244,7 +242,7 @@ func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
 	for attempt := 0; len(lines) > 0 && attempt < rt.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rt.retries.Inc()
-			time.Sleep(jitteredBackoff(attempt-1, rt.cfg.Backoff, backoffCap))
+			backoff(obs.SystemClock{}, nil, attempt-1, rt.cfg.Backoff, backoffCap)
 		}
 		ring := rt.currentRing()
 		groups := make(map[string][]routedLine)

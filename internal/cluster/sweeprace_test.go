@@ -19,13 +19,7 @@ import (
 // ingest for a moved bank (the double-ownership failure this guards
 // against).
 func TestSweepRacesConcurrentJoin(t *testing.T) {
-	clock := &fakeClock{t: time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)}
-	cp, cpSrv := startCP(t, CPConfig{HeartbeatTTL: time.Hour, Clock: clock.Now})
-	n1 := startNode(t, cpSrv.URL, "n1")
-	n2 := startNode(t, cpSrv.URL, "n2")
-	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
-	})
+	cp, cpSrv, n1, n2, clock := startLeasedPair(t)
 
 	// Load both nodes so the takeover and the join both move real state.
 	ring, err := BuildRing(cp.Descriptor())
@@ -60,17 +54,12 @@ func TestSweepRacesConcurrentJoin(t *testing.T) {
 	// Kill n2 and expire its lease while n1 stays fresh.
 	n2.stop()
 	n2.http.Close()
-	expired := clock.Advance(2 * time.Hour)
-	waitFor(t, "n1 heartbeat after clock jump", func() bool {
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		m := cp.members["n1"]
-		return m != nil && !m.lastSeen.Before(expired)
-	})
+	expireLease(t, cp, clock)
 
 	// Fire the sweep and the join together. startNode's agent registers
 	// from its own goroutine, so both mutations hit the topo lock
-	// concurrently; epoch ordering decides who goes first.
+	// concurrently; epoch ordering decides who goes first. n3 is on the
+	// system clock: a join that loses the race backs off for real, ≤ 200 ms.
 	sweepDone := make(chan struct{})
 	go func() {
 		defer close(sweepDone)

@@ -68,8 +68,6 @@ type Config struct {
 
 	Metrics *obs.Registry
 	Logger  *slog.Logger
-	// Now overrides the clock (tests).
-	Now func() time.Time
 }
 
 // Status is a point-in-time picture of the lifecycle loop, reported by
@@ -143,9 +141,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	m := &Manager{cfg: cfg, lastDriftP: 1}
 	if reg := cfg.Metrics; reg != nil {
 		m.driftScore = reg.Gauge("cordial_drift_score",
@@ -165,7 +160,7 @@ func New(cfg Config) (*Manager, error) {
 
 // Run drives the loop until ctx is cancelled.
 func (m *Manager) Run(ctx context.Context) {
-	tick := time.NewTicker(m.cfg.Interval)
+	tick := m.cfg.Engine.Config().Clock.NewTicker(m.cfg.Interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -205,7 +200,7 @@ func (m *Manager) driftCheck() (float64, bool) {
 		return 1, false
 	}
 	m.mu.Lock()
-	inCooldown := !m.lastDone.IsZero() && m.cfg.Now().Sub(m.lastDone) < 4*m.cfg.Interval
+	inCooldown := !m.lastDone.IsZero() && m.cfg.Engine.Config().Clock.Now().Sub(m.lastDone) < 4*m.cfg.Interval
 	m.mu.Unlock()
 	recent, n := m.cfg.Engine.RecentClassMix(m.cfg.DriftSample)
 	if n < m.cfg.DriftSample {
@@ -261,7 +256,7 @@ func (m *Manager) Retrain(trigger string) error {
 	}
 	m.mu.Unlock()
 
-	t0 := time.Now()
+	t0 := m.cfg.Engine.Config().Clock.Now()
 	banks, err := m.labelledBanks()
 	if err != nil {
 		return err
@@ -278,7 +273,7 @@ func (m *Manager) Retrain(trigger string) error {
 		return fmt.Errorf("lifecycle: fitting candidate: %w", err)
 	}
 	if meta := pipe.Meta(); meta != nil {
-		meta.TrainedAt = m.cfg.Now().UTC()
+		meta.TrainedAt = m.cfg.Engine.Config().Clock.Now().UTC()
 		meta.Geometry = m.cfg.Geometry
 	}
 	meta, err := m.cfg.Registry.Install(pipe, trigger)
@@ -289,21 +284,21 @@ func (m *Manager) Retrain(trigger string) error {
 		m.retrainCt.Inc()
 	}
 	if m.trainDur != nil {
-		m.trainDur.Observe(time.Since(t0).Seconds())
+		m.trainDur.Observe(m.cfg.Engine.Config().Clock.Now().Sub(t0).Seconds())
 	}
 	if err := m.cfg.Engine.StartShadow(meta.Version); err != nil {
 		return fmt.Errorf("lifecycle: starting shadow for version %d: %w", meta.Version, err)
 	}
 	m.mu.Lock()
 	m.candidate = meta.Version
-	m.shadowFrom = m.cfg.Now()
+	m.shadowFrom = m.cfg.Engine.Config().Clock.Now()
 	m.lastDrift = m.shadowFrom
 	m.retrains++
 	m.lastErr = ""
 	m.mu.Unlock()
 	m.cfg.Logger.Info("candidate installed, shadow evaluation started",
 		"version", meta.Version, "trigger", trigger, "banks", len(banks),
-		"trainSeconds", time.Since(t0).Seconds())
+		"trainSeconds", m.cfg.Engine.Config().Clock.Now().Sub(t0).Seconds())
 	return nil
 }
 
@@ -347,12 +342,12 @@ func (m *Manager) judge(candidate uint64) {
 		m.mu.Lock()
 		if m.candidate == candidate {
 			m.candidate = 0
-			m.lastDone = m.cfg.Now()
+			m.lastDone = m.cfg.Engine.Config().Clock.Now()
 		}
 		m.mu.Unlock()
 		return
 	}
-	elapsed := m.cfg.Now().Sub(m.shadowStart())
+	elapsed := m.cfg.Engine.Config().Clock.Now().Sub(m.shadowStart())
 	if ss.Events < m.cfg.ShadowMinEvents {
 		if elapsed < m.shadowTimeout() {
 			return // keep scoring
@@ -415,7 +410,7 @@ func (m *Manager) Promote(version uint64) error {
 	if m.candidate == candidate {
 		m.candidate = 0
 	}
-	m.lastDone = m.cfg.Now()
+	m.lastDone = m.cfg.Engine.Config().Clock.Now()
 	m.promotions++
 	m.lastErr = ""
 	m.mu.Unlock()
@@ -463,7 +458,7 @@ func (m *Manager) Rollback() error {
 	}
 	m.mu.Lock()
 	m.rollbacks++
-	m.lastDone = m.cfg.Now()
+	m.lastDone = m.cfg.Engine.Config().Clock.Now()
 	m.lastErr = ""
 	m.mu.Unlock()
 	if m.rollbackCt != nil {
@@ -482,7 +477,7 @@ func (m *Manager) concludeRollback(candidate uint64, reason string) {
 	if m.candidate == candidate {
 		m.candidate = 0
 	}
-	m.lastDone = m.cfg.Now()
+	m.lastDone = m.cfg.Engine.Config().Clock.Now()
 	m.rollbacks++
 	m.mu.Unlock()
 	if m.rollbackCt != nil {

@@ -62,8 +62,9 @@ func driftedFleet(t *testing.T, seed uint64, uerBanks int) *trace.Fleet {
 }
 
 // harness builds the full loop: registry with the seed model active, a
-// durable engine bound to it, and a manager with test-sized thresholds.
-func harness(t *testing.T) (*stream.Engine, *registry.Registry, *Manager, *obs.Registry) {
+// durable engine bound to it on a fake clock, and a manager with test-sized
+// thresholds.
+func harness(t *testing.T) (*stream.Engine, *registry.Registry, *Manager, *obs.FakeClock) {
 	t.Helper()
 	pipe, err := seedPipeline()
 	if err != nil {
@@ -80,15 +81,16 @@ func harness(t *testing.T) (*stream.Engine, *registry.Registry, *Manager, *obs.R
 	if err := reg.Activate(meta.Version); err != nil {
 		t.Fatal(err)
 	}
+	clock := obs.NewFakeClock(time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC))
 	engine, err := stream.New(stream.Config{
 		Models:     reg,
 		Shards:     4,
 		Durability: stream.DurabilityConfig{Dir: t.TempDir(), Sync: wal.SyncNever},
+		Clock:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics := engine.Metrics()
 	t.Cleanup(func() { engine.Close() })
 	go func() {
 		for range engine.Actions() {
@@ -108,12 +110,12 @@ func harness(t *testing.T) (*stream.Engine, *registry.Registry, *Manager, *obs.R
 		MinBanks:        10,
 		ShadowMinEvents: 50,
 		ICRMargin:       1, // promotion gated on mechanics, not model luck
-		Metrics:         metrics,
+		Metrics:         engine.Metrics(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine, reg, mgr, metrics
+	return engine, reg, mgr, clock
 }
 
 func ingest(t *testing.T, engine *stream.Engine, fleet *trace.Fleet) {
@@ -241,7 +243,7 @@ func TestShadowRollbackOnTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipelines")
 	}
-	engine, reg, mgr, _ := harness(t)
+	engine, reg, mgr, clock := harness(t)
 	ingest(t, engine, driftedFleet(t, 41, 40))
 
 	if err := mgr.Retrain("test"); err != nil {
@@ -251,10 +253,14 @@ func TestShadowRollbackOnTimeout(t *testing.T) {
 		t.Fatalf("state %q, want shadowing", st.State)
 	}
 
-	// No further traffic; simulate the timeout by aging the shadow start.
-	mgr.mu.Lock()
-	mgr.shadowFrom = mgr.shadowFrom.Add(-mgr.shadowTimeout() - time.Second)
-	mgr.mu.Unlock()
+	// No further traffic: one tick short of the timeout (20 Intervals) the
+	// candidate is still scoring, and at the timeout it is rolled back.
+	clock.Advance(20*time.Minute - time.Second)
+	mgr.Tick()
+	if st := mgr.Status(); st.State != "shadowing" {
+		t.Fatalf("state %q before the shadow timeout, want shadowing", st.State)
+	}
+	clock.Advance(time.Second)
 	mgr.Tick()
 
 	st := mgr.Status()
@@ -299,5 +305,35 @@ func TestDriftQuietWithoutShift(t *testing.T) {
 	if st.State != "idle" || st.Retrains != 0 {
 		t.Fatalf("state %q retrains %d after in-regime traffic, want idle/0 (p=%g)",
 			st.State, st.Retrains, st.LastDriftP)
+	}
+}
+
+// TestDriftRetrainCooldown: a drift retrain waits 4 Intervals after the
+// previous retrain concluded, here by a rollback, so a drifted mix still in
+// the ring does not refit 3 Intervals on and does at 4.
+func TestDriftRetrainCooldown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains pipelines")
+	}
+	engine, _, mgr, clock := harness(t)
+	ingest(t, engine, driftedFleet(t, 42, 40))
+	if err := mgr.Retrain("test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	clock.Advance(3 * time.Minute)
+	mgr.Tick()
+	if st := mgr.Status(); st.State != "idle" || st.Retrains != 1 || st.LastDriftP >= 0.01 {
+		t.Fatalf("3 Intervals after the rollback: state %q retrains %d drift p %g, want idle/1 under a drifted mix",
+			st.State, st.Retrains, st.LastDriftP)
+	}
+	clock.Advance(time.Minute)
+	mgr.Tick()
+	if st := mgr.Status(); st.State != "shadowing" || st.Retrains != 2 {
+		t.Fatalf("4 Intervals after the rollback: state %q retrains %d (lastErr %q), want shadowing/2",
+			st.State, st.Retrains, st.LastError)
 	}
 }

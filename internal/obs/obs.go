@@ -22,6 +22,8 @@
 // with the same type returns the existing family, and the same label set
 // returns the existing instrument, so independent components may share a
 // series without coordination.
+//
+// The package also holds the serving path's one time source, Clock (clock.go).
 package obs
 
 import (

@@ -7,10 +7,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"cordial/internal/core"
 	"cordial/internal/hbm"
+	"cordial/internal/obs"
 	"cordial/internal/wal"
 )
 
@@ -24,8 +24,8 @@ type Options struct {
 	// Keep bounds Prune's retention (newest Keep versions plus the active
 	// one). Zero means DefaultKeep.
 	Keep int
-	// Now overrides the clock for CreatedAt stamps (tests). Nil = time.Now.
-	Now func() time.Time
+	// Clock stamps CreatedAt. Nil means obs.SystemClock.
+	Clock obs.Clock
 }
 
 // DefaultKeep is the prune retention when Options.Keep is zero.
@@ -43,11 +43,11 @@ type entry struct {
 // ModelSource shape: ActiveModel is the swap point new sessions bind,
 // ModelByVersion resolves the pinned version of recovered sessions.
 type Registry struct {
-	dir  string
-	fs   wal.FS
-	geo  hbm.Geometry
-	keep int
-	now  func() time.Time
+	dir   string
+	fs    wal.FS
+	geo   hbm.Geometry
+	keep  int
+	clock obs.Clock
 
 	mu      sync.Mutex
 	entries map[uint64]*entry
@@ -69,15 +69,15 @@ func Open(opts Options) (*Registry, error) {
 		fs:      wal.OSFS,
 		geo:     opts.Geometry,
 		keep:    opts.Keep,
-		now:     opts.Now,
+		clock:   opts.Clock,
 		entries: make(map[uint64]*entry),
 		next:    1,
 	}
 	if r.keep <= 0 {
 		r.keep = DefaultKeep
 	}
-	if r.now == nil {
-		r.now = time.Now
+	if r.clock == nil {
+		r.clock = obs.SystemClock{}
 	}
 	if r.dir == "" {
 		return r, nil
@@ -131,7 +131,7 @@ func (r *Registry) Install(pipe *core.Pipeline, trigger string) (Meta, error) {
 	defer r.mu.Unlock()
 	meta := Meta{
 		Version:   r.next,
-		CreatedAt: r.now().UTC(),
+		CreatedAt: r.clock.Now().UTC(),
 		Trigger:   trigger,
 		Model:     pipe.Meta(),
 	}

@@ -11,6 +11,7 @@ import (
 
 	"cordial/internal/core"
 	"cordial/internal/hbm"
+	"cordial/internal/obs"
 	"cordial/internal/trace"
 	"cordial/internal/wal"
 )
@@ -59,7 +60,7 @@ func openTestRegistry(t *testing.T, dir string) *Registry {
 	r, err := Open(Options{
 		Dir:      dir,
 		Geometry: hbm.DefaultGeometry,
-		Now:      func() time.Time { return time.Unix(1700000000, 0) },
+		Clock:    obs.NewFakeClock(time.Unix(1700000000, 0)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"cordial/internal/obs"
 )
 
 // Dead-letter rotation. The quarantine file preserves evidence, but a
@@ -32,9 +34,6 @@ type DeadLetterRotation struct {
 	// MaxAge additionally drops rotated files whose rotation stamp is
 	// older than this. Zero means no age pruning.
 	MaxAge time.Duration
-	// Clock overrides time.Now for rotation stamps and age pruning
-	// (tests).
-	Clock func() time.Time
 }
 
 // Defaults: 64 MiB × (1 active + 4 rotated) caps the trail at 320 MiB.
@@ -50,9 +49,6 @@ func (r DeadLetterRotation) withDefaults() DeadLetterRotation {
 	if r.MaxFiles == 0 {
 		r.MaxFiles = DefaultDeadLetterMaxFiles
 	}
-	if r.Clock == nil {
-		r.Clock = time.Now
-	}
 	return r
 }
 
@@ -61,16 +57,20 @@ func (r DeadLetterRotation) withDefaults() DeadLetterRotation {
 // processing), but size accounting stays exact so the cap holds even
 // under partial writes.
 type deadLetterLog struct {
-	mu   sync.Mutex
-	path string
-	rot  DeadLetterRotation
-	f    *os.File
-	size int64
+	mu    sync.Mutex
+	path  string
+	rot   DeadLetterRotation
+	clock obs.Clock // rotation stamps and age pruning
+	f     *os.File
+	size  int64
+	// newest is the highest rotation stamp prune has seen. The next rotation
+	// stamps above it even if the clock stands still or steps back.
+	newest int64
 }
 
 // openDeadLetterLog opens (appending) the active dead-letter file and
 // prunes any rotated files left over from earlier runs.
-func openDeadLetterLog(path string, rot DeadLetterRotation) (*deadLetterLog, error) {
+func openDeadLetterLog(path string, rot DeadLetterRotation, clock obs.Clock) (*deadLetterLog, error) {
 	rot = rot.withDefaults()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -80,7 +80,7 @@ func openDeadLetterLog(path string, rot DeadLetterRotation) (*deadLetterLog, err
 	if st, err := f.Stat(); err == nil {
 		size = st.Size()
 	}
-	l := &deadLetterLog{path: path, rot: rot, f: f, size: size}
+	l := &deadLetterLog{path: path, rot: rot, clock: clock, f: f, size: size}
 	l.prune()
 	return l, nil
 }
@@ -104,7 +104,7 @@ func (l *deadLetterLog) write(line []byte) {
 // fresh one. A rename or reopen failure falls back to truncating in
 // place — the cap must hold even when the rename path is broken.
 func (l *deadLetterLog) rotateLocked() {
-	stamp := l.rot.Clock().UnixNano()
+	stamp := max(l.clock.Now().UnixNano(), l.newest+1)
 	l.f.Close()
 	rotated := fmt.Sprintf("%s.%d", l.path, stamp)
 	renameErr := os.Rename(l.path, rotated)
@@ -124,7 +124,8 @@ func (l *deadLetterLog) rotateLocked() {
 }
 
 // prune removes rotated files beyond MaxFiles (oldest first) and, when
-// MaxAge is set, rotated files stamped older than now-MaxAge.
+// MaxAge is set, rotated files stamped older than now-MaxAge. It records the
+// newest stamp it saw.
 func (l *deadLetterLog) prune() {
 	matches, err := filepath.Glob(l.path + ".*")
 	if err != nil {
@@ -142,6 +143,7 @@ func (l *deadLetterLog) prune() {
 			continue // not one of ours
 		}
 		files = append(files, rotated{path: m, stamp: stamp})
+		l.newest = max(l.newest, stamp)
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].stamp < files[j].stamp })
 	keep := l.rot.MaxFiles
@@ -150,7 +152,7 @@ func (l *deadLetterLog) prune() {
 	}
 	cutoff := int64(-1)
 	if l.rot.MaxAge > 0 {
-		cutoff = l.rot.Clock().Add(-l.rot.MaxAge).UnixNano()
+		cutoff = l.clock.Now().Add(-l.rot.MaxAge).UnixNano()
 	}
 	for i, f := range files {
 		if len(files)-i > keep || f.stamp < cutoff {

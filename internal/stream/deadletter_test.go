@@ -1,20 +1,17 @@
 package stream
 
 import (
+	"cmp"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"cordial/internal/obs"
 )
-
-// fakeClock is a manually advanced clock for rotation stamps.
-type fakeClock struct{ now time.Time }
-
-func (c *fakeClock) Now() time.Time { return c.now }
-
-func (c *fakeClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 
 // rotatedFiles lists path.<stamp> siblings, sorted by name.
 func rotatedFiles(t *testing.T, path string) []string {
@@ -32,12 +29,11 @@ func rotatedFiles(t *testing.T, path string) []string {
 func TestDeadLetterRotatesAtSizeCap(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dead.jsonl")
-	clock := &fakeClock{now: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	clock := obs.NewFakeClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	l, err := openDeadLetterLog(path, DeadLetterRotation{
 		MaxFileBytes: 64,
 		MaxFiles:     2,
-		Clock:        clock.Now,
-	})
+	}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +42,6 @@ func TestDeadLetterRotatesAtSizeCap(t *testing.T) {
 	line := []byte(strings.Repeat("x", 30)) // 31 bytes with newline; 2 per file
 	for i := 0; i < 20; i++ {
 		l.write(line)
-		clock.advance(time.Second) // distinct rotation stamps
 	}
 
 	if st, err := os.Stat(path); err != nil || st.Size() > 64 {
@@ -75,13 +70,12 @@ func TestDeadLetterRotatesAtSizeCap(t *testing.T) {
 func TestDeadLetterAgePruning(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dead.jsonl")
-	clock := &fakeClock{now: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	clock := obs.NewFakeClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	l, err := openDeadLetterLog(path, DeadLetterRotation{
 		MaxFileBytes: 32,
 		MaxFiles:     100, // count cap out of the way
 		MaxAge:       time.Minute,
-		Clock:        clock.Now,
-	})
+	}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +88,14 @@ func TestDeadLetterAgePruning(t *testing.T) {
 		t.Fatalf("rotated files = %d, want 1", len(got))
 	}
 
-	clock.advance(2 * time.Minute)
+	clock.Advance(2 * time.Minute)
 	l.write(line) // rotates again; the t0 file is now past MaxAge
 	rot := rotatedFiles(t, path)
 	if len(rot) != 1 {
 		t.Fatalf("rotated files after age prune = %d (%v), want 1", len(rot), rot)
 	}
 	// The survivor must be the fresh one (stamped after the advance).
-	if !strings.HasSuffix(rot[0], ".jsonl."+strconv.FormatInt(clock.now.UnixNano(), 10)) {
+	if !strings.HasSuffix(rot[0], ".jsonl."+strconv.FormatInt(clock.Now().UnixNano(), 10)) {
 		t.Errorf("surviving rotated file %q is not the freshest", rot[0])
 	}
 }
@@ -122,7 +116,7 @@ func TestDeadLetterOpenPrunesLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err := openDeadLetterLog(path, DeadLetterRotation{MaxFileBytes: 1 << 20, MaxFiles: 2})
+	l, err := openDeadLetterLog(path, DeadLetterRotation{MaxFileBytes: 1 << 20, MaxFiles: 2}, obs.SystemClock{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,5 +135,55 @@ func TestDeadLetterOpenPrunesLeftovers(t *testing.T) {
 	}
 	if _, err := os.Stat(other); err != nil {
 		t.Errorf("non-numeric sibling was pruned: %v", err)
+	}
+}
+
+// TestDeadLetterRotationStampsAdvance: every rotation takes a stamp above the
+// newest rotated file's, so a clock that stands still cannot make a rotation
+// replace the file before it, and a clock that steps back cannot make prune
+// keep the older file over the newer.
+func TestDeadLetterRotationStampsAdvance(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxFiles int
+		step     time.Duration // clock move before the second rotation
+		want     []string      // the rotated files' lines, oldest file first
+	}{
+		{"clock stands still", 100, 0, []string{"a\nb\n", "c\nd\n"}},
+		{"clock steps back", 1, -time.Hour, []string{"c\nd\n"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "dead.jsonl")
+			clock := obs.NewFakeClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+			l, err := openDeadLetterLog(path, DeadLetterRotation{MaxFileBytes: 4, MaxFiles: tc.maxFiles}, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.close()
+			for _, line := range []string{"a", "b", "c"} { // "c" rotates a and b aside
+				l.write([]byte(line))
+			}
+			clock.Advance(tc.step)
+			for _, line := range []string{"d", "e"} { // "e" rotates c and d aside
+				l.write([]byte(line))
+			}
+			rot := rotatedFiles(t, path)
+			slices.SortFunc(rot, func(a, b string) int {
+				x, _ := strconv.ParseInt(a[len(path)+1:], 10, 64)
+				y, _ := strconv.ParseInt(b[len(path)+1:], 10, 64)
+				return cmp.Compare(x, y)
+			})
+			var got []string
+			for _, p := range rot {
+				b, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, string(b))
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("rotated files hold %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -554,7 +554,7 @@ func (e *Engine) Snapshot() (uint64, error) {
 	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	t0 := time.Now()
+	t0 := e.cfg.Clock.Now()
 	payload, floor, err := e.encodeSnapshot(nil)
 	if err != nil {
 		e.metrics.snapshotErrors.Inc()
@@ -583,6 +583,6 @@ func (e *Engine) Snapshot() (uint64, error) {
 		e.cfg.Logger.Warn("snapshot retention failed",
 			"stage", "prune", "keep", e.cfg.Durability.keep(), "err", perr)
 	}
-	e.metrics.snapshotDur.Observe(time.Since(t0).Seconds())
+	e.metrics.snapshotDur.Observe(e.cfg.Clock.Now().Sub(t0).Seconds())
 	return seq, nil
 }

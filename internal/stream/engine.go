@@ -99,6 +99,10 @@ type Config struct {
 	// Logger receives the engine's structured diagnostics (retention
 	// failures, quarantines). Nil means slog.Default().
 	Logger *slog.Logger
+	// Clock is the engine's time source, and through Config() that of the
+	// cluster agent and the lifecycle manager on it. Nil means
+	// obs.SystemClock.
+	Clock obs.Clock
 }
 
 // withDefaults fills zero fields.
@@ -120,6 +124,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
+	}
+	if c.Clock == nil {
+		c.Clock = obs.SystemClock{}
 	}
 	return c
 }
@@ -211,6 +218,12 @@ type Engine struct {
 
 	dead *deadLetterLog
 
+	// waiters counts the goroutines in await, which a consumer wakes on
+	// progress after each batch, taking progressMu only while one waits.
+	waiters    atomic.Int32
+	progressMu sync.Mutex
+	progress   sync.Cond
+
 	mu     sync.RWMutex // guards closed against in-flight Ingest sends
 	closed bool
 	wg     sync.WaitGroup
@@ -264,12 +277,13 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		shards: make([]*shard, cfg.Shards),
-		start:  time.Now(),
+		start:  cfg.Clock.Now(),
 		layout: newRecordLayout(hbm.ActiveProfile().Layout),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{in: newEventRing(cfg.QueueDepth), shardState: newShardState(e.layout)}
 	}
+	e.progress.L = &e.progressMu
 	e.batchPool.New = func() any { return e.newBatchScratch() }
 	e.lastAppendErr.Store("")
 	e.shadow.Store((*shadowEval)(nil))
@@ -283,7 +297,7 @@ func New(cfg Config) (*Engine, error) {
 	e.registerMetrics()
 	e.actions = newActionQueue(cfg.ActionBuffer, e.metrics.actionsEmitted, e.metrics.actionsDropped)
 	if cfg.DeadLetterPath != "" {
-		dl, err := openDeadLetterLog(cfg.DeadLetterPath, cfg.DeadLetterRotation)
+		dl, err := openDeadLetterLog(cfg.DeadLetterPath, cfg.DeadLetterRotation, cfg.Clock)
 		if err != nil {
 			return nil, err
 		}
@@ -327,10 +341,43 @@ const consumerBatch = 256
 // shard lock, binding new banks by the epoch table and feeding the running
 // shadow, each fold timed into cordial_process_seconds. After the unlock the
 // batch's dead letters are quarantined and its actions emitted, and only then
-// is it counted processed — so a Drain that returns covers both.
+// is it counted processed — so a Drain that returns covers both — and any
+// waiter woken.
 func (e *Engine) consume(s *shard, batch []queued) {
 	e.deliver(s.lockedStep(stepEnv{epochs: e.epochList(), shadow: e.loadShadow(), proc: e.metrics.processDur}, batch))
 	s.processed.Add(uint64(len(batch)))
+	if e.waiters.Load() > 0 {
+		e.progressMu.Lock()
+		e.progress.Broadcast()
+		e.progressMu.Unlock()
+	}
+}
+
+// await blocks until done reports true, evaluating it once and again after
+// each batch a shard consumer finishes, or until the budget d runs out on the
+// engine's clock (d <= 0 means no budget). It reports whether done held.
+// done is called with progressMu held.
+func (e *Engine) await(d time.Duration, done func() bool) bool {
+	e.waiters.Add(1) // before the first evaluation, so no batch slips past it unseen
+	defer e.waiters.Add(-1)
+	e.progressMu.Lock()
+	defer e.progressMu.Unlock()
+	expired := false
+	if d > 0 {
+		defer e.cfg.Clock.AfterFunc(d, func() {
+			e.progressMu.Lock()
+			expired = true
+			e.progress.Broadcast()
+			e.progressMu.Unlock()
+		}).Stop()
+	}
+	for !done() {
+		if expired {
+			return false
+		}
+		e.progress.Wait()
+	}
+	return true
 }
 
 // deliver hands out what a step produced, in the order every caller keeps:
@@ -396,21 +443,17 @@ func (e *Engine) sessionByKey(key uint64) (SessionStats, bool) {
 // means wait forever). It does not stop the engine — use it to checkpoint a
 // replay before reading stats.
 func (e *Engine) Drain(d time.Duration) error {
-	deadline := time.Now().Add(d)
-	for {
-		var processed uint64
+	var processed, ingested uint64
+	if e.await(d, func() bool {
+		processed, ingested = 0, e.metrics.ingested.Value()
 		for _, s := range e.shards {
 			processed += s.processed.Value()
 		}
-		if processed >= e.metrics.ingested.Value() {
-			return nil
-		}
-		if d > 0 && time.Now().After(deadline) {
-			return fmt.Errorf("stream: drain timed out after %v (%d of %d processed)",
-				d, processed, e.metrics.ingested.Value())
-		}
-		time.Sleep(200 * time.Microsecond)
+		return processed >= ingested
+	}) {
+		return nil
 	}
+	return fmt.Errorf("stream: drain timed out after %v (%d of %d processed)", d, processed, ingested)
 }
 
 // Close stops intake, drains every shard queue through the sessions, then

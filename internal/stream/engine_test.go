@@ -19,11 +19,9 @@ import (
 // fakeStrategy is a deterministic stand-in for the Cordial pipeline: after
 // budget distinct UER rows it bank-spares banks with an even bank index
 // and, for odd ones, isolates the anchor row and its successor at every
-// subsequent UER (re-isolating the anchor to exercise dedupe). A
-// configurable per-event delay simulates inference cost.
+// subsequent UER (re-isolating the anchor to exercise dedupe).
 type fakeStrategy struct {
 	budget int
-	delay  time.Duration
 	// poisonRow, when non-zero, makes OnEvent panic on any event at that
 	// row — the supervision tests' stand-in for a session-poisoning bug.
 	poisonRow int
@@ -83,9 +81,6 @@ func (s *fakeSession) StateFootprint() (features.StateFootprint, bool) {
 func (s *fakeSession) OnEvent(e mcelog.Event) core.Decision {
 	if s.strategy.gate != nil {
 		<-s.strategy.gate
-	}
-	if s.strategy.delay > 0 {
-		time.Sleep(s.strategy.delay)
 	}
 	if s.strategy.poisonRow != 0 && e.Addr.Row == s.strategy.poisonRow {
 		panic(fmt.Sprintf("poisoned row %d", e.Addr.Row))
@@ -291,11 +286,12 @@ func TestEngineSessionStats(t *testing.T) {
 }
 
 func TestEngineDropPolicy(t *testing.T) {
+	gate := make(chan struct{}) // the consumer stalls on its first event
 	e := newTestEngine(t, Config{
 		Shards:     1,
 		QueueDepth: 1,
 		Policy:     IngestDrop,
-		Strategy:   &fakeStrategy{budget: 3, delay: 2 * time.Millisecond},
+		Strategy:   &fakeStrategy{budget: 3, gate: gate},
 	})
 	bank := testBank(1)
 	var dropped int
@@ -310,8 +306,9 @@ func TestEngineDropPolicy(t *testing.T) {
 		}
 	}
 	if dropped == 0 {
-		t.Error("no events dropped despite full queue and slow consumer")
+		t.Error("no events dropped despite full queue and stalled consumer")
 	}
+	close(gate)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

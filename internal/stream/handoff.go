@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"time"
 
 	"cordial/internal/core"
 	"cordial/internal/wal"
@@ -253,7 +252,8 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 // there and the end, and it is complete to the end. (Recovery left every
 // shard complete to the journal it replayed.) The next snapshot's floor then
 // passes every record of a bank dropped before the call, however idle or busy
-// the other shards are.
+// the other shards are. It waits on the consumers' progress, shard by shard in
+// index order.
 func (e *Engine) settle() {
 	last := make([]uint64, len(e.shards))
 	var end uint64
@@ -265,18 +265,20 @@ func (e *Engine) settle() {
 	for _, s := range e.shards {
 		s.ingestMu.Unlock()
 	}
-	for i, s := range e.shards {
-		for {
+	i := 0
+	e.await(0, func() bool {
+		for ; i < len(e.shards); i++ {
+			s := e.shards[i]
 			s.mu.Lock()
 			done := s.appliedLSN >= last[i]
 			if done {
 				s.appliedLSN = max(s.appliedLSN, end)
 			}
 			s.mu.Unlock()
-			if done {
-				break
+			if !done {
+				return false
 			}
-			time.Sleep(200 * time.Microsecond)
 		}
-	}
+		return true
+	})
 }

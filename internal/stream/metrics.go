@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"time"
 
 	"cordial/internal/obs"
 )
@@ -97,7 +96,7 @@ func (e *Engine) registerMetrics() {
 
 	reg.GaugeFunc("cordial_uptime_seconds",
 		"Seconds since the engine started.",
-		func() float64 { return time.Since(e.start).Seconds() })
+		func() float64 { return e.cfg.Clock.Now().Sub(e.start).Seconds() })
 	for _, g := range []struct {
 		name, help string
 		of         total

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"time"
 
 	"cordial/internal/core"
 	"cordial/internal/faultsim"
@@ -216,7 +215,7 @@ func (e *Engine) SwapModel(version uint64) (uint64, error) {
 	if e.closed {
 		return 0, ErrClosed
 	}
-	t0 := time.Now()
+	t0 := e.cfg.Clock.Now()
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	for _, s := range e.shards {
@@ -244,7 +243,7 @@ func (e *Engine) SwapModel(version uint64) (uint64, error) {
 		e.seedEpochs(modelEpoch{version: version, strategy: strat})
 	}
 	e.metrics.modelSwaps.Inc()
-	e.metrics.swapPauseDur.Observe(time.Since(t0).Seconds())
+	e.metrics.swapPauseDur.Observe(e.cfg.Clock.Now().Sub(t0).Seconds())
 	e.cfg.Logger.Info("model swapped", "version", version, "lsn", since)
 	return since, nil
 }

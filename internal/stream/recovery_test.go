@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"cordial/internal/faultsim"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
+	"cordial/internal/obs"
 	"cordial/internal/rowset"
 	"cordial/internal/trace"
 	"cordial/internal/wal"
@@ -973,29 +975,59 @@ func TestDurabilityRequiresDurableStrategy(t *testing.T) {
 	}
 }
 
-// TestDrainTimeout pins Drain's deadline behaviour against a deliberately
-// slow consumer, then lets the unbounded form finish the backlog.
+// TestDrainTimeout pins Drain's budget, kept on the engine's clock, against a
+// consumer held at a gate: a Drain over unfinished work times out only once
+// the clock passes its budget, Drain(0) waits until the work is done however
+// far the clock moves, and a Drain over finished work returns with no advance.
 func TestDrainTimeout(t *testing.T) {
-	e := newTestEngine(t, Config{
-		Shards:   1,
-		Strategy: &fakeStrategy{budget: 3, delay: 10 * time.Millisecond},
-	})
+	clock := obs.NewFakeClock(time.Unix(0, 0))
+	gate := make(chan struct{})
+	e := newTestEngine(t, Config{Shards: 1, Strategy: &fakeStrategy{budget: 3, gate: gate}, Clock: clock})
 	bank := testBank(1)
 	for i := 0; i < 30; i++ {
 		if err := e.Ingest(uerAt(bank, i, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := e.Drain(5 * time.Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("Drain with tiny budget = %v, want timeout", err)
+	drain := func(d time.Duration) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- e.Drain(d) }()
+		return done
 	}
-	// d <= 0 waits forever.
-	if err := e.Drain(0); err != nil {
+	pending := func(done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			t.Fatalf("Drain returned %v over unfinished work", err)
+		default:
+		}
+	}
+
+	bounded := drain(time.Second)
+	clock.BlockUntil(1) // the budget is armed
+	clock.Advance(time.Second - 1)
+	clock.BlockUntil(1) // and still is: a fired one-shot timer is removed
+	pending(bounded)
+	clock.Advance(1)
+	if err := <-bounded; err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("Drain past its budget = %v, want timeout", err)
+	}
+
+	unbounded := drain(0)
+	for e.waiters.Load() != 1 { // Drain(0) has entered await
+		runtime.Gosched()
+	}
+	clock.Advance(time.Hour)
+	pending(unbounded)
+	close(gate)
+	if err := <-unbounded; err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Processed != st.Ingested {
 		t.Errorf("processed %d != ingested %d after unbounded drain", st.Processed, st.Ingested)
+	}
+	if err := e.Drain(time.Nanosecond); err != nil {
+		t.Fatalf("Drain over finished work = %v", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func (e *Engine) StartShadow(version uint64) error {
 		gen:       e.shadowGen.Add(1),
 		version:   version,
 		strategy:  strat,
-		startedAt: time.Now().UTC(),
+		startedAt: e.cfg.Clock.Now().UTC(),
 	}
 	se.quiet, _ = strat.(core.QuietStrategy)
 	e.shadow.Store(se)

@@ -257,7 +257,7 @@ func (e *Engine) sessionsByVersion() map[uint64]int {
 // the shard totals — the same data GET /metrics renders.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
-		Uptime:                 time.Since(e.start),
+		Uptime:                 e.cfg.Clock.Now().Sub(e.start),
 		Ingested:               e.metrics.ingested.Value(),
 		ActionsEmitted:         e.metrics.actionsEmitted.Value(),
 		ActionsDropped:         e.metrics.actionsDropped.Value(),

@@ -25,6 +25,9 @@ var reachKeep = map[string]string{
 	"(*hbm.Profile).Derive":         "the wide-row profile of TestStoreLimitFallbacks",
 	"(*chaos.Report).TemplateNames": "called by name from the HTML report template, which go/types cannot see",
 	"(*xrand.RNG).Perm":             "the shuffled views of mltree's view tests and SampleInts' reference draw",
+	"obs.NewFakeClock":              "the clock the cluster, lifecycle, stream and registry tests move by hand",
+	"(*obs.FakeClock).Advance":      "how those tests make a heartbeat, a sweep, a cooldown or a Drain budget pass",
+	"(*obs.FakeClock).BlockUntil":   "keeps those tests from advancing before the code under test has armed its ticker",
 }
 
 // stdMethods are the method names the standard library calls through its own
@@ -295,6 +298,11 @@ var deletionGates = []struct {
 		names:      []string{"ReadJSONL", "maxRouterErrors"},
 		check:      bodyDecodedInMcelog,
 	},
+	{
+		gate: "one clock", deletedBy: "One clock, no polling",
+		replacedBy: "obs.Clock, held by stream.Config, cluster.CPConfig, cluster.RouterConfig and registry.Options; every ticker, timer and backoff of the serving path is armed on it",
+		check:      oneClock,
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
@@ -524,6 +532,38 @@ func bodyDecodedInMcelog(mod *module) []string {
 		for id, obj := range mod.pkgs[path].info.Uses {
 			if slices.Contains(targets, obj) {
 				bad = append(bad, fmt.Sprintf("%s: %s decodes an event body outside mcelog.BodyReader", mod.fset.Position(id.Pos()), id.Name))
+			}
+		}
+	}
+	return bad
+}
+
+// oneClock: the serving packages call none of the time package's timers or
+// sleeps (they arm them on their obs.Clock), and no struct under internal/
+// holds a func() time.Time beside it.
+func oneClock(mod *module) []string {
+	var bad []string
+	timers := []string{"Sleep", "After", "AfterFunc", "NewTicker", "NewTimer", "Tick"}
+	for _, path := range []string{"cordial/internal/cluster", "cordial/internal/lifecycle", streamPkg, "cordial/internal/registry", "cordial/cmd/cordial-serve"} {
+		p := mod.pkgs[path]
+		if p == nil {
+			bad = append(bad, fmt.Sprintf("the clock gate's target %s is gone", path))
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" &&
+				fn.Type().(*types.Signature).Recv() == nil && slices.Contains(timers, fn.Name()) {
+				bad = append(bad, fmt.Sprintf("%s: time.%s beside the obs.Clock", mod.fset.Position(id.Pos()), fn.Name()))
+			}
+		}
+	}
+	for _, path := range mod.paths {
+		if !strings.HasPrefix(path, "cordial/internal/") {
+			continue
+		}
+		for id, obj := range mod.pkgs[path].info.Defs {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && types.TypeString(v.Type(), nil) == "func() time.Time" {
+				bad = append(bad, fmt.Sprintf("%s: field %s is a time source beside the obs.Clock", mod.fset.Position(id.Pos()), id.Name))
 			}
 		}
 	}

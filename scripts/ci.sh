@@ -77,6 +77,13 @@ go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestShadowOverStore
 echo "==> go test -race"
 go test -race ./... "$@"
 
+echo "==> clock-driven tests, ten times under -race"
+# The cluster and lifecycle tests move time on obs.FakeClock: a heartbeat, a
+# sweep, a shadow timeout or a retrain cooldown passes when a test advances the
+# clock, never when a sleep runs out, so a test still timed by the wall clock
+# shows up here as a flake.
+go test -race -count=10 ./internal/cluster/ ./internal/lifecycle/
+
 echo "==> real-binary e2e (daemon, retraining, crash recovery, cluster failover, ddr5-dimm CLI)"
 # Real binaries, started and probed through chaos.Daemon; one test binary, so
 # the eight commands build once. TestCLIServeEndToEnd: readiness, JSONL and wire
@@ -89,9 +96,11 @@ echo "==> real-binary e2e (daemon, retraining, crash recovery, cluster failover,
 # TestCLIClusterFailover: three nodes behind cordial-router, one SIGKILLed; the
 # second half arrives as wire frames and the deduplicated action set equals a
 # single-node reference exactly. TestCLITruthGolden: gen -> train -errbits ->
-# predict and a transfer study under ddr5-dimm. All run in `go test ./...`
-# too; this labeled pass keeps them visible.
-go test -run 'TestCLIServeEndToEnd|TestCLIServeRetraining|TestCLIServeCrashRecovery|TestCLIClusterFailover|TestCLITruthGolden' \
+# predict and a transfer study under ddr5-dimm. TestCLIServePeriodicSnapshot:
+# -snapshot-interval checkpoints a running daemon, so a SIGKILLed one restarts
+# from a snapshot. All run in `go test ./...` too; this labeled pass keeps
+# them visible.
+go test -run 'TestCLIServeEndToEnd|TestCLIServeRetraining|TestCLIServeCrashRecovery|TestCLIClusterFailover|TestCLITruthGolden|TestCLIServePeriodicSnapshot' \
     -count 1 ./internal/clitest/
 
 echo "==> fuzz smoke (every fuzz target, 5s each)"
