@@ -145,7 +145,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func clusterBank(i int) hbm.BankAddress {
-	return hbm.BankOf(hbm.Address{Node: i % 8, NPU: (i / 8) % 8, BankGroup: (i / 64) % 4, Bank: i % 4})
+	return hbm.BankAddress{Node: uint32(i % 8), NPU: uint8(i / 8 % 8), BankGroup: uint8(i / 64 % 4), Bank: uint8(i % 4)}
 }
 
 func clusterUER(bank hbm.BankAddress, row, sec int) mcelog.Event {

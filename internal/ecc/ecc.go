@@ -184,7 +184,7 @@ func (k AccessKind) String() string {
 }
 
 // Class is the paper's error taxonomy.
-type Class int
+type Class uint8
 
 // Error classes, per §II-B.
 const (

@@ -71,7 +71,7 @@ func TestObservedFaultRecoversGroundTruth(t *testing.T) {
 	for i := 0; i < banks; i++ {
 		// Spread banks across groups within geometry bounds; Bank: i % 16
 		// would overflow the 4-bank groups and alias under checked packing.
-		bank := hbm.BankOf(hbm.Address{NPU: i % 8, HBM: (i / 8) % 2, BankGroup: (i / 4) % 4, Bank: i % 4})
+		bank := hbm.BankAddress{NPU: uint8(i % 8), HBM: uint8(i / 8 % 2), BankGroup: uint8(i / 4 % 4), Bank: uint8(i % 4)}
 		bf, err := gen.GenerateSampled(bank, weights)
 		if err != nil {
 			t.Fatal(err)

@@ -169,7 +169,7 @@ func ObsOf(e mcelog.Event) Obs {
 // class and error bits: what ObsOf makes of such an event, for callers that
 // hold its fields rather than the event.
 func MakeObs(unixNano int64, row int32, class ecc.Class, bits mcelog.ErrBits) Obs {
-	if class < 0 || class > ecc.ClassUER {
+	if class > ecc.ClassUER {
 		class = ecc.ClassNone
 	}
 	return Obs{t: unixNano, row: row, bits: uint16(bits), class: uint8(class)}

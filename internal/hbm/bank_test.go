@@ -37,6 +37,14 @@ func TestBankAddressSize(t *testing.T) {
 	}
 }
 
+// TestAddressSize pins the cell at 32 B: the bank's 16 B, then an int row and
+// an int column. Every mcelog.Event carries one.
+func TestAddressSize(t *testing.T) {
+	if got := unsafe.Sizeof(Address{}); got > 32 {
+		t.Errorf("Address is %d B, want at most 32", got)
+	}
+}
+
 // TestBankAddressRoundTrip: under every profile, the bank of a valid address
 // keys, unpacks, re-expands and JSON-encodes as the row-0, column-0 address
 // the bank used to be, and decodes back to itself.

@@ -20,6 +20,10 @@ func FuzzParseAddress(f *testing.F) {
 	f.Add("n01.u2.h1.s0.c5.p1.g2.b3.r007.col8")
 	f.Add("n1.u2.h1.s0.c5.p1.g2.b3.k0.d0.r1.col8")
 	f.Add("n99999999999999999999.u2.h1.s0.c5.p1.g2.b3.r1.col8")
+	// Past the field's type: a wrapping store would read these as u3, b2, n3.
+	f.Add("n1.u259.h1.s0.c5.p1.g2.b3.r1.col8")
+	f.Add("n1.u2.h1.s0.c5.p1.g2.b258.r1.col8")
+	f.Add("n4294967299.u2.h1.s0.c5.p1.g2.b3.r1.col8")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		a, err := ParseAddress(s)

@@ -180,18 +180,21 @@ func (l Level) String() string {
 
 // Address identifies a memory location (or a coarser entity, with the finer
 // fields zeroed) inside the fleet. All fields are zero-based indices. Rank
-// and Device are zero under HBM topologies, which give them no extent.
+// and Device are zero under HBM topologies, which give them no extent. The
+// ten bank-level fields have BankAddress's types, the widths NewLayout
+// enforces, so an Address is 32 bytes; ParseAddress refuses an index its
+// field cannot hold rather than let the conversion wrap it.
 type Address struct {
-	Node          int
-	NPU           int
-	HBM           int
-	SID           int
-	Channel       int
-	PseudoChannel int
-	Rank          int
-	Device        int
-	BankGroup     int
-	Bank          int
+	Node          uint32
+	NPU           uint8
+	HBM           uint8
+	SID           uint8
+	Channel       uint8
+	PseudoChannel uint8
+	Rank          uint8
+	Device        uint8
+	BankGroup     uint8
+	Bank          uint8
 	Row           int
 	Column        int
 }
@@ -200,25 +203,25 @@ type Address struct {
 func (a Address) get(f field) int {
 	switch f {
 	case fieldNode:
-		return a.Node
+		return int(a.Node)
 	case fieldNPU:
-		return a.NPU
+		return int(a.NPU)
 	case fieldHBM:
-		return a.HBM
+		return int(a.HBM)
 	case fieldSID:
-		return a.SID
+		return int(a.SID)
 	case fieldChannel:
-		return a.Channel
+		return int(a.Channel)
 	case fieldPseudoChannel:
-		return a.PseudoChannel
+		return int(a.PseudoChannel)
 	case fieldRank:
-		return a.Rank
+		return int(a.Rank)
 	case fieldDevice:
-		return a.Device
+		return int(a.Device)
 	case fieldBankGroup:
-		return a.BankGroup
+		return int(a.BankGroup)
 	case fieldBank:
-		return a.Bank
+		return int(a.Bank)
 	case fieldRow:
 		return a.Row
 	case fieldColumn:
@@ -227,29 +230,30 @@ func (a Address) get(f field) int {
 	return 0
 }
 
-// set assigns the field's value.
+// set assigns the field's value. A bank-level field keeps only the low bits
+// its type holds, so v must already be within the layout's capacity.
 func (a *Address) set(f field, v int) {
 	switch f {
 	case fieldNode:
-		a.Node = v
+		a.Node = uint32(v)
 	case fieldNPU:
-		a.NPU = v
+		a.NPU = uint8(v)
 	case fieldHBM:
-		a.HBM = v
+		a.HBM = uint8(v)
 	case fieldSID:
-		a.SID = v
+		a.SID = uint8(v)
 	case fieldChannel:
-		a.Channel = v
+		a.Channel = uint8(v)
 	case fieldPseudoChannel:
-		a.PseudoChannel = v
+		a.PseudoChannel = uint8(v)
 	case fieldRank:
-		a.Rank = v
+		a.Rank = uint8(v)
 	case fieldDevice:
-		a.Device = v
+		a.Device = uint8(v)
 	case fieldBankGroup:
-		a.BankGroup = v
+		a.BankGroup = uint8(v)
 	case fieldBank:
-		a.Bank = v
+		a.Bank = uint8(v)
 	case fieldRow:
 		a.Row = v
 	case fieldColumn:
@@ -287,24 +291,42 @@ func (a Address) PackChecked() (uint64, error) {
 	var v uint64
 	for f := field(0); f < numFields; f++ {
 		x := a.get(f)
-		if x < 0 || x >= l.capacity(f) {
-			return 0, fmt.Errorf("hbm: address %s index %d outside encoding range [0,%d) (%d bits)",
-				fieldNames[f], x, l.capacity(f), l.width[f])
+		if err := l.checkIndex(f, x); err != nil {
+			return 0, err
 		}
 		v |= uint64(x) << l.shift[f]
 	}
 	return v, nil
 }
 
+// checkIndex rejects an index field f cannot encode under the layout.
+func (l *Layout) checkIndex(f field, x int) error {
+	if x < 0 || x >= l.capacity(f) {
+		return fmt.Errorf("hbm: address %s index %d outside encoding range [0,%d) (%d bits)",
+			fieldNames[f], x, l.capacity(f), l.width[f])
+	}
+	return nil
+}
+
 // Unpack decodes an address previously produced by Pack under the same
 // active profile.
 func Unpack(v uint64) Address {
 	l := &ActiveProfile().Layout
-	var a Address
-	for f := field(0); f < numFields; f++ {
-		a.set(f, int(v>>l.shift[f]&uint64(l.capacity(f)-1)))
+	x := func(f field) uint64 { return v >> l.shift[f] & (1<<l.width[f] - 1) }
+	return Address{
+		Node:          uint32(x(fieldNode)),
+		NPU:           uint8(x(fieldNPU)),
+		HBM:           uint8(x(fieldHBM)),
+		SID:           uint8(x(fieldSID)),
+		Channel:       uint8(x(fieldChannel)),
+		PseudoChannel: uint8(x(fieldPseudoChannel)),
+		Rank:          uint8(x(fieldRank)),
+		Device:        uint8(x(fieldDevice)),
+		BankGroup:     uint8(x(fieldBankGroup)),
+		Bank:          uint8(x(fieldBank)),
+		Row:           int(x(fieldRow)),
+		Column:        int(x(fieldColumn)),
 	}
-	return a
 }
 
 // CheckPacked rejects a packed address with bits set outside the active
@@ -392,10 +414,13 @@ func parseCanonicalInt(s string) (int, error) {
 // ParseAddress parses the canonical dotted form produced by String. It is
 // strict in both directions: each field must be a canonical decimal (no
 // sign, no leading zeros) and must fit the active layout's bit budget, so
-// a parsed address always survives Pack without loss. Addresses with 12
-// fields carry rank and device; per the canonical form they must not both
-// be zero there (String omits them in that case).
+// a parsed address always survives Pack without loss. The budget is checked
+// before the index is stored, because a bank-level field is narrower than
+// int and would otherwise wrap "u259" onto u3. Addresses with 12 fields
+// carry rank and device; per the canonical form they must not both be zero
+// there (String omits them in that case).
 func ParseAddress(s string) (Address, error) {
+	l := &ActiveProfile().Layout
 	parts := strings.Split(s, ".")
 	var fields []addressField
 	switch len(parts) {
@@ -417,13 +442,13 @@ func ParseAddress(s string) (Address, error) {
 		if err != nil {
 			return Address{}, fmt.Errorf("hbm: address field %q: %w", p, err)
 		}
+		if err := l.checkIndex(spec.f, v); err != nil {
+			return Address{}, err
+		}
 		a.set(spec.f, v)
 	}
 	if len(parts) == len(addressFieldsLong) && a.Rank == 0 && a.Device == 0 {
 		return Address{}, fmt.Errorf("hbm: address %q spells out zero rank and device; canonical form omits them", s)
-	}
-	if _, err := a.PackChecked(); err != nil {
-		return Address{}, err
 	}
 	return a, nil
 }
@@ -482,16 +507,16 @@ type BankAddress struct {
 // and the column finest (NewLayout), so this is a.Truncate(LevelBank).
 func BankOf(a Address) BankAddress {
 	return BankAddress{
-		Node:          uint32(a.Node),
-		NPU:           uint8(a.NPU),
-		HBM:           uint8(a.HBM),
-		SID:           uint8(a.SID),
-		Channel:       uint8(a.Channel),
-		PseudoChannel: uint8(a.PseudoChannel),
-		Rank:          uint8(a.Rank),
-		Device:        uint8(a.Device),
-		BankGroup:     uint8(a.BankGroup),
-		Bank:          uint8(a.Bank),
+		Node:          a.Node,
+		NPU:           a.NPU,
+		HBM:           a.HBM,
+		SID:           a.SID,
+		Channel:       a.Channel,
+		PseudoChannel: a.PseudoChannel,
+		Rank:          a.Rank,
+		Device:        a.Device,
+		BankGroup:     a.BankGroup,
+		Bank:          a.Bank,
 	}
 }
 
@@ -501,16 +526,16 @@ func UnpackBank(v uint64) BankAddress { return BankOf(Unpack(v)) }
 // CellInBank returns the full address of (row, col) within the given bank.
 func CellInBank(b BankAddress, row, col int) Address {
 	return Address{
-		Node:          int(b.Node),
-		NPU:           int(b.NPU),
-		HBM:           int(b.HBM),
-		SID:           int(b.SID),
-		Channel:       int(b.Channel),
-		PseudoChannel: int(b.PseudoChannel),
-		Rank:          int(b.Rank),
-		Device:        int(b.Device),
-		BankGroup:     int(b.BankGroup),
-		Bank:          int(b.Bank),
+		Node:          b.Node,
+		NPU:           b.NPU,
+		HBM:           b.HBM,
+		SID:           b.SID,
+		Channel:       b.Channel,
+		PseudoChannel: b.PseudoChannel,
+		Rank:          b.Rank,
+		Device:        b.Device,
+		BankGroup:     b.BankGroup,
+		Bank:          b.Bank,
 		Row:           row,
 		Column:        col,
 	}
@@ -539,17 +564,17 @@ func (b BankAddress) String() string { return b.cell().String() }
 func (b BankAddress) MarshalJSON() ([]byte, error) { return json.Marshal(b.cell()) }
 
 // UnmarshalJSON reads the Address object MarshalJSON writes. A non-zero row
-// or column, or a field the type cannot hold, is an error.
+// or column, or a field the type cannot hold (json.Unmarshal refuses it), is
+// an error.
 func (b *BankAddress) UnmarshalJSON(data []byte) error {
 	var a Address
 	if err := json.Unmarshal(data, &a); err != nil {
 		return err
 	}
-	bank := BankOf(a)
-	if bank.cell() != a {
-		return fmt.Errorf("hbm: %s is not a bank address: it has a row, a column or a field out of range", a)
+	if a.Row != 0 || a.Column != 0 {
+		return fmt.Errorf("hbm: %s is not a bank address: it has a row or a column", a)
 	}
-	*b = bank
+	*b = BankOf(a)
 	return nil
 }
 

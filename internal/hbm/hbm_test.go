@@ -146,6 +146,23 @@ func TestParseAddressErrors(t *testing.T) {
 	}
 }
 
+// TestParseAddressNarrowFields: an index past its field's encoding range is
+// refused with PackChecked's error even where the field's type would wrap it
+// onto a real bank — u259 onto u3 and b258 onto b2 in 8 bits, n4294967299
+// onto n3 in 32.
+func TestParseAddressNarrowFields(t *testing.T) {
+	for _, s := range []string{
+		"n1.u259.h1.s0.c5.p1.g2.b3.r1.col87",
+		"n1.u2.h1.s0.c5.p1.g2.b258.r1.col87",
+		"n4294967299.u2.h1.s0.c5.p1.g2.b3.r1.col87",
+	} {
+		a, err := ParseAddress(s)
+		if err == nil || !strings.Contains(err.Error(), "outside encoding range") {
+			t.Errorf("ParseAddress(%q) = %v, %v; want an outside-encoding-range error", s, a, err)
+		}
+	}
+}
+
 func TestParseAddressRankDevice(t *testing.T) {
 	prev := ActivateProfile(DDR5DIMM)
 	defer ActivateProfile(prev)
@@ -165,7 +182,7 @@ func TestParseAddressRankDevice(t *testing.T) {
 
 func TestValidateAddress(t *testing.T) {
 	g := DefaultGeometry
-	good := Address{Node: g.Nodes - 1, Row: g.RowsPerBank - 1, Column: g.ColsPerBank - 1}
+	good := Address{Node: uint32(g.Nodes - 1), Row: g.RowsPerBank - 1, Column: g.ColsPerBank - 1}
 	if err := good.Validate(g); err != nil {
 		t.Fatalf("valid address rejected: %v", err)
 	}

@@ -11,7 +11,9 @@
 package mcelog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -99,18 +101,23 @@ func (e Event) Validate(g hbm.Geometry) error {
 }
 
 // Before reports whether e was observed before other, breaking time ties by
-// packed address so sorting is total and deterministic.
-func (e Event) Before(other Event) bool {
-	if !e.Time.Equal(other.Time) {
-		return e.Time.Before(other.Time)
+// packed address, then class, then error bits, so sorting is total and
+// deterministic.
+func (e Event) Before(other Event) bool { return compareEvents(e, other) < 0 }
+
+// compareEvents is Before as a three-way comparison: the instant is compared
+// once, and only a tie looks further.
+func compareEvents(a, b Event) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
 	}
-	if pa, pb := e.Addr.Pack(), other.Addr.Pack(); pa != pb {
-		return pa < pb
+	if c := cmp.Compare(a.Addr.Pack(), b.Addr.Pack()); c != 0 {
+		return c
 	}
-	if e.Class != other.Class {
-		return e.Class < other.Class
+	if c := cmp.Compare(a.Class, b.Class); c != 0 {
+		return c
 	}
-	return e.Bits < other.Bits
+	return cmp.Compare(a.Bits, b.Bits)
 }
 
 // Log is an in-memory collection of events. The zero value is an empty log
@@ -149,12 +156,8 @@ func (l *Log) Events() []Event {
 // At returns the i-th event in current order.
 func (l *Log) At(i int) Event { return l.events[i] }
 
-// Sort orders the log by (time, address, class), in place, deterministically.
-func (l *Log) Sort() {
-	sort.SliceStable(l.events, func(i, j int) bool {
-		return l.events[i].Before(l.events[j])
-	})
-}
+// Sort orders the log by Before, in place, deterministically.
+func (l *Log) Sort() { slices.SortStableFunc(l.events, compareEvents) }
 
 // FilterClass returns a new log containing only events of the given classes.
 func (l *Log) FilterClass(classes ...ecc.Class) *Log {

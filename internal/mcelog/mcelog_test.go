@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cordial/internal/ecc"
 	"cordial/internal/hbm"
@@ -80,6 +81,49 @@ func TestSortDeterministicTotalOrder(t *testing.T) {
 		if a.At(i) != b.At(i) {
 			t.Fatalf("sort order not deterministic at %d", i)
 		}
+	}
+}
+
+// TestSortMatchesReflectiveStableSort: Log.Sort orders a log full of ties
+// exactly as sort.SliceStable with Before does. The events share one bank and
+// a handful of instants and differ in row, class and bits; some instants are
+// one moment held with and without a monotonic clock reading or in another
+// location, which Before cannot tell apart, so only a stable sort keeps such
+// copies in their input order.
+func TestSortMatchesReflectiveStableSort(t *testing.T) {
+	now := time.Now() // carries a monotonic clock reading
+	instants := []time.Time{
+		now, now.Round(0), now.In(time.FixedZone("UTC+1", 3600)),
+		now.Add(time.Nanosecond), now.Add(-time.Second).Round(0),
+	}
+	classes := []ecc.Class{ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER}
+	r := xrand.New(5)
+	bank := hbm.RandomBank(hbm.DefaultGeometry, r)
+	events := make([]Event, 2000)
+	for i := range events {
+		events[i] = Event{
+			Time:  instants[r.Intn(len(instants))],
+			Addr:  hbm.CellInBank(bank, r.Intn(4), 0),
+			Class: classes[r.Intn(len(classes))],
+			Bits:  ErrBits(r.Intn(3)),
+		}
+	}
+	want := FromEvents(events).Events()
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Before(want[j]) })
+	l := FromEvents(events)
+	l.Sort()
+	for i, e := range l.Events() {
+		if e != want[i] {
+			t.Fatalf("event %d: Sort gives %+v, sort.SliceStable gives %+v", i, e, want[i])
+		}
+	}
+}
+
+// TestEventSize pins the event at 64 B: a 24 B time, a 32 B cell address, a
+// class byte and the error bits. Every reader, sort and validator moves it.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 64 {
+		t.Errorf("Event is %d B, want at most 64", got)
 	}
 }
 

@@ -33,16 +33,16 @@ func wireTestEventsFor(g hbm.Geometry, n int) []Event {
 		evs[i] = Event{
 			Time: base.Add(time.Duration(i) * time.Millisecond),
 			Addr: hbm.Address{
-				Node:          i % g.Nodes,
-				NPU:           i % g.NPUsPerNode,
-				HBM:           i % g.HBMsPerNPU,
-				SID:           i % g.SIDsPerHBM,
-				Channel:       i % g.ChannelsPerSID,
-				PseudoChannel: i % g.PseudoChPerCh,
-				Rank:          i % dim(g.RanksPerModule),
-				Device:        i % dim(g.DevicesPerRank),
-				BankGroup:     i % g.BankGroups,
-				Bank:          i % g.BanksPerGroup,
+				Node:          uint32(i % g.Nodes),
+				NPU:           uint8(i % g.NPUsPerNode),
+				HBM:           uint8(i % g.HBMsPerNPU),
+				SID:           uint8(i % g.SIDsPerHBM),
+				Channel:       uint8(i % g.ChannelsPerSID),
+				PseudoChannel: uint8(i % g.PseudoChPerCh),
+				Rank:          uint8(i % dim(g.RanksPerModule)),
+				Device:        uint8(i % dim(g.DevicesPerRank)),
+				BankGroup:     uint8(i % g.BankGroups),
+				Bank:          uint8(i % g.BanksPerGroup),
 				Row:           i % g.RowsPerBank,
 				Column:        i % g.ColsPerBank,
 			},

@@ -113,7 +113,7 @@ func (s *fakeSession) OnEvent(e mcelog.Event) core.Decision {
 // testBank returns a distinct bank address; even/odd i controls the fake
 // strategy's bank-spare vs row-spare behaviour via the bank index.
 func testBank(i int) hbm.BankAddress {
-	return hbm.BankOf(hbm.Address{Node: i % 8, NPU: (i / 8) % 8, BankGroup: (i / 64) % 4, Bank: i % 4})
+	return hbm.BankAddress{Node: uint32(i % 8), NPU: uint8(i / 8 % 8), BankGroup: uint8(i / 64 % 4), Bank: uint8(i % 4)}
 }
 
 // uerAt builds a UER event in bank at the given row and second offset.

@@ -20,9 +20,9 @@ import (
 
 // TestNodeWordRoundTrip: a node gives back exactly the observation and the
 // reference it was made of, at the edges of every field — each registered
-// profile's largest row, every class (out-of-range ones fold to ClassNone as
-// ObsOf folds them), each of the 16 error bits alone and all together, and the
-// largest reference — and setNext moves the reference alone.
+// profile's largest row, all 256 class bytes (an unknown one folds to
+// ClassNone as ObsOf folds it), each of the 16 error bits alone and all
+// together, and the largest reference — and setNext moves the reference alone.
 func TestNodeWordRoundTrip(t *testing.T) {
 	rows := []int32{0, 1, maxNodeRow}
 	for _, name := range hbm.ProfileNames() {
@@ -43,10 +43,14 @@ func TestNodeWordRoundTrip(t *testing.T) {
 	times := []int64{bincodec.UnsetTime, 0, 1, time.Date(2199, 12, 31, 23, 59, 59, 999999999, time.UTC).UnixNano(), -1}
 	refs := []uint32{0, 1, chunkLen, maxNodeRef}
 	for _, row := range rows {
-		for class := ecc.Class(-1); class <= ecc.ClassUER+1; class++ {
+		for c := 0; c <= 0xff; c++ {
+			class := ecc.Class(c)
 			for _, bits := range bitsSet {
 				for _, ts := range times {
 					o := features.MakeObs(ts, row, class, bits)
+					if class > ecc.ClassUER && o != features.MakeObs(ts, row, ecc.ClassNone, bits) {
+						t.Fatalf("class %d does not fold like ClassNone", c)
+					}
 					if !nodeHolds(o) {
 						t.Fatalf("row %d does not fit a node", row)
 					}

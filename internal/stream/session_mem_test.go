@@ -26,7 +26,7 @@ func quietFleet(banks int) []mcelog.Event {
 	evs := make([]mcelog.Event, 0, banks*len(rows))
 	for j, r := range rows {
 		for i := 0; i < banks; i++ {
-			bank := hbm.BankOf(hbm.Address{Node: i % 64, NPU: i / 64 % 8, HBM: i / 512 % 4, Channel: i / 2048 % 8, BankGroup: i / 16384 % 4})
+			bank := hbm.BankAddress{Node: uint32(i % 64), NPU: uint8(i / 64 % 8), HBM: uint8(i / 512 % 4), Channel: uint8(i / 2048 % 8), BankGroup: uint8(i / 16384 % 4)}
 			evs = append(evs, mcelog.Event{
 				Time:  base.Add(time.Duration(j)*time.Hour + time.Duration(i)*time.Millisecond),
 				Addr:  hbm.CellInBank(bank, 100+i%1000+r, 0),

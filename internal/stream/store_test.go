@@ -325,7 +325,7 @@ func TestStoreModel(t *testing.T) {
 
 // testBankN is testBank over a space of 2^15 distinct banks.
 func testBankN(i int) hbm.BankAddress {
-	return hbm.BankOf(hbm.Address{Node: i % 64, NPU: i / 64 % 8, HBM: i / 512 % 4, Channel: i / 2048 % 8, BankGroup: i / 16384 % 4})
+	return hbm.BankAddress{Node: uint32(i % 64), NPU: uint8(i / 64 % 8), HBM: uint8(i / 512 % 4), Channel: uint8(i / 2048 % 8), BankGroup: uint8(i / 16384 % 4)}
 }
 
 // perBankActions reduces an action stream to each bank's sequence.
@@ -397,7 +397,7 @@ func quietStoreStream(t *testing.T) (first, second []mcelog.Event, capped hbm.Ba
 	// UERs at distinct neighbouring rows, which classifies and predicts.
 	n := 0
 	edge := func(ces, failAt int, classes ...ecc.Class) {
-		bank := hbm.BankOf(hbm.Address{Node: 127, NPU: n % 8, HBM: n / 8})
+		bank := hbm.BankAddress{Node: 127, NPU: uint8(n % 8), HBM: uint8(n / 8)}
 		n++
 		at := func(min, row int, class ecc.Class) mcelog.Event {
 			return mcelog.Event{Time: last.Add(time.Duration(min) * time.Minute), Addr: hbm.CellInBank(bank, row, 0), Class: class, Bits: mcelog.MakeErrBits(uint8(1+row%7), 1)}

@@ -22,13 +22,13 @@ import (
 // controls the fake strategy's bank-spare vs row-spare branch, as with
 // testBank.
 func ddrTestBank(i int) hbm.BankAddress {
-	return hbm.BankOf(hbm.Address{
-		Node:      i % 8,
-		Rank:      (i / 2) % 2,
-		Device:    (i / 4) % 8,
-		BankGroup: i % 8,
-		Bank:      i % 4,
-	})
+	return hbm.BankAddress{
+		Node:      uint32(i % 8),
+		Rank:      uint8(i / 2 % 2),
+		Device:    uint8(i / 4 % 8),
+		BankGroup: uint8(i % 8),
+		Bank:      uint8(i % 4),
+	}
 }
 
 // TestOnlineOfflineEquivalenceDDR5 is the online/offline skew gate under

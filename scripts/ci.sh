@@ -176,7 +176,7 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
     -count 1 ./internal/core/ ./internal/mltree/
 
-echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs, a bank address ≤ 16 B, an action ≤ 80 B, a journaled 2-shard batch ≤ 2 mallocs)"
+echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs, a bank address ≤ 16 B, a cell address ≤ 32 B, an event ≤ 64 B, an action ≤ 80 B, a journaled 2-shard batch ≤ 2 mallocs)"
 # A fleet engine holds every bank that ever logged an error, so bytes per
 # tracked bank is its memory bill. The struct sizes are pinned by
 # unsafe.Sizeof (and the store's slot and node and a shard queue's entry hold
@@ -189,10 +189,12 @@ echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store
 # chains into one arena, no session built) and a restore or import of it by
 # Mallocs deltas and byte-identical payloads, and a promotion at a bank's first
 # UER by its malloc count. The verdict record every consumer copies is pinned
-# too — hbm.BankAddress ≤ 16 B, stream.Action ≤ 80 B — and a warmed journaled
-# IngestBatch over two shards allocates only its group-commit window (≤ 2).
-go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation|TestSnapshotQuietBanksAllocation|TestPromotionAllocs|TestBankAddressSize|TestActionSize|TestDurableBatchAllocs' -count 1 \
-    ./internal/features/ ./internal/hbm/ ./internal/stream/
+# too — hbm.BankAddress ≤ 16 B, stream.Action ≤ 80 B — as is the record every
+# reader, sort and validator moves (hbm.Address ≤ 32 B, mcelog.Event ≤ 64 B),
+# and a warmed journaled IngestBatch over two shards allocates only its
+# group-commit window (≤ 2).
+go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation|TestSnapshotQuietBanksAllocation|TestPromotionAllocs|TestBankAddressSize|TestAddressSize|TestEventSize|TestActionSize|TestDurableBatchAllocs' -count 1 \
+    ./internal/features/ ./internal/hbm/ ./internal/mcelog/ ./internal/stream/
 
 echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)"
 # bench/ is a module of its own, so the root `go test ./...` never sees it;
