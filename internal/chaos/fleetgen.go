@@ -93,7 +93,7 @@ func generateFleet(sc *Scenario, geo hbm.Geometry, rng *xrand.RNG) (*GeneratedFl
 	mixed := faultsim.DefaultPatternWeights()
 
 	fleet := &GeneratedFleet{PerTemplate: map[string]int{}}
-	log := mcelog.NewLog(sc.FleetGen.TotalBanks * 8)
+	runs := make([][]mcelog.Event, 0, sc.FleetGen.TotalBanks)
 	used := make(map[uint64]bool, sc.FleetGen.TotalBanks)
 	for b := 0; b < sc.FleetGen.TotalBanks; b++ {
 		var bank hbm.BankAddress
@@ -108,13 +108,13 @@ func generateFleet(sc *Scenario, geo hbm.Geometry, rng *xrand.RNG) (*GeneratedFl
 		fleet.PerTemplate[tpl.Name]++
 		switch tpl.Pattern {
 		case "benign":
-			log.Append(gen.GenerateBenign(bank)...)
+			runs = append(runs, gen.GenerateBenign(bank))
 		case "mixed":
 			bf, err := gen.GenerateSampled(bank, mixed)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: template %q: %w", tpl.Name, err)
 			}
-			log.Append(bf.Events...)
+			runs = append(runs, bf.Events)
 			fleet.Faulty++
 		default:
 			p, ok := patternByName(tpl.Pattern)
@@ -125,12 +125,11 @@ func generateFleet(sc *Scenario, geo hbm.Geometry, rng *xrand.RNG) (*GeneratedFl
 			if err != nil {
 				return nil, fmt.Errorf("chaos: template %q: %w", tpl.Name, err)
 			}
-			log.Append(bf.Events...)
+			runs = append(runs, bf.Events)
 			fleet.Faulty++
 		}
 	}
-	log.Sort()
-	fleet.Events = log.Events()
+	fleet.Events = mcelog.Merge(runs).Events()
 	fleet.Banks = sc.FleetGen.TotalBanks
 	return fleet, nil
 }

@@ -16,6 +16,7 @@ package faultsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"cordial/internal/ecc"
@@ -546,7 +547,12 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 	onset := c.Start.Add(time.Duration(g.rng.Float64() * float64(onsetSpan)))
 	end := c.Start.Add(c.Duration)
 
-	bf := &BankFault{Bank: bank, Pattern: p}
+	bf := &BankFault{
+		Bank: bank, Pattern: p,
+		UERRows:   make([]int, 0, len(rows)),
+		UERTimes:  make([]time.Time, 0, len(rows)),
+		SuddenRow: make([]bool, 0, len(rows)),
+	}
 	events := make([]mcelog.Event, 0, 4*len(rows))
 	kind := bitKindOf(p)
 
@@ -665,9 +671,8 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 		}
 	}
 
-	log := mcelog.FromEvents(events)
-	log.Sort()
-	bf.Events = log.Events()
+	mcelog.SortEvents(events)
+	bf.Events = events
 	return bf
 }
 
@@ -677,10 +682,6 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 // history is governed by SuddenRowProb, not by background noise.
 func (g *Generator) bgRow(p Pattern, uerRows []int) int {
 	geo := g.cfg.Geometry
-	isUER := make(map[int]bool, len(uerRows))
-	for _, r := range uerRows {
-		isUER[r] = true
-	}
 	for attempt := 0; ; attempt++ {
 		var row int
 		if ClassOf(p) == ClassScattered || attempt > 16 {
@@ -689,7 +690,7 @@ func (g *Generator) bgRow(p Pattern, uerRows []int) int {
 			anchor := uerRows[g.rng.Intn(len(uerRows))]
 			row = geo.ClampRow(anchor + int(math.Round(g.rng.Normal(0, 2*g.cfg.ClusterSigma))))
 		}
-		if !isUER[row] {
+		if !slices.Contains(uerRows, row) {
 			return row
 		}
 	}
@@ -701,7 +702,7 @@ func (g *Generator) bgRow(p Pattern, uerRows []int) int {
 // of CEs over hours, not a uniform trickle over the whole month — and the
 // burstiness matters for Table I: whether a co-located benign bank makes a
 // coarse-level entity "non-sudden" depends on whether its burst happened to
-// precede the first UER.
+// precede the first UER. The events come back in mcelog.SortEvents order.
 func (g *Generator) GenerateBenign(bank hbm.BankAddress) []mcelog.Event {
 	c := g.cfg
 	n := g.rng.IntRange(c.BenignCEs[0], c.BenignCEs[1])
@@ -738,9 +739,8 @@ func (g *Generator) GenerateBenign(bank hbm.BankAddress) []mcelog.Event {
 			Bits:  errBitsFor(bank, row, cc, ecc.ClassUEO, bitsBenign),
 		})
 	}
-	log := mcelog.FromEvents(events)
-	log.Sort()
-	return log.Events()
+	mcelog.SortEvents(events)
+	return events
 }
 
 func abs(v int) int {

@@ -506,3 +506,27 @@ func BenchmarkGenerateSampled(b *testing.B) {
 		}
 	}
 }
+
+// TestGenerateAllocsPerBank is the generator's allocation gate: a benign
+// bank is its one event slice, sorted in place, and a sampled faulty bank
+// allocates no per-draw row set and no sorting copy.
+func TestGenerateAllocsPerBank(t *testing.T) {
+	g := newGen(t, 3)
+	rng := xrand.New(4)
+	w := DefaultPatternWeights()
+	benign := testing.AllocsPerRun(500, func() {
+		g.GenerateBenign(hbm.RandomBank(hbm.DefaultGeometry, rng))
+	})
+	sampled := testing.AllocsPerRun(500, func() {
+		if _, err := g.GenerateSampled(hbm.RandomBank(hbm.DefaultGeometry, rng), w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per bank: GenerateBenign %.0f, GenerateSampled %.0f", benign, sampled)
+	if benign != 1 {
+		t.Errorf("GenerateBenign allocates %.0f times per bank, want 1", benign)
+	}
+	if sampled > 10 {
+		t.Errorf("GenerateSampled allocates %.0f times per bank, want at most 10", sampled)
+	}
+}

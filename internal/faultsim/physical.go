@@ -244,9 +244,7 @@ func (g *Generator) GeneratePhysical(bank hbm.BankAddress, p Pattern, pcfg Physi
 		return nil, fmt.Errorf("faultsim: no demand access ever hit a defect; raise DemandRate or Duration")
 	}
 
-	log := mcelog.FromEvents(events)
-	log.Sort()
-	log.Dedupe()
-	bf.Events = log.Events()
+	mcelog.SortEvents(events)
+	bf.Events = mcelog.DedupeEvents(events)
 	return bf, nil
 }

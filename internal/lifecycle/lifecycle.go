@@ -16,7 +16,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -323,7 +323,7 @@ func (m *Manager) labelledBanks() ([]*faultsim.BankFault, error) {
 		evs := byBank[key]
 		// The journal interleaves shards, so cross-bank order is arrival
 		// order; within a bank, re-sort by timestamp for the labeller.
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+		slices.SortStableFunc(evs, func(a, b mcelog.Event) int { return a.Time.Compare(b.Time) })
 		bf, err := faultsim.ObservedFault(m.cfg.Geometry, hbm.BankOf(evs[0].Addr), evs)
 		if err != nil {
 			continue // benign so far: nothing to label

@@ -105,9 +105,12 @@ func (e Event) Validate(g hbm.Geometry) error {
 // deterministic.
 func (e Event) Before(other Event) bool { return compareEvents(e, other) < 0 }
 
-// compareEvents is Before as a three-way comparison: the instant is compared
-// once, and only a tie looks further.
-func compareEvents(a, b Event) int {
+// compareEvents is Before as a three-way comparison.
+func compareEvents(a, b Event) int { return compareEventPtrs(&a, &b) }
+
+// compareEventPtrs is compareEvents without copying either event: the
+// instant is compared once, and only a tie looks further.
+func compareEventPtrs(a, b *Event) int {
 	if c := a.Time.Compare(b.Time); c != 0 {
 		return c
 	}
@@ -118,6 +121,79 @@ func compareEvents(a, b Event) int {
 		return c
 	}
 	return cmp.Compare(a.Bits, b.Bits)
+}
+
+// SortEvents orders events by Before, in place and stably: events Before
+// cannot tell apart keep their input order.
+func SortEvents(events []Event) { slices.SortStableFunc(events, compareEvents) }
+
+// Merge returns a log of every event of runs, each of which must already be
+// in SortEvents order, in that order. It is one k-way merge in which a tie
+// goes to the earlier run, so the log is exactly the stable sort of the runs'
+// concatenation. The log is allocated once, at its exact size; runs are not
+// modified.
+func Merge(runs [][]Event) *Log {
+	n := 0
+	heads := make(mergeHeap, 0, len(runs))
+	for i, r := range runs {
+		n += len(r)
+		if len(r) > 0 {
+			heads = append(heads, mergeHead{rest: r, run: i})
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		heads.down(i)
+	}
+	out := make([]Event, 0, n)
+	for len(heads) > 1 {
+		top := &heads[0]
+		out = append(out, top.rest[0])
+		if top.rest = top.rest[1:]; len(top.rest) == 0 {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		heads.down(0)
+	}
+	if len(heads) == 1 {
+		out = append(out, heads[0].rest...)
+	}
+	return &Log{events: out}
+}
+
+// mergeHead is a run's unmerged remainder; run is its index among the runs.
+type mergeHead struct {
+	rest []Event
+	run  int
+}
+
+// mergeHeap is a binary min-heap of non-empty run remainders, ordered by
+// their first events and, on a tie, by run index.
+type mergeHeap []mergeHead
+
+func (h mergeHeap) less(i, j int) bool {
+	c := compareEventPtrs(&h[i].rest[0], &h[j].rest[0])
+	return c < 0 || c == 0 && h[i].run < h[j].run
+}
+
+// down restores the heap order below i.
+func (h mergeHeap) down(i int) {
+	for {
+		least, l := i, 2*i+1
+		if l >= len(h) {
+			return
+		}
+		if h.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // Log is an in-memory collection of events. The zero value is an empty log
@@ -157,7 +233,7 @@ func (l *Log) Events() []Event {
 func (l *Log) At(i int) Event { return l.events[i] }
 
 // Sort orders the log by Before, in place, deterministically.
-func (l *Log) Sort() { slices.SortStableFunc(l.events, compareEvents) }
+func (l *Log) Sort() { SortEvents(l.events) }
 
 // FilterClass returns a new log containing only events of the given classes.
 func (l *Log) FilterClass(classes ...ecc.Class) *Log {
@@ -222,29 +298,15 @@ func (l *Log) Entities(level hbm.Level) int {
 	return len(seen)
 }
 
-// Dedupe removes consecutive duplicate events (same instant, address and
-// class) from a sorted log, returning the number removed. Run Sort first for
-// global dedupe. Times are compared with Time.Equal, not ==, so events from
-// different sources (parsed vs generated) deduplicate correctly.
-func (l *Log) Dedupe() int {
-	if len(l.events) == 0 {
-		return 0
-	}
-	same := func(a, b Event) bool {
+// DedupeEvents removes consecutive duplicate events (same instant, address,
+// class and bits) from events in place and returns the shortened slice; on
+// events in SortEvents order it removes every duplicate. Times are compared
+// with Time.Equal, not ==, so events from different sources (parsed vs
+// generated) deduplicate correctly.
+func DedupeEvents(events []Event) []Event {
+	return slices.CompactFunc(events, func(a, b Event) bool {
 		return a.Time.Equal(b.Time) && a.Addr == b.Addr && a.Class == b.Class && a.Bits == b.Bits
-	}
-	w := 1
-	removed := 0
-	for i := 1; i < len(l.events); i++ {
-		if same(l.events[i], l.events[i-1]) {
-			removed++
-			continue
-		}
-		l.events[w] = l.events[i]
-		w++
-	}
-	l.events = l.events[:w]
-	return removed
+	})
 }
 
 // Span returns the time range [first, last] covered by a sorted log. ok is

@@ -1,6 +1,7 @@
 package mcelog
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -119,6 +120,56 @@ func TestSortMatchesReflectiveStableSort(t *testing.T) {
 	}
 }
 
+// TestMergeIsStableSortOfConcatenation: Merge of runs, each stable-sorted,
+// is exactly the stable sort of their concatenation. The events share one
+// bank, a handful of instants, four rows, three classes and three error-bit
+// patterns, so most comparisons tie; one instant is also held without its
+// monotonic clock reading and in another location, copies Before cannot
+// tell apart but == can, spread across runs, so a tie given to the wrong run
+// shows. Runs come in every length from empty to long.
+func TestMergeIsStableSortOfConcatenation(t *testing.T) {
+	now := time.Now() // carries a monotonic clock reading
+	instants := []time.Time{
+		now, now.Round(0), now.In(time.FixedZone("UTC+1", 3600)),
+		now.Add(time.Nanosecond), now.Add(-time.Second).Round(0),
+	}
+	classes := []ecc.Class{ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER}
+	r := xrand.New(7)
+	bank := hbm.RandomBank(hbm.DefaultGeometry, r)
+	for trial := 0; trial < 200; trial++ {
+		runs := make([][]Event, r.Intn(40))
+		var all []Event
+		for i := range runs {
+			runs[i] = make([]Event, r.Intn(4)*r.Intn(20))
+			for j := range runs[i] {
+				runs[i][j] = Event{
+					Time:  instants[r.Intn(len(instants))],
+					Addr:  hbm.CellInBank(bank, r.Intn(4), 0),
+					Class: classes[r.Intn(len(classes))],
+					Bits:  ErrBits(r.Intn(3)),
+				}
+			}
+			SortEvents(runs[i])
+			all = append(all, runs[i]...)
+		}
+		want := slices.Clone(all)
+		slices.SortStableFunc(want, compareEvents)
+		got := Merge(runs)
+		if got.Len() != len(want) {
+			t.Fatalf("trial %d: merged %d events, want %d", trial, got.Len(), len(want))
+		}
+		for i, e := range got.Events() {
+			if e != want[i] {
+				t.Fatalf("trial %d, event %d of %d from %d runs: Merge gives %+v, the stable sort %+v",
+					trial, i, len(want), len(runs), e, want[i])
+			}
+		}
+		if !slices.Equal(slices.Concat(runs...), all) {
+			t.Fatalf("trial %d: Merge modified its runs", trial)
+		}
+	}
+}
+
 // TestEventSize pins the event at 64 B: a 24 B time, a 32 B cell address, a
 // class byte and the error bits. Every reader, sort and validator moves it.
 func TestEventSize(t *testing.T) {
@@ -190,17 +241,14 @@ func TestCountByClassAndEntities(t *testing.T) {
 
 func TestDedupe(t *testing.T) {
 	e := ev(1, 1, ecc.ClassCE)
-	l := FromEvents([]Event{e, e, e, ev(2, 2, ecc.ClassUER), ev(2, 2, ecc.ClassUER)})
-	l.Sort()
-	removed := l.Dedupe()
-	if removed != 3 {
-		t.Fatalf("Dedupe removed %d, want 3", removed)
+	events := []Event{e, e, e, ev(2, 2, ecc.ClassUER), ev(2, 2, ecc.ClassUER)}
+	SortEvents(events)
+	events = DedupeEvents(events)
+	if len(events) != 2 {
+		t.Fatalf("post-dedupe len = %d, want 2", len(events))
 	}
-	if l.Len() != 2 {
-		t.Fatalf("post-dedupe len = %d, want 2", l.Len())
-	}
-	if l.Dedupe() != 0 {
-		t.Fatal("Dedupe not idempotent")
+	if len(DedupeEvents(events)) != 2 {
+		t.Fatal("DedupeEvents not idempotent")
 	}
 }
 

@@ -14,7 +14,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cordial/internal/ecc"
@@ -143,7 +142,9 @@ func Generate(spec Spec) (*Fleet, error) {
 		return hbm.BankAddress{}, false
 	}
 
-	fleet := &Fleet{Spec: spec, Log: mcelog.NewLog(0)}
+	fleet := &Fleet{Spec: spec}
+	// Every bank's events arrive sorted; the fleet log is their merge.
+	runs := make([][]mcelog.Event, 0, spec.UERBanks+spec.BenignBanks)
 
 	// Companion draws walk the active profile's hierarchy fine to coarse,
 	// visiting only the levels the spec assigns a probability — same visit
@@ -167,7 +168,7 @@ func Generate(spec Spec) (*Fleet, error) {
 			return nil, err
 		}
 		fleet.Faults = append(fleet.Faults, bf)
-		fleet.Log.Append(bf.Events...)
+		runs = append(runs, bf.Events)
 
 		for _, level := range companionLevels {
 			if !rng.Bool(spec.CompanionProbs[level]) {
@@ -180,7 +181,7 @@ func Generate(spec Spec) (*Fleet, error) {
 			if !ok {
 				continue // sick region saturated; skip rather than fail
 			}
-			fleet.Log.Append(gen.GenerateBenign(companion)...)
+			runs = append(runs, gen.GenerateBenign(companion))
 			fleet.BenignBankKeys = append(fleet.BenignBankKeys, companion.Pack())
 		}
 	}
@@ -191,11 +192,11 @@ func Generate(spec Spec) (*Fleet, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: could not place benign bank %d", i)
 		}
-		fleet.Log.Append(gen.GenerateBenign(bank)...)
+		runs = append(runs, gen.GenerateBenign(bank))
 		fleet.BenignBankKeys = append(fleet.BenignBankKeys, bank.Pack())
 	}
 
-	fleet.Log.Sort()
+	fleet.Log = mcelog.Merge(runs)
 	return fleet, nil
 }
 
@@ -355,7 +356,7 @@ func LocalityChiSquare(log *mcelog.Log, rowsPerBank int, thresholds []int) ([]Lo
 	for _, events := range log.FilterClass(ecc.ClassUER).GroupByBank() {
 		// events preserve log order; ensure time order then derive
 		// first-UER row sequence.
-		sort.SliceStable(events, func(i, j int) bool { return events[i].Before(events[j]) })
+		mcelog.SortEvents(events)
 		seen := make(map[int]bool)
 		var rows []int
 		for _, e := range events {

@@ -303,6 +303,11 @@ var deletionGates = []struct {
 		replacedBy: "obs.Clock, held by stream.Config, cluster.CPConfig, cluster.RouterConfig and registry.Options; every ticker, timer and backoff of the serving path is armed on it",
 		check:      oneClock,
 	},
+	{
+		gate: "one event order", deletedBy: "Fleets merged, not re-sorted",
+		replacedBy: "mcelog.SortEvents on each simulated bank's own slice and mcelog.Merge of the sorted runs into the fleet log",
+		check:      oneEventOrder,
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
@@ -565,6 +570,56 @@ func oneClock(mod *module) []string {
 			if v, ok := obj.(*types.Var); ok && v.IsField() && types.TypeString(v.Type(), nil) == "func() time.Time" {
 				bad = append(bad, fmt.Sprintf("%s: field %s is a time source beside the obs.Clock", mod.fset.Position(id.Pos()), id.Name))
 			}
+		}
+	}
+	return bad
+}
+
+// oneEventOrder: no program sorts events with the reflective sort.Slice or
+// sort.SliceStable (mcelog.SortEvents is the event order), and the fleet
+// generators in internal/trace and internal/chaos never call
+// (*mcelog.Log).Sort: their logs are merges of runs sorted once per bank.
+func oneEventOrder(mod *module) []string {
+	const mcelogPkg = "cordial/internal/mcelog"
+	generators := []string{"cordial/internal/trace", "cordial/internal/chaos"}
+	var bad []string
+	logType := mod.pkgs[mcelogPkg].pkg.Scope().Lookup("Log")
+	if logType == nil {
+		return []string{"the event-order gate's target mcelog.Log is gone"}
+	}
+	logSort, _, _ := types.LookupFieldOrMethod(types.NewPointer(logType.Type()), false, logType.Pkg(), "Sort")
+	if logSort == nil {
+		bad = append(bad, "the event-order gate's target (*mcelog.Log).Sort is gone")
+	}
+	for _, path := range generators {
+		if mod.pkgs[path] == nil {
+			bad = append(bad, fmt.Sprintf("the event-order gate's target %s is gone", path))
+		}
+	}
+	for _, path := range mod.paths {
+		p := mod.pkgs[path]
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				pos := mod.fset.Position(call.Pos())
+				fn, ok := objOf(p.info, call.Fun).(*types.Func)
+				switch {
+				case !ok:
+				case fn == logSort && slices.Contains(generators, path):
+					bad = append(bad, fmt.Sprintf("%s: %s re-sorts a fleet log", pos, path))
+				case fn.Pkg() != nil && fn.Pkg().Path() == "sort" && (fn.Name() == "Slice" || fn.Name() == "SliceStable"):
+					switch arg := objOf(p.info, call.Args[0]); {
+					case arg == nil:
+						bad = append(bad, fmt.Sprintf("%s: sort.%s over an expression the gate cannot type; sort a named slice", pos, fn.Name()))
+					case types.TypeString(arg.Type().Underlying(), nil) == "[]"+mcelogPkg+".Event":
+						bad = append(bad, fmt.Sprintf("%s: sort.%s over []mcelog.Event", pos, fn.Name()))
+					}
+				}
+				return true
+			})
 		}
 	}
 	return bad
