@@ -107,9 +107,9 @@ func run() error {
 	}
 	defer logFile.Close()
 	if *format == "jsonl" {
-		err = fleet.Log.WriteJSONL(logFile)
+		err = fleet.Log().WriteJSONL(logFile)
 	} else {
-		err = fleet.Log.WriteWire(logFile)
+		err = fleet.Log().WriteWire(logFile)
 	}
 	if err != nil {
 		return err
@@ -134,6 +134,6 @@ func run() error {
 	}
 
 	fmt.Printf("generated %d events (%d faulty banks, %d benign banks) -> %s\n",
-		fleet.Log.Len(), len(fleet.Faults), len(fleet.BenignBankKeys), *logPath)
+		fleet.Log().Len(), len(fleet.Faults), len(fleet.BenignBankKeys), *logPath)
 	return nil
 }

@@ -57,7 +57,9 @@ type (
 	Event = mcelog.Event
 	// Log is an in-memory MCE log.
 	Log = mcelog.Log
-	// Fleet is a synthesised dataset with ground truth.
+	// Fleet is a synthesised dataset with ground truth. fleet.Log() returns
+	// its time-sorted error log, merged from the banks' runs on the first
+	// call; a caller that reads only fleet.Faults never builds it.
 	Fleet = trace.Fleet
 	// FleetSpec configures fleet synthesis.
 	FleetSpec = trace.Spec

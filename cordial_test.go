@@ -30,8 +30,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fleet.Log.Len() == 0 || len(fleet.Faults) != 90 {
-		t.Fatalf("fleet: %d events, %d faults", fleet.Log.Len(), len(fleet.Faults))
+	if fleet.Log().Len() == 0 || len(fleet.Faults) != 90 {
+		t.Fatalf("fleet: %d events, %d faults", fleet.Log().Len(), len(fleet.Faults))
 	}
 	train, test, err := Split(fleet.Faults, 2, 0.7)
 	if err != nil {
@@ -116,7 +116,7 @@ func TestFacadeStudyFunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sudden := SuddenByLevel(fleet.Log)
+	sudden := SuddenByLevel(fleet.Log())
 	if len(sudden) != 7 {
 		t.Fatalf("SuddenByLevel rows = %d", len(sudden))
 	}
@@ -128,7 +128,7 @@ func TestFacadeStudyFunctions(t *testing.T) {
 		t.Fatalf("row predictable ratio = %.3f", r)
 	}
 
-	summary := SummaryByLevel(fleet.Log)
+	summary := SummaryByLevel(fleet.Log())
 	if len(summary) != 7 {
 		t.Fatalf("SummaryByLevel rows = %d", len(summary))
 	}
@@ -138,7 +138,7 @@ func TestFacadeStudyFunctions(t *testing.T) {
 		}
 	}
 
-	points, err := LocalityChiSquare(fleet.Log, DefaultGeometry.RowsPerBank, DefaultThresholds())
+	points, err := LocalityChiSquare(fleet.Log(), DefaultGeometry.RowsPerBank, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet: %d events, %d faulty banks, %d benign banks\n\n",
-		fleet.Log.Len(), len(fleet.Faults), len(fleet.BenignBankKeys))
+		fleet.Log().Len(), len(fleet.Faults), len(fleet.BenignBankKeys))
 
 	// Table I — how predictable are UERs at each micro-level?
 	fmt.Println("Table I — in-row predictable ratio of UERs")
 	fmt.Printf("%-8s %12s %16s %18s\n", "level", "sudden UER", "non-sudden UER", "predictable ratio")
-	for _, r := range cordial.SuddenByLevel(fleet.Log) {
+	for _, r := range cordial.SuddenByLevel(fleet.Log()) {
 		fmt.Printf("%-8s %12d %16d %17.2f%%\n",
 			r.Level, r.Sudden, r.NonSudden, r.PredictableRatio()*100)
 	}
@@ -37,7 +37,7 @@ func main() {
 	// Table II — dataset summary.
 	fmt.Println("\nTable II — entities with each error class")
 	fmt.Printf("%-8s %9s %9s %9s %9s\n", "level", "with CE", "with UEO", "with UER", "total")
-	for _, r := range cordial.SummaryByLevel(fleet.Log) {
+	for _, r := range cordial.SummaryByLevel(fleet.Log()) {
 		fmt.Printf("%-8s %9d %9d %9d %9d\n", r.Level, r.WithCE, r.WithUEO, r.WithUER, r.Total)
 	}
 
@@ -56,7 +56,7 @@ func main() {
 
 	// Figure 4 — locality of cross-row UERs.
 	fmt.Println("\nFigure 4 — chi-square significance of row-distance thresholds")
-	points, err := cordial.LocalityChiSquare(fleet.Log, cordial.DefaultGeometry.RowsPerBank, cordial.DefaultThresholds())
+	points, err := cordial.LocalityChiSquare(fleet.Log(), cordial.DefaultGeometry.RowsPerBank, cordial.DefaultThresholds())
 	if err != nil {
 		log.Fatal(err)
 	}

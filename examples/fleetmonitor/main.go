@@ -72,7 +72,7 @@ func main() {
 	}()
 
 	fmt.Println("streaming fleet events through the Cordial engine...")
-	if _, err := engine.IngestLog(live.Log); err != nil {
+	if _, err := engine.IngestLog(live.Log()); err != nil {
 		log.Fatal(err)
 	}
 	// Close drains every in-flight event through its session, then closes
@@ -103,7 +103,7 @@ func main() {
 		n     int
 	}
 	var loads []bankLoad
-	for _, events := range live.Log.GroupByBank() {
+	for _, events := range live.Log().GroupByBank() {
 		if st, ok := engine.Session(cordial.BankOf(events[0].Addr)); ok {
 			loads = append(loads, bankLoad{st, st.Events})
 		}

@@ -22,7 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated %d error events across %d faulty banks\n",
-		fleet.Log.Len(), len(fleet.Faults))
+		fleet.Log().Len(), len(fleet.Faults))
 
 	// 2. Split 70/30 at bank granularity, as in the paper.
 	train, test, err := cordial.Split(fleet.Faults, 7, 0.7)

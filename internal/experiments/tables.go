@@ -24,7 +24,7 @@ func RunTableI(p Params) (*TableI, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableI{Rows: trace.SuddenByLevel(fleet.Log)}, nil
+	return &TableI{Rows: trace.SuddenByLevel(fleet.Log())}, nil
 }
 
 // Render writes the paper-style table.
@@ -58,7 +58,7 @@ func RunTableII(p Params) (*TableII, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableII{Rows: trace.SummaryByLevel(fleet.Log)}, nil
+	return &TableII{Rows: trace.SummaryByLevel(fleet.Log())}, nil
 }
 
 // Render writes the paper-style table.

@@ -394,8 +394,8 @@ func (g *Generator) GenerateSampled(bank hbm.BankAddress, w PatternWeights) (*Ba
 // then get the adjacency pass: some rows are rewritten to fail right next to
 // an earlier row (§III-C error propagation).
 func (g *Generator) uerRows(p Pattern) []int {
-	c := g.cfg
-	geo := c.Geometry
+	c := &g.cfg
+	geo := &c.Geometry
 	switch p {
 	case PatternSingleRow:
 		n := g.rng.IntRange(c.SingleRowUERs[0], c.SingleRowUERs[1])
@@ -459,7 +459,7 @@ func (g *Generator) uerRows(p Pattern) []int {
 // distance between consecutive failures |N(0, sigma*sqrt(2))|, which is the
 // distribution the Figure 4 locality calibration relies on.
 func (g *Generator) clusterRows(center, n int) []int {
-	geo := g.cfg.Geometry
+	geo := &g.cfg.Geometry
 	seen := make(map[int]bool, n)
 	rows := make([]int, 0, n)
 	for len(rows) < n {
@@ -480,7 +480,7 @@ func (g *Generator) clusterRows(center, n int) []int {
 
 // distinctUniformRows draws n distinct uniform rows in arbitrary order.
 func (g *Generator) distinctUniformRows(n int) []int {
-	geo := g.cfg.Geometry
+	geo := &g.cfg.Geometry
 	if n > geo.RowsPerBank {
 		n = geo.RowsPerBank
 	}
@@ -507,7 +507,7 @@ func interleave(r *xrand.RNG, a, b []int) []int {
 // rows of an earlier row in the failure sequence, modelling SWD-style
 // physical-neighbour propagation. Rows stay distinct.
 func (g *Generator) applyAdjacency(rows []int) []int {
-	c := g.cfg
+	c := &g.cfg
 	if c.AdjacentRowProb <= 0 || len(rows) < 2 {
 		return rows
 	}
@@ -536,7 +536,7 @@ func (g *Generator) applyAdjacency(rows []int) []int {
 // schedule assigns event times, plants precursors and background activity,
 // and assembles the sorted event log plus ground truth.
 func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankFault {
-	c := g.cfg
+	c := &g.cfg
 	class := ClassOf(p)
 	gap := c.AggregationUERGap
 	if class == ClassScattered {
@@ -681,7 +681,7 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 // for scattered ones. UER rows themselves are excluded — their precursor
 // history is governed by SuddenRowProb, not by background noise.
 func (g *Generator) bgRow(p Pattern, uerRows []int) int {
-	geo := g.cfg.Geometry
+	geo := &g.cfg.Geometry
 	for attempt := 0; ; attempt++ {
 		var row int
 		if ClassOf(p) == ClassScattered || attempt > 16 {
@@ -704,7 +704,7 @@ func (g *Generator) bgRow(p Pattern, uerRows []int) int {
 // coarse-level entity "non-sudden" depends on whether its burst happened to
 // precede the first UER. The events come back in mcelog.SortEvents order.
 func (g *Generator) GenerateBenign(bank hbm.BankAddress) []mcelog.Event {
-	c := g.cfg
+	c := &g.cfg
 	n := g.rng.IntRange(c.BenignCEs[0], c.BenignCEs[1])
 	burst := time.Duration(g.rng.Float64()*24+1) * time.Hour
 	latestStart := c.Duration - burst

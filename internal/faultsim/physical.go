@@ -68,7 +68,7 @@ func (g *Generator) GeneratePhysical(bank hbm.BankAddress, p Pattern, pcfg Physi
 	if err := pcfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := g.cfg
+	c := &g.cfg
 	rows := g.uerRows(p)
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("faultsim: pattern %v produced no UER rows", p)

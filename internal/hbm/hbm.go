@@ -64,7 +64,7 @@ var DefaultGeometry = Geometry{
 // dim returns the number of distinct values the field can take under the
 // geometry. The rank and device dimensions are normalised: zero means the
 // level does not exist, i.e. exactly one value.
-func (g Geometry) dim(f field) int {
+func (g *Geometry) dim(f field) int {
 	switch f {
 	case fieldNode:
 		return g.Nodes
@@ -200,7 +200,7 @@ type Address struct {
 }
 
 // get returns the field's value.
-func (a Address) get(f field) int {
+func (a *Address) get(f field) int {
 	switch f {
 	case fieldNode:
 		return int(a.Node)
@@ -634,7 +634,7 @@ func RandomBankWithin(g Geometry, r RandomSource, anchor BankAddress, level Leve
 }
 
 // ClampRow clamps row into [0, g.RowsPerBank).
-func (g Geometry) ClampRow(row int) int {
+func (g *Geometry) ClampRow(row int) int {
 	if row < 0 {
 		return 0
 	}

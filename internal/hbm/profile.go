@@ -125,7 +125,7 @@ func NewLayout(order []field, width map[field]int) (Layout, error) {
 }
 
 // Bits returns the total number of bits the layout occupies.
-func (l Layout) Bits() int {
+func (l *Layout) Bits() int {
 	n := 0
 	for _, w := range l.width {
 		n += w
@@ -134,24 +134,24 @@ func (l Layout) Bits() int {
 }
 
 // capacity returns the number of distinct values field f can encode.
-func (l Layout) capacity(f field) int { return 1 << l.width[f] }
+func (l *Layout) capacity(f field) int { return 1 << l.width[f] }
 
 // BankMask reduces an address packed under the layout to its bank's key:
 // v & BankMask() == Unpack(v).BankKey() for every v. It keeps the bits of
 // every field but the row and the column, the two finest in every layout.
-func (l Layout) BankMask() uint64 { return l.bank }
+func (l *Layout) BankMask() uint64 { return l.bank }
 
 // fieldMask is the bits field f occupies.
-func (l Layout) fieldMask(f field) uint64 { return (uint64(1)<<l.width[f] - 1) << l.shift[f] }
+func (l *Layout) fieldMask(f field) uint64 { return (uint64(1)<<l.width[f] - 1) << l.shift[f] }
 
 // RowField returns where the row sits in a packed address: the row of v is
 // v >> shift & (1<<width - 1).
-func (l Layout) RowField() (shift uint, width int) {
+func (l *Layout) RowField() (shift uint, width int) {
 	return l.shift[fieldRow], l.width[fieldRow]
 }
 
 // fits reports whether the geometry's dimensions all fit the layout.
-func (l Layout) fits(g Geometry) error {
+func (l *Layout) fits(g Geometry) error {
 	for f := field(0); f < numFields; f++ {
 		if dim := g.dim(f); dim > l.capacity(f) {
 			return fmt.Errorf("hbm: geometry %s = %d exceeds layout capacity %d (%d bits)",

@@ -57,7 +57,7 @@ func driftedFleet(t *testing.T, seed uint64, uerBanks int) *trace.Fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Log.Sort()
+	fleet.Log().Sort()
 	return fleet
 }
 
@@ -120,7 +120,7 @@ func harness(t *testing.T) (*stream.Engine, *registry.Registry, *Manager, *obs.F
 
 func ingest(t *testing.T, engine *stream.Engine, fleet *trace.Fleet) {
 	t.Helper()
-	for _, ev := range fleet.Log.Events() {
+	for _, ev := range fleet.Log().Events() {
 		if err := engine.Ingest(ev); err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestDriftQuietWithoutShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Log.Sort()
+	fleet.Log().Sort()
 	ingest(t, engine, fleet)
 
 	mgr.Tick()

@@ -84,12 +84,12 @@ func TestOnlineOfflineEquivalence(t *testing.T) {
 // profiles.
 func assertOnlineOfflineEquivalent(t *testing.T, strategy core.Strategy, fleet *trace.Fleet) {
 	t.Helper()
-	fleet.Log.Sort()
+	fleet.Log().Sort()
 
 	// Offline: replay each bank's (time-ordered) events through a fresh
 	// session, exactly as core.EvaluatePrediction does.
 	offline := make(map[uint64]bankVerdict)
-	for key, events := range fleet.Log.GroupByBank() {
+	for key, events := range fleet.Log().GroupByBank() {
 		sess := strategy.NewSession(hbm.BankOf(events[0].Addr))
 		v := bankVerdict{}
 		seen := make(map[int]bool)
@@ -139,10 +139,10 @@ func assertOnlineOfflineEquivalent(t *testing.T, strategy core.Strategy, fleet *
 			online[key] = v
 		}
 	}()
-	if accepted, err := engine.IngestLog(fleet.Log); err != nil {
+	if accepted, err := engine.IngestLog(fleet.Log()); err != nil {
 		t.Fatal(err)
-	} else if accepted != fleet.Log.Len() {
-		t.Fatalf("accepted %d of %d events", accepted, fleet.Log.Len())
+	} else if accepted != fleet.Log().Len() {
+		t.Fatalf("accepted %d of %d events", accepted, fleet.Log().Len())
 	}
 	if err := engine.Close(); err != nil {
 		t.Fatal(err)

@@ -69,10 +69,10 @@ func TestHandoffPortabilityAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Log.Sort()
-	evs := make([]mcelog.Event, fleet.Log.Len())
+	fleet.Log().Sort()
+	evs := make([]mcelog.Event, fleet.Log().Len())
 	for i := range evs {
-		evs[i] = fleet.Log.At(i)
+		evs[i] = fleet.Log().At(i)
 	}
 
 	// Source: 4 shards, snapshot mid-stream so the journal suffix carries

@@ -90,8 +90,8 @@ func fleetEvents(t *testing.T, seed uint64) []mcelog.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Log.Sort()
-	return fleet.Log.Events()
+	fleet.Log().Sort()
+	return fleet.Log().Events()
 }
 
 // runFleet feeds evs to a fresh engine over strategy in two halves, calling

@@ -364,10 +364,10 @@ func TestCrashRecoveryEquivalenceTrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Log.Sort()
-	evs := make([]mcelog.Event, fleet.Log.Len())
+	fleet.Log().Sort()
+	evs := make([]mcelog.Event, fleet.Log().Len())
 	for i := range evs {
-		evs[i] = fleet.Log.At(i)
+		evs[i] = fleet.Log().At(i)
 	}
 
 	refPayload, wantActions := refRun(t, strategy, evs, 4)

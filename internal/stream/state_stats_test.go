@@ -33,7 +33,7 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Log.Sort()
+	fleet.Log().Sort()
 
 	engine, err := New(Config{Strategy: strategy, Shards: 3, QueueDepth: 256})
 	if err != nil {
@@ -44,7 +44,7 @@ func TestEngineFeatureStateStats(t *testing.T) {
 		for range engine.Actions() {
 		}
 	}()
-	if _, err := engine.IngestLog(fleet.Log); err != nil {
+	if _, err := engine.IngestLog(fleet.Log()); err != nil {
 		t.Fatal(err)
 	}
 	if err := engine.Drain(10 * time.Second); err != nil {
@@ -70,7 +70,7 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	// release contract for spared banks.
 	var sessBytes, sessRows int64
 	released, quiet := 0, 0
-	for key := range fleet.Log.GroupByBank() {
+	for key := range fleet.Log().GroupByBank() {
 		st, ok := engine.Session(hbm.UnpackBank(key))
 		if !ok {
 			t.Fatalf("no session for bank %x", key)

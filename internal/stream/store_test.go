@@ -378,8 +378,8 @@ func quietStoreStream(t *testing.T) (first, second []mcelog.Event, capped hbm.Ba
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Log.Sort()
-	events := fleet.Log.Events() // a copy
+	fleet.Log().Sort()
+	events := fleet.Log().Events() // a copy
 	half := len(events) / 2
 	first, second = events[:half:half], events[half:]
 	quiet, failing := restoredSessionHistory(testBank(1))

@@ -59,10 +59,10 @@ func TestGenerateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := fleetDigest(t, f.Log.Events(), f.Faults, f.BenignBankKeys)
+			got := fleetDigest(t, f.Log().Events(), f.Faults, f.BenignBankKeys)
 			if want := generateGoldenSHA256[name]; got != want {
 				t.Errorf("fleet (%d events, %d faults, %d benign banks) hashes to %s, want %s",
-					f.Log.Len(), len(f.Faults), len(f.BenignBankKeys), got, want)
+					f.Log().Len(), len(f.Faults), len(f.BenignBankKeys), got, want)
 			}
 		})
 	}

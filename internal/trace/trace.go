@@ -14,6 +14,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"cordial/internal/ecc"
@@ -106,16 +107,33 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Fleet is a synthesised dataset: the merged error log plus ground truth.
+// Fleet is a synthesised dataset: ground truth plus the fleet's error log,
+// which Log merges from the banks' runs on first use.
 type Fleet struct {
 	Spec Spec
-	// Log is the fleet-wide error log, sorted by time.
-	Log *mcelog.Log
 	// Faults holds the ground truth of every faulty bank, in generation
 	// order.
 	Faults []*faultsim.BankFault
 	// BenignBankKeys lists the bank keys of benign noisy banks.
 	BenignBankKeys []uint64
+
+	logOnce sync.Once
+	// runs holds every bank's sorted events, in generation order, until
+	// Log merges them into log.
+	runs [][]mcelog.Event
+	log  *mcelog.Log
+}
+
+// Log returns the fleet-wide error log, sorted by time. The first call
+// merges the banks' runs and releases them; later calls, from any
+// goroutine, return the same log. A caller that reads only the ground
+// truth never pays for the merge.
+func (f *Fleet) Log() *mcelog.Log {
+	f.logOnce.Do(func() {
+		f.log = mcelog.Merge(f.runs)
+		f.runs = nil
+	})
+	return f.log
 }
 
 // Generate synthesises a fleet according to spec.
@@ -143,7 +161,7 @@ func Generate(spec Spec) (*Fleet, error) {
 	}
 
 	fleet := &Fleet{Spec: spec}
-	// Every bank's events arrive sorted; the fleet log is their merge.
+	// Every bank's events arrive sorted; Log merges them on first use.
 	runs := make([][]mcelog.Event, 0, spec.UERBanks+spec.BenignBanks)
 
 	// Companion draws walk the active profile's hierarchy fine to coarse,
@@ -196,7 +214,7 @@ func Generate(spec Spec) (*Fleet, error) {
 		fleet.BenignBankKeys = append(fleet.BenignBankKeys, bank.Pack())
 	}
 
-	fleet.Log = mcelog.Merge(runs)
+	fleet.runs = runs
 	return fleet, nil
 }
 

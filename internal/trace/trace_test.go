@@ -58,15 +58,15 @@ func TestGenerateBasicShape(t *testing.T) {
 	if len(f.Faults) != 120 {
 		t.Fatalf("fault count = %d, want 120", len(f.Faults))
 	}
-	if evs := f.Log.Events(); !sort.SliceIsSorted(evs, func(i, j int) bool { return evs[i].Before(evs[j]) }) {
+	if evs := f.Log().Events(); !sort.SliceIsSorted(evs, func(i, j int) bool { return evs[i].Before(evs[j]) }) {
 		t.Fatal("fleet log not sorted")
 	}
-	if f.Log.Len() == 0 {
+	if f.Log().Len() == 0 {
 		t.Fatal("empty fleet log")
 	}
 	// Every event is valid under the geometry.
 	geo := f.Spec.Fault.Geometry
-	for _, e := range f.Log.Events() {
+	for _, e := range f.Log().Events() {
 		if err := e.Validate(geo); err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +81,11 @@ func TestGenerateBasicShape(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a := generate(t, 42)
 	b := generate(t, 42)
-	if a.Log.Len() != b.Log.Len() {
-		t.Fatalf("log lengths differ: %d vs %d", a.Log.Len(), b.Log.Len())
+	if a.Log().Len() != b.Log().Len() {
+		t.Fatalf("log lengths differ: %d vs %d", a.Log().Len(), b.Log().Len())
 	}
-	for i := 0; i < a.Log.Len(); i++ {
-		if a.Log.At(i) != b.Log.At(i) {
+	for i := 0; i < a.Log().Len(); i++ {
+		if a.Log().At(i) != b.Log().At(i) {
 			t.Fatalf("event %d differs across same-seed runs", i)
 		}
 	}
@@ -94,10 +94,10 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateSeedsDiffer(t *testing.T) {
 	a := generate(t, 1)
 	b := generate(t, 2)
-	if a.Log.Len() == b.Log.Len() {
+	if a.Log().Len() == b.Log().Len() {
 		same := true
-		for i := 0; i < a.Log.Len(); i++ {
-			if a.Log.At(i) != b.Log.At(i) {
+		for i := 0; i < a.Log().Len(); i++ {
+			if a.Log().At(i) != b.Log().At(i) {
 				same = false
 				break
 			}
@@ -131,7 +131,7 @@ func TestBenignBanksLogNoUER(t *testing.T) {
 	for _, k := range f.BenignBankKeys {
 		benign[k] = true
 	}
-	for _, e := range f.Log.Events() {
+	for _, e := range f.Log().Events() {
 		if e.Class == ecc.ClassUER && benign[e.Addr.BankKey()] {
 			t.Fatalf("benign bank %v logged a UER", e.Addr)
 		}
@@ -140,7 +140,7 @@ func TestBenignBanksLogNoUER(t *testing.T) {
 
 func TestSuddenByLevelTableIShape(t *testing.T) {
 	f := generate(t, 5)
-	rows := SuddenByLevel(f.Log)
+	rows := SuddenByLevel(f.Log())
 	if len(rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("SuddenByLevel returned %d rows", len(rows))
 	}
@@ -181,7 +181,7 @@ func TestSuddenByLevelTableIShape(t *testing.T) {
 
 func TestSummaryByLevelTableIIShape(t *testing.T) {
 	f := generate(t, 6)
-	rows := SummaryByLevel(f.Log)
+	rows := SummaryByLevel(f.Log())
 	if len(rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("SummaryByLevel returned %d rows", len(rows))
 	}
@@ -250,7 +250,7 @@ func TestPatternDistributionEmpty(t *testing.T) {
 
 func TestLocalityChiSquarePeaksAt128(t *testing.T) {
 	f := generate(t, 8)
-	points, err := LocalityChiSquare(f.Log, f.Spec.Fault.Geometry.RowsPerBank, DefaultThresholds())
+	points, err := LocalityChiSquare(f.Log(), f.Spec.Fault.Geometry.RowsPerBank, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestLocalityChiSquarePeakIsExactly128MultiSeed(t *testing.T) {
 	const seeds = 5
 	for seed := uint64(20); seed < 20+seeds; seed++ {
 		f := generate(t, seed)
-		points, err := LocalityChiSquare(f.Log, f.Spec.Fault.Geometry.RowsPerBank, DefaultThresholds())
+		points, err := LocalityChiSquare(f.Log(), f.Spec.Fault.Geometry.RowsPerBank, DefaultThresholds())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,13 +298,13 @@ func TestLocalityChiSquarePeakIsExactly128MultiSeed(t *testing.T) {
 
 func TestLocalityChiSquareErrors(t *testing.T) {
 	f := generate(t, 9)
-	if _, err := LocalityChiSquare(f.Log, 1, DefaultThresholds()); err == nil {
+	if _, err := LocalityChiSquare(f.Log(), 1, DefaultThresholds()); err == nil {
 		t.Error("rowsPerBank=1 accepted")
 	}
-	if _, err := LocalityChiSquare(f.Log, 32768, nil); err == nil {
+	if _, err := LocalityChiSquare(f.Log(), 32768, nil); err == nil {
 		t.Error("empty thresholds accepted")
 	}
-	if _, err := LocalityChiSquare(f.Log, 32768, []int{0}); err == nil {
+	if _, err := LocalityChiSquare(f.Log(), 32768, []int{0}); err == nil {
 		t.Error("zero threshold accepted")
 	}
 	if _, err := LocalityChiSquare(mcelog.NewLog(0), 32768, DefaultThresholds()); err == nil {
@@ -354,6 +354,6 @@ func BenchmarkSuddenByLevel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SuddenByLevel(f.Log)
+		_ = SuddenByLevel(f.Log())
 	}
 }

@@ -308,6 +308,11 @@ var deletionGates = []struct {
 		replacedBy: "mcelog.SortEvents on each simulated bank's own slice and mcelog.Merge of the sorted runs into the fleet log",
 		check:      oneEventOrder,
 	},
+	{
+		gate: "no per-field struct copies", deletedBy: "Generation pays only for what its caller reads",
+		replacedBy: "pointer receivers on every hbm.Layout method and on hbm.Geometry.dim, and pointers to the generator's Config in faultsim",
+		check:      noPerFieldCopies,
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
@@ -621,6 +626,103 @@ func oneEventOrder(mod *module) []string {
 				return true
 			})
 		}
+	}
+	return bad
+}
+
+// noPerFieldCopies: no hbm.Layout method and not hbm.Geometry.dim takes its
+// receiver by value, so the address checks that consult them once per field
+// copy no 304-byte layout and no 96-byte geometry; and no statement in
+// internal/faultsim copies the generator's Config, or a struct inside it, out
+// of its cfg field by value.
+func noPerFieldCopies(mod *module) []string {
+	const hbmPkg, faultsimPkg = "cordial/internal/hbm", "cordial/internal/faultsim"
+	var bad []string
+	named := func(pkg, name string) *types.Named {
+		if p := mod.pkgs[pkg]; p != nil {
+			if obj, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				n, _ := obj.Type().(*types.Named)
+				return n
+			}
+		}
+		bad = append(bad, fmt.Sprintf("the struct-copy gate's target %s.%s is gone", pkg, name))
+		return nil
+	}
+	valueRecv := func(m *types.Func) {
+		if _, ok := m.Type().(*types.Signature).Recv().Type().(*types.Pointer); !ok {
+			bad = append(bad, fmt.Sprintf("%s: %s takes its receiver by value", mod.fset.Position(m.Pos()), m.FullName()))
+		}
+	}
+	if layout := named(hbmPkg, "Layout"); layout != nil {
+		if layout.NumMethods() == 0 {
+			bad = append(bad, "the struct-copy gate's target hbm.Layout has no methods")
+		}
+		for i := range layout.NumMethods() {
+			valueRecv(layout.Method(i))
+		}
+	}
+	if geo := named(hbmPkg, "Geometry"); geo != nil {
+		var dim *types.Func
+		for i := range geo.NumMethods() {
+			if m := geo.Method(i); m.Name() == "dim" {
+				dim = m
+			}
+		}
+		if dim == nil {
+			bad = append(bad, "the struct-copy gate's target hbm.Geometry.dim is gone")
+		} else {
+			valueRecv(dim)
+		}
+	}
+	gen := named(faultsimPkg, "Generator")
+	if gen == nil {
+		return bad
+	}
+	var cfg types.Object
+	if st, ok := gen.Underlying().(*types.Struct); ok {
+		for i := range st.NumFields() {
+			if f := st.Field(i); f.Name() == "cfg" {
+				cfg = f
+			}
+		}
+	}
+	if cfg == nil {
+		return append(bad, "the struct-copy gate's target faultsim.Generator.cfg is gone")
+	}
+	p := mod.pkgs[faultsimPkg]
+	// copied reports whether e reads cfg, or a struct field inside it, by value.
+	copied := func(e ast.Expr) bool {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		if _, ok := p.info.Uses[sel.Sel].Type().Underlying().(*types.Struct); !ok {
+			return false
+		}
+		for ok {
+			if p.info.Uses[sel.Sel] == cfg {
+				return true
+			}
+			sel, ok = ast.Unparen(sel.X).(*ast.SelectorExpr)
+		}
+		return false
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var rhs []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				rhs = n.Rhs
+			case *ast.ValueSpec:
+				rhs = n.Values
+			}
+			for _, e := range rhs {
+				if copied(e) {
+					bad = append(bad, fmt.Sprintf("%s: a value copy of the generator's config", mod.fset.Position(e.Pos())))
+				}
+			}
+			return true
+		})
 	}
 	return bad
 }

@@ -128,13 +128,16 @@ echo "==> binary ingest perf gate (steady-state decode allocates nothing)"
 # fails CI with a direct message rather than a drifting BENCH number.
 go test -run 'TestWireDecodeZeroAllocs' -count 1 ./internal/mcelog/
 
-echo "==> generator perf gate (a benign bank is 1 allocation, a sampled faulty bank <= 10; fleets merge the banks' sorted runs)"
+echo "==> generator perf gate (a benign bank is 1 allocation, a sampled faulty bank <= 10; fleets merge the banks' sorted runs, on first Log())"
 # Each simulated bank sorts its own event slice once, in place, and the
 # fleet log is one k-way merge of those runs; the allocation test pins the
 # first, and the merge property test pins that the merge is exactly the
-# stable sort of the concatenation it replaced.
+# stable sort of the concatenation it replaced. Generate merges nothing: the
+# first Fleet.Log() call does, once however many goroutines ask, and then
+# releases the runs (under -race, so a second merge or an unguarded one shows).
 go test -run 'TestGenerateAllocsPerBank' -count 1 ./internal/faultsim/
 go test -run 'TestMergeIsStableSortOfConcatenation' -count 1 ./internal/mcelog/
+go test -race -run 'TestFleetLogOnFirstRead' -count 1 ./internal/trace/
 
 echo "==> ingest path gate (one journal append per JSONL chunk; a shed event is never journaled; every door answers alike)"
 # The one ingest path's contracts that a refactor breaks silently: both
