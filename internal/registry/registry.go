@@ -26,6 +26,9 @@ type Options struct {
 	Keep int
 	// Clock stamps CreatedAt. Nil means obs.SystemClock.
 	Clock obs.Clock
+	// FS overrides the filesystem (fault-injection tests); nil means the
+	// real one.
+	FS wal.FS
 }
 
 // DefaultKeep is the prune retention when Options.Keep is zero.
@@ -66,7 +69,7 @@ type Registry struct {
 func Open(opts Options) (*Registry, error) {
 	r := &Registry{
 		dir:     opts.Dir,
-		fs:      wal.OSFS,
+		fs:      opts.FS,
 		geo:     opts.Geometry,
 		keep:    opts.Keep,
 		clock:   opts.Clock,
@@ -78,6 +81,9 @@ func Open(opts Options) (*Registry, error) {
 	}
 	if r.clock == nil {
 		r.clock = obs.SystemClock{}
+	}
+	if r.fs == nil {
+		r.fs = wal.OSFS
 	}
 	if r.dir == "" {
 		return r, nil

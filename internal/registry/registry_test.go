@@ -355,30 +355,22 @@ func TestWriteArtifactFaultInjection(t *testing.T) {
 	}
 }
 
-// dirSyncFS records the directory of every rename and directory sync, in
-// order.
-type dirSyncFS struct {
-	wal.FS
-	ops []string
-}
-
-func (fs *dirSyncFS) Rename(oldpath, newpath string) error {
-	fs.ops = append(fs.ops, "rename "+filepath.Base(newpath))
-	return fs.FS.Rename(oldpath, newpath)
-}
-
-func (fs *dirSyncFS) SyncDir(dir string) error {
-	fs.ops = append(fs.ops, "syncdir "+dir)
-	return fs.FS.SyncDir(dir)
-}
-
 // TestPublishesSyncDirectory: an installed artefact and the active pointer
 // are each renamed into place and then their directory is synced, so a
 // version a crash must not lose survives power loss by name.
 func TestPublishesSyncDirectory(t *testing.T) {
 	dir := t.TempDir()
 	r := openTestRegistry(t, dir)
-	fs := &dirSyncFS{FS: wal.OSFS}
+	fs := wal.NewFaultFS(wal.OSFS)
+	var ops []string
+	fs.OnOp = func(op, path string) {
+		switch op {
+		case "rename":
+			ops = append(ops, "rename "+filepath.Base(path))
+		case "syncdir":
+			ops = append(ops, "syncdir "+path)
+		}
+	}
 	r.fs = fs
 	m, err := r.Install(testPipeline(t), "boot")
 	if err != nil {
@@ -388,7 +380,7 @@ func TestPublishesSyncDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"rename " + artName(m.Version), "syncdir " + dir, "rename " + activeName, "syncdir " + dir}
-	if strings.Join(fs.ops, "|") != strings.Join(want, "|") {
-		t.Fatalf("ops = %v, want %v", fs.ops, want)
+	if strings.Join(ops, "|") != strings.Join(want, "|") {
+		t.Fatalf("ops = %v, want %v", ops, want)
 	}
 }

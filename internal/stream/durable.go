@@ -25,7 +25,8 @@ type walJournal = wal.WAL
 // rebuilds the exact same per-bank state by restoring the newest valid
 // snapshot and replaying the journal suffix. Per-session LSN watermarks
 // make the replay idempotent, so the reconstruction is bit-identical to an
-// uninterrupted run — pinned by TestCrashRecoveryEquivalence.
+// uninterrupted run — pinned by TestCrashProperty, which cuts power at
+// seeded points of seeded schedules.
 type DurabilityConfig struct {
 	// Dir is the journal + snapshot directory. Empty disables durability.
 	Dir string
@@ -476,6 +477,10 @@ func (e *Engine) recoverDurable() error {
 		Metrics:      e.metrics.reg,
 	})
 	if err != nil {
+		return err
+	}
+	if err := w.Floor(e.snapSeq.Load()); err != nil {
+		w.Close()
 		return err
 	}
 	e.wal = w

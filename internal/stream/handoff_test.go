@@ -117,7 +117,7 @@ func TestHandoffPortabilityAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suffix, err := wal.ReadJournal(srcDir)
+	suffix, err := wal.ReadJournal(nil, srcDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestHandoffReplayRespectsWatermarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Full journal: every record here is below the snapshot watermark.
-	suffix, err := wal.ReadJournal(dir)
+	suffix, err := wal.ReadJournal(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

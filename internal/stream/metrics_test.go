@@ -2,7 +2,6 @@ package stream
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -421,30 +420,13 @@ func TestMetricsScrapeConcurrentWithIngest(t *testing.T) {
 	}
 }
 
-// failRemoveFS fails every Remove — the deterministic stand-in for a
-// retention step that cannot delete retired files (immutable bit, NFS
-// permission skew, ...). Snapshot writes still succeed.
-type failRemoveFS struct {
-	wal.FS
-	fail bool
-}
-
-func (f *failRemoveFS) Remove(name string) error {
-	if f.fail {
-		return errInjectedRemove
-	}
-	return f.FS.Remove(name)
-}
-
-var errInjectedRemove = errors.New("test: injected remove fault")
-
 // TestRetentionErrorsSurfaced pins the swallowed-retention-error fix:
 // when post-snapshot journal truncation fails, the snapshot still
 // succeeds (retention is best-effort) but the failure is counted on
 // cordial_retention_errors_total and /statsz instead of vanishing.
 func TestRetentionErrorsSurfaced(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	fs := &failRemoveFS{FS: wal.OSFS}
+	fs := wal.NewFaultFS(wal.OSFS)
 	// One shard so the retention floor is that shard's applied LSN and
 	// truncation actually has retired segments to remove; tiny segments so
 	// 40 events span several of them.
@@ -461,11 +443,11 @@ func TestRetentionErrorsSurfaced(t *testing.T) {
 	if err := engine.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fs.fail = true
+	fs.FailRemoves(true) // the retention step cannot delete retired files
 	if _, err := engine.Snapshot(); err != nil {
 		t.Fatalf("snapshot must survive a retention failure, got %v", err)
 	}
-	fs.fail = false
+	fs.FailRemoves(false)
 
 	st := engine.Stats()
 	if st.RetentionErrors == 0 {

@@ -215,6 +215,15 @@ func (e *Engine) SwapModel(version uint64) (uint64, error) {
 	if e.closed {
 		return 0, ErrClosed
 	}
+	// With no snapshot to restore, recovery binds every bank born before the
+	// swap to the version ACTIVE names at the next boot, which the caller is
+	// about to move. So the first swap snapshots first: a header then pins
+	// the epoch those banks were born under.
+	if e.wal != nil && e.snapSeq.Load() == 0 {
+		if _, err := e.Snapshot(); err != nil {
+			return 0, fmt.Errorf("stream: snapshot before the first model swap: %w", err)
+		}
+	}
 	t0 := e.cfg.Clock.Now()
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()

@@ -20,39 +20,22 @@ import (
 	"cordial/internal/wal"
 )
 
-// stallSyncFS is a filesystem whose next fsync, once armed, parks until it is
-// released: the journal's mutex is then held by an append for as long as the
-// test likes.
-type stallSyncFS struct {
-	wal.FS
-	armed            atomic.Bool
-	entered, release chan struct{}
-}
-
-func (fs *stallSyncFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
-	f, err := fs.FS.OpenFile(name, flag, perm)
-	return &stallSyncFile{File: f, fs: fs}, err
-}
-
-type stallSyncFile struct {
-	wal.File
-	fs *stallSyncFS
-}
-
-func (f *stallSyncFile) Sync() error {
-	if f.fs.armed.CompareAndSwap(true, false) {
-		close(f.fs.entered)
-		<-f.fs.release
-	}
-	return f.File.Sync()
-}
-
 // TestStatsSurfacesTakeNoShardLock holds every shard's mu, the engine's
 // snapMu and the journal's mu — a consumer mid-fold on each shard, a snapshot
 // mid-encode and an append mid-fsync — and requires every reader on the stats
 // path to return regardless.
 func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
-	fs := &stallSyncFS{FS: wal.OSFS, entered: make(chan struct{}), release: make(chan struct{})}
+	// Once armed, the next fsync parks until released: the journal's mutex is
+	// then held by an append for as long as the test likes.
+	fs := wal.NewFaultFS(wal.OSFS)
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	fs.OnOp = func(op, _ string) {
+		if op == "sync" && armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}
 	cfg := durCfg(filepath.Join(t.TempDir(), "wal"), 3, &fakeStrategy{budget: 3, poisonRow: 666})
 	cfg.Durability.FS, cfg.Durability.Sync = fs, wal.SyncAlways
 	e, srv := newTestServer(t, cfg)
@@ -70,12 +53,12 @@ func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
 
 	// An append to a bank the engine already holds parks in its fsync, inside
 	// the journal's mutex, until the readers below have all returned.
-	fs.armed.Store(true)
+	armed.Store(true)
 	appended := make(chan error, 1)
 	go func() { appended <- e.Ingest(uerAt(testBank(0), 100, 30)) }()
-	<-fs.entered
+	<-entered
 	defer func() {
-		close(fs.release)
+		close(release)
 		if err := <-appended; err != nil {
 			t.Errorf("the parked append: %v", err)
 		}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -225,144 +224,6 @@ func TestExportEventsRange(t *testing.T) {
 	same(mid, evs[5:15])
 	same(all, evs)
 	same(none, nil)
-}
-
-// TestCrashDuringSwapEquivalence is the mid-swap durability gate: kill the
-// engine at points straddling a model swap (with and without an intervening
-// snapshot) and require byte-identical recovered state, the reference
-// active version, and every session re-pinned to the version it was born
-// under.
-func TestCrashDuringSwapEquivalence(t *testing.T) {
-	r := xrand.New(77)
-	const banks, n, swapAt = 8, 240, 120
-	evs := make([]mcelog.Event, 0, n)
-	for i := 0; i < n; i++ {
-		// First half exercises banks 0..3, second half 4..7, so sessions
-		// exist on both sides of the swap.
-		b := r.Intn(banks / 2)
-		if i >= swapAt {
-			b += banks / 2
-		}
-		ev := uerAt(testBank(b), 1+r.Intn(8), i)
-		if r.Intn(4) == 0 {
-			ev.Class = ecc.ClassCE
-		}
-		evs = append(evs, ev)
-	}
-
-	// Reference: an uninterrupted run with the swap at the same position.
-	run := func(dir string, kill, snapAt int) *Engine {
-		fm := newFakeModels(1, 2)
-		e, err := New(Config{Models: fm, Shards: 3,
-			Durability: DurabilityConfig{Dir: dir, Sync: 0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := int(e.Stats().RecoveredEvents)
-		for i := start; i < kill; i++ {
-			if i == swapAt {
-				if _, err := e.SwapModel(2); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if i == snapAt {
-				if err := e.Drain(10 * time.Second); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := e.Snapshot(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Ingest(evs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Drain(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-
-	ref := run(t.TempDir(), n, -1)
-	refPayload, _, err := ref.encodeSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wantActions := actionKeys(drainActions(ref))
-	wantBody := refPayload[snapBodyOffset:]
-
-	kills := []struct{ kill, snapAt int }{
-		{swapAt - 1, -1},           // die just before the swap
-		{swapAt, -1},               // die with the swap as the last record
-		{swapAt + 1, -1},           // die right after the first post-swap event
-		{swapAt + 40, swapAt - 5},  // snapshot before the swap, crash after
-		{swapAt + 40, swapAt + 10}, // snapshot AFTER the swap (header names v2)
-		{n - 10, swapAt},
-	}
-	for _, k := range kills {
-		t.Run(fmt.Sprintf("kill=%d,snap=%d", k.kill, k.snapAt), func(t *testing.T) {
-			dir := t.TempDir()
-			e1 := run(dir, k.kill, k.snapAt)
-			if err := e1.Close(); err != nil { // no final snapshot: a crash
-				t.Fatal(err)
-			}
-			a1 := drainActions(e1)
-
-			// Recover under a different shard count and finish the feed.
-			// The swap record (or snapshot header) must rebind exactly.
-			fm := newFakeModels(1, 2)
-			e2, err := New(Config{Models: fm, Shards: 5,
-				Durability: DurabilityConfig{Dir: dir, Sync: 0}})
-			if err != nil {
-				t.Fatalf("recovery failed: %v", err)
-			}
-			wantActive := uint64(1)
-			if k.kill > swapAt {
-				wantActive = 2
-			}
-			if v := e2.ActiveModelVersion(); v != wantActive {
-				t.Fatalf("recovered active version %d, want %d", v, wantActive)
-			}
-			for i := int(e2.Stats().RecoveredEvents); i < n; i++ {
-				if i == swapAt {
-					if _, err := e2.SwapModel(2); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := e2.Ingest(evs[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e2.Drain(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			payload, _, err := e2.encodeSnapshot(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(payload[snapBodyOffset:], wantBody) {
-				t.Error("recovered state diverged from uninterrupted run")
-			}
-			// Every session must be pinned to the version its bank's side
-			// of the swap implies (testBank(i) puts i in the Node field).
-			for _, st := range e2.Sessions() {
-				want := uint64(1)
-				if st.Bank.Node >= banks/2 {
-					want = 2
-				}
-				if st.ModelVersion != want {
-					t.Errorf("bank %v pinned to %d, want %d", st.Bank, st.ModelVersion, want)
-				}
-			}
-			if err := e2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			assertSameActionSet(t, actionKeys(append(a1, drainActions(e2)...)), wantActions)
-		})
-	}
 }
 
 // TestConcurrentSwapIngestScrape races ingest against swaps, shadow

@@ -1,19 +1,15 @@
 package stream
 
 import (
-	"fmt"
 	"testing"
 
 	"cordial/internal/core"
-	"cordial/internal/ecc"
 	"cordial/internal/hbm"
-	"cordial/internal/mcelog"
 	"cordial/internal/trace"
-	"cordial/internal/xrand"
 )
 
-// These tests re-run the two equivalence gates — online≡offline and
-// crash≡no-crash — under a non-default topology profile. Packed bank keys,
+// The online≡offline gate under a non-default topology profile (the crash
+// gate's ddr5-dimm schedules are TestCrashPropertyDDR5's). Packed bank keys,
 // WAL records, and snapshot images all follow the active profile's layout;
 // a profile-dependent bug in any of them shows up here and nowhere in the
 // HBM2E-default suites.
@@ -71,38 +67,4 @@ func TestOnlineOfflineEquivalenceDDR5(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertOnlineOfflineEquivalent(t, strategy, evalFleet)
-}
-
-// TestCrashRecoveryEquivalenceDDR5 is the durability gate under the
-// ddr5-dimm profile: randomized kill points, with and without an intervening
-// snapshot, must recover to byte-identical session state and the same action
-// set as an uninterrupted run.
-func TestCrashRecoveryEquivalenceDDR5(t *testing.T) {
-	prev := hbm.ActivateProfile(hbm.DDR5DIMM)
-	defer hbm.ActivateProfile(prev)
-
-	r := xrand.New(41)
-	const banks, n = 10, 300
-	evs := make([]mcelog.Event, 0, n)
-	for i := 0; i < n; i++ {
-		ev := uerAt(ddrTestBank(r.Intn(banks)), 1+r.Intn(8), i)
-		if r.Intn(4) == 0 {
-			ev.Class = ecc.ClassCE
-		}
-		evs = append(evs, ev)
-	}
-	strategy := &fakeStrategy{budget: 3}
-	refPayload, wantActions := refRun(t, strategy, evs, 4)
-	wantBody := refPayload[snapBodyOffset:]
-
-	for trial := 0; trial < 4; trial++ {
-		kill := r.Intn(n + 1)
-		snapAt := -1
-		if trial%2 == 1 && kill > 1 {
-			snapAt = r.Intn(kill)
-		}
-		t.Run(fmt.Sprintf("kill=%d,snap=%d", kill, snapAt), func(t *testing.T) {
-			crashRecoveryTrial(t, strategy, evs, kill, snapAt, wantBody, wantActions)
-		})
-	}
 }

@@ -107,4 +107,6 @@ func (f *FaultFS) Disarm() {
 	f.LimitWriteBytes(-1)
 	f.FailSyncAfter(-1)
 	f.FailOpens(false)
+	f.FailTruncates(false)
+	f.FailRemoves(false)
 }

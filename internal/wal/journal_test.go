@@ -50,7 +50,7 @@ func TestReadJournal(t *testing.T) {
 	if w.Segments() < 2 {
 		t.Fatalf("want multiple segments, got %d", w.Segments())
 	}
-	recs, err := ReadJournal(dir)
+	recs, err := ReadJournal(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestReadJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dirFiles(t, dir)
-	recs, err = ReadJournal(dir)
+	recs, err = ReadJournal(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,14 @@ func TestReadJournal(t *testing.T) {
 	}
 
 	empty := t.TempDir()
-	if recs, err := ReadJournal(empty); err != nil || len(recs) != 0 {
+	if recs, err := ReadJournal(nil, empty); err != nil || len(recs) != 0 {
 		t.Errorf("empty directory read = %d records, %v", len(recs), err)
 	}
 	if files := dirFiles(t, empty); len(files) != 0 {
 		t.Errorf("ReadJournal created %v in an empty directory", files)
 	}
 	missing := filepath.Join(empty, "gone")
-	if recs, err := ReadJournal(missing); err != nil || len(recs) != 0 {
+	if recs, err := ReadJournal(nil, missing); err != nil || len(recs) != 0 {
 		t.Errorf("missing directory read = %d records, %v", len(recs), err)
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
@@ -156,7 +156,7 @@ func TestSealedSegmentBadFinalRecordIsCorrupt(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay over a sealed segment's bad final record = %v after %d records, want ErrCorrupt", err, replayed)
 	}
-	if _, err := ReadJournal(dir); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadJournal(nil, dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadJournal over a sealed segment's bad final record = %v, want ErrCorrupt", err)
 	}
 }
@@ -203,55 +203,26 @@ func TestFailedWriteKeepsLaterAppends(t *testing.T) {
 	}
 }
 
-// cutFailFS fails Truncate on every file once armed.
-type cutFailFS struct {
-	FS
-	fail bool
-}
-
-func (fs *cutFailFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	f, err := fs.FS.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return cutFailFile{File: f, fs: fs}, nil
-}
-
-type cutFailFile struct {
-	File
-	fs *cutFailFS
-}
-
-var errInjectedTruncate = errors.New("test: injected truncate fault")
-
-func (f cutFailFile) Truncate(size int64) error {
-	if f.fs.fail {
-		return errInjectedTruncate
-	}
-	return f.File.Truncate(size)
-}
-
 // TestFailedCutRefusesAppends: when a failed write cannot be cut back off
 // the segment, the journal refuses every later append instead of writing it
 // behind the torn frame, and a restart keeps every acknowledged record.
 func TestFailedCutRefusesAppends(t *testing.T) {
 	ffs := NewFaultFS(OSFS)
-	cfs := &cutFailFS{FS: ffs}
 	dir := t.TempDir()
-	w, err := Open(dir, Options{FS: cfs, Sync: SyncAlways})
+	w, err := Open(dir, Options{FS: ffs, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, w, 0, 3)
 	ffs.LimitWriteBytes(5)
-	cfs.fail = true
+	ffs.FailTruncates(true)
 	if _, err := w.Append([]byte("torn-record")); !errors.Is(err, ErrInjectedWrite) {
 		t.Fatalf("append with write fault = %v, want ErrInjectedWrite", err)
 	}
 	ffs.LimitWriteBytes(-1)
-	cfs.fail = false
+	ffs.FailTruncates(false)
 	for i := 0; i < 2; i++ {
-		if _, err := w.Append([]byte("refused")); !errors.Is(err, errInjectedTruncate) || !strings.Contains(err.Error(), "refuses appends") {
+		if _, err := w.Append([]byte("refused")); !errors.Is(err, ErrInjectedTruncate) || !strings.Contains(err.Error(), "refuses appends") {
 			t.Fatalf("append after a failed cut = %v, want the journal's refusal", err)
 		}
 	}
@@ -267,51 +238,23 @@ func TestFailedCutRefusesAppends(t *testing.T) {
 	}
 }
 
-// opLogFS records renames and directory syncs in order.
-type opLogFS struct {
-	FS
-	ops []string
-}
-
-func (fs *opLogFS) Rename(oldpath, newpath string) error {
-	fs.ops = append(fs.ops, "rename "+filepath.Base(newpath))
-	return fs.FS.Rename(oldpath, newpath)
-}
-
-func (fs *opLogFS) SyncDir(dir string) error {
-	fs.ops = append(fs.ops, "syncdir "+dir)
-	return fs.FS.SyncDir(dir)
-}
-
-// TestDirectoriesSynced: a new segment's directory entry is synced before a
-// record in it can be acknowledged, a published snapshot's directory is
-// synced after its rename, and a failed directory sync fails the operation.
+// TestDirectoriesSynced: once an append or a publish returns, the names it
+// made — each new segment, the published snapshot — survive a power cut, and
+// a failed directory sync fails the operation.
 func TestDirectoriesSynced(t *testing.T) {
-	fs := &opLogFS{FS: OSFS}
-	dir := t.TempDir()
-	w, err := Open(dir, Options{FS: fs, SegmentBytes: 64, Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, w, 0, 6)
-	segs := w.Segments()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, segs)
-	for i := range want {
-		want[i] = "syncdir " + dir
-	}
-	if !slices.Equal(fs.ops, want) {
-		t.Errorf("segment creation ops = %v, want %v", fs.ops, want)
-	}
-
-	fs.ops = nil
-	if _, err := WriteSnapshot(fs, dir, 7, []byte("state")); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"rename snap-0000000000000007.snap", "syncdir " + dir}; !slices.Equal(fs.ops, want) {
-		t.Errorf("snapshot publish ops = %v, want %v", fs.ops, want)
+	for seed := uint64(0); seed < 16; seed++ {
+		dir, fs := t.TempDir(), NewFaultFS(OSFS)
+		w, _ := Open(dir, Options{FS: fs, SegmentBytes: 64, Sync: SyncAlways})
+		appendN(t, w, 0, 6)
+		fs.PowerCut(seed)
+		w.Close()
+		segs, _ := Numbered(OSFS, dir, segPrefix, segSuffix)
+		if _, err := WriteSnapshot(fs, dir, 7, []byte("state")); err != nil || fs.PowerCut(seed) != nil {
+			t.Fatal(err)
+		}
+		if snaps, _ := ListSnapshots(OSFS, dir); len(segs) != w.Segments() || len(snaps) != 1 {
+			t.Fatalf("seed %d: a cut left segments %v of %d and snapshots %v", seed, segs, w.Segments(), snaps)
+		}
 	}
 
 	// FaultFS fails directory syncs under its sync budget: the segment

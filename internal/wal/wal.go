@@ -314,14 +314,16 @@ type Record struct {
 // order, and writes nothing: a torn tail is read up to, not truncated, and
 // no file is created or removed — an empty or missing directory reads as
 // no records. It is the read of a journal no process has open, such as a
-// dead node's at cluster takeover. Payloads are copies, safe to retain.
-func ReadJournal(dir string) ([]Record, error) {
-	segs, err := Numbered(OSFS, dir, segPrefix, segSuffix)
+// dead node's at cluster takeover. Payloads are copies, safe to retain. A nil
+// fs reads the real filesystem.
+func ReadJournal(fs FS, dir string) ([]Record, error) {
+	fs = orOS(fs)
+	segs, err := Numbered(fs, dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, err
 	}
 	var out []Record
-	r := segmentReader{fs: OSFS, dir: dir}
+	r := segmentReader{fs: fs, dir: dir}
 	for i, first := range segs {
 		if _, err := r.walk(first, i == len(segs)-1, func(lsn uint64, payload []byte) error {
 			out = append(out, Record{LSN: lsn, Payload: append([]byte(nil), payload...)})
@@ -680,6 +682,22 @@ func (w *WAL) rotateLocked() error {
 	}
 	_ = sealed.Close() // its frames are synced: a close error loses nothing
 	return nil
+}
+
+// Floor makes the next LSN at least lsn: if the journal would hand out a
+// lower one, it seals the current segment and opens a fresh one at lsn.
+// Recovery floors the journal at the restored snapshot's sequence number,
+// which exceeds every LSN the snapshot covers, so an LSN whose record the
+// unsynced tail lost is never handed out again to a record the restored
+// watermarks would refuse.
+func (w *WAL) Floor(lsn uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if lsn <= w.nextLSN {
+		return nil
+	}
+	w.setNextLSN(lsn)
+	return w.rotateLocked()
 }
 
 // NextLSN returns the LSN the next Append will receive.

@@ -1,0 +1,133 @@
+//go:build mutants
+
+package cordial
+
+import (
+	"bytes"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// mutants is the mutation catalogue. Each entry plants one defect — the old
+// text of a file, which must occur once, replaced by new — and names the tests
+// ("package Test", then any test-binary arguments) each of which must fail on
+// it. Run it with
+//
+//	go test -tags mutants -run TestMutants -timeout 30m .
+var mutants = []struct {
+	name, file, old, new string
+	tests                []string
+}{
+	// The durability defects the journal-and-files change fixed.
+	{"sealed segment's CRC-bad tail read as torn", "internal/wal/wal.go",
+		"\t\t\tif tail {\n\t\t\t\treturn off, nil\n\t\t\t}\n\t\t\treturn off, fmt.Errorf(\"%w: record checksum",
+		"\t\t\tif true {\n\t\t\t\treturn off, nil\n\t\t\t}\n\t\t\treturn off, fmt.Errorf(\"%w: record checksum",
+		[]string{"internal/wal TestSealedSegmentBadFinalRecordIsCorrupt"}},
+	{"takeover writes into the dead node's directory", "internal/wal/wal.go",
+		"\tfs = orOS(fs)\n", "\tfs = orOS(fs)\n\tif w, err := Open(dir, Options{FS: fs}); err == nil {\n\t\tw.Close()\n\t}\n",
+		[]string{"internal/wal TestReadJournal"}},
+	{"no directory fsync at segment creation", "internal/wal/wal.go",
+		"\tif err := w.opts.FS.SyncDir(w.dir); err != nil {\n\t\treturn fmt.Errorf(\"wal: syncing journal directory: %w\", err)\n\t}\n", "",
+		[]string{"internal/wal TestDirectoriesSynced", "internal/stream TestCrashProperty"}},
+	{"no directory fsync in Publish", "internal/wal/publish.go",
+		"\tif err := fs.SyncDir(dir); err != nil {\n\t\treturn fmt.Errorf(\"wal: syncing directory of %s: %w\", path, err)\n\t}\n", "",
+		[]string{"internal/wal TestDirectoriesSynced", "internal/stream TestCrashPropertySwap"}},
+	{"no cut after a failed write", "internal/wal/wal.go", `	if terr := w.f.Truncate(w.size); terr != nil {
+		w.failed = fmt.Errorf("wal: journal refuses appends: cutting off a failed write: %w", terr)
+	} else if _, serr := w.f.Seek(w.size, io.SeekStart); serr != nil {
+		w.failed = fmt.Errorf("wal: journal refuses appends: seeking past a failed write: %w", serr)
+	}
+`, "", []string{"internal/wal TestFailedWriteKeepsLaterAppends", "internal/stream TestCrashProperty"}},
+	{"LSN reused after a failed rotation", "internal/wal/wal.go",
+		"(i+1)*recordSize]); err != nil {\n\t\t\tw.setNextLSN(max(first, w.written))", "(i+1)*recordSize]); err != nil {\n\t\t\tw.setNextLSN(first)",
+		[]string{"internal/stream TestCrashProperty"}},
+
+	// The defects the crash property found.
+	{"LSN reused after a power cut under -fsync never", "internal/stream/durable.go",
+		"w.Floor(e.snapSeq.Load())", "w.Floor(0)",
+		[]string{"internal/stream TestRecoveryFloorsJournalAtSnapshot", "internal/stream TestCrashProperty"}},
+	{"a swap before the first snapshot rebinds older banks at reboot", "internal/stream/models.go",
+		"\tif e.wal != nil && e.snapSeq.Load() == 0 {", "\tif false {",
+		[]string{"internal/stream TestCrashPropertySwap"}},
+
+	// What the kill-point suites and the recovery tests that cuts replaced caught.
+	{"replay refolds the record at a bank's watermark", "internal/stream/shard.go",
+		"\tif lsn <= *last {", "\tif lsn < *last {", []string{"internal/stream TestCrashProperty"}},
+	{"a batch's events queued under per-shard LSNs", "internal/stream/ingest.go",
+		"q.lsn = uint64(len(sc.enc) / mcelog.WireRecordSize)", "q.lsn = uint64(sc.pos[si])",
+		[]string{"internal/stream TestCrashPropertyBatched"}},
+	{"a restored Cordial session forgets its classification", "internal/core/durable.go",
+		"classified: flags&sessFlagClassified != 0, class: class}", "class: class}",
+		[]string{"internal/stream TestCrashPropertyTrained -crash.seeds=2000"}},
+	{"a restored session is rebuilt for another bank", "internal/stream/durable.go",
+		"ds.RestoreSession(hbm.UnpackBank(im.key), im.blob)", "ds.RestoreSession(hbm.BankAddress{}, im.blob)",
+		[]string{"internal/stream TestCrashPropertyDDR5"}},
+	{"replay drops model swap records", "internal/stream/durable.go",
+		"\t\t\te.installEpoch(modelEpoch{version: version, sinceLSN: lsn, strategy: strat})\n", "\t\t\t_ = strat\n",
+		[]string{"internal/stream TestCrashPropertySwap"}},
+	{"a torn frame header read as corruption", "internal/wal/wal.go",
+		"return off, nil // a frame header cut short", "return off, ErrCorrupt // a frame header cut short",
+		[]string{"internal/wal TestWALPowerCutRepair", "internal/stream TestCrashProperty"}},
+	{"a torn final frame read as corruption", "internal/wal/wal.go",
+		"\t\t\tif tail || length <= MaxRecordBytes {", "\t\t\tif false {",
+		[]string{"internal/wal TestWALPowerCutRepair", "internal/stream TestCrashProperty"}},
+	{"a header-torn final segment read as corruption", "internal/wal/wal.go",
+		"\t\tif end < 0 {\n", "\t\tif end < 0 {\n\t\t\treturn nil, ErrCorrupt\n",
+		[]string{"internal/wal TestWALDamagedFinalSegmentRemoved", "internal/stream TestCrashPropertyBatched"}},
+	{"the torn tail left in place", "internal/wal/wal.go",
+		"\t\tif err := f.Truncate(end); err != nil {", "\t\tif err := error(nil); err != nil {",
+		[]string{"internal/wal TestWALPowerCutRepair", "internal/stream TestCrashProperty"}},
+	{"a failed rotation leaves its segment behind", "internal/wal/wal.go",
+		"\t\t\t_ = w.opts.FS.Remove(path)\n", "", []string{"internal/stream TestCrashPropertySwap"}},
+	{"a failed fsync acknowledged", "internal/wal/wal.go",
+		"\t\tif serr := w.syncTimed(); serr != nil {", "\t\tif serr := w.syncTimed(); serr != nil && false {",
+		[]string{"internal/stream TestCrashProperty"}},
+}
+
+// TestMutants plants each catalogued mutant in one copy of the module, in
+// turn, and requires each of its tests to fail — to run and fail, not to fail
+// to build.
+func TestMutants(t *testing.T) {
+	root := t.TempDir()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil || p == ".":
+			return err
+		case d.IsDir() && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir():
+			return os.MkdirAll(filepath.Join(root, p), 0o755)
+		}
+		b, err := os.ReadFile(p)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(root, p), b, 0o644)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range mutants {
+		t.Run(m.name, func(t *testing.T) {
+			path := filepath.Join(root, m.file)
+			orig, _ := os.ReadFile(path)
+			if n := bytes.Count(orig, []byte(m.old)); n != 1 {
+				t.Fatalf("%s holds the old text %d times, want once: update the mutant", m.file, n)
+			}
+			os.WriteFile(path, bytes.Replace(orig, []byte(m.old), []byte(m.new), 1), 0o644)
+			defer os.WriteFile(path, orig, 0o644)
+			for _, test := range m.tests {
+				f := strings.Fields(test)
+				cmd := exec.Command("go", append([]string{"test", "-count", "1", "-run", "^" + f[1] + "$", "./" + f[0], "-args"}, f[2:]...)...)
+				cmd.Dir = root
+				if out, _ := cmd.CombinedOutput(); !bytes.Contains(out, []byte("--- FAIL: "+f[1]+" ")) {
+					t.Errorf("the mutant survived %s:\n%s", test, out)
+				}
+			}
+		})
+	}
+}

@@ -28,6 +28,7 @@ var reachKeep = map[string]string{
 	"obs.NewFakeClock":              "the clock the cluster, lifecycle, stream and registry tests move by hand",
 	"(*obs.FakeClock).Advance":      "how those tests make a heartbeat, a sweep, a cooldown or a Drain budget pass",
 	"(*obs.FakeClock).BlockUntil":   "keeps those tests from advancing before the code under test has armed its ticker",
+	"(*wal.FaultFS).PowerCut":       "the power cut of the crash property and the PowerCut tests; cordial-serve's -faultfs arms only faults",
 }
 
 // stdMethods are the method names the standard library calls through its own
@@ -307,6 +308,16 @@ var deletionGates = []struct {
 		gate: "one event order", deletedBy: "Fleets merged, not re-sorted",
 		replacedBy: "mcelog.SortEvents on each simulated bank's own slice and mcelog.Merge of the sorted runs into the fleet log",
 		check:      oneEventOrder,
+	},
+	{
+		gate: "one crash oracle", deletedBy: "One fault FS, one crash oracle",
+		replacedBy: "stream's TestCrashProperty and its Batched, Trained, Swap and DDR5 flavors: seeded schedules with power cuts over one wal.FaultFS",
+		check:      noCrashSuites,
+	},
+	{
+		gate: "one fault FS", deletedBy: "One fault FS, one crash oracle",
+		replacedBy: "wal.FaultFS: its armed faults, its OnOp hook and its power cuts",
+		check:      noTestFS,
 	},
 	{
 		gate: "no per-field struct copies", deletedBy: "Generation pays only for what its caller reads",
@@ -725,4 +736,60 @@ func noPerFieldCopies(mod *module) []string {
 		})
 	}
 	return bad
+}
+
+// testDecls calls fn with every top-level declaration of the root package's
+// and internal/'s _test.go files, whatever their build tags, and returns what
+// it reports; finding no test file is reported too.
+func testDecls(fn func(pos token.Position, pkg string, d ast.Decl) []string) (bad []string) {
+	fset := token.NewFileSet()
+	names, _ := filepath.Glob("*_test.go")
+	filepath.WalkDir("internal", func(p string, d fs.DirEntry, err error) error {
+		if strings.HasSuffix(p, "_test.go") {
+			names = append(names, p)
+		}
+		return err
+	})
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return append(bad, err.Error())
+		}
+		for _, d := range f.Decls {
+			bad = append(bad, fn(fset.Position(d.Pos()), f.Name.Name, d)...)
+		}
+	}
+	if len(names) == 0 {
+		bad = append(bad, "the test-file gates read no test file")
+	}
+	return bad
+}
+
+// noCrashSuites: the kill-point suites the crash property replaced are not
+// declared again.
+func noCrashSuites(*module) []string {
+	return testDecls(func(pos token.Position, _ string, d ast.Decl) []string {
+		if fd, ok := d.(*ast.FuncDecl); ok && slices.Contains([]string{"TestCrashRecoveryEquivalence", "TestCrashRecoveryEquivalenceBatched",
+			"TestCrashRecoveryEquivalenceTrained", "TestCrashRecoveryEquivalenceDDR5", "TestCrashDuringSwapEquivalence"}, fd.Name.Name) {
+			return []string{fmt.Sprintf("%s declares %s", pos, fd.Name.Name)}
+		}
+		return nil
+	})
+}
+
+// noTestFS: no test wraps a filesystem of its own, a type embedding wal.FS.
+func noTestFS(*module) []string {
+	return testDecls(func(pos token.Position, pkg string, d ast.Decl) (bad []string) {
+		ast.Inspect(d, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					if sel, ok := f.Type.(*ast.SelectorExpr); len(f.Names) == 0 && (ok && sel.Sel.Name == "FS" && fmt.Sprint(sel.X) == "wal" || fmt.Sprint(f.Type) == "FS" && pkg == "wal") {
+						bad = append(bad, fmt.Sprintf("%s: a test type embeds wal.FS", pos))
+					}
+				}
+			}
+			return true
+		})
+		return bad
+	})
 }

@@ -77,6 +77,18 @@ go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestShadowOverStore
 echo "==> go test -race"
 go test -race ./... "$@"
 
+echo "==> crash property (10 000 seeded schedules with power cuts, the first 1 000 under -race)"
+# One durable engine and its model registry over one wal.FaultFS: ingest,
+# rotations, snapshots, swaps, armed disk faults, power cuts and restarts
+# under new shard counts, each boot held to a reference that is never cut.
+# go test ./... runs the first 500 seeds; a failure prints its seed and the
+# shrunk schedule (rerun with -args -crash.from=SEED -crash.seeds=1).
+go test -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.seeds=10000
+go test -race -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.seeds=1000
+
+echo "==> mutation catalogue (each catalogued defect, planted in a copy of the module, fails its test)"
+go test -tags mutants -run TestMutants -count 1 -timeout 30m .
+
 echo "==> clock-driven tests, ten times under -race"
 # The cluster and lifecycle tests move time on obs.FakeClock: a heartbeat, a
 # sweep, a shadow timeout or a retrain cooldown passes when a test advances the
@@ -218,7 +230,8 @@ echo "==> topology matrix (profile registry, wire round-trips, cross-profile gat
 # through the wire codec allocation-free (TestWireProfileMatrix iterates
 # the registry) and banks through their key, UnpackBank, CellInBank and JSON
 # (TestBankAddressRoundTrip); the equivalence gates then re-run under
-# ddr5-dimm, and a two-profile transfer study must complete end to end.
+# ddr5-dimm (the crash property's ddr5-dimm seeds are TestCrashPropertyDDR5),
+# and a two-profile transfer study must complete end to end.
 go test -run 'TestRegisteredProfiles|PackUnpackRoundTrip|TestWireProfileMatrix|TestBankAddressRoundTrip' \
     -count 1 ./internal/hbm/ ./internal/mcelog/
 go test -run 'DDR5' -count 1 ./internal/stream/
