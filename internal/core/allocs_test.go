@@ -66,14 +66,14 @@ func TestPredictBlocksStateAllocs(t *testing.T) {
 
 	now := last.Time.Add(time.Hour)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.PredictBlocksState(sess.state, last.Addr.Row, now); err != nil {
+		if _, err := p.PredictBlocksState(&sess.state, last.Addr.Row, now); err != nil {
 			t.Error(err)
 		}
 	}); allocs > 1 {
 		t.Errorf("warmed PredictBlocksState allocates %v times, want at most 1", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.ClassifyPatternState(sess.state); err != nil {
+		if _, err := p.ClassifyPatternState(&sess.state); err != nil {
 			t.Error(err)
 		}
 	}); allocs != 0 {

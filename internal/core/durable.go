@@ -49,27 +49,33 @@ const (
 
 var (
 	_ DurableSession  = (*cordialSession)(nil)
+	_ DurableSession  = (*releasedSession)(nil)
 	_ DurableStrategy = (*CordialStrategy)(nil)
 )
 
 // EncodeState captures the session: classification outcome plus the full
 // incremental feature state, or no state (a spared bank).
 func (s *cordialSession) EncodeState() ([]byte, error) {
-	var flags byte
-	if s.classified {
+	if s.released {
+		return s.image(0, nil), nil
+	}
+	blob, err := s.state.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return s.image(sessFlagHasState, blob), nil
+}
+
+func (s *releasedSession) EncodeState() ([]byte, error) { return s.image(0, nil), nil }
+
+// image is the session image of the verdict with flags and a state blob.
+func (v *sessionVerdict) image(flags byte, blob []byte) []byte {
+	if v.classified {
 		flags |= sessFlagClassified
 	}
-	var blob []byte
-	if !s.released {
-		flags |= sessFlagHasState
-		var err error
-		if blob, err = s.state.MarshalBinary(); err != nil {
-			return nil, err
-		}
-	}
 	out := make([]byte, 0, sessionHeaderSize+len(blob))
-	out = append(append(out, sessionMagic...), sessionVersion, flags, s.class)
-	return append(out, blob...), nil
+	out = append(append(out, sessionMagic...), sessionVersion, flags, v.class)
+	return append(out, blob...)
 }
 
 // sessionImageHeader checks an image's magic and version and returns the
@@ -132,16 +138,16 @@ func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Ses
 		return nil, err
 	}
 	rest := data[sessionHeaderSize:]
-	sess := &cordialSession{strategy: s, classified: flags&sessFlagClassified != 0, class: class}
+	v := sessionVerdict{classified: flags&sessFlagClassified != 0, class: class}
 	switch flags &^ sessFlagClassified {
 	case 0:
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("%s: released session carries %d state bytes", sessionWhat, len(rest))
 		}
-		sess.released = true
+		return &releasedSession{v}, nil
 	case sessFlagQuiet:
-		if ver == 1 || sess.classified {
-			return nil, fmt.Errorf("%s: quiet session in a version-%d image, classified=%t", sessionWhat, ver, sess.classified)
+		if ver == 1 || v.classified {
+			return nil, fmt.Errorf("%s: quiet session in a version-%d image, classified=%t", sessionWhat, ver, v.classified)
 		}
 		log, _, err := QuietImageLog(data, nil)
 		if err != nil {
@@ -160,9 +166,8 @@ func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Ses
 		if got := st.Spec(); got != cfg.Block {
 			return nil, fmt.Errorf("core: session block spec %+v does not match pipeline %+v", got, cfg.Block)
 		}
-		sess.state = st
+		return &cordialSession{strategy: s, sessionVerdict: v, state: *st}, nil
 	default:
 		return nil, fmt.Errorf("%s: flags %#x", sessionWhat, flags)
 	}
-	return sess, nil
 }

@@ -641,15 +641,15 @@ func (s *CordialStrategy) Name() string {
 }
 
 // NewSession returns per-bank state: an empty feature accumulator, which every
-// event updates in O(1).
+// event updates in O(1), held in the session itself.
 func (s *CordialStrategy) NewSession(bank hbm.BankAddress) Session {
-	st, err := s.Pipeline.NewBankState()
-	if err != nil {
+	sess := &cordialSession{strategy: s}
+	if err := sess.state.Init(s.Pipeline.cfg.Pattern, s.Pipeline.cfg.Block); err != nil {
 		// Only reachable with a hand-rolled invalid config; the session then
 		// takes no decisions rather than panicking the replay loop.
-		return &cordialSession{strategy: s, released: true}
+		return new(releasedSession)
 	}
-	return &cordialSession{strategy: s, state: st}
+	return sess
 }
 
 // QuietStrategy is optionally implemented by strategies whose sessions, until
@@ -665,39 +665,66 @@ type QuietStrategy interface {
 	ResumeSession(bank hbm.BankAddress, log []features.Obs) Session
 }
 
+// sessionVerdict is what a Cordial session keeps of its pattern stage.
+type sessionVerdict struct {
+	classified bool
+	class      uint8 // faultsim.Class, valid when classified
+}
+
+// cordialSession is one bank's session: a single allocation of 720 B, in the
+// 768-byte size class with its malloc header (TestSessionSizeClass).
 type cordialSession struct {
 	strategy *CordialStrategy
-	// state accumulates the bank's features incrementally, an O(1) update
-	// per event and memory flat over the session's life; nil once released.
-	state *features.BankState
-
-	classified bool
-	// released marks a terminal decision (bank spared): the state is dropped
-	// and further events change nothing.
+	sessionVerdict
+	// released marks a terminal decision (bank spared): further events change
+	// nothing, the state is emptied, and Released stands a releasedSession in.
 	released bool
-	class    uint8 // faultsim.Class, valid when classified
+	// state accumulates the bank's features incrementally, an O(1) update
+	// per event and memory flat over the session's life.
+	state features.BankState
 }
+
+// releasedSession is a Cordial session after its terminal decision, without
+// the feature state: what Released makes of a spared bank's session, what the
+// image of one restores as, and what NewSession returns when its configuration
+// builds no state. It decides nothing and encodes as the session it stands for.
+type releasedSession struct{ sessionVerdict }
 
 var (
 	_ ClassifiedSession   = (*cordialSession)(nil)
 	_ BufferedSession     = (*cordialSession)(nil)
 	_ InstrumentedSession = (*cordialSession)(nil)
+	_ ClassifiedSession   = (*releasedSession)(nil)
+	_ BufferedSession     = (*releasedSession)(nil)
+	_ InstrumentedSession = (*releasedSession)(nil)
 	_ QuietStrategy       = (*CordialStrategy)(nil)
 )
 
+// Released returns the session that stands for sess once it has made its
+// terminal decision: for a Cordial session that has spared its bank, one that
+// decides, reports and encodes as it does without holding the feature state,
+// and sess itself otherwise. A caller holding many sessions swaps it in, so a
+// spared bank stops holding the state's memory.
+func Released(sess Session) Session {
+	if cs, ok := sess.(*cordialSession); ok && cs.released {
+		return &releasedSession{cs.sessionVerdict}
+	}
+	return sess
+}
+
 // ResumeSession is NewSession with log replayed into its state.
 func (s *CordialStrategy) ResumeSession(bank hbm.BankAddress, log []features.Obs) Session {
-	sess := s.NewSession(bank).(*cordialSession)
-	if sess.state != nil {
-		sess.state.Replay(log)
+	sess := s.NewSession(bank)
+	if cs, ok := sess.(*cordialSession); ok {
+		cs.state.Replay(log)
 	}
 	return sess
 }
 
 // Class returns the pattern class assigned at the UER budget; ok is false
 // before classification.
-func (s *cordialSession) Class() (faultsim.Class, bool) {
-	return faultsim.Class(s.class), s.classified
+func (v *sessionVerdict) Class() (faultsim.Class, bool) {
+	return faultsim.Class(v.class), v.classified
 }
 
 // StateFootprint reports the feature accumulator's size; released is true
@@ -708,6 +735,14 @@ func (s *cordialSession) StateFootprint() (features.StateFootprint, bool) {
 	}
 	return s.state.Footprint(), false
 }
+
+func (s *releasedSession) StateFootprint() (features.StateFootprint, bool) {
+	return features.StateFootprint{}, true
+}
+
+func (s *releasedSession) OnEvent(mcelog.Event) Decision { return Decision{} }
+
+func (s *releasedSession) Decide(mcelog.Event, *DecisionBuffer) Decision { return Decision{} }
 
 // OnEvent is Decide into a buffer of the decision's own.
 func (s *cordialSession) OnEvent(e mcelog.Event) Decision { return s.Decide(e, nil) }
@@ -721,25 +756,27 @@ func (s *cordialSession) Decide(e mcelog.Event, buf *DecisionBuffer) Decision {
 		// feature state has been released.
 		return Decision{}
 	}
-	prevDistinct := s.state.DistinctUERRows()
-	s.state.Observe(e)
-	if e.Class != ecc.ClassUER || s.state.DistinctUERRows() == prevDistinct {
+	st := &s.state
+	prevDistinct := st.DistinctUERRows()
+	st.Observe(e)
+	if e.Class != ecc.ClassUER || st.DistinctUERRows() == prevDistinct {
 		return Decision{} // not a UER, or a repeat of a known failed row
 	}
 
 	pipe := s.strategy.Pipeline
-	if s.state.DistinctUERRows() < pipe.cfg.Pattern.UERBudget {
+	if st.DistinctUERRows() < pipe.cfg.Pattern.UERBudget {
 		return Decision{}
 	}
 	if !s.classified {
-		class, err := pipe.ClassifyPatternState(s.state)
+		class, err := pipe.ClassifyPatternState(st)
 		if err != nil {
 			return Decision{}
 		}
 		s.classified = true
 		s.class = uint8(class)
 		if !class.IsAggregation() {
-			s.state, s.released = nil, true // terminal: release the accumulator
+			// Terminal: empty the accumulator, freeing its row table.
+			s.state, s.released = features.BankState{}, true
 			return Decision{SpareBank: true}
 		}
 	}
@@ -749,7 +786,7 @@ func (s *cordialSession) Decide(e mcelog.Event, buf *DecisionBuffer) Decision {
 	anchor := e.Addr.Row
 	n := pipe.cfg.Block.NumBlocks()
 	buf.probs = slices.Grow(buf.probs[:0], n)[:n]
-	if err := pipe.predictBlocksInto(buf.probs, s.state, anchor, e.Time); err != nil {
+	if err := pipe.predictBlocksInto(buf.probs, st, anchor, e.Time); err != nil {
 		return Decision{}
 	}
 	buf.rows = pipe.appendRows(buf.rows[:0], buf.probs, anchor, s.strategy.Geometry)

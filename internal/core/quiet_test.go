@@ -204,7 +204,7 @@ func sessionImageSeeds(t testing.TB, s *CordialStrategy) [][]byte {
 	state := s.NewSession(hbm.BankAddress{})
 	state.OnEvent(mcelog.Event{Time: base, Addr: hbm.Address{Row: 5}, Class: ecc.ClassCE})
 	state.OnEvent(mcelog.Event{Time: base.Add(time.Minute), Addr: hbm.Address{Row: 6}, Class: ecc.ClassUER})
-	released := &cordialSession{strategy: s, classified: true, released: true, class: 2}
+	released := &releasedSession{sessionVerdict{classified: true, class: 2}}
 	for _, sess := range []Session{state, released} {
 		v2 := encodeSession(t, sess)
 		v1 := append([]byte(nil), v2...)
@@ -280,8 +280,8 @@ func TestRestoreSessionImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
-		if cs := sess.(*cordialSession); i < 3 && (cs.state == nil || cs.released || cs.state.Footprint().Events != []int{0, 3, QuietLogMax}[i]) {
-			t.Errorf("seed %d: quiet image restored as state=%t released=%t", i, cs.state != nil, cs.released)
+		if cs, ok := sess.(*cordialSession); i < 3 && (!ok || cs.released || cs.state.Footprint().Events != []int{0, 3, QuietLogMax}[i]) {
+			t.Errorf("seed %d: quiet image restored as %T", i, sess)
 		}
 	}
 	if _, err := AppendQuietImage(nil, obsOf(quietEvents(QuietLogMax+1))); err == nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cordial/internal/ecc"
 	"cordial/internal/faultsim"
@@ -186,8 +188,9 @@ func TestBlockInstancesSingleReplayEquivalence(t *testing.T) {
 
 // TestCordialSessionReleasesStateWhenSpared drives sessions over the fleet
 // and checks the release contract: once a session returns SpareBank its
-// feature state is dropped, its footprint reads zero/released, and further
-// events are absorbed without growing anything.
+// feature state is dropped, its footprint reads zero/released, further
+// events are absorbed without growing anything, and Released stands in a
+// session without the state that classifies, reports and encodes alike.
 func TestCordialSessionReleasesStateWhenSpared(t *testing.T) {
 	fleet := testFleet(t, 2, 150)
 	train, test, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
@@ -234,6 +237,21 @@ func TestCordialSessionReleasesStateWhenSpared(t *testing.T) {
 			if _, released := sess.StateFootprint(); !released {
 				t.Fatal("released session reports live state")
 			}
+			if cs := sess.(*cordialSession); cs.state.Footprint().TrackedRows != 0 {
+				t.Fatalf("spared session keeps a row table of %d rows", cs.state.Footprint().TrackedRows)
+			}
+			rel := Released(sess)
+			if _, ok := rel.(*releasedSession); !ok {
+				t.Fatalf("Released of a spared session is %T", rel)
+			}
+			c1, ok1 := rel.(ClassifiedSession).Class()
+			c2, ok2 := sess.(ClassifiedSession).Class()
+			if c1 != c2 || ok1 != ok2 || !bytes.Equal(encodeSession(t, rel), encodeSession(t, sess)) {
+				t.Fatal("the released stand-in classifies or encodes unlike the spared session")
+			}
+			if fp, released := rel.(InstrumentedSession).StateFootprint(); !released || fp != (features.StateFootprint{}) {
+				t.Fatalf("the released stand-in reports footprint %+v, released %t", fp, released)
+			}
 		} else if cls, ok := sess.(ClassifiedSession).Class(); ok && cls.IsAggregation() {
 			keptSeen = true
 			fp, released := sess.StateFootprint()
@@ -253,6 +271,16 @@ func TestCordialSessionReleasesStateWhenSpared(t *testing.T) {
 	}
 	if !keptSeen {
 		t.Error("no aggregation session retained its state")
+	}
+}
+
+// TestSessionSizeClass: a promoted bank's session is one allocation with the
+// feature state inside it. Go puts an 8-byte malloc header before a pointerful
+// object over 512 B, and the session with it must fit the 768-byte size class:
+// a field that pushes it into the 896-byte class fails here, not as live heap.
+func TestSessionSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(cordialSession{}) + 8; got > 768 {
+		t.Errorf("cordialSession with its malloc header is %d bytes, want ≤ 768", got)
 	}
 }
 

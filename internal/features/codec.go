@@ -1,6 +1,7 @@
 package features
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -159,12 +160,13 @@ func (p *patternAccums) code(c *bincodec.Cursor) {
 // accumulator set (committed plus the events waiting behind the cutoff —
 // until the budget is exhausted those are all CEs and UEOs, i.e. the block
 // accumulators, and stagedAll; afterwards nothing can be promoted and the
-// set equals committed), the budget rows' dedupe set (sorted, present while
-// the budget is open), the per-row table's CE, UEO and UER rows (in
-// nearClasses order), and three presence flags.
+// set equals committed), the budget rows in first-occurrence order (the
+// per-row table's ranks) and their dedupe set (sorted, present while the
+// budget is open), the per-row table's CE, UEO and UER rows (in nearClasses
+// order), and three presence flags.
 type redundant struct {
 	staged                             patternAccums
-	seen                               []int32
+	budget, seen                       []int32
 	classRows                          [3][]int32
 	open, firstEvent, firstUER, perRow bool
 }
@@ -172,10 +174,19 @@ type redundant struct {
 func (s *BankState) redundant() redundant {
 	r := redundant{
 		staged:     s.committed,
-		open:       len(s.budgetRows) > 0 && !s.budgetDone,
 		firstEvent: s.firstEventTime != unsetTime,
 		firstUER:   s.firstUERTime != unsetTime,
 		perRow:     len(s.rows) > 0,
+	}
+	var ranked []rowEntry
+	for _, e := range s.rows {
+		if e.rank != 0 {
+			ranked = append(ranked, e)
+		}
+	}
+	slices.SortFunc(ranked, func(a, b rowEntry) int { return cmp.Compare(a.rank, b.rank) })
+	for _, e := range ranked {
+		r.budget = append(r.budget, e.row)
 	}
 	for k, class := range nearClasses {
 		for i := range s.rows {
@@ -187,8 +198,8 @@ func (s *BankState) redundant() redundant {
 	if !s.budgetDone {
 		r.staged.ce, r.staged.ueo, r.staged.all = s.blkCE, s.blkUEO, s.stagedAll
 	}
-	if r.open {
-		r.seen = slices.Clone(s.budgetRows)
+	if r.open = len(r.budget) > 0 && !s.budgetDone; r.open {
+		r.seen = slices.Clone(r.budget)
 		slices.Sort(r.seen)
 	}
 	return r
@@ -197,14 +208,14 @@ func (s *BankState) redundant() redundant {
 // code walks every field in layout order. Encoding passes the state's own
 // redundant sections in r; decoding fills r with what the image says.
 func (s *BankState) code(c *bincodec.Cursor, version uint8, r *redundant) {
-	bincodec.Ranged(c, &s.cfg.UERBudget, maxCodecEntries)
+	bincodec.Ranged(c, &s.cfg.UERBudget, maxUERBudget)
 	bincodec.Ranged(c, &s.spec.WindowRadius, maxCodecEntries)
 	bincodec.Ranged(c, &s.spec.BlockSize, maxCodecEntries)
 	bincodec.Ranged(c, &s.events, math.MaxInt64)
 
 	s.committed.code(c)
 	r.staged.code(c)
-	bincodec.Rows(c, &s.budgetRows, false)
+	bincodec.Rows(c, &r.budget, false)
 	c.Flag(&r.open)
 	if r.open {
 		bincodec.Rows(c, &r.seen, true)
@@ -270,7 +281,7 @@ func (s *BankState) code(c *bincodec.Cursor, version uint8, r *redundant) {
 func (s *BankState) MarshalBinary() ([]byte, error) {
 	r := s.redundant()
 	// 1.3 KB of fixed-size fields, 8 bytes per listed row, 24 per table entry.
-	size := 1320 + 8*(2*len(s.budgetRows)+len(r.classRows[0])+len(r.classRows[1])+len(r.classRows[2])) + 24*len(s.rows)
+	size := 1320 + 8*(len(r.budget)+len(r.seen)+len(r.classRows[0])+len(r.classRows[1])+len(r.classRows[2])) + 24*len(s.rows)
 	c := &bincodec.Cursor{B: append(make([]byte, 0, size), bankStateMagic...), What: imageName}
 	c.B = append(c.B, bankStateVersion)
 	s.code(c, bankStateVersion, &r)
@@ -304,13 +315,11 @@ func UnmarshalBankState(data []byte) (*BankState, error) {
 	if err := s.spec.Validate(); err != nil {
 		return nil, err
 	}
-	distinct := slices.Clone(s.budgetRows)
-	slices.Sort(distinct)
-	if n := len(s.budgetRows); r.firstUER != (n > 0) || n > s.cfg.UERBudget ||
-		s.budgetDone != (n == s.cfg.UERBudget) || len(slices.Compact(distinct)) != n {
+	s.markClassRows(&r.classRows)
+	if n := len(r.budget); r.firstUER != (n > 0) || n > s.cfg.UERBudget ||
+		s.budgetDone != (n == s.cfg.UERBudget) || !s.rankBudget(r.budget) || n != s.budgetLen() {
 		return nil, fmt.Errorf("features: bank state UER budget bookkeeping is inconsistent")
 	}
-	s.markClassRows(&r.classRows)
 	want := s.redundant()
 	if r.staged != want.staged || !slices.Equal(r.seen, want.seen) || !slices.EqualFunc(r.classRows[:], want.classRows[:], slices.Equal) ||
 		r.open != want.open || r.firstEvent != want.firstEvent || r.firstUER != want.firstUER || r.perRow != want.perRow {
@@ -346,6 +355,19 @@ func (s *BankState) markClassRows(lists *[3][]int32) {
 			s.uerRows++
 		}
 	}
+}
+
+// rankBudget ranks the decoded per-row table's budget rows in list order,
+// reporting whether each is a distinct UER row of the table.
+func (s *BankState) rankBudget(list []int32) bool {
+	for k, row := range list {
+		i, found := s.findRow(int(row))
+		if !found || s.rows[i].uer == 0 || s.rows[i].rank != 0 {
+			return false
+		}
+		s.rows[i].rank = uint16(k + 1)
+	}
+	return true
 }
 
 // Config returns the pattern config the state was created with.

@@ -233,7 +233,11 @@ func TestBankStateCodecRejectsUnrepresentable(t *testing.T) {
 		{name: "unsorted per-row table", patch: patch(le64(31003, 1, 1), le64(31000, 1, 1))},
 		{name: "duplicate budget rows", patch: patch(le64(2, 31003, 31009), le64(2, 31003, 31003))},
 		{name: "budget done below the budget", mutate: func(s *BankState) { s.budgetDone = true }},
-		{name: "first UER time without a UER row", mutate: func(s *BankState) { s.budgetRows = nil }},
+		{name: "first UER time without a UER row", mutate: func(s *BankState) {
+			for i := range s.rows {
+				s.rows[i].rank = 0
+			}
+		}},
 		{name: "staged accumulators disagree with the block stage", // the staged CE row maximum comes first
 			patch: patch(le64(int64(math.Float64bits(31012))), le64(int64(math.Float64bits(31013))))},
 		// The CE, UEO and UER lists are derived from the per-row table, which

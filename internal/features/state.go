@@ -51,9 +51,10 @@ type BankState struct {
 	// all-events sequence needs one of its own. Promotion is a struct copy.
 	committed patternAccums
 	stagedAll seqAccum
-	// budgetRows is the first-K distinct UER rows in first-occurrence
-	// order (K = cfg.UERBudget, so len ≤ K).
-	budgetRows []int32
+	// The budget rows, the first K distinct UER rows (K = cfg.UERBudget), are
+	// the per-row table's ranked entries: all of its UER rows until
+	// budgetDone, then K of them (budgetLen). cutoff is the latest one's
+	// first UER time.
 	cutoff     int64
 	budgetDone bool
 	// uerRows counts the per-row table's UER rows.
@@ -93,28 +94,45 @@ type BankState struct {
 // every real instant, which is what the cutoff comparison wants.
 const unsetTime = bincodec.UnsetTime
 
-// NewBankState returns an empty accumulator for one bank. A non-positive
-// UERBudget takes the paper's default of 3.
+// NewBankState returns an empty accumulator for one bank: Init of a new state.
 func NewBankState(cfg PatternConfig, spec BlockSpec) (*BankState, error) {
+	s := new(BankState)
+	if err := s.Init(cfg, spec); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// maxUERBudget is the largest UERBudget: a budget row's rank is 16 bits.
+const maxUERBudget = math.MaxUint16
+
+// Init makes s, in place, an empty accumulator for one bank, dropping what it
+// held: a caller that holds the state inside an object of its own (core's
+// session) builds it without an allocation of the state's. A non-positive
+// UERBudget takes the paper's default of 3.
+func (s *BankState) Init(cfg PatternConfig, spec BlockSpec) error {
 	if cfg.UERBudget <= 0 {
 		cfg.UERBudget = 3
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	if cfg.UERBudget > maxUERBudget {
+		return fmt.Errorf("features: UER budget %d above %d", cfg.UERBudget, maxUERBudget)
 	}
-	s := &BankState{cfg: cfg, spec: spec}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	*s = BankState{cfg: cfg, spec: spec}
 	s.Reset()
-	return s, nil
+	return nil
 }
 
 // Reset empties the state for another bank under the same configuration: it
 // then equals a fresh NewBankState in everything it reports and encodes,
-// except that its per-row table and budget rows keep their capacity, so a
-// caller folding banks one after another (the offline dataset builders and
-// evaluators) allocates them once. Footprint counts that kept capacity, which
-// is why a caller holding many banks at once gives each its own state.
+// except that its per-row table keeps its capacity, so a caller folding banks
+// one after another (the offline dataset builders and evaluators) allocates it
+// once. Footprint counts that kept capacity, which is why a caller holding
+// many banks at once gives each its own state.
 func (s *BankState) Reset() {
-	*s = BankState{cfg: s.cfg, spec: s.spec, budgetRows: s.budgetRows[:0], rows: s.rows[:0]}
+	*s = BankState{cfg: s.cfg, spec: s.spec, rows: s.rows[:0]}
 	s.cutoff, s.firstEventTime, s.firstUERTime, s.runTime, s.lastTime = unsetTime, unsetTime, unsetTime, unsetTime, unsetTime
 }
 
@@ -125,12 +143,15 @@ type patternAccums struct {
 }
 
 // rowEntry is one row of the per-row table: its events and UERs (the
-// block-local prior counts) and whether a CE and a UEO have landed on it. A
+// block-local prior counts), whether a CE and a UEO have landed on it, and its
+// rank among the budget rows — k for the k-th distinct UER row, 0 for a row
+// outside the budget — in what would be padding, so an entry stays 16 bytes. A
 // row is a UER row when uer > 0.
 type rowEntry struct {
 	row        int32
 	total, uer uint32
 	ce, ueo    bool
+	rank       uint16
 }
 
 // has reports whether an event of class — CE, UEO or UER — has landed on the
@@ -203,17 +224,29 @@ func (s *BankState) observe(o Obs) {
 	if s.firstEventTime == unsetTime {
 		s.firstEventTime = o.t
 	}
-	class := ecc.Class(o.class)
-	s.observePattern(o.row, o.t, class)
-	s.observeBlock(o.row, o.t, class)
+	i, found := s.findRow(int(o.row))
+	if !found {
+		s.rows = rowset.InsertAt(s.rows, i, rowEntry{row: o.row})
+	}
+	r, class := &s.rows[i], ecc.Class(o.class)
+	s.observePattern(r, o.t, class)
+	s.observeBlock(r, o.t, class)
 	s.errBits.observe(mcelog.ErrBits(o.bits))
+}
+
+// budgetLen is the number of budget rows.
+func (s *BankState) budgetLen() int {
+	if s.budgetDone {
+		return s.cfg.UERBudget
+	}
+	return int(s.uerRows)
 }
 
 // observePattern maintains the §IV-B aggregates. It runs before
 // observeBlock, so blkCE/blkUEO still hold exactly the events before this
-// one.
-func (s *BankState) observePattern(row int32, t int64, class ecc.Class) {
-	isUER := class == ecc.ClassUER
+// one, and r — the event's row — the events on it before this one.
+func (s *BankState) observePattern(r *rowEntry, t int64, class ecc.Class) {
+	row, isUER := r.row, class == ecc.ClassUER
 	if isUER && s.firstUERTime == unsetTime {
 		// Freeze the strictly-before-first-UER counts. Events in the
 		// trailing run share this UER's timestamp and are excluded.
@@ -237,16 +270,17 @@ func (s *BankState) observePattern(row int32, t int64, class ecc.Class) {
 			s.ueoAtRun++
 		}
 	}
-	if isUER && !s.budgetDone && !slices.Contains(s.budgetRows, row) {
+	if isUER && !s.budgetDone && r.uer == 0 {
 		// A new distinct UER row under budget extends the cutoff:
 		// everything staged becomes visible, and this UER joins the
 		// deduplicated first-K subsequence.
-		s.budgetRows = append(s.budgetRows, row)
+		n := s.budgetLen() + 1
+		r.rank = uint16(n)
 		s.stagedAll.observe(row, t)
 		s.committed.ce, s.committed.ueo, s.committed.all = s.blkCE, s.blkUEO, s.stagedAll
 		s.committed.uer.observe(row, t)
 		s.cutoff = t
-		s.budgetDone = len(s.budgetRows) >= s.cfg.UERBudget
+		s.budgetDone = n >= s.cfg.UERBudget
 		return
 	}
 	// Non-extending event: a CE, a UEO, a repeat-row UER, or a UER past
@@ -269,12 +303,8 @@ func (s *BankState) observePattern(row int32, t int64, class ecc.Class) {
 }
 
 // observeBlock maintains the §IV-D aggregates.
-func (s *BankState) observeBlock(row int32, t int64, class ecc.Class) {
-	i, found := s.findRow(int(row))
-	if !found {
-		s.rows = rowset.InsertAt(s.rows, i, rowEntry{row: row})
-	}
-	r := &s.rows[i]
+func (s *BankState) observeBlock(r *rowEntry, t int64, class ecc.Class) {
+	row := r.row
 	r.total++
 	switch class {
 	case ecc.ClassCE:
@@ -332,8 +362,9 @@ func (s *BankState) PatternVectorInto(dst []float64) error {
 			st.dtMin, st.dtMax,
 		)
 	}
-	out = append(out, float64(slices.Max(s.budgetRows)-slices.Min(s.budgetRows)))
-	out = append(out, float64(len(s.budgetRows)))
+	lo, hi := s.budgetSpan()
+	out = append(out, float64(hi-lo))
+	out = append(out, float64(s.budgetLen()))
 	out = append(out, float64(s.ceBefore), float64(s.ueoBefore))
 	out = append(out, s.committed.all.stats().rowDiffAvg)
 	lead := Missing
@@ -351,6 +382,17 @@ func (s *BankState) PatternVectorInto(dst []float64) error {
 		panic(fmt.Sprintf("features: pattern vector has %d values, want %d", len(out), len(dst)))
 	}
 	return nil
+}
+
+// budgetSpan returns the lowest and the highest budget row, which exist once a
+// UER has been observed.
+func (s *BankState) budgetSpan() (lo, hi int32) {
+	first := slices.IndexFunc(s.rows, func(r rowEntry) bool { return r.rank != 0 })
+	last := len(s.rows) - 1
+	for s.rows[last].rank == 0 {
+		last--
+	}
+	return s.rows[first].row, s.rows[last].row
 }
 
 // blockLeadCols is the number of leading block-vector columns that do not
@@ -523,9 +565,9 @@ type StateFootprint struct {
 	// Events is the number of events observed. A BankState retains none of
 	// them.
 	Events int
-	// TrackedRows is the entries of the per-row table and the UER budget's
-	// rows (the only parts of a BankState that grow at all); each is bounded
-	// by the bank's distinct error rows, hence by the geometry's RowsPerBank.
+	// TrackedRows is the entries of the per-row table, the only part of a
+	// BankState that grows at all: bounded by the bank's distinct error rows,
+	// hence by the geometry's RowsPerBank.
 	TrackedRows int
 	// ApproxBytes estimates resident bytes: a fixed accumulator core plus
 	// TrackedRows-proportional structures.
@@ -533,12 +575,12 @@ type StateFootprint struct {
 }
 
 // Footprint reports the state's current size: the struct itself plus the
-// backing arrays of the per-row table and the budget rows at their allocated
-// capacity. Cost is O(1). A state Reset for another bank reports the capacity
-// its earlier banks left, not what the current bank alone would need.
+// backing array of the per-row table at its allocated capacity. Cost is O(1).
+// A state Reset for another bank reports the capacity its earlier banks left,
+// not what the current bank alone would need.
 func (s *BankState) Footprint() StateFootprint {
-	bytes := int(unsafe.Sizeof(*s)) + cap(s.rows)*int(unsafe.Sizeof(rowEntry{})) + cap(s.budgetRows)*4
-	return StateFootprint{Events: s.events, TrackedRows: len(s.rows) + len(s.budgetRows), ApproxBytes: bytes}
+	bytes := int(unsafe.Sizeof(*s)) + cap(s.rows)*int(unsafe.Sizeof(rowEntry{}))
+	return StateFootprint{Events: s.events, TrackedRows: len(s.rows), ApproxBytes: bytes}
 }
 
 // seqAccum incrementally maintains one error class's seqStats: O(1) per

@@ -417,7 +417,7 @@ func (m *Manager) Promote(version uint64) error {
 	if m.promoteCt != nil {
 		m.promoteCt.Inc()
 	}
-	if removed, err := m.cfg.Registry.Prune(m.cfg.Engine.PinnedVersionFloor()); err != nil {
+	if removed, err := m.cfg.Registry.Prune(m.cfg.Engine.NeededVersions()); err != nil {
 		m.cfg.Logger.Warn("artefact prune failed", "err", err)
 	} else if removed > 0 {
 		m.cfg.Logger.Info("artefacts pruned", "removed", removed)

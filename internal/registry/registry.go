@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -276,10 +277,11 @@ func (r *Registry) MetaOf(version uint64) (Meta, bool) {
 }
 
 // Prune drops the oldest versions beyond the retention limit. The active
-// version is never pruned regardless of age, and neither are versions a
-// running engine may still reference through pinned sessions — callers
-// pass the lowest version still in use as floor (0 = no floor).
-func (r *Registry) Prune(floor uint64) (removed int, err error) {
+// version is never pruned regardless of age, and neither is a version in
+// needed: a running engine's stream.Engine.NeededVersions, the versions a boot
+// over its directory resolves. A pruned artefact's directory entry is not
+// synced, so a power cut may bring it back.
+func (r *Registry) Prune(needed []uint64) (removed int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.entries) <= r.keep {
@@ -292,7 +294,7 @@ func (r *Registry) Prune(floor uint64) (removed int, err error) {
 	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
 	excess := len(versions) - r.keep
 	for _, v := range versions[:excess] {
-		if v == r.active || (floor != 0 && v >= floor) {
+		if v == r.active || slices.Contains(needed, v) {
 			continue
 		}
 		e := r.entries[v]

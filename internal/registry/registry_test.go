@@ -243,7 +243,7 @@ func TestRegistryPrune(t *testing.T) {
 	if err := r.Activate(1); err != nil { // oldest is active
 		t.Fatal(err)
 	}
-	removed, err := r.Prune(0)
+	removed, err := r.Prune(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,18 +261,24 @@ func TestRegistryPrune(t *testing.T) {
 			t.Fatalf("versions after prune = %+v, want %v", left, want)
 		}
 	}
-	// Floor protects versions still pinned by live sessions.
+	// The versions an engine needs survive, however old; the others beyond
+	// the newest 2 go.
 	for i := 0; i < 3; i++ {
 		if _, err := r.Install(pipe, "train"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Prune(4); err != nil {
+	if _, err := r.Prune([]uint64{4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range r.Versions() {
-		if m.Version != 1 && m.Version < 4 {
-			t.Fatalf("prune removed pinned floor protection: %+v", r.Versions())
+	left = r.Versions()
+	want = []uint64{1, 4, 5, 7, 8}
+	if len(left) != len(want) {
+		t.Fatalf("versions after prune = %+v, want %v", left, want)
+	}
+	for i, m := range left {
+		if m.Version != want[i] {
+			t.Fatalf("versions after prune = %+v, want %v", left, want)
 		}
 	}
 	// Pruned artefacts are gone from disk; survivors still load.

@@ -20,15 +20,27 @@ const minCap = 4
 
 // InsertAt inserts v at index i of a sorted table, doubling a full one.
 func InsertAt[T any](s []T, i int, v T) []T {
-	if len(s) == cap(s) {
-		grown := make([]T, len(s), max(minCap, 2*cap(s)))
-		copy(grown, s)
-		s = grown
-	}
-	s = s[:len(s)+1]
+	s = Reserve(s, 1)[:len(s)+1]
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
+}
+
+// Reserve returns a table equal to s with room for n more entries: s itself if
+// it has the room, else a copy grown in one step to the smallest of its
+// doublings that holds them. A caller that knows how many rows a decision may
+// add reserves them first, so the table grows once, not once per doubling.
+func Reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	c := max(minCap, 2*cap(s))
+	for c < len(s)+n {
+		c *= 2
+	}
+	grown := make([]T, len(s), c)
+	copy(grown, s)
+	return grown
 }
 
 // Set is a sorted set of distinct rows. The zero value is an empty set that

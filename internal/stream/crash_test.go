@@ -33,11 +33,11 @@ var (
 )
 
 // TestCrashProperty is the durability gate: seeded schedules of ingest,
-// rotations, snapshots, registry installs, swaps, armed disk faults, power
-// cuts and restarts over one wal.FaultFS, every boot held to the invariants
-// of crashRun.check. A failing schedule is shrunk and printed with its seed
-// (rerun it with -args -crash.from=SEED -crash.seeds=1). Each schedule runs
-// under the one test its flavor names: TestCrashPropertyDDR5 runs the seeds
+// rotations, snapshots, registry installs, swaps, prunes, armed disk faults,
+// power cuts and restarts over one wal.FaultFS, every boot held to the
+// invariants of crashRun.check. A failing schedule is shrunk and printed with
+// its seed (rerun it with -args -crash.from=SEED -crash.seeds=1). Each schedule
+// runs under the one test its flavor names: TestCrashPropertyDDR5 runs the seeds
 // that draw the ddr5-dimm profile, TestCrashPropertyTrained those that serve
 // the trained fixture, TestCrashPropertySwap those that swap the model,
 // TestCrashPropertyBatched those that cut power right after an IngestBatch,
@@ -83,9 +83,11 @@ func crashProperty(t *testing.T, flavor string) {
 
 // crashStep is one step: "ingest" (an Ingest per event), "batch" (one
 // IngestBatch), "snapshot", "install" (a registry artefact), "swap" (SwapModel
-// to version arg, then the ACTIVE flip, as a promotion does), "fault" (armed
-// for the next step), "cut" (a power cut with seed arg, then a boot under
-// shards) or "restart" (a clean Close, then a boot).
+// to version arg, then the ACTIVE flip, as a promotion does), "prune" (the
+// registry's, of what the engine does not need, which follows every swap as
+// it follows a promotion), "fault" (armed for the next step), "cut" (a power
+// cut with seed arg, then a boot under shards) or "restart" (a clean Close,
+// then a boot).
 type crashStep struct {
 	op, fault string
 	evs       []mcelog.Event
@@ -144,7 +146,9 @@ func genCrashSchedule(seed uint64) crashSchedule {
 		case k < 94:
 			st.op, st.arg = "cut", r.Uint64()
 		}
-		sc.steps = append(sc.steps, st)
+		if sc.steps = append(sc.steps, st); st.op == "swap" {
+			sc.steps = append(sc.steps, crashStep{op: "prune"})
+		}
 	}
 	return sc
 }
@@ -186,8 +190,8 @@ type crashOp struct {
 // those that must survive; unsynced those acknowledged under SyncNever since
 // the boot. rewritten: a cut lost applied records, or a replay applied a
 // refused append, so the actions served live came from another history.
-// armed: a fault is armed for the step; refusing: a truncate or remove fault
-// was armed since the boot.
+// armed: a fault is armed for the step; refusing: a truncate fault was armed
+// since the boot.
 type crashRun struct {
 	sc                          *crashSchedule
 	dir                         string
@@ -227,7 +231,17 @@ func (cr *crashRun) ActiveModel() (core.Strategy, uint64) {
 func (cr *crashRun) ModelByVersion(v uint64) (core.Strategy, error) {
 	if _, ok := cr.reg.MetaOf(v); !ok {
 		return nil, fmt.Errorf("crash run: version %d not in the registry", v)
-	} else if cr.sc.trained {
+	}
+	return crashRef{cr}.ModelByVersion(v)
+}
+
+// crashRef serves the reference every version the schedule installed, pruned
+// or not: it folds the whole history, swap records the journal has since
+// dropped included.
+type crashRef struct{ *crashRun }
+
+func (r crashRef) ModelByVersion(v uint64) (core.Strategy, error) {
+	if r.sc.trained {
 		pipe, err := trainedPipeline()
 		return &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}, err
 	}
@@ -252,7 +266,7 @@ func (sc *crashSchedule) run(root string) error {
 			cr.e.Close()
 		}
 	}()
-	if cr.reg, err = registry.Open(registry.Options{Dir: cr.dir, FS: cr.fs}); err == nil {
+	if cr.reg, err = registry.Open(registry.Options{Dir: cr.dir, FS: cr.fs, Keep: 1}); err == nil {
 		if _, err = cr.reg.Install(pipe, "boot"); err == nil {
 			err = cr.reg.Activate(1)
 		}
@@ -315,8 +329,10 @@ func (cr *crashRun) step(st crashStep, pipe *core.Pipeline) error {
 			cr.ack(fmt.Sprint("swap@", lsn))
 			cr.reg.Activate(st.arg)
 		}
+	case "prune":
+		cr.reg.Prune(cr.e.NeededVersions())
 	case "fault":
-		cr.armed, cr.refusing = true, cr.refusing || st.fault == "truncate" || st.fault == "remove"
+		cr.armed, cr.refusing = true, cr.refusing || st.fault == "truncate"
 		map[string]func(){
 			"write":    func() { cr.fs.LimitWriteBytes(int64(st.arg)) },
 			"sync":     func() { cr.fs.FailSyncAfter(int(st.arg % 4)) },
@@ -339,7 +355,7 @@ func (cr *crashRun) step(st crashStep, pipe *core.Pipeline) error {
 		}
 		cr.e, cr.unsynced = nil, nil
 		var err error
-		if cr.reg, err = registry.Open(registry.Options{Dir: cr.dir, FS: cr.fs}); err != nil {
+		if cr.reg, err = registry.Open(registry.Options{Dir: cr.dir, FS: cr.fs, Keep: 1}); err != nil {
 			return err
 		}
 		active, err := wal.ReadFile(nil, filepath.Join(cr.dir, "ACTIVE"), 64)
@@ -358,13 +374,12 @@ func (cr *crashRun) step(st crashStep, pipe *core.Pipeline) error {
 }
 
 // faulted checks an ingest error: it must be an armed fault's, or stem from a
-// truncate or remove fault since the boot. A failed write that a truncate
-// fault kept from being cut off makes the journal refuse appends; a failed
-// rotation whose segment a remove fault kept makes every retry find it there.
+// truncate fault since the boot — a failed write that a truncate fault kept
+// from being cut off makes the journal refuse appends.
 func (cr *crashRun) faulted(err error) error {
 	switch {
 	case cr.armed && (errors.Is(err, wal.ErrInjectedWrite) || errors.Is(err, wal.ErrInjectedSync) || errors.Is(err, wal.ErrInjectedOpen)):
-	case cr.refusing && (errors.Is(err, wal.ErrInjectedTruncate) || errors.Is(err, os.ErrExist)):
+	case cr.refusing && errors.Is(err, wal.ErrInjectedTruncate):
 	default:
 		return fmt.Errorf("ingest failed with no fault to explain it: %w", err)
 	}
@@ -461,7 +476,7 @@ func (cr *crashRun) boot(shards int) (err error) {
 //   - (in run, at the end) unless the history was rewritten, both emitted the
 //     same deduplicated actions.
 func (cr *crashRun) check() (err error) {
-	ref, err := New(Config{Models: cr, Shards: 1, Logger: crashLog})
+	ref, err := New(Config{Models: crashRef{cr}, Shards: 1, Logger: crashLog})
 	if err != nil {
 		return err
 	}
@@ -469,7 +484,7 @@ func (cr *crashRun) check() (err error) {
 		ref.Close()
 		cr.refActions = actionKeys(drainActions(ref))
 	}()
-	strat, err := cr.ModelByVersion(1)
+	strat, err := crashRef{cr}.ModelByVersion(1)
 	if err != nil {
 		return err
 	}

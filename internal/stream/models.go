@@ -281,17 +281,20 @@ func (e *Engine) modelSize(shadow bool) (nodes, bytes int) {
 	return 0, 0
 }
 
-// PinnedVersionFloor returns the lowest model version any live session is
-// pinned to (0 when no sessions exist). Registry pruning uses it to avoid
-// deleting artefacts a running session might still need to recover under.
-func (e *Engine) PinnedVersionFloor() uint64 {
-	var floor uint64
-	for version := range e.sessionsByVersion() {
-		if version != 0 && (floor == 0 || version < floor) {
-			floor = version
-		}
+// NeededVersions returns the model versions a boot over the engine's
+// directory may resolve, which the registry must therefore keep: every
+// version of the epoch table — the one a snapshot header names and those of
+// the swap records the journal holds are all in it — and every version a live
+// bank is pinned to.
+func (e *Engine) NeededVersions() []uint64 {
+	var out []uint64
+	for _, ep := range e.epochList() {
+		out = append(out, ep.version)
 	}
-	return floor
+	for version := range e.sessionsByVersion() {
+		out = append(out, version)
+	}
+	return out
 }
 
 // ExportEvents decodes the journal's event records in [from, to) (the

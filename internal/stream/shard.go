@@ -51,7 +51,7 @@ type shardState struct {
 
 func newShardState(layout recordLayout) *shardState {
 	st := &shardState{layout: layout}
-	st.store.heapOnly = layout.rowMask > maxNodeRow
+	st.store.init(layout.rowMask > maxNodeRow)
 	return st
 }
 
@@ -265,8 +265,7 @@ func (st *shardState) addStored(key uint64, ver uint32, lastLSN uint64, log []fe
 func (st *shardState) addHeap(key uint64, ver uint32, bs *bankSession) *slot {
 	sl := st.store.insert(key)
 	sl.meta = ver << verShift
-	st.store.setHeap(sl, bs)
-	st.added(sl, bs.lastLSN)
+	st.added(sl, st.store.setHeap(sl, bs).lastLSN)
 	return sl
 }
 
@@ -587,10 +586,9 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 		v := st.view(sl)
 		before = v.contribution()
 		v.stateBytes, v.stateDeferred = 0, false // measureState's to say
-		bs = &v
 		st.chain = st.store.log(sl, st.chain)
 		st.store.freeLog(sl)
-		st.store.setHeap(sl, bs)
+		bs = st.store.setHeap(sl, &v)
 	case bs.degraded:
 		bs.events++
 		bs.lastEvent = q.rec.UnixNano
@@ -694,6 +692,7 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 
 	if d.SpareBank && !bs.bankSpared {
 		bs.bankSpared = true
+		bs.sess = core.Released(bs.sess)
 		bs.actions++
 		out = append(out, Action{
 			Kind:  sparing.ActionBankSpare,
@@ -720,6 +719,7 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 			}
 		}
 		if n > 0 {
+			bs.rows = rowset.Reserve(bs.rows, n) // the table grows once per decision
 			fresh := vb.carve(n)
 			for _, r := range d.IsolateRows {
 				if m := bs.mark(r); !m.spared {

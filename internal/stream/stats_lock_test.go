@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -84,9 +85,9 @@ func TestStatsSurfacesTakeNoShardLock(t *testing.T) {
 			}
 			return nil
 		},
-		"PinnedVersionFloor": func() error {
-			if v := e.PinnedVersionFloor(); v != staticVersion {
-				return fmt.Errorf("floor %d", v)
+		"NeededVersions": func() error {
+			if v := e.NeededVersions(); !slices.Contains(v, staticVersion) {
+				return fmt.Errorf("needed versions %v", v)
 			}
 			return nil
 		},
@@ -206,14 +207,11 @@ func assertTotalsMatchRecount(t *testing.T, when string, e *Engine) {
 	if pick(got) != pick(want) {
 		t.Errorf("%s: totals\n  %s\nrecount\n  %s", when, pick(got), pick(want))
 	}
-	floor := uint64(0)
+	needed := e.NeededVersions()
 	for v := range want.SessionsByModelVersion {
-		if v != 0 && (floor == 0 || v < floor) {
-			floor = v
+		if !slices.Contains(needed, v) {
+			t.Errorf("%s: NeededVersions %v lacks version %d, which a recount finds pinned", when, needed, v)
 		}
-	}
-	if got := e.PinnedVersionFloor(); got != floor {
-		t.Errorf("%s: PinnedVersionFloor %d, recount %d", when, got, floor)
 	}
 }
 
@@ -265,7 +263,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 			default:
 				e.Stats()
 				_ = e.Metrics().WriteText(io.Discard)
-				e.PinnedVersionFloor()
+				e.NeededVersions()
 			}
 		}
 	}()

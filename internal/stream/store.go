@@ -22,15 +22,18 @@ import (
 //   - slots: one pointer-free 24-byte slot per bank. A stored bank's slot holds
 //     its replay watermark, pinned model version (an index into the shard's
 //     version table), observation count and the newest node of its chain; a
-//     promoted bank's slot holds the reference of its *bankSession in heap.
+//     promoted bank's slot holds the reference of its bankSession in heap.
 //     A stored bank's first-event time is its oldest node's.
 //   - nodes: the observations, 16 bytes each, linked newest → oldest, recycled
 //     through a free list when a bank promotes or is dropped.
+//   - heap: the promoted banks' bankSessions, by value, recycled through a
+//     free list when a bank is dropped.
 //
-// Slots, nodes and heap entries sit in fixed-size chunks that are allocated
-// one at a time and never moved, so a stored bank costs no allocation and the
-// store never holds a doubled array's slack. Like everything a shard owns, a
-// store is written only by the holder of the shard's mu.
+// Slots, nodes and sessions sit in fixed-size chunks that are allocated one at
+// a time and never moved, so a stored bank and a promotion cost no allocation
+// of their own and the store never holds a doubled array's slack. Like
+// everything a shard owns, a store is written only by the holder of the
+// shard's mu.
 type bankStore struct {
 	index []uint32 // slot references, 0 = empty; len is zero or a power of two
 	shift uint     // 64 - log2(len(index)): a key's home is the top bits of its hash
@@ -40,12 +43,19 @@ type bankStore struct {
 	freeSlot uint32 // head of the free slots, linked through slot.ref
 	nodes    chunked[obsNode]
 	freeNode uint32 // head of the free nodes, linked through their next references
-	heap     chunked[*bankSession]
-	freeHeap []uint32 // heap entries vacated by dropped banks
+	heap     chunked[bankSession]
+	freeHeap []uint32 // heap entries vacated by dropped banks, zeroed
 
 	// heapOnly is set when the layout's row field is wider than a node's: every
 	// bank then takes the heap form.
 	heapOnly bool
+}
+
+// init readies an empty store; heapOnly is set when the layout's row field is
+// wider than a node's.
+func (st *bankStore) init(heapOnly bool) {
+	st.heapOnly = heapOnly
+	st.slots.shift, st.nodes.shift, st.heap.shift = chunkShift, chunkShift, heapChunkShift
 }
 
 // slot is one bank in the store: 24 bytes.
@@ -128,25 +138,29 @@ func (n *obsNode) setNext(ref uint32) { n.w = n.w&(1<<nodeNextShift-1) | uint64(
 // StateBytes is nodeBytes per observation.
 const nodeBytes = int(unsafe.Sizeof(obsNode{}))
 
-// chunkLen is the number of elements per chunk: 24 KB of slots, 16 KB of
+// chunkLen is the number of slots or nodes per chunk: 24 KB of slots, 16 KB of
 // nodes — small enough that the last, part-filled chunk of each kind is noise
 // beside the fleet, large enough that chunk allocations are one per thousand
-// banks or observations.
+// banks or observations. A heap chunk holds 64 sessions, 7 KB: few banks of a
+// fleet promote, so a smaller chunk keeps the last one's slack out of the
+// fleet's live heap, at one allocation per 64 promotions.
 const (
-	chunkShift = 10
-	chunkLen   = 1 << chunkShift
+	chunkShift     = 10
+	chunkLen       = 1 << chunkShift
+	heapChunkShift = 6
 )
 
-// chunked is an append-only array in fixed-size chunks, addressed by 1-based
-// reference so that 0 can mean "none". Elements never move.
+// chunked is an append-only array in chunks of 1<<shift elements, addressed by
+// 1-based reference so that 0 can mean "none". Elements never move.
 type chunked[T any] struct {
-	chunks []*[chunkLen]T
+	chunks [][]T
 	n      uint32 // elements handed out; also the highest valid reference
+	shift  uint   // set before the first push
 }
 
 func (c *chunked[T]) at(ref uint32) *T {
 	i := ref - 1
-	return &c.chunks[i>>chunkShift][i&(chunkLen-1)]
+	return &c.chunks[i>>c.shift][i&(1<<c.shift-1)]
 }
 
 // push adds one zero element and returns its reference.
@@ -158,8 +172,8 @@ func (c *chunked[T]) push() uint32 {
 
 // reserve allocates the chunks n more elements will fill.
 func (c *chunked[T]) reserve(n int) {
-	for len(c.chunks)<<chunkShift < int(c.n)+n {
-		c.chunks = append(c.chunks, new([chunkLen]T))
+	for len(c.chunks)<<c.shift < int(c.n)+n {
+		c.chunks = append(c.chunks, make([]T, 1<<c.shift))
 	}
 }
 
@@ -250,7 +264,7 @@ func (st *bankStore) remove(sl *slot) {
 	case slotStored:
 		st.freeLog(sl)
 	case slotHeap:
-		*st.heap.at(sl.ref) = nil
+		*st.heap.at(sl.ref) = bankSession{}
 		st.freeHeap = append(st.freeHeap, sl.ref)
 	}
 	mask := uint32(len(st.index) - 1)
@@ -350,21 +364,23 @@ func (st *bankStore) freeLog(sl *slot) {
 }
 
 // setHeap turns a slot — new, or stored with its log already freed — into the
-// heap form holding bs.
-func (st *bankStore) setHeap(sl *slot, bs *bankSession) {
+// heap form holding a copy of bs, and returns the copy.
+func (st *bankStore) setHeap(sl *slot, bs *bankSession) *bankSession {
 	var ref uint32
 	if n := len(st.freeHeap); n > 0 {
 		ref, st.freeHeap = st.freeHeap[n-1], st.freeHeap[:n-1]
 	} else {
 		ref = st.heap.push()
 	}
-	*st.heap.at(ref) = bs
+	held := st.heap.at(ref)
+	*held = *bs
 	sl.ref = ref
 	sl.setForm(slotHeap)
+	return held
 }
 
 // session returns a heap-form bank's session.
-func (st *bankStore) session(sl *slot) *bankSession { return *st.heap.at(sl.ref) }
+func (st *bankStore) session(sl *slot) *bankSession { return st.heap.at(sl.ref) }
 
 // each visits every bank, in slot order. fn may remove the bank it is given.
 func (st *bankStore) each(fn func(sl *slot)) {
@@ -375,10 +391,11 @@ func (st *bankStore) each(fn func(sl *slot)) {
 	}
 }
 
-// eachSession visits every heap-form bank's session.
+// eachSession visits every heap-form bank's session: every entry but the
+// vacated, zeroed ones.
 func (st *bankStore) eachSession(fn func(bs *bankSession)) {
 	for ref := uint32(1); ref <= st.heap.n; ref++ {
-		if bs := *st.heap.at(ref); bs != nil {
+		if bs := st.heap.at(ref); bs.sess != nil {
 			fn(bs)
 		}
 	}

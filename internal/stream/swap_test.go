@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,8 +101,8 @@ func TestSwapModelPinsSessions(t *testing.T) {
 	if st, _ := e.Session(testBank(1)); st.ModelVersion != 2 {
 		t.Fatalf("post-swap session bound %d, want 2", st.ModelVersion)
 	}
-	if floor := e.PinnedVersionFloor(); floor != 1 {
-		t.Fatalf("pinned version floor %d, want 1", floor)
+	if needed := e.NeededVersions(); !slices.Contains(needed, 1) || !slices.Contains(needed, 2) {
+		t.Fatalf("needed versions %v, want 1 and 2", needed)
 	}
 	if sessions := e.Sessions(); len(sessions) != 2 {
 		t.Fatalf("Sessions() returned %d entries, want 2", len(sessions))
@@ -294,7 +295,7 @@ func TestConcurrentSwapIngestScrape(t *testing.T) {
 			e.ShadowStats()
 			e.RecentClassMix(16)
 			e.Sessions()
-			e.PinnedVersionFloor()
+			e.NeededVersions()
 		}
 	}()
 

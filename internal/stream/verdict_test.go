@@ -10,6 +10,7 @@ import (
 
 	"cordial/internal/core"
 	"cordial/internal/ecc"
+	"cordial/internal/faultsim"
 	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
@@ -239,11 +240,12 @@ func TestPredictingFoldAllocs(t *testing.T) {
 
 // TestHotBankAllocs pins the mallocs a whole hot_banks bank costs a warmed
 // engine, from its first CE to its 120th event: its slot, its promotion to a
-// session and feature state at its first UER, one classification, a dozen
-// predictions, and the growth of its three tables — the feature state's
-// per-row table and budget rows and the engine's row table. 13.1 per bank
-// measured; four sorted row sets in the feature state, two in the engine and
-// a classification into fresh slices made it 24.1.
+// session holding its feature state at its first UER, one classification, a
+// dozen predictions, and the growth of its two row tables — the feature
+// state's and the engine's. 6.2 per bank measured; four sorted row sets in the
+// feature state, two in the engine and a classification into fresh slices
+// made it 24.1, and a separate feature state, budget-row array and bankSession
+// with a row table grown one doubling at a time 13.1.
 func TestHotBankAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a pipeline")
@@ -284,7 +286,60 @@ func TestHotBankAllocs(t *testing.T) {
 	if st := e.Stats(); st.SessionsLive != 2*banks || acts < banks*perBank/20 {
 		t.Fatalf("%d sessions and %d actions: not the coverage the test is for", st.SessionsLive, acts)
 	}
-	if perBankMallocs > 14 {
-		t.Errorf("a hot bank costs %.2f mallocs, want at most 14", perBankMallocs)
+	if perBankMallocs > 7 {
+		t.Errorf("a hot bank costs %.2f mallocs, want at most 7", perBankMallocs)
+	}
+}
+
+// TestPromotedBankAllocs pins the allocation budget of one promoted bank: a
+// hot-bank lifetime — 120 events, a UER every 10th at adjacent rows — run
+// through shardState.step, which stores the bank, promotes it at its first
+// UER, classifies it at its third and predicts at each UER after. Six
+// allocations: the session with its feature state inside, the feature state's
+// row table at 4, 8 and 16 rows, and the engine's row table at 4 rows for the
+// UER rows and at 32 for the first prediction's rows, reserved at once. The
+// bankSession sits in the store's heap chunks and the budget rows are ranks in
+// the feature table's entries; chunks, the index and the rows slab amortise
+// below one allocation per bank.
+func TestPromotedBankAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	pipe, err := trainedPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := stepEnv{epochs: []modelEpoch{{version: 1, strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}}}}
+	st := newShardState(newRecordLayout(hbm.ActiveProfile().Layout))
+	const warm, runs = 8, 100
+	lives := make([][]queued, warm+runs+1) // AllocsPerRun runs once more to warm up
+	for i := range lives {
+		for _, ev := range hotBankEvents(1, 120, uint64(i+1)) {
+			lives[i] = append(lives[i], queued{rec: mcelog.RecordOf(ev)})
+		}
+	}
+	acts, next := 0, 0
+	life := func() {
+		acts += len(st.step(env, lives[next]).acts)
+		next++
+	}
+	for next < warm { // warms the decision buffer, the pooled scratch and the step's buffers
+		life()
+	}
+	perBank := testing.AllocsPerRun(runs, life)
+	st.store.eachSession(func(bs *bankSession) {
+		if !bs.classified || !faultsim.Class(bs.class).IsAggregation() || bs.actions < 5 {
+			t.Fatalf("a bank classified=%t class=%v with %d actions: not the lifetime the test is for", bs.classified, faultsim.Class(bs.class), bs.actions)
+		}
+	})
+	t.Logf("%v allocations per promoted bank, %d actions over %d banks", perBank, acts, next)
+	if next != len(lives) || st.store.banks != len(lives) {
+		t.Fatalf("%d lifetimes run, %d banks held, want %d", next, st.store.banks, len(lives))
+	}
+	if perBank > 6 {
+		t.Errorf("a promoted bank costs %v allocations, want at most 6", perBank)
 	}
 }

@@ -448,10 +448,11 @@ func (r *segmentReader) frames(src io.Reader, size int64, tail bool, fn func(lsn
 // openSegment creates a fresh segment starting at lsn, syncs it and its
 // directory entry, and makes it current: a record acknowledged in it must
 // not vanish with the file's name. On failure the file is removed again, so
-// a later rotation can retry.
+// a later rotation can retry; a file whose remove failed too is the retry's
+// to empty and reuse, for lsn is past every record written.
 func (w *WAL) openSegment(lsn uint64) (err error) {
 	path := filepath.Join(w.dir, segName(lsn))
-	f, err := w.opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := w.opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}

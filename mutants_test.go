@@ -81,11 +81,32 @@ var mutants = []struct {
 	{"the torn tail left in place", "internal/wal/wal.go",
 		"\t\tif err := f.Truncate(end); err != nil {", "\t\tif err := error(nil); err != nil {",
 		[]string{"internal/wal TestWALPowerCutRepair", "internal/stream TestCrashProperty"}},
-	{"a failed rotation leaves its segment behind", "internal/wal/wal.go",
-		"\t\t\t_ = w.opts.FS.Remove(path)\n", "", []string{"internal/stream TestCrashPropertySwap"}},
+	{"a segment a failed rotation left behind wedges the journal", "internal/wal/wal.go",
+		"os.O_RDWR|os.O_CREATE|os.O_TRUNC", "os.O_RDWR|os.O_CREATE|os.O_EXCL",
+		[]string{"internal/stream TestCrashProperty -crash.seeds=1000"}},
+	{"a prune removes a version the journal's swap records name", "internal/stream/models.go",
+		"\tfor _, ep := range e.epochList() {\n\t\tout = append(out, ep.version)\n\t}\n", "",
+		[]string{"internal/stream TestCrashPropertySwap -crash.seeds=1000"}},
 	{"a failed fsync acknowledged", "internal/wal/wal.go",
 		"\t\tif serr := w.syncTimed(); serr != nil {", "\t\tif serr := w.syncTimed(); serr != nil && false {",
 		[]string{"internal/stream TestCrashProperty"}},
+
+	// The per-bank allocation budget: what one promoted bank costs and holds.
+	{"budget rows written in row order", "internal/features/codec.go",
+		"\tslices.SortFunc(ranked, func(a, b rowEntry) int { return cmp.Compare(a.rank, b.rank) })\n", "\t_ = cmp.Compare[int]\n",
+		[]string{"internal/stream TestQuietStoreEquivalence"}},
+	{"a reserve that undercounts the fresh rows", "internal/stream/shard.go",
+		"rowset.Reserve(bs.rows, n)", "rowset.Reserve(bs.rows, n/4)",
+		[]string{"internal/stream TestPromotedBankAllocs", "internal/stream TestHotBankAllocs"}},
+	{"a released session keeps its row table", "internal/core/pipeline.go",
+		"\t\t\ts.state, s.released = features.BankState{}, true\n", "\t\t\ts.released = true\n",
+		[]string{"internal/core TestCordialSessionReleasesStateWhenSpared"}},
+	{"a spared bank keeps its feature state's session", "internal/stream/shard.go",
+		"\t\tbs.sess = core.Released(bs.sess)\n", "",
+		[]string{"internal/stream TestEngineFeatureStateStats"}},
+	{"a bank's budget rows counted past the budget", "internal/features/state.go",
+		"\tif s.budgetDone {\n\t\treturn s.cfg.UERBudget\n\t}\n", "",
+		[]string{"internal/features TestIncrementalEquivalenceTable", "internal/features TestBankStateGoldenImages"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

@@ -324,6 +324,11 @@ var deletionGates = []struct {
 		replacedBy: "pointer receivers on every hbm.Layout method and on hbm.Geometry.dim, and pointers to the generator's Config in faultsim",
 		check:      noPerFieldCopies,
 	},
+	{
+		gate: "prune only what the journal no longer needs", deletedBy: "A promoted bank in six allocations, not twelve",
+		replacedBy: "stream.Engine.NeededVersions, the versions registry.Registry.Prune keeps",
+		names:      []string{"PinnedVersionFloor"},
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
