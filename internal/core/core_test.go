@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
@@ -142,6 +144,37 @@ func TestBuildBlockDataset(t *testing.T) {
 	}
 	if pos >= neg {
 		t.Fatalf("expected positives to be the minority: %d vs %d", pos, neg)
+	}
+}
+
+// TestBuildBlockDatasetGolden pins the rows BuildBlockDataset's dataset reads
+// back from its codes, and its labels, to SHA-256s of the float rows and labels
+// it built at the commit before the block dataset was coded as it was made
+// (values little-endian row by row, each row's label after it as a uint64).
+func TestBuildBlockDatasetGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed  uint64
+		banks int
+		rows  int
+		sha   string
+	}{
+		{1, 120, 6560, "959cfe34131b259e5d30efc6281f3af7c2c1270f4bc103fceb1379923a4c3200"},
+		{17, 40, 1648, "89cb8ea13bfa7312ac3eeb13645135d03a914d22a09dd08b9073630a4b5988c2"},
+	} {
+		ds, err := BuildBlockDataset(testFleet(t, c.seed, c.banks).Faults, features.DefaultBlockSpec(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b []byte
+		for i, row := range ds.Features {
+			for _, v := range row {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(ds.Labels[i]))
+		}
+		if got := sha256Hex(b); len(ds.Features) != c.rows || got != c.sha {
+			t.Errorf("seed %d, %d banks: %d rows, SHA-256 %s; want %d rows, %s", c.seed, c.banks, len(ds.Features), got, c.rows, c.sha)
+		}
 	}
 }
 

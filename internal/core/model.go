@@ -185,20 +185,16 @@ func patternSamples(banks []*faultsim.BankFault, st *features.BankState, errBits
 // The bank's events are replayed exactly once through st, reset first:
 // BankFault.Events are time-sorted and UERTimes is nondecreasing, so each
 // decision point only needs to fold in the events between the previous cutoff
-// and its own. This replaces the earlier prefix-slice recomputation, which was
-// quadratic in the event count per bank. The instances are appended to vecs
-// and labels, their vectors carved from the front of backing, which must hold
-// blockInstanceCount × BlockFeatureCount values; the rest of backing is
-// returned.
-func blockInstances(vecs [][]float64, labels []int, backing []float64, st *features.BankState, bf *faultsim.BankFault, warmup int) ([][]float64, []int, []float64) {
+// and its own. Each window is filled into the one scratch window, which holds
+// NumBlocks × BlockFeatureCount values, and its rows are added to c.
+func blockInstances(c *mltree.Coder, window []float64, st *features.BankState, bf *faultsim.BankFault, warmup int) error {
 	n := len(bf.UERRows)
 	warmup = max(warmup, 1)
 	if n < warmup {
-		return vecs, labels, backing
+		return nil
 	}
 	st.Reset()
 	spec := st.Spec()
-	width := spec.NumBlocks() * features.BlockFeatureCount
 	next := 0
 	for k := warmup; k <= n; k++ {
 		anchor := bf.UERRows[k-1]
@@ -207,20 +203,18 @@ func blockInstances(vecs [][]float64, labels []int, backing []float64, st *featu
 			st.Observe(bf.Events[next])
 			next++
 		}
-		window := backing[:width:width]
-		backing = backing[width:]
 		st.BlockVectorsInto(window, anchor, now)
 		for b := 0; b < spec.NumBlocks(); b++ {
 			label := 0
 			if blockHasFutureUER(bf, spec, anchor, b, now) {
 				label = 1
 			}
-			lo, hi := b*features.BlockFeatureCount, (b+1)*features.BlockFeatureCount
-			vecs = append(vecs, window[lo:hi:hi])
-			labels = append(labels, label)
+			if err := c.Add(window[b*features.BlockFeatureCount:(b+1)*features.BlockFeatureCount], label); err != nil {
+				return err
+			}
 		}
 	}
-	return vecs, labels, backing
+	return nil
 }
 
 // blockInstanceCount is the number of instances blockInstances generates for
@@ -251,6 +245,16 @@ func blockHasFutureUER(bf *faultsim.BankFault, spec features.BlockSpec, anchor, 
 // warmup is the number of UERs observed before the first prediction — the
 // pattern classifier's UER budget in the full pipeline.
 func BuildBlockDataset(banks []*faultsim.BankFault, spec features.BlockSpec, warmup int) (*mltree.Dataset, error) {
+	ds, err := blockDataset(banks, spec, warmup)
+	if err == nil {
+		ds.Materialize()
+	}
+	return ds, err
+}
+
+// blockDataset is BuildBlockDataset without Features: the instances coded as
+// they are made, for the fits that read nothing else.
+func blockDataset(banks []*faultsim.BankFault, spec features.BlockSpec, warmup int) (*mltree.Dataset, error) {
 	st, err := features.NewBankState(features.DefaultPatternConfig(), spec) // validates spec
 	if err != nil {
 		return nil, err
@@ -261,17 +265,17 @@ func BuildBlockDataset(banks []*faultsim.BankFault, spec features.BlockSpec, war
 			instances += blockInstanceCount(bf, spec, warmup)
 		}
 	}
-	ds := &mltree.Dataset{
-		Names:    features.BlockFeatureNames(),
-		Features: make([][]float64, 0, instances),
-		Labels:   make([]int, 0, instances),
-	}
-	backing := make([]float64, instances*features.BlockFeatureCount)
+	c := mltree.NewCoder(features.BlockFeatureCount, instances)
+	window := make([]float64, spec.NumBlocks()*features.BlockFeatureCount)
 	for _, bf := range banks {
-		if bf.Class().IsAggregation() {
-			ds.Features, ds.Labels, backing = blockInstances(ds.Features, ds.Labels, backing, st, bf, warmup)
+		if !bf.Class().IsAggregation() {
+			continue
+		}
+		if err := blockInstances(c, window, st, bf, warmup); err != nil {
+			return nil, err
 		}
 	}
+	ds := c.Dataset(features.BlockFeatureNames())
 	if ds.NumSamples() == 0 {
 		return nil, fmt.Errorf("core: no aggregation banks to build a block dataset")
 	}

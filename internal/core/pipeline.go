@@ -227,7 +227,7 @@ func (p *Pipeline) Fit(banks []*faultsim.BankFault) error {
 		return fmt.Errorf("core: fitting pattern model: %w", err)
 	}
 
-	blockDS, err := BuildBlockDataset(banks, p.cfg.Block, p.cfg.Pattern.UERBudget)
+	blockDS, err := blockDataset(banks, p.cfg.Block, p.cfg.Pattern.UERBudget)
 	if err != nil {
 		return err
 	}

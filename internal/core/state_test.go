@@ -12,6 +12,7 @@ import (
 	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
+	"cordial/internal/mltree"
 	"cordial/internal/xrand"
 )
 
@@ -96,25 +97,29 @@ func TestStateVariantsMatchSliceAPI(t *testing.T) {
 }
 
 // bankInstances is blockInstances over one bank, through a state and a
-// backing of its own.
+// coder of its own, its instances read back as rows.
 func bankInstances(t testing.TB, bf *faultsim.BankFault, spec features.BlockSpec, warmup int) ([][]float64, []int) {
 	t.Helper()
 	st, err := features.NewBankState(features.DefaultPatternConfig(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backing := make([]float64, blockInstanceCount(bf, spec, warmup)*features.BlockFeatureCount)
-	vecs, labels, _ := blockInstances(nil, nil, backing, st, bf, warmup)
-	return vecs, labels
+	c := mltree.NewCoder(features.BlockFeatureCount, blockInstanceCount(bf, spec, warmup))
+	if err := blockInstances(c, make([]float64, spec.NumBlocks()*features.BlockFeatureCount), st, bf, warmup); err != nil {
+		t.Fatal(err)
+	}
+	ds := c.Dataset(nil)
+	ds.Materialize()
+	return ds.Features, ds.Labels
 }
 
 // TestBlockInstancesSingleReplayEquivalence pins blockInstances' forward
 // replay against the original prefix-slice recomputation it replaced. As in
-// BuildBlockDataset, one state folds every bank, reset between them, and the
-// vectors are carved from one backing array; the reference builds a fresh
-// state per decision, and every bank's instances are compared after all of
-// them were made, so a window two decisions share or a state a bank leaves
-// behind shows.
+// BuildBlockDataset, one state folds every bank, reset between them, every
+// window is filled into one scratch and every instance goes to one coder; the
+// reference builds a fresh state per decision, and every bank's instances are
+// compared, read back as rows, after all of them were made, so a window two
+// decisions share or a state a bank leaves behind shows.
 func TestBlockInstancesSingleReplayEquivalence(t *testing.T) {
 	fleet := testFleet(t, 2, 150)
 	spec := features.DefaultBlockSpec()
@@ -133,17 +138,24 @@ func TestBlockInstancesSingleReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backing := make([]float64, instances*features.BlockFeatureCount)
+	c := mltree.NewCoder(features.BlockFeatureCount, instances)
+	window := make([]float64, spec.NumBlocks()*features.BlockFeatureCount)
+	for _, bf := range chosen {
+		if err := blockInstances(c, window, st, bf, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := c.Dataset(nil)
+	ds.Materialize()
+	if ds.NumSamples() != instances {
+		t.Fatalf("%d instances where BuildBlockDataset sizes for %d", ds.NumSamples(), instances)
+	}
 	made := make([][][]float64, len(chosen))
 	madeLabels := make([][]int, len(chosen))
 	for i, bf := range chosen {
-		made[i], madeLabels[i], backing = blockInstances(nil, nil, backing, st, bf, 3)
-		if want := blockInstanceCount(bf, spec, 3); len(made[i]) != want {
-			t.Fatalf("%d instances where BuildBlockDataset sizes for %d", len(made[i]), want)
-		}
-	}
-	if len(backing) != 0 {
-		t.Fatalf("%d values of the backing left over", len(backing))
+		n := blockInstanceCount(bf, spec, 3)
+		made[i], madeLabels[i] = ds.Features[:n], ds.Labels[:n]
+		ds.Features, ds.Labels = ds.Features[n:], ds.Labels[n:]
 	}
 	for n, bf := range chosen {
 		vecs, labels := made[n], madeLabels[n]

@@ -70,195 +70,278 @@ type chain struct {
 // a threshold keeps its sign bit through Save.
 func cmpBits(a, b float64) int { return cmp.Compare(orderableBits(a), orderableBits(b)) }
 
+// grownNode is a node of a tree being built, laid out as in the arena: root
+// first, siblings adjacent. A split's children are nodes at and at+1 and thr
+// is its threshold's index in the tree; a leaf (thr == grownLeaf) has its
+// row's index there in at.
+type grownNode struct{ at, thr uint32 }
+
+const grownLeaf = math.MaxUint32
+
+// grownTree is a tree as every learner and the model loader hand it to
+// compileArena: one allocation of words holding its nodes, its splits'
+// threshold bits sorted by feature and then threshold, their features four to
+// a word, and its distinct leaf rows' bits.
+type grownTree struct {
+	rec           []uint64
+	nodes, splits int
+}
+
+func (gt grownTree) node(i int) grownNode {
+	return grownNode{at: uint32(gt.rec[i] >> 32), thr: uint32(gt.rec[i])}
+}
+
+func (gt grownTree) threshold(id int) float64 { return math.Float64frombits(gt.rec[gt.nodes+id]) }
+
+func (gt grownTree) feature(id int) int {
+	return int(uint16(gt.rec[gt.nodes+gt.splits+id/4] >> (16 * (id % 4))))
+}
+
+func (gt grownTree) leaves() []uint64 { return gt.rec[gt.nodes+gt.splits+(gt.splits+3)/4:] }
+
+// builder is the scratch a tree is built in, reused from tree to tree: its
+// nodes, its splits, and its distinct leaf rows with the set that finds them.
+type builder struct {
+	nodes  []grownNode
+	splits []split
+	leaf   []uint64
+	rows   rowSet
+	row    []uint64 // the bits of the leaf row being built
+}
+
+// split is a split's threshold and feature and the node it is.
+type split struct {
+	thr  float64
+	f    uint16
+	node uint32
+}
+
+func newBuilder(width int) *builder {
+	b := &builder{row: make([]uint64, width)}
+	b.rows = rowSet{slots: make([]uint32, 16), row: func(id uint32) []uint64 { return b.leaf[int(id)*width:][:width] }}
+	return b
+}
+
+// more returns s with room for n more elements, at least doubling it (to 256
+// at first) when it must move: a worker's scratch settles in a few steps.
+func more[S ~[]E, E any](s S, n int) S { return slices.Grow(s, max(n, len(s), 256)) }
+
+// reset starts a tree: a root, yet to be laid out.
+func (b *builder) reset() {
+	b.nodes, b.splits, b.leaf = append(b.nodes[:0], grownNode{}), b.splits[:0], b.leaf[:0]
+	clear(b.rows.slots)
+	b.rows.n = 0
+}
+
+// split makes node at a split on feature f at thr and returns its left
+// child's index. A feature the arena cannot hold is kept as arenaLeaf, for
+// compileArena to refuse.
+func (b *builder) split(at, f int, thr float64) int {
+	c := len(b.nodes)
+	b.nodes = append(more(b.nodes, 2), grownNode{}, grownNode{})
+	b.nodes[at].at = uint32(c)
+	b.splits = append(more(b.splits, 1), split{thr, uint16(min(f, arenaLeaf)), uint32(at)})
+	return c
+}
+
+// leafAt makes node at a leaf whose row is b.row.
+func (b *builder) leafAt(at int) {
+	id, i := uint32(len(b.leaf)/len(b.row)), b.rows.find(b.row)
+	if b.rows.slots[i] == 0 {
+		b.leaf = append(more(b.leaf, len(b.row)), b.row...)
+		b.rows.put(i, id)
+	} else {
+		id = b.rows.slots[i] - 1
+	}
+	b.nodes[at] = grownNode{at: id, thr: grownLeaf}
+}
+
+// tree packs the tree built into its one allocation.
+func (b *builder) tree() grownTree {
+	n, s := len(b.nodes), len(b.splits)
+	slices.SortFunc(b.splits, func(x, y split) int { return cmp.Or(cmp.Compare(x.f, y.f), cmpBits(x.thr, y.thr)) })
+	gt := grownTree{rec: make([]uint64, n+s+(s+3)/4+len(b.leaf)), nodes: n, splits: s}
+	for id, sp := range b.splits {
+		b.nodes[sp.node].thr = uint32(id)
+		gt.rec[n+id] = math.Float64bits(sp.thr)
+		gt.rec[n+s+id/4] |= uint64(sp.f) << (16 * (id % 4))
+	}
+	for i, nd := range b.nodes {
+		gt.rec[i] = uint64(nd.at)<<32 | uint64(nd.thr)
+	}
+	copy(gt.leaves(), b.leaf)
+	return gt
+}
+
 // compileArena lays the members out in one exactly sized arena of width-wide
-// leaves, summed by chains (nil: one chain over all of them). It fails on a
-// model the node layout cannot hold.
+// leaves, summed by chains (nil: one chain over all of them): their thresholds
+// merged into per-feature tables, a split's remapped to its rank there and a
+// leaf's row to its one copy in leaf. It fails on a model the node layout
+// cannot hold.
 func compileArena(members []grownTree, width int, chains []chain) (*arena, error) {
-	type split struct {
-		feature   int32
-		threshold float64
-	}
-	nodes := 0
+	nodes, features := 0, 0
 	for _, m := range members {
-		nodes += len(m.nodes)
-	}
-	splits := make([]split, 0, nodes/2)
-	for _, m := range members {
-		for _, n := range m.nodes {
-			switch {
-			case n.feature < 0:
-			case n.feature >= arenaLeaf:
-				return nil, fmt.Errorf("mltree: split on feature %d: a model holds feature indices below %d", n.feature, arenaLeaf)
-			case n.threshold != n.threshold:
-				return nil, fmt.Errorf("mltree: feature %d has a NaN split threshold", n.feature)
-			default:
-				splits = append(splits, split{n.feature, n.threshold})
-			}
+		if nodes += m.nodes; m.splits > 0 {
+			features = max(features, m.feature(m.splits-1)+1)
 		}
 	}
-	// Sorted by feature, then threshold, and deduplicated, the splits are the
-	// threshold tables back to back.
-	slices.SortFunc(splits, func(x, y split) int {
-		return cmp.Or(cmp.Compare(x.feature, y.feature), cmpBits(x.threshold, y.threshold))
-	})
-	splits = slices.CompactFunc(splits, func(x, y split) bool { return x.feature == y.feature && cmpBits(x.threshold, y.threshold) == 0 })
+	count := make([]int, features+1) // splits by feature; the most, last
+	for _, m := range members {
+		for id := range m.splits {
+			switch f := m.feature(id); {
+			case f >= arenaLeaf:
+				return nil, fmt.Errorf("mltree: split on feature %d: a model holds feature indices below %d", f, arenaLeaf)
+			case m.threshold(id) != m.threshold(id):
+				return nil, fmt.Errorf("mltree: feature %d has a NaN split threshold", f)
+			}
+			count[m.feature(id)]++
+			count[features] = max(count[features], count[m.feature(id)])
+		}
+	}
 	if chains == nil {
 		chains = []chain{{lr: 1, hi: len(members)}}
 	}
-	a := &arena{
-		nodes:  make([]arenaNode, 0, nodes),
-		roots:  make([]uint32, len(members)),
-		width:  width,
-		chains: chains,
-	}
-	tables := make([]float64, len(splits))
-	for i, s := range splits {
-		tables[i] = s.threshold
-	}
-	if len(splits) > 0 {
-		a.thr = make([][]float64, splits[len(splits)-1].feature+1)
-	}
-	for lo, hi := 0, 0; lo < len(splits); lo = hi {
-		f := splits[lo].feature
-		for hi < len(splits) && splits[hi].feature == f {
-			hi++
+	a := &arena{nodes: make([]arenaNode, 0, nodes), roots: make([]uint32, len(members)), width: width, chains: chains}
+	// A feature's table is the runs of its thresholds in the members, sorted
+	// and deduplicated: counted in one pass, copied out in another.
+	next, group := make([]int, len(members)), make([]float64, 0, count[features])
+	gather := func(f int) []float64 {
+		group = group[:0]
+		for t, m := range members {
+			for ; next[t] < m.splits && m.feature(next[t]) == f; next[t]++ {
+				group = append(group, m.threshold(next[t]))
+			}
 		}
-		if hi-lo > arenaLeaf {
-			return nil, fmt.Errorf("mltree: feature %d has %d distinct split thresholds: a model holds at most %d per feature", f, hi-lo, arenaLeaf)
-		}
-		a.thr[f] = tables[lo:hi:hi]
+		slices.SortFunc(group, cmpBits)
+		return slices.CompactFunc(group, func(x, y float64) bool { return cmpBits(x, y) == 0 })
 	}
-	set := a.internLeaves(members)
+	distinct := 0
+	for f := range features {
+		t := gather(f)
+		if len(t) > arenaLeaf {
+			return nil, fmt.Errorf("mltree: feature %d has %d distinct split thresholds: a model holds at most %d per feature", f, len(t), arenaLeaf)
+		}
+		distinct += len(t)
+	}
+	if features > 0 {
+		a.thr = make([][]float64, features)
+	}
+	clear(next)
+	tables := make([]float64, 0, distinct)
+	for f := range features {
+		if t := gather(f); len(t) > 0 {
+			tables = append(tables, t...)
+			a.thr[f] = tables[len(tables)-len(t) : len(tables) : len(tables)]
+		}
+	}
+	ord, rows := a.internLeaves(members), uint32(0) // rows: the members' rows before this one's
 	for t, m := range members {
-		a.roots[t] = uint32(len(a.nodes))
-		a.nodes = append(a.nodes, 0)
-		a.place(m, 0, a.roots[t], &set)
+		root := uint32(len(a.nodes))
+		a.roots[t] = root
+		for i := range m.nodes {
+			n := m.node(i)
+			if n.thr == grownLeaf {
+				a.nodes = append(a.nodes, newArenaNode(ord[rows+n.at]*uint32(width), 0, arenaLeaf))
+				continue
+			}
+			f, v := m.feature(int(n.thr)), m.threshold(int(n.thr))
+			rank := countBelow(a.thr[f], v)
+			if cmpBits(a.thr[f][rank], v) != 0 {
+				rank++ // +0: its table holds −0 too, just before it
+			}
+			a.nodes = append(a.nodes, newArenaNode(root+n.at, uint16(rank), uint16(f)))
+		}
+		rows += uint32(len(m.leaves()) / width)
 	}
 	return a, nil
 }
 
 // internLeaves fills leaf with each distinct leaf row of the members once —
-// distinct in its bits, so −0 and +0 stay apart — and returns the set that
-// finds a row's copy there. The set holds references to the members' own
-// rows until every row is interned, so that leaf is allocated once, at its
-// final size.
-func (a *arena) internLeaves(members []grownTree) rowSet {
-	set := rowSet{width: a.width, members: members, base: make([]uint32, len(members)+1)}
+// distinct in its bits, so −0 and +0 stay apart — in the order first met, and
+// returns the index there of every member's every row, numbered back to back.
+func (a *arena) internLeaves(members []grownTree) []uint32 {
+	base := make([]uint32, len(members)+1) // base[t]: members[t]'s first row
 	for t, m := range members {
-		set.base[t+1] = set.base[t] + uint32(len(m.leaf))
+		base[t+1] = base[t] + uint32(len(m.leaves())/a.width)
 	}
-	rows, size := int(set.base[len(members)])/max(a.width, 1), 16
-	for size < 2*min(rows, 512) {
-		size *= 2 // room for 512 rows: a forest's distinct rows are few, its leaves many
+	rowOf := func(g uint32) []uint64 {
+		t := sort.Search(len(members), func(t int) bool { return base[t+1] > g })
+		return members[t].leaves()[int(g-base[t])*a.width:][:a.width]
 	}
-	set.slots = make([]uint32, size)
-	distinct := 0
-	for t, m := range members {
-		for _, n := range m.nodes {
-			if n.feature >= 0 {
-				continue
-			}
-			if i := set.find(m.leaf[n.at:][:a.width]); set.slots[i] == 0 {
-				set.slots[i] = set.base[t] + uint32(n.at) + 1
-				if distinct++; 2*distinct > len(set.slots) {
-					set.grow()
-				}
+	size := 16
+	for size < 2*int(base[len(members)]) {
+		size *= 2 // room for every row: a forest's trees share few of theirs
+	}
+	set, ord := rowSet{slots: make([]uint32, size), row: rowOf}, make([]uint32, base[len(members)])
+	for g := range ord {
+		if i := set.find(rowOf(uint32(g))); set.slots[i] != 0 {
+			ord[g] = ord[set.slots[i]-1]
+		} else {
+			ord[g] = uint32(set.n)
+			set.put(i, uint32(g))
+		}
+	}
+	a.leaf = make([]float64, 0, set.n*a.width)
+	for g, o := range ord {
+		if int(o)*a.width == len(a.leaf) { // the row's first occurrence
+			for _, u := range rowOf(uint32(g)) {
+				a.leaf = append(a.leaf, math.Float64frombits(u))
 			}
 		}
 	}
-	a.leaf = make([]float64, 0, distinct*a.width)
-	for i, ref := range set.slots {
-		if ref != 0 {
-			set.slots[i] = uint32(len(a.leaf)) + 1
-			a.leaf = append(a.leaf, set.at(ref-1)...)
-		}
-	}
-	set.leaf = a.leaf
-	return set
+	return ord
 }
 
-// rowSet is an open-addressed set of width-wide rows compared by their bits.
-// A slot holds 1 + a row's ref, or 0 when empty; the table is at most half
-// full. A ref is the row's offset in leaf once that is set, and before then
-// its offset in the members' leaves laid back to back, members[t]'s from
-// base[t].
+// rowSet is an open-addressed set of rows of float bits, at most half full. A
+// slot holds 1 + a row's ref, or 0 when empty; row resolves a ref.
 type rowSet struct {
-	slots   []uint32 // a power of two
-	width   int
-	members []grownTree
-	base    []uint32
-	leaf    []float64
-}
-
-// at returns the row ref refers to.
-func (s *rowSet) at(ref uint32) []float64 {
-	if s.leaf != nil {
-		return s.leaf[ref:][:s.width]
-	}
-	t := sort.Search(len(s.members), func(t int) bool { return s.base[t+1] > ref })
-	return s.members[t].leaf[ref-s.base[t]:][:s.width]
+	slots []uint32 // a power of two
+	n     int      // rows held
+	row   func(ref uint32) []uint64
 }
 
 // find returns the slot holding row, or the empty slot where it belongs.
-func (s *rowSet) find(row []float64) int {
+func (s *rowSet) find(row []uint64) int {
 	mask := len(s.slots) - 1
 	h := uint64(len(row))
-	for _, v := range row {
-		h = (h ^ math.Float64bits(v)) * 0x9E3779B97F4A7C15
+	for _, u := range row {
+		h = (h ^ u) * 0x9E3779B97F4A7C15
 		h ^= h >> 29
 	}
 	i := int(h >> (64 - bits.Len(uint(mask))))
-	for ; s.slots[i] != 0 && !sameBits(s.at(s.slots[i]-1), row); i = (i + 1) & mask {
+	for ; s.slots[i] != 0 && !slices.Equal(s.row(s.slots[i]-1), row); i = (i + 1) & mask {
 	}
 	return i
 }
 
-// grow doubles the table.
-func (s *rowSet) grow() {
-	old := s.slots
-	s.slots = make([]uint32, 2*len(old))
-	for _, ref := range old {
-		if ref != 0 {
-			s.slots[s.find(s.at(ref-1))] = ref
+// put stores ref in the empty slot i, doubling the table once it is half full.
+func (s *rowSet) put(i int, ref uint32) {
+	s.slots[i] = ref + 1
+	if s.n++; 2*s.n > len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint32, 2*len(old))
+		for _, r := range old {
+			if r != 0 {
+				s.slots[s.find(s.row(r-1))] = r
+			}
 		}
 	}
 }
 
-// sameBits reports whether the rows x and y hold the same float64 bits.
-func sameBits(x, y []float64) bool {
-	for i, v := range x {
-		if math.Float64bits(v) != math.Float64bits(y[i]) {
-			return false
-		}
+// flatten builds the pointer tree n in b, validating it: the one check every
+// decoded tree of every kind passes. A leaf's row is its Value when cols is
+// nil, otherwise a width-wide row with Probs[j] at column cols[j], zero
+// elsewhere.
+func (b *builder) flatten(n *treeNode, cols []int) (grownTree, error) {
+	b.reset()
+	if err := b.place(n, 0, cols); err != nil {
+		return grownTree{}, err
 	}
-	return true
+	return b.tree(), nil
 }
 
-// place writes m's subtree at src into the reserved node dst, appending its
-// descendants pair by pair; a leaf points at its row's copy in set.
-func (a *arena) place(m grownTree, src int32, dst uint32, set *rowSet) {
-	n := m.nodes[src]
-	if n.feature < 0 {
-		a.nodes[dst] = newArenaNode(set.slots[set.find(m.leaf[n.at:][:a.width])]-1, 0, arenaLeaf)
-		return
-	}
-	t := a.thr[n.feature]
-	rank := countBelow(t, n.threshold)
-	if cmpBits(t[rank], n.threshold) != 0 {
-		rank++ // +0: its table holds −0 too, just before it
-	}
-	c := uint32(len(a.nodes))
-	a.nodes = append(a.nodes, 0, 0)
-	a.nodes[dst] = newArenaNode(c, uint16(rank), uint16(n.feature))
-	a.place(m, src+1, c, set)
-	a.place(m, n.at, c+1, set)
-}
-
-// flatten appends the pointer tree n to gt in pre-order, validating it: the
-// one check every decoded tree of every kind passes. A leaf's payload is its
-// Value when cols is nil, otherwise a width-wide row with Probs[j] at column
-// cols[j] and zero elsewhere.
-func (gt *grownTree) flatten(n *treeNode, cols []int, width int) error {
+// place builds the subtree n at node at, its descendants pair by pair.
+func (b *builder) place(n *treeNode, at int, cols []int) error {
 	switch {
 	case n == nil:
 		return fmt.Errorf("a node is missing")
@@ -268,25 +351,21 @@ func (gt *grownTree) flatten(n *treeNode, cols []int, width int) error {
 		return fmt.Errorf("a split has one child")
 	case !n.isLeaf() && (n.Feature < 0 || n.Feature >= arenaLeaf):
 		return fmt.Errorf("split on feature %d: a model holds feature indices from 0 below %d", n.Feature, arenaLeaf)
-	}
-	self := len(gt.nodes)
-	gt.nodes = append(gt.nodes, grownNode{feature: -1, at: int32(len(gt.leaf))})
-	switch {
 	case !n.isLeaf():
-		if err := gt.flatten(n.Left, cols, width); err != nil {
+		c := b.split(at, n.Feature, n.Threshold)
+		if err := b.place(n.Left, c, cols); err != nil {
 			return err
 		}
-		gt.nodes[self] = grownNode{feature: int32(n.Feature), threshold: n.Threshold, at: int32(len(gt.nodes))}
-		return gt.flatten(n.Right, cols, width)
+		return b.place(n.Right, c+1, cols)
 	case cols == nil:
-		gt.leaf = append(gt.leaf, n.Value)
+		b.row[0] = math.Float64bits(n.Value)
 	default:
-		gt.leaf = append(gt.leaf, make([]float64, width)...)
-		row := gt.leaf[len(gt.leaf)-width:]
+		clear(b.row)
 		for j, p := range n.Probs {
-			row[cols[j]] = p
+			b.row[cols[j]] = math.Float64bits(p)
 		}
 	}
+	b.leafAt(at)
 	return nil
 }
 

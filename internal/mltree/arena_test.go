@@ -17,16 +17,23 @@ import (
 // x <= thresholds[i] to leaf i and everything else on to split i+1, the last
 // to leaf len(thresholds). Leaf i's payload is i.
 func combTree(feature int, thresholds []float64) grownTree {
-	var gt grownTree
+	return comb(feature, thresholds, func(i int) []float64 { return []float64{float64(i)} })
+}
+
+// comb is combTree with leaf i's row leaf(i).
+func comb(feature int, thresholds []float64, leaf func(i int) []float64) grownTree {
+	b := newBuilder(len(leaf(0)))
+	b.reset()
+	at := 0
 	for i, thr := range thresholds {
-		gt.nodes = append(gt.nodes,
-			grownNode{feature: int32(feature), threshold: thr, at: int32(2*i + 2)},
-			grownNode{feature: -1, at: int32(i)})
-		gt.leaf = append(gt.leaf, float64(i))
+		c := b.split(at, feature, thr)
+		copy(b.row, bitsOf(leaf(i)))
+		b.leafAt(c)
+		at = c + 1
 	}
-	gt.nodes = append(gt.nodes, grownNode{feature: -1, at: int32(len(thresholds))})
-	gt.leaf = append(gt.leaf, float64(len(thresholds)))
-	return gt
+	copy(b.row, bitsOf(leaf(len(thresholds))))
+	b.leafAt(at)
+	return b.tree()
 }
 
 // TestRankKernelExactness holds the rank comparison to the float comparison
@@ -284,20 +291,16 @@ func TestArenaLeafRowsInterned(t *testing.T) {
 	// Sixteen leaves whose rows differ only in the signs of their zeros: rows
 	// that share a probe sequence are compared, and must stay apart.
 	negZero := math.Copysign(0, -1)
-	signs := combTree(0, []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
-	signs.leaf = signs.leaf[:0]
-	for i := range 16 {
-		for b := range 4 {
-			if signs.leaf = append(signs.leaf, 0); i>>b&1 == 1 {
-				signs.leaf[len(signs.leaf)-1] = negZero
+	signRow := func(i int) []float64 {
+		row := make([]float64, 4)
+		for b := range row {
+			if i>>b&1 == 1 {
+				row[b] = negZero
 			}
 		}
+		return row
 	}
-	for i := range signs.nodes {
-		if signs.nodes[i].feature < 0 {
-			signs.nodes[i].at *= 4
-		}
-	}
+	signs := comb(0, []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, signRow)
 	a, err := compileArena([]grownTree{signs}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +310,7 @@ func TestArenaLeafRowsInterned(t *testing.T) {
 		var ranks [rankScratch]uint16
 		a.rank(ranks[:], [][]float64{{x}})
 		off := a.leafOf(a.roots[0], ranks[:], 0)
-		if got, want := bitsOf(a.leaf[off:off+4]), bitsOf(signs.leaf[4*i:4*i+4]); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := bitsOf(a.leaf[off:off+4]), bitsOf(signRow(i)); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("leaf %d reads row %x, want %x", i, got, want)
 		}
 	}

@@ -27,7 +27,8 @@ import (
 // which a dataset derives at its first Tree or Forest fit and keeps: fit as
 // often as you like, but replace Features (append, re-slice, a new matrix)
 // rather than overwrite a value in place — only the former is noticed. A
-// Dataset holds a lock and is used through a pointer.
+// Coder builds a dataset in that form with no Features at all. A Dataset holds
+// a lock and is used through a pointer.
 type Dataset struct {
 	// Features is sample-major: Features[i][j] is feature j of sample i.
 	Features [][]float64
@@ -75,7 +76,7 @@ func idOf(X [][]float64) matrixID {
 func (d *Dataset) source() (*Dataset, []int32) {
 	v := d.view
 	if v == nil || v.self != idOf(d.Features) || v.rootID != idOf(v.root.Features) ||
-		len(d.Labels) != len(v.rows) || len(v.root.Labels) != v.rootID.n {
+		len(d.Labels) != len(v.rows) || len(v.root.Labels) != v.root.NumSamples() {
 		return d, nil
 	}
 	for i, r := range v.rows {
@@ -86,40 +87,115 @@ func (d *Dataset) source() (*Dataset, []int32) {
 	return v.root, v.rows
 }
 
-// NumSamples returns the number of samples.
-func (d *Dataset) NumSamples() int { return len(d.Features) }
+// NumSamples returns the number of samples (without Features, of labels).
+func (d *Dataset) NumSamples() int {
+	if d.Features == nil {
+		return len(d.Labels)
+	}
+	return len(d.Features)
+}
 
 // NumFeatures returns the number of feature columns (0 for an empty set).
 func (d *Dataset) NumFeatures() int {
+	if cm := d.coderCodes(); cm != nil {
+		return len(cm.codes)
+	}
 	if len(d.Features) == 0 {
 		return 0
 	}
 	return len(d.Features[0])
 }
 
-// Validate checks rectangularity, label consistency and value sanity.
+// coderCodes returns the codes a dataset without Features stands for: its own
+// when a Coder built it, its source's when it is a view of one; otherwise nil.
+func (d *Dataset) coderCodes() *codedMatrix {
+	src, _ := d.source()
+	if cm := src.codesIfBuilt(); d.Features == nil && cm != nil && len(cm.codes) > 0 && len(cm.codes[0]) == len(src.Labels) {
+		return cm
+	}
+	return nil
+}
+
+// rows returns the samples as float rows: Features, or for a dataset without
+// them rows made from the codes.
+func (d *Dataset) rows() [][]float64 {
+	cm := d.coderCodes()
+	if cm == nil {
+		return d.Features
+	}
+	X := newRows(d.NumSamples(), len(cm.codes))
+	d.rowsInto(X, 0, cm)
+	return X
+}
+
+// rowsInto makes X's rows samples lo, lo+1, … from the codes cm of a dataset
+// without Features. A row reads its values from vals, so a +0 sharing its code
+// with a −0 reads −0.
+func (d *Dataset) rowsInto(X [][]float64, lo int, cm *codedMatrix) {
+	_, idx := d.source()
+	for i, row := range X {
+		r := lo + i
+		if idx != nil {
+			r = int(idx[r])
+		}
+		for f, codes := range cm.codes {
+			row[f] = cm.vals[f][codes[r]]
+		}
+	}
+}
+
+// newRows returns n rows of width values over one backing array.
+func newRows(n, width int) [][]float64 {
+	X, backing := make([][]float64, n), make([]float64, n*width)
+	for i := range X {
+		X[i] = backing[i*width : (i+1)*width : (i+1)*width]
+	}
+	return X
+}
+
+// Materialize gives a dataset a Coder built its Features, made from the codes,
+// for callers that read the float rows. The dataset keeps its codes: fitting
+// it codes nothing. Call it before the dataset is shared or cut into views.
+func (d *Dataset) Materialize() {
+	if cm := d.coderCodes(); cm != nil && d.view == nil {
+		X := d.rows()
+		d.Features, cm.of = X, idOf(X)
+	}
+}
+
+// Validate checks rectangularity, label consistency and value sanity (a
+// Coder checked the values of a dataset without Features as they came).
 func (d *Dataset) Validate() error {
-	if len(d.Features) == 0 {
+	n, width := len(d.Features), d.NumFeatures()
+	if d.coderCodes() != nil {
+		n = len(d.Labels)
+	}
+	switch {
+	case n == 0:
 		return fmt.Errorf("mltree: dataset has no samples")
-	}
-	if len(d.Labels) != len(d.Features) {
-		return fmt.Errorf("mltree: %d samples but %d labels", len(d.Features), len(d.Labels))
-	}
-	width := len(d.Features[0])
-	if width == 0 {
+	case len(d.Labels) != n:
+		return fmt.Errorf("mltree: %d samples but %d labels", n, len(d.Labels))
+	case width == 0:
 		return fmt.Errorf("mltree: dataset has no features")
-	}
-	if d.Names != nil && len(d.Names) != width {
+	case d.Names != nil && len(d.Names) != width:
 		return fmt.Errorf("mltree: %d feature names for %d features", len(d.Names), width)
 	}
 	for i, row := range d.Features {
-		if len(row) != width {
-			return fmt.Errorf("mltree: sample %d has %d features, want %d", i, len(row), width)
+		if err := checkRow(i, row, width); err != nil {
+			return err
 		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("mltree: sample %d feature %d is %g", i, j, v)
-			}
+	}
+	return nil
+}
+
+// checkRow is Validate's check of sample i's row.
+func checkRow(i int, row []float64, width int) error {
+	if len(row) != width {
+		return fmt.Errorf("mltree: sample %d has %d features, want %d", i, len(row), width)
+	}
+	for j, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("mltree: sample %d feature %d is %g", i, j, v)
 		}
 	}
 	return nil
@@ -140,20 +216,20 @@ func (d *Dataset) Classes() []int {
 }
 
 // Subset returns the selected samples as a dataset of their own: Features
-// shares the rows' storage, and the result is a view of d (of d's source, when
-// d is a view) for classification training. Indices may repeat (bootstrap
-// sampling).
+// shares the rows' storage (and is nil when d's is), and the result is a view
+// of d (of d's source, when d is a view) for classification training. Indices
+// may repeat (bootstrap sampling).
 func (d *Dataset) Subset(indices []int) *Dataset {
 	root, rows := d.source()
 	v := &viewOf{root: root, rows: make([]int32, len(indices)), rootID: idOf(root.Features)}
-	out := &Dataset{
-		Features: make([][]float64, len(indices)),
-		Labels:   make([]int, len(indices)),
-		Names:    d.Names,
-		view:     v,
+	out := &Dataset{Labels: make([]int, len(indices)), Names: d.Names, view: v}
+	if d.Features != nil {
+		out.Features = make([][]float64, len(indices))
 	}
 	for k, i := range indices {
-		out.Features[k] = d.Features[i]
+		if out.Features != nil {
+			out.Features[k] = d.Features[i]
+		}
 		out.Labels[k] = d.Labels[i]
 		if v.rows[k] = int32(i); rows != nil {
 			v.rows[k] = rows[i]
@@ -185,19 +261,20 @@ func (d *Dataset) StratifiedSplit(rng *xrand.RNG, trainFrac float64) (train, tes
 		byClass[next[at[l]]] = i
 		next[at[l]]++
 	}
-	trainIdx, testIdx := make([]int, 0, len(byClass)), make([]int, 0, len(byClass))
+	// A class's first k shuffled samples train: k of its n, at least one.
+	trains := func(n int) int { return min(max(int(math.Round(float64(n)*trainFrac)), 1), n) }
+	trained := 0
+	for c := range classes {
+		trained += trains(start[c+1] - start[c])
+	}
+	// The training side is compacted into the front of byClass.
+	trainIdx, testIdx := byClass[:0], make([]int, 0, len(byClass)-trained)
 	for c := range classes {
 		idx := byClass[start[c]:start[c+1]]
 		rng.ShuffleInts(idx)
-		k := int(math.Round(float64(len(idx)) * trainFrac))
-		if k == 0 {
-			k = 1
-		}
-		if k > len(idx) {
-			k = len(idx)
-		}
-		trainIdx = append(trainIdx, idx[:k]...)
+		k := trains(len(idx))
 		testIdx = append(testIdx, idx[k:]...)
+		trainIdx = append(trainIdx, idx[:k]...)
 	}
 	if len(trainIdx) == 0 || len(testIdx) == 0 {
 		return nil, nil, fmt.Errorf("mltree: stratified split produced an empty side")

@@ -291,13 +291,16 @@ func growPointerTree(ds *Dataset, cfg TreeConfig) *treeNode {
 
 // pointerOf converts a grower's tree to pointer nodes, k probabilities a leaf.
 func pointerOf(gt grownTree, k int) *treeNode {
-	nodes := make([]treeNode, len(gt.nodes))
-	for i, gn := range gt.nodes {
-		if gn.feature < 0 {
-			nodes[i].Probs = gt.leaf[gn.at : int(gn.at)+k]
+	nodes := make([]treeNode, gt.nodes)
+	for i := range nodes {
+		gn := gt.node(i)
+		if gn.thr == grownLeaf {
+			for _, u := range gt.leaves()[int(gn.at)*k:][:k] {
+				nodes[i].Probs = append(nodes[i].Probs, math.Float64frombits(u))
+			}
 			continue
 		}
-		nodes[i] = treeNode{Feature: int(gn.feature), Threshold: gn.threshold, Left: &nodes[i+1], Right: &nodes[gn.at]}
+		nodes[i] = treeNode{Feature: gt.feature(int(gn.thr)), Threshold: gt.threshold(int(gn.thr)), Left: &nodes[gn.at], Right: &nodes[gn.at+1]}
 	}
 	return &nodes[0]
 }

@@ -94,7 +94,7 @@ func (f *Forest) Fit(ds *Dataset) error {
 	runWorkers(f.Config.NumTrees, f.Config.Parallelism, func(worker, t int) {
 		g := growers[worker]
 		if g == nil {
-			g = newGrower(cd, f.Config.Tree)
+			g = cd.growerFor(f.Config.Tree)
 			growers[worker] = g
 		}
 		clear(g.mult)
@@ -103,93 +103,28 @@ func (f *Forest) Fit(ds *Dataset) error {
 		}
 		grown[t], f.members[t] = g.fit(rngs[t]), member{f.Config.Tree, f.classes}
 	})
+	cd.release(growers)
 	var err error
 	f.arena, err = compileArena(grown, len(f.classes), nil)
 	return err
 }
 
-// votesCoded adds to votes[i*width:], for each of n samples, the leaf rows of
-// every tree, in tree order: the forest's sums. Sample i is row rows[i] of cm
-// (row i when rows is nil).
-//
-// A sample's rank on a feature is looked up by its code in a table built from
-// one merge of the feature's distinct values with its thresholds, where a
-// float matrix costs a binary search per cell. Tiles of samples are walked in
-// parallel; a sample's votes add up in tree order within its tile, so the
-// sums are those of any other tiling, and of one sample at a time.
-func (a *arena) votesCoded(votes []float64, cm *codedMatrix, rows []int32, n int, parallelism int) {
-	distinct := 0
-	for f, t := range a.thr {
-		if len(t) > 0 {
-			distinct += len(cm.vals[f])
-		}
-	}
-	backing, tables := make([]uint16, distinct), make([][]uint16, len(a.thr))
-	for f, t := range a.thr {
-		if len(t) == 0 {
-			continue // no tree splits on it: no node reads its ranks
-		}
-		tables[f], backing = backing[:len(cm.vals[f])], backing[len(cm.vals[f]):]
-		r := 0
-		for c, v := range cm.vals[f] {
-			for r < len(t) && t[r] < v {
-				r++
-			}
-			tables[f][c] = uint16(r)
-		}
-	}
-	runWorkers((n+tileRows-1)/tileRows, parallelism, func(_, w int) {
-		var buf [rankScratch]uint16
-		var at [tileRows]uint32
-		var row [tileRows]int32
-		ranks := a.tile(buf[:])
-		lo := w * tileRows
-		m := min(tileRows, n-lo)
-		for i := range row[:m] {
-			if row[i] = int32(lo + i); rows != nil {
-				row[i] = rows[lo+i]
-			}
-		}
-		for f, table := range tables {
-			if table == nil {
-				continue
-			}
-			codes, out := cm.codes[f], ranks[f*tileRows:]
-			for i, r := range row[:m] {
-				out[i] = table[codes[r]]
-			}
-		}
-		for _, root := range a.roots {
-			a.descend(root, ranks, m, &at)
-			for i := range m {
-				sum := votes[(lo+i)*a.width : (lo+i+1)*a.width]
-				for c, p := range a.leaf[at[i] : int(at[i])+a.width] {
-					sum[c] += p
-				}
-			}
-		}
-	})
-}
-
 // PredictDatasetInto is model.PredictBatchInto(dst, ds.Features), bit for bit.
-// For a forest and a dataset already in coded form (one a Tree or Forest was
-// fitted on, or a view of one: a held-out fold) it reads the codes instead of
-// searching the threshold tables for every value.
+// A dataset without Features is predicted a tile of rows at a time, each
+// tile's rows made from the codes.
 func PredictDatasetInto(dst []float64, model Classifier, ds *Dataset) {
-	if f, ok := model.(*Forest); ok && f.NumTrees() > 0 && len(f.arena.thr) <= ds.NumFeatures() {
-		src, rows := ds.source()
-		if cm := src.codesIfBuilt(); cm != nil {
-			dst = dst[:ds.NumSamples()*len(f.classes)]
-			clear(dst)
-			f.arena.votesCoded(dst, cm, rows, ds.NumSamples(), defaultParallelism(f.Config.Parallelism))
-			inv := 1 / float64(f.NumTrees())
-			for i := range dst {
-				dst[i] *= inv
-			}
-			return
-		}
+	cm := ds.coderCodes()
+	if cm == nil {
+		model.PredictBatchInto(dst, ds.Features)
+		return
 	}
-	model.PredictBatchInto(dst, ds.Features)
+	n, k := ds.NumSamples(), len(model.Classes())
+	X := newRows(min(n, tileRows), len(cm.codes))
+	for lo := 0; lo < n; lo += tileRows {
+		tile := X[:min(tileRows, n-lo)]
+		ds.rowsInto(tile, lo, cm)
+		model.PredictBatchInto(dst[lo*k:], tile)
+	}
 }
 
 // PredictProba averages the member trees' leaf distributions.

@@ -132,6 +132,7 @@ func trainArms(ds *Dataset, classes []int, parallelism int, seed uint64, fit fun
 // model's arena; the pointer trees are garbage afterwards.
 func (m *boosted) compile(boosters []*booster) (err error) {
 	var grown []grownTree
+	build := newBuilder(1)
 	chains := make([]chain, len(boosters))
 	for c, b := range boosters {
 		if b == nil {
@@ -139,8 +140,8 @@ func (m *boosted) compile(boosters []*booster) (err error) {
 		}
 		chains[c] = chain{bias: b.Bias, lr: b.LR, lo: len(grown), hi: len(grown) + len(b.Trees)}
 		for t, root := range b.Trees {
-			var gt grownTree
-			if err := gt.flatten(root, nil, 1); err != nil {
+			gt, err := build.flatten(root, nil)
+			if err != nil {
 				return fmt.Errorf("chain %d tree %d: %w", c, t, err)
 			}
 			grown = append(grown, gt)
@@ -245,7 +246,8 @@ func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) *booster {
 
 	// The columnized matrix and the partitioner's buffers serve every
 	// round's tree; each tree presorts the rows it grows on.
-	cols := columnize(ds.Features)
+	X := ds.rows()
+	cols := columnize(X)
 	part := newPartitioner(n)
 	all := make([]int, n)
 	for i := range all {
@@ -265,7 +267,7 @@ func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) *booster {
 			}
 			return rt.fit(g.subsample(all, rng))
 		},
-		func(root *treeNode, i int) float64 { return root.navigate(ds.Features[i]).Value })
+		func(root *treeNode, i int) float64 { return root.navigate(X[i]).Value })
 }
 
 // boost is the Newton boosting loop of one chain over n samples with 0/1

@@ -7,35 +7,18 @@ import (
 	"cordial/internal/xrand"
 )
 
-// Classification-tree training over value codes (DESIGN §7).
-//
-// A forest member scores round(√d) of d features per node, so keeping d
-// presorted sample lists current down the tree sorts six times what it
-// scores. Instead a dataset is coded once (coded.go: a row's code is its
-// value's rank among the feature's distinct values), a tree grows over one
-// list of its distinct in-bag rows, and a candidate feature is put in value
-// order only to be scored: by a class-count histogram over its codes, or by
-// sorting the node's (code, row) keys when it has far more values than the
-// node has rows. Both walk the boundaries between consecutive *present*
-// values in ascending order with integer-valued class counts either side —
-// what a scan of the bag sorted by that feature sees: same impurity operands,
-// tie-breaks, (v+vNext)/2 thresholds and pre-order RNG draws, so
-// bit-identical trees (TestGrowerMatchesReference).
-//
-// Fitting on a view (Dataset.Subset) codes nothing: the bag is drawn over the
-// view's samples and grown over the source's codes, a row's multiplicity
-// summed over the samples that are that row. The tree is the one a fit on a
-// copy of those samples grows (TestViewFitMatchesCopyFit): the source's codes
-// order the view's values as its own would, a threshold lies between two
-// present values whatever absent ones the source knows between them, a
-// feature constant on the view scans to no boundary, and the class counts are
-// integers, so the order of rows within a node is immaterial.
-//
-// GBDT's regTree keeps presorted lists and the partitioner: a boosted tree
-// scores ~all features at every node (ColsampleRatio), so every list it keeps
-// sorted it reads, and its gradient sums are order-dependent floats that a
-// histogram would re-associate. The two trainers share the radix sort and the
-// worker pool and nothing else.
+// Classification-tree training over value codes (DESIGN §7). A dataset is
+// coded once (coded.go), a tree grows over one list of its distinct in-bag
+// rows, and a candidate feature is put in value order only to be scored: by a
+// class-count histogram over its codes, or by sorting the node's (code, row)
+// keys when it has far more values than the node has rows. Both walk the
+// boundaries between consecutive present values with integer class counts
+// either side, as a scan of the bag sorted by the feature does, so the trees
+// are bit-identical to that scan's (TestGrowerMatchesReference). A fit on a
+// view grows over its source's codes, and grows the tree a fit on a copy of
+// the view's samples grows (TestViewFitMatchesCopyFit). GBDT's regTree keeps
+// presorted lists instead: it scores ~all features at every node, and its
+// gradient sums are floats that a histogram would re-associate.
 
 // histCutover scores a candidate feature by histogram when it has at most
 // histCutover distinct values per row of the node, by sorting otherwise.
@@ -74,18 +57,17 @@ func (cd *classData) row(i int) int {
 }
 
 // grower grows classification trees one after another over one classData. It
-// owns every buffer growth needs, so a worker's grower is reused across the
-// members it fits and a tree costs two allocations: its nodes and its leaf
-// probabilities, exactly sized.
+// owns every buffer growth needs, the tree's builder included, so a worker's
+// grower is reused across the members it fits and a tree costs one
+// allocation: its record, exactly sized.
 type grower struct {
 	cd      *classData
 	cfg     TreeConfig
 	maxFeat int
 	rng     *xrand.RNG // of the tree being grown; nil scores every feature
 
-	mult  []int32 // bootstrap multiplicity by row; the caller fills it
-	ids   []int32 // the tree's distinct rows; a node owns a segment, partitioned in place
-	spill []int32 // right-hand side of a partition in flight
+	mult []int32 // bootstrap multiplicity by row; the caller fills it
+	ids  []int32 // the tree's distinct rows; a node owns a segment, partitioned in place
 
 	hist   []int32   // class counts by value code (k per code); all zero between scans
 	keys   []uint64  // code<<32|row of one node, for the sort path
@@ -102,24 +84,7 @@ type grower struct {
 	best        splitCand // bin is the value code: samples coded at most bin go left
 	bestLeft    []float64
 
-	// The tree being grown, in pre-order: a node's left child follows it.
-	nodes []grownNode
-	probs []float64
-}
-
-// grownNode is a node of a grownTree: feature < 0 marks a leaf, whose payload
-// starts at leaf[at]; a split's right child is nodes[at].
-type grownNode struct {
-	feature   int32
-	at        int32
-	threshold float64
-}
-
-// grownTree is a tree in pre-order — a node's left child follows it — as
-// training hands it to compileArena, which is all that ever reads one.
-type grownTree struct {
-	nodes []grownNode
-	leaf  []float64
+	b *builder // the tree being grown
 }
 
 func newGrower(cd *classData, cfg TreeConfig) *grower {
@@ -128,20 +93,22 @@ func newGrower(cd *classData, cfg TreeConfig) *grower {
 	for _, v := range cd.vals {
 		maxDistinct = max(maxDistinct, len(v))
 	}
-	bag := min(n, cd.n) // a tree's distinct rows at most
+	sorted := n // the largest node the sort path scores
+	if histCutover > 0 {
+		sorted = min(n, maxDistinct/histCutover)
+	}
 	g := &grower{
 		cd:       cd,
 		cfg:      cfg,
 		maxFeat:  cfg.resolveMaxFeatures(d),
 		mult:     make([]int32, n),
-		ids:      make([]int32, bag),
-		spill:    make([]int32, bag),
 		hist:     make([]int32, maxDistinct*k),
-		keys:     make([]uint64, bag),
+		keys:     make([]uint64, sorted),
 		all:      make([]int, d),
 		left:     make([]float64, k),
 		right:    make([]float64, k),
 		bestLeft: make([]float64, k),
+		b:        newBuilder(k),
 	}
 	for f := range g.all {
 		g.all[f] = f
@@ -149,55 +116,84 @@ func newGrower(cd *classData, cfg TreeConfig) *grower {
 	return g
 }
 
+// growerFor returns a grower over cd's codes for cfg: one that a finished fit
+// over the same codes and as many classes left, or a new one (a grower's
+// buffers depend on nothing else).
+func (cd *classData) growerFor(cfg TreeConfig) *grower {
+	cd.mu.Lock()
+	defer cd.mu.Unlock()
+	if n := len(cd.idle) - 1; n >= 0 && cd.idle[n].cd.k == cd.k {
+		g := cd.idle[n]
+		cd.idle, g.cd, g.cfg, g.maxFeat = cd.idle[:n], cd, cfg, cfg.resolveMaxFeatures(len(cd.codes))
+		return g
+	}
+	return newGrower(cd, cfg)
+}
+
+// release leaves a finished fit's growers to the next fit over its codes.
+func (cd *classData) release(growers []*grower) {
+	cd.mu.Lock()
+	defer cd.mu.Unlock()
+	for _, g := range growers {
+		if g != nil {
+			cd.idle = append(cd.idle, g)
+		}
+	}
+}
+
 // fit grows one tree over the rows with mult[i] > 0, each counted mult[i]
-// times, and returns it as one node array and one probability array.
+// times, and returns its record.
 func (g *grower) fit(rng *xrand.RNG) grownTree {
 	g.rng = rng
-	g.nodes, g.probs = g.nodes[:0], g.probs[:0]
+	g.b.reset()
 	k := g.cd.k
 	g.counts = append(g.counts[:0], make([]float64, k)...)
-	ids, bag := g.ids[:0], 0
+	distinct, bag := 0, 0
+	for _, m := range g.mult {
+		distinct += int(min(m, 1))
+	}
+	g.ids = slices.Grow(g.ids[:0], distinct+distinct/8) // room for the bags to come
 	for i, m := range g.mult {
 		if m > 0 {
-			ids = append(ids, int32(i))
+			g.ids = append(g.ids, int32(i))
 			g.counts[g.cd.y[i]] += float64(m)
 			bag += int(m)
 		}
 	}
-	g.grow(0, len(ids), bag, 0)
+	g.grow(0, 0, len(g.ids), bag, 0)
 
-	return grownTree{nodes: slices.Clone(g.nodes), leaf: slices.Clone(g.probs)}
+	return g.b.tree()
 }
 
-// grow appends the subtree over ids[lo:hi] — n samples counting multiplicity,
-// their class counts at level depth of g.counts — to g.nodes.
-func (g *grower) grow(lo, hi, n, depth int) {
+// grow lays out at node self the subtree over ids[lo:hi] — n samples counting
+// multiplicity, their class counts at level depth of g.counts — appending its
+// descendants pair by pair.
+func (g *grower) grow(self, lo, hi, n, depth int) {
 	k := g.cd.k
 	counts := g.counts[depth*k : (depth+1)*k]
-	self := len(g.nodes)
-	g.nodes = append(g.nodes, grownNode{feature: -1, at: int32(len(g.probs))})
 	if n < 2 ||
 		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) ||
 		isPure(counts) || !g.bestSplit(g.ids[lo:hi], n, counts) {
-		for _, c := range counts {
-			g.probs = append(g.probs, c/float64(n))
+		for c, cnt := range counts {
+			g.b.row[c] = math.Float64bits(cnt / float64(n))
 		}
+		g.b.leafAt(self)
 		return
 	}
 	s := g.best
 
-	// Stable partition of the node's segment around the split.
-	codes, w, spilled := g.cd.codes[s.feat], lo, 0
-	for _, i := range g.ids[lo:hi] {
-		if codes[i] <= int32(s.bin) {
-			g.ids[w] = i
+	// Partition the node's segment around the split, in place: the order of
+	// rows within a node scores nothing differently.
+	codes, w := g.cd.codes[s.feat], lo
+	for r := hi - 1; w <= r; {
+		if codes[g.ids[w]] <= int32(s.bin) {
 			w++
 		} else {
-			g.spill[spilled] = i
-			spilled++
+			g.ids[w], g.ids[r] = g.ids[r], g.ids[w]
+			r--
 		}
 	}
-	copy(g.ids[w:hi], g.spill[:spilled])
+	c := g.b.split(self, s.feat, s.thr)
 
 	// The level below holds the left child's counts while the left subtree
 	// grows (deeper nodes write deeper levels), then the right child's.
@@ -205,13 +201,12 @@ func (g *grower) grow(lo, hi, n, depth int) {
 		g.counts = append(g.counts, make([]float64, k)...)
 	}
 	copy(g.counts[(depth+1)*k:], g.bestLeft)
-	g.grow(lo, w, s.nl, depth+1)
+	g.grow(c, lo, w, s.nl, depth+1)
 	counts = g.counts[depth*k : (depth+1)*k] // the stack may have moved
 	for c, l := range g.counts[(depth+1)*k : (depth+2)*k] {
 		g.counts[(depth+1)*k+c] = counts[c] - l
 	}
-	g.nodes[self] = grownNode{feature: int32(s.feat), threshold: s.thr, at: int32(len(g.nodes))}
-	g.grow(w, hi, n-s.nl, depth+1)
+	g.grow(c+1, w, hi, n-s.nl, depth+1)
 }
 
 // bestSplit scores the node's candidate features in candidate order and

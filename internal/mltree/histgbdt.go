@@ -136,13 +136,14 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 	if err := h.begin(ds, "HistGBDT"); err != nil {
 		return err
 	}
-	bins := newBinner(ds.Features, histMaxBins)
+	X := ds.rows()
+	bins := newBinner(X, histMaxBins)
 
 	// Pre-bin the whole matrix once, rows in parallel (each row is
 	// independent, so worker count cannot change the result).
 	binned := make([][]uint16, ds.NumSamples())
 	runWorkers(ds.NumSamples(), h.Config.Parallelism, func(_, i int) {
-		row := ds.Features[i]
+		row := X[i]
 		br := make([]uint16, len(row))
 		for f, v := range row {
 			br[f] = uint16(bins.bin(f, v))

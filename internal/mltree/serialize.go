@@ -169,12 +169,14 @@ func decodeTrees(trees []treePayload, treeClasses [][]int, classes []int) (*aren
 		return nil, nil, fmt.Errorf("%d trees but %d class lists", len(trees), len(treeClasses))
 	}
 	members, grown, idx := make([]member, len(trees)), make([]grownTree, len(trees)), classIndex(classes)
+	b := newBuilder(len(classes))
 	for i, tp := range trees {
 		cols := classColumns(treeClasses[i], idx)
 		if cols == nil {
 			return nil, nil, fmt.Errorf("member %d: a class is not one of the model's", i)
 		}
-		if err := grown[i].flatten(tp.Root, cols, len(classes)); err != nil {
+		var err error
+		if grown[i], err = b.flatten(tp.Root, cols); err != nil {
 			return nil, nil, fmt.Errorf("member %d: %w", i, err)
 		}
 		members[i] = member{tp.Config, treeClasses[i]}

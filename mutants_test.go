@@ -107,6 +107,17 @@ var mutants = []struct {
 	{"a bank's budget rows counted past the budget", "internal/features/state.go",
 		"\tif s.budgetDone {\n\t\treturn s.cfg.UERBudget\n\t}\n", "",
 		[]string{"internal/features TestIncrementalEquivalenceTable", "internal/features TestBankStateGoldenImages"}},
+
+	// Training hands trees over as records and codes datasets as they are built.
+	{"the ±0 rank fix-up dropped from the threshold remap", "internal/mltree/arena.go",
+		"\t\t\t\trank++ // +0: its table holds −0 too, just before it\n", "",
+		[]string{"internal/mltree TestRankKernelExactness"}},
+	{"a member's leaf rows numbered one past its base", "internal/mltree/arena.go",
+		"rows += uint32(len(m.leaves()) / width)", "rows += uint32(len(m.leaves())/width) + 1",
+		[]string{"internal/mltree TestArenaForestEquivalence", "internal/core TestSaveModelsGolden"}},
+	{"the coder gives −0 and +0 codes of their own", "internal/mltree/coded.go",
+		"w == start || c.vals[hi] != c.vals[w-1]", "w == start || math.Float64bits(c.vals[hi]) != math.Float64bits(c.vals[w-1])",
+		[]string{"internal/mltree FuzzCodedRows", "internal/mltree TestCodedMatrix"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

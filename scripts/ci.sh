@@ -51,13 +51,14 @@ echo "==> go test -race (parallel-training equivalence focus)"
 # reused growers at Parallelism 8 (TestForestFitAllocs), the grower against
 # its reference, a fit on a view against a fit on a copy for all four kinds
 # (TestViewFitMatchesCopyFit) and two forests fitted at once on two views of
-# an uncoded dataset (TestConcurrentViewFits: the coded-matrix memo). The
+# an uncoded dataset (TestConcurrentViewFits: the coded-matrix memo) and the
+# row coder against the float matrix's coding (FuzzCodedRows' corpus). The
 # stored ≡ eager edge banks (first event a UER, a UER at observation 31/32/33,
 # a long quiet life, a first UER tied with CEs, a UEO-only bank, spared banks
 # fed more) run in TestQuietStoreEquivalence, in the store pass below; the full
 # -race suite still covers everything, the engine-level restore of quiet banks
 # (TestRestoredQuietSessionThenFails) included.
-go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView' \
+go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView|CodedRows' \
     ./internal/mltree/ ./internal/core/
 # The stats path's contract, by the same pattern: readers take no shard lock
 # and no snapshot lock, a /statsz costs the same at fleet size, and the atomic
@@ -176,13 +177,13 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 go test -run 'TestPredictingFoldAllocs' -count 1 ./internal/stream/
 
-echo "==> training perf gate (a forest fit allocates per tree and per fit, never per node; a Pipeline.Fit ≤ 12 MB in ≤ 1 500 allocations; evaluation ≤ 12 per bank)"
+echo "==> training perf gate (a forest fit allocates ≤ 2 per tree and a per-fit term, never per node; a Pipeline.Fit ≤ 5.12 MB in ≤ 990 allocations; evaluation ≤ 12 per bank)"
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
-# allocate each member's generator, node array and probability array plus a
-# per-fit term (value codes, one grower per worker, arena) — 414 allocations
-# where the presorted-list trainer made 207 664 — and one default Pipeline.Fit
-# on 120 banks at most 12 MB and 1 500 allocations; the dataset builders and the
+# allocate each member's generator and record plus a per-fit term (value
+# codes, one grower per worker, arena) — 302 allocations where the
+# presorted-list trainer made 207 664 — and one default Pipeline.Fit on 120
+# banks at most 5.12 MB and 990 allocations; the dataset builders and the
 # evaluators fold every bank through one reset feature state.
 go test -run 'TestForestFitAllocs|TestFitTransientBytes|TestEvaluateAllocsPerBank' -count 1 ./internal/mltree/ ./internal/core/
 
@@ -195,8 +196,10 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 # written before the learner options became constants once their keys are
 # dropped; TestParentFixture: all four kinds against files and predictions
 # written before the arena existed) or one bit of a prediction on the values
-# where rank and float comparison could part (TestRankKernelExactness).
-go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness' \
+# where rank and float comparison could part (TestRankKernelExactness); the
+# block dataset, coded as it is built, reads back the rows the commit before
+# that built as floats (TestBuildBlockDatasetGolden).
+go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness|TestBuildBlockDatasetGolden' \
     -count 1 ./internal/core/ ./internal/mltree/
 
 echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs, a bank address ≤ 16 B, a cell address ≤ 32 B, an event ≤ 64 B, an action ≤ 80 B, a journaled 2-shard batch ≤ 2 mallocs)"
