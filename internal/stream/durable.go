@@ -99,8 +99,8 @@ func (e *Engine) writeDeadLetter(d *DeadLetter) {
 // (version + the journal position it took effect), session count, then
 // per session the bank key, packed address, LSN watermark, pinned model
 // version, engine bookkeeping (stats, distinct-UER and spared-row sets — the
-// two lists of the row table's marks, and their counts beside them) and the
-// strategy session's own state image.
+// two run sets expanded into ascending lists, and their counts beside them)
+// and the strategy session's own state image.
 //
 // Version 2 added the model epoch header fields and the per-session
 // pinned version; version-1 payloads still decode (sessions come back
@@ -216,9 +216,9 @@ type sessionImage struct {
 }
 
 // code walks one session record in layout order, writing it or reading it.
-// The row table is written as its two lists, each with its count in the
-// stats before it; reading merges the lists back into the table and refuses
-// a count that disagrees with its list.
+// The run sets are written as two ascending lists, each with its count in the
+// stats before it; reading merges each list back into runs and refuses a
+// count that disagrees with its list.
 func (im *sessionImage) code(c *bincodec.Cursor, ver uint8) {
 	uerRows, spared := im.rowLists()
 	c.U64(&im.key)
@@ -256,23 +256,17 @@ func (im *sessionImage) code(c *bincodec.Cursor, ver uint8) {
 		c.Fail("session counts %d isolated rows but lists %d spared", rowsIsolated, len(spared))
 	}
 	for _, row := range uerRows {
-		im.mark(int(row)).uer = true
+		im.uerRows.Add(int(row))
 	}
 	for _, row := range spared {
-		im.mark(int(row)).spared = true
+		im.spared.Add(int(row))
 	}
 }
 
-// rowLists returns the row table's UER rows and spared rows, each ascending.
+// rowLists returns the bank's UER rows and spared rows, each ascending.
 func (bs *bankSession) rowLists() (uerRows, spared []int32) {
-	for _, m := range bs.rows {
-		if m.uer {
-			uerRows = append(uerRows, m.row)
-		}
-		if m.spared {
-			spared = append(spared, m.row)
-		}
-	}
+	bs.uerRows.Each(func(row int) { uerRows = append(uerRows, int32(row)) })
+	bs.spared.Each(func(row int) { spared = append(spared, int32(row)) })
 	return uerRows, spared
 }
 

@@ -343,16 +343,12 @@ func (e *Engine) RecentClassMix(n int) (map[faultsim.Class]int, int) {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		s.store.eachSession(func(bs *bankSession) { // a stored bank has no UER row
-			n, _ := bs.rowCounts()
+			n := bs.uerRows.Count()
 			if n == 0 {
 				return
 			}
 			rows := make([]int, 0, n)
-			for _, m := range bs.rows {
-				if m.uer {
-					rows = append(rows, int(m.row))
-				}
-			}
+			bs.uerRows.Each(func(row int) { rows = append(rows, row) })
 			p := faultsim.LabelPattern(e.cfg.Geometry, rows, nil)
 			cands = append(cands, cand{last: bs.lastEvent, class: faultsim.ClassOf(p)})
 		})

@@ -39,10 +39,12 @@ func (s *fakeSession) code(c *bincodec.Cursor) {
 	class := uint8(s.class)
 	c.U8(&class)
 	s.class = faultsim.Class(class)
-	var rows rowset.Set
+	var set rowset.Runs
 	for r := range s.rows {
-		rows.Add(r)
+		set.Add(r)
 	}
+	var rows []int32
+	set.Each(func(r int) { rows = append(rows, int32(r)) })
 	bincodec.Rows(c, &rows, true)
 	for _, r := range rows {
 		s.rows[int(r)] = true

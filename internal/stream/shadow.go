@@ -179,7 +179,7 @@ func (e *Engine) loadShadow() *shadowEval {
 type shadowSession struct {
 	gen        uint64
 	sess       core.Session
-	spared     rowset.Set
+	spared     rowset.Runs
 	bankSpared bool
 	dead       bool // candidate panicked on this bank; twin retired
 }

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -240,7 +238,7 @@ func storable(bs *bankSession, log []features.Obs) bool {
 	}
 	return len(log) <= quietCap && bs.events == int64(len(log)) && bs.firstEvent == first && bs.lastEvent == last &&
 		bs.shadow == nil && !bs.degraded && !bs.classified && bs.class == 0 && !bs.bankSpared &&
-		bs.uerEvents == 0 && bs.actions == 0 && len(bs.rows) == 0
+		bs.uerEvents == 0 && bs.actions == 0 && bs.uerRows.Count() == 0 && bs.spared.Count() == 0
 }
 
 // quietCap is the most observations a stored bank holds; the next event
@@ -304,9 +302,9 @@ func (st *shardState) addQuiet(key uint64, ver uint32, im *bankSession, log []fe
 // bankSession couples a strategy session with the bookkeeping the engine
 // layers on top: the heap form of a bank, which a bank takes at its first UER
 // (see bankStore). It carries compact counters (SessionStats is built from
-// them on demand by stats) and one row table, which owns no memory until a UER
-// or a sparing decision writes it. The bank's address is not stored: it is the
-// slot's key, unpacked where needed.
+// them on demand by stats) and two row sets held by value, whose runs own no
+// memory until one set outgrows its inline runs. The bank's address is not
+// stored: it is the slot's key, unpacked where needed.
 type bankSession struct {
 	sess core.Session
 	// shadow is the candidate-model twin while a shadow evaluation that
@@ -334,66 +332,22 @@ type bankSession struct {
 	stateReleased         bool
 	stateDeferred         bool
 	degraded              bool
-	// rows is the bank's row table, sorted by row: every row a UER has landed
-	// on or an emitted action has spared.
-	rows []rowMark
-}
-
-// rowMark is one row of a bank's row table.
-type rowMark struct {
-	row int32
-	// uer marks a row at least one UER has landed on, spared one an emitted
-	// action has isolated.
-	uer, spared bool
-}
-
-// find locates row in the row table.
-func (bs *bankSession) find(row int) (int, bool) {
-	return slices.BinarySearchFunc(bs.rows, row, func(m rowMark, row int) int { return cmp.Compare(int(m.row), row) })
-}
-
-// mark returns row's entry in the row table, adding an unmarked one first
-// when the table lacks it.
-func (bs *bankSession) mark(row int) *rowMark {
-	i, found := bs.find(row)
-	if !found {
-		bs.rows = rowset.InsertAt(bs.rows, i, rowMark{row: int32(row)})
-	}
-	return &bs.rows[i]
-}
-
-// spared reports whether an emitted action has isolated row.
-func (bs *bankSession) spared(row int) bool {
-	i, found := bs.find(row)
-	return found && bs.rows[i].spared
-}
-
-// rowCounts returns how many rows of the table are UER rows and how many are
-// spared.
-func (bs *bankSession) rowCounts() (uer, spared int) {
-	for _, m := range bs.rows {
-		if m.uer {
-			uer++
-		}
-		if m.spared {
-			spared++
-		}
-	}
-	return uer, spared
+	// uerRows holds every row a UER has landed on, spared every row an
+	// emitted action has isolated.
+	uerRows, spared rowset.Runs
 }
 
 // stats builds the public snapshot of the session held under key.
 func (bs *bankSession) stats(key uint64) SessionStats {
-	uerRows, spared := bs.rowCounts()
 	return SessionStats{
 		Bank:            hbm.UnpackBank(key),
 		Events:          int(bs.events),
 		UEREvents:       int(bs.uerEvents),
-		DistinctUERRows: uerRows,
+		DistinctUERRows: bs.uerRows.Count(),
 		Classified:      bs.classified,
 		Class:           faultsim.Class(bs.class),
 		BankSpared:      bs.bankSpared,
-		RowsIsolated:    spared,
+		RowsIsolated:    bs.spared.Count(),
 		Actions:         int(bs.actions),
 		FirstEvent:      bincodec.TimeOf(bs.firstEvent),
 		LastEvent:       bincodec.TimeOf(bs.lastEvent),
@@ -624,7 +578,7 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 	// row (or the whole bank) already isolated when the event arrived?
 	var primCoveredUER bool
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
-		primCoveredUER = bs.bankSpared || bs.spared(ev.Addr.Row)
+		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
 	res.acts = foldEvent(bs, ev, env.proc, res.acts, &st.verdicts)
 	if bs.shadow == nil {
@@ -680,7 +634,7 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 	bs.lastEvent = ev.Time.UnixNano()
 	if ev.Class == ecc.ClassUER {
 		bs.uerEvents++
-		bs.mark(ev.Addr.Row).uer = true
+		bs.uerRows.Add(ev.Addr.Row)
 	}
 	if cs, ok := bs.sess.(core.ClassifiedSession); ok && !bs.classified {
 		if class, fired := cs.Class(); fired {
@@ -714,16 +668,14 @@ func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Acti
 		// than the fresh rows.
 		n := 0
 		for _, r := range d.IsolateRows {
-			if !bs.spared(r) {
+			if !bs.spared.Has(r) {
 				n++
 			}
 		}
 		if n > 0 {
-			bs.rows = rowset.Reserve(bs.rows, n) // the table grows once per decision
 			fresh := vb.carve(n)
 			for _, r := range d.IsolateRows {
-				if m := bs.mark(r); !m.spared {
-					m.spared = true
+				if bs.spared.Add(r) {
 					fresh = append(fresh, r)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,13 +79,15 @@ func FuzzDecodeSnapshotSessions(f *testing.F) {
 	})
 }
 
-// rowCountPayloads is a payload of one session whose row table holds UER rows
+// rowCountPayloads is a payload of one session whose row sets hold UER rows
 // 10 and 20 and spared rows 20 and 30, and copies of it in which the count the
-// record keeps beside one of the table's two lists disagrees with the list.
+// record keeps beside one of the sets' two lists disagrees with the list.
 func rowCountPayloads(t testing.TB) (pristine []byte, refused map[string][]byte) {
-	im := sessionImage{key: testBank(1).BankKey(), bankSession: bankSession{
-		uerEvents: 7777, actions: 5555, rows: []rowMark{{row: 10, uer: true}, {row: 20, uer: true, spared: true}, {row: 30, spared: true}},
-	}}
+	im := sessionImage{key: testBank(1).BankKey(), bankSession: bankSession{uerEvents: 7777, actions: 5555}}
+	im.uerRows.Add(10)
+	im.uerRows.Add(20)
+	im.spared.Add(20)
+	im.spared.Add(30)
 	pristine, err := encodeSnapshotImages(engineSnapVersion, snapshotHeader{}, []sessionImage{im})
 	if err != nil {
 		t.Fatal(err)
@@ -110,21 +113,20 @@ func rowCountPayloads(t testing.TB) (pristine []byte, refused map[string][]byte)
 }
 
 // TestSnapshotRefusesRowCountsOffTheTable: a session record writes the bank's
-// row table as its UER rows and its spared rows, each list with a count in the
-// stats before it, and reading merges the lists back into the table. A count
-// that disagrees with its list is refused — the table could not write it back.
+// row sets as its UER rows and its spared rows, each list with a count in the
+// stats before it, and reading merges each list back into its set. A count
+// that disagrees with its list is refused — the sets could not write it back.
 func TestSnapshotRefusesRowCountsOffTheTable(t *testing.T) {
 	pristine, refused := rowCountPayloads(t)
 	_, images, err := decodeSnapshotSessions(pristine)
 	if err != nil || len(images) != 1 {
 		t.Fatalf("pristine payload: %d images, %v", len(images), err)
 	}
-	want := []rowMark{{row: 10, uer: true}, {row: 20, uer: true, spared: true}, {row: 30, spared: true}}
-	if !reflect.DeepEqual(images[0].rows, want) {
-		t.Fatalf("the lists merged into %+v, want %+v", images[0].rows, want)
+	if uerRows, spared := images[0].rowLists(); !slices.Equal(uerRows, []int32{10, 20}) || !slices.Equal(spared, []int32{20, 30}) {
+		t.Fatalf("the lists read back as UER rows %v and spared rows %v, want [10 20] and [20 30]", uerRows, spared)
 	}
 	if st := images[0].stats(images[0].key); st.DistinctUERRows != 2 || st.RowsIsolated != 2 {
-		t.Errorf("the merged table counts %d UER rows and %d isolated, want 2 and 2", st.DistinctUERRows, st.RowsIsolated)
+		t.Errorf("the sets count %d UER rows and %d isolated, want 2 and 2", st.DistinctUERRows, st.RowsIsolated)
 	}
 	for name, payload := range refused {
 		if _, _, err := decodeSnapshotSessions(payload); err == nil {

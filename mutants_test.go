@@ -95,9 +95,6 @@ var mutants = []struct {
 	{"budget rows written in row order", "internal/features/codec.go",
 		"\tslices.SortFunc(ranked, func(a, b rowEntry) int { return cmp.Compare(a.rank, b.rank) })\n", "\t_ = cmp.Compare[int]\n",
 		[]string{"internal/stream TestQuietStoreEquivalence"}},
-	{"a reserve that undercounts the fresh rows", "internal/stream/shard.go",
-		"rowset.Reserve(bs.rows, n)", "rowset.Reserve(bs.rows, n/4)",
-		[]string{"internal/stream TestPromotedBankAllocs", "internal/stream TestHotBankAllocs"}},
 	{"a released session keeps its row table", "internal/core/pipeline.go",
 		"\t\t\ts.state, s.released = features.BankState{}, true\n", "\t\t\ts.released = true\n",
 		[]string{"internal/core TestCordialSessionReleasesStateWhenSpared"}},
@@ -107,6 +104,17 @@ var mutants = []struct {
 	{"a bank's budget rows counted past the budget", "internal/features/state.go",
 		"\tif s.budgetDone {\n\t\treturn s.cfg.UERBudget\n\t}\n", "",
 		[]string{"internal/features TestIncrementalEquivalenceTable", "internal/features TestBankStateGoldenImages"}},
+
+	// A bank's rows as runs held in its slot.
+	{"add forgets to join the next run", "internal/rowset/rowset.go",
+		"\tcase before && after:\n\t\truns[i-1].hi = runs[i].hi\n\t\ts.remove(i)\n", "",
+		[]string{"internal/rowset FuzzRowRuns", "internal/rowset TestSetAgainstMap"}},
+	{"the spill drops the last inline run", "internal/rowset/rowset.go",
+		"s.inline[:s.n]...)", "s.inline[:s.n-1]...)",
+		[]string{"internal/rowset FuzzRowRuns", "internal/rowset TestRunsAllocs", "internal/stream TestOnlineOfflineEquivalence"}},
+	{"the snapshot reader merges the spared list into the UER runs", "internal/stream/durable.go",
+		"\t\tim.spared.Add(int(row))\n", "\t\tim.uerRows.Add(int(row))\n",
+		[]string{"internal/stream TestSnapshotRefusesRowCountsOffTheTable", "internal/stream TestEngineSnapshotGolden"}},
 
 	// Training hands trees over as records and codes datasets as they are built.
 	{"the ±0 rank fix-up dropped from the threshold remap", "internal/mltree/arena.go",

@@ -329,6 +329,12 @@ var deletionGates = []struct {
 		replacedBy: "stream.Engine.NeededVersions, the versions registry.Registry.Prune keeps",
 		names:      []string{"PinnedVersionFloor"},
 	},
+	{
+		gate: "one row-set type", deletedBy: "A bank's row marks as runs held in its slot",
+		replacedBy: "rowset.Runs, the engine's UER rows and spared rows of a bank and a shadow twin's spared rows",
+		names:      []string{"rowMark", "rowCounts"},
+		check:      runsAlone,
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
@@ -513,6 +519,33 @@ func quietStrategyOneMethod(mod *module) []string {
 		return []string{fmt.Sprintf("%s: core.QuietStrategy is %s, want ResumeSession alone besides Strategy", mod.fset.Position(obj.Pos()), obj.Type().Underlying())}
 	}
 	return nil
+}
+
+// runsAlone: rowset declares no Set, and the engine's bankSession keeps its
+// rows in rowset.Runs alone — no slice field and no find or mark method beside
+// them.
+func runsAlone(mod *module) []string {
+	var bad []string
+	if obj := mod.pkgs["cordial/internal/rowset"].pkg.Scope().Lookup("Set"); obj != nil {
+		bad = append(bad, fmt.Sprintf("%s: rowset declares Set", mod.fset.Position(obj.Pos())))
+	}
+	obj := mod.pkgs[streamPkg].pkg.Scope().Lookup("bankSession")
+	if obj == nil {
+		return append(bad, "the row-set gate's target stream.bankSession is gone")
+	}
+	st := obj.Type().Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if _, ok := f.Type().Underlying().(*types.Slice); ok {
+			bad = append(bad, fmt.Sprintf("%s: bankSession.%s is a table beside the run sets", mod.fset.Position(f.Pos()), f.Name()))
+		}
+	}
+	for _, name := range []string{"find", "mark"} {
+		if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), true, obj.Pkg(), name); m != nil {
+			bad = append(bad, fmt.Sprintf("%s: bankSession.%s is back", mod.fset.Position(m.Pos()), name))
+		}
+	}
+	return bad
 }
 
 // columnizeOnlyInGBDT: classification training transposes nothing; only the

@@ -71,9 +71,11 @@ go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestSh
 # store's two limit fallbacks (a row field wider than a node's, node references
 # exhausted), live ≡ replayed actions for events with a zone or a monotonic
 # reading, banks born stored under a shadow evaluation scoring as banks born
-# with their twins; and the shard step's seeded interleavings of batches, snapshots,
-# restores, handoff imports, a model swap and a poisoned row.
-go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestShadowOverStoredBanks|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed|TestShardStepInterleavings' ./internal/stream/
+# with their twins; the shard step's seeded interleavings of batches, snapshots,
+# restores, handoff imports, a model swap and a poisoned row; and a bank's row
+# runs against a sorted slice (FuzzRowRuns' corpus).
+go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestShadowOverStoredBanks|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed|TestShardStepInterleavings|FuzzRowRuns' \
+    ./internal/stream/ ./internal/rowset/
 
 echo "==> go test -race"
 go test -race ./... "$@"
