@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/registry"
-	"cordial/internal/trace"
 	"cordial/internal/wal"
 	"cordial/internal/xrand"
 )
@@ -101,6 +99,17 @@ type crashSchedule struct {
 	segBytes      int64
 	keep          int
 	steps         []crashStep
+}
+
+// ddrTestBank returns a distinct DDR5 bank address.
+func ddrTestBank(i int) hbm.BankAddress {
+	return hbm.BankAddress{
+		Node:      uint32(i % 8),
+		Rank:      uint8(i / 2 % 2),
+		Device:    uint8(i / 4 % 8),
+		BankGroup: uint8(i % 8),
+		Bank:      uint8(i % 4),
+	}
 }
 
 func genCrashSchedule(seed uint64) crashSchedule {
@@ -207,20 +216,6 @@ type crashRun struct {
 	rewritten, armed, refusing  bool
 }
 
-// tinyPipeline is the artefact the registry stores for every version.
-var tinyPipeline = sync.OnceValues(func() (*core.Pipeline, error) {
-	spec := trace.DefaultSpec(hbm.DefaultGeometry)
-	spec.UERBanks, spec.BenignBanks, spec.Seed = 20, 0, 3
-	fleet, err := trace.Generate(spec)
-	cfg := core.DefaultConfig(core.RandomForest)
-	cfg.Params = core.ModelParams{Trees: 2, Depth: 3}
-	pipe, _ := core.New(cfg)
-	if err == nil {
-		err = pipe.Fit(fleet.Faults)
-	}
-	return pipe, err
-})
-
 // ActiveModel and ModelByVersion serve the registry's versions, each as the
 // trained fixture's strategy or as a fake whose budget tells them apart.
 func (cr *crashRun) ActiveModel() (core.Strategy, uint64) {
@@ -288,7 +283,7 @@ func (sc *crashSchedule) run(root string) error {
 		return fmt.Errorf("final restart: %w", err)
 	}
 	cr.e.Close()
-	if cr.acts = append(cr.acts, drainActions(cr.e)...); !cr.rewritten && !maps.Equal(actionKeys(cr.acts), cr.refActions) {
+	if cr.acts = append(cr.acts, drainActions(cr.e)...); !cr.rewritten && !maps.Equal(actionKeys(nil, cr.acts), cr.refActions) {
 		return fmt.Errorf("deduplicated actions differ from the reference's")
 	}
 	return nil
@@ -482,7 +477,7 @@ func (cr *crashRun) check() (err error) {
 	}
 	defer func() {
 		ref.Close()
-		cr.refActions = actionKeys(drainActions(ref))
+		cr.refActions = actionKeys(nil, drainActions(ref))
 	}()
 	strat, err := crashRef{cr}.ModelByVersion(1)
 	if err != nil {

@@ -123,11 +123,7 @@ func runFleet(t *testing.T, strategy core.Strategy, evs []mcelog.Event, between 
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	acts := make(map[string][]string)
-	for _, a := range drainActions(e) {
-		acts[a.Bank.String()] = append(acts[a.Bank.String()], fmt.Sprintf("%v %v %v %v", a.Kind, a.Class, a.Time.UnixNano(), a.Rows))
-	}
-	return acts, sessions, e
+	return perBankActions(drainActions(e)), sessions, e
 }
 
 // formCount counts an engine's banks by store form.

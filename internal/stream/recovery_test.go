@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -86,32 +85,6 @@ func durCfg(dir string, shards int, strategy core.Strategy) Config {
 		Strategy:   strategy,
 		Shards:     shards,
 		Durability: DurabilityConfig{Dir: dir, Sync: wal.SyncNever},
-	}
-}
-
-// actionKeys reduces an action stream to a comparable set; recovery replays
-// actions at least once, so equality is on the deduplicated set.
-func actionKeys(actions []Action) map[string]bool {
-	m := make(map[string]bool)
-	for _, a := range actions {
-		rows := append([]int(nil), a.Rows...)
-		sort.Ints(rows)
-		m[fmt.Sprintf("%v|%v|%v|%v", a.Kind, a.Bank, a.Class, rows)] = true
-	}
-	return m
-}
-
-func assertSameActionSet(t *testing.T, got, want map[string]bool) {
-	t.Helper()
-	for k := range want {
-		if !got[k] {
-			t.Errorf("missing action %s", k)
-		}
-	}
-	for k := range got {
-		if !want[k] {
-			t.Errorf("unexpected action %s", k)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"cordial/internal/core"
 	"cordial/internal/ecc"
 	"cordial/internal/faultsim"
-	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/xrand"
@@ -46,71 +44,6 @@ func hotBankEvents(banks, perBank int, seed uint64) []mcelog.Event {
 	}
 	slices.SortStableFunc(evs, func(a, b mcelog.Event) int { return a.Time.Compare(b.Time) })
 	return evs
-}
-
-// undecided is everything the engine reads of a Cordial session but Decide.
-type undecided interface {
-	core.ClassifiedSession
-	core.InstrumentedSession
-}
-
-// onEventSession is a Cordial session with Decide hidden, and onEventCordial
-// the Cordial strategy serving its sessions that way: the engine then decides
-// through OnEvent, as it does for a baseline.
-type onEventSession struct{ undecided }
-
-type onEventCordial struct{ *core.CordialStrategy }
-
-func (s onEventCordial) NewSession(bank hbm.BankAddress) core.Session {
-	return onEventSession{s.CordialStrategy.NewSession(bank).(undecided)}
-}
-
-func (s onEventCordial) ResumeSession(bank hbm.BankAddress, log []features.Obs) core.Session {
-	return onEventSession{s.CordialStrategy.ResumeSession(bank, log).(undecided)}
-}
-
-// TestDecideEqualsOnEvent: the engine decides into its shard's buffer when a
-// session is a core.BufferedSession and through OnEvent when it is not. On a
-// hot-bank stream and on a fleet stream, both serve the same actions, bank by
-// bank and in order, and leave the same sessions.
-func TestDecideEqualsOnEvent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a pipeline")
-	}
-	pipe, err := trainedPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cordial := &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
-	wrapped := onEventCordial{cordial}
-	if _, ok := wrapped.NewSession(hbm.BankAddress{}).(core.BufferedSession); ok {
-		t.Fatal("the wrapper does not hide Decide")
-	}
-	if _, ok := any(wrapped).(core.QuietStrategy); !ok {
-		t.Fatal("the wrapper hides the quiet store from the engine")
-	}
-	for name, evs := range map[string][]mcelog.Event{
-		"hot-banks": hotBankEvents(48, 120, 3),
-		"fleet":     fleetEvents(t, 31),
-	} {
-		t.Run(name, func(t *testing.T) {
-			wantActs, wantSessions, _ := runFleet(t, wrapped, evs, nil)
-			gotActs, gotSessions, _ := runFleet(t, cordial, evs, nil)
-			actions := 0
-			for _, acts := range wantActs {
-				actions += len(acts)
-			}
-			if actions < len(wantActs)+10 {
-				t.Fatalf("%d banks acted %d times: not the coverage the test is for", len(wantActs), actions)
-			}
-			if !reflect.DeepEqual(gotActs, wantActs) {
-				t.Errorf("actions through Decide differ from OnEvent's: %d banks acted, want %d", len(gotActs), len(wantActs))
-			}
-			if !reflect.DeepEqual(gotSessions, wantSessions) {
-				t.Errorf("sessions through Decide differ from OnEvent's")
-			}
-		})
-	}
 }
 
 // TestActionRowsSurviveSlabRollover: emitted rows are carved from a shard's

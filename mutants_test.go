@@ -111,10 +111,39 @@ var mutants = []struct {
 		[]string{"internal/rowset FuzzRowRuns", "internal/rowset TestSetAgainstMap"}},
 	{"the spill drops the last inline run", "internal/rowset/rowset.go",
 		"s.inline[:s.n]...)", "s.inline[:s.n-1]...)",
-		[]string{"internal/rowset FuzzRowRuns", "internal/rowset TestRunsAllocs", "internal/stream TestOnlineOfflineEquivalence"}},
+		[]string{"internal/rowset FuzzRowRuns", "internal/rowset TestRunsAllocs", "internal/stream FuzzBankHistory"}},
 	{"the snapshot reader merges the spared list into the UER runs", "internal/stream/durable.go",
 		"\t\tim.spared.Add(int(row))\n", "\t\tim.uerRows.Add(int(row))\n",
 		[]string{"internal/stream TestSnapshotRefusesRowCountsOffTheTable", "internal/stream TestEngineSnapshotGolden"}},
+
+	// The verdict oracle's: a bank's verdicts are a function of its history
+	// under every serving form. The first two were planted for it; the rest
+	// are what the equivalence suites it replaced killed.
+	{"the quiet store takes one event past its cap", "internal/stream/shard.go",
+		"sl.count() < quietCap", "sl.count() <= quietCap",
+		[]string{"internal/stream FuzzBankHistory"}},
+	{"a promotion resumes under the newest model, not its bank's", "internal/stream/shard.go",
+		"bs.sess = st.totals.version(sl.ver()).quiet.ResumeSession(",
+		"bs.sess = env.epochs[len(env.epochs)-1].strategy.(core.QuietStrategy).ResumeSession(",
+		[]string{"internal/stream FuzzBankHistory"}},
+	{"replay ignores the snapshot floor", "internal/stream/shard.go",
+		"if q.lsn != 0 && q.lsn <= env.floor {", "if false {",
+		[]string{"internal/stream FuzzBankHistory", "internal/stream TestDroppedBankStaysDropped", "internal/stream TestBankMovesAwayAndBack"}},
+	{"the engine does not flag an already-spared row as a UER row", "internal/stream/shard.go",
+		"\t\tbs.uerRows.Add(ev.Addr.Row)\n", "\t\tif !bs.spared.Has(ev.Addr.Row) {\n\t\t\tbs.uerRows.Add(ev.Addr.Row)\n\t\t}\n",
+		[]string{"internal/stream FuzzBankHistory", "internal/stream TestEngineSnapshotGolden"}},
+	{"an adopted bank keeps its source's watermark", "internal/stream/handoff.go",
+		"\t\tbs.lastLSN = st.appliedLSN\n", "",
+		[]string{"internal/stream FuzzBankHistory"}},
+	{"the shard step skips admission", "internal/stream/shard.go",
+		"if !st.admit(last, q.lsn) {", "if st.admit(last, q.lsn) && false {",
+		[]string{"internal/stream FuzzBankHistory"}},
+	{"Decide appends to the last decision's rows", "internal/core/pipeline.go",
+		"buf.rows = pipe.appendRows(buf.rows[:0],", "buf.rows = pipe.appendRows(buf.rows,",
+		[]string{"internal/stream FuzzBankHistory"}},
+	{"a resumed session drops its newest logged observation", "internal/core/pipeline.go",
+		"cs.state.Replay(log)", "cs.state.Replay(log[:max(len(log), 1)-1])",
+		[]string{"internal/stream FuzzBankHistory"}},
 
 	// Training hands trees over as records and codes datasets as they are built.
 	{"the ±0 rank fix-up dropped from the threshold remap", "internal/mltree/arena.go",

@@ -312,7 +312,8 @@ var deletionGates = []struct {
 	{
 		gate: "one crash oracle", deletedBy: "One fault FS, one crash oracle",
 		replacedBy: "stream's TestCrashProperty and its Batched, Trained, Swap and DDR5 flavors: seeded schedules with power cuts over one wal.FaultFS",
-		check:      noCrashSuites,
+		check: noTestsNamed("TestCrashRecoveryEquivalence", "TestCrashRecoveryEquivalenceBatched",
+			"TestCrashRecoveryEquivalenceTrained", "TestCrashRecoveryEquivalenceDDR5", "TestCrashDuringSwapEquivalence"),
 	},
 	{
 		gate: "one fault FS", deletedBy: "One fault FS, one crash oracle",
@@ -334,6 +335,13 @@ var deletionGates = []struct {
 		replacedBy: "rowset.Runs, the engine's UER rows and spared rows of a bank and a shadow twin's spared rows",
 		names:      []string{"rowMark", "rowCounts"},
 		check:      runsAlone,
+	},
+	{
+		gate: "one verdict oracle", deletedBy: "One verdict oracle",
+		replacedBy: "stream's FuzzBankHistory: a bank's actions and stats under every serving form equal the offline per-bank replay",
+		check: noTestsNamed("TestOnlineOfflineEquivalence", "TestOnlineOfflineEquivalenceDDR5", "TestShardStepInterleavings",
+			"TestDecideEqualsOnEvent", "TestQuietSessionEquivalence", "assertOnlineOfflineEquivalent", "assertResumeEquivalence",
+			"featureFuzzEvents"),
 	},
 }
 
@@ -803,16 +811,17 @@ func testDecls(fn func(pos token.Position, pkg string, d ast.Decl) []string) (ba
 	return bad
 }
 
-// noCrashSuites: the kill-point suites the crash property replaced are not
-// declared again.
-func noCrashSuites(*module) []string {
-	return testDecls(func(pos token.Position, _ string, d ast.Decl) []string {
-		if fd, ok := d.(*ast.FuncDecl); ok && slices.Contains([]string{"TestCrashRecoveryEquivalence", "TestCrashRecoveryEquivalenceBatched",
-			"TestCrashRecoveryEquivalenceTrained", "TestCrashRecoveryEquivalenceDDR5", "TestCrashDuringSwapEquivalence"}, fd.Name.Name) {
-			return []string{fmt.Sprintf("%s declares %s", pos, fd.Name.Name)}
-		}
-		return nil
-	})
+// noTestsNamed is the check that no test file declares a func of names: the
+// tests a replacement made redundant, and their helpers, stay deleted.
+func noTestsNamed(names ...string) func(*module) []string {
+	return func(*module) []string {
+		return testDecls(func(pos token.Position, _ string, d ast.Decl) []string {
+			if fd, ok := d.(*ast.FuncDecl); ok && slices.Contains(names, fd.Name.Name) {
+				return []string{fmt.Sprintf("%s declares %s", pos, fd.Name.Name)}
+			}
+			return nil
+		})
+	}
 }
 
 // noTestFS: no test wraps a filesystem of its own, a type embedding wal.FS.

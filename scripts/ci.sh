@@ -55,7 +55,7 @@ echo "==> go test -race (parallel-training equivalence focus)"
 # row coder against the float matrix's coding (FuzzCodedRows' corpus). The
 # stored ≡ eager edge banks (first event a UER, a UER at observation 31/32/33,
 # a long quiet life, a first UER tied with CEs, a UEO-only bank, spared banks
-# fed more) run in TestQuietStoreEquivalence, in the store pass below; the full
+# fed more) are FuzzBankHistory's seeds, in the store pass below; the full
 # -race suite still covers everything, the engine-level restore of quiet banks
 # (TestRestoredQuietSessionThenFails) included.
 go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView|CodedRows' \
@@ -67,14 +67,15 @@ go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestSh
     ./internal/stream/ ./internal/obs/
 # The quiet-bank store, by the same pattern: the seeded model run (a reader
 # walks Sessions()/Session() while banks are inserted, appended to, promoted,
-# dropped and restored), the store ≡ heap-form engine equivalence, the packed
-# store's two limit fallbacks (a row field wider than a node's, node references
-# exhausted), live ≡ replayed actions for events with a zone or a monotonic
-# reading, banks born stored under a shadow evaluation scoring as banks born
-# with their twins; the shard step's seeded interleavings of batches, snapshots,
-# restores, handoff imports, a model swap and a poisoned row; and a bank's row
-# runs against a sorted slice (FuzzRowRuns' corpus).
-go test -race -run 'TestStoreModel|TestQuietStoreEquivalence|TestShadowOverStoredBanks|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed|TestShardStepInterleavings|FuzzRowRuns' \
+# dropped and restored), the packed store's two limit fallbacks (a row field
+# wider than a node's, node references exhausted), live ≡ replayed actions for
+# events with a zone or a monotonic reading, banks born stored under a shadow
+# evaluation scoring as banks born with their twins; the verdict oracle's
+# corpus (FuzzBankHistory: every serving form — store or heap, Decide or
+# OnEvent, batches, snapshots, restores, handoff imports, a model swap, a
+# poisoned row, 1–5 shards, both profiles — against the offline per-bank
+# replay); and a bank's row runs against a sorted slice (FuzzRowRuns' corpus).
+go test -race -run 'TestStoreModel|TestShadowOverStoredBanks|TestStoreLimitFallbacks|TestLiveActionEqualsReplayed|FuzzBankHistory|FuzzRowRuns' \
     ./internal/stream/ ./internal/rowset/
 
 echo "==> go test -race"
@@ -234,12 +235,13 @@ echo "==> topology matrix (profile registry, wire round-trips, cross-profile gat
 # Every registered profile must validate and round-trip packed addresses
 # through the wire codec allocation-free (TestWireProfileMatrix iterates
 # the registry) and banks through their key, UnpackBank, CellInBank and JSON
-# (TestBankAddressRoundTrip); the equivalence gates then re-run under
-# ddr5-dimm (the crash property's ddr5-dimm seeds are TestCrashPropertyDDR5),
-# and a two-profile transfer study must complete end to end.
+# (TestBankAddressRoundTrip); the verdict oracle and the crash property then
+# run under ddr5-dimm (FuzzBankHistory's corpus holds ddr5-dimm inputs, the
+# crash property's ddr5-dimm seeds are TestCrashPropertyDDR5), and a
+# two-profile transfer study must complete end to end.
 go test -run 'TestRegisteredProfiles|PackUnpackRoundTrip|TestWireProfileMatrix|TestBankAddressRoundTrip' \
     -count 1 ./internal/hbm/ ./internal/mcelog/
-go test -run 'DDR5' -count 1 ./internal/stream/
+go test -run 'DDR5|FuzzBankHistory' -count 1 ./internal/stream/
 go test -run 'TestTransferSmoke' -count 1 ./internal/experiments/
 # The real-binary ddr5-dimm runs are TestCLITruthGolden's, in the e2e leg.
 
