@@ -11,6 +11,7 @@ import (
 	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
+	"cordial/internal/xrand"
 )
 
 // quietEvents is n non-UER events, alternately CE and UEO, two per minute.
@@ -44,6 +45,146 @@ func encodeSession(t testing.TB, sess Session) []byte {
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// assertResumeEquivalence drives a session resumed from the quiet prefix of
+// events — the observations before the first UER, at most QuietLogMax, which is
+// what the engine's store holds when it promotes a bank — and a session that
+// folded every event, with the events after the prefix: every decision
+// (probabilities bit for bit), the class and the encoded session must agree,
+// from the resume on.
+func assertResumeEquivalence(t *testing.T, s *CordialStrategy, events []mcelog.Event) {
+	t.Helper()
+	k := 0
+	for k < len(events) && k < QuietLogMax && events[k].Class != ecc.ClassUER {
+		k++
+	}
+	eager := s.NewSession(hbm.BankAddress{})
+	for _, e := range events[:k] {
+		eager.OnEvent(e)
+	}
+	resumed := s.ResumeSession(hbm.BankAddress{}, obsOf(events[:k]))
+	for i := k; ; i++ {
+		gc, gok := resumed.(ClassifiedSession).Class()
+		wc, wok := eager.(ClassifiedSession).Class()
+		if gc != wc || gok != wok || !bytes.Equal(encodeSession(t, resumed), encodeSession(t, eager)) {
+			t.Fatalf("after event %d of %d (resumed after %d): class (%v,%t), want (%v,%t), or the images differ", i, len(events), k, gc, gok, wc, wok)
+		}
+		if i == len(events) {
+			return
+		}
+		if got, want := resumed.OnEvent(events[i]), eager.OnEvent(events[i]); !decisionsEqual(got, want) {
+			t.Fatalf("event %d: decision diverged:\nresumed %+v\neager   %+v", i, got, want)
+		}
+	}
+}
+
+// featureFuzzCorpus is FuzzIncrementalFeatureEquivalence's seed corpus
+// (internal/features/fuzz_test.go): timestamp ties at the first UER, cutoff
+// extensions, repeat UER rows, post-budget traffic, the unset-timestamp edges.
+var featureFuzzCorpus = [][]byte{
+	{0x00},
+	{0x13, 0x02, 0x10, 0x00, 0x02, 0x14, 0x03, 0x00, 0x10, 0x05},
+	{0x21, 0x02, 0x20, 0x04, 0x02, 0x20, 0x00, 0x00, 0x21, 0x07, 0x02, 0x20, 0x00},
+	{0x02, 0x02, 0x08, 0x11, 0x02, 0x08, 0x00, 0x02, 0x08, 0x09, 0x01, 0x30, 0x22},
+	{0x00, 0x03, 0x00, 0x02, 0x03, 0x07, 0x20, 0x23},
+	{0x01, 0x00, 0x03, 0x03, 0x02, 0x00, 0x07, 0x2b, 0x03, 0x40},
+	{0x02, 0x03, 0x07, 0x0b, 0x00, 0x02, 0x20, 0x03},
+}
+
+// featureFuzzEvents decodes the event bytes of a corpus entry as that fuzz
+// target does, plus error bits (its leading configuration byte is the
+// pipeline's business here and is skipped).
+func featureFuzzEvents(data []byte) []mcelog.Event {
+	now := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	row := 100
+	deltas := [8]int{0, 1, -1, 3, -3, 20, -20, 7}
+	classes := [4]ecc.Class{ecc.ClassCE, ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER}
+	var events []mcelog.Event
+	for _, b := range data[1:] {
+		row = max(row+deltas[(b>>2)&0x07], 0)
+		now = now.Add(time.Duration(b>>5) * 13 * time.Minute)
+		events = append(events, mcelog.Event{Time: now, Addr: hbm.Address{Row: row}, Class: classes[b&0x03], Bits: mcelog.ErrBits(b)})
+	}
+	return events
+}
+
+// TestQuietSessionEquivalence holds ResumeSession to its contract at the point
+// the engine's store promotes a bank: the fleet's banks, the incremental≡batch
+// fuzz corpus and the edges of a bank's quiet life (the engine-level twin of
+// these edges is TestQuietStoreEquivalence in internal/stream).
+func TestQuietSessionEquivalence(t *testing.T) {
+	fleet := testFleet(t, 2, 150)
+	train, test, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fitPipeline(t, RandomForest, train)
+	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
+
+	t.Run("fleet", func(t *testing.T) {
+		spared := 0
+		for _, bf := range test {
+			assertResumeEquivalence(t, strategy, bf.Events)
+			if !bf.Class().IsAggregation() {
+				spared++
+			}
+		}
+		if spared == 0 {
+			t.Error("no scattered bank in the test fleet")
+		}
+	})
+	t.Run("fuzz corpus", func(t *testing.T) {
+		for _, seed := range featureFuzzCorpus {
+			assertResumeEquivalence(t, strategy, featureFuzzEvents(seed))
+		}
+	})
+
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(min, row int, class ecc.Class) mcelog.Event {
+		return mcelog.Event{Time: base.Add(time.Duration(min) * time.Minute), Addr: hbm.Address{Row: row}, Class: class, Bits: mcelog.MakeErrBits(uint8(1+row%7), 1)}
+	}
+	// ces is n CEs over a few rows, two per timestamp; failing is a burst of
+	// UERs at distinct neighbouring rows, which classifies and predicts.
+	ces := func(n int) (evs []mcelog.Event) {
+		for i := 0; i < n; i++ {
+			evs = append(evs, at(i/2, 500+i%5*3, ecc.ClassCE))
+		}
+		return evs
+	}
+	failing := func(from int) (evs []mcelog.Event) {
+		for i := 0; i < 5; i++ {
+			evs = append(evs, at(from+i, 510+2*i, ecc.ClassUER), at(from+i, 511+2*i, ecc.ClassCE))
+		}
+		return evs
+	}
+	edges := map[string][]mcelog.Event{
+		"first event a UER":      failing(0),
+		"UER is observation 31":  append(ces(30), failing(40)...),
+		"UER is observation 32":  append(ces(31), failing(40)...),
+		"UER is observation 33":  append(ces(32), failing(40)...),
+		"long quiet life":        append(ces(100), failing(60)...),
+		"first UER ties the CEs": append(ces(6), failing(2)...), // minute 2 holds CEs 4 and 5
+	}
+	var ueo []mcelog.Event
+	for i := 0; i < 40; i++ {
+		ueo = append(ueo, at(i, 900+i%3, ecc.ClassUEO))
+	}
+	edges["UEO-only bank"] = ueo
+	for _, bf := range test {
+		if !bf.Class().IsAggregation() {
+			last := bf.Events[len(bf.Events)-1].Time
+			more := []mcelog.Event{
+				{Time: last.Add(time.Hour), Addr: hbm.Address{Row: 7}, Class: ecc.ClassCE},
+				{Time: last.Add(2 * time.Hour), Addr: hbm.Address{Row: 9}, Class: ecc.ClassUER},
+			}
+			edges["spared, then fed more"] = append(append([]mcelog.Event(nil), bf.Events...), more...)
+			break
+		}
+	}
+	for name, evs := range edges {
+		t.Run(name, func(t *testing.T) { assertResumeEquivalence(t, strategy, evs) })
+	}
 }
 
 // sessionImageSeeds returns Cordial session images of every kind the decoder

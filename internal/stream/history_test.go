@@ -552,57 +552,68 @@ func FuzzBankHistory(f *testing.F) {
 	for _, seed := range historySeeds() {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h := make([]byte, 6)
-		body := data[copy(h, data):]
-		var pipes [2]*core.Pipeline // fitted under the default profile, before any other is active
-		for i, fit := range []func() (*core.Pipeline, error){trainedPipeline, tinyPipeline} {
-			var err error
-			if pipes[i], err = fit(); err != nil {
-				t.Fatal(err)
-			}
+	f.Fuzz(func(t *testing.T, data []byte) { checkBankHistory(t, data) })
+}
+
+// checkBankHistory holds the stream an input decodes into to the oracle, as
+// FuzzBankHistory's comment sets out, and returns how many actions the
+// reference emits for it.
+func checkBankHistory(t *testing.T, data []byte) int {
+	defer func() {
+		if t.Failed() {
+			t.Logf("input %x", data)
 		}
-		if h[5]&1 != 0 {
-			defer hbm.ActivateProfile(hbm.ActivateProfile(hbm.DDR5DIMM))
+	}()
+	h := make([]byte, 6)
+	body := data[copy(h, data):]
+	var pipes [2]*core.Pipeline // fitted under the default profile, before any other is active
+	for i, fit := range []func() (*core.Pipeline, error){trainedPipeline, tinyPipeline} {
+		var err error
+		if pipes[i], err = fit(); err != nil {
+			t.Fatal(err)
 		}
-		seed := int64(h[0]) | int64(h[1])<<8
-		rng := rand.New(rand.NewSource(seed))
-		evs := historyEvents(body[:min(len(body), 512)])
-		if h[5]&2 != 0 {
-			spec := trace.DefaultSpec(hbm.ActiveProfile().Geometry)
-			spec.UERBanks, spec.BenignBanks, spec.Seed = 2+int(seed%4), 6, uint64(seed)
-			fleet, err := trace.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fleet.Log().Sort()
-			evs = fleet.Log().Events()
-		} else if len(evs) == 0 {
-			evs = stepFleet(rng)
+	}
+	if h[5]&1 != 0 {
+		defer hbm.ActivateProfile(hbm.ActivateProfile(hbm.DDR5DIMM))
+	}
+	seed := int64(h[0]) | int64(h[1])<<8
+	rng := rand.New(rand.NewSource(seed))
+	evs := historyEvents(body[:min(len(body), 512)])
+	if h[5]&2 != 0 {
+		spec := trace.DefaultSpec(hbm.ActiveProfile().Geometry)
+		spec.UERBanks, spec.BenignBanks, spec.Seed = 2+int(seed%4), 6, uint64(seed)
+		fleet, err := trace.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		at := slices.IndexFunc(evs[len(evs)/2:], func(ev mcelog.Event) bool { return ev.Class == ecc.ClassUER })
-		models := newFakeModels(1, 2)
-		for i, pipe := range pipes {
-			var s cordialForm = &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.ActiveProfile().Geometry}
-			if h[5]&4 != 0 && at >= 0 {
-				row := evs[len(evs)/2+at].Addr.Row
-				s = sessionsAs{s, func(sess core.Session) core.Session { return poisonSession{sess.(undecided), row} }}
-			}
-			switch v := uint64(i + 1); h[4] % 3 {
-			case 0:
-				models.versions[v] = s
-			case 1:
-				models.versions[v] = sessionsAs{s, func(sess core.Session) core.Session { return onEventSession{sess.(undecided)} }}
-			case 2:
-				models.versions[v] = heapOnly{s}
-			}
+		fleet.Log().Sort()
+		evs = fleet.Log().Events()
+	} else if len(evs) == 0 {
+		evs = stepFleet(rng)
+	}
+	at := slices.IndexFunc(evs[len(evs)/2:], func(ev mcelog.Event) bool { return ev.Class == ecc.ClassUER })
+	models := newFakeModels(1, 2)
+	for i, pipe := range pipes {
+		var s cordialForm = &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.ActiveProfile().Geometry}
+		if h[5]&4 != 0 && at >= 0 {
+			row := evs[len(evs)/2+at].Addr.Row
+			s = sessionsAs{s, func(sess core.Session) core.Session { return poisonSession{sess.(undecided), row} }}
 		}
-		swapAt := int(h[2]) * len(evs) / 255
-		epochs := []modelEpoch{{version: 1, strategy: models.versions[1]}, {version: 2, sinceLSN: uint64(swapAt), strategy: models.versions[2]}}
-		want, wantStats, dead := offlineHistory(evs, epochs)
-		checkSteps(t, rng, evs, swapAt, epochs, want, dead)
-		checkEngine(t, evs, swapAt, 1+int(h[3]%5), models, want, wantStats)
-	})
+		switch v := uint64(i + 1); h[4] % 3 {
+		case 0:
+			models.versions[v] = s
+		case 1:
+			models.versions[v] = sessionsAs{s, func(sess core.Session) core.Session { return onEventSession{sess.(undecided)} }}
+		case 2:
+			models.versions[v] = heapOnly{s}
+		}
+	}
+	swapAt := int(h[2]) * len(evs) / 255
+	epochs := []modelEpoch{{version: 1, strategy: models.versions[1]}, {version: 2, sinceLSN: uint64(swapAt), strategy: models.versions[2]}}
+	want, wantStats, dead := offlineHistory(evs, epochs)
+	checkSteps(t, rng, evs, swapAt, epochs, want, dead)
+	checkEngine(t, evs, swapAt, 1+int(h[3]%5), models, want, wantStats)
+	return len(want)
 }
 
 // checkSteps holds one uninterrupted shard step and stepSim's nodes under
@@ -693,5 +704,82 @@ func checkEngine(t *testing.T, evs []mcelog.Event, swapAt, shards int, models Mo
 		if w := wantStats[st.Bank]; w == nil || withoutFootprint(st) != *w {
 			t.Fatalf("bank %v in the engine:\n got  %+v\n want %+v", st.Bank, withoutFootprint(st), w)
 		}
+	}
+}
+
+// The tests below run the oracle over inputs of one flavor each, a test per
+// hand-written suite it replaced, so that each kept its name and its reach.
+
+// historyFlavor runs checkBankHistory over n inputs, input i's schedule being
+// header(i) with an empty body, and fails when they emit no more than n
+// actions: not the coverage a flavor is for.
+func historyFlavor(t *testing.T, n int, header func(i int) [6]byte) {
+	t.Helper()
+	actions := 0
+	for i := range n {
+		h := header(i)
+		actions += checkBankHistory(t, h[:])
+	}
+	if actions <= n {
+		t.Errorf("%d inputs emitted %d actions: not the coverage the test is for", n, actions)
+	}
+}
+
+// inputs is n, or n/5 under -short.
+func inputs(n int) int {
+	if testing.Short() {
+		return max(n/5, 1)
+	}
+	return n
+}
+
+// TestShardStepInterleavings: stepFleets under seeded schedules of batches,
+// snapshots, restores, handoffs and a model swap, with a poisoned row, across
+// 1–5 shards.
+func TestShardStepInterleavings(t *testing.T) {
+	historyFlavor(t, inputs(200), func(i int) [6]byte {
+		seed := i + 1
+		return [6]byte{byte(seed), byte(seed >> 8), byte(37 * seed), byte(seed), 0, 4}
+	})
+}
+
+// TestOnlineOfflineEquivalence: trace.Generate fleets of failing and benign
+// banks under hbm2e, the engine at 1–5 shards.
+func TestOnlineOfflineEquivalence(t *testing.T) {
+	historyFlavor(t, inputs(20), func(i int) [6]byte {
+		return [6]byte{byte(12 + i), 0, byte(255 - 23*i), byte(i), 0, 2}
+	})
+}
+
+// TestOnlineOfflineEquivalenceDDR5: the same under ddr5-dimm, trace fleets
+// and stepFleets.
+func TestOnlineOfflineEquivalenceDDR5(t *testing.T) {
+	historyFlavor(t, inputs(20), func(i int) [6]byte {
+		return [6]byte{byte(13 + i), 0, byte(255 - 23*i), byte(i), 0, 1 | byte(i%2)<<1}
+	})
+}
+
+// TestDecideEqualsOnEvent: each input served through Decide and with Decide
+// hidden, so that the engine decides through OnEvent, both held to the one
+// reference; hot-banks are stepFleets, fleet trace fleets.
+func TestDecideEqualsOnEvent(t *testing.T) {
+	pipe, err := trainedPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cordial := &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
+	wrapped := sessionsAs{cordial, func(sess core.Session) core.Session { return onEventSession{sess.(undecided)} }}
+	if _, ok := wrapped.NewSession(hbm.BankAddress{}).(core.BufferedSession); ok {
+		t.Fatal("the wrapper does not hide Decide")
+	}
+	if _, ok := any(wrapped).(core.QuietStrategy); !ok {
+		t.Fatal("the wrapper hides the quiet store from the engine")
+	}
+	for name, flags := range map[string]byte{"hot-banks": 0, "fleet": 2} {
+		t.Run(name, func(t *testing.T) {
+			historyFlavor(t, inputs(2*10), func(i int) [6]byte {
+				return [6]byte{byte(31 + i/2), 0, byte(200 - 9*i), byte(i / 2), byte(i % 2), flags}
+			})
+		})
 	}
 }

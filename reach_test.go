@@ -338,10 +338,8 @@ var deletionGates = []struct {
 	},
 	{
 		gate: "one verdict oracle", deletedBy: "One verdict oracle",
-		replacedBy: "stream's FuzzBankHistory: a bank's actions and stats under every serving form equal the offline per-bank replay",
-		check: noTestsNamed("TestOnlineOfflineEquivalence", "TestOnlineOfflineEquivalenceDDR5", "TestShardStepInterleavings",
-			"TestDecideEqualsOnEvent", "TestQuietSessionEquivalence", "assertOnlineOfflineEquivalent", "assertResumeEquivalence",
-			"featureFuzzEvents"),
+		replacedBy: "stream's FuzzBankHistory: a bank's actions and stats under every serving form equal the offline per-bank replay; TestOnlineOfflineEquivalence, its DDR5 twin, TestShardStepInterleavings and TestDecideEqualsOnEvent run its check over inputs of their flavor",
+		check:      noTestsNamed("assertOnlineOfflineEquivalent", "assertSameActionSet", "addActs"),
 	},
 }
 
