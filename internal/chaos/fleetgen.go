@@ -47,7 +47,7 @@ func BuildPlan(sc *Scenario, geo hbm.Geometry) (*Plan, error) {
 	fleetRNG := base.Split()
 	chaosRNG := base.Split()
 
-	fleet, err := generateFleet(sc, geo, fleetRNG)
+	fleet, err := generateFleet(sc, geo, &fleetRNG)
 	if err != nil {
 		return nil, err
 	}

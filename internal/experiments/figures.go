@@ -30,7 +30,7 @@ func RunFig3a(p Params) (*Fig3a, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	gen, err := faultsim.NewGenerator(p.Spec.Fault, xrand.New(p.Spec.Seed))
+	gen, err := faultsim.NewGenerator(p.Spec.Fault, *xrand.New(p.Spec.Seed))
 	if err != nil {
 		return nil, err
 	}

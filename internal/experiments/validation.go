@@ -48,7 +48,7 @@ func RunGeneratorValidation(p Params, banks int) (*GeneratorValidation, error) {
 	}
 	out := &GeneratorValidation{}
 
-	fastGen, err := faultsim.NewGenerator(p.Spec.Fault, xrand.New(p.Spec.Seed+1))
+	fastGen, err := faultsim.NewGenerator(p.Spec.Fault, *xrand.New(p.Spec.Seed + 1))
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func RunGeneratorValidation(p Params, banks int) (*GeneratorValidation, error) {
 	}
 	out.Fast = fast
 
-	physGen, err := faultsim.NewGenerator(p.Spec.Fault, xrand.New(p.Spec.Seed+2))
+	physGen, err := faultsim.NewGenerator(p.Spec.Fault, *xrand.New(p.Spec.Seed + 2))
 	if err != nil {
 		return nil, err
 	}

@@ -346,17 +346,17 @@ func (b *BankFault) Class() Class { return ClassOf(b.Pattern) }
 // use; create one per goroutine with its own RNG.
 type Generator struct {
 	cfg Config
-	rng *xrand.RNG
+	rng xrand.RNG
 }
 
 // NewGenerator validates cfg and returns a generator drawing randomness from
-// rng.
-func NewGenerator(cfg Config, rng *xrand.RNG) (*Generator, error) {
+// its own copy of rng: a parent's Split child, or *xrand.New(seed).
+func NewGenerator(cfg Config, rng xrand.RNG) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if rng == nil {
-		return nil, fmt.Errorf("faultsim: nil RNG")
+	if rng == (xrand.RNG{}) {
+		return nil, fmt.Errorf("faultsim: zero RNG")
 	}
 	return &Generator{cfg: cfg, rng: rng}, nil
 }
@@ -372,7 +372,7 @@ func (g *Generator) Generate(bank hbm.BankAddress, p Pattern) (*BankFault, error
 		return nil, fmt.Errorf("faultsim: pattern %v produced no UER rows", p)
 	}
 	bf := g.schedule(bank, p, rows)
-	bf.Cause = SampleCause(p, g.rng)
+	bf.Cause = SampleCause(p, &g.rng)
 	for i, ev := range bf.Events {
 		if err := ev.Validate(g.cfg.Geometry); err != nil {
 			return nil, fmt.Errorf("faultsim: generated event %d: %w", i, err)
@@ -386,7 +386,7 @@ func (g *Generator) Generate(bank hbm.BankAddress, p Pattern) (*BankFault, error
 
 // GenerateSampled draws a pattern from weights and generates a bank fault.
 func (g *Generator) GenerateSampled(bank hbm.BankAddress, w PatternWeights) (*BankFault, error) {
-	return g.Generate(bank, w.Sample(g.rng))
+	return g.Generate(bank, w.Sample(&g.rng))
 }
 
 // uerRows draws the spatial layout: the ordered set of UER rows for the
@@ -421,7 +421,7 @@ func (g *Generator) uerRows(p Pattern) []int {
 		// separated by the sampled gap.
 		a := g.applyAdjacency(g.clusterRows(c1, n1))
 		b := g.applyAdjacency(g.clusterRows(c2, n-n1))
-		return interleave(g.rng, a, b)
+		return interleave(&g.rng, a, b)
 	case PatternScattered:
 		n := g.rng.IntRange(c.ScatteredUERs[0], c.ScatteredUERs[1])
 		rows := g.distinctUniformRows(n)

@@ -12,7 +12,7 @@ import (
 
 func newGen(t *testing.T, seed uint64) *Generator {
 	t.Helper()
-	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.New(seed))
+	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +52,11 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
+// TestNewGeneratorRejectsNilRNG: a generator takes its RNG by value, so the
+// unusable one it refuses is the zero RNG, what a nil pointer was before.
 func TestNewGeneratorRejectsNilRNG(t *testing.T) {
-	if _, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), nil); err == nil {
-		t.Fatal("nil RNG accepted")
+	if _, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.RNG{}); err == nil {
+		t.Fatal("zero RNG accepted")
 	}
 }
 
@@ -423,7 +425,7 @@ func TestGenerateBenignNoUERs(t *testing.T) {
 
 func TestGenerateDeterministicPerSeed(t *testing.T) {
 	mk := func() *BankFault {
-		g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.New(77))
+		g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(77))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +485,7 @@ func sortInts(s []int) {
 }
 
 func BenchmarkGenerateSingleRow(b *testing.B) {
-	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.New(1))
+	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,7 +497,7 @@ func BenchmarkGenerateSingleRow(b *testing.B) {
 }
 
 func BenchmarkGenerateSampled(b *testing.B) {
-	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.New(1))
+	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestLabelPatternGeometry(t *testing.T) {
 // exactly.
 func TestObservedFaultRecoversGroundTruth(t *testing.T) {
 	geo := hbm.DefaultGeometry
-	gen, err := NewGenerator(DefaultConfig(geo), xrand.New(42))
+	gen, err := NewGenerator(DefaultConfig(geo), *xrand.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}

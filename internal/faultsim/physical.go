@@ -189,7 +189,7 @@ func (g *Generator) GeneratePhysical(bank hbm.BankAddress, p Pattern, pcfg Physi
 		return schedule[i].word < schedule[j].word
 	})
 
-	bf := &BankFault{Bank: bank, Pattern: p, Cause: SampleCause(p, g.rng)}
+	bf := &BankFault{Bank: bank, Pattern: p, Cause: SampleCause(p, &g.rng)}
 	events := make([]mcelog.Event, 0, len(schedule)/4)
 	firstUER := make(map[int]time.Time)
 	for _, a := range schedule {

@@ -146,7 +146,7 @@ func TestPhysicalFeaturesCompatibleWithPipelineInputs(t *testing.T) {
 
 func TestPhysicalDeterministicPerSeed(t *testing.T) {
 	mk := func() *BankFault {
-		g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.New(51))
+		g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(51))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestPhysicalDeterministicPerSeed(t *testing.T) {
 }
 
 func BenchmarkGeneratePhysical(b *testing.B) {
-	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.New(1))
+	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

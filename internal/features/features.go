@@ -22,6 +22,7 @@ package features
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -58,8 +59,12 @@ const patternFeatureCount = 29
 
 // PatternFeatureNames returns the column names of PatternVector, in order.
 // The same order is produced by both the batch and the incremental
-// (BankState.PatternVector) extraction paths.
-func PatternFeatureNames() []string {
+// (BankState.PatternVector) extraction paths. The slice is built once and
+// shared: callers must not write it, and its capacity is its length, so an
+// append copies it.
+func PatternFeatureNames() []string { return patternNames }
+
+var patternNames = func() []string {
 	names := make([]string, 0, patternFeatureCount)
 	for _, class := range []string{"ce", "ueo", "uer"} {
 		names = append(names,
@@ -78,8 +83,8 @@ func PatternFeatureNames() []string {
 		"ce_rate_before_first_uer",
 		"uer_dt_avg_h",
 	)
-	return names
-}
+	return slices.Clip(names)
+}()
 
 // BlockSpec describes the cross-row prediction window geometry (§IV-D):
 // WindowRadius rows above and below the last UER row, divided into blocks of
@@ -120,8 +125,11 @@ const BlockFeatureCount = 35
 
 // BlockFeatureNames returns the column names of BlockVector, in order.
 // The same order is produced by both the batch and the incremental
-// (BankState.BlockVector) extraction paths.
-func BlockFeatureNames() []string {
+// (BankState.BlockVector) extraction paths. Like PatternFeatureNames, it is
+// built once, read-only and full.
+func BlockFeatureNames() []string { return blockNames }
+
+var blockNames = func() []string {
 	names := make([]string, 0, BlockFeatureCount)
 	for _, class := range []string{"ce", "ueo", "uer"} {
 		names = append(names,
@@ -146,5 +154,5 @@ func BlockFeatureNames() []string {
 		"block_dist_to_uer_mean",
 		"block_dist_to_ce_mean",
 	)
-	return names
-}
+	return slices.Clip(names)
+}()

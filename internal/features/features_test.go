@@ -85,6 +85,20 @@ func TestPatternFeatureNamesMatchVectorLength(t *testing.T) {
 	}
 }
 
+// TestFeatureNamesBuiltOnce: the column names are made once per process, so
+// a call costs nothing, and are full, so a caller's append cannot write the
+// shared array.
+func TestFeatureNamesBuiltOnce(t *testing.T) {
+	for name, names := range map[string]func() []string{"pattern": PatternFeatureNames, "block": BlockFeatureNames} {
+		if n := names(); cap(n) != len(n) {
+			t.Errorf("%s names: cap %d, len %d", name, cap(n), len(n))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = names() }); allocs != 0 {
+			t.Errorf("%s names cost %v allocations a call", name, allocs)
+		}
+	}
+}
+
 func TestPatternVectorNoUERFails(t *testing.T) {
 	events := []mcelog.Event{ev(0, 1, ecc.ClassCE)}
 	if _, err := patternVector(events, DefaultPatternConfig()); err == nil {
@@ -195,7 +209,7 @@ func TestPatternVectorBudgetOne(t *testing.T) {
 func TestPatternVectorAllFinite(t *testing.T) {
 	// Fuzz against the real generator: every produced vector must be finite
 	// and fixed-length.
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), xrand.New(1))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +374,7 @@ func TestBlockVectorEmptyEvents(t *testing.T) {
 }
 
 func TestBlockVectorAllFiniteFuzz(t *testing.T) {
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), xrand.New(2))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +407,7 @@ func TestBlockVectorAllFiniteFuzz(t *testing.T) {
 }
 
 func BenchmarkPatternVector(b *testing.B) {
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), xrand.New(3))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,7 +425,7 @@ func BenchmarkPatternVector(b *testing.B) {
 }
 
 func BenchmarkBlockVector(b *testing.B) {
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), xrand.New(4))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(4))
 	if err != nil {
 		b.Fatal(err)
 	}

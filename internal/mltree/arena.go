@@ -79,9 +79,9 @@ type grownNode struct{ at, thr uint32 }
 const grownLeaf = math.MaxUint32
 
 // grownTree is a tree as every learner and the model loader hand it to
-// compileArena: one allocation of words holding its nodes, its splits'
-// threshold bits sorted by feature and then threshold, their features four to
-// a word, and its distinct leaf rows' bits.
+// compileArena: a view of the words its builder's store keeps it in — its
+// nodes, its splits' threshold bits sorted by feature and then threshold,
+// their features four to a word, and its distinct leaf rows' bits.
 type grownTree struct {
 	rec           []uint64
 	nodes, splits int
@@ -101,13 +101,25 @@ func (gt grownTree) leaves() []uint64 { return gt.rec[gt.nodes+gt.splits+(gt.spl
 
 // builder is the scratch a tree is built in, reused from tree to tree: its
 // nodes, its splits, and its distinct leaf rows with the set that finds them.
+// It keeps every tree it built since its store was emptied in that store, in
+// chunks of storeChunk words (or one tree's, if more) that are never copied:
+// a forest's records cost a few allocations, and a fit that takes a finished
+// fit's builder (growerFor) reuses its chunks.
 type builder struct {
 	nodes  []grownNode
 	splits []split
 	leaf   []uint64
 	rows   rowSet
-	row    []uint64 // the bits of the leaf row being built
+	row    []uint64   // the bits of the leaf row being built
+	store  [][]uint64 // store[:used] hold trees
+	used   int
+	free   []uint64 // the end of store[used-1] that no tree holds
 }
+
+// storeChunk is the words of a chunk of a builder's store: 64 KiB, a handful
+// of the block forest's trees, and of 2¹⁰–2¹⁵ words the fewest bytes a fit
+// allocates (TestFitTransientBytes).
+const storeChunk = 1 << 13
 
 // split is a split's threshold and feature and the node it is.
 type split struct {
@@ -156,11 +168,11 @@ func (b *builder) leafAt(at int) {
 	b.nodes[at] = grownNode{at: id, thr: grownLeaf}
 }
 
-// tree packs the tree built into its one allocation.
+// tree packs the tree built into the store and returns its view.
 func (b *builder) tree() grownTree {
 	n, s := len(b.nodes), len(b.splits)
 	slices.SortFunc(b.splits, func(x, y split) int { return cmp.Or(cmp.Compare(x.f, y.f), cmpBits(x.thr, y.thr)) })
-	gt := grownTree{rec: make([]uint64, n+s+(s+3)/4+len(b.leaf)), nodes: n, splits: s}
+	gt := grownTree{rec: b.take(n + s + (s+3)/4 + len(b.leaf)), nodes: n, splits: s}
 	for id, sp := range b.splits {
 		b.nodes[sp.node].thr = uint32(id)
 		gt.rec[n+id] = math.Float64bits(sp.thr)
@@ -171,6 +183,21 @@ func (b *builder) tree() grownTree {
 	}
 	copy(gt.leaves(), b.leaf)
 	return gt
+}
+
+// take returns w zeroed words of the store that no tree holds: the end of the
+// chunk being filled, or else the next chunk, made if there is none as large.
+func (b *builder) take(w int) []uint64 {
+	if len(b.free) < w {
+		if b.used == len(b.store) || len(b.store[b.used]) < w {
+			b.store = append(b.store[:b.used], make([]uint64, max(storeChunk, w)))
+		}
+		b.free, b.used = b.store[b.used], b.used+1
+	}
+	rec := b.free[:w:w]
+	b.free = b.free[w:]
+	clear(rec)
+	return rec
 }
 
 // compileArena lays the members out in one exactly sized arena of width-wide

@@ -1,10 +1,6 @@
 package mltree
 
-import (
-	"runtime"
-
-	"cordial/internal/xrand"
-)
+import "cordial/internal/xrand"
 
 // ForestConfig configures a Random Forest classifier. Each member grows on a
 // bootstrap bag as large as the training set.
@@ -30,9 +26,7 @@ func (c ForestConfig) withDefaults() ForestConfig {
 	if c.Tree.MaxFeatures == 0 {
 		c.Tree.MaxFeatures = -1 // sqrt
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	c.Parallelism = defaultParallelism(c.Parallelism)
 	return c
 }
 
@@ -84,7 +78,7 @@ func (f *Forest) Fit(ds *Dataset) error {
 	// Derive every member's RNG up front so fitting order cannot change
 	// the result, then fan the members out over the shared worker pool,
 	// each worker growing its members with one reused grower.
-	rngs := make([]*xrand.RNG, f.Config.NumTrees)
+	rngs := make([]xrand.RNG, f.Config.NumTrees)
 	for t := range rngs {
 		rngs[t] = rng.Split()
 	}
@@ -101,11 +95,11 @@ func (f *Forest) Fit(ds *Dataset) error {
 		for range n {
 			g.mult[cd.row(rngs[t].Intn(n))]++
 		}
-		grown[t], f.members[t] = g.fit(rngs[t]), member{f.Config.Tree, f.classes}
+		grown[t], f.members[t] = g.fit(&rngs[t]), member{f.Config.Tree, f.classes}
 	})
-	cd.release(growers)
 	var err error
 	f.arena, err = compileArena(grown, len(f.classes), nil)
+	cd.release(growers) // after compileArena: grown views the growers' stores
 	return err
 }
 

@@ -3,7 +3,6 @@ package mltree
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"cordial/internal/xrand"
 )
@@ -52,9 +51,7 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 	if c.ColsampleRatio <= 0 || c.ColsampleRatio > 1 {
 		c.ColsampleRatio = 1
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	c.Parallelism = defaultParallelism(c.Parallelism)
 	return c
 }
 
@@ -107,7 +104,7 @@ func trainArms(ds *Dataset, classes []int, parallelism int, seed uint64, fit fun
 	rng, arms := xrand.New(seed), armsFor(len(classes))
 	// Derive every arm's RNG up front, in arm order, so concurrent arm
 	// fitting consumes the exact streams the serial loop did.
-	rngs := make([]*xrand.RNG, arms)
+	rngs := make([]xrand.RNG, arms)
 	for a := range rngs {
 		rngs[a] = rng.Split()
 	}
@@ -123,7 +120,7 @@ func trainArms(ds *Dataset, classes []int, parallelism int, seed uint64, fit fun
 				y[i] = 1
 			}
 		}
-		boosters[a] = fit(y, rngs[a])
+		boosters[a] = fit(y, &rngs[a])
 	})
 	return boosters
 }
@@ -205,9 +202,7 @@ func (m *boosted) predictBlock(dst []float64, X [][]float64) {
 	}
 }
 
-func sigmoid(z float64) float64 {
-	return 1 / (1 + math.Exp(-z))
-}
+func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
 // GBDT is a gradient-boosted decision tree classifier in the XGBoost style:
 // second-order (Newton) boosting of regression trees on the logistic loss,
@@ -239,10 +234,7 @@ func (g *GBDT) Fit(ds *Dataset) error {
 func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) *booster {
 	cfg := g.Config
 	n, numFeatures := ds.NumSamples(), ds.NumFeatures()
-	colsPerSplit := int(math.Round(cfg.ColsampleRatio * float64(numFeatures)))
-	if colsPerSplit < 1 {
-		colsPerSplit = 1
-	}
+	colsPerSplit := max(1, int(math.Round(cfg.ColsampleRatio*float64(numFeatures))))
 
 	// The columnized matrix and the partitioner's buffers serve every
 	// round's tree; each tree presorts the rows it grows on.
@@ -311,11 +303,7 @@ func (g *GBDT) subsample(all []int, rng *xrand.RNG) []int {
 	if g.Config.SubsampleRatio >= 1 {
 		return all
 	}
-	k := int(math.Round(g.Config.SubsampleRatio * float64(len(all))))
-	if k < 1 {
-		k = 1
-	}
-	return rng.SampleInts(len(all), k)
+	return rng.SampleInts(len(all), max(1, int(math.Round(g.Config.SubsampleRatio*float64(len(all))))))
 }
 
 // PredictBatchInto predicts every row of X into dst.

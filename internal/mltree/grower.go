@@ -58,8 +58,8 @@ func (cd *classData) row(i int) int {
 
 // grower grows classification trees one after another over one classData. It
 // owns every buffer growth needs, the tree's builder included, so a worker's
-// grower is reused across the members it fits and a tree costs one
-// allocation: its record, exactly sized.
+// grower is reused across the members it fits and a tree allocates nothing of
+// its own: its record is a view into the builder's store.
 type grower struct {
 	cd      *classData
 	cfg     TreeConfig
@@ -130,19 +130,21 @@ func (cd *classData) growerFor(cfg TreeConfig) *grower {
 	return newGrower(cd, cfg)
 }
 
-// release leaves a finished fit's growers to the next fit over its codes.
+// release leaves a finished fit's growers, their stores emptied, to the next
+// fit over its codes: the fit's arena is compiled, so no view is read again.
 func (cd *classData) release(growers []*grower) {
 	cd.mu.Lock()
 	defer cd.mu.Unlock()
 	for _, g := range growers {
 		if g != nil {
+			g.b.used, g.b.free = 0, nil
 			cd.idle = append(cd.idle, g)
 		}
 	}
 }
 
 // fit grows one tree over the rows with mult[i] > 0, each counted mult[i]
-// times, and returns its record.
+// times, and returns its record's view.
 func (g *grower) fit(rng *xrand.RNG) grownTree {
 	g.rng = rng
 	g.b.reset()

@@ -219,10 +219,12 @@ func TestGrowerMatchesReference(t *testing.T) {
 }
 
 // TestForestFitAllocs pins what a forest fit allocates: a member tree costs
-// its generator and its record, and everything else (the dataset's value
-// codes, one grower per worker, the arena) is per fit — nothing is per node.
-// A member cost a node array and a probability array besides until trees were
-// handed over as records, and the presorted-list trainer before that made 6.6
+// its share of its grower's store, a 64 KiB chunk per handful of trees, and
+// everything else (the dataset's value codes, one grower per worker, the
+// arena) is per fit — nothing is per node. A member cost its generator and its
+// record until trees were kept in the grower's store, a node array and a
+// probability array besides until trees were handed over as records, and the
+// presorted-list trainer before that made 6.6
 // allocations per node: 207 664 for the 80 trees (31 446 nodes) fitted here.
 // The per-tree cost is read off one worker's fits, where it does not depend on
 // how the trees fell to workers; the per-fit term off fits at Parallelism 8,
@@ -250,12 +252,37 @@ func TestForestFitAllocs(t *testing.T) {
 	if raceEnabled {
 		return // the detector's own bookkeeping allocates
 	}
-	// Measured 1.98 per tree and 144 per fit with the three workers of a 2-CPU
-	// box, the coding pass included; 2.98 per tree and 176 per fit while a
+	// Measured 0.07–0.10 per tree and 151 per fit with the three workers of a
+	// 2-CPU box, the coding pass included; 1.98 per tree and 144 per fit while
+	// a member allocated its generator and its record, 2.98 and 176 while a
 	// member was two arrays, and 63 + 39 per worker per fit when every fit
 	// transposed and presorted for itself.
 	workers := min(8, maxExtraWorkers+1)
-	if limit := float64(60 + 48*workers); perTree > 2 || perFit > limit {
-		t.Fatalf("Forest.Fit allocates %.2f times per tree + %.0f per fit, want ≤ 2 + %.0f", perTree, perFit, limit)
+	if limit := float64(60 + 48*workers); perTree > 0.25 || perFit > limit {
+		t.Fatalf("Forest.Fit allocates %.2f times per tree + %.0f per fit, want ≤ 0.25 + %.0f", perTree, perFit, limit)
+	}
+}
+
+// TestForestFitAllocsFlatInTrees: a member allocates nothing of its own — its
+// RNG is an element of one slice and its record a view into its grower's
+// store, which the next fit over the same codes reuses — so a fit of 128 trees
+// makes at most a few more allocations than a fit of 16. With an RNG and a
+// record allocated per tree, the difference was 224.
+func TestForestFitAllocsFlatInTrees(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	train, _ := noisyBlobs(23, 3, 150)
+	allocs := func(trees int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := NewForest(ForestConfig{NumTrees: trees, Seed: 23, Parallelism: 1}).Fit(train); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(128)
+	t.Logf("a forest fit makes %v allocations at 16 trees, %v at 128", small, large)
+	if large > small+4 {
+		t.Errorf("128 trees cost %v allocations to 16 trees' %v: a member allocates", large, small)
 	}
 }

@@ -2,7 +2,6 @@ package mltree
 
 import (
 	"math"
-	"runtime"
 	"sort"
 
 	"cordial/internal/xrand"
@@ -42,9 +41,7 @@ func (c HistGBDTConfig) withDefaults() HistGBDTConfig {
 	if c.MaxLeaves <= 1 {
 		c.MaxLeaves = 31
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	c.Parallelism = defaultParallelism(c.Parallelism)
 	return c
 }
 
@@ -190,14 +187,8 @@ func goss(grad []float64, rng *xrand.RNG) (samples []int, scale []float64) {
 	sort.Slice(order, func(a, b int) bool {
 		return math.Abs(grad[order[a]]) > math.Abs(grad[order[b]])
 	})
-	topN := int(gossTopRate * float64(n))
-	if topN < 1 {
-		topN = 1
-	}
-	restN := int(gossOtherRate * float64(n))
-	if restN < 1 {
-		restN = 1
-	}
+	topN := max(1, int(gossTopRate*float64(n)))
+	restN := max(1, int(gossOtherRate*float64(n)))
 	if topN+restN > n {
 		restN = n - topN
 	}

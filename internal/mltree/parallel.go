@@ -78,10 +78,7 @@ func releaseWorkers(k int) {
 // With want <= 1, or when the pool is drained, all tasks run inline on the
 // caller.
 func runWorkers(n, want int, task func(worker, i int)) {
-	if want > n {
-		want = n
-	}
-	extra := 0
+	want, extra := min(want, n), 0
 	if want > 1 {
 		extra = acquireWorkers(want - 1)
 	}

@@ -23,11 +23,7 @@ func (c TreeConfig) resolveMaxFeatures(numFeatures int) int {
 	case c.MaxFeatures == 0 || c.MaxFeatures >= numFeatures:
 		return numFeatures
 	case c.MaxFeatures == -1:
-		k := int(math.Round(math.Sqrt(float64(numFeatures))))
-		if k < 1 {
-			k = 1
-		}
-		return k
+		return max(1, int(math.Round(math.Sqrt(float64(numFeatures)))))
 	case c.MaxFeatures > 0:
 		return c.MaxFeatures
 	default:
@@ -141,9 +137,7 @@ func radixSortPairs(keys []uint64, idx []int32, keysAlt []uint64, idxAlt []int32
 	for shift := 0; shift < 64; shift += 8 {
 		first := byte(keys[0] >> shift)
 		constant := true
-		for i := range counts {
-			counts[i] = 0
-		}
+		counts = [256]int{}
 		for _, k := range keys {
 			b := byte(k >> shift)
 			counts[b]++

@@ -48,22 +48,24 @@ func TestInsertAtDoubles(t *testing.T) {
 		s = InsertAt(s, len(s), int32(row))
 		caps[cap(s)] = true
 	}
-	for _, c := range []int{4, 8, 16, 32, 64, 128} {
+	for _, c := range []int{16, 32, 64, 128} {
 		if !caps[c] {
 			t.Errorf("capacity %d never seen", c)
 		}
 	}
-	if len(caps) != 6 {
-		t.Errorf("capacities %v, want the six doublings from 4", caps)
+	if len(caps) != 4 {
+		t.Errorf("capacities %v, want 16 and its doublings to 128", caps)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		var s []int32
 		s = InsertAt(s, 0, 3)
 		s = InsertAt(s, 0, 1)
 		s = InsertAt(s, 1, 2)
-		_ = InsertAt(s, 3, 4)
+		for row := int32(4); row <= 16; row++ {
+			s = InsertAt(s, len(s), row)
+		}
 	}); allocs != 1 {
-		t.Errorf("a four-row table cost %v allocations, want 1", allocs)
+		t.Errorf("a sixteen-row table cost %v allocations, want 1", allocs)
 	}
 }
 

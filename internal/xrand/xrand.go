@@ -29,8 +29,13 @@ const pcgMultiplier = 6364136223846793005
 // New returns an RNG seeded with seed. Two RNGs built from the same seed
 // produce identical streams.
 func New(seed uint64) *RNG {
-	r := &RNG{inc: (seed << 1) | 1}
-	r.state = splitmix64(seed)
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is New's generator, by value.
+func seeded(seed uint64) RNG {
+	r := RNG{inc: (seed << 1) | 1, state: splitmix64(seed)}
 	r.next32()
 	return r
 }
@@ -38,9 +43,10 @@ func New(seed uint64) *RNG {
 // Split derives a new, statistically independent RNG from r. The derived
 // stream depends on r's current position, so calling Split at different
 // points yields different children. Use it to hand each simulated component
-// its own generator without sharing state across goroutines.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0x9e3779b97f4a7c15)
+// its own generator without sharing state across goroutines. The child is a
+// value, so a slice of them — one per forest member — is one allocation.
+func (r *RNG) Split() RNG {
+	return seeded(r.Uint64() ^ 0x9e3779b97f4a7c15)
 }
 
 func splitmix64(x uint64) uint64 {

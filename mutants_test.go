@@ -155,6 +155,21 @@ var mutants = []struct {
 	{"the coder gives −0 and +0 codes of their own", "internal/mltree/coded.go",
 		"w == start || c.vals[hi] != c.vals[w-1]", "w == start || math.Float64bits(c.vals[hi]) != math.Float64bits(c.vals[w-1])",
 		[]string{"internal/mltree FuzzCodedRows", "internal/mltree TestCodedMatrix"}},
+
+	// Trees kept in their builder's store, RNGs by value, row tables made at
+	// the rows a promoted bank reaches.
+	{"a tree's view starts on the last leaf word of the tree before", "internal/mltree/arena.go",
+		"\tb.free = b.free[w:]\n", "\tb.free = b.free[w-1:]\n",
+		[]string{"internal/mltree TestArenaForestEquivalence", "internal/core TestSaveModelsGolden"}},
+	{"every grown tree's record allocated on its own", "internal/mltree/arena.go",
+		"rec: b.take(n + s + (s+3)/4 + len(b.leaf))", "rec: make([]uint64, n+s+(s+3)/4+len(b.leaf))",
+		[]string{"internal/mltree TestForestFitAllocsFlatInTrees", "internal/core TestFitTransientBytes"}},
+	{"forest members copy one RNG instead of splitting it", "internal/mltree/forest.go",
+		"rngs[t] = rng.Split()", "rngs[t] = *rng",
+		[]string{"internal/mltree TestParentFixture", "internal/core TestSaveModelsGolden"}},
+	{"a row table starts below the rows a promoted bank reaches", "internal/rowset/rowset.go",
+		"const minCap = 16", "const minCap = 8",
+		[]string{"internal/rowset TestInsertAtDoubles", "internal/stream TestPromotedBankAllocs", "internal/stream TestHotBankAllocs"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

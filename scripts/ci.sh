@@ -180,13 +180,13 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 go test -run 'TestPredictingFoldAllocs' -count 1 ./internal/stream/
 
-echo "==> training perf gate (a forest fit allocates ≤ 2 per tree and a per-fit term, never per node; a Pipeline.Fit ≤ 5.12 MB in ≤ 990 allocations; evaluation ≤ 12 per bank)"
+echo "==> training perf gate (a forest fit allocates ≤ 0.25 per tree and a per-fit term, never per node, and as much for 128 trees as for 16 over one dataset; a Pipeline.Fit ≤ 4.90 MB in ≤ 429 allocations; evaluation ≤ 12 per bank)"
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
-# allocate each member's generator and record plus a per-fit term (value
-# codes, one grower per worker, arena) — 302 allocations where the
+# allocate its members' share of its growers' stores plus a per-fit term
+# (value codes, one grower per worker, arena) — ≈ 158 allocations where the
 # presorted-list trainer made 207 664 — and one default Pipeline.Fit on 120
-# banks at most 5.12 MB and 990 allocations; the dataset builders and the
+# banks at most 4.90 MB and 429 allocations; the dataset builders and the
 # evaluators fold every bank through one reset feature state.
 go test -run 'TestForestFitAllocs|TestFitTransientBytes|TestEvaluateAllocsPerBank' -count 1 ./internal/mltree/ ./internal/core/
 
