@@ -96,12 +96,13 @@ func TestModelHeapPerNode(t *testing.T) {
 // TestFitTransientBytes is the training-garbage gate: one default
 // Pipeline.Fit on a fixed 120-bank fleet — three forest fits, the third a
 // calibration refit on a view of the block dataset — may allocate at most
-// 4.90 MB in at most 429 allocations: what was measured at 1–16 procs on a
-// 2-CPU box, 3.81–4.45 MB in 232–390, plus 10 %. It was 4.34–4.74 MB in
-// 746–893 while every grown tree was a record of its own and every member's
-// RNG a heap object, 8.4–9.6 MB in 1 071–1 319 while the block dataset was a
-// float matrix coded after it was built and a grown tree was copied out as
-// nodes and leaf rows, 18.9 MB when
+// 4.28 MB in at most 429 allocations: what was measured at 1–16 procs on a
+// 2-CPU box, 3.22–3.89 MB in 217–379, plus 10 %. It was 3.81–4.45 MB in
+// 232–390 while every value code was an int32 (four bytes a cell, where most
+// columns now take one), 4.34–4.74 MB in 746–893 while every grown tree was a
+// record of its own and every member's RNG a heap object, 8.4–9.6 MB in
+// 1 071–1 319 while the block dataset was a float matrix coded after it was
+// built and a grown tree was copied out as nodes and leaf rows, 18.9 MB when
 // every fit transposed, presorted and coded its own copy of the matrix, and
 // 2 936 allocations when the dataset builders made a feature state and a
 // vector per bank and a window per UER. What the fitted pipeline retains is
@@ -129,8 +130,8 @@ func TestFitTransientBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	total, count := float64(after.TotalAlloc-before.TotalAlloc)/1e6, after.Mallocs-before.Mallocs
 	t.Logf("one default Pipeline.Fit allocates %.2f MB in %d allocations", total, count)
-	if total > 4.90 {
-		t.Errorf("Pipeline.Fit allocates %.2f MB, want ≤ 4.90", total)
+	if total > 4.28 {
+		t.Errorf("Pipeline.Fit allocates %.2f MB, want ≤ 4.28", total)
 	}
 	if count > 429 {
 		t.Errorf("Pipeline.Fit makes %d allocations, want ≤ 429", count)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -25,6 +26,7 @@ func FuzzCodedRows(f *testing.F) {
 		{{1, 2}, {math.NaN(), 0}},                                                       // NaN
 		{{1, math.Inf(-1)}, {math.Inf(1), 0}},                                           // ±Inf
 		{{-math.SmallestNonzeroFloat64}, {negZero}, {math.SmallestNonzeroFloat64}, {0}}, // around zero
+		widthMatrix(300, 300, 3),                                                        // a column crossing 256 values, first seen out of order
 	} {
 		f.Add(encodeMatrix(X))
 	}
@@ -52,8 +54,8 @@ func FuzzCodedRows(f *testing.F) {
 		for name, cm := range map[string]*codedMatrix{"coder": ds.coderCodes(), "newCodedMatrix": newCodedMatrix(X)} {
 			for j := range X[0] {
 				assertBitsEqual(t, fmt.Sprintf("%s: feature %d values", name, j), cm.vals[j], wantVals[j])
-				if !slices.Equal(cm.codes[j], wantCodes[j]) {
-					t.Fatalf("%s: feature %d codes %v, want %v", name, j, cm.codes[j], wantCodes[j])
+				if got := cm.codes[j].ints(); !slices.Equal(got, wantCodes[j]) {
+					t.Fatalf("%s: feature %d codes %v, want %v", name, j, got, wantCodes[j])
 				}
 			}
 		}
@@ -83,7 +85,7 @@ func referenceCodes(X [][]float64) (codes [][]int32, vals [][]float64) {
 		}
 		codes = append(codes, make([]int32, len(X)))
 		for i, row := range X {
-			codes[j][i] = int32(slices.IndexFunc(distinct, func(v float64) bool { return v == row[j] }))
+			codes[j][i] = int32(sort.SearchFloat64s(distinct, row[j])) // the first run == row[j]
 		}
 		vals = append(vals, distinct)
 	}
@@ -117,4 +119,73 @@ func decodeMatrix(data []byte) [][]float64 {
 		X = append(X, row)
 	}
 	return X
+}
+
+// TestCodeWidths holds the codes to the reference on columns either side of
+// each width's limit — 1, 256, 257, 65 536 and 65 537 distinct values over
+// 65 537 rows — and checks each column is as narrow as its values allow.
+func TestCodeWidths(t *testing.T) {
+	X := widthMatrix(65537, 1, 256, 257, 65536, 65537)
+	c := NewCoder(len(X[0]), len(X))
+	for i, row := range X {
+		if err := c.Add(row, i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := c.Dataset(nil)
+	wantCodes, wantVals := referenceCodes(X)
+	for name, cm := range map[string]*codedMatrix{"coder": ds.coderCodes(), "newCodedMatrix": newCodedMatrix(X)} {
+		for j, want := range []int{1, 1, 2, 2, 4} {
+			if w := cm.codes[j].width(); w != want {
+				t.Errorf("%s: the column of %d values is %d bytes wide, want %d", name, len(wantVals[j]), w, want)
+			}
+			assertBitsEqual(t, fmt.Sprintf("%s: feature %d values", name, j), cm.vals[j], wantVals[j])
+			if !slices.Equal(cm.codes[j].ints(), wantCodes[j]) {
+				t.Errorf("%s: feature %d codes differ from the reference", name, j)
+			}
+		}
+	}
+	for i, row := range ds.rows() {
+		if !slices.Equal(row, X[i]) {
+			t.Fatalf("row %d reads back as %v, want %v", i, row, X[i])
+		}
+	}
+}
+
+// widthMatrix returns rows rows whose column j holds distinct[j] values, half
+// of them negative, in an order of first appearance unlike their order.
+func widthMatrix(rows int, distinct ...int) [][]float64 {
+	X := newRows(rows, len(distinct))
+	for i, row := range X {
+		for j, d := range distinct {
+			row[j] = float64(i*7919%d) - float64(d/2)
+		}
+	}
+	return X
+}
+
+// ints returns the column's codes as int32s, whatever its width.
+func (col *codeColumn) ints() []int32 {
+	out := make([]int32, 0, col.len())
+	for _, c := range col.u8 {
+		out = append(out, int32(c))
+	}
+	for _, c := range col.u16 {
+		out = append(out, int32(c))
+	}
+	for _, c := range col.u32 {
+		out = append(out, int32(c))
+	}
+	return out
+}
+
+// width returns the bytes a code of the column takes.
+func (col *codeColumn) width() int {
+	switch {
+	case col.u32 != nil:
+		return 4
+	case col.u16 != nil:
+		return 2
+	}
+	return 1
 }

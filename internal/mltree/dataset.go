@@ -110,7 +110,7 @@ func (d *Dataset) NumFeatures() int {
 // when a Coder built it, its source's when it is a view of one; otherwise nil.
 func (d *Dataset) coderCodes() *codedMatrix {
 	src, _ := d.source()
-	if cm := src.codesIfBuilt(); d.Features == nil && cm != nil && len(cm.codes) > 0 && len(cm.codes[0]) == len(src.Labels) {
+	if cm := src.codes(false); d.Features == nil && cm != nil && len(cm.codes) > 0 && cm.codes[0].len() == len(src.Labels) {
 		return cm
 	}
 	return nil
@@ -129,18 +129,30 @@ func (d *Dataset) rows() [][]float64 {
 }
 
 // rowsInto makes X's rows samples lo, lo+1, … from the codes cm of a dataset
-// without Features. A row reads its values from vals, so a +0 sharing its code
-// with a −0 reads −0.
+// without Features, a column at a time. A row reads its values from vals, so a
+// +0 sharing its code with a −0 reads −0.
 func (d *Dataset) rowsInto(X [][]float64, lo int, cm *codedMatrix) {
 	_, idx := d.source()
+	for f, col := range cm.codes {
+		switch {
+		case col.u32 != nil:
+			columnInto(X, f, lo, idx, col.u32, cm.vals[f])
+		case col.u16 != nil:
+			columnInto(X, f, lo, idx, col.u16, cm.vals[f])
+		default:
+			columnInto(X, f, lo, idx, col.u8, cm.vals[f])
+		}
+	}
+}
+
+// columnInto is rowsInto for feature f.
+func columnInto[T code](X [][]float64, f, lo int, idx []int32, codes []T, vals []float64) {
 	for i, row := range X {
 		r := lo + i
 		if idx != nil {
 			r = int(idx[r])
 		}
-		for f, codes := range cm.codes {
-			row[f] = cm.vals[f][codes[r]]
-		}
+		row[f] = vals[codes[r]]
 	}
 }
 

@@ -527,7 +527,8 @@ func mutated[P any](t *testing.T, m Classifier, mutate func(*envelope, *P)) []by
 // TestPredictBatchMatchesSingle asserts PredictBatchInto and PredictBatch
 // return exactly the per-row PredictProba results for every classifier (on a
 // batch large enough to be tiled into row blocks), that a session-sized
-// PredictBatchInto allocates nothing, and that PredictLabels matches Predict.
+// PredictBatchInto and a one-tile one on 80 trees allocate nothing, and that
+// PredictLabels matches Predict.
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	train, test := noisyBlobs(34, 3, 120)
 	X := append(append([][]float64{}, test.Features...), train.Features...)
@@ -560,6 +561,18 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 				t.Fatalf("%s: PredictLabels[%d]=%d, Predict=%d", typeName(m), i, labels[i], want)
 			}
 		}
+	}
+	// One tile runs on the caller, even where its rows × trees would fan out.
+	f := NewForest(ForestConfig{NumTrees: 80, Seed: 34})
+	if err := f.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	into := make([]float64, tileRows*3)
+	if tileRows*f.NumTrees() < minParallelPredictWork {
+		t.Fatalf("a tile on %d trees is not worth a fan-out", f.NumTrees())
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.PredictBatchInto(into, X[:tileRows]) }); allocs != 0 {
+		t.Fatalf("a one-tile PredictBatchInto on %d trees allocates %v times", f.NumTrees(), allocs)
 	}
 }
 

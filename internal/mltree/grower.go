@@ -39,7 +39,7 @@ type classData struct {
 // newClassData reads ds for a fit: its own codes, or for a view its source's.
 func newClassData(ds *Dataset, classes []int) *classData {
 	src, rows := ds.source()
-	cd := &classData{codedMatrix: src.codes(), k: len(classes), n: ds.NumSamples(), rows: rows}
+	cd := &classData{codedMatrix: src.codes(true), k: len(classes), n: ds.NumSamples(), rows: rows}
 	cd.y = make([]int32, src.NumSamples())
 	idx := classIndex(classes)
 	for i, l := range ds.Labels {
@@ -184,16 +184,14 @@ func (g *grower) grow(self, lo, hi, n, depth int) {
 	}
 	s := g.best
 
-	// Partition the node's segment around the split, in place: the order of
-	// rows within a node scores nothing differently.
-	codes, w := g.cd.codes[s.feat], lo
-	for r := hi - 1; w <= r; {
-		if codes[g.ids[w]] <= int32(s.bin) {
-			w++
-		} else {
-			g.ids[w], g.ids[r] = g.ids[r], g.ids[w]
-			r--
-		}
+	w, seg := lo, g.ids[lo:hi] // the node's segment, partitioned around the split
+	switch col := g.cd.codes[s.feat]; {
+	case col.u32 != nil:
+		w += partition(seg, col.u32, s.bin)
+	case col.u16 != nil:
+		w += partition(seg, col.u16, s.bin)
+	default:
+		w += partition(seg, col.u8, s.bin)
 	}
 	c := g.b.split(self, s.feat, s.thr)
 
@@ -224,29 +222,50 @@ func (g *grower) bestSplit(seg []int32, n int, counts []float64) bool {
 	g.parentImp = gini(counts, float64(n))
 	g.best = splitCand{gain: minClassGain}
 	for _, f := range cand {
-		distinct := len(g.cd.vals[f])
-		if distinct == 1 {
+		if len(g.cd.vals[f]) == 1 {
 			continue
 		}
 		clear(g.left)
 		copy(g.right, counts)
-		if distinct <= histCutover*len(seg) {
-			g.scanHistogram(f, seg)
-		} else {
-			g.scanSorted(f, seg)
+		switch col := g.cd.codes[f]; {
+		case col.u32 != nil:
+			scan(g, f, seg, col.u32)
+		case col.u16 != nil:
+			scan(g, f, seg, col.u16)
+		default:
+			scan(g, f, seg, col.u8)
 		}
 	}
 	return g.best.ok
 }
 
-// scanHistogram scores feature f over seg by accumulating class counts per
-// value code and walking the codes the node holds in ascending order.
-func (g *grower) scanHistogram(f int, seg []int32) {
+// partition puts the rows of seg coded at most bin first and returns how many
+// there are: the order of rows within a node scores nothing differently.
+func partition[T code](seg []int32, codes []T, bin int) int {
+	w := 0
+	for r := len(seg) - 1; w <= r; {
+		if codes[seg[w]] <= T(bin) {
+			w++
+		} else {
+			seg[w], seg[r] = seg[r], seg[w]
+			r--
+		}
+	}
+	return w
+}
+
+// scan scores feature f over seg: with at most histCutover distinct values per
+// row of the node, by accumulating class counts per value code and walking the
+// codes the node holds in ascending order, otherwise by scanSorted.
+func scan[T code](g *grower, f int, seg []int32, codes []T) {
 	cd, k := g.cd, g.cd.k
-	codes := cd.codes[f]
+	if len(cd.vals[f]) > histCutover*len(seg) {
+		scanSorted(g, f, seg, codes)
+		return
+	}
 	lo, hi := int32(math.MaxInt32), int32(-1)
 	for _, i := range seg {
-		c := codes[i]
+		c := int32(codes[i])
 		g.hist[int(c)*k+int(cd.y[i])] += g.mult[i]
 		lo, hi = min(lo, c), max(hi, c)
 	}
@@ -274,9 +293,8 @@ func (g *grower) scanHistogram(f int, seg []int32) {
 }
 
 // scanSorted scores feature f over seg by sorting the node's samples by code.
-func (g *grower) scanSorted(f int, seg []int32) {
+func scanSorted[T code](g *grower, f int, seg []int32, codes []T) {
 	cd := g.cd
-	codes := cd.codes[f]
 	keys := g.keys[:len(seg)]
 	for j, i := range seg {
 		keys[j] = uint64(codes[i])<<32 | uint64(i)

@@ -220,8 +220,9 @@ func TestGrowerMatchesReference(t *testing.T) {
 
 // TestForestFitAllocs pins what a forest fit allocates: a member tree costs
 // its share of its grower's store, a 64 KiB chunk per handful of trees, and
-// everything else (the dataset's value codes, one grower per worker, the
-// arena) is per fit — nothing is per node. A member cost its generator and its
+// everything else (the dataset's value codes — one byte-wide backing, and a
+// wider slice for each column that outgrows a byte — one grower per worker,
+// the arena) is per fit — nothing is per node. A member cost its generator and its
 // record until trees were kept in the grower's store, a node array and a
 // probability array besides until trees were handed over as records, and the
 // presorted-list trainer before that made 6.6
@@ -252,8 +253,10 @@ func TestForestFitAllocs(t *testing.T) {
 	if raceEnabled {
 		return // the detector's own bookkeeping allocates
 	}
-	// Measured 0.07–0.10 per tree and 151 per fit with the three workers of a
-	// 2-CPU box, the coding pass included; 1.98 per tree and 144 per fit while
+	// Measured 0.07–0.10 per tree and 160 per fit with the three workers of a
+	// 2-CPU box, the coding pass included: its six columns of 2 100 values each
+	// widen to two bytes, one allocation apiece. It was 151 per fit while every
+	// code was an int32, 1.98 per tree and 144 per fit while
 	// a member allocated its generator and its record, 2.98 and 176 while a
 	// member was two arrays, and 63 + 39 per worker per fit when every fit
 	// transposed and presorted for itself.

@@ -111,10 +111,10 @@ func runWorkers(n, want int, task func(worker, i int)) {
 	wg.Wait()
 }
 
-// minParallelPredictWork gates batch-inference fan-out: a batch whose
-// rows×trees product is below it is one predictBlock call on the calling
-// goroutine. The online engine's 16-row windows must never pay for waking
-// helpers — in a busy engine that is pure overhead — while a thousand-row
+// minParallelPredictWork gates batch-inference fan-out: one tile of rows, or a
+// batch whose rows×trees product is below it, is one predictBlock call on the
+// calling goroutine. The online engine's 16-row windows must never pay for
+// waking helpers — in a busy engine that is pure overhead — while a thousand-row
 // evaluation batch still spreads over the pool, one tile of rows per task.
 const minParallelPredictWork = 4096
 
@@ -131,7 +131,7 @@ type blockPredictor interface {
 // count cannot change a result.
 func predictBatchInto(m blockPredictor, k, trees, parallelism int, dst []float64, X [][]float64) {
 	dst = dst[:len(X)*k]
-	if len(X)*trees < minParallelPredictWork {
+	if len(X)*trees < minParallelPredictWork || len(X) <= tileRows {
 		m.predictBlock(dst, X)
 		return
 	}

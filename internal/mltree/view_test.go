@@ -119,7 +119,7 @@ func TestViewFitMatchesCopyFit(t *testing.T) {
 				assertBitsEqual(t, label+" held-out view", coded, floats)
 			}
 		}
-		if ds.codesIfBuilt() == nil {
+		if ds.codes(false) == nil {
 			t.Fatalf("seed %d: fits on views left their source uncoded", seed)
 		}
 	}
@@ -275,8 +275,8 @@ func TestCodedMatrix(t *testing.T) {
 	wantCodes := [][]int32{{2, 0, 2, 1, 0}, {1, 1, 2, 1, 0}, {1, 1, 2, 0, 1}}
 	for f := range wantVals {
 		assertBitsEqual(t, fmt.Sprintf("feature %d values", f), cm.vals[f], wantVals[f])
-		if !slices.Equal(cm.codes[f], wantCodes[f]) {
-			t.Errorf("feature %d codes %v, want %v", f, cm.codes[f], wantCodes[f])
+		if got := cm.codes[f].ints(); !slices.Equal(got, wantCodes[f]) {
+			t.Errorf("feature %d codes %v, want %v", f, got, wantCodes[f])
 		}
 	}
 }

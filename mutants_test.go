@@ -170,6 +170,17 @@ var mutants = []struct {
 	{"a row table starts below the rows a promoted bank reaches", "internal/rowset/rowset.go",
 		"const minCap = 16", "const minCap = 8",
 		[]string{"internal/rowset TestInsertAtDoubles", "internal/stream TestPromotedBankAllocs", "internal/stream TestHotBankAllocs"}},
+
+	// Value codes as narrow as each feature's values.
+	{"a column widens one value late, its 257th value cut to a byte", "internal/mltree/coded.go",
+		"\tcase c > math.MaxUint8:\n", "\tcase c > math.MaxUint8+1:\n",
+		[]string{"internal/mltree FuzzCodedRows", "internal/mltree TestCodeWidths", "internal/core TestSaveModelsGolden"}},
+	{"a widened column keeps none of its codes from before it widened", "internal/mltree/coded.go",
+		"\tfor i, c := range codes {\n\t\tout[i] = W(c)\n\t}\n", "",
+		[]string{"internal/mltree FuzzCodedRows", "internal/mltree TestCodeWidths", "internal/core TestSaveModelsGolden"}},
+	{"rank remaps a two-byte column as a one-byte one, leaving its numbers", "internal/mltree/coded.go",
+		"\tcase col.u16 != nil:\n\t\tremapCodes(col.u16, to)\n", "",
+		[]string{"internal/mltree FuzzCodedRows", "internal/mltree TestCodeWidths", "internal/core TestSaveModelsGolden"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

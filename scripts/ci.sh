@@ -52,13 +52,14 @@ echo "==> go test -race (parallel-training equivalence focus)"
 # its reference, a fit on a view against a fit on a copy for all four kinds
 # (TestViewFitMatchesCopyFit) and two forests fitted at once on two views of
 # an uncoded dataset (TestConcurrentViewFits: the coded-matrix memo) and the
-# row coder against the float matrix's coding (FuzzCodedRows' corpus). The
+# row coder against the float matrix's coding (FuzzCodedRows' corpus, and
+# TestCodeWidths: columns either side of the one- and two-byte limits). The
 # stored ≡ eager edge banks (first event a UER, a UER at observation 31/32/33,
 # a long quiet life, a first UER tied with CEs, a UEO-only bank, spared banks
 # fed more) are FuzzBankHistory's seeds, in the store pass below; the full
 # -race suite still covers everything, the engine-level restore of quiet banks
 # (TestRestoredQuietSessionThenFails) included.
-go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView|CodedRows' \
+go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView|CodedRows|TestCodeWidths' \
     ./internal/mltree/ ./internal/core/
 # The stats path's contract, by the same pattern: readers take no shard lock
 # and no snapshot lock, a /statsz costs the same at fleet size, and the atomic
@@ -180,13 +181,13 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 go test -run 'TestPredictingFoldAllocs' -count 1 ./internal/stream/
 
-echo "==> training perf gate (a forest fit allocates ≤ 0.25 per tree and a per-fit term, never per node, and as much for 128 trees as for 16 over one dataset; a Pipeline.Fit ≤ 4.90 MB in ≤ 429 allocations; evaluation ≤ 12 per bank)"
+echo "==> training perf gate (a forest fit allocates ≤ 0.25 per tree and a per-fit term, never per node, and as much for 128 trees as for 16 over one dataset; a Pipeline.Fit ≤ 4.28 MB in ≤ 429 allocations; evaluation ≤ 12 per bank)"
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
 # allocate its members' share of its growers' stores plus a per-fit term
-# (value codes, one grower per worker, arena) — ≈ 158 allocations where the
+# (value codes, one grower per worker, arena) — ≈ 166 allocations where the
 # presorted-list trainer made 207 664 — and one default Pipeline.Fit on 120
-# banks at most 4.90 MB and 429 allocations; the dataset builders and the
+# banks at most 4.28 MB and 429 allocations; the dataset builders and the
 # evaluators fold every bank through one reset feature state.
 go test -run 'TestForestFitAllocs|TestFitTransientBytes|TestEvaluateAllocsPerBank' -count 1 ./internal/mltree/ ./internal/core/
 
