@@ -155,18 +155,19 @@ func (s *CordialStrategy) RestoreSession(bank hbm.BankAddress, data []byte) (Ses
 		}
 		return s.ResumeSession(bank, log), nil
 	case sessFlagHasState:
-		st, err := features.UnmarshalBankState(rest)
-		if err != nil {
+		// Decoded in place: session, state and first rows are one allocation.
+		cs := &cordialSession{strategy: s, sessionVerdict: v}
+		if err := cs.state.UnmarshalBinary(rest); err != nil {
 			return nil, err
 		}
 		cfg := s.Pipeline.Config()
-		if got := st.Config(); got != cfg.Pattern {
+		if got := cs.state.Config(); got != cfg.Pattern {
 			return nil, fmt.Errorf("core: session pattern config %+v does not match pipeline %+v", got, cfg.Pattern)
 		}
-		if got := st.Spec(); got != cfg.Block {
+		if got := cs.state.Spec(); got != cfg.Block {
 			return nil, fmt.Errorf("core: session block spec %+v does not match pipeline %+v", got, cfg.Block)
 		}
-		return &cordialSession{strategy: s, sessionVerdict: v, state: *st}, nil
+		return cs, nil
 	default:
 		return nil, fmt.Errorf("%s: flags %#x", sessionWhat, flags)
 	}

@@ -172,14 +172,15 @@ type redundant struct {
 }
 
 func (s *BankState) redundant() redundant {
+	rows := s.rows.All()
 	r := redundant{
 		staged:     s.committed,
 		firstEvent: s.firstEventTime != unsetTime,
 		firstUER:   s.firstUERTime != unsetTime,
-		perRow:     len(s.rows) > 0,
+		perRow:     len(rows) > 0,
 	}
 	var ranked []rowEntry
-	for _, e := range s.rows {
+	for _, e := range rows {
 		if e.rank != 0 {
 			ranked = append(ranked, e)
 		}
@@ -189,9 +190,9 @@ func (s *BankState) redundant() redundant {
 		r.budget = append(r.budget, e.row)
 	}
 	for k, class := range nearClasses {
-		for i := range s.rows {
-			if s.rows[i].has(class) {
-				r.classRows[k] = append(r.classRows[k], s.rows[i].row)
+		for i := range rows {
+			if rows[i].has(class) {
+				r.classRows[k] = append(r.classRows[k], rows[i].row)
 			}
 		}
 	}
@@ -245,17 +246,18 @@ func (s *BankState) code(c *bincodec.Cursor, version uint8, r *redundant) {
 	}
 	c.Flag(&r.perRow)
 	if r.perRow {
-		n := len(s.rows)
+		n := len(s.rows.All())
 		c.Count(&n, maxCodecEntries, 24)
-		if c.Decode {
-			s.rows = make([]rowEntry, n)
-		}
-		for i := range s.rows {
-			e := &s.rows[i]
+		for i := 0; i < n; i++ {
+			if c.Decode {
+				s.rows.Insert(i, rowEntry{})
+			}
+			rows := s.rows.All()
+			e := &rows[i]
 			bincodec.Ranged(c, &e.row, math.MaxInt32)
 			bincodec.Ranged(c, &e.total, math.MaxUint32)
 			bincodec.Ranged(c, &e.uer, math.MaxUint32)
-			if i > 0 && e.row <= s.rows[i-1].row {
+			if i > 0 && e.row <= rows[i-1].row {
 				c.Fail("per-row table not strictly ascending")
 			}
 		}
@@ -276,82 +278,85 @@ func (s *BankState) code(c *bincodec.Cursor, version uint8, r *redundant) {
 }
 
 // MarshalBinary encodes the full state. The result is self-describing
-// (magic + version) and decodable by UnmarshalBankState; the error is that
-// of a state the layout cannot hold, which no event sequence produces.
+// (magic + version) and decodable by UnmarshalBinary; the error is that of a
+// state the layout cannot hold, which no event sequence produces.
 func (s *BankState) MarshalBinary() ([]byte, error) {
 	r := s.redundant()
 	// 1.3 KB of fixed-size fields, 8 bytes per listed row, 24 per table entry.
-	size := 1320 + 8*(len(r.budget)+len(r.seen)+len(r.classRows[0])+len(r.classRows[1])+len(r.classRows[2])) + 24*len(s.rows)
+	size := 1320 + 8*(len(r.budget)+len(r.seen)+len(r.classRows[0])+len(r.classRows[1])+len(r.classRows[2])) + 24*len(s.rows.All())
 	c := &bincodec.Cursor{B: append(make([]byte, 0, size), bankStateMagic...), What: imageName}
 	c.B = append(c.B, bankStateVersion)
 	s.code(c, bankStateVersion, &r)
 	return c.B, c.Err
 }
 
-// UnmarshalBankState decodes a state produced by MarshalBinary. Corrupt,
-// truncated or out-of-range input returns an error, never a panic and never
-// a silently truncated value.
-func UnmarshalBankState(data []byte) (*BankState, error) {
+// UnmarshalBinary makes s, in place, the state MarshalBinary encoded in data,
+// so core's restored session decodes into itself. Corrupt, truncated or
+// out-of-range input returns an error, never a panic and never a silently
+// truncated value, and leaves s holding no particular state.
+func (s *BankState) UnmarshalBinary(data []byte) error {
 	if len(data) < len(bankStateMagic)+1 {
-		return nil, fmt.Errorf("features: bank state too short (%d bytes)", len(data))
+		return fmt.Errorf("features: bank state too short (%d bytes)", len(data))
 	}
 	if string(data[:4]) != bankStateMagic {
-		return nil, fmt.Errorf("features: bad bank state magic")
+		return fmt.Errorf("features: bad bank state magic")
 	}
 	version := data[4]
 	if version != bankStateVersion && version != bankStateVersionV1 {
-		return nil, fmt.Errorf("features: unsupported bank state version %d", version)
+		return fmt.Errorf("features: unsupported bank state version %d", version)
 	}
 	c := &bincodec.Cursor{B: data, Off: 5, Decode: true, What: imageName}
-	s, r := &BankState{}, redundant{}
+	var r redundant
+	*s = BankState{}
 	s.code(c, version, &r)
 	s.stagedAll = r.staged.all
 	if err := c.Done(); err != nil {
-		return nil, err
+		return err
 	}
 	if s.cfg.UERBudget <= 0 {
-		return nil, fmt.Errorf("features: decoded non-positive UER budget %d", s.cfg.UERBudget)
+		return fmt.Errorf("features: decoded non-positive UER budget %d", s.cfg.UERBudget)
 	}
 	if err := s.spec.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	s.markClassRows(&r.classRows)
 	if n := len(r.budget); r.firstUER != (n > 0) || n > s.cfg.UERBudget ||
 		s.budgetDone != (n == s.cfg.UERBudget) || !s.rankBudget(r.budget) || n != s.budgetLen() {
-		return nil, fmt.Errorf("features: bank state UER budget bookkeeping is inconsistent")
+		return fmt.Errorf("features: bank state UER budget bookkeeping is inconsistent")
 	}
 	want := s.redundant()
 	if r.staged != want.staged || !slices.Equal(r.seen, want.seen) || !slices.EqualFunc(r.classRows[:], want.classRows[:], slices.Equal) ||
 		r.open != want.open || r.firstEvent != want.firstEvent || r.firstUER != want.firstUER || r.perRow != want.perRow {
-		return nil, fmt.Errorf("features: bank state sections disagree with the fields they are derived from")
+		return fmt.Errorf("features: bank state sections disagree with the fields they are derived from")
 	}
 	// The block accumulators and the table count the same events: a class
 	// has rows exactly when it has events (windowAt relies on it).
 	for k, a := range [...]*seqAccum{&s.blkCE, &s.blkUEO, &s.blkUER} {
 		if (a.count > 0) != (len(r.classRows[k]) > 0) {
-			return nil, fmt.Errorf("features: bank state has %d %v events but %d such rows", a.count, nearClasses[k], len(r.classRows[k]))
+			return fmt.Errorf("features: bank state has %d %v events but %d such rows", a.count, nearClasses[k], len(r.classRows[k]))
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // markClassRows sets the decoded per-row table's CE and UEO bits from the
 // image's CE and UEO row lists and counts its UER rows. A listed row the
 // table lacks, like a UER list that is not the table's rows with UERs, leaves
-// the lists unlike what the table derives, which UnmarshalBankState refuses.
+// the lists unlike what the table derives, which UnmarshalBinary refuses.
 func (s *BankState) markClassRows(lists *[3][]int32) {
+	rows := s.rows.All()
 	for _, row := range lists[0] {
 		if i, found := s.findRow(int(row)); found {
-			s.rows[i].ce = true
+			rows[i].ce = true
 		}
 	}
 	for _, row := range lists[1] {
 		if i, found := s.findRow(int(row)); found {
-			s.rows[i].ueo = true
+			rows[i].ueo = true
 		}
 	}
-	for i := range s.rows {
-		if s.rows[i].uer > 0 {
+	for i := range rows {
+		if rows[i].uer > 0 {
 			s.uerRows++
 		}
 	}
@@ -360,12 +365,13 @@ func (s *BankState) markClassRows(lists *[3][]int32) {
 // rankBudget ranks the decoded per-row table's budget rows in list order,
 // reporting whether each is a distinct UER row of the table.
 func (s *BankState) rankBudget(list []int32) bool {
+	rows := s.rows.All()
 	for k, row := range list {
 		i, found := s.findRow(int(row))
-		if !found || s.rows[i].uer == 0 || s.rows[i].rank != 0 {
+		if !found || rows[i].uer == 0 || rows[i].rank != 0 {
 			return false
 		}
-		s.rows[i].rank = uint16(k + 1)
+		rows[i].rank = uint16(k + 1)
 	}
 	return true
 }

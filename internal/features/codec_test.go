@@ -13,6 +13,15 @@ import (
 	"cordial/internal/xrand"
 )
 
+// decodeState is UnmarshalBinary into a new state.
+func decodeState(data []byte) (*BankState, error) {
+	st := new(BankState)
+	if err := st.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 // assertStateEquivalent checks that two states produce bit-identical
 // vectors (the codec's contract) and matching bookkeeping.
 func assertStateEquivalent(t *testing.T, want, got *BankState, anchor int, now time.Time) {
@@ -76,7 +85,7 @@ func TestBankStateCodecResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := UnmarshalBankState(blob)
+		restored, err := decodeState(blob)
 		if err != nil {
 			t.Fatalf("trial %d cut %d: %v", trial, cut, err)
 		}
@@ -114,7 +123,7 @@ func TestBankStateCodecFreshState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalBankState(blob)
+	got, err := decodeState(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,28 +154,28 @@ func TestBankStateCodecCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalBankState(blob); err != nil {
+	if _, err := decodeState(blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
 	}
 	// Every truncation must fail (the format has no optional tail).
 	for n := 0; n < len(blob); n++ {
-		if _, err := UnmarshalBankState(blob[:n]); err == nil {
+		if _, err := decodeState(blob[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
 	// Trailing garbage is rejected too.
-	if _, err := UnmarshalBankState(append(append([]byte(nil), blob...), 0xAB)); err == nil {
+	if _, err := decodeState(append(append([]byte(nil), blob...), 0xAB)); err == nil {
 		t.Error("trailing byte accepted")
 	}
 	// Flipping the version or magic fails.
 	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xff
-	if _, err := UnmarshalBankState(bad); err == nil {
+	if _, err := decodeState(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
 	bad = append([]byte(nil), blob...)
 	bad[4] = 99
-	if _, err := UnmarshalBankState(bad); err == nil {
+	if _, err := decodeState(bad); err == nil {
 		t.Error("unknown version accepted")
 	}
 	// Random bit flips: decode may succeed (flips in float payloads are
@@ -175,7 +184,7 @@ func TestBankStateCodecCorruptInput(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		bad = append([]byte(nil), blob...)
 		bad[5+r.Intn(len(bad)-5)] ^= byte(1 << r.Intn(8))
-		_, _ = UnmarshalBankState(bad)
+		_, _ = decodeState(bad)
 	}
 }
 
@@ -234,8 +243,8 @@ func TestBankStateCodecRejectsUnrepresentable(t *testing.T) {
 		{name: "duplicate budget rows", patch: patch(le64(2, 31003, 31009), le64(2, 31003, 31003))},
 		{name: "budget done below the budget", mutate: func(s *BankState) { s.budgetDone = true }},
 		{name: "first UER time without a UER row", mutate: func(s *BankState) {
-			for i := range s.rows {
-				s.rows[i].rank = 0
+			for i := range s.rows.All() {
+				s.rows.All()[i].rank = 0
 			}
 		}},
 		{name: "staged accumulators disagree with the block stage", // the staged CE row maximum comes first
@@ -262,7 +271,7 @@ func TestBankStateCodecRejectsUnrepresentable(t *testing.T) {
 			if tc.patch != nil {
 				blob = tc.patch(blob)
 			}
-			if _, err := UnmarshalBankState(blob); err == nil {
+			if _, err := decodeState(blob); err == nil {
 				t.Fatal("image accepted")
 			}
 		})
@@ -271,7 +280,7 @@ func TestBankStateCodecRejectsUnrepresentable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalBankState(blob); err != nil {
+	if _, err := decodeState(blob); err != nil {
 		t.Fatalf("untouched image rejected: %v", err)
 	}
 }

@@ -118,7 +118,7 @@ func TestCodecRoundTripsErrBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := UnmarshalBankState(blob)
+	restored, err := decodeState(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCodecDecodesV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := UnmarshalBankState(asV1(blob))
+	restored, err := decodeState(asV1(blob))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,16 +30,32 @@ func FuzzIncrementalFeatureEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x03, 0x00, 0x02, 0x03, 0x07, 0x20, 0x23})
 	f.Add([]byte{0x01, 0x00, 0x03, 0x03, 0x02, 0x00, 0x07, 0x2b, 0x03, 0x40})
 	f.Add([]byte{0x02, 0x03, 0x07, 0x0b, 0x00, 0x02, 0x20, 0x03})
+	// Exactly 16 and 17 distinct rows, each a row up from the last: the
+	// per-row table full inline, and spilled by one entry. The third seed
+	// folds its 17 rows, is Reset and checks the same events again, over a
+	// table that spilled and was emptied.
+	for _, c := range []struct {
+		head byte
+		rows int
+	}{{0x03, 16}, {0x03, 17}, {0x0b, 17}} {
+		in := []byte{c.head}
+		for i := 0; i < c.rows; i++ {
+			in = append(in, 0x24|byte(i%4/3*3)) // a CE 13 minutes on, every fourth a UER
+		}
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		// First byte picks the budget (1..4) and the block geometry.
+		// First byte picks the budget (1..4), the block geometry and whether
+		// the state folds the events and is Reset before the check.
 		cfg := PatternConfig{UERBudget: 1 + int(data[0]&0x03)}
 		spec := BlockSpec{WindowRadius: 8, BlockSize: 4}
 		if data[0]&0x04 != 0 {
 			spec = BlockSpec{WindowRadius: 16, BlockSize: 8}
 		}
+		reset := data[0]&0x08 != 0
 		data = data[1:]
 
 		// Each subsequent byte is one event:
@@ -67,7 +83,14 @@ func FuzzIncrementalFeatureEquivalence(f *testing.F) {
 			now = now.Add(time.Duration(b>>5) * 13 * time.Minute)
 			events = append(events, mcelog.Event{Time: now, Addr: hbmAddr(row), Class: class})
 		}
-		assertPrefixEquivalence(t, freshState(t, cfg, spec), events)
+		st := freshState(t, cfg, spec)
+		if reset {
+			for _, e := range events {
+				st.Observe(e)
+			}
+			st.Reset()
+		}
+		assertPrefixEquivalence(t, st, events)
 	})
 }
 
@@ -101,7 +124,7 @@ func FuzzUnmarshalBankState(f *testing.F) {
 	blob, _ := fresh.MarshalBinary()
 	f.Add(blob)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := UnmarshalBankState(data)
+		st, err := decodeState(data)
 		if err != nil {
 			return
 		}
@@ -111,7 +134,7 @@ func FuzzUnmarshalBankState(f *testing.F) {
 		}
 		if data[4] == bankStateVersionV1 {
 			data = image
-			if st, err = UnmarshalBankState(image); err != nil {
+			if st, err = decodeState(image); err != nil {
 				t.Fatalf("re-encoded version-1 state does not decode: %v", err)
 			}
 			if image, err = st.MarshalBinary(); err != nil {

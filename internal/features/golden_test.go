@@ -132,7 +132,7 @@ func TestBankStateGoldenImages(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("encoded state differs from %s (%d vs %d bytes)", g.path(), len(got), len(want))
 			}
-			restored, err := UnmarshalBankState(want)
+			restored, err := decodeState(want)
 			if err != nil {
 				t.Fatal(err)
 			}

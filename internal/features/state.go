@@ -76,10 +76,10 @@ type BankState struct {
 	// Block stage (§IV-D). These cover everything observed (block
 	// decisions use the full history up to the decision time). rows is the
 	// bank's per-row table, sorted by row: every row an event has landed on,
-	// with the facts the block features read of it.
+	// with the facts the block features read of it; its first 16 are inline.
 	blkCE, blkUEO, blkUER seqAccum
 	ceRowSum, uerRowSum   float64
-	rows                  []rowEntry
+	rows                  rowset.Table[rowEntry]
 	lastTime              int64
 
 	// Error-bit aggregates (intra-word DQ/burst patterns), covering every
@@ -127,12 +127,13 @@ func (s *BankState) Init(cfg PatternConfig, spec BlockSpec) error {
 
 // Reset empties the state for another bank under the same configuration: it
 // then equals a fresh NewBankState in everything it reports and encodes,
-// except that its per-row table keeps its capacity, so a caller folding banks
-// one after another (the offline dataset builders and evaluators) allocates it
-// once. Footprint counts that kept capacity, which is why a caller holding
-// many banks at once gives each its own state.
+// except that a spilled per-row table keeps its heap slice, so a caller folding
+// banks one after another (the offline dataset builders and evaluators)
+// allocates it once. Footprint counts that kept capacity, which is why a
+// caller holding many banks at once gives each its own state.
 func (s *BankState) Reset() {
-	*s = BankState{cfg: s.cfg, spec: s.spec, rows: s.rows[:0]}
+	s.rows.Reset()
+	*s = BankState{cfg: s.cfg, spec: s.spec, rows: s.rows}
 	s.cutoff, s.firstEventTime, s.firstUERTime, s.runTime, s.lastTime = unsetTime, unsetTime, unsetTime, unsetTime, unsetTime
 }
 
@@ -226,9 +227,9 @@ func (s *BankState) observe(o Obs) {
 	}
 	i, found := s.findRow(int(o.row))
 	if !found {
-		s.rows = rowset.InsertAt(s.rows, i, rowEntry{row: o.row})
+		s.rows.Insert(i, rowEntry{row: o.row})
 	}
-	r, class := &s.rows[i], ecc.Class(o.class)
+	r, class := &s.rows.All()[i], ecc.Class(o.class)
 	s.observePattern(r, o.t, class)
 	s.observeBlock(r, o.t, class)
 	s.errBits.observe(mcelog.ErrBits(o.bits))
@@ -327,7 +328,7 @@ func (s *BankState) observeBlock(r *rowEntry, t int64, class ecc.Class) {
 
 // findRow locates row in the sorted per-row table.
 func (s *BankState) findRow(row int) (int, bool) {
-	return slices.BinarySearchFunc(s.rows, row, func(r rowEntry, row int) int {
+	return slices.BinarySearchFunc(s.rows.All(), row, func(r rowEntry, row int) int {
 		return cmp.Compare(int(r.row), row)
 	})
 }
@@ -387,12 +388,13 @@ func (s *BankState) PatternVectorInto(dst []float64) error {
 // budgetSpan returns the lowest and the highest budget row, which exist once a
 // UER has been observed.
 func (s *BankState) budgetSpan() (lo, hi int32) {
-	first := slices.IndexFunc(s.rows, func(r rowEntry) bool { return r.rank != 0 })
-	last := len(s.rows) - 1
-	for s.rows[last].rank == 0 {
+	rows := s.rows.All()
+	first := slices.IndexFunc(rows, func(r rowEntry) bool { return r.rank != 0 })
+	last := len(rows) - 1
+	for rows[last].rank == 0 {
 		last--
 	}
-	return s.rows[first].row, s.rows[last].row
+	return rows[first].row, rows[last].row
 }
 
 // blockLeadCols is the number of leading block-vector columns that do not
@@ -449,14 +451,15 @@ func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
 	first, _ := s.spec.BlockRange(anchorRow, 0)
 	w.perRow, _ = s.findRow(first)
 	w.near = w.perRow
+	rows := s.rows.All()
 	for k, class := range nearClasses {
 		w.prev[k], w.next[k] = -1, -1
 		if accums[k].count == 0 {
-			w.next[k] = len(s.rows) // no row of the class: nothing to look for
+			w.next[k] = len(rows) // no row of the class: nothing to look for
 			continue
 		}
 		for j := w.near - 1; j >= 0; j-- {
-			if s.rows[j].has(class) {
+			if rows[j].has(class) {
 				w.prev[k] = j
 				break
 			}
@@ -468,7 +471,8 @@ func (s *BankState) windowAt(anchorRow int, now time.Time) blockWindow {
 // nextOf returns the index of the first row of class at or after index i of
 // the per-row table, or len for none.
 func (s *BankState) nextOf(class ecc.Class, i int) int {
-	for i < len(s.rows) && !s.rows[i].has(class) {
+	rows := s.rows.All()
+	for i < len(rows) && !rows[i].has(class) {
 		i++
 	}
 	return i
@@ -486,17 +490,18 @@ func (s *BankState) fillBlock(row []float64, w *blockWindow, block int) {
 	offset := centre - w.anchorRow
 	out = append(out, float64(offset), math.Abs(float64(offset)))
 
+	rows := s.rows.All()
 	prior, priorUER := 0, 0
-	for ; w.perRow < len(s.rows) && int(s.rows[w.perRow].row) <= hi; w.perRow++ {
-		if r := &s.rows[w.perRow]; int(r.row) >= lo {
+	for ; w.perRow < len(rows) && int(rows[w.perRow].row) <= hi; w.perRow++ {
+		if r := &rows[w.perRow]; int(r.row) >= lo {
 			prior += int(r.total)
 			priorUER += int(r.uer)
 		}
 	}
 	out = append(out, float64(prior), float64(priorUER))
 
-	for ; w.near < len(s.rows) && int(s.rows[w.near].row) < centre; w.near++ {
-		r := &s.rows[w.near]
+	for ; w.near < len(rows) && int(rows[w.near].row) < centre; w.near++ {
+		r := &rows[w.near]
 		if r.ce {
 			w.prev[0] = w.near
 		}
@@ -574,13 +579,13 @@ type StateFootprint struct {
 	ApproxBytes int
 }
 
-// Footprint reports the state's current size: the struct itself plus the
-// backing array of the per-row table at its allocated capacity. Cost is O(1).
-// A state Reset for another bank reports the capacity its earlier banks left,
-// not what the current bank alone would need.
+// Footprint reports the state's current size: the struct itself, inline rows
+// included, plus a spilled per-row table's heap slice at its capacity. Cost is
+// O(1). A state Reset for another bank reports the capacity its earlier banks
+// left, not what the current bank alone would need.
 func (s *BankState) Footprint() StateFootprint {
-	bytes := int(unsafe.Sizeof(*s)) + cap(s.rows)*int(unsafe.Sizeof(rowEntry{}))
-	return StateFootprint{Events: s.events, TrackedRows: len(s.rows), ApproxBytes: bytes}
+	bytes := int(unsafe.Sizeof(*s)) + s.rows.HeapCap()*int(unsafe.Sizeof(rowEntry{}))
+	return StateFootprint{Events: s.events, TrackedRows: len(s.rows.All()), ApproxBytes: bytes}
 }
 
 // seqAccum incrementally maintains one error class's seqStats: O(1) per
@@ -657,12 +662,12 @@ func (a *seqAccum) stats() seqStats {
 // when the class has no row. The value equals nearestRowDistance over any
 // event sequence with exactly these rows of the class.
 func (s *BankState) nearest(prev, next, target int) float64 {
-	best := Missing
-	if next < len(s.rows) {
-		best = math.Abs(float64(int(s.rows[next].row) - target))
+	rows, best := s.rows.All(), Missing
+	if next < len(rows) {
+		best = math.Abs(float64(int(rows[next].row) - target))
 	}
 	if prev >= 0 {
-		if d := math.Abs(float64(int(s.rows[prev].row) - target)); best == Missing || d < best {
+		if d := math.Abs(float64(int(rows[prev].row) - target)); best == Missing || d < best {
 			best = d
 		}
 	}

@@ -274,6 +274,57 @@ func TestResetStateIsFresh(t *testing.T) {
 	}
 }
 
+// TestStateCopyKeepsRows: a BankState copied to a new place keeps its rows —
+// its image and every vector — when the old place is reused for another
+// bank, with its per-row table inline (16 rows) or spilled (17): the table's
+// heap slice never aliases its inline array, the check TestRunsAllocs makes
+// for a moved row set. The old place is reused by Reset and by Init; a
+// spilled copy's old place only by Init, because Reset keeps the heap slice,
+// which a copy shares as it would any slice.
+func TestStateCopyKeepsRows(t *testing.T) {
+	spec := BlockSpec{WindowRadius: 8, BlockSize: 4}
+	bank := func(base, rows int) []mcelog.Event {
+		var evs []mcelog.Event
+		for i := 0; i < rows; i++ {
+			class := ecc.ClassCE
+			if i%5 == 4 {
+				class = ecc.ClassUER
+			}
+			evs = append(evs, ev(float64(i), base+3*i, class))
+		}
+		return evs
+	}
+	for _, rows := range []int{16, 17} {
+		for _, reuse := range []string{"Reset", "Init"} {
+			if rows > 16 && reuse == "Reset" {
+				continue
+			}
+			place, err := replayed(bank(100, rows), DefaultPatternConfig(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := place.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved := *place
+			if reuse == "Reset" {
+				place.Reset()
+			} else if err := place.Init(DefaultPatternConfig(), spec); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range bank(101, rows) {
+				place.Observe(e)
+			}
+			if got, _ := moved.MarshalBinary(); !bytes.Equal(got, want) || moved.Footprint().TrackedRows != rows {
+				t.Fatalf("%d rows, old place reused by %s: the copy's image changed (%d rows tracked)", rows, reuse, moved.Footprint().TrackedRows)
+			}
+			ref, _ := replayed(bank(100, rows), DefaultPatternConfig(), spec)
+			assertStateEquivalent(t, ref, &moved, 100+3*(rows-1), t0.Add(time.Duration(rows)*time.Hour))
+		}
+	}
+}
+
 // TestBankStateFootprintBounded pins the bounded-memory claim: a session
 // 10× longer in events but confined to the same rows must not grow the
 // tracked-row footprint at all.

@@ -106,9 +106,18 @@ func (d *Dataset) codes(build bool) *codedMatrix {
 	return d.coded
 }
 
-// newCodedMatrix codes the rows of X, which Validate has passed, with a Coder.
+// newCodedMatrix codes the rows of X, which Validate has passed, with a Coder
+// sized for its pairs: each column's distinct values, counted on a sorted copy.
 func newCodedMatrix(X [][]float64) *codedMatrix {
-	c := NewCoder(len(X[0]), len(X))
+	pairs, col := 0, make([]uint64, len(X))
+	for f := range X[0] {
+		for i, row := range X {
+			col[i] = math.Float64bits(row[f])
+		}
+		slices.Sort(col)
+		pairs += len(slices.Compact(col))
+	}
+	c := newCoder(len(X[0]), len(X), pairs)
 	for _, row := range X {
 		_ = c.Add(row, 0) // X passed Validate, and the Coder holds len(X) rows
 	}
@@ -133,8 +142,11 @@ type Coder struct {
 }
 
 // NewCoder returns a Coder for up to rows samples of width features.
-func NewCoder(width, rows int) *Coder {
-	n := rows + rows/2 + width // pairs expected
+func NewCoder(width, rows int) *Coder { return newCoder(width, rows, rows+rows/2+width) }
+
+// newCoder returns a Coder for up to rows samples of width features whose set
+// holds n pairs before it grows.
+func newCoder(width, rows, n int) *Coder {
 	c := &Coder{cm: &codedMatrix{codes: make([]codeColumn, width), vals: make([][]float64, width)}, labels: make([]int, 0, rows),
 		slots: make([]int32, max(16, 1<<bits.Len(uint(2*n-1)))), key: make([]uint32, 0, n), vals: make([]float64, 0, n),
 		count: make([]int32, width), shift: bits.Len(uint(rows))}

@@ -189,3 +189,27 @@ func (col *codeColumn) width() int {
 	}
 	return 1
 }
+
+// TestCodePatternMatrixAllocs pins what coding a matrix of the pattern
+// dataset's shape costs: 189 rows × 29 features holding 2 194 distinct
+// (feature, value) pairs, seven times the rows + rows/2 + width that NewCoder
+// expects. newCodedMatrix counts the pairs first, so the set and its pair
+// arrays are made once, at their size: 11 allocations. Sized from that
+// expectation, the set doubled from 1 024 slots to 8 192 and its pair arrays
+// regrew with it: 21.
+func TestCodePatternMatrixAllocs(t *testing.T) {
+	X := make([][]float64, 189)
+	for i := range X {
+		X[i] = make([]float64, 29)
+		for f := range X[i] {
+			if f < 10 {
+				X[i][f] = float64(i) + float64(f)/32 // every row its own value
+			} else {
+				X[i][f] = float64(i % 16)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { newCodedMatrix(X) }); allocs > 11 {
+		t.Errorf("coding a pattern-shaped matrix cost %v allocations, want ≤ 11", allocs)
+	}
+}

@@ -1,12 +1,12 @@
-// Package rowset holds the row tables that per-bank state is made of: the
-// sorted-slice table of the feature accumulator's rows, and Runs, the row set
+// Package rowset holds the row tables that per-bank state is made of: Table,
+// the sorted table of the feature accumulator's rows, and Runs, the row set
 // of the stream engine's UER rows, spared rows and a shadow twin's spared
-// rows. A bank touches a handful of rows, so a sorted slice costs a few dozen
-// bytes and one allocation where a map costs hundreds of bytes and several —
-// and it comes out of a snapshot already in the order the snapshot stores it.
-// A bank's spared rows are whole predicted blocks and its UER rows cluster, so
-// they form a few runs of adjacent rows: a Runs holds those few in itself, and
-// a bank whose runs fit there allocates nothing for them.
+// rows. A bank touches a handful of rows, so a sorted table holds them in
+// itself where a map costs hundreds of bytes and several allocations — and it
+// comes out of a snapshot already in the order the snapshot stores it. A
+// bank's spared rows are whole predicted blocks and its UER rows cluster, so
+// they form a few runs of adjacent rows: a Runs holds those few in itself.
+// Either kind allocates nothing for a bank whose rows fit inside it.
 package rowset
 
 import (
@@ -14,39 +14,64 @@ import (
 	"slices"
 )
 
-// minCap is the capacity a table starts with; tables double from there, so
-// one that outgrows it pays for at most twice the rows it holds and for one
-// allocation per doubling — no more growth steps than a map would take. It is
-// the row count a hot bank's feature table reaches. The benchmark's promoted
-// banks at seed 1, by the rows their tables end with (1–4, 5–8, 9–16, more):
-// hot_banks 0 %, 0 %, 99.8 %, 0.2 %; fleet_mem 32 %, 33 %, 35 %, 0.9 %;
-// train_eval's evaluation sessions 7 %, 41 %, 48 %, 4 %. Starting at 4, most
-// of them paid two or three allocations for what one holds.
+// minCap is how many entries a Table holds in itself; one that outgrows them
+// moves to a heap slice of twice as many and doubles from there, so it pays
+// for at most twice the entries it holds and for one allocation per doubling —
+// no more growth steps than a map would take. It is the row count a hot bank's
+// feature table reaches. The benchmark's promoted banks at seed 1, by the rows
+// their tables end with (1–4, 5–8, 9–16, more): hot_banks 0 %, 0 %, 99.8 %,
+// 0.2 %; fleet_mem 32 %, 33 %, 35 %, 0.9 %; train_eval's evaluation sessions
+// 7 %, 41 %, 48 %, 4 %. A table started on the heap at 4 paid two or three
+// allocations for what one holds.
 const minCap = 16
 
-// InsertAt inserts v at index i of a sorted table, doubling a full one.
-func InsertAt[T any](s []T, i int, v T) []T {
-	s = reserve(s, 1)[:len(s)+1]
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+// Table is a sorted table of entries, kept in order by its caller. The zero
+// value is an empty table that owns no memory. Up to minCap entries sit in the
+// table itself; a table with more moves all of them to a heap slice of its
+// own. As with Runs, the slice never aliases the inline array, so a Table
+// copied to a new place keeps its entries when the old place is refilled; only
+// a spilled copy shares its heap slice, as any copied slice does, and Reset
+// keeps that slice.
+type Table[T any] struct {
+	inline [minCap]T
+	n      uint8 // entries in inline; unused once spilled
+	spill  []T   // every entry once the table has spilled, else nil
 }
 
-// reserve returns a table equal to s with room for n more entries: s itself if
-// it has the room, else a copy grown in one step to the smallest of its
-// doublings that holds them.
-func reserve[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
+// All returns the table's entries in order; the slice aliases the table, and
+// an Insert or Reset ends it.
+func (t *Table[T]) All() []T {
+	if t.spill != nil {
+		return t.spill
 	}
-	c := max(minCap, 2*cap(s))
-	for c < len(s)+n {
-		c *= 2
-	}
-	grown := make([]T, len(s), c)
-	copy(grown, s)
-	return grown
+	return t.inline[:t.n]
 }
+
+// Insert puts v in at index i. A full table moves its entries to a heap slice
+// twice its size: the inline array's minCap to 2·minCap, a spill slice to
+// twice its capacity.
+func (t *Table[T]) Insert(i int, v T) {
+	if t.spill == nil && int(t.n) < minCap {
+		copy(t.inline[i+1:t.n+1], t.inline[i:t.n])
+		t.inline[i] = v
+		t.n++
+		return
+	}
+	if len(t.spill) == cap(t.spill) {
+		t.spill = append(make([]T, 0, max(2*minCap, 2*cap(t.spill))), t.All()...)
+	}
+	t.spill = t.spill[:len(t.spill)+1]
+	copy(t.spill[i+1:], t.spill[i:])
+	t.spill[i] = v
+}
+
+// Reset empties the table. A spilled table keeps its heap slice, so a caller
+// that fills one table bank after bank allocates it once.
+func (t *Table[T]) Reset() { t.n, t.spill = 0, t.spill[:0] }
+
+// HeapCap returns the capacity of the table's heap slice: 0 while its entries
+// sit inline.
+func (t *Table[T]) HeapCap() int { return cap(t.spill) }
 
 // run is the rows lo through hi, both included.
 type run struct{ lo, hi int32 }

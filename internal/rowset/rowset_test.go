@@ -39,33 +39,48 @@ func TestSetAgainstMap(t *testing.T) {
 	}
 }
 
-// TestInsertAtDoubles pins the growth policy the allocation gates rely on:
-// a table reallocates only when full, and then to twice its size.
-func TestInsertAtDoubles(t *testing.T) {
-	var s []int32
-	caps := map[int]bool{}
-	for row := 0; row < 100; row++ {
-		s = InsertAt(s, len(s), int32(row))
-		caps[cap(s)] = true
-	}
-	for _, c := range []int{16, 32, 64, 128} {
-		if !caps[c] {
-			t.Errorf("capacity %d never seen", c)
+// TestTableAgainstSortedSlice holds a Table to a sorted-slice reference over
+// inserts at the front, the back and between, filled three times with a Reset
+// between: after each insert its entries equal the reference's, and its heap
+// slice is none up to minCap entries, 2·minCap at the next and doubles after,
+// or the one an earlier fill left, which Reset keeps. What the allocation
+// gates rely on is pinned in numbers: nothing up to 16 entries, one
+// allocation at the 17th and one per doubling after.
+func TestTableAgainstSortedSlice(t *testing.T) {
+	var tab Table[int32]
+	kept := 0
+	for _, entries := range []int{minCap, 9 * minCap, 9 * minCap} {
+		var ref []int32
+		for k := 0; k < entries; k++ {
+			v := int32(k * 7919 % 1009) // distinct, in no order
+			i, _ := slices.BinarySearch(ref, v)
+			ref = slices.Insert(ref, i, v)
+			tab.Insert(i, v)
+			if !slices.Equal(tab.All(), ref) {
+				t.Fatalf("%d entries: table %v, want %v", len(ref), tab.All(), ref)
+			}
+			want := kept
+			for c := 2 * minCap; want < len(ref) && len(ref) > minCap; c *= 2 {
+				want = c
+			}
+			if tab.HeapCap() != want {
+				t.Fatalf("%d entries: heap capacity %d, want %d", len(ref), tab.HeapCap(), want)
+			}
+		}
+		tab.Reset()
+		if kept = tab.HeapCap(); len(tab.All()) != 0 {
+			t.Fatalf("a reset table holds %v", tab.All())
 		}
 	}
-	if len(caps) != 4 {
-		t.Errorf("capacities %v, want 16 and its doublings to 128", caps)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		var s []int32
-		s = InsertAt(s, 0, 3)
-		s = InsertAt(s, 0, 1)
-		s = InsertAt(s, 1, 2)
-		for row := int32(4); row <= 16; row++ {
-			s = InsertAt(s, len(s), row)
+	for _, c := range []struct{ entries, allocs int }{{16, 0}, {17, 1}, {32, 1}, {33, 2}, {65, 3}} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			tab := new(Table[int32])
+			for v := int32(c.entries); v > 0; v-- {
+				tab.Insert(0, v)
+			}
+		}); allocs != float64(c.allocs) {
+			t.Errorf("a %d-entry table cost %v allocations, want %d", c.entries, allocs, c.allocs)
 		}
-	}); allocs != 1 {
-		t.Errorf("a sixteen-row table cost %v allocations, want 1", allocs)
 	}
 }
 

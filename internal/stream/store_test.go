@@ -636,6 +636,67 @@ func TestSnapshotQuietBanksAllocation(t *testing.T) {
 	}
 }
 
+// TestRestoreHeapBanksAllocation: restoring a snapshot of 4 096 promoted banks
+// — seven CEs and a UER each, five rows in every feature state — builds each
+// bank's session with its feature state decoded in place, one allocation that
+// holds the state's rows too, plus the decoder's garbage: its section lists
+// and the cross-checks it derives from the table. 13.0 mallocs per bank
+// measured by either path, gated at 13.5; decoding into a state of its own and
+// a row table of its own, then copying the state into the session, made 15.
+// The restored engine's next snapshot is the one it booted from, byte for
+// byte.
+func TestRestoreHeapBanksAllocation(t *testing.T) {
+	const banks = 4096
+	src, cfg := quietFleetEngine(t, banks)
+	uers := quietFleet(banks)[:banks] // one event of every bank
+	for i := range uers {
+		uers[i].Class, uers[i].Time = ecc.ClassUER, uers[i].Time.Add(24*time.Hour)
+	}
+	ingestChunks(t, src, uers)
+	if stored, heap := formCount(src); stored != 0 || heap != banks {
+		t.Fatalf("%d stored and %d heap banks after every bank's UER", stored, heap)
+	}
+	payload, _, err := src.encodeSnapshot(nil)
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, restore := range map[string]func(*Engine) error{
+		"restoreSnapshot": func(e *Engine) error { return e.restoreSnapshot(payload) },
+		"ImportSessions": func(e *Engine) error {
+			_, err := e.ImportSessions(payload, nil, nil)
+			return err
+		},
+	} {
+		dst, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := restore(dst); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perBank := float64(after.Mallocs-before.Mallocs) / banks
+		t.Logf("%s: %.3f mallocs per restored bank", name, perBank)
+		if !raceEnabled && perBank > 13.5 {
+			t.Errorf("%s: %.2f mallocs per restored promoted bank, want ≤ 13.5", name, perBank)
+		}
+		if st := dst.Stats(); st.SessionsLive != banks || st.SessionsQuiet != 0 {
+			t.Errorf("%s: %d sessions, %d quiet, want %d and none", name, st.SessionsLive, st.SessionsQuiet, banks)
+		}
+		again, _, err := dst.encodeSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Errorf("%s: the restored engine's snapshot differs from the one it was given (%d vs %d bytes)", name, len(again), len(payload))
+		}
+		dst.Close()
+	}
+}
+
 // TestRestoreQuietBanksAllocation: restoring a snapshot of 20 000 quiet banks
 // places each bank in its shard's store without a session or a log of its
 // own — at most 0.2 allocations per bank, all of them the decoder's and the

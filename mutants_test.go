@@ -169,7 +169,21 @@ var mutants = []struct {
 		[]string{"internal/mltree TestParentFixture", "internal/core TestSaveModelsGolden"}},
 	{"a row table starts below the rows a promoted bank reaches", "internal/rowset/rowset.go",
 		"const minCap = 16", "const minCap = 8",
-		[]string{"internal/rowset TestInsertAtDoubles", "internal/stream TestPromotedBankAllocs", "internal/stream TestHotBankAllocs"}},
+		[]string{"internal/rowset TestTableAgainstSortedSlice", "internal/stream TestPromotedBankAllocs", "internal/stream TestHotBankAllocs"}},
+
+	// The feature table's first 16 rows inside the state.
+	{"the spill drops the last inline entry", "internal/rowset/rowset.go",
+		"2*cap(t.spill))), t.All()...)", "2*cap(t.spill))), t.All()[:len(t.All())-1]...)",
+		[]string{"internal/rowset TestTableAgainstSortedSlice", "internal/features FuzzIncrementalFeatureEquivalence", "internal/features TestStateCopyKeepsRows"}},
+	{"Reset leaves the inline count", "internal/rowset/rowset.go",
+		"t.n, t.spill = 0, t.spill[:0]", "t.spill = t.spill[:0]",
+		[]string{"internal/rowset TestTableAgainstSortedSlice", "internal/features TestResetStateIsFresh", "internal/core TestSaveModelsGolden"}},
+	{"a copied state's table reads the source's inline array", "internal/rowset/rowset.go",
+		"\t\tt.n++\n\t\treturn\n", "\t\tt.n++\n\t\tt.spill = t.inline[:t.n]\n\t\treturn\n",
+		[]string{"internal/features TestStateCopyKeepsRows"}},
+	{"a coded matrix's set sized from the Coder's expectation, not its pairs", "internal/mltree/coded.go",
+		"c := newCoder(len(X[0]), len(X), pairs)", "c := newCoder(len(X[0]), len(X), len(X)+len(X)/2+len(X[0])+0*pairs)",
+		[]string{"internal/mltree TestCodePatternMatrixAllocs"}},
 
 	// Value codes as narrow as each feature's values.
 	{"a column widens one value late, its 257th value cut to a byte", "internal/mltree/coded.go",

@@ -337,6 +337,11 @@ var deletionGates = []struct {
 		check:      runsAlone,
 	},
 	{
+		gate: "one row-table type", deletedBy: "A promoted bank in one allocation",
+		replacedBy: "rowset.Table, the feature state's per-row table with its first 16 entries inline",
+		check:      rowsetLacks("InsertAt", "reserve"),
+	},
+	{
 		gate: "one verdict oracle", deletedBy: "One verdict oracle",
 		replacedBy: "stream's FuzzBankHistory: a bank's actions and stats under every serving form equal the offline per-bank replay; TestOnlineOfflineEquivalence, its DDR5 twin, TestShardStepInterleavings and TestDecideEqualsOnEvent run its check over inputs of their flavor",
 		check:      noTestsNamed("assertOnlineOfflineEquivalent", "assertSameActionSet", "addActs"),
@@ -527,14 +532,24 @@ func quietStrategyOneMethod(mod *module) []string {
 	return nil
 }
 
+// rowsetLacks returns the check that rowset declares none of names.
+func rowsetLacks(names ...string) func(*module) []string {
+	return func(mod *module) []string {
+		var bad []string
+		for _, name := range names {
+			if obj := mod.pkgs["cordial/internal/rowset"].pkg.Scope().Lookup(name); obj != nil {
+				bad = append(bad, fmt.Sprintf("%s: rowset declares %s", mod.fset.Position(obj.Pos()), name))
+			}
+		}
+		return bad
+	}
+}
+
 // runsAlone: rowset declares no Set, and the engine's bankSession keeps its
 // rows in rowset.Runs alone — no slice field and no find or mark method beside
 // them.
 func runsAlone(mod *module) []string {
-	var bad []string
-	if obj := mod.pkgs["cordial/internal/rowset"].pkg.Scope().Lookup("Set"); obj != nil {
-		bad = append(bad, fmt.Sprintf("%s: rowset declares Set", mod.fset.Position(obj.Pos())))
-	}
+	bad := rowsetLacks("Set")(mod)
 	obj := mod.pkgs[streamPkg].pkg.Scope().Lookup("bankSession")
 	if obj == nil {
 		return append(bad, "the row-set gate's target stream.bankSession is gone")

@@ -181,7 +181,7 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 go test -run 'TestPredictingFoldAllocs' -count 1 ./internal/stream/
 
-echo "==> training perf gate (a forest fit allocates ≤ 0.25 per tree and a per-fit term, never per node, and as much for 128 trees as for 16 over one dataset; a Pipeline.Fit ≤ 4.28 MB in ≤ 429 allocations; evaluation ≤ 12 per bank)"
+echo "==> training perf gate (a forest fit allocates ≤ 0.25 per tree and a per-fit term, never per node, and as much for 128 trees as for 16 over one dataset; a Pipeline.Fit ≤ 4.28 MB in ≤ 429 allocations; evaluation ≤ 3.6 per bank)"
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
 # allocate its members' share of its growers' stores plus a per-fit term
@@ -206,9 +206,13 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 go test -run 'TestModelHeapPerNode|TestSaveModelsGolden|TestForestFitAllocs|TestParentFixture|TestRankKernelExactness|TestBuildBlockDatasetGolden' \
     -count 1 ./internal/core/ ./internal/mltree/
 
-echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs, a bank address ≤ 16 B, a cell address ≤ 32 B, an event ≤ 64 B, an action ≤ 80 B, a journaled 2-shard batch ≤ 2 mallocs)"
+echo "==> bytes per bank gate (BankState ≤ 968 B, a promoted bank is one allocation: its session ≤ 1 KiB with the state and its first 16 rows inside; a hot bank ≤ 2 mallocs, a promoted bank's restore ≤ 13.5; bankSession ≤ 144 B, store slot 24 B and node 16 B, queue entry ≤ 32 B, a quiet bank ≤ 160 B and ≤ 0.1 mallocs in the engine, ≤ 0.2 mallocs to restore, ≤ 0.05 to snapshot, a promotion ≤ 10 mallocs, a bank address ≤ 16 B, a cell address ≤ 32 B, an event ≤ 64 B, an action ≤ 80 B, a journaled 2-shard batch ≤ 2 mallocs)"
 # A fleet engine holds every bank that ever logged an error, so bytes per
-# tracked bank is its memory bill. The struct sizes are pinned by
+# tracked bank is its memory bill. A promoted bank is one allocation: its
+# session holds the feature state, and the state its per-row table's first 16
+# entries, which every hot_banks bank but a few fits — counted over a whole
+# hot-bank lifetime through the shard step and over a warmed engine's, and
+# over a restore of such banks from a snapshot. The struct sizes are pinned by
 # unsafe.Sizeof (and the store's slot and node and a shard queue's entry hold
 # no Go pointer), the whole
 # per-bank cost (index entry, slot and seven observation nodes in the shard's
@@ -223,8 +227,8 @@ echo "==> bytes per bank gate (BankState ≤ 1 KiB, bankSession ≤ 144 B, store
 # reader, sort and validator moves (hbm.Address ≤ 32 B, mcelog.Event ≤ 64 B),
 # and a warmed journaled IngestBatch over two shards allocates only its
 # group-commit window (≤ 2).
-go test -run 'TestBankStateSize|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation|TestSnapshotQuietBanksAllocation|TestPromotionAllocs|TestBankAddressSize|TestAddressSize|TestEventSize|TestActionSize|TestDurableBatchAllocs' -count 1 \
-    ./internal/features/ ./internal/hbm/ ./internal/mcelog/ ./internal/stream/
+go test -run 'TestBankStateSize|TestSessionSizeClass|TestPromotedBankAllocs|TestHotBankAllocs|TestRestoreHeapBanksAllocation|TestSessionHeapPerBank|TestStoreLayout|TestRestoreQuietBanksAllocation|TestSnapshotQuietBanksAllocation|TestPromotionAllocs|TestBankAddressSize|TestAddressSize|TestEventSize|TestActionSize|TestDurableBatchAllocs' -count 1 \
+    ./internal/features/ ./internal/core/ ./internal/hbm/ ./internal/mcelog/ ./internal/stream/
 
 echo "==> repository benchmark smoke (5 % scale, every workload, manifest check)"
 # bench/ is a module of its own, so the root `go test ./...` never sees it;
