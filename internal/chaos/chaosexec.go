@@ -376,7 +376,7 @@ func (st *runState) collectStats(rep *Report) {
 		if err != nil {
 			continue
 		}
-		if p99, ok := snap.Quantile("cordial_ingest_wait_seconds", 0.99); ok && p99 > rep.Load.P99IngestWait {
+		if p99, ok := snap.Quantile("cordial_stage_seconds", 0.99, obs.L("stage", "queue_wait")); ok && p99 > rep.Load.P99IngestWait {
 			rep.Load.P99IngestWait = p99
 		}
 	}

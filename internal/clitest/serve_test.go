@@ -194,16 +194,19 @@ func TestCLIServeEndToEnd(t *testing.T) {
 	if code := chaos.GetJSON(nil, p.URL("/readyz"), nil); code != http.StatusOK {
 		t.Fatalf("readyz after disconnect = %d", code)
 	}
+	check(t, chaos.WaitDrained(p))
 	if code := chaos.GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
 		t.Fatalf("statsz after disconnect = %d", code)
 	}
 
 	// One /metrics scrape: the ingest counter agrees with /statsz, and the
-	// process latency is exported as a histogram.
+	// fold stage's samples are exported as a histogram series, ⌈n/64⌉ of the
+	// n events processed.
 	scrape := metrics(t, p)
 	for _, want := range []string{
 		fmt.Sprintf("\ncordial_ingest_accepted_total %d\n", int(stats["ingested"].(float64))),
-		"\n# TYPE cordial_process_seconds histogram\n",
+		"\n# TYPE cordial_stage_seconds histogram\n",
+		fmt.Sprintf("\ncordial_stage_seconds_count{stage=\"fold\"} %d\n", (int(stats["processed"].(float64))+63)/64),
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("metrics scrape missing %q", strings.TrimSpace(want))

@@ -207,7 +207,7 @@ func (rt *Router) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 			return
 		}
 		var body mcelog.BodyReader
-		body.Reset(codec, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), int(rt.cfg.MaxBodyBytes)+1, nil)
+		body.Reset(codec, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), int(rt.cfg.MaxBodyBytes)+1)
 		var agg stream.IngestResult
 		var lines []routedLine
 		var end error

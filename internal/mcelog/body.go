@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 )
 
 // Codec names the encoding of an event body. An ingest route names its
@@ -49,10 +48,6 @@ func (e *RecordError) Error() string { return e.Pos.String() + ": " + e.Err.Erro
 
 func (e *RecordError) Unwrap() error { return e.Err }
 
-// DecodeTimer observes decode latency: a BodyReader times each JSONL line's
-// parse and each frame's read and checksum with it (an *obs.Histogram).
-type DecodeTimer interface{ ObserveSince(t0 time.Time) }
-
 // BodyReader is the one loop that decodes events from bytes: a request body
 // at either ingest route of a serve node or the router, or a log file. Every
 // record goes through the checked decoders (ParseJSONEvent,
@@ -65,15 +60,13 @@ type BodyReader struct {
 	frame  WireFrame
 	recs   int // records in frame
 	pos    Pos
-	timer  DecodeTimer
 }
 
 // Reset points the reader at body in codec (nil: at nothing). maxLine caps a
 // JSONL line; an ingest door passes its body cap plus one, so that a line
-// too long for the reader is a body over the cap. timer, if not nil, times
-// the decoding.
-func (b *BodyReader) Reset(codec Codec, body io.Reader, maxLine int, timer DecodeTimer) {
-	b.pos, b.recs, b.timer, b.lines = Pos{Codec: codec, Rec: -1}, 0, timer, nil
+// too long for the reader is a body over the cap.
+func (b *BodyReader) Reset(codec Codec, body io.Reader, maxLine int) {
+	b.pos, b.recs, b.lines = Pos{Codec: codec, Rec: -1}, 0, nil
 	b.frames.Reset(body)
 	if codec == JSONL && body != nil {
 		b.lines = bufio.NewScanner(body)
@@ -99,16 +92,9 @@ func (b *BodyReader) Next() (Event, error) {
 		return b.nextLine()
 	}
 	if b.pos.Rec+1 == b.recs {
-		var t0 time.Time
-		if b.timer != nil {
-			t0 = time.Now()
-		}
 		fr, err := b.frames.Next()
 		if err != nil {
 			return b.stop(err)
-		}
-		if b.timer != nil {
-			b.timer.ObserveSince(t0) // decoded frames only: the body's end is not one
 		}
 		b.frame, b.recs, b.pos.Rec = fr, fr.Len(), -1
 		b.pos.N++
@@ -128,14 +114,7 @@ func (b *BodyReader) nextLine() (Event, error) {
 		if len(b.lines.Bytes()) == 0 {
 			continue
 		}
-		var t0 time.Time
-		if b.timer != nil {
-			t0 = time.Now()
-		}
 		ev, err := ParseJSONEvent(b.lines.Bytes())
-		if b.timer != nil {
-			b.timer.ObserveSince(t0)
-		}
 		if err != nil {
 			return Event{}, &RecordError{Pos: b.pos, Err: err}
 		}
@@ -166,7 +145,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 		codec = Wire
 	}
 	var body BodyReader
-	body.Reset(codec, br, MaxWireFrameBytes, nil)
+	body.Reset(codec, br, MaxWireFrameBytes)
 	log := &Log{}
 	for {
 		ev, err := body.Next()

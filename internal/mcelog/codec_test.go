@@ -24,8 +24,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got.Len() != l.Len() {
 		t.Fatalf("round trip len = %d, want %d", got.Len(), l.Len())
 	}
-	for i := 0; i < l.Len(); i++ {
-		want, have := l.At(i), got.At(i)
+	events := l.Events()
+	for i, have := range got.Events() {
+		want := events[i]
 		if !want.Time.Equal(have.Time) || want.Addr != have.Addr || want.Class != have.Class {
 			t.Fatalf("event %d mismatch: %+v vs %+v", i, want, have)
 		}
@@ -53,12 +54,13 @@ func TestParseJSONEvent(t *testing.T) {
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
+	events := l.Events()
 	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		got, err := ParseJSONEvent([]byte(line))
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		want := l.At(i)
+		want := events[i]
 		if !got.Time.Equal(want.Time) || got.Addr != want.Addr || got.Class != want.Class {
 			t.Fatalf("line %d: %+v != %+v", i, got, want)
 		}
@@ -154,8 +156,9 @@ func sameEvents(t *testing.T, got *Log, want []Event) {
 	if got.Len() != len(want) {
 		t.Fatalf("read %d events, want %d", got.Len(), len(want))
 	}
+	events := got.Events()
 	for i, w := range want {
-		if g := got.At(i); !g.Time.Equal(w.Time) || g.Addr != w.Addr || g.Class != w.Class || g.Bits != w.Bits {
+		if g := events[i]; !g.Time.Equal(w.Time) || g.Addr != w.Addr || g.Class != w.Class || g.Bits != w.Bits {
 			t.Fatalf("event %d: got %+v, want %+v", i, g, w)
 		}
 	}
@@ -334,8 +337,8 @@ func TestStreamReadAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 50 || got.At(49).Bits == 0 {
-		t.Fatalf("read %d events, last bits %#x", got.Len(), got.At(49).Bits)
+	if got.Len() != 50 || got.Events()[49].Bits == 0 {
+		t.Fatalf("read %d events, last bits %#x", got.Len(), got.Events()[49].Bits)
 	}
 
 	var payload []byte

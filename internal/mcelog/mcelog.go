@@ -229,9 +229,6 @@ func (l *Log) Events() []Event {
 	return cp
 }
 
-// At returns the i-th event in current order.
-func (l *Log) At(i int) Event { return l.events[i] }
-
 // Sort orders the log by Before, in place, deterministically.
 func (l *Log) Sort() { SortEvents(l.events) }
 

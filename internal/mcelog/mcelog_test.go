@@ -78,8 +78,9 @@ func TestSortDeterministicTotalOrder(t *testing.T) {
 	r.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
 	b := FromEvents(evs)
 	b.Sort()
-	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
+	sorted := b.Events()
+	for i, e := range a.Events() {
+		if e != sorted[i] {
 			t.Fatalf("sort order not deterministic at %d", i)
 		}
 	}
@@ -277,7 +278,7 @@ func TestEventsReturnsCopy(t *testing.T) {
 	l := FromEvents([]Event{ev(1, 1, ecc.ClassCE)})
 	got := l.Events()
 	got[0].Addr.Row = 999
-	if l.At(0).Addr.Row == 999 {
+	if l.Events()[0].Addr.Row == 999 {
 		t.Fatal("Events returned a view into internal storage")
 	}
 }

@@ -111,11 +111,21 @@ type Registry struct {
 	families []*family
 	byName   map[string]*family
 	buf      []byte // WriteText's rendering, reused from scrape to scrape
+	clock    Clock  // what the stages registered here read
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns an empty registry whose stages read the wall clock.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+	return &Registry{byName: make(map[string]*family), clock: SystemClock{}}
+}
+
+// SetClock makes c the time source of every stage registered from now on, so
+// that a component handed the registry (the WAL) times its stages on the
+// clock of the registry's owner (the engine).
+func (r *Registry) SetClock(c Clock) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.clock = c
 }
 
 // validName is the Prometheus metric-name grammar ([a-zA-Z_:][a-zA-Z0-9_:]*);
@@ -201,6 +211,8 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label, 
 		s.render = v.appendTo
 	case *Histogram:
 		s.render = v.appendTo
+	case *Stage:
+		s.render = v.appendTo
 	}
 	// Keep series sorted by label signature for deterministic output.
 	at := sort.Search(len(f.series), func(i int) bool { return f.series[i].key >= key })
@@ -259,6 +271,16 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		panic(fmt.Sprintf("obs: metric %q series exists with a different instrument type", name))
 	}
 	return h
+}
+
+// Stage registers (or returns) the serving stage name: the series
+// cordial_stage_seconds{stage=name}, the one latency instrument of the serving
+// path, timed on the registry's clock.
+func (r *Registry) Stage(name string) *Stage {
+	return r.register("cordial_stage_seconds",
+		"Sampled serving-stage latency: one occurrence of each stage in 64 is timed, so _count counts samples, not occurrences.",
+		kindHistogram, []Label{L("stage", name)},
+		func() any { return &Stage{Histogram: newHistogram(DefLatencyBuckets), clock: r.clock} }).(*Stage)
 }
 
 // WriteText renders every family in the Prometheus text exposition format
@@ -458,14 +480,6 @@ func (h *Histogram) Observe(v float64) {
 	h.max.raise(v)
 }
 
-// ObserveSince records the seconds elapsed since t0 — the common shape for
-// latency instrumentation.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h != nil {
-		h.Observe(time.Since(t0).Seconds())
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -567,6 +581,39 @@ func (h *Histogram) appendTo(b []byte, name, labelStr string) []byte {
 	b = appendUintLine(b, cum)
 	b = appendFloatLine(appendSeries(b, name, "_sum", labelStr), h.Sum())
 	return appendUintLine(appendSeries(b, name, "_count", labelStr), h.count.Load())
+}
+
+// ---- stage -----------------------------------------------------------------
+
+// StageEvery is a Stage's sampling period: occurrences 0, StageEvery,
+// 2·StageEvery, … of a stage are timed, and no other reads the clock.
+const StageEvery = 64
+
+// Stage is one serving stage's latency, sampled: a stage entered n times holds
+// exactly ⌈n/StageEvery⌉ observations, so its _count counts samples, and an
+// exact count of occurrences is a counter's. Start and Stop are lock-free, and
+// no-ops on a nil receiver.
+type Stage struct {
+	*Histogram // the samples, in seconds
+	clock      Clock
+	n          atomic.Uint64 // occurrences started
+}
+
+// Start begins an occurrence of the stage. A sampled one reads the clock and
+// returns its time; every other returns the zero Time and reads nothing.
+func (s *Stage) Start() time.Time {
+	if s == nil || (s.n.Add(1)-1)%StageEvery != 0 {
+		return time.Time{}
+	}
+	return s.clock.Now()
+}
+
+// Stop ends the occurrence whose Start returned t0, observing the time since
+// t0 when the occurrence was sampled.
+func (s *Stage) Stop(t0 time.Time) {
+	if !t0.IsZero() {
+		s.Observe(s.clock.Now().Sub(t0).Seconds())
+	}
 }
 
 // ValidateLine checks one non-comment exposition line for the shape a

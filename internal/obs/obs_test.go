@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,7 +140,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Add(5)
 	g.Set(1)
 	h.Observe(1)
-	h.ObserveSince(time.Now())
+	var st *Stage
+	st.Stop(st.Start())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instrument returned non-zero")
 	}
@@ -306,6 +308,74 @@ func TestHistogramMaxCountSumConcurrent(t *testing.T) {
 	neg.Observe(-5)
 	if neg.Max() != -3 {
 		t.Errorf("Max over {-3,-5} = %v", neg.Max())
+	}
+}
+
+// countingClock is a Clock that counts its reads.
+type countingClock struct {
+	Clock
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Clock.Now()
+}
+
+// TestStageSampling: a stage entered n times holds exactly ⌈n/64⌉ samples —
+// the first occurrence and every 64th after it — each timed on the clock of
+// the registry the stage was registered in, two reads a sample and none on
+// any other occurrence.
+func TestStageSampling(t *testing.T) {
+	clock := &countingClock{Clock: NewFakeClock(time.Unix(1, 0))}
+	r := NewRegistry()
+	r.SetClock(clock)
+	st := r.Stage("fold")
+	if r.Stage("fold") != st {
+		t.Fatal("registering a stage again returned a new instrument")
+	}
+	for n := 1; n <= 3*StageEvery+1; n++ {
+		t0 := st.Start()
+		clock.Clock.(*FakeClock).Advance(3 * time.Microsecond)
+		st.Stop(t0)
+		samples := (n + StageEvery - 1) / StageEvery
+		if st.Count() != uint64(samples) || clock.reads.Load() != int64(2*samples) {
+			t.Fatalf("after %d occurrences: %d samples, %d clock reads; want %d and %d",
+				n, st.Count(), clock.reads.Load(), samples, 2*samples)
+		}
+	}
+	if st.Max() != 3e-6 || math.Abs(st.Sum()-4*3e-6) > 1e-15 {
+		t.Errorf("samples max %v sum %v, want 3µs each", st.Max(), st.Sum())
+	}
+	if out := render(t, r); !strings.Contains(out, "\ncordial_stage_seconds_count{stage=\"fold\"} 4\n") {
+		t.Errorf("stage rendered as\n%s", out)
+	}
+}
+
+// TestStageConcurrentSampling: occurrences started from many goroutines at
+// once are numbered exactly once each, so the sample count is still ⌈n/64⌉
+// (run under -race in CI).
+func TestStageConcurrentSampling(t *testing.T) {
+	clock := &countingClock{Clock: SystemClock{}}
+	r := NewRegistry()
+	r.SetClock(clock)
+	st := r.Stage("decode")
+	const workers, per = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				st.Stop(st.Start())
+			}
+		}()
+	}
+	wg.Wait()
+	const samples = (workers*per + StageEvery - 1) / StageEvery
+	if st.Count() != samples || clock.reads.Load() != 2*samples {
+		t.Errorf("%d samples and %d clock reads over %d occurrences, want %d and %d",
+			st.Count(), clock.reads.Load(), workers*per, samples, 2*samples)
 	}
 }
 

@@ -315,6 +315,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for _, s := range e.shards {
 		s := s
+		s.foldStage = e.metrics.fold // the live consumer's folds alone
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
@@ -339,12 +340,12 @@ const consumerBatch = 256
 
 // consume is the live path: one popped batch folded under one hold of the
 // shard lock, binding new banks by the epoch table and feeding the running
-// shadow, each fold timed into cordial_process_seconds. After the unlock the
+// shadow, the folds timed by the fold stage. After the unlock the
 // batch's dead letters are quarantined and its actions emitted, and only then
 // is it counted processed — so a Drain that returns covers both — and any
 // waiter woken.
 func (e *Engine) consume(s *shard, batch []queued) {
-	e.deliver(s.lockedStep(stepEnv{epochs: e.epochList(), shadow: e.loadShadow(), proc: e.metrics.processDur}, batch))
+	e.deliver(s.lockedStep(stepEnv{epochs: e.epochList(), shadow: e.loadShadow()}, batch))
 	s.processed.Add(uint64(len(batch)))
 	if e.waiters.Load() > 0 {
 		e.progressMu.Lock()

@@ -70,10 +70,7 @@ func TestHandoffPortabilityAcrossShardCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet.Log().Sort()
-	evs := make([]mcelog.Event, fleet.Log().Len())
-	for i := range evs {
-		evs[i] = fleet.Log().At(i)
-	}
+	evs := fleet.Log().Events()
 
 	// Source: 4 shards, snapshot mid-stream so the journal suffix carries
 	// real work (the import path must replay, not just decode).

@@ -2,17 +2,15 @@ package stream
 
 import (
 	"fmt"
-	"time"
 
 	"cordial/internal/mcelog"
 )
 
 // The ingest path. Every event enters the engine through IngestBatch:
-// Ingest is a batch of one, IngestLog feeds chunks, both HTTP codecs hand
-// it their decoded chunks. The contract it keeps is that a shard's queue
-// order is the order its events arrived in and — with a journal — also
-// their LSN order, because replay must reproduce exactly what the consumer
-// saw.
+// Ingest is a batch of one, and both HTTP codecs hand it their decoded
+// chunks. The contract it keeps is that a shard's queue order is the order its
+// events arrived in and — with a journal — also their LSN order, because
+// replay must reproduce exactly what the consumer saw.
 
 // IngestPolicy selects what Ingest does when a shard queue is full. Both
 // values are in use (cordial-serve -policy block|drop), so it stays an option.
@@ -87,25 +85,6 @@ func (e *Engine) Ingest(ev mcelog.Event) error {
 	return err
 }
 
-// IngestLog feeds every event of a log through IngestBatch in chunks of
-// mcelog.DefaultFrameEvents, returning the number accepted and the first
-// error (load shedding is counted by the engine, not a caller error).
-func (e *Engine) IngestLog(l *mcelog.Log) (accepted int, err error) {
-	chunk := make([]mcelog.Event, 0, min(l.Len(), mcelog.DefaultFrameEvents))
-	for i, n := 0, l.Len(); i < n; i++ {
-		chunk = append(chunk, l.At(i))
-		if len(chunk) == cap(chunk) || i == n-1 {
-			got, _, ierr := e.IngestBatch(chunk)
-			accepted += got
-			if ierr != nil {
-				return accepted, ierr
-			}
-			chunk = chunk[:0]
-		}
-	}
-	return accepted, nil
-}
-
 // IngestBatch routes a batch of already-validated events. Events are
 // grouped by shard preserving input order, so per-bank order is preserved
 // (one bank always hashes to one shard, and shard queues are FIFO). With
@@ -174,9 +153,9 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 		}
 		// Close cannot close the ring while this call holds e.mu, so the
 		// whole group is queued.
-		t0 := time.Now()
+		t0 := e.metrics.queueWait.Start()
 		s.in.pushBatch(g)
-		e.metrics.ingestWaitDur.ObserveSince(t0)
+		e.metrics.queueWait.Stop(t0)
 		accepted += len(g)
 	}
 	e.metrics.ingested.Add(uint64(accepted))

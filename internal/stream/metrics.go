@@ -17,8 +17,8 @@ type engineMetrics struct {
 	ingested       *obs.Counter
 	actionsEmitted *obs.Counter
 	actionsDropped *obs.Counter
-	ingestWaitDur  *obs.Histogram
-	processDur     *obs.Histogram
+	queueWait      *obs.Stage // IngestBatch's push of a shard's group
+	fold           *obs.Stage // a live event's fold: a quiet append or a decision
 
 	// Model lifecycle.
 	modelSwaps   *obs.Counter
@@ -35,14 +35,15 @@ type engineMetrics struct {
 	recoveredEvents   *obs.Gauge
 }
 
-// registerMetrics creates the engine's instruments and scrape-time gauges
-// in a registry of the engine's own. Called from New after the shards exist
-// and before any consumer starts. The gauge callbacks read atomics only (the
-// shard totals, the epoch table, the snapshot sequence), so a scrape takes no
-// engine lock and sees what /statsz sees.
+// registerMetrics creates the engine's instruments and scrape-time gauges in
+// a registry of the engine's own, whose stages read the engine's clock. Called
+// from New after the shards exist and before any consumer starts. The gauge
+// callbacks read atomics only (the shard totals, the epoch table, the snapshot
+// sequence), so a scrape takes no engine lock and sees what /statsz sees.
 func (e *Engine) registerMetrics() {
 	m := &e.metrics
 	m.reg = obs.NewRegistry()
+	m.reg.SetClock(e.cfg.Clock)
 	reg := m.reg
 
 	m.ingested = reg.Counter("cordial_ingest_accepted_total",
@@ -53,10 +54,8 @@ func (e *Engine) registerMetrics() {
 		"Actions evicted from a full output channel to admit newer ones.")
 	reg.GaugeFunc("cordial_actions_queued", "Actions emitted and not yet received from the output channel or evicted (at most the action buffer).",
 		func() float64 { return float64(e.actions.queued()) })
-	m.ingestWaitDur = reg.Histogram("cordial_ingest_wait_seconds",
-		"Time Ingest spent enqueueing an event (the backpressure signal).", nil)
-	m.processDur = reg.Histogram("cordial_process_seconds",
-		"Per-event session time: feature extraction plus model inference.", nil)
+	m.queueWait = reg.Stage("queue_wait")
+	m.fold = reg.Stage("fold")
 
 	m.modelSwaps = reg.Counter("cordial_model_swaps_total",
 		"Model swaps that took effect (new sessions bind the new version).")

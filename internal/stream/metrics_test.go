@@ -97,25 +97,25 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	out := scrapeMetrics(t, srv)
-	// One scrape covers HTTP, engine counters, latency histograms, shard
-	// gauges — the ISSUE's required families.
+	// One scrape covers HTTP, engine counters, the stage histograms, shard
+	// gauges.
 	for _, want := range []string{
 		"# TYPE cordial_ingest_accepted_total counter",
 		"# TYPE cordial_ingest_dropped_total counter",
 		"# TYPE cordial_events_processed_total counter",
 		"# TYPE cordial_events_quarantined_total counter",
-		"# TYPE cordial_ingest_wait_seconds histogram",
-		"# TYPE cordial_process_seconds histogram",
+		"# TYPE cordial_stage_seconds histogram",
 		"# TYPE cordial_shard_queue_depth gauge",
 		"# TYPE cordial_feature_state_bytes gauge",
 		"# TYPE cordial_model_nodes gauge",
 		"# TYPE cordial_model_bytes gauge",
 		`cordial_model_bytes{slot="shadow"} 0`,
 		"# TYPE cordial_http_requests_total counter",
-		"# TYPE cordial_http_decode_seconds histogram",
 		`cordial_events_processed_total{shard="0"}`,
 		`cordial_events_processed_total{shard="1"}`,
-		"cordial_process_seconds_bucket{le=\"+Inf\"}",
+		`cordial_stage_seconds_bucket{stage="decode",le="+Inf"} 1`,
+		`cordial_stage_seconds_bucket{stage="queue_wait",le="+Inf"} 1`,
+		`cordial_stage_seconds_bucket{stage="fold",le="+Inf"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
@@ -137,12 +137,15 @@ func TestMetricsExposition(t *testing.T) {
 	for _, c := range []string{
 		"cordial_ingest_accepted_total",
 		"cordial_http_requests_total",
-		"cordial_process_seconds_count",
 	} {
 		before, after := metricValue(t, out, c), metricValue(t, out2, c)
 		if after <= before {
 			t.Errorf("%s not monotone across scrapes: %v -> %v", c, before, after)
 		}
+	}
+	// A stage counts samples: four folds are ⌈4/64⌉, the first.
+	if got := metricValue(t, out2, `cordial_stage_seconds_count{stage="fold"}`); got != 1 {
+		t.Errorf("fold stage holds %v samples of 4 folds, want 1", got)
 	}
 }
 
@@ -204,6 +207,7 @@ func TestStatszMetricsAgree(t *testing.T) {
 		ModelBytes       uint64  `json:"modelBytes"`
 		Process          latency `json:"processLatency"`
 		IngestWait       latency `json:"ingestWaitLatency"`
+		Decode           latency `json:"decodeLatency"`
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
@@ -228,8 +232,9 @@ func TestStatszMetricsAgree(t *testing.T) {
 		{"featureStateRows", st.StateRows, metricValue(t, out, "cordial_feature_state_rows")},
 		{"modelNodes", st.ModelNodes, metricValue(t, out, `cordial_model_nodes{slot="active"}`)},
 		{"modelBytes", st.ModelBytes, metricValue(t, out, `cordial_model_bytes{slot="active"}`)},
-		{"processCount", st.Process.Count, metricValue(t, out, "cordial_process_seconds_count")},
-		{"ingestWaitCount", st.IngestWait.Count, metricValue(t, out, "cordial_ingest_wait_seconds_count")},
+		{"processCount", st.Process.Count, metricValue(t, out, `cordial_stage_seconds_count{stage="fold"}`)},
+		{"ingestWaitCount", st.IngestWait.Count, metricValue(t, out, `cordial_stage_seconds_count{stage="queue_wait"}`)},
+		{"decodeCount", st.Decode.Count, metricValue(t, out, `cordial_stage_seconds_count{stage="decode"}`)},
 	} {
 		if float64(tc.json) != tc.prom {
 			t.Errorf("%s: /statsz %d != /metrics %v", tc.name, tc.json, tc.prom)
@@ -241,28 +246,42 @@ func TestStatszMetricsAgree(t *testing.T) {
 			t.Errorf("%s = %v, /statsz shardFeatureStateBytes[%d] = %d", series, got, i, b)
 		}
 	}
-	// A latency's mean is its histogram's _sum over _count, and its p99 the
+	// A stage holds ⌈n/64⌉ samples of its n occurrences: here the fold's
+	// events processed; the 5 or 6 pushes of a shard's group (one per
+	// single-bank body, one or two for the two-bank one); and the decode's
+	// 23 BodyReader.Next calls (each body's events and its end).
+	for stage, c := range map[string]struct{ n, samples uint64 }{
+		"fold":       {st.Processed, st.Process.Count},
+		"queue_wait": {5, st.IngestWait.Count},
+		"decode":     {23, st.Decode.Count},
+	} {
+		if want := (c.n + obs.StageEvery - 1) / obs.StageEvery; c.samples != want {
+			t.Errorf("%s stage: %d samples of %d occurrences, want %d", stage, c.samples, c.n, want)
+		}
+	}
+	// A latency's mean is its stage's _sum over _count, and its p99 the
 	// scrape-side quantile of the same buckets (capped at the exact max).
 	snap, err := obs.ParseText(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for family, l := range map[string]latency{
-		"cordial_process_seconds":     st.Process,
-		"cordial_ingest_wait_seconds": st.IngestWait,
+	for stage, l := range map[string]latency{
+		"fold":       st.Process,
+		"queue_wait": st.IngestWait,
+		"decode":     st.Decode,
 	} {
 		seconds := func(v float64) string { return time.Duration(math.Round(v * 1e9)).String() }
-		sum := metricValue(t, out, family+"_sum")
+		sum := metricValue(t, out, fmt.Sprintf(`cordial_stage_seconds_sum{stage="%s"}`, stage))
 		if want := seconds(sum / float64(l.Count)); l.Mean != want {
-			t.Errorf("%s: /statsz mean %s, /metrics _sum/_count %s", family, l.Mean, want)
+			t.Errorf("%s: /statsz mean %s, /metrics _sum/_count %s", stage, l.Mean, want)
 		}
-		p99, ok := snap.Quantile(family, 0.99)
+		p99, ok := snap.Quantile("cordial_stage_seconds", 0.99, obs.L("stage", stage))
 		max, err := time.ParseDuration(l.Max)
 		if !ok || err != nil {
-			t.Fatalf("%s: quantile ok=%v, max %q: %v", family, ok, l.Max, err)
+			t.Fatalf("%s: quantile ok=%v, max %q: %v", stage, ok, l.Max, err)
 		}
 		if want := min(time.Duration(math.Round(p99*1e9)), max).String(); l.P99 != want {
-			t.Errorf("%s: /statsz p99 %s, scrape quantile %s (max %s)", family, l.P99, want, l.Max)
+			t.Errorf("%s: /statsz p99 %s, scrape quantile %s (max %s)", stage, l.P99, want, l.Max)
 		}
 	}
 	if st.Ingested == 0 || st.Processed == 0 || st.SessionsQuiet == 0 || st.SessionsReleased == 0 ||

@@ -74,9 +74,8 @@ type Server struct {
 
 	requests   *obs.Counter
 	notOwned   *obs.Counter
-	decode     *obs.Histogram
-	binDecode  *obs.Histogram
-	ingestPool sync.Pool // *ingestRequest: body reader + event chunk reuse
+	decode     *obs.Stage // BodyReader.Next at either ingest route
+	ingestPool sync.Pool  // *ingestRequest: body reader + event chunk reuse
 
 	// ownership is nil while the node serves standalone (it owns every
 	// bank). In a cluster the node agent installs the current ring view
@@ -141,10 +140,7 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		"HTTP requests served (all routes).")
 	s.notOwned = reg.Counter("cordial_http_not_owned_total",
 		"Ingest batches refused because a bank is outside this node's ring ownership.")
-	s.decode = reg.Histogram("cordial_http_decode_seconds",
-		"Per-line JSONL event decode time on POST /v1/events.", nil)
-	s.binDecode = reg.Histogram("cordial_http_bin_decode_seconds",
-		"Per-frame binary decode time on POST /v1/events.bin.", nil)
+	s.decode = reg.Stage("decode")
 	s.ingestPool.New = func() any { return &ingestRequest{srv: s} }
 	reg.GaugeFunc("cordial_actions_stored",
 		"Actions currently held in the bounded GET /v1/actions store.",
@@ -153,8 +149,8 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 			defer s.mu.Unlock()
 			return float64(s.actions.count())
 		})
-	s.mux.HandleFunc("POST /v1/events", s.handleIngest(mcelog.JSONL, s.decode))
-	s.mux.HandleFunc("POST /v1/events.bin", s.handleIngest(mcelog.Wire, s.binDecode))
+	s.mux.HandleFunc("POST /v1/events", s.handleIngest(mcelog.JSONL))
+	s.mux.HandleFunc("POST /v1/events.bin", s.handleIngest(mcelog.Wire))
 	s.mux.HandleFunc("GET /v1/actions", s.handleActions)
 	s.mux.HandleFunc("GET /v1/banks/{addr}", s.handleBank)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
@@ -297,11 +293,11 @@ type ingestRequest struct {
 // Events reach the engine in chunks — a binary body's own frames, JSONL
 // lines a frame's worth (mcelog.DefaultFrameEvents) at a time — so a
 // durable node pays one journal append per chunk, not per event.
-func (s *Server) handleIngest(codec mcelog.Codec, timer *obs.Histogram) http.HandlerFunc {
+func (s *Server) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := s.ingestPool.Get().(*ingestRequest)
 		defer q.end()
-		q.body.Reset(codec, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), int(s.cfg.MaxBodyBytes)+1, timer)
+		q.body.Reset(codec, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), int(s.cfg.MaxBodyBytes)+1)
 		q.geo, q.own = s.engine.Config().Geometry, s.ownership.Load()
 		if q.own != nil {
 			q.res.Epoch = q.own.epoch
@@ -318,14 +314,17 @@ func (s *Server) handleIngest(codec mcelog.Codec, timer *obs.Histogram) http.Han
 }
 
 func (q *ingestRequest) end() {
-	q.body.Reset(mcelog.Wire, nil, 0, nil) // let go of the request's body
+	q.body.Reset(mcelog.Wire, nil, 0) // let go of the request's body
 	q.chunk, q.res, q.status = q.chunk[:0], IngestResult{}, 0
 	q.srv.ingestPool.Put(q)
 }
 
-// step takes one step of the body: nil, or how the body ended.
+// step takes one step of the body, a decode stage: nil, or how the body
+// ended.
 func (q *ingestRequest) step() error {
+	t0 := q.srv.decode.Start()
 	ev, err := q.body.Next()
+	q.srv.decode.Stop(t0)
 	switch err.(type) {
 	case nil:
 		q.add(ev)
@@ -621,7 +620,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ActionsEvicted uint64          `json:"actionsEvicted"`
 		HTTPRequests   uint64          `json:"httpRequests"`
 		Decode         LatencySnapshot `json:"decodeLatency"`
-	}{es.Uptime.String(), es, stored, evicted, s.requests.Value(), latencySnapshot(s.decode)})
+	}{es.Uptime.String(), es, stored, evicted, s.requests.Value(), latencySnapshot(s.decode.Histogram)})
 }
 
 // writeJSON writes v as a JSON response.

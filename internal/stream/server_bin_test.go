@@ -66,9 +66,9 @@ func TestServerEventsBin(t *testing.T) {
 	if st := engine.Stats(); st.Processed != 9 {
 		t.Fatalf("processed %d events, want 9", st.Processed)
 	}
-	// Three frames were decoded; the Next() that found the body's end is not one.
-	if got := metricValue(t, scrapeMetrics(t, srv), "cordial_http_bin_decode_seconds_count"); got != 3 {
-		t.Errorf("cordial_http_bin_decode_seconds_count = %v after a 3-frame body, want 3", got)
+	// Nine events and the body's end are ten decode steps: ⌈10/64⌉ samples.
+	if got := metricValue(t, scrapeMetrics(t, srv), `cordial_stage_seconds_count{stage="decode"}`); got != 1 {
+		t.Errorf("decode stage holds %v samples after a 9-event body, want 1", got)
 	}
 }
 
@@ -82,8 +82,9 @@ func TestServerEventsBinEmpty(t *testing.T) {
 			t.Fatalf("empty batch result %+v", res)
 		}
 	}
-	if got := metricValue(t, scrapeMetrics(t, srv), "cordial_http_bin_decode_seconds_count"); got != 0 {
-		t.Errorf("two frameless bodies left cordial_http_bin_decode_seconds_count at %v", got)
+	// Each body's end is a decode step: two steps, ⌈2/64⌉ samples.
+	if got := metricValue(t, scrapeMetrics(t, srv), `cordial_stage_seconds_count{stage="decode"}`); got != 1 {
+		t.Errorf("two frameless bodies left the decode stage at %v samples, want 1", got)
 	}
 }
 

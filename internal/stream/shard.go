@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"cordial/internal/bincodec"
 	"cordial/internal/core"
@@ -45,6 +44,9 @@ type shardState struct {
 	// shadowGen is the shadow evaluation the shadowed marks of the store's
 	// slots refer to: the last one a step ran under (zero before the first).
 	shadowGen uint64
+	// foldStage times the folds of admitted events, once the state is the
+	// live consumer's; replay and import fold untimed.
+	foldStage *obs.Stage
 }
 
 func newShardState(layout recordLayout) *shardState {
@@ -381,9 +383,6 @@ type stepEnv struct {
 	// shadow is the running shadow evaluation, nil for none: a bank born in the
 	// batch gets a twin on its candidate, and the current twins are fed.
 	shadow *shadowEval
-	// proc, when set, times each event's fold into cordial_process_seconds
-	// (the live consumer's); nil reads no clock.
-	proc *obs.Histogram
 	// floor is the floor of the snapshot a replay or an import restored the
 	// banks from, zero for none. The snapshot holds every bank with a
 	// journaled record at or below it but the banks dropped before it was
@@ -446,21 +445,16 @@ func (st *shardState) step(env stepEnv, batch []queued) stepResult {
 			res.refused++
 			continue
 		}
-		if bs == nil && q.rec.Class != uint8(ecc.ClassUER) && sl.count() < quietCap {
-			var t0 time.Time
-			if env.proc != nil {
-				t0 = time.Now()
+		t0 := st.foldStage.Start()
+		if bs == nil && q.rec.Class != uint8(ecc.ClassUER) && sl.count() < quietCap && st.store.appendObs(sl, st.layout.obs(&q.rec)) {
+			st.totals.n[totalStateBytes].Add(int64(nodeBytes))
+			if env.shadow != nil && sl.shadowed() {
+				env.shadow.events.Add(1) // what its twin would have folded
 			}
-			if st.store.appendObs(sl, st.layout.obs(&q.rec)) {
-				st.totals.n[totalStateBytes].Add(int64(nodeBytes))
-				if env.shadow != nil && sl.shadowed() {
-					env.shadow.events.Add(1) // what its twin would have folded
-				}
-				env.proc.ObserveSince(t0)
-				continue
-			}
+		} else {
+			st.fold(&env, sl, bs, q, &res)
 		}
-		st.fold(&env, sl, bs, q, &res)
+		st.foldStage.Stop(t0)
 	}
 	st.acts, st.dead = res.acts, res.dead
 	return res
@@ -580,7 +574,7 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 	if bs.shadow != nil && ev.Class == ecc.ClassUER {
 		primCoveredUER = bs.bankSpared || bs.spared.Has(ev.Addr.Row)
 	}
-	res.acts = foldEvent(bs, ev, env.proc, res.acts, &st.verdicts)
+	res.acts = foldEvent(bs, ev, res.acts, &st.verdicts)
 	if bs.shadow == nil {
 		return
 	}
@@ -617,18 +611,13 @@ func deadLetterOf(q *queued, r any) DeadLetter {
 
 // foldEvent runs one event through a bank session: the strategy's decision
 // (into vb's buffer when the session is a core.BufferedSession, through
-// OnEvent otherwise), timed into proc when it is set, the engine's session
-// bookkeeping (counts, class, feature-state footprint) and action derivation
-// with per-bank row dedupe; the actions are appended to out, their rows carved
-// from vb's slab. A panic from the strategy session unwinds through here with
-// the session's counters partially updated; fold degrades the session.
-func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram, out []Action, vb *verdictBuffers) []Action {
-	var t0 time.Time
-	if proc != nil {
-		t0 = time.Now()
-	}
+// OnEvent otherwise), the engine's session bookkeeping (counts, class,
+// feature-state footprint) and action derivation with per-bank row dedupe; the
+// actions are appended to out, their rows carved from vb's slab. A panic from
+// the strategy session unwinds through here with the session's counters
+// partially updated; fold degrades the session.
+func foldEvent(bs *bankSession, ev mcelog.Event, out []Action, vb *verdictBuffers) []Action {
 	d := core.Decide(bs.sess, ev, &vb.dec)
-	proc.ObserveSince(t0)
 
 	bs.events++
 	bs.lastEvent = ev.Time.UnixNano()

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"cordial/internal/core"
 	"cordial/internal/hbm"
@@ -45,12 +44,7 @@ func TestEngineFeatureStateStats(t *testing.T) {
 		for range engine.Actions() {
 		}
 	}()
-	if _, err := engine.IngestLog(fleet.Log()); err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	ingestChunks(t, engine, fleet.Log().Events())
 
 	es := engine.Stats()
 	if es.FeatureStateBytes <= 0 || es.FeatureStateRows <= 0 {

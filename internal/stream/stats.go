@@ -21,13 +21,15 @@ import (
 // waiting for a reader. Each value is consistent on its own; no two are read
 // at one instant. Only Session and Sessions lock a shard.
 
-// LatencySnapshot summarises a latency histogram at one instant, over the
-// engine's lifetime. Count, Mean and Max are exact; the quantiles are the
+// LatencySnapshot summarises a stage's samples (obs.Stage) at one instant,
+// over the engine's lifetime. Count, Mean and Max are exact over the samples;
+// the quantiles are the
 // bucket-interpolated estimates histogram_quantile gives over the same
 // /metrics series (obs.Histogram.Quantile) — they resolve to a bucket of the
 // 1-2.5-5 ladder — capped at Max, which the scrape side cannot see.
 type LatencySnapshot struct {
-	// Count is the number of observations.
+	// Count is the number of samples: ⌈n/obs.StageEvery⌉ of the stage's n
+	// occurrences. The exact counts are Ingested and Processed.
 	Count uint64
 	// Mean is the lifetime average.
 	Mean time.Duration
@@ -137,11 +139,11 @@ type EngineStats struct {
 	IngestRate float64 `json:"ingestRatePerSec"`
 	// QueueDepths is the current per-shard input queue occupancy.
 	QueueDepths []int `json:"queueDepths"`
-	// IngestWait is the time Ingest spent enqueueing (the backpressure
-	// signal).
+	// IngestWait is the queue_wait stage: IngestBatch pushing one shard's
+	// group onto its queue (the backpressure signal).
 	IngestWait LatencySnapshot `json:"ingestWaitLatency"`
-	// Process is the per-event session time (feature extraction + model
-	// inference).
+	// Process is the fold stage: one live event's quiet append, or its
+	// session's decision (feature extraction + model inference).
 	Process LatencySnapshot `json:"processLatency"`
 	// FeatureStateBytes approximates the resident bytes of all live
 	// sessions' incremental feature state. Each session's state is bounded
@@ -265,8 +267,8 @@ func (e *Engine) Stats() EngineStats {
 		Shards:                 len(e.shards),
 		QueueDepths:            make([]int, len(e.shards)),
 		ShardStateBytes:        make([]int64, len(e.shards)),
-		IngestWait:             latencySnapshot(e.metrics.ingestWaitDur),
-		Process:                latencySnapshot(e.metrics.processDur),
+		IngestWait:             latencySnapshot(e.metrics.queueWait.Histogram),
+		Process:                latencySnapshot(e.metrics.fold.Histogram),
 		SessionsLive:           int(e.total(totalSessions)),
 		FeatureStateRows:       e.total(totalStateRows),
 		SessionsReleased:       int(e.total(totalReleased)),

@@ -84,8 +84,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.Log().Len() != b.Log().Len() {
 		t.Fatalf("log lengths differ: %d vs %d", a.Log().Len(), b.Log().Len())
 	}
-	for i := 0; i < a.Log().Len(); i++ {
-		if a.Log().At(i) != b.Log().At(i) {
+	other := b.Log().Events()
+	for i, e := range a.Log().Events() {
+		if e != other[i] {
 			t.Fatalf("event %d differs across same-seed runs", i)
 		}
 	}
@@ -96,8 +97,9 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	b := generate(t, 2)
 	if a.Log().Len() == b.Log().Len() {
 		same := true
-		for i := 0; i < a.Log().Len(); i++ {
-			if a.Log().At(i) != b.Log().At(i) {
+		other := b.Log().Events()
+		for i, e := range a.Log().Events() {
+			if e != other[i] {
 				same = false
 				break
 			}

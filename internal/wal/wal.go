@@ -41,7 +41,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cordial/internal/obs"
 )
@@ -123,9 +122,10 @@ type Options struct {
 	// drops. Ignored under SyncNever.
 	GroupCommit bool
 	// Metrics, when non-nil, receives the journal's instruments
-	// (cordial_wal_*): append/fsync counts, error counts and duration
-	// histograms, plus live-segment and next-LSN gauges. The registry
-	// should live no longer than the WAL: gauges read from this instance.
+	// (cordial_wal_*): append/fsync counts and error counts, plus
+	// live-segment and next-LSN gauges, and its wal_append and fsync stages,
+	// timed on the registry's clock. The registry should live no longer than
+	// the WAL: gauges read from this instance.
 	Metrics *obs.Registry
 }
 
@@ -152,10 +152,10 @@ var errStop = errors.New("wal: walk stopped")
 type walMetrics struct {
 	appends      *obs.Counter
 	appendErrors *obs.Counter
-	appendDur    *obs.Histogram
+	appendStage  *obs.Stage
 	fsyncs       *obs.Counter
 	fsyncErrors  *obs.Counter
-	fsyncDur     *obs.Histogram
+	fsyncStage   *obs.Stage
 }
 
 // register creates the journal's instruments in reg and the scrape-time
@@ -165,14 +165,12 @@ func (m *walMetrics) register(reg *obs.Registry, w *WAL) {
 		"Records appended to the journal since this process opened it.")
 	m.appendErrors = reg.Counter("cordial_wal_append_errors_total",
 		"Journal appends that failed (write or fsync error); the record was rejected.")
-	m.appendDur = reg.Histogram("cordial_wal_append_seconds",
-		"Journal append latency including any fsync the policy requires.", nil)
+	m.appendStage = reg.Stage("wal_append") // any fsync the policy requires included
 	m.fsyncs = reg.Counter("cordial_wal_fsyncs_total",
 		"Journal fsync calls (per commit under always, plus rotation and close).")
 	m.fsyncErrors = reg.Counter("cordial_wal_fsync_errors_total",
 		"Journal fsync calls that returned an error.")
-	m.fsyncDur = reg.Histogram("cordial_wal_fsync_seconds",
-		"Journal fsync latency.", nil)
+	m.fsyncStage = reg.Stage("fsync")
 	reg.GaugeFunc("cordial_wal_segments",
 		"Live journal segment files.", func() float64 { return float64(w.Segments()) })
 	reg.GaugeFunc("cordial_wal_next_lsn",
@@ -505,9 +503,9 @@ func (w *WAL) AppendBatch(records []byte, recordSize int) (first uint64, err err
 	if n == 0 {
 		return 0, nil
 	}
-	t0 := time.Now()
+	t0 := w.metrics.appendStage.Start()
 	first, err = w.appendBatch(records, recordSize, n)
-	w.metrics.appendDur.ObserveSince(t0)
+	w.metrics.appendStage.Stop(t0)
 	if err != nil {
 		w.metrics.appendErrors.Add(uint64(n))
 	} else {
@@ -656,9 +654,9 @@ func (w *WAL) commitWindowLocked() error {
 // syncTimed fsyncs the current segment under the journal's fsync
 // instruments. Callers hold w.mu.
 func (w *WAL) syncTimed() error {
-	t0 := time.Now()
+	t0 := w.metrics.fsyncStage.Start()
 	err := w.f.Sync()
-	w.metrics.fsyncDur.ObserveSince(t0)
+	w.metrics.fsyncStage.Stop(t0)
 	w.metrics.fsyncs.Inc()
 	if err != nil {
 		w.metrics.fsyncErrors.Inc()

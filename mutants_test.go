@@ -195,6 +195,20 @@ var mutants = []struct {
 	{"rank remaps a two-byte column as a one-byte one, leaving its numbers", "internal/mltree/coded.go",
 		"\tcase col.u16 != nil:\n\t\tremapCodes(col.u16, to)\n", "",
 		[]string{"internal/mltree FuzzCodedRows", "internal/mltree TestCodeWidths", "internal/core TestSaveModelsGolden"}},
+
+	// One stage instrument on one clock.
+	{"a promotion copies the chain it resumes from", "internal/stream/shard.go",
+		"\t\tst.chain = st.store.log(sl, st.chain)\n", "\t\tst.chain = append([]features.Obs(nil), st.store.log(sl, st.chain)...)\n",
+		[]string{"internal/stream TestPromotionAllocs"}},
+	{"the sampler reads the clock on every occurrence", "internal/obs/obs.go",
+		"(s.n.Add(1)-1)%StageEvery != 0", "(s.n.Add(1)-1)%1 != 0",
+		[]string{"internal/obs TestStageSampling", "internal/obs TestStageConcurrentSampling", "internal/stream TestClockReadsPerEvent"}},
+	{"the first occurrence is not sampled", "internal/obs/obs.go",
+		"(s.n.Add(1)-1)%StageEvery != 0", "s.n.Add(1)%StageEvery != 0",
+		[]string{"internal/obs TestStageSampling", "internal/stream TestStatszMetricsAgree"}},
+	{"fold is observed into queue_wait's histogram", "internal/stream/metrics.go",
+		`m.fold = reg.Stage("fold")`, `m.fold = reg.Stage("queue_wait")`,
+		[]string{"internal/stream TestStatszMetricsAgree"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

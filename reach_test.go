@@ -346,6 +346,18 @@ var deletionGates = []struct {
 		replacedBy: "stream's FuzzBankHistory: a bank's actions and stats under every serving form equal the offline per-bank replay; TestOnlineOfflineEquivalence, its DDR5 twin, TestShardStepInterleavings and TestDecideEqualsOnEvent run its check over inputs of their flavor",
 		check:      noTestsNamed("assertOnlineOfflineEquivalent", "assertSameActionSet", "addActs"),
 	},
+	{
+		gate: "one stage instrument", deletedBy: "One stage instrument on one clock",
+		replacedBy: "obs.Stage: the decode, queue_wait, wal_append, fsync and fold series of cordial_stage_seconds, one occurrence in 64 timed on the registry's obs.Clock",
+		names:      []string{"DecodeTimer", "ObserveSince", "processDur", "ingestWaitDur", "binDecode", "appendDur", "fsyncDur"},
+		check:      noWallClock,
+	},
+	{
+		gate: "examples as Example functions", deletedBy: "One stage instrument on one clock",
+		replacedBy: "ExampleNewStreamEngine in the root package, which feeds IngestBatch in chunks of Log.Events",
+		names:      []string{"IngestLog"},
+		check:      logLacksAt,
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
@@ -449,9 +461,7 @@ func packedOnce(mod *module) []string {
 }
 
 // oneFold: recover appears only in shard.go (the step) and shadow.go (the
-// twin's own), and shard.go takes no sync lock, starts no goroutine and reads
-// the clock only inside `if h != nil` for the *obs.Histogram h its caller
-// passes.
+// twin's own), and shard.go takes no sync lock and starts no goroutine.
 func oneFold(mod *module) []string {
 	var bad []string
 	p := mod.pkgs[streamPkg]
@@ -459,33 +469,15 @@ func oneFold(mod *module) []string {
 	for _, f := range p.files {
 		base := filepath.Base(mod.fset.File(f.Pos()).Name())
 		sawShard = sawShard || base == "shard.go"
-		var stack []ast.Node // the path from f to the node visited
 		ast.Inspect(f, func(n ast.Node) bool {
 			if n == nil {
-				stack = stack[:len(stack)-1]
 				return true
 			}
-			stack = append(stack, n)
 			pos := mod.fset.Position(n.Pos())
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				obj := objOf(p.info, n.Fun)
-				if b, ok := obj.(*types.Builtin); ok && b.Name() == "recover" && base != "shard.go" && base != "shadow.go" {
+				if b, ok := objOf(p.info, n.Fun).(*types.Builtin); ok && b.Name() == "recover" && base != "shard.go" && base != "shadow.go" {
 					bad = append(bad, fmt.Sprintf("%s: a recover outside the shard step", pos))
-				}
-				fn, ok := obj.(*types.Func)
-				if base != "shard.go" || !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !slices.Contains([]string{"Now", "Since", "Until"}, fn.Name()) {
-					break
-				}
-				guarded := false
-				for i := len(stack) - 2; i >= 0; i-- {
-					if ifs, ok := stack[i].(*ast.IfStmt); ok && stack[i+1] == ifs.Body {
-						guarded = histogramNilCheck(p.info, ifs.Cond)
-						break
-					}
-				}
-				if !guarded {
-					bad = append(bad, fmt.Sprintf("%s: shard.go reads the clock (time.%s) outside a histogram's nil check", pos, fn.Name()))
 				}
 			case *ast.GoStmt:
 				if base == "shard.go" {
@@ -505,17 +497,44 @@ func oneFold(mod *module) []string {
 	return bad
 }
 
-// histogramNilCheck reports whether cond is `h != nil` for an *obs.Histogram h.
-func histogramNilCheck(info *types.Info, cond ast.Expr) bool {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || be.Op != token.NEQ {
-		return false
+// noWallClock: stream, mcelog and wal read no time of their own (time.Now,
+// time.Since) — the stages time on the registry's obs.Clock — and no program
+// names one of the six latency families the stage family replaced.
+func noWallClock(mod *module) []string {
+	var bad []string
+	for _, path := range []string{streamPkg, "cordial/internal/mcelog", "cordial/internal/wal"} {
+		for id, obj := range mod.pkgs[path].info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && (fn.Name() == "Now" || fn.Name() == "Since") {
+				bad = append(bad, fmt.Sprintf("%s: time.%s beside the registry's obs.Clock", mod.fset.Position(id.Pos()), fn.Name()))
+			}
+		}
 	}
-	if _, ok := objOf(info, be.Y).(*types.Nil); !ok {
-		return false
+	families := []string{"cordial_http_decode_seconds", "cordial_http_bin_decode_seconds", "cordial_ingest_wait_seconds",
+		"cordial_process_seconds", "cordial_wal_append_seconds", "cordial_wal_fsync_seconds"}
+	for _, path := range mod.paths {
+		for _, f := range mod.pkgs[path].files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING &&
+					slices.ContainsFunc(families, func(name string) bool { return strings.Contains(lit.Value, name) }) {
+					bad = append(bad, fmt.Sprintf("%s: %s names a latency family the stages replaced", mod.fset.Position(lit.Pos()), lit.Value))
+				}
+				return true
+			})
+		}
 	}
-	h := objOf(info, be.X)
-	return h != nil && types.TypeString(h.Type(), nil) == "*cordial/internal/obs.Histogram"
+	return bad
+}
+
+// logLacksAt: mcelog.Log has no At method; its events are read through Events.
+func logLacksAt(mod *module) []string {
+	obj := mod.pkgs["cordial/internal/mcelog"].pkg.Scope().Lookup("Log")
+	if obj == nil {
+		return []string{"the examples gate's target mcelog.Log is gone"}
+	}
+	if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), true, obj.Pkg(), "At"); m != nil {
+		return []string{fmt.Sprintf("%s: mcelog.Log.At is back", mod.fset.Position(m.Pos()))}
+	}
+	return nil
 }
 
 // quietStrategyOneMethod: core.QuietStrategy declares one method of its own,

@@ -62,9 +62,11 @@ echo "==> go test -race (parallel-training equivalence focus)"
 go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView|CodedRows|TestCodeWidths' \
     ./internal/mltree/ ./internal/core/
 # The stats path's contract, by the same pattern: readers take no shard lock
-# and no snapshot lock, a /statsz costs the same at fleet size, and the atomic
-# totals they read equal a recount after every kind of writer.
-go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestShardTotalsMatchRecount|TestHistogramMaxCountSumConcurrent' \
+# and no snapshot lock, a /statsz costs the same at fleet size, the atomic
+# totals they read equal a recount after every kind of writer, a stage
+# entered from many goroutines still holds ⌈n/64⌉ samples, and the serving
+# path reads its counting clock at most 0.1 times an event.
+go test -race -run 'TestStatsSurfacesTakeNoShardLock|TestStatszCostIsFlat|TestShardTotalsMatchRecount|TestHistogramMaxCountSumConcurrent|TestStageConcurrentSampling|TestClockReadsPerEvent' \
     ./internal/stream/ ./internal/obs/
 # The quiet-bank store, by the same pattern: the seeded model run (a reader
 # walks Sessions()/Session() while banks are inserted, appended to, promoted,
