@@ -18,6 +18,8 @@ import (
 
 	"cordial/internal/core"
 	"cordial/internal/ecc"
+	"cordial/internal/faultsim"
+	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/obs"
@@ -57,7 +59,15 @@ type testSession struct {
 	classified bool
 }
 
-func (s *testSession) OnEvent(e mcelog.Event) core.Decision {
+func (s *testSession) Class() (faultsim.Class, bool) { return 0, false }
+
+func (s *testSession) StateFootprint() (features.StateFootprint, bool) {
+	return features.StateFootprint{}, false
+}
+
+func (s *testSession) OnEvent(e mcelog.Event) core.Decision { return s.Decide(e, nil) }
+
+func (s *testSession) Decide(e mcelog.Event, _ *core.DecisionBuffer) core.Decision {
 	if e.Class != ecc.ClassUER {
 		return core.Decision{}
 	}

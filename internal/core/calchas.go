@@ -116,13 +116,25 @@ func (c *Calchas) NewSession(bank hbm.BankAddress) Session {
 	return &calchasSession{strategy: c}
 }
 
+// RestoreSession fails: a Calchas-lite session has no image.
+func (c *Calchas) RestoreSession(hbm.BankAddress, []byte) (Session, error) {
+	return nil, noImage(c.Name())
+}
+
 type calchasSession struct {
+	baselineSession
 	strategy *Calchas
 	events   []mcelog.Event
 	decided  map[int]bool
 }
 
-func (s *calchasSession) OnEvent(e mcelog.Event) Decision {
+// EncodeState fails: the serving engine checkpoints no Calchas-lite session.
+func (s *calchasSession) EncodeState() ([]byte, error) { return nil, noImage(s.strategy.Name()) }
+
+func (s *calchasSession) OnEvent(e mcelog.Event) Decision { return s.Decide(e, nil) }
+
+// Decide predicts a row at its first CE or UEO; buf is not used.
+func (s *calchasSession) Decide(e mcelog.Event, _ *DecisionBuffer) Decision {
 	s.events = append(s.events, e)
 	if e.Class == ecc.ClassUER || s.strategy.model == nil {
 		return Decision{}

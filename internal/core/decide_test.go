@@ -1,58 +1,12 @@
 package core
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 
 	"cordial/internal/hbm"
-	"cordial/internal/sparing"
 	"cordial/internal/xrand"
 )
-
-// onEventOnly is a session with every method but OnEvent hidden, Decide among
-// them, and onEventStrategy serves its strategy's sessions that way.
-type onEventOnly struct{ Session }
-
-type onEventStrategy struct{ Strategy }
-
-func (s onEventStrategy) NewSession(bank hbm.BankAddress) Session {
-	return onEventOnly{s.Strategy.NewSession(bank)}
-}
-
-// TestEvaluateDecideEqualsOnEvent: EvaluatePrediction decides into one reused
-// buffer when a session can, and through OnEvent when it cannot. Both must score
-// the same evaluation, block AUC included.
-func TestEvaluateDecideEqualsOnEvent(t *testing.T) {
-	fleet := testFleet(t, 1, 120)
-	train, test, err := SplitBanks(fleet.Faults, xrand.New(5), 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fitPipeline(t, RandomForest, train)
-	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
-
-	want, err := EvaluatePrediction(onEventStrategy{strategy}, test, p.Config().Block, sparing.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluatePrediction(strategy, test, p.Config().Block, sparing.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Block.Support == 0 || want.Usage.RowSpares == 0 {
-		t.Fatalf("the strategy predicted %d blocks and spared %d rows: not the coverage the test is for",
-			want.Block.Support, want.Usage.RowSpares)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Decide evaluates to %+v, OnEvent to %+v", got, want)
-	}
-	gotAUC, gotOK := got.BlockAUC()
-	wantAUC, wantOK := want.BlockAUC()
-	if gotAUC != wantAUC || gotOK != wantOK {
-		t.Errorf("block AUC %v/%v through Decide, %v/%v through OnEvent", gotAUC, gotOK, wantAUC, wantOK)
-	}
-}
 
 // TestOnEventDecisionsAreCallersOwn: a caller may keep every decision OnEvent
 // returns and read it after later events (the benchmark's reference replay

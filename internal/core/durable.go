@@ -8,28 +8,6 @@ import (
 	"cordial/internal/hbm"
 )
 
-// DurableSession is optionally implemented by sessions whose per-bank state
-// can be checkpointed. EncodeState must capture everything OnEvent depends
-// on, such that RestoreSession followed by the same event suffix produces
-// decisions bit-identical to the uninterrupted session — the contract the
-// engine's snapshot/recovery path is built on.
-type DurableSession interface {
-	Session
-	// EncodeState returns a self-contained binary image of the session.
-	EncodeState() ([]byte, error)
-}
-
-// DurableStrategy is optionally implemented by strategies whose sessions
-// can be restored from an EncodeState image. The engine requires it when a
-// WAL/snapshot directory is configured.
-type DurableStrategy interface {
-	Strategy
-	// RestoreSession rebuilds a session from an EncodeState image. It fails
-	// (rather than guessing) when the image's configuration does not match
-	// the strategy's.
-	RestoreSession(bank hbm.BankAddress, data []byte) (Session, error)
-}
-
 // cordialSession state image: magic, version, flags, class, then the
 // feature-state blob, or nothing once released. Version 2 added the quiet
 // image, which no session writes — a session is never quiet — but the stream
@@ -45,12 +23,6 @@ const (
 	sessFlagClassified = 1 << 0
 	sessFlagHasState   = 1 << 1
 	sessFlagQuiet      = 1 << 2
-)
-
-var (
-	_ DurableSession  = (*cordialSession)(nil)
-	_ DurableSession  = (*releasedSession)(nil)
-	_ DurableStrategy = (*CordialStrategy)(nil)
 )
 
 // EncodeState captures the session: classification outcome plus the full

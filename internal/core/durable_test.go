@@ -56,7 +56,7 @@ func TestCordialSessionEncodeRestoreResume(t *testing.T) {
 		for _, e := range bf.Events[:cut] {
 			sess.OnEvent(e)
 		}
-		blob, err := sess.(DurableSession).EncodeState()
+		blob, err := sess.EncodeState()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,8 +65,8 @@ func TestCordialSessionEncodeRestoreResume(t *testing.T) {
 			t.Fatalf("restore at cut %d: %v", cut, err)
 		}
 		// Classification outcome survives.
-		wc, wok := sess.(ClassifiedSession).Class()
-		gc, gok := restored.(ClassifiedSession).Class()
+		wc, wok := sess.Class()
+		gc, gok := restored.Class()
 		if wc != gc || wok != gok {
 			t.Fatalf("class diverged after restore: (%v,%v) vs (%v,%v)", wc, wok, gc, gok)
 		}
@@ -116,7 +116,7 @@ func TestRestoreSessionRejectsMismatchedConfig(t *testing.T) {
 	}
 	sess := strategy.NewSession(hbm.BankAddress{})
 	sess.OnEvent(mcelog.Event{Time: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), Addr: hbm.Address{Row: 3}, Class: ecc.ClassUER})
-	blob, err := sess.(DurableSession).EncodeState()
+	blob, err := sess.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}

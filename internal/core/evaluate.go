@@ -124,7 +124,7 @@ func EvaluatePrediction(s Strategy, banks []*faultsim.BankFault, spec features.B
 	for _, bf := range banks {
 		session := s.NewSession(bf.Bank)
 		for _, e := range bf.Events {
-			d := Decide(session, e, &buf)
+			d := session.Decide(e, &buf)
 			if d.SpareBank {
 				// Exhausted bank spares degrade coverage but are not an
 				// evaluation error — that is the cost model at work.

@@ -525,75 +525,56 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 
 // Strategy is a mitigation policy driven by a bank's event stream. The
 // evaluator replays events in time order through a per-bank Session and
-// applies the returned decisions.
+// applies the returned decisions; the stream engine serves the same sessions
+// live and checkpoints them.
 type Strategy interface {
 	// Name identifies the strategy in reports (e.g. "Cordial-RF").
 	Name() string
 	// NewSession returns fresh per-bank state.
 	NewSession(bank hbm.BankAddress) Session
+	// RestoreSession rebuilds a session from an EncodeState image. It fails
+	// (rather than guessing) when the image's configuration does not match
+	// the strategy's, and for a strategy whose sessions have no image.
+	RestoreSession(bank hbm.BankAddress, data []byte) (Session, error)
 }
 
 // Session consumes one bank's events in time order.
 type Session interface {
-	// OnEvent reacts to the next event and returns the decision taken at
-	// this step (the zero Decision means "do nothing"). The decision is the
-	// caller's: no later call touches its slices or its BlockPrediction, so a
-	// caller may keep a bank's decisions and read them after further events
-	// (the benchmark's reference replay does exactly that).
-	OnEvent(e mcelog.Event) Decision
-}
-
-// BufferedSession is optionally implemented by sessions that can decide
-// without making garbage. Callers that consume each decision before the next
-// one (the stream engine, EvaluatePrediction) reach it through Decide.
-type BufferedSession interface {
-	Session
-	// Decide is OnEvent deciding into buf: the returned IsolateRows and Blocks
-	// alias buf and are valid only until buf is next passed to Decide. A nil
-	// buf makes it OnEvent, allocating a buffer only when it predicts.
+	// Decide reacts to the next event and returns the decision taken at this
+	// step (the zero Decision means "do nothing"). The returned IsolateRows
+	// and Blocks alias buf and are valid only until buf is next passed to
+	// Decide. A nil buf gives a decision that is the caller's: no later call
+	// touches its slices or its BlockPrediction, so a caller may keep a bank's
+	// decisions and read them after further events.
 	Decide(e mcelog.Event, buf *DecisionBuffer) Decision
+	// OnEvent is Decide(e, nil).
+	OnEvent(e mcelog.Event) Decision
+	// Class returns the failure class the session assigned its bank; ok is
+	// false until it has assigned one.
+	Class() (class faultsim.Class, ok bool)
+	// StateFootprint returns the session's feature-state size; released
+	// reports that the state has been dropped after a terminal decision (bank
+	// spared), in which case the footprint is zero.
+	StateFootprint() (fp features.StateFootprint, released bool)
+	// EncodeState returns a self-contained binary image of the session: its
+	// strategy's RestoreSession followed by the same event suffix decides
+	// bit-identically to the uninterrupted session. It fails for a strategy
+	// whose sessions cannot be checkpointed.
+	EncodeState() ([]byte, error)
 }
 
-// DecisionBuffer is the memory a BufferedSession decides into: a prediction's
-// block probabilities, its rows and its BlockPrediction. The zero value is
-// ready; it keeps the largest window it has held, so a warmed buffer makes a
-// decision without allocating. One buffer serves any number of sessions, one
-// decision at a time.
+// ClassifiedSession is Session under the name the benchmark asserts to.
+type ClassifiedSession = Session
+
+// DecisionBuffer is the memory a Session decides into: a prediction's block
+// probabilities, its rows and its BlockPrediction. The zero value is ready; it
+// keeps the largest window it has held, so a warmed buffer makes a decision
+// without allocating. One buffer serves any number of sessions, one decision
+// at a time.
 type DecisionBuffer struct {
 	probs  []float64
 	rows   []int
 	blocks BlockPrediction
-}
-
-// Decide runs sess on e, into buf when sess is a BufferedSession and through
-// OnEvent otherwise. The decision is valid until buf is next used.
-func Decide(sess Session, e mcelog.Event, buf *DecisionBuffer) Decision {
-	if bs, ok := sess.(BufferedSession); ok {
-		return bs.Decide(e, buf)
-	}
-	return sess.OnEvent(e)
-}
-
-// ClassifiedSession is optionally implemented by sessions that expose the
-// failure class their pattern stage assigned. Streaming consumers use it
-// for inspection without re-deriving the classification.
-type ClassifiedSession interface {
-	Session
-	// Class returns the assigned class; ok is false until the pattern
-	// stage has fired.
-	Class() (class faultsim.Class, ok bool)
-}
-
-// InstrumentedSession is optionally implemented by sessions that expose
-// the memory footprint of their incremental feature state. The stream
-// engine uses it for the bounded-memory accounting surfaced by
-// Engine.Stats and the statsz endpoint.
-type InstrumentedSession interface {
-	Session
-	// StateFootprint returns the session's current feature-state size;
-	// released reports that the state has been dropped after a terminal
-	// decision (bank spared), in which case the footprint is zero.
-	StateFootprint() (fp features.StateFootprint, released bool)
 }
 
 // Decision is a mitigation step taken at one event. Who owns its slices
@@ -630,7 +611,7 @@ type CordialStrategy struct {
 	Geometry hbm.Geometry
 }
 
-var _ Strategy = (*CordialStrategy)(nil)
+var _ QuietStrategy = (*CordialStrategy)(nil)
 
 // ModelSize reports the pipeline's models to the serving engine's gauges.
 func (s *CordialStrategy) ModelSize() (nodes, bytes int) { return s.Pipeline.ModelSize() }
@@ -652,11 +633,13 @@ func (s *CordialStrategy) NewSession(bank hbm.BankAddress) Session {
 	return sess
 }
 
-// QuietStrategy is optionally implemented by strategies whose sessions, until
-// their bank's first UER, depend on nothing but the observations folded into
-// them. A caller holding very many such banks (the stream engine) keeps the
+// QuietStrategy is implemented by strategies that promise their sessions
+// decide nothing before their bank's first UER, and until then depend on
+// nothing but the observations folded into them: Cordial and Neighbor Rows.
+// A caller holding very many such banks (the stream engine) keeps the
 // observations in memory of its own and asks for a session only when a bank
-// needs one.
+// needs one. In-row and Calchas decide on CEs and UEOs, so they make no such
+// promise: a stored bank would lose their decisions.
 type QuietStrategy interface {
 	Strategy
 	// ResumeSession returns the session NewSession followed by OnEvent over
@@ -689,16 +672,6 @@ type cordialSession struct {
 // image of one restores as, and what NewSession returns when its configuration
 // builds no state. It decides nothing and encodes as the session it stands for.
 type releasedSession struct{ sessionVerdict }
-
-var (
-	_ ClassifiedSession   = (*cordialSession)(nil)
-	_ BufferedSession     = (*cordialSession)(nil)
-	_ InstrumentedSession = (*cordialSession)(nil)
-	_ ClassifiedSession   = (*releasedSession)(nil)
-	_ BufferedSession     = (*releasedSession)(nil)
-	_ InstrumentedSession = (*releasedSession)(nil)
-	_ QuietStrategy       = (*CordialStrategy)(nil)
-)
 
 // Released returns the session that stands for sess once it has made its
 // terminal decision: for a Cordial session that has spared its bank, one that

@@ -40,7 +40,7 @@ func eventOf(o features.Obs) mcelog.Event {
 
 func encodeSession(t testing.TB, sess Session) []byte {
 	t.Helper()
-	blob, err := sess.(DurableSession).EncodeState()
+	blob, err := sess.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func assertResumeEquivalence(t *testing.T, s *CordialStrategy, events []mcelog.E
 	}
 	resumed := s.ResumeSession(hbm.BankAddress{}, obsOf(events[:k]))
 	for i := k; ; i++ {
-		gc, gok := resumed.(ClassifiedSession).Class()
-		wc, wok := eager.(ClassifiedSession).Class()
+		gc, gok := resumed.Class()
+		wc, wok := eager.Class()
 		if gc != wc || gok != wok || !bytes.Equal(encodeSession(t, resumed), encodeSession(t, eager)) {
 			t.Fatalf("after event %d of %d (resumed after %d): class (%v,%t), want (%v,%t), or the images differ", i, len(events), k, gc, gok, wc, wok)
 		}

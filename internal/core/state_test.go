@@ -215,7 +215,7 @@ func TestCordialSessionReleasesStateWhenSpared(t *testing.T) {
 	sparedSeen := false
 	keptSeen := false
 	for _, bf := range test {
-		sess := strategy.NewSession(hbm.BankAddress{}).(InstrumentedSession)
+		sess := strategy.NewSession(hbm.BankAddress{})
 		spared := false
 		for _, e := range bf.Events {
 			d := sess.OnEvent(e)
@@ -256,15 +256,15 @@ func TestCordialSessionReleasesStateWhenSpared(t *testing.T) {
 			if _, ok := rel.(*releasedSession); !ok {
 				t.Fatalf("Released of a spared session is %T", rel)
 			}
-			c1, ok1 := rel.(ClassifiedSession).Class()
-			c2, ok2 := sess.(ClassifiedSession).Class()
+			c1, ok1 := rel.Class()
+			c2, ok2 := sess.Class()
 			if c1 != c2 || ok1 != ok2 || !bytes.Equal(encodeSession(t, rel), encodeSession(t, sess)) {
 				t.Fatal("the released stand-in classifies or encodes unlike the spared session")
 			}
-			if fp, released := rel.(InstrumentedSession).StateFootprint(); !released || fp != (features.StateFootprint{}) {
+			if fp, released := rel.StateFootprint(); !released || fp != (features.StateFootprint{}) {
 				t.Fatalf("the released stand-in reports footprint %+v, released %t", fp, released)
 			}
-		} else if cls, ok := sess.(ClassifiedSession).Class(); ok && cls.IsAggregation() {
+		} else if cls, ok := sess.Class(); ok && cls.IsAggregation() {
 			keptSeen = true
 			fp, released := sess.StateFootprint()
 			if released {

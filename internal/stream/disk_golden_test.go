@@ -37,10 +37,7 @@ func writeDurableDir(t *testing.T, dir string) {
 	t.Helper()
 	cfg := durCfg(dir, 2, nil)
 	cfg.Durability.SegmentBytes = 384
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, cfg)
 	evs := goldenSnapshotEvents()
 	for _, part := range [][]int{{0, 6}, {6, 12}, {12, len(evs)}} {
 		if part[0] > 0 {
@@ -48,14 +45,7 @@ func writeDurableDir(t *testing.T, dir string) {
 				t.Fatal(err)
 			}
 		}
-		for _, ev := range evs[part[0]:part[1]] {
-			if err := e.Ingest(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Drain(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		feed(t, e, evs[part[0]:part[1]]...)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -145,10 +135,7 @@ func recoverDurableDir(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(durCfg(cp, 2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, durCfg(cp, 2, nil))
 	payload, _, err := e.encodeSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,9 @@ func (s *fakeSession) StateFootprint() (features.StateFootprint, bool) {
 	return features.StateFootprint{ApproxBytes: 100 + 16*len(s.rows), TrackedRows: len(s.rows)}, false
 }
 
-func (s *fakeSession) OnEvent(e mcelog.Event) core.Decision {
+func (s *fakeSession) OnEvent(e mcelog.Event) core.Decision { return s.Decide(e, nil) }
+
+func (s *fakeSession) Decide(e mcelog.Event, _ *core.DecisionBuffer) core.Decision {
 	if s.strategy.gate != nil {
 		<-s.strategy.gate
 	}
@@ -125,7 +127,8 @@ func uerAt(bank hbm.BankAddress, row, sec int) mcelog.Event {
 	}
 }
 
-// newTestEngine builds an engine over the fake strategy.
+// newTestEngine builds an engine from cfg, over the fake strategy when cfg
+// names none, and fails t if New does.
 func newTestEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	if cfg.Strategy == nil {
@@ -136,6 +139,19 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// feed ingests evs into e one at a time and waits until e has folded them.
+func feed(t testing.TB, e *Engine, evs ...mcelog.Event) {
+	t.Helper()
+	for _, ev := range evs {
+		if err := e.Ingest(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // drainActions collects the whole action stream after Close.
@@ -484,12 +500,33 @@ func (r *recordingStrategy) NewSession(bank hbm.BankAddress) core.Session {
 	return &recordingSession{r: r, key: bank.BankKey()}
 }
 
+func (r *recordingStrategy) RestoreSession(hbm.BankAddress, []byte) (core.Session, error) {
+	return nil, errNoImage
+}
+
+// featureless supplies the session methods of a test session that assigns no
+// class, holds no feature state and has no image.
+type featureless struct{}
+
+var errNoImage = errors.New("a test session without an image")
+
+func (featureless) Class() (faultsim.Class, bool) { return 0, false }
+
+func (featureless) StateFootprint() (features.StateFootprint, bool) {
+	return features.StateFootprint{}, false
+}
+
+func (featureless) EncodeState() ([]byte, error) { return nil, errNoImage }
+
 type recordingSession struct {
+	featureless
 	r   *recordingStrategy
 	key uint64
 }
 
-func (s *recordingSession) OnEvent(e mcelog.Event) core.Decision {
+func (s *recordingSession) OnEvent(e mcelog.Event) core.Decision { return s.Decide(e, nil) }
+
+func (s *recordingSession) Decide(e mcelog.Event, _ *core.DecisionBuffer) core.Decision {
 	s.r.mu.Lock()
 	s.r.times[s.key] = append(s.r.times[s.key], e.Time)
 	s.r.mu.Unlock()
@@ -525,9 +562,7 @@ func TestSessionsSortedByBankKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, e)
 	sessions := e.Sessions()
 	if len(sessions) != len(want) {
 		t.Fatalf("%d sessions listed, want %d", len(sessions), len(want))

@@ -61,18 +61,8 @@ func goldenSnapshotEvents() []mcelog.Event {
 func TestEngineSnapshotGolden(t *testing.T) {
 	path := filepath.Join("testdata", "engine_snapshot.hex")
 	strategy := &fakeStrategy{budget: 3, poisonRow: 666}
-	e, err := New(durCfg(t.TempDir(), 2, strategy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range goldenSnapshotEvents() {
-		if err := e.Ingest(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, durCfg(t.TempDir(), 2, strategy))
+	feed(t, e, goldenSnapshotEvents()...)
 	got, _, err := e.encodeSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +91,7 @@ func TestEngineSnapshotGolden(t *testing.T) {
 		t.Fatalf("snapshot payload differs from %s (%d vs %d bytes)", path, len(got), len(want))
 	}
 
-	fresh, err := New(Config{Strategy: strategy, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := newTestEngine(t, Config{Strategy: strategy, Shards: 3})
 	defer fresh.Close()
 	if err := fresh.restoreSnapshot(want); err != nil {
 		t.Fatal(err)
@@ -142,10 +129,7 @@ func TestJournalGolden(t *testing.T) {
 		},
 	} {
 		dir := t.TempDir()
-		e, err := New(durCfg(dir, 3, &fakeStrategy{budget: 3}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newTestEngine(t, durCfg(dir, 3, &fakeStrategy{budget: 3}))
 		if err := ingest(e); err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 
-	"cordial/internal/core"
 	"cordial/internal/wal"
 )
 
@@ -83,9 +82,6 @@ type ImportStats struct {
 func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(bankKey uint64) bool) (ImportStats, error) {
 	var st ImportStats
 	active := e.activeEpoch()
-	if _, ok := active.strategy.(core.DurableStrategy); !ok {
-		return st, fmt.Errorf("stream: import requires a durable strategy, have %T", active.strategy)
-	}
 	e.mu.RLock()
 	closed := e.closed
 	e.mu.RUnlock()
@@ -134,7 +130,7 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 			accepted = append(accepted, im)
 		}
 	}
-	scratch, res, err := replayImport(e.layout, &imageLoader{resolve: e.resolveDurable}, accepted, events, stepEnv{epochs: []modelEpoch{active}, floor: hdr.floor})
+	scratch, res, err := replayImport(e.layout, &imageLoader{resolve: e.strategyFor}, accepted, events, stepEnv{epochs: []modelEpoch{active}, floor: hdr.floor})
 	if err != nil {
 		return st, err
 	}

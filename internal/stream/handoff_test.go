@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"cordial/internal/core"
 	"cordial/internal/hbm"
@@ -75,30 +74,13 @@ func TestHandoffPortabilityAcrossShardCounts(t *testing.T) {
 	// Source: 4 shards, snapshot mid-stream so the journal suffix carries
 	// real work (the import path must replay, not just decode).
 	srcDir := t.TempDir()
-	src, err := New(durCfg(srcDir, 4, strategy))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := newTestEngine(t, durCfg(srcDir, 4, strategy))
 	half := len(evs) / 2
-	for _, ev := range evs[:half] {
-		if err := src.Ingest(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := src.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, src, evs[:half]...)
 	if _, err := src.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range evs[half:] {
-		if err := src.Ingest(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := src.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, src, evs[half:]...)
 	wantStates := sessionStates(t, src)
 	wantStats := sessionStatsByKey(src)
 	if len(wantStates) == 0 {
@@ -123,10 +105,7 @@ func TestHandoffPortabilityAcrossShardCounts(t *testing.T) {
 	}
 
 	// Importer: 7 shards, its own durability directory.
-	dst, err := New(durCfg(t.TempDir(), 7, strategy))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := newTestEngine(t, durCfg(t.TempDir(), 7, strategy))
 	defer dst.Close()
 	st, err := dst.ImportSessions(payload, suffix, nil)
 	if err != nil {
@@ -172,10 +151,7 @@ func TestHandoffPortabilityAcrossShardCounts(t *testing.T) {
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reborn, err := New(durCfg(dst.cfg.Durability.Dir, 3, strategy))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reborn := newTestEngine(t, durCfg(dst.cfg.Durability.Dir, 3, strategy))
 	defer reborn.Close()
 	rebornStates := sessionStates(t, reborn)
 	if len(rebornStates) != len(wantStates) {
@@ -202,9 +178,7 @@ func TestHandoffFilteredExportImport(t *testing.T) {
 			}
 		}
 	}
-	if err := src.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, src)
 	movedKey := moved.BankKey()
 	payload, err := src.ExportSessions(func(key uint64) bool { return key == movedKey })
 	if err != nil {
@@ -350,19 +324,14 @@ func TestHandoffImportRejectsGarbage(t *testing.T) {
 // must be skipped, or replay would double-apply them.
 func TestHandoffReplayRespectsWatermarks(t *testing.T) {
 	dir := t.TempDir()
-	src, err := New(durCfg(dir, 2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := newTestEngine(t, durCfg(dir, 2, nil))
 	bank := testBank(3) // odd index: row-spare strategy, state keeps growing
 	for row := 1; row <= 3; row++ {
 		if err := src.Ingest(uerAt(bank, row, row)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := src.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, src)
 	if _, err := src.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -410,19 +379,14 @@ func TestHandoffReplayRespectsWatermarks(t *testing.T) {
 // restart.
 func TestDroppedBankStaysDropped(t *testing.T) {
 	dir := t.TempDir()
-	e, err := New(durCfg(dir, 3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, durCfg(dir, 3, nil))
 	dropped, busy := testBank(3), testBank(5)
 	for row := 1; row <= 4; row++ {
 		if err := e.Ingest(uerAt(dropped, row, row)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, e)
 	const busyEvents = 300
 	ingested := make(chan error, 1)
 	go func() {
@@ -444,10 +408,7 @@ func TestDroppedBankStaysDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		reborn, err := New(durCfg(dir, 3, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
+		reborn := newTestEngine(t, durCfg(dir, 3, nil))
 		switch sess, ok := reborn.Session(dropped); {
 		case i == 0 && ok:
 			t.Fatalf("the dropped bank came back at restart with %d events", sess.Events)
@@ -491,14 +452,7 @@ func TestBankMovesAwayAndBack(t *testing.T) {
 	back := append(uers(moved, 8, 10), uers(stays, 4, 5)...)
 	ingest := func(e *Engine, evs []mcelog.Event) {
 		t.Helper()
-		for _, ev := range evs {
-			if err := e.Ingest(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Drain(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		feed(t, e, evs...)
 	}
 	var acts []Action
 	closeEngine := func(e *Engine) {
@@ -534,18 +488,13 @@ func TestBankMovesAwayAndBack(t *testing.T) {
 	acts = nil
 
 	dir := t.TempDir()
-	a, err := New(durCfg(dir, 2, strategy))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newTestEngine(t, durCfg(dir, 2, strategy))
 	b := newTestEngine(t, Config{Strategy: strategy, Shards: 3})
 	defer b.Close()
 	ingest(a, first)
 	hand(a, b)
 	closeEngine(a)
-	if a, err = New(durCfg(dir, 3, strategy)); err != nil {
-		t.Fatal(err)
-	}
+	a = newTestEngine(t, durCfg(dir, 3, strategy))
 	if sess, ok := a.Session(moved); ok {
 		t.Fatalf("the bank came back to A at restart with %d events", sess.Events)
 	}
@@ -553,9 +502,7 @@ func TestBankMovesAwayAndBack(t *testing.T) {
 	hand(b, a)
 	ingest(a, back)
 	closeEngine(a)
-	if a, err = New(durCfg(dir, 4, strategy)); err != nil {
-		t.Fatal(err)
-	}
+	a = newTestEngine(t, durCfg(dir, 4, strategy))
 	defer a.Close()
 
 	if got := sessionStates(t, a)[key]; !bytes.Equal(got, wantState) {

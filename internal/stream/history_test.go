@@ -41,50 +41,33 @@ func fixture(banks int, seed uint64, trees, depth int) func() (*core.Pipeline, e
 
 var trainedPipeline, tinyPipeline = fixture(80, 11, 12, 8), fixture(20, 3, 2, 3)
 
-// cordialForm is a strategy that serves sessions every way the engine asks,
-// as *core.CordialStrategy does, and undecided everything the engine reads of
-// a Cordial session but Decide.
-type cordialForm interface {
-	core.QuietStrategy
-	core.DurableStrategy
-}
-
-type undecided interface {
-	core.ClassifiedSession
-	core.InstrumentedSession
-	core.DurableSession
-}
-
-// sessionsAs serves cordialForm's sessions, new, resumed and restored,
+// sessionsAs serves a quiet strategy's sessions, new, resumed and restored,
 // through as.
 type sessionsAs struct {
-	cordialForm
+	core.QuietStrategy
 	as func(core.Session) core.Session
 }
 
 func (s sessionsAs) NewSession(bank hbm.BankAddress) core.Session {
-	return s.as(s.cordialForm.NewSession(bank))
+	return s.as(s.QuietStrategy.NewSession(bank))
 }
 
 func (s sessionsAs) ResumeSession(bank hbm.BankAddress, log []features.Obs) core.Session {
-	return s.as(s.cordialForm.ResumeSession(bank, log))
+	return s.as(s.QuietStrategy.ResumeSession(bank, log))
 }
 
 func (s sessionsAs) RestoreSession(bank hbm.BankAddress, data []byte) (core.Session, error) {
-	sess, err := s.cordialForm.RestoreSession(bank, data)
+	sess, err := s.QuietStrategy.RestoreSession(bank, data)
 	if err != nil {
 		return nil, err
 	}
 	return s.as(sess), nil
 }
 
-// onEventSession hides a Cordial session's Decide, so that the engine decides
-// through OnEvent, as it does for a baseline. poisonSession panics at a UER on
-// its row, inside the session, as a strategy's bug would.
-type onEventSession struct{ undecided }
-
+// poisonSession panics at a UER on its row, inside the session, as a
+// strategy's bug would.
 type poisonSession struct {
-	undecided
+	core.Session
 	row int
 }
 
@@ -92,7 +75,7 @@ func (s poisonSession) Decide(ev mcelog.Event, buf *core.DecisionBuffer) core.De
 	if ev.Class == ecc.ClassUER && ev.Addr.Row == s.row {
 		panic(fmt.Sprintf("poisoned row %d", s.row))
 	}
-	return core.Decide(s.undecided, ev, buf)
+	return s.Session.Decide(ev, buf)
 }
 
 func (s poisonSession) OnEvent(ev mcelog.Event) core.Decision { return s.Decide(ev, nil) }
@@ -234,10 +217,10 @@ func offlineHistory(evs []mcelog.Event, epochs []modelEpoch) (acts map[string]bo
 			b.st.UEREvents++
 			b.uerRows[ev.Addr.Row] = true
 		}
-		if class, fired := b.sess.(core.ClassifiedSession).Class(); fired && !b.st.Classified {
+		if class, fired := b.sess.Class(); fired && !b.st.Classified {
 			b.st.Class, b.st.Classified = class, true
 		}
-		_, b.st.StateReleased = b.sess.(core.InstrumentedSession).StateFootprint()
+		_, b.st.StateReleased = b.sess.StateFootprint()
 		act := Action{Kind: sparing.ActionBankSpare, Bank: addr, Class: b.st.Class, Time: ev.Time}
 		if d.SpareBank && !b.st.BankSpared {
 			b.st.BankSpared, acts[actionKey(act)] = true, true
@@ -519,15 +502,15 @@ func historySeeds() [][]byte {
 
 // FuzzBankHistory is the verdict oracle: a bank's verdicts are a function of
 // its history, and no serving form changes that function — store or heap
-// form, Decide or OnEvent, snapshot and replay, handoff or takeover, model
-// swap, shard count, profile. An input's first six bytes (zeros where it is
-// shorter) are its schedule:
+// form, snapshot and replay, handoff or takeover, model swap, shard count,
+// profile. An input's first six bytes (zeros where it is shorter) are its
+// schedule:
 //
 //	0–1  the seed of the random ops: batches, snapshots, restores, handoffs;
 //	2    where in the stream version 1 (trainedPipeline, 12 trees) is
 //	     swapped for version 2 (tinyPipeline, 2 trees), out of 255;
 //	3    the Engine's shard count, 1 + b%5;
-//	4    the form, b%3: Cordial, Decide hidden, the quiet store hidden;
+//	4    the form, b%2: Cordial, the quiet store hidden;
 //	5    flags: 1 ddr5-dimm; 2 a small trace.Generate fleet for the body;
 //	     4 a poisoned row, the first UER's of the stream's second half.
 //
@@ -594,17 +577,14 @@ func checkBankHistory(t *testing.T, data []byte) int {
 	at := slices.IndexFunc(evs[len(evs)/2:], func(ev mcelog.Event) bool { return ev.Class == ecc.ClassUER })
 	models := newFakeModels(1, 2)
 	for i, pipe := range pipes {
-		var s cordialForm = &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.ActiveProfile().Geometry}
+		var s core.QuietStrategy = &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.ActiveProfile().Geometry}
 		if h[5]&4 != 0 && at >= 0 {
 			row := evs[len(evs)/2+at].Addr.Row
-			s = sessionsAs{s, func(sess core.Session) core.Session { return poisonSession{sess.(undecided), row} }}
+			s = sessionsAs{s, func(sess core.Session) core.Session { return poisonSession{sess, row} }}
 		}
-		switch v := uint64(i + 1); h[4] % 3 {
-		case 0:
+		if v := uint64(i + 1); h[4]%2 == 0 {
 			models.versions[v] = s
-		case 1:
-			models.versions[v] = sessionsAs{s, func(sess core.Session) core.Session { return onEventSession{sess.(undecided)} }}
-		case 2:
+		} else {
 			models.versions[v] = heapOnly{s}
 		}
 	}
@@ -630,9 +610,7 @@ func checkSteps(t *testing.T, rng *rand.Rand, evs []mcelog.Event, swapAt int, ep
 		t.Fatalf("one uninterrupted step: %s; %d dead letters, the reference %d", diff, len(res.dead), dead)
 	}
 
-	resolve := func(v uint64) (core.DurableStrategy, error) {
-		return epochs[min(v, 2)-1].strategy.(core.DurableStrategy), nil
-	}
+	resolve := func(v uint64) (core.Strategy, error) { return epochs[min(v, 2)-1].strategy, nil }
 	s := &stepSim{t: t, rng: rng, layout: layout, load: imageLoader{resolve: resolve},
 		owner: make(map[uint64]int), acts: make(map[string]bool)}
 	for i, nodes := 0, 2+rng.Intn(3); i < nodes; i++ {
@@ -672,10 +650,7 @@ func checkSteps(t *testing.T, rng *rand.Rand, evs []mcelog.Event, swapAt int, ep
 // checkEngine holds one Engine of shards, swapped to version 2 at swapAt, to
 // the reference.
 func checkEngine(t *testing.T, evs []mcelog.Event, swapAt, shards int, models ModelSource, want map[string]bool, wantStats map[hbm.BankAddress]*SessionStats) {
-	e, err := New(Config{Models: models, Shards: shards, ActionBuffer: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: models, Shards: shards, ActionBuffer: 1 << 16})
 	for i, part := range [][]mcelog.Event{evs[:swapAt], evs[swapAt:]} {
 		if i == 1 && len(part) > 0 {
 			if err := e.Drain(30 * time.Second); err != nil {
@@ -757,29 +732,4 @@ func TestOnlineOfflineEquivalenceDDR5(t *testing.T) {
 	historyFlavor(t, inputs(20), func(i int) [6]byte {
 		return [6]byte{byte(13 + i), 0, byte(255 - 23*i), byte(i), 0, 1 | byte(i%2)<<1}
 	})
-}
-
-// TestDecideEqualsOnEvent: each input served through Decide and with Decide
-// hidden, so that the engine decides through OnEvent, both held to the one
-// reference; hot-banks are stepFleets, fleet trace fleets.
-func TestDecideEqualsOnEvent(t *testing.T) {
-	pipe, err := trainedPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cordial := &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}
-	wrapped := sessionsAs{cordial, func(sess core.Session) core.Session { return onEventSession{sess.(undecided)} }}
-	if _, ok := wrapped.NewSession(hbm.BankAddress{}).(core.BufferedSession); ok {
-		t.Fatal("the wrapper does not hide Decide")
-	}
-	if _, ok := any(wrapped).(core.QuietStrategy); !ok {
-		t.Fatal("the wrapper hides the quiet store from the engine")
-	}
-	for name, flags := range map[string]byte{"hot-banks": 0, "fleet": 2} {
-		t.Run(name, func(t *testing.T) {
-			historyFlavor(t, inputs(2*10), func(i int) [6]byte {
-				return [6]byte{byte(31 + i/2), 0, byte(200 - 9*i), byte(i / 2), byte(i % 2), flags}
-			})
-		})
-	}
 }

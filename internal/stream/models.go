@@ -134,20 +134,6 @@ func (e *Engine) strategyFor(version uint64) (core.Strategy, error) {
 	return e.cfg.Models.ModelByVersion(version)
 }
 
-// resolveDurable is strategyFor for paths that must checkpoint the session
-// afterwards (recovery, handoff import).
-func (e *Engine) resolveDurable(version uint64) (core.DurableStrategy, error) {
-	strat, err := e.strategyFor(version)
-	if err != nil {
-		return nil, err
-	}
-	ds, ok := strat.(core.DurableStrategy)
-	if !ok {
-		return nil, fmt.Errorf("stream: model version %d strategy %T cannot restore sessions", version, strat)
-	}
-	return ds, nil
-}
-
 // ---- swap records ----------------------------------------------------------
 
 // A model swap is journaled like an event: a fixed 12-byte record, length-
@@ -204,11 +190,6 @@ func (e *Engine) SwapModel(version uint64) (uint64, error) {
 	}
 	if strat == nil {
 		return 0, fmt.Errorf("stream: model source returned no strategy for version %d", version)
-	}
-	if e.wal != nil {
-		if _, ok := strat.(core.DurableStrategy); !ok {
-			return 0, fmt.Errorf("stream: model version %d strategy %T cannot be used with durability", version, strat)
-		}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -100,10 +100,7 @@ func fleetEvents(t *testing.T, seed uint64) []mcelog.Event {
 // engine itself, closed.
 func runFleet(t *testing.T, strategy core.Strategy, evs []mcelog.Event, between func(*Engine)) (map[string][]string, map[string]SessionStats, *Engine) {
 	t.Helper()
-	e, err := New(Config{Strategy: strategy, Shards: 3, ActionBuffer: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Strategy: strategy, Shards: 3, ActionBuffer: 1 << 16})
 	half := len(evs) / 2
 	for i, part := range [][]mcelog.Event{evs[:half], evs[half:]} {
 		if i == 1 && between != nil {
@@ -255,18 +252,8 @@ func TestLiveActionEqualsReplayed(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	live, err := New(durCfg(dir, 2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range evs {
-		if err := live.Ingest(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := live.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	live := newTestEngine(t, durCfg(dir, 2, nil))
+	feed(t, live, evs...)
 	live.Close() // no snapshot: the restart replays the whole journal
 	want := drainActions(live)
 	if len(want) != 6 { // a bank-spare for each even bank, two row-spares for each odd one
@@ -277,10 +264,7 @@ func TestLiveActionEqualsReplayed(t *testing.T) {
 			t.Errorf("live action time %v is not a UTC instant without a monotonic reading", a.Time)
 		}
 	}
-	replay, err := New(durCfg(dir, 3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replay := newTestEngine(t, durCfg(dir, 3, nil))
 	replay.Close()
 	got := drainActions(replay)
 	w, g := perBank(want), perBank(got)
@@ -316,16 +300,11 @@ func encodeImages(hdr snapshotHeader, images []sessionImage) []byte {
 // re-encodes with that session's image in place of the quiet one.
 func TestImageFirstEventMustBeOldest(t *testing.T) {
 	cfg := Config{Strategy: unfittedCordial(t), Shards: 2}
-	src, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := newTestEngine(t, cfg)
 	if _, _, err := src.IngestBatch(quietFleet(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, src)
 	payload, _, err := src.encodeSnapshot(nil)
 	src.Close()
 	if err != nil {
@@ -349,7 +328,7 @@ func TestImageFirstEventMustBeOldest(t *testing.T) {
 		}
 	}
 	quietLen := len(odd.blob)
-	if odd.blob, err = sess.(core.DurableSession).EncodeState(); err != nil {
+	if odd.blob, err = sess.EncodeState(); err != nil {
 		t.Fatal(err)
 	}
 	want := encodeImages(hdr, images)
@@ -362,10 +341,7 @@ func TestImageFirstEventMustBeOldest(t *testing.T) {
 			return err
 		},
 	} {
-		dst, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dst := newTestEngine(t, cfg)
 		if err := restore(dst); err != nil {
 			t.Fatal(err)
 		}

@@ -398,10 +398,7 @@ func TestServerStatszDurabilityAndQuarantine(t *testing.T) {
 	base := t.TempDir()
 	cfg := durCfg(filepath.Join(base, "wal"), 2, &fakeStrategy{budget: 3, poisonRow: 666})
 	cfg.DeadLetterPath = filepath.Join(base, "dead.jsonl")
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, cfg)
 	t.Cleanup(func() { e.Close() })
 	srv := NewServer(e, ServerConfig{})
 	bank := testBank(1)

@@ -155,14 +155,7 @@ func restoredSessionHistory(bank hbm.BankAddress) (quiet, failing []mcelog.Event
 // emitted over its life plus the bank's final stats.
 func feedAndClose(t *testing.T, e *Engine, bank hbm.BankAddress, evs []mcelog.Event) ([]Action, SessionStats) {
 	t.Helper()
-	for _, ev := range evs {
-		if err := e.Ingest(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, e, evs...)
 	st, ok := e.Session(bank)
 	if !ok {
 		t.Fatalf("no session for bank %v", bank)
@@ -179,27 +172,18 @@ func feedAndClose(t *testing.T, e *Engine, bank hbm.BankAddress, evs []mcelog.Ev
 type v1Images struct{ heapOnly }
 
 func (s v1Images) NewSession(bank hbm.BankAddress) core.Session {
-	return v1Session{s.cordial.NewSession(bank)}
+	return v1Session{s.Strategy.NewSession(bank)}
 }
 
-// heapOnly is a Cordial strategy without the core.QuietStrategy methods — what
-// a strategy that cannot resume a session from a log looks like to the engine,
-// which then holds every bank in the heap form from birth, as it did before
-// the store.
-type heapOnly struct{ cordial cordialForm }
-
-func (h heapOnly) Name() string { return h.cordial.Name() }
-
-func (h heapOnly) NewSession(bank hbm.BankAddress) core.Session { return h.cordial.NewSession(bank) }
-
-func (h heapOnly) RestoreSession(bank hbm.BankAddress, data []byte) (core.Session, error) {
-	return h.cordial.RestoreSession(bank, data)
-}
+// heapOnly serves a strategy as a plain core.Strategy, without its
+// ResumeSession: what a strategy that makes no quiet promise looks like to the
+// engine, which then holds every bank in the heap form from birth.
+type heapOnly struct{ core.Strategy }
 
 type v1Session struct{ core.Session }
 
 func (s v1Session) EncodeState() ([]byte, error) {
-	blob, err := s.Session.(core.DurableSession).EncodeState()
+	blob, err := s.Session.EncodeState()
 	if err == nil {
 		blob[4] = 1 // a session image's version byte; versions 1 and 2 spell a state alike
 	}
@@ -227,10 +211,7 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 	bank := testBank(1) // odd bank index: the fake strategy row-spares it
 	quiet, failing := restoredSessionHistory(bank)
 	for name, strategy := range strategies {
-		ref, err := New(Config{Strategy: strategy, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newTestEngine(t, Config{Strategy: strategy, Shards: 2})
 		wantActions, wantStats := feedAndClose(t, ref, bank, append(append([]mcelog.Event(nil), quiet...), failing...))
 		if name == "fake" && len(wantActions) != 2 {
 			t.Fatalf("reference emitted %d actions, want the two row-spares", len(wantActions))
@@ -258,53 +239,27 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 
 		t.Run(name+"/snapshot-restore", func(t *testing.T) {
 			dir := t.TempDir()
-			src, err := New(durCfg(dir, 2, strategy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range quiet {
-				if err := src.Ingest(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := src.Drain(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
+			src := newTestEngine(t, durCfg(dir, 2, strategy))
+			feed(t, src, quiet...)
 			if _, err := src.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
 			if err := src.Close(); err != nil {
 				t.Fatal(err)
 			}
-			reborn, err := New(durCfg(dir, 3, strategy))
-			if err != nil {
-				t.Fatal(err)
-			}
+			reborn := newTestEngine(t, durCfg(dir, 3, strategy))
 			check(t, reborn, name == "cordial")
 		})
 
 		t.Run(name+"/handoff-import", func(t *testing.T) {
-			src, err := New(Config{Strategy: strategy, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			src := newTestEngine(t, Config{Strategy: strategy, Shards: 2})
 			defer src.Close()
-			for _, ev := range quiet {
-				if err := src.Ingest(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := src.Drain(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
+			feed(t, src, quiet...)
 			payload, err := src.ExportSessions(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dst, err := New(Config{Strategy: strategy, Shards: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			dst := newTestEngine(t, Config{Strategy: strategy, Shards: 3})
 			if st, err := dst.ImportSessions(payload, nil, nil); err != nil || st.Sessions != 1 {
 				t.Fatalf("import: %+v, %v", st, err)
 			}
@@ -325,10 +280,7 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					dst, err := New(Config{Strategy: strategy, Shards: 3})
-					if err != nil {
-						t.Fatal(err)
-					}
+					dst := newTestEngine(t, Config{Strategy: strategy, Shards: 3})
 					if st, err := dst.ImportSessions(payload, nil, nil); err != nil || st.Sessions != 1 {
 						t.Fatalf("import: %+v, %v", st, err)
 					}
@@ -338,27 +290,14 @@ func TestRestoredQuietSessionThenFails(t *testing.T) {
 		}
 		if cordial, ok := strategy.(*core.CordialStrategy); ok {
 			t.Run(name+"/v1-image-import", func(t *testing.T) {
-				src, err := New(Config{Strategy: v1Images{heapOnly{cordial}}, Shards: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
+				src := newTestEngine(t, Config{Strategy: v1Images{heapOnly{cordial}}, Shards: 2})
 				defer src.Close()
-				for _, ev := range quiet {
-					if err := src.Ingest(ev); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := src.Drain(10 * time.Second); err != nil {
-					t.Fatal(err)
-				}
+				feed(t, src, quiet...)
 				payload, err := src.ExportSessions(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dst, err := New(Config{Strategy: strategy, Shards: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
+				dst := newTestEngine(t, Config{Strategy: strategy, Shards: 3})
 				if st, err := dst.ImportSessions(payload, nil, nil); err != nil || st.Sessions != 1 {
 					t.Fatalf("import: %+v, %v", st, err)
 				}
@@ -379,9 +318,7 @@ func TestSnapshotRejectsUnsortedRowSets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, e)
 	payload, _, err := e.encodeSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)

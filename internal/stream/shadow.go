@@ -237,7 +237,7 @@ func (se *shadowEval) foldShadow(ss *shadowSession, ev mcelog.Event, buf *core.D
 		}
 	}
 
-	d := core.Decide(ss.sess, ev, buf)
+	d := ss.sess.Decide(ev, buf)
 
 	shadSpareBank := false
 	shadFresh := 0

@@ -364,11 +364,9 @@ func (bs *bankSession) stats(key uint64) SessionStats {
 
 // measureState refreshes the footprint mirror from the strategy session.
 func (bs *bankSession) measureState() {
-	if is, ok := bs.sess.(core.InstrumentedSession); ok {
-		fp, released := is.StateFootprint()
-		bs.stateBytes, bs.stateRows = int32(fp.ApproxBytes), int32(fp.TrackedRows)
-		bs.stateReleased = released
-	}
+	fp, released := bs.sess.StateFootprint()
+	bs.stateBytes, bs.stateRows = int32(fp.ApproxBytes), int32(fp.TrackedRows)
+	bs.stateReleased = released
 }
 
 // stepEnv is what a caller hands step beside the batch: all that differs
@@ -610,14 +608,13 @@ func deadLetterOf(q *queued, r any) DeadLetter {
 }
 
 // foldEvent runs one event through a bank session: the strategy's decision
-// (into vb's buffer when the session is a core.BufferedSession, through
-// OnEvent otherwise), the engine's session bookkeeping (counts, class,
+// into vb's buffer, the engine's session bookkeeping (counts, class,
 // feature-state footprint) and action derivation with per-bank row dedupe; the
 // actions are appended to out, their rows carved from vb's slab. A panic from
 // the strategy session unwinds through here with the session's counters
 // partially updated; fold degrades the session.
 func foldEvent(bs *bankSession, ev mcelog.Event, out []Action, vb *verdictBuffers) []Action {
-	d := core.Decide(bs.sess, ev, &vb.dec)
+	d := bs.sess.Decide(ev, &vb.dec)
 
 	bs.events++
 	bs.lastEvent = ev.Time.UnixNano()
@@ -625,8 +622,8 @@ func foldEvent(bs *bankSession, ev mcelog.Event, out []Action, vb *verdictBuffer
 		bs.uerEvents++
 		bs.uerRows.Add(ev.Addr.Row)
 	}
-	if cs, ok := bs.sess.(core.ClassifiedSession); ok && !bs.classified {
-		if class, fired := cs.Class(); fired {
+	if !bs.classified {
+		if class, fired := bs.sess.Class(); fired {
 			bs.classified = true
 			bs.class = uint8(class)
 		}

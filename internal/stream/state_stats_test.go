@@ -35,10 +35,7 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	}
 	fleet.Log().Sort()
 
-	engine, err := New(Config{Strategy: strategy, Shards: 3, QueueDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine := newTestEngine(t, Config{Strategy: strategy, Shards: 3, QueueDepth: 256})
 	defer engine.Close()
 	go func() {
 		for range engine.Actions() {

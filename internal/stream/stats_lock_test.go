@@ -122,10 +122,7 @@ func wantStatus(t *testing.T, srv *Server, path string, want int) error {
 func TestStatszCostIsFlat(t *testing.T) {
 	const banks = 50000
 	fm := newFakeModels(1, 2)
-	e, err := New(Config{Models: fm, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: fm, Shards: 2})
 	t.Cleanup(func() { e.Close() })
 	srv := NewServer(e, ServerConfig{})
 	evs := quietFleet(banks)[:banks] // one event per bank
@@ -248,10 +245,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "wal")
 	cfg := Config{Models: newModels(), Shards: 3, Durability: DurabilityConfig{Dir: dir, Sync: wal.SyncNever}}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, cfg)
 	stopScrape := make(chan struct{})
 	scraped := make(chan struct{})
 	go func() {
@@ -272,9 +266,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 		if _, _, err := e.IngestBatch(evs); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Drain(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		feed(t, e)
 	}
 	ingest(e, fleet(40, 400, true))
 	assertTotalsMatchRecount(t, "after ingest with a poisoned event", e)
@@ -297,10 +289,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := New(Config{Models: newModels(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	peer := newTestEngine(t, Config{Models: newModels(), Shards: 2})
 	defer peer.Close()
 	ingest(peer, fleet(9, 30, false)) // some local sessions: conflicts are refused, not counted twice
 	if _, err := peer.ImportSessions(payload, nil, nil); err != nil {
@@ -340,10 +329,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 	if _, err := wal.WriteSnapshot(wal.OSFS, dir, seq+1, bad); err != nil {
 		t.Fatal(err)
 	}
-	re, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := newTestEngine(t, cfg)
 	defer re.Close()
 	if got := re.Stats().LastSnapshotSeq; got != seq {
 		t.Fatalf("recovered from snapshot %d, want the fallback %d", got, seq)
@@ -360,10 +346,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 func testPromotionPanicTotals(t *testing.T) {
 	poison := time.Date(2026, 1, 1, 0, 0, 3, 0, time.UTC) // uerAt(_, _, 3)'s timestamp
 	dead := filepath.Join(t.TempDir(), "dead.jsonl")
-	e, err := New(Config{Strategy: &logStrategy{poisonAt: poison}, Shards: 2, DeadLetterPath: dead})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Strategy: &logStrategy{poisonAt: poison}, Shards: 2, DeadLetterPath: dead})
 	defer e.Close()
 	ingest := func(evs ...mcelog.Event) {
 		t.Helper()
@@ -416,10 +399,7 @@ func TestMetricsScrapeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
 	}
-	e, err := New(Config{Models: newFakeModels(1), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: newFakeModels(1), Shards: 2})
 	t.Cleanup(func() { e.Close() })
 	if _, _, err := e.IngestBatch(quietFleet(2000)); err != nil {
 		t.Fatal(err)

@@ -36,6 +36,7 @@ type logStrategy struct {
 }
 
 type logSession struct {
+	featureless
 	strategy *logStrategy
 	log      []features.Obs
 	uerRows  []int32
@@ -54,7 +55,9 @@ func (s *logStrategy) ResumeSession(_ hbm.BankAddress, log []features.Obs) core.
 	return &logSession{strategy: s, log: slices.Clone(log)}
 }
 
-func (s *logSession) OnEvent(ev mcelog.Event) core.Decision {
+func (s *logSession) OnEvent(ev mcelog.Event) core.Decision { return s.Decide(ev, nil) }
+
+func (s *logSession) Decide(ev mcelog.Event, _ *core.DecisionBuffer) core.Decision {
 	if ev.Class == ecc.ClassUER {
 		s.uerRows = append(s.uerRows, int32(ev.Addr.Row))
 	} else {
@@ -210,10 +213,7 @@ func TestStoreModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	strategy := &logStrategy{}
 	newEngine := func() *Engine {
-		e, err := New(Config{Strategy: strategy, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newTestEngine(t, Config{Strategy: strategy, Shards: 2})
 		return e
 	}
 	var cur atomic.Pointer[Engine]
@@ -522,10 +522,7 @@ func TestStoredBankKeepsItsVersion(t *testing.T) {
 	fm := newFakeModels(1, 2)
 	v1, v2 := &logStrategy{}, &logStrategy{}
 	fm.versions[1], fm.versions[2] = v1, v2
-	e, err := New(Config{Models: fm, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: fm, Shards: 2})
 	defer e.Close()
 	old, young := testBank(1), testBank(2)
 	ce := func(bank hbm.BankAddress, sec int) mcelog.Event {
@@ -669,10 +666,7 @@ func TestRestoreHeapBanksAllocation(t *testing.T) {
 			return err
 		},
 	} {
-		dst, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dst := newTestEngine(t, cfg)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := restore(dst); err != nil {
@@ -718,10 +712,7 @@ func TestRestoreQuietBanksAllocation(t *testing.T) {
 			return err
 		},
 	} {
-		dst, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dst := newTestEngine(t, cfg)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := restore(dst); err != nil {

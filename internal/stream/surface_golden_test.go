@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cordial/internal/ecc"
-	"cordial/internal/mcelog"
 	"cordial/internal/obs"
 	"cordial/internal/wal"
 )
@@ -31,20 +30,10 @@ func goldenSurfaceServer(t *testing.T) *Server {
 		Shards:     2,
 		Durability: DurabilityConfig{Dir: filepath.Join(t.TempDir(), "wal"), FS: ffs, Sync: wal.SyncAlways},
 	}
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := newTestEngine(t, cfg)
 	ce := uerAt(testBank(4), 7, 0)
 	ce.Class = ecc.ClassCE
-	for _, ev := range []mcelog.Event{uerAt(testBank(1), 100, 0), uerAt(testBank(1), 101, 1), ce} {
-		if err := first.Ingest(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := first.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, first, uerAt(testBank(1), 100, 0), uerAt(testBank(1), 101, 1), ce)
 	if _, err := first.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +44,7 @@ func goldenSurfaceServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, cfg)
 	t.Cleanup(func() { e.Close() })
 	srv := NewServer(e, ServerConfig{})
 	if err := e.StartShadow(2); err != nil {

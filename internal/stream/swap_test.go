@@ -55,10 +55,7 @@ func (f *fakeModels) ModelByVersion(v uint64) (core.Strategy, error) {
 // TestSwapModelPinsSessions: a swap changes what NEW sessions bind and
 // never rebinds live ones.
 func TestSwapModelPinsSessions(t *testing.T) {
-	e, err := New(Config{Models: newFakeModels(1, 2), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: newFakeModels(1, 2), Shards: 2})
 	defer e.Close()
 	go func() {
 		for range e.Actions() {
@@ -176,10 +173,7 @@ func TestSwapRecordsInvisibleToExport(t *testing.T) {
 func TestExportEventsRange(t *testing.T) {
 	cfg := durCfg(t.TempDir(), 2, nil)
 	cfg.Durability.SegmentBytes = 128
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, cfg)
 	const n = 20
 	var evs []mcelog.Event
 	for i := 0; i < n; i++ {
@@ -231,10 +225,7 @@ func TestExportEventsRange(t *testing.T) {
 // start/stop and stat scrapes; correctness is "no event lost, versions
 // always coherent" and (under -race) the absence of data races.
 func TestConcurrentSwapIngestScrape(t *testing.T) {
-	e, err := New(Config{Models: newFakeModels(1, 2), Shards: 4, QueueDepth: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: newFakeModels(1, 2), Shards: 4, QueueDepth: 1024})
 	go func() {
 		for range e.Actions() {
 		}
@@ -331,10 +322,7 @@ func TestConcurrentSwapIngestScrape(t *testing.T) {
 // TestRecentClassMixSpatial: the drift sample labels live sessions from
 // their UER row geometry, independent of any model.
 func TestRecentClassMixSpatial(t *testing.T) {
-	e, err := New(Config{Models: newFakeModels(1), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: newFakeModels(1), Shards: 2})
 	defer e.Close()
 	go func() {
 		for range e.Actions() {
@@ -413,10 +401,7 @@ func (a *fakeAdmin) Retrain(trigger string) error {
 // TestServerModelAdminEndpoints covers the /v1/models surface and the
 // model fields added to /statsz and /v1/banks.
 func TestServerModelAdminEndpoints(t *testing.T) {
-	e, err := New(Config{Models: newFakeModels(1, 2), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, Config{Models: newFakeModels(1, 2), Shards: 2})
 	defer e.Close()
 	admin := &fakeAdmin{}
 	srv := NewServer(e, ServerConfig{ModelAdmin: admin})

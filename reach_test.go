@@ -343,7 +343,7 @@ var deletionGates = []struct {
 	},
 	{
 		gate: "one verdict oracle", deletedBy: "One verdict oracle",
-		replacedBy: "stream's FuzzBankHistory: a bank's actions and stats under every serving form equal the offline per-bank replay; TestOnlineOfflineEquivalence, its DDR5 twin, TestShardStepInterleavings and TestDecideEqualsOnEvent run its check over inputs of their flavor",
+		replacedBy: "stream's FuzzBankHistory: a bank's actions and stats under every serving form equal the offline per-bank replay; TestOnlineOfflineEquivalence, its DDR5 twin and TestShardStepInterleavings run its check over inputs of their flavor",
 		check:      noTestsNamed("assertOnlineOfflineEquivalent", "assertSameActionSet", "addActs"),
 	},
 	{
@@ -357,6 +357,12 @@ var deletionGates = []struct {
 		replacedBy: "ExampleNewStreamEngine in the root package, which feeds IngestBatch in chunks of Log.Events",
 		names:      []string{"IngestLog"},
 		check:      logLacksAt,
+	},
+	{
+		gate: "one session contract", deletedBy: "One session contract",
+		replacedBy: "core.Session (Decide, OnEvent, Class, StateFootprint, EncodeState) and core.Strategy (Name, NewSession, RestoreSession), every strategy implementing both; core.QuietStrategy, the one optional promise",
+		names:      []string{"BufferedSession", "InstrumentedSession", "DurableSession", "DurableStrategy", "resolveDurable"},
+		check:      oneSessionContract,
 	},
 }
 
@@ -549,6 +555,47 @@ func quietStrategyOneMethod(mod *module) []string {
 		return []string{fmt.Sprintf("%s: core.QuietStrategy is %s, want ResumeSession alone besides Strategy", mod.fset.Position(obj.Pos()), obj.Type().Underlying())}
 	}
 	return nil
+}
+
+// oneSessionContract: core declares no Decide func and three interfaces,
+// Strategy, Session and QuietStrategy (ClassifiedSession is an alias), and
+// stream's non-test code type-asserts or switches to no core interface but
+// QuietStrategy.
+func oneSessionContract(mod *module) []string {
+	var bad []string
+	core := mod.pkgs["cordial/internal/core"].pkg
+	if obj := core.Scope().Lookup("Decide"); obj != nil {
+		bad = append(bad, fmt.Sprintf("%s: core.Decide is back", mod.fset.Position(obj.Pos())))
+	}
+	var ifaces []string
+	for _, name := range core.Scope().Names() {
+		if tn, ok := core.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && types.IsInterface(tn.Type()) {
+			ifaces = append(ifaces, name)
+		}
+	}
+	if want := []string{"QuietStrategy", "Session", "Strategy"}; !slices.Equal(ifaces, want) {
+		bad = append(bad, fmt.Sprintf("core declares the interfaces %v, want %v", ifaces, want))
+	}
+	p := mod.pkgs[streamPkg]
+	asserted := func(e ast.Expr) {
+		if tn, ok := objOf(p.info, e).(*types.TypeName); ok && tn.Pkg() == core && types.IsInterface(tn.Type()) && tn.Name() != "QuietStrategy" {
+			bad = append(bad, fmt.Sprintf("%s: stream asserts to core.%s", mod.fset.Position(e.Pos()), tn.Name()))
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				asserted(n.Type) // nil in a type switch's guard
+			case *ast.CaseClause: // an expression switch's values name no type
+				for _, e := range n.List {
+					asserted(e)
+				}
+			}
+			return true
+		})
+	}
+	return bad
 }
 
 // rowsetLacks returns the check that rowset declares none of names.
