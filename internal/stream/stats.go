@@ -321,5 +321,8 @@ func (e *Engine) ReadyReasons() []string {
 	if msg, ok := e.lastAppendErr.Load().(string); ok && msg != "" {
 		reasons = append(reasons, "last WAL append failed: "+msg)
 	}
+	if msg, ok := e.lastSnapErr.Load().(string); ok && msg != "" {
+		reasons = append(reasons, "last snapshot failed: "+msg)
+	}
 	return reasons
 }
