@@ -181,7 +181,7 @@ func cmdPlan(args []string) int {
 	if *seed != 0 {
 		sc.Seed = *seed
 	}
-	plan, err := chaos.BuildPlan(sc, hbm.DefaultGeometry)
+	plan, err := chaos.BuildPlan(sc, hbm.HBM2E)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordial-chaos: %v\n", err)
 		return 1

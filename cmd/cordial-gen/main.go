@@ -73,18 +73,18 @@ func run() error {
 		format      = flag.String("format", "wire", "log format: wire or jsonl")
 		truthPath   = flag.String("truth", "truth.json", "output ground-truth path (empty to skip)")
 		weights     = flag.String("weights", "", "failure-pattern mix as name=weight pairs, e.g. single=15,double=5,scattered=70 (default: the paper's field distribution; use this to simulate a drifted regime)")
-		topology    = flag.String("topology", hbm.ActiveProfile().Name, "topology profile: "+strings.Join(hbm.ProfileNames(), ", "))
+		topology    = flag.String("topology", hbm.HBM2E.Name, "topology profile: "+strings.Join(hbm.ProfileNames(), ", "))
 	)
 	flag.Parse()
 	if *format != "wire" && *format != "jsonl" {
 		return fmt.Errorf("unknown format %q (want wire or jsonl; wire replaces the former binary and stream formats)", *format)
 	}
 
-	prof, err := hbm.SetActiveProfile(*topology)
+	prof, err := hbm.ProfileByName(*topology)
 	if err != nil {
 		return err
 	}
-	spec := trace.DefaultSpec(prof.Geometry)
+	spec := trace.DefaultSpecFor(prof)
 	spec.Seed = *seed
 	spec.UERBanks = *uerBanks
 	spec.BenignBanks = *benignBanks
@@ -109,7 +109,7 @@ func run() error {
 	if *format == "jsonl" {
 		err = fleet.Log().WriteJSONL(logFile)
 	} else {
-		err = fleet.Log().WriteWire(logFile)
+		err = fleet.Log().WriteWire(prof, logFile)
 	}
 	if err != nil {
 		return err

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -40,11 +41,11 @@ func run(logger *slog.Logger) error {
 		modelsPath = flag.String("models", "models.json", "model path from cordial-train")
 		logPath    = flag.String("log", "fleet.mcelog", "input error-log path")
 		maxRows    = flag.Int("max-rows", 16, "max predicted rows to print per bank")
-		topology   = flag.String("topology", hbm.ActiveProfile().Name, "topology profile the log was generated under: "+strings.Join(hbm.ProfileNames(), ", "))
+		topology   = flag.String("topology", hbm.HBM2E.Name, "topology profile the log was generated under: "+strings.Join(hbm.ProfileNames(), ", "))
 	)
 	flag.Parse()
 
-	prof, err := hbm.SetActiveProfile(*topology)
+	prof, err := hbm.ProfileByName(*topology)
 	if err != nil {
 		return err
 	}
@@ -72,7 +73,7 @@ func run(logger *slog.Logger) error {
 		return err
 	}
 	defer logFile.Close()
-	log, err := mcelog.ReadLog(logFile)
+	log, err := mcelog.ReadLog(prof, logFile)
 	if err != nil {
 		return err
 	}
@@ -80,8 +81,12 @@ func run(logger *slog.Logger) error {
 
 	geo := prof.Geometry
 	budget := pipe.Config().Pattern.UERBudget
-	groups := log.GroupByBank()
-	keys := log.BankKeys()
+	groups := log.GroupByBank(prof)
+	keys := make([]uint64, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	classified := 0
 	for _, key := range keys {
 		events := groups[key]
@@ -102,7 +107,7 @@ func run(logger *slog.Logger) error {
 		if err != nil {
 			continue
 		}
-		bank := hbm.Unpack(key)
+		bank := prof.Layout.Unpack(key)
 		classified++
 		if !class.IsAggregation() {
 			fmt.Printf("%s  pattern=%q  action=bank-spare\n", bank, class)

@@ -113,11 +113,11 @@ func run() error {
 		retrain    = flag.Bool("retrain", false, "watch the live class mix for drift and retrain/shadow/promote online (requires -wal-dir)")
 		retrainInt = flag.Duration("retrain-interval", 30*time.Second, "drift-check cadence with -retrain")
 		driftP     = flag.Float64("drift-p", 0.01, "chi-square p-value below which the live class mix counts as drifted")
-		topology   = flag.String("topology", hbm.ActiveProfile().Name, "topology profile: "+strings.Join(hbm.ProfileNames(), ", "))
+		topology   = flag.String("topology", hbm.HBM2E.Name, "topology profile: "+strings.Join(hbm.ProfileNames(), ", "))
 	)
 	flag.Parse()
 
-	prof, err := hbm.SetActiveProfile(*topology)
+	prof, err := hbm.ProfileByName(*topology)
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func run() error {
 
 	// Validate cheap configuration before the (possibly slow) model load.
 	cfg := stream.Config{
-		Geometry:   prof.Geometry,
+		Profile:    prof,
 		Shards:     *shards,
 		QueueDepth: *queue,
 	}
@@ -199,7 +199,7 @@ func run() error {
 	}
 	cfg.Logger = logger
 
-	pipe, err := loadPipeline(logger, *modelsPath, *selftrain, *seed, *trainBanks, *trees)
+	pipe, err := loadPipeline(logger, prof, *modelsPath, *selftrain, *seed, *trainBanks, *trees)
 	if err != nil {
 		return err
 	}
@@ -512,7 +512,7 @@ func reloadModel(logger *slog.Logger, engine *stream.Engine, reg *registry.Regis
 	if reg == nil {
 		return fmt.Errorf("reload needs a model registry (-registry-dir or -wal-dir)")
 	}
-	pipe, err := loadPipeline(logger, modelsPath, false, 0, 0, 0)
+	pipe, err := loadPipeline(logger, engine.Config().Profile, modelsPath, false, 0, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -532,8 +532,8 @@ func reloadModel(logger *slog.Logger, engine *stream.Engine, reg *registry.Regis
 }
 
 // loadPipeline restores a saved model or trains a small demonstration
-// pipeline on a simulated fleet.
-func loadPipeline(logger *slog.Logger, modelsPath string, selftrain bool, seed uint64, banks, trees int) (*core.Pipeline, error) {
+// pipeline on a simulated fleet of prof.
+func loadPipeline(logger *slog.Logger, prof *hbm.Profile, modelsPath string, selftrain bool, seed uint64, banks, trees int) (*core.Pipeline, error) {
 	switch {
 	case modelsPath != "":
 		f, err := os.Open(modelsPath)
@@ -550,7 +550,7 @@ func loadPipeline(logger *slog.Logger, modelsPath string, selftrain bool, seed u
 		}
 		return pipe, nil
 	case selftrain:
-		spec := trace.DefaultSpec(hbm.ActiveProfile().Geometry)
+		spec := trace.DefaultSpecFor(prof)
 		spec.UERBanks = banks
 		spec.BenignBanks = 0
 		spec.Seed = seed

@@ -50,13 +50,13 @@ func run() error {
 		budget    = flag.Int("uer-budget", 3, "UERs used for pattern classification")
 		par       = flag.Int("parallelism", 0, "training/inference goroutines (0 = all cores)")
 		errBits   = flag.Bool("errbits", false, "append error-bit (DQ/burst) features to the pattern vectors; serving must load this model to match")
-		topology  = flag.String("topology", hbm.ActiveProfile().Name, "topology profile the ground truth was generated under: "+strings.Join(hbm.ProfileNames(), ", "))
+		topology  = flag.String("topology", hbm.HBM2E.Name, "topology profile the ground truth was generated under: "+strings.Join(hbm.ProfileNames(), ", "))
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	if _, err := hbm.SetActiveProfile(*topology); err != nil {
+	if _, err := hbm.ProfileByName(*topology); err != nil {
 		return err
 	}
 

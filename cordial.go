@@ -124,7 +124,7 @@ var DefaultGeometry = hbm.DefaultGeometry
 // DefaultFleetSpec returns the calibrated fleet-synthesis specification:
 // pattern mix per Figure 3(b), sudden ratios per Table I, locality per
 // Figure 4.
-func DefaultFleetSpec() FleetSpec { return trace.DefaultSpec(hbm.DefaultGeometry) }
+func DefaultFleetSpec() FleetSpec { return trace.DefaultSpecFor(hbm.HBM2E) }
 
 // Simulate synthesises a fleet-scale error log with ground truth. It stands
 // in for the paper's proprietary industrial dataset.
@@ -219,7 +219,7 @@ func Evaluate(p *Pipeline, banks []*BankFault) (*PredictionEval, error) {
 
 // EvaluateStrategy scores any mitigation strategy on test banks.
 func EvaluateStrategy(s Strategy, banks []*BankFault, block BlockSpec) (*PredictionEval, error) {
-	return core.EvaluatePrediction(s, banks, block, sparing.DefaultBudget())
+	return core.EvaluatePredictionFor(hbm.HBM2E, s, banks, block, sparing.DefaultBudget())
 }
 
 // SuddenStats is the per-level sudden/non-sudden UER tally of Table I.
@@ -234,20 +234,20 @@ type LocalityPoint = trace.LocalityPoint
 // PatternShare is one slice of the Figure 3(b) pattern distribution.
 type PatternShare = trace.PatternShare
 
-// SuddenByLevel computes the paper's Table I from any MCE log: per
+// SuddenByLevel computes the paper's Table I from any HBM2E MCE log: per
 // micro-level, how many entities' first UER was sudden (no in-entity
 // precursor) versus predictable.
-func SuddenByLevel(log *Log) []SuddenStats { return trace.SuddenByLevel(log) }
+func SuddenByLevel(log *Log) []SuddenStats { return trace.SuddenByLevel(hbm.HBM2E, log) }
 
-// SummaryByLevel computes the paper's Table II from any MCE log: per
+// SummaryByLevel computes the paper's Table II from any HBM2E MCE log: per
 // micro-level, how many entities logged CEs, UEOs and UERs.
-func SummaryByLevel(log *Log) []LevelSummary { return trace.SummaryByLevel(log) }
+func SummaryByLevel(log *Log) []LevelSummary { return trace.SummaryByLevel(hbm.HBM2E, log) }
 
-// LocalityChiSquare computes the paper's Figure 4 from any MCE log: the
+// LocalityChiSquare computes the paper's Figure 4 from any HBM2E MCE log: the
 // chi-square significance of successive UERs landing within each row
 // distance threshold.
 func LocalityChiSquare(log *Log, rowsPerBank int, thresholds []int) ([]LocalityPoint, error) {
-	return trace.LocalityChiSquare(log, rowsPerBank, thresholds)
+	return trace.LocalityChiSquare(hbm.HBM2E, log, rowsPerBank, thresholds)
 }
 
 // DefaultThresholds returns the Figure 4 x axis (4..2048, powers of two).
@@ -280,7 +280,7 @@ type PatternWeights = faultsim.PatternWeights
 type FaultConfig = faultsim.Config
 
 // DefaultFaultConfig returns the calibrated per-bank fault process.
-func DefaultFaultConfig() FaultConfig { return faultsim.DefaultConfig(hbm.DefaultGeometry) }
+func DefaultFaultConfig() FaultConfig { return faultsim.DefaultConfig(hbm.HBM2E) }
 
 // Failure patterns (Figure 3).
 const (
@@ -351,12 +351,12 @@ const (
 func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) { return stream.New(cfg) }
 
 // DefaultStreamConfig returns a StreamConfig serving the given fitted
-// pipeline with the default geometry, GOMAXPROCS shards and backpressure
+// pipeline over the paper's HBM2E fleet, GOMAXPROCS shards and backpressure
 // ingest.
 func DefaultStreamConfig(p *Pipeline) StreamConfig {
 	return StreamConfig{
 		Strategy: NewStrategy(p, DefaultGeometry),
-		Geometry: DefaultGeometry,
+		Profile:  hbm.HBM2E,
 	}
 }
 

@@ -79,9 +79,13 @@ func ExampleNewStreamEngine() {
 	// The busiest banks, for the on-call engineer, read from the engine's
 	// session snapshots.
 	var busiest []cordial.SessionStats
-	for _, bankEvents := range live.Log().GroupByBank() {
-		if st, ok := engine.Session(cordial.BankOf(bankEvents[0].Addr)); ok {
-			busiest = append(busiest, st)
+	seen := map[cordial.BankAddress]bool{}
+	for _, ev := range live.Log().Events() {
+		if bank := cordial.BankOf(ev.Addr); !seen[bank] {
+			seen[bank] = true
+			if st, ok := engine.Session(bank); ok {
+				busiest = append(busiest, st)
+			}
 		}
 	}
 	sort.Slice(busiest, func(i, j int) bool {

@@ -91,12 +91,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(walDir)
-	engine, err := cordial.NewStreamEngine(cordial.StreamConfig{
-		Models:     reg,
-		Geometry:   cordial.DefaultGeometry,
-		Durability: cordial.StreamDurability{Dir: walDir},
-		Logger:     slog.New(slog.DiscardHandler),
-	})
+	scfg := cordial.DefaultStreamConfig(boot)
+	scfg.Models = reg // serves the registry's active version, not boot itself
+	scfg.Durability = cordial.StreamDurability{Dir: walDir}
+	scfg.Logger = slog.New(slog.DiscardHandler)
+	engine, err := cordial.NewStreamEngine(scfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func (st *runState) executePoison(a ChaosAction, rec *ChaosRecord) {
 
 	// Well-framed poison: records that decode but must fail validation —
 	// zero/pre-epoch/far-future timestamps and out-of-geometry rows.
-	geo := hbm.DefaultGeometry
+	geo := st.plan.Profile.Geometry
 	bank := hbm.BankAddress{}
 	poisons := []mcelog.Event{
 		{Time: time.Time{}, Addr: hbm.CellInBank(bank, 0, 0), Class: 1},
@@ -230,7 +230,7 @@ func (st *runState) executePoison(a ChaosAction, rec *ChaosRecord) {
 	}
 	sent += count
 	var wire bytes.Buffer
-	burst.WriteWire(&wire) // a bytes.Buffer write cannot fail
+	burst.WriteWire(st.plan.Profile, &wire) // a bytes.Buffer write cannot fail
 	code, res := st.rawPost(front.URL("/v1/events.bin"), "application/octet-stream", wire.Bytes())
 	if code == http.StatusOK {
 		accepted += res.Accepted

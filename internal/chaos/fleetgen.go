@@ -17,7 +17,9 @@ import (
 // plans — Digest is the proof, and the report records it so reruns can be
 // compared.
 type Plan struct {
-	Fleet *GeneratedFleet
+	// Profile is the topology the fleet's addresses are packed under.
+	Profile *hbm.Profile
+	Fleet   *GeneratedFleet
 	// Chaos mirrors Scenario.Chaos with "random" targets resolved to a
 	// concrete node.
 	Chaos []ChaosAction
@@ -42,12 +44,12 @@ type GeneratedFleet struct {
 // all from the scenario seed. The RNG is split so workload and schedule
 // draw from independent deterministic streams: adding a chaos action does
 // not reshuffle the event stream.
-func BuildPlan(sc *Scenario, geo hbm.Geometry) (*Plan, error) {
+func BuildPlan(sc *Scenario, prof *hbm.Profile) (*Plan, error) {
 	base := xrand.New(sc.Seed)
 	fleetRNG := base.Split()
 	chaosRNG := base.Split()
 
-	fleet, err := generateFleet(sc, geo, &fleetRNG)
+	fleet, err := generateFleet(sc, prof, &fleetRNG)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +62,7 @@ func BuildPlan(sc *Scenario, geo hbm.Geometry) (*Plan, error) {
 		}
 	}
 
-	return &Plan{Fleet: fleet, Chaos: chaos, Digest: planDigest(fleet, chaos)}, nil
+	return &Plan{Profile: prof, Fleet: fleet, Chaos: chaos, Digest: planDigest(prof, fleet, chaos)}, nil
 }
 
 // patternByName maps scenario template names to generator patterns,
@@ -81,8 +83,8 @@ func patternByName(name string) (faultsim.Pattern, bool) {
 	return 0, false
 }
 
-func generateFleet(sc *Scenario, geo hbm.Geometry, rng *xrand.RNG) (*GeneratedFleet, error) {
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(geo), rng.Split())
+func generateFleet(sc *Scenario, prof *hbm.Profile, rng *xrand.RNG) (*GeneratedFleet, error) {
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(prof), rng.Split())
 	if err != nil {
 		return nil, err
 	}
@@ -98,9 +100,9 @@ func generateFleet(sc *Scenario, geo hbm.Geometry, rng *xrand.RNG) (*GeneratedFl
 	for b := 0; b < sc.FleetGen.TotalBanks; b++ {
 		var bank hbm.BankAddress
 		for {
-			bank = hbm.RandomBank(geo, rng)
-			if !used[bank.Pack()] {
-				used[bank.Pack()] = true
+			bank = hbm.RandomBank(prof.Geometry, rng)
+			if k := prof.Layout.PackBank(bank); !used[k] {
+				used[k] = true
 				break
 			}
 		}
@@ -138,12 +140,12 @@ func generateFleet(sc *Scenario, geo hbm.Geometry, rng *xrand.RNG) (*GeneratedFl
 // per-event image matches the wire record: time, packed address, class,
 // error bits — two plans differing only in reported DQ/burst patterns
 // hash differently.
-func planDigest(fleet *GeneratedFleet, chaos []ChaosAction) string {
+func planDigest(prof *hbm.Profile, fleet *GeneratedFleet, chaos []ChaosAction) string {
 	h := fnv.New64a()
 	var buf [19]byte
 	for _, ev := range fleet.Events {
 		putInt64(buf[0:8], ev.Time.UnixNano())
-		putUint64(buf[8:16], ev.Addr.Pack())
+		putUint64(buf[8:16], prof.Layout.Pack(ev.Addr))
 		buf[16] = byte(ev.Class)
 		buf[17] = byte(ev.Bits)
 		buf[18] = byte(ev.Bits >> 8)

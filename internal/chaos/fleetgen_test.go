@@ -47,11 +47,11 @@ chaos:
 // scenario and seed must yield the same events and the same resolved
 // chaos schedule, digest-for-digest; a different seed must not.
 func TestBuildPlanDeterministic(t *testing.T) {
-	a, err := BuildPlan(planScenario(t, 42), hbm.DefaultGeometry)
+	a, err := BuildPlan(planScenario(t, 42), hbm.HBM2E)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildPlan(planScenario(t, 42), hbm.DefaultGeometry)
+	b, err := BuildPlan(planScenario(t, 42), hbm.HBM2E)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBuildPlanDeterministic(t *testing.T) {
 		}
 	}
 
-	c, err := BuildPlan(planScenario(t, 43), hbm.DefaultGeometry)
+	c, err := BuildPlan(planScenario(t, 43), hbm.HBM2E)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBuildPlanDeterministic(t *testing.T) {
 }
 
 func TestBuildPlanShape(t *testing.T) {
-	plan, err := BuildPlan(planScenario(t, 7), hbm.DefaultGeometry)
+	plan, err := BuildPlan(planScenario(t, 7), hbm.HBM2E)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestScenarioPlanDigests(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		plan, err := BuildPlan(sc, hbm.DefaultGeometry)
+		plan, err := BuildPlan(sc, hbm.HBM2E)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

@@ -16,7 +16,7 @@ const fleetGoldenSHA256 = "d0e24b71bae825ccbcc5171765606da7f69c14f651a44590596d2
 func TestGenerateFleetGolden(t *testing.T) {
 	sc := planScenario(t, 42)
 	sc.FleetGen.TotalBanks = 400
-	plan, err := BuildPlan(sc, hbm.DefaultGeometry)
+	plan, err := BuildPlan(sc, hbm.HBM2E)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -111,21 +112,16 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		return nil, err
 	}
 
-	// The harness process must pack addresses under the same topology the
-	// daemons run: activate the scenario's profile for plan generation,
-	// load delivery and verdict comparison alike.
-	geo := hbm.ActiveProfile().Geometry
-	if sc.Fleet.Topology != "" {
-		prof, err := hbm.SetActiveProfile(sc.Fleet.Topology)
-		if err != nil {
-			return nil, err
-		}
-		geo = prof.Geometry
-		logf("topology profile: %s", prof.Name)
+	// The harness packs addresses under the topology the daemons run: the
+	// plan carries the scenario's profile to load delivery and the poison.
+	prof, err := hbm.ProfileByName(cmp.Or(sc.Fleet.Topology, hbm.HBM2E.Name))
+	if err != nil {
+		return nil, err
 	}
+	logf("topology profile: %s", prof.Name)
 
 	logf("building plan: %d banks, seed %d", sc.FleetGen.TotalBanks, sc.Seed)
-	plan, err := BuildPlan(sc, geo)
+	plan, err := BuildPlan(sc, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +577,7 @@ func (st *runState) encodeBatch(events []mcelog.Event) ([]byte, string, error) {
 
 	var buf bytes.Buffer
 	if st.sc.Load.Codec == "wire" {
-		if err := mcelog.FromEvents(events).WriteWire(&buf); err != nil {
+		if err := mcelog.FromEvents(events).WriteWire(st.plan.Profile, &buf); err != nil {
 			return nil, "", err
 		}
 		return buf.Bytes(), "application/octet-stream", nil

@@ -36,7 +36,7 @@ type FleetSpec struct {
 	TrainBanks int
 	Trees      int
 	TrainSeed  uint64
-	Topology   string // registered hbm profile name; empty means the active profile
+	Topology   string // registered hbm profile name; empty means hbm2e
 	Fsync      string // cordial-serve -fsync policy: always|never
 	FaultFS    string // wal.FaultSpec armed/disarmed via SIGUSR2
 	Retrain    bool   // enable the drift retrain loop on serve nodes

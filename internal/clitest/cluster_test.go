@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cordial/internal/chaos"
+	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 )
 
@@ -37,10 +38,10 @@ func TestCLIClusterFailover(t *testing.T) {
 	firstHalf := []byte(strings.Join(lines[:half], "\n") + "\n")
 	// The second half travels as wire frames, through the router's binary
 	// door and its binary forwarding.
-	rest, err := mcelog.ReadLog(strings.NewReader(strings.Join(lines[half:], "\n")))
+	rest, err := mcelog.ReadLog(hbm.HBM2E, strings.NewReader(strings.Join(lines[half:], "\n")))
 	check(t, err)
 	var secondHalf bytes.Buffer
-	check(t, rest.WriteWire(&secondHalf))
+	check(t, rest.WriteWire(hbm.HBM2E, &secondHalf))
 
 	// Every daemon self-trains the same (deterministic) model so the
 	// cluster and the reference make identical decisions.

@@ -46,9 +46,11 @@ type dropRequest struct {
 	Desc Descriptor `json:"descriptor"`
 }
 
-// registerRequest announces a serve node to the control plane.
+// registerRequest announces a serve node to the control plane, with the
+// name of the profile its engine packs addresses under (empty: hbm2e).
 type registerRequest struct {
-	Member Member `json:"member"`
+	Member  Member `json:"member"`
+	Profile string `json:"profile,omitempty"`
 }
 
 // heartbeatRequest keeps a registration alive.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -107,16 +108,18 @@ type testNode struct {
 
 func startNode(t *testing.T, cpURL, id string) *testNode {
 	t.Helper()
-	return startNodeWith(t, cpURL, id, stream.ServerConfig{}, nil)
+	return startNodeWith(t, cpURL, id, stream.ServerConfig{}, nil, nil)
 }
 
-// startNodeWith is startNode with the node's HTTP front-end configured and
-// its engine, and so its agent, on clock (nil: the system clock).
-func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig, clock obs.Clock) *testNode {
+// startNodeWith is startNode with the node's HTTP front-end configured, its
+// engine, and so its agent, on clock (nil: the system clock) and under prof
+// (nil: hbm2e).
+func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig, clock obs.Clock, prof *hbm.Profile) *testNode {
 	t.Helper()
 	dir := t.TempDir()
 	engine, err := stream.New(stream.Config{
 		Strategy:   &testStrategy{budget: 3},
+		Profile:    prof,
 		Shards:     2,
 		Durability: stream.DurabilityConfig{Dir: dir, Sync: wal.SyncNever},
 		Logger:     quiet,
@@ -176,11 +179,11 @@ func postEvents(t *testing.T, baseURL string, events []mcelog.Event) (int, strea
 	return postBody(t, baseURL+"/v1/events", "application/x-ndjson", &buf)
 }
 
-// postEventsBin posts the same batch as wire frames.
-func postEventsBin(t *testing.T, baseURL string, events []mcelog.Event) (int, stream.IngestResult) {
+// postEventsBin posts the same batch as wire frames packed under prof.
+func postEventsBin(t *testing.T, prof *hbm.Profile, baseURL string, events []mcelog.Event) (int, stream.IngestResult) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := mcelog.FromEvents(events).WriteWire(&buf); err != nil {
+	if err := mcelog.FromEvents(events).WriteWire(prof, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return postBody(t, baseURL+"/v1/events.bin", "application/octet-stream", &buf)
@@ -449,8 +452,8 @@ func startLeasedPair(t *testing.T) (*ControlPlane, *httptest.Server, *testNode, 
 	t.Helper()
 	clock := obs.NewFakeClock(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC))
 	cp, cpSrv := startCP(t, CPConfig{HeartbeatTTL: time.Hour, Clock: clock})
-	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{}, clock)
-	n2 := startNodeWith(t, cpSrv.URL, "n2", stream.ServerConfig{}, clock)
+	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{}, clock, nil)
+	n2 := startNodeWith(t, cpSrv.URL, "n2", stream.ServerConfig{}, clock, nil)
 	waitFor(t, "two nodes", func() bool {
 		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
 	})
@@ -498,19 +501,22 @@ func TestRouterCodecMatrix(t *testing.T) {
 	rtSrv := httptest.NewServer(rt)
 	defer rtSrv.Close()
 
-	for _, tc := range []struct {
+	codecs := []struct {
 		name string
-		post func(*testing.T, string, []mcelog.Event) (int, stream.IngestResult)
+		post func(*testing.T, *hbm.Profile, string, []mcelog.Event) (int, stream.IngestResult)
 	}{
-		{"jsonl-in binary-up", postEvents},
+		{"jsonl-in binary-up", func(t *testing.T, _ *hbm.Profile, url string, evs []mcelog.Event) (int, stream.IngestResult) {
+			return postEvents(t, url, evs)
+		}},
 		{"binary-in binary-up", postEventsBin},
-	} {
+	}
+	for _, tc := range codecs {
 		t.Run(tc.name, func(t *testing.T) {
 			var batch []mcelog.Event
 			for b := 0; b < 8; b++ {
 				batch = append(batch, clusterUER(clusterBank(b), 1, b))
 			}
-			status, res := tc.post(t, rtSrv.URL, batch)
+			status, res := tc.post(t, hbm.HBM2E, rtSrv.URL, batch)
 			if status != http.StatusOK || res.Accepted != len(batch) {
 				t.Fatalf("%s: status %d result %+v", tc.name, status, res)
 			}
@@ -521,7 +527,7 @@ func TestRouterCodecMatrix(t *testing.T) {
 			for b := 0; len(batch) < 400; b++ {
 				batch = append(batch, clusterUER(clusterBank(b%8), 2+b/8, 8+b))
 			}
-			status, res = tc.post(t, rtSrv.URL, batch)
+			status, res = tc.post(t, hbm.HBM2E, rtSrv.URL, batch)
 			if status != http.StatusRequestEntityTooLarge || !res.Truncated || res.Accepted >= len(batch) {
 				t.Fatalf("%s: over-cap body: status %d result %+v, want 413 and a truncated prefix", tc.name, status, res)
 			}
@@ -530,6 +536,44 @@ func TestRouterCodecMatrix(t *testing.T) {
 			}
 		})
 	}
+
+	// A ddr5-dimm cluster: the router learns the profile from the ring, so rows
+	// 100 and 40000 of a bank in bank group 4 — a row and a bank group hbm2e
+	// cannot encode — decode, key and reach one owner over both codecs.
+	t.Run("ddr5-dimm", func(t *testing.T) {
+		cp, cpSrv := startCP(t, CPConfig{})
+		n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{}, nil, hbm.DDR5DIMM)
+		n2 := startNodeWith(t, cpSrv.URL, "n2", stream.ServerConfig{}, nil, hbm.DDR5DIMM)
+		waitFor(t, "two nodes", func() bool {
+			return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
+		})
+		rt := NewRouter(RouterConfig{ControlPlane: cpSrv.URL, Backoff: 10 * time.Millisecond, Logger: quiet})
+		if err := rt.refreshRing(); err != nil {
+			t.Fatal(err)
+		}
+		rtSrv := httptest.NewServer(rt)
+		defer rtSrv.Close()
+		bank := hbm.BankAddress{Node: 3, NPU: 1, HBM: 1, Channel: 5, Rank: 1, Device: 2, BankGroup: 4, Bank: 1}
+		for i, tc := range codecs {
+			batch := []mcelog.Event{clusterUER(bank, 100, 2*i), clusterUER(bank, 40000, 2*i+1)}
+			if status, res := tc.post(t, hbm.DDR5DIMM, rtSrv.URL, batch); status != http.StatusOK || res.Accepted != 2 || res.Rejected != 0 {
+				t.Fatalf("%s: status %d result %+v, want both rows accepted", tc.name, status, res)
+			}
+		}
+		waitFor(t, "all four events on one owner", func() bool {
+			st1, ok1 := n1.engine.Session(bank)
+			st2, ok2 := n2.engine.Session(bank)
+			return ok1 != ok2 && st1.Events+st2.Events == 4
+		})
+		// The first registration fixed the cluster's profile: a node that runs
+		// another is refused.
+		var se *statusError
+		err := postJSON(http.DefaultClient, cpSrv.URL+"/cluster/v1/register",
+			registerRequest{Member: Member{ID: "n3", Addr: "127.0.0.1:1"}, Profile: "hbm2e"}, nil)
+		if !errors.As(err, &se) || se.Status != http.StatusConflict || cp.Descriptor().Profile != "ddr5-dimm" {
+			t.Fatalf("an hbm2e node registering: %v, want 409 from the ddr5-dimm cluster", err)
+		}
+	})
 }
 
 // TestRouterRejectsStrayAddressBits: a wire record whose packed address has
@@ -549,7 +593,7 @@ func TestRouterRejectsStrayAddressBits(t *testing.T) {
 
 	bank := clusterBank(1)
 	var buf bytes.Buffer
-	if err := mcelog.FromEvents([]mcelog.Event{clusterUER(bank, 1, 0), clusterUER(bank, 2, 1), clusterUER(bank, 3, 2)}).WriteWire(&buf); err != nil {
+	if err := mcelog.FromEvents([]mcelog.Event{clusterUER(bank, 1, 0), clusterUER(bank, 2, 1), clusterUER(bank, 3, 2)}).WriteWire(hbm.HBM2E, &buf); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.Bytes()

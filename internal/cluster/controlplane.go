@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"cordial/internal/hbm"
 	"cordial/internal/obs"
 	"cordial/internal/wal"
 )
@@ -85,6 +87,9 @@ type ControlPlane struct {
 	mu      sync.Mutex
 	epoch   uint64
 	members map[string]*memberState
+	// profile is the cluster's topology profile, fixed by the first
+	// registration ("" until then).
+	profile string
 }
 
 // NewControlPlane builds the service. Mount Handler(); call Run (or
@@ -155,7 +160,7 @@ func (cp *ControlPlane) descriptorLocked() Descriptor {
 		ms = append(ms, m.Member)
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
-	return Descriptor{Epoch: cp.epoch, VNodes: cp.cfg.VNodes, Members: ms}
+	return Descriptor{Epoch: cp.epoch, VNodes: cp.cfg.VNodes, Profile: cp.profile, Members: ms}
 }
 
 // Descriptor returns the currently published ring descriptor.
@@ -169,7 +174,8 @@ func (cp *ControlPlane) Descriptor() Descriptor {
 // existing node adopts the next descriptor (fencing the moving banks),
 // drains and exports them; the joiner imports; sources drop; then the
 // descriptor is published. Re-registration of a live ID just refreshes
-// its address and lease — no topology change.
+// its address and lease — no topology change. The first registration fixes
+// the cluster's profile; a node whose engine runs another is refused with 409.
 func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if !decodeRequest(w, r, &req) {
@@ -180,10 +186,16 @@ func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "member id and addr are required", http.StatusBadRequest)
 		return
 	}
+	prof := cmp.Or(req.Profile, hbm.HBM2E.Name)
 
 	cp.topo.Lock()
 	defer cp.topo.Unlock()
 	cp.mu.Lock()
+	if cp.profile = cmp.Or(cp.profile, prof); cp.profile != prof {
+		cp.mu.Unlock()
+		http.Error(w, fmt.Sprintf("cluster runs profile %q, node %s runs %q", cp.profile, m.ID, prof), http.StatusConflict)
+		return
+	}
 	if old, ok := cp.members[m.ID]; ok {
 		old.Member = m
 		old.lastSeen = cp.cfg.Clock.Now()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/stream"
 )
@@ -44,7 +45,7 @@ type doorError struct {
 func TestIngestDoorMatrix(t *testing.T) {
 	const maxBody = 4096
 	cp, cpSrv := startCP(t, CPConfig{})
-	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{MaxBodyBytes: maxBody}, nil)
+	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{MaxBodyBytes: maxBody}, nil, nil)
 	waitFor(t, "n1 registration", func() bool { return n1.agent.Epoch() == 1 && cp.Descriptor().Epoch == 1 })
 	rt := NewRouter(RouterConfig{ControlPlane: cpSrv.URL, MaxBodyBytes: maxBody, Backoff: 10 * time.Millisecond, Logger: quiet})
 	if err := rt.refreshRing(); err != nil {
@@ -100,7 +101,7 @@ func TestIngestDoorMatrix(t *testing.T) {
 	reseal(stray, magic, 3*mcelog.WireRecordSize)
 	strayMsg := func() string {
 		rec := stray[magic+hdr+mcelog.WireRecordSize : magic+hdr+2*mcelog.WireRecordSize]
-		_, err := mcelog.ParseRecordChecked(rec)
+		_, err := mcelog.ParseRecordChecked(hbm.HBM2E, rec)
 		return err.Error()
 	}()
 

@@ -290,7 +290,7 @@ func (a *Agent) Leave() error {
 func (a *Agent) register() error {
 	var desc Descriptor
 	if err := postJSON(a.cfg.Client, a.cfg.ControlPlane+"/cluster/v1/register",
-		registerRequest{Member: a.cfg.Self}, &desc); err != nil {
+		registerRequest{Member: a.cfg.Self, Profile: a.engine.Config().Profile.Name}, &desc); err != nil {
 		return err
 	}
 	_, err := a.adopt(desc)

@@ -19,8 +19,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+
+	"cordial/internal/hbm"
 )
 
 // DefaultVNodes is the virtual-node count per member when a descriptor
@@ -51,6 +54,10 @@ type Descriptor struct {
 	Epoch uint64 `json:"epoch"`
 	// VNodes is the virtual-node count per member (0 = DefaultVNodes).
 	VNodes int `json:"vnodes,omitempty"`
+	// Profile names the topology profile every member's engine packs
+	// addresses under, fixed by the first registration. Empty reads as
+	// hbm2e, the profile of a descriptor written before the field existed.
+	Profile string `json:"profile,omitempty"`
 	// Members is the node set, in registration order. Order does not
 	// affect placement (hashing is by ID), but it is kept stable so
 	// descriptors are comparable in logs and tests.
@@ -72,6 +79,7 @@ func (d Descriptor) Member(id string) (Member, bool) {
 // read-only and safe for concurrent use.
 type Ring struct {
 	desc   Descriptor
+	prof   *hbm.Profile
 	points []ringPoint // sorted by hash
 }
 
@@ -111,11 +119,16 @@ func hashString(s string) uint64 {
 // the same descriptor always yields the same placement, on any
 // participant, in any process — the property FuzzRingPlacement pins.
 // Duplicate member IDs are rejected (they would silently halve a node's
-// arc). An empty member list is a valid ring that owns nothing.
+// arc), as is a profile no registry entry names. An empty member list is a
+// valid ring that owns nothing.
 func BuildRing(desc Descriptor) (*Ring, error) {
 	vnodes := desc.VNodes
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
+	}
+	prof, err := hbm.ProfileByName(cmp.Or(desc.Profile, hbm.HBM2E.Name))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	seen := make(map[string]struct{}, len(desc.Members))
 	for _, m := range desc.Members {
@@ -127,7 +140,7 @@ func BuildRing(desc Descriptor) (*Ring, error) {
 		}
 		seen[m.ID] = struct{}{}
 	}
-	r := &Ring{desc: desc}
+	r := &Ring{desc: desc, prof: prof}
 	r.desc.VNodes = vnodes
 	r.points = make([]ringPoint, 0, vnodes*len(desc.Members))
 	for mi, m := range desc.Members {
@@ -155,6 +168,9 @@ func BuildRing(desc Descriptor) (*Ring, error) {
 
 // Descriptor returns the ring's (defaulted) descriptor.
 func (r *Ring) Descriptor() Descriptor { return r.desc }
+
+// Profile returns the topology profile the ring's banks are keyed under.
+func (r *Ring) Profile() *hbm.Profile { return r.prof }
 
 // Epoch returns the ring's membership version.
 func (r *Ring) Epoch() uint64 { return r.desc.Epoch }

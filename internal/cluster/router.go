@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/obs"
 	"cordial/internal/stream"
@@ -192,7 +193,9 @@ type routedLine struct {
 
 // handleIngest serves both ingest routes, the route naming its body's
 // codec, as the serve node's own handler does: it splits the batch by owner
-// and forwards each slice. Records decode checked — one whose packed
+// and forwards each slice. Records decode and key under the profile the ring
+// descriptor names, checked — one whose packed
+
 // address has bits outside the layout is rejected here, since re-encoding
 // it would forward the bank it aliases onto — and a record the router
 // cannot decode is rejected here too, as it has no owner to forward it to.
@@ -202,12 +205,14 @@ type routedLine struct {
 // forwarded either way.
 func (rt *Router) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if rt.currentRing() == nil {
+		ring := rt.currentRing()
+		if ring == nil {
 			http.Error(w, "no ring yet", http.StatusServiceUnavailable)
 			return
 		}
+		prof := ring.Profile() // fixed for the cluster's life, so any epoch's will do
 		var body mcelog.BodyReader
-		body.Reset(codec, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), int(rt.cfg.MaxBodyBytes)+1)
+		body.Reset(prof, codec, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), int(rt.cfg.MaxBodyBytes)+1)
 		var agg stream.IngestResult
 		var lines []routedLine
 		var end error
@@ -215,7 +220,7 @@ func (rt *Router) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 			ev, err := body.Next()
 			switch err.(type) {
 			case nil:
-				lines = append(lines, routedLine{ev: ev, key: ev.Addr.BankKey()})
+				lines = append(lines, routedLine{ev: ev, key: prof.Layout.BankKey(ev.Addr)})
 			case *mcelog.RecordError:
 				agg.Reject(err)
 			default:
@@ -224,7 +229,7 @@ func (rt *Router) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 		}
 		status := agg.EndBody(body.Pos(), end)
 		rt.lines.Add(uint64(len(lines)))
-		rt.forward(lines, &agg)
+		rt.forward(prof, lines, &agg)
 		if agg.Epoch == 0 {
 			if ring := rt.currentRing(); ring != nil {
 				agg.Epoch = ring.Epoch()
@@ -238,7 +243,7 @@ func (rt *Router) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 // slices against fresh rings until attempts run out. Grouping preserves
 // input order within each node slice, so per-bank order is preserved
 // end to end (one bank → one owner at a time).
-func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
+func (rt *Router) forward(prof *hbm.Profile, lines []routedLine, agg *stream.IngestResult) {
 	for attempt := 0; len(lines) > 0 && attempt < rt.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rt.retries.Inc()
@@ -262,7 +267,7 @@ func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
 		for _, id := range order {
 			group := groups[id]
 			m, _ := ring.Member(id)
-			res, err := rt.postBatch(m, group)
+			res, err := rt.postBatch(prof, m, group)
 			if err != nil {
 				rt.cfg.Logger.Warn("forward failed", "node", id, "lines", len(group), "err", err)
 				carry = append(carry, group...) // whole slice unconsumed
@@ -306,10 +311,10 @@ func (rt *Router) forward(lines []routedLine, agg *stream.IngestResult) {
 // endpoint, and the frames are what it journals. Any 2xx or a 503 carrying
 // an IngestResult body parses as a result; everything else is an error
 // (the caller re-resolves owners and retries).
-func (rt *Router) postBatch(m Member, group []routedLine) (stream.IngestResult, error) {
+func (rt *Router) postBatch(prof *hbm.Profile, m Member, group []routedLine) (stream.IngestResult, error) {
 	rt.forwards.Inc()
 	var buf bytes.Buffer
-	enc := mcelog.NewFrameEncoder(&buf, 0)
+	enc := mcelog.NewFrameEncoderFor(prof, &buf, 0)
 	for _, ln := range group {
 		if err := enc.Add(ln.ev); err != nil {
 			return stream.IngestResult{}, fmt.Errorf("framing event for node %s: %w", m.ID, err)

@@ -7,6 +7,7 @@ import (
 
 	"cordial/internal/faultsim"
 	"cordial/internal/features"
+	"cordial/internal/hbm"
 	"cordial/internal/metrics"
 	"cordial/internal/mltree"
 	"cordial/internal/sparing"
@@ -99,20 +100,27 @@ type PredictionEval struct {
 	Usage sparing.UsageStats
 }
 
-// EvaluatePrediction replays every test bank's event stream through the
-// strategy, applies its decisions on a fresh sparing engine, and scores
-// block predictions (precision/recall/F1) and isolation coverage (ICR).
+// EvaluatePrediction is EvaluatePredictionFor hbm2e. Bench-only until ROADMAP
+// item 15.
+func EvaluatePrediction(s Strategy, banks []*faultsim.BankFault, spec features.BlockSpec, budget sparing.Budget) (*PredictionEval, error) {
+	return EvaluatePredictionFor(hbm.HBM2E, s, banks, spec, budget)
+}
+
+// EvaluatePredictionFor replays every test bank's event stream through the
+// strategy, applies its decisions on a fresh sparing engine over p's banks,
+// and scores block predictions (precision/recall/F1) and isolation coverage
+// (ICR).
 //
 // Block ground truth at a prediction step: a block is positive when a
 // not-yet-failed UER row (first UER strictly after the step's time) falls in
 // the block's row range. ICR ground truth: a UER row counts as covered when
 // an isolation action that includes it took effect strictly before the row's
 // first UER.
-func EvaluatePrediction(s Strategy, banks []*faultsim.BankFault, spec features.BlockSpec, budget sparing.Budget) (*PredictionEval, error) {
+func EvaluatePredictionFor(p *hbm.Profile, s Strategy, banks []*faultsim.BankFault, spec features.BlockSpec, budget sparing.Budget) (*PredictionEval, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	engine, err := sparing.NewEngine(budget)
+	engine, err := sparing.NewEngineFor(p, budget)
 	if err != nil {
 		return nil, err
 	}

@@ -52,8 +52,8 @@ func runConfig(p Params, cfg core.Config, train, test []*faultsim.BankFault) (Ab
 	if err != nil {
 		return AblationRow{}, err
 	}
-	strat := &core.CordialStrategy{Pipeline: pipe, Geometry: p.Spec.Fault.Geometry}
-	res, err := core.EvaluatePrediction(strat, test, cfg.Block, p.Budget)
+	strat := &core.CordialStrategy{Pipeline: pipe, Geometry: p.Spec.Fault.Profile.Geometry}
+	res, err := core.EvaluatePredictionFor(p.Spec.Fault.Profile, strat, test, cfg.Block, p.Budget)
 	if err != nil {
 		return AblationRow{}, err
 	}

@@ -35,9 +35,9 @@ type Params struct {
 // 500 faulty banks and 3000 benign banks spread over a 4096-NPU fleet (the
 // paper's error-bank density of roughly one per NPU), 80-tree ensembles.
 func Default() Params {
-	geo := hbm.DefaultGeometry
-	geo.Nodes = 512
-	spec := trace.DefaultSpec(geo)
+	prof := *hbm.HBM2E
+	prof.Geometry.Nodes = 512
+	spec := trace.DefaultSpecFor(&prof)
 	spec.UERBanks = 500
 	spec.BenignBanks = 3000
 	return Params{

@@ -115,7 +115,7 @@ func RunFig4(p Params) (*Fig4, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, err := trace.LocalityChiSquare(fleet.Log(), p.Spec.Fault.Geometry.RowsPerBank, trace.DefaultThresholds())
+	points, err := trace.LocalityChiSquare(p.Spec.Fault.Profile, fleet.Log(), p.Spec.Fault.Profile.Geometry.RowsPerBank, trace.DefaultThresholds())
 	if err != nil {
 		return nil, err
 	}

@@ -63,13 +63,14 @@ func RunStability(p Params, seeds int) (*Stability, error) {
 		}
 		record("pattern weighted F1 (RF)", pe.Weighted.F1)
 
-		geo := run.Spec.Fault.Geometry
-		cordial, err := core.EvaluatePrediction(
+		prof := run.Spec.Fault.Profile
+		geo := prof.Geometry
+		cordial, err := core.EvaluatePredictionFor(prof,
 			&core.CordialStrategy{Pipeline: pipe, Geometry: geo}, test, cfg.Block, run.Budget)
 		if err != nil {
 			return nil, err
 		}
-		baseline, err := core.EvaluatePrediction(
+		baseline, err := core.EvaluatePredictionFor(prof,
 			&core.NeighborRowsStrategy{Geometry: geo, Block: cfg.Block}, test, cfg.Block, run.Budget)
 		if err != nil {
 			return nil, err

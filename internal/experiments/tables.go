@@ -24,7 +24,7 @@ func RunTableI(p Params) (*TableI, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableI{Rows: trace.SuddenByLevel(fleet.Log())}, nil
+	return &TableI{Rows: trace.SuddenByLevel(p.Spec.Fault.Profile, fleet.Log())}, nil
 }
 
 // Render writes the paper-style table.
@@ -58,7 +58,7 @@ func RunTableII(p Params) (*TableII, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableII{Rows: trace.SummaryByLevel(fleet.Log())}, nil
+	return &TableII{Rows: trace.SummaryByLevel(p.Spec.Fault.Profile, fleet.Log())}, nil
 }
 
 // Render writes the paper-style table.
@@ -128,7 +128,7 @@ func RunEvaluation(p Params) (*TableIII, *TableIV, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	geo := p.Spec.Fault.Geometry
+	geo := p.Spec.Fault.Profile.Geometry
 
 	t3 := &TableIII{}
 	t4 := &TableIV{}
@@ -136,14 +136,14 @@ func RunEvaluation(p Params) (*TableIII, *TableIV, error) {
 	// Baselines first, matching the paper's row order.
 	blockSpec := core.DefaultConfig(core.RandomForest).Block
 	baseline := &core.NeighborRowsStrategy{Geometry: geo, Block: blockSpec}
-	bres, err := core.EvaluatePrediction(baseline, test, blockSpec, p.Budget)
+	bres, err := core.EvaluatePredictionFor(p.Spec.Fault.Profile, baseline, test, blockSpec, p.Budget)
 	if err != nil {
 		return nil, nil, err
 	}
 	t4.Rows = append(t4.Rows, predictionRow(bres))
 
 	inrow := &core.InRowStrategy{Geometry: geo}
-	ires, err := core.EvaluatePrediction(inrow, test, blockSpec, p.Budget)
+	ires, err := core.EvaluatePredictionFor(p.Spec.Fault.Profile, inrow, test, blockSpec, p.Budget)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,7 +153,7 @@ func RunEvaluation(p Params) (*TableIII, *TableIV, error) {
 	if err := calchas.Fit(train); err != nil {
 		return nil, nil, fmt.Errorf("experiments: fitting Calchas-lite: %w", err)
 	}
-	cres, err := core.EvaluatePrediction(calchas, test, blockSpec, p.Budget)
+	cres, err := core.EvaluatePredictionFor(p.Spec.Fault.Profile, calchas, test, blockSpec, p.Budget)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -182,7 +182,7 @@ func RunEvaluation(p Params) (*TableIII, *TableIV, error) {
 		t3.Rows = append(t3.Rows, row)
 
 		strat := &core.CordialStrategy{Pipeline: pipe, Geometry: geo}
-		res, err := core.EvaluatePrediction(strat, test, cfg.Block, p.Budget)
+		res, err := core.EvaluatePredictionFor(p.Spec.Fault.Profile, strat, test, cfg.Block, p.Budget)
 		if err != nil {
 			return nil, nil, err
 		}

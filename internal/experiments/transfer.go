@@ -97,27 +97,22 @@ type transferFleet struct {
 }
 
 // RunTransfer synthesises a fleet per profile, trains one pipeline per
-// profile (under that profile active), and evaluates every pipeline on
-// every profile's test banks (under the eval profile active). The feature
+// profile on that profile's fleet, and evaluates every pipeline on every
+// profile's test banks, keyed and spared under the eval profile. The feature
 // vectors are topology-free — rows, times, error classes within a bank —
 // which is what makes cross-architecture reuse plausible at all; this
-// study measures how much headroom that leaves. The previously active
-// profile is restored before returning.
+// study measures how much headroom that leaves.
 func RunTransfer(p TransferParams) (*Transfer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	prev := hbm.ActiveProfile()
-	defer hbm.ActivateProfile(prev)
-
 	fleets := make([]transferFleet, 0, len(p.Profiles))
 	for i, name := range p.Profiles {
 		prof, err := hbm.ProfileByName(name)
 		if err != nil {
 			return nil, err
 		}
-		hbm.ActivateProfile(prof)
-		spec := trace.DefaultSpec(prof.Geometry)
+		spec := trace.DefaultSpecFor(prof)
 		spec.UERBanks = p.UERBanks
 		spec.BenignBanks = p.BenignBanks
 		spec.Seed = p.Seed + uint64(i)
@@ -134,7 +129,6 @@ func RunTransfer(p TransferParams) (*Transfer, error) {
 
 	result := &Transfer{}
 	for _, src := range fleets {
-		hbm.ActivateProfile(src.profile)
 		cfg := core.DefaultConfig(core.RandomForest)
 		cfg.Params = p.Model
 		pipe, err := core.New(cfg)
@@ -145,13 +139,12 @@ func RunTransfer(p TransferParams) (*Transfer, error) {
 			return nil, fmt.Errorf("experiments: transfer fit on %s: %w", src.profile.Name, err)
 		}
 		for _, dst := range fleets {
-			hbm.ActivateProfile(dst.profile)
 			pe, err := core.EvaluatePattern(pipe, dst.test)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: transfer %s→%s pattern: %w", src.profile.Name, dst.profile.Name, err)
 			}
 			strat := &core.CordialStrategy{Pipeline: pipe, Geometry: dst.profile.Geometry}
-			res, err := core.EvaluatePrediction(strat, dst.test, cfg.Block, p.Budget)
+			res, err := core.EvaluatePredictionFor(dst.profile, strat, dst.test, cfg.Block, p.Budget)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: transfer %s→%s prediction: %w", src.profile.Name, dst.profile.Name, err)
 			}

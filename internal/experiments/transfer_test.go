@@ -2,31 +2,41 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
-
-	"cordial/internal/hbm"
 )
 
 // TestTransferSmoke runs a tiny two-profile transfer study and checks the
-// pair grid, metric ranges, and that the active profile is restored.
+// pair grid and metric ranges, and every field against a golden written when
+// the study switched a process-wide profile phase by phase: each call site
+// that packs, keys or spares an address must be handed the profile whose
+// banks it holds.
 func TestTransferSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipelines")
 	}
-	before := hbm.ActiveProfile()
-
 	p := DefaultTransfer()
 	p.Profiles = []string{"hbm2e", "ddr5-dimm"}
-	p.UERBanks = 40
+	p.UERBanks = 120 // at 40, a ddr5-dimm fleet scored under hbm2e's geometry and layout reads the same
 	p.BenignBanks = 0
 	p.Model.Trees = 8
 	res, err := RunTransfer(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hbm.ActiveProfile() != before {
-		t.Fatalf("active profile not restored: %s", hbm.ActiveProfile().Name)
+	data, err := os.ReadFile("testdata/transfer.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []TransferRow
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("transfer rows\n%+v\nwant the golden\n%+v", res.Rows, want)
 	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4 (2×2 pair grid)", len(res.Rows))

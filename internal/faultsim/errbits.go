@@ -48,9 +48,9 @@ func mix64(v uint64) uint64 {
 	return v ^ (v >> 31)
 }
 
-// errBitsFor derives the error-bit pattern of one event.
-func errBitsFor(bank hbm.BankAddress, row, col int, class ecc.Class, kind bitKind) mcelog.ErrBits {
-	key := bank.Pack()
+// errBitsFor derives the error-bit pattern of one event from its bank's key.
+func (g *Generator) errBitsFor(bank hbm.BankAddress, row, col int, class ecc.Class, kind bitKind) mcelog.ErrBits {
+	key := g.cfg.Profile.Layout.PackBank(bank)
 	h := mix64(key ^ mix64(uint64(row)) ^ mix64(uint64(col)<<20) ^ uint64(class)<<56)
 	switch kind {
 	case bitsAggregation:

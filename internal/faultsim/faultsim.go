@@ -142,8 +142,9 @@ func (w PatternWeights) Sample(r *xrand.RNG) Pattern {
 // Config holds every knob of the per-bank fault process. Construct with
 // DefaultConfig and adjust; the zero value is not valid.
 type Config struct {
-	// Geometry bounds row/column draws.
-	Geometry hbm.Geometry
+	// Profile is the topology: its geometry bounds row/column draws, and its
+	// layout checks every emitted address and keys a bank's error bits.
+	Profile *hbm.Profile
 	// Start is the beginning of the observation window.
 	Start time.Time
 	// Duration is the length of the observation window; fault onsets are
@@ -229,16 +230,16 @@ type Config struct {
 	BenignUEOProb float64
 }
 
-// DefaultConfig returns the calibrated configuration for the given geometry.
+// DefaultConfig returns the calibrated configuration for the given profile.
 // The double-row gap range scales with the bank's row count (1/16 to 3/8 of
 // it) so the two clusters stay well separated yet inside the bank on any
 // registered topology; at the HBM2E default of 32768 rows this reproduces
 // the calibrated [2048, 12288] range exactly.
-func DefaultConfig(g hbm.Geometry) Config {
-	gapMin := max(1, g.RowsPerBank/16)
-	gapMax := max(gapMin, g.RowsPerBank*3/8)
+func DefaultConfig(p *hbm.Profile) Config {
+	gapMin := max(1, p.Geometry.RowsPerBank/16)
+	gapMax := max(gapMin, p.Geometry.RowsPerBank*3/8)
 	return Config{
-		Geometry:            g,
+		Profile:             p,
 		Start:               time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC),
 		Duration:            30 * 24 * time.Hour,
 		OnsetFraction:       0.6,
@@ -271,7 +272,10 @@ func DefaultConfig(g hbm.Geometry) Config {
 
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
-	if err := c.Geometry.Validate(); err != nil {
+	if c.Profile == nil {
+		return fmt.Errorf("faultsim: no topology profile")
+	}
+	if err := c.Profile.Validate(); err != nil {
 		return err
 	}
 	if c.Duration <= 0 {
@@ -286,8 +290,8 @@ func (c Config) Validate() error {
 	if c.DoubleRowGapMin <= 0 || c.DoubleRowGapMax < c.DoubleRowGapMin {
 		return fmt.Errorf("faultsim: double-row gap range [%d,%d] invalid", c.DoubleRowGapMin, c.DoubleRowGapMax)
 	}
-	if c.DoubleRowGapMax >= c.Geometry.RowsPerBank {
-		return fmt.Errorf("faultsim: DoubleRowGapMax %d must be below RowsPerBank %d", c.DoubleRowGapMax, c.Geometry.RowsPerBank)
+	if c.DoubleRowGapMax >= c.Profile.Geometry.RowsPerBank {
+		return fmt.Errorf("faultsim: DoubleRowGapMax %d must be below RowsPerBank %d", c.DoubleRowGapMax, c.Profile.Geometry.RowsPerBank)
 	}
 	for _, rg := range [][2]int{
 		c.SingleRowUERs, c.DoubleRowUERs, c.ScatteredUERs, c.WholeColumnUERs,
@@ -362,10 +366,10 @@ func NewGenerator(cfg Config, rng xrand.RNG) (*Generator, error) {
 }
 
 // Generate synthesises the fault process of one bank with the given pattern.
-// Every emitted event is checked against the configured geometry and the
-// active address layout before it leaves the generator: a simulator bug that
-// drew an out-of-range coordinate must surface here, not as a silently
-// aliased packed address three codecs downstream.
+// Every emitted event is checked against the profile's geometry and address
+// layout before it leaves the generator: a simulator bug that drew an
+// out-of-range coordinate must surface here, not as a silently aliased packed
+// address three codecs downstream.
 func (g *Generator) Generate(bank hbm.BankAddress, p Pattern) (*BankFault, error) {
 	rows := g.uerRows(p)
 	if len(rows) == 0 {
@@ -374,10 +378,10 @@ func (g *Generator) Generate(bank hbm.BankAddress, p Pattern) (*BankFault, error
 	bf := g.schedule(bank, p, rows)
 	bf.Cause = SampleCause(p, &g.rng)
 	for i, ev := range bf.Events {
-		if err := ev.Validate(g.cfg.Geometry); err != nil {
+		if err := ev.Validate(g.cfg.Profile.Geometry); err != nil {
 			return nil, fmt.Errorf("faultsim: generated event %d: %w", i, err)
 		}
-		if _, err := ev.Addr.PackChecked(); err != nil {
+		if _, err := g.cfg.Profile.Layout.PackChecked(ev.Addr); err != nil {
 			return nil, fmt.Errorf("faultsim: generated event %d: %w", i, err)
 		}
 	}
@@ -395,7 +399,7 @@ func (g *Generator) GenerateSampled(bank hbm.BankAddress, w PatternWeights) (*Ba
 // an earlier row (§III-C error propagation).
 func (g *Generator) uerRows(p Pattern) []int {
 	c := &g.cfg
-	geo := &c.Geometry
+	geo := &c.Profile.Geometry
 	switch p {
 	case PatternSingleRow:
 		n := g.rng.IntRange(c.SingleRowUERs[0], c.SingleRowUERs[1])
@@ -459,7 +463,7 @@ func (g *Generator) uerRows(p Pattern) []int {
 // distance between consecutive failures |N(0, sigma*sqrt(2))|, which is the
 // distribution the Figure 4 locality calibration relies on.
 func (g *Generator) clusterRows(center, n int) []int {
-	geo := &g.cfg.Geometry
+	geo := &g.cfg.Profile.Geometry
 	seen := make(map[int]bool, n)
 	rows := make([]int, 0, n)
 	for len(rows) < n {
@@ -480,7 +484,7 @@ func (g *Generator) clusterRows(center, n int) []int {
 
 // distinctUniformRows draws n distinct uniform rows in arbitrary order.
 func (g *Generator) distinctUniformRows(n int) []int {
-	geo := &g.cfg.Geometry
+	geo := &g.cfg.Profile.Geometry
 	if n > geo.RowsPerBank {
 		n = geo.RowsPerBank
 	}
@@ -521,7 +525,7 @@ func (g *Generator) applyAdjacency(rows []int) []int {
 				if g.rng.Bool(0.5) {
 					off = -off
 				}
-				cand := c.Geometry.ClampRow(base + off)
+				cand := c.Profile.Geometry.ClampRow(base + off)
 				if !seen[cand] {
 					rows[i] = cand
 					break
@@ -560,13 +564,13 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 	// draw columns per event.
 	fixedCol := -1
 	if p == PatternWholeColumn {
-		fixedCol = g.rng.Intn(c.Geometry.ColsPerBank)
+		fixedCol = g.rng.Intn(c.Profile.Geometry.ColsPerBank)
 	}
 	col := func() int {
 		if fixedCol >= 0 {
 			return fixedCol
 		}
-		return g.rng.Intn(c.Geometry.ColsPerBank)
+		return g.rng.Intn(c.Profile.Geometry.ColsPerBank)
 	}
 
 	// First UERs per row, spaced by exponential inter-arrivals.
@@ -595,7 +599,7 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 				cc := col()
 				events = append(events, mcelog.Event{
 					Time: ts, Addr: hbm.CellInBank(bank, row, cc), Class: ecc.ClassCE,
-					Bits: errBitsFor(bank, row, cc, ecc.ClassCE, kind),
+					Bits: g.errBitsFor(bank, row, cc, ecc.ClassCE, kind),
 				})
 			}
 			if g.rng.Bool(c.RowPrecursorUEOProb) {
@@ -603,14 +607,14 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 				cc := col()
 				events = append(events, mcelog.Event{
 					Time: ts, Addr: hbm.CellInBank(bank, row, cc), Class: ecc.ClassUEO,
-					Bits: errBitsFor(bank, row, cc, ecc.ClassUEO, kind),
+					Bits: g.errBitsFor(bank, row, cc, ecc.ClassUEO, kind),
 				})
 			}
 		}
 		uerCol := col()
 		events = append(events, mcelog.Event{
 			Time: uerTime, Addr: hbm.CellInBank(bank, row, uerCol), Class: ecc.ClassUER,
-			Bits: errBitsFor(bank, row, uerCol, ecc.ClassUER, kind),
+			Bits: g.errBitsFor(bank, row, uerCol, ecc.ClassUER, kind),
 		})
 		// Failed rows keep erroring until mitigated: a geometric train of
 		// repeat UERs follows the first failure.
@@ -623,7 +627,7 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 			rc := col()
 			events = append(events, mcelog.Event{
 				Time: repeat, Addr: hbm.CellInBank(bank, row, rc), Class: ecc.ClassUER,
-				Bits: errBitsFor(bank, row, rc, ecc.ClassUER, kind),
+				Bits: g.errBitsFor(bank, row, rc, ecc.ClassUER, kind),
 			})
 		}
 		bf.UERRows = append(bf.UERRows, row)
@@ -666,7 +670,7 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 				Time:  ts,
 				Addr:  hbm.CellInBank(bank, row, bc),
 				Class: class,
-				Bits:  errBitsFor(bank, row, bc, class, kind),
+				Bits:  g.errBitsFor(bank, row, bc, class, kind),
 			})
 		}
 	}
@@ -681,7 +685,7 @@ func (g *Generator) schedule(bank hbm.BankAddress, p Pattern, rows []int) *BankF
 // for scattered ones. UER rows themselves are excluded — their precursor
 // history is governed by SuddenRowProb, not by background noise.
 func (g *Generator) bgRow(p Pattern, uerRows []int) int {
-	geo := &g.cfg.Geometry
+	geo := &g.cfg.Profile.Geometry
 	for attempt := 0; ; attempt++ {
 		var row int
 		if ClassOf(p) == ClassScattered || attempt > 16 {
@@ -721,22 +725,22 @@ func (g *Generator) GenerateBenign(bank hbm.BankAddress) []mcelog.Event {
 		// Draw order (time, row, column) matches the pre-error-bits code so
 		// seeded streams replay byte-identically.
 		ts := stamp()
-		row, cc := g.rng.Intn(c.Geometry.RowsPerBank), g.rng.Intn(c.Geometry.ColsPerBank)
+		row, cc := g.rng.Intn(c.Profile.Geometry.RowsPerBank), g.rng.Intn(c.Profile.Geometry.ColsPerBank)
 		events = append(events, mcelog.Event{
 			Time:  ts,
 			Addr:  hbm.CellInBank(bank, row, cc),
 			Class: ecc.ClassCE,
-			Bits:  errBitsFor(bank, row, cc, ecc.ClassCE, bitsBenign),
+			Bits:  g.errBitsFor(bank, row, cc, ecc.ClassCE, bitsBenign),
 		})
 	}
 	if g.rng.Bool(c.BenignUEOProb) {
 		ts := stamp()
-		row, cc := g.rng.Intn(c.Geometry.RowsPerBank), g.rng.Intn(c.Geometry.ColsPerBank)
+		row, cc := g.rng.Intn(c.Profile.Geometry.RowsPerBank), g.rng.Intn(c.Profile.Geometry.ColsPerBank)
 		events = append(events, mcelog.Event{
 			Time:  ts,
 			Addr:  hbm.CellInBank(bank, row, cc),
 			Class: ecc.ClassUEO,
-			Bits:  errBitsFor(bank, row, cc, ecc.ClassUEO, bitsBenign),
+			Bits:  g.errBitsFor(bank, row, cc, ecc.ClassUEO, bitsBenign),
 		})
 	}
 	mcelog.SortEvents(events)

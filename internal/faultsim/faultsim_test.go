@@ -12,7 +12,7 @@ import (
 
 func newGen(t *testing.T, seed uint64) *Generator {
 	t.Helper()
-	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(seed))
+	g, err := NewGenerator(DefaultConfig(hbm.HBM2E), *xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func newGen(t *testing.T, seed uint64) *Generator {
 }
 
 func TestDefaultConfigValid(t *testing.T) {
-	if err := DefaultConfig(hbm.DefaultGeometry).Validate(); err != nil {
+	if err := DefaultConfig(hbm.HBM2E).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,7 +43,7 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			c := DefaultConfig(hbm.DefaultGeometry)
+			c := DefaultConfig(hbm.HBM2E)
 			tc.mutate(&c)
 			if err := c.Validate(); err == nil {
 				t.Fatal("invalid config accepted")
@@ -55,7 +55,7 @@ func TestConfigValidateRejects(t *testing.T) {
 // TestNewGeneratorRejectsNilRNG: a generator takes its RNG by value, so the
 // unusable one it refuses is the zero RNG, what a nil pointer was before.
 func TestNewGeneratorRejectsNilRNG(t *testing.T) {
-	if _, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), xrand.RNG{}); err == nil {
+	if _, err := NewGenerator(DefaultConfig(hbm.HBM2E), xrand.RNG{}); err == nil {
 		t.Fatal("zero RNG accepted")
 	}
 }
@@ -425,7 +425,7 @@ func TestGenerateBenignNoUERs(t *testing.T) {
 
 func TestGenerateDeterministicPerSeed(t *testing.T) {
 	mk := func() *BankFault {
-		g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(77))
+		g, err := NewGenerator(DefaultConfig(hbm.HBM2E), *xrand.New(77))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func sortInts(s []int) {
 }
 
 func BenchmarkGenerateSingleRow(b *testing.B) {
-	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(1))
+	g, err := NewGenerator(DefaultConfig(hbm.HBM2E), *xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func BenchmarkGenerateSingleRow(b *testing.B) {
 }
 
 func BenchmarkGenerateSampled(b *testing.B) {
-	g, err := NewGenerator(DefaultConfig(hbm.DefaultGeometry), *xrand.New(1))
+	g, err := NewGenerator(DefaultConfig(hbm.HBM2E), *xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

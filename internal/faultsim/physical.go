@@ -46,15 +46,15 @@ func (c PhysicalConfig) Validate() error {
 
 // wordIndex packs (row, col) into the FaultMap's word key.
 func (g *Generator) wordIndex(row, col int) uint64 {
-	return uint64(row)*uint64(g.cfg.Geometry.ColsPerBank) + uint64(col)
+	return uint64(row)*uint64(g.cfg.Profile.Geometry.ColsPerBank) + uint64(col)
 }
 
 func (g *Generator) wordRow(word uint64) int {
-	return int(word / uint64(g.cfg.Geometry.ColsPerBank))
+	return int(word / uint64(g.cfg.Profile.Geometry.ColsPerBank))
 }
 
 func (g *Generator) wordCol(word uint64) int {
-	return int(word % uint64(g.cfg.Geometry.ColsPerBank))
+	return int(word % uint64(g.cfg.Profile.Geometry.ColsPerBank))
 }
 
 // GeneratePhysical synthesises a bank fault through the ECC layer: the
@@ -85,13 +85,13 @@ func (g *Generator) GeneratePhysical(bank hbm.BankAddress, p Pattern, pcfg Physi
 	var fm ecc.FaultMap
 	fixedCol := -1
 	if p == PatternWholeColumn {
-		fixedCol = g.rng.Intn(c.Geometry.ColsPerBank)
+		fixedCol = g.rng.Intn(c.Profile.Geometry.ColsPerBank)
 	}
 	col := func() int {
 		if fixedCol >= 0 {
 			return fixedCol
 		}
-		return g.rng.Intn(c.Geometry.ColsPerBank)
+		return g.rng.Intn(c.Profile.Geometry.ColsPerBank)
 	}
 
 	// Plant the per-row fault processes.

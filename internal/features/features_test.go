@@ -209,7 +209,7 @@ func TestPatternVectorBudgetOne(t *testing.T) {
 func TestPatternVectorAllFinite(t *testing.T) {
 	// Fuzz against the real generator: every produced vector must be finite
 	// and fixed-length.
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(1))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.HBM2E), *xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestBlockVectorEmptyEvents(t *testing.T) {
 }
 
 func TestBlockVectorAllFiniteFuzz(t *testing.T) {
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(2))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.HBM2E), *xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestBlockVectorAllFiniteFuzz(t *testing.T) {
 }
 
 func BenchmarkPatternVector(b *testing.B) {
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(3))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.HBM2E), *xrand.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func BenchmarkPatternVector(b *testing.B) {
 }
 
 func BenchmarkBlockVector(b *testing.B) {
-	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.DefaultGeometry), *xrand.New(4))
+	gen, err := faultsim.NewGenerator(faultsim.DefaultConfig(hbm.HBM2E), *xrand.New(4))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"cordial/internal/xrand"
 )
 
-// eachProfile runs f under every registered profile, activated.
+// eachProfile runs f under every registered profile.
 func eachProfile(t *testing.T, f func(t *testing.T, p *Profile)) {
 	for _, name := range ProfileNames() {
 		t.Run(name, func(t *testing.T) {
@@ -18,7 +18,6 @@ func eachProfile(t *testing.T, f func(t *testing.T, p *Profile)) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ActivateProfile(ActivateProfile(p))
 			f(t, p)
 		})
 	}
@@ -50,26 +49,21 @@ func TestAddressSize(t *testing.T) {
 // the bank used to be, and decodes back to itself.
 func TestBankAddressRoundTrip(t *testing.T) {
 	eachProfile(t, func(t *testing.T, p *Profile) {
-		r := xrand.New(7)
+		r, l := xrand.New(7), &p.Layout
 		for i := 0; i < 1000; i++ {
 			a := randomCell(p.Geometry, r)
-			b, old := BankOf(a), a.Truncate(LevelBank)
-			if b.BankKey() != a.BankKey() || b.Pack() != old.Pack() {
-				t.Fatalf("%v: bank key %#x and pack %#x, want %#x", a, b.BankKey(), b.Pack(), a.BankKey())
+			b, old := BankOf(a), l.Truncate(a, LevelBank)
+			if l.PackBank(b) != l.BankKey(a) || l.PackBank(b) != l.Pack(old) {
+				t.Fatalf("%v: bank key %#x and pack %#x, want %#x", a, l.PackBank(b), l.Pack(old), l.BankKey(a))
 			}
-			if got := UnpackBank(a.BankKey()); got != b {
-				t.Fatalf("UnpackBank(%#x) = %v, want %v", a.BankKey(), got, b)
+			if got := l.UnpackBank(l.BankKey(a)); got != b {
+				t.Fatalf("UnpackBank(%#x) = %v, want %v", l.BankKey(a), got, b)
 			}
-			if got := UnpackBank(a.Pack()); got != b {
-				t.Fatalf("UnpackBank of the cell key %#x = %v, want %v", a.Pack(), got, b)
+			if got := l.UnpackBank(l.Pack(a)); got != b {
+				t.Fatalf("UnpackBank of the cell key %#x = %v, want %v", l.Pack(a), got, b)
 			}
 			if got := CellInBank(b, a.Row, a.Column); got != a {
 				t.Fatalf("CellInBank(BankOf(%v)) = %v", a, got)
-			}
-			for _, l := range p.Levels {
-				if b.EntityKey(l) != old.EntityKey(l) {
-					t.Fatalf("%v: %v key %#x, want %#x", b, l, b.EntityKey(l), old.EntityKey(l))
-				}
 			}
 			data, err := json.Marshal(b)
 			if err != nil {
@@ -127,10 +121,10 @@ func TestBankAddressString(t *testing.T) {
 				t.Fatalf("RandomBank drew %v, want %s", a, row[0])
 			}
 			b := BankOf(a)
-			if b.String() != row[1] || b.String() != a.Truncate(LevelBank).String() {
+			if b.String() != row[1] || b.String() != p.Layout.Truncate(a, LevelBank).String() {
 				t.Fatalf("BankOf(%v).String() = %s, want %s", a, b, row[1])
 			}
-			if parsed, err := ParseAddress(b.String()); err != nil || BankOf(parsed) != b {
+			if parsed, err := p.Layout.ParseAddress(b.String()); err != nil || BankOf(parsed) != b {
 				t.Fatalf("ParseAddress(%s) = %v, %v", b, parsed, err)
 			}
 		}
@@ -159,15 +153,19 @@ func TestBankAddressJSONRejects(t *testing.T) {
 	}
 }
 
-// TestAddressBankKeyMatchesTruncate: Address.BankKey masks the packed address
+// TestAddressBankKeyMatchesTruncate: Layout.BankKey masks the packed address
 // and equals the truncating definition it replaced, under every profile, for
-// valid addresses and for anything Unpack yields.
+// valid addresses and for anything Unpack yields; the bench-only
+// Address.BankKey is hbm2e's.
 func TestAddressBankKeyMatchesTruncate(t *testing.T) {
 	eachProfile(t, func(t *testing.T, p *Profile) {
-		r := xrand.New(11)
+		r, l := xrand.New(11), &p.Layout
 		for i := 0; i < 1000; i++ {
-			for _, a := range []Address{randomCell(p.Geometry, r), Unpack(r.Uint64())} {
-				if got, want := a.BankKey(), a.Truncate(LevelBank).Pack(); got != want {
+			for _, a := range []Address{randomCell(p.Geometry, r), l.Unpack(r.Uint64())} {
+				if p == HBM2E && a.BankKey() != l.BankKey(a) {
+					t.Fatalf("%v: Address.BankKey %#x, hbm2e's %#x", a, a.BankKey(), l.BankKey(a))
+				}
+				if got, want := l.BankKey(a), l.Pack(l.Truncate(a, LevelBank)); got != want {
 					t.Fatalf("%v: BankKey %#x, Truncate(LevelBank).Pack() %#x", a, got, want)
 				}
 			}

@@ -26,7 +26,8 @@ func FuzzParseAddress(f *testing.F) {
 	f.Add("n4294967299.u2.h1.s0.c5.p1.g2.b3.r1.col8")
 
 	f.Fuzz(func(t *testing.T, s string) {
-		a, err := ParseAddress(s)
+		l := &HBM2E.Layout
+		a, err := l.ParseAddress(s)
 		if err != nil {
 			return
 		}
@@ -34,7 +35,7 @@ func FuzzParseAddress(f *testing.F) {
 		if got := a.String(); got != s {
 			t.Fatalf("String(Parse(%q)) = %q; parser accepted a non-canonical string", s, got)
 		}
-		again, err := ParseAddress(a.String())
+		again, err := l.ParseAddress(a.String())
 		if err != nil {
 			t.Fatalf("reparse of %q failed: %v", a.String(), err)
 		}
@@ -42,7 +43,7 @@ func FuzzParseAddress(f *testing.F) {
 			t.Fatalf("round trip changed %q: %+v vs %+v", s, a, again)
 		}
 		// Accepted addresses always survive packing without loss.
-		if _, err := a.PackChecked(); err != nil {
+		if _, err := l.PackChecked(a); err != nil {
 			t.Fatalf("parsed address fails PackChecked: %v", err)
 		}
 	})
@@ -50,35 +51,36 @@ func FuzzParseAddress(f *testing.F) {
 
 // FuzzPackUnpack verifies Unpack never panics, in-range addresses
 // round-trip through Pack, and CheckPacked rejects exactly the packed
-// values with bits outside the active layout. A key CheckPacked accepts
+// values with bits outside the layout. A key CheckPacked accepts
 // round-trips through the bank form too: its bank packs to its bank bits,
 // and the bank with the key's row and column is the key again.
 func FuzzPackUnpack(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(^uint64(0))
 	f.Add(uint64(1) << 63)
-	f.Add(Address{Node: 3, Row: 999, Column: 55}.Pack())
+	f.Add(HBM2E.Layout.Pack(Address{Node: 3, Row: 999, Column: 55}))
 
 	f.Fuzz(func(t *testing.T, v uint64) {
-		a := Unpack(v)
+		l := &HBM2E.Layout
+		a := l.Unpack(v)
 		// Re-packing an unpacked address keeps the encoded fields.
-		if Unpack(a.Pack()) != a {
+		if l.Unpack(l.Pack(a)) != a {
 			t.Fatalf("pack/unpack unstable for %#x", v)
 		}
-		if err := CheckPacked(v); err != nil {
+		if err := l.CheckPacked(v); err != nil {
 			// Rejection is only correct when v really carries stray bits.
-			if a.Pack() == v {
+			if l.Pack(a) == v {
 				t.Fatalf("CheckPacked rejected %#x though it round-trips cleanly", v)
 			}
-		} else if a.Pack() != v {
+		} else if l.Pack(a) != v {
 			t.Fatalf("CheckPacked accepted %#x though bits are lost on re-pack", v)
 		} else {
-			b := UnpackBank(v)
-			if b.Pack() != v&ActiveProfile().Layout.BankMask() || b.Pack() != a.BankKey() {
-				t.Fatalf("bank of %#x packs to %#x, want %#x", v, b.Pack(), a.BankKey())
+			b := l.UnpackBank(v)
+			if l.PackBank(b) != v&l.BankMask() || l.PackBank(b) != l.BankKey(a) {
+				t.Fatalf("bank of %#x packs to %#x, want %#x", v, l.PackBank(b), l.BankKey(a))
 			}
-			if CellInBank(b, a.Row, a.Column).Pack() != v {
-				t.Fatalf("bank of %#x with its row and column packs to %#x", v, CellInBank(b, a.Row, a.Column).Pack())
+			if l.Pack(CellInBank(b, a.Row, a.Column)) != v {
+				t.Fatalf("bank of %#x with its row and column packs to %#x", v, l.Pack(CellInBank(b, a.Row, a.Column)))
 			}
 		}
 	})

@@ -12,11 +12,12 @@
 // geometry helpers the simulators and predictors share. Topologies beyond
 // HBM2E — HBM3 stacks and DDR4/DDR5 DIMM fleets, which add rank and device
 // levels and place the channel above the module — are named Profiles in a
-// registry (see profile.go); the active profile determines the packed
-// address layout and the hierarchy ordering.
+// registry (see profile.go). A profile's Layout packs, unpacks, parses and
+// truncates addresses; every caller is handed the profile it works under.
 package hbm
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -100,32 +101,6 @@ func (g *Geometry) dim(f field) int {
 	return 0
 }
 
-// validateDims checks that every dimension is positive (rank and device
-// may be zero, meaning absent) without consulting any layout.
-func (g Geometry) validateDims() error {
-	if g.RanksPerModule < 0 {
-		return fmt.Errorf("hbm: geometry RanksPerModule must be non-negative, got %d", g.RanksPerModule)
-	}
-	if g.DevicesPerRank < 0 {
-		return fmt.Errorf("hbm: geometry DevicesPerRank must be non-negative, got %d", g.DevicesPerRank)
-	}
-	for f := field(0); f < numFields; f++ {
-		if g.dim(f) <= 0 {
-			return fmt.Errorf("hbm: geometry %s must be positive, got %d", fieldNames[f], g.dim(f))
-		}
-	}
-	return nil
-}
-
-// Validate reports whether every dimension is positive and within the bit
-// budget of the active profile's packed address layout.
-func (g Geometry) Validate() error {
-	if err := g.validateDims(); err != nil {
-		return err
-	}
-	return ActiveProfile().Layout.fits(g)
-}
-
 // TotalBanks returns the number of banks in the fleet.
 func (g Geometry) TotalBanks() int {
 	return g.Nodes * g.NPUsPerNode * g.HBMsPerNPU * g.SIDsPerHBM *
@@ -135,7 +110,7 @@ func (g Geometry) TotalBanks() int {
 
 // Level identifies a micro-level of the memory hierarchy. The set of
 // levels present and their coarse-to-fine ordering are properties of the
-// active Profile; Level values themselves are stable identifiers.
+// Profile; Level values themselves are stable identifiers.
 type Level int
 
 // Hierarchy levels. Under HBM topologies LevelChannel sits between SID and
@@ -261,14 +236,12 @@ func (a *Address) set(f field, v int) {
 	}
 }
 
-// Pack encodes the address into a single uint64 under the active profile's
-// layout. Pack and Unpack are inverses for any address whose fields are
-// within the layout's encoding capacities; a field outside its capacity is
-// silently lost, which is why every trust boundary (wire decode, JSONL
-// parse, simulator emit) must use PackChecked or CheckPacked instead.
-func (a Address) Pack() uint64 { return a.packIn(&ActiveProfile().Layout) }
-
-func (a Address) packIn(l *Layout) uint64 {
+// Pack encodes the address into a single uint64 under the layout. Pack and
+// Unpack are inverses for any address whose fields are within the layout's
+// encoding capacities; a field outside its capacity is silently lost, which
+// is why every trust boundary (wire decode, JSONL parse, simulator emit) must
+// use PackChecked or CheckPacked instead.
+func (l *Layout) Pack(a Address) uint64 {
 	return uint64(a.Node)<<l.shift[fieldNode] |
 		uint64(a.NPU)<<l.shift[fieldNPU] |
 		uint64(a.HBM)<<l.shift[fieldHBM] |
@@ -284,10 +257,9 @@ func (a Address) packIn(l *Layout) uint64 {
 }
 
 // PackChecked encodes the address, rejecting any field outside its bit
-// budget in the active layout instead of truncating it. This is the only
-// safe way to derive a key from an address that crossed a trust boundary.
-func (a Address) PackChecked() (uint64, error) {
-	l := &ActiveProfile().Layout
+// budget in the layout instead of truncating it. This is the only safe way to
+// derive a key from an address that crossed a trust boundary.
+func (l *Layout) PackChecked(a Address) (uint64, error) {
 	var v uint64
 	for f := field(0); f < numFields; f++ {
 		x := a.get(f)
@@ -308,10 +280,8 @@ func (l *Layout) checkIndex(f field, x int) error {
 	return nil
 }
 
-// Unpack decodes an address previously produced by Pack under the same
-// active profile.
-func Unpack(v uint64) Address {
-	l := &ActiveProfile().Layout
+// Unpack decodes an address Pack produced under the same layout.
+func (l *Layout) Unpack(v uint64) Address {
 	x := func(f field) uint64 { return v >> l.shift[f] & (1<<l.width[f] - 1) }
 	return Address{
 		Node:          uint32(x(fieldNode)),
@@ -329,12 +299,11 @@ func Unpack(v uint64) Address {
 	}
 }
 
-// CheckPacked rejects a packed address with bits set outside the active
-// layout. Unpack silently drops such bits, which would alias two distinct
-// (corrupt) keys onto one address; checking before decoding turns that into a
+// CheckPacked rejects a packed address with bits set outside the layout.
+// Unpack silently drops such bits, which would alias two distinct (corrupt)
+// keys onto one address; checking before decoding turns that into a
 // detectable error at the trust boundary.
-func CheckPacked(v uint64) error {
-	l := &ActiveProfile().Layout
+func (l *Layout) CheckPacked(v uint64) error {
 	if rest := v &^ l.used; rest != 0 {
 		return fmt.Errorf("hbm: packed address %#x has bits %#x outside the %d-bit layout", v, rest, l.Bits())
 	}
@@ -359,8 +328,11 @@ func (a Address) Validate(g Geometry) error {
 func (a Address) String() string {
 	var b strings.Builder
 	b.Grow(56)
-	withRank := a.Rank != 0 || a.Device != 0
-	for i, f := range addressFields(withRank) {
+	fields := addressFieldsShort
+	if a.Rank != 0 || a.Device != 0 {
+		fields = addressFieldsLong
+	}
+	for i, f := range fields {
 		if i > 0 {
 			b.WriteByte('.')
 		}
@@ -389,13 +361,6 @@ var addressFieldsLong = []addressField{
 	{"r", fieldRow}, {"col", fieldColumn},
 }
 
-func addressFields(withRank bool) []addressField {
-	if withRank {
-		return addressFieldsLong
-	}
-	return addressFieldsShort
-}
-
 // parseCanonicalInt parses a non-negative decimal integer in canonical
 // form: digits only, no sign, no leading zeros. Anything strconv accepts
 // but Itoa would not reproduce — "+3", "007", "1_0" — is rejected, so the
@@ -413,14 +378,13 @@ func parseCanonicalInt(s string) (int, error) {
 
 // ParseAddress parses the canonical dotted form produced by String. It is
 // strict in both directions: each field must be a canonical decimal (no
-// sign, no leading zeros) and must fit the active layout's bit budget, so
-// a parsed address always survives Pack without loss. The budget is checked
+// sign, no leading zeros) and must fit the layout's bit budget, so a parsed
+// address always survives Pack without loss. The budget is checked
 // before the index is stored, because a bank-level field is narrower than
 // int and would otherwise wrap "u259" onto u3. Addresses with 12 fields
 // carry rank and device; per the canonical form they must not both be zero
 // there (String omits them in that case).
-func ParseAddress(s string) (Address, error) {
-	l := &ActiveProfile().Layout
+func (l *Layout) ParseAddress(s string) (Address, error) {
 	parts := strings.Split(s, ".")
 	var fields []addressField
 	switch len(parts) {
@@ -453,35 +417,46 @@ func ParseAddress(s string) (Address, error) {
 	return a, nil
 }
 
-// Truncate zeroes every field finer than the given level under the active
-// profile's hierarchy, producing the address of the enclosing entity at
-// that level. For example, truncating at LevelBank clears Row and Column;
-// under a DIMM profile, truncating at LevelChannel clears the module, rank
-// and device as well, because they sit below the channel there.
-func (a Address) Truncate(l Level) Address {
-	p := ActiveProfile()
-	i := p.truncateFrom(l)
+// Truncate zeroes every field finer than the given level under the layout's
+// hierarchy, producing the address of the enclosing entity at that level. For
+// example, truncating at LevelBank clears Row and Column; under a DIMM
+// profile, truncating at LevelChannel clears the module, rank and device as
+// well, because they sit below the channel there.
+func (l *Layout) Truncate(a Address, level Level) Address {
+	i := l.truncateFrom(level)
 	if i < 0 {
 		return a
 	}
-	t := a
-	for _, f := range p.Layout.order[i+1:] {
-		t.set(f, 0)
+	for _, f := range l.order[i+1:] {
+		a.set(f, 0)
 	}
-	return t
+	return a
 }
 
 // EntityKey returns a unique packed key for the entity containing the
-// address at the given level. Two addresses share a key at level l exactly
-// when they fall in the same level-l entity.
-func (a Address) EntityKey(l Level) uint64 { return a.Truncate(l).Pack() }
+// address at the given level. Two addresses share a key at a level exactly
+// when they fall in the same entity of that level.
+func (l *Layout) EntityKey(a Address, level Level) uint64 { return l.Pack(l.Truncate(a, level)) }
 
-// BankKey is EntityKey(LevelBank): a unique identifier for the bank
-// containing the address. It is Pack() & Layout.BankMask(), which needs no
+// BankKey is EntityKey at LevelBank: a unique identifier for the bank
+// containing the address. It is Pack(a) & BankMask(), which needs no
 // truncated copy of the address.
-func (a Address) BankKey() uint64 {
-	l := &ActiveProfile().Layout
-	return a.packIn(l) & l.bank
+func (l *Layout) BankKey(a Address) uint64 { return l.Pack(a) & l.bank }
+
+// BankKey is HBM2E.Layout.BankKey(a). Bench-only until ROADMAP item 15: every
+// other caller keys under the profile it is handed.
+func (a Address) BankKey() uint64 { return HBM2E.Layout.BankKey(a) }
+
+// Compare orders addresses field by field, coarsest first in the HBM
+// hierarchy (the struct's order): the order of their packed keys under every
+// HBM layout, for addresses their layout encodes.
+func (a Address) Compare(b Address) int {
+	for f := field(0); f < numFields; f++ {
+		if c := cmp.Compare(a.get(f), b.get(f)); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // BankAddress identifies one bank in the fleet: the ten fields of an Address
@@ -521,7 +496,7 @@ func BankOf(a Address) BankAddress {
 }
 
 // UnpackBank decodes the bank of a packed address: BankOf(Unpack(v)).
-func UnpackBank(v uint64) BankAddress { return BankOf(Unpack(v)) }
+func (l *Layout) UnpackBank(v uint64) BankAddress { return BankOf(l.Unpack(v)) }
 
 // CellInBank returns the full address of (row, col) within the given bank.
 func CellInBank(b BankAddress, row, col int) Address {
@@ -545,15 +520,13 @@ func CellInBank(b BankAddress, row, col int) Address {
 // string and JSON encode.
 func (b BankAddress) cell() Address { return CellInBank(b, 0, 0) }
 
-// Pack encodes the bank under the active layout; it equals the BankKey of
-// every cell in the bank.
-func (b BankAddress) Pack() uint64 { return b.cell().Pack() }
+// PackBank encodes the bank under the layout; it equals the BankKey of every
+// cell in the bank.
+func (l *Layout) PackBank(b BankAddress) uint64 { return l.Pack(b.cell()) }
 
-// BankKey is the bank's packed key, the same as Pack.
-func (b BankAddress) BankKey() uint64 { return b.Pack() }
-
-// EntityKey returns the key of the level-l entity containing the bank.
-func (b BankAddress) EntityKey(l Level) uint64 { return b.cell().EntityKey(l) }
+// BankKey is HBM2E.Layout.PackBank(b). Bench-only until ROADMAP item 15: every
+// other caller keys under the profile it is handed.
+func (b BankAddress) BankKey() uint64 { return HBM2E.Layout.PackBank(b) }
 
 // String renders the bank as its row-0, column-0 cell, e.g.
 // "n3.u2.h1.s0.c5.p1.g2.b3.r0.col0", so that ParseAddress reads it back.
@@ -609,13 +582,12 @@ func RandomBank(g Geometry, r RandomSource) BankAddress {
 	}
 }
 
-// RandomBankWithin draws a random bank sharing the level entity of anchor:
-// every bank-address field finer than the level under the active profile's
-// hierarchy is re-randomised. As with RandomBank, degenerate dimensions
-// (size 1) consume no randomness.
-func RandomBankWithin(g Geometry, r RandomSource, anchor BankAddress, level Level) BankAddress {
-	p := ActiveProfile()
-	i := p.truncateFrom(level)
+// RandomBankWithin draws a random bank of the profile's geometry sharing the
+// level entity of anchor: every bank-address field finer than the level under
+// the profile's hierarchy is re-randomised. As with RandomBank, degenerate
+// dimensions (size 1) consume no randomness.
+func (p *Profile) RandomBankWithin(r RandomSource, anchor BankAddress, level Level) BankAddress {
+	i := p.Layout.truncateFrom(level)
 	if i < 0 {
 		return anchor
 	}
@@ -624,7 +596,7 @@ func RandomBankWithin(g Geometry, r RandomSource, anchor BankAddress, level Leve
 		if f == fieldRow || f == fieldColumn {
 			continue
 		}
-		if n := g.dim(f); n > 1 {
+		if n := p.Geometry.dim(f); n > 1 {
 			b.set(f, r.Intn(n))
 		} else {
 			b.set(f, 0)

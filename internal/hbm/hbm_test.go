@@ -9,7 +9,7 @@ import (
 )
 
 func TestDefaultGeometryValid(t *testing.T) {
-	if err := DefaultGeometry.Validate(); err != nil {
+	if err := HBM2E.Layout.Fits(DefaultGeometry); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,8 +29,8 @@ func TestGeometryValidateRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := DefaultGeometry
 			tc.mutate(&g)
-			if err := g.Validate(); err == nil {
-				t.Fatal("Validate accepted invalid geometry")
+			if err := HBM2E.Layout.Fits(g); err == nil {
+				t.Fatal("Fits accepted invalid geometry")
 			}
 		})
 	}
@@ -44,13 +44,13 @@ func TestGeometryCounts(t *testing.T) {
 }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
-	l := &ActiveProfile().Layout
+	l := &HBM2E.Layout
 	f := func(raw [numFields]uint32) bool {
 		var a Address
 		for fi := field(0); fi < numFields; fi++ {
 			a.set(fi, int(raw[fi])%l.capacity(fi))
 		}
-		return Unpack(a.Pack()) == a
+		return l.Unpack(l.Pack(a)) == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -58,28 +58,28 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestPackCheckedRejectsOverflow(t *testing.T) {
-	l := &ActiveProfile().Layout
+	l := &HBM2E.Layout
 	// The historical bug: Row = 1<<rowBits packed to a value whose row
 	// silently read back as 0, corrupting bank keys. PackChecked must
 	// reject every such field, for every field.
 	for fi := field(0); fi < numFields; fi++ {
 		var a Address
 		a.set(fi, l.capacity(fi))
-		if _, err := a.PackChecked(); err == nil {
+		if _, err := l.PackChecked(a); err == nil {
 			t.Errorf("PackChecked accepted %s = %d (capacity %d)", fieldNames[fi], l.capacity(fi), l.capacity(fi))
 		}
 		a.set(fi, -1)
-		if _, err := a.PackChecked(); err == nil {
+		if _, err := l.PackChecked(a); err == nil {
 			t.Errorf("PackChecked accepted negative %s", fieldNames[fi])
 		}
 	}
 	good := Address{Node: 3, NPU: 7, Row: 999, Column: 55}
-	v, err := good.PackChecked()
+	v, err := l.PackChecked(good)
 	if err != nil {
 		t.Fatalf("PackChecked rejected valid address: %v", err)
 	}
-	if v != good.Pack() {
-		t.Fatalf("PackChecked = %#x, Pack = %#x", v, good.Pack())
+	if v != l.Pack(good) {
+		t.Fatalf("PackChecked = %#x, Pack = %#x", v, l.Pack(good))
 	}
 }
 
@@ -87,12 +87,12 @@ func TestPackCheckedRejectsOverflow(t *testing.T) {
 // Unpack — refuses a packed address with bits outside the layout, which
 // Unpack alone would drop.
 func TestUnpackCheckedRejectsStrayBits(t *testing.T) {
-	a := Address{Node: 3, NPU: 7, Row: 999, Column: 55}
-	if err := CheckPacked(a.Pack()); err != nil {
+	a, l := Address{Node: 3, NPU: 7, Row: 999, Column: 55}, &HBM2E.Layout
+	if err := l.CheckPacked(l.Pack(a)); err != nil {
 		t.Fatalf("CheckPacked rejected clean packed address: %v", err)
 	}
-	stray := a.Pack() | 1<<63
-	if err := CheckPacked(stray); err == nil {
+	stray := l.Pack(a) | 1<<63
+	if err := l.CheckPacked(stray); err == nil {
 		t.Fatal("CheckPacked accepted a packed address with stray high bits")
 	}
 }
@@ -100,7 +100,7 @@ func TestUnpackCheckedRejectsStrayBits(t *testing.T) {
 func TestPackDistinct(t *testing.T) {
 	a := Address{Node: 1, Row: 5}
 	b := Address{Node: 1, Row: 6}
-	if a.Pack() == b.Pack() {
+	if HBM2E.Layout.Pack(a) == HBM2E.Layout.Pack(b) {
 		t.Fatal("distinct addresses packed to the same value")
 	}
 }
@@ -110,7 +110,7 @@ func TestStringParseRoundTrip(t *testing.T) {
 	r := xrand.New(99)
 	for i := 0; i < 500; i++ {
 		a := CellInBank(RandomBank(g, r), r.Intn(g.RowsPerBank), r.Intn(g.ColsPerBank))
-		got, err := ParseAddress(a.String())
+		got, err := HBM2E.Layout.ParseAddress(a.String())
 		if err != nil {
 			t.Fatalf("ParseAddress(%q): %v", a.String(), err)
 		}
@@ -140,7 +140,7 @@ func TestParseAddressErrors(t *testing.T) {
 		// Rank/device spelled out as zero: canonical form omits them.
 		"n1.u2.h1.s0.c5.p1.g2.b3.k0.d0.r1.col87",
 	} {
-		if _, err := ParseAddress(s); err == nil {
+		if _, err := HBM2E.Layout.ParseAddress(s); err == nil {
 			t.Errorf("ParseAddress(%q) succeeded, want error", s)
 		}
 	}
@@ -156,7 +156,7 @@ func TestParseAddressNarrowFields(t *testing.T) {
 		"n1.u2.h1.s0.c5.p1.g2.b258.r1.col87",
 		"n4294967299.u2.h1.s0.c5.p1.g2.b3.r1.col87",
 	} {
-		a, err := ParseAddress(s)
+		a, err := HBM2E.Layout.ParseAddress(s)
 		if err == nil || !strings.Contains(err.Error(), "outside encoding range") {
 			t.Errorf("ParseAddress(%q) = %v, %v; want an outside-encoding-range error", s, a, err)
 		}
@@ -164,11 +164,9 @@ func TestParseAddressNarrowFields(t *testing.T) {
 }
 
 func TestParseAddressRankDevice(t *testing.T) {
-	prev := ActivateProfile(DDR5DIMM)
-	defer ActivateProfile(prev)
 	a := Address{Node: 3, NPU: 1, Channel: 5, HBM: 1, Rank: 1, Device: 6, BankGroup: 2, Bank: 3, Row: 12345, Column: 87}
 	s := a.String()
-	got, err := ParseAddress(s)
+	got, err := DDR5DIMM.Layout.ParseAddress(s)
 	if err != nil {
 		t.Fatalf("ParseAddress(%q): %v", s, err)
 	}
@@ -214,26 +212,27 @@ func TestTruncateHierarchy(t *testing.T) {
 		{LevelNPU, Address{Node: 3, NPU: 7}},
 	}
 	for _, tc := range tests {
-		if got := a.Truncate(tc.level); got != tc.want {
+		if got := HBM2E.Layout.Truncate(a, tc.level); got != tc.want {
 			t.Errorf("Truncate(%v) = %+v, want %+v", tc.level, got, tc.want)
 		}
 	}
 }
 
 func TestEntityKeyGrouping(t *testing.T) {
+	l := &HBM2E.Layout
 	a := Address{Node: 1, NPU: 2, HBM: 1, SID: 0, Channel: 3, PseudoChannel: 1, BankGroup: 2, Bank: 1, Row: 100, Column: 4}
 	b := a
 	b.Row = 200
 	b.Column = 9
-	if a.EntityKey(LevelBank) != b.EntityKey(LevelBank) {
+	if l.EntityKey(a, LevelBank) != l.EntityKey(b, LevelBank) {
 		t.Fatal("same-bank addresses have different bank keys")
 	}
 	c := a
 	c.Bank = 2
-	if a.EntityKey(LevelBank) == c.EntityKey(LevelBank) {
+	if l.EntityKey(a, LevelBank) == l.EntityKey(c, LevelBank) {
 		t.Fatal("different banks share a bank key")
 	}
-	if a.EntityKey(LevelBankGroup) != c.EntityKey(LevelBankGroup) {
+	if l.EntityKey(a, LevelBankGroup) != l.EntityKey(c, LevelBankGroup) {
 		t.Fatal("same-group addresses have different group keys")
 	}
 }
@@ -241,14 +240,14 @@ func TestEntityKeyGrouping(t *testing.T) {
 func TestSameBankAndRowKeys(t *testing.T) {
 	a := Address{Node: 1, Row: 10, Column: 3}
 	b := Address{Node: 1, Row: 10, Column: 99}
-	c := Address{Node: 1, Row: 11}
-	if a.BankKey() != b.BankKey() || a.BankKey() != c.BankKey() {
+	c, l := Address{Node: 1, Row: 11}, &HBM2E.Layout
+	if l.BankKey(a) != l.BankKey(b) || l.BankKey(a) != l.BankKey(c) {
 		t.Fatal("same-bank addresses have different bank keys")
 	}
-	if a.EntityKey(LevelRow) != b.EntityKey(LevelRow) {
+	if l.EntityKey(a, LevelRow) != l.EntityKey(b, LevelRow) {
 		t.Fatal("same-row addresses have different row keys")
 	}
-	if a.EntityKey(LevelRow) == c.EntityKey(LevelRow) {
+	if l.EntityKey(a, LevelRow) == l.EntityKey(c, LevelRow) {
 		t.Fatal("different rows share a row key")
 	}
 }
@@ -314,14 +313,14 @@ func TestCellInBank(t *testing.T) {
 func BenchmarkPack(b *testing.B) {
 	a := Address{Node: 3, NPU: 7, HBM: 1, SID: 1, Channel: 6, PseudoChannel: 1, BankGroup: 3, Bank: 2, Row: 999, Column: 55}
 	for i := 0; i < b.N; i++ {
-		_ = a.Pack()
+		_ = HBM2E.Layout.Pack(a)
 	}
 }
 
 func BenchmarkParseAddress(b *testing.B) {
 	s := Address{Node: 3, NPU: 7, Row: 999, Column: 55}.String()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseAddress(s); err != nil {
+		if _, err := HBM2E.Layout.ParseAddress(s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,8 +2,7 @@ package hbm
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"slices"
 )
 
 // Topology profiles.
@@ -13,9 +12,10 @@ import (
 // a named, registered unit: the fleet Geometry, the bit Layout of the
 // packed address, and the ordered hierarchy Levels (DDR organisations add
 // rank/device and place the channel above the module; HBM stacks do the
-// reverse). Exactly one profile is active per process — the encoding of a
-// packed address is meaningless without it — and everything that packs,
-// unpacks, truncates or renders addresses consults the active profile.
+// reverse). A packed address is meaningless without its layout, so each
+// process resolves its profile once, at its edge (a -topology flag, a ring
+// descriptor), and hands it to everything that packs, unpacks, parses or
+// truncates addresses.
 
 // field enumerates the address fields a layout can allocate bits to, in
 // struct order. Hierarchy order is a per-profile property (Layout.order);
@@ -150,27 +150,21 @@ func (l *Layout) RowField() (shift uint, width int) {
 	return l.shift[fieldRow], l.width[fieldRow]
 }
 
-// fits reports whether the geometry's dimensions all fit the layout.
-func (l *Layout) fits(g Geometry) error {
+// Fits reports whether every dimension of the geometry is positive (rank and
+// device may be zero, meaning absent) and within the layout's bit budget.
+func (l *Layout) Fits(g Geometry) error {
+	if g.RanksPerModule < 0 || g.DevicesPerRank < 0 {
+		return fmt.Errorf("hbm: geometry ranks %d and devices %d must be non-negative", g.RanksPerModule, g.DevicesPerRank)
+	}
 	for f := field(0); f < numFields; f++ {
-		if dim := g.dim(f); dim > l.capacity(f) {
+		if dim := g.dim(f); dim <= 0 {
+			return fmt.Errorf("hbm: geometry %s must be positive, got %d", fieldNames[f], dim)
+		} else if dim > l.capacity(f) {
 			return fmt.Errorf("hbm: geometry %s = %d exceeds layout capacity %d (%d bits)",
 				fieldNames[f], dim, l.capacity(f), l.width[f])
 		}
 	}
 	return nil
-}
-
-// DeriveLayout computes a minimal layout for a geometry: each field gets
-// exactly the bits needed to index its dimension, in the given hierarchy
-// order. Registered profiles use hand-picked widths with headroom instead;
-// this is for ad-hoc geometries in tests and experiments.
-func DeriveLayout(g Geometry, order []field) (Layout, error) {
-	width := make(map[field]int, numFields)
-	for f := field(0); f < numFields; f++ {
-		width[f] = bitsFor(g.dim(f))
-	}
-	return NewLayout(order, width)
 }
 
 // bitsFor returns the bits needed to index n distinct values (0 for n<=1).
@@ -215,32 +209,27 @@ func (p *Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("hbm: profile has empty name")
 	}
-	// Validate against the profile's own layout, not the active one: the
-	// registry fills before any profile is active.
-	if err := p.Geometry.validateDims(); err != nil {
+	if err := p.Layout.Fits(p.Geometry); err != nil {
 		return fmt.Errorf("hbm: profile %q: %w", p.Name, err)
 	}
-	if err := p.Layout.fits(p.Geometry); err != nil {
-		return fmt.Errorf("hbm: profile %q: %w", p.Name, err)
-	}
-	for _, l := range p.Levels {
+	for _, l := range slices.Concat(p.Levels, p.TableLevels) {
 		if _, ok := levelField[l]; !ok {
 			return fmt.Errorf("hbm: profile %q lists unknown level %v", p.Name, l)
-		}
-	}
-	for _, l := range p.TableLevels {
-		if _, ok := levelField[l]; !ok {
-			return fmt.Errorf("hbm: profile %q table lists unknown level %v", p.Name, l)
 		}
 	}
 	return nil
 }
 
 // Derive returns an unregistered profile with p's hierarchy, level names and
-// the minimal layout (DeriveLayout) of geometry g: an ad-hoc topology for
-// tests and experiments, activated with ActivateProfile.
+// the minimal layout of geometry g, each field given exactly the bits its
+// dimension needs: an ad-hoc topology for tests. Registered profiles use
+// hand-picked widths with headroom instead.
 func (p *Profile) Derive(name string, g Geometry) (*Profile, error) {
-	l, err := DeriveLayout(g, p.Layout.order[:])
+	width := make(map[field]int, numFields)
+	for f := field(0); f < numFields; f++ {
+		width[f] = bitsFor(g.dim(f))
+	}
+	l, err := NewLayout(p.Layout.order[:], width)
 	if err != nil {
 		return nil, err
 	}
@@ -253,12 +242,12 @@ func (p *Profile) Derive(name string, g Geometry) (*Profile, error) {
 
 // truncateFrom returns the index in the layout order after which fields are
 // zeroed when truncating at level l, or -1 if the level has no field here.
-func (p *Profile) truncateFrom(l Level) int {
-	f, ok := levelField[l]
+func (l *Layout) truncateFrom(level Level) int {
+	f, ok := levelField[level]
 	if !ok {
 		return -1
 	}
-	for i, of := range p.Layout.order {
+	for i, of := range l.order {
 		if of == f {
 			return i
 		}
@@ -266,26 +255,8 @@ func (p *Profile) truncateFrom(l Level) int {
 	return -1
 }
 
-// Registry of named profiles. Registration happens at init and (for tests
-// and experiments) at runtime; lookup is read-mostly.
-
-var (
-	registry = map[string]*Profile{}
-
-	// active is the process-wide profile consulted by Address methods that
-	// take no explicit profile. It is never nil after package init.
-	active atomic.Pointer[Profile]
-)
-
-// RegisterProfile validates and adds a profile to the registry, replacing
-// any previous profile of the same name.
-func RegisterProfile(p *Profile) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	registry[p.Name] = p
-	return nil
-}
+// registry holds the named profiles, filled at package load.
+var registry = map[string]*Profile{}
 
 // ProfileByName looks up a registered profile.
 func ProfileByName(name string) (*Profile, error) {
@@ -302,32 +273,8 @@ func ProfileNames() []string {
 	for n := range registry {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
-}
-
-// ActiveProfile returns the process-wide active profile.
-func ActiveProfile() *Profile { return active.Load() }
-
-// SetActiveProfile makes the named registered profile active and returns
-// it. Packed addresses produced under different profiles are not
-// comparable; switch profiles only between workloads, never mid-stream.
-func SetActiveProfile(name string) (*Profile, error) {
-	p, err := ProfileByName(name)
-	if err != nil {
-		return nil, err
-	}
-	active.Store(p)
-	return p, nil
-}
-
-// ActivateProfile makes an arbitrary (possibly unregistered) profile
-// active and returns the previously active one, for deferred restore in
-// tests and sequential multi-topology experiments.
-func ActivateProfile(p *Profile) *Profile {
-	prev := active.Load()
-	active.Store(p)
-	return prev
 }
 
 // hbmOrder is the stack hierarchy: node → NPU → HBM → SID → channel →
@@ -361,14 +308,16 @@ func mustLayout(order []field, width map[field]int) Layout {
 	return l
 }
 
+// mustRegister validates a profile and adds it to the registry.
 func mustRegister(p *Profile) *Profile {
-	if err := RegisterProfile(p); err != nil {
+	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	registry[p.Name] = p
 	return p
 }
 
-// HBM2E is the paper's topology (Figure 1) and the default active profile.
+// HBM2E is the paper's topology (Figure 1) and the default profile.
 // Its layout reproduces the historical fixed constants bit for bit, so
 // packed addresses, bank keys and digests are stable across the change to
 // profile-derived layouts.
@@ -482,7 +431,3 @@ var DDR5DIMM = mustRegister(&Profile{
 	TableLevels: ddrLevels,
 	levelNames:  ddrLevelNames,
 })
-
-func init() {
-	active.Store(HBM2E)
-}

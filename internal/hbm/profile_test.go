@@ -59,24 +59,21 @@ func TestProfilePackUnpackRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev := ActivateProfile(p)
-			defer ActivateProfile(prev)
-			r := xrand.New(42)
-			g := p.Geometry
+			r, g, l := xrand.New(42), p.Geometry, &p.Layout
 			for i := 0; i < 500; i++ {
 				a := CellInBank(RandomBank(g, r), r.Intn(g.RowsPerBank), r.Intn(g.ColsPerBank))
-				v, err := a.PackChecked()
+				v, err := l.PackChecked(a)
 				if err != nil {
 					t.Fatalf("PackChecked(%+v): %v", a, err)
 				}
-				if err := CheckPacked(v); err != nil {
+				if err := l.CheckPacked(v); err != nil {
 					t.Fatalf("CheckPacked(%#x): %v", v, err)
 				}
-				back := Unpack(v)
+				back := l.Unpack(v)
 				if back != a {
 					t.Fatalf("round trip mismatch: %+v vs %+v", back, a)
 				}
-				s, err := ParseAddress(a.String())
+				s, err := l.ParseAddress(a.String())
 				if err != nil {
 					t.Fatalf("ParseAddress(%q): %v", a.String(), err)
 				}
@@ -99,20 +96,18 @@ func TestPackedBankKeyAndRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev := ActivateProfile(p)
-			defer ActivateProfile(prev)
-			mask, l := p.Layout.BankMask(), p.Layout
+			mask, l := p.Layout.BankMask(), &p.Layout
 			shift, width := l.RowField()
 			r := xrand.New(7)
 			g := p.Geometry
 			for i := 0; i < 500; i++ {
 				a := CellInBank(RandomBank(g, r), r.Intn(g.RowsPerBank), r.Intn(g.ColsPerBank))
-				v := a.Pack()
-				if v&mask != a.BankKey() || int(v>>shift&(1<<width-1)) != a.Row {
-					t.Fatalf("%+v: key %#x row %d, want %#x and %d", a, v&mask, v>>shift&(1<<width-1), a.BankKey(), a.Row)
+				v := l.Pack(a)
+				if v&mask != l.BankKey(a) || int(v>>shift&(1<<width-1)) != a.Row {
+					t.Fatalf("%+v: key %#x row %d, want %#x and %d", a, v&mask, v>>shift&(1<<width-1), l.BankKey(a), a.Row)
 				}
-				if raw := r.Uint64(); raw&mask != Unpack(raw).BankKey() {
-					t.Fatalf("%#x: key %#x, Unpack's %#x", raw, raw&mask, Unpack(raw).BankKey())
+				if raw := r.Uint64(); raw&mask != l.BankKey(l.Unpack(raw)) {
+					t.Fatalf("%#x: key %#x, Unpack's %#x", raw, raw&mask, l.BankKey(l.Unpack(raw)))
 				}
 			}
 		})
@@ -141,8 +136,6 @@ func TestDeriveProfile(t *testing.T) {
 }
 
 func TestDDRTruncateHierarchy(t *testing.T) {
-	prev := ActivateProfile(DDR5DIMM)
-	defer ActivateProfile(prev)
 	a := Address{Node: 3, NPU: 1, Channel: 6, HBM: 1, Rank: 1, Device: 5, BankGroup: 3, Bank: 2, Row: 999, Column: 55}
 	tests := []struct {
 		level Level
@@ -159,7 +152,7 @@ func TestDDRTruncateHierarchy(t *testing.T) {
 		{LevelNPU, Address{Node: 3, NPU: 1}},
 	}
 	for _, tc := range tests {
-		if got := a.Truncate(tc.level); got != tc.want {
+		if got := DDR5DIMM.Layout.Truncate(a, tc.level); got != tc.want {
 			t.Errorf("Truncate(%v) = %+v, want %+v", tc.level, got, tc.want)
 		}
 	}
@@ -177,18 +170,12 @@ func TestProfileLevelNames(t *testing.T) {
 	}
 }
 
-func TestSetActiveProfile(t *testing.T) {
-	prev := ActiveProfile()
-	defer ActivateProfile(prev)
-	p, err := SetActiveProfile("hbm3")
-	if err != nil {
-		t.Fatal(err)
+func TestProfileByName(t *testing.T) {
+	if p, err := ProfileByName("hbm3"); err != nil || p != HBM3 {
+		t.Fatalf("ProfileByName(hbm3) = %v, %v", p, err)
 	}
-	if ActiveProfile() != p || p.Name != "hbm3" {
-		t.Fatalf("active profile = %q, want hbm3", ActiveProfile().Name)
-	}
-	if _, err := SetActiveProfile("no-such-topology"); err == nil {
-		t.Fatal("SetActiveProfile accepted an unknown name")
+	if _, err := ProfileByName("no-such-topology"); err == nil {
+		t.Fatal("ProfileByName accepted an unknown name")
 	}
 }
 
@@ -196,30 +183,29 @@ func TestDeriveLayout(t *testing.T) {
 	g := DefaultGeometry
 	g.RowsPerBank = 4096
 	g.ColsPerBank = 64
-	l, err := DeriveLayout(g, hbmOrder)
+	p, err := HBM2E.Derive("small", g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := &p.Layout
 	if w := l.width[fieldRow]; w != 12 {
 		t.Errorf("derived row width = %d, want 12", w)
 	}
 	if w := l.width[fieldRank]; w != 0 {
 		t.Errorf("derived rank width = %d, want 0", w)
 	}
-	if err := l.fits(g); err != nil {
+	if err := l.Fits(g); err != nil {
 		t.Errorf("derived layout does not fit its own geometry: %v", err)
 	}
 }
 
-func TestGeometryValidateAgainstActiveLayout(t *testing.T) {
-	prev := ActivateProfile(DDR5DIMM)
-	defer ActivateProfile(prev)
+func TestGeometryFitsLayout(t *testing.T) {
 	g := DDR5DIMM.Geometry
-	if err := g.Validate(); err != nil {
+	if err := DDR5DIMM.Layout.Fits(g); err != nil {
 		t.Fatal(err)
 	}
 	g.RanksPerModule = 4 // exceeds the 1-bit rank field
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate accepted ranks over layout capacity")
+	if err := DDR5DIMM.Layout.Fits(g); err == nil {
+		t.Fatal("Fits accepted ranks over layout capacity")
 	}
 }

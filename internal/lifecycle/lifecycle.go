@@ -309,10 +309,10 @@ func (m *Manager) labelledBanks() ([]*faultsim.BankFault, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: exporting journal: %w", err)
 	}
-	byBank := make(map[uint64][]mcelog.Event)
-	order := make([]uint64, 0)
+	byBank := make(map[hbm.BankAddress][]mcelog.Event)
+	order := make([]hbm.BankAddress, 0)
 	for _, ev := range events {
-		key := ev.Addr.BankKey()
+		key := hbm.BankOf(ev.Addr)
 		if _, seen := byBank[key]; !seen {
 			order = append(order, key)
 		}
@@ -324,7 +324,7 @@ func (m *Manager) labelledBanks() ([]*faultsim.BankFault, error) {
 		// The journal interleaves shards, so cross-bank order is arrival
 		// order; within a bank, re-sort by timestamp for the labeller.
 		slices.SortStableFunc(evs, func(a, b mcelog.Event) int { return a.Time.Compare(b.Time) })
-		bf, err := faultsim.ObservedFault(m.cfg.Geometry, hbm.BankOf(evs[0].Addr), evs)
+		bf, err := faultsim.ObservedFault(m.cfg.Geometry, key, evs)
 		if err != nil {
 			continue // benign so far: nothing to label
 		}

@@ -76,16 +76,14 @@ type EntityLoad struct {
 	UERs   int
 }
 
-// Address returns the entity's address (finer fields zeroed).
-func (e EntityLoad) Address() hbm.Address { return hbm.Unpack(e.Key) }
-
-// TopEntities returns the k entities at the given level with the most
-// events, ties broken by UER count then key. k ≤ 0 returns all.
-func (l *Log) TopEntities(level hbm.Level, k int) []EntityLoad {
+// TopEntities returns the k entities at the given level of p's hierarchy with
+// the most events, ties broken by UER count then key (an address packed under
+// p, finer fields zeroed). k ≤ 0 returns all.
+func (l *Log) TopEntities(p *hbm.Profile, level hbm.Level, k int) []EntityLoad {
 	type agg struct{ events, uers int }
 	loads := make(map[uint64]*agg)
 	for _, e := range l.events {
-		key := e.Addr.EntityKey(level)
+		key := p.Layout.EntityKey(e.Addr, level)
 		a := loads[key]
 		if a == nil {
 			a = &agg{}

@@ -104,14 +104,14 @@ func TestTopEntities(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.Append(Event{Time: epoch, Addr: hbm.CellInBank(bankB, i, 0), Class: ecc.ClassUER})
 	}
-	top := l.TopEntities(hbm.LevelBank, 1)
+	top := l.TopEntities(hbm.HBM2E, hbm.LevelBank, 1)
 	if len(top) != 1 || top[0].Events != 5 {
 		t.Fatalf("top = %+v", top)
 	}
-	if top[0].Address().Node != 1 {
-		t.Fatalf("top entity node = %d", top[0].Address().Node)
+	if n := hbm.HBM2E.Layout.Unpack(top[0].Key).Node; n != 1 {
+		t.Fatalf("top entity node = %d", n)
 	}
-	all := l.TopEntities(hbm.LevelBank, 0)
+	all := l.TopEntities(hbm.HBM2E, hbm.LevelBank, 0)
 	if len(all) != 2 || all[1].UERs != 3 {
 		t.Fatalf("all = %+v", all)
 	}

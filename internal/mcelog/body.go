@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"cordial/internal/hbm"
 )
 
 // Codec names the encoding of an event body. An ingest route names its
@@ -50,9 +52,9 @@ func (e *RecordError) Unwrap() error { return e.Err }
 
 // BodyReader is the one loop that decodes events from bytes: a request body
 // at either ingest route of a serve node or the router, or a log file. Every
-// record goes through the checked decoders (ParseJSONEvent,
+// record goes through the checked decoders (parseJSONEvent,
 // WireFrame.EventChecked), so an event it yields is well-formed under the
-// active layout; validating it against a fleet's geometry is the caller's.
+// profile's layout; validating it against a fleet's geometry is the caller's.
 // Reset points one at a body, and at the next one, keeping its buffers.
 type BodyReader struct {
 	lines  *bufio.Scanner // JSONL; nil for frames
@@ -62,11 +64,12 @@ type BodyReader struct {
 	pos    Pos
 }
 
-// Reset points the reader at body in codec (nil: at nothing). maxLine caps a
-// JSONL line; an ingest door passes its body cap plus one, so that a line
-// too long for the reader is a body over the cap.
-func (b *BodyReader) Reset(codec Codec, body io.Reader, maxLine int) {
+// Reset points the reader at body in codec (nil: at nothing), its addresses
+// under p. maxLine caps a JSONL line; an ingest door passes its body cap plus
+// one, so that a line too long for the reader is a body over the cap.
+func (b *BodyReader) Reset(p *hbm.Profile, codec Codec, body io.Reader, maxLine int) {
 	b.pos, b.recs, b.lines = Pos{Codec: codec, Rec: -1}, 0, nil
+	b.frames.prof = p // the profile of the JSONL lines too
 	b.frames.Reset(body)
 	if codec == JSONL && body != nil {
 		b.lines = bufio.NewScanner(body)
@@ -114,7 +117,7 @@ func (b *BodyReader) nextLine() (Event, error) {
 		if len(b.lines.Bytes()) == 0 {
 			continue
 		}
-		ev, err := ParseJSONEvent(b.lines.Bytes())
+		ev, err := parseJSONEvent(b.frames.prof, b.lines.Bytes())
 		if err != nil {
 			return Event{}, &RecordError{Pos: b.pos, Err: err}
 		}
@@ -137,15 +140,15 @@ func (b *BodyReader) stop(err error) (Event, error) {
 // the first refused record or at a damaged body (a torn or corrupt frame,
 // wrapping ErrWireFrame; a line longer than MaxWireFrameBytes) and returns
 // the error with what came before: the lines before a refused line, the
-// whole frames before a refused record's frame.
-func ReadLog(r io.Reader) (*Log, error) {
+// whole frames before a refused record's frame. Addresses are read under p.
+func ReadLog(p *hbm.Profile, r io.Reader) (*Log, error) {
 	br := bufio.NewReader(r)
 	codec := JSONL
 	if head, _ := br.Peek(len(wireMagic)); string(head) == wireMagic || string(head) == wireMagicV1 {
 		codec = Wire
 	}
 	var body BodyReader
-	body.Reset(codec, br, MaxWireFrameBytes)
+	body.Reset(p, codec, br, MaxWireFrameBytes)
 	log := &Log{}
 	for {
 		ev, err := body.Next()

@@ -34,18 +34,19 @@ func verdict(err error) string {
 }
 
 // addressCheckTable runs Address.Validate, Address.PackChecked and
-// Event.Validate under the active profile on one in-range cell with each
+// Event.Validate under a profile on one in-range cell with each
 // field in turn moved to its edges: 0, dim-1, dim, the layout's capacity,
 // -1 for the int row and column, and 255 for a uint8 field.
-func addressCheckTable(profile string, g hbm.Geometry) []string {
+func addressCheckTable(p *hbm.Profile) []string {
+	profile, g, l := p.Name, p.Geometry, &p.Layout
 	base := hbm.Address{Row: 1, Column: 2}
 	// Unpacking all ones puts every field at its capacity minus one.
-	top := reflect.ValueOf(hbm.Unpack(^uint64(0)))
+	top := reflect.ValueOf(l.Unpack(^uint64(0)))
 	geo := reflect.ValueOf(g)
 	at := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
 	var lines []string
 	row := func(label string, a hbm.Address) {
-		_, packErr := a.PackChecked()
+		_, packErr := l.PackChecked(a)
 		lines = append(lines, fmt.Sprintf("%s %s | Validate: %s | PackChecked: %s | Event.Validate: %s",
 			profile, label, verdict(a.Validate(g)), verdict(packErr),
 			verdict(Event{Time: at, Addr: a, Class: ecc.ClassCE}.Validate(g))))
@@ -99,9 +100,7 @@ func TestAddressChecksGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := hbm.ActivateProfile(p)
-		lines = append(lines, addressCheckTable(name, p.Geometry)...)
-		hbm.ActivateProfile(prev)
+		lines = append(lines, addressCheckTable(p)...)
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	const path = "testdata/address_checks.golden"

@@ -26,15 +26,19 @@ func jsonEventOf(e Event) jsonEvent {
 	return jsonEvent{Time: e.Time.UTC(), Addr: e.Addr.String(), Class: e.Class.String(), Bits: uint16(e.Bits)}
 }
 
-// ParseJSONEvent parses one JSONL-encoded event (the per-line shape
-// WriteJSONL emits), checking address and class syntax and the timestamp
-// sanity window: the line decoder of BodyReader.
-func ParseJSONEvent(line []byte) (Event, error) {
+// ParseJSONEvent is parseJSONEvent under hbm2e. Bench-only until ROADMAP item
+// 15: everything else parses lines through BodyReader.
+func ParseJSONEvent(line []byte) (Event, error) { return parseJSONEvent(hbm.HBM2E, line) }
+
+// parseJSONEvent parses one JSONL-encoded event (the per-line shape
+// WriteJSONL emits), checking address and class syntax under p and the
+// timestamp sanity window: the line decoder of BodyReader.
+func parseJSONEvent(p *hbm.Profile, line []byte) (Event, error) {
 	var je jsonEvent
 	if err := json.Unmarshal(line, &je); err != nil {
 		return Event{}, fmt.Errorf("mcelog: decoding event: %w", err)
 	}
-	addr, err := hbm.ParseAddress(je.Addr)
+	addr, err := p.Layout.ParseAddress(je.Addr)
 	if err != nil {
 		return Event{}, fmt.Errorf("mcelog: %w", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"cordial/internal/hbm"
 )
 
 func TestJSONLRoundTrip(t *testing.T) {
@@ -17,7 +19,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLog(&buf)
+	got, err := ReadLog(hbm.HBM2E, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestJSONLEmpty(t *testing.T) {
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLog(&buf)
+	got, err := ReadLog(hbm.HBM2E, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 		`{"time":"2025-01-01T00:00:00Z","addr":"bogus","class":"CE"}`,
 		`{"time":"2025-01-01T00:00:00Z","addr":"n1.u2.h1.s0.c5.p1.g2.b3.r1.col8","class":"WAT"}`,
 	} {
-		if _, err := ReadLog(strings.NewReader(s)); err == nil {
+		if _, err := ReadLog(hbm.HBM2E, strings.NewReader(s)); err == nil {
 			t.Errorf("ReadLog accepted %q", s)
 		}
 	}
@@ -111,7 +113,7 @@ func TestReadLogJSONLKeepsPrefix(t *testing.T) {
 		{"bad first line", "{}\n" + lines[0], "line 1: ", 0, false},
 		{"line over the cap", lines[0] + lines[1] + `{"addr":"` + strings.Repeat("x", MaxWireFrameBytes) + "\"}\n" + lines[2], "", 2, true},
 	} {
-		log, err := ReadLog(strings.NewReader(tc.file))
+		log, err := ReadLog(hbm.HBM2E, strings.NewReader(tc.file))
 		if log == nil {
 			t.Fatalf("%s: no log beside error %v", tc.name, err)
 		}
@@ -134,12 +136,12 @@ func wireFile(t testing.TB, events []Event, frameEvents int) []byte {
 	t.Helper()
 	if frameEvents == 0 {
 		var buf bytes.Buffer
-		if err := FromEvents(events).WriteWire(&buf); err != nil {
+		if err := FromEvents(events).WriteWire(hbm.HBM2E, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	return encodeWireStream(t, events, frameEvents)
+	return encodeWireStream(t, hbm.HBM2E, events, frameEvents)
 }
 
 // withBits gives every event a distinct error-bit pattern.
@@ -177,7 +179,7 @@ func reframe(file []byte, mutate func(payload []byte)) []byte {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	events := withBits(randomEvents(2500, 4)) // three frames
-	got, err := ReadLog(bytes.NewReader(wireFile(t, events, 0)))
+	got, err := ReadLog(hbm.HBM2E, bytes.NewReader(wireFile(t, events, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestBinaryEmpty(t *testing.T) {
 	if len(file) != 0 {
 		t.Fatalf("empty log wrote %d bytes", len(file))
 	}
-	got, err := ReadLog(bytes.NewReader(file))
+	got, err := ReadLog(hbm.HBM2E, bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestBinaryDetectsTruncation(t *testing.T) {
 	// Any cut inside the magic, the frame header or the payload must fail;
 	// past the magic it is framing damage.
 	for _, cut := range []int{3, 9, 11, 40, len(full) - 1} {
-		_, err := ReadLog(bytes.NewReader(full[:cut]))
+		_, err := ReadLog(hbm.HBM2E, bytes.NewReader(full[:cut]))
 		if err == nil {
 			t.Errorf("truncation at %d bytes went undetected", cut)
 		}
@@ -216,7 +218,7 @@ func TestBinaryDetectsTruncation(t *testing.T) {
 func TestBinaryDetectsCorruption(t *testing.T) {
 	data := wireFile(t, randomEvents(50, 6), 0)
 	data[4+wireFrameHdrSize+2] ^= 0xff // inside record 0's timestamp
-	if _, err := ReadLog(bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) {
+	if _, err := ReadLog(hbm.HBM2E, bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) {
 		t.Fatalf("corrupted file error = %v, want ErrWireFrame", err)
 	}
 }
@@ -225,7 +227,7 @@ func TestBinaryRejectsBadMagicAndVersion(t *testing.T) {
 	data := wireFile(t, randomEvents(5, 7), 0)
 	for _, magic := range []string{"XBF2", "CBF9"} {
 		bad := append([]byte(magic), data[4:]...)
-		if _, err := ReadLog(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadLog(hbm.HBM2E, bytes.NewReader(bad)); err == nil {
 			t.Errorf("magic %q accepted", magic)
 		}
 	}
@@ -245,10 +247,10 @@ func TestBinaryRejectsInvalidClassByte(t *testing.T) {
 		{"stray address bits", func(p []byte) { binary.LittleEndian.PutUint64(p[8:16], ^uint64(0)) }},
 	} {
 		bad := reframe(file, tc.mutate)
-		if got := decodeWireStream(t, bad); len(got) != 3 {
+		if got := decodeWireStream(t, hbm.HBM2E, bad); len(got) != 3 {
 			t.Fatalf("%s: frame decoder yielded %d events, want 3", tc.name, len(got))
 		}
-		log, err := ReadLog(bytes.NewReader(bad))
+		log, err := ReadLog(hbm.HBM2E, bytes.NewReader(bad))
 		if err == nil || errors.Is(err, ErrWireFrame) || !strings.Contains(err.Error(), "frame 1 record 0") {
 			t.Errorf("%s: ReadLog error = %v, want a frame 1 record 0 refusal", tc.name, err)
 		}
@@ -264,7 +266,7 @@ func TestBinaryMoreCompactThanJSONL(t *testing.T) {
 	if err := l.WriteJSONL(&jb); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteWire(&bb); err != nil {
+	if err := l.WriteWire(hbm.HBM2E, &bb); err != nil {
 		t.Fatal(err)
 	}
 	if bb.Len() >= jb.Len() {
@@ -277,7 +279,7 @@ func TestBinaryHostileCountDoesNotOOM(t *testing.T) {
 	// allocation sized by it.
 	data := wireFile(t, randomEvents(3, 99), 0)
 	binary.LittleEndian.PutUint32(data[4:8], 0x7fffffff)
-	if _, err := ReadLog(bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) {
+	if _, err := ReadLog(hbm.HBM2E, bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) {
 		t.Fatalf("hostile length error = %v, want ErrWireFrame", err)
 	}
 }
@@ -287,7 +289,7 @@ func BenchmarkWriteWire(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := l.WriteWire(&buf); err != nil {
+		if err := l.WriteWire(hbm.HBM2E, &buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +300,7 @@ func BenchmarkReadLog(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadLog(bytes.NewReader(data)); err != nil {
+		if _, err := ReadLog(hbm.HBM2E, bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,7 +335,7 @@ func TestStreamRoundTrip(t *testing.T) {
 // stream (17-byte records, no error bits) still reads, with Bits zero.
 func TestStreamReadAll(t *testing.T) {
 	events := randomEvents(50, 22)
-	got, err := ReadLog(bytes.NewReader(wireFile(t, withBits(append([]Event(nil), events...)), 7)))
+	got, err := ReadLog(hbm.HBM2E, bytes.NewReader(wireFile(t, withBits(append([]Event(nil), events...)), 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestStreamReadAll(t *testing.T) {
 		payload = append(payload, AppendWireRecord(nil, ev)[:wireRecordSizeV1]...)
 	}
 	v1 := append([]byte(wireMagicV1), encodeFrame(payload)...)
-	if got, err = ReadLog(bytes.NewReader(v1)); err != nil {
+	if got, err = ReadLog(hbm.HBM2E, bytes.NewReader(v1)); err != nil {
 		t.Fatal(err)
 	}
 	sameEvents(t, got, events)
@@ -354,7 +356,7 @@ func TestStreamReadAll(t *testing.T) {
 
 func TestStreamTornWriteKeepsPrefix(t *testing.T) {
 	data := wireFile(t, randomEvents(20, 23), 6) // frames of 6, 6, 6, 2
-	log, err := ReadLog(bytes.NewReader(data[:len(data)-10]))
+	log, err := ReadLog(hbm.HBM2E, bytes.NewReader(data[:len(data)-10]))
 	if !errors.Is(err, ErrWireFrame) {
 		t.Fatalf("torn stream error = %v", err)
 	}
@@ -367,7 +369,7 @@ func TestStreamBitFlipDetected(t *testing.T) {
 	data := wireFile(t, randomEvents(5, 24), 1)
 	// Flip a byte in frame 2's payload (magic, then two whole frames).
 	data[4+2*(wireFrameHdrSize+WireRecordSize)+wireFrameHdrSize+3] ^= 0x40
-	log, err := ReadLog(bytes.NewReader(data))
+	log, err := ReadLog(hbm.HBM2E, bytes.NewReader(data))
 	if !errors.Is(err, ErrWireFrame) {
 		t.Fatalf("bit flip error = %v", err)
 	}
@@ -382,7 +384,7 @@ func TestStreamRejectsBadHeader(t *testing.T) {
 		"empty frame":        append([]byte("CBF2"), make([]byte, wireFrameHdrSize)...),
 		"legacy, torn frame": []byte("CBF1\x11\x00\x00\x00"),
 	} {
-		if log, err := ReadLog(bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) || log.Len() != 0 {
+		if log, err := ReadLog(hbm.HBM2E, bytes.NewReader(data)); !errors.Is(err, ErrWireFrame) || log.Len() != 0 {
 			t.Errorf("%s: ReadLog = %d events, %v; want ErrWireFrame", name, log.Len(), err)
 		}
 	}
@@ -395,7 +397,7 @@ func TestStreamRejectsInvalidClassEvenWithValidCRC(t *testing.T) {
 	events := randomEvents(8, 25)
 	first := wireFile(t, events[:4], 0)
 	second := reframe(wireFile(t, events[4:], 0), func(p []byte) { p[2*WireRecordSize+16] = 0xEE })
-	log, err := ReadLog(bytes.NewReader(append(first, second[4:]...)))
+	log, err := ReadLog(hbm.HBM2E, bytes.NewReader(append(first, second[4:]...)))
 	if err == nil || !strings.Contains(err.Error(), "frame 2 record 2") {
 		t.Fatalf("invalid class error = %v", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"cordial/internal/hbm"
 )
 
 // FuzzReadLog feeds ReadLog — the reader of every log file, whichever of
@@ -25,12 +27,12 @@ func FuzzReadLog(f *testing.F) {
 	f.Add([]byte(`{"time":"2025-01-01T00:00:00Z","addr":"n0.u0.h0.s0.c0.p0.g0.b0.r1.col2","class":"CE"}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, _ := ReadLog(bytes.NewReader(data))
+		log, _ := ReadLog(hbm.HBM2E, bytes.NewReader(data))
 		var out bytes.Buffer
-		if err := log.WriteWire(&out); err != nil {
+		if err := log.WriteWire(hbm.HBM2E, &out); err != nil {
 			t.Fatalf("reserialise: %v", err)
 		}
-		again, err := ReadLog(&out)
+		again, err := ReadLog(hbm.HBM2E, &out)
 		if err != nil {
 			t.Fatalf("reparse: %v", err)
 		}
@@ -60,12 +62,12 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(`{"time":"2025-01-01T00:00:00Z","addr":"n999.u99.h9.s9.c99.p9.g9.b9.r99999999.col9999","class":"CE"}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, _ := ReadLog(bytes.NewReader(data))
+		log, _ := ReadLog(hbm.HBM2E, bytes.NewReader(data))
 		var out bytes.Buffer
 		if err := log.WriteJSONL(&out); err != nil {
 			t.Fatalf("reserialise: %v", err)
 		}
-		again, err := ReadLog(&out)
+		again, err := ReadLog(hbm.HBM2E, &out)
 		if err != nil {
 			t.Fatalf("reparse: %v", err)
 		}
@@ -85,7 +87,7 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		whole, err := ReadLog(bytes.NewReader(data))
+		whole, err := ReadLog(hbm.HBM2E, bytes.NewReader(data))
 		if int(cut) > len(data) {
 			return
 		}
@@ -93,7 +95,7 @@ func FuzzStreamReader(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrWireFrame) && !errors.As(err, &refused) && !errors.Is(err, bufio.ErrTooLong) {
 			t.Fatalf("stream failed with neither a framing, a record nor a line-length error: %v", err)
 		}
-		torn, _ := ReadLog(bytes.NewReader(data[:cut]))
+		torn, _ := ReadLog(hbm.HBM2E, bytes.NewReader(data[:cut]))
 		if torn.Len() > whole.Len() {
 			t.Fatalf("%d events from a %d-byte prefix, %d from the whole", torn.Len(), cut, whole.Len())
 		}

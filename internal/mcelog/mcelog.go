@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"cordial/internal/ecc"
@@ -101,8 +100,8 @@ func (e Event) Validate(g hbm.Geometry) error {
 }
 
 // Before reports whether e was observed before other, breaking time ties by
-// packed address, then class, then error bits, so sorting is total and
-// deterministic.
+// address (hbm.Address.Compare), then class, then error bits, so sorting is
+// total and deterministic.
 func (e Event) Before(other Event) bool { return compareEvents(e, other) < 0 }
 
 // compareEvents is Before as a three-way comparison.
@@ -114,7 +113,7 @@ func compareEventPtrs(a, b *Event) int {
 	if c := a.Time.Compare(b.Time); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Addr.Pack(), b.Addr.Pack()); c != 0 {
+	if c := a.Addr.Compare(b.Addr); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.Class, b.Class); c != 0 {
@@ -247,50 +246,26 @@ func (l *Log) FilterClass(classes ...ecc.Class) *Log {
 	return out
 }
 
-// GroupByBank partitions the log's events by bank, preserving their current
-// relative order within each bank.
-func (l *Log) GroupByBank() map[uint64][]Event {
+// GroupByBank partitions the log's events by bank key under p, preserving
+// their current relative order within each bank.
+func (l *Log) GroupByBank(p *hbm.Profile) map[uint64][]Event {
 	groups := make(map[uint64][]Event)
 	for _, e := range l.events {
-		k := e.Addr.BankKey()
+		k := p.Layout.BankKey(e.Addr)
 		groups[k] = append(groups[k], e)
 	}
 	return groups
 }
 
-// BankKeys returns the distinct bank keys present in the log, sorted.
-func (l *Log) BankKeys() []uint64 {
-	seen := make(map[uint64]bool)
-	for _, e := range l.events {
-		seen[e.Addr.BankKey()] = true
-	}
-	keys := make([]uint64, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// EntitiesWithClass returns the number of distinct entities at the given
-// micro-level that logged at least one event of the given class. This is the
-// counting primitive behind the paper's Table II.
-func (l *Log) EntitiesWithClass(level hbm.Level, class ecc.Class) int {
+// Entities returns the number of distinct entities at the given micro-level
+// of p's hierarchy that logged an event of one of classes, or any event when
+// none is given: the counting primitive behind the paper's Table II.
+func (l *Log) Entities(p *hbm.Profile, level hbm.Level, classes ...ecc.Class) int {
 	seen := make(map[uint64]struct{})
 	for _, e := range l.events {
-		if e.Class == class {
-			seen[e.Addr.EntityKey(level)] = struct{}{}
+		if len(classes) == 0 || slices.Contains(classes, e.Class) {
+			seen[p.Layout.EntityKey(e.Addr, level)] = struct{}{}
 		}
-	}
-	return len(seen)
-}
-
-// Entities returns the number of distinct entities at the given level that
-// logged any event.
-func (l *Log) Entities(level hbm.Level) int {
-	seen := make(map[uint64]struct{})
-	for _, e := range l.events {
-		seen[e.Addr.EntityKey(level)] = struct{}{}
 	}
 	return len(seen)
 }

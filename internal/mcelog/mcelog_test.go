@@ -205,16 +205,12 @@ func TestGroupByBank(t *testing.T) {
 		{Time: epoch, Addr: hbm.CellInBank(bankB, 2, 0), Class: ecc.ClassCE},
 		{Time: epoch, Addr: hbm.CellInBank(bankA, 3, 0), Class: ecc.ClassUER},
 	})
-	groups := l.GroupByBank()
+	groups := l.GroupByBank(hbm.HBM2E)
 	if len(groups) != 2 {
 		t.Fatalf("GroupByBank returned %d groups, want 2", len(groups))
 	}
 	if got := len(groups[bankA.BankKey()]); got != 2 {
 		t.Fatalf("bank A has %d events, want 2", got)
-	}
-	keys := l.BankKeys()
-	if len(keys) != 2 || keys[0] >= keys[1] {
-		t.Fatalf("BankKeys = %v", keys)
 	}
 }
 
@@ -226,16 +222,16 @@ func TestCountByClassAndEntities(t *testing.T) {
 		{Time: epoch, Addr: hbm.CellInBank(bank, 2, 0), Class: ecc.ClassUER},
 	})
 	// Two CE events in the same row: one row entity with CE.
-	if got := l.EntitiesWithClass(hbm.LevelRow, ecc.ClassCE); got != 1 {
+	if got := l.Entities(hbm.HBM2E, hbm.LevelRow, ecc.ClassCE); got != 1 {
 		t.Fatalf("rows with CE = %d, want 1", got)
 	}
-	if got := l.EntitiesWithClass(hbm.LevelBank, ecc.ClassUER); got != 1 {
+	if got := l.Entities(hbm.HBM2E, hbm.LevelBank, ecc.ClassUER); got != 1 {
 		t.Fatalf("banks with UER = %d, want 1", got)
 	}
-	if got := l.Entities(hbm.LevelRow); got != 2 {
+	if got := l.Entities(hbm.HBM2E, hbm.LevelRow); got != 2 {
 		t.Fatalf("distinct rows = %d, want 2", got)
 	}
-	if got := l.Entities(hbm.LevelNPU); got != 1 {
+	if got := l.Entities(hbm.HBM2E, hbm.LevelNPU); got != 1 {
 		t.Fatalf("distinct NPUs = %d, want 1", got)
 	}
 }

@@ -56,14 +56,14 @@ func TestValidateRejectsPoisonedWireRecords(t *testing.T) {
 		{"all-ones-timestamp", func() []byte {
 			var rec [WireRecordSize]byte
 			binary.LittleEndian.PutUint64(rec[0:8], ^uint64(0)) // -1 ns: pre-epoch
-			binary.LittleEndian.PutUint64(rec[8:16], goodAddr.Pack())
+			binary.LittleEndian.PutUint64(rec[8:16], hbm.HBM2E.Layout.Pack(goodAddr))
 			rec[16] = byte(ecc.ClassCE)
 			return rec[:]
 		}},
 		{"high-bit-timestamp", func() []byte {
 			var rec [WireRecordSize]byte
 			binary.LittleEndian.PutUint64(rec[0:8], 1<<63) // hugely negative
-			binary.LittleEndian.PutUint64(rec[8:16], goodAddr.Pack())
+			binary.LittleEndian.PutUint64(rec[8:16], hbm.HBM2E.Layout.Pack(goodAddr))
 			rec[16] = byte(ecc.ClassCE)
 			return rec[:]
 		}},
@@ -71,7 +71,7 @@ func TestValidateRejectsPoisonedWireRecords(t *testing.T) {
 			var rec [WireRecordSize]byte
 			// Max positive nanos: year 2262, beyond MaxEventTime.
 			binary.LittleEndian.PutUint64(rec[0:8], uint64(1<<63-1))
-			binary.LittleEndian.PutUint64(rec[8:16], goodAddr.Pack())
+			binary.LittleEndian.PutUint64(rec[8:16], hbm.HBM2E.Layout.Pack(goodAddr))
 			rec[16] = byte(ecc.ClassCE)
 			return rec[:]
 		}},
@@ -85,13 +85,13 @@ func TestValidateRejectsPoisonedWireRecords(t *testing.T) {
 		{"bad-class", func() []byte {
 			var rec [WireRecordSize]byte
 			binary.LittleEndian.PutUint64(rec[0:8], uint64(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()))
-			binary.LittleEndian.PutUint64(rec[8:16], goodAddr.Pack())
+			binary.LittleEndian.PutUint64(rec[8:16], hbm.HBM2E.Layout.Pack(goodAddr))
 			rec[16] = 0xff
 			return rec[:]
 		}},
 	}
 	for _, tc := range poison {
-		ev := ParseRecord(tc.rec()).Event()
+		ev := ParseRecord(tc.rec()).Event(hbm.HBM2E)
 		if err := ev.Validate(g); err == nil {
 			t.Errorf("%s: Validate accepted poisoned event %+v", tc.name, ev)
 		}
@@ -114,7 +114,7 @@ func TestParseJSONEventRejectsPoisonedTimestamps(t *testing.T) {
 		if _, err := ParseJSONEvent([]byte(tc.line)); err == nil {
 			t.Errorf("%s: ParseJSONEvent accepted %s", tc.name, tc.line)
 		}
-		if _, err := ReadLog(strings.NewReader(tc.line + "\n")); err == nil {
+		if _, err := ReadLog(hbm.HBM2E, strings.NewReader(tc.line+"\n")); err == nil {
 			t.Errorf("%s: ReadLog accepted %s", tc.name, tc.line)
 		}
 	}
@@ -123,7 +123,7 @@ func TestParseJSONEventRejectsPoisonedTimestamps(t *testing.T) {
 	if _, err := ParseJSONEvent([]byte(good)); err != nil {
 		t.Errorf("ParseJSONEvent rejected valid line: %v", err)
 	}
-	if l, err := ReadLog(strings.NewReader(good + "\n")); err != nil || l.Len() != 1 {
+	if l, err := ReadLog(hbm.HBM2E, strings.NewReader(good+"\n")); err != nil || l.Len() != 1 {
 		t.Errorf("ReadLog rejected valid line: %v", err)
 	}
 }

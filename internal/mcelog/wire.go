@@ -71,14 +71,14 @@ var ErrWireFrame = errors.New("mcelog: malformed binary frame")
 // unpacks it again.
 type Record struct {
 	UnixNano int64
-	Packed   uint64 // the address, packed under the active layout
+	Packed   uint64 // the address, packed under its profile's layout
 	Class    uint8  // the ecc.Class byte
 	Bits     uint16 // the ErrBits
 }
 
-// RecordOf is the record of an event.
-func RecordOf(ev Event) Record {
-	return Record{UnixNano: ev.Time.UnixNano(), Packed: ev.Addr.Pack(), Class: byte(ev.Class), Bits: uint16(ev.Bits)}
+// RecordOf is the record of an event, its address packed under p.
+func RecordOf(p *hbm.Profile, ev Event) Record {
+	return Record{UnixNano: ev.Time.UnixNano(), Packed: p.Layout.Pack(ev.Addr), Class: byte(ev.Class), Bits: uint16(ev.Bits)}
 }
 
 // Append appends the record's WireRecordSize bytes to dst.
@@ -102,27 +102,28 @@ func ParseRecord(rec []byte) Record {
 	}
 }
 
-// Event unpacks the record: its time is the instant in UTC with no
+// Event unpacks the record under p: its time is the instant in UTC with no
 // monotonic reading.
-func (r Record) Event() Event {
+func (r Record) Event(p *hbm.Profile) Event {
 	return Event{
 		Time:  time.Unix(0, r.UnixNano).UTC(),
-		Addr:  hbm.Unpack(r.Packed),
+		Addr:  p.Layout.Unpack(r.Packed),
 		Class: ecc.Class(r.Class),
 		Bits:  ErrBits(r.Bits),
 	}
 }
 
-// AppendWireRecord appends one event's fixed-size record to dst.
-func AppendWireRecord(dst []byte, ev Event) []byte { return RecordOf(ev).Append(dst) }
+// AppendWireRecord appends one event's fixed-size record, packed under hbm2e,
+// to dst. Bench-only until ROADMAP item 15.
+func AppendWireRecord(dst []byte, ev Event) []byte { return RecordOf(hbm.HBM2E, ev).Append(dst) }
 
 // ParseRecordChecked is ParseRecord for bytes nobody has validated — a log
 // file, a journal, a peer's handoff suffix — where no Event.Validate follows
 // the decode. It refuses a record of the wrong length, a class byte that is
-// not a loggable class, and a packed address with bits outside the active
-// layout (Unpack would silently drop them and alias the record onto a
-// different, valid-looking bank).
-func ParseRecordChecked(rec []byte) (Record, error) {
+// not a loggable class, and a packed address with bits outside p's layout
+// (Unpack would silently drop them and alias the record onto a different,
+// valid-looking bank).
+func ParseRecordChecked(p *hbm.Profile, rec []byte) (Record, error) {
 	if len(rec) != WireRecordSize {
 		return Record{}, fmt.Errorf("mcelog: event record of %d bytes, want %d", len(rec), WireRecordSize)
 	}
@@ -130,7 +131,7 @@ func ParseRecordChecked(rec []byte) (Record, error) {
 		return Record{}, fmt.Errorf("mcelog: event record has invalid class byte %d", rec[16])
 	}
 	r := ParseRecord(rec)
-	if err := hbm.CheckPacked(r.Packed); err != nil {
+	if err := p.Layout.CheckPacked(r.Packed); err != nil {
 		return Record{}, fmt.Errorf("mcelog: event record: %w", err)
 	}
 	return r, nil
@@ -142,6 +143,7 @@ func ParseRecordChecked(rec []byte) (Record, error) {
 type WireFrame struct {
 	payload []byte
 	recSize int
+	prof    *hbm.Profile
 }
 
 // Len returns the number of events in the frame.
@@ -151,9 +153,9 @@ func (f WireFrame) Len() int { return len(f.payload) / f.recSize }
 func (f WireFrame) Event(i int) Event {
 	rec := f.payload[i*f.recSize : (i+1)*f.recSize]
 	if f.recSize == wireRecordSizeV1 {
-		return decodeWireRecordV1(rec)
+		return decodeWireRecordV1(f.prof, rec)
 	}
-	return ParseRecord(rec).Event()
+	return ParseRecord(rec).Event(f.prof)
 }
 
 // decodeWireRecordV1 decodes a legacy 17-byte CBF1 record: the CBF2 layout
@@ -162,10 +164,10 @@ func (f WireFrame) Event(i int) Event {
 // CBF2 path a quarter of its speed (BenchmarkWireFrameDecode, 115 → 145 ns).
 //
 //go:noinline
-func decodeWireRecordV1(rec []byte) Event {
+func decodeWireRecordV1(p *hbm.Profile, rec []byte) Event {
 	var wide [WireRecordSize]byte
 	copy(wide[:], rec)
-	return ParseRecord(wide[:]).Event()
+	return ParseRecord(wide[:]).Event(p)
 }
 
 // EventChecked decodes record i with ParseRecordChecked's checks: the
@@ -173,13 +175,13 @@ func decodeWireRecordV1(rec []byte) Event {
 func (f WireFrame) EventChecked(i int) (Event, error) {
 	var wide [WireRecordSize]byte // a CBF1 record widens to CBF2, Bits zero
 	copy(wide[:], f.payload[i*f.recSize:(i+1)*f.recSize])
-	r, err := ParseRecordChecked(wide[:])
-	return r.Event(), err
+	r, err := ParseRecordChecked(f.prof, wide[:])
+	return r.Event(f.prof), err
 }
 
-// FrameDecoder reads a CBF2 (or legacy CBF1) stream frame by frame. The
-// zero value is not usable; construct with NewFrameDecoder and reuse across streams via
-// Reset — the payload buffer is retained, so steady-state decoding
+// FrameDecoder reads a CBF2 (or legacy CBF1) stream frame by frame, its
+// records packed under prof. BodyReader holds one and reuses it across streams
+// via Reset — the payload buffer is retained, so steady-state decoding
 // allocates nothing (pinned by TestWireDecodeZeroAllocs).
 type FrameDecoder struct {
 	r       io.Reader
@@ -187,14 +189,13 @@ type FrameDecoder struct {
 	hdr     [wireFrameHdrSize]byte
 	opened  bool // magic consumed
 	recSize int  // per-record size implied by the stream's magic
+	prof    *hbm.Profile
 }
 
-// NewFrameDecoder returns a decoder over r.
-func NewFrameDecoder(r io.Reader) *FrameDecoder {
-	d := &FrameDecoder{}
-	d.Reset(r)
-	return d
-}
+// NewFrameDecoder returns a decoder over r of records packed under hbm2e.
+// Bench-only until ROADMAP item 15: everything else decodes through
+// BodyReader, under the profile it is reset with.
+func NewFrameDecoder(r io.Reader) *FrameDecoder { return &FrameDecoder{r: r, prof: hbm.HBM2E} }
 
 // Reset points the decoder at a new stream, keeping its buffers.
 func (d *FrameDecoder) Reset(r io.Reader) {
@@ -252,18 +253,20 @@ func (d *FrameDecoder) Next() (WireFrame, error) {
 	if sum := crc32.Checksum(d.buf, wireCRCTable); sum != crc {
 		return WireFrame{}, fmt.Errorf("%w: payload checksum mismatch: computed %#x, stored %#x", ErrWireFrame, sum, crc)
 	}
-	return WireFrame{payload: d.buf, recSize: d.recSize}, nil
+	return WireFrame{payload: d.buf, recSize: d.recSize, prof: d.prof}, nil
 }
 
-// FrameEncoder writes a CBF2 stream. Events accumulate into a pending
-// frame that is emitted once it holds maxEvents records or on Flush; call
-// Flush before trusting that every added event is on the wire.
+// FrameEncoder writes a CBF2 stream, packing addresses under prof. Events
+// accumulate into a pending frame that is emitted once it holds maxEvents
+// records or on Flush; call Flush before trusting that every added event is
+// on the wire.
 type FrameEncoder struct {
 	w         io.Writer
 	buf       []byte // pending frame payload
 	hdr       [wireFrameHdrSize]byte
 	maxEvents int
 	opened    bool
+	prof      *hbm.Profile
 }
 
 // DefaultFrameEvents is the records-per-frame target an encoder uses when
@@ -271,21 +274,27 @@ type FrameEncoder struct {
 // enough that one frame stays well under MaxWireFrameBytes.
 const DefaultFrameEvents = 1024
 
-// NewFrameEncoder returns an encoder over w batching maxEvents records
-// per frame (0 means DefaultFrameEvents).
+// NewFrameEncoder is NewFrameEncoderFor under hbm2e. Bench-only until ROADMAP
+// item 15.
 func NewFrameEncoder(w io.Writer, maxEvents int) *FrameEncoder {
+	return NewFrameEncoderFor(hbm.HBM2E, w, maxEvents)
+}
+
+// NewFrameEncoderFor returns an encoder over w packing addresses under p and
+// batching maxEvents records per frame (0 means DefaultFrameEvents).
+func NewFrameEncoderFor(p *hbm.Profile, w io.Writer, maxEvents int) *FrameEncoder {
 	if maxEvents <= 0 {
 		maxEvents = DefaultFrameEvents
 	}
 	if max := MaxWireFrameBytes / WireRecordSize; maxEvents > max {
 		maxEvents = max
 	}
-	return &FrameEncoder{w: w, maxEvents: maxEvents}
+	return &FrameEncoder{w: w, maxEvents: maxEvents, prof: p}
 }
 
 // Add appends one event to the pending frame, flushing it when full.
 func (e *FrameEncoder) Add(ev Event) error {
-	e.buf = AppendWireRecord(e.buf, ev)
+	e.buf = RecordOf(e.prof, ev).Append(e.buf)
 	if len(e.buf) >= e.maxEvents*WireRecordSize {
 		return e.Flush()
 	}
@@ -318,10 +327,10 @@ func (e *FrameEncoder) Flush() error {
 }
 
 // WriteWire writes the log as a CBF2 frame stream of DefaultFrameEvents
-// records per frame: the log file format, and at once a valid request body
-// for POST /v1/events.bin. An empty log writes nothing.
-func (l *Log) WriteWire(w io.Writer) error {
-	enc := NewFrameEncoder(w, 0)
+// records per frame, packed under p: the log file format, and at once a valid
+// request body for POST /v1/events.bin. An empty log writes nothing.
+func (l *Log) WriteWire(p *hbm.Profile, w io.Writer) error {
+	enc := NewFrameEncoderFor(p, w, 0)
 	for _, e := range l.events {
 		if err := enc.Add(e); err != nil {
 			return err

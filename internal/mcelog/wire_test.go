@@ -53,10 +53,10 @@ func wireTestEventsFor(g hbm.Geometry, n int) []Event {
 }
 
 // encodeWireStream renders events into frames of frameEvents records each.
-func encodeWireStream(t testing.TB, evs []Event, frameEvents int) []byte {
+func encodeWireStream(t testing.TB, p *hbm.Profile, evs []Event, frameEvents int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewFrameEncoder(&buf, frameEvents)
+	enc := NewFrameEncoderFor(p, &buf, frameEvents)
 	for _, ev := range evs {
 		if err := enc.Add(ev); err != nil {
 			t.Fatalf("Add: %v", err)
@@ -68,9 +68,9 @@ func encodeWireStream(t testing.TB, evs []Event, frameEvents int) []byte {
 	return buf.Bytes()
 }
 
-func decodeWireStream(t testing.TB, data []byte) []Event {
+func decodeWireStream(t testing.TB, p *hbm.Profile, data []byte) []Event {
 	t.Helper()
-	dec := NewFrameDecoder(bytes.NewReader(data))
+	dec := &FrameDecoder{r: bytes.NewReader(data), prof: p}
 	var out []Event
 	for {
 		fr, err := dec.Next()
@@ -89,8 +89,8 @@ func decodeWireStream(t testing.TB, data []byte) []Event {
 func TestWireRoundTrip(t *testing.T) {
 	for _, frameEvents := range []int{1, 3, 64, 0} {
 		evs := wireTestEvents(257)
-		data := encodeWireStream(t, evs, frameEvents)
-		got := decodeWireStream(t, data)
+		data := encodeWireStream(t, hbm.HBM2E, evs, frameEvents)
+		got := decodeWireStream(t, hbm.HBM2E, data)
 		if len(got) != len(evs) {
 			t.Fatalf("frameEvents=%d: decoded %d events, want %d", frameEvents, len(got), len(evs))
 		}
@@ -123,7 +123,7 @@ func TestWireEmptyStream(t *testing.T) {
 
 func TestWireDecodeErrors(t *testing.T) {
 	evs := wireTestEvents(10)
-	good := encodeWireStream(t, evs, 5)
+	good := encodeWireStream(t, hbm.HBM2E, evs, 5)
 
 	corrupt := func(mutate func(b []byte) []byte) error {
 		b := mutate(append([]byte(nil), good...))
@@ -177,7 +177,7 @@ func TestWireDecodeErrors(t *testing.T) {
 // buffer has warmed up, decoding a stream allocates nothing.
 func TestWireDecodeZeroAllocs(t *testing.T) {
 	evs := wireTestEvents(4096)
-	data := encodeWireStream(t, evs, 512)
+	data := encodeWireStream(t, hbm.HBM2E, evs, 512)
 	dec := NewFrameDecoder(bytes.NewReader(nil))
 	var rd bytes.Reader
 	var sink int
@@ -206,8 +206,8 @@ func TestWireDecodeZeroAllocs(t *testing.T) {
 
 // TestWireProfileMatrix re-runs the round trip and the zero-alloc pin under
 // every registered topology profile: packed addresses on the wire follow the
-// active profile's layout, so both ends must agree, and the decode path must
-// stay allocation-free regardless of topology.
+// profile's layout, so both ends must agree, and the decode path must stay
+// allocation-free regardless of topology.
 func TestWireProfileMatrix(t *testing.T) {
 	for _, name := range hbm.ProfileNames() {
 		p, err := hbm.ProfileByName(name)
@@ -215,15 +215,12 @@ func TestWireProfileMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			prev := hbm.ActivateProfile(p)
-			defer hbm.ActivateProfile(prev)
-
 			evs := wireTestEventsFor(p.Geometry, 1024)
 			for i := range evs {
 				evs[i].Bits = ErrBits(uint16(i*2654435761) & 0x7f3f)
 			}
-			data := encodeWireStream(t, evs, 128)
-			got := decodeWireStream(t, data)
+			data := encodeWireStream(t, p, evs, 128)
+			got := decodeWireStream(t, p, data)
 			if len(got) != len(evs) {
 				t.Fatalf("decoded %d events, want %d", len(got), len(evs))
 			}
@@ -234,7 +231,7 @@ func TestWireProfileMatrix(t *testing.T) {
 				}
 			}
 
-			dec := NewFrameDecoder(bytes.NewReader(nil))
+			dec := &FrameDecoder{prof: p}
 			var rd bytes.Reader
 			var sink int
 			allocs := testing.AllocsPerRun(20, func() {
@@ -345,7 +342,7 @@ func encodeFrame(payload []byte) []byte {
 
 func BenchmarkWireFrameDecode(b *testing.B) {
 	evs := wireTestEvents(4096)
-	data := encodeWireStream(b, evs, 512)
+	data := encodeWireStream(b, hbm.HBM2E, evs, 512)
 	dec := NewFrameDecoder(bytes.NewReader(nil))
 	var rd bytes.Reader
 	var sink int

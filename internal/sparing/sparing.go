@@ -67,11 +67,12 @@ func (b Budget) Validate() error {
 	return nil
 }
 
-// Engine applies mitigations under a budget and answers coverage queries.
-// The zero value is not usable; construct with NewEngine. Engine is not safe
-// for concurrent use.
+// Engine applies mitigations under a budget and answers coverage queries,
+// keying banks and channels under its profile's layout. The zero value is not
+// usable; construct with NewEngineFor. Engine is not safe for concurrent use.
 type Engine struct {
 	budget Budget
+	layout *hbm.Layout
 
 	// rowIsolated[{bankKey, row}] = earliest isolation time.
 	rowIsolated map[bankRow]time.Time
@@ -89,13 +90,17 @@ type bankRow struct {
 	row  int
 }
 
-// NewEngine returns an engine with the given budget.
-func NewEngine(budget Budget) (*Engine, error) {
+// NewEngine is NewEngineFor under hbm2e. Bench-only until ROADMAP item 15.
+func NewEngine(budget Budget) (*Engine, error) { return NewEngineFor(hbm.HBM2E, budget) }
+
+// NewEngineFor returns an engine over p's banks with the given budget.
+func NewEngineFor(p *hbm.Profile, budget Budget) (*Engine, error) {
 	if err := budget.Validate(); err != nil {
 		return nil, err
 	}
 	return &Engine{
 		budget:         budget,
+		layout:         &p.Layout,
 		rowIsolated:    make(map[bankRow]time.Time),
 		bankIsolated:   make(map[uint64]time.Time),
 		rowSparesUsed:  make(map[uint64]int),
@@ -118,7 +123,7 @@ func (e *Engine) markRow(bankKey uint64, row int, t time.Time) {
 // caller's rows are neither modified nor retained; ascending rows (every
 // strategy's) are read in place, others through a sorted copy.
 func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) int {
-	key := bank.BankKey()
+	key := e.layout.PackBank(bank)
 	sorted := rows
 	if !slices.IsSorted(rows) {
 		sorted = slices.Clone(rows)
@@ -142,17 +147,17 @@ func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) int {
 // SpareBank bank-spares the whole bank at time t. It fails when the
 // channel's spare banks are exhausted; a bank already spared is a no-op.
 func (e *Engine) SpareBank(bank hbm.BankAddress, t time.Time) error {
-	key := bank.BankKey()
+	key := e.layout.PackBank(bank)
 	if prev, ok := e.bankIsolated[key]; ok {
 		if t.Before(prev) {
 			e.bankIsolated[key] = t
 		}
 		return nil
 	}
-	chKey := bank.EntityKey(hbm.LevelChannel)
+	chKey := e.layout.EntityKey(hbm.CellInBank(bank, 0, 0), hbm.LevelChannel)
 	if e.bankSparesUsed[chKey] >= e.budget.BankSparesPerChannel {
 		return fmt.Errorf("sparing: channel %v out of bank spares (%d used)",
-			hbm.Unpack(chKey), e.bankSparesUsed[chKey])
+			e.layout.Unpack(chKey), e.bankSparesUsed[chKey])
 	}
 	e.bankSparesUsed[chKey]++
 	e.bankIsolated[key] = t
@@ -178,7 +183,7 @@ func (e *Engine) IsRowIsolatedBefore(bank hbm.BankAddress, row int, t time.Time)
 	if e.IsRowSparedBefore(bank, row, t) {
 		return true
 	}
-	if bt, ok := e.bankIsolated[bank.BankKey()]; ok && bt.Before(t) {
+	if bt, ok := e.bankIsolated[e.layout.PackBank(bank)]; ok && bt.Before(t) {
 		return true
 	}
 	return false
@@ -189,7 +194,7 @@ func (e *Engine) IsRowIsolatedBefore(bank hbm.BankAddress, row int, t time.Time)
 // predicate behind the paper's cross-row ICR, which credits only row-level
 // predictions.
 func (e *Engine) IsRowSparedBefore(bank hbm.BankAddress, row int, t time.Time) bool {
-	rt, ok := e.rowIsolated[bankRow{bank.BankKey(), row}]
+	rt, ok := e.rowIsolated[bankRow{e.layout.PackBank(bank), row}]
 	return ok && rt.Before(t)
 }
 

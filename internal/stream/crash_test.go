@@ -162,7 +162,16 @@ func genCrashSchedule(seed uint64) crashSchedule {
 	return sc
 }
 
+// profile is the topology the schedule's engines run.
+func (sc *crashSchedule) profile() *hbm.Profile {
+	if sc.ddr5 {
+		return hbm.DDR5DIMM
+	}
+	return hbm.HBM2E
+}
+
 // flavor names the test that runs the schedule: "ddr5", "trained", "swap"
+
 // (it swaps the model), "batched" (a power cut right after an IngestBatch)
 // or "".
 func (sc *crashSchedule) flavor() string {
@@ -247,9 +256,6 @@ func (sc *crashSchedule) run(root string) error {
 	pipe, err := tinyPipeline() // fitted under the default profile
 	if err != nil {
 		return err
-	}
-	if sc.ddr5 {
-		defer hbm.ActivateProfile(hbm.ActivateProfile(hbm.DDR5DIMM))
 	}
 	cr := &crashRun{sc: sc, fs: wal.NewFaultFS(wal.OSFS), atSnap: map[uint64][]crashOp{}, acked: map[string]bool{}, durable: map[string]bool{}}
 	if cr.dir, err = os.MkdirTemp(root, "run"); err != nil {
@@ -383,7 +389,7 @@ func (cr *crashRun) faulted(err error) error {
 
 func (cr *crashRun) ackEvents(evs ...mcelog.Event) {
 	for _, ev := range evs {
-		cr.ack(string(mcelog.RecordOf(ev).Append(nil)))
+		cr.ack(string(mcelog.RecordOf(cr.sc.profile(), ev).Append(nil)))
 	}
 	cr.ingested += uint64(len(evs))
 }
@@ -400,9 +406,10 @@ func (cr *crashRun) ack(key string) {
 }
 
 // recKey names a journal record as ack does: an event by its bytes, which
-// are unique in a schedule, and a swap by its LSN.
+// are unique in a schedule, and a swap by its LSN. A swap record reads the
+// same under every profile.
 func recKey(r wal.Record) string {
-	if _, _, swap, _ := decodeJournalRecord(r.Payload); swap {
+	if _, _, swap, _ := decodeJournalRecord(hbm.HBM2E, r.Payload); swap {
 		return fmt.Sprint("swap@", r.LSN)
 	}
 	return string(r.Payload)
@@ -431,7 +438,7 @@ func (cr *crashRun) pin() error {
 // must equal from the snapshot it restored and the journal it replayed, and
 // checks it.
 func (cr *crashRun) boot(shards int) (err error) {
-	cr.e, err = New(Config{Models: cr, Shards: shards, Logger: crashLog, Durability: DurabilityConfig{
+	cr.e, err = New(Config{Models: cr, Profile: cr.sc.profile(), Shards: shards, Logger: crashLog, Durability: DurabilityConfig{
 		Dir: cr.dir, FS: cr.fs, Sync: cr.sc.sync, SegmentBytes: cr.sc.segBytes, SnapshotKeep: cr.sc.keep}})
 	if err != nil {
 		return fmt.Errorf("boot with no synced frame damaged: %w", err)
@@ -471,7 +478,7 @@ func (cr *crashRun) boot(shards int) (err error) {
 //   - (in run, at the end) unless the history was rewritten, both emitted the
 //     same deduplicated actions.
 func (cr *crashRun) check() (err error) {
-	ref, err := New(Config{Models: crashRef{cr}, Shards: 1, Logger: crashLog})
+	ref, err := New(Config{Models: crashRef{cr}, Profile: cr.sc.profile(), Shards: 1, Logger: crashLog})
 	if err != nil {
 		return err
 	}
@@ -494,7 +501,7 @@ func (cr *crashRun) check() (err error) {
 			return fmt.Errorf("LSN %d names two records", r.LSN)
 		}
 		byLSN[r.LSN] = string(r.Payload)
-		rec, version, swap, err := decodeJournalRecord(r.Payload)
+		rec, version, swap, err := decodeJournalRecord(cr.sc.profile(), r.Payload)
 		applied := swap
 		if swap {
 			if strat, err = ref.strategyFor(version); err != nil {

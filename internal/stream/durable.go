@@ -11,7 +11,6 @@ import (
 
 	"cordial/internal/bincodec"
 	"cordial/internal/core"
-	"cordial/internal/hbm"
 	"cordial/internal/wal"
 )
 
@@ -57,7 +56,7 @@ type DeadLetter struct {
 	// Time is the event's timestamp.
 	Time time.Time `json:"time"`
 	// Bank and Addr identify where the event landed (Addr is the packed
-	// physical address, reversible with hbm.Unpack).
+	// physical address, reversible with hbm.Layout.Unpack).
 	Bank string `json:"bank"`
 	Addr uint64 `json:"addr"`
 	Row  int    `json:"row"`
@@ -368,11 +367,11 @@ func (st *shardState) restore(load *imageLoader, im *sessionImage) error {
 	}
 	var sess core.Session
 	if err == nil && !quiet {
-		sess, err = ds.RestoreSession(hbm.UnpackBank(im.key), im.blob)
+		sess, err = ds.RestoreSession(st.layout.bank(im.key), im.blob)
 	}
 	switch {
 	case err != nil:
-		return fmt.Errorf("stream: restoring session for bank %s: %w", hbm.UnpackBank(im.key), err)
+		return fmt.Errorf("stream: restoring session for bank %s: %w", st.layout.bank(im.key), err)
 	case quiet:
 		st.addQuiet(im.key, ver, &im.bankSession, st.chain)
 	default:
@@ -486,7 +485,7 @@ func (e *Engine) recoverDurable() error {
 	}
 	var replayed uint64
 	err = w.Replay(func(lsn uint64, payload []byte) error {
-		rec, version, isSwap, derr := decodeJournalRecord(payload)
+		rec, version, isSwap, derr := decodeJournalRecord(e.cfg.Profile, payload)
 		if derr != nil {
 			return derr
 		}

@@ -71,8 +71,12 @@ type Config struct {
 	// creation; SwapModel changes what "active" means without touching
 	// existing sessions. Normally a *registry.Registry.
 	Models ModelSource
-	// Geometry validates incoming addresses. Zero means the active
-	// topology profile's geometry.
+	// Profile is the topology the engine's addresses are packed under: the
+	// record layout, ingest decode and ownership, journal replay and handoff
+	// import all read it. Nil means hbm.HBM2E.
+	Profile *hbm.Profile
+	// Geometry is bench-only until ROADMAP item 15: zero, or the profile's
+	// geometry, which incoming addresses are validated against either way.
 	Geometry hbm.Geometry
 	// Shards is the number of session shards (and consumer goroutines).
 	// Zero means GOMAXPROCS.
@@ -123,8 +127,11 @@ func (c Config) withDefaults() Config {
 	if c.ActionBuffer == 0 {
 		c.ActionBuffer = 4096
 	}
+	if c.Profile == nil {
+		c.Profile = hbm.HBM2E
+	}
 	if c.Geometry == (hbm.Geometry{}) {
-		c.Geometry = hbm.ActiveProfile().Geometry
+		c.Geometry = c.Profile.Geometry
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -156,7 +163,14 @@ func (c Config) Validate() error {
 	if c.Policy != IngestBlock && c.Policy != IngestDrop {
 		return fmt.Errorf("stream: invalid ingest policy %d", int(c.Policy))
 	}
-	return c.Geometry.Validate()
+	// A store node holds a row in nodeRowBits (hbm3's 17 is the widest).
+	if _, width := c.Profile.Layout.RowField(); width > nodeRowBits {
+		return fmt.Errorf("stream: profile %q has a %d-bit row field; the engine holds rows in %d", c.Profile.Name, width, nodeRowBits)
+	}
+	if c.Geometry != c.Profile.Geometry {
+		return fmt.Errorf("stream: geometry %+v is not profile %q's", c.Geometry, c.Profile.Name)
+	}
+	return c.Profile.Validate()
 }
 
 // Action is one mitigation the engine recommends, emitted on the output
@@ -285,7 +299,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		shards: make([]*shard, cfg.Shards),
 		start:  cfg.Clock.Now(),
-		layout: newRecordLayout(hbm.ActiveProfile().Layout),
+		layout: newRecordLayout(cfg.Profile),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{in: newEventRing(cfg.QueueDepth), shardState: newShardState(e.layout)}
@@ -430,7 +444,7 @@ func (e *Engine) Actions() <-chan Action { return e.actions.ch }
 
 // Session returns a snapshot of one bank's session state.
 func (e *Engine) Session(bank hbm.BankAddress) (SessionStats, bool) {
-	return e.sessionByKey(bank.BankKey())
+	return e.sessionByKey(e.cfg.Profile.Layout.PackBank(bank))
 }
 
 func (e *Engine) sessionByKey(key uint64) (SessionStats, bool) {
@@ -442,7 +456,7 @@ func (e *Engine) sessionByKey(key uint64) (SessionStats, bool) {
 		return SessionStats{}, false
 	}
 	v := s.view(sl)
-	return v.stats(key), true
+	return v.stats(s.layout.bank(key)), true
 }
 
 // Drain blocks until every accepted event has been processed — its dead

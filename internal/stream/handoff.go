@@ -107,9 +107,9 @@ func (e *Engine) ImportSessions(payload []byte, suffix []wal.Record, owns func(b
 	held := func(key uint64) bool { _, ok := e.sessionByKey(key); return ok }
 	events := make([]queued, 0, len(suffix))
 	for _, sr := range suffix {
-		rec, _, isSwap, derr := decodeJournalRecord(sr.Payload)
+		rec, _, isSwap, derr := decodeJournalRecord(e.cfg.Profile, sr.Payload)
 		if derr == nil && !isSwap {
-			derr = rec.Event().Validate(e.cfg.Geometry) // a peer's bytes: checked as at the HTTP edge
+			derr = rec.Event(e.cfg.Profile).Validate(e.cfg.Geometry) // a peer's bytes: checked as at the HTTP edge
 		}
 		if derr != nil {
 			return st, fmt.Errorf("stream: decoding handoff suffix record %d: %w", sr.LSN, derr)

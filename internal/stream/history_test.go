@@ -128,14 +128,14 @@ func perBankActions(acts []Action) map[string][]string {
 	return out
 }
 
-// historyBank is bank i of a FuzzBankHistory stream under the active profile.
-func historyBank(i int) hbm.BankAddress {
-	return hbm.RandomBank(hbm.ActiveProfile().Geometry, xrand.New(uint64(i)+1))
+// historyBank is bank i of a FuzzBankHistory stream of p's fleet.
+func historyBank(p *hbm.Profile, i int) hbm.BankAddress {
+	return hbm.RandomBank(p.Geometry, xrand.New(uint64(i)+1))
 }
 
-// historyEvents decodes a FuzzBankHistory body into its stream.
-func historyEvents(body []byte) []mcelog.Event {
-	geo := hbm.ActiveProfile().Geometry
+// historyEvents decodes a FuzzBankHistory body into its stream of p's fleet.
+func historyEvents(p *hbm.Profile, body []byte) []mcelog.Event {
+	geo := p.Geometry
 	steps := [8]time.Duration{0, time.Second, 30 * time.Second, time.Minute, 13 * time.Minute, time.Hour, 24 * time.Hour, 30 * 24 * time.Hour}
 	classes := [4]ecc.Class{ecc.ClassCE, ecc.ClassUEO, ecc.ClassUER, ecc.ClassCE}
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -143,7 +143,7 @@ func historyEvents(body []byte) []mcelog.Event {
 	var evs []mcelog.Event
 	emit := func(bank, row int, class ecc.Class) {
 		row = geo.ClampRow(row)
-		evs = append(evs, mcelog.Event{Time: now, Addr: hbm.CellInBank(historyBank(bank), row, 0), Class: class, Bits: mcelog.MakeErrBits(uint8(1+row%7), 1)})
+		evs = append(evs, mcelog.Event{Time: now, Addr: hbm.CellInBank(historyBank(p, bank), row, 0), Class: class, Bits: mcelog.MakeErrBits(uint8(1+row%7), 1)})
 	}
 	for ; len(body) >= 2; body = body[2:] {
 		bank, class, n := int(body[0]&7), classes[body[0]>>3&3], int(body[1]&63)
@@ -284,7 +284,7 @@ func (s *stepSim) ingest(evs []mcelog.Event, first, swapAt int, v2 core.Strategy
 				n.epochs = append(n.epochs[:len(n.epochs):len(n.epochs)], modelEpoch{version: 2, sinceLSN: n.lsn, strategy: v2})
 			}
 		}
-		rec := mcelog.RecordOf(ev)
+		rec := mcelog.RecordOf(s.layout.prof, ev)
 		key := s.layout.key(&rec)
 		o, ok := s.owner[key]
 		if !ok {
@@ -431,10 +431,10 @@ func (s *stepSim) images(nodes []*stepNode) map[uint64][]byte {
 	return out
 }
 
-// stepFleet is one seed's event stream: failing banks (a UER in five), quiet
+// stepFleet is one seed's event stream of p's fleet: failing banks (a UER in five), quiet
 // banks and CE-heavy banks that cross the store's cap, each on a few rows, one
 // second apart.
-func stepFleet(rng *rand.Rand) []mcelog.Event {
+func stepFleet(p *hbm.Profile, rng *rand.Rand) []mcelog.Event {
 	nb, n := 16+rng.Intn(40), 300+rng.Intn(1200)
 	first := rng.Intn(1 << 14)
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -443,7 +443,7 @@ func stepFleet(rng *rand.Rand) []mcelog.Event {
 		b := min(rng.Intn(nb), rng.Intn(nb)) // a few hot banks
 		ev := mcelog.Event{
 			Time:  start.Add(time.Duration(i) * time.Second),
-			Addr:  hbm.CellInBank(historyBank(first+b), 100+40*b+rng.Intn(12), 0),
+			Addr:  hbm.CellInBank(historyBank(p, first+b), 100+40*b+rng.Intn(12), 0),
 			Class: ecc.ClassCE,
 			Bits:  mcelog.MakeErrBits(uint8(1+rng.Intn(255)), 1),
 		}
@@ -549,21 +549,22 @@ func checkBankHistory(t *testing.T, data []byte) int {
 	}()
 	h := make([]byte, 6)
 	body := data[copy(h, data):]
-	var pipes [2]*core.Pipeline // fitted under the default profile, before any other is active
+	var pipes [2]*core.Pipeline // fitted on hbm2e fleets
 	for i, fit := range []func() (*core.Pipeline, error){trainedPipeline, tinyPipeline} {
 		var err error
 		if pipes[i], err = fit(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	p := hbm.HBM2E
 	if h[5]&1 != 0 {
-		defer hbm.ActivateProfile(hbm.ActivateProfile(hbm.DDR5DIMM))
+		p = hbm.DDR5DIMM
 	}
 	seed := int64(h[0]) | int64(h[1])<<8
 	rng := rand.New(rand.NewSource(seed))
-	evs := historyEvents(body[:min(len(body), 512)])
+	evs := historyEvents(p, body[:min(len(body), 512)])
 	if h[5]&2 != 0 {
-		spec := trace.DefaultSpec(hbm.ActiveProfile().Geometry)
+		spec := trace.DefaultSpecFor(p)
 		spec.UERBanks, spec.BenignBanks, spec.Seed = 2+int(seed%4), 6, uint64(seed)
 		fleet, err := trace.Generate(spec)
 		if err != nil {
@@ -572,12 +573,12 @@ func checkBankHistory(t *testing.T, data []byte) int {
 		fleet.Log().Sort()
 		evs = fleet.Log().Events()
 	} else if len(evs) == 0 {
-		evs = stepFleet(rng)
+		evs = stepFleet(p, rng)
 	}
 	at := slices.IndexFunc(evs[len(evs)/2:], func(ev mcelog.Event) bool { return ev.Class == ecc.ClassUER })
 	models := newFakeModels(1, 2)
 	for i, pipe := range pipes {
-		var s core.QuietStrategy = &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.ActiveProfile().Geometry}
+		var s core.QuietStrategy = &core.CordialStrategy{Pipeline: pipe, Geometry: p.Geometry}
 		if h[5]&4 != 0 && at >= 0 {
 			row := evs[len(evs)/2+at].Addr.Row
 			s = sessionsAs{s, func(sess core.Session) core.Session { return poisonSession{sess, row} }}
@@ -591,19 +592,19 @@ func checkBankHistory(t *testing.T, data []byte) int {
 	swapAt := int(h[2]) * len(evs) / 255
 	epochs := []modelEpoch{{version: 1, strategy: models.versions[1]}, {version: 2, sinceLSN: uint64(swapAt), strategy: models.versions[2]}}
 	want, wantStats, dead := offlineHistory(evs, epochs)
-	checkSteps(t, rng, evs, swapAt, epochs, want, dead)
-	checkEngine(t, evs, swapAt, 1+int(h[3]%5), models, want, wantStats)
+	checkSteps(t, p, rng, evs, swapAt, epochs, want, dead)
+	checkEngine(t, p, evs, swapAt, 1+int(h[3]%5), models, want, wantStats)
 	return len(want)
 }
 
 // checkSteps holds one uninterrupted shard step and stepSim's nodes under
 // rng's schedule to the reference, and the nodes' images to the step's.
-func checkSteps(t *testing.T, rng *rand.Rand, evs []mcelog.Event, swapAt int, epochs []modelEpoch, want map[string]bool, dead int) {
-	layout := newRecordLayout(hbm.ActiveProfile().Layout)
+func checkSteps(t *testing.T, p *hbm.Profile, rng *rand.Rand, evs []mcelog.Event, swapAt int, epochs []modelEpoch, want map[string]bool, dead int) {
+	layout := newRecordLayout(p)
 	ref := newShardState(layout)
 	batch := make([]queued, len(evs))
 	for i, ev := range evs {
-		batch[i] = queued{rec: mcelog.RecordOf(ev), lsn: uint64(i + 1)}
+		batch[i] = queued{rec: mcelog.RecordOf(p, ev), lsn: uint64(i + 1)}
 	}
 	res := ref.step(stepEnv{epochs: epochs}, batch)
 	if diff := diffActions(actionKeys(nil, res.acts), want); diff != "" || len(res.dead) != dead {
@@ -649,8 +650,8 @@ func checkSteps(t *testing.T, rng *rand.Rand, evs []mcelog.Event, swapAt int, ep
 
 // checkEngine holds one Engine of shards, swapped to version 2 at swapAt, to
 // the reference.
-func checkEngine(t *testing.T, evs []mcelog.Event, swapAt, shards int, models ModelSource, want map[string]bool, wantStats map[hbm.BankAddress]*SessionStats) {
-	e := newTestEngine(t, Config{Models: models, Shards: shards, ActionBuffer: 1 << 16})
+func checkEngine(t *testing.T, p *hbm.Profile, evs []mcelog.Event, swapAt, shards int, models ModelSource, want map[string]bool, wantStats map[hbm.BankAddress]*SessionStats) {
+	e := newTestEngine(t, Config{Models: models, Profile: p, Shards: shards, ActionBuffer: 1 << 16})
 	for i, part := range [][]mcelog.Event{evs[:swapAt], evs[swapAt:]} {
 		if i == 1 && len(part) > 0 {
 			if err := e.Drain(30 * time.Second); err != nil {
@@ -732,4 +733,19 @@ func TestOnlineOfflineEquivalenceDDR5(t *testing.T) {
 	historyFlavor(t, inputs(20), func(i int) [6]byte {
 		return [6]byte{byte(13 + i), 0, byte(255 - 23*i), byte(i), 0, 1 | byte(i%2)<<1}
 	})
+}
+
+// TestTwoProfilesOneProcess: an hbm2e and a ddr5-dimm engine fed at once, as
+// parallel subtests of one process, each held by checkBankHistory to the
+// offline replay of its own fleets (trace fleets and stepFleets in turn).
+// Every call site reads its engine's profile; none reads the process's.
+func TestTwoProfilesOneProcess(t *testing.T) {
+	for flag, name := range []string{"hbm2e", "ddr5-dimm"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for i := range inputs(10) {
+				checkBankHistory(t, []byte{byte(40 + i), 0, byte(200 - 17*i), byte(i), byte(i / 2), byte(flag) | byte(i%2)<<1})
+			}
+		})
+	}
 }

@@ -126,7 +126,7 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 	journaled := e.wal != nil
 	for _, ev := range events {
 		// The one pack of the event: from here on the engine holds its record.
-		q := queued{rec: mcelog.RecordOf(ev)}
+		q := queued{rec: mcelog.RecordOf(e.layout.prof, ev)}
 		si := e.shardIndex(e.layout.key(&q.rec))
 		if journaled { // only the journal step walks the batch a second time
 			sc.shard = append(sc.shard, int32(si))

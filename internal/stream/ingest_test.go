@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 	"cordial/internal/wal"
 )
@@ -292,7 +293,7 @@ func TestLogFileIsWireBody(t *testing.T) {
 		events = append(events, ev)
 	}
 	var file bytes.Buffer
-	if err := mcelog.FromEvents(events).WriteWire(&file); err != nil {
+	if err := mcelog.FromEvents(events).WriteWire(hbm.HBM2E, &file); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +304,7 @@ func TestLogFileIsWireBody(t *testing.T) {
 	}
 	feed(t, engine)
 
-	log, err := mcelog.ReadLog(bytes.NewReader(file.Bytes()))
+	log, err := mcelog.ReadLog(hbm.HBM2E, bytes.NewReader(file.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestLogFileIsWireBody(t *testing.T) {
 		t.Fatal("file read back differs from what was written")
 	}
 
-	log, err = mcelog.ReadLog(bytes.NewReader(file.Bytes()[:file.Len()-100]))
+	log, err = mcelog.ReadLog(hbm.HBM2E, bytes.NewReader(file.Bytes()[:file.Len()-100]))
 	if !errors.Is(err, mcelog.ErrWireFrame) {
 		t.Fatalf("torn file error = %v, want ErrWireFrame", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 )
 
@@ -21,7 +22,7 @@ func FuzzDecodeJournalRecord(f *testing.F) {
 	f.Add([]byte("CSWQ\x02\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		rec, version, isSwap, err := decodeJournalRecord(p)
+		rec, version, isSwap, err := decodeJournalRecord(hbm.HBM2E, p)
 		if err != nil {
 			return
 		}
@@ -37,7 +38,7 @@ func FuzzDecodeJournalRecord(f *testing.F) {
 			if again := rec.Append(nil); !bytes.Equal(again, p) {
 				t.Fatalf("accepted record re-encodes differently:\n in  %x\n out %x", p, again)
 			}
-			if again := mcelog.AppendWireRecord(nil, rec.Event()); !bytes.Equal(again, p) {
+			if again := mcelog.AppendWireRecord(nil, rec.Event(hbm.HBM2E)); !bytes.Equal(again, p) {
 				t.Fatalf("accepted event re-encodes differently:\n in  %x\n out %x", p, again)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"cordial/internal/core"
 	"cordial/internal/faultsim"
+	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
 )
 
@@ -160,11 +161,11 @@ func encodeSwapRecord(version uint64) []byte {
 // Replaying our own journal is unaffected: a packed in-range address has no
 // stray bits. An event comes back as its record, which is what the engine
 // queues.
-func decodeJournalRecord(p []byte) (rec mcelog.Record, version uint64, isSwap bool, err error) {
+func decodeJournalRecord(prof *hbm.Profile, p []byte) (rec mcelog.Record, version uint64, isSwap bool, err error) {
 	if len(p) == swapRecordSize && string(p[:4]) == swapRecordMagic {
 		return mcelog.Record{}, binary.LittleEndian.Uint64(p[4:]), true, nil
 	}
-	rec, err = mcelog.ParseRecordChecked(p)
+	rec, err = mcelog.ParseRecordChecked(prof, p)
 	return rec, 0, false, err
 }
 
@@ -290,12 +291,12 @@ func (e *Engine) ExportEvents(from, to uint64) ([]mcelog.Event, error) {
 		if lsn < from || (to != 0 && lsn >= to) {
 			return nil
 		}
-		r, _, isSwap, err := decodeJournalRecord(payload)
+		r, _, isSwap, err := decodeJournalRecord(e.cfg.Profile, payload)
 		if err != nil {
 			return fmt.Errorf("stream: exporting journal record %d: %w", lsn, err)
 		}
 		if !isSwap {
-			out = append(out, r.Event())
+			out = append(out, r.Event(e.cfg.Profile))
 		}
 		return nil
 	})

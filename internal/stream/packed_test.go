@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,11 +141,12 @@ func formCount(e *Engine) (stored, heap int) {
 }
 
 // TestStoreLimitFallbacks: the two limits of the packed store are never
-// crossed silently. A layout whose row field is wider than a node's (a
-// synthetic 19-bit-row profile) holds every bank in the heap form, and a
+// crossed silently. New refuses a profile whose row field is wider than a
+// node's (a synthetic 19-bit-row profile) and takes every registered one; a
 // shard whose node references are exhausted promotes a stored bank instead of
-// appending to it — and both serve the same actions and sessions as the
+// appending to it, and serves the same actions and sessions as the
 // unconstrained engine over the same events.
+
 func TestStoreLimitFallbacks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a pipeline")
@@ -170,16 +172,15 @@ func TestStoreLimitFallbacks(t *testing.T) {
 		if _, width := wide.Layout.RowField(); width <= nodeRowBits {
 			t.Fatalf("the derived layout's row field is %d bits", width)
 		}
-		defer hbm.ActivateProfile(hbm.ActivateProfile(wide))
-		acts, sessions, e := runFleet(t, cordial, evs, nil)
-		if stored, heap := formCount(e); stored != 0 || heap != len(wantSessions) {
-			t.Errorf("%d stored and %d heap banks under a 19-bit row field, want 0 and %d", stored, heap, len(wantSessions))
+		if e, err := New(Config{Strategy: cordial, Profile: wide}); err == nil || !strings.Contains(err.Error(), "19-bit row field") {
+			if e != nil {
+				e.Close()
+			}
+			t.Errorf("New under a 19-bit row field: %v, want the refusal", err)
 		}
-		if !reflect.DeepEqual(acts, wantActs) {
-			t.Errorf("actions differ from the unconstrained engine's: %d banks acted, want %d", len(acts), len(wantActs))
-		}
-		if !reflect.DeepEqual(sessions, wantSessions) {
-			t.Errorf("sessions differ from the unconstrained engine's")
+		for _, name := range hbm.ProfileNames() { // hbm3's 17 bits is the widest
+			p, _ := hbm.ProfileByName(name)
+			newTestEngine(t, Config{Strategy: cordial, Profile: p}).Close()
 		}
 	})
 
@@ -317,7 +318,7 @@ func TestImageFirstEventMustBeOldest(t *testing.T) {
 	odd := &images[1]
 	odd.firstEvent -= int64(time.Hour)
 	crafted := encodeImages(hdr, images)
-	oddBank := hbm.UnpackBank(odd.key)
+	oddBank := hbm.HBM2E.Layout.UnpackBank(odd.key)
 	// It re-encodes as the crafted payload with the bank's quiet image replaced
 	// by the image of a session fed its events: a has-state image, several
 	// times the quiet image's size.
@@ -378,8 +379,7 @@ func TestRecordLayoutMatchesEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 		func() {
-			defer hbm.ActivateProfile(hbm.ActivateProfile(p))
-			l := newRecordLayout(p.Layout)
+			l := newRecordLayout(p)
 			r := xrand.New(5)
 			g := p.Geometry
 			for i := 0; i < 300; i++ {
@@ -389,13 +389,13 @@ func TestRecordLayoutMatchesEvent(t *testing.T) {
 					Class: ecc.Class(i % 6),
 					Bits:  mcelog.ErrBits(r.Intn(1 << 16)),
 				}
-				rec := mcelog.RecordOf(ev)
-				if l.key(&rec) != ev.Addr.BankKey() || l.obs(&rec) != features.ObsOf(ev) {
-					t.Fatalf("%s: %+v: key %#x obs %+v, the event's %#x and %+v", name, ev, l.key(&rec), l.obs(&rec), ev.Addr.BankKey(), features.ObsOf(ev))
+				rec := mcelog.RecordOf(p, ev)
+				if l.key(&rec) != p.Layout.BankKey(ev.Addr) || l.obs(&rec) != features.ObsOf(ev) {
+					t.Fatalf("%s: %+v: key %#x obs %+v, the event's %#x and %+v", name, ev, l.key(&rec), l.obs(&rec), p.Layout.BankKey(ev.Addr), features.ObsOf(ev))
 				}
 				want := ev
 				want.Time = ev.Time.UTC()
-				if got := rec.Event(); got != want {
+				if got := rec.Event(p); got != want {
 					t.Fatalf("%s: record of %+v materialises as %+v", name, ev, got)
 				}
 			}

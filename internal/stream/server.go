@@ -279,7 +279,7 @@ type ingestRequest struct {
 	srv    *Server
 	body   mcelog.BodyReader
 	chunk  []mcelog.Event // validated and owned, not yet ingested
-	geo    hbm.Geometry
+	prof   *hbm.Profile
 	own    *ownershipView
 	res    IngestResult
 	status int // non-zero once the request must end before its body does
@@ -297,8 +297,8 @@ func (s *Server) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := s.ingestPool.Get().(*ingestRequest)
 		defer q.end()
-		q.body.Reset(codec, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), int(s.cfg.MaxBodyBytes)+1)
-		q.geo, q.own = s.engine.Config().Geometry, s.ownership.Load()
+		q.prof, q.own = s.engine.cfg.Profile, s.ownership.Load()
+		q.body.Reset(q.prof, codec, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), int(s.cfg.MaxBodyBytes)+1)
 		if q.own != nil {
 			q.res.Epoch = q.own.epoch
 		}
@@ -314,7 +314,7 @@ func (s *Server) handleIngest(codec mcelog.Codec) http.HandlerFunc {
 }
 
 func (q *ingestRequest) end() {
-	q.body.Reset(mcelog.Wire, nil, 0) // let go of the request's body
+	q.body.Reset(q.prof, mcelog.Wire, nil, 0) // let go of the request's body
 	q.chunk, q.res, q.status = q.chunk[:0], IngestResult{}, 0
 	q.srv.ingestPool.Put(q)
 }
@@ -345,11 +345,11 @@ func (q *ingestRequest) step() error {
 // ingested (or was rejected) and must not be resent; the event itself and
 // the rest of the body belong to another node (see IngestResult.NotOwned).
 func (q *ingestRequest) add(ev mcelog.Event) {
-	if err := ev.Validate(q.geo); err != nil {
+	if err := ev.Validate(q.prof.Geometry); err != nil {
 		q.res.Reject(&mcelog.RecordError{Pos: q.body.Pos(), Err: err})
 		return
 	}
-	if q.own != nil && q.own.owns != nil && !q.own.owns(ev.Addr.BankKey()) {
+	if q.own != nil && q.own.owns != nil && !q.own.owns(q.prof.Layout.BankKey(ev.Addr)) {
 		if q.flush() {
 			q.res.NotOwned = 1
 			q.srv.notOwned.Inc()
@@ -446,7 +446,7 @@ type jsonSession struct {
 // handleBank returns one bank's session snapshot. The address may be any
 // cell in the bank; it is truncated to bank granularity.
 func (s *Server) handleBank(w http.ResponseWriter, r *http.Request) {
-	addr, err := hbm.ParseAddress(r.PathValue("addr"))
+	addr, err := s.engine.cfg.Profile.Layout.ParseAddress(r.PathValue("addr"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -51,23 +51,28 @@ type shardState struct {
 
 func newShardState(layout recordLayout) *shardState {
 	st := &shardState{layout: layout}
-	st.store.init(layout.rowMask > maxNodeRow)
+	st.store.init()
 	return st
 }
 
-// recordLayout is what the engine reads of the active profile's packed-address
-// layout, once, at New: a record's bank key is its packed address with the
-// row and column bits cleared, and its row is read straight from those bits.
+// recordLayout is the engine's profile and what the engine reads of its
+// packed-address layout, once, at New: a record's bank key is its packed
+// address with the row and column bits cleared, and its row is read straight
+// from those bits.
 type recordLayout struct {
+	prof     *hbm.Profile
 	bankMask uint64
 	rowShift uint
 	rowMask  uint64
 }
 
-func newRecordLayout(l hbm.Layout) recordLayout {
-	shift, width := l.RowField()
-	return recordLayout{bankMask: l.BankMask(), rowShift: shift, rowMask: 1<<width - 1}
+func newRecordLayout(p *hbm.Profile) recordLayout {
+	shift, width := p.Layout.RowField()
+	return recordLayout{prof: p, bankMask: p.Layout.BankMask(), rowShift: shift, rowMask: 1<<width - 1}
 }
+
+// bank is the bank a key names.
+func (l *recordLayout) bank(key uint64) hbm.BankAddress { return l.prof.Layout.UnpackBank(key) }
 
 // key is the record's bank key: its address's hbm.Address.BankKey.
 func (l *recordLayout) key(r *mcelog.Record) uint64 { return r.Packed & l.bankMask }
@@ -296,7 +301,7 @@ func (st *shardState) addQuiet(key uint64, ver uint32, im *bankSession, log []fe
 		return
 	}
 	bs := *im
-	bs.sess = st.totals.version(ver).quiet.ResumeSession(hbm.UnpackBank(key), log)
+	bs.sess = st.totals.version(ver).quiet.ResumeSession(st.layout.bank(key), log)
 	bs.measureState()
 	st.addHeap(key, ver, &bs)
 }
@@ -339,10 +344,10 @@ type bankSession struct {
 	uerRows, spared rowset.Runs
 }
 
-// stats builds the public snapshot of the session held under key.
-func (bs *bankSession) stats(key uint64) SessionStats {
+// stats builds the public snapshot of the bank's session.
+func (bs *bankSession) stats(bank hbm.BankAddress) SessionStats {
 	return SessionStats{
-		Bank:            hbm.UnpackBank(key),
+		Bank:            bank,
 		Events:          int(bs.events),
 		UEREvents:       int(bs.uerEvents),
 		DistinctUERRows: bs.uerRows.Count(),
@@ -502,7 +507,7 @@ func (st *shardState) newBank(env *stepEnv, key uint64, q *queued) *slot {
 		}
 		return sl
 	}
-	bank := hbm.UnpackBank(key)
+	bank := st.layout.bank(key)
 	bs := &bankSession{sess: ep.strategy.NewSession(bank), version: ep.version, firstEvent: q.rec.UnixNano, lastEvent: bincodec.UnsetTime}
 	if se != nil {
 		bs.shadow = se.newShadowSession(bank, nil)
@@ -550,22 +555,22 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 	defer func() {
 		if r := recover(); r != nil {
 			if bs.sess == nil { // the promotion's resume panicked
-				bs.sess = st.totals.version(sl.ver()).strategy.NewSession(hbm.UnpackBank(sl.key))
+				bs.sess = st.totals.version(sl.ver()).strategy.NewSession(st.layout.bank(sl.key))
 				bs.measureState()
 			}
 			bs.degraded = true
 			res.acts = res.acts[:n]
-			res.dead = append(res.dead, deadLetterOf(q, r))
+			res.dead = append(res.dead, st.deadLetterOf(q, r))
 		}
 	}()
 	if promote {
-		bs.sess = st.totals.version(sl.ver()).quiet.ResumeSession(hbm.UnpackBank(sl.key), st.chain)
+		bs.sess = st.totals.version(sl.ver()).quiet.ResumeSession(st.layout.bank(sl.key), st.chain)
 		bs.measureState()
 		if twin {
-			bs.shadow = env.shadow.newShadowSession(hbm.UnpackBank(sl.key), st.chain)
+			bs.shadow = env.shadow.newShadowSession(st.layout.bank(sl.key), st.chain)
 		}
 	}
-	ev := q.rec.Event()
+	ev := q.rec.Event(st.layout.prof)
 	// Shadow scoring needs the primary's pre-fold coverage: was this UER's
 	// row (or the whole bank) already isolated when the event arrived?
 	var primCoveredUER bool
@@ -594,8 +599,8 @@ func (st *shardState) fold(env *stepEnv, sl *slot, bs *bankSession, q *queued, r
 
 // deadLetterOf is the dead-letter entry of an event whose processing
 // panicked with r.
-func deadLetterOf(q *queued, r any) DeadLetter {
-	ev := q.rec.Event()
+func (st *shardState) deadLetterOf(q *queued, r any) DeadLetter {
+	ev := q.rec.Event(st.layout.prof)
 	return DeadLetter{
 		Time:   ev.Time,
 		Bank:   hbm.BankOf(ev.Addr).String(),

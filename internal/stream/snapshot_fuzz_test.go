@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cordial/internal/bincodec"
+	"cordial/internal/hbm"
 )
 
 // encodeSnapshotImages writes an engine snapshot payload of the given layout
@@ -125,7 +126,7 @@ func TestSnapshotRefusesRowCountsOffTheTable(t *testing.T) {
 	if uerRows, spared := images[0].rowLists(); !slices.Equal(uerRows, []int32{10, 20}) || !slices.Equal(spared, []int32{20, 30}) {
 		t.Fatalf("the lists read back as UER rows %v and spared rows %v, want [10 20] and [20 30]", uerRows, spared)
 	}
-	if st := images[0].stats(images[0].key); st.DistinctUERRows != 2 || st.RowsIsolated != 2 {
+	if st := images[0].stats(hbm.HBM2E.Layout.UnpackBank(images[0].key)); st.DistinctUERRows != 2 || st.RowsIsolated != 2 {
 		t.Errorf("the sets count %d UER rows and %d isolated, want 2 and 2", st.DistinctUERRows, st.RowsIsolated)
 	}
 	for name, payload := range refused {

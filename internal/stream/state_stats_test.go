@@ -62,8 +62,8 @@ func TestEngineFeatureStateStats(t *testing.T) {
 	// release contract for spared banks.
 	var sessBytes, sessRows int64
 	released, quiet := 0, 0
-	for key := range fleet.Log().GroupByBank() {
-		st, ok := engine.Session(hbm.UnpackBank(key))
+	for key := range fleet.Log().GroupByBank(hbm.HBM2E) {
+		st, ok := engine.Session(hbm.HBM2E.Layout.UnpackBank(key))
 		if !ok {
 			t.Fatalf("no session for bank %x", key)
 		}

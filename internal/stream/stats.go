@@ -219,7 +219,7 @@ func (e *Engine) Sessions() []SessionStats {
 		s.mu.Lock()
 		s.store.each(func(sl *slot) {
 			v := s.view(sl)
-			all = append(all, keyed{sl.key, v.stats(sl.key)})
+			all = append(all, keyed{sl.key, v.stats(s.layout.bank(sl.key))})
 		})
 		s.mu.Unlock()
 	}

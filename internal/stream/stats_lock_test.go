@@ -284,7 +284,7 @@ func TestShardTotalsMatchRecount(t *testing.T) {
 	}
 
 	// Hand every even-numbered bank to a second engine, then drop them here.
-	even := func(key uint64) bool { return hbm.Unpack(key).Bank%2 == 0 }
+	even := func(key uint64) bool { return hbm.HBM2E.Layout.Unpack(key).Bank%2 == 0 }
 	payload, err := e.ExportSessions(even)
 	if err != nil {
 		t.Fatal(err)

@@ -45,16 +45,10 @@ type bankStore struct {
 	freeNode uint32 // head of the free nodes, linked through their next references
 	heap     chunked[bankSession]
 	freeHeap []uint32 // heap entries vacated by dropped banks, zeroed
-
-	// heapOnly is set when the layout's row field is wider than a node's: every
-	// bank then takes the heap form.
-	heapOnly bool
 }
 
-// init readies an empty store; heapOnly is set when the layout's row field is
-// wider than a node's.
-func (st *bankStore) init(heapOnly bool) {
-	st.heapOnly = heapOnly
+// init readies an empty store.
+func (st *bankStore) init() {
 	st.slots.shift, st.nodes.shift, st.heap.shift = chunkShift, chunkShift, heapChunkShift
 }
 
@@ -103,10 +97,10 @@ type obsNode struct {
 	w uint64
 }
 
-// The node word's fields. A row is held in 18 bits — every registered
-// layout's row field fits (hbm3's is the widest, 17); a wider layout puts its
-// banks in the heap form — and a reference in 28, so a shard holds at most
-// maxNodeRef nodes and promotes a bank whose next observation finds none.
+// The node word's fields. A row is held in 18 bits — Config.Validate refuses
+// a profile whose row field is wider (hbm3's 17 is the widest registered) —
+// and a reference in 28, so a shard holds at most maxNodeRef nodes and
+// promotes a bank whose next observation finds none.
 const (
 	nodeClassShift = 16
 	nodeRowShift   = nodeClassShift + 2
@@ -287,18 +281,15 @@ func (st *bankStore) remove(sl *slot) {
 	st.banks--
 }
 
-// canAppend reports whether appendObs would find a node — never under a
-// heapOnly layout, which stores no bank.
-func (st *bankStore) canAppend() bool {
-	return !st.heapOnly && (st.freeNode != 0 || st.nodes.n < maxNodeRef)
-}
+// canAppend reports whether appendObs would find a node.
+func (st *bankStore) canAppend() bool { return st.freeNode != 0 || st.nodes.n < maxNodeRef }
 
-// holds reports whether a whole log can go into the store's nodes: the
-// layout's rows fit a node, so does every observation's, and the references
-// not yet handed out cover it (free nodes are not counted: a log the check
-// turns away takes the heap form, which is exact).
+// holds reports whether a whole log can go into the store's nodes: every
+// observation's row fits a node (an image's rows are bounded only by 2³¹),
+// and the references not yet handed out cover it (free nodes are not counted:
+// a log the check turns away takes the heap form, which is exact).
 func (st *bankStore) holds(log []features.Obs) bool {
-	if st.heapOnly || int(maxNodeRef-st.nodes.n) < len(log) {
+	if int(maxNodeRef-st.nodes.n) < len(log) {
 		return false
 	}
 	for _, o := range log {

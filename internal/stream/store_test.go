@@ -263,7 +263,7 @@ func TestStoreModel(t *testing.T) {
 			if rng.Intn(40) == 0 {
 				ev.Class = ecc.ClassUER
 			}
-			if res := e.shardFor(key).lockedStep(stepEnv{epochs: e.epochList()}, []queued{{rec: mcelog.RecordOf(ev)}}); len(res.acts) != 0 || len(res.dead) != 0 {
+			if res := e.shardFor(key).lockedStep(stepEnv{epochs: e.epochList()}, []queued{{rec: mcelog.RecordOf(hbm.HBM2E, ev)}}); len(res.acts) != 0 || len(res.dead) != 0 {
 				t.Fatalf("step %d: %d actions, dead letters %v", step, len(res.acts), res.dead)
 			}
 			r := ref[key]

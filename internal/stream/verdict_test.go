@@ -131,7 +131,7 @@ func TestPredictingFoldAllocs(t *testing.T) {
 	// The test folds on its own goroutine, as the shard's consumer would; the
 	// consumer stays idle, for nothing is queued.
 	s := e.shards[0]
-	process := func(ev mcelog.Event) { e.consume(s, []queued{{rec: mcelog.RecordOf(ev)}}) }
+	process := func(ev mcelog.Event) { e.consume(s, []queued{{rec: mcelog.RecordOf(hbm.HBM2E, ev)}}) }
 
 	warm := hotBankEvents(1, 300, 7)
 	for _, ev := range warm {
@@ -200,7 +200,7 @@ func TestHotBankAllocs(t *testing.T) {
 	fold := func(evs []mcelog.Event) {
 		batch := make([]queued, 0, consumerBatch)
 		for i, ev := range evs {
-			batch = append(batch, queued{rec: mcelog.RecordOf(ev)})
+			batch = append(batch, queued{rec: mcelog.RecordOf(hbm.HBM2E, ev)})
 			if len(batch) == consumerBatch || i == len(evs)-1 {
 				e.consume(s, batch)
 				batch = batch[:0]
@@ -250,12 +250,12 @@ func TestPromotedBankAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := stepEnv{epochs: []modelEpoch{{version: 1, strategy: &core.CordialStrategy{Pipeline: pipe, Geometry: hbm.DefaultGeometry}}}}
-	st := newShardState(newRecordLayout(hbm.ActiveProfile().Layout))
+	st := newShardState(newRecordLayout(hbm.HBM2E))
 	const warm, runs = 8, 100
 	lives := make([][]queued, warm+runs+1) // AllocsPerRun runs once more to warm up
 	for i := range lives {
 		for _, ev := range hotBankEvents(1, 120, uint64(i+1)) {
-			lives[i] = append(lives[i], queued{rec: mcelog.RecordOf(ev)})
+			lives[i] = append(lives[i], queued{rec: mcelog.RecordOf(hbm.HBM2E, ev)})
 		}
 	}
 	acts, next := 0, 0

@@ -88,9 +88,9 @@ func GenerateDrift(spec DriftSpec) (*DriftFleet, error) {
 		for b := 0; b < regime.UERBanks; b++ {
 			var bank hbm.BankAddress
 			for attempt := 0; ; attempt++ {
-				bank = hbm.RandomBank(cfg.Geometry, rng)
-				if !used[bank.Pack()] {
-					used[bank.Pack()] = true
+				bank = hbm.RandomBank(cfg.Profile.Geometry, rng)
+				if k := cfg.Profile.Layout.PackBank(bank); !used[k] {
+					used[k] = true
 					break
 				}
 				if attempt > 64 {

@@ -18,7 +18,7 @@ func driftSpec(seed uint64) DriftSpec {
 		faultsim.PatternScattered: 80,
 	}
 	return DriftSpec{
-		Fault: faultsim.DefaultConfig(hbm.DefaultGeometry),
+		Fault: faultsim.DefaultConfig(hbm.HBM2E),
 		Regimes: []Regime{
 			{Duration: 30 * 24 * time.Hour, Weights: singleHeavy, UERBanks: 60},
 			{Duration: 30 * 24 * time.Hour, Weights: scatteredHeavy, UERBanks: 60},
@@ -44,10 +44,10 @@ func TestGenerateDriftBasics(t *testing.T) {
 	// Distinct banks.
 	seen := make(map[uint64]bool)
 	for _, bf := range fleet.Faults {
-		if seen[bf.Bank.Pack()] {
+		if seen[hbm.HBM2E.Layout.PackBank(bf.Bank)] {
 			t.Fatal("bank reused across regimes")
 		}
-		seen[bf.Bank.Pack()] = true
+		seen[hbm.HBM2E.Layout.PackBank(bf.Bank)] = true
 	}
 }
 

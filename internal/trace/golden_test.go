@@ -22,14 +22,14 @@ var (
 	driftGoldenSHA256 = "185e4058bbcdb8f59eba0d27317383cb585e6765fd9ab973ba327a6af940e9a3"
 )
 
-// fleetDigest hashes a log's wire records followed by the JSON encoding of
-// the rest of the ground truth.
-func fleetDigest(t *testing.T, events []mcelog.Event, truth ...any) string {
+// fleetDigest hashes a log's wire records, packed under p, followed by the
+// JSON encoding of the rest of the ground truth.
+func fleetDigest(t *testing.T, p *hbm.Profile, events []mcelog.Event, truth ...any) string {
 	t.Helper()
 	h := sha256.New()
 	var rec []byte
 	for _, ev := range events {
-		rec = mcelog.AppendWireRecord(rec[:0], ev)
+		rec = mcelog.RecordOf(p, ev).Append(rec[:0])
 		h.Write(rec)
 	}
 	for _, v := range truth {
@@ -52,14 +52,13 @@ func TestGenerateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer hbm.ActivateProfile(hbm.ActivateProfile(p))
-			spec := DefaultSpec(p.Geometry)
+			spec := DefaultSpecFor(p)
 			spec.UERBanks, spec.BenignBanks, spec.Seed = 80, 500, 11
 			f, err := Generate(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := fleetDigest(t, f.Log().Events(), f.Faults, f.BenignBankKeys)
+			got := fleetDigest(t, p, f.Log().Events(), f.Faults, f.BenignBankKeys)
 			if want := generateGoldenSHA256[name]; got != want {
 				t.Errorf("fleet (%d events, %d faults, %d benign banks) hashes to %s, want %s",
 					f.Log().Len(), len(f.Faults), len(f.BenignBankKeys), got, want)
@@ -74,7 +73,7 @@ func TestGenerateDriftGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fleetDigest(t, nil, fleet.Faults, fleet.RegimeOf); got != driftGoldenSHA256 {
+	if got := fleetDigest(t, hbm.HBM2E, nil, fleet.Faults, fleet.RegimeOf); got != driftGoldenSHA256 {
 		t.Errorf("drift fleet (%d faults) hashes to %s, want %s", len(fleet.Faults), got, driftGoldenSHA256)
 	}
 }

@@ -45,17 +45,25 @@ type Spec struct {
 	Seed uint64
 }
 
-// DefaultSpec returns a calibrated specification for the given geometry.
+// DefaultSpec is DefaultSpecFor hbm2e over the geometry g. Bench-only until
+// ROADMAP item 15.
+func DefaultSpec(g hbm.Geometry) Spec {
+	p := *hbm.HBM2E
+	p.Geometry = g
+	return DefaultSpecFor(&p)
+}
+
+// DefaultSpecFor returns a calibrated specification for the given profile.
 // The default scale (300 faulty banks) keeps full-pipeline runs fast; scale
 // UERBanks and BenignBanks together to approach the paper's dataset size.
-// Companion probabilities follow the active topology profile's hierarchy.
-func DefaultSpec(g hbm.Geometry) Spec {
+// Companion probabilities follow the profile's hierarchy.
+func DefaultSpecFor(p *hbm.Profile) Spec {
 	return Spec{
-		Fault:          faultsim.DefaultConfig(g),
+		Fault:          faultsim.DefaultConfig(p),
 		Weights:        faultsim.DefaultPatternWeights(),
 		UERBanks:       300,
 		BenignBanks:    2200,
-		CompanionProbs: defaultCompanionProbs(hbm.ActiveProfile()),
+		CompanionProbs: defaultCompanionProbs(p),
 		Seed:           1,
 	}
 }
@@ -95,9 +103,9 @@ func (s Spec) Validate() error {
 	if s.UERBanks < 0 || s.BenignBanks < 0 {
 		return fmt.Errorf("trace: negative bank counts (%d, %d)", s.UERBanks, s.BenignBanks)
 	}
-	if s.UERBanks+s.BenignBanks > s.Fault.Geometry.TotalBanks() {
+	if s.UERBanks+s.BenignBanks > s.Fault.Profile.Geometry.TotalBanks() {
 		return fmt.Errorf("trace: %d banks requested but fleet has only %d",
-			s.UERBanks+s.BenignBanks, s.Fault.Geometry.TotalBanks())
+			s.UERBanks+s.BenignBanks, s.Fault.Profile.Geometry.TotalBanks())
 	}
 	for l, p := range s.CompanionProbs {
 		if p < 0 || p > 1 {
@@ -136,7 +144,7 @@ func (f *Fleet) Log() *mcelog.Log {
 	return f.log
 }
 
-// Generate synthesises a fleet according to spec.
+// Generate synthesises a fleet according to spec, under its Fault.Profile.
 func Generate(spec Spec) (*Fleet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -146,14 +154,15 @@ func Generate(spec Spec) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	geo := spec.Fault.Geometry
+	prof := spec.Fault.Profile
+	geo := prof.Geometry
 
 	used := make(map[uint64]bool)
 	pickFreshBank := func(draw func() hbm.BankAddress) (hbm.BankAddress, bool) {
 		for attempt := 0; attempt < 64; attempt++ {
 			b := draw()
-			if !used[b.Pack()] {
-				used[b.Pack()] = true
+			if k := prof.Layout.PackBank(b); !used[k] {
+				used[k] = true
 				return b, true
 			}
 		}
@@ -164,11 +173,11 @@ func Generate(spec Spec) (*Fleet, error) {
 	// Every bank's events arrive sorted; Log merges them on first use.
 	runs := make([][]mcelog.Event, 0, spec.UERBanks+spec.BenignBanks)
 
-	// Companion draws walk the active profile's hierarchy fine to coarse,
-	// visiting only the levels the spec assigns a probability — same visit
-	// order the calibrated HBM2E default always used.
+	// Companion draws walk the profile's hierarchy fine to coarse, visiting
+	// only the levels the spec assigns a probability — same visit order the
+	// calibrated HBM2E default always used.
 	var companionLevels []hbm.Level
-	profileLevels := hbm.ActiveProfile().Levels
+	profileLevels := prof.Levels
 	for i := len(profileLevels) - 1; i >= 0; i-- {
 		if _, ok := spec.CompanionProbs[profileLevels[i]]; ok {
 			companionLevels = append(companionLevels, profileLevels[i])
@@ -194,13 +203,13 @@ func Generate(spec Spec) (*Fleet, error) {
 			}
 			level := level
 			companion, ok := pickFreshBank(func() hbm.BankAddress {
-				return hbm.RandomBankWithin(geo, rng, bank, level)
+				return prof.RandomBankWithin(rng, bank, level)
 			})
 			if !ok {
 				continue // sick region saturated; skip rather than fail
 			}
 			runs = append(runs, gen.GenerateBenign(companion))
-			fleet.BenignBankKeys = append(fleet.BenignBankKeys, companion.Pack())
+			fleet.BenignBankKeys = append(fleet.BenignBankKeys, prof.Layout.PackBank(companion))
 		}
 	}
 
@@ -211,7 +220,7 @@ func Generate(spec Spec) (*Fleet, error) {
 			return nil, fmt.Errorf("trace: could not place benign bank %d", i)
 		}
 		runs = append(runs, gen.GenerateBenign(bank))
-		fleet.BenignBankKeys = append(fleet.BenignBankKeys, bank.Pack())
+		fleet.BenignBankKeys = append(fleet.BenignBankKeys, prof.Layout.PackBank(bank))
 	}
 
 	fleet.runs = runs
@@ -238,12 +247,12 @@ func (s SuddenStats) PredictableRatio() float64 {
 	return float64(s.NonSudden) / float64(total)
 }
 
-// SuddenByLevel computes Table I from a log: for every level the active
-// topology profile reports, each entity with at least one UER is sudden if
-// no CE or UEO anywhere in the entity precedes its first UER.
-func SuddenByLevel(log *mcelog.Log) []SuddenStats {
+// SuddenByLevel computes Table I from a log: for every level the profile
+// reports, each entity with at least one UER is sudden if no CE or UEO
+// anywhere in the entity precedes its first UER.
+func SuddenByLevel(p *hbm.Profile, log *mcelog.Log) []SuddenStats {
 	events := log.Events()
-	levels := hbm.ActiveProfile().TableLevels
+	levels := p.TableLevels
 	out := make([]SuddenStats, 0, len(levels))
 	for _, level := range levels {
 		firstUER := make(map[uint64]time.Time)
@@ -251,7 +260,7 @@ func SuddenByLevel(log *mcelog.Log) []SuddenStats {
 			if e.Class != ecc.ClassUER {
 				continue
 			}
-			k := e.Addr.EntityKey(level)
+			k := p.Layout.EntityKey(e.Addr, level)
 			if t, ok := firstUER[k]; !ok || e.Time.Before(t) {
 				firstUER[k] = e.Time
 			}
@@ -261,7 +270,7 @@ func SuddenByLevel(log *mcelog.Log) []SuddenStats {
 			if e.Class == ecc.ClassUER {
 				continue
 			}
-			k := e.Addr.EntityKey(level)
+			k := p.Layout.EntityKey(e.Addr, level)
 			if t, ok := firstUER[k]; ok && e.Time.Before(t) {
 				nonSudden[k] = true
 			}
@@ -289,18 +298,18 @@ type LevelSummary struct {
 	Total   int
 }
 
-// SummaryByLevel computes Table II from a log, over the active topology
-// profile's reported levels.
-func SummaryByLevel(log *mcelog.Log) []LevelSummary {
-	levels := hbm.ActiveProfile().TableLevels
+// SummaryByLevel computes Table II from a log, over the profile's reported
+// levels.
+func SummaryByLevel(p *hbm.Profile, log *mcelog.Log) []LevelSummary {
+	levels := p.TableLevels
 	out := make([]LevelSummary, 0, len(levels))
 	for _, level := range levels {
 		out = append(out, LevelSummary{
 			Level:   level,
-			WithCE:  log.EntitiesWithClass(level, ecc.ClassCE),
-			WithUEO: log.EntitiesWithClass(level, ecc.ClassUEO),
-			WithUER: log.EntitiesWithClass(level, ecc.ClassUER),
-			Total:   log.Entities(level),
+			WithCE:  log.Entities(p, level, ecc.ClassCE),
+			WithUEO: log.Entities(p, level, ecc.ClassUEO),
+			WithUER: log.Entities(p, level, ecc.ClassUER),
+			Total:   log.Entities(p, level),
 		})
 	}
 	return out
@@ -357,12 +366,12 @@ func DefaultThresholds() []int {
 	return out
 }
 
-// LocalityChiSquare computes the Figure 4 curve from a log. For every bank
+// LocalityChiSquare computes the Figure 4 curve from a log of p's banks. For every bank
 // with at least two UER rows, successive first-UER rows (in time order) form
 // pairs; for each threshold d the observed count of pairs within d rows is
 // tested against the count expected if the next row were placed uniformly at
 // random in the bank.
-func LocalityChiSquare(log *mcelog.Log, rowsPerBank int, thresholds []int) ([]LocalityPoint, error) {
+func LocalityChiSquare(p *hbm.Profile, log *mcelog.Log, rowsPerBank int, thresholds []int) ([]LocalityPoint, error) {
 	if rowsPerBank < 2 {
 		return nil, fmt.Errorf("trace: rowsPerBank %d too small", rowsPerBank)
 	}
@@ -371,7 +380,7 @@ func LocalityChiSquare(log *mcelog.Log, rowsPerBank int, thresholds []int) ([]Lo
 	}
 	type pair struct{ from, dist int }
 	var pairs []pair
-	for _, events := range log.FilterClass(ecc.ClassUER).GroupByBank() {
+	for _, events := range log.FilterClass(ecc.ClassUER).GroupByBank(p) {
 		// events preserve log order; ensure time order then derive
 		// first-UER row sequence.
 		mcelog.SortEvents(events)

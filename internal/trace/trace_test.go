@@ -42,7 +42,7 @@ func TestSpecValidateRejects(t *testing.T) {
 		t.Error("negative UERBanks accepted")
 	}
 	s = DefaultSpec(hbm.DefaultGeometry)
-	s.UERBanks = s.Fault.Geometry.TotalBanks() + 1
+	s.UERBanks = s.Fault.Profile.Geometry.TotalBanks() + 1
 	if err := s.Validate(); err == nil {
 		t.Error("overfull fleet accepted")
 	}
@@ -65,7 +65,7 @@ func TestGenerateBasicShape(t *testing.T) {
 		t.Fatal("empty fleet log")
 	}
 	// Every event is valid under the geometry.
-	geo := f.Spec.Fault.Geometry
+	geo := f.Spec.Fault.Profile.Geometry
 	for _, e := range f.Log().Events() {
 		if err := e.Validate(geo); err != nil {
 			t.Fatal(err)
@@ -114,7 +114,7 @@ func TestNoDuplicateFaultyBanks(t *testing.T) {
 	f := generate(t, 3)
 	seen := make(map[uint64]bool)
 	for _, bf := range f.Faults {
-		k := bf.Bank.Pack()
+		k := hbm.HBM2E.Layout.PackBank(bf.Bank)
 		if seen[k] {
 			t.Fatalf("bank %v used twice", bf.Bank)
 		}
@@ -122,7 +122,7 @@ func TestNoDuplicateFaultyBanks(t *testing.T) {
 	}
 	for _, k := range f.BenignBankKeys {
 		if seen[k] {
-			t.Fatalf("benign bank %v collides with a faulty bank", hbm.Unpack(k))
+			t.Fatalf("benign bank %v collides with a faulty bank", hbm.HBM2E.Layout.Unpack(k))
 		}
 	}
 }
@@ -142,7 +142,7 @@ func TestBenignBanksLogNoUER(t *testing.T) {
 
 func TestSuddenByLevelTableIShape(t *testing.T) {
 	f := generate(t, 5)
-	rows := SuddenByLevel(f.Log())
+	rows := SuddenByLevel(hbm.HBM2E, f.Log())
 	if len(rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("SuddenByLevel returned %d rows", len(rows))
 	}
@@ -183,7 +183,7 @@ func TestSuddenByLevelTableIShape(t *testing.T) {
 
 func TestSummaryByLevelTableIIShape(t *testing.T) {
 	f := generate(t, 6)
-	rows := SummaryByLevel(f.Log())
+	rows := SummaryByLevel(hbm.HBM2E, f.Log())
 	if len(rows) != len(hbm.HBM2E.TableLevels) {
 		t.Fatalf("SummaryByLevel returned %d rows", len(rows))
 	}
@@ -252,7 +252,7 @@ func TestPatternDistributionEmpty(t *testing.T) {
 
 func TestLocalityChiSquarePeaksAt128(t *testing.T) {
 	f := generate(t, 8)
-	points, err := LocalityChiSquare(f.Log(), f.Spec.Fault.Geometry.RowsPerBank, DefaultThresholds())
+	points, err := LocalityChiSquare(hbm.HBM2E, f.Log(), f.Spec.Fault.Profile.Geometry.RowsPerBank, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestLocalityChiSquarePeakIsExactly128MultiSeed(t *testing.T) {
 	const seeds = 5
 	for seed := uint64(20); seed < 20+seeds; seed++ {
 		f := generate(t, seed)
-		points, err := LocalityChiSquare(f.Log(), f.Spec.Fault.Geometry.RowsPerBank, DefaultThresholds())
+		points, err := LocalityChiSquare(hbm.HBM2E, f.Log(), f.Spec.Fault.Profile.Geometry.RowsPerBank, DefaultThresholds())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,16 +300,16 @@ func TestLocalityChiSquarePeakIsExactly128MultiSeed(t *testing.T) {
 
 func TestLocalityChiSquareErrors(t *testing.T) {
 	f := generate(t, 9)
-	if _, err := LocalityChiSquare(f.Log(), 1, DefaultThresholds()); err == nil {
+	if _, err := LocalityChiSquare(hbm.HBM2E, f.Log(), 1, DefaultThresholds()); err == nil {
 		t.Error("rowsPerBank=1 accepted")
 	}
-	if _, err := LocalityChiSquare(f.Log(), 32768, nil); err == nil {
+	if _, err := LocalityChiSquare(hbm.HBM2E, f.Log(), 32768, nil); err == nil {
 		t.Error("empty thresholds accepted")
 	}
-	if _, err := LocalityChiSquare(f.Log(), 32768, []int{0}); err == nil {
+	if _, err := LocalityChiSquare(hbm.HBM2E, f.Log(), 32768, []int{0}); err == nil {
 		t.Error("zero threshold accepted")
 	}
-	if _, err := LocalityChiSquare(mcelog.NewLog(0), 32768, DefaultThresholds()); err == nil {
+	if _, err := LocalityChiSquare(hbm.HBM2E, mcelog.NewLog(0), 32768, DefaultThresholds()); err == nil {
 		t.Error("empty log accepted")
 	}
 }
@@ -356,6 +356,6 @@ func BenchmarkSuddenByLevel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SuddenByLevel(f.Log())
+		_ = SuddenByLevel(hbm.HBM2E, f.Log())
 	}
 }

@@ -64,7 +64,7 @@ var mutants = []struct {
 		"classified: flags&sessFlagClassified != 0, class: class}", "class: class}",
 		[]string{"internal/stream TestCrashPropertyTrained -crash.seeds=2000"}},
 	{"a restored session is rebuilt for another bank", "internal/stream/durable.go",
-		"ds.RestoreSession(hbm.UnpackBank(im.key), im.blob)", "ds.RestoreSession(hbm.BankAddress{}, im.blob)",
+		"ds.RestoreSession(st.layout.bank(im.key), im.blob)", "ds.RestoreSession(st.layout.bank(0), im.blob)",
 		[]string{"internal/stream TestCrashPropertyDDR5"}},
 	{"replay drops model swap records", "internal/stream/durable.go",
 		"\t\t\te.installEpoch(modelEpoch{version: version, sinceLSN: lsn, strategy: strat})\n", "\t\t\t_ = strat\n",
@@ -251,6 +251,22 @@ var mutants = []struct {
 	{"a checkpoint that succeeds again leaves the engine not ready", "internal/stream/durable.go",
 		"\te.lastSnapErr.Store(\"\") // a checkpoint works again: readiness restored\n", "",
 		[]string{"internal/stream TestSnapshotFailureNotReady"}},
+
+	// One explicit topology: each process resolves its profile once and hands
+	// it to every call site.
+	{"the router keys under hbm2e whatever the ring says", "internal/cluster/router.go",
+		"prof := ring.Profile()", "prof := hbm.HBM2E",
+		[]string{"internal/cluster TestRouterCodecMatrix"}},
+	{"the engine packs with hbm.HBM2E instead of cfg.Profile", "internal/stream/engine.go",
+		"layout: newRecordLayout(cfg.Profile),", "layout: newRecordLayout(hbm.HBM2E),",
+		[]string{"internal/stream TestTwoProfilesOneProcess", "internal/stream TestOnlineOfflineEquivalenceDDR5", "internal/stream TestCrashPropertyDDR5"}},
+	{"stream.New accepts a 19-bit row field", "internal/stream/engine.go",
+		"width > nodeRowBits {", "width > nodeRowBits+1 {",
+		[]string{"internal/stream TestStoreLimitFallbacks"}},
+	{"the transfer study evaluates dst banks under src's profile", "internal/experiments/transfer.go",
+		"Geometry: dst.profile.Geometry}\n\t\t\tres, err := core.EvaluatePredictionFor(dst.profile,",
+		"Geometry: src.profile.Geometry}\n\t\t\tres, err := core.EvaluatePredictionFor(src.profile,",
+		[]string{"internal/experiments TestTransferSmoke"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

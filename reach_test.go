@@ -364,6 +364,12 @@ var deletionGates = []struct {
 		names:      []string{"BufferedSession", "InstrumentedSession", "DurableSession", "DurableStrategy", "resolveDurable"},
 		check:      oneSessionContract,
 	},
+	{
+		gate: "one explicit topology", deletedBy: "One explicit topology",
+		replacedBy: "the `*hbm.Profile` each caller is handed",
+		names:      []string{"ActiveProfile", "SetActiveProfile", "ActivateProfile", "heapOnly"},
+		check:      hbm2eOnlyInBench,
+	},
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and
@@ -684,7 +690,64 @@ func bodyDecodedInMcelog(mod *module) []string {
 	return bad
 }
 
+// hbm2eOnlyInBench: the entry points bench/ compiles against that mean hbm2e
+// until ROADMAP item 15 have no caller outside bench/, and every stream.Config
+// literal outside bench/ names its Profile and leaves the Geometry to it.
+func hbm2eOnlyInBench(mod *module) []string {
+	var bad []string
+	var targets []types.Object
+	for _, name := range []string{"hbm.Address.BankKey", "hbm.BankAddress.BankKey", "mcelog.NewFrameDecoder", "mcelog.NewFrameEncoder",
+		"mcelog.AppendWireRecord", "mcelog.ParseJSONEvent", "trace.DefaultSpec", "sparing.NewEngine", "core.EvaluatePrediction"} {
+		pkg, rest, _ := strings.Cut(name, ".")
+		p := mod.pkgs["cordial/internal/"+pkg].pkg
+		obj := p.Scope().Lookup(rest)
+		if typ, method, ok := strings.Cut(rest, "."); ok && p.Scope().Lookup(typ) != nil {
+			obj, _, _ = types.LookupFieldOrMethod(p.Scope().Lookup(typ).Type(), true, p, method)
+		}
+		if obj == nil {
+			bad = append(bad, fmt.Sprintf("the hbm2e gate's target %s is gone", name))
+			continue
+		}
+		targets = append(targets, obj)
+	}
+	config := mod.pkgs[streamPkg].pkg.Scope().Lookup("Config").Type()
+	for _, path := range mod.paths {
+		if strings.HasPrefix(path, "cordial/bench") {
+			continue
+		}
+		p := mod.pkgs[path]
+		for id, obj := range p.info.Uses {
+			if slices.Contains(targets, obj) {
+				bad = append(bad, fmt.Sprintf("%s: %s means hbm2e outside bench/", mod.fset.Position(id.Pos()), id.Name))
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok || lit.Type == nil {
+					return true
+				}
+				if tn, _ := objOf(p.info, lit.Type).(*types.TypeName); tn == nil || !types.Identical(types.Unalias(tn.Type()), config) {
+					return true
+				}
+				keys := map[string]bool{}
+				for _, e := range lit.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						keys[kv.Key.(*ast.Ident).Name] = true
+					}
+				}
+				if !keys["Profile"] || keys["Geometry"] {
+					bad = append(bad, fmt.Sprintf("%s: a stream.Config outside bench/ without a Profile, or with a Geometry", mod.fset.Position(lit.Pos())))
+				}
+				return true
+			})
+		}
+	}
+	return bad
+}
+
 // oneClock: the serving packages call none of the time package's timers or
+
 // sleeps (they arm them on their obs.Clock), and no struct under internal/
 // holds a func() time.Time beside it.
 func oneClock(mod *module) []string {

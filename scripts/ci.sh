@@ -242,13 +242,12 @@ echo "==> topology matrix (profile registry, wire round-trips, cross-profile gat
 # Every registered profile must validate and round-trip packed addresses
 # through the wire codec allocation-free (TestWireProfileMatrix iterates
 # the registry) and banks through their key, UnpackBank, CellInBank and JSON
-# (TestBankAddressRoundTrip); the verdict oracle and the crash property then
-# run under ddr5-dimm (FuzzBankHistory's corpus holds ddr5-dimm inputs, the
-# crash property's ddr5-dimm seeds are TestCrashPropertyDDR5), and a
-# two-profile transfer study must complete end to end.
+# (TestBankAddressRoundTrip), and a two-profile transfer study must reproduce
+# its golden. The ddr5-dimm oracle and crash-property runs are not repeated
+# here: they ran under `go test -race ./...` above, in the same process as
+# hbm2e's, and TestTwoProfilesOneProcess feeds the two profiles at once.
 go test -run 'TestRegisteredProfiles|PackUnpackRoundTrip|TestWireProfileMatrix|TestBankAddressRoundTrip' \
     -count 1 ./internal/hbm/ ./internal/mcelog/
-go test -run 'DDR5|FuzzBankHistory' -count 1 ./internal/stream/
 go test -run 'TestTransferSmoke' -count 1 ./internal/experiments/
 # The real-binary ddr5-dimm runs are TestCLITruthGolden's, in the e2e leg.
 
