@@ -99,16 +99,18 @@ func TestFitLogsUnrankedCalibrationOnce(t *testing.T) {
 }
 
 // TestFitCodesEachDatasetOnce counts coding passes (sort and value-code a
-// feature matrix) across the fits that calibrate on a split: a default
-// Pipeline.Fit codes the pattern and block datasets and nothing for the
+// feature matrix) across the fits that calibrate on a split: a Pipeline.Fit of
+// every backend codes the pattern and block datasets and nothing for the
 // calibration refit or its held-out scoring; Calchas-lite codes its row
 // dataset once.
 func TestFitCodesEachDatasetOnce(t *testing.T) {
 	fleet := testFleet(t, 2, 150)
-	before := mltree.CodingPasses()
-	fitPipeline(t, RandomForest, fleet.Faults)
-	if got := mltree.CodingPasses() - before; got != 2 {
-		t.Errorf("Pipeline.Fit coded %d matrices, want 2 (pattern and block dataset)", got)
+	for _, kind := range AllModelKinds {
+		before := mltree.CodingPasses()
+		fitPipeline(t, kind, fleet.Faults)
+		if got := mltree.CodingPasses() - before; got != 2 {
+			t.Errorf("%s: Pipeline.Fit coded %d matrices, want 2 (pattern and block dataset)", kind, got)
+		}
 	}
 
 	cfg := DefaultConfig(RandomForest)
@@ -124,7 +126,7 @@ func TestFitCodesEachDatasetOnce(t *testing.T) {
 	if err := bm.Fit(blockDS); err != nil {
 		t.Fatal(err)
 	}
-	before = mltree.CodingPasses()
+	before := mltree.CodingPasses()
 	if _, ranked, err := crossFitThreshold(cfg, blockDS); err != nil || !ranked {
 		t.Fatalf("crossFitThreshold: ranked %v, err %v", ranked, err)
 	}

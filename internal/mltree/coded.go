@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 )
 
-// codedMatrix is a feature matrix as classification training reads it
+// codedMatrix is a feature matrix as every learner's training reads it
 // (DESIGN §7): per feature, every row's value code — the rank of its value
 // among the feature's distinct values — and those values ascending. Codes are
 // order-preserving, so a grower that compares codes and takes its thresholds
@@ -38,6 +38,18 @@ type codeColumn struct {
 type code interface{ uint8 | uint16 | uint32 } // a column's element type
 
 func (col *codeColumn) len() int { return len(col.u8) + len(col.u16) + len(col.u32) }
+
+// at returns row r's code.
+func (col *codeColumn) at(r int) int {
+	switch {
+	case col.u32 != nil:
+		return int(col.u32[r])
+	case col.u16 != nil:
+		return int(col.u16[r])
+	default:
+		return int(col.u8[r])
+	}
+}
 
 // add appends a code, widening the column at the first code past its width
 // (codes number values as they first appear, so they pass it one at a time).
@@ -87,9 +99,9 @@ func remapCodes[T code](codes []T, to []int32) {
 var codingPasses atomic.Int64
 
 // CodingPasses returns how many times this process has coded a feature
-// matrix: once per dataset that a Tree or Forest was fitted on or a Coder
-// built, not once per fit, and never for a view (Subset, the stratified split,
-// a k-fold cut) of a dataset already coded.
+// matrix: once per dataset that a learner was fitted on or a Coder built, not
+// once per fit, and never for a view (Subset, the stratified split, a k-fold
+// cut) of a dataset already coded.
 func CodingPasses() int64 { return codingPasses.Load() }
 
 // codes returns d's current coded matrix, or nil without one unless build is
@@ -206,9 +218,8 @@ func (c *Coder) put(i int) {
 	}
 }
 
-// Dataset returns the samples added as a dataset with no Features: its
-// classification fits read the codes, and its views are views of it. It
-// ends the Coder.
+// Dataset returns the samples added as a dataset with no Features: its fits
+// read the codes, and its views are views of it. It ends the Coder.
 func (c *Coder) Dataset(names []string) *Dataset {
 	c.rank()
 	return &Dataset{Labels: c.labels, Names: names, coded: c.cm}

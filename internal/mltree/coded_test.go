@@ -59,7 +59,8 @@ func FuzzCodedRows(f *testing.F) {
 				}
 			}
 		}
-		for i, row := range ds.rows() {
+		ds.Materialize()
+		for i, row := range ds.Features {
 			if !slices.Equal(row, X[i]) {
 				t.Fatalf("row %d reads back as %v, want %v", i, row, X[i])
 			}
@@ -145,7 +146,8 @@ func TestCodeWidths(t *testing.T) {
 			}
 		}
 	}
-	for i, row := range ds.rows() {
+	ds.Materialize()
+	for i, row := range ds.Features {
 		if !slices.Equal(row, X[i]) {
 			t.Fatalf("row %d reads back as %v, want %v", i, row, X[i])
 		}

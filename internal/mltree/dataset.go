@@ -23,12 +23,12 @@ import (
 // Dataset is a dense feature matrix with integer class labels. Labels may be
 // any ints (not necessarily contiguous); learners remap them internally.
 //
-// Classification training reads the matrix in value-coded form (coded.go),
-// which a dataset derives at its first Tree or Forest fit and keeps: fit as
-// often as you like, but replace Features (append, re-slice, a new matrix)
-// rather than overwrite a value in place — only the former is noticed. A
-// Coder builds a dataset in that form with no Features at all. A Dataset holds
-// a lock and is used through a pointer.
+// Training reads the matrix in value-coded form (coded.go), which a dataset
+// derives at its first fit and keeps: fit as often as you like, but replace
+// Features (append, re-slice, a new matrix) rather than overwrite a value in
+// place — only the former is noticed. A Coder builds a dataset in that form
+// with no Features at all. A Dataset holds a lock and is used through a
+// pointer.
 type Dataset struct {
 	// Features is sample-major: Features[i][j] is feature j of sample i.
 	Features [][]float64
@@ -38,9 +38,8 @@ type Dataset struct {
 	// serialisation); when non-nil its length must equal the feature count.
 	Names []string
 
-	// view is set on a dataset cut from another by Subset: classification
-	// training then grows over the source's codes instead of coding these rows
-	// again.
+	// view is set on a dataset cut from another by Subset: training then
+	// grows over the source's codes instead of coding these rows again.
 	view *viewOf
 
 	mu    sync.Mutex   // guards coded
@@ -116,43 +115,17 @@ func (d *Dataset) coderCodes() *codedMatrix {
 	return nil
 }
 
-// rows returns the samples as float rows: Features, or for a dataset without
-// them rows made from the codes.
-func (d *Dataset) rows() [][]float64 {
-	cm := d.coderCodes()
-	if cm == nil {
-		return d.Features
-	}
-	X := newRows(d.NumSamples(), len(cm.codes))
-	d.rowsInto(X, 0, cm)
-	return X
-}
-
 // rowsInto makes X's rows samples lo, lo+1, … from the codes cm of a dataset
-// without Features, a column at a time. A row reads its values from vals, so a
-// +0 sharing its code with a −0 reads −0.
+// without Features. A row reads its values from vals, so a +0 sharing its
+// code with a −0 reads −0.
 func (d *Dataset) rowsInto(X [][]float64, lo int, cm *codedMatrix) {
 	_, idx := d.source()
-	for f, col := range cm.codes {
-		switch {
-		case col.u32 != nil:
-			columnInto(X, f, lo, idx, col.u32, cm.vals[f])
-		case col.u16 != nil:
-			columnInto(X, f, lo, idx, col.u16, cm.vals[f])
-		default:
-			columnInto(X, f, lo, idx, col.u8, cm.vals[f])
-		}
-	}
-}
-
-// columnInto is rowsInto for feature f.
-func columnInto[T code](X [][]float64, f, lo int, idx []int32, codes []T, vals []float64) {
+	fr := fitRows{codedMatrix: cm, rows: idx}
 	for i, row := range X {
-		r := lo + i
-		if idx != nil {
-			r = int(idx[r])
+		r := fr.row(lo + i)
+		for f := range row {
+			row[f] = cm.vals[f][cm.codes[f].at(r)]
 		}
-		row[f] = vals[codes[r]]
 	}
 }
 
@@ -170,7 +143,8 @@ func newRows(n, width int) [][]float64 {
 // it codes nothing. Call it before the dataset is shared or cut into views.
 func (d *Dataset) Materialize() {
 	if cm := d.coderCodes(); cm != nil && d.view == nil {
-		X := d.rows()
+		X := newRows(d.NumSamples(), len(cm.codes))
+		d.rowsInto(X, 0, cm)
 		d.Features, cm.of = X, idOf(X)
 	}
 }
@@ -229,8 +203,8 @@ func (d *Dataset) Classes() []int {
 
 // Subset returns the selected samples as a dataset of their own: Features
 // shares the rows' storage (and is nil when d's is), and the result is a view
-// of d (of d's source, when d is a view) for classification training. Indices
-// may repeat (bootstrap sampling).
+// of d (of d's source, when d is a view) for training. Indices may repeat
+// (bootstrap sampling).
 func (d *Dataset) Subset(indices []int) *Dataset {
 	root, rows := d.source()
 	v := &viewOf{root: root, rows: make([]int32, len(indices)), rootID: idOf(root.Features)}

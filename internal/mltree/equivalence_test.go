@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"cordial/internal/xrand"
 )
 
 // forceParallelSplits drops the work-size gate so even tiny test datasets
@@ -117,6 +115,19 @@ type pointerModel struct {
 	trees       []*treeNode // a tree's or a forest's members, or
 	treeClasses [][]int
 	boosters    []*booster // a boosted model's chains
+}
+
+// navigate walks the tree for sample x and returns the leaf.
+func (n *treeNode) navigate(x []float64) *treeNode {
+	cur := n
+	for !cur.isLeaf() {
+		if x[cur.Feature] <= cur.Threshold {
+			cur = cur.Left
+		} else {
+			cur = cur.Right
+		}
+	}
+	return cur
 }
 
 func (p *pointerModel) proba(x []float64) []float64 {
@@ -355,29 +366,12 @@ func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 
 // gbdtChains trains g's chains as Fit does and returns them uncompiled.
 func gbdtChains(g *GBDT, ds *Dataset) []*booster {
-	return trainArms(ds, ds.Classes(), 1, g.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
-		return g.fitBinary(ds, y, rng)
-	})
+	return trainArms(ds, ds.Classes(), 1, g.Config.Seed, g.fitBinary)
 }
 
 // histChains trains h's chains as Fit does and returns them uncompiled.
 func histChains(h *HistGBDT, ds *Dataset) []*booster {
-	bins, binned := binAll(ds)
-	return trainArms(ds, ds.Classes(), 1, h.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
-		return h.fitBinary(ds, binned, bins, y, rng)
-	})
-}
-
-func binAll(ds *Dataset) (*binner, [][]uint16) {
-	bins := newBinner(ds.Features, histMaxBins)
-	binned := make([][]uint16, len(ds.Features))
-	for i, row := range ds.Features {
-		binned[i] = make([]uint16, len(row))
-		for f, v := range row {
-			binned[i][f] = uint16(bins.bin(f, v))
-		}
-	}
-	return bins, binned
+	return trainArms(ds, ds.Classes(), 1, h.Config.Seed, h.fitBinary)
 }
 
 // assertArenaExact asserts every arena array was allocated at exactly its
@@ -573,26 +567,6 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { f.PredictBatchInto(into, X[:tileRows]) }); allocs != 0 {
 		t.Fatalf("a one-tile PredictBatchInto on %d trees allocates %v times", f.NumTrees(), allocs)
-	}
-}
-
-// TestHistGBDTBinnedNavigationMatchesRaw asserts that navigating a grown
-// tree via the pre-binned matrix reaches the same leaf as navigating the raw
-// features — the invariant the training-time margin update relies on.
-func TestHistGBDTBinnedNavigationMatchesRaw(t *testing.T) {
-	train, _ := noisyBlobs(35, 3, 120)
-	h := NewHistGBDT(HistGBDTConfig{Rounds: 8, Seed: 5})
-	_, binned := binAll(train)
-	for _, b := range histChains(h, train) {
-		for _, root := range b.Trees {
-			for i, row := range train.Features {
-				raw := root.navigate(row)
-				bn := root.navigateBinned(binned[i])
-				if raw != bn {
-					t.Fatalf("binned navigation reached a different leaf for row %d", i)
-				}
-			}
-		}
 	}
 }
 

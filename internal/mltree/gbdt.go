@@ -77,8 +77,9 @@ func (m *boosted) Classes() []int { return m.classes }
 // NumTrees returns the total tree count across all arms.
 func (m *boosted) NumTrees() int { return m.arena.numTrees() }
 
-// begin validates the training set and records its classes.
-func (m *boosted) begin(ds *Dataset, kind string) error {
+// fit validates ds, records its classes, and trains and compiles the model's
+// chains (trainArms).
+func (m *boosted) fit(ds *Dataset, kind string, parallelism int, seed uint64, fit func(fr fitRows, y []float64, rng *xrand.RNG) *booster) error {
 	if err := ds.Validate(); err != nil {
 		return err
 	}
@@ -86,7 +87,7 @@ func (m *boosted) begin(ds *Dataset, kind string) error {
 	if len(m.classes) < 2 {
 		return fmt.Errorf("mltree: %s needs ≥2 classes, got %d", kind, len(m.classes))
 	}
-	return nil
+	return m.compile(trainArms(ds, m.classes, parallelism, seed, fit))
 }
 
 // armsFor returns how many chains a model of k classes has: one per class,
@@ -98,10 +99,10 @@ func armsFor(k int) int {
 	return k
 }
 
-// trainArms trains a model's chains, each fitted by fit against its class's
-// 0/1 targets.
-func trainArms(ds *Dataset, classes []int, parallelism int, seed uint64, fit func(y []float64, rng *xrand.RNG) *booster) []*booster {
-	rng, arms := xrand.New(seed), armsFor(len(classes))
+// trainArms trains a model's chains, each fitted by fit over ds's rows against
+// its class's 0/1 targets.
+func trainArms(ds *Dataset, classes []int, parallelism int, seed uint64, fit func(fr fitRows, y []float64, rng *xrand.RNG) *booster) []*booster {
+	rng, arms, fr := xrand.New(seed), armsFor(len(classes)), fitRowsOf(ds)
 	// Derive every arm's RNG up front, in arm order, so concurrent arm
 	// fitting consumes the exact streams the serial loop did.
 	rngs := make([]xrand.RNG, arms)
@@ -120,7 +121,7 @@ func trainArms(ds *Dataset, classes []int, parallelism int, seed uint64, fit fun
 				y[i] = 1
 			}
 		}
-		boosters[a] = fit(y, &rngs[a])
+		boosters[a] = fit(fr, y, &rngs[a])
 	})
 	return boosters
 }
@@ -223,65 +224,45 @@ var _ Classifier = (*GBDT)(nil)
 // Fit trains one boosting chain per class (a single chain for binary
 // problems).
 func (g *GBDT) Fit(ds *Dataset) error {
-	if err := g.begin(ds, "GBDT"); err != nil {
-		return err
-	}
-	return g.compile(trainArms(ds, g.classes, g.Config.Parallelism, g.Config.Seed, func(y []float64, rng *xrand.RNG) *booster {
-		return g.fitBinary(ds, y, rng)
-	}))
+	return g.fit(ds, "GBDT", g.Config.Parallelism, g.Config.Seed, g.fitBinary)
 }
 
-func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) *booster {
+func (g *GBDT) fitBinary(fr fitRows, y []float64, rng *xrand.RNG) *booster {
 	cfg := g.Config
-	n, numFeatures := ds.NumSamples(), ds.NumFeatures()
-	colsPerSplit := max(1, int(math.Round(cfg.ColsampleRatio*float64(numFeatures))))
-
-	// The columnized matrix and the partitioner's buffers serve every
-	// round's tree; each tree presorts the rows it grows on.
-	X := ds.rows()
-	cols := columnize(X)
-	part := newPartitioner(n)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	b := newBoostGrower(fr, false)
+	b.maxDepth, b.rng = cfg.MaxDepth, rng
+	b.maxFeat = max(1, int(math.Round(cfg.ColsampleRatio*float64(len(fr.codes)))))
+	samples := make([]int, fr.n)
+	for i := range samples {
+		samples[i] = i
 	}
-
-	return boost(n, y, cfg.Rounds,
-		func(grad, hess []float64) *treeNode {
-			rt := &regTree{
-				maxDepth: cfg.MaxDepth,
-				rng:      rng,
-				maxFeat:  colsPerSplit,
-				cols:     cols,
-				grad:     grad,
-				hess:     hess,
-				part:     part,
-			}
-			return rt.fit(g.subsample(all, rng))
-		},
-		func(root *treeNode, i int) float64 { return root.navigate(X[i]).Value })
+	return boost(fr, y, cfg.Rounds, func(grad, hess []float64) *treeNode {
+		if cfg.SubsampleRatio < 1 { // the per-tree row sample
+			samples = rng.SampleInts(fr.n, max(1, int(math.Round(cfg.SubsampleRatio*float64(fr.n)))))
+		}
+		return b.growDepthFirst(b.start(samples, grad, hess))
+	})
 }
 
-// boost is the Newton boosting loop of one chain over n samples with 0/1
+// boost is the Newton boosting loop of one chain over fr's samples with 0/1
 // targets y, shared by both boosters: the prior margin, then each round the
-// logistic gradients and hessians, a tree from grow, and the margin update by
-// value (the tree's leaf value for sample i).
-func boost(n int, y []float64, rounds int,
-	grow func(grad, hess []float64) *treeNode, value func(root *treeNode, i int) float64) *booster {
+// logistic gradients and hessians, a tree from grow, and the margin update,
+// each sample walking the tree by its codes' values.
+func boost(fr fitRows, y []float64, rounds int, grow func(grad, hess []float64) *treeNode) *booster {
 	pos := 0.0
 	for _, v := range y {
 		pos += v
 	}
 	// Prior log-odds, clamped away from degeneracy.
-	p0 := (pos + 1) / (float64(n) + 2)
+	p0 := (pos + 1) / (float64(fr.n) + 2)
 	b := &booster{Bias: math.Log(p0 / (1 - p0)), LR: learningRate}
 
-	margin := make([]float64, n)
+	margin := make([]float64, fr.n)
 	for i := range margin {
 		margin[i] = b.Bias
 	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
+	grad := make([]float64, fr.n)
+	hess := make([]float64, fr.n)
 
 	for round := 0; round < rounds; round++ {
 		for i, m := range margin {
@@ -292,18 +273,10 @@ func boost(n int, y []float64, rounds int,
 		root := grow(grad, hess)
 		b.Trees = append(b.Trees, root)
 		for i := range margin {
-			margin[i] += learningRate * value(root, i)
+			margin[i] += learningRate * fr.leaf(root, i).Value
 		}
 	}
 	return b
-}
-
-// subsample draws the per-tree row sample from all, every training row.
-func (g *GBDT) subsample(all []int, rng *xrand.RNG) []int {
-	if g.Config.SubsampleRatio >= 1 {
-		return all
-	}
-	return rng.SampleInts(len(all), max(1, int(math.Round(g.Config.SubsampleRatio*float64(len(all))))))
 }
 
 // PredictBatchInto predicts every row of X into dst.
@@ -313,24 +286,3 @@ func (g *GBDT) PredictBatchInto(dst []float64, X [][]float64) {
 
 // PredictBatch predicts every row of X.
 func (g *GBDT) PredictBatch(X [][]float64) [][]float64 { return predictBatch(g, X) }
-
-// columnize transposes the row-major feature matrix into per-feature
-// columns backed by one contiguous allocation, for the boosting trainer: its
-// split search reads a feature's values at every node, and a column of a few
-// thousand float64s stays resident in L1/L2, where row-pointer chasing would
-// miss on every sample.
-func columnize(features [][]float64) [][]float64 {
-	n := len(features)
-	numFeatures := len(features[0])
-	backing := make([]float64, n*numFeatures)
-	cols := make([][]float64, numFeatures)
-	for f := range cols {
-		cols[f] = backing[f*n : (f+1)*n]
-	}
-	for i, row := range features {
-		for f, v := range row {
-			cols[f][i] = v
-		}
-	}
-	return cols
-}

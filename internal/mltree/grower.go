@@ -16,9 +16,9 @@ import (
 // either side, as a scan of the bag sorted by the feature does, so the trees
 // are bit-identical to that scan's (TestGrowerMatchesReference). A fit on a
 // view grows over its source's codes, and grows the tree a fit on a copy of
-// the view's samples grows (TestViewFitMatchesCopyFit). GBDT's regTree keeps
-// presorted lists instead: it scores ~all features at every node, and its
-// gradient sums are floats that a histogram would re-associate.
+// the view's samples grows (TestViewFitMatchesCopyFit). The boosters grow over
+// the same codes with gradient sums per bin in place of class counts
+// (boost.go).
 
 // histCutover scores a candidate feature by histogram when it has at most
 // histCutover distinct values per row of the node, by sorting otherwise.
@@ -26,34 +26,59 @@ import (
 // only so tests can force either path.
 var histCutover = 8
 
-// classData is the read-only training state the members of one fit share: the
-// coded matrix, and which of its rows the fit's n samples are.
-type classData struct {
+// fitRows is what a fit reads of its dataset: the coded matrix, and which of
+// its rows the fit's n samples are.
+type fitRows struct {
 	*codedMatrix
-	k    int     // classes
-	y    []int32 // class index by row (of the rows that are samples)
-	n    int     // samples
+	n    int
 	rows []int32 // rows[i]: the row sample i is; nil: sample i is row i
 }
 
-// newClassData reads ds for a fit: its own codes, or for a view its source's.
-func newClassData(ds *Dataset, classes []int) *classData {
+// fitRowsOf reads ds for a fit: its own codes, or for a view its source's.
+func fitRowsOf(ds *Dataset) fitRows {
 	src, rows := ds.source()
-	cd := &classData{codedMatrix: src.codes(true), k: len(classes), n: ds.NumSamples(), rows: rows}
-	cd.y = make([]int32, src.NumSamples())
+	return fitRows{codedMatrix: src.codes(true), n: ds.NumSamples(), rows: rows}
+}
+
+// row returns the row of the coded matrix that sample i is.
+func (fr *fitRows) row(i int) int {
+	if fr.rows == nil {
+		return i
+	}
+	return int(fr.rows[i])
+}
+
+// leaf walks the pointer tree at root for sample i, reading each split
+// feature's value through the sample's code.
+func (fr *fitRows) leaf(root *treeNode, i int) *treeNode {
+	r, n := fr.row(i), root
+	for !n.isLeaf() {
+		if fr.vals[n.Feature][fr.codes[n.Feature].at(r)] <= n.Threshold {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n
+}
+
+// classData is the read-only training state the members of one fit share: the
+// fit's rows of the coded matrix and their classes.
+type classData struct {
+	fitRows
+	k int     // classes
+	y []int32 // class index by row (of the rows that are samples)
+}
+
+// newClassData reads ds for a classification fit.
+func newClassData(ds *Dataset, classes []int) *classData {
+	cd := &classData{fitRows: fitRowsOf(ds), k: len(classes)}
+	cd.y = make([]int32, cd.codes[0].len())
 	idx := classIndex(classes)
 	for i, l := range ds.Labels {
 		cd.y[cd.row(i)] = int32(idx[l])
 	}
 	return cd
-}
-
-// row returns the row of the coded matrix that sample i is.
-func (cd *classData) row(i int) int {
-	if cd.rows == nil {
-		return i
-	}
-	return int(cd.rows[i])
 }
 
 // grower grows classification trees one after another over one classData. It

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the package's single worker-pool idiom. Forest members,
-// presorting, boosted-tree split search and batch prediction all fan out
+// boosted-tree histograms and split search and batch prediction all fan out
 // through runWorkers, which draws helper goroutines from one package-wide
 // bounded token pool so that nested parallel sections (one-vs-rest boosting
 // arms whose trees also parallelize split search) cannot multiply into
@@ -33,10 +33,10 @@ var workerTokens = func() chan struct{} {
 	return ch
 }()
 
-// minParallelSplitWork gates the boosted trees' feature-parallel split
-// search, list partition and presort: nodes whose |samples|×|features|
-// product is below it run serially, since pool traffic would cost more than
-// it saves. Variable so tests can force the parallel path on tiny datasets.
+// minParallelSplitWork gates the boosted trees' feature-parallel histograms
+// and split search: leaves whose |samples|×|features| product is below it run
+// serially, since pool traffic would cost more than it saves. Variable so
+// tests can force the parallel path on tiny datasets.
 var minParallelSplitWork = 2048
 
 // defaultParallelism resolves a user parallelism knob: values <= 0 mean

@@ -163,9 +163,9 @@ func TestConcurrentViewFits(t *testing.T) {
 }
 
 // TestViewsCodeNothing counts coding passes: a dataset is coded at its first
-// classification fit and never again — not by a refit, not by a fit on a
-// split of it (the calibration refit's shape), not by k-fold subsets of it —
-// while a dataset of its own is coded once itself.
+// fit and never again — not by a refit, not by a fit on a split of it (the
+// calibration refit's shape), not by k-fold subsets of it, not by a booster —
+// while a dataset of its own is coded once itself, by any learner.
 func TestViewsCodeNothing(t *testing.T) {
 	ds, _ := noisyBlobs(23, 3, 150)
 	forest := func() Classifier { return NewForest(ForestConfig{NumTrees: 5, Seed: 1, Parallelism: 2}) }
@@ -208,9 +208,13 @@ func TestViewsCodeNothing(t *testing.T) {
 	}
 	passes("five folds", 0, func() { folds(ds) })
 	passes("five folds of a fresh dataset", 1, func() { folds(deepCopy(ds)) })
-	passes("the boosters", 0, func() {
+	passes("the boosters on fresh datasets", 2, func() {
 		fit(NewGBDT(GBDTConfig{Rounds: 2, Seed: 1}), deepCopy(ds))
 		fit(NewHistGBDT(HistGBDTConfig{Rounds: 2, Seed: 1}), deepCopy(ds))
+	})
+	passes("the boosters on a coded dataset", 0, func() {
+		fit(NewGBDT(GBDTConfig{Rounds: 2, Seed: 1}), ds)
+		fit(NewHistGBDT(HistGBDTConfig{Rounds: 2, Seed: 1}), ds)
 	})
 }
 

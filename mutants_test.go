@@ -267,6 +267,84 @@ var mutants = []struct {
 		"Geometry: dst.profile.Geometry}\n\t\t\tres, err := core.EvaluatePredictionFor(dst.profile,",
 		"Geometry: src.profile.Geometry}\n\t\t\tres, err := core.EvaluatePredictionFor(src.profile,",
 		[]string{"internal/experiments TestTransferSmoke"}},
+
+	// One input for every learner: the boosters grow on the coded matrix. The
+	// first four stand for what the deleted binner and binned-navigation
+	// tests killed.
+	{"a code→bin map shifted by one at a cut", "internal/mltree/histgbdt.go", `		bin[c] = uint8(b)
+		if b < len(cut) && int32(c) == cut[b] {
+			b++
+		}
+`, `		if b < len(cut) && int32(c) == cut[b] {
+			b++
+		}
+		bin[c] = uint8(b)
+`, []string{"internal/mltree TestBoostBinsMatchBinner", "internal/mltree TestParentFixture", "internal/core TestSaveModelsGolden"}},
+	{"codes above the last cut share its bin", "internal/mltree/histgbdt.go",
+		"if b < len(cut) && int32(c) == cut[b] {", "if b < len(cut)-1 && int32(c) == cut[b] {",
+		[]string{"internal/mltree TestBoostBinsMatchBinner", "internal/core TestSaveModelsGolden"}},
+	{"a cut at a feature's largest code", "internal/mltree/histgbdt.go",
+		"if c < top && (len(cut) == 0", "if c <= top && (len(cut) == 0",
+		[]string{"internal/mltree TestBoostBinsMatchBinner"}},
+	{"the margin update walks a sample at a threshold right", "internal/mltree/grower.go",
+		"fr.vals[n.Feature][fr.codes[n.Feature].at(r)] <= n.Threshold", "fr.vals[n.Feature][fr.codes[n.Feature].at(r)] < n.Threshold",
+		[]string{"internal/mltree TestParentFixture", "internal/core TestSaveModelsGolden"}},
+	{"an unstable booster partition", "internal/mltree/boost.go", `	for _, i := range seg {
+		if b.codes[s.feat].at(b.row(int(i))) <= s.bin {
+			seg[w], w = i, w+1
+		} else {
+			r = append(r, i)
+		}
+	}
+	copy(seg[w:], r)
+`, `	for hi := len(seg) - 1; w <= hi; {
+		if b.codes[s.feat].at(b.row(int(seg[w]))) <= s.bin {
+			w++
+		} else {
+			seg[w], seg[hi] = seg[hi], seg[w]
+			hi--
+		}
+	}
+	r = seg[w:]
+`, []string{"internal/mltree TestParentFixture", "internal/core TestSaveModelsGolden"}},
+	{"the exact mode takes a bin's upper value as its threshold", "internal/mltree/boost.go",
+		"best.bin, best.thr = prev, (vals[prev]+vals[c])/2", "best.bin, best.thr = prev, vals[prev]",
+		[]string{"internal/mltree TestParentFixture", "internal/core TestSaveModelsGolden"}},
+	{"per-bin sums reduced in worker order", "internal/mltree/boost.go", `	runWorkers(len(b.all), want, func(_, f int) {
+		switch cells, col := l.sums[b.offset[f]:b.offset[f+1]], b.codes[f]; {
+		case col.u32 != nil:
+			addBins(b, cells, f, seg, col.u32)
+		case col.u16 != nil:
+			addBins(b, cells, f, seg, col.u16)
+		default:
+			addBins(b, cells, f, seg, col.u8)
+		}
+	})
+`, `	chunks := 1 + min(len(workerTokens), want-1) // one run of samples per worker free
+	parts := make([][]cell, chunks)
+	runWorkers(chunks, chunks, func(_, k int) {
+		parts[k] = make([]cell, len(l.sums))
+		part := seg[k*len(seg)/chunks : (k+1)*len(seg)/chunks]
+		for f := range b.all {
+			switch cells, col := parts[k][b.offset[f]:b.offset[f+1]], b.codes[f]; {
+			case col.u32 != nil:
+				addBins(b, cells, f, part, col.u32)
+			case col.u16 != nil:
+				addBins(b, cells, f, part, col.u16)
+			default:
+				addBins(b, cells, f, part, col.u8)
+			}
+		}
+	})
+	for _, p := range parts {
+		for k := range p {
+			l.sums[k].g, l.sums[k].h, l.sums[k].n = l.sums[k].g+p[k].g, l.sums[k].h+p[k].h, l.sums[k].n+p[k].n
+		}
+	}
+`, []string{"internal/mltree TestParallelismEquivalenceAllModels"}},
+	{"a booster reads the float rows again", "internal/mltree/gbdt.go",
+		"\treturn g.fit(ds, \"GBDT\"", "\t_ = ds.Features\n\treturn g.fit(ds, \"GBDT\"",
+		[]string{". TestDeletedStaysDeleted"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

@@ -278,8 +278,8 @@ var deletionGates = []struct {
 	},
 	{
 		gate: "one coded training matrix", deletedBy: "One coded training matrix per dataset",
-		replacedBy: "the dataset's value codes, shared by every Tree and Forest fit; the float transpose is the boosting trainer's",
-		check:      columnizeOnlyInGBDT,
+		replacedBy: "the dataset's value codes, shared by every fit of every learner",
+		names:      []string{"columnize"},
 	},
 	{
 		gate: "only the knobs programs turn", deletedBy: "Learners with only the knobs Cordial turns",
@@ -369,6 +369,13 @@ var deletionGates = []struct {
 		replacedBy: "the `*hbm.Profile` each caller is handed",
 		names:      []string{"ActiveProfile", "SetActiveProfile", "ActivateProfile", "heapOnly"},
 		check:      hbm2eOnlyInBench,
+	},
+	{
+		gate: "one booster grower", deletedBy: "One input for every learner",
+		replacedBy: "mltree's boostGrower over the coded matrix: GBDT's exact mode and HistGBDT's histogram mode",
+		names: []string{"presortByFeature", "radixSortPairs", "partitioner", "newPartitioner", "regTree",
+			"binner", "newBinner", "histGrower", "leafHist", "newLeafHist", "leafState", "navigateBinned"},
+		check: boostersReadCodes,
 	},
 }
 
@@ -641,19 +648,33 @@ func runsAlone(mod *module) []string {
 	return bad
 }
 
-// columnizeOnlyInGBDT: classification training transposes nothing; only the
-// boosting trainer in gbdt.go calls columnize.
-func columnizeOnlyInGBDT(mod *module) []string {
-	p := mod.pkgs["cordial/internal/mltree"]
-	obj := p.pkg.Scope().Lookup("columnize")
-	if obj == nil {
-		return []string{"the coded-matrix gate's target mltree.columnize is gone"}
-	}
-	var bad []string
-	for id, used := range p.info.Uses {
-		if pos := mod.fset.Position(id.Pos()); used == obj && filepath.Base(pos.Filename) != "gbdt.go" {
-			bad = append(bad, fmt.Sprintf("%s: columnize called outside the boosting trainer", pos))
+// boostersReadCodes: no mltree booster reads float rows. Dataset has no rows
+// method, and gbdt.go, histgbdt.go and boost.go use neither Dataset.Features
+// nor what makes rows from codes (Materialize, rowsInto).
+func boostersReadCodes(mod *module) []string {
+	p, bad, seen := mod.pkgs["cordial/internal/mltree"], []string(nil), 0
+	ds, floats := types.NewPointer(p.pkg.Scope().Lookup("Dataset").Type()), map[types.Object]bool{}
+	for _, name := range []string{"rows", "Features", "Materialize", "rowsInto"} {
+		obj, _, _ := types.LookupFieldOrMethod(ds, true, p.pkg, name)
+		if (obj != nil) == (name == "rows") {
+			bad = append(bad, fmt.Sprintf("the booster gate: Dataset.%s is %v", name, obj))
 		}
+		floats[obj] = obj != nil
+	}
+	for _, f := range p.files {
+		if name := filepath.Base(mod.fset.Position(f.Pos()).Filename); name != "gbdt.go" && name != "histgbdt.go" && name != "boost.go" {
+			continue
+		}
+		seen++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && floats[p.info.Uses[id]] {
+				bad = append(bad, fmt.Sprintf("%s: a booster reads Dataset.%s", mod.fset.Position(id.Pos()), id.Name))
+			}
+			return true
+		})
+	}
+	if seen != 3 {
+		bad = append(bad, fmt.Sprintf("the booster gate's target files: %d of gbdt.go, histgbdt.go and boost.go", seen))
 	}
 	return bad
 }

@@ -53,13 +53,14 @@ echo "==> go test -race (parallel-training equivalence focus)"
 # (TestViewFitMatchesCopyFit) and two forests fitted at once on two views of
 # an uncoded dataset (TestConcurrentViewFits: the coded-matrix memo) and the
 # row coder against the float matrix's coding (FuzzCodedRows' corpus, and
-# TestCodeWidths: columns either side of the one- and two-byte limits). The
+# TestCodeWidths: columns either side of the one- and two-byte limits), and
+# the boosters' bins against a float binner (TestBoostBinsMatchBinner). The
 # stored ≡ eager edge banks (first event a UER, a UER at observation 31/32/33,
 # a long quiet life, a first UER tied with CEs, a UEO-only bank, spared banks
 # fed more) are FuzzBankHistory's seeds, in the store pass below; the full
 # -race suite still covers everything, the engine-level restore of quiet banks
 # (TestRestoredQuietSessionThenFails) included.
-go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView|CodedRows|TestCodeWidths' \
+go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Grower|Boost|ForestFit|Arena|Rank|LoadModel|ViewFit|ConcurrentView|CodedRows|TestCodeWidths' \
     ./internal/mltree/ ./internal/core/
 # The stats path's contract, by the same pattern: readers take no shard lock
 # and no snapshot lock, a /statsz costs the same at fleet size, the atomic
@@ -198,10 +199,10 @@ echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files
 # pipeline's live heap per tree node is pinned by a HeapAlloc delta, a fit's
 # allocation counts stay where the training gate above put them, and the arena
 # may not change one tree in a model file (TestSaveModelsGolden: all three
-# backends at Parallelism 1 and 8, one file for both, equal to the files
-# written before the learner options became constants once their keys are
-# dropped; TestParentFixture: all four kinds against files and predictions
-# written before the arena existed) or one bit of a prediction on the values
+# backends at Parallelism 1 and 8, one file for both; TestParentFixture: all
+# four kinds' files and predictions from before the arena existed, and the
+# refit of all but GBDT; XGBoost's hashes moved once, when its gradient sums
+# went per value code) or one bit of a prediction on the values
 # where rank and float comparison could part (TestRankKernelExactness); the
 # block dataset, coded as it is built, reads back the rows the commit before
 # that built as floats (TestBuildBlockDatasetGolden).
