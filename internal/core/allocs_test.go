@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -112,15 +113,17 @@ func TestPredictBlocksStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllocsPerBank is the offline evaluation's garbage gate:
-// EvaluatePattern and EvaluatePrediction over a held-out set fold every bank
-// through one pattern feature state, carve the pattern vectors from one
-// backing array and spare rows into one row table, so what is left per bank is
+// TestEvaluateAllocsPerBank is the offline evaluation's garbage gate, in
+// mallocs and bytes per held-out bank: EvaluatePattern and EvaluatePrediction
+// fold every bank through one pattern feature state, carve the pattern
+// vectors from one backing array and spare rows into one ledger per bank, its
+// marks carved from the sparing engine's chunks, so what is left per bank is
 // mostly the evaluation session, its feature state and first 16 rows inside
-// it: 3.53–3.56 mallocs per bank measured at 1–8 procs, gated at 3.6. The
-// session and a row table of its own made 4.56 (9.25 when the gate was set at
-// 12), and a fresh state and vector per bank, a returned slice per SpareRows
-// and a row map per bank 36.6.
+// it: 3.11–3.12 mallocs and 4 553 B per bank measured at 1–8 procs, gated at
+// 3.2 and 4 800 B. A map keyed by (bank, row) for the spared rows made
+// 3.53–3.56 mallocs and 8 797 B per bank, the session and a row table of its
+// own 4.56 mallocs (9.25 when the gate was set at 12), and a fresh state and
+// vector per bank, a returned slice per SpareRows and a row map per bank 36.6.
 func TestEvaluateAllocsPerBank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -133,17 +136,33 @@ func TestEvaluateAllocsPerBank(t *testing.T) {
 	p := fitPipeline(t, RandomForest, train)
 	strategy := &CordialStrategy{Pipeline: p, Geometry: hbm.DefaultGeometry}
 	cfg := p.Config()
-	allocs := testing.AllocsPerRun(5, func() {
+	evaluate := func() {
 		if _, err := EvaluatePattern(p, test); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := EvaluatePrediction(strategy, test, cfg.Block, sparing.DefaultBudget()); err != nil {
 			t.Fatal(err)
 		}
-	})
-	perBank := allocs / float64(len(test))
-	t.Logf("%d test banks: %.0f mallocs, %.2f per bank", len(test), allocs, perBank)
-	if perBank > 3.6 {
-		t.Errorf("evaluation makes %.2f mallocs per bank, want ≤ 3.6", perBank)
+	}
+	// As testing.AllocsPerRun: one processor, one warm-up run, then the
+	// average over the measured runs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	evaluate()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		evaluate()
+	}
+	runtime.ReadMemStats(&after)
+	banks := float64(runs * len(test))
+	mallocs := float64(after.Mallocs-before.Mallocs) / banks
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / banks
+	t.Logf("%d test banks: %.2f mallocs and %.0f B per bank", len(test), mallocs, bytes)
+	if mallocs > 3.2 {
+		t.Errorf("evaluation makes %.2f mallocs per bank, want ≤ 3.2", mallocs)
+	}
+	if bytes > 4800 {
+		t.Errorf("evaluation allocates %.0f B per bank, want ≤ 4800", bytes)
 	}
 }

@@ -69,8 +69,9 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 func (h *HistGBDT) fitBinary(fr fitRows, y []float64, rng *xrand.RNG) *booster {
 	b := newBoostGrower(fr, true)
 	gw, hw := make([]float64, fr.n), make([]float64, fr.n)
+	g := newGossScratch(fr.n)
 	return boost(fr, y, h.Config.Rounds, func(grad, hess []float64) *treeNode {
-		samples, scale := goss(grad, rng)
+		samples, scale := g.sample(grad, rng)
 		for _, i := range samples {
 			gw[i], hw[i] = grad[i]*scale[i], hess[i]*scale[i]
 		}
@@ -113,14 +114,26 @@ func histBins(fr fitRows, f int) (bin []uint8, cut []int32) {
 	return bin, cut
 }
 
-// goss performs Gradient-based One-Side Sampling over the training rows: keep
-// the gossTopRate fraction with the largest |gradient|, sample gossOtherRate
-// of the rest, and return a per-sample weight multiplier that compensates the
-// downsampling.
-func goss(grad []float64, rng *xrand.RNG) (samples []int, scale []float64) {
+// gossScratch is one fit's Gradient-based One-Side Sampling buffers, which
+// every round reuses.
+type gossScratch struct {
+	order, samples, draw []int
+	scale                []float64
+}
+
+func newGossScratch(n int) *gossScratch {
+	return &gossScratch{order: make([]int, n), scale: make([]float64, n)}
+}
+
+// sample performs GOSS over the n training rows: keep the gossTopRate fraction
+// with the largest |gradient|, sample gossOtherRate of the rest, and return
+// the sampled rows and a per-row weight multiplier that compensates the
+// downsampling (0 for the rows not sampled). Both are g's until its next
+// sample.
+func (g *gossScratch) sample(grad []float64, rng *xrand.RNG) (samples []int, scale []float64) {
 	n := len(grad)
-	scale = make([]float64, n)
-	order := make([]int, n)
+	order, scale := g.order[:n], g.scale[:n]
+	clear(scale)
 	for i := range order {
 		order[i] = i
 	}
@@ -132,7 +145,7 @@ func goss(grad []float64, rng *xrand.RNG) (samples []int, scale []float64) {
 	if topN+restN > n {
 		restN = n - topN
 	}
-	samples = append(samples, order[:topN]...)
+	samples = append(g.samples[:0], order[:topN]...)
 	for _, i := range samples {
 		scale[i] = 1
 	}
@@ -140,12 +153,14 @@ func goss(grad []float64, rng *xrand.RNG) (samples []int, scale []float64) {
 	// Exactly 8, the value the float64 operations give as well.
 	amplify := (1 - gossTopRate) / gossOtherRate
 	if len(rest) > 0 && restN > 0 {
-		for _, k := range rng.SampleInts(len(rest), min(restN, len(rest))) {
+		g.draw = rng.SampleIntsInto(g.draw, len(rest), min(restN, len(rest)))
+		for _, k := range g.draw {
 			i := rest[k]
 			samples = append(samples, i)
 			scale[i] = amplify
 		}
 	}
+	g.samples = samples
 	return samples, scale
 }
 

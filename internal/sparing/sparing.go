@@ -7,6 +7,7 @@
 package sparing
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -68,26 +69,77 @@ func (b Budget) Validate() error {
 }
 
 // Engine applies mitigations under a budget and answers coverage queries,
-// keying banks and channels under its profile's layout. The zero value is not
+// keying banks and channels under its profile's layout. Each bank it has
+// touched owns one ledger: the row spares it used, when it was bank-spared,
+// and its isolated rows in row order, each at the earliest time it was
+// isolated. Times compare by wall clock: a monotonic reading is ignored, as
+// every caller's times are generated or decoded. The zero value is not
 // usable; construct with NewEngineFor. Engine is not safe for concurrent use.
 type Engine struct {
 	budget Budget
 	layout *hbm.Layout
 
-	// rowIsolated[{bankKey, row}] = earliest isolation time.
-	rowIsolated map[bankRow]time.Time
-	// bankIsolated[bankKey] = isolation time.
-	bankIsolated map[uint64]time.Time
-	// rowSparesUsed[bankKey] and bankSparesUsed[channelKey] track budget
-	// consumption.
-	rowSparesUsed  map[uint64]int
+	// index[bankKey] is the bank's ledger in ledgers.
+	index   map[uint64]int32
+	ledgers []bankLedger
+	// free is the unused tail of the chunk that ledgers' marks are carved
+	// from, so no bank pays an allocation of its own.
+	free []mark
+	// bankSparesUsed[channelKey] tracks bank-spare consumption.
 	bankSparesUsed map[uint64]int
 }
 
-// bankRow names one row of one bank: the bank's key and the row.
-type bankRow struct {
-	bank uint64
-	row  int
+// Marks are carved from chunks of chunkMarks; a bank's first run holds up to
+// firstRunMarks and doubles past that, up to the row budget.
+const (
+	chunkMarks    = 1024
+	firstRunMarks = 64
+)
+
+// bankLedger is one bank's spare account.
+type bankLedger struct {
+	// marks are the isolated rows in ascending row order.
+	marks []mark
+	// bankSec and bankNsec are the bank-spare time; bankNsec is notSpared
+	// while the bank is not.
+	bankSec  int64
+	bankNsec int32
+	// used counts the row spares the bank consumed.
+	used int32
+}
+
+// notSpared is a ledger's bankNsec while its bank holds no bank spare.
+const notSpared = -1
+
+// mark is one isolated row and the wall-clock time it was isolated, in 16
+// bytes.
+type mark struct {
+	sec  int64
+	nsec int32
+	row  int32
+}
+
+// wall returns t's wall-clock reading: seconds since the Unix epoch and the
+// nanosecond within the second.
+func wall(t time.Time) (int64, int32) { return t.Unix(), int32(t.Nanosecond()) }
+
+// earlier reports whether wall time (s1, n1) is strictly before (s2, n2).
+func earlier(s1 int64, n1 int32, s2 int64, n2 int32) bool {
+	return s1 < s2 || s1 == s2 && n1 < n2
+}
+
+// bankSpared reports whether the bank holds a bank spare.
+func (l *bankLedger) bankSpared() bool { return l.bankNsec != notSpared }
+
+// search returns where row is, or would be, in the ledger's marks.
+func (l *bankLedger) search(row int) (int, bool) {
+	return slices.BinarySearchFunc(l.marks, row, func(m mark, row int) int { return cmp.Compare(int(m.row), row) })
+}
+
+// sparedBefore reports whether row was isolated strictly before (sec, nsec).
+func (l *bankLedger) sparedBefore(row int, sec int64, nsec int32) bool {
+	i, ok := l.search(row)
+	return ok && earlier(l.marks[i].sec, l.marks[i].nsec, sec, nsec)
 }
 
 // NewEngine is NewEngineFor under hbm2e. Bench-only until ROADMAP item 15.
@@ -101,19 +153,51 @@ func NewEngineFor(p *hbm.Profile, budget Budget) (*Engine, error) {
 	return &Engine{
 		budget:         budget,
 		layout:         &p.Layout,
-		rowIsolated:    make(map[bankRow]time.Time),
-		bankIsolated:   make(map[uint64]time.Time),
-		rowSparesUsed:  make(map[uint64]int),
+		index:          make(map[uint64]int32),
 		bankSparesUsed: make(map[uint64]int),
 	}, nil
 }
 
-// markRow records row isolation at t, keeping the earliest time.
-func (e *Engine) markRow(bankKey uint64, row int, t time.Time) {
-	k := bankRow{bankKey, row}
-	if prev, ok := e.rowIsolated[k]; !ok || t.Before(prev) {
-		e.rowIsolated[k] = t
+// find returns the bank's ledger, or nil when the bank has none.
+func (e *Engine) find(bankKey uint64) *bankLedger {
+	if i, ok := e.index[bankKey]; ok {
+		return &e.ledgers[i]
 	}
+	return nil
+}
+
+// ledger returns the bank's ledger, opening an empty one if it has none.
+func (e *Engine) ledger(bankKey uint64) *bankLedger {
+	if l := e.find(bankKey); l != nil {
+		return l
+	}
+	e.index[bankKey] = int32(len(e.ledgers))
+	e.ledgers = append(e.ledgers, bankLedger{bankNsec: notSpared})
+	return &e.ledgers[len(e.ledgers)-1]
+}
+
+// insert puts a mark for row at i of l's marks, moving them to a run of twice
+// their capacity (up to the budget) when they are full.
+func (e *Engine) insert(l *bankLedger, i, row int, sec int64, nsec int32) {
+	if int(int32(row)) != row {
+		panic(fmt.Sprintf("sparing: row %d outside a mark's 32 bits", row))
+	}
+	if n := cap(l.marks); len(l.marks) == n {
+		n = min(max(2*n, firstRunMarks), e.budget.RowSparesPerBank)
+		l.marks = append(e.carve(n), l.marks...)
+	}
+	l.marks = slices.Insert(l.marks, i, mark{sec, nsec, int32(row)})
+}
+
+// carve returns an empty run of capacity n from the current chunk, starting
+// a new chunk when it has less than n left.
+func (e *Engine) carve(n int) []mark {
+	if len(e.free) < n {
+		e.free = make([]mark, max(n, chunkMarks))
+	}
+	run := e.free[:0:n]
+	e.free = e.free[n:]
+	return run
 }
 
 // SpareRows row-spares the given rows of bank at time t, consuming one spare
@@ -121,9 +205,14 @@ func (e *Engine) markRow(bankKey uint64, row int, t time.Time) {
 // ascending row order) and returns how many it spared; IsRowSparedBefore says
 // which. Rows already isolated are skipped without consuming budget. The
 // caller's rows are neither modified nor retained; ascending rows (every
-// strategy's) are read in place, others through a sorted copy.
+// strategy's) are read in place, others through a sorted copy. A row must fit
+// 32 bits, as every profile's rows do.
 func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) int {
-	key := e.layout.PackBank(bank)
+	sec, nsec := wall(t)
+	l := e.ledger(e.layout.PackBank(bank))
+	if l.bankSpared() && !earlier(sec, nsec, l.bankSec, l.bankNsec) {
+		return 0 // the bank spare covers every row from t on
+	}
 	sorted := rows
 	if !slices.IsSorted(rows) {
 		sorted = slices.Clone(rows)
@@ -131,14 +220,19 @@ func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) int {
 	}
 	applied := 0
 	for _, row := range sorted {
-		if e.isRowIsolatedAt(key, row, t) {
-			continue
+		i, held := l.search(row)
+		if held && !earlier(sec, nsec, l.marks[i].sec, l.marks[i].nsec) {
+			continue // isolated at or before t
 		}
-		if e.rowSparesUsed[key] >= e.budget.RowSparesPerBank {
+		if int(l.used) >= e.budget.RowSparesPerBank {
 			break
 		}
-		e.rowSparesUsed[key]++
-		e.markRow(key, row, t)
+		l.used++
+		if held {
+			l.marks[i].sec, l.marks[i].nsec = sec, nsec
+		} else {
+			e.insert(l, i, row, sec, nsec)
+		}
 		applied++
 	}
 	return applied
@@ -148,9 +242,10 @@ func (e *Engine) SpareRows(bank hbm.BankAddress, rows []int, t time.Time) int {
 // channel's spare banks are exhausted; a bank already spared is a no-op.
 func (e *Engine) SpareBank(bank hbm.BankAddress, t time.Time) error {
 	key := e.layout.PackBank(bank)
-	if prev, ok := e.bankIsolated[key]; ok {
-		if t.Before(prev) {
-			e.bankIsolated[key] = t
+	sec, nsec := wall(t)
+	if l := e.find(key); l != nil && l.bankSpared() {
+		if earlier(sec, nsec, l.bankSec, l.bankNsec) {
+			l.bankSec, l.bankNsec = sec, nsec
 		}
 		return nil
 	}
@@ -160,33 +255,21 @@ func (e *Engine) SpareBank(bank hbm.BankAddress, t time.Time) error {
 			e.layout.Unpack(chKey), e.bankSparesUsed[chKey])
 	}
 	e.bankSparesUsed[chKey]++
-	e.bankIsolated[key] = t
+	l := e.ledger(key)
+	l.bankSec, l.bankNsec = sec, nsec
 	return nil
-}
-
-// isRowIsolatedAt reports whether the row is covered by an isolation that
-// took effect at or before t.
-func (e *Engine) isRowIsolatedAt(bankKey uint64, row int, t time.Time) bool {
-	if bt, ok := e.bankIsolated[bankKey]; ok && !bt.After(t) {
-		return true
-	}
-	if rt, ok := e.rowIsolated[bankRow{bankKey, row}]; ok && !rt.After(t) {
-		return true
-	}
-	return false
 }
 
 // IsRowIsolatedBefore reports whether the row was isolated strictly before
 // t by any mechanism — the coverage predicate behind the total Isolation
 // Coverage Rate.
 func (e *Engine) IsRowIsolatedBefore(bank hbm.BankAddress, row int, t time.Time) bool {
-	if e.IsRowSparedBefore(bank, row, t) {
-		return true
+	l := e.find(e.layout.PackBank(bank))
+	if l == nil {
+		return false
 	}
-	if bt, ok := e.bankIsolated[e.layout.PackBank(bank)]; ok && bt.Before(t) {
-		return true
-	}
-	return false
+	sec, nsec := wall(t)
+	return l.sparedBefore(row, sec, nsec) || l.bankSpared() && earlier(l.bankSec, l.bankNsec, sec, nsec)
 }
 
 // IsRowSparedBefore reports whether the row itself was isolated (row spare
@@ -194,8 +277,12 @@ func (e *Engine) IsRowIsolatedBefore(bank hbm.BankAddress, row int, t time.Time)
 // predicate behind the paper's cross-row ICR, which credits only row-level
 // predictions.
 func (e *Engine) IsRowSparedBefore(bank hbm.BankAddress, row int, t time.Time) bool {
-	rt, ok := e.rowIsolated[bankRow{e.layout.PackBank(bank), row}]
-	return ok && rt.Before(t)
+	l := e.find(e.layout.PackBank(bank))
+	if l == nil {
+		return false
+	}
+	sec, nsec := wall(t)
+	return l.sparedBefore(row, sec, nsec)
 }
 
 // UsageStats summarises consumed spare resources.
@@ -209,13 +296,16 @@ type UsageStats struct {
 // Usage returns the engine's consumption totals.
 func (e *Engine) Usage() UsageStats {
 	var s UsageStats
-	for _, n := range e.rowSparesUsed {
-		s.RowSpares += n
+	for i := range e.ledgers {
+		l := &e.ledgers[i]
+		s.RowSpares += int(l.used)
+		s.IsolatedRows += len(l.marks)
+		if l.bankSpared() {
+			s.IsolatedBanks++
+		}
 	}
 	for _, n := range e.bankSparesUsed {
 		s.BankSpares += n
 	}
-	s.IsolatedBanks = len(e.bankIsolated)
-	s.IsolatedRows = len(e.rowIsolated)
 	return s
 }

@@ -345,6 +345,34 @@ var mutants = []struct {
 	{"a booster reads the float rows again", "internal/mltree/gbdt.go",
 		"\treturn g.fit(ds, \"GBDT\"", "\t_ = ds.Features\n\treturn g.fit(ds, \"GBDT\"",
 		[]string{". TestDeletedStaysDeleted"}},
+
+	// One spare ledger per bank, its marks carved from the engine's chunks;
+	// GOSS's buffers taken from the fit's scratch.
+	{"a mark keeps the later of two isolation times", "internal/sparing/sparing.go",
+		"\t\tif held {\n\t\t\tl.marks[i].sec, l.marks[i].nsec = sec, nsec\n\t\t} else {", "\t\tif held {\n\t\t} else {",
+		[]string{"internal/sparing TestRowSpareKeepsEarliestTime", "internal/sparing TestLedgerMatchesMapEngine"}},
+	{"re-isolating a row at an earlier time costs no spare", "internal/sparing/sparing.go",
+		"\t\tl.used++\n\t\tif held {", "\t\tif !held {\n\t\t\tl.used++\n\t\t}\n\t\tif held {",
+		[]string{"internal/sparing TestRowSpareKeepsEarliestTime", "internal/sparing TestLedgerMatchesMapEngine"}},
+	{"marks compare seconds and drop nsec", "internal/sparing/sparing.go",
+		"return s1 < s2 || s1 == s2 && n1 < n2", "return s1 < s2",
+		[]string{"internal/sparing TestLedgerMatchesMapEngine"}},
+	{"a run that grows loses its last mark", "internal/sparing/sparing.go",
+		"l.marks = append(e.carve(n), l.marks...)", "l.marks = append(e.carve(n), l.marks[:len(l.marks)-1]...)",
+		[]string{"internal/sparing TestLedgerMatchesMapEngine"}},
+	{"a bank with only row marks reads as bank-spared", "internal/sparing/sparing.go",
+		"return l.bankNsec != notSpared }", "return l.bankNsec != notSpared || len(l.marks) > 0 }",
+		[]string{"internal/sparing TestUsage", "internal/sparing TestLedgerMatchesMapEngine"}},
+	{"every bank's run allocated on its own", "internal/sparing/sparing.go",
+		"\trun := e.free[:0:n]\n\te.free = e.free[n:]\n\treturn run\n", "\treturn make([]mark, 0, n)\n",
+		[]string{"internal/core TestEvaluateAllocsPerBank"}},
+	{"the GOSS scale buffer not cleared between rounds", "internal/mltree/histgbdt.go",
+		"\tclear(scale)\n", "",
+		[]string{"internal/mltree TestGossScratchReuse"}},
+	{"GOSS's buffers allocated every round", "internal/mltree/histgbdt.go",
+		"g := newGossScratch(fr.n)\n\treturn boost(fr, y, h.Config.Rounds, func(grad, hess []float64) *treeNode {\n",
+		"return boost(fr, y, h.Config.Rounds, func(grad, hess []float64) *treeNode {\n\t\tg := newGossScratch(fr.n)\n",
+		[]string{"internal/mltree TestHistGBDTFitAllocsPerRound"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

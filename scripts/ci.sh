@@ -94,6 +94,12 @@ echo "==> crash property (10 000 seeded schedules with power cuts, the first 1 0
 go test -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.seeds=10000
 go test -race -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.seeds=1000
 
+echo "==> spare ledger property (1 000 seeded schedules, the engine against the map ledger it replaced)"
+# Interleaved banks, unsorted and duplicate rows, earlier re-spares, equal
+# times, exhausted channels, row budgets 0/1/64/10 000 and times where
+# UnixNano overflows: every answer of sparing.Engine equals the reference's.
+go test -count 1 -run 'TestLedgerMatchesMapEngine' ./internal/sparing/
+
 echo "==> mutation catalogue (each catalogued defect, planted in a copy of the module, fails its test)"
 go test -tags mutants -run TestMutants -count 1 -timeout 30m .
 
@@ -184,15 +190,17 @@ echo "==> block inference perf gate (a window prediction allocates only its resu
 go test -run 'TestPredictBlocksStateAllocs' -count 1 ./internal/core/
 go test -run 'TestPredictingFoldAllocs' -count 1 ./internal/stream/
 
-echo "==> training perf gate (a forest fit allocates ≤ 0.25 per tree and a per-fit term, never per node, and as much for 128 trees as for 16 over one dataset; a Pipeline.Fit ≤ 4.28 MB in ≤ 429 allocations; evaluation ≤ 3.6 per bank)"
+echo "==> training perf gate (a forest fit allocates ≤ 0.25 per tree and a per-fit term, never per node, and as much for 128 trees as for 16 over one dataset; a Pipeline.Fit ≤ 4.28 MB in ≤ 429 allocations; a HistGBDT round ≤ 257 mallocs and 40 000 B; evaluation ≤ 3.2 mallocs and 4 800 B per bank)"
 # The lifecycle refits the forests inside cordial-serve, so training garbage
 # lands on the serving heap: the default 80-tree forest on 2 100 rows may
 # allocate its members' share of its growers' stores plus a per-fit term
 # (value codes, one grower per worker, arena) — ≈ 166 allocations where the
 # presorted-list trainer made 207 664 — and one default Pipeline.Fit on 120
 # banks at most 4.28 MB and 429 allocations; the dataset builders and the
-# evaluators fold every bank through one reset feature state.
-go test -run 'TestForestFitAllocs|TestFitTransientBytes|TestEvaluateAllocsPerBank' -count 1 ./internal/mltree/ ./internal/core/
+# evaluators fold every bank through one reset feature state, and spare rows
+# into one ledger per bank carved from the sparing engine's chunks; a
+# LightGBM round takes GOSS's buffers from its fit's scratch.
+go test -run 'TestForestFitAllocs|TestHistGBDTFitAllocsPerRound|TestGossScratchReuse|TestFitTransientBytes|TestEvaluateAllocsPerBank' -count 1 ./internal/mltree/ ./internal/core/
 
 echo "==> inference memory/exactness gate (≤ 24 B of heap per tree node; files and predictions as the parent commit's)"
 # A fitted model lives in memory once, as a rank-quantised arena: the default
