@@ -1,17 +1,16 @@
-// Command cordial-chaos is the fleet-scale stress harness: it runs YAML
-// chaos scenarios against the real serving daemons — generating
+// Command cordial-chaos is the fleet-scale stress harness: it runs the
+// checked-in chaos scenarios (internal/chaos/scenarios.go) against the real
+// serving daemons — generating
 // weighted-template workloads, injecting kills, disk faults, clock skew,
 // poisoned events and router partitions on a timeline — and scores the
 // run against the scenario's SLOs, emitting JSON and HTML reports.
 //
 // Usage:
 //
-//	cordial-chaos run scenario.yaml [--seed N] [--bin DIR] [--work DIR] [--json PATH] [--html PATH]
-//	cordial-chaos validate scenario.yaml...
-//	cordial-chaos plan scenario.yaml [--seed N]
+//	cordial-chaos run NAME [--seed N] [--bin DIR] [--work DIR] [--json PATH] [--html PATH]
+//	cordial-chaos plan NAME [--seed N]
 //
 // run executes a scenario end to end; its exit status is the SLO verdict.
-// validate parses and checks scenarios without running anything, for CI.
 // plan prints the deterministic run plan (event counts, digest, resolved
 // chaos schedule) without starting any process — two invocations with the
 // same seed must print the same digest.
@@ -21,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"cordial/internal/chaos"
 	"cordial/internal/hbm"
@@ -34,8 +34,6 @@ func main() {
 	switch os.Args[1] {
 	case "run":
 		os.Exit(cmdRun(os.Args[2:]))
-	case "validate":
-		os.Exit(cmdValidate(os.Args[2:]))
 	case "plan":
 		os.Exit(cmdPlan(os.Args[2:]))
 	case "-h", "--help", "help":
@@ -48,11 +46,16 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `cordial-chaos — scenario-driven stress and failure testing
+	var names []string
+	for _, sc := range chaos.Scenarios() {
+		names = append(names, sc.Name)
+	}
+	fmt.Fprintf(os.Stderr, `cordial-chaos — scenario-driven stress and failure testing
 
-  cordial-chaos run scenario.yaml [flags]    execute a scenario, exit 0 iff SLOs pass
-  cordial-chaos validate scenario.yaml...    parse + validate scenarios (no processes)
-  cordial-chaos plan scenario.yaml [flags]   print the deterministic run plan
+  cordial-chaos run NAME [flags]    execute a scenario, exit 0 iff SLOs pass
+  cordial-chaos plan NAME [flags]   print the deterministic run plan
+
+scenarios: %s
 
 run/plan flags:
   --seed N     override the scenario seed
@@ -60,7 +63,7 @@ run/plan flags:
   --work DIR   scratch directory (default: temp dir, removed on pass)
   --json PATH  write the JSON report here (overrides scenario report.json)
   --html PATH  write the HTML report here (overrides scenario report.html)
-`)
+`, strings.Join(names, ", "))
 }
 
 func parseRunFlags(name string, args []string) (*flag.FlagSet, *uint64, *string, *string, *string, *string) {
@@ -74,32 +77,32 @@ func parseRunFlags(name string, args []string) (*flag.FlagSet, *uint64, *string,
 }
 
 func splitScenarioArg(fs *flag.FlagSet, args []string) (string, error) {
-	// Accept both "run scenario.yaml --seed 42" and "run --seed 42 scenario.yaml".
-	var path string
+	// Accept both "run ci-smoke --seed 42" and "run --seed 42 ci-smoke".
+	var name string
 	rest := args
 	if len(rest) > 0 && len(rest[0]) > 0 && rest[0][0] != '-' {
-		path, rest = rest[0], rest[1:]
+		name, rest = rest[0], rest[1:]
 	}
 	if err := fs.Parse(rest); err != nil {
 		return "", err
 	}
-	if path == "" && fs.NArg() > 0 {
-		path = fs.Arg(0)
+	if name == "" && fs.NArg() > 0 {
+		name = fs.Arg(0)
 	}
-	if path == "" {
-		return "", fmt.Errorf("scenario file required")
+	if name == "" {
+		return "", fmt.Errorf("scenario name required")
 	}
-	return path, nil
+	return name, nil
 }
 
 func cmdRun(args []string) int {
 	fs, seed, bin, work, jsonOut, htmlOut := parseRunFlags("run", args)
-	path, err := splitScenarioArg(fs, args)
+	name, err := splitScenarioArg(fs, args)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordial-chaos run: %v\n", err)
 		return 2
 	}
-	sc, err := chaos.LoadScenario(path)
+	sc, err := chaos.ScenarioByName(name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordial-chaos: %v\n", err)
 		return 2
@@ -144,36 +147,14 @@ func printSummary(rep *chaos.Report) {
 	}
 }
 
-func cmdValidate(args []string) int {
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "cordial-chaos validate: at least one scenario file required")
-		return 2
-	}
-	bad := 0
-	for _, path := range args {
-		sc, err := chaos.LoadScenario(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "INVALID %s: %v\n", path, err)
-			bad++
-			continue
-		}
-		fmt.Printf("ok %s: %q (%d nodes, %d banks, %d chaos actions)\n",
-			path, sc.Name, sc.Fleet.Nodes, sc.FleetGen.TotalBanks, len(sc.Chaos))
-	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
-}
-
 func cmdPlan(args []string) int {
 	fs, seed, _, _, _, _ := parseRunFlags("plan", args)
-	path, err := splitScenarioArg(fs, args)
+	name, err := splitScenarioArg(fs, args)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordial-chaos plan: %v\n", err)
 		return 2
 	}
-	sc, err := chaos.LoadScenario(path)
+	sc, err := chaos.ScenarioByName(name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordial-chaos: %v\n", err)
 		return 2

@@ -2,44 +2,24 @@ package chaos
 
 import (
 	"testing"
+	"time"
 
 	"cordial/internal/hbm"
 )
 
 func planScenario(t *testing.T, seed uint64) *Scenario {
 	t.Helper()
-	sc, err := ParseScenario([]byte(`
-name: plan-test
-seed: 1
-fleet:
-  nodes: 3
-fleet_gen:
-  total_banks: 40
-  templates:
-    - name: agg
-      weight: 50
-      pattern: single
-    - name: spread
-      weight: 20
-      pattern: scattered
-    - name: any
-      weight: 10
-      pattern: mixed
-    - name: quiet
-      weight: 20
-      pattern: benign
-chaos:
-  - at: 1s
-    action: kill_node
-    target: random
-  - at: 2s
-    action: restart_node
-    target: random
-`))
-	if err != nil {
+	sc := NewScenario("plan-test", "", seed)
+	sc.Fleet.Nodes = 3
+	sc.FleetGen = FleetGenSpec{TotalBanks: 40, Templates: []TemplateSpec{
+		{"agg", 50, "single"}, {"spread", 20, "scattered"}, {"any", 10, "mixed"}, {"quiet", 20, "benign"}}}
+	sc.Chaos = []ChaosAction{
+		{At: time.Second, Action: ActKillNode, Target: "random"},
+		{At: 2 * time.Second, Action: ActRestartNode, Target: "random"},
+	}
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sc.Seed = seed
 	return sc
 }
 

@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -129,29 +127,12 @@ type ReportSpec struct {
 	HTML string
 }
 
-// LoadScenario reads and validates a scenario file.
-func LoadScenario(path string) (*Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := ParseScenario(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sc, nil
-}
-
-// ParseScenario parses scenario YAML and validates the result.
-func ParseScenario(data []byte) (*Scenario, error) {
-	root, err := parseYAML(data)
-	if err != nil {
-		return nil, err
-	}
-	d := &decoder{}
-	sc := &Scenario{
-		// Defaults chosen so a minimal scenario is still a real run.
-		Seed: 1,
+// NewScenario returns a scenario with the given name, description and seed
+// and every other field at its default, chosen so that a scenario that also
+// names its fleet_gen templates is a real run.
+func NewScenario(name, description string, seed uint64) *Scenario {
+	return &Scenario{
+		Name: name, Description: description, Seed: seed,
 		Fleet: FleetSpec{
 			Nodes: 1, TrainBanks: 30, Trees: 8, TrainSeed: 7, Fsync: "never",
 			Heartbeat: 100 * time.Millisecond, HeartbeatTTL: time.Second,
@@ -163,103 +144,10 @@ func ParseScenario(data []byte) (*Scenario, error) {
 		Load:     LoadSpec{EventsPerSec: 2000, Batch: 256, Codec: "wire"},
 		SLO:      SLOSpec{ReadyzAvailability: -1},
 	}
-
-	d.str(root, "name", &sc.Name)
-	d.str(root, "description", &sc.Description)
-	d.uint64(root, "seed", &sc.Seed)
-
-	if fl := d.section(root, "fleet"); fl != nil {
-		d.intField(fl, "nodes", &sc.Fleet.Nodes)
-		d.intField(fl, "train_banks", &sc.Fleet.TrainBanks)
-		d.intField(fl, "trees", &sc.Fleet.Trees)
-		d.uint64(fl, "train_seed", &sc.Fleet.TrainSeed)
-		d.str(fl, "topology", &sc.Fleet.Topology)
-		d.str(fl, "fsync", &sc.Fleet.Fsync)
-		d.str(fl, "faultfs", &sc.Fleet.FaultFS)
-		d.boolField(fl, "retrain", &sc.Fleet.Retrain)
-		d.dur(fl, "heartbeat", &sc.Fleet.Heartbeat)
-		d.dur(fl, "heartbeat_ttl", &sc.Fleet.HeartbeatTTL)
-		d.dur(fl, "sweep_interval", &sc.Fleet.SweepInterval)
-		d.intField(fl, "router_max_attempts", &sc.Fleet.RouterMaxAttempt)
-		d.dur(fl, "router_refresh", &sc.Fleet.RouterRefresh)
-		if st := d.section(fl, "startup"); st != nil {
-			d.str(st, "pattern", &sc.Fleet.Startup.Pattern)
-			d.dur(st, "spacing", &sc.Fleet.Startup.Spacing)
-			d.intField(st, "wave_size", &sc.Fleet.Startup.WaveSize)
-			d.checkUnknown(st, "fleet.startup")
-		}
-		d.checkUnknown(fl, "fleet")
-	}
-
-	if fg := d.section(root, "fleet_gen"); fg != nil {
-		d.intField(fg, "total_banks", &sc.FleetGen.TotalBanks)
-		for i, item := range d.list(fg, "templates") {
-			t := TemplateSpec{Weight: 1}
-			d.str(item, "name", &t.Name)
-			d.floatField(item, "weight", &t.Weight)
-			d.str(item, "pattern", &t.Pattern)
-			d.checkUnknown(item, fmt.Sprintf("fleet_gen.templates[%d]", i))
-			sc.FleetGen.Templates = append(sc.FleetGen.Templates, t)
-		}
-		d.checkUnknown(fg, "fleet_gen")
-	}
-
-	if ld := d.section(root, "load"); ld != nil {
-		d.intField(ld, "events_per_sec", &sc.Load.EventsPerSec)
-		d.intField(ld, "batch", &sc.Load.Batch)
-		d.str(ld, "codec", &sc.Load.Codec)
-		for i, item := range d.list(ld, "phases") {
-			var ph LoadPhase
-			d.str(item, "name", &ph.Name)
-			d.dur(item, "duration", &ph.Duration)
-			d.intField(item, "rate", &ph.Rate)
-			d.checkUnknown(item, fmt.Sprintf("load.phases[%d]", i))
-			sc.Load.Phases = append(sc.Load.Phases, ph)
-		}
-		d.checkUnknown(ld, "load")
-	}
-
-	for i, item := range d.listAt(root, "chaos") {
-		var a ChaosAction
-		d.dur(item, "at", &a.At)
-		d.str(item, "action", &a.Action)
-		d.str(item, "target", &a.Target)
-		d.intField(item, "count", &a.Count)
-		d.dur(item, "duration", &a.Duration)
-		d.dur(item, "offset", &a.Offset)
-		d.intField(item, "version", &a.Version)
-		d.checkUnknown(item, fmt.Sprintf("chaos[%d]", i))
-		sc.Chaos = append(sc.Chaos, a)
-	}
-
-	if sl := d.section(root, "slo"); sl != nil {
-		d.dur(sl, "p99_ingest_latency", &sc.SLO.P99IngestLatency)
-		d.dur(sl, "recovery_time", &sc.SLO.RecoveryTime)
-		d.floatField(sl, "readyz_availability", &sc.SLO.ReadyzAvailability)
-		d.boolField(sl, "zero_verdict_loss", &sc.SLO.ZeroVerdictLoss)
-		d.intField(sl, "max_poison_accepted", &sc.SLO.MaxPoisonAccepted)
-		d.intField(sl, "min_model_swaps", &sc.SLO.MinModelSwaps)
-		d.checkUnknown(sl, "slo")
-	}
-
-	if rp := d.section(root, "report"); rp != nil {
-		d.str(rp, "json", &sc.Report.JSON)
-		d.str(rp, "html", &sc.Report.HTML)
-		d.checkUnknown(rp, "report")
-	}
-
-	d.checkUnknown(root, "")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	return sc, nil
 }
 
-// Validate checks cross-field consistency; parse errors are caught
-// earlier by the decoder.
+// Validate checks that every field holds a value the runner accepts and
+// that the fields agree with each other.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: name is required")
@@ -438,178 +326,4 @@ func validTarget(target string, nodes int, allowInfra bool) error {
 		return fmt.Errorf("target %q out of range (fleet has %d nodes)", target, nodes)
 	}
 	return nil
-}
-
-// decoder pulls typed fields out of the parseYAML tree, accumulating the
-// first error and tracking which keys each section consumed so unknown
-// keys are reported instead of silently ignored.
-type decoder struct {
-	err  error
-	seen map[any]map[string]bool
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) mark(m map[string]any, key string) {
-	if d.seen == nil {
-		d.seen = map[any]map[string]bool{}
-	}
-	k := any(fmt.Sprintf("%p", m))
-	if d.seen[k] == nil {
-		d.seen[k] = map[string]bool{}
-	}
-	d.seen[k][key] = true
-}
-
-func (d *decoder) checkUnknown(m map[string]any, section string) {
-	k := any(fmt.Sprintf("%p", m))
-	var unknown []string
-	for key := range m {
-		if d.seen == nil || !d.seen[k][key] {
-			unknown = append(unknown, key)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		where := section
-		if where == "" {
-			where = "scenario"
-		}
-		d.fail("scenario: %s: unknown key %q", where, unknown[0])
-	}
-}
-
-func (d *decoder) scalar(m map[string]any, key string) (string, bool) {
-	d.mark(m, key)
-	v, ok := m[key]
-	if !ok {
-		return "", false
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.fail("scenario: %s must be a scalar", key)
-		return "", false
-	}
-	return s, true
-}
-
-func (d *decoder) section(m map[string]any, key string) map[string]any {
-	d.mark(m, key)
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	sub, ok := v.(map[string]any)
-	if !ok {
-		d.fail("scenario: %s must be a mapping", key)
-		return nil
-	}
-	return sub
-}
-
-// list returns the map items of a list-valued key; scalar items are an
-// error. listAt is the same for root-level keys (different error prefix
-// is not worth a second code path).
-func (d *decoder) list(m map[string]any, key string) []map[string]any {
-	d.mark(m, key)
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	items, ok := v.([]any)
-	if !ok {
-		d.fail("scenario: %s must be a list", key)
-		return nil
-	}
-	out := make([]map[string]any, 0, len(items))
-	for i, it := range items {
-		sub, ok := it.(map[string]any)
-		if !ok {
-			d.fail("scenario: %s[%d] must be a mapping", key, i)
-			return nil
-		}
-		out = append(out, sub)
-	}
-	return out
-}
-
-func (d *decoder) listAt(m map[string]any, key string) []map[string]any {
-	return d.list(m, key)
-}
-
-func (d *decoder) str(m map[string]any, key string, dst *string) {
-	if s, ok := d.scalar(m, key); ok {
-		*dst = s
-	}
-}
-
-func (d *decoder) intField(m map[string]any, key string, dst *int) {
-	s, ok := d.scalar(m, key)
-	if !ok {
-		return
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		d.fail("scenario: %s: bad integer %q", key, s)
-		return
-	}
-	*dst = v
-}
-
-func (d *decoder) uint64(m map[string]any, key string, dst *uint64) {
-	s, ok := d.scalar(m, key)
-	if !ok {
-		return
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		d.fail("scenario: %s: bad unsigned integer %q", key, s)
-		return
-	}
-	*dst = v
-}
-
-func (d *decoder) floatField(m map[string]any, key string, dst *float64) {
-	s, ok := d.scalar(m, key)
-	if !ok {
-		return
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		d.fail("scenario: %s: bad number %q", key, s)
-		return
-	}
-	*dst = v
-}
-
-func (d *decoder) boolField(m map[string]any, key string, dst *bool) {
-	s, ok := d.scalar(m, key)
-	if !ok {
-		return
-	}
-	switch s {
-	case "true", "yes", "on":
-		*dst = true
-	case "false", "no", "off":
-		*dst = false
-	default:
-		d.fail("scenario: %s: bad boolean %q", key, s)
-	}
-}
-
-func (d *decoder) dur(m map[string]any, key string, dst *time.Duration) {
-	s, ok := d.scalar(m, key)
-	if !ok {
-		return
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		d.fail("scenario: %s: bad duration %q", key, s)
-		return
-	}
-	*dst = v
 }

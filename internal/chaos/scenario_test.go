@@ -1,26 +1,26 @@
 package chaos
 
 import (
-	"path/filepath"
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"cordial/internal/hbm"
 )
 
-// minimalScenario is the smallest valid document, mutated per test case.
-const minimalScenario = `
-name: t
-seed: 5
-fleet_gen:
-  templates:
-    - name: a
-      weight: 1
-      pattern: single
-`
+// minimalScenario is the smallest valid scenario, edited per test case.
+func minimalScenario() *Scenario {
+	sc := NewScenario("t", "", 5)
+	sc.FleetGen.Templates = []TemplateSpec{{"a", 1, "single"}}
+	return sc
+}
 
 func TestParseScenarioDefaults(t *testing.T) {
-	sc, err := ParseScenario([]byte(minimalScenario))
-	if err != nil {
+	sc := minimalScenario()
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Fleet.Nodes != 1 || sc.Fleet.Fsync != "never" || sc.Load.Codec != "wire" {
@@ -34,112 +34,45 @@ func TestParseScenarioDefaults(t *testing.T) {
 	}
 }
 
-func TestParseScenarioFull(t *testing.T) {
-	sc, err := ParseScenario([]byte(`
-name: full
-description: everything set
-seed: 99
-fleet:
-  nodes: 3
-  train_banks: 25
-  trees: 9
-  train_seed: 11
-  fsync: always
-  faultfs: sync-fail=2
-  retrain: true
-  heartbeat: 150ms
-  heartbeat_ttl: 2s
-  sweep_interval: 400ms
-  router_max_attempts: 5
-  router_refresh: 250ms
-  startup:
-    pattern: wave
-    spacing: 100ms
-    wave_size: 2
-fleet_gen:
-  total_banks: 40
-  templates:
-    - name: agg
-      weight: 3
-      pattern: single
-    - name: noise
-      weight: 1
-      pattern: benign
-load:
-  events_per_sec: 800
-  batch: 64
-  codec: jsonl
-  phases:
-    - name: spike
-      duration: 2s
-      rate: 2000
-chaos:
-  - at: 1s
-    action: kill_node
-    target: node-3
-  - at: 2s
-    action: disk_fault
-    target: node-1
-  - at: 3s
-    action: promote
-    target: node-2
-    version: 2
-slo:
-  p99_ingest_latency: 3s
-  recovery_time: 20s
-  readyz_availability: 0.95
-  min_model_swaps: 1
-report:
-  json: out.json
-  html: out.html
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Fleet.Nodes != 3 || !sc.Fleet.Retrain || sc.Fleet.Startup.WaveSize != 2 {
-		t.Errorf("fleet mis-parsed: %+v", sc.Fleet)
-	}
-	if sc.Fleet.Heartbeat != 150*time.Millisecond || sc.Fleet.HeartbeatTTL != 2*time.Second {
-		t.Errorf("durations mis-parsed: %+v", sc.Fleet)
-	}
-	if len(sc.FleetGen.Templates) != 2 || sc.FleetGen.Templates[0].Weight != 3 {
-		t.Errorf("templates mis-parsed: %+v", sc.FleetGen)
-	}
-	if len(sc.Chaos) != 3 || sc.Chaos[2].Version != 2 {
-		t.Errorf("chaos mis-parsed: %+v", sc.Chaos)
-	}
-	if sc.SLO.ReadyzAvailability != 0.95 || sc.Report.HTML != "out.html" {
-		t.Errorf("slo/report mis-parsed: %+v %+v", sc.SLO, sc.Report)
-	}
-}
-
 func TestParseScenarioRejects(t *testing.T) {
+	kill := func(target string) []ChaosAction {
+		return []ChaosAction{{At: time.Second, Action: ActKillNode, Target: target}}
+	}
 	cases := []struct {
 		name string
-		doc  string
+		edit func(*Scenario)
 		want string
 	}{
-		{"no name", "seed: 1\nfleet_gen:\n  templates:\n    - name: a\n      weight: 1\n      pattern: single", "name is required"},
-		{"zero seed", strings.Replace(minimalScenario, "seed: 5", "seed: 0", 1), "seed"},
-		{"unknown root key", minimalScenario + "bogus: 1\n", "unknown key"},
-		{"unknown fleet key", minimalScenario + "fleet:\n  wheels: 4\n", "unknown key"},
-		{"bad pattern", strings.Replace(minimalScenario, "pattern: single", "pattern: zigzag", 1), "unknown pattern"},
-		{"bad fsync", minimalScenario + "fleet:\n  fsync: sometimes\n", "fsync"},
-		{"deleted interval fsync", minimalScenario + "fleet:\n  fsync: interval\n", "fsync"},
-		{"bad codec", minimalScenario + "load:\n  codec: csv\n", "codec"},
-		{"bad startup", minimalScenario + "fleet:\n  startup:\n    pattern: explode\n", "startup.pattern"},
-		{"unarmed faultfs", minimalScenario + "fleet:\n  faultfs: \" \"\n", "arms nothing"},
-		{"kill without target", minimalScenario + "chaos:\n  - at: 1s\n    action: kill_node\n", "target is required"},
-		{"kill out of range", minimalScenario + "chaos:\n  - at: 1s\n    action: kill_node\n    target: node-9\n", "out of range"},
-		{"disk fault without faultfs", minimalScenario + "chaos:\n  - at: 1s\n    action: disk_fault\n    target: node-1\n", "needs fleet.faultfs"},
-		{"skew without offset", minimalScenario + "chaos:\n  - at: 1s\n    action: clock_skew\n    duration: 2s\n", "clock_skew"},
-		{"skew vs verdict loss", minimalScenario + "chaos:\n  - at: 1s\n    action: clock_skew\n    duration: 2s\n    offset: 1h\nslo:\n  zero_verdict_loss: true\n", "determinism"},
-		{"partition on one node", minimalScenario + "chaos:\n  - at: 1s\n    action: partition_router\n    duration: 2s\n", "nodes >= 2"},
-		{"recovery without kill", minimalScenario + "slo:\n  recovery_time: 10s\n", "no kill_node"},
-		{"swap slo without trigger", minimalScenario + "slo:\n  min_model_swaps: 1\n", "nothing triggers"},
+		{"no name", func(sc *Scenario) { sc.Name = "" }, "name is required"},
+		{"zero seed", func(sc *Scenario) { sc.Seed = 0 }, "seed"},
+		{"bad pattern", func(sc *Scenario) { sc.FleetGen.Templates[0].Pattern = "zigzag" }, "unknown pattern"},
+		{"bad fsync", func(sc *Scenario) { sc.Fleet.Fsync = "sometimes" }, "fsync"},
+		{"deleted interval fsync", func(sc *Scenario) { sc.Fleet.Fsync = "interval" }, "fsync"},
+		{"bad codec", func(sc *Scenario) { sc.Load.Codec = "csv" }, "codec"},
+		{"bad startup", func(sc *Scenario) { sc.Fleet.Startup.Pattern = "explode" }, "startup.pattern"},
+		{"unarmed faultfs", func(sc *Scenario) { sc.Fleet.FaultFS = " " }, "arms nothing"},
+		{"kill without target", func(sc *Scenario) { sc.Chaos = kill("") }, "target is required"},
+		{"kill out of range", func(sc *Scenario) { sc.Chaos = kill("node-9") }, "out of range"},
+		{"disk fault without faultfs", func(sc *Scenario) {
+			sc.Chaos = []ChaosAction{{At: time.Second, Action: ActDiskFault, Target: "node-1"}}
+		}, "needs fleet.faultfs"},
+		{"skew without offset", func(sc *Scenario) {
+			sc.Chaos = []ChaosAction{{At: time.Second, Action: ActClockSkew, Duration: 2 * time.Second}}
+		}, "clock_skew"},
+		{"skew vs verdict loss", func(sc *Scenario) {
+			sc.Chaos = []ChaosAction{{At: time.Second, Action: ActClockSkew, Duration: 2 * time.Second, Offset: time.Hour}}
+			sc.SLO.ZeroVerdictLoss = true
+		}, "determinism"},
+		{"partition on one node", func(sc *Scenario) {
+			sc.Chaos = []ChaosAction{{At: time.Second, Action: ActPartitionRouter, Duration: 2 * time.Second}}
+		}, "nodes >= 2"},
+		{"recovery without kill", func(sc *Scenario) { sc.SLO.RecoveryTime = 10 * time.Second }, "no kill_node"},
+		{"swap slo without trigger", func(sc *Scenario) { sc.SLO.MinModelSwaps = 1 }, "nothing triggers"},
 	}
 	for _, tc := range cases {
-		_, err := ParseScenario([]byte(tc.doc))
+		sc := minimalScenario()
+		tc.edit(sc)
+		err := sc.Validate()
 		if err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 			continue
@@ -150,29 +83,61 @@ func TestParseScenarioRejects(t *testing.T) {
 	}
 }
 
-// TestCheckedInScenarios keeps every scenario shipped under scenarios/
-// loadable: a scenario that no longer parses is a broken deliverable
-// even when no chaos run executes in CI.
+// scenarioSHA256 is the SHA-256 of each checked-in scenario's %#v as the YAML
+// parser the Go values replaced read it from its scenario file, so each value
+// is its file field for field.
+var scenarioSHA256 = map[string]string{
+	"chaos-during-model-swap": "47f42628cc664253e70f07276f5244bf3a98eca238e4cd61e524ed611fcb1020",
+	"ci-smoke":                "2be43228cb2de6c570818948be3b8d7ed6da470979f9e4f5ff3e3300654a6770",
+	"cluster-kill-one":        "010e8f3d5a199c04608d812c56534f32c63a4818bef5bd0d694e42aee50f1452",
+	"poison-storm":            "75e8f5829972cf5441528ee0ac5ac9657dae7d6a3b540237a9f8f72130560175",
+}
+
+// TestCheckedInScenarios keeps every checked-in scenario valid and equal to
+// the file it was, and each reachable by its name: a scenario that no longer
+// validates is a broken deliverable even when no chaos run executes in CI.
 func TestCheckedInScenarios(t *testing.T) {
-	matches, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
-	if err != nil {
-		t.Fatal(err)
+	scs := Scenarios()
+	if len(scs) != len(scenarioSHA256) {
+		t.Fatalf("%d scenarios, %d recorded", len(scs), len(scenarioSHA256))
 	}
-	if len(matches) < 3 {
-		t.Fatalf("want at least 3 checked-in scenarios, found %d", len(matches))
+	for _, sc := range scs {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("%s: %v", sc.Name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", *sc)))); got != scenarioSHA256[sc.Name] {
+			t.Errorf("%s: hashes to %s, recorded %q", sc.Name, got, scenarioSHA256[sc.Name])
+		}
+		if byName, err := ScenarioByName(sc.Name); err != nil || !reflect.DeepEqual(byName, sc) {
+			t.Errorf("ScenarioByName(%q) = %v, %v", sc.Name, byName, err)
+		}
 	}
-	names := map[string]bool{}
-	for _, path := range matches {
-		sc, err := LoadScenario(path)
+	if _, err := ScenarioByName("ci-smoke.yaml"); err == nil {
+		t.Error("ScenarioByName found a scenario by its old file name")
+	}
+}
+
+// scenarioDigests pins the plan each checked-in scenario resolves to (events
+// and chaos schedule, FNV-1a), as recorded when the scenarios were files.
+var scenarioDigests = map[string]string{
+	"chaos-during-model-swap": "4f990ce0bd017fce",
+	"ci-smoke":                "eb3b1a8b5e0e7c01",
+	"cluster-kill-one":        "191b28fc3bc90902",
+	"poison-storm":            "d3707af13acbdc91",
+}
+
+// TestScenarioPlanDigests runs every checked-in scenario through the plan
+// builder and requires the digest recorded above; a new scenario must record
+// one.
+func TestScenarioPlanDigests(t *testing.T) {
+	for _, sc := range Scenarios() {
+		plan, err := BuildPlan(sc, hbm.HBM2E)
 		if err != nil {
-			t.Errorf("%s: %v", path, err)
+			t.Errorf("%s: %v", sc.Name, err)
 			continue
 		}
-		names[sc.Name] = true
-	}
-	for _, required := range []string{"cluster-kill-one", "chaos-during-model-swap", "ci-smoke"} {
-		if !names[required] {
-			t.Errorf("required scenario %q missing from scenarios/", required)
+		if want, ok := scenarioDigests[sc.Name]; !ok || plan.Digest != want {
+			t.Errorf("%s: plan digest %s, recorded %q", sc.Name, plan.Digest, want)
 		}
 	}
 }

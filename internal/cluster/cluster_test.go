@@ -2,16 +2,13 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -23,9 +20,7 @@ import (
 	"cordial/internal/features"
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
-	"cordial/internal/obs"
 	"cordial/internal/stream"
-	"cordial/internal/wal"
 )
 
 // testStrategy is a minimal durable strategy: it tracks distinct UER rows
@@ -94,69 +89,6 @@ func (s *testSession) EncodeState() ([]byte, error) {
 
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// testNode is one in-process serve node: engine + HTTP API + agent,
-// wired exactly like cmd/cordial-serve in cluster mode.
-type testNode struct {
-	id     string
-	dir    string
-	engine *stream.Engine
-	api    *stream.Server
-	agent  *Agent
-	http   *httptest.Server
-	stop   context.CancelFunc
-}
-
-func startNode(t *testing.T, cpURL, id string) *testNode {
-	t.Helper()
-	return startNodeWith(t, cpURL, id, stream.ServerConfig{}, nil, nil)
-}
-
-// startNodeWith is startNode with the node's HTTP front-end configured, its
-// engine, and so its agent, on clock (nil: the system clock) and under prof
-// (nil: hbm2e).
-func startNodeWith(t *testing.T, cpURL, id string, apiCfg stream.ServerConfig, clock obs.Clock, prof *hbm.Profile) *testNode {
-	t.Helper()
-	dir := t.TempDir()
-	engine, err := stream.New(stream.Config{
-		Strategy:   &testStrategy{budget: 3},
-		Profile:    prof,
-		Shards:     2,
-		Durability: stream.DurabilityConfig{Dir: dir, Sync: wal.SyncNever},
-		Logger:     quiet,
-		Clock:      clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	api := stream.NewServer(engine, apiCfg)
-	mux := http.NewServeMux()
-	hs := httptest.NewServer(mux)
-	agent := NewAgent(AgentConfig{
-		ControlPlane: cpURL,
-		Self:         Member{ID: id, Addr: hs.Listener.Addr().String(), WALDir: dir},
-		DrainTimeout: 5 * time.Second,
-		Logger:       quiet,
-	}, engine, api)
-	mux.Handle("/cluster/", agent.Handler())
-	mux.Handle("/", api)
-	ctx, cancel := context.WithCancel(context.Background())
-	go agent.Run(ctx)
-	n := &testNode{id: id, dir: dir, engine: engine, api: api, agent: agent, http: hs, stop: cancel}
-	t.Cleanup(func() { cancel(); hs.Close(); engine.Close() })
-	return n
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func clusterBank(i int) hbm.BankAddress {
 	return hbm.BankAddress{Node: uint32(i % 8), NPU: uint8(i / 8 % 8), BankGroup: uint8(i / 64 % 4), Bank: uint8(i % 4)}
 }
@@ -169,51 +101,87 @@ func clusterUER(bank hbm.BankAddress, row, sec int) mcelog.Event {
 	}
 }
 
-// postEvents posts a JSONL batch and returns status + decoded result.
-func postEvents(t *testing.T, baseURL string, events []mcelog.Event) (int, stream.IngestResult) {
+// uerRows is rows from..to of UERs in each of the first banks banks.
+func uerRows(banks, from, to int) []mcelog.Event {
+	var evs []mcelog.Event
+	for b := 0; b < banks; b++ {
+		for r := from; r <= to; r++ {
+			evs = append(evs, clusterUER(clusterBank(b), r, b*100+r))
+		}
+	}
+	return evs
+}
+
+// postBody posts body to url over the fabric and decodes the ingest answer.
+func (s *sim) postBody(t *testing.T, url, contentType string, body []byte) (int, stream.IngestResult) {
+	t.Helper()
+	status, res, err := s.post(url, contentType, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, res
+}
+
+// postEvents posts a JSONL batch to host.
+func (s *sim) postEvents(t *testing.T, host string, events []mcelog.Event) (int, stream.IngestResult) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := mcelog.FromEvents(events).WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return postBody(t, baseURL+"/v1/events", "application/x-ndjson", &buf)
+	return s.postBody(t, "http://"+host+"/v1/events", "application/x-ndjson", buf.Bytes())
 }
 
-// postEventsBin posts the same batch as wire frames packed under prof.
-func postEventsBin(t *testing.T, prof *hbm.Profile, baseURL string, events []mcelog.Event) (int, stream.IngestResult) {
+// postEventsBin posts the same batch as wire frames packed under the fleet's
+// profile.
+func (s *sim) postEventsBin(t *testing.T, host string, events []mcelog.Event) (int, stream.IngestResult) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := mcelog.FromEvents(events).WriteWire(prof, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return postBody(t, baseURL+"/v1/events.bin", "application/octet-stream", &buf)
-}
-
-func postBody(t *testing.T, url, contentType string, body *bytes.Buffer) (int, stream.IngestResult) {
-	t.Helper()
-	resp, err := http.Post(url, contentType, body)
+	status, res, err := s.postWire(host, events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var res stream.IngestResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, res
+	return status, res
 }
 
-// startCP serves a control plane without its background sweeper (tests
-// drive Sweep explicitly where needed).
-func startCP(t *testing.T, cfg CPConfig) (*ControlPlane, *httptest.Server) {
+// mustJoin joins each node and fails the test if one is refused.
+func (s *sim) mustJoin(t *testing.T, ids ...string) {
 	t.Helper()
-	if cfg.Logger == nil {
-		cfg.Logger = quiet
+	for _, id := range ids {
+		if err := s.join(id); err != nil {
+			t.Fatalf("join %s: %v", id, err)
+		}
 	}
-	cp := NewControlPlane(cfg)
-	hs := httptest.NewServer(cp.Handler())
-	t.Cleanup(hs.Close)
-	return cp, hs
+}
+
+// drained drains every live engine, so that what was acknowledged is folded.
+func (s *sim) drained(t *testing.T) {
+	t.Helper()
+	for _, n := range s.order {
+		if n.live {
+			if err := n.engine.Drain(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// ingestAtOwners posts each of the first banks banks' rows 1..rowsPer straight
+// to its owner under the published ring, and fails the test unless victim
+// owns one of them.
+func (s *sim) ingestAtOwners(t *testing.T, banks, rowsPer int, victim string) {
+	t.Helper()
+	evs, held := uerRows(banks, 1, rowsPer), false
+	for b := 0; b < banks; b++ {
+		id := s.ring().OwnerID(clusterBank(b).BankKey())
+		held = held || id == victim
+		if status, res := s.postEvents(t, id, evs[b*rowsPer:(b+1)*rowsPer]); status != http.StatusOK || res.Accepted != rowsPer {
+			t.Fatalf("ingest at %s: status %d result %+v", id, status, res)
+		}
+	}
+	if !held {
+		t.Fatalf("no banks on %s; widen the bank set", victim)
+	}
+	s.drained(t)
 }
 
 // TestClusterJoinHandoffLeave walks the live-rebalance protocol: a
@@ -221,46 +189,38 @@ func startCP(t *testing.T, cfg CPConfig) (*ControlPlane, *httptest.Server) {
 // the banks the ring moves (the source drops them); ingest is fenced by
 // ownership on both sides; a graceful leave returns everything.
 func TestClusterJoinHandoffLeave(t *testing.T) {
-	cp, cpSrv := startCP(t, CPConfig{})
-	n1 := startNode(t, cpSrv.URL, "n1")
-	waitFor(t, "n1 registration", func() bool { return n1.agent.Epoch() == 1 })
+	s := newSimT(t, nil, 0)
+	s.mustJoin(t, "n1")
+	n1 := s.nodes["n1"]
 
 	// Load 8 banks, 4 UER rows each, through the single node.
 	const banks, rowsPer = 8, 4
-	var events []mcelog.Event
-	for b := 0; b < banks; b++ {
-		for r := 1; r <= rowsPer; r++ {
-			events = append(events, clusterUER(clusterBank(b), r, b*100+r))
-		}
-	}
-	status, res := postEvents(t, n1.http.URL, events)
-	if status != http.StatusOK || res.Accepted != len(events) {
+	events := uerRows(banks, 1, rowsPer)
+	if status, res := s.postEvents(t, "n1", events); status != http.StatusOK || res.Accepted != len(events) {
 		t.Fatalf("seed ingest: status %d result %+v", status, res)
 	}
-	if err := n1.engine.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	s.drained(t)
 
-	n2 := startNode(t, cpSrv.URL, "n2")
+	s.mustJoin(t, "n2")
+	n2 := s.nodes["n2"]
 	// Agents adopt an epoch when they are fenced, before any state moves;
 	// the control plane publishes it once the handoff behind it is done.
-	waitFor(t, "join rebalance", func() bool {
-		return n2.agent.Epoch() == 2 && n1.agent.Epoch() == 2 && cp.Descriptor().Epoch == 2
-	})
+	if n1.agent.Epoch() != 2 || n2.agent.Epoch() != 2 || s.cp.Descriptor().Epoch != 2 {
+		t.Fatalf("after the join: n1 at %d, n2 at %d, published %d, want 2", n1.agent.Epoch(), n2.agent.Epoch(), s.cp.Descriptor().Epoch)
+	}
 
 	// Placement: every bank's session lives exactly on its ring owner,
 	// with its full pre-join history (stats moved with the state).
-	ring, err := BuildRing(cp.Descriptor())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ring := s.ring()
 	moved := 0
+	var n2Bank hbm.BankAddress
 	for b := 0; b < banks; b++ {
 		bank := clusterBank(b)
 		owner := ring.OwnerID(bank.BankKey())
-		var ownerNode, otherNode *testNode = n1, n2
+		ownerNode, otherNode := n1, n2
 		if owner == "n2" {
 			ownerNode, otherNode = n2, n1
+			n2Bank = bank
 			moved++
 		}
 		st, ok := ownerNode.engine.Session(bank)
@@ -274,33 +234,32 @@ func TestClusterJoinHandoffLeave(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("ring moved no test banks to the joiner; widen the bank set")
 	}
+	// Each node adopts each epoch once, however many calls carry it.
+	if a1, a2 := n1.agent.adoptions.Value(), n2.agent.adoptions.Value(); a1 != 2 || a2 != 1 {
+		t.Fatalf("n1 adopted %d rings and n2 %d, want 2 and 1", a1, a2)
+	}
 
 	// Ownership fences ingest: a bank owned by n2 is refused by n1 with
 	// the not-owned marker and the current epoch.
-	var n2Bank hbm.BankAddress
-	for b := 0; b < banks; b++ {
-		if ring.OwnerID(clusterBank(b).BankKey()) == "n2" {
-			n2Bank = clusterBank(b)
-			break
-		}
-	}
-	status, res = postEvents(t, n1.http.URL, []mcelog.Event{clusterUER(n2Bank, 9, 999)})
+	status, res := s.postEvents(t, "n1", []mcelog.Event{clusterUER(n2Bank, 9, 999)})
 	if status != http.StatusServiceUnavailable || res.NotOwned != 1 || res.Epoch != 2 {
 		t.Fatalf("fenced ingest: status %d result %+v, want 503 notOwned=1 epoch=2", status, res)
 	}
 
 	// Graceful leave: n1 gets everything back, history intact.
-	if err := n2.agent.Leave(); err != nil {
+	if err := s.leave("n2"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "leave rebalance", func() bool { return n1.agent.Epoch() == 3 && cp.Descriptor().Epoch == 3 })
+	if n1.agent.Epoch() != 3 || s.cp.Descriptor().Epoch != 3 {
+		t.Fatalf("after the leave: n1 at %d, published %d, want 3", n1.agent.Epoch(), s.cp.Descriptor().Epoch)
+	}
 	for b := 0; b < banks; b++ {
 		st, ok := n1.engine.Session(clusterBank(b))
 		if !ok || st.Events != rowsPer {
 			t.Fatalf("bank %v after leave: ok=%v stats=%+v, want %d events", clusterBank(b), ok, st, rowsPer)
 		}
 	}
-	if got := cp.Descriptor(); len(got.Members) != 1 || got.Epoch != 3 {
+	if got := s.cp.Descriptor(); len(got.Members) != 1 || got.Epoch != 3 {
 		t.Fatalf("descriptor after leave: %+v", got)
 	}
 }
@@ -310,71 +269,42 @@ func TestClusterJoinHandoffLeave(t *testing.T) {
 // fenced nodes' 503s drive a refresh-and-resend of exactly the
 // unconsumed suffix, and no line is lost or double-applied.
 func TestRouterRoutesAndRetriesStaleRing(t *testing.T) {
-	cp, cpSrv := startCP(t, CPConfig{})
-	n1 := startNode(t, cpSrv.URL, "n1")
-	n2 := startNode(t, cpSrv.URL, "n2")
-	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
-	})
-
-	rt := NewRouter(RouterConfig{
-		ControlPlane: cpSrv.URL,
-		Backoff:      10 * time.Millisecond,
-		Logger:       quiet,
-	})
-	if err := rt.refreshRing(); err != nil {
+	s := newSimT(t, nil, 0)
+	s.mustJoin(t, "n1", "n2")
+	if err := s.router.refreshRing(); err != nil {
 		t.Fatal(err)
 	}
-	rtSrv := httptest.NewServer(rt)
-	defer rtSrv.Close()
 
 	const banks, rowsPer = 8, 2
-	var batch []mcelog.Event
-	for b := 0; b < banks; b++ {
-		for r := 1; r <= rowsPer; r++ {
-			batch = append(batch, clusterUER(clusterBank(b), r, b*100+r))
-		}
-	}
-	status, res := postEvents(t, rtSrv.URL, batch)
-	if status != http.StatusOK || res.Accepted != len(batch) {
+	batch := uerRows(banks, 1, rowsPer)
+	if status, res := s.postEvents(t, "router", batch); status != http.StatusOK || res.Accepted != len(batch) {
 		t.Fatalf("routed ingest: status %d result %+v", status, res)
 	}
 
 	// Make the router's ring stale: a third node joins and takes banks.
-	n3 := startNode(t, cpSrv.URL, "n3")
-	waitFor(t, "third node", func() bool { return n3.agent.Epoch() == 3 && cp.Descriptor().Epoch == 3 })
-
-	var second []mcelog.Event
-	for b := 0; b < banks; b++ {
-		for r := rowsPer + 1; r <= 2*rowsPer; r++ {
-			second = append(second, clusterUER(clusterBank(b), r, b*100+r))
-		}
+	s.mustJoin(t, "n3")
+	if s.router.currentRing().Epoch() != 2 || s.cp.Descriptor().Epoch != 3 {
+		t.Fatalf("router at epoch %d, published %d: want a stale router", s.router.currentRing().Epoch(), s.cp.Descriptor().Epoch)
 	}
-	status, res = postEvents(t, rtSrv.URL, second)
-	if status != http.StatusOK || res.Accepted != len(second) {
+
+	second := uerRows(banks, rowsPer+1, 2*rowsPer)
+	if status, res := s.postEvents(t, "router", second); status != http.StatusOK || res.Accepted != len(second) {
 		t.Fatalf("stale-ring ingest: status %d result %+v", status, res)
 	}
-	if rt.failures.Value() != 0 {
-		t.Fatalf("router abandoned %d batches", rt.failures.Value())
+	if s.router.failures.Value() != 0 || s.router.retries.Value() == 0 {
+		t.Fatalf("router abandoned %d batches after %d retries, want none after some", s.router.failures.Value(), s.router.retries.Value())
 	}
 
 	// Every bank's full history sits exactly on its current owner.
-	ring, err := BuildRing(cp.Descriptor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := map[string]*testNode{"n1": n1, "n2": n2, "n3": n3}
+	s.drained(t)
+	ring := s.ring()
 	for b := 0; b < banks; b++ {
 		bank := clusterBank(b)
-		waitFor(t, fmt.Sprintf("bank %v drained on its owner", bank), func() bool {
-			st, ok := nodes[ring.OwnerID(bank.BankKey())].engine.Session(bank)
-			return ok && st.Events == 2*rowsPer
-		})
-		for id, n := range nodes {
-			if id == ring.OwnerID(bank.BankKey()) {
-				continue
-			}
-			if _, ok := n.engine.Session(bank); ok {
+		for id, n := range s.nodes {
+			st, ok := n.engine.Session(bank)
+			if owner := id == ring.OwnerID(bank.BankKey()); owner && (!ok || st.Events != 2*rowsPer) {
+				t.Errorf("bank %v on its owner %s: ok=%v stats=%+v, want %d events", bank, id, ok, st, 2*rowsPer)
+			} else if !owner && ok {
 				t.Errorf("bank %v: stale session on non-owner %s", bank, id)
 			}
 		}
@@ -385,94 +315,137 @@ func TestRouterRoutesAndRetriesStaleRing(t *testing.T) {
 // the control plane rebuilds its sessions from its journal (no snapshot
 // ever written) and the survivor adopts them with full history.
 func TestTakeoverDeadNode(t *testing.T) {
-	cp, _, n1, n2, clock := startLeasedPair(t)
-
-	// Ingest each bank directly at its owner.
-	ring, err := BuildRing(cp.Descriptor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := map[string]*testNode{"n1": n1, "n2": n2}
+	s := newSimT(t, nil, 0)
+	s.mustJoin(t, "n1", "n2")
 	const banks, rowsPer = 8, 4
-	deadBanks := 0
-	for b := 0; b < banks; b++ {
-		bank := clusterBank(b)
-		owner := ring.OwnerID(bank.BankKey())
-		if owner == "n2" {
-			deadBanks++
-		}
-		var evs []mcelog.Event
-		for r := 1; r <= rowsPer; r++ {
-			evs = append(evs, clusterUER(bank, r, b*100+r))
-		}
-		status, res := postEvents(t, nodes[owner].http.URL, evs)
-		if status != http.StatusOK || res.Accepted != rowsPer {
-			t.Fatalf("ingest at %s: status %d result %+v", owner, status, res)
-		}
-	}
-	if deadBanks == 0 {
-		t.Fatal("no banks on the node being killed; widen the bank set")
-	}
-	if err := n2.engine.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	s.ingestAtOwners(t, banks, rowsPer, "n2")
 
-	// Kill n2: no more heartbeats, no listener. Its journal stays on disk.
-	n2.stop()
-	n2.http.Close()
+	// Kill n2: no more heartbeats, unreachable. Its journal stays on disk.
+	s.kill("n2")
+	s.expire()
 
-	expireLease(t, cp, clock)
-	cp.Sweep()
-
-	if got := cp.Descriptor(); len(got.Members) != 1 || got.Members[0].ID != "n1" {
+	if got := s.cp.Descriptor(); len(got.Members) != 1 || got.Members[0].ID != "n1" {
 		t.Fatalf("descriptor after takeover: %+v", got)
 	}
 	// The survivor holds every bank with full history, rebuilt for the
 	// dead node's banks from its journal alone.
+	n1 := s.nodes["n1"]
+	s.drained(t)
 	for b := 0; b < banks; b++ {
-		bank := clusterBank(b)
-		waitFor(t, fmt.Sprintf("bank %v adopted", bank), func() bool {
-			st, ok := n1.engine.Session(bank)
-			return ok && st.Events == rowsPer
-		})
+		if st, ok := n1.engine.Session(clusterBank(b)); !ok || st.Events != rowsPer {
+			t.Fatalf("bank %v after takeover: ok=%v stats=%+v, want %d events", clusterBank(b), ok, st, rowsPer)
+		}
 	}
-	waitFor(t, "n1 adopts the post-takeover ring", func() bool { return n1.agent.Epoch() == 3 })
-
-	// The adopted state was snapshotted before the takeover completed:
-	// a restart of the survivor over its directory keeps every session.
-	if takeovers := cp.takeovers.Value(); takeovers != 1 {
+	if n1.agent.Epoch() != 3 {
+		t.Fatalf("n1 serves epoch %d after the takeover, want 3", n1.agent.Epoch())
+	}
+	if takeovers := s.cp.takeovers.Value(); takeovers != 1 {
 		t.Fatalf("takeovers counter = %d, want 1", takeovers)
 	}
 }
 
-// startLeasedPair starts a control plane with an hour's lease and nodes n1
-// and n2, all three on one fake clock, and waits until both nodes are in the
-// ring and heartbeating.
-func startLeasedPair(t *testing.T) (*ControlPlane, *httptest.Server, *testNode, *testNode, *obs.FakeClock) {
-	t.Helper()
-	clock := obs.NewFakeClock(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC))
-	cp, cpSrv := startCP(t, CPConfig{HeartbeatTTL: time.Hour, Clock: clock})
-	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{}, clock, nil)
-	n2 := startNodeWith(t, cpSrv.URL, "n2", stream.ServerConfig{}, clock, nil)
-	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
-	})
-	clock.BlockUntil(2) // both heartbeat tickers: nothing else is armed once the join is done
-	return cp, cpSrv, n1, n2, clock
+// TestSweepRacesConcurrentJoin drives the dead-node sweep and a fresh
+// node's join into the control plane at the same moment. The two
+// topology mutations serialise on the topo lock in whichever order the
+// race resolves, and each re-reads membership and fences with its own
+// fresh epoch — so the final ring must contain exactly the survivor and
+// the joiner, every bank's state must live on its final ring owner with
+// nothing lost, and no stale owner may still accept ingest for a moved
+// bank (the double-ownership failure this guards against).
+func TestSweepRacesConcurrentJoin(t *testing.T) {
+	s := newSimT(t, nil, 0)
+	s.mustJoin(t, "n1", "n2")
+	const banks, rowsPer = 8, 4
+	s.ingestAtOwners(t, banks, rowsPer, "n2")
+
+	// Kill n2, then fire the sweep and n3's join together.
+	s.kill("n2")
+	if err := s.step(simStep{op: "sweepjoin", node: "n3"}); err != nil {
+		t.Fatal(err)
+	}
+	if takeovers := s.cp.takeovers.Value(); takeovers != 1 {
+		t.Fatalf("takeovers counter = %d, want 1", takeovers)
+	}
+
+	// Whatever order the race resolved in, two mutations happened on top
+	// of epoch 2: the ring is at epoch 4 with exactly {n1, n3}. A join that
+	// went first failed on the dead n2, and its abort and retry took two
+	// epochs more.
+	desc := s.cp.Descriptor()
+	if want := 4 + 2*s.cp.errors.Value(); desc.Epoch != want {
+		t.Errorf("final epoch = %d, want %d (two serialised mutations, %d aborted)", desc.Epoch, want, s.cp.errors.Value())
+	}
+	if ids := memberIDs(desc.Members); len(ids) != 2 || ids[0] != "n1" || ids[1] != "n3" {
+		t.Fatalf("final members = %v, want exactly {n1, n3}", ids)
+	}
+	if err := s.check(); err != nil {
+		t.Fatal(err)
+	}
+
+	// No bank lost, none duplicated: every bank's full session sits on
+	// its final ring owner, and the other node refuses ingest for it.
+	ring := s.ring()
+	for b := 0; b < banks; b++ {
+		bank := clusterBank(b)
+		owner := ring.OwnerID(bank.BankKey())
+		if st, ok := s.nodes[owner].engine.Session(bank); !ok || st.Events != rowsPer {
+			t.Errorf("bank %v on %s: ok=%v stats=%+v, want %d events", bank, owner, ok, st, rowsPer)
+		}
+		for _, id := range []string{"n1", "n3"} {
+			if id == owner {
+				continue
+			}
+			probe := []mcelog.Event{clusterUER(bank, rowsPer+1, b*100+99)}
+			if status, res := s.postEvents(t, id, probe); status != http.StatusServiceUnavailable || res.Accepted != 0 {
+				t.Errorf("non-owner %s accepted ingest for bank %v: status %d %+v (double ownership)", id, bank, status, res)
+			}
+		}
+	}
 }
 
-// expireLease moves the clock two leases on, which fires n1's
-// heartbeat; it returns once the control plane has stamped n1 at the new time,
-// so a sweep now finds n2, and only n2, expired.
-func expireLease(t *testing.T, cp *ControlPlane, clock *obs.FakeClock) {
-	t.Helper()
-	clock.Advance(2 * time.Hour)
-	waitFor(t, "n1 heartbeat after the clock jump", func() bool {
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		m := cp.members["n1"]
-		return m != nil && m.lastSeen.Equal(clock.Now())
-	})
+// simRegressions are schedules TestFleetSimulation failed on, as it shrank
+// them, each named for the defect it found.
+var simRegressions = map[string][]simStep{
+	"a failed join's epoch reused": {{op: "join", node: "n1"},
+		{op: "fault", node: "n2", path: "/cluster/v1/import"}, {op: "join", node: "n2"}},
+	"a failed leave's epoch left on the survivors": {{op: "join", node: "n1"}, {op: "join", node: "n2"},
+		{op: "join", node: "n3"}, {op: "kill", node: "n2"}, {op: "leave", node: "n3"}},
+	"a missed post-handoff drop kept for good": {{op: "join", node: "n1"}, {op: "direct", evs: uerRows(3, 1, 1)},
+		{op: "fault", node: "n1", path: "/cluster/v1/drop"}, {op: "join", node: "n3"}},
+	"two dead nodes never taken over": {{op: "join", node: "n1"}, {op: "join", node: "n2"},
+		{op: "routed", evs: uerRows(6, 1, 1)}, {op: "join", node: "n3"}, {op: "kill", node: "n1"}, {op: "kill", node: "n3"}},
+}
+
+func TestSimRegressions(t *testing.T) {
+	for name, steps := range simRegressions {
+		if err := runSim(t.TempDir(), steps); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestFailedJoinPublishesFreshEpoch: a join whose import fails is aborted at a
+// fresh epoch that every node it fenced adopts, so a later join never reuses
+// the failed one's epoch for another membership. Before that, n1 served the
+// failed join's ring under the epoch n3's join then published for another,
+// dropped banks the published ring gave it and never exported one to n3.
+func TestFailedJoinPublishesFreshEpoch(t *testing.T) {
+	s := newSimT(t, nil, 0)
+	s.mustJoin(t, "n1")
+	if err := s.ingest(uerRows(16, 1, 1), true); err != nil {
+		t.Fatal(err)
+	}
+	s.net.faults["n2 /cluster/v1/import"] = true
+	if err := s.join("n2"); err == nil {
+		t.Fatal("the join survived its failed import")
+	}
+	if d, e := s.cp.Descriptor(), s.nodes["n1"].agent.Epoch(); d.Epoch != 3 || len(d.Members) != 1 || e != 3 {
+		t.Fatalf("after the failed join: published %d %v, n1 at %d; want epoch 3 [n1] on both", d.Epoch, memberIDs(d.Members), e)
+	}
+	s.mustJoin(t, "n3")
+	if err := s.finish(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRouterCodecMatrix: either client codec delivers the same batch — the
@@ -480,35 +453,18 @@ func expireLease(t *testing.T, cp *ControlPlane, clock *obs.FakeClock) {
 // answers a body over MaxBodyBytes as the serve node does: 413, with the
 // counts of the prefix that was read and forwarded.
 func TestRouterCodecMatrix(t *testing.T) {
-	cp, cpSrv := startCP(t, CPConfig{})
-	n1 := startNode(t, cpSrv.URL, "n1")
-	n2 := startNode(t, cpSrv.URL, "n2")
-	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
-	})
-	// One router serves both codecs: a server that answered 413 before the
-	// body's end lingers on that connection before closing it, so each
-	// router server costs its Close that linger once.
-	rt := NewRouter(RouterConfig{
-		ControlPlane: cpSrv.URL,
-		MaxBodyBytes: 4096,
-		Backoff:      10 * time.Millisecond,
-		Logger:       quiet,
-	})
-	if err := rt.refreshRing(); err != nil {
+	s := newSimT(t, nil, 4096)
+	s.mustJoin(t, "n1", "n2")
+	if err := s.router.refreshRing(); err != nil {
 		t.Fatal(err)
 	}
-	rtSrv := httptest.NewServer(rt)
-	defer rtSrv.Close()
 
 	codecs := []struct {
 		name string
-		post func(*testing.T, *hbm.Profile, string, []mcelog.Event) (int, stream.IngestResult)
+		post func(*sim, *testing.T, string, []mcelog.Event) (int, stream.IngestResult)
 	}{
-		{"jsonl-in binary-up", func(t *testing.T, _ *hbm.Profile, url string, evs []mcelog.Event) (int, stream.IngestResult) {
-			return postEvents(t, url, evs)
-		}},
-		{"binary-in binary-up", postEventsBin},
+		{"jsonl-in binary-up", (*sim).postEvents},
+		{"binary-in binary-up", (*sim).postEventsBin},
 	}
 	for _, tc := range codecs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -516,7 +472,7 @@ func TestRouterCodecMatrix(t *testing.T) {
 			for b := 0; b < 8; b++ {
 				batch = append(batch, clusterUER(clusterBank(b), 1, b))
 			}
-			status, res := tc.post(t, hbm.HBM2E, rtSrv.URL, batch)
+			status, res := tc.post(s, t, "router", batch)
 			if status != http.StatusOK || res.Accepted != len(batch) {
 				t.Fatalf("%s: status %d result %+v", tc.name, status, res)
 			}
@@ -527,7 +483,7 @@ func TestRouterCodecMatrix(t *testing.T) {
 			for b := 0; len(batch) < 400; b++ {
 				batch = append(batch, clusterUER(clusterBank(b%8), 2+b/8, 8+b))
 			}
-			status, res = tc.post(t, hbm.HBM2E, rtSrv.URL, batch)
+			status, res = tc.post(s, t, "router", batch)
 			if status != http.StatusRequestEntityTooLarge || !res.Truncated || res.Accepted >= len(batch) {
 				t.Fatalf("%s: over-cap body: status %d result %+v, want 413 and a truncated prefix", tc.name, status, res)
 			}
@@ -541,36 +497,30 @@ func TestRouterCodecMatrix(t *testing.T) {
 	// 100 and 40000 of a bank in bank group 4 — a row and a bank group hbm2e
 	// cannot encode — decode, key and reach one owner over both codecs.
 	t.Run("ddr5-dimm", func(t *testing.T) {
-		cp, cpSrv := startCP(t, CPConfig{})
-		n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{}, nil, hbm.DDR5DIMM)
-		n2 := startNodeWith(t, cpSrv.URL, "n2", stream.ServerConfig{}, nil, hbm.DDR5DIMM)
-		waitFor(t, "two nodes", func() bool {
-			return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
-		})
-		rt := NewRouter(RouterConfig{ControlPlane: cpSrv.URL, Backoff: 10 * time.Millisecond, Logger: quiet})
-		if err := rt.refreshRing(); err != nil {
+		s := newSimT(t, hbm.DDR5DIMM, 0)
+		s.mustJoin(t, "n1", "n2")
+		if err := s.router.refreshRing(); err != nil {
 			t.Fatal(err)
 		}
-		rtSrv := httptest.NewServer(rt)
-		defer rtSrv.Close()
 		bank := hbm.BankAddress{Node: 3, NPU: 1, HBM: 1, Channel: 5, Rank: 1, Device: 2, BankGroup: 4, Bank: 1}
 		for i, tc := range codecs {
 			batch := []mcelog.Event{clusterUER(bank, 100, 2*i), clusterUER(bank, 40000, 2*i+1)}
-			if status, res := tc.post(t, hbm.DDR5DIMM, rtSrv.URL, batch); status != http.StatusOK || res.Accepted != 2 || res.Rejected != 0 {
+			if status, res := tc.post(s, t, "router", batch); status != http.StatusOK || res.Accepted != 2 || res.Rejected != 0 {
 				t.Fatalf("%s: status %d result %+v, want both rows accepted", tc.name, status, res)
 			}
 		}
-		waitFor(t, "all four events on one owner", func() bool {
-			st1, ok1 := n1.engine.Session(bank)
-			st2, ok2 := n2.engine.Session(bank)
-			return ok1 != ok2 && st1.Events+st2.Events == 4
-		})
+		s.drained(t)
+		st1, ok1 := s.nodes["n1"].engine.Session(bank)
+		st2, ok2 := s.nodes["n2"].engine.Session(bank)
+		if ok1 == ok2 || st1.Events+st2.Events != 4 {
+			t.Fatalf("the bank on n1 (%v, %d events) and n2 (%v, %d events), want all four events on one owner", ok1, st1.Events, ok2, st2.Events)
+		}
 		// The first registration fixed the cluster's profile: a node that runs
 		// another is refused.
 		var se *statusError
-		err := postJSON(http.DefaultClient, cpSrv.URL+"/cluster/v1/register",
-			registerRequest{Member: Member{ID: "n3", Addr: "127.0.0.1:1"}, Profile: "hbm2e"}, nil)
-		if !errors.As(err, &se) || se.Status != http.StatusConflict || cp.Descriptor().Profile != "ddr5-dimm" {
+		err := postJSON(s.client, "http://cp/cluster/v1/register",
+			registerRequest{Member: Member{ID: "n3", Addr: "n3"}, Profile: "hbm2e"}, nil)
+		if !errors.As(err, &se) || se.Status != http.StatusConflict || s.cp.Descriptor().Profile != "ddr5-dimm" {
 			t.Fatalf("an hbm2e node registering: %v, want 409 from the ddr5-dimm cluster", err)
 		}
 	})
@@ -581,15 +531,11 @@ func TestRouterCodecMatrix(t *testing.T) {
 // would reach its owner as the valid bank those bits alias it onto — and the
 // rest of its frame is forwarded.
 func TestRouterRejectsStrayAddressBits(t *testing.T) {
-	cp, cpSrv := startCP(t, CPConfig{})
-	n1 := startNode(t, cpSrv.URL, "n1")
-	waitFor(t, "n1 registration", func() bool { return n1.agent.Epoch() == 1 && cp.Descriptor().Epoch == 1 })
-	rt := NewRouter(RouterConfig{ControlPlane: cpSrv.URL, Backoff: 10 * time.Millisecond, Logger: quiet})
-	if err := rt.refreshRing(); err != nil {
+	s := newSimT(t, nil, 0)
+	s.mustJoin(t, "n1")
+	if err := s.router.refreshRing(); err != nil {
 		t.Fatal(err)
 	}
-	rtSrv := httptest.NewServer(rt)
-	defer rtSrv.Close()
 
 	bank := clusterBank(1)
 	var buf bytes.Buffer
@@ -602,13 +548,13 @@ func TestRouterRejectsStrayAddressBits(t *testing.T) {
 	payload[mcelog.WireRecordSize+8+7] |= 1 << 4 // bit 60 of record 1's packed address (bytes 8–15, little-endian)
 	binary.LittleEndian.PutUint32(body[magic+4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 
-	status, res := postBody(t, rtSrv.URL+"/v1/events.bin", "application/octet-stream", bytes.NewBuffer(body))
+	status, res := s.postBody(t, "http://router/v1/events.bin", "application/octet-stream", body)
 	if status != http.StatusOK || res.Accepted != 2 || res.Rejected != 1 || len(res.Errors) != 1 ||
 		!strings.HasPrefix(res.Errors[0], "frame 1 record 1: ") {
 		t.Fatalf("routed ingest: status %d result %+v, want 2 accepted and record 1 rejected", status, res)
 	}
-	waitFor(t, "the forwarded records on the owner", func() bool {
-		st, ok := n1.engine.Session(bank)
-		return ok && st.Events == 2
-	})
+	s.drained(t)
+	if st, ok := s.nodes["n1"].engine.Session(bank); !ok || st.Events != 2 {
+		t.Fatalf("the owner holds ok=%v %+v, want the 2 forwarded records", ok, st)
+	}
 }

@@ -84,8 +84,11 @@ type ControlPlane struct {
 	// topo serialises topology mutations; held across node HTTP calls.
 	topo sync.Mutex
 	// mu guards the fields below; never held across HTTP calls.
-	mu      sync.Mutex
-	epoch   uint64
+	mu    sync.Mutex
+	epoch uint64
+	// issued is the highest epoch ever sent to a node: a topology change
+	// fences under the next one, so no epoch names two memberships.
+	issued  uint64
 	members map[string]*memberState
 	// profile is the cluster's topology profile, fixed by the first
 	// registration ("" until then).
@@ -153,6 +156,15 @@ func (cp *ControlPlane) Run(ctx interface{ Done() <-chan struct{} }) {
 	}
 }
 
+// nextLocked is the current membership at a fresh epoch, for a topology
+// change to fence under; callers hold cp.mu.
+func (cp *ControlPlane) nextLocked() Descriptor {
+	cp.issued = max(cp.issued, cp.epoch) + 1
+	d := cp.descriptorLocked()
+	d.Epoch = cp.issued
+	return d
+}
+
 // descriptor builds the current descriptor; callers hold cp.mu.
 func (cp *ControlPlane) descriptorLocked() Descriptor {
 	ms := make([]Member, 0, len(cp.members))
@@ -204,15 +216,14 @@ func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, desc)
 		return
 	}
-	next := cp.descriptorLocked()
-	next.Epoch++
-	next.Members = append(next.Members, m)
+	next := cp.nextLocked()
+	sources := next.Members
+	next.Members = append(sources[:len(sources):len(sources)], m)
 	sort.Slice(next.Members, func(i, j int) bool { return next.Members[i].ID < next.Members[j].ID })
-	sources := cp.descriptorLocked().Members
 	cp.mu.Unlock()
 
 	if err := cp.rebalanceJoin(next, m, sources); err != nil {
-		cp.errors.Inc()
+		cp.abort(m)
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
@@ -231,7 +242,8 @@ func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 // rebalanceJoin moves the joiner's banks off every existing node.
 // Export fences each source under the next epoch before it responds, so
 // from the first export on, no source accepts events for moved banks;
-// the router retries them against the joiner once the ring publishes.
+// the router retries them against the joiner once the ring publishes. No
+// source drops anything until every import is acknowledged.
 func (cp *ControlPlane) rebalanceJoin(next Descriptor, joiner Member, sources []Member) error {
 	for _, src := range sources {
 		var bundle HandoffBundle
@@ -243,15 +255,36 @@ func (cp *ControlPlane) rebalanceJoin(next Descriptor, joiner Member, sources []
 			importRequest{Desc: next, Bundle: bundle}, nil); err != nil {
 			return fmt.Errorf("import into %s: %w", joiner.ID, err)
 		}
-		// Import acked: the moved state is durable on the joiner.
+	}
+	// Every import acked: the moved state is durable on the joiner.
+	for _, src := range sources {
 		if err := postJSON(cp.cfg.Client, "http://"+src.Addr+"/cluster/v1/drop",
 			dropRequest{Desc: next}, nil); err != nil {
-			// Non-fatal: stale copies only cost conflict-skips later.
+			// Non-fatal: the source drops its copies at its next heartbeat.
 			cp.errors.Inc()
 			cp.cfg.Logger.Warn("post-handoff drop failed", "node", src.ID, "err", err)
 		}
 	}
 	return nil
+}
+
+// abort ends a topology change that failed before it was published. The
+// nodes it reached may serve its epoch, which is never published: the
+// unchanged membership is, at a fresh epoch, and every member and extra node
+// adopts it through a drop, discarding what it imported under the abandoned
+// ring. No source has dropped anything, so no session is lost.
+func (cp *ControlPlane) abort(extra ...Member) {
+	cp.errors.Inc()
+	cp.mu.Lock()
+	desc := cp.nextLocked()
+	cp.epoch = desc.Epoch
+	cp.mu.Unlock()
+	for _, m := range append(desc.Members, extra...) {
+		if err := postJSON(cp.cfg.Client, "http://"+m.Addr+"/cluster/v1/drop",
+			dropRequest{Desc: desc}, nil); err != nil {
+			cp.cfg.Logger.Warn("drop after a failed topology change failed", "node", m.ID, "err", err)
+		}
+	}
 }
 
 // handleLeave removes a node gracefully: survivors get the leaver's
@@ -271,22 +304,20 @@ func (cp *ControlPlane) handleLeave(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown member", http.StatusNotFound)
 		return
 	}
-	next := cp.descriptorLocked()
-	next.Epoch++
+	next := cp.nextLocked()
 	next.Members = withoutMember(next.Members, req.ID)
 	cp.mu.Unlock()
 
 	if len(next.Members) > 0 {
 		var bundle HandoffBundle
-		if err := postJSON(cp.cfg.Client, "http://"+leaver.Addr+"/cluster/v1/export",
-			exportRequest{Desc: next}, &bundle); err != nil {
-			cp.errors.Inc()
-			http.Error(w, fmt.Sprintf("export from leaver: %v", err), http.StatusBadGateway)
-			return
+		err := postJSON(cp.cfg.Client, "http://"+leaver.Addr+"/cluster/v1/export",
+			exportRequest{Desc: next}, &bundle)
+		if err == nil {
+			err = cp.distribute(next, bundle)
 		}
-		if err := cp.distribute(next, bundle); err != nil {
-			cp.errors.Inc()
-			http.Error(w, err.Error(), http.StatusBadGateway)
+		if err != nil {
+			cp.abort()
+			http.Error(w, fmt.Sprintf("leave of %s: %v", req.ID, err), http.StatusBadGateway)
 			return
 		}
 	}
@@ -310,6 +341,14 @@ func (cp *ControlPlane) distribute(next Descriptor, bundle HandoffBundle) error 
 		}
 	}
 	return nil
+}
+
+func memberIDs(ms []Member) []string {
+	ids := make([]string, len(ms))
+	for i, m := range ms {
+		ids[i] = m.ID
+	}
+	return ids
 }
 
 func withoutMember(ms []Member, id string) []Member {
@@ -378,68 +417,66 @@ func (cp *ControlPlane) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// Sweep runs one failure-detection pass: every member whose lease
-// expired is declared dead and taken over. Exported for tests; Run
-// calls it periodically.
+// Sweep runs one failure-detection pass: every member whose lease expired
+// is declared dead, and all of them are taken over in one topology change
+// (one at a time, each would hand its banks to the others). Exported for
+// tests; Run calls it periodically.
+//
+// The dead processes cannot export, so the control plane reads each one's
+// durable state directly — the latest snapshot plus the full journal off its
+// registered WAL directory (reachable storage is the deployment contract
+// here; see DESIGN.md). Per-session watermarks make the overlap harmless.
+// Each bundle goes to every survivor; each keeps what it owns. If a journal
+// is unreadable the ring still advances — those banks restart empty rather
+// than staying routed at a corpse.
 func (cp *ControlPlane) Sweep() {
-	now := cp.cfg.Clock.Now()
+	cp.topo.Lock()
+	defer cp.topo.Unlock()
 	cp.mu.Lock()
+	now := cp.cfg.Clock.Now()
 	var dead []Member
 	for _, m := range cp.members {
 		if now.Sub(m.lastSeen) > cp.cfg.HeartbeatTTL {
 			dead = append(dead, m.Member)
 		}
 	}
-	cp.mu.Unlock()
-	for _, m := range dead {
-		cp.takeover(m)
-	}
-}
-
-// takeover reassigns a dead node's banks. The dead process cannot
-// export, so the control plane reads its durable state directly — the
-// latest snapshot plus the full journal off its registered WAL
-// directory (reachable storage is the deployment contract here; see
-// DESIGN.md). Per-session watermarks make the overlap harmless. The
-// bundle goes to every survivor; each keeps what it owns. If the
-// journal is unreadable the ring still advances — the banks restart
-// empty rather than staying routed at a corpse.
-func (cp *ControlPlane) takeover(dead Member) {
-	cp.topo.Lock()
-	defer cp.topo.Unlock()
-	cp.mu.Lock()
-	cur, ok := cp.members[dead.ID]
-	if !ok || cp.cfg.Clock.Now().Sub(cur.lastSeen) <= cp.cfg.HeartbeatTTL {
-		cp.mu.Unlock() // re-registered or heartbeat landed while we waited
+	if len(dead) == 0 {
+		cp.mu.Unlock()
 		return
 	}
-	next := cp.descriptorLocked()
-	next.Epoch++
-	next.Members = withoutMember(next.Members, dead.ID)
-	cp.mu.Unlock()
-
-	bundle, err := readNodeState(dead.WALDir)
-	if err != nil {
-		cp.orphaned.Inc()
-		cp.cfg.Logger.Error("dead node journal unreadable; its banks restart empty",
-			"id", dead.ID, "walDir", dead.WALDir, "err", err)
-		bundle = HandoffBundle{}
+	next := cp.nextLocked()
+	for _, m := range dead {
+		next.Members = withoutMember(next.Members, m.ID)
 	}
-	if len(next.Members) > 0 && (len(bundle.Payload) > 0 || len(bundle.Suffix) > 0) {
-		if err := cp.distribute(next, bundle); err != nil {
-			cp.errors.Inc()
-			cp.cfg.Logger.Error("takeover distribution failed; will retry next sweep",
-				"id", dead.ID, "err", err)
-			return // keep the member; the next sweep retries the whole takeover
+	cp.mu.Unlock()
+	sort.Slice(dead, func(i, j int) bool { return dead[i].ID < dead[j].ID })
+
+	for _, m := range dead {
+		bundle, err := readNodeState(m.WALDir)
+		if err != nil {
+			cp.orphaned.Inc()
+			cp.cfg.Logger.Error("dead node journal unreadable; its banks restart empty",
+				"id", m.ID, "walDir", m.WALDir, "err", err)
+			continue
+		}
+		if len(next.Members) > 0 && (len(bundle.Payload) > 0 || len(bundle.Suffix) > 0) {
+			if err := cp.distribute(next, bundle); err != nil {
+				cp.abort()
+				cp.cfg.Logger.Error("takeover distribution failed; will retry next sweep",
+					"id", m.ID, "err", err)
+				return // keep the members; the next sweep retries the whole takeover
+			}
 		}
 	}
 	cp.mu.Lock()
-	delete(cp.members, dead.ID)
+	for _, m := range dead {
+		delete(cp.members, m.ID)
+	}
 	cp.epoch = next.Epoch
 	cp.mu.Unlock()
-	cp.takeovers.Inc()
-	cp.cfg.Logger.Warn("node declared dead; banks reassigned",
-		"id", dead.ID, "epoch", next.Epoch, "survivors", len(next.Members))
+	cp.takeovers.Add(uint64(len(dead)))
+	cp.cfg.Logger.Warn("nodes declared dead; banks reassigned",
+		"dead", memberIDs(dead), "epoch", next.Epoch, "survivors", len(next.Members))
 }
 
 // readNodeState loads a dead node's portable state off its WAL

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"cordial/internal/hbm"
 	"cordial/internal/mcelog"
@@ -44,15 +42,11 @@ type doorError struct {
 // Truncated and messages.
 func TestIngestDoorMatrix(t *testing.T) {
 	const maxBody = 4096
-	cp, cpSrv := startCP(t, CPConfig{})
-	n1 := startNodeWith(t, cpSrv.URL, "n1", stream.ServerConfig{MaxBodyBytes: maxBody}, nil, nil)
-	waitFor(t, "n1 registration", func() bool { return n1.agent.Epoch() == 1 && cp.Descriptor().Epoch == 1 })
-	rt := NewRouter(RouterConfig{ControlPlane: cpSrv.URL, MaxBodyBytes: maxBody, Backoff: 10 * time.Millisecond, Logger: quiet})
-	if err := rt.refreshRing(); err != nil {
+	s := newSimT(t, nil, maxBody)
+	s.mustJoin(t, "n1")
+	if err := s.router.refreshRing(); err != nil {
 		t.Fatal(err)
 	}
-	rtSrv := httptest.NewServer(rt)
-	defer rtSrv.Close()
 
 	var events []mcelog.Event
 	for i := 0; i < 300; i++ {
@@ -162,7 +156,7 @@ func TestIngestDoorMatrix(t *testing.T) {
 		for _, door := range []struct {
 			name, url string
 			routed    bool
-		}{{"serve", n1.http.URL, false}, {"router", rtSrv.URL, true}} {
+		}{{"serve", "http://n1", false}, {"router", "http://router", true}} {
 			t.Run(fmt.Sprintf("%s %s/%s", door.name, path, b.name), func(t *testing.T) {
 				want := stream.IngestResult{Accepted: b.accepted, Rejected: b.rejected, Truncated: b.trunc, Epoch: 1}
 				for _, e := range b.errors {
@@ -172,7 +166,7 @@ func TestIngestDoorMatrix(t *testing.T) {
 					}
 					want.Errors = append(want.Errors, msg)
 				}
-				status, got := postBody(t, door.url+path, "application/octet-stream", bytes.NewBuffer(b.body))
+				status, got := s.postBody(t, door.url+path, "application/octet-stream", b.body)
 				if status != b.status || !reflect.DeepEqual(got, want) {
 					t.Fatalf("answered %d %+v\nwant %d %+v", status, got, b.status, want)
 				}

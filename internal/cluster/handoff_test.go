@@ -121,7 +121,7 @@ func TestClusterRequestBodiesCapped(t *testing.T) {
 		t.Errorf("the import at the cap adopted epoch %d and imported %d sessions, want 1 and 8", agent.Epoch(), engine.Stats().SessionsLive)
 	}
 
-	cp, _ := startCP(t, CPConfig{})
+	cp := NewControlPlane(CPConfig{Logger: quiet})
 	for _, path := range []string{"/cluster/v1/register", "/cluster/v1/heartbeat", "/cluster/v1/leave"} {
 		if code := serve(cp.Handler(), path, over(reg), reg); code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: an over-cap body answered %d, want 413", path, code)

@@ -68,6 +68,9 @@ type Agent struct {
 	mu    sync.Mutex
 	epoch uint64
 	ring  *Ring
+	// stale is set from a handoff until a drop: the node may hold sessions
+	// its ring does not give it.
+	stale bool
 }
 
 // NewAgent builds the agent and registers its instruments in the
@@ -167,6 +170,7 @@ func (a *Agent) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.exports.Inc()
+	a.setStale(true)
 	writeJSON(w, http.StatusOK, HandoffBundle{Payload: payload})
 }
 
@@ -192,6 +196,7 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.imports.Inc()
+	a.setStale(true)
 	if st.Sessions > 0 || st.Conflicts > 0 {
 		a.cfg.Logger.Info("handoff import",
 			"epoch", req.Desc.Epoch, "sessions", st.Sessions, "replayed", st.Replayed,
@@ -219,6 +224,7 @@ func (a *Agent) handleDrop(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	a.setStale(false)
 	if n > 0 {
 		a.drops.Inc()
 		a.cfg.Logger.Info("dropped moved sessions", "epoch", req.Desc.Epoch, "sessions", n)
@@ -253,27 +259,56 @@ func (a *Agent) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
-		}
-		var hb heartbeatResponse
-		err := postJSON(a.cfg.Client, a.cfg.ControlPlane+"/cluster/v1/heartbeat",
-			heartbeatRequest{ID: a.cfg.Self.ID}, &hb)
-		var se *statusError
-		switch {
-		case err == nil:
-			if hb.Epoch > a.Epoch() {
-				if err := a.refreshRing(); err != nil {
-					a.cfg.Logger.Warn("ring refresh failed", "err", err)
-				}
-			}
-		case errors.As(err, &se) && se.Status == http.StatusNotFound:
-			a.cfg.Logger.Warn("control plane forgot this node; re-registering")
-			if err := a.register(); err != nil {
-				a.cfg.Logger.Warn("re-register failed", "err", err)
-			}
-		default:
-			a.cfg.Logger.Warn("heartbeat failed", "err", err)
+			a.heartbeat()
 		}
 	}
+}
+
+// heartbeat renews the node's lease once, as Run does every tick.
+func (a *Agent) heartbeat() {
+	var hb heartbeatResponse
+	err := postJSON(a.cfg.Client, a.cfg.ControlPlane+"/cluster/v1/heartbeat",
+		heartbeatRequest{ID: a.cfg.Self.ID}, &hb)
+	var se *statusError
+	switch {
+	case err == nil:
+		if hb.Epoch > a.Epoch() {
+			if err := a.refreshRing(); err != nil {
+				a.cfg.Logger.Warn("ring refresh failed", "err", err)
+			}
+		}
+		a.dropStale(hb.Epoch)
+	case errors.As(err, &se) && se.Status == http.StatusNotFound:
+		a.cfg.Logger.Warn("control plane forgot this node; re-registering")
+		if err := a.register(); err != nil {
+			a.cfg.Logger.Warn("re-register failed", "err", err)
+		}
+	default:
+		a.cfg.Logger.Warn("heartbeat failed", "err", err)
+	}
+}
+
+func (a *Agent) setStale(stale bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.stale = stale
+}
+
+// dropStale discards what a missed drop left behind once the ring the node
+// serves is the published one, at epoch: an epoch names one membership, so
+// what that ring does not give the node is held where it does.
+func (a *Agent) dropStale(epoch uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.stale || a.epoch != epoch {
+		return
+	}
+	self, ring := a.cfg.Self.ID, a.ring
+	if _, err := a.engine.DropSessions(func(key uint64) bool { return !ring.Owns(self, key) }); err != nil {
+		a.cfg.Logger.Warn("dropping stale sessions failed", "err", err)
+		return
+	}
+	a.stale = false
 }
 
 // Leave asks the control plane to rebalance this node's banks away

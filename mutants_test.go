@@ -373,6 +373,48 @@ var mutants = []struct {
 		"g := newGossScratch(fr.n)\n\treturn boost(fr, y, h.Config.Rounds, func(grad, hess []float64) *treeNode {\n",
 		"return boost(fr, y, h.Config.Rounds, func(grad, hess []float64) *treeNode {\n\t\tg := newGossScratch(fr.n)\n",
 		[]string{"internal/mltree TestHistGBDTFitAllocsPerRound"}},
+
+	// One fleet harness: what the four cluster tests killed before they moved
+	// onto the simulated fleet, and what the simulation found.
+	{"the router drops the unconsumed suffix on a 503", "internal/cluster/router.go",
+		"carry = append(carry, group[consumed:]...)", "_ = consumed",
+		[]string{"internal/cluster TestRouterRoutesAndRetriesStaleRing", "internal/cluster TestFleetSimulation"}},
+	{"the router never refreshes its ring after a refusal", "internal/cluster/router.go",
+		"if staleRing && len(lines) > 0 {", "if staleRing && false {",
+		[]string{"internal/cluster TestRouterRoutesAndRetriesStaleRing", "internal/cluster TestFleetSimulation"}},
+	{"adopt leaves the server's ownership as it was", "internal/cluster/node.go",
+		"a.server.SetOwnership(desc.Epoch, func(key uint64) bool { return ring.Owns(self, key) })", "_ = self",
+		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestSweepRacesConcurrentJoin", "internal/cluster TestFleetSimulation"}},
+	{"adopt installs a same-epoch descriptor's ring", "internal/cluster/node.go",
+		"\t\treturn a.ring, nil\n\t}\n\ta.epoch = desc.Epoch", "\t}\n\ta.epoch = desc.Epoch",
+		[]string{"internal/cluster TestClusterJoinHandoffLeave"}},
+	{"a drop drops nothing", "internal/cluster/node.go",
+		"n, err := a.engine.DropSessions(func(key uint64) bool { return !ring.Owns(self, key) })",
+		"n, err := a.engine.DropSessions(func(key uint64) bool { return false && !ring.Owns(self, key) })",
+		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestFailedJoinPublishesFreshEpoch", "internal/cluster TestFleetSimulation"}},
+	{"a missed drop is never made up", "internal/cluster/node.go", "\t\ta.dropStale(hb.Epoch)\n", "",
+		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
+	{"a leave hands the leaver's banks to no one", "internal/cluster/controlplane.go",
+		"\tif len(next.Members) > 0 {\n\t\tvar bundle HandoffBundle", "\tif false {\n\t\tvar bundle HandoffBundle",
+		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestFleetSimulation"}},
+	{"a takeover reads no journal", "internal/cluster/controlplane.go",
+		"return HandoffBundle{Payload: payload, Suffix: recs}, nil", "return HandoffBundle{Payload: payload, Suffix: recs[:0]}, nil",
+		[]string{"internal/cluster TestTakeoverDeadNode", "internal/cluster TestSweepRacesConcurrentJoin", "internal/cluster TestFleetSimulation"}},
+	{"an import acknowledged before its snapshot", "internal/stream/handoff.go",
+		"\tif e.wal != nil && st.Sessions > 0 {\n\t\tif _, err := e.Snapshot(); err != nil {\n\t\t\treturn st, fmt.Errorf(\"stream: persisting imported",
+		"\tif false {\n\t\tif _, err := e.Snapshot(); err != nil {\n\t\t\treturn st, fmt.Errorf(\"stream: persisting imported",
+		[]string{"internal/cluster TestFleetSimulation"}},
+	{"rebalanceJoin drops at the source before the joiner's import is acknowledged", "internal/cluster/controlplane.go",
+		"\t\tif err := postJSON(cp.cfg.Client, \"http://\"+joiner.Addr+\"/cluster/v1/import\",",
+		"\t\t_ = postJSON(cp.cfg.Client, \"http://\"+src.Addr+\"/cluster/v1/drop\", dropRequest{Desc: next}, nil)\n\t\tif err := postJSON(cp.cfg.Client, \"http://\"+joiner.Addr+\"/cluster/v1/import\",",
+		[]string{"internal/cluster TestFailedJoinPublishesFreshEpoch", "internal/cluster TestFleetSimulation"}},
+	{"a takeover whose distribution failed removes the dead member anyway", "internal/cluster/controlplane.go",
+		"if err := cp.distribute(next, bundle); err != nil {\n\t\t\t\tcp.abort()",
+		"if err := cp.distribute(next, bundle); err != nil && false {\n\t\t\t\tcp.abort()",
+		[]string{"internal/cluster TestFleetSimulation"}},
+	{"a failed topology change's epoch reused", "internal/cluster/controlplane.go",
+		"cp.issued = max(cp.issued, cp.epoch) + 1", "cp.issued = cp.epoch + 1",
+		[]string{"internal/cluster TestFailedJoinPublishesFreshEpoch", "internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -377,6 +378,22 @@ var deletionGates = []struct {
 			"binner", "newBinner", "histGrower", "leafHist", "newLeafHist", "leafState", "navigateBinned"},
 		check: boostersReadCodes,
 	},
+	{
+		gate: "scenarios are Go values", deletedBy: "One fleet harness on one fake clock",
+		replacedBy: "chaos.NewScenario and chaos.Scenarios, the checked-in scenarios as Go values that cordial-chaos runs by name",
+		names:      []string{"parseYAML", "yamlParser", "ParseScenario", "LoadScenario", "decoder"},
+		check:      noScenarioFiles,
+	},
+}
+
+// noScenarioFiles: the scenarios directory holds no file.
+func noScenarioFiles(*module) []string {
+	var bad []string
+	entries, _ := os.ReadDir("scenarios")
+	for _, e := range entries {
+		bad = append(bad, "scenarios/"+e.Name()+" is a scenario file")
+	}
+	return bad
 }
 
 // TestDeletedStaysDeleted holds every deletion gate over the module and

@@ -94,6 +94,16 @@ echo "==> crash property (10 000 seeded schedules with power cuts, the first 1 0
 go test -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.seeds=10000
 go test -race -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.seeds=1000
 
+echo "==> fleet simulation (10 000 seeded schedules, the first 1 000 under -race)"
+# The real control plane, router and engines on one fake clock over an
+# in-process network: joins, leaves, kills, lease expiries, snapshots, ring
+# refreshes and one-shot faults, each quiescent fleet held to one owner per
+# bank and to a standalone engine fed what the fleet acknowledged. go test
+# ./... runs the first 300 seeds; a failure prints its seed and the shrunk
+# schedule (rerun with -args -sim.from=SEED -sim.seeds=1).
+go test -count 1 -run 'TestFleetSimulation' ./internal/cluster/ -args -sim.seeds=10000
+go test -race -count 1 -run 'TestFleetSimulation' ./internal/cluster/ -args -sim.seeds=1000
+
 echo "==> spare ledger property (1 000 seeded schedules, the engine against the map ledger it replaced)"
 # Interleaved banks, unsorted and duplicate rows, earlier re-spares, equal
 # times, exhausted channels, row budgets 0/1/64/10 000 and times where
@@ -107,8 +117,8 @@ echo "==> clock-driven tests, ten times under -race"
 # The cluster and lifecycle tests move time on obs.FakeClock: a heartbeat, a
 # sweep, a shadow timeout or a retrain cooldown passes when a test advances the
 # clock, never when a sleep runs out, so a test still timed by the wall clock
-# shows up here as a flake.
-go test -race -count=10 ./internal/cluster/ ./internal/lifecycle/
+# shows up here as a flake. The fleet simulation has its own leg above.
+go test -race -count=10 -skip TestFleetSimulation ./internal/cluster/ ./internal/lifecycle/
 
 echo "==> real-binary e2e (daemon, retraining, crash recovery, cluster failover, ddr5-dimm CLI)"
 # Real binaries, started and probed through chaos.Daemon; one test binary, so
@@ -133,8 +143,8 @@ echo "==> fuzz smoke (every fuzz target, 5s each)"
 # Every decoder of persisted or peer bytes has a fuzz target — the log readers
 # and wire-frame decoder, the address parser and packer, the WAL record,
 # bank-state, session-image, snapshot-payload and journal-record decoders, the
-# handoff envelope, model files, registry artefacts, the metrics scraper and
-# the scenario parser — and so do the incremental-feature equivalence and the
+# handoff envelope, model files, registry artefacts and the metrics scraper —
+# and so do the incremental-feature equivalence and the
 # ring placement properties. Each target's doc comment states what it holds
 # to; 5 s each searches past its seeds. The targets are listed per package by
 # `go test -list`, so a new one is fuzzed here without an edit.
@@ -260,9 +270,9 @@ go test -run 'TestRegisteredProfiles|PackUnpackRoundTrip|TestWireProfileMatrix|T
 go test -run 'TestTransferSmoke' -count 1 ./internal/experiments/
 # The real-binary ddr5-dimm runs are TestCLITruthGolden's, in the e2e leg.
 
-echo "==> chaos scenarios (validate all, then the ~30s smoke run)"
-# Every checked-in scenario must parse and validate; then the short
-# two-node smoke scenario actually runs — fleet bring-up, wire-codec
+echo "==> chaos smoke (the ~30s ci-smoke scenario)"
+# The checked-in scenarios are Go values, validated by internal/chaos's
+# tests; the short two-node smoke scenario actually runs — fleet bring-up, wire-codec
 # load, one SIGKILL with journal takeover, a poison burst — and its SLO
 # verdict (recovery time, availability, zero verdict loss, zero poison
 # accepted) is the gate. The directory is left behind on failure, with
@@ -270,8 +280,7 @@ echo "==> chaos scenarios (validate all, then the ~30s smoke run)"
 # The runner builds the daemons it starts into the work directory.
 chaosdir=$(mktemp -d)
 go build -o "$chaosdir/" ./cmd/cordial-chaos
-"$chaosdir/cordial-chaos" validate scenarios/*.yaml
-"$chaosdir/cordial-chaos" run scenarios/ci-smoke.yaml --work "$chaosdir/work" \
+"$chaosdir/cordial-chaos" run ci-smoke --work "$chaosdir/work" \
     --json "$chaosdir/chaos-smoke.json" --html "$chaosdir/chaos-smoke.html"
 grep -q '"pass": true' "$chaosdir/chaos-smoke.json" \
     || { echo "chaos smoke report does not record a pass" >&2; exit 1; }
