@@ -1,3 +1,8 @@
+// Package chaos is the stress harness behind cordial-chaos: it runs a named
+// scenario (scenarios.go) through the real daemons over the wire codec,
+// generating workloads from weighted templates, injecting failures on a
+// timeline (SIGKILL, disk faults, clock skew, poison, router partitions) and
+// asserting SLOs scraped from the daemons' /metrics and /statsz.
 package chaos
 
 import (

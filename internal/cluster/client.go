@@ -38,6 +38,8 @@ type exportRequest struct {
 type importRequest struct {
 	Desc   Descriptor    `json:"descriptor"`
 	Bundle HandoffBundle `json:"bundle"`
+	// Join marks an import into a joiner, whose join may yet fail.
+	Join bool `json:"join,omitempty"`
 }
 
 // dropRequest asks a node to discard local sessions it does not own

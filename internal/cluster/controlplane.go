@@ -223,7 +223,7 @@ func (cp *ControlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 	cp.mu.Unlock()
 
 	if err := cp.rebalanceJoin(next, m, sources); err != nil {
-		cp.abort(m)
+		cp.abort()
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
@@ -252,7 +252,7 @@ func (cp *ControlPlane) rebalanceJoin(next Descriptor, joiner Member, sources []
 			return fmt.Errorf("export from %s: %w", src.ID, err)
 		}
 		if err := postJSON(cp.cfg.Client, "http://"+joiner.Addr+"/cluster/v1/import",
-			importRequest{Desc: next, Bundle: bundle}, nil); err != nil {
+			importRequest{Desc: next, Bundle: bundle, Join: true}, nil); err != nil {
 			return fmt.Errorf("import into %s: %w", joiner.ID, err)
 		}
 	}
@@ -269,17 +269,18 @@ func (cp *ControlPlane) rebalanceJoin(next Descriptor, joiner Member, sources []
 }
 
 // abort ends a topology change that failed before it was published. The
-// nodes it reached may serve its epoch, which is never published: the
-// unchanged membership is, at a fresh epoch, and every member and extra node
-// adopts it through a drop, discarding what it imported under the abandoned
-// ring. No source has dropped anything, so no session is lost.
-func (cp *ControlPlane) abort(extra ...Member) {
+// members it reached may serve its epoch, which is never published: the
+// unchanged membership is, at a fresh epoch, and every member adopts it
+// through a drop, discarding what it imported under the abandoned ring. No
+// source has dropped anything. A failed joiner drops its imports itself at
+// its next join (Agent.joinFilter): it may hold banks no one else has.
+func (cp *ControlPlane) abort() {
 	cp.errors.Inc()
 	cp.mu.Lock()
 	desc := cp.nextLocked()
 	cp.epoch = desc.Epoch
 	cp.mu.Unlock()
-	for _, m := range append(desc.Members, extra...) {
+	for _, m := range desc.Members {
 		if err := postJSON(cp.cfg.Client, "http://"+m.Addr+"/cluster/v1/drop",
 			dropRequest{Desc: desc}, nil); err != nil {
 			cp.cfg.Logger.Warn("drop after a failed topology change failed", "node", m.ID, "err", err)
@@ -418,9 +419,10 @@ func (cp *ControlPlane) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // Sweep runs one failure-detection pass: every member whose lease expired
-// is declared dead, and all of them are taken over in one topology change
-// (one at a time, each would hand its banks to the others). Exported for
-// tests; Run calls it periodically.
+// is declared dead, and all of them are taken over in one topology change.
+// A pass that would leave no member changes nothing: a member that renews
+// its lease keeps the ring, and a later sweep hands it the others' state.
+// Exported for tests; Run calls it periodically.
 //
 // The dead processes cannot export, so the control plane reads each one's
 // durable state directly — the latest snapshot plus the full journal off its
@@ -440,8 +442,12 @@ func (cp *ControlPlane) Sweep() {
 			dead = append(dead, m.Member)
 		}
 	}
-	if len(dead) == 0 {
+	sort.Slice(dead, func(i, j int) bool { return dead[i].ID < dead[j].ID })
+	if len(dead) == 0 || len(dead) == len(cp.members) {
 		cp.mu.Unlock()
+		if len(dead) > 0 {
+			cp.cfg.Logger.Warn("every member's lease expired; ring kept until one renews", "members", memberIDs(dead))
+		}
 		return
 	}
 	next := cp.nextLocked()
@@ -449,7 +455,6 @@ func (cp *ControlPlane) Sweep() {
 		next.Members = withoutMember(next.Members, m.ID)
 	}
 	cp.mu.Unlock()
-	sort.Slice(dead, func(i, j int) bool { return dead[i].ID < dead[j].ID })
 
 	for _, m := range dead {
 		bundle, err := readNodeState(m.WALDir)
@@ -459,7 +464,7 @@ func (cp *ControlPlane) Sweep() {
 				"id", m.ID, "walDir", m.WALDir, "err", err)
 			continue
 		}
-		if len(next.Members) > 0 && (len(bundle.Payload) > 0 || len(bundle.Suffix) > 0) {
+		if len(bundle.Payload) > 0 || len(bundle.Suffix) > 0 {
 			if err := cp.distribute(next, bundle); err != nil {
 				cp.abort()
 				cp.cfg.Logger.Error("takeover distribution failed; will retry next sweep",

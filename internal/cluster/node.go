@@ -71,6 +71,10 @@ type Agent struct {
 	// stale is set from a handoff until a drop: the node may hold sessions
 	// its ring does not give it.
 	stale bool
+	// provisional holds the banks a join at joinEpoch imported until the
+	// registration succeeds. A failed join's sources keep serving theirs.
+	provisional map[uint64]bool
+	joinEpoch   uint64
 }
 
 // NewAgent builds the agent and registers its instruments in the
@@ -188,9 +192,14 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	self := a.cfg.Self.ID
-	st, err := a.engine.ImportSessions(req.Bundle.Payload, req.Bundle.Suffix,
-		func(key uint64) bool { return ring.Owns(self, key) })
+	owns := func(key uint64) bool { return ring.Owns(a.cfg.Self.ID, key) }
+	if req.Join {
+		if owns, err = a.joinFilter(req.Desc.Epoch, owns); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	st, err := a.engine.ImportSessions(req.Bundle.Payload, req.Bundle.Suffix, owns)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -203,6 +212,33 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 			"skipped", st.Skipped, "conflicts", st.Conflicts, "quarantined", st.Quarantined)
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// joinFilter wraps owns for an import into this node as a joiner at epoch. A
+// join at another epoch than the last one's means that one failed: what it
+// imported goes first. The banks this import brings in are provisional until
+// the registration succeeds.
+func (a *Agent) joinFilter(epoch uint64, owns func(uint64) bool) (func(uint64) bool, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if epoch != a.joinEpoch {
+		if _, err := a.engine.DropSessions(func(key uint64) bool { return a.provisional[key] }); err != nil {
+			return nil, fmt.Errorf("dropping what a failed join imported: %w", err)
+		}
+		a.joinEpoch, a.provisional = epoch, map[uint64]bool{}
+	}
+	layout := a.engine.Config().Profile.Layout
+	return func(key uint64) bool {
+		if !owns(key) {
+			return false
+		}
+		if _, held := a.engine.Session(layout.UnpackBank(key)); !held {
+			a.mu.Lock()
+			a.provisional[key] = true
+			a.mu.Unlock()
+		}
+		return true
+	}, nil
 }
 
 // handleDrop: discard sessions this node no longer owns under the
@@ -328,6 +364,9 @@ func (a *Agent) register() error {
 		registerRequest{Member: a.cfg.Self, Profile: a.engine.Config().Profile.Name}, &desc); err != nil {
 		return err
 	}
+	a.mu.Lock()
+	a.provisional, a.joinEpoch = nil, 0
+	a.mu.Unlock()
 	_, err := a.adopt(desc)
 	return err
 }

@@ -36,12 +36,13 @@ const simTTL = time.Minute
 
 // fabric is the simulation's network: it serves each request in this
 // process, from the handler registered for its host. A host without one is
-// unreachable, and a fault armed on a host and path fails the next request
-// to them before any handler sees it.
+// unreachable. A fault armed on a host and path fails the next request to
+// them before any handler sees it; a loss lets the handler serve it and
+// fails the answer, as a timeout after the work landed does.
 type fabric struct {
 	mu     sync.Mutex
 	hosts  map[string]http.Handler
-	faults map[string]bool // "host path"
+	faults map[string]string // "host path" → "fault" or "lose"
 }
 
 func (f *fabric) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -51,7 +52,7 @@ func (f *fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 	delete(f.faults, key)
 	f.mu.Unlock()
 	switch {
-	case fault:
+	case fault == "fault":
 		return nil, fmt.Errorf("sim: injected fault on %s", key)
 	case h == nil:
 		return nil, fmt.Errorf("sim: %s is unreachable", req.URL.Host)
@@ -61,6 +62,9 @@ func (f *fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
+	if fault == "lose" {
+		return nil, fmt.Errorf("sim: answer lost on %s", key)
+	}
 	return rec.Result(), nil
 }
 
@@ -82,6 +86,10 @@ type simNode struct {
 	api    *stream.Server
 	agent  *Agent
 	live   bool
+	// waiting marks a node whose registration failed: it is up but no
+	// member, as Run keeps it while it backs off, and it neither heartbeats
+	// nor is checked until a join step or the finish registers it again.
+	waiting bool
 }
 
 // sim is a fleet in one process on one fake clock: the real ControlPlane at
@@ -114,16 +122,22 @@ func newSim(root string, prof *hbm.Profile, maxBody int64) *sim {
 	s := &sim{
 		root: root, prof: prof, srvCfg: stream.ServerConfig{MaxBodyBytes: maxBody},
 		clock:  obs.NewFakeClock(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)),
-		net:    &fabric{hosts: map[string]http.Handler{}, faults: map[string]bool{}},
+		net:    &fabric{hosts: map[string]http.Handler{}, faults: map[string]string{}},
 		nodes:  map[string]*simNode{},
 		counts: map[uint64]int{},
 	}
 	s.client = &http.Client{Transport: s.net}
-	s.cp = NewControlPlane(CPConfig{VNodes: 16, HeartbeatTTL: simTTL, Logger: quiet, Client: s.client, Clock: s.clock})
 	s.router = NewRouter(RouterConfig{ControlPlane: "http://cp", MaxBodyBytes: maxBody, Backoff: time.Nanosecond, Logger: quiet, Client: s.client})
-	s.net.set("cp", s.cp.Handler())
 	s.net.set("router", s.router)
+	s.startCP()
 	return s
+}
+
+// startCP starts an empty control plane at host "cp", in place of any
+// running there.
+func (s *sim) startCP() {
+	s.cp = NewControlPlane(CPConfig{VNodes: 16, HeartbeatTTL: simTTL, Logger: quiet, Client: s.client, Clock: s.clock})
+	s.net.set("cp", s.cp.Handler())
 }
 
 // newSimT is newSim for one test, closed when it ends.
@@ -183,21 +197,32 @@ func (s *sim) close() {
 	}
 }
 
-// join boots node id and registers it as its agent's Run does first. A node
-// whose registration fails gives up and stops; join reports the failure.
+// join boots node id, unless it is up, and registers it as its agent's Run
+// does first; a waiting node registers again. A node whose registration
+// fails waits. Run retries after a backoff the fleet serves through, so
+// the retry is the node's next join step, not an immediate one.
 func (s *sim) join(id string) error {
-	if s.nodes[id] != nil {
+	n := s.nodes[id]
+	if n == nil {
+		var err error
+		if n, err = s.start(id); err != nil {
+			return err
+		}
+	} else if !n.live || !n.waiting {
 		return nil
 	}
-	n, err := s.start(id)
-	if err != nil {
-		return err
+	err := n.agent.register()
+	n.waiting = err != nil
+	return err
+}
+
+// heartbeats lets every serving node heartbeat once.
+func (s *sim) heartbeats() {
+	for _, n := range s.order {
+		if n.live && !n.waiting {
+			n.agent.heartbeat()
+		}
 	}
-	if err := n.agent.register(); err != nil {
-		s.stop(n)
-		return err
-	}
-	return nil
 }
 
 // other reports whether a live node besides n is still a member.
@@ -236,11 +261,7 @@ func (s *sim) kill(id string) {
 // as its heartbeat does, and sweeps: every node that stopped is taken over.
 func (s *sim) expire() {
 	s.clock.Advance(2 * simTTL)
-	for _, n := range s.order {
-		if n.live {
-			n.agent.heartbeat()
-		}
-	}
+	s.heartbeats()
 	s.cp.Sweep()
 }
 
@@ -330,21 +351,17 @@ func (s *sim) record(evs []mcelog.Event) {
 	}
 }
 
-// check lets every live node heartbeat once, as the fleet does while it idles,
-// and then holds it, quiescent, to its contract: every live node serves the
-// published descriptor; every session a live node holds is one the
-// published ring gives it, so no bank is held twice and a dropped bank stays
-// dropped unless the ring gives it back; and every bank a live node owns
-// holds every event acknowledged for it.
+// check lets every serving node heartbeat once, as the fleet does while it
+// idles, and then holds it, quiescent, to its contract: every live node but a
+// waiting one serves the published descriptor; every session it holds is one
+// the published ring gives it, so no bank is held twice and a dropped bank
+// stays dropped unless the ring gives it back; and every bank a live node
+// owns holds every event acknowledged for it.
 func (s *sim) check() error {
 	s.net.mu.Lock()
 	clear(s.net.faults) // a fault lasts one step
 	s.net.mu.Unlock()
-	for _, n := range s.order {
-		if n.live {
-			n.agent.heartbeat()
-		}
-	}
+	s.heartbeats()
 	desc, ring := s.cp.Descriptor(), s.ring()
 	if ring == nil {
 		return nil // no member yet
@@ -355,6 +372,9 @@ func (s *sim) check() error {
 		}
 		if err := n.engine.Drain(0); err != nil {
 			return err
+		}
+		if n.waiting {
+			continue
 		}
 		n.agent.mu.Lock()
 		var served Descriptor
@@ -386,15 +406,21 @@ func (s *sim) check() error {
 	return nil
 }
 
-// finish takes over every stopped node, checks the fleet once more, then
-// holds it to one standalone engine fed every acknowledged event in order:
-// per bank, the final owner's event count and the deduplicated actions the
-// fleet emitted over its whole life equal the standalone engine's.
+// finish takes over every stopped node, registers every waiting one, checks
+// the fleet once more, then holds it to one standalone engine fed every
+// acknowledged event in order: per bank, the final owner's event count and
+// the deduplicated actions the fleet emitted over its whole life equal the
+// standalone engine's.
 func (s *sim) finish() error {
 	if err := s.check(); err != nil {
 		return err
 	}
 	s.expire()
+	for _, n := range s.order {
+		if err := s.join(n.id); err != nil {
+			return fmt.Errorf("the waiting %s failed to register at the end: %w", n.id, err)
+		}
+	}
 	if err := s.check(); err != nil {
 		return fmt.Errorf("after the final sweep: %w", err)
 	}
@@ -471,8 +497,9 @@ func actionSet(api *stream.Server) map[string]bool {
 // simStep is one step of a schedule: "join", "leave", "kill" or "snapshot"
 // node; "routed" or "direct" ingest of evs; "expire" (the stopped nodes'
 // leases run out, then a sweep); "refresh" (the router fetches the ring);
-// "fault" (the next request to node's path fails, during the next step only);
-// or "sweepjoin" (an expire whose sweep races node's join).
+// "fault" or "lose" (the next request to node's path fails, or is served and
+// its answer lost, during the next step only); "sweepjoin" (an expire whose
+// sweep races node's join); or "restart" (the control plane restarts empty).
 type simStep struct {
 	op, node, path string
 	evs            []mcelog.Event
@@ -508,17 +535,20 @@ func (s *sim) step(st simStep) error {
 		s.expire()
 	case "refresh":
 		_ = s.router.refreshRing()
-	case "fault":
+	case "restart":
+		// Nodes re-register off their heartbeats' 404s, some only once
+		// another's join has failed and carried the epochs past theirs.
+		s.startCP()
+		for range s.order {
+			s.heartbeats()
+		}
+	case "fault", "lose":
 		s.net.mu.Lock()
-		s.net.faults[st.node+" "+st.path] = true
+		s.net.faults[st.node+" "+st.path] = st.op
 		s.net.mu.Unlock()
 	case "sweepjoin":
 		s.clock.Advance(2 * simTTL)
-		for _, n := range s.order {
-			if n.live {
-				n.agent.heartbeat()
-			}
-		}
+		s.heartbeats()
 		n, err := s.start(st.node)
 		if err != nil {
 			return err
@@ -535,7 +565,7 @@ func (s *sim) step(st simStep) error {
 }
 
 // runSim plays steps on a fresh fleet under root, checking it after every
-// step but a fault, and finishes it.
+// step but a fault or loss, and finishes it.
 func runSim(root string, steps []simStep) error {
 	dir, err := os.MkdirTemp(root, "sim")
 	if err != nil {
@@ -548,7 +578,7 @@ func runSim(root string, steps []simStep) error {
 		if err := s.step(st); err != nil {
 			return fmt.Errorf("step %d (%v): %w", i, st, err)
 		}
-		if st.op == "fault" {
+		if st.op == "fault" || st.op == "lose" {
 			continue
 		}
 		if err := s.check(); err != nil {
@@ -558,14 +588,21 @@ func runSim(root string, steps []simStep) error {
 	return s.finish()
 }
 
-// simFaultPaths are the requests a fault step may fail: the handoff calls,
-// the router's forwards and its ring fetches. Heartbeats are not among them:
-// a live node whose lease runs out is a partition, which this fleet does not
-// yet specify.
-var simFaultPaths = []string{"/cluster/v1/export", "/cluster/v1/import", "/cluster/v1/drop", "/v1/events.bin", "/cluster/v1/ring"}
+// simFaultPaths are the requests a fault step may fail: a node's handoff
+// calls and forwards, then the control plane's ring fetches, registrations
+// and heartbeats. A loss may take the answer of a handoff call, the first
+// three, and of nothing else: a lost ingest answer leaves the client unsure
+// what the fleet holds, which the oracle cannot count, and a lost
+// registration answer leaves a member that does not know it is one and stops
+// heartbeating, a partition (ROADMAP item 2(b)).
+var simFaultPaths = []string{"/cluster/v1/export", "/cluster/v1/import", "/cluster/v1/drop", "/v1/events.bin",
+	"/cluster/v1/ring", "/cluster/v1/register", "/cluster/v1/heartbeat"}
 
-// genSimSchedule draws a schedule: a first join, then ingest, joins, leaves,
-// kills, expiries, snapshots, ring refreshes and faults over up to 24 banks.
+const simNodePaths = 4 // the first simNodePaths of simFaultPaths are a node's
+
+// genSimSchedule draws a schedule: a first join, then ingest, joins (of new
+// nodes and of known ones, which a waiting node retries), leaves, kills,
+// expiries, snapshots, ring refreshes and faults over up to 24 banks.
 func genSimSchedule(seed uint64) []simStep {
 	r := xrand.New(seed)
 	banks, sec, joined := 8+r.Intn(17), 0, 1
@@ -589,9 +626,11 @@ func genSimSchedule(seed uint64) []simStep {
 			st = simStep{op: "routed", evs: events(1 + r.Intn(24))}
 		case k < 36:
 			st = simStep{op: "direct", evs: events(1 + r.Intn(12))}
-		case k < 48:
+		case k < 42:
 			joined++
 			st = simStep{op: "join", node: fmt.Sprintf("n%d", joined)}
+		case k < 48:
+			st = simStep{op: "join", node: node()}
 		case k < 54:
 			st = simStep{op: "leave", node: node()}
 		case k < 61:
@@ -603,10 +642,13 @@ func genSimSchedule(seed uint64) []simStep {
 		case k < 81:
 			st = simStep{op: "refresh"}
 		default:
-			if path := simFaultPaths[r.Intn(len(simFaultPaths))]; path == "/cluster/v1/ring" {
-				st = simStep{op: "fault", node: "cp", path: path}
-			} else {
-				st = simStep{op: "fault", node: next(), path: path}
+			i := r.Intn(len(simFaultPaths))
+			st = simStep{op: "fault", node: "cp", path: simFaultPaths[i]}
+			if i < simNodePaths {
+				st.node = next()
+			}
+			if i < 3 && r.Intn(2) == 0 {
+				st.op = "lose"
 			}
 		}
 		steps = append(steps, st)

@@ -391,7 +391,7 @@ var mutants = []struct {
 	{"a drop drops nothing", "internal/cluster/node.go",
 		"n, err := a.engine.DropSessions(func(key uint64) bool { return !ring.Owns(self, key) })",
 		"n, err := a.engine.DropSessions(func(key uint64) bool { return false && !ring.Owns(self, key) })",
-		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestFailedJoinPublishesFreshEpoch", "internal/cluster TestFleetSimulation"}},
+		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
 	{"a missed drop is never made up", "internal/cluster/node.go", "\t\ta.dropStale(hb.Epoch)\n", "",
 		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
 	{"a leave hands the leaver's banks to no one", "internal/cluster/controlplane.go",
@@ -407,14 +407,24 @@ var mutants = []struct {
 	{"rebalanceJoin drops at the source before the joiner's import is acknowledged", "internal/cluster/controlplane.go",
 		"\t\tif err := postJSON(cp.cfg.Client, \"http://\"+joiner.Addr+\"/cluster/v1/import\",",
 		"\t\t_ = postJSON(cp.cfg.Client, \"http://\"+src.Addr+\"/cluster/v1/drop\", dropRequest{Desc: next}, nil)\n\t\tif err := postJSON(cp.cfg.Client, \"http://\"+joiner.Addr+\"/cluster/v1/import\",",
-		[]string{"internal/cluster TestFailedJoinPublishesFreshEpoch", "internal/cluster TestFleetSimulation"}},
+		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
 	{"a takeover whose distribution failed removes the dead member anyway", "internal/cluster/controlplane.go",
 		"if err := cp.distribute(next, bundle); err != nil {\n\t\t\t\tcp.abort()",
 		"if err := cp.distribute(next, bundle); err != nil && false {\n\t\t\t\tcp.abort()",
-		[]string{"internal/cluster TestFleetSimulation"}},
+		[]string{"internal/cluster TestSimRegressions"}},
 	{"a failed topology change's epoch reused", "internal/cluster/controlplane.go",
 		"cp.issued = max(cp.issued, cp.epoch) + 1", "cp.issued = cp.epoch + 1",
-		[]string{"internal/cluster TestFailedJoinPublishesFreshEpoch", "internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
+		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
+	{"a join keeps what a failed join imported", "internal/cluster/node.go",
+		"func(key uint64) bool { return a.provisional[key] }", "func(key uint64) bool { return false && a.provisional[key] }",
+		[]string{"internal/cluster TestSimRegressions"}},
+	{"an aborted join empties the joiner", "internal/cluster/controlplane.go",
+		"\t\tcp.abort()\n\t\thttp.Error(w, err.Error(), http.StatusBadGateway)",
+		"\t\tcp.abort()\n\t\t_ = postJSON(cp.cfg.Client, \"http://\"+m.Addr+\"/cluster/v1/drop\", dropRequest{Desc: cp.Descriptor()}, nil)\n\t\thttp.Error(w, err.Error(), http.StatusBadGateway)",
+		[]string{"internal/cluster TestSimRegressions"}},
+	{"a sweep that leaves no member commits anyway", "internal/cluster/controlplane.go",
+		"if len(dead) == 0 || len(dead) == len(cp.members) {", "if len(dead) == 0 {",
+		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

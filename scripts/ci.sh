@@ -97,10 +97,10 @@ go test -race -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.
 echo "==> fleet simulation (10 000 seeded schedules, the first 1 000 under -race)"
 # The real control plane, router and engines on one fake clock over an
 # in-process network: joins, leaves, kills, lease expiries, snapshots, ring
-# refreshes and one-shot faults, each quiescent fleet held to one owner per
-# bank and to a standalone engine fed what the fleet acknowledged. go test
-# ./... runs the first 300 seeds; a failure prints its seed and the shrunk
-# schedule (rerun with -args -sim.from=SEED -sim.seeds=1).
+# refreshes, one-shot faults and lost handoff answers, each quiescent fleet
+# held to one owner per bank and to a standalone engine fed what the fleet
+# acknowledged. go test ./... runs the first 300 seeds; a failure prints its
+# seed and the shrunk schedule (rerun with -args -sim.from=SEED -sim.seeds=1).
 go test -count 1 -run 'TestFleetSimulation' ./internal/cluster/ -args -sim.seeds=10000
 go test -race -count 1 -run 'TestFleetSimulation' ./internal/cluster/ -args -sim.seeds=1000
 
