@@ -1,9 +1,12 @@
-// Command cordial-chaos is the fleet-scale stress harness: it runs the
-// checked-in chaos scenarios (internal/chaos/scenarios.go) against the real
-// serving daemons — generating
-// weighted-template workloads, injecting kills, disk faults, clock skew,
-// poisoned events and router partitions on a timeline — and scores the
-// run against the scenario's SLOs, emitting JSON and HTML reports.
+// Command cordial-chaos is the thin real-binary smoke: it runs the
+// checked-in chaos scenario (internal/chaos/scenarios.go) against the real
+// serving daemons — a control plane, serve nodes and a router, loaded with a
+// weighted-template workload as wire frames — injects what needs a real
+// process (a SIGKILL of a serve node, poisoned events at the front door) on
+// a timeline, and scores the run against the scenario's SLOs (recovery time,
+// availability, zero verdict loss, zero poison accepted), emitting JSON and
+// HTML reports. Disk faults, partitions and membership churn are injected in
+// process, by internal/cluster's fleet simulation.
 //
 // Usage:
 //

@@ -97,7 +97,6 @@ func run() error {
 		walDir     = flag.String("wal-dir", "", "durability directory: journal accepted events, snapshot sessions, recover on boot")
 		snapEvery  = flag.Duration("snapshot-interval", 0, "periodic snapshot interval (0 disables; requires -wal-dir)")
 		fsync      = flag.String("fsync", "always", "journal fsync policy with -wal-dir: always (concurrent appends share fsyncs) or never")
-		faultSpec  = flag.String("faultfs", "", "chaos-testing disk faults for the WAL path (sync-fail[=N], write-budget=N, open-fail; comma-separated); starts DISARMED, SIGUSR2 toggles arm/disarm")
 		deadLetter = flag.String("dead-letter", "", "append quarantined events (panicked processing) to this JSONL file")
 		deadMaxMB  = flag.Int64("dead-letter-max-mb", 0, "rotate the dead-letter file past this many MiB (0 = default 64)")
 		deadKeep   = flag.Int("dead-letter-keep", 0, "rotated dead-letter files to keep (0 = default 4, negative keeps none)")
@@ -153,35 +152,14 @@ func run() error {
 	if *modelsPath == "" && !*selftrain {
 		return fmt.Errorf("need -models <path> or -selftrain")
 	}
-	var (
-		faultFS     *wal.FaultFS
-		armedFaults wal.FaultSpec
-	)
 	if *walDir != "" {
 		pol, err := wal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			return err
 		}
 		cfg.Durability = stream.DurabilityConfig{Dir: *walDir, Sync: pol}
-		if *faultSpec != "" {
-			// Chaos plumbing: the WAL runs over a FaultFS that boots
-			// disarmed (recovery and steady state are unaffected) and flips
-			// to the parsed faults on SIGUSR2. The harness schedules the
-			// signal; the spec stays fixed for the process lifetime.
-			armedFaults, err = wal.ParseFaultSpec(*faultSpec)
-			if err != nil {
-				return err
-			}
-			if !armedFaults.Armed() {
-				return fmt.Errorf("-faultfs %q arms no faults", *faultSpec)
-			}
-			faultFS = wal.NewFaultFS(wal.OSFS)
-			cfg.Durability.FS = faultFS
-		}
 	} else if *snapEvery > 0 {
 		return fmt.Errorf("-snapshot-interval requires -wal-dir")
-	} else if *faultSpec != "" {
-		return fmt.Errorf("-faultfs requires -wal-dir (it injects faults into the WAL path)")
 	}
 	if *regDir == "" && *walDir != "" {
 		*regDir = filepath.Join(*walDir, "models")
@@ -292,7 +270,7 @@ func run() error {
 	// Signals are caught from before the listener opens: a SIGTERM sent as
 	// soon as the daemon answers must drain it, not kill it.
 	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP, syscall.SIGUSR2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -385,7 +363,6 @@ func run() error {
 		}
 	}
 
-	faultsArmed := false
 serve:
 	for {
 		select {
@@ -395,23 +372,6 @@ serve:
 				// in through the same path online promotion uses.
 				if err := reloadModel(logger, engine, reg, *modelsPath); err != nil {
 					logger.Error("model reload failed", "err", err)
-				}
-				continue
-			}
-			if s == syscall.SIGUSR2 {
-				// Chaos toggle: arm or disarm the -faultfs spec.
-				switch {
-				case faultFS == nil:
-					logger.Warn("SIGUSR2 ignored: no -faultfs configured")
-				case faultsArmed:
-					faultFS.Disarm()
-					faultsArmed = false
-					w, sy := faultFS.Faults()
-					logger.Info("disk faults disarmed", "spec", armedFaults.String(), "writeFaults", w, "syncFaults", sy)
-				default:
-					armedFaults.Apply(faultFS)
-					faultsArmed = true
-					logger.Info("disk faults armed", "spec", armedFaults.String())
 				}
 				continue
 			}

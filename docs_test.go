@@ -228,7 +228,7 @@ func (n docNames) resolves(parts []string) bool {
 }
 
 // jsonPath reports whether every part is a key or value the code spells: a
-// path into a JSON or scenario document (`shadow.since`, `fleet.faultfs`).
+// path into a JSON or scenario document (`shadow.since`, `slo.recovery_time`).
 func (n docNames) jsonPath(parts []string) bool {
 	for _, p := range parts {
 		if !n.values[p] {

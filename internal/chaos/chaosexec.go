@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"cordial/internal/hbm"
@@ -18,8 +17,8 @@ import (
 )
 
 // armChaos schedules every resolved action relative to the load start.
-// Each action runs on its own timer so a long injection (a partition
-// window) never delays the next one.
+// Each action runs on its own timer so a kill awaiting its recovery never
+// delays the next one.
 func (st *runState) armChaos() {
 	for i, a := range st.plan.Chaos {
 		a := a
@@ -45,132 +44,25 @@ func (st *runState) armChaos() {
 	}
 }
 
-// targetDaemon resolves an action target to a process.
-func (st *runState) targetDaemon(target string) (*Daemon, error) {
-	switch target {
-	case "control":
-		if st.fleet.control == nil {
-			return nil, fmt.Errorf("no control plane in a standalone fleet")
-		}
-		return st.fleet.control, nil
-	case "router":
-		if st.fleet.router == nil {
-			return nil, fmt.Errorf("no router in a standalone fleet")
-		}
-		return st.fleet.router, nil
-	}
-	n, ok := strings.CutPrefix(target, "node-")
-	if !ok {
-		return nil, fmt.Errorf("unknown target %q", target)
-	}
-	idx, err := strconv.Atoi(n)
-	if err != nil || idx < 1 || idx > len(st.fleet.nodes) {
-		return nil, fmt.Errorf("target %q out of range", target)
-	}
-	return st.fleet.nodes[idx-1], nil
-}
-
+// execute runs one action: a SIGKILL of a serve node, awaited until the
+// fleet has taken it over, or poison at the front door.
 func (st *runState) execute(a ChaosAction, rec *ChaosRecord) {
-	d, err := st.targetDaemon(a.Target)
-	if err != nil && a.Action != ActClockSkew && a.Action != ActPoison && a.Action != ActPartitionRouter {
-		rec.Error = err.Error()
+	if a.Action == ActPoison {
+		st.executePoison(a, rec)
 		return
 	}
-
-	switch a.Action {
-	case ActKillNode:
-		killedAt := time.Now()
-		d.Kill()
-		st.mu.Lock()
-		st.kills++
-		st.mu.Unlock()
-		rec.Detail = "SIGKILL"
-		if st.fleet.control != nil && strings.HasPrefix(a.Target, "node-") {
-			if recov, err := st.awaitRecovery(killedAt); err != nil {
-				rec.Error = err.Error()
-			} else {
-				rec.Recovery = recov.Round(time.Millisecond).String()
-				st.logf("recovered from killing %s in %v", a.Target, recov.Round(time.Millisecond))
-			}
-		}
-	case ActRestartNode:
-		if d.Alive() {
-			rec.Error = fmt.Sprintf("%s is still running", a.Target)
-			return
-		}
-		if err := d.Start(); err != nil {
-			rec.Error = err.Error()
-			return
-		}
-		rec.Detail = "restarted on " + d.Addr()
-	case ActDiskFault, ActClearFault:
-		// cordial-serve toggles FaultFS arm/disarm on SIGUSR2; the two
-		// verbs are documentation of intent, the signal is the same.
-		if err := d.Signal(syscall.SIGUSR2); err != nil {
-			rec.Error = err.Error()
-			return
-		}
-		rec.Detail = "SIGUSR2 (fault toggle)"
-	case ActClockSkew:
-		st.mu.Lock()
-		st.skewOffset = a.Offset
-		st.skewUntil = time.Now().Add(a.Duration)
-		st.mu.Unlock()
-		rec.Detail = fmt.Sprintf("producer clock shifted %v for %v", a.Offset, a.Duration)
-	case ActPoison:
-		st.executePoison(a, rec)
-	case ActPartitionRouter:
-		router := st.fleet.router
-		if router == nil {
-			rec.Error = "no router to partition"
-			return
-		}
-		if err := router.Signal(syscall.SIGSTOP); err != nil {
-			rec.Error = err.Error()
-			return
-		}
-		time.Sleep(a.Duration)
-		if err := router.Signal(syscall.SIGCONT); err != nil {
-			rec.Error = err.Error()
-			return
-		}
-		rec.Detail = fmt.Sprintf("router frozen (SIGSTOP) for %v", a.Duration)
-	case ActRetrain:
-		code, err := st.postJSON(d.URL("/v1/models/retrain"), map[string]string{"trigger": "manual"})
-		if err != nil {
-			rec.Error = err.Error()
-			return
-		}
-		rec.Detail = fmt.Sprintf("retrain = HTTP %d", code)
-		if code != http.StatusOK && code != http.StatusAccepted {
-			rec.Error = fmt.Sprintf("retrain returned %d", code)
-		}
-	case ActPromote:
-		body := map[string]any{}
-		if a.Version > 0 {
-			body["version"] = a.Version
-		}
-		// A freshly retrained candidate may still be training; give the
-		// promotion a few tries before calling it a failure.
-		var code int
-		var err error
-		for try := 0; try < 40; try++ {
-			code, err = st.postJSON(d.URL("/v1/models/promote"), body)
-			if err == nil && code == http.StatusOK {
-				break
-			}
-			time.Sleep(500 * time.Millisecond)
-		}
-		if err != nil {
-			rec.Error = err.Error()
-			return
-		}
-		rec.Detail = fmt.Sprintf("promote = HTTP %d", code)
-		if code != http.StatusOK {
-			rec.Error = fmt.Sprintf("promote returned %d", code)
-		}
-	default:
-		rec.Error = fmt.Sprintf("unknown action %q", a.Action)
+	n, _ := strconv.Atoi(strings.TrimPrefix(a.Target, "node-")) // resolved and validated by the plan
+	killedAt := time.Now()
+	st.fleet.nodes[n-1].Kill()
+	st.mu.Lock()
+	st.kills++
+	st.mu.Unlock()
+	rec.Detail = "SIGKILL"
+	if recov, err := st.awaitRecovery(killedAt); err != nil {
+		rec.Error = err.Error()
+	} else {
+		rec.Recovery = recov.Round(time.Millisecond).String()
+		st.logf("recovered from killing %s in %v", a.Target, recov.Round(time.Millisecond))
 	}
 }
 
@@ -179,7 +71,7 @@ func (st *runState) execute(a ChaosAction, rec *ChaosRecord) {
 // broken framing with 400, well-framed garbage as per-record rejects.
 // Whatever the stack ACCEPTS is counted against slo.max_poison_accepted.
 func (st *runState) executePoison(a ChaosAction, rec *ChaosRecord) {
-	front := st.fleet.frontDoor()
+	front := st.fleet.router
 	count := a.Count
 	if count <= 0 {
 		count = 32
@@ -255,20 +147,6 @@ func (st *runState) rawPost(url, contentType string, body []byte) (int, ingestRe
 	return resp.StatusCode, res
 }
 
-func (st *runState) postJSON(url string, body any) (int, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := st.client.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
 // awaitRecovery blocks until the cluster has absorbed a node kill: the
 // control plane swept the dead member and journal-takeover rebuilt its
 // sessions (takeovers advanced, membership shrank), and every surviving
@@ -322,7 +200,7 @@ func (st *runState) startProbes() {
 			case <-st.probeStop:
 				return
 			case <-ticker.C:
-				code := GetJSON(client, st.fleet.frontDoor().URL("/readyz"), nil)
+				code := GetJSON(client, st.fleet.router.URL("/readyz"), nil)
 				st.mu.Lock()
 				st.probes.Samples++
 				if code == http.StatusOK {
@@ -365,11 +243,9 @@ func (st *runState) collectStats(rep *Report) {
 			continue
 		}
 		var stz struct {
-			ModelSwaps  uint64 `json:"modelSwaps"`
 			Quarantined uint64 `json:"quarantined"`
 		}
 		if GetJSON(st.client, n.URL("/statsz"), &stz) == http.StatusOK {
-			rep.Load.ModelSwaps += stz.ModelSwaps
 			rep.Load.Quarantined += stz.Quarantined
 		}
 		snap, err := obs.Scrape(st.client, n.URL("/metrics"))

@@ -15,7 +15,7 @@ func planScenario(t *testing.T, seed uint64) *Scenario {
 		{"agg", 50, "single"}, {"spread", 20, "scattered"}, {"any", 10, "mixed"}, {"quiet", 20, "benign"}}}
 	sc.Chaos = []ChaosAction{
 		{At: time.Second, Action: ActKillNode, Target: "random"},
-		{At: 2 * time.Second, Action: ActRestartNode, Target: "random"},
+		{At: 2 * time.Second, Action: ActKillNode, Target: "random"},
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)

@@ -17,8 +17,8 @@ import (
 // Daemon is one supervised fleet process (cordial-serve, cordial-control
 // or cordial-router): launch, scan stdout for the resolved-address slog
 // line, capture output. It lives outside testing.T so the chaos runner can
-// SIGKILL, pause and restart processes mid-run, and the clitest end-to-end
-// tests start every daemon through it too.
+// SIGKILL a process mid-run, and the clitest end-to-end tests start every
+// daemon through it too.
 type Daemon struct {
 	Name string // role label: node-1, control, router, reference
 	Path string // binary path
@@ -165,16 +165,6 @@ func (d *Daemon) Output() string {
 		return ""
 	}
 	return out.String()
-}
-
-// Signal delivers sig to the process.
-func (d *Daemon) Signal(sig syscall.Signal) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.alive || d.cmd == nil || d.cmd.Process == nil {
-		return fmt.Errorf("chaos: %s is not running", d.Name)
-	}
-	return d.cmd.Process.Signal(sig)
 }
 
 // Kill SIGKILLs the process and reaps it.

@@ -40,13 +40,10 @@ type FleetReport struct {
 	FaultyBanks int            `json:"faultyBanks"`
 	Events      int            `json:"events"`
 	PerTemplate map[string]int `json:"banksPerTemplate"`
-	Startup     string         `json:"startupPattern"`
-	Topology    string         `json:"topology,omitempty"`
 }
 
 // LoadReport summarises delivery.
 type LoadReport struct {
-	Codec          string  `json:"codec"`
 	Sent           int     `json:"sent"`
 	Accepted       int     `json:"accepted"`
 	Rejected       int     `json:"rejected"`
@@ -55,7 +52,6 @@ type LoadReport struct {
 	PoisonSent     int     `json:"poisonSent"`
 	PoisonAccepted int     `json:"poisonAccepted"`
 	P99IngestWait  float64 `json:"p99IngestWaitSeconds"`
-	ModelSwaps     uint64  `json:"modelSwaps"`
 	Quarantined    uint64  `json:"quarantined"`
 }
 
@@ -102,11 +98,6 @@ func (r *Report) evaluateSLOs(slo SLOSpec) {
 		r.SLOs = append(r.SLOs, SLOCheck{Name: name, Target: target, Observed: observed, Pass: pass})
 	}
 
-	if slo.P99IngestLatency > 0 {
-		obs := time.Duration(r.Load.P99IngestWait * float64(time.Second))
-		add("p99_ingest_latency", "<= "+slo.P99IngestLatency.String(), obs.String(),
-			obs <= slo.P99IngestLatency)
-	}
 	if slo.RecoveryTime > 0 {
 		worst, n := time.Duration(0), 0
 		for _, c := range r.Chaos {
@@ -143,11 +134,6 @@ func (r *Report) evaluateSLOs(slo SLOSpec) {
 			fmt.Sprintf("<= %d", slo.MaxPoisonAccepted),
 			fmt.Sprintf("%d of %d", r.Load.PoisonAccepted, r.Load.PoisonSent),
 			r.Load.PoisonAccepted <= slo.MaxPoisonAccepted)
-	}
-	if slo.MinModelSwaps > 0 {
-		add("min_model_swaps", fmt.Sprintf(">= %d", slo.MinModelSwaps),
-			fmt.Sprintf("%d", r.Load.ModelSwaps),
-			r.Load.ModelSwaps >= uint64(slo.MinModelSwaps))
 	}
 
 	r.Pass = true
@@ -229,9 +215,9 @@ started {{.StartedAt.Format "2006-01-02 15:04:05"}} · ran {{.RunDuration}}</p>
 
 <h2>Fleet</h2>
 <table>
-<tr><th>nodes</th><th>banks</th><th>faulty</th><th>events</th><th>startup</th></tr>
+<tr><th>nodes</th><th>banks</th><th>faulty</th><th>events</th></tr>
 <tr><td>{{.Fleet.Nodes}}</td><td>{{.Fleet.Banks}}</td><td>{{.Fleet.FaultyBanks}}</td>
-<td>{{.Fleet.Events}}</td><td>{{.Fleet.Startup}}</td></tr>
+<td>{{.Fleet.Events}}</td></tr>
 </table>
 <table>
 <tr><th>template</th><th>banks</th></tr>
@@ -240,12 +226,12 @@ started {{.StartedAt.Format "2006-01-02 15:04:05"}} · ran {{.RunDuration}}</p>
 
 <h2>Load</h2>
 <table>
-<tr><th>codec</th><th>sent</th><th>accepted</th><th>rejected</th><th>dropped</th><th>retries</th>
-<th>poison sent</th><th>poison accepted</th><th>p99 ingest wait</th><th>model swaps</th><th>quarantined</th></tr>
-<tr><td>{{.Load.Codec}}</td><td>{{.Load.Sent}}</td><td>{{.Load.Accepted}}</td>
+<tr><th>sent</th><th>accepted</th><th>rejected</th><th>dropped</th><th>retries</th>
+<th>poison sent</th><th>poison accepted</th><th>p99 ingest wait</th><th>quarantined</th></tr>
+<tr><td>{{.Load.Sent}}</td><td>{{.Load.Accepted}}</td>
 <td>{{.Load.Rejected}}</td><td>{{.Load.Dropped}}</td><td>{{.Load.Retries}}</td>
 <td>{{.Load.PoisonSent}}</td><td>{{.Load.PoisonAccepted}}</td>
-<td>{{printf "%.4fs" .Load.P99IngestWait}}</td><td>{{.Load.ModelSwaps}}</td><td>{{.Load.Quarantined}}</td></tr>
+<td>{{printf "%.4fs" .Load.P99IngestWait}}</td><td>{{.Load.Quarantined}}</td></tr>
 </table>
 
 {{if .Chaos}}<h2>Chaos timeline</h2>

@@ -2,8 +2,8 @@ package chaos
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"cordial/internal/hbm"
@@ -35,20 +34,27 @@ type RunOptions struct {
 	Log io.Writer
 }
 
-// fleetDaemons groups the running processes of one scenario.
+// fleetDaemons groups the running processes of one scenario. The router is
+// the front door: load, poison and probes go through it.
 type fleetDaemons struct {
 	control *Daemon
 	router  *Daemon
 	nodes   []*Daemon // index i is node-(i+1); entries stay after kills
 }
 
-// frontDoor returns the daemon load and probes go through.
-func (f *fleetDaemons) frontDoor() *Daemon {
-	if f.router != nil {
-		return f.router
-	}
-	return f.nodes[0]
-}
+// The fleet's fixed settings: the serve nodes' self-training seed and fsync
+// policy, their heartbeat, the control plane's lease and sweep, and the
+// router's retries and ring refresh — short, so a kill is taken over within
+// seconds.
+const (
+	trainSeed        = "7"
+	fsyncPolicy      = "never"
+	heartbeat        = 100 * time.Millisecond
+	heartbeatTTL     = time.Second
+	sweepInterval    = 300 * time.Millisecond
+	routerMaxAttempt = "8"
+	routerRefresh    = 200 * time.Millisecond
+)
 
 // serveBinaries are the daemons a scenario needs.
 var serveBinaries = []string{"cordial-serve", "cordial-control", "cordial-router"}
@@ -69,8 +75,6 @@ type runState struct {
 	mu          sync.Mutex
 	chaosRecs   []ChaosRecord
 	kills       int
-	skewOffset  time.Duration
-	skewUntil   time.Time
 	poisonSent  int
 	poisonAccpt int
 
@@ -112,16 +116,8 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		return nil, err
 	}
 
-	// The harness packs addresses under the topology the daemons run: the
-	// plan carries the scenario's profile to load delivery and the poison.
-	prof, err := hbm.ProfileByName(cmp.Or(sc.Fleet.Topology, hbm.HBM2E.Name))
-	if err != nil {
-		return nil, err
-	}
-	logf("topology profile: %s", prof.Name)
-
 	logf("building plan: %d banks, seed %d", sc.FleetGen.TotalBanks, sc.Seed)
-	plan, err := BuildPlan(sc, prof)
+	plan, err := BuildPlan(sc, hbm.HBM2E)
 	if err != nil {
 		return nil, err
 	}
@@ -139,10 +135,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 			FaultyBanks: plan.Fleet.Faulty,
 			Events:      len(plan.Fleet.Events),
 			PerTemplate: plan.Fleet.PerTemplate,
-			Startup:     sc.Fleet.Startup.Pattern,
-			Topology:    sc.Fleet.Topology,
 		},
-		Load: LoadReport{Codec: sc.Load.Codec},
 	}
 
 	st := &runState{
@@ -282,51 +275,27 @@ func moduleRoot() (string, error) {
 
 // serveArgs builds the cordial-serve command line for one node.
 func serveArgs(sc *Scenario, walDir string, extra ...string) []string {
-	args := []string{
+	return append([]string{
 		"-selftrain",
-		"-seed", strconv.FormatUint(sc.Fleet.TrainSeed, 10),
+		"-seed", trainSeed,
 		"-train-banks", strconv.Itoa(sc.Fleet.TrainBanks),
 		"-trees", strconv.Itoa(sc.Fleet.Trees),
 		"-addr", "127.0.0.1:0",
 		"-wal-dir", walDir,
-		"-fsync", sc.Fleet.Fsync,
-	}
-	if sc.Fleet.FaultFS != "" {
-		args = append(args, "-faultfs", sc.Fleet.FaultFS)
-	}
-	if sc.Fleet.Retrain {
-		args = append(args, "-retrain")
-	}
-	if sc.Fleet.Topology != "" {
-		args = append(args, "-topology", sc.Fleet.Topology)
-	}
-	return append(args, extra...)
+		"-fsync", fsyncPolicy,
+	}, extra...)
 }
 
-// startFleet launches the scenario topology: a lone node, or control
-// plane + N nodes + router.
+// startFleet launches the scenario topology: a control plane, the serve
+// nodes at once, and, once every node has registered, the router.
 func startFleet(sc *Scenario, bin, work string, logf func(string, ...any)) (*fleetDaemons, error) {
 	fleet := &fleetDaemons{}
-	if sc.Fleet.Nodes == 1 {
-		d := &Daemon{
-			Name: "node-1",
-			Path: filepath.Join(bin, "cordial-serve"),
-			Args: serveArgs(sc, filepath.Join(work, "wal-node-1")),
-		}
-		logf("starting standalone node-1")
-		if err := d.Start(); err != nil {
-			return fleet, err
-		}
-		fleet.nodes = []*Daemon{d}
-		return fleet, nil
-	}
-
 	fleet.control = &Daemon{
 		Name: "control",
 		Path: filepath.Join(bin, "cordial-control"),
 		Args: []string{"-addr", "127.0.0.1:0",
-			"-heartbeat-ttl", sc.Fleet.HeartbeatTTL.String(),
-			"-sweep-interval", sc.Fleet.SweepInterval.String()},
+			"-heartbeat-ttl", heartbeatTTL.String(),
+			"-sweep-interval", sweepInterval.String()},
 	}
 	logf("starting control plane")
 	if err := fleet.control.Start(); err != nil {
@@ -341,10 +310,21 @@ func startFleet(sc *Scenario, bin, work string, logf func(string, ...any)) (*fle
 			Path: filepath.Join(bin, "cordial-serve"),
 			Args: serveArgs(sc, filepath.Join(work, "wal-"+id),
 				"-control-plane", cpURL, "-node-id", id,
-				"-heartbeat", sc.Fleet.Heartbeat.String()),
+				"-heartbeat", heartbeat.String()),
 		})
 	}
-	if err := startNodes(fleet.nodes, sc.Fleet.Startup, logf); err != nil {
+	logf("starting %d nodes", len(fleet.nodes))
+	errs := make([]error, len(fleet.nodes))
+	var wg sync.WaitGroup
+	for i, d := range fleet.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = d.Start()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return fleet, err
 	}
 
@@ -363,8 +343,8 @@ func startFleet(sc *Scenario, bin, work string, logf func(string, ...any)) (*fle
 		Name: "router",
 		Path: filepath.Join(bin, "cordial-router"),
 		Args: []string{"-addr", "127.0.0.1:0", "-control-plane", cpURL,
-			"-refresh-interval", sc.Fleet.RouterRefresh.String(),
-			"-max-attempts", strconv.Itoa(sc.Fleet.RouterMaxAttempt)},
+			"-refresh-interval", routerRefresh.String(),
+			"-max-attempts", routerMaxAttempt},
 	}
 	logf("starting router")
 	if err := fleet.router.Start(); err != nil {
@@ -376,60 +356,6 @@ func startFleet(sc *Scenario, bin, work string, logf func(string, ...any)) (*fle
 		return fleet, err
 	}
 	return fleet, nil
-}
-
-// startNodes applies the startup pattern: instant (all at once),
-// staggered (one by one, Spacing apart) or wave (WaveSize at a time).
-func startNodes(nodes []*Daemon, spec StartupSpec, logf func(string, ...any)) error {
-	startBatch := func(batch []*Daemon) error {
-		errs := make([]error, len(batch))
-		var wg sync.WaitGroup
-		for i, d := range batch {
-			wg.Add(1)
-			go func(i int, d *Daemon) {
-				defer wg.Done()
-				errs[i] = d.Start()
-			}(i, d)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	switch spec.Pattern {
-	case "instant":
-		logf("starting %d nodes (instant)", len(nodes))
-		return startBatch(nodes)
-	case "staggered":
-		logf("starting %d nodes (staggered, %v apart)", len(nodes), spec.Spacing)
-		for _, d := range nodes {
-			if err := d.Start(); err != nil {
-				return err
-			}
-			time.Sleep(spec.Spacing)
-		}
-		return nil
-	case "wave":
-		logf("starting %d nodes (waves of %d, %v apart)", len(nodes), spec.WaveSize, spec.Spacing)
-		for i := 0; i < len(nodes); i += spec.WaveSize {
-			end := i + spec.WaveSize
-			if end > len(nodes) {
-				end = len(nodes)
-			}
-			if err := startBatch(nodes[i:end]); err != nil {
-				return err
-			}
-			if end < len(nodes) {
-				time.Sleep(spec.Spacing)
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("chaos: unknown startup pattern %q", spec.Pattern)
 }
 
 func allDaemons(f *fleetDaemons) []*Daemon {
@@ -449,9 +375,6 @@ func allDaemons(f *fleetDaemons) []*Daemon {
 func teardown(logf func(string, ...any), daemons ...*Daemon) {
 	for _, d := range daemons {
 		if d.Alive() {
-			// SIGCONT first: a daemon paused by partition_router cannot
-			// handle SIGTERM while stopped.
-			d.Signal(syscall.SIGCONT)
 			if err := d.Terminate(30 * time.Second); err != nil {
 				logf("%s shutdown: %v", d.Name, err)
 			}
@@ -499,7 +422,7 @@ type ingestResult struct {
 
 func (r ingestResult) consumed() int { return r.Accepted + r.Rejected + r.Dropped }
 
-// postEvents delivers one batch to d using the scenario codec, honouring
+// postEvents delivers one batch to d as wire frames, honouring
 // the router's consumed-prefix retry contract on 503: the response body
 // reports how many leading events were consumed, and the client resends
 // the rest. Returns the cumulative result; counts retries into ld.
@@ -507,15 +430,12 @@ func (st *runState) postEvents(d *Daemon, events []mcelog.Event, ld *LoadReport)
 	var total ingestResult
 	remaining := events
 	for attempt := 0; ; attempt++ {
-		body, contentType, err := st.encodeBatch(remaining)
-		if err != nil {
+		var body bytes.Buffer
+		if err := mcelog.FromEvents(remaining).WriteWire(st.plan.Profile, &body); err != nil {
 			return total, err
 		}
-		path := "/v1/events"
-		if st.sc.Load.Codec == "wire" {
-			path = "/v1/events.bin"
-		}
-		resp, err := st.client.Post(d.URL(path), contentType, bytes.NewReader(body))
+		const path = "/v1/events.bin"
+		resp, err := st.client.Post(d.URL(path), "application/octet-stream", &body)
 		if err != nil {
 			return total, fmt.Errorf("chaos: POST %s: %w", path, err)
 		}
@@ -555,44 +475,6 @@ func (st *runState) postEvents(d *Daemon, events []mcelog.Event, ld *LoadReport)
 	}
 }
 
-// encodeBatch renders events in the scenario codec, applying any active
-// clock skew to the encoded timestamps (the events themselves are never
-// mutated — the skew models a producer with a wrong clock).
-func (st *runState) encodeBatch(events []mcelog.Event) ([]byte, string, error) {
-	st.mu.Lock()
-	skew := st.skewOffset
-	if skew != 0 && time.Now().After(st.skewUntil) {
-		skew, st.skewOffset = 0, 0
-	}
-	st.mu.Unlock()
-
-	if skew != 0 {
-		shifted := make([]mcelog.Event, len(events))
-		copy(shifted, events)
-		for i := range shifted {
-			shifted[i].Time = shifted[i].Time.Add(skew)
-		}
-		events = shifted
-	}
-
-	var buf bytes.Buffer
-	if st.sc.Load.Codec == "wire" {
-		if err := mcelog.FromEvents(events).WriteWire(st.plan.Profile, &buf); err != nil {
-			return nil, "", err
-		}
-		return buf.Bytes(), "application/octet-stream", nil
-	}
-	for _, ev := range events {
-		line, err := mcelog.MarshalJSONEvent(ev)
-		if err != nil {
-			return nil, "", err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), "application/x-ndjson", nil
-}
-
 // driveLoad runs the phased load loop and arms the chaos timers against
 // the same clock.
 func (st *runState) driveLoad(rep *Report) error {
@@ -601,7 +483,7 @@ func (st *runState) driveLoad(rep *Report) error {
 
 	events := st.plan.Fleet.Events
 	sc := st.sc
-	front := st.fleet.frontDoor()
+	front := st.fleet.router
 
 	// Build the rate timetable: each phase holds its rate for its
 	// duration; after the last phase the base rate drains the remainder.
@@ -628,7 +510,7 @@ func (st *runState) driveLoad(rep *Report) error {
 		return sc.Load.EventsPerSec
 	}
 
-	st.logf("driving %d events through %s (%s codec)", len(events), front.Name, sc.Load.Codec)
+	st.logf("driving %d events through %s", len(events), front.Name)
 	sent := 0
 	var sentBudget float64
 	last := time.Now()
@@ -660,15 +542,9 @@ func (st *runState) driveLoad(rep *Report) error {
 
 	// Keep the run window open until the phases and scheduled chaos have
 	// both played out, so late injections still happen under probes.
-	var lastChaos time.Duration
-	for _, a := range st.plan.Chaos {
-		if a.At+a.Duration > lastChaos {
-			lastChaos = a.At + a.Duration
-		}
-	}
 	tail := acc
-	if lastChaos > tail {
-		tail = lastChaos
+	for _, a := range st.plan.Chaos {
+		tail = max(tail, a.At)
 	}
 	if wait := time.Until(st.loadStart.Add(tail)); wait > 0 {
 		st.logf("load done, holding %v for remaining phases/chaos", wait.Round(time.Millisecond))

@@ -35,9 +35,13 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// buildAll compiles every command into a temp dir once per test binary.
+// buildAll compiles every command into a temp dir once per test binary;
+// under -short it skips the test instead.
 func buildAll(t *testing.T) string {
 	t.Helper()
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
 	buildOnce.Do(func() {
 		if buildDir, buildErr = os.MkdirTemp("", "cordial-clitest-"); buildErr != nil {
 			return
@@ -62,9 +66,6 @@ func run(t *testing.T, bin string, args ...string) string {
 }
 
 func TestCLIPipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
 	bin := buildAll(t)
 	work := t.TempDir()
 	logPath := filepath.Join(work, "fleet.mcelog")
@@ -107,9 +108,6 @@ func TestCLIPipeline(t *testing.T) {
 }
 
 func TestCLIReproQuickSingleExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
 	bin := buildAll(t)
 	out := run(t, bin, "cordial-repro", "-scale", "quick", "-exp", "fig4")
 	if !strings.Contains(out, "peak threshold: 128 rows") {
@@ -122,9 +120,6 @@ func TestCLIReproQuickSingleExperiments(t *testing.T) {
 }
 
 func TestCLIErrors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
 	bin := buildAll(t)
 	// Unknown experiment fails with a helpful message.
 	cmd := exec.Command(filepath.Join(bin, "cordial-repro"), "-exp", "bogus", "-scale", "quick")
@@ -153,9 +148,6 @@ func TestCLIErrors(t *testing.T) {
 // format cordial-gen was asked for, the study works it out from the file.
 // (TestCLIPipeline covers the default, wire; this is the other one.)
 func TestCLIStreamFormatRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
 	bin := buildAll(t)
 	work := t.TempDir()
 	logPath := filepath.Join(work, "fleet.jsonl")
@@ -178,9 +170,6 @@ func TestCLIStreamFormatRoundTrip(t *testing.T) {
 // profile the models then classify the log, and a two-profile transfer
 // study completes.
 func TestCLITruthGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
 	bin := buildAll(t)
 	for _, topo := range []string{"hbm2e", "ddr5-dimm"} {
 		t.Run(topo, func(t *testing.T) {

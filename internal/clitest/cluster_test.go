@@ -3,7 +3,6 @@ package clitest
 import (
 	"bytes"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -22,18 +21,9 @@ import (
 // final deduplicated action set must equal that of a single node that
 // ingested the same log alone.
 func TestCLIClusterFailover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and trains models")
-	}
 	bin := buildAll(t)
 	work := t.TempDir()
-
-	logPath := filepath.Join(work, "fleet.jsonl")
-	run(t, bin, "cordial-gen", "-seed", "21", "-uer-banks", "30",
-		"-benign-banks", "20", "-log", logPath, "-format", "jsonl", "-truth", "")
-	logBytes, err := os.ReadFile(logPath)
-	check(t, err)
-	lines := strings.Split(strings.TrimSpace(string(logBytes)), "\n")
+	logBytes, lines := jsonlFleet(t, bin, "-seed", "21", "-uer-banks", "30", "-benign-banks", "20")
 	half := len(lines) / 2
 	firstHalf := []byte(strings.Join(lines[:half], "\n") + "\n")
 	// The second half travels as wire frames, through the router's binary
@@ -51,17 +41,7 @@ func TestCLIClusterFailover(t *testing.T) {
 	}
 
 	// Reference: one node, the whole log, no failures.
-	ref := startServe(t, bin, serveArgs(filepath.Join(work, "wal-ref"))...)
-	if res := post(t, ref, "/v1/events", http.StatusOK, logBytes); int(res["accepted"].(float64)) != len(lines) {
-		t.Fatalf("reference ingest %v", res)
-	}
-	check(t, chaos.WaitDrained(ref))
-	want, err := chaos.ActionSet(ref)
-	check(t, err)
-	if len(want) == 0 {
-		t.Fatal("reference emitted no actions; fleet too small")
-	}
-	stop(t, ref)
+	want := reference(t, startServe(t, bin, serveArgs(filepath.Join(work, "wal-ref"))...), logBytes, len(lines))
 
 	// Control plane with test-speed failure detection.
 	cp := startDaemon(t, bin, "cordial-control",
@@ -93,9 +73,7 @@ func TestCLIClusterFailover(t *testing.T) {
 	check(t, chaos.PollUntil("router ready", 30*time.Second, routerReady))
 
 	// First half through the router, spread across all three nodes.
-	if res := post(t, router, "/v1/events", http.StatusOK, firstHalf); int(res["accepted"].(float64)) != half {
-		t.Fatalf("first-half ingest %v", res)
-	}
+	ingest(t, router, "/v1/events", firstHalf, half)
 	for id, n := range nodes {
 		check(t, chaos.WaitDrained(n))
 		var st map[string]any
@@ -110,9 +88,7 @@ func TestCLIClusterFailover(t *testing.T) {
 
 	// Second half through the router while the control plane detects the
 	// death and reassigns the victim's banks to the survivors.
-	if res := post(t, router, "/v1/events.bin", http.StatusOK, secondHalf.Bytes()); int(res["accepted"].(float64)) != len(lines)-half {
-		t.Fatalf("second-half ingest %v", res)
-	}
+	ingest(t, router, "/v1/events.bin", secondHalf.Bytes(), len(lines)-half)
 	check(t, chaos.PollUntil("takeover recorded", 30*time.Second, func() bool {
 		return chaos.GetJSON(nil, cp.URL("/statsz"), &cpStats) == http.StatusOK &&
 			cpStats.Takeovers == 1 && len(cpStats.Members) == 2
@@ -138,16 +114,7 @@ func TestCLIClusterFailover(t *testing.T) {
 			got[k] = true
 		}
 	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("cluster missing action %s", k)
-		}
-	}
-	for k := range got {
-		if !want[k] {
-			t.Errorf("cluster invented action %s", k)
-		}
-	}
+	sameActions(t, "cluster", want, got)
 
 	// Router /statsz aggregates per-node stats under their ring IDs.
 	var rstats struct {

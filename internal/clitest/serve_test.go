@@ -70,6 +70,29 @@ func post(t *testing.T, d *chaos.Daemon, path string, want int, body []byte) map
 	return out
 }
 
+// ingest POSTs body to path and requires all n of its events accepted.
+func ingest(t *testing.T, d *chaos.Daemon, path string, body []byte, n int) {
+	t.Helper()
+	if res := post(t, d, path, http.StatusOK, body); int(res["accepted"].(float64)) != n {
+		t.Fatalf("POST %s: %v, want %d accepted", path, res, n)
+	}
+}
+
+// reference feeds a whole log of n events to a daemon that never fails,
+// stops it and returns its action set.
+func reference(t *testing.T, d *chaos.Daemon, log []byte, n int) map[string]bool {
+	t.Helper()
+	ingest(t, d, "/v1/events", log, n)
+	check(t, chaos.WaitDrained(d))
+	want, err := chaos.ActionSet(d)
+	check(t, err)
+	if len(want) == 0 {
+		t.Fatal("reference daemon emitted no actions; fleet too small")
+	}
+	stop(t, d)
+	return want
+}
+
 // metrics scrapes /metrics through the real HTTP stack.
 func metrics(t *testing.T, d *chaos.Daemon) string {
 	t.Helper()
@@ -90,9 +113,6 @@ func metrics(t *testing.T, d *chaos.Daemon) string {
 // Prometheus scrape, a wire log file POSTed as it stands, and graceful
 // SIGTERM shutdown with a drain report.
 func TestCLIServeEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and trains a model")
-	}
 	bin := buildAll(t)
 	work := t.TempDir()
 
@@ -125,10 +145,7 @@ func TestCLIServeEndToEnd(t *testing.T) {
 
 	// Ingest the whole month in one batch, and wait until every event has
 	// flowed through its session.
-	res := post(t, p, "/v1/events", http.StatusOK, logBytes)
-	if int(res["accepted"].(float64)) != len(lines) {
-		t.Fatalf("accepted %v of %d lines: %v", res["accepted"], len(lines), res)
-	}
+	ingest(t, p, "/v1/events", logBytes, len(lines))
 	check(t, chaos.WaitDrained(p))
 	var stats map[string]any
 	if code := chaos.GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
@@ -178,7 +195,7 @@ func TestCLIServeEndToEnd(t *testing.T) {
 	// good line and reports the rest.
 	batch := lines[0] + "\nnot json\n" +
 		`{"time":"2026-01-01T00:00:00Z","addr":"n0.u0.h0.s0.c0.p0.g0.b0.r1.col1","class":"??"}` + "\n"
-	res = post(t, p, "/v1/events", http.StatusOK, []byte(batch))
+	res := post(t, p, "/v1/events", http.StatusOK, []byte(batch))
 	if int(res["accepted"].(float64)) != 1 || int(res["rejected"].(float64)) != 2 {
 		t.Fatalf("malformed batch result %v", res)
 	}
@@ -247,9 +264,6 @@ func TestCLIServeEndToEnd(t *testing.T) {
 // lifecycle interval is parked at 30m so the test, not the timer, drives
 // every transition.
 func TestCLIServeRetraining(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and trains models")
-	}
 	bin := buildAll(t)
 	work := t.TempDir()
 	// The paper's field mix is single-row dominant; this one is
@@ -327,60 +341,47 @@ func TestCLIServeRetraining(t *testing.T) {
 	stop(t, d)
 }
 
-// TestCLIServeCrashRecovery is the crash-restart e2e: a daemon with a WAL
-// directory is SIGKILLed mid-ingest; a new process over the same directory
-// must report recovery, accept the rest of the log, and converge to exactly
-// the action set of a daemon that never crashed.
+// TestCLIServeCrashRecovery is the boot-kill-restart smoke: a daemon with a
+// WAL directory and -snapshot-interval checkpoints what it ingested, takes
+// more, and is SIGKILLed — no drain, no shutdown snapshot. A new process over
+// the same directory must report recovery with sessions from the periodic
+// snapshot and the rest replayed from the journal, accept the rest of the
+// log, and converge to exactly the action set of a daemon that never crashed:
+// the actions it re-derives from the journal, with those the first process
+// emitted before its snapshot (a snapshot holds sessions, not actions).
 func TestCLIServeCrashRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and trains models")
-	}
 	bin := buildAll(t)
 	work := t.TempDir()
-
-	logPath := filepath.Join(work, "fleet.jsonl")
-	run(t, bin, "cordial-gen", "-seed", "21", "-uer-banks", "30",
-		"-benign-banks", "20", "-log", logPath, "-format", "jsonl", "-truth", "")
-	logBytes, err := os.ReadFile(logPath)
-	check(t, err)
-	lines := strings.Split(strings.TrimSpace(string(logBytes)), "\n")
-	half := len(lines) / 2
-	firstHalf := []byte(strings.Join(lines[:half], "\n") + "\n")
-	secondHalf := []byte(strings.Join(lines[half:], "\n") + "\n")
-	// The three daemons must share one model: same self-train seed, smaller
-	// than the default to keep three trainings cheap.
+	logBytes, lines := jsonlFleet(t, bin, "-seed", "21", "-uer-banks", "30", "-benign-banks", "20")
+	half, more := len(lines)/2, 3*len(lines)/4
+	part := func(from, to int) []byte { return []byte(strings.Join(lines[from:to], "\n") + "\n") }
+	// The daemons must share one model: same self-train seed, smaller than
+	// the default to keep the trainings cheap.
 	serveArgs := func(walDir string) []string {
 		return []string{"-train-banks", "30", "-trees", "8",
-			"-wal-dir", walDir, "-fsync", "never"}
+			"-wal-dir", walDir, "-fsync", "never", "-snapshot-interval", "1s"}
 	}
 
 	// Reference: never crashes.
 	ref := startServe(t, bin, serveArgs(filepath.Join(work, "wal-ref"))...)
-	if res := post(t, ref, "/v1/events", http.StatusOK, logBytes); int(res["accepted"].(float64)) != len(lines) {
-		t.Fatalf("reference ingest %v", res)
-	}
-	check(t, chaos.WaitDrained(ref))
-	want, err := chaos.ActionSet(ref)
-	check(t, err)
-	if len(want) == 0 {
-		t.Fatal("reference daemon emitted no actions; fleet too small")
-	}
-	stop(t, ref)
+	want := reference(t, ref, logBytes, len(lines))
 	if !strings.Contains(ref.Output(), "snapshot") {
 		t.Errorf("no shutdown snapshot report in reference output:\n%s", ref.Output())
 	}
 
-	// Victim: half the log, then SIGKILL — no drain, no snapshot, no
-	// goodbye.
+	// Victim: half the log, checkpointed by the periodic snapshots, then a
+	// quarter more and SIGKILL well before the next snapshot.
 	walDir := filepath.Join(work, "wal-crash")
 	p1 := startServe(t, bin, serveArgs(walDir)...)
-	if res := post(t, p1, "/v1/events", http.StatusOK, firstHalf); int(res["accepted"].(float64)) != half {
-		t.Fatalf("first-half ingest %v", res)
-	}
+	ingest(t, p1, "/v1/events", part(0, half), half)
+	checkpoint(t, p1)
+	got, err := chaos.ActionSet(p1)
+	check(t, err)
+	ingest(t, p1, "/v1/events", part(half, more), more-half)
 	p1.Kill()
 
-	// Survivor: same directory; must recover the journal, then finish the
-	// log and match the reference exactly.
+	// Survivor: same directory; must recover the snapshot and the journal,
+	// then finish the log and match the reference exactly.
 	p2 := startServe(t, bin, serveArgs(walDir)...)
 	if !strings.Contains(p2.Output(), "recovered") {
 		t.Errorf("no recovery report in output:\n%s", p2.Output())
@@ -392,86 +393,104 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 	if stats["walEnabled"] != true {
 		t.Errorf("statsz walEnabled = %v", stats["walEnabled"])
 	}
-	if got := int(stats["recoveredEvents"].(float64)); got != half {
-		t.Errorf("recoveredEvents = %d, want %d", got, half)
+	if got, _ := stats["recoveredSessions"].(float64); got == 0 {
+		t.Errorf("recoveredSessions = %v; want sessions from the periodic snapshot", stats["recoveredSessions"])
 	}
-	if res := post(t, p2, "/v1/events", http.StatusOK, secondHalf); int(res["accepted"].(float64)) != len(lines)-half {
-		t.Fatalf("second-half ingest %v", res)
+	// The journal keeps its one segment, so every record is replayed: those
+	// the snapshot covers are refused by their watermarks, the rest folded.
+	if got, _ := stats["recoveredEvents"].(float64); int(got) != more {
+		t.Errorf("recoveredEvents = %v, want %d", stats["recoveredEvents"], more)
 	}
+	if seq, _ := stats["lastSnapshotSeq"].(float64); int(seq) >= more {
+		t.Fatalf("recovered snapshot %v covers the last quarter too: SIGKILL came after the next snapshot, and no suffix is replayed", seq)
+	}
+	ingest(t, p2, "/v1/events", part(more, len(lines)), len(lines)-more)
 	check(t, chaos.WaitDrained(p2))
-	got, err := chaos.ActionSet(p2)
+	after, err := chaos.ActionSet(p2)
 	check(t, err)
-	for k := range want {
-		if !got[k] {
-			t.Errorf("recovered daemon missing action %s", k)
-		}
+	for k := range after {
+		got[k] = true
 	}
-	for k := range got {
-		if !want[k] {
-			t.Errorf("recovered daemon invented action %s", k)
-		}
-	}
+	sameActions(t, "recovered daemon", want, got)
 	stop(t, p2)
 }
 
-// TestCLIServePeriodicSnapshot: -snapshot-interval checkpoints a running
-// daemon, so one SIGKILLed after an ingest boots back from a snapshot, not
-// from the journal alone.
+// TestCLIServePeriodicSnapshot: a daemon that -snapshot-interval has
+// checkpointed after its whole log boots back, SIGKILLed, from a snapshot
+// that covers every event it accepted.
 func TestCLIServePeriodicSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and trains models")
-	}
 	bin := buildAll(t)
-	work := t.TempDir()
-	logPath := filepath.Join(work, "fleet.jsonl")
-	run(t, bin, "cordial-gen", "-seed", "22", "-uer-banks", "10",
-		"-benign-banks", "10", "-log", logPath, "-format", "jsonl", "-truth", "")
-	logBytes, err := os.ReadFile(logPath)
-	check(t, err)
-	args := []string{"-train-banks", "30", "-trees", "8", "-wal-dir", filepath.Join(work, "wal"),
+	logBytes, lines := jsonlFleet(t, bin, "-seed", "22", "-uer-banks", "10", "-benign-banks", "10")
+	args := []string{"-train-banks", "30", "-trees", "8", "-wal-dir", filepath.Join(t.TempDir(), "wal"),
 		"-fsync", "never", "-snapshot-interval", "200ms"}
-
 	d := startServe(t, bin, args...)
-	post(t, d, "/v1/events", http.StatusOK, logBytes)
-	check(t, chaos.WaitDrained(d))
-	// Of the snapshots completed from here on, the second began after the drain.
-	base := snapshotCount(t, d)
-	check(t, chaos.PollUntil("two periodic snapshots", 10*time.Second, func() bool {
-		return snapshotCount(t, d) >= base+2
-	}))
+	ingest(t, d, "/v1/events", logBytes, len(lines))
+	checkpoint(t, d)
 	d.Kill()
 
 	d = startServe(t, bin, args...)
 	var stats struct {
 		RecoveredSessions int `json:"recoveredSessions"`
+		LastSnapshotSeq   int `json:"lastSnapshotSeq"`
 	}
-	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK || stats.RecoveredSessions == 0 {
-		t.Fatalf("statsz = %d, recoveredSessions %d after a restart; want sessions from the periodic snapshot\noutput:\n%s",
-			code, stats.RecoveredSessions, d.Output())
+	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK ||
+		stats.RecoveredSessions == 0 || stats.LastSnapshotSeq < len(lines) {
+		t.Fatalf("statsz = %d, %+v after a restart; want sessions from a snapshot covering all %d events\noutput:\n%s",
+			code, stats, len(lines), d.Output())
 	}
 	stop(t, d)
 }
 
-// snapshotCount reads cordial_snapshot_seconds_count off /metrics.
-func snapshotCount(t *testing.T, d *chaos.Daemon) int {
+// jsonlFleet generates a JSONL fleet log with cordial-gen's genArgs and
+// returns it whole and split into lines.
+func jsonlFleet(t *testing.T, bin string, genArgs ...string) ([]byte, []string) {
 	t.Helper()
-	for _, line := range strings.Split(metrics(t, d), "\n") {
-		if v, ok := strings.CutPrefix(line, "cordial_snapshot_seconds_count "); ok {
-			n, err := strconv.Atoi(v)
-			check(t, err)
-			return n
+	logPath := filepath.Join(t.TempDir(), "fleet.jsonl")
+	run(t, bin, append(append([]string{"cordial-gen"}, genArgs...), "-log", logPath, "-format", "jsonl", "-truth", "")...)
+	data, err := os.ReadFile(logPath)
+	check(t, err)
+	return data, strings.Split(strings.TrimSpace(string(data)), "\n")
+}
+
+// sameActions requires got to equal the reference action set want.
+func sameActions(t *testing.T, who string, want, got map[string]bool) {
+	t.Helper()
+	for k := range want {
+		if !got[k] {
+			t.Errorf("%s missing action %s", who, k)
 		}
 	}
-	t.Fatal("no cordial_snapshot_seconds_count on /metrics")
-	return 0
+	for k := range got {
+		if !want[k] {
+			t.Errorf("%s invented action %s", who, k)
+		}
+	}
+}
+
+// checkpoint waits for d to drain, then for two periodic snapshots counted
+// by cordial_snapshot_seconds_count on /metrics: the second began after the
+// drain.
+func checkpoint(t *testing.T, d *chaos.Daemon) {
+	t.Helper()
+	check(t, chaos.WaitDrained(d))
+	count := func() int {
+		for _, line := range strings.Split(metrics(t, d), "\n") {
+			if v, ok := strings.CutPrefix(line, "cordial_snapshot_seconds_count "); ok {
+				n, err := strconv.Atoi(v)
+				check(t, err)
+				return n
+			}
+		}
+		t.Fatal("no cordial_snapshot_seconds_count on /metrics")
+		return 0
+	}
+	base := count()
+	check(t, chaos.PollUntil("two periodic snapshots", 10*time.Second, func() bool { return count() >= base+2 }))
 }
 
 // TestCLIServeFlagErrors covers startup validation: each bad command line
 // fails Start within seconds, for its own reason.
 func TestCLIServeFlagErrors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
 	bin := buildAll(t)
 	for _, tc := range []struct {
 		args []string

@@ -430,6 +430,15 @@ var simRegressions = map[string][]simStep{
 		{op: "fault", node: "n1", path: "/cluster/v1/drop"}, {op: "join", node: "n3"}},
 	"two dead nodes never taken over": {{op: "join", node: "n1"}, {op: "join", node: "n2"},
 		{op: "routed", evs: uerRows(6, 1, 1)}, {op: "join", node: "n3"}, {op: "kill", node: "n1"}, {op: "kill", node: "n3"}},
+	// n1's takeover import adopted n2's banks and then failed to snapshot
+	// them; the sweep aborted and its drop was lost, and n1, not stale, kept
+	// banks the ring gave n2.
+	"a failed import's adopted sessions kept": {{op: "join", node: "n1"}, {op: "join", node: "n2"},
+		{op: "direct", evs: uerRows(8, 1, 1)}, {op: "kill", node: "n2"}, {op: "disk", node: "n1", path: "write"},
+		{op: "fault", node: "n1", path: "/cluster/v1/drop"}, {op: "expire"}},
+	"an import acknowledged before its sessions were on disk": {{op: "join", node: "n1"}, {op: "join", node: "n2"},
+		{op: "join", node: "n3"}, {op: "routed", evs: uerRows(12, 1, 1)}, {op: "disk", node: "n1", path: "write"},
+		{op: "leave", node: "n3"}, {op: "kill", node: "n1"}, {op: "expire"}},
 }
 
 func TestSimRegressions(t *testing.T) {

@@ -199,13 +199,16 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Stale from here on, even if the import fails: it may fail after
+	// adopting sessions (its snapshot failed), and a ring that then gives the
+	// banks elsewhere leaves them for dropStale.
+	a.setStale(true)
 	st, err := a.engine.ImportSessions(req.Bundle.Payload, req.Bundle.Suffix, owns)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	a.imports.Inc()
-	a.setStale(true)
 	if st.Sessions > 0 || st.Conflicts > 0 {
 		a.cfg.Logger.Info("handoff import",
 			"epoch", req.Desc.Epoch, "sessions", st.Sessions, "replayed", st.Replayed,

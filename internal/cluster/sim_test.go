@@ -79,9 +79,12 @@ func (f *fabric) set(host string, h http.Handler) {
 }
 
 // simNode is one serve node as cordial-serve wires it in cluster mode: a
-// durable engine, its HTTP API and its agent, reachable at its ID.
+// durable engine on its own disk, its HTTP API and its agent, reachable at
+// its ID.
 type simNode struct {
 	id     string
+	disk   *wal.FaultFS
+	armed  []string // the disk faults armed for this step: "write", "sync", "open"
 	engine *stream.Engine
 	api    *stream.Server
 	agent  *Agent
@@ -149,12 +152,12 @@ func newSimT(t *testing.T, prof *hbm.Profile, maxBody int64) *sim {
 
 // start boots node id and makes it reachable; it does not register.
 func (s *sim) start(id string) (*simNode, error) {
-	dir := filepath.Join(s.root, fmt.Sprint(len(s.order)))
+	dir, disk := filepath.Join(s.root, fmt.Sprint(len(s.order))), wal.NewFaultFS(wal.OSFS)
 	engine, err := stream.New(stream.Config{
 		Strategy:   &testStrategy{budget: 3},
 		Profile:    s.prof,
 		Shards:     2,
-		Durability: stream.DurabilityConfig{Dir: dir, Sync: wal.SyncNever},
+		Durability: stream.DurabilityConfig{Dir: dir, Sync: wal.SyncNever, FS: disk},
 		Logger:     quiet,
 		Clock:      s.clock,
 	})
@@ -171,7 +174,7 @@ func (s *sim) start(id string) (*simNode, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/cluster/", agent.Handler())
 	mux.Handle("/", api)
-	n := &simNode{id: id, engine: engine, api: api, agent: agent, live: true}
+	n := &simNode{id: id, disk: disk, engine: engine, api: api, agent: agent, live: true}
 	s.nodes[id] = n
 	s.order = append(s.order, n)
 	s.net.set(id, mux)
@@ -296,20 +299,24 @@ func (s *sim) ring() *Ring {
 
 // ingest sends the events whose banks a live node owns under the published
 // ring, through the router or straight to each owner, and records what the
-// fleet acknowledged. The router must deliver all of them; an owner may only
-// lose a request to a fault.
+// fleet acknowledged. An owner whose disk fails writes refuses its events,
+// and the router drops them after its retries; every other event must be
+// acknowledged. A request a fault fails acknowledges nothing.
 func (s *sim) ingest(evs []mcelog.Event, routed bool) error {
 	ring := s.ring()
 	if ring == nil {
 		return nil
 	}
-	var sent []mcelog.Event
+	var sent, acked []mcelog.Event
 	groups := map[string][]mcelog.Event{}
 	for _, ev := range evs {
 		owner := ring.OwnerID(s.prof.Layout.BankKey(ev.Addr))
 		if n := s.nodes[owner]; n != nil && n.live {
 			sent = append(sent, ev)
 			groups[owner] = append(groups[owner], ev)
+			if !slices.Contains(n.armed, "write") {
+				acked = append(acked, ev)
+			}
 		}
 	}
 	if len(sent) == 0 {
@@ -319,11 +326,18 @@ func (s *sim) ingest(evs []mcelog.Event, routed bool) error {
 		for try := 0; s.router.currentRing() == nil && try < 2; try++ {
 			_ = s.router.refreshRing() // Run fetches its first ring until it has one
 		}
+		s.net.mu.Lock()
+		door := s.net.faults["router /v1/events.bin"] != "" // fails the request before the router reads it
+		s.net.mu.Unlock()
 		status, res, err := s.postWire("router", sent)
-		if err != nil || status != http.StatusOK || res.Accepted != len(sent) {
-			return fmt.Errorf("the router acknowledged %d of %d events: %d %+v %v", res.Accepted, len(sent), status, res, err)
+		if door {
+			return nil // nothing acknowledged
 		}
-		s.record(sent)
+		if err != nil || status != http.StatusOK || res.Accepted != len(acked) || res.Dropped != len(sent)-len(acked) {
+			return fmt.Errorf("the router acknowledged %d of %d events, %d on a failing disk: %d %+v %v",
+				res.Accepted, len(sent), len(sent)-len(acked), status, res, err)
+		}
+		s.record(acked)
 		return nil
 	}
 	ids := make([]string, 0, len(groups))
@@ -336,10 +350,14 @@ func (s *sim) ingest(evs []mcelog.Event, routed bool) error {
 		if err != nil {
 			continue // lost to a fault: nothing acknowledged
 		}
-		if status != http.StatusOK || res.Accepted != len(groups[id]) {
+		want, wantStatus := len(groups[id]), http.StatusOK
+		if slices.Contains(s.nodes[id].armed, "write") {
+			want, wantStatus = 0, http.StatusServiceUnavailable
+		}
+		if status != wantStatus || res.Accepted != want {
 			return fmt.Errorf("owner %s acknowledged %d of %d events: %d %+v", id, res.Accepted, len(groups[id]), status, res)
 		}
-		s.record(groups[id])
+		s.record(groups[id][:want])
 	}
 	return nil
 }
@@ -361,6 +379,10 @@ func (s *sim) check() error {
 	s.net.mu.Lock()
 	clear(s.net.faults) // a fault lasts one step
 	s.net.mu.Unlock()
+	for _, n := range s.order {
+		n.disk.Disarm()
+		n.armed = nil
+	}
 	s.heartbeats()
 	desc, ring := s.cp.Descriptor(), s.ring()
 	if ring == nil {
@@ -498,8 +520,10 @@ func actionSet(api *stream.Server) map[string]bool {
 // node; "routed" or "direct" ingest of evs; "expire" (the stopped nodes'
 // leases run out, then a sweep); "refresh" (the router fetches the ring);
 // "fault" or "lose" (the next request to node's path fails, or is served and
-// its answer lost, during the next step only); "sweepjoin" (an expire whose
-// sweep races node's join); or "restart" (the control plane restarts empty).
+// its answer lost, during the next step only); "disk" (node's disk fails
+// every operation of the kind path names, "write", "sync" or "open", during
+// the next step only); "sweepjoin" (an expire whose sweep races node's join); or "restart"
+// (the control plane restarts empty).
 type simStep struct {
 	op, node, path string
 	evs            []mcelog.Event
@@ -525,7 +549,7 @@ func (s *sim) step(st simStep) error {
 		s.kill(st.node)
 	case "snapshot":
 		if n := s.nodes[st.node]; n != nil && n.live {
-			if _, err := n.engine.Snapshot(); err != nil {
+			if _, err := n.engine.Snapshot(); err != nil && n.armed == nil {
 				return err
 			}
 		}
@@ -546,6 +570,18 @@ func (s *sim) step(st simStep) error {
 		s.net.mu.Lock()
 		s.net.faults[st.node+" "+st.path] = st.op
 		s.net.mu.Unlock()
+	case "disk":
+		if n := s.nodes[st.node]; n != nil && n.live {
+			n.armed = append(n.armed, st.path)
+			switch st.path {
+			case "write":
+				n.disk.LimitWriteBytes(0)
+			case "sync":
+				n.disk.FailSyncAfter(0)
+			case "open":
+				n.disk.FailOpens(true)
+			}
+		}
 	case "sweepjoin":
 		s.clock.Advance(2 * simTTL)
 		s.heartbeats()
@@ -565,7 +601,7 @@ func (s *sim) step(st simStep) error {
 }
 
 // runSim plays steps on a fresh fleet under root, checking it after every
-// step but a fault or loss, and finishes it.
+// step but a fault, a loss or a disk fault, and finishes it.
 func runSim(root string, steps []simStep) error {
 	dir, err := os.MkdirTemp(root, "sim")
 	if err != nil {
@@ -578,7 +614,7 @@ func runSim(root string, steps []simStep) error {
 		if err := s.step(st); err != nil {
 			return fmt.Errorf("step %d (%v): %w", i, st, err)
 		}
-		if st.op == "fault" || st.op == "lose" {
+		if st.op == "fault" || st.op == "lose" || st.op == "disk" {
 			continue
 		}
 		if err := s.check(); err != nil {
@@ -588,21 +624,26 @@ func runSim(root string, steps []simStep) error {
 	return s.finish()
 }
 
-// simFaultPaths are the requests a fault step may fail: a node's handoff
-// calls and forwards, then the control plane's ring fetches, registrations
-// and heartbeats. A loss may take the answer of a handoff call, the first
-// three, and of nothing else: a lost ingest answer leaves the client unsure
-// what the fleet holds, which the oracle cannot count, and a lost
-// registration answer leaves a member that does not know it is one and stops
-// heartbeating, a partition (ROADMAP item 2(b)).
-var simFaultPaths = []string{"/cluster/v1/export", "/cluster/v1/import", "/cluster/v1/drop", "/v1/events.bin",
-	"/cluster/v1/ring", "/cluster/v1/register", "/cluster/v1/heartbeat"}
-
-const simNodePaths = 4 // the first simNodePaths of simFaultPaths are a node's
+// simFaultPaths are the requests a fault step may fail, by host: a node's
+// handoff calls and forwards, the router's ingest door, and the control
+// plane's ring fetches, registrations and heartbeats. A loss may take the
+// answer of a handoff call and of nothing else: a lost ingest answer leaves
+// the client unsure what the fleet holds, which the oracle cannot count, and
+// a lost registration answer leaves a member that does not know it is one
+// and stops heartbeating, a partition (ROADMAP item 2(b)).
+var simFaultPaths = []struct {
+	host, path string
+	lose       bool
+}{
+	{"node", "/cluster/v1/export", true}, {"node", "/cluster/v1/import", true}, {"node", "/cluster/v1/drop", true},
+	{"node", "/v1/events.bin", false}, {"router", "/v1/events.bin", false},
+	{"cp", "/cluster/v1/ring", false}, {"cp", "/cluster/v1/register", false}, {"cp", "/cluster/v1/heartbeat", false},
+}
 
 // genSimSchedule draws a schedule: a first join, then ingest, joins (of new
 // nodes and of known ones, which a waiting node retries), leaves, kills,
-// expiries, snapshots, ring refreshes and faults over up to 24 banks.
+// expiries, snapshots, ring refreshes, disk faults and request faults over up
+// to 24 banks.
 func genSimSchedule(seed uint64) []simStep {
 	r := xrand.New(seed)
 	banks, sec, joined := 8+r.Intn(17), 0, 1
@@ -641,13 +682,15 @@ func genSimSchedule(seed uint64) []simStep {
 			st = simStep{op: "snapshot", node: node()}
 		case k < 81:
 			st = simStep{op: "refresh"}
+		case k < 87:
+			st = simStep{op: "disk", node: node(), path: []string{"write", "sync", "open"}[r.Intn(3)]}
 		default:
-			i := r.Intn(len(simFaultPaths))
-			st = simStep{op: "fault", node: "cp", path: simFaultPaths[i]}
-			if i < simNodePaths {
+			f := simFaultPaths[r.Intn(len(simFaultPaths))]
+			st = simStep{op: "fault", node: f.host, path: f.path}
+			if f.host == "node" {
 				st.node = next()
 			}
-			if i < 3 && r.Intn(2) == 0 {
+			if f.lose && r.Intn(2) == 0 {
 				st.op = "lose"
 			}
 		}

@@ -175,6 +175,15 @@ func (f *FaultFS) FailOpens(fail bool)     { f.locked(func() { f.failOpens = fai
 func (f *FaultFS) FailTruncates(fail bool) { f.locked(func() { f.failTruncates = fail }) }
 func (f *FaultFS) FailRemoves(fail bool)   { f.locked(func() { f.failRemoves = fail }) }
 
+// Disarm clears every fault, returning f to pass-through behaviour.
+func (f *FaultFS) Disarm() {
+	f.LimitWriteBytes(-1)
+	f.FailSyncAfter(-1)
+	f.FailOpens(false)
+	f.FailTruncates(false)
+	f.FailRemoves(false)
+}
+
 // Faults reports how many write and sync faults have fired.
 func (f *FaultFS) Faults() (writes, syncs int) {
 	f.mu.Lock()

@@ -393,7 +393,7 @@ var mutants = []struct {
 		"n, err := a.engine.DropSessions(func(key uint64) bool { return false && !ring.Owns(self, key) })",
 		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
 	{"a missed drop is never made up", "internal/cluster/node.go", "\t\ta.dropStale(hb.Epoch)\n", "",
-		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
+		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation -sim.from=794 -sim.seeds=1"}},
 	{"a leave hands the leaver's banks to no one", "internal/cluster/controlplane.go",
 		"\tif len(next.Members) > 0 {\n\t\tvar bundle HandoffBundle", "\tif false {\n\t\tvar bundle HandoffBundle",
 		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestFleetSimulation"}},
@@ -424,7 +424,31 @@ var mutants = []struct {
 		[]string{"internal/cluster TestSimRegressions"}},
 	{"a sweep that leaves no member commits anyway", "internal/cluster/controlplane.go",
 		"if len(dead) == 0 || len(dead) == len(cp.members) {", "if len(dead) == 0 {",
-		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation"}},
+		[]string{"internal/cluster TestSimRegressions", "internal/cluster TestFleetSimulation -sim.from=3559 -sim.seeds=1"}},
+
+	// What the simulation's disk step kills: a node's own disk failing a
+	// journal append, an import's snapshot or a drop's. The stale mark was
+	// found by it (seed 5600 of 10 000); TestSimRegressions replays the
+	// shrunk schedule. The ack of an unpersisted import survives 10 000
+	// seeds and dies only under its planted schedule there.
+	{"a node acknowledges a batch whose journal append failed", "internal/stream/ingest.go",
+		"\t\tif first, err = e.wal.AppendBatch(sc.enc, mcelog.WireRecordSize); err != nil {",
+		"\t\tif first, err = e.wal.AppendBatch(sc.enc, mcelog.WireRecordSize); err != nil && false {",
+		[]string{"internal/cluster TestFleetSimulation", "internal/stream TestCrashProperty", "internal/stream TestCrashPropertyBatched",
+			"internal/stream TestCrashPropertyTrained", "internal/stream TestCrashPropertySwap", "internal/stream TestCrashPropertyDDR5",
+			"internal/stream TestReadyzFlipsOnWALAppendFailure", "internal/stream TestRecoveryFsyncFailureSurfaces",
+			"internal/stream TestRecoveryFailedRotationKeepsAcknowledged", "internal/stream TestStatsSurfaceGoldens"}},
+	{"ImportSessions answers 200 when its snapshot failed", "internal/stream/handoff.go",
+		"\t\tif _, err := e.Snapshot(); err != nil {\n\t\t\treturn st, fmt.Errorf(\"stream: persisting imported sessions",
+		"\t\tif _, err := e.Snapshot(); err != nil && false {\n\t\t\treturn st, fmt.Errorf(\"stream: persisting imported sessions",
+		[]string{"internal/cluster TestSimRegressions"}},
+	{"an importer marked stale only once its import succeeded", "internal/cluster/node.go",
+		"\ta.setStale(true)\n\tst, err := a.engine.ImportSessions(req.Bundle.Payload, req.Bundle.Suffix, owns)\n\tif err != nil {\n\t\thttp.Error(w, err.Error(), http.StatusInternalServerError)\n\t\treturn\n\t}\n",
+		"\tst, err := a.engine.ImportSessions(req.Bundle.Payload, req.Bundle.Suffix, owns)\n\tif err != nil {\n\t\thttp.Error(w, err.Error(), http.StatusInternalServerError)\n\t\treturn\n\t}\n\ta.setStale(true)\n",
+		[]string{"internal/cluster TestSimRegressions"}},
+	{"a disarmed disk keeps failing", "internal/wal/fs.go",
+		"\tf.LimitWriteBytes(-1)\n\tf.FailSyncAfter(-1)\n\tf.FailOpens(false)\n", "",
+		[]string{"internal/cluster TestFleetSimulation"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

@@ -20,17 +20,28 @@ import (
 // reachKeep lists the declarations under internal/ that only tests reach, on
 // purpose. Every other declaration there must be reachable from a program.
 var reachKeep = map[string]string{
-	"(*stream.Engine).Sessions":     "the session view every equivalence suite compares",
-	"obs.ValidateLine":              "FuzzParseText's reference exposition grammar",
-	"mltree.CodingPasses":           "the one-coding-pass invariant core's training tests count",
-	"(*hbm.Profile).Derive":         "the wide-row profile of TestStoreLimitFallbacks",
-	"(*chaos.Report).TemplateNames": "called by name from the HTML report template, which go/types cannot see",
-	"(*xrand.RNG).Perm":             "the shuffled views of mltree's view tests and SampleInts' reference draw",
-	"obs.NewFakeClock":              "the clock the cluster, lifecycle, stream and registry tests move by hand",
-	"(*obs.FakeClock).Advance":      "how those tests make a heartbeat, a sweep, a cooldown or a Drain budget pass",
-	"(*obs.FakeClock).BlockUntil":   "keeps those tests from advancing before the code under test has armed its ticker",
-	"(*wal.FaultFS).PowerCut":       "the power cut of the crash property and the PowerCut tests; cordial-serve's -faultfs arms only faults",
+	"(*stream.Engine).Sessions":      "the session view every equivalence suite compares",
+	"obs.ValidateLine":               "FuzzParseText's reference exposition grammar",
+	"mltree.CodingPasses":            "the one-coding-pass invariant core's training tests count",
+	"(*hbm.Profile).Derive":          "the wide-row profile of TestStoreLimitFallbacks",
+	"(*chaos.Report).TemplateNames":  "called by name from the HTML report template, which go/types cannot see",
+	"(*xrand.RNG).Perm":              "the shuffled views of mltree's view tests and SampleInts' reference draw",
+	"obs.NewFakeClock":               "the clock the cluster, lifecycle, stream and registry tests move by hand",
+	"(*obs.FakeClock).Advance":       "how those tests make a heartbeat, a sweep, a cooldown or a Drain budget pass",
+	"(*obs.FakeClock).BlockUntil":    "keeps those tests from advancing before the code under test has armed its ticker",
+	"(*wal.FaultFS).PowerCut":        "the power cut of the crash property and the PowerCut tests",
+	"wal.NewFaultFS":                 faultDisk,
+	"(*wal.FaultFS).LimitWriteBytes": faultDisk,
+	"(*wal.FaultFS).FailSyncAfter":   faultDisk,
+	"(*wal.FaultFS).FailOpens":       faultDisk,
+	"(*wal.FaultFS).FailTruncates":   faultDisk,
+	"(*wal.FaultFS).FailRemoves":     faultDisk,
+	"(*wal.FaultFS).Disarm":          faultDisk,
+	"(*wal.FaultFS).Faults":          faultDisk,
 }
+
+// faultDisk keeps wal.FaultFS's constructor and knobs: no program injects disk faults.
+const faultDisk = "the disk of the crash property and of the fleet simulation, and its armed faults"
 
 // stdMethods are the method names the standard library calls through its own
 // interfaces (fmt, errors, encoding, net/http, sort, container/heap, io, flag,
@@ -384,6 +395,34 @@ var deletionGates = []struct {
 		names:      []string{"parseYAML", "yamlParser", "ParseScenario", "LoadScenario", "decoder"},
 		check:      noScenarioFiles,
 	},
+	{
+		gate: "failures injected in process", deletedBy: "Fault injection moves in process",
+		replacedBy: "the fleet simulation's disk and router faults and the tests of the code each deleted verb broke; cordial-chaos keeps SIGKILL and poison",
+		names: []string{"FaultSpec", "ParseFaultSpec", "StartupSpec", "startNodes", "ActRestartNode", "ActDiskFault",
+			"ActClearFault", "ActClockSkew", "ActPartitionRouter", "ActRetrain", "ActPromote"},
+		check: serveArmsNoFaults,
+	},
+}
+
+// serveArmsNoFaults: cordial-serve defines no faultfs flag and names no
+// SIGUSR2, the signal that armed it.
+func serveArmsNoFaults(mod *module) []string {
+	pkg := mod.pkgs["cordial/cmd/cordial-serve"]
+	if pkg == nil {
+		return []string{"the in-process faults gate's target cmd/cordial-serve is gone"}
+	}
+	var bad []string
+	for _, f := range pkg.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Value == `"faultfs"` {
+				bad = append(bad, fmt.Sprintf("%s: cordial-serve defines a faultfs flag", mod.fset.Position(n.Pos())))
+			} else if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "SIGUSR2" {
+				bad = append(bad, fmt.Sprintf("%s: cordial-serve names syscall.SIGUSR2", mod.fset.Position(n.Pos())))
+			}
+			return true
+		})
+	}
+	return bad
 }
 
 // noScenarioFiles: the scenarios directory holds no file.

@@ -97,9 +97,10 @@ go test -race -count 1 -run 'TestCrashProperty' ./internal/stream/ -args -crash.
 echo "==> fleet simulation (10 000 seeded schedules, the first 1 000 under -race)"
 # The real control plane, router and engines on one fake clock over an
 # in-process network: joins, leaves, kills, lease expiries, snapshots, ring
-# refreshes, one-shot faults and lost handoff answers, each quiescent fleet
-# held to one owner per bank and to a standalone engine fed what the fleet
-# acknowledged. go test ./... runs the first 300 seeds; a failure prints its
+# refreshes, one-shot request faults (the router's ingest door among them),
+# lost handoff answers, and disk faults (a node's wal.FaultFS failing its
+# writes, syncs or opens for one step), each quiescent fleet held to one
+# owner per bank and to a standalone engine fed what the fleet acknowledged. go test ./... runs the first 300 seeds; a failure prints its
 # seed and the shrunk schedule (rerun with -args -sim.from=SEED -sim.seeds=1).
 go test -count 1 -run 'TestFleetSimulation' ./internal/cluster/ -args -sim.seeds=10000
 go test -race -count 1 -run 'TestFleetSimulation' ./internal/cluster/ -args -sim.seeds=1000
@@ -120,23 +121,24 @@ echo "==> clock-driven tests, ten times under -race"
 # shows up here as a flake. The fleet simulation has its own leg above.
 go test -race -count=10 -skip TestFleetSimulation ./internal/cluster/ ./internal/lifecycle/
 
-echo "==> real-binary e2e (daemon, retraining, crash recovery, cluster failover, ddr5-dimm CLI)"
+echo "==> real-binary e2e (daemon, retraining, boot-kill-restart, cluster failover, ddr5-dimm CLI)"
 # Real binaries, started and probed through chaos.Daemon; one test binary, so
 # the eight commands build once. TestCLIServeEndToEnd: readiness, JSONL and wire
 # ingest counts, the /metrics series, cordial-study counting the events the
 # daemon accepted from the same wire file, the drain report on SIGTERM.
 # TestCLIServeRetraining: drift -> retrain -> shadow -> promote with /readyz 200
 # throughout and the candidate ahead on the shadow scoreboard.
-# TestCLIServeCrashRecovery: a SIGKILL mid-ingest, then a restart over the same
-# -wal-dir converges to the actions of an uninterrupted reference run.
+# TestCLIServeCrashRecovery: periodic snapshots, more ingest, a SIGKILL, then a
+# restart over the same -wal-dir from the snapshot and the journal converges
+# to the actions of an uninterrupted reference run. TestCLIServePeriodicSnapshot:
+# a SIGKILL after periodic snapshots of the whole log restarts from a snapshot
+# that covers every event.
 # TestCLIClusterFailover: three nodes behind cordial-router, one SIGKILLed; the
 # second half arrives as wire frames and the deduplicated action set equals a
 # single-node reference exactly. TestCLITruthGolden: gen -> train -errbits ->
-# predict and a transfer study under ddr5-dimm. TestCLIServePeriodicSnapshot:
-# -snapshot-interval checkpoints a running daemon, so a SIGKILLed one restarts
-# from a snapshot. All run in `go test ./...` too; this labeled pass keeps
-# them visible.
-go test -run 'TestCLIServeEndToEnd|TestCLIServeRetraining|TestCLIServeCrashRecovery|TestCLIClusterFailover|TestCLITruthGolden|TestCLIServePeriodicSnapshot' \
+# predict and a transfer study under ddr5-dimm. All run in `go test ./...` too;
+# this labeled pass keeps them visible.
+go test -run 'TestCLIServeEndToEnd|TestCLIServeRetraining|TestCLIServeCrashRecovery|TestCLIServePeriodicSnapshot|TestCLIClusterFailover|TestCLITruthGolden' \
     -count 1 ./internal/clitest/
 
 echo "==> fuzz smoke (every fuzz target, 5s each)"
@@ -271,11 +273,12 @@ go test -run 'TestTransferSmoke' -count 1 ./internal/experiments/
 # The real-binary ddr5-dimm runs are TestCLITruthGolden's, in the e2e leg.
 
 echo "==> chaos smoke (the ~30s ci-smoke scenario)"
-# The checked-in scenarios are Go values, validated by internal/chaos's
-# tests; the short two-node smoke scenario actually runs — fleet bring-up, wire-codec
-# load, one SIGKILL with journal takeover, a poison burst — and its SLO
-# verdict (recovery time, availability, zero verdict loss, zero poison
-# accepted) is the gate. The directory is left behind on failure, with
+# The real-binary smoke: ci-smoke (a Go value, validated by internal/chaos's
+# tests) brings up a control plane, two nodes and a router, loads them with
+# wire frames, and injects only what needs a real process — one SIGKILL with
+# journal takeover and a poison burst at the front door. Its SLO verdict
+# (recovery time, availability, zero verdict loss, zero poison accepted) is
+# the gate. The directory is left behind on failure, with
 # the daemons' WALs and the report.
 # The runner builds the daemons it starts into the work directory.
 chaosdir=$(mktemp -d)
