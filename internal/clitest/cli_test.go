@@ -1,6 +1,6 @@
 // Package clitest builds the repository's command binaries and exercises
 // them end to end: generate → study → train → predict → repro, and the
-// daemons, started and probed through the chaos harness.
+// daemons, started and probed through Daemon (daemon_test.go).
 package clitest
 
 import (
@@ -15,13 +15,11 @@ import (
 	"sync"
 	"testing"
 
-	"cordial/internal/chaos"
 	"cordial/internal/faultsim"
 )
 
 var (
 	buildOnce sync.Once
-	buildDir  string
 	binDir    string
 	buildErr  error
 )
@@ -29,8 +27,8 @@ var (
 // TestMain removes the directory buildAll built the commands into.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
+	if binDir != "" {
+		os.RemoveAll(binDir)
 	}
 	os.Exit(code)
 }
@@ -43,10 +41,10 @@ func buildAll(t *testing.T) string {
 		t.Skip("builds binaries")
 	}
 	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "cordial-clitest-"); buildErr != nil {
+		if binDir, buildErr = os.MkdirTemp("", "cordial-clitest-"); buildErr != nil {
 			return
 		}
-		binDir, buildErr = chaos.BuildBinaries("", buildDir, t.Logf, "cordial-gen", "cordial-train", "cordial-predict",
+		buildErr = BuildBinaries(binDir, "cordial-gen", "cordial-train", "cordial-predict",
 			"cordial-repro", "cordial-study", "cordial-serve", "cordial-control", "cordial-router")
 	})
 	if buildErr != nil {

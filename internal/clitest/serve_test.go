@@ -14,15 +14,13 @@ import (
 	"testing"
 	"time"
 
-	"cordial/internal/chaos"
 	"cordial/internal/stream"
 )
 
-// startDaemon starts one of the built daemons through the chaos harness
-// and kills it when the test ends.
-func startDaemon(t *testing.T, bin, name string, args ...string) *chaos.Daemon {
+// startDaemon starts one of the built daemons and kills it when the test ends.
+func startDaemon(t *testing.T, bin, name string, args ...string) *Daemon {
 	t.Helper()
-	d := &chaos.Daemon{Name: name, Path: filepath.Join(bin, name), Args: args}
+	d := &Daemon{Name: name, Path: filepath.Join(bin, name), Args: args}
 	t.Cleanup(d.Kill)
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
@@ -32,7 +30,7 @@ func startDaemon(t *testing.T, bin, name string, args ...string) *chaos.Daemon {
 
 // startServe starts cordial-serve on an ephemeral port with demo-mode
 // defaults; extraArgs append to (and may override) them.
-func startServe(t *testing.T, bin string, extraArgs ...string) *chaos.Daemon {
+func startServe(t *testing.T, bin string, extraArgs ...string) *Daemon {
 	t.Helper()
 	return startDaemon(t, bin, "cordial-serve", append([]string{
 		"-selftrain", "-seed", "7", "-train-banks", "50", "-trees", "10",
@@ -41,7 +39,7 @@ func startServe(t *testing.T, bin string, extraArgs ...string) *chaos.Daemon {
 }
 
 // stop sends SIGTERM and requires a clean exit.
-func stop(t *testing.T, d *chaos.Daemon) {
+func stop(t *testing.T, d *Daemon) {
 	t.Helper()
 	if err := d.Terminate(30 * time.Second); err != nil {
 		t.Fatalf("%s exit: %v\noutput:\n%s", d.Name, err, d.Output())
@@ -58,7 +56,7 @@ func check(t *testing.T, err error) {
 
 // post POSTs body to path and decodes the JSON answer, which must carry
 // status want.
-func post(t *testing.T, d *chaos.Daemon, path string, want int, body []byte) map[string]any {
+func post(t *testing.T, d *Daemon, path string, want int, body []byte) map[string]any {
 	t.Helper()
 	resp, err := http.Post(d.URL(path), "application/octet-stream", bytes.NewReader(body))
 	check(t, err)
@@ -71,7 +69,7 @@ func post(t *testing.T, d *chaos.Daemon, path string, want int, body []byte) map
 }
 
 // ingest POSTs body to path and requires all n of its events accepted.
-func ingest(t *testing.T, d *chaos.Daemon, path string, body []byte, n int) {
+func ingest(t *testing.T, d *Daemon, path string, body []byte, n int) {
 	t.Helper()
 	if res := post(t, d, path, http.StatusOK, body); int(res["accepted"].(float64)) != n {
 		t.Fatalf("POST %s: %v, want %d accepted", path, res, n)
@@ -80,11 +78,11 @@ func ingest(t *testing.T, d *chaos.Daemon, path string, body []byte, n int) {
 
 // reference feeds a whole log of n events to a daemon that never fails,
 // stops it and returns its action set.
-func reference(t *testing.T, d *chaos.Daemon, log []byte, n int) map[string]bool {
+func reference(t *testing.T, d *Daemon, log []byte, n int) map[string]bool {
 	t.Helper()
 	ingest(t, d, "/v1/events", log, n)
-	check(t, chaos.WaitDrained(d))
-	want, err := chaos.ActionSet(d)
+	check(t, WaitDrained(d))
+	want, err := ActionSet(d)
 	check(t, err)
 	if len(want) == 0 {
 		t.Fatal("reference daemon emitted no actions; fleet too small")
@@ -94,7 +92,7 @@ func reference(t *testing.T, d *chaos.Daemon, log []byte, n int) map[string]bool
 }
 
 // metrics scrapes /metrics through the real HTTP stack.
-func metrics(t *testing.T, d *chaos.Daemon) string {
+func metrics(t *testing.T, d *Daemon) string {
 	t.Helper()
 	resp, err := http.Get(d.URL("/metrics"))
 	check(t, err)
@@ -135,20 +133,20 @@ func TestCLIServeEndToEnd(t *testing.T) {
 		Ready   bool     `json:"ready"`
 		Reasons []string `json:"reasons"`
 	}
-	if code := chaos.GetJSON(nil, p.URL("/readyz"), &ready); code != http.StatusOK || !ready.Ready {
+	if code := GetJSON(nil, p.URL("/readyz"), &ready); code != http.StatusOK || !ready.Ready {
 		t.Fatalf("readyz = %d (ready=%v reasons=%v)", code, ready.Ready, ready.Reasons)
 	}
 	// Liveness stays a separate, weaker probe.
-	if code := chaos.GetJSON(nil, p.URL("/healthz"), nil); code != http.StatusOK {
+	if code := GetJSON(nil, p.URL("/healthz"), nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
 
 	// Ingest the whole month in one batch, and wait until every event has
 	// flowed through its session.
 	ingest(t, p, "/v1/events", logBytes, len(lines))
-	check(t, chaos.WaitDrained(p))
+	check(t, WaitDrained(p))
 	var stats map[string]any
-	if code := chaos.GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
+	if code := GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
 		t.Fatalf("statsz = %d", code)
 	}
 	if int(stats["ingested"].(float64)) != len(lines) {
@@ -165,7 +163,7 @@ func TestCLIServeEndToEnd(t *testing.T) {
 			Bank string `json:"bank"`
 		} `json:"actions"`
 	}
-	if code := chaos.GetJSON(nil, p.URL("/v1/actions"), &acts); code != http.StatusOK {
+	if code := GetJSON(nil, p.URL("/v1/actions"), &acts); code != http.StatusOK {
 		t.Fatalf("actions = %d", code)
 	}
 	if len(acts.Actions) == 0 {
@@ -177,17 +175,17 @@ func TestCLIServeEndToEnd(t *testing.T) {
 		Bank   string `json:"bank"`
 		Events int    `json:"events"`
 	}
-	if code := chaos.GetJSON(nil, p.URL("/v1/banks/"+acts.Actions[0].Bank), &sess); code != http.StatusOK {
+	if code := GetJSON(nil, p.URL("/v1/banks/"+acts.Actions[0].Bank), &sess); code != http.StatusOK {
 		t.Fatalf("banks/{addr} = %d", code)
 	}
 	if sess.Events == 0 || sess.Bank != acts.Actions[0].Bank {
 		t.Errorf("session %+v for bank %s", sess, acts.Actions[0].Bank)
 	}
 	// Unknown bank and garbage address.
-	if code := chaos.GetJSON(nil, p.URL("/v1/banks/n127.u7.h1.s1.c7.p1.g3.b3.r0.col0"), nil); code != http.StatusNotFound {
+	if code := GetJSON(nil, p.URL("/v1/banks/n127.u7.h1.s1.c7.p1.g3.b3.r0.col0"), nil); code != http.StatusNotFound {
 		t.Errorf("unknown bank = %d", code)
 	}
-	if code := chaos.GetJSON(nil, p.URL("/v1/banks/junk"), nil); code != http.StatusBadRequest {
+	if code := GetJSON(nil, p.URL("/v1/banks/junk"), nil); code != http.StatusBadRequest {
 		t.Errorf("junk bank = %d", code)
 	}
 
@@ -208,11 +206,11 @@ func TestCLIServeEndToEnd(t *testing.T) {
 	fmt.Fprintf(conn, "%s\n{\"time\":\"2026-01-01T", lines[0])
 	conn.Close()
 	time.Sleep(100 * time.Millisecond)
-	if code := chaos.GetJSON(nil, p.URL("/readyz"), nil); code != http.StatusOK {
+	if code := GetJSON(nil, p.URL("/readyz"), nil); code != http.StatusOK {
 		t.Fatalf("readyz after disconnect = %d", code)
 	}
-	check(t, chaos.WaitDrained(p))
-	if code := chaos.GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
+	check(t, WaitDrained(p))
+	if code := GetJSON(nil, p.URL("/statsz"), &stats); code != http.StatusOK {
 		t.Fatalf("statsz after disconnect = %d", code)
 	}
 
@@ -281,7 +279,7 @@ func TestCLIServeRetraining(t *testing.T) {
 		"-retrain", "-retrain-interval", "30m")
 	ready := func(when string) {
 		t.Helper()
-		if code := chaos.GetJSON(nil, d.URL("/readyz"), nil); code != http.StatusOK {
+		if code := GetJSON(nil, d.URL("/readyz"), nil); code != http.StatusOK {
 			t.Fatalf("readyz = %d %s\noutput:\n%s", code, when, d.Output())
 		}
 	}
@@ -302,7 +300,7 @@ func TestCLIServeRetraining(t *testing.T) {
 	if res := post(t, d, "/v1/models/retrain", http.StatusAccepted, []byte(`{"trigger":"clitest"}`)); res["status"] != "retraining" {
 		t.Fatalf("forced retrain answered %v", res)
 	}
-	if code := chaos.GetJSON(nil, d.URL("/v1/models"), &models); code != http.StatusOK || models.Lifecycle.CandidateVersion != 2 {
+	if code := GetJSON(nil, d.URL("/v1/models"), &models); code != http.StatusOK || models.Lifecycle.CandidateVersion != 2 {
 		t.Fatalf("/v1/models = %d, candidate %d; want candidate 2", code, models.Lifecycle.CandidateVersion)
 	}
 	// Fresh drifted banks (another seed) create their sessions while the
@@ -313,8 +311,8 @@ func TestCLIServeRetraining(t *testing.T) {
 
 	// The drift-trained candidate covers more of the drifted UERs than the
 	// incumbent, over the same UERs, and never panicked.
-	check(t, chaos.WaitDrained(d))
-	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK {
+	check(t, WaitDrained(d))
+	if code := GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK {
 		t.Fatalf("statsz = %d", code)
 	}
 	sh := stats.Shadow
@@ -328,14 +326,14 @@ func TestCLIServeRetraining(t *testing.T) {
 	if res := post(t, d, "/v1/models/promote", http.StatusOK, nil); res["activeVersion"] != 2.0 {
 		t.Fatalf("promotion answered %v", res)
 	}
-	check(t, chaos.PollUntil("the swap on /metrics", 10*time.Second, func() bool {
+	check(t, PollUntil("the swap on /metrics", 10*time.Second, func() bool {
 		return strings.Contains(metrics(t, d), "\ncordial_model_swaps_total 1\n")
 	}))
 	ready("after promotion")
-	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK || stats.ActiveModelVersion != 2 {
+	if code := GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK || stats.ActiveModelVersion != 2 {
 		t.Errorf("statsz = %d, activeModelVersion %d; want 2", code, stats.ActiveModelVersion)
 	}
-	if code := chaos.GetJSON(nil, d.URL("/v1/models"), &models); code != http.StatusOK || models.ActiveVersion != 2 {
+	if code := GetJSON(nil, d.URL("/v1/models"), &models); code != http.StatusOK || models.ActiveVersion != 2 {
 		t.Errorf("/v1/models = %d, activeVersion %d; want the registry pointer on 2", code, models.ActiveVersion)
 	}
 	stop(t, d)
@@ -375,7 +373,7 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 	p1 := startServe(t, bin, serveArgs(walDir)...)
 	ingest(t, p1, "/v1/events", part(0, half), half)
 	checkpoint(t, p1)
-	got, err := chaos.ActionSet(p1)
+	got, err := ActionSet(p1)
 	check(t, err)
 	ingest(t, p1, "/v1/events", part(half, more), more-half)
 	p1.Kill()
@@ -387,7 +385,7 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 		t.Errorf("no recovery report in output:\n%s", p2.Output())
 	}
 	var stats map[string]any
-	if code := chaos.GetJSON(nil, p2.URL("/statsz"), &stats); code != http.StatusOK {
+	if code := GetJSON(nil, p2.URL("/statsz"), &stats); code != http.StatusOK {
 		t.Fatalf("statsz = %d", code)
 	}
 	if stats["walEnabled"] != true {
@@ -405,8 +403,8 @@ func TestCLIServeCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered snapshot %v covers the last quarter too: SIGKILL came after the next snapshot, and no suffix is replayed", seq)
 	}
 	ingest(t, p2, "/v1/events", part(more, len(lines)), len(lines)-more)
-	check(t, chaos.WaitDrained(p2))
-	after, err := chaos.ActionSet(p2)
+	check(t, WaitDrained(p2))
+	after, err := ActionSet(p2)
 	check(t, err)
 	for k := range after {
 		got[k] = true
@@ -433,7 +431,7 @@ func TestCLIServePeriodicSnapshot(t *testing.T) {
 		RecoveredSessions int `json:"recoveredSessions"`
 		LastSnapshotSeq   int `json:"lastSnapshotSeq"`
 	}
-	if code := chaos.GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK ||
+	if code := GetJSON(nil, d.URL("/statsz"), &stats); code != http.StatusOK ||
 		stats.RecoveredSessions == 0 || stats.LastSnapshotSeq < len(lines) {
 		t.Fatalf("statsz = %d, %+v after a restart; want sessions from a snapshot covering all %d events\noutput:\n%s",
 			code, stats, len(lines), d.Output())
@@ -470,9 +468,9 @@ func sameActions(t *testing.T, who string, want, got map[string]bool) {
 // checkpoint waits for d to drain, then for two periodic snapshots counted
 // by cordial_snapshot_seconds_count on /metrics: the second began after the
 // drain.
-func checkpoint(t *testing.T, d *chaos.Daemon) {
+func checkpoint(t *testing.T, d *Daemon) {
 	t.Helper()
-	check(t, chaos.WaitDrained(d))
+	check(t, WaitDrained(d))
 	count := func() int {
 		for _, line := range strings.Split(metrics(t, d), "\n") {
 			if v, ok := strings.CutPrefix(line, "cordial_snapshot_seconds_count "); ok {
@@ -485,7 +483,7 @@ func checkpoint(t *testing.T, d *chaos.Daemon) {
 		return 0
 	}
 	base := count()
-	check(t, chaos.PollUntil("two periodic snapshots", 10*time.Second, func() bool { return count() >= base+2 }))
+	check(t, PollUntil("two periodic snapshots", 10*time.Second, func() bool { return count() >= base+2 }))
 }
 
 // TestCLIServeFlagErrors covers startup validation: each bad command line
@@ -504,7 +502,7 @@ func TestCLIServeFlagErrors(t *testing.T) {
 		{[]string{"-selftrain", "-wal-dir", "x", "-fsync", "sometimes"}, `unknown sync policy "sometimes"`},
 		{[]string{"-selftrain", "-log-format", "xml"}, `unknown log format "xml"`},
 	} {
-		d := &chaos.Daemon{Name: "cordial-serve", Path: filepath.Join(bin, "cordial-serve"), Args: tc.args}
+		d := &Daemon{Name: "cordial-serve", Path: filepath.Join(bin, "cordial-serve"), Args: tc.args}
 		t.Cleanup(d.Kill)
 		began := time.Now()
 		err := d.Start()

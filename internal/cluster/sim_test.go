@@ -498,7 +498,8 @@ func (s *sim) finish() error {
 	return nil
 }
 
-// actionSet is a server's deduplicated actions, keyed as chaos compares them.
+// actionSet is a server's deduplicated actions, keyed as clitest's ActionSet
+// keys a daemon's.
 func actionSet(api *stream.Server) map[string]bool {
 	rec := httptest.NewRecorder()
 	api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/actions", nil))

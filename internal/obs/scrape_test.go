@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -187,6 +189,28 @@ func FuzzParseText(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Scrape fetches url and parses the body as a text exposition payload:
+// how a test reads a live /metrics.
+// Non-200 statuses are errors; a nil client uses http.DefaultClient.
+func Scrape(client *http.Client, url string) (*Snapshot, error) {
+	if client == nil {
+		client = http.DefaultClient
+	}
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("obs: scraping %s: status %d", url, resp.StatusCode)
+	}
+	snap, err := ParseText(io.LimitReader(resp.Body, 16<<20))
+	if err != nil {
+		return nil, fmt.Errorf("obs: scraping %s: %w", url, err)
+	}
+	return snap, nil
 }
 
 // TestScrape exercises the HTTP path end to end against a live registry.

@@ -14,11 +14,10 @@ import (
 )
 
 // Dead-letter rotation. The quarantine file preserves evidence, but a
-// sustained poison stream (the chaos harness produces exactly that) would
-// grow it without bound: every poisoned event appends a line forever. The
-// trail is capped two ways — the active file rotates once it reaches
-// MaxFileBytes, and rotated files are pruned by count and by age — so the
-// freshest evidence survives and the disk does not fill.
+// sustained poison stream would grow it without bound: every poisoned event
+// appends a line forever. The trail is capped two ways — the active file
+// rotates once it reaches MaxFileBytes, and rotated files are pruned by count
+// and by age — so the freshest evidence survives and the disk does not fill.
 
 // DeadLetterRotation caps the on-disk quarantine trail. The zero value
 // applies the defaults below; rotation is always on when a dead-letter

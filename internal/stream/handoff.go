@@ -219,7 +219,10 @@ func (st *shardState) adopt(from *shardState, sl *slot) {
 // handoff: once the importer has acknowledged the moved banks, the source
 // drops its now-inert copies so a later move back does not collide with
 // stale local state. Events for the dropped banks must already be fenced off
-// by the ownership filter — DropSessions does not stop intake.
+// by the ownership filter — DropSessions does not stop intake. A call made
+// while the last checkpoint stands failed snapshots even when it drops
+// nothing, so that retrying a drop whose snapshot failed persists it: the
+// banks are gone from memory, but not yet from the directory.
 func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 	dropped := 0
 	for _, s := range e.shards {
@@ -232,7 +235,7 @@ func (e *Engine) DropSessions(filter func(bankKey uint64) bool) (int, error) {
 		})
 		s.mu.Unlock()
 	}
-	if e.wal != nil && dropped > 0 {
+	if failed, _ := e.lastSnapErr.Load().(string); e.wal != nil && (dropped > 0 || failed != "") {
 		e.settle()
 		if _, err := e.Snapshot(); err != nil {
 			return dropped, fmt.Errorf("stream: persisting session drop: %w", err)

@@ -525,3 +525,37 @@ func TestBankMovesAwayAndBack(t *testing.T) {
 		t.Error(diff)
 	}
 }
+
+// TestRetriedDropPersists: a drop whose snapshot failed has already
+// forgotten its banks, so its retry finds nothing to drop. The retry must
+// still write the snapshot, or the directory keeps the dropped banks for
+// good: a boot over it, or a takeover that reads it, brings them back.
+func TestRetriedDropPersists(t *testing.T) {
+	dir := t.TempDir()
+	ffs := wal.NewFaultFS(wal.OSFS)
+	cfg := durCfg(dir, 2, nil)
+	cfg.Durability.FS = ffs
+	e := newTestEngine(t, cfg)
+	for b := 1; b <= 4; b++ {
+		feed(t, e, uerAt(testBank(b), 1, b))
+	}
+	if _, err := e.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ffs.LimitWriteBytes(0)
+	if n, err := e.DropSessions(nil); n != 4 || err == nil {
+		t.Fatalf("a drop under a write fault = %d, %v; want 4 dropped and the snapshot's error", n, err)
+	}
+	ffs.Disarm()
+	if n, err := e.DropSessions(nil); n != 0 || err != nil {
+		t.Fatalf("the retried drop = %d, %v; want 0 dropped and no error", n, err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reborn := newTestEngine(t, durCfg(dir, 2, nil))
+	defer reborn.Close()
+	if n := len(reborn.Sessions()); n != 0 {
+		t.Fatalf("a boot after the retried drop holds %d sessions, want 0", n)
+	}
+}

@@ -309,7 +309,7 @@ func TestLocalityChiSquareErrors(t *testing.T) {
 	if _, err := LocalityChiSquare(hbm.HBM2E, f.Log(), 32768, []int{0}); err == nil {
 		t.Error("zero threshold accepted")
 	}
-	if _, err := LocalityChiSquare(hbm.HBM2E, mcelog.NewLog(0), 32768, DefaultThresholds()); err == nil {
+	if _, err := LocalityChiSquare(hbm.HBM2E, &mcelog.Log{}, 32768, DefaultThresholds()); err == nil {
 		t.Error("empty log accepted")
 	}
 }

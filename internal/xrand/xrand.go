@@ -233,33 +233,35 @@ func (r *RNG) SampleInts(n, k int) []int {
 	return r.SampleIntsInto(nil, n, k)
 }
 
-// linearDedupeMax is the largest k SampleIntsInto dedupes by scanning what it
-// has drawn so far; beyond it the scan would go quadratic and a set is built.
-const linearDedupeMax = 32
-
-// SampleIntsInto is SampleInts writing into dst's backing array (grown when
-// too small: k values for a sparse draw, n for a dense one) and returning the
-// k-long result. The generator is consumed exactly as SampleInts consumes it,
-// so the two are interchangeable mid-stream.
+// SampleIntsInto is SampleInts writing into dst's backing array and returning
+// the k-long result. The generator is consumed exactly as SampleInts consumes
+// it, so the two are interchangeable mid-stream. A sparse draw dedupes through
+// a hash set kept past the result in the same array (it needs k plus the
+// smallest power of two above 2k values), a dense one shuffles all n values;
+// either way a dst reused at its size allocates nothing.
 func (r *RNG) SampleIntsInto(dst []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("xrand: SampleInts called with k out of range")
 	}
 	// For small k relative to n, redraw on collision; otherwise shuffle.
 	if k*4 < n {
-		dst = slices.Grow(dst[:0], k)
-		var seen map[int]struct{}
-		if k > linearDedupeMax {
-			seen = make(map[int]struct{}, k)
-		}
+		// Open addressing over v+1 (0 is a free slot), probed linearly from a
+		// Fibonacci hash; the table is at most half full.
+		width := bits.Len(uint(2 * k))
+		size := 1 << width
+		dst = slices.Grow(dst[:0], k+size)
+		set := dst[k : k+size]
+		clear(set)
 		for len(dst) < k {
 			v := r.Intn(n)
-			if _, dup := seen[v]; dup || (seen == nil && slices.Contains(dst, v)) {
+			h := int(uint64(v) * 0x9e3779b97f4a7c15 >> (64 - width))
+			for set[h] != 0 && set[h] != v+1 {
+				h = (h + 1) & (size - 1)
+			}
+			if set[h] != 0 {
 				continue
 			}
-			if seen != nil {
-				seen[v] = struct{}{}
-			}
+			set[h] = v + 1
 			dst = append(dst, v)
 		}
 		return dst

@@ -212,8 +212,8 @@ func mapSampleInts(r *RNG, n, k int) []int {
 
 // TestSampleIntsIntoStream asserts SampleIntsInto (and SampleInts over it)
 // returns what the map-based sampler returned and leaves the generator at the
-// same point, for 1000 seeded (n, k) pairs covering the scanned and the
-// set-backed sparse draw and the dense shuffle, into a buffer reused across
+// same point, for 1000 seeded (n, k) pairs covering sparse draws over small
+// and larger hash tables and the dense shuffle, into a buffer reused across
 // all of them.
 func TestSampleIntsIntoStream(t *testing.T) {
 	pick := New(77)
@@ -225,10 +225,10 @@ func TestSampleIntsIntoStream(t *testing.T) {
 		switch {
 		case k*4 >= n:
 			branches["dense"]++
-		case k > linearDedupeMax:
-			branches["sparse set"]++
+		case k > 16:
+			branches["sparse, a table of 64 or more"]++
 		default:
-			branches["sparse scan"]++
+			branches["sparse, a small table"]++
 		}
 		seed := pick.Uint64()
 		ref, into, wrap := New(seed), New(seed), New(seed)
@@ -244,9 +244,21 @@ func TestSampleIntsIntoStream(t *testing.T) {
 			t.Fatalf("generator position differs after sampling (%d,%d)", n, k)
 		}
 	}
-	for _, b := range []string{"dense", "sparse set", "sparse scan"} {
+	for _, b := range []string{"dense", "sparse, a table of 64 or more", "sparse, a small table"} {
 		if branches[b] < 50 {
 			t.Fatalf("only %d of 1000 draws took the %s branch", branches[b], b)
+		}
+	}
+}
+
+// TestSampleIntsIntoAllocs: a draw into a dst reused at its size allocates
+// nothing, sparse (its dedupe set lives in dst's spare capacity) or dense.
+func TestSampleIntsIntoAllocs(t *testing.T) {
+	r := New(3)
+	for _, tc := range []struct{ n, k int }{{1000, 5}, {21000, 2100}, {40, 30}} {
+		buf := r.SampleIntsInto(nil, tc.n, tc.k)
+		if allocs := testing.AllocsPerRun(20, func() { buf = r.SampleIntsInto(buf, tc.n, tc.k) }); allocs != 0 {
+			t.Errorf("SampleIntsInto(%d, %d) into a reused dst: %.1f allocations, want 0", tc.n, tc.k, allocs)
 		}
 	}
 }

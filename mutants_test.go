@@ -399,7 +399,8 @@ var mutants = []struct {
 		[]string{"internal/cluster TestClusterJoinHandoffLeave", "internal/cluster TestFleetSimulation"}},
 	{"a takeover reads no journal", "internal/cluster/controlplane.go",
 		"return HandoffBundle{Payload: payload, Suffix: recs}, nil", "return HandoffBundle{Payload: payload, Suffix: recs[:0]}, nil",
-		[]string{"internal/cluster TestTakeoverDeadNode", "internal/cluster TestSweepRacesConcurrentJoin", "internal/cluster TestFleetSimulation"}},
+		[]string{"internal/cluster TestTakeoverDeadNode", "internal/cluster TestSweepRacesConcurrentJoin", "internal/cluster TestFleetSimulation",
+			"internal/clitest TestCLIClusterFailover"}},
 	{"an import acknowledged before its snapshot", "internal/stream/handoff.go",
 		"\tif e.wal != nil && st.Sessions > 0 {\n\t\tif _, err := e.Snapshot(); err != nil {\n\t\t\treturn st, fmt.Errorf(\"stream: persisting imported",
 		"\tif false {\n\t\tif _, err := e.Snapshot(); err != nil {\n\t\t\treturn st, fmt.Errorf(\"stream: persisting imported",
@@ -449,6 +450,24 @@ var mutants = []struct {
 	{"a disarmed disk keeps failing", "internal/wal/fs.go",
 		"\tf.LimitWriteBytes(-1)\n\tf.FailSyncAfter(-1)\n\tf.FailOpens(false)\n", "",
 		[]string{"internal/cluster TestFleetSimulation"}},
+	{"a retried drop writes no snapshot", "internal/stream/handoff.go",
+		"(dropped > 0 || failed != \"\")", "(dropped > 0 || failed != \"\" && false)",
+		[]string{"internal/stream TestRetriedDropPersists"}},
+
+	// What the real binaries' smoke kills, one entry per check of
+	// TestCLIClusterFailover ("a takeover reads no journal" above is its
+	// verdict-loss entry): poison accepted, recovery and availability.
+	{"a serve node ingests events that fail validation", "internal/stream/server.go",
+		"\tif err := ev.Validate(q.prof.Geometry); err != nil {", "\tif err := ev.Validate(q.prof.Geometry); err != nil && false {",
+		[]string{"internal/clitest TestCLIClusterFailover", "internal/cluster TestIngestDoorMatrix",
+			"internal/stream TestIngestCodecParity", "internal/stream TestServerJSONLDurableBatchesAppends"}},
+	{"the control plane never runs its failure detector", "cmd/cordial-control/main.go",
+		"\tgo cp.Run(sweepCtx)\n", "\t_ = sweepCtx\n",
+		[]string{"internal/clitest TestCLIClusterFailover"}},
+	{"the router sleeps its retry backoff under the ring lock", "internal/cluster/router.go",
+		"\t\t\tbackoff(obs.SystemClock{}, nil, attempt-1, rt.cfg.Backoff, backoffCap)\n",
+		"\t\t\trt.mu.Lock()\n\t\t\tbackoff(obs.SystemClock{}, nil, attempt-1, rt.cfg.Backoff, backoffCap)\n\t\t\trt.mu.Unlock()\n",
+		[]string{"internal/clitest TestCLIClusterFailover"}},
 }
 
 // TestMutants plants each catalogued mutant in one copy of the module, in

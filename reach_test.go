@@ -24,7 +24,6 @@ var reachKeep = map[string]string{
 	"obs.ValidateLine":               "FuzzParseText's reference exposition grammar",
 	"mltree.CodingPasses":            "the one-coding-pass invariant core's training tests count",
 	"(*hbm.Profile).Derive":          "the wide-row profile of TestStoreLimitFallbacks",
-	"(*chaos.Report).TemplateNames":  "called by name from the HTML report template, which go/types cannot see",
 	"(*xrand.RNG).Perm":              "the shuffled views of mltree's view tests and SampleInts' reference draw",
 	"obs.NewFakeClock":               "the clock the cluster, lifecycle, stream and registry tests move by hand",
 	"(*obs.FakeClock).Advance":       "how those tests make a heartbeat, a sweep, a cooldown or a Drain budget pass",
@@ -38,6 +37,9 @@ var reachKeep = map[string]string{
 	"(*wal.FaultFS).FailRemoves":     faultDisk,
 	"(*wal.FaultFS).Disarm":          faultDisk,
 	"(*wal.FaultFS).Faults":          faultDisk,
+	"mcelog.FromEvents":              "how the cluster, stream and end-to-end tests write a batch of events as a request body",
+	"obs.ParseText":                  "the exposition parser the obs and stream tests read a /metrics payload back with",
+	"(*obs.Snapshot).Quantile":       "the histogram estimate those tests compare with the in-process one",
 }
 
 // faultDisk keeps wal.FaultFS's constructor and knobs: no program injects disk faults.
@@ -391,17 +393,34 @@ var deletionGates = []struct {
 	},
 	{
 		gate: "scenarios are Go values", deletedBy: "One fleet harness on one fake clock",
-		replacedBy: "chaos.NewScenario and chaos.Scenarios, the checked-in scenarios as Go values that cordial-chaos runs by name",
+		replacedBy: "chaos.NewScenario and chaos.Scenarios, the checked-in scenarios as Go values that cordial-chaos ran by name (both since deleted: see \"one real-binary smoke\")",
 		names:      []string{"parseYAML", "yamlParser", "ParseScenario", "LoadScenario", "decoder"},
 		check:      noScenarioFiles,
 	},
 	{
 		gate: "failures injected in process", deletedBy: "Fault injection moves in process",
-		replacedBy: "the fleet simulation's disk and router faults and the tests of the code each deleted verb broke; cordial-chaos keeps SIGKILL and poison",
+		replacedBy: "the fleet simulation's disk and router faults and the tests of the code each deleted verb broke; SIGKILL and poison went to TestCLIClusterFailover",
 		names: []string{"FaultSpec", "ParseFaultSpec", "StartupSpec", "startNodes", "ActRestartNode", "ActDiskFault",
 			"ActClearFault", "ActClockSkew", "ActPartitionRouter", "ActRetrain", "ActPromote"},
 		check: serveArmsNoFaults,
 	},
+	{
+		gate: "one real-binary smoke", deletedBy: "One real-binary smoke",
+		replacedBy: "TestCLIClusterFailover's four checks (verdict loss, poison accepted, recovery, availability) over Daemon in internal/clitest's test files, and the fleet simulation's shrunk schedules",
+		names:      []string{"Scenario", "BuildPlan"},
+		check:      noChaosHarness,
+	},
+}
+
+// noChaosHarness: neither internal/chaos nor cmd/cordial-chaos holds Go again.
+func noChaosHarness(mod *module) []string {
+	var bad []string
+	for _, path := range []string{"cordial/internal/chaos", "cordial/cmd/cordial-chaos"} {
+		if p := mod.pkgs[path]; p != nil && len(p.files) > 0 {
+			bad = append(bad, path+" is a package again")
+		}
+	}
+	return bad
 }
 
 // serveArmsNoFaults: cordial-serve defines no faultfs flag and names no
@@ -858,11 +877,11 @@ func oneClock(mod *module) []string {
 
 // oneEventOrder: no program sorts events with the reflective sort.Slice or
 // sort.SliceStable (mcelog.SortEvents is the event order), and the fleet
-// generators in internal/trace and internal/chaos never call
-// (*mcelog.Log).Sort: their logs are merges of runs sorted once per bank.
+// generator in internal/trace never calls (*mcelog.Log).Sort: its logs are
+// merges of runs sorted once per bank.
 func oneEventOrder(mod *module) []string {
 	const mcelogPkg = "cordial/internal/mcelog"
-	generators := []string{"cordial/internal/trace", "cordial/internal/chaos"}
+	generators := []string{"cordial/internal/trace"}
 	var bad []string
 	logType := mod.pkgs[mcelogPkg].pkg.Scope().Lookup("Log")
 	if logType == nil {
